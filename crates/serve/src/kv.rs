@@ -715,6 +715,124 @@ mod tests {
         assert!(run.timings[1].service_us > 0);
     }
 
+    /// FNV-1a over everything a simulation produces: every `SeqTiming`
+    /// field, the full `KvReport`, `preempted_by_class`, `depth_samples`
+    /// and `makespan_us`.
+    fn digest(run: &KvSimRun) -> u64 {
+        let r = &run.report;
+        let mut words = vec![
+            u64::from(r.enabled),
+            r.pool_blocks,
+            r.block_size,
+            r.max_batched_tokens,
+            r.steps,
+            r.preempted,
+            r.evicted_blocks,
+            r.freed_blocks,
+            r.inserted_blocks,
+            r.reused_blocks,
+            r.requested_blocks,
+            r.alloc_failures,
+            r.peak_live_blocks,
+            run.preempted_by_class[0],
+            run.preempted_by_class[1],
+            run.makespan_us,
+        ];
+        for t in &run.timings {
+            words.extend([
+                t.start_us,
+                t.finish_us,
+                t.service_us,
+                u64::from(t.preemptions),
+            ]);
+        }
+        for &(class, depth) in &run.depth_samples {
+            words.extend([class_index(class) as u64, depth]);
+        }
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        spear_kv::shard::fnv1a(&bytes)
+    }
+
+    /// 512 sequences in bursts of twelve over four families with shared
+    /// prefixes, drawn from a fixed LCG.
+    fn bursty_inputs() -> Vec<SeqInput> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let mut arrival_us = 0u64;
+        (0..512u64)
+            .map(|id| {
+                arrival_us += if id % 16 < 12 {
+                    20 + draw(40)
+                } else {
+                    1_500 + draw(2_000)
+                };
+                let family = draw(4);
+                SeqInput {
+                    id,
+                    priority: if draw(10) < 6 {
+                        Priority::Interactive
+                    } else {
+                        Priority::Batch
+                    },
+                    arrival_us,
+                    prompt_tokens: 260 + draw(220),
+                    completion_tokens: 6 + draw(42),
+                    shared_prefix_tokens: 128 + 64 * family,
+                    family_seed: 0x51ed_2701 + family * 0x1000_0001,
+                }
+            })
+            .collect()
+    }
+
+    /// Golden digests, recorded on the scan-based pool and the
+    /// chain-rebuilding simulator before either was touched: the
+    /// incremental pool index and the simulator's cached chains must not
+    /// move a single timestamp or counter.
+    #[test]
+    fn golden_digests_pin_every_timing_and_counter() {
+        let staggered: Vec<SeqInput> = (0..8).map(|i| seq(i, i * 100, 320, 40, 256)).collect();
+        let crowded: Vec<SeqInput> = (0..8).map(|i| seq(i, i * 10, 320, 40, 256)).collect();
+        let tiny = KvPressureConfig {
+            pool_blocks: 4,
+            block_size: 16,
+            pool_stripes: 1,
+            ..KvPressureConfig::default()
+        };
+        let bursty_cfg = KvPressureConfig {
+            pool_blocks: 256,
+            block_size: 16,
+            pool_stripes: 1,
+            max_batched_tokens: 1024,
+            prefill_chunk_tokens: 128,
+            ..KvPressureConfig::default()
+        };
+        let roomy = simulate(&staggered, &KvPressureConfig::default());
+        let tight = simulate(&crowded, &tight_cfg());
+        let oversized = simulate(&[seq(0, 0, 640, 32, 0)], &tiny);
+        let bursty = simulate(&bursty_inputs(), &bursty_cfg);
+        assert!(tight.report.preempted > 0 && tight.report.evicted_blocks > 0);
+        assert!(bursty.report.preempted > 0 && bursty.report.evicted_blocks > 0);
+        assert_eq!(
+            [
+                digest(&roomy),
+                digest(&tight),
+                digest(&oversized),
+                digest(&bursty)
+            ],
+            [
+                9_915_116_632_029_514_797,
+                14_134_403_833_580_421_031,
+                12_621_088_748_780_322_634,
+                13_739_723_301_749_704_966
+            ]
+        );
+    }
+
     #[test]
     fn simulation_is_a_pure_function_of_its_inputs() {
         let inputs: Vec<SeqInput> = (0..12).map(|i| seq(i, i * 7, 200, 24, 128)).collect();
