@@ -29,6 +29,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use spear_kv::shard::{fnv1a_extend, FNV1A_OFFSET};
 
+use crate::lru::LruIndex;
 use crate::tokenizer::Token;
 
 /// Default maximum interned chains (across all shards). Chains are one per
@@ -97,6 +98,8 @@ pub struct InternStats {
 #[derive(Debug, Default)]
 struct Shard {
     map: HashMap<u64, Entry>,
+    /// Every resident chain in LRU order.
+    lru: LruIndex,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -146,17 +149,15 @@ impl TokenInterner {
     /// The returned chain is three `Arc` clones — no data is copied.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<InternedChain> {
-        let mut shard = self.shard(key).lock();
+        let mut guard = self.shard(key).lock();
+        let shard = &mut *guard;
         shard.tick += 1;
-        let tick = shard.tick;
-        let found = shard.map.get_mut(&key).map(|entry| {
-            entry.last_used = tick;
-            entry.chain.clone()
-        });
-        match found {
-            Some(chain) => {
+        match shard.map.get_mut(&key) {
+            Some(entry) => {
+                shard.lru.touch(key, entry.last_used, shard.tick);
+                entry.last_used = shard.tick;
                 shard.hits += 1;
-                Some(chain)
+                Some(entry.chain.clone())
             }
             None => {
                 shard.misses += 1;
@@ -170,23 +171,23 @@ impl TokenInterner {
     /// and only its LRU position refreshes. At capacity, the least
     /// recently used chain in the shard is evicted first.
     pub fn insert(&self, key: u64, chain: InternedChain) {
-        let mut shard = self.shard(key).lock();
+        let mut guard = self.shard(key).lock();
+        let shard = &mut *guard;
         shard.tick += 1;
         let tick = shard.tick;
         if let Some(entry) = shard.map.get_mut(&key) {
+            shard.lru.touch(key, entry.last_used, tick);
             entry.last_used = tick;
             return;
         }
         while shard.map.len() >= self.capacity_per_shard {
-            let victim = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k);
-            let Some(victim) = victim else { break };
+            let Some(victim) = shard.lru.pop_lru() else {
+                break;
+            };
             shard.map.remove(&victim);
             shard.evictions += 1;
         }
+        shard.lru.insert(tick, key);
         shard.map.insert(
             key,
             Entry {
@@ -215,7 +216,9 @@ impl TokenInterner {
     /// Drop every interned chain (counters are retained).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().map.clear();
+            let mut shard = shard.lock();
+            shard.map.clear();
+            shard.lru.clear();
         }
     }
 }

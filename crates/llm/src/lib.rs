@@ -41,6 +41,7 @@ pub mod cache;
 pub mod clock;
 pub mod engine;
 pub mod intern;
+mod lru;
 pub mod memo;
 pub mod pool;
 pub mod profile;

@@ -31,6 +31,8 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 use spear_core::llm::FinishReason;
 
+use crate::lru::LruIndex;
+
 /// Number of lock stripes. Matches the interner's default: enough to keep
 /// 8 serving lanes from contending, cheap enough to aggregate.
 const NUM_SHARDS: usize = 16;
@@ -107,6 +109,8 @@ enum Slot {
 #[derive(Default)]
 struct ShardState {
     slots: HashMap<u64, Slot>,
+    /// The `Ready` slots — the evictable ones — in LRU order.
+    ready: LruIndex,
     tick: u64,
     hits: u64,
     coalesced_waits: u64,
@@ -114,15 +118,6 @@ struct ShardState {
     insertions: u64,
     evictions: u64,
     resident_bytes: u64,
-}
-
-impl ShardState {
-    fn ready_count(&self) -> u64 {
-        self.slots
-            .values()
-            .filter(|s| matches!(s, Slot::Ready { .. }))
-            .count() as u64
-    }
 }
 
 struct Shard {
@@ -211,37 +206,33 @@ impl GenMemo {
         let shard = self.shard(key);
         let mut state = Self::lock(shard);
         loop {
-            let in_flight = match state.slots.get(&key) {
-                Some(Slot::Ready { .. }) => {
-                    state.tick += 1;
-                    let tick = state.tick;
-                    let Some(Slot::Ready { entry, last_used }) = state.slots.get_mut(&key) else {
-                        unreachable!("slot checked under the same lock");
-                    };
-                    *last_used = tick;
-                    let entry = entry.clone();
-                    state.hits += 1;
-                    return Lookup::Hit(entry);
+            let shard_state = &mut *state;
+            match shard_state.slots.get_mut(&key) {
+                Some(Slot::Ready { entry, last_used }) => {
+                    shard_state.tick += 1;
+                    shard_state.ready.touch(key, *last_used, shard_state.tick);
+                    *last_used = shard_state.tick;
+                    shard_state.hits += 1;
+                    return Lookup::Hit(entry.clone());
                 }
-                Some(Slot::InFlight) => true,
-                None => false,
-            };
-            if in_flight {
-                state.coalesced_waits += 1;
-                state = match shard.woken.wait(state) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                // Loop: the leader either published (Ready → hit) or
-                // abandoned (absent → we may lead).
-            } else {
-                state.slots.insert(key, Slot::InFlight);
-                state.leads += 1;
-                return Lookup::Lead(LeadGuard {
-                    memo: self,
-                    key,
-                    done: false,
-                });
+                Some(Slot::InFlight) => {
+                    shard_state.coalesced_waits += 1;
+                    state = match shard.woken.wait(state) {
+                        Ok(guard) => guard,
+                        Err(poisoned) => poisoned.into_inner(),
+                    };
+                    // Loop: the leader either published (Ready → hit) or
+                    // abandoned (absent → we may lead).
+                }
+                None => {
+                    shard_state.slots.insert(key, Slot::InFlight);
+                    shard_state.leads += 1;
+                    return Lookup::Lead(LeadGuard {
+                        memo: self,
+                        key,
+                        done: false,
+                    });
+                }
             }
         }
     }
@@ -263,16 +254,10 @@ impl GenMemo {
         // Evict LRU completed entries to stay within bound; the slot being
         // published replaces an InFlight marker, so resident count grows
         // by one. In-flight markers are pinned.
-        while state.ready_count() >= self.capacity_per_shard as u64 {
-            let victim = state
-                .slots
-                .iter()
-                .filter_map(|(k, s)| match s {
-                    Slot::Ready { last_used, .. } => Some((*last_used, *k)),
-                    Slot::InFlight => None,
-                })
-                .min();
-            let Some((_, victim)) = victim else { break };
+        while state.ready.len() >= self.capacity_per_shard {
+            let Some(victim) = state.ready.pop_lru() else {
+                break;
+            };
             if let Some(Slot::Ready { entry, .. }) = state.slots.remove(&victim) {
                 state.resident_bytes -= entry.bytes();
                 state.evictions += 1;
@@ -282,6 +267,7 @@ impl GenMemo {
         let tick = state.tick;
         state.resident_bytes += entry.bytes();
         state.insertions += 1;
+        state.ready.insert(tick, key);
         state.slots.insert(
             key,
             Slot::Ready {
@@ -317,7 +303,7 @@ impl GenMemo {
             out.leads += state.leads;
             out.insertions += state.insertions;
             out.evictions += state.evictions;
-            out.resident += state.ready_count();
+            out.resident += state.ready.len() as u64;
             out.resident_bytes += state.resident_bytes;
         }
         out
@@ -329,6 +315,7 @@ impl GenMemo {
         for shard in &self.shards {
             let mut state = Self::lock(shard);
             state.slots.retain(|_, slot| matches!(slot, Slot::InFlight));
+            state.ready.clear();
             state.resident_bytes = 0;
         }
     }

@@ -43,9 +43,17 @@
 //! operations on the *same* sequence must be externally ordered (a
 //! sequence has one owner — its scheduler).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
+
+use crate::lru::LruIndex;
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod naive;
 
 /// Default stripe count for [`BlockPool`].
 pub const DEFAULT_POOL_STRIPES: usize = 4;
@@ -138,7 +146,7 @@ impl std::fmt::Display for PoolExhausted {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Node {
     parent: u64,
     hash: u64,
@@ -156,6 +164,14 @@ struct PoolStripe {
     nodes: HashMap<u64, Node>,
     /// `sequence id -> pinned path (root-first node ids)`.
     leases: HashMap<u64, Vec<u64>>,
+    /// Nodes with `refs > 0`. A lease is a root-first path, so a pinned
+    /// node's ancestors are pinned by the same lease: this is also the
+    /// number of nodes eviction may never touch.
+    pinned: usize,
+    /// The evictable nodes — `refs == 0` and `children == 0` — in LRU
+    /// order, kept current wherever `refs`, `children` or `last_used`
+    /// change.
+    evictable: LruIndex,
     next_id: u64,
     tick: u64,
     stats: PoolStats,
@@ -170,32 +186,10 @@ impl PoolStripe {
         }
     }
 
-    /// Node ids that must survive: every node with `refs > 0` plus all of
-    /// its ancestors (evicting an ancestor would orphan a pinned block).
-    fn protected(&self) -> std::collections::HashSet<u64> {
-        let mut keep = std::collections::HashSet::new();
-        for (&id, node) in &self.nodes {
-            if node.refs == 0 {
-                continue;
-            }
-            let mut cursor = id;
-            while cursor != ROOT && keep.insert(cursor) {
-                cursor = self.nodes[&cursor].parent;
-            }
-        }
-        keep
-    }
-
     /// Evict the LRU unpinned leaf. Returns `false` when nothing is
     /// evictable (every block pinned or an ancestor of a pinned block).
     fn evict_one(&mut self) -> bool {
-        let victim = self
-            .nodes
-            .iter()
-            .filter(|(_, n)| n.children == 0 && n.refs == 0)
-            .min_by_key(|(&id, n)| (n.last_used, id))
-            .map(|(&id, _)| id);
-        let Some(id) = victim else {
+        let Some(id) = self.evictable.pop_lru() else {
             return false;
         };
         self.remove_node(id);
@@ -203,6 +197,8 @@ impl PoolStripe {
         true
     }
 
+    /// Drop node `id` (already out of `evictable`); a parent left
+    /// unpinned and childless becomes evictable.
     fn remove_node(&mut self, id: u64) {
         let Some(node) = self.nodes.remove(&id) else {
             return;
@@ -211,8 +207,25 @@ impl PoolStripe {
         if node.parent != ROOT {
             if let Some(parent) = self.nodes.get_mut(&node.parent) {
                 parent.children = parent.children.saturating_sub(1);
+                if parent.children == 0 && parent.refs == 0 {
+                    self.evictable.insert(parent.last_used, node.parent);
+                }
             }
         }
+    }
+
+    /// Drop one pin from `id`. Returns the node's `last_used` when that
+    /// left it unpinned and childless — evictable, or on preemption
+    /// droppable.
+    fn unpin(&mut self, id: u64) -> Option<u64> {
+        let node = self.nodes.get_mut(&id)?;
+        debug_assert!(node.refs > 0, "unpinned block must be pinned");
+        node.refs = node.refs.checked_sub(1)?;
+        if node.refs > 0 {
+            return None;
+        }
+        self.pinned -= 1;
+        (node.children == 0).then_some(node.last_used)
     }
 
     /// Extend (or create) `seq`'s lease to cover the full `chain`.
@@ -246,17 +259,15 @@ impl PoolStripe {
         // without touching a pinned path (ours included, once pinned)?
         let evictions_needed = (self.nodes.len() + new_needed).saturating_sub(self.capacity);
         if evictions_needed > 0 {
-            let mut keep = self.protected();
-            // The resident extension (and its ancestors, already on the
-            // lease) is about to be pinned — protect it now so we neither
-            // evict it nor count it as reclaimable.
-            for &id in &resident {
-                keep.insert(id);
-            }
-            for &id in lease.iter() {
-                keep.insert(id);
-            }
-            let reclaimable = self.nodes.len() - keep.len();
+            // Everything pinned survives (the lease included), and so does
+            // the resident extension, which is about to be pinned — count
+            // the part of it nobody pins yet so we neither evict it nor
+            // call it reclaimable.
+            let unpinned_resident = resident
+                .iter()
+                .filter(|id| self.nodes.get(id).is_some_and(|n| n.refs == 0))
+                .count();
+            let reclaimable = self.nodes.len() - self.pinned - unpinned_resident;
             if reclaimable < evictions_needed {
                 self.stats.alloc_failures += 1;
                 if !lease.is_empty() {
@@ -273,9 +284,16 @@ impl PoolStripe {
         // select it while we insert the genuinely new blocks.
         let tick = self.tick;
         for &id in &resident {
-            let node = self.nodes.get_mut(&id).expect("resident node exists");
-            node.refs += 1;
-            node.last_used = tick;
+            if let Some(node) = self.nodes.get_mut(&id) {
+                if node.refs == 0 {
+                    self.pinned += 1;
+                    if node.children == 0 {
+                        self.evictable.remove(node.last_used, id);
+                    }
+                }
+                node.refs += 1;
+                node.last_used = tick;
+            }
             lease.push(id);
         }
         let mut parent = lease.last().copied().unwrap_or(ROOT);
@@ -305,6 +323,7 @@ impl PoolStripe {
                     p.children += 1;
                 }
             }
+            self.pinned += 1;
             self.stats.inserted_blocks += 1;
             lease.push(id);
             parent = id;
@@ -325,9 +344,8 @@ impl PoolStripe {
             return;
         };
         for id in lease {
-            if let Some(node) = self.nodes.get_mut(&id) {
-                debug_assert!(node.refs > 0, "released block must be pinned");
-                node.refs = node.refs.saturating_sub(1);
+            if let Some(last_used) = self.unpin(id) {
+                self.evictable.insert(last_used, id);
             }
         }
     }
@@ -340,12 +358,7 @@ impl PoolStripe {
             return;
         };
         for &id in lease.iter().rev() {
-            let Some(node) = self.nodes.get_mut(&id) else {
-                continue;
-            };
-            debug_assert!(node.refs > 0, "freed block must be pinned");
-            node.refs = node.refs.saturating_sub(1);
-            if node.refs == 0 && node.children == 0 {
+            if self.unpin(id).is_some() {
                 self.remove_node(id);
                 self.stats.freed_blocks += 1;
             }
@@ -375,10 +388,45 @@ impl PoolStripe {
         }
         evicted
     }
+}
 
-    fn pinned(&self) -> usize {
-        self.nodes.values().filter(|n| n.refs > 0).count()
+/// Pin the longest prefix of `chain` that `allocate` accepts, for a
+/// sequence already holding `held` blocks of it.
+fn longest_feasible_prefix(
+    held: usize,
+    chain: &[u64],
+    mut allocate: impl FnMut(&[u64]) -> Result<AllocGrant, PoolExhausted>,
+) -> AllocGrant {
+    // A lease never shrinks: blocks the sequence already holds are the
+    // floor of the search, not probe candidates (probing below the
+    // lease would ask `allocate` to shrink it).
+    let held = held.min(chain.len());
+    let mut lo = held;
+    let mut grant = AllocGrant {
+        reused_blocks: 0,
+        new_blocks: 0,
+        lease_blocks: held,
+    };
+    // Binary-search the longest feasible prefix: feasibility is
+    // monotone in chain length for a fixed pool state, and each probe
+    // either succeeds (committing the prefix, which only helps longer
+    // probes) or leaves the pool unchanged.
+    let mut hi = chain.len();
+    while lo < hi {
+        let mid = hi.min(lo + (hi - lo).div_ceil(2)).max(lo + 1);
+        match allocate(&chain[..mid]) {
+            Ok(g) => {
+                grant = AllocGrant {
+                    reused_blocks: grant.reused_blocks + g.reused_blocks,
+                    new_blocks: grant.new_blocks + g.new_blocks,
+                    lease_blocks: g.lease_blocks,
+                };
+                lo = mid;
+            }
+            Err(_) => hi = mid - 1,
+        }
     }
+    grant
 }
 
 /// The lock-striped bounded block pool. See the module docs for the
@@ -462,36 +510,8 @@ impl BlockPool {
     /// sequence still makes progress (its uncovered tail is simply never
     /// resident, like a streamed suffix). Never fails.
     pub fn allocate_prefix(&self, seq: u64, chain: &[u64]) -> AllocGrant {
-        // A lease never shrinks: blocks the sequence already holds are the
-        // floor of the search, not probe candidates (probing below the
-        // lease would ask `allocate` to shrink it).
-        let held = self.lease_blocks(seq).unwrap_or(0).min(chain.len());
-        let mut lo = held;
-        let mut grant = AllocGrant {
-            reused_blocks: 0,
-            new_blocks: 0,
-            lease_blocks: held,
-        };
-        // Binary-search the longest feasible prefix: feasibility is
-        // monotone in chain length for a fixed pool state, and each probe
-        // either succeeds (committing the prefix, which only helps longer
-        // probes) or leaves the pool unchanged.
-        let mut hi = chain.len();
-        while lo < hi {
-            let mid = hi.min(lo + (hi - lo).div_ceil(2)).max(lo + 1);
-            match self.allocate(seq, &chain[..mid]) {
-                Ok(g) => {
-                    grant = AllocGrant {
-                        reused_blocks: grant.reused_blocks + g.reused_blocks,
-                        new_blocks: grant.new_blocks + g.new_blocks,
-                        lease_blocks: g.lease_blocks,
-                    };
-                    lo = mid;
-                }
-                Err(_) => hi = mid - 1,
-            }
-        }
-        grant
+        let held = self.lease_blocks(seq).unwrap_or(0);
+        longest_feasible_prefix(held, chain, |prefix| self.allocate(seq, prefix))
     }
 
     fn with_lease_stripe(&self, seq: u64, op: impl FnOnce(&mut PoolStripe, u64)) {
@@ -556,7 +576,7 @@ impl BlockPool {
     /// Resident blocks with a nonzero reference count.
     #[must_use]
     pub fn pinned_blocks(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().pinned()).sum()
+        self.stripes.iter().map(|s| s.lock().pinned).sum()
     }
 
     /// Aggregate counters across all stripes.
@@ -578,6 +598,7 @@ impl BlockPool {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -766,5 +787,163 @@ mod tests {
         assert_eq!(back, delta);
         // Misordered snapshots saturate.
         assert_eq!(before.delta_since(&pool.stats()).allocations, 0);
+    }
+
+    // --- Differential: the incremental stripe against the scan-based one.
+
+    use super::naive::NaiveStripe;
+    use proptest::prelude::*;
+
+    /// Blocks every sequence of a family shares before its variants fork.
+    const SHARED_BLOCKS: usize = 3;
+
+    /// `len` blocks of `(fam, variant)`: variants of one family share the
+    /// first [`SHARED_BLOCKS`] physically, then branch.
+    fn forked_chain(fam: u64, variant: u64, len: usize) -> Vec<u64> {
+        (0..len)
+            .map(|i| {
+                let tail = if i < SHARED_BLOCKS { 0 } else { variant + 1 };
+                (fam + 1) * 100_000 + tail * 1_000 + i as u64 + 1
+            })
+            .collect()
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Allocate {
+            seq: u64,
+            fam: u64,
+            variant: u64,
+            len: usize,
+        },
+        AllocatePrefix {
+            seq: u64,
+            fam: u64,
+            variant: u64,
+            len: usize,
+        },
+        Release {
+            seq: u64,
+        },
+        Free {
+            seq: u64,
+        },
+        EvictIdle {
+            n: usize,
+        },
+        Peek {
+            fam: u64,
+            variant: u64,
+            len: usize,
+        },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let target = || (0..6u64, 0..3u64, 0..3u64, 0..12usize);
+        prop_oneof![
+            5 => target().prop_map(|(seq, fam, variant, len)| Op::Allocate { seq, fam, variant, len }),
+            2 => target().prop_map(|(seq, fam, variant, len)| Op::AllocatePrefix { seq, fam, variant, len }),
+            3 => (0..6u64).prop_map(|seq| Op::Release { seq }),
+            3 => (0..6u64).prop_map(|seq| Op::Free { seq }),
+            1 => (1..6usize).prop_map(|n| Op::EvictIdle { n }),
+            1 => (0..3u64, 0..3u64, 0..12usize)
+                .prop_map(|(fam, variant, len)| Op::Peek { fam, variant, len }),
+        ]
+    }
+
+    /// Same residency, pins, recency and counters as the reference, and
+    /// the counted index agrees with a scan of the nodes it summarises.
+    fn assert_same_state(stripe: &PoolStripe, naive: &NaiveStripe, context: &str) {
+        assert_eq!(stripe.stats, naive.stats, "{context}: stats");
+        assert_eq!(
+            stripe.index, naive.index,
+            "{context}: resident (parent, hash) set"
+        );
+        assert_eq!(stripe.nodes, naive.nodes, "{context}: nodes");
+        assert_eq!(stripe.leases, naive.leases, "{context}: leases");
+        assert_eq!(stripe.pinned, naive.pinned(), "{context}: pinned count");
+        let mut leaves: Vec<(u64, u64)> = naive
+            .nodes
+            .iter()
+            .filter(|(_, n)| n.refs == 0 && n.children == 0)
+            .map(|(&id, n)| (n.last_used, id))
+            .collect();
+        leaves.sort_unstable();
+        let indexed: Vec<(u64, u64)> = stripe.evictable.keys().collect();
+        assert_eq!(indexed, leaves, "{context}: evictable leaves");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn incremental_stripe_matches_the_scan_reference(
+            capacity in 2..20usize,
+            ops in proptest::collection::vec(op_strategy(), 1..80),
+        ) {
+            let pool = BlockPool::new(capacity, 1);
+            let mut naive = NaiveStripe::new(capacity);
+            // A sequence's chain is fixed while it holds a lease; later
+            // allocations only ever extend it (the pool contract).
+            let mut held: HashMap<u64, (u64, u64, usize)> = HashMap::new();
+            let target = |held: &HashMap<u64, (u64, u64, usize)>, seq, fam, variant, len: usize| {
+                match held.get(&seq) {
+                    Some(&(fam, variant, leased)) => forked_chain(fam, variant, leased.max(len)),
+                    None => forked_chain(fam, variant, len),
+                }
+            };
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Allocate { seq, fam, variant, len } => {
+                        let chain = target(&held, seq, fam, variant, len);
+                        let got = pool.allocate(seq, &chain);
+                        // The facade answers empty chains itself.
+                        let want = if chain.is_empty() {
+                            Ok(AllocGrant { reused_blocks: 0, new_blocks: 0, lease_blocks: 0 })
+                        } else {
+                            naive.allocate(seq, &chain)
+                        };
+                        prop_assert_eq!(got, want, "step {} {:?}", step, op);
+                        if got.is_ok() && !chain.is_empty() {
+                            let (fam, variant) = held.get(&seq).map_or((fam, variant), |h| (h.0, h.1));
+                            held.insert(seq, (fam, variant, chain.len()));
+                        }
+                    }
+                    Op::AllocatePrefix { seq, fam, variant, len } => {
+                        let chain = target(&held, seq, fam, variant, len);
+                        let got = pool.allocate_prefix(seq, &chain);
+                        let leased = naive.leases.get(&seq).map_or(0, Vec::len);
+                        let want = longest_feasible_prefix(leased, &chain, |prefix| {
+                            naive.allocate(seq, prefix)
+                        });
+                        prop_assert_eq!(got, want, "step {} {:?}", step, op);
+                        if got.lease_blocks > 0 {
+                            let (fam, variant) = held.get(&seq).map_or((fam, variant), |h| (h.0, h.1));
+                            held.insert(seq, (fam, variant, got.lease_blocks));
+                        }
+                    }
+                    Op::Release { seq } => {
+                        pool.release(seq);
+                        naive.release(seq);
+                        held.remove(&seq);
+                    }
+                    Op::Free { seq } => {
+                        pool.free(seq);
+                        naive.free(seq);
+                        held.remove(&seq);
+                    }
+                    Op::EvictIdle { n } => {
+                        prop_assert_eq!(pool.evict_idle(n), naive.evict_idle(n));
+                    }
+                    Op::Peek { fam, variant, len } => {
+                        let chain = forked_chain(fam, variant, len);
+                        prop_assert_eq!(pool.peek(&chain), naive.peek(&chain));
+                    }
+                }
+                assert_same_state(&pool.stripes[0].lock(), &naive, &format!("step {step} {op:?}"));
+                prop_assert_eq!(pool.pinned_blocks(), naive.pinned());
+                prop_assert_eq!(pool.lease_blocks(0), naive.leases.get(&0).map(Vec::len));
+            }
+        }
     }
 }

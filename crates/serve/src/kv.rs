@@ -45,6 +45,8 @@
 //! blocks survived in the pool (the family's shared prefix usually did —
 //! that is prefix caching earning its keep under contention).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use spear_llm::{BlockPool, PoolExhausted};
 
 use crate::metrics::KvReport;
@@ -165,6 +167,10 @@ struct Seq {
     finished_at: u64,
     service_us: u64,
     preemptions: u32,
+    /// Leading block hashes of the context computed so far. The chain is
+    /// a pure function of the sequence and only ever grows, so it is
+    /// extended on demand rather than rebuilt per allocation attempt.
+    chain: Vec<u64>,
 }
 
 fn class_index(p: Priority) -> usize {
@@ -220,24 +226,23 @@ impl<'a> Sim<'a> {
         self.inputs[idx].prompt_tokens + self.seqs[idx].decoded
     }
 
-    /// Block-hash chain covering the first `blocks` blocks of `idx`'s
-    /// context. Blocks inside the (full-block) shared prefix hash by
-    /// family only, so same-family sequences share them physically; the
-    /// rest is salted by id, shareable only with this sequence's own
-    /// resumed self.
-    fn chain_for(&self, idx: usize, blocks: usize) -> Vec<u64> {
+    /// Make `idx`'s cached block-hash chain cover the first `blocks`
+    /// blocks of its context. Blocks inside the (full-block) shared prefix
+    /// hash by family only, so same-family sequences share them
+    /// physically; the rest is salted by id, shareable only with this
+    /// sequence's own resumed self.
+    fn extend_chain(&mut self, idx: usize, blocks: usize) {
         let input = &self.inputs[idx];
         let bs = self.cfg.block_size as u64;
         let shared_blocks = input.shared_prefix_tokens.min(input.prompt_tokens) / bs;
-        (0..blocks as u64)
-            .map(|b| {
-                if b < shared_blocks {
-                    mix(input.family_seed, &[b])
-                } else {
-                    mix(input.family_seed, &[input.id + 1, b])
-                }
-            })
-            .collect()
+        let chain = &mut self.seqs[idx].chain;
+        for b in chain.len() as u64..blocks as u64 {
+            chain.push(if b < shared_blocks {
+                mix(input.family_seed, &[b])
+            } else {
+                mix(input.family_seed, &[input.id + 1, b])
+            });
+        }
     }
 
     fn blocks_for_tokens(&self, tokens: u64) -> usize {
@@ -290,9 +295,10 @@ impl<'a> Sim<'a> {
     /// this iteration's finishers) hold the pool, and their progress or
     /// release is what frees it.
     fn ensure_blocks(&mut self, idx: usize, blocks: usize) -> bool {
+        self.extend_chain(idx, blocks);
         loop {
-            let chain = self.chain_for(idx, blocks);
-            match self.pool.allocate(Self::pool_seq(idx), &chain) {
+            let chain = &self.seqs[idx].chain[..blocks];
+            match self.pool.allocate(Self::pool_seq(idx), chain) {
                 Ok(grant) => {
                     self.seqs[idx].leased_blocks = grant.lease_blocks;
                     return true;
@@ -315,7 +321,8 @@ impl<'a> Sim<'a> {
                     // Nobody else holds blocks: the sequence is bigger
                     // than the pool. Pin what fits and stream the tail —
                     // never livelock on self-preemption.
-                    let grant = self.pool.allocate_prefix(Self::pool_seq(idx), &chain);
+                    let chain = &self.seqs[idx].chain[..blocks];
+                    let grant = self.pool.allocate_prefix(Self::pool_seq(idx), chain);
                     self.seqs[idx].leased_blocks = grant.lease_blocks;
                     return true;
                 }
@@ -353,14 +360,16 @@ impl<'a> Sim<'a> {
             let mut preemptions_before = self.preempted_by_class;
 
             // --- Decode: one token for every running decode-phase
-            // sequence, in admission order.
-            for idx in self.running.clone() {
-                if budget == 0 {
-                    break;
-                }
+            // sequence, in admission order. `running` is kept in admission
+            // order and a step only ever preempts sequences admitted after
+            // the one it serves, so removals land beyond the cursor.
+            let mut cursor = 0;
+            while cursor < self.running.len() && budget > 0 {
+                let idx = self.running[cursor];
+                cursor += 1;
                 let seq = &self.seqs[idx];
                 if seq.phase != Phase::Running || seq.finishing {
-                    continue; // preempted earlier in this very pass
+                    continue;
                 }
                 let target = self.context_target(idx);
                 let input = &self.inputs[idx];
@@ -392,10 +401,10 @@ impl<'a> Sim<'a> {
             // Each chunk first extends the lease to cover the tokens it
             // is about to materialize; a sequence that cannot get blocks
             // (earlier-admitted holders) simply skips its turn.
-            for idx in self.running.clone() {
-                if budget == 0 {
-                    break;
-                }
+            let mut cursor = 0;
+            while cursor < self.running.len() && budget > 0 {
+                let idx = self.running[cursor];
+                cursor += 1;
                 if self.seqs[idx].phase != Phase::Running || self.seqs[idx].finishing {
                     continue;
                 }
@@ -441,20 +450,24 @@ impl<'a> Sim<'a> {
                 };
                 let target = self.context_target(idx);
                 let blocks = self.blocks_for_tokens(target);
-                let chain = self.chain_for(idx, blocks);
-                let resident = self.pool.peek(&chain);
-                let grant = self
+                self.extend_chain(idx, blocks);
+                let chain = &self.seqs[idx].chain[..blocks];
+                let resident = self.pool.peek(chain);
+                // Pinning resident blocks needs no new ones, so this does
+                // not fail; a refusal would leave the pool untouched and
+                // the sequence starting with nothing pinned.
+                let leased_blocks = self
                     .pool
                     .allocate(Self::pool_seq(idx), &chain[..resident])
-                    .expect("pinning a fully-resident prefix needs no new blocks");
+                    .map_or(0, |grant| grant.lease_blocks);
                 admissions += 1;
                 let bs = self.cfg.block_size as u64;
                 let seq = &mut self.seqs[idx];
-                seq.leased_blocks = grant.lease_blocks;
+                seq.leased_blocks = leased_blocks;
                 // Resident prefix blocks skip recompute (pool prefix
                 // reuse — shared family blocks and, on resume, whatever
                 // of the sequence's own context survived).
-                seq.prefilled = (grant.lease_blocks as u64 * bs).min(target);
+                seq.prefilled = (leased_blocks as u64 * bs).min(target);
                 seq.phase = Phase::Running;
                 seq.admission_order = self.admission_counter;
                 self.admission_counter += 1;
@@ -494,17 +507,23 @@ impl<'a> Sim<'a> {
                     + decode_tokens * self.cfg.decode_us_per_token;
                 self.steps += 1;
             }
-            for idx in 0..n {
-                if self.seqs[idx].finishing {
-                    self.seqs[idx].finishing = false;
-                    self.seqs[idx].phase = Phase::Finished;
-                    self.seqs[idx].finished_at = now;
-                    self.pool.release(Self::pool_seq(idx));
-                    self.seqs[idx].leased_blocks = 0;
-                    self.running.retain(|&r| r != idx);
-                    finished += 1;
+            // Only running sequences finish; release order is immaterial
+            // (unpinning touches neither recency nor counters).
+            let mut running = std::mem::take(&mut self.running);
+            running.retain(|&idx| {
+                let seq = &mut self.seqs[idx];
+                if !seq.finishing {
+                    return true;
                 }
-            }
+                seq.finishing = false;
+                seq.phase = Phase::Finished;
+                seq.finished_at = now;
+                seq.leased_blocks = 0;
+                self.pool.release(Self::pool_seq(idx));
+                finished += 1;
+                false
+            });
+            self.running = running;
             self.peak_live_blocks = self.peak_live_blocks.max(self.pool.live_blocks() as u64);
 
             // Stall guard: an iteration that moved no tokens, admitted
@@ -589,6 +608,7 @@ pub(crate) fn simulate(inputs: &[SeqInput], cfg: &KvPressureConfig) -> KvSimRun 
             finished_at: 0,
             service_us: 0,
             preemptions: 0,
+            chain: Vec::new(),
         })
         .collect();
     Sim {
@@ -609,6 +629,7 @@ pub(crate) fn simulate(inputs: &[SeqInput], cfg: &KvPressureConfig) -> KvSimRun 
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -789,10 +810,10 @@ mod tests {
             .collect()
     }
 
-    /// Golden digests, recorded on the scan-based pool and the
-    /// chain-rebuilding simulator before either was touched: the
-    /// incremental pool index and the simulator's cached chains must not
-    /// move a single timestamp or counter.
+    /// Golden digests, recorded with the scan-based pool (kept as
+    /// `spear_llm`'s `pool::naive` test reference) and a simulator that
+    /// rebuilt every chain per allocation attempt: the pool's incremental
+    /// index and the cached chains must not move a timestamp or counter.
     #[test]
     fn golden_digests_pin_every_timing_and_counter() {
         let staggered: Vec<SeqInput> = (0..8).map(|i| seq(i, i * 100, 320, 40, 256)).collect();

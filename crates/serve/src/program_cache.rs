@@ -31,7 +31,26 @@ use crate::metrics::CompileReport;
 /// Fingerprint-equal plans compile identically; the affinity component
 /// keeps per-family specialized programs distinct from each other (two
 /// families can share a plan shape but not a prefix).
-type Key = (u64, Option<String>);
+///
+/// Deriving it serialises the whole plan, so callers replaying one plan
+/// many times derive it once ([`ProgramKey::of`]) and pass it to
+/// [`ProgramCache::get_or_compile_keyed`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct ProgramKey {
+    /// [`LoweredPlan::fingerprint`].
+    pub(crate) fingerprint: u64,
+    /// [`LoweredPlan::affinity_key`].
+    pub(crate) affinity: Option<String>,
+}
+
+impl ProgramKey {
+    pub(crate) fn of(plan: &LoweredPlan) -> Self {
+        Self {
+            fingerprint: plan.fingerprint(),
+            affinity: plan.affinity_key(),
+        }
+    }
+}
 
 struct Slot {
     program: Arc<Program>,
@@ -40,7 +59,7 @@ struct Slot {
 }
 
 struct Inner {
-    map: HashMap<Key, Slot>,
+    map: HashMap<ProgramKey, Slot>,
     tick: u64,
     counters: CompileReport,
 }
@@ -101,7 +120,18 @@ impl ProgramCache {
         runtime: &Runtime,
         engine: Option<&SimLlm>,
     ) -> Option<Arc<Program>> {
-        let key: Key = (plan.fingerprint(), plan.affinity_key());
+        self.get_or_compile_keyed(&ProgramKey::of(plan), plan, runtime, engine)
+    }
+
+    /// [`Self::get_or_compile`] with `plan`'s key already derived (`key`
+    /// must be [`ProgramKey::of`] this very plan).
+    pub(crate) fn get_or_compile_keyed(
+        &self,
+        key: &ProgramKey,
+        plan: &LoweredPlan,
+        runtime: &Runtime,
+        engine: Option<&SimLlm>,
+    ) -> Option<Arc<Program>> {
         let mut guard = match self.inner.lock() {
             Ok(inner) => inner,
             Err(poisoned) => poisoned.into_inner(),
@@ -109,7 +139,7 @@ impl ProgramCache {
         let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(slot) = inner.map.get_mut(&key) {
+        if let Some(slot) = inner.map.get_mut(key) {
             slot.last_used = tick;
             inner.counters.cache_hits += 1;
             return Some(Arc::clone(&slot.program));
@@ -140,7 +170,7 @@ impl ProgramCache {
 
         // Per-affinity specialization: constant-fold the family's fixed
         // prompt prefix and pre-resolve its token chain.
-        if key.1.is_some() {
+        if key.affinity.is_some() {
             if let Some((prefix, hash)) =
                 vm::family_template(plan, runtime.views()).and_then(|text| vm::family_prefix(&text))
             {
@@ -156,7 +186,7 @@ impl ProgramCache {
 
         let program = Arc::new(program);
         inner.map.insert(
-            key,
+            key.clone(),
             Slot {
                 program: Arc::clone(&program),
                 bounds,
@@ -194,7 +224,7 @@ impl ProgramCache {
         guard
             .map
             .iter()
-            .find(|(k, _)| k.0 == fingerprint)
+            .find(|(k, _)| k.fingerprint == fingerprint)
             .map(|(_, slot)| Arc::clone(&slot.bounds))
     }
 

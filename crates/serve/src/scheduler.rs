@@ -46,6 +46,7 @@ use spear_core::batch::{AssignedJob, BatchRunner};
 use spear_core::error::SpearError;
 use spear_core::llm::ReusePolicy;
 use spear_core::metadata::{ReuseEvent, TokenUsage};
+use spear_core::plan::LoweredPlan;
 use spear_core::runtime::Runtime;
 use spear_kv::shard::fnv1a;
 use spear_llm::{MemoStats, SimLlm};
@@ -53,7 +54,7 @@ use spear_llm::{MemoStats, SimLlm};
 use crate::error::ServeError;
 use crate::kv::{self, KvPressureConfig, SeqInput};
 use crate::metrics::{ClassReport, Histogram, ReuseReport, ServeReport};
-use crate::program_cache::ProgramCache;
+use crate::program_cache::{ProgramCache, ProgramKey};
 use crate::queue::{AdmissionConfig, AdmissionQueue};
 use crate::request::{Priority, ServeRequest};
 
@@ -228,6 +229,33 @@ struct VerifyMemo {
     hits: u64,
 }
 
+/// What the scheduler needs to know about a plan. `fingerprint()`
+/// serialises the whole plan and `affinity_key()` hashes and formats, and a
+/// run replays a handful of plans thousands of times, so both are derived
+/// once per distinct `Arc<LoweredPlan>` per run.
+struct PlanIdentity {
+    /// Held so the address keying the table cannot be reused by another
+    /// plan while the run lasts.
+    _plan: Arc<LoweredPlan>,
+    key: ProgramKey,
+    affinity_seed: u64,
+}
+
+#[derive(Default)]
+struct PlanIdentities(HashMap<*const LoweredPlan, PlanIdentity>);
+
+impl PlanIdentities {
+    fn of(&mut self, plan: &Arc<LoweredPlan>) -> &PlanIdentity {
+        self.0
+            .entry(Arc::as_ptr(plan))
+            .or_insert_with(|| PlanIdentity {
+                _plan: Arc::clone(plan),
+                key: ProgramKey::of(plan),
+                affinity_seed: plan.affinity_seed().unwrap_or_default(),
+            })
+    }
+}
+
 /// The long-lived serving node: a scheduler plus its worker-lane pool.
 /// One node can serve many successive [`ServeNode::run`] calls; owner ids
 /// never alias across runs.
@@ -262,8 +290,9 @@ impl ServeNode {
         &self,
         runtime: &Runtime,
         request: &ServeRequest,
+        fingerprint: u64,
     ) -> Option<Vec<String>> {
-        let key = Self::verify_key(request);
+        let key = Self::verify_key(request, fingerprint);
         {
             let mut memo = match self.verify_memo.lock() {
                 Ok(memo) => memo,
@@ -290,10 +319,10 @@ impl ServeNode {
 
     /// The memo key: everything [`verify_for_admission`] reads from the
     /// request (the runtime's contribution is handled by clearing the memo
-    /// each run).
-    fn verify_key(request: &ServeRequest) -> u64 {
+    /// each run); `fingerprint` is the plan's.
+    fn verify_key(request: &ServeRequest, fingerprint: u64) -> u64 {
         let mut bytes = Vec::with_capacity(64);
-        bytes.extend_from_slice(&request.plan.fingerprint().to_le_bytes());
+        bytes.extend_from_slice(&fingerprint.to_le_bytes());
         for key in request.state.prompts.keys() {
             bytes.extend_from_slice(key.as_bytes());
             bytes.push(0xff);
@@ -380,6 +409,7 @@ impl ServeNode {
         let mut round_robin = 0usize;
         let mut lane_clock = vec![0u64; lanes];
         let mut now = 0u64;
+        let mut plans = PlanIdentities::default();
         // (arrival_us, id, service_us, per-GEN reuse events) of completed
         // requests, for the deterministic reuse ledger.
         let mut reuse_rows: Vec<(u64, u64, u64, Vec<ReuseEvent>)> = Vec::new();
@@ -392,11 +422,16 @@ impl ServeNode {
         loop {
             // (1) Admit everything that has arrived by `now`.
             while requests.last().is_some_and(|r| r.arrival_us <= now) {
-                let request = requests.pop().expect("peeked");
+                let Some(request) = requests.pop() else {
+                    break;
+                };
                 let class = request.priority;
                 let entry = accum.entry(class).or_default();
                 if self.config.verify_admission {
-                    if let Some(details) = self.verify_admission_memoized(runtime, &request) {
+                    let fingerprint = plans.of(&request.plan).key.fingerprint;
+                    if let Some(details) =
+                        self.verify_admission_memoized(runtime, &request, fingerprint)
+                    {
                         entry.report.rejected += 1;
                         outcomes.push(ServeOutcome {
                             id: request.id,
@@ -456,29 +491,27 @@ impl ServeNode {
             let mut jobs = Vec::with_capacity(popped.len());
             let mut meta = Vec::with_capacity(popped.len());
             for mut request in popped {
-                let (owner, lane) = if self.config.affinity_routing {
-                    match request.affinity_key() {
-                        Some(key) => {
-                            let seed = request.plan.affinity_seed().unwrap_or_default();
-                            let slot = groups.entry((request.priority, key)).or_insert_with(|| {
-                                let owner = owner_base + next_owner;
-                                next_owner += 1;
-                                (owner, (seed % lanes as u64) as usize)
-                            });
-                            *slot
-                        }
-                        None => {
-                            Self::isolated(owner_base, &mut next_owner, &mut round_robin, lanes)
-                        }
-                    }
-                } else {
-                    Self::isolated(owner_base, &mut next_owner, &mut round_robin, lanes)
+                let identity = plans.of(&request.plan);
+                let (owner, lane) = match &identity.key.affinity {
+                    Some(key) if self.config.affinity_routing => *groups
+                        .entry((request.priority, key.clone()))
+                        .or_insert_with(|| {
+                            let owner = owner_base + next_owner;
+                            next_owner += 1;
+                            (owner, (identity.affinity_seed % lanes as u64) as usize)
+                        }),
+                    _ => Self::isolated(owner_base, &mut next_owner, &mut round_robin, lanes),
                 };
                 request.state.deadline_us = request.deadline_us;
                 request.state.cancel = Some(request.cancel.clone());
                 request.state.reuse = reuse_policy;
                 meta.push((request.id, request.priority, request.arrival_us, lane));
-                let program = self.programs.get_or_compile(&request.plan, runtime, engine);
+                let program = self.programs.get_or_compile_keyed(
+                    &identity.key,
+                    &request.plan,
+                    runtime,
+                    engine,
+                );
                 jobs.push(AssignedJob {
                     lane,
                     owner,
@@ -625,12 +658,16 @@ impl ServeNode {
         // request is drained into the KV waiting set immediately.
         let mut queue = AdmissionQueue::new(self.config.admission.clone());
         let mut admitted: Vec<ServeRequest> = Vec::with_capacity(requests.len());
+        let mut plans = PlanIdentities::default();
         for request in requests {
             let class = request.priority;
             let entry = accum.entry(class).or_default();
             entry.report.submitted += 1;
             if self.config.verify_admission {
-                if let Some(details) = self.verify_admission_memoized(runtime, &request) {
+                let fingerprint = plans.of(&request.plan).key.fingerprint;
+                if let Some(details) =
+                    self.verify_admission_memoized(runtime, &request, fingerprint)
+                {
                     entry.report.rejected += 1;
                     outcomes.push(ServeOutcome {
                         id: request.id,
@@ -653,8 +690,12 @@ impl ServeNode {
             }
             match queue.offer(request) {
                 Ok(()) => {
-                    entry.report.admitted += 1;
-                    admitted.push(queue.pop().expect("just offered"));
+                    // The queue is only the token-bucket gate here: what
+                    // it accepts is drained straight back out.
+                    if let Some(request) = queue.pop() {
+                        entry.report.admitted += 1;
+                        admitted.push(request);
+                    }
                 }
                 Err(shed) => {
                     let (rejected, error) = *shed;
@@ -689,27 +730,24 @@ impl ServeNode {
             // family's shared pool blocks. Isolated requests share no
             // owner, hence no shared KV: their seed is unique and their
             // prefix claim is dropped.
-            let (owner, lane, family_seed, grouped) = if self.config.affinity_routing {
-                match request.affinity_key() {
-                    Some(key) => {
-                        let seed = request.plan.affinity_seed().unwrap_or_default();
-                        let slot = groups.entry((request.priority, key)).or_insert_with(|| {
+            let identity = plans.of(&request.plan);
+            let (owner, lane, family_seed, grouped) = match &identity.key.affinity {
+                Some(key) if self.config.affinity_routing => {
+                    let seed = identity.affinity_seed;
+                    let slot = groups
+                        .entry((request.priority, key.clone()))
+                        .or_insert_with(|| {
                             let owner = owner_base + next_owner;
                             next_owner += 1;
                             (owner, (seed % lanes as u64) as usize)
                         });
-                        (slot.0, slot.1, seed, true)
-                    }
-                    None => {
-                        let (owner, lane) =
-                            Self::isolated(owner_base, &mut next_owner, &mut round_robin, lanes);
-                        (owner, lane, fnv1a(&request.id.to_le_bytes()), false)
-                    }
+                    (slot.0, slot.1, seed, true)
                 }
-            } else {
-                let (owner, lane) =
-                    Self::isolated(owner_base, &mut next_owner, &mut round_robin, lanes);
-                (owner, lane, fnv1a(&request.id.to_le_bytes()), false)
+                _ => {
+                    let (owner, lane) =
+                        Self::isolated(owner_base, &mut next_owner, &mut round_robin, lanes);
+                    (owner, lane, fnv1a(&request.id.to_le_bytes()), false)
+                }
             };
             let shared_prefix_tokens = if grouped {
                 request.shared_prefix_tokens
@@ -726,7 +764,9 @@ impl ServeNode {
                 shared_prefix_tokens,
                 family_seed,
             ));
-            let program = self.programs.get_or_compile(&request.plan, runtime, engine);
+            let program =
+                self.programs
+                    .get_or_compile_keyed(&identity.key, &request.plan, runtime, engine);
             jobs.push(AssignedJob {
                 lane,
                 owner,
