@@ -142,12 +142,14 @@ impl Cluster {
         // load signal for requests that arrive without a caller-provided
         // estimate.
         let mut bound_memo: HashMap<u64, u64> = HashMap::new();
-        for request in workload.requests {
-            while churn
-                .peek()
-                .is_some_and(|event| event.at_us <= request.arrival_us)
-            {
-                let event = churn.next().expect("peeked");
+        // Route the whole stream before moving any request: the router
+        // reads three scalars, and knowing every node's share up front lets
+        // each slice be allocated once at its final size instead of
+        // doubling its way there beside the still-full source buffer.
+        let mut targets = Vec::with_capacity(workload.requests.len());
+        let mut shares: BTreeMap<u64, usize> = BTreeMap::new();
+        for request in &workload.requests {
+            while let Some(event) = churn.next_if(|event| event.at_us <= request.arrival_us) {
                 Self::apply_churn(event, &mut router, &mut nodes, &mut handoffs);
             }
             // Derived-facts routing: when the caller provides no token
@@ -162,6 +164,17 @@ impl Cluster {
                 request.est_tokens
             };
             let target = router.route(request.plan.affinity_seed(), request.id, est_tokens);
+            *shares.entry(target).or_default() += 1;
+            targets.push(target);
+        }
+        for (target, share) in shares {
+            nodes
+                .get_mut(&target)
+                .expect("router only targets known nodes")
+                .assigned
+                .reserve_exact(share);
+        }
+        for (request, target) in workload.requests.into_iter().zip(targets) {
             nodes
                 .get_mut(&target)
                 .expect("router only targets known nodes")

@@ -3,9 +3,9 @@
 //! The paper's runtime (§6) executes one pipeline at a time; a
 //! production-scale deployment runs *many* instances concurrently against
 //! shared backends. [`BatchRunner`] is that executor: it fans N jobs — each
-//! a pipeline plus its own [`ExecState`] — across a fixed pool of std
-//! threads, every worker sharing the same [`Runtime`], and collects the
-//! per-job outcomes in submission order.
+//! a pipeline plus its own [`ExecState`] — across a fixed number of worker
+//! lanes, every lane sharing the same [`Runtime`], and collects the per-job
+//! outcomes in submission order.
 //!
 //! ## Determinism under any thread count
 //!
@@ -23,9 +23,13 @@
 //!   queue, so the lane a job charges virtual time to is a pure function
 //!   of `(job index, worker count)`.
 //!
-//! Worker threads are scoped (`std::thread::scope`), so the runner borrows
-//! the runtime without requiring `'static` lifetimes or reference counting
-//! at the call site.
+//! A lane is a sequence of jobs, not a thread: the calling thread runs the
+//! first lane that has work and every other such lane gets a scoped thread
+//! (`std::thread::scope`, so the runner borrows the runtime without
+//! `'static` lifetimes or reference counting at the call site). A call
+//! that keeps one lane busy — one worker, or a serving round whose jobs
+//! share a lane — therefore spawns nothing. Nothing a job can observe
+//! depends on which thread that is: owner and lane come from the scope.
 //!
 //! ## Failure containment
 //!
@@ -76,24 +80,6 @@ pub struct BatchOutcome {
     pub state: ExecState,
 }
 
-/// A batch job whose private [`ExecState`] can be taken out for execution
-/// (the rest of the job — the plan — stays readable during the run).
-trait HasState {
-    fn take_state(&mut self) -> ExecState;
-}
-
-impl HasState for BatchJob {
-    fn take_state(&mut self) -> ExecState {
-        std::mem::take(&mut self.state)
-    }
-}
-
-impl HasState for (Arc<LoweredPlan>, ExecState) {
-    fn take_state(&mut self) -> ExecState {
-        std::mem::take(&mut self.1)
-    }
-}
-
 /// A batch job with explicit placement: which worker lane runs it and
 /// which cache-owner group it charges its prefix-cache state to. Built by
 /// schedulers (e.g. `spear-serve`) that route jobs for cache affinity
@@ -124,7 +110,7 @@ pub struct BatchRunner {
 }
 
 impl BatchRunner {
-    /// A runner with `workers` threads (clamped to at least 1).
+    /// A runner with `workers` lanes (clamped to at least 1).
     #[must_use]
     pub fn new(workers: usize) -> Self {
         Self {
@@ -146,7 +132,10 @@ impl BatchRunner {
     /// `run` calls on the same runner, so two batches never alias each
     /// other's owner-private backend state.
     pub fn run(&self, runtime: &Runtime, jobs: Vec<BatchJob>) -> Vec<Result<BatchOutcome>> {
-        self.run_jobs(jobs, |job, state| runtime.execute(&job.pipeline, state))
+        self.run_jobs(
+            jobs.into_iter().map(|job| (job.pipeline, job.state)),
+            |pipeline, state| runtime.execute(pipeline, state),
+        )
     }
 
     /// Execute one lowered plan over many per-job states — the single-spine
@@ -164,29 +153,29 @@ impl BatchRunner {
         // per-job `execute_lowered`, which reproduces the same
         // `InvalidPlan` error in every slot.
         let program = if runtime.config().verify {
-            crate::vm::compile(plan).ok().map(Arc::new)
+            crate::vm::compile(plan).ok()
         } else {
-            crate::vm::compile_assuming_verified(plan)
-                .ok()
-                .map(Arc::new)
+            crate::vm::compile_assuming_verified(plan).ok()
         };
-        let jobs: Vec<(Arc<LoweredPlan>, ExecState)> = states
-            .into_iter()
-            .map(|state| (Arc::clone(plan), state))
-            .collect();
-        self.run_jobs(jobs, |(plan, _), state| match &program {
-            Some(p) => runtime.execute_program(p, state),
-            None => runtime.execute_lowered(plan, state),
-        })
+        self.run_jobs(
+            states.into_iter().map(|state| ((), state)),
+            |(), state| match &program {
+                Some(p) => runtime.execute_program(p, state),
+                None => runtime.execute_lowered(plan, state),
+            },
+        )
     }
 
-    /// Shared batch engine: statically stripe `jobs` across the worker
-    /// pool, run each inside its own execution scope, and collect outcomes
-    /// in submission order.
-    fn run_jobs<J, F>(&self, jobs: Vec<J>, exec: F) -> Vec<Result<BatchOutcome>>
+    /// Round-robin entry to the lane executor: statically stripe `jobs`
+    /// across the worker pool, each under a fresh owner id.
+    fn run_jobs<T, F>(
+        &self,
+        jobs: impl ExactSizeIterator<Item = (T, ExecState)>,
+        exec: F,
+    ) -> Vec<Result<BatchOutcome>>
     where
-        J: Send + HasState,
-        F: Fn(&J, &mut ExecState) -> Result<ExecReport> + Sync,
+        T: Send,
+        F: Fn(&T, &mut ExecState) -> Result<ExecReport> + Sync,
     {
         let n = jobs.len();
         if n == 0 {
@@ -194,43 +183,16 @@ impl BatchRunner {
         }
         let owner_base = self.next_owner.fetch_add(n as u64, Ordering::Relaxed);
         let workers = self.workers.min(n);
-
-        // Hand each worker its statically striped slice of jobs. Jobs are
-        // moved out of the input vector into per-worker lists up front so
-        // no locking is needed during execution.
-        let mut per_worker: Vec<Vec<(usize, J)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (index, job) in jobs.into_iter().enumerate() {
-            per_worker[index % workers].push((index, job));
+        let mut lanes: Vec<Vec<LaneJob<(T, ExecState)>>> = (0..workers)
+            .map(|_| Vec::with_capacity(n.div_ceil(workers)))
+            .collect();
+        for (index, job) in jobs.enumerate() {
+            let owner = owner_base + index as u64;
+            lanes[index % workers].push(LaneJob { index, owner, job });
         }
-
-        let mut slots: Vec<Option<Result<BatchOutcome>>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let exec = &exec;
-            let handles: Vec<_> = per_worker
-                .into_iter()
-                .enumerate()
-                .map(|(lane, assigned)| {
-                    let indices: Vec<usize> = assigned.iter().map(|(i, _)| *i).collect();
-                    let handle = s.spawn(move || {
-                        let mut produced = Vec::with_capacity(assigned.len());
-                        for (index, mut job) in assigned {
-                            let owner = owner_base + index as u64;
-                            let _scope = scope::enter(owner, lane);
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                let mut state = job.take_state();
-                                exec(&job, &mut state).map(|report| BatchOutcome { report, state })
-                            }))
-                            .unwrap_or(Err(SpearError::WorkerPanicked { lane }));
-                            produced.push((index, result));
-                        }
-                        produced
-                    });
-                    (lane, indices, handle)
-                })
-                .collect();
-            collect_outcomes(&mut slots, handles);
-        });
-        seal_slots(slots)
+        run_lanes(n, lanes, |(job, mut state)| {
+            exec(&job, &mut state).map(|report| BatchOutcome { report, state })
+        })
     }
 
     /// Execute lowered-plan jobs with **caller-chosen lane and owner
@@ -246,56 +208,30 @@ impl BatchRunner {
     /// (`spear-serve`). The caller owns the invariant that same-owner jobs
     /// share a lane; violating it forfeits determinism, not safety.
     ///
-    /// One scoped thread is spawned per distinct lane in use (never more
-    /// than the runner's worker count; lanes wrap modulo it). Outcomes come
-    /// back in submission order. Empty input returns immediately without
-    /// spawning any threads.
+    /// Lanes wrap modulo the runner's worker count. The calling thread runs
+    /// the first lane in use and each further lane in use gets one scoped
+    /// thread, so a round whose jobs all share a lane — the common serving
+    /// round — spawns nothing. Outcomes come back in submission order.
     pub fn run_assigned(
         &self,
         runtime: &Runtime,
         jobs: Vec<AssignedJob>,
     ) -> Vec<Result<BatchOutcome>> {
         let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let lanes = self.workers;
-        let mut per_lane: Vec<Vec<(usize, AssignedJob)>> = (0..lanes).map(|_| Vec::new()).collect();
+        let mut lanes: Vec<Vec<LaneJob<AssignedJob>>> =
+            (0..self.workers).map(|_| Vec::new()).collect();
         for (index, job) in jobs.into_iter().enumerate() {
-            per_lane[job.lane % lanes].push((index, job));
+            let owner = job.owner;
+            lanes[job.lane % self.workers].push(LaneJob { index, owner, job });
         }
-
-        let mut slots: Vec<Option<Result<BatchOutcome>>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = per_lane
-                .into_iter()
-                .enumerate()
-                .filter(|(_, assigned)| !assigned.is_empty())
-                .map(|(lane, assigned)| {
-                    let indices: Vec<usize> = assigned.iter().map(|(i, _)| *i).collect();
-                    let handle = s.spawn(move || {
-                        let mut produced = Vec::with_capacity(assigned.len());
-                        for (index, mut job) in assigned {
-                            let _scope = scope::enter(job.owner, lane);
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                let mut state = std::mem::take(&mut job.state);
-                                match job.program.as_deref() {
-                                    Some(program) => runtime.execute_program(program, &mut state),
-                                    None => runtime.execute_lowered(&job.plan, &mut state),
-                                }
-                                .map(|report| BatchOutcome { report, state })
-                            }))
-                            .unwrap_or(Err(SpearError::WorkerPanicked { lane }));
-                            produced.push((index, result));
-                        }
-                        produced
-                    });
-                    (lane, indices, handle)
-                })
-                .collect();
-            collect_outcomes(&mut slots, handles);
-        });
-        seal_slots(slots)
+        run_lanes(n, lanes, |job| {
+            let mut state = job.state;
+            match job.program.as_deref() {
+                Some(program) => runtime.execute_program(program, &mut state),
+                None => runtime.execute_lowered(&job.plan, &mut state),
+            }
+            .map(|report| BatchOutcome { report, state })
+        })
     }
 
     /// Common case: run the *same* pipeline over many per-job states.
@@ -313,6 +249,60 @@ impl BatchRunner {
                 .collect(),
         )
     }
+}
+
+/// One job placed on a lane: its submission index (the outcome slot it
+/// fills) and the cache owner it executes as.
+struct LaneJob<J> {
+    index: usize,
+    owner: u64,
+    job: J,
+}
+
+/// The lane executor behind every entry point. Each non-empty lane runs
+/// its jobs in order, every job inside its own execution scope and under
+/// `catch_unwind`; the calling thread takes the first such lane itself
+/// and each of the others gets a scoped thread, so `k` lanes in use cost
+/// `k - 1` spawns. Which thread runs a lane is unobservable: owner and
+/// lane travel in the scope, never in the thread's identity, and the
+/// caller's own scope is restored as each job's guard drops.
+fn run_lanes<J, F>(n: usize, lanes: Vec<Vec<LaneJob<J>>>, exec: F) -> Vec<Result<BatchOutcome>>
+where
+    J: Send,
+    F: Fn(J) -> Result<BatchOutcome> + Sync,
+{
+    let run_lane = |lane: usize, jobs: Vec<LaneJob<J>>| -> Vec<(usize, Result<BatchOutcome>)> {
+        jobs.into_iter()
+            .map(|LaneJob { index, owner, job }| {
+                let _scope = scope::enter(owner, lane);
+                let result = catch_unwind(AssertUnwindSafe(|| exec(job)))
+                    .unwrap_or(Err(SpearError::WorkerPanicked { lane }));
+                (index, result)
+            })
+            .collect()
+    };
+    let mut slots: Vec<Option<Result<BatchOutcome>>> = (0..n).map(|_| None).collect();
+    let mut in_use = lanes
+        .into_iter()
+        .enumerate()
+        .filter(|(_, jobs)| !jobs.is_empty());
+    let Some((own_lane, own_jobs)) = in_use.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|s| {
+        let run_lane = &run_lane;
+        let handles: Vec<WorkerHandle<'_>> = in_use
+            .map(|(lane, jobs)| {
+                let indices = jobs.iter().map(|job| job.index).collect();
+                (lane, indices, s.spawn(move || run_lane(lane, jobs)))
+            })
+            .collect();
+        for (index, result) in run_lane(own_lane, own_jobs) {
+            slots[index] = Some(result);
+        }
+        collect_outcomes(&mut slots, handles);
+    });
+    seal_slots(slots)
 }
 
 /// One spawned worker: its lane, the job indices it owns, and its handle.
@@ -382,6 +372,51 @@ mod tests {
         st
     }
 
+    /// Where one GEN ran: the thread, and the scope it saw.
+    type Sighting = (std::thread::ThreadId, u64, usize);
+
+    /// An echo backend that records where each call ran and panics on a
+    /// prompt containing "bomb".
+    #[derive(Default)]
+    struct Probe {
+        echo: EchoLlm,
+        seen: std::sync::Mutex<Vec<Sighting>>,
+    }
+
+    impl crate::llm::LlmClient for Probe {
+        fn generate(&self, request: &crate::llm::GenRequest) -> Result<crate::llm::GenResponse> {
+            self.seen.lock().unwrap().push((
+                std::thread::current().id(),
+                scope::owner(),
+                scope::lane(),
+            ));
+            assert!(!request.text.contains("bomb"), "intentional test panic");
+            self.echo.generate(request)
+        }
+
+        fn model_name(&self) -> &str {
+            "probe"
+        }
+    }
+
+    fn probed() -> (Arc<Probe>, Runtime) {
+        let probe = Arc::new(Probe::default());
+        let rt = Runtime::builder()
+            .llm(Arc::clone(&probe) as Arc<dyn crate::llm::LlmClient>)
+            .build();
+        (probe, rt)
+    }
+
+    fn assigned(lane: usize, i: usize) -> AssignedJob {
+        AssignedJob {
+            lane,
+            owner: 1000 + lane as u64,
+            plan: Arc::new(crate::plan::lower(&pipeline()).expect("lowers")),
+            program: None,
+            state: state(i),
+        }
+    }
+
     #[test]
     fn outcomes_come_back_in_submission_order() {
         let rt = runtime();
@@ -445,40 +480,115 @@ mod tests {
 
     #[test]
     fn panicking_jobs_are_contained_to_their_slot() {
-        let rt = Runtime::builder()
-            .llm(Arc::new(EchoLlm::default()))
-            .agent(
-                "bomb",
-                Arc::new(crate::agent::FnAgent(
-                    |_: &Value, _: &crate::context::Context| -> Result<Value> {
-                        panic!("intentional test panic")
-                    },
-                )),
-            )
-            .build();
-        let good = pipeline();
-        let bad = Arc::new(
-            Pipeline::builder("bomb")
-                .delegate("bomb", crate::ops::PayloadSpec::Lit(Value::Null), "out")
-                .build(),
-        );
-        let runner = BatchRunner::new(2);
-        let jobs = vec![
-            BatchJob::new(Arc::clone(&good), state(0)),
-            BatchJob::new(bad, state(1)),
-            BatchJob::new(good, state(2)),
-        ];
-        // Silence the default panic hook for the intentional panic.
+        let (probe, rt) = probed();
+        // Two workers: the bomb is alone on the spawned lane.
+        let mut striped: Vec<ExecState> = (0..3).map(state).collect();
+        striped[1].context.set("q", "bomb");
+        // One lane in use: the bomb sits between two jobs on the lane the
+        // caller runs itself.
+        let mut own: Vec<AssignedJob> = (0..3).map(|i| assigned(2, i)).collect();
+        own[1].state.context.set("q", "bomb");
+        // Silence the default panic hook for the intentional panics.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let outcomes = runner.run(&rt, jobs);
+        let striped = BatchRunner::new(2).run_states(&rt, &pipeline(), striped);
+        probe.seen.lock().unwrap().clear();
+        let own = BatchRunner::new(4).run_assigned(&rt, own);
         std::panic::set_hook(hook);
-        assert!(outcomes[0].is_ok());
+
+        assert!(striped[0].is_ok());
         assert!(matches!(
-            outcomes[1].as_ref().unwrap_err(),
-            SpearError::WorkerPanicked { .. }
+            striped[1].as_ref().unwrap_err(),
+            SpearError::WorkerPanicked { lane: 1 }
         ));
-        assert!(outcomes[2].is_ok(), "later jobs on the lane keep running");
+        assert!(striped[2].is_ok(), "later jobs on the lane keep running");
+
+        assert!(own[0].is_ok());
+        assert!(matches!(
+            own[1].as_ref().unwrap_err(),
+            SpearError::WorkerPanicked { lane: 2 }
+        ));
+        assert!(own[2].is_ok(), "later jobs on the lane keep running");
+        let me = std::thread::current().id();
+        let seen = probe.seen.lock().unwrap();
+        assert_eq!(
+            *seen,
+            [(me, 1002, 2); 3],
+            "all three ran, all on the caller"
+        );
+        assert_eq!((scope::owner(), scope::lane()), (scope::AMBIENT_OWNER, 0));
+    }
+
+    #[test]
+    fn one_lane_in_use_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let (probe, rt) = probed();
+        let jobs = (0..5).map(|i| assigned(2, i)).collect();
+        let outcomes = BatchRunner::new(4).run_assigned(&rt, jobs);
+        assert!(outcomes.iter().all(std::result::Result::is_ok));
+        let outcomes =
+            BatchRunner::new(1).run_states(&rt, &pipeline(), (0..5).map(state).collect());
+        assert!(outcomes.iter().all(std::result::Result::is_ok));
+        let seen = probe.seen.lock().unwrap();
+        assert_eq!(seen.len(), 10);
+        assert!(seen.iter().all(|(thread, _, _)| *thread == me));
+    }
+
+    #[test]
+    fn k_lanes_in_use_take_k_minus_one_other_threads() {
+        let me = std::thread::current().id();
+        let threads_by_lane = |seen: &[Sighting]| {
+            let mut by_lane = std::collections::BTreeMap::new();
+            for (thread, _, lane) in seen {
+                let on: &mut std::collections::HashSet<_> = by_lane.entry(*lane).or_default();
+                on.insert(*thread);
+            }
+            assert!(
+                by_lane.values().all(|on| on.len() == 1),
+                "a lane is one thread"
+            );
+            let threads: Vec<_> = by_lane.into_values().flatten().collect();
+            let distinct: std::collections::HashSet<_> = threads.iter().collect();
+            assert_eq!(distinct.len(), threads.len(), "a thread is one lane");
+            threads
+        };
+
+        // Lanes 1, 2 and 3 of five are in use: the caller takes lane 1.
+        let (probe, rt) = probed();
+        let jobs = (0..9).map(|i| assigned(1 + i % 3, i)).collect();
+        let outcomes = BatchRunner::new(5).run_assigned(&rt, jobs);
+        assert!(outcomes.iter().all(std::result::Result::is_ok));
+        let threads = threads_by_lane(&probe.seen.lock().unwrap());
+        assert_eq!(threads.len(), 3);
+        assert_eq!(threads[0], me);
+
+        // Round-robin striping: seven jobs on three workers.
+        let (probe, rt) = probed();
+        let outcomes =
+            BatchRunner::new(3).run_states(&rt, &pipeline(), (0..7).map(state).collect());
+        assert!(outcomes.iter().all(std::result::Result::is_ok));
+        let threads = threads_by_lane(&probe.seen.lock().unwrap());
+        assert_eq!(threads.len(), 3);
+        assert_eq!(threads[0], me);
+    }
+
+    #[test]
+    fn the_callers_scope_survives_a_run() {
+        let (probe, rt) = probed();
+        let runner = BatchRunner::new(2);
+        runner.run_states(&rt, &pipeline(), (0..4).map(state).collect());
+        assert_eq!((scope::owner(), scope::lane()), (scope::AMBIENT_OWNER, 0));
+
+        // A caller already inside a scope gets its own scope back, and the
+        // jobs it ran inline never saw it.
+        let _outer = scope::enter(77, 5);
+        runner.run_assigned(&rt, (0..4).map(|i| assigned(i % 2, i)).collect());
+        assert_eq!((scope::owner(), scope::lane()), (77, 5));
+        let seen = probe.seen.lock().unwrap();
+        assert_eq!(seen.len(), 8);
+        assert!(seen
+            .iter()
+            .all(|(_, owner, lane)| *owner != 77 && *lane < 2));
     }
 
     #[test]
@@ -512,18 +622,8 @@ mod tests {
     #[test]
     fn assigned_jobs_share_lanes_and_keep_submission_order() {
         let rt = runtime();
-        let plan = Arc::new(crate::plan::lower(&pipeline()).expect("lowers"));
-        let runner = BatchRunner::new(4);
-        let jobs: Vec<AssignedJob> = (0..9)
-            .map(|i| AssignedJob {
-                lane: i % 3,
-                owner: 1000 + (i % 3) as u64,
-                plan: Arc::clone(&plan),
-                program: None,
-                state: state(i),
-            })
-            .collect();
-        let outcomes = runner.run_assigned(&rt, jobs);
+        let jobs = (0..9).map(|i| assigned(i % 3, i)).collect();
+        let outcomes = BatchRunner::new(4).run_assigned(&rt, jobs);
         assert_eq!(outcomes.len(), 9);
         for (i, o) in outcomes.iter().enumerate() {
             let o = o.as_ref().expect("job succeeds");
@@ -540,18 +640,9 @@ mod tests {
     #[test]
     fn assigned_lanes_wrap_modulo_worker_count() {
         let rt = runtime();
-        let plan = Arc::new(crate::plan::lower(&pipeline()).expect("lowers"));
-        let runner = BatchRunner::new(2);
-        let jobs: Vec<AssignedJob> = (0..4)
-            .map(|i| AssignedJob {
-                lane: 7, // all wrap onto lane 7 % 2 == 1
-                owner: 50,
-                plan: Arc::clone(&plan),
-                program: None,
-                state: state(i),
-            })
-            .collect();
-        let outcomes = runner.run_assigned(&rt, jobs);
+        // All wrap onto lane 7 % 2 == 1.
+        let jobs = (0..4).map(|i| assigned(7, i)).collect();
+        let outcomes = BatchRunner::new(2).run_assigned(&rt, jobs);
         assert!(outcomes.iter().all(std::result::Result::is_ok));
     }
 

@@ -122,8 +122,8 @@ pub enum SpearError {
         /// is an error).
         diagnostics: Vec<crate::analysis::Diagnostic>,
     },
-    /// A batch worker thread panicked; the jobs it was assigned report
-    /// this instead of poisoning the whole batch.
+    /// A batch job panicked (or the thread running its lane died); the
+    /// affected jobs report this instead of poisoning the whole batch.
     WorkerPanicked {
         /// The worker lane that panicked.
         lane: usize,

@@ -9,7 +9,7 @@
 //! prompt-evolution provenance the paper's introspection features need.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use spear_kv::{KvStore, LogOp, LogRecord, Persister};
 
@@ -26,9 +26,14 @@ use crate::value::Value;
 /// read-modify-write and is not transactional across concurrent writers to
 /// the *same key*; SPEAR pipelines mutate P single-threaded from the
 /// executor, which is the intended usage.
+///
+/// The KV backend is built by the first write (or [`PromptStore::backend`]
+/// call), not by [`PromptStore::new`]: the serving tiers hand every queued
+/// request its own store, and most never hold a prompt while they wait.
+/// The cell is shared, so handles cloned before that write see it too.
 #[derive(Clone)]
 pub struct PromptStore {
-    backend: KvStore<PromptEntry>,
+    backend: Arc<OnceLock<KvStore<PromptEntry>>>,
     persister: Option<Arc<dyn Persister<PromptEntry>>>,
 }
 
@@ -48,11 +53,12 @@ impl Default for PromptStore {
 }
 
 impl PromptStore {
-    /// Create an empty store on a fresh in-memory backend.
+    /// Create an empty store; its in-memory backend appears with the
+    /// first write.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            backend: KvStore::new(),
+            backend: Arc::default(),
             persister: None,
         }
     }
@@ -62,7 +68,7 @@ impl PromptStore {
     #[must_use]
     pub fn with_backend(backend: KvStore<PromptEntry>) -> Self {
         Self {
-            backend,
+            backend: Arc::new(OnceLock::from(backend)),
             persister: None,
         }
     }
@@ -85,7 +91,7 @@ impl PromptStore {
     /// at their commit points.
     fn persist(&self, key: &str) {
         if let Some(p) = &self.persister {
-            if let Some(versioned) = self.backend.get_versioned(key) {
+            if let Some(versioned) = self.backend.get().and_then(|b| b.get_versioned(key)) {
                 let record = LogRecord {
                     seq: versioned.seq,
                     key: key.to_string(),
@@ -113,13 +119,13 @@ impl PromptStore {
     /// The underlying KV store (for snapshotting and persistence wiring).
     #[must_use]
     pub fn backend(&self) -> &KvStore<PromptEntry> {
-        &self.backend
+        self.backend.get_or_init(KvStore::new)
     }
 
     /// Insert `entry` under `key`, replacing any existing entry.
     pub fn insert(&self, key: impl Into<String>, entry: PromptEntry) {
         let key = key.into();
-        self.backend.put(key.clone(), entry);
+        self.backend().put(key.clone(), entry);
         self.persist(&key);
     }
 
@@ -140,44 +146,43 @@ impl PromptStore {
     ///
     /// Returns [`SpearError::PromptNotFound`] when absent.
     pub fn get(&self, key: &str) -> Result<PromptEntry> {
-        self.backend
-            .get(key)
+        self.try_get(key)
             .ok_or_else(|| SpearError::PromptNotFound(key.to_string()))
     }
 
     /// Fetch the entry at `key`, or `None`.
     #[must_use]
     pub fn try_get(&self, key: &str) -> Option<PromptEntry> {
-        self.backend.get(key)
+        self.backend.get()?.get(key)
     }
 
     /// Whether `key` exists.
     #[must_use]
     pub fn contains(&self, key: &str) -> bool {
-        self.backend.contains(key)
+        self.backend.get().is_some_and(|b| b.contains(key))
     }
 
     /// All keys, sorted.
     #[must_use]
     pub fn keys(&self) -> Vec<String> {
-        self.backend.keys()
+        self.backend.get().map(KvStore::keys).unwrap_or_default()
     }
 
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.backend.len()
+        self.backend.get().map_or(0, KvStore::len)
     }
 
     /// Whether the store is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.backend.is_empty()
+        self.len() == 0
     }
 
     /// Remove `key`. Returns `true` if it existed.
     pub fn remove(&self, key: &str) -> bool {
-        let removed = self.backend.delete(key);
+        let removed = self.backend.get().is_some_and(|b| b.delete(key));
         if removed {
             self.persist(key);
         }
@@ -192,7 +197,7 @@ impl PromptStore {
     pub fn update<F: FnOnce(&mut PromptEntry)>(&self, key: &str, f: F) -> Result<()> {
         let mut entry = self.get(key)?;
         f(&mut entry);
-        self.backend.put(key, entry);
+        self.backend().put(key, entry);
         self.persist(key);
         Ok(())
     }
@@ -219,7 +224,7 @@ impl PromptStore {
         let mut entry = self.get(key)?;
         entry.apply_refinement(new_text, action, f_name, mode, step, trigger, signals, note);
         let version = entry.version;
-        self.backend.put(key, entry);
+        self.backend().put(key, entry);
         self.persist(key);
         Ok(version)
     }
@@ -263,7 +268,7 @@ impl PromptStore {
     pub fn clone_entry(&self, src: &str, dst: impl Into<String>) -> Result<()> {
         let entry = self.get(src)?;
         let dst = dst.into();
-        self.backend.put(dst.clone(), entry);
+        self.backend().put(dst.clone(), entry);
         self.persist(&dst);
         Ok(())
     }
@@ -470,6 +475,46 @@ mod tests {
             .unwrap();
         assert_eq!(s.get("p").unwrap().text, "original");
         assert_eq!(shadow.get("p").unwrap().text, "mutated");
+    }
+
+    #[test]
+    fn a_handle_cloned_before_the_first_write_shares_it() {
+        let first = PromptStore::new();
+        let second = first.clone();
+        first.define("p", "from first", "f_base", RefinementMode::Manual);
+        assert_eq!(second.get("p").unwrap().text, "from first");
+        second.define("q", "from second", "f_base", RefinementMode::Manual);
+        assert_eq!(first.keys(), ["p", "q"]);
+    }
+
+    #[test]
+    fn reads_leave_an_untouched_store_unbuilt() {
+        let s = PromptStore::new();
+        assert!(s.keys().is_empty());
+        assert!(s.is_empty());
+        assert!(!s.contains("p"));
+        assert!(s.try_get("p").is_none());
+        assert!(matches!(s.get("p"), Err(SpearError::PromptNotFound(_))));
+        assert!(s.keys_with_tag("t").is_empty());
+        assert!(!s.remove("p"));
+        let shadow = s.deep_clone();
+        assert!(s.backend.get().is_none() && shadow.backend.get().is_none());
+
+        // The shadow of an empty store is still its own store.
+        shadow.define("p", "shadow only", "f_base", RefinementMode::Manual);
+        assert!(s.is_empty());
+        s.define("q", "primary only", "f_base", RefinementMode::Manual);
+        assert_eq!(shadow.keys(), ["p"]);
+    }
+
+    #[test]
+    fn a_store_over_an_existing_backend_reads_and_writes_it() {
+        let backend = KvStore::new();
+        let s = PromptStore::with_backend(backend.clone());
+        assert!(s.is_empty());
+        s.define("p", "v1", "f_base", RefinementMode::Manual);
+        assert_eq!(backend.get("p").unwrap().text, "v1");
+        assert_eq!(PromptStore::with_backend(backend).keys(), ["p"]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! ## Worker lanes
 //!
-//! Under concurrent batch execution each worker thread charges time to its
-//! own **lane** (selected by [`spear_core::scope::lane`]), so two
+//! Under concurrent batch execution each job charges time to its worker
+//! **lane** (selected by [`spear_core::scope::lane`]), so two
 //! orthogonal quantities stay observable:
 //!
 //! - [`SimClock::elapsed`] — the sum over lanes: total engine busy time,

@@ -9,9 +9,11 @@
 //! priority queue, (3) executes them as one assigned batch, charging each
 //! job's virtual service time to its lane's clock, and (4) advances the
 //! clock to the earliest moment a lane frees up (or to the next arrival
-//! when idle). Real threads do the work — one per active lane via
-//! [`BatchRunner::run_assigned`] — but all *timing* is virtual, so a run
-//! is reproducible regardless of the host machine.
+//! when idle). [`BatchRunner::run_assigned`] does the work — the thread
+//! that called `run` executes the round's first active lane and each
+//! further active lane gets a scoped thread, so the usual one-lane round
+//! spawns nothing — but all *timing* is virtual, so a run is reproducible
+//! regardless of the host machine.
 //!
 //! ## Cache-affinity routing
 //!
@@ -256,6 +258,60 @@ impl PlanIdentities {
     }
 }
 
+/// One run's lane and cache-owner placement. With affinity routing on,
+/// every (class, affinity key) pair is one group with one owner and one
+/// hashed lane, however many distinct plans carry the key; everything else
+/// gets a fresh owner and the next lane round-robin.
+struct Placement {
+    owner_base: u64,
+    lanes: usize,
+    affinity_routing: bool,
+    /// Affinity key -> (owner, lane), one table per priority class so a
+    /// dispatch looks its group up by `&str`.
+    groups: [HashMap<String, (u64, usize)>; Priority::ALL.len()],
+    next_owner: u64,
+    round_robin: usize,
+}
+
+impl Placement {
+    fn new(owner_base: u64, config: &ServeConfig) -> Self {
+        Self {
+            owner_base,
+            lanes: config.lanes,
+            affinity_routing: config.affinity_routing,
+            groups: Default::default(),
+            next_owner: 0,
+            round_robin: 0,
+        }
+    }
+
+    fn fresh_owner(&mut self) -> u64 {
+        let owner = self.owner_base + self.next_owner;
+        self.next_owner += 1;
+        owner
+    }
+
+    /// `(owner, lane, grouped)` for a request of `class` running
+    /// `identity`'s plan.
+    fn place(&mut self, identity: &PlanIdentity, class: Priority) -> (u64, usize, bool) {
+        let key = match &identity.key.affinity {
+            Some(key) if self.affinity_routing => key.as_str(),
+            _ => {
+                let lane = self.round_robin % self.lanes;
+                self.round_robin += 1;
+                return (self.fresh_owner(), lane, false);
+            }
+        };
+        if let Some(&(owner, lane)) = self.groups[class as usize].get(key) {
+            return (owner, lane, true);
+        }
+        let lane = (identity.affinity_seed % self.lanes as u64) as usize;
+        let owner = self.fresh_owner();
+        self.groups[class as usize].insert(key.to_owned(), (owner, lane));
+        (owner, lane, true)
+    }
+}
+
 /// The long-lived serving node: a scheduler plus its worker-lane pool.
 /// One node can serve many successive [`ServeNode::run`] calls; owner ids
 /// never alias across runs.
@@ -403,10 +459,7 @@ impl ServeNode {
         let mut queue = AdmissionQueue::new(self.config.admission.clone());
         let mut accum: HashMap<Priority, ClassAccum> = HashMap::new();
         let mut outcomes: Vec<ServeOutcome> = Vec::with_capacity(requests.len());
-        // Affinity-group bookkeeping: key -> (owner id, pinned lane).
-        let mut groups: HashMap<(Priority, String), (u64, usize)> = HashMap::new();
-        let mut next_owner = 0u64;
-        let mut round_robin = 0usize;
+        let mut placement = Placement::new(owner_base, &self.config);
         let mut lane_clock = vec![0u64; lanes];
         let mut now = 0u64;
         let mut plans = PlanIdentities::default();
@@ -492,16 +545,7 @@ impl ServeNode {
             let mut meta = Vec::with_capacity(popped.len());
             for mut request in popped {
                 let identity = plans.of(&request.plan);
-                let (owner, lane) = match &identity.key.affinity {
-                    Some(key) if self.config.affinity_routing => *groups
-                        .entry((request.priority, key.clone()))
-                        .or_insert_with(|| {
-                            let owner = owner_base + next_owner;
-                            next_owner += 1;
-                            (owner, (identity.affinity_seed % lanes as u64) as usize)
-                        }),
-                    _ => Self::isolated(owner_base, &mut next_owner, &mut round_robin, lanes),
-                };
+                let (owner, lane, _) = placement.place(identity, request.priority);
                 request.state.deadline_us = request.deadline_us;
                 request.state.cancel = Some(request.cancel.clone());
                 request.state.reuse = reuse_policy;
@@ -719,9 +763,7 @@ impl ServeNode {
         // same (class, affinity-key) owner groups, same hashed lane,
         // members in arrival order. Lanes parallelize host execution
         // only; results and digests are placement-invariant.
-        let mut groups: HashMap<(Priority, String), (u64, usize)> = HashMap::new();
-        let mut next_owner = 0u64;
-        let mut round_robin = 0usize;
+        let mut placement = Placement::new(owner_base, &self.config);
         let mut jobs = Vec::with_capacity(admitted.len());
         let mut meta = Vec::with_capacity(admitted.len());
         for mut request in admitted {
@@ -731,23 +773,11 @@ impl ServeNode {
             // owner, hence no shared KV: their seed is unique and their
             // prefix claim is dropped.
             let identity = plans.of(&request.plan);
-            let (owner, lane, family_seed, grouped) = match &identity.key.affinity {
-                Some(key) if self.config.affinity_routing => {
-                    let seed = identity.affinity_seed;
-                    let slot = groups
-                        .entry((request.priority, key.clone()))
-                        .or_insert_with(|| {
-                            let owner = owner_base + next_owner;
-                            next_owner += 1;
-                            (owner, (seed % lanes as u64) as usize)
-                        });
-                    (slot.0, slot.1, seed, true)
-                }
-                _ => {
-                    let (owner, lane) =
-                        Self::isolated(owner_base, &mut next_owner, &mut round_robin, lanes);
-                    (owner, lane, fnv1a(&request.id.to_le_bytes()), false)
-                }
+            let (owner, lane, grouped) = placement.place(identity, request.priority);
+            let family_seed = if grouped {
+                identity.affinity_seed
+            } else {
+                fnv1a(&request.id.to_le_bytes())
             };
             let shared_prefix_tokens = if grouped {
                 request.shared_prefix_tokens
@@ -994,20 +1024,6 @@ impl ServeNode {
         reuse.bytes = after.resident_bytes;
     }
 
-    /// Fresh-owner, round-robin-lane placement (no affinity).
-    fn isolated(
-        owner_base: u64,
-        next_owner: &mut u64,
-        round_robin: &mut usize,
-        lanes: usize,
-    ) -> (u64, usize) {
-        let owner = owner_base + *next_owner;
-        *next_owner += 1;
-        let lane = *round_robin % lanes;
-        *round_robin += 1;
-        (owner, lane)
-    }
-
     /// Order-canonical fold of statuses and trace digests, keyed by id.
     fn fingerprint(outcomes: &[ServeOutcome]) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -1118,6 +1134,45 @@ mod tests {
         let mut state = ExecState::new();
         state.context.set("q", format!("question {id}"));
         ServeRequest::new(id, class, plan(1), state, arrival_us)
+    }
+
+    #[test]
+    fn two_plans_with_one_affinity_key_share_one_owner_per_class() {
+        // Same base text, different GEN counts: two plans (two
+        // fingerprints) with one affinity key.
+        let (one, two) = (plan(1), plan(2));
+        let mut plans = PlanIdentities::default();
+        let config = ServeConfig::default();
+        let mut placement = Placement::new(100, &config);
+        let first = placement.place(plans.of(&one), Priority::Interactive);
+        assert_eq!(first.0, 100);
+        assert!(first.2, "keyed plans are grouped");
+        assert_eq!(
+            placement.place(plans.of(&two), Priority::Interactive),
+            first
+        );
+        let batch = placement.place(plans.of(&one), Priority::Batch);
+        assert_eq!((batch.0, batch.1), (101, first.1), "a group per class");
+        assert_eq!(placement.place(plans.of(&two), Priority::Batch), batch);
+
+        // Affinity off: a fresh owner and the next lane, every time.
+        let config = ServeConfig {
+            affinity_routing: false,
+            ..config
+        };
+        let mut placement = Placement::new(100, &config);
+        let placed: Vec<_> = (0..3)
+            .map(|_| placement.place(plans.of(&one), Priority::Interactive))
+            .collect();
+        let lanes = config.lanes;
+        assert_eq!(
+            placed,
+            [
+                (100, 0, false),
+                (101, 1 % lanes, false),
+                (102, 2 % lanes, false)
+            ]
+        );
     }
 
     #[test]

@@ -37,6 +37,12 @@ disasm:
 analyze:
     cargo run -p spear-bench --bin analyze
 
+# One short run of each spear-benchmark workload, for its output checks
+# (digest equality across lane counts and against the tree walk, ledgers,
+# translation validation), not its numbers. Part of `just check`.
+bench-smoke:
+    sh scripts/bench_smoke.sh
+
 # Host fast-path throughput: interned/segmented prefill vs flat re-tokenize
 # (DESIGN.md §10). Writes BENCH_host.json and fails below 2x on the
 # warm-prefix serve workload.

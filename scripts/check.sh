@@ -9,6 +9,8 @@ cargo test --workspace -q
 # The stand-alone benchmark crate is outside the workspace: keep its
 # self-tests compiling against the crates they drive.
 cargo test --release --manifest-path benchmark/Cargo.toml -q
+# ... and its output checks passing against them, on all five workloads.
+sh scripts/bench_smoke.sh
 # Static-analysis gate: bytecode lints, translation validation, and the
 # verified optimizer's bisimulation check over the golden plan corpus.
 cargo run --release -p spear-bench --bin analyze
