@@ -137,13 +137,9 @@ pub(crate) struct KvSimRun {
     pub timings: Vec<SeqTiming>,
     /// Pool + scheduler counters.
     pub report: KvReport,
-    /// Preemption events per class, in [`Priority::ALL`] order.
-    pub preempted_by_class: [u64; 2],
     /// Waiting-set depth per class observed at each arrival, in
     /// [`Priority::ALL`] order.
     pub depth_samples: Vec<(Priority, u64)>,
-    /// Virtual time the last sequence finished.
-    pub makespan_us: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,13 +167,6 @@ struct Seq {
     /// a pure function of the sequence and only ever grows, so it is
     /// extended on demand rather than rebuilt per allocation attempt.
     chain: Vec<u64>,
-}
-
-fn class_index(p: Priority) -> usize {
-    match p {
-        Priority::Interactive => 0,
-        Priority::Batch => 1,
-    }
 }
 
 /// Preemption preference rank: lower ranks are preempted first.
@@ -208,7 +197,7 @@ struct Sim<'a> {
     resume: std::collections::VecDeque<usize>,
     waiting: ClassFifo<usize>,
     admission_counter: u64,
-    preempted_by_class: [u64; 2],
+    preempted: u64,
     depth_samples: Vec<(Priority, u64)>,
     peak_live_blocks: u64,
     steps: u64,
@@ -253,13 +242,12 @@ impl<'a> Sim<'a> {
     /// re-queue it ahead of new arrivals.
     fn preempt(&mut self, idx: usize) {
         self.pool.free(Self::pool_seq(idx));
-        let class = self.inputs[idx].priority;
         let seq = &mut self.seqs[idx];
         seq.leased_blocks = 0;
         seq.prefilled = 0;
         seq.phase = Phase::Waiting;
         seq.preemptions += 1;
-        self.preempted_by_class[class_index(class)] += 1;
+        self.preempted += 1;
         self.running.retain(|&r| r != idx);
         self.resume.push_back(idx);
     }
@@ -357,7 +345,7 @@ impl<'a> Sim<'a> {
             let mut prefill_tokens = 0u64;
             let mut decode_tokens = 0u64;
             let mut admissions = 0u32;
-            let mut preemptions_before = self.preempted_by_class;
+            let preempted_before = self.preempted;
 
             // --- Decode: one token for every running decode-phase
             // sequence, in admission order. `running` is kept in admission
@@ -529,10 +517,7 @@ impl<'a> Sim<'a> {
             // Stall guard: an iteration that moved no tokens, admitted
             // nothing, and preempted nothing means a scheduling bug — the
             // design guarantees at least one of the three.
-            preemptions_before[0] = self.preempted_by_class[0] - preemptions_before[0];
-            preemptions_before[1] = self.preempted_by_class[1] - preemptions_before[1];
-            let progressed =
-                batched > 0 || admissions > 0 || preemptions_before[0] + preemptions_before[1] > 0;
+            let progressed = batched > 0 || admissions > 0 || self.preempted > preempted_before;
             if progressed {
                 stalled_iterations = 0;
             } else {
@@ -569,7 +554,7 @@ impl<'a> Sim<'a> {
                 block_size: self.cfg.block_size as u64,
                 max_batched_tokens: self.cfg.max_batched_tokens,
                 steps: self.steps,
-                preempted: self.preempted_by_class.iter().sum(),
+                preempted: self.preempted,
                 evicted_blocks: stats.evicted_blocks,
                 freed_blocks: stats.freed_blocks,
                 inserted_blocks: stats.inserted_blocks,
@@ -578,9 +563,7 @@ impl<'a> Sim<'a> {
                 alloc_failures: stats.alloc_failures,
                 peak_live_blocks: self.peak_live_blocks,
             },
-            preempted_by_class: self.preempted_by_class,
             depth_samples: self.depth_samples,
-            makespan_us: now,
         }
     }
 }
@@ -620,7 +603,7 @@ pub(crate) fn simulate(inputs: &[SeqInput], cfg: &KvPressureConfig) -> KvSimRun 
         resume: std::collections::VecDeque::new(),
         waiting: ClassFifo::new(u32::MAX), // aging handled upstream; FIFO per class here
         admission_counter: 0,
-        preempted_by_class: [0; 2],
+        preempted: 0,
         depth_samples: Vec::new(),
         peak_live_blocks: 0,
         steps: 0,
@@ -674,10 +657,6 @@ mod tests {
             assert!(t.service_us > 0);
             assert_eq!(t.preemptions, 0);
         }
-        assert_eq!(
-            run.makespan_us,
-            run.timings.iter().map(|t| t.finish_us).max().unwrap()
-        );
     }
 
     #[test]
@@ -697,7 +676,7 @@ mod tests {
         );
         assert!(run.report.alloc_failures > 0);
         assert!(run.report.peak_live_blocks <= 24);
-        let preempted_total: u64 = run.preempted_by_class.iter().sum();
+        let preempted_total: u64 = run.timings.iter().map(|t| u64::from(t.preemptions)).sum();
         assert_eq!(preempted_total, run.report.preempted);
         for t in &run.timings {
             assert!(t.finish_us > 0, "every sequence still finishes");
@@ -737,10 +716,18 @@ mod tests {
     }
 
     /// FNV-1a over everything a simulation produces: every `SeqTiming`
-    /// field, the full `KvReport`, `preempted_by_class`, `depth_samples`
-    /// and `makespan_us`.
-    fn digest(run: &KvSimRun) -> u64 {
+    /// field, the full `KvReport` and `depth_samples` — plus the per-class
+    /// preemption totals and the last finish, which `KvSimRun` carried as
+    /// `preempted_by_class` and `makespan_us` when the digests were pinned
+    /// and which follow from the timings.
+    fn digest(inputs: &[SeqInput], run: &KvSimRun) -> u64 {
         let r = &run.report;
+        let preempted_in = |class: Priority| -> u64 {
+            (inputs.iter().zip(&run.timings))
+                .filter(|(input, _)| input.priority == class)
+                .map(|(_, t)| u64::from(t.preemptions))
+                .sum()
+        };
         let mut words = vec![
             u64::from(r.enabled),
             r.pool_blocks,
@@ -755,9 +742,9 @@ mod tests {
             r.requested_blocks,
             r.alloc_failures,
             r.peak_live_blocks,
-            run.preempted_by_class[0],
-            run.preempted_by_class[1],
-            run.makespan_us,
+            preempted_in(Priority::Interactive),
+            preempted_in(Priority::Batch),
+            run.timings.iter().map(|t| t.finish_us).max().unwrap_or(0),
         ];
         for t in &run.timings {
             words.extend([
@@ -768,7 +755,7 @@ mod tests {
             ]);
         }
         for &(class, depth) in &run.depth_samples {
-            words.extend([class_index(class) as u64, depth]);
+            words.extend([class as u64, depth]);
         }
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         spear_kv::shard::fnv1a(&bytes)
@@ -834,16 +821,18 @@ mod tests {
         };
         let roomy = simulate(&staggered, &KvPressureConfig::default());
         let tight = simulate(&crowded, &tight_cfg());
-        let oversized = simulate(&[seq(0, 0, 640, 32, 0)], &tiny);
-        let bursty = simulate(&bursty_inputs(), &bursty_cfg);
+        let lone = [seq(0, 0, 640, 32, 0)];
+        let oversized = simulate(&lone, &tiny);
+        let burst = bursty_inputs();
+        let bursty = simulate(&burst, &bursty_cfg);
         assert!(tight.report.preempted > 0 && tight.report.evicted_blocks > 0);
         assert!(bursty.report.preempted > 0 && bursty.report.evicted_blocks > 0);
         assert_eq!(
             [
-                digest(&roomy),
-                digest(&tight),
-                digest(&oversized),
-                digest(&bursty)
+                digest(&staggered, &roomy),
+                digest(&crowded, &tight),
+                digest(&lone, &oversized),
+                digest(&burst, &bursty)
             ],
             [
                 9_915_116_632_029_514_797,
@@ -861,7 +850,6 @@ mod tests {
         let a = simulate(&inputs, &cfg);
         let b = simulate(&inputs, &cfg);
         assert_eq!(a.report, b.report);
-        assert_eq!(a.makespan_us, b.makespan_us);
         for (x, y) in a.timings.iter().zip(&b.timings) {
             assert_eq!(
                 (x.start_us, x.finish_us, x.service_us, x.preemptions),

@@ -1,18 +1,42 @@
-//! The serving scheduler: virtual-time dispatch of admitted requests onto
-//! [`BatchRunner`] lanes, with cache-affinity routing.
+//! The serving scheduler: one request lifecycle, timed by one of two
+//! virtual clocks.
 //!
-//! ## Execution model
+//! ## The lifecycle
 //!
-//! [`ServeNode::run`] is a discrete-event loop over the workload's virtual
-//! clock. Each round it (1) admits every request whose arrival timestamp
-//! has been reached, (2) pops up to `lanes × quantum` requests from the
-//! priority queue, (3) executes them as one assigned batch, charging each
-//! job's virtual service time to its lane's clock, and (4) advances the
-//! clock to the earliest moment a lane frees up (or to the next arrival
-//! when idle). [`BatchRunner::run_assigned`] does the work — the thread
-//! that called `run` executes the round's first active lane and each
-//! further active lane gets a scoped thread, so the usual one-lane round
-//! spawns nothing — but all *timing* is virtual, so a run is reproducible
+//! Under either clock a request takes the same five steps, written once on
+//! the private per-run [`Lifecycle`]: **admit** (verify the plan, then the
+//! token-bucket and depth gate; a refusal is a typed `Rejected` outcome),
+//! **job** (place it on a lane under a cache owner, stamp deadline, cancel
+//! token and reuse policy on its state, fetch its compiled program),
+//! **settle** (classify what the execution returned: status, measured
+//! service, digest, usage, class counters, reuse row), **record** (the
+//! clock's start / service / finish enter the histograms and the
+//! [`ServeOutcome`]) and **finish** (sort, fingerprint, assemble the
+//! [`ServeReport`]). The lifecycle owns every piece of per-run state, so a
+//! [`ServeNode`] holds only what outlives a run: configuration, lanes,
+//! program cache.
+//!
+//! ## Two clocks
+//!
+//! [`ServeConfig::pressure`] names the modelled device and with it *when*
+//! things happen, never *what* a request computes (DESIGN.md §11 says why
+//! the second clock is not the first with an infinite pool).
+//!
+//! - **Lane clock** (`None`, unbounded memory): a discrete-event loop. Each
+//!   round admits every request whose arrival has been reached, pops up to
+//!   `lanes × quantum` from the priority queue, executes them as one
+//!   assigned batch charging each job's virtual service time to its lane,
+//!   and advances to the earliest moment a lane frees up (or to the next
+//!   arrival when idle). Execution feeds back into admission: service time
+//!   moves `now`, and `now` decides the queue depth the next arrival meets.
+//! - **Pool clock** (`Some`, a bounded KV block pool): admit the whole
+//!   stream in arrival order, execute it as one batch, then let
+//!   [`crate::kv`]'s token-level iteration scheduler time the measured
+//!   footprints — every start, service, finish and preemption is its.
+//!
+//! [`BatchRunner::run_assigned`] does the host work for both (the calling
+//! thread runs the first active lane, each further active lane gets a
+//! scoped thread), but all *timing* is virtual, so a run is reproducible
 //! regardless of the host machine.
 //!
 //! ## Cache-affinity routing
@@ -35,27 +59,28 @@
 //! arrival timestamps only; an owner group's members are dispatched in
 //! arrival order (per-class FIFO) whatever the interleaving; deadlines
 //! bound the job's *own* accumulated service time, not wall or queue
-//! time. Queue waits, end-to-end latencies, and depth-based shedding do
-//! scale with capacity — that is the point of adding lanes — so the
-//! *report* is per-configuration while the *traces* are not.
+//! time. Under the lane clock queue waits, end-to-end latencies, and
+//! depth-based shedding do scale with capacity — that is the point of
+//! adding lanes — so the *report* is per-configuration while the *traces*
+//! are not; the pool clock's report is lane-count-invariant too.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use spear_core::batch::{AssignedJob, BatchRunner};
+use spear_core::batch::{AssignedJob, BatchOutcome, BatchRunner};
 use spear_core::error::SpearError;
 use spear_core::llm::ReusePolicy;
 use spear_core::metadata::{ReuseEvent, TokenUsage};
 use spear_core::plan::LoweredPlan;
 use spear_core::runtime::Runtime;
-use spear_kv::shard::fnv1a;
-use spear_llm::{MemoStats, SimLlm};
+use spear_kv::shard::{fnv1a, fnv1a_extend, FNV1A_OFFSET};
+use spear_llm::{CacheStats, MemoStats, SimLlm};
 
 use crate::error::ServeError;
-use crate::kv::{self, KvPressureConfig, SeqInput};
-use crate::metrics::{ClassReport, Histogram, ReuseReport, ServeReport};
+use crate::kv::{self, KvPressureConfig, SeqInput, SeqTiming};
+use crate::metrics::{ClassReport, Histogram, KvReport, ReuseReport, ServeReport};
 use crate::program_cache::{ProgramCache, ProgramKey};
 use crate::queue::{AdmissionConfig, AdmissionQueue};
 use crate::request::{Priority, ServeRequest};
@@ -87,14 +112,14 @@ pub struct ServeConfig {
     /// LLM call or queue slot is spent. Default on; turn off only for
     /// workloads known-verified out of band.
     pub verify_admission: bool,
-    /// Schedule the run's token footprints through a bounded KV block
-    /// pool with token-level continuous batching (see [`crate::kv`]).
-    /// Executions stay byte-identical to the unconstrained path — the
-    /// pool shapes *timing* (queue waits, service, preemptions,
-    /// evictions), not results. With pressure on, the KV pool itself is
-    /// the backpressure valve: queue-depth shedding never binds (token
-    /// bucket and plan verification still apply). `None` = unbounded
-    /// memory, the classic lane scheduler.
+    /// The modelled device's memory. `Some`: a bounded KV block pool with
+    /// token-level continuous batching (see [`crate::kv`]) times the run.
+    /// Executions stay byte-identical to the unbounded device — the pool
+    /// shapes *timing* (queue waits, service, preemptions, evictions), not
+    /// results — and the pool itself is the backpressure valve:
+    /// queue-depth shedding never binds (token bucket and plan
+    /// verification still apply). `None` = unbounded memory, timed by
+    /// `lanes` × `quantum` dispatch rounds.
     pub pressure: Option<KvPressureConfig>,
     /// Capacity of the node's compiled-program cache
     /// ([`crate::program_cache::ProgramCache`]): distinct
@@ -219,18 +244,6 @@ impl ClassAccum {
     }
 }
 
-/// Per-run memo of admission-verification results, keyed by plan family
-/// (plan fingerprint ⊕ assumed prompt keys ⊕ deadline). Verification also
-/// depends on the runtime's registries, and each run may bring a
-/// different runtime, so the memo is cleared at the start of every run —
-/// within a run the full `Verifier` executes once per family instead of
-/// once per request.
-#[derive(Debug, Default)]
-struct VerifyMemo {
-    map: HashMap<u64, Option<Vec<String>>>,
-    hits: u64,
-}
-
 /// What the scheduler needs to know about a plan. `fingerprint()`
 /// serialises the whole plan and `affinity_key()` hashes and formats, and a
 /// run replays a handful of plans thousands of times, so both are derived
@@ -312,16 +325,347 @@ impl Placement {
     }
 }
 
+/// What stays with the scheduler once a request's plan and state have
+/// moved into its [`AssignedJob`].
+struct Ticket {
+    id: u64,
+    class: Priority,
+    arrival_us: u64,
+    lane: usize,
+    /// KV chain-hash seed: the affinity group's, or unique to the request
+    /// when it runs under an owner of its own.
+    family_seed: u64,
+    /// Leading prompt tokens that map to the group's shared KV blocks
+    /// (zero outside a group: no shared owner, no shared KV).
+    shared_prefix_tokens: u64,
+}
+
+/// What an execution amounted to, before any clock has placed it in time.
+struct Settled {
+    status: ServeStatus,
+    /// Virtual µs the execution itself accumulated: the whole run when
+    /// completed, the part before the gate tripped when cancelled, zero
+    /// when failed.
+    service_us: u64,
+    digest: Option<u64>,
+    /// Zero unless completed.
+    usage: TokenUsage,
+    /// GEN calls the usage totals accumulate over (1 unless completed).
+    gen_calls: u64,
+}
+
+/// One serving run's request lifecycle and every piece of state that lives
+/// exactly as long as the run (module docs). The two timing models call
+/// these steps; neither touches the accumulators behind them.
+struct Lifecycle<'a> {
+    node: &'a ServeNode,
+    runtime: &'a Runtime,
+    engine: Option<&'a SimLlm>,
+    /// Engine counters when the run began; the report carries the deltas.
+    engine_before: Option<(CacheStats, MemoStats)>,
+    reuse_policy: ReusePolicy,
+    plans: PlanIdentities,
+    /// Admission verdicts by plan family ([`verify_key`]). Verification
+    /// also reads the runtime's registries and each run may bring another
+    /// runtime, which is why the memo lives here and not on the node.
+    verify_memo: HashMap<u64, Option<Vec<String>>>,
+    verify_memo_hits: u64,
+    queue: AdmissionQueue,
+    placement: Placement,
+    /// Indexed by `Priority as usize`, like [`Placement::groups`].
+    classes: [ClassAccum; Priority::ALL.len()],
+    outcomes: Vec<ServeOutcome>,
+    /// (arrival_us, id, service_us, per-GEN reuse events) of completed
+    /// requests, for the deterministic reuse ledger.
+    reuse_rows: Vec<(u64, u64, u64, Vec<ReuseEvent>)>,
+    /// Largest `finish_us` recorded: the run's makespan under either clock.
+    last_finish_us: u64,
+}
+
+impl<'a> Lifecycle<'a> {
+    fn begin(
+        node: &'a ServeNode,
+        runtime: &'a Runtime,
+        engine: Option<&'a SimLlm>,
+        requests: &[ServeRequest],
+    ) -> Self {
+        let run_nonce = node.run_seq.fetch_add(1, Ordering::Relaxed);
+        let mut classes: [ClassAccum; Priority::ALL.len()] = Default::default();
+        for request in requests {
+            classes[request.priority as usize].report.submitted += 1;
+        }
+        Self {
+            node,
+            runtime,
+            engine,
+            engine_before: engine.map(|e| (e.cache_stats(), e.reuse_stats())),
+            reuse_policy: if node.config.reuse {
+                ReusePolicy::Exact
+            } else {
+                ReusePolicy::Off
+            },
+            plans: PlanIdentities::default(),
+            verify_memo: HashMap::new(),
+            verify_memo_hits: 0,
+            queue: AdmissionQueue::new(node.config.admission.clone()),
+            placement: Placement::new(SERVE_OWNER_BASE | (run_nonce << 32), &node.config),
+            classes,
+            outcomes: Vec::with_capacity(requests.len()),
+            reuse_rows: Vec::new(),
+            last_finish_us: 0,
+        }
+    }
+
+    /// Memoized [`verify_for_admission`]: the full verifier runs once per
+    /// plan family per run; later family members reuse the verdict
+    /// (rejection details included).
+    fn verify(&mut self, request: &ServeRequest) -> Option<Vec<String>> {
+        let fingerprint = self.plans.of(&request.plan).key.fingerprint;
+        let key = verify_key(request, fingerprint);
+        if let Some(cached) = self.verify_memo.get(&key) {
+            self.verify_memo_hits += 1;
+            return cached.clone();
+        }
+        let verdict = verify_for_admission(self.runtime, request);
+        if self.verify_memo.len() >= VERIFY_MEMO_CAPACITY {
+            self.verify_memo.clear();
+        }
+        self.verify_memo.insert(key, verdict.clone());
+        verdict
+    }
+
+    fn reject(&mut self, id: u64, class: Priority, error: ServeError) {
+        self.classes[class as usize].report.rejected += 1;
+        self.outcomes.push(ServeOutcome {
+            id,
+            priority: class,
+            status: ServeStatus::Rejected { error },
+            queue_wait_us: 0,
+            service_us: 0,
+            finish_us: 0,
+            trace_digest: None,
+            usage: TokenUsage::default(),
+            preemptions: 0,
+        });
+    }
+
+    /// Verify the request's plan, then offer it to the queue. `true`: it
+    /// is queued and counted admitted; `false`: it has its `Rejected`
+    /// outcome.
+    fn admit(&mut self, request: ServeRequest) -> bool {
+        let (id, class) = (request.id, request.priority);
+        if self.node.config.verify_admission {
+            if let Some(details) = self.verify(&request) {
+                let plan = request.plan.name.clone();
+                self.reject(id, class, ServeError::InvalidPlan { plan, details });
+                return false;
+            }
+        }
+        match self.queue.offer(request) {
+            Ok(()) => {
+                self.classes[class as usize].report.admitted += 1;
+                true
+            }
+            Err(shed) => {
+                let (_, error) = *shed;
+                self.reject(id, class, error);
+                false
+            }
+        }
+    }
+
+    fn sample_depth(&mut self, class: Priority, depth: u64) {
+        self.classes[class as usize].queue_depth.record(depth);
+    }
+
+    /// Turn a dequeued request into its executable job plus the ticket
+    /// that identifies the result. Callers must make these calls in their
+    /// dispatch order: owner ids and program-cache recency follow it.
+    fn job(&mut self, mut request: ServeRequest) -> (AssignedJob, Ticket) {
+        let identity = self.plans.of(&request.plan);
+        let (owner, lane, grouped) = self.placement.place(identity, request.priority);
+        let ticket = Ticket {
+            id: request.id,
+            class: request.priority,
+            arrival_us: request.arrival_us,
+            lane,
+            family_seed: if grouped {
+                identity.affinity_seed
+            } else {
+                fnv1a(&request.id.to_le_bytes())
+            },
+            shared_prefix_tokens: if grouped {
+                request.shared_prefix_tokens
+            } else {
+                0
+            },
+        };
+        request.state.deadline_us = request.deadline_us;
+        request.state.cancel = Some(request.cancel);
+        request.state.reuse = self.reuse_policy;
+        let program = self.node.programs.get_or_compile_keyed(
+            &identity.key,
+            &request.plan,
+            self.runtime,
+            self.engine,
+        );
+        let job = AssignedJob {
+            lane,
+            owner,
+            plan: request.plan,
+            program,
+            state: request.state,
+        };
+        (job, ticket)
+    }
+
+    /// Classify what an execution returned and count it; timing comes
+    /// later, from whichever clock is running.
+    fn settle(&mut self, ticket: &Ticket, result: spear_core::Result<BatchOutcome>) -> Settled {
+        let report = &mut self.classes[ticket.class as usize].report;
+        match result {
+            Ok(outcome) => {
+                let metadata = outcome.state.metadata;
+                report.completed += 1;
+                report.prompt_tokens += metadata.usage.prompt_tokens;
+                report.cached_tokens += metadata.usage.cached_tokens;
+                if !metadata.reuse_events.is_empty() {
+                    self.reuse_rows.push((
+                        ticket.arrival_us,
+                        ticket.id,
+                        metadata.latency_us,
+                        metadata.reuse_events,
+                    ));
+                }
+                Settled {
+                    status: ServeStatus::Completed,
+                    service_us: metadata.latency_us,
+                    digest: outcome.state.trace.digest().ok(),
+                    usage: metadata.usage,
+                    gen_calls: metadata.gen_calls.max(1),
+                }
+            }
+            Err(SpearError::Cancelled { reason, after_us }) => {
+                let status = if reason == "deadline" {
+                    report.deadline_exceeded += 1;
+                    ServeStatus::DeadlineExceeded { after_us }
+                } else {
+                    report.cancelled += 1;
+                    ServeStatus::Cancelled { reason }
+                };
+                Settled::unfinished(status, after_us)
+            }
+            Err(error) => {
+                report.failed += 1;
+                let error = error.to_string();
+                Settled::unfinished(ServeStatus::Failed { error }, 0)
+            }
+        }
+    }
+
+    /// Place a settled request in virtual time.
+    fn record(&mut self, ticket: &Ticket, settled: Settled, at: SeqTiming) {
+        let queue_wait_us = at.start_us.saturating_sub(ticket.arrival_us);
+        let class = &mut self.classes[ticket.class as usize];
+        class.queue_wait_us.record(queue_wait_us);
+        class.service_us.record(at.service_us);
+        class.report.preempted += u64::from(at.preemptions);
+        class
+            .e2e_us
+            .record(at.finish_us.saturating_sub(ticket.arrival_us));
+        self.last_finish_us = self.last_finish_us.max(at.finish_us);
+        self.outcomes.push(ServeOutcome {
+            id: ticket.id,
+            priority: ticket.class,
+            status: settled.status,
+            queue_wait_us,
+            service_us: at.service_us,
+            finish_us: at.finish_us,
+            trace_digest: settled.digest,
+            usage: settled.usage,
+            preemptions: at.preemptions,
+        });
+    }
+
+    /// Close the run: outcomes in id order, the report assembled. `kv` is
+    /// the pool clock's counters (default under the lane clock).
+    fn finish(mut self, kv: KvReport) -> ServeRun {
+        self.outcomes.sort_by_key(|o| o.id);
+        assert!(
+            self.outcomes.windows(2).all(|w| w[0].id < w[1].id),
+            "request ids must be unique"
+        );
+        let [interactive, batch] = self.classes.map(ClassAccum::finish);
+        let mut compile = self.node.programs.drain_counters();
+        compile.verify_memo_hits = self.verify_memo_hits;
+        let mut report = ServeReport {
+            lanes: self.node.config.lanes,
+            affinity_routing: self.node.config.affinity_routing,
+            makespan_us: self.last_finish_us,
+            trace_fingerprint: fingerprint(&self.outcomes),
+            interactive,
+            batch,
+            cache: CacheStats::default(),
+            kv,
+            compile,
+            cluster: None,
+            reuse: reuse_ledger(self.reuse_rows),
+        };
+        if let (Some(engine), Some((cache, memo))) = (self.engine, self.engine_before) {
+            report.cache = engine.cache_stats().delta_since(&cache);
+            let after = engine.reuse_stats();
+            report.reuse.inserted = after.insertions.saturating_sub(memo.insertions);
+            report.reuse.evicted = after.evictions.saturating_sub(memo.evictions);
+            report.reuse.bytes = after.resident_bytes;
+        }
+        ServeRun {
+            outcomes: self.outcomes,
+            report,
+        }
+    }
+}
+
+impl Settled {
+    /// A cancelled or failed execution: no digest, no usage.
+    fn unfinished(status: ServeStatus, service_us: u64) -> Self {
+        Self {
+            status,
+            service_us,
+            digest: None,
+            usage: TokenUsage::default(),
+            gen_calls: 1,
+        }
+    }
+
+    /// KV footprint of the sequence's device residency. Usage totals
+    /// accumulate over every GEN call of the plan, but the calls run
+    /// serially over one growing context — the resident footprint is the
+    /// per-call prompt (averaged: calls share the prompt's prefix) plus
+    /// everything decoded across calls. Cancelled and failed executions
+    /// settle with zero usage, so they pass through the pool as empty
+    /// footprints (the simulator clamps the prefix claim to the prompt).
+    fn footprint(&self, ticket: &Ticket) -> SeqInput {
+        SeqInput {
+            id: ticket.id,
+            priority: ticket.class,
+            arrival_us: ticket.arrival_us,
+            prompt_tokens: self.usage.prompt_tokens / self.gen_calls,
+            completion_tokens: self.usage.completion_tokens,
+            shared_prefix_tokens: ticket.shared_prefix_tokens,
+            family_seed: ticket.family_seed,
+        }
+    }
+}
+
 /// The long-lived serving node: a scheduler plus its worker-lane pool.
-/// One node can serve many successive [`ServeNode::run`] calls; owner ids
-/// never alias across runs.
+/// One node can serve many successive (or overlapping) [`ServeNode::run`]
+/// calls; owner ids never alias across runs.
 #[derive(Debug)]
 pub struct ServeNode {
     config: ServeConfig,
     runner: BatchRunner,
     run_seq: AtomicU64,
     programs: ProgramCache,
-    verify_memo: Mutex<VerifyMemo>,
 }
 
 impl ServeNode {
@@ -335,77 +679,7 @@ impl ServeNode {
             runner: BatchRunner::new(lanes),
             run_seq: AtomicU64::new(0),
             programs,
-            verify_memo: Mutex::new(VerifyMemo::default()),
         }
-    }
-
-    /// Memoized admission verification: the full [`verify_for_admission`]
-    /// runs once per plan family per run; later family members reuse the
-    /// cached verdict (including rejection details).
-    fn verify_admission_memoized(
-        &self,
-        runtime: &Runtime,
-        request: &ServeRequest,
-        fingerprint: u64,
-    ) -> Option<Vec<String>> {
-        let key = Self::verify_key(request, fingerprint);
-        {
-            let mut memo = match self.verify_memo.lock() {
-                Ok(memo) => memo,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if let Some(cached) = memo.map.get(&key).cloned() {
-                memo.hits += 1;
-                return cached;
-            }
-        }
-        // Verify outside the lock: the memo only makes the common
-        // (already-seen family) case cheap.
-        let verdict = verify_for_admission(runtime, request);
-        let mut memo = match self.verify_memo.lock() {
-            Ok(memo) => memo,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if memo.map.len() >= VERIFY_MEMO_CAPACITY {
-            memo.map.clear();
-        }
-        memo.map.insert(key, verdict.clone());
-        verdict
-    }
-
-    /// The memo key: everything [`verify_for_admission`] reads from the
-    /// request (the runtime's contribution is handled by clearing the memo
-    /// each run); `fingerprint` is the plan's.
-    fn verify_key(request: &ServeRequest, fingerprint: u64) -> u64 {
-        let mut bytes = Vec::with_capacity(64);
-        bytes.extend_from_slice(&fingerprint.to_le_bytes());
-        for key in request.state.prompts.keys() {
-            bytes.extend_from_slice(key.as_bytes());
-            bytes.push(0xff);
-        }
-        bytes.extend_from_slice(&request.deadline_us.unwrap_or(u64::MAX).to_le_bytes());
-        fnv1a(&bytes)
-    }
-
-    /// Reset the memo for a fresh run (a new run may bring a different
-    /// runtime, whose registries verification depends on).
-    fn reset_verify_memo(&self) {
-        let mut memo = match self.verify_memo.lock() {
-            Ok(memo) => memo,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        memo.map.clear();
-        memo.hits = 0;
-    }
-
-    /// Take the memo hits accumulated this run (for
-    /// [`crate::metrics::CompileReport::verify_memo_hits`]).
-    fn drain_verify_memo_hits(&self) -> u64 {
-        let mut memo = match self.verify_memo.lock() {
-            Ok(memo) => memo,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        std::mem::take(&mut memo.hits)
     }
 
     /// The configuration in effect.
@@ -436,7 +710,7 @@ impl ServeNode {
         &self,
         runtime: &Runtime,
         engine: Option<&SimLlm>,
-        mut requests: Vec<ServeRequest>,
+        requests: Vec<ServeRequest>,
     ) -> ServeRun {
         assert!(
             requests
@@ -444,94 +718,35 @@ impl ServeNode {
                 .all(|w| w[0].arrival_us <= w[1].arrival_us),
             "requests must arrive in non-decreasing virtual-time order"
         );
-        self.reset_verify_memo();
-        if let Some(pressure) = self.config.pressure.clone() {
-            return self.run_pressured(runtime, engine, requests, &pressure);
+        let life = Lifecycle::begin(self, runtime, engine, &requests);
+        match &self.config.pressure {
+            None => self.run_on_lane_clock(life, requests),
+            Some(pressure) => self.run_on_pool_clock(life, requests, pressure),
         }
-        let cache_before = engine.map(|e| e.cache_stats());
-        let reuse_before = engine.map(|e| e.reuse_stats());
-        let reuse_policy = self.reuse_policy();
-        let run_nonce = self.run_seq.fetch_add(1, Ordering::Relaxed);
-        let owner_base = SERVE_OWNER_BASE | (run_nonce << 32);
+    }
 
-        let lanes = self.config.lanes;
-        let round_size = lanes * self.config.quantum.max(1);
-        let mut queue = AdmissionQueue::new(self.config.admission.clone());
-        let mut accum: HashMap<Priority, ClassAccum> = HashMap::new();
-        let mut outcomes: Vec<ServeOutcome> = Vec::with_capacity(requests.len());
-        let mut placement = Placement::new(owner_base, &self.config);
-        let mut lane_clock = vec![0u64; lanes];
+    /// The lane clock: a discrete-event loop in which a job occupies its
+    /// lane for its measured service time (module docs).
+    fn run_on_lane_clock(&self, mut life: Lifecycle<'_>, requests: Vec<ServeRequest>) -> ServeRun {
+        let round_size = self.config.lanes * self.config.quantum.max(1);
+        let mut lane_clock = vec![0u64; self.config.lanes];
         let mut now = 0u64;
-        let mut plans = PlanIdentities::default();
-        // (arrival_us, id, service_us, per-GEN reuse events) of completed
-        // requests, for the deterministic reuse ledger.
-        let mut reuse_rows: Vec<(u64, u64, u64, Vec<ReuseEvent>)> = Vec::new();
-
-        requests.reverse(); // pop() takes the earliest arrival
-        for r in &requests {
-            accum.entry(r.priority).or_default().report.submitted += 1;
-        }
+        let mut arrivals = requests.into_iter().peekable();
 
         loop {
             // (1) Admit everything that has arrived by `now`.
-            while requests.last().is_some_and(|r| r.arrival_us <= now) {
-                let Some(request) = requests.pop() else {
-                    break;
-                };
+            while let Some(request) = arrivals.next_if(|r| r.arrival_us <= now) {
                 let class = request.priority;
-                let entry = accum.entry(class).or_default();
-                if self.config.verify_admission {
-                    let fingerprint = plans.of(&request.plan).key.fingerprint;
-                    if let Some(details) =
-                        self.verify_admission_memoized(runtime, &request, fingerprint)
-                    {
-                        entry.report.rejected += 1;
-                        outcomes.push(ServeOutcome {
-                            id: request.id,
-                            priority: class,
-                            status: ServeStatus::Rejected {
-                                error: ServeError::InvalidPlan {
-                                    plan: request.plan.name.clone(),
-                                    details,
-                                },
-                            },
-                            queue_wait_us: 0,
-                            service_us: 0,
-                            finish_us: 0,
-                            trace_digest: None,
-                            usage: TokenUsage::default(),
-                            preemptions: 0,
-                        });
-                        continue;
-                    }
-                }
-                match queue.offer(request) {
-                    Ok(()) => {
-                        entry.report.admitted += 1;
-                        entry.queue_depth.record(queue.depth(class) as u64);
-                    }
-                    Err(shed) => {
-                        let (rejected, error) = *shed;
-                        entry.report.rejected += 1;
-                        outcomes.push(ServeOutcome {
-                            id: rejected.id,
-                            priority: class,
-                            status: ServeStatus::Rejected { error },
-                            queue_wait_us: 0,
-                            service_us: 0,
-                            finish_us: 0,
-                            trace_digest: None,
-                            usage: TokenUsage::default(),
-                            preemptions: 0,
-                        });
-                    }
+                if life.admit(request) {
+                    let depth = life.queue.depth(class) as u64;
+                    life.sample_depth(class, depth);
                 }
             }
 
             // (2) Pop a dispatch round.
-            let popped = queue.pop_batch(round_size);
+            let popped = life.queue.pop_batch(round_size);
             if popped.is_empty() {
-                match requests.last() {
+                match arrivals.peek() {
                     Some(r) => {
                         now = now.max(r.arrival_us);
                         continue;
@@ -540,513 +755,152 @@ impl ServeNode {
                 }
             }
 
-            // (3) Place each popped request on a lane with an owner group.
-            let mut jobs = Vec::with_capacity(popped.len());
-            let mut meta = Vec::with_capacity(popped.len());
-            for mut request in popped {
-                let identity = plans.of(&request.plan);
-                let (owner, lane, _) = placement.place(identity, request.priority);
-                request.state.deadline_us = request.deadline_us;
-                request.state.cancel = Some(request.cancel.clone());
-                request.state.reuse = reuse_policy;
-                meta.push((request.id, request.priority, request.arrival_us, lane));
-                let program = self.programs.get_or_compile_keyed(
-                    &identity.key,
-                    &request.plan,
-                    runtime,
-                    engine,
-                );
-                jobs.push(AssignedJob {
-                    lane,
-                    owner,
-                    plan: Arc::clone(&request.plan),
-                    program,
-                    state: std::mem::take(&mut request.state),
-                });
-            }
-            let results = self.runner.run_assigned(runtime, jobs);
+            // (3) Execute the round as one assigned batch.
+            let (jobs, tickets): (Vec<_>, Vec<_>) = popped.into_iter().map(|r| life.job(r)).unzip();
+            let results = self.runner.run_assigned(life.runtime, jobs);
 
-            // (4) Charge virtual time and record outcomes, in dispatch
-            // order (same-lane jobs queue behind each other).
-            for ((id, priority, arrival_us, lane), result) in meta.into_iter().zip(results) {
-                let start_us = lane_clock[lane].max(now);
-                let entry = accum.entry(priority).or_default();
-                let (status, service_us, digest, usage) = match result {
-                    Ok(mut outcome) => {
-                        let service = outcome.state.metadata.latency_us;
-                        let digest = outcome.state.trace.digest().ok();
-                        entry.report.completed += 1;
-                        entry.report.prompt_tokens += outcome.state.metadata.usage.prompt_tokens;
-                        entry.report.cached_tokens += outcome.state.metadata.usage.cached_tokens;
-                        let events = std::mem::take(&mut outcome.state.metadata.reuse_events);
-                        if !events.is_empty() {
-                            reuse_rows.push((arrival_us, id, service, events));
-                        }
-                        (
-                            ServeStatus::Completed,
-                            service,
-                            digest,
-                            outcome.state.metadata.usage,
-                        )
-                    }
-                    Err(SpearError::Cancelled { reason, after_us }) => {
-                        let status = if reason == "deadline" {
-                            entry.report.deadline_exceeded += 1;
-                            ServeStatus::DeadlineExceeded { after_us }
-                        } else {
-                            entry.report.cancelled += 1;
-                            ServeStatus::Cancelled { reason }
-                        };
-                        (status, after_us, None, TokenUsage::default())
-                    }
-                    Err(error) => {
-                        entry.report.failed += 1;
-                        (
-                            ServeStatus::Failed {
-                                error: error.to_string(),
-                            },
-                            0,
-                            None,
-                            TokenUsage::default(),
-                        )
-                    }
-                };
-                let finish_us = start_us + service_us;
-                lane_clock[lane] = finish_us;
-                let queue_wait_us = start_us.saturating_sub(arrival_us);
-                entry.queue_wait_us.record(queue_wait_us);
-                entry.service_us.record(service_us);
-                entry.e2e_us.record(finish_us.saturating_sub(arrival_us));
-                outcomes.push(ServeOutcome {
-                    id,
-                    priority,
-                    status,
-                    queue_wait_us,
-                    service_us,
-                    finish_us,
-                    trace_digest: digest,
-                    usage,
+            // (4) Charge virtual time in dispatch order (same-lane jobs
+            // queue behind each other).
+            for (ticket, result) in tickets.iter().zip(results) {
+                let settled = life.settle(ticket, result);
+                let start_us = lane_clock[ticket.lane].max(now);
+                let at = SeqTiming {
+                    start_us,
+                    finish_us: start_us + settled.service_us,
+                    service_us: settled.service_us,
                     preemptions: 0,
-                });
+                };
+                lane_clock[ticket.lane] = at.finish_us;
+                life.record(ticket, settled, at);
             }
 
             // (5) Advance to the earliest time a lane frees up.
             let earliest_free = lane_clock.iter().copied().min().unwrap_or(now);
             now = now.max(earliest_free);
         }
-
-        outcomes.sort_by_key(|o| o.id);
-        assert!(
-            outcomes.windows(2).all(|w| w[0].id < w[1].id),
-            "request ids must be unique"
-        );
-
-        let mut report = ServeReport {
-            lanes,
-            affinity_routing: self.config.affinity_routing,
-            makespan_us: lane_clock.iter().copied().max().unwrap_or(0),
-            trace_fingerprint: Self::fingerprint(&outcomes),
-            interactive: accum
-                .remove(&Priority::Interactive)
-                .unwrap_or_default()
-                .finish(),
-            batch: accum.remove(&Priority::Batch).unwrap_or_default().finish(),
-            cache: Default::default(),
-            kv: Default::default(),
-            compile: {
-                let mut compile = self.programs.drain_counters();
-                compile.verify_memo_hits = self.drain_verify_memo_hits();
-                compile
-            },
-            cluster: None,
-            reuse: Self::reuse_ledger(reuse_rows),
-        };
-        if let (Some(engine), Some(before)) = (engine, cache_before) {
-            report.cache = engine.cache_stats().delta_since(&before);
-        }
-        if let (Some(engine), Some(before)) = (engine, reuse_before) {
-            Self::stamp_memo_stats(&mut report.reuse, &before, &engine.reuse_stats());
-        }
-        ServeRun { outcomes, report }
+        life.finish(KvReport::default())
     }
 
-    /// The memory-pressure path: execute everything exactly as the
-    /// unconstrained scheduler would (same owner groups, same per-group
-    /// order — byte-identical traces), then schedule the measured token
-    /// footprints through the KV iteration scheduler (`crate::kv`) for
-    /// timing, preemption, and eviction behaviour. Split this way, every
-    /// pool decision lives on the single-threaded virtual clock, so the
+    /// The pool clock: execute everything exactly as the lane clock's
+    /// placement would (same owner groups, same hashed lanes, members in
+    /// arrival order — byte-identical traces; lanes parallelize host
+    /// execution only), then let the KV iteration scheduler (`crate::kv`)
+    /// time the measured token footprints. Split this way, every pool
+    /// decision lives on the single-threaded virtual clock, so the
     /// contended counters are lane-count-invariant by construction.
-    fn run_pressured(
+    fn run_on_pool_clock(
         &self,
-        runtime: &Runtime,
-        engine: Option<&SimLlm>,
+        mut life: Lifecycle<'_>,
         requests: Vec<ServeRequest>,
         pressure: &KvPressureConfig,
     ) -> ServeRun {
-        let cache_before = engine.map(|e| e.cache_stats());
-        let reuse_before = engine.map(|e| e.reuse_stats());
-        let reuse_policy = self.reuse_policy();
-        let run_nonce = self.run_seq.fetch_add(1, Ordering::Relaxed);
-        let owner_base = SERVE_OWNER_BASE | (run_nonce << 32);
-        let lanes = self.config.lanes;
-
-        let mut accum: HashMap<Priority, ClassAccum> = HashMap::new();
-        let mut outcomes: Vec<ServeOutcome> = Vec::with_capacity(requests.len());
-
-        // Phase 0 — admission, in arrival order. The token bucket and the
-        // plan verifier apply exactly as in the unconstrained path (both
-        // are pure functions of the arrival-ordered stream); depth-based
-        // shedding does not, because under pressure the bounded pool —
-        // not queue depth — is the backpressure valve: each admitted
-        // request is drained into the KV waiting set immediately.
-        let mut queue = AdmissionQueue::new(self.config.admission.clone());
-        let mut admitted: Vec<ServeRequest> = Vec::with_capacity(requests.len());
-        let mut plans = PlanIdentities::default();
+        // Admission in arrival order. The token bucket and the plan
+        // verifier apply exactly as under the lane clock (both are pure
+        // functions of the arrival-ordered stream); depth-based shedding
+        // cannot, because the queue is only the token-bucket gate here:
+        // what it accepts is drained straight back out, into the KV
+        // waiting set.
+        let mut jobs = Vec::with_capacity(requests.len());
+        let mut tickets = Vec::with_capacity(requests.len());
         for request in requests {
-            let class = request.priority;
-            let entry = accum.entry(class).or_default();
-            entry.report.submitted += 1;
-            if self.config.verify_admission {
-                let fingerprint = plans.of(&request.plan).key.fingerprint;
-                if let Some(details) =
-                    self.verify_admission_memoized(runtime, &request, fingerprint)
-                {
-                    entry.report.rejected += 1;
-                    outcomes.push(ServeOutcome {
-                        id: request.id,
-                        priority: class,
-                        status: ServeStatus::Rejected {
-                            error: ServeError::InvalidPlan {
-                                plan: request.plan.name.clone(),
-                                details,
-                            },
-                        },
-                        queue_wait_us: 0,
-                        service_us: 0,
-                        finish_us: 0,
-                        trace_digest: None,
-                        usage: TokenUsage::default(),
-                        preemptions: 0,
-                    });
-                    continue;
-                }
-            }
-            match queue.offer(request) {
-                Ok(()) => {
-                    // The queue is only the token-bucket gate here: what
-                    // it accepts is drained straight back out.
-                    if let Some(request) = queue.pop() {
-                        entry.report.admitted += 1;
-                        admitted.push(request);
-                    }
-                }
-                Err(shed) => {
-                    let (rejected, error) = *shed;
-                    entry.report.rejected += 1;
-                    outcomes.push(ServeOutcome {
-                        id: rejected.id,
-                        priority: class,
-                        status: ServeStatus::Rejected { error },
-                        queue_wait_us: 0,
-                        service_us: 0,
-                        finish_us: 0,
-                        trace_digest: None,
-                        usage: TokenUsage::default(),
-                        preemptions: 0,
-                    });
+            if life.admit(request) {
+                if let Some(request) = life.queue.pop() {
+                    let (job, ticket) = life.job(request);
+                    jobs.push(job);
+                    tickets.push(ticket);
                 }
             }
         }
+        let results = self.runner.run_assigned(life.runtime, jobs);
+        let (executed, footprints): (Vec<_>, Vec<_>) = (tickets.into_iter().zip(results))
+            .map(|(ticket, result)| {
+                let settled = life.settle(&ticket, result);
+                let footprint = settled.footprint(&ticket);
+                ((ticket, settled), footprint)
+            })
+            .unzip();
+        let sim = kv::simulate(&footprints, pressure);
 
-        // Phase 1 — execute, with the unconstrained path's placement:
-        // same (class, affinity-key) owner groups, same hashed lane,
-        // members in arrival order. Lanes parallelize host execution
-        // only; results and digests are placement-invariant.
-        let mut placement = Placement::new(owner_base, &self.config);
-        let mut jobs = Vec::with_capacity(admitted.len());
-        let mut meta = Vec::with_capacity(admitted.len());
-        for mut request in admitted {
-            // `grouped` ⇒ the request shares a cache owner with its
-            // affinity family, and its `shared_prefix_tokens` map to the
-            // family's shared pool blocks. Isolated requests share no
-            // owner, hence no shared KV: their seed is unique and their
-            // prefix claim is dropped.
-            let identity = plans.of(&request.plan);
-            let (owner, lane, grouped) = placement.place(identity, request.priority);
-            let family_seed = if grouped {
-                identity.affinity_seed
-            } else {
-                fnv1a(&request.id.to_le_bytes())
-            };
-            let shared_prefix_tokens = if grouped {
-                request.shared_prefix_tokens
-            } else {
-                0
-            };
-            request.state.deadline_us = request.deadline_us;
-            request.state.cancel = Some(request.cancel.clone());
-            request.state.reuse = reuse_policy;
-            meta.push((
-                request.id,
-                request.priority,
-                request.arrival_us,
-                shared_prefix_tokens,
-                family_seed,
-            ));
-            let program =
-                self.programs
-                    .get_or_compile_keyed(&identity.key, &request.plan, runtime, engine);
-            jobs.push(AssignedJob {
-                lane,
-                owner,
-                plan: Arc::clone(&request.plan),
-                program,
-                state: std::mem::take(&mut request.state),
-            });
-        }
-        let results = self.runner.run_assigned(runtime, jobs);
-
-        // Phase 2 — schedule the measured footprints through the bounded
-        // pool. Completed requests carry their real prefill/decode token
-        // counts; cancelled and failed ones pass through with an empty
-        // footprint but keep their measured partial service time.
-        let mut inputs = Vec::with_capacity(meta.len());
-        let mut executed = Vec::with_capacity(meta.len());
-        let mut reuse_rows: Vec<(u64, u64, u64, Vec<ReuseEvent>)> = Vec::new();
-        for ((id, priority, arrival_us, shared_prefix_tokens, family_seed), result) in
-            meta.into_iter().zip(results)
-        {
-            let entry = accum.entry(priority).or_default();
-            let mut gen_calls = 1u64;
-            let (status, exec_service_us, digest, usage) = match result {
-                Ok(mut outcome) => {
-                    let digest = outcome.state.trace.digest().ok();
-                    entry.report.completed += 1;
-                    entry.report.prompt_tokens += outcome.state.metadata.usage.prompt_tokens;
-                    entry.report.cached_tokens += outcome.state.metadata.usage.cached_tokens;
-                    gen_calls = outcome.state.metadata.gen_calls.max(1);
-                    let events = std::mem::take(&mut outcome.state.metadata.reuse_events);
-                    if !events.is_empty() {
-                        reuse_rows.push((
-                            arrival_us,
-                            id,
-                            outcome.state.metadata.latency_us,
-                            events,
-                        ));
-                    }
-                    (
-                        ServeStatus::Completed,
-                        outcome.state.metadata.latency_us,
-                        digest,
-                        outcome.state.metadata.usage,
-                    )
-                }
-                Err(SpearError::Cancelled { reason, after_us }) => {
-                    let status = if reason == "deadline" {
-                        entry.report.deadline_exceeded += 1;
-                        ServeStatus::DeadlineExceeded { after_us }
-                    } else {
-                        entry.report.cancelled += 1;
-                        ServeStatus::Cancelled { reason }
-                    };
-                    (status, after_us, None, TokenUsage::default())
-                }
-                Err(error) => {
-                    entry.report.failed += 1;
-                    (
-                        ServeStatus::Failed {
-                            error: error.to_string(),
-                        },
-                        0,
-                        None,
-                        TokenUsage::default(),
-                    )
-                }
-            };
-            let completed = status == ServeStatus::Completed;
-            // KV footprint of the sequence's device residency. Usage
-            // totals accumulate over every GEN call of the plan, but the
-            // calls run serially over one growing context — the resident
-            // footprint is the per-call prompt (averaged: calls share the
-            // prompt's prefix) plus everything decoded across calls.
-            inputs.push(SeqInput {
-                id,
-                priority,
-                arrival_us,
-                prompt_tokens: if completed {
-                    usage.prompt_tokens / gen_calls
-                } else {
-                    0
-                },
-                completion_tokens: if completed {
-                    usage.completion_tokens
-                } else {
-                    0
-                },
-                shared_prefix_tokens: if completed { shared_prefix_tokens } else { 0 },
-                family_seed,
-            });
-            executed.push((
-                id,
-                priority,
-                arrival_us,
-                status,
-                exec_service_us,
-                digest,
-                usage,
-            ));
-        }
-        let sim = kv::simulate(&inputs, pressure);
-
-        for ((id, priority, arrival_us, status, exec_service_us, digest, usage), timing) in
-            executed.into_iter().zip(&sim.timings)
-        {
-            let completed = status == ServeStatus::Completed;
+        for ((ticket, settled), timing) in executed.into_iter().zip(&sim.timings) {
             // Completed requests take the KV scheduler's token-level
-            // timing; non-completed ones keep their measured partial
-            // service, placed at their scheduling instant.
-            let service_us = if completed {
-                timing.service_us
+            // timing; the others keep their measured partial service,
+            // placed at their scheduling instant.
+            let at = if settled.status == ServeStatus::Completed {
+                *timing
             } else {
-                exec_service_us
+                SeqTiming {
+                    finish_us: timing.start_us + settled.service_us,
+                    service_us: settled.service_us,
+                    ..*timing
+                }
             };
-            let finish_us = if completed {
-                timing.finish_us
-            } else {
-                timing.start_us + exec_service_us
-            };
-            let queue_wait_us = timing.start_us.saturating_sub(arrival_us);
-            let entry = accum.entry(priority).or_default();
-            entry.queue_wait_us.record(queue_wait_us);
-            entry.service_us.record(service_us);
-            entry.e2e_us.record(finish_us.saturating_sub(arrival_us));
-            outcomes.push(ServeOutcome {
-                id,
-                priority,
-                status,
-                queue_wait_us,
-                service_us,
-                finish_us,
-                trace_digest: digest,
-                usage,
-                preemptions: timing.preemptions,
-            });
+            life.record(&ticket, settled, at);
         }
-        for (class, depth) in &sim.depth_samples {
-            accum.entry(*class).or_default().queue_depth.record(*depth);
+        for (class, depth) in sim.depth_samples {
+            life.sample_depth(class, depth);
         }
-        for (i, class) in Priority::ALL.iter().enumerate() {
-            accum.entry(*class).or_default().report.preempted = sim.preempted_by_class[i];
-        }
-
-        outcomes.sort_by_key(|o| o.id);
-        assert!(
-            outcomes.windows(2).all(|w| w[0].id < w[1].id),
-            "request ids must be unique"
-        );
-        let mut report = ServeReport {
-            lanes,
-            affinity_routing: self.config.affinity_routing,
-            makespan_us: sim.makespan_us,
-            trace_fingerprint: Self::fingerprint(&outcomes),
-            interactive: accum
-                .remove(&Priority::Interactive)
-                .unwrap_or_default()
-                .finish(),
-            batch: accum.remove(&Priority::Batch).unwrap_or_default().finish(),
-            cache: Default::default(),
-            kv: sim.report,
-            compile: {
-                let mut compile = self.programs.drain_counters();
-                compile.verify_memo_hits = self.drain_verify_memo_hits();
-                compile
-            },
-            cluster: None,
-            reuse: Self::reuse_ledger(reuse_rows),
-        };
-        if let (Some(engine), Some(before)) = (engine, cache_before) {
-            report.cache = engine.cache_stats().delta_since(&before);
-        }
-        if let (Some(engine), Some(before)) = (engine, reuse_before) {
-            Self::stamp_memo_stats(&mut report.reuse, &before, &engine.reuse_stats());
-        }
-        ServeRun { outcomes, report }
+        life.finish(sim.report)
     }
+}
 
-    /// The [`ReusePolicy`] stamped on every admitted request's
-    /// [`spear_core::ExecState`].
-    fn reuse_policy(&self) -> ReusePolicy {
-        if self.config.reuse {
-            ReusePolicy::Exact
-        } else {
-            ReusePolicy::Off
-        }
+/// The admission-verify memo key: everything [`verify_for_admission`]
+/// reads from the request (the runtime's contribution is constant within
+/// the run the memo lives for); `fingerprint` is the plan's.
+fn verify_key(request: &ServeRequest, fingerprint: u64) -> u64 {
+    let mut hash = fnv1a(&fingerprint.to_le_bytes());
+    for key in request.state.prompts.keys() {
+        hash = fnv1a_extend(fnv1a_extend(hash, key.as_bytes()), &[0xff]);
     }
+    fnv1a_extend(hash, &request.deadline_us.unwrap_or(u64::MAX).to_le_bytes())
+}
 
-    /// Deterministic reuse ledger: classify each duplicate GEN as `coalesced`
-    /// (its request arrived while the nominal leader — the first arrival for
-    /// that memo key — was still in service) or a plain cache `hit`
-    /// (arrived after the leader finished). Built from arrival order and
-    /// virtual service times only, so the counters are identical at any lane
-    /// count even though *which* physical call populated the memo varies.
-    fn reuse_ledger(mut rows: Vec<(u64, u64, u64, Vec<ReuseEvent>)>) -> ReuseReport {
-        rows.sort_by_key(|&(arrival_us, id, _, _)| (arrival_us, id));
-        let mut leaders: HashMap<u64, (u64, u64)> = HashMap::new();
-        let mut report = ReuseReport::default();
-        for (arrival_us, _, service_us, events) in rows {
-            for event in events {
-                match leaders.entry(event.key) {
-                    Entry::Vacant(slot) => {
-                        slot.insert((arrival_us, service_us));
+/// Deterministic reuse ledger: classify each duplicate GEN as `coalesced`
+/// (its request arrived while the nominal leader — the first arrival for
+/// that memo key — was still in service) or a plain cache `hit`
+/// (arrived after the leader finished). Built from arrival order and
+/// virtual service times only, so the counters are identical at any lane
+/// count even though *which* physical call populated the memo varies. The
+/// memo-occupancy half of the report is stamped by [`Lifecycle::finish`].
+fn reuse_ledger(mut rows: Vec<(u64, u64, u64, Vec<ReuseEvent>)>) -> ReuseReport {
+    rows.sort_by_key(|&(arrival_us, id, _, _)| (arrival_us, id));
+    let mut leaders: HashMap<u64, (u64, u64)> = HashMap::new();
+    let mut report = ReuseReport::default();
+    for (arrival_us, _, service_us, events) in rows {
+        for event in events {
+            match leaders.entry(event.key) {
+                Entry::Vacant(slot) => {
+                    slot.insert((arrival_us, service_us));
+                }
+                Entry::Occupied(slot) => {
+                    let (lead_arrival, lead_service) = *slot.get();
+                    if arrival_us < lead_arrival.saturating_add(lead_service) {
+                        report.coalesced += 1;
+                    } else {
+                        report.hits += 1;
                     }
-                    Entry::Occupied(slot) => {
-                        let (lead_arrival, lead_service) = *slot.get();
-                        if arrival_us < lead_arrival.saturating_add(lead_service) {
-                            report.coalesced += 1;
-                        } else {
-                            report.hits += 1;
-                        }
-                        report.saved_calls += 1;
-                        report.saved_tokens += event.prompt_tokens + event.completion_tokens;
-                    }
+                    report.saved_calls += 1;
+                    report.saved_tokens += event.prompt_tokens + event.completion_tokens;
                 }
             }
         }
-        report
     }
+    report
+}
 
-    /// Fill in the memo-occupancy half of a [`ReuseReport`] from engine-side
-    /// [`MemoStats`] snapshots taken before and after the run.
-    fn stamp_memo_stats(reuse: &mut ReuseReport, before: &MemoStats, after: &MemoStats) {
-        reuse.inserted = after.insertions.saturating_sub(before.insertions);
-        reuse.evicted = after.evictions.saturating_sub(before.evictions);
-        reuse.bytes = after.resident_bytes;
-    }
-
-    /// Order-canonical fold of statuses and trace digests, keyed by id.
-    fn fingerprint(outcomes: &[ServeOutcome]) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+/// Order-canonical fold of statuses and trace digests, keyed by id.
+fn fingerprint(outcomes: &[ServeOutcome]) -> u64 {
+    outcomes.iter().fold(FNV1A_OFFSET, |hash, o| {
+        let tag = match &o.status {
+            ServeStatus::Completed => 1,
+            ServeStatus::Rejected { .. } => 2,
+            ServeStatus::DeadlineExceeded { .. } => 3,
+            ServeStatus::Cancelled { .. } => 4,
+            ServeStatus::Failed { .. } => 5,
         };
-        for o in outcomes {
-            mix(o.id);
-            let tag = match &o.status {
-                ServeStatus::Completed => 1,
-                ServeStatus::Rejected { .. } => 2,
-                ServeStatus::DeadlineExceeded { .. } => 3,
-                ServeStatus::Cancelled { .. } => 4,
-                ServeStatus::Failed { .. } => 5,
-            };
-            mix(tag);
-            mix(o.trace_digest.unwrap_or(0));
-        }
-        hash
-    }
+        [o.id, tag, o.trace_digest.unwrap_or(0)]
+            .iter()
+            .fold(hash, |hash, word| fnv1a_extend(hash, &word.to_le_bytes()))
+    })
 }
 
 /// Statically verify a request's plan at admission: full IR verification
@@ -1136,6 +990,55 @@ mod tests {
         ServeRequest::new(id, class, plan(1), state, arrival_us)
     }
 
+    /// A default node under each timing model: the lane clock, and the
+    /// pool clock over a pool roomy enough that nothing is preempted.
+    fn node_per_clock(verify_admission: bool) -> [ServeNode; 2] {
+        [None, Some(KvPressureConfig::default())].map(|pressure| {
+            ServeNode::new(ServeConfig {
+                verify_admission,
+                pressure,
+                ..ServeConfig::default()
+            })
+        })
+    }
+
+    /// Serve `requests`, then check what holds for any run under either
+    /// clock: the per-class ledgers add up, a rejected request has no
+    /// timing at all, and one that was executed without completing was
+    /// never preempted and finishes where its wait and service put it.
+    fn run_checked(node: &ServeNode, rt: &Runtime, requests: Vec<ServeRequest>) -> ServeRun {
+        let arrivals: HashMap<u64, u64> = requests.iter().map(|r| (r.id, r.arrival_us)).collect();
+        let run = node.run(rt, None, requests);
+        for class in Priority::ALL {
+            let c = run.report.class(class);
+            assert_eq!(c.submitted, c.admitted + c.rejected, "{class:?}");
+            assert_eq!(
+                c.admitted,
+                c.completed + c.deadline_exceeded + c.cancelled + c.failed,
+                "{class:?}"
+            );
+        }
+        for o in &run.outcomes {
+            match o.status {
+                ServeStatus::Completed => {}
+                ServeStatus::Rejected { .. } => assert_eq!(
+                    (o.queue_wait_us, o.service_us, o.finish_us, o.preemptions),
+                    (0, 0, 0, 0),
+                    "{o:?}"
+                ),
+                _ => {
+                    assert_eq!(o.preemptions, 0, "{o:?}");
+                    assert_eq!(
+                        o.finish_us,
+                        arrivals[&o.id] + o.queue_wait_us + o.service_us,
+                        "{o:?}"
+                    );
+                }
+            }
+        }
+        run
+    }
+
     #[test]
     fn two_plans_with_one_affinity_key_share_one_owner_per_class() {
         // Same base text, different GEN counts: two plans (two
@@ -1177,36 +1080,37 @@ mod tests {
 
     #[test]
     fn all_requests_get_exactly_one_outcome() {
-        let node = ServeNode::new(ServeConfig::default());
         let rt = runtime();
-        let requests: Vec<_> = (0..20)
-            .map(|i| {
-                request(
-                    i,
-                    if i % 3 == 0 {
-                        Priority::Batch
-                    } else {
-                        Priority::Interactive
-                    },
-                    i * 10,
-                )
-            })
-            .collect();
-        let run = node.run(&rt, None, requests);
-        assert_eq!(run.outcomes.len(), 20);
-        assert!(run
-            .outcomes
-            .iter()
-            .all(|o| o.status == ServeStatus::Completed));
-        let ids: Vec<u64> = run.outcomes.iter().map(|o| o.id).collect();
-        assert_eq!(ids, (0..20).collect::<Vec<_>>());
-        assert_eq!(
-            run.report.interactive.completed + run.report.batch.completed,
-            20
-        );
-        assert!(run.report.makespan_us > 0);
-        assert!(run.outcome(7).is_some());
-        assert!(run.outcome(99).is_none());
+        for node in node_per_clock(true) {
+            let requests: Vec<_> = (0..20)
+                .map(|i| {
+                    request(
+                        i,
+                        if i % 3 == 0 {
+                            Priority::Batch
+                        } else {
+                            Priority::Interactive
+                        },
+                        i * 10,
+                    )
+                })
+                .collect();
+            let run = run_checked(&node, &rt, requests);
+            assert_eq!(run.outcomes.len(), 20);
+            assert!(run
+                .outcomes
+                .iter()
+                .all(|o| o.status == ServeStatus::Completed));
+            let ids: Vec<u64> = run.outcomes.iter().map(|o| o.id).collect();
+            assert_eq!(ids, (0..20).collect::<Vec<_>>());
+            assert_eq!(
+                run.report.interactive.completed + run.report.batch.completed,
+                20
+            );
+            assert!(run.report.makespan_us > 0);
+            assert!(run.outcome(7).is_some());
+            assert!(run.outcome(99).is_none());
+        }
     }
 
     #[test]
@@ -1232,46 +1136,106 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_runs_keep_their_own_verify_memo() {
+        // Two runs of ten same-family requests on one node. Every
+        // execution waits at a barrier for the other run's, so the runs
+        // overlap from first admission to last execution: neither can
+        // reset, fill or drain a memo behind the other's back.
+        let barrier = std::sync::Barrier::new(2);
+        let rt = Runtime::builder()
+            .llm(Arc::new(EchoLlm::default()))
+            .agent(
+                "rendezvous",
+                Arc::new(spear_core::agent::FnAgent(
+                    move |payload: &spear_core::value::Value, _: &spear_core::context::Context| {
+                        barrier.wait();
+                        Ok(payload.clone())
+                    },
+                )),
+            )
+            .build();
+        let meeting = Arc::new(
+            lower(
+                &Pipeline::builder("meeting")
+                    .create_text("p", "payload", RefinementMode::Manual)
+                    .delegate(
+                        "rendezvous",
+                        spear_core::ops::PayloadSpec::PromptKey("p".into()),
+                        "out",
+                    )
+                    .build(),
+            )
+            .expect("lowers"),
+        );
+        let node = ServeNode::new(ServeConfig {
+            lanes: 1,
+            ..ServeConfig::default()
+        });
+        let serve = || {
+            let requests: Vec<_> = (0..10)
+                .map(|i| {
+                    let plan = Arc::clone(&meeting);
+                    ServeRequest::new(i, Priority::Interactive, plan, ExecState::new(), i * 10)
+                })
+                .collect();
+            node.run(&rt, None, requests)
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let other = scope.spawn(serve);
+            (serve(), other.join().expect("the second run finishes"))
+        });
+        for run in [a, b] {
+            assert_eq!(run.report.interactive.completed, 10);
+            // `compile.compiled` / `cache_hits` come from the node's shared
+            // program cache and split between the runs by timing.
+            assert_eq!(run.report.compile.verify_memo_hits, 9);
+        }
+    }
+
+    #[test]
     fn service_deadline_produces_deadline_exceeded() {
         // Admission verification off: a 1 µs deadline is statically
         // infeasible and would be shed up front; this test exercises the
         // *runtime* deadline gate between plan slots.
-        let node = ServeNode::new(ServeConfig {
-            verify_admission: false,
-            ..ServeConfig::default()
-        });
         let rt = runtime();
-        let mut state = ExecState::new();
-        state.context.set("q", "slow question");
-        // Two GEN slots with a 1us budget: the first completes (crossing
-        // the line), the gate cancels before the second.
-        let r = ServeRequest::new(1, Priority::Interactive, plan(2), state, 0).with_deadline_us(1);
-        let run = node.run(&rt, None, vec![r]);
-        let o = run.outcome(1).unwrap();
-        assert!(
-            matches!(o.status, ServeStatus::DeadlineExceeded { after_us } if after_us > 1),
-            "{:?}",
-            o.status
-        );
-        assert!(o.service_us > 0, "partial service time is charged");
-        assert_eq!(run.report.interactive.deadline_exceeded, 1);
+        for node in node_per_clock(false) {
+            let mut state = ExecState::new();
+            state.context.set("q", "slow question");
+            // Two GEN slots with a 1us budget: the first completes (crossing
+            // the line), the gate cancels before the second.
+            let r =
+                ServeRequest::new(1, Priority::Interactive, plan(2), state, 0).with_deadline_us(1);
+            let run = run_checked(&node, &rt, vec![r]);
+            let o = run.outcome(1).unwrap();
+            assert!(
+                matches!(o.status, ServeStatus::DeadlineExceeded { after_us } if after_us > 1),
+                "{:?}",
+                o.status
+            );
+            assert!(o.service_us > 0, "partial service time is charged");
+            assert_eq!(run.report.interactive.deadline_exceeded, 1);
+            // The run lasts until its last finish, even one the KV
+            // simulator saw as an empty footprint done at its start.
+            assert_eq!(run.report.makespan_us, o.finish_us);
+        }
     }
 
     #[test]
     fn tripped_token_cancels_without_execution_effects() {
-        let node = ServeNode::new(ServeConfig::default());
         let rt = runtime();
-        let r = request(5, Priority::Batch, 0);
-        r.cancel_handle().cancel();
-        let run = node.run(&rt, None, vec![r]);
-        let o = run.outcome(5).unwrap();
-        assert!(
-            matches!(&o.status, ServeStatus::Cancelled { reason } if reason == "cancelled"),
-            "{:?}",
-            o.status
-        );
-        assert_eq!(o.service_us, 0);
-        assert_eq!(run.report.batch.cancelled, 1);
+        for node in node_per_clock(true) {
+            let r = request(5, Priority::Batch, 0);
+            r.cancel_handle().cancel();
+            let run = run_checked(&node, &rt, vec![r]);
+            let o = run.outcome(5).unwrap();
+            assert!(
+                matches!(&o.status, ServeStatus::Cancelled { reason } if reason == "cancelled"),
+                "{:?}",
+                o.status
+            );
+            assert_eq!(o.service_us, 0);
+            assert_eq!(run.report.batch.cancelled, 1);
+        }
     }
 
     #[test]
@@ -1315,35 +1279,42 @@ mod tests {
         // A plan that GENs from a never-created prompt key is caught by
         // the IR verifier at admission: rejected with a stable lint code
         // before any LLM call, while sound neighbours run to completion.
-        let node = ServeNode::new(ServeConfig::default());
         let rt = runtime();
         let bad = Arc::new(
             lower(&Pipeline::builder("bad").gen("a", "missing_prompt").build())
                 .expect("structurally sound, so it lowers"),
         );
-        let requests = vec![
-            request(1, Priority::Interactive, 0),
-            ServeRequest::new(2, Priority::Interactive, bad, ExecState::new(), 0),
-            request(3, Priority::Interactive, 0),
-        ];
-        let run = node.run(&rt, None, requests);
-        assert_eq!(run.outcome(1).unwrap().status, ServeStatus::Completed);
-        let o = run.outcome(2).unwrap();
-        match &o.status {
-            ServeStatus::Rejected {
-                error: ServeError::InvalidPlan { plan, details },
-            } => {
-                assert_eq!(plan, "bad");
-                assert!(
-                    details.iter().any(|d| d.contains("SPEAR-E004")),
-                    "{details:?}"
-                );
+        for node in node_per_clock(true) {
+            let requests = vec![
+                request(1, Priority::Interactive, 0),
+                ServeRequest::new(
+                    2,
+                    Priority::Interactive,
+                    Arc::clone(&bad),
+                    ExecState::new(),
+                    0,
+                ),
+                request(3, Priority::Interactive, 0),
+            ];
+            let run = run_checked(&node, &rt, requests);
+            assert_eq!(run.outcome(1).unwrap().status, ServeStatus::Completed);
+            let o = run.outcome(2).unwrap();
+            match &o.status {
+                ServeStatus::Rejected {
+                    error: ServeError::InvalidPlan { plan, details },
+                } => {
+                    assert_eq!(plan, "bad");
+                    assert!(
+                        details.iter().any(|d| d.contains("SPEAR-E004")),
+                        "{details:?}"
+                    );
+                }
+                other => panic!("expected admission rejection, got {other:?}"),
             }
-            other => panic!("expected admission rejection, got {other:?}"),
+            assert_eq!(o.service_us, 0, "rejected before any execution");
+            assert_eq!(run.outcome(3).unwrap().status, ServeStatus::Completed);
+            assert_eq!(run.report.interactive.rejected, 1);
         }
-        assert_eq!(o.service_us, 0, "rejected before any execution");
-        assert_eq!(run.outcome(3).unwrap().status, ServeStatus::Completed);
-        assert_eq!(run.report.interactive.rejected, 1);
     }
 
     #[test]
@@ -1372,20 +1343,22 @@ mod tests {
         // Two GEN slots cost at least 200 virtual µs; a 1 µs deadline can
         // never be met, so the verifier sheds the request up front
         // (SPEAR-E005) instead of burning an LLM call to find out.
-        let node = ServeNode::new(ServeConfig::default());
         let rt = runtime();
-        let mut state = ExecState::new();
-        state.context.set("q", "doomed question");
-        let r = ServeRequest::new(1, Priority::Interactive, plan(2), state, 0).with_deadline_us(1);
-        let run = node.run(&rt, None, vec![r]);
-        match &run.outcome(1).unwrap().status {
-            ServeStatus::Rejected {
-                error: ServeError::InvalidPlan { details, .. },
-            } => assert!(
-                details.iter().any(|d| d.contains("SPEAR-E005")),
-                "{details:?}"
-            ),
-            other => panic!("expected admission rejection, got {other:?}"),
+        for node in node_per_clock(true) {
+            let mut state = ExecState::new();
+            state.context.set("q", "doomed question");
+            let r =
+                ServeRequest::new(1, Priority::Interactive, plan(2), state, 0).with_deadline_us(1);
+            let run = run_checked(&node, &rt, vec![r]);
+            match &run.outcome(1).unwrap().status {
+                ServeStatus::Rejected {
+                    error: ServeError::InvalidPlan { details, .. },
+                } => assert!(
+                    details.iter().any(|d| d.contains("SPEAR-E005")),
+                    "{details:?}"
+                ),
+                other => panic!("expected admission rejection, got {other:?}"),
+            }
         }
     }
 
@@ -1393,7 +1366,6 @@ mod tests {
     fn pipeline_failures_are_contained() {
         // Runtime failures (as opposed to statically detectable defects)
         // still surface as Failed without poisoning neighbouring requests.
-        let node = ServeNode::new(ServeConfig::default());
         let rt = Runtime::builder()
             .llm(Arc::new(EchoLlm::default()))
             .agent(
@@ -1421,19 +1393,27 @@ mod tests {
             )
             .expect("lowers"),
         );
-        let requests = vec![
-            request(1, Priority::Interactive, 0),
-            ServeRequest::new(2, Priority::Interactive, failing, ExecState::new(), 0),
-            request(3, Priority::Interactive, 0),
-        ];
-        let run = node.run(&rt, None, requests);
-        assert_eq!(run.outcome(1).unwrap().status, ServeStatus::Completed);
-        assert!(matches!(
-            run.outcome(2).unwrap().status,
-            ServeStatus::Failed { .. }
-        ));
-        assert_eq!(run.outcome(3).unwrap().status, ServeStatus::Completed);
-        assert_eq!(run.report.interactive.failed, 1);
+        for node in node_per_clock(true) {
+            let requests = vec![
+                request(1, Priority::Interactive, 0),
+                ServeRequest::new(
+                    2,
+                    Priority::Interactive,
+                    Arc::clone(&failing),
+                    ExecState::new(),
+                    0,
+                ),
+                request(3, Priority::Interactive, 0),
+            ];
+            let run = run_checked(&node, &rt, requests);
+            assert_eq!(run.outcome(1).unwrap().status, ServeStatus::Completed);
+            assert!(matches!(
+                run.outcome(2).unwrap().status,
+                ServeStatus::Failed { .. }
+            ));
+            assert_eq!(run.outcome(3).unwrap().status, ServeStatus::Completed);
+            assert_eq!(run.report.interactive.failed, 1);
+        }
     }
 
     #[test]

@@ -8,6 +8,11 @@ check:
 fmt:
     cargo fmt --all
 
+# Non-test Rust lines per crate and for the workspace (the count
+# simplicity PRs quote; also printed at the end of `just check`).
+loc:
+    sh scripts/loc.sh
+
 # Fast feedback loop: debug tests only.
 test:
     cargo test --workspace -q

@@ -28,3 +28,5 @@ cargo run --release -p spear-bench --bin bench_cluster -- --out target/bench/BEN
 cargo run --release -p spear-bench --bin bench_serve -- --reuse --out target/bench/BENCH_reuse.json
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
+# Information, not a gate: the non-test line count simplicity PRs quote.
+sh scripts/loc.sh
