@@ -484,21 +484,18 @@ impl<'a> Lifecycle<'a> {
     fn job(&mut self, mut request: ServeRequest) -> (AssignedJob, Ticket) {
         let identity = self.plans.of(&request.plan);
         let (owner, lane, grouped) = self.placement.place(identity, request.priority);
+        let (family_seed, shared_prefix_tokens) = if grouped {
+            (identity.affinity_seed, request.shared_prefix_tokens)
+        } else {
+            (fnv1a(&request.id.to_le_bytes()), 0)
+        };
         let ticket = Ticket {
             id: request.id,
             class: request.priority,
             arrival_us: request.arrival_us,
             lane,
-            family_seed: if grouped {
-                identity.affinity_seed
-            } else {
-                fnv1a(&request.id.to_le_bytes())
-            },
-            shared_prefix_tokens: if grouped {
-                request.shared_prefix_tokens
-            } else {
-                0
-            },
+            family_seed,
+            shared_prefix_tokens,
         };
         request.state.deadline_us = request.deadline_us;
         request.state.cancel = Some(request.cancel);
@@ -756,7 +753,13 @@ impl ServeNode {
             }
 
             // (3) Execute the round as one assigned batch.
-            let (jobs, tickets): (Vec<_>, Vec<_>) = popped.into_iter().map(|r| life.job(r)).unzip();
+            let mut jobs = Vec::with_capacity(popped.len());
+            let mut tickets = Vec::with_capacity(popped.len());
+            for request in popped {
+                let (job, ticket) = life.job(request);
+                jobs.push(job);
+                tickets.push(ticket);
+            }
             let results = self.runner.run_assigned(life.runtime, jobs);
 
             // (4) Charge virtual time in dispatch order (same-lane jobs
