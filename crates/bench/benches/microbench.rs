@@ -101,7 +101,7 @@ fn bench_prompt_store(c: &mut Criterion) {
             store
                 .refine(
                     "p",
-                    format!("base prompt text v{i}"),
+                    format!("base prompt text v{i}").into(),
                     RefAction::Update,
                     "bench",
                     RefinementMode::Auto,

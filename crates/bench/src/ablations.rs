@@ -2,6 +2,7 @@
 //! experiments A–D). Each validates one §5 optimization in isolation.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use spear_core::error::Result;
 use spear_core::history::RefinementMode;
@@ -92,7 +93,7 @@ pub fn ablation_planner(seed: u64) -> Result<Vec<PlannerRow>> {
 
     // Measure each refiner in isolation: confidence gain + token cost.
     let mut profiles = Vec::new();
-    let mut refined_texts: BTreeMap<String, String> = BTreeMap::new();
+    let mut refined_texts: BTreeMap<String, Arc<str>> = BTreeMap::new();
     for (name, args) in &candidates {
         let entry = PromptEntry::new(base_text, "f_base", RefinementMode::Manual);
         let context = spear_core::context::Context::new();
@@ -106,7 +107,7 @@ pub fn ablation_planner(seed: u64) -> Result<Vec<PlannerRow>> {
             prompts: &store,
             args,
         })?;
-        let text = output.new_text.unwrap_or_else(|| base_text.to_string());
+        let text = output.new_text.unwrap_or_else(|| base_text.into());
         let gain = probe(&text)? - base_confidence;
         let token_cost = tokenizer.count(&text) as f64 - tokenizer.count(base_text) as f64;
         profiles.push(RefinerProfile {
@@ -120,9 +121,9 @@ pub fn ablation_planner(seed: u64) -> Result<Vec<PlannerRow>> {
 
     // Apply a refiner sequence cumulatively and measure the result.
     let apply_sequence = |names: &[String]| -> Result<(u64, f64)> {
-        let mut text = base_text.to_string();
+        let mut text: Arc<str> = base_text.into();
         for name in names {
-            let entry = PromptEntry::new(&text, "f", RefinementMode::Manual);
+            let entry = PromptEntry::new(Arc::clone(&text), "f", RefinementMode::Manual);
             let args = candidates
                 .iter()
                 .find(|(n, _)| n == name)

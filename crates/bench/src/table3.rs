@@ -119,7 +119,7 @@ fn refine_with(
         BTreeMap::new(),
         output.note,
     )?;
-    store.get(key)
+    Ok(PromptEntry::clone(&*store.get(key)?))
 }
 
 /// Build the five strategies. Each preparation goes through the real SPEAR

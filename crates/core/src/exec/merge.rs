@@ -1,9 +1,11 @@
 //! MERGE — reconciling two prompt fragments (paper §3.3).
 
+use std::sync::Arc;
+
 use crate::error::{Result, SpearError};
 use crate::history::{RefAction, RefinementMode};
 use crate::ops::MergePolicy;
-use crate::prompt::PromptOrigin;
+use crate::prompt::{PromptEntry, PromptOrigin};
 use crate::runtime::ExecState;
 use crate::trace::TraceKind;
 use crate::value::Value;
@@ -27,17 +29,17 @@ pub(crate) fn run(
         .try_get(right)
         .ok_or_else(|| SpearError::Merge(format!("right prompt {right:?} missing")))?;
 
-    let (mut base, merged_text, choice) = match policy {
+    let (base, merged_text, choice) = match policy {
         MergePolicy::PreferLeft => {
-            let text = l.text.clone();
+            let text = Arc::clone(&l.text);
             (l, text, "left")
         }
         MergePolicy::PreferRight => {
-            let text = r.text.clone();
+            let text = Arc::clone(&r.text);
             (r, text, "right")
         }
         MergePolicy::Concat { separator } => {
-            let text = format!("{}{separator}{}", l.text, r.text);
+            let text = format!("{}{separator}{}", l.text, r.text).into();
             (l, text, "concat")
         }
         MergePolicy::BySignal {
@@ -50,11 +52,12 @@ pub(crate) fn run(
                 (Some(a), Some(b)) if b > a => (r, "right"),
                 _ => (l, "left"),
             };
-            let text = winner.text.clone();
+            let text = Arc::clone(&winner.text);
             (winner, text, choice)
         }
     };
 
+    let mut base = PromptEntry::clone(&base);
     base.apply_refinement(
         merged_text,
         RefAction::Merge,

@@ -1,7 +1,7 @@
 //! REF — prompt construction and refinement (paper §3.3, §4.3).
 
 use crate::error::{Result, SpearError};
-use crate::history::{RefAction, RefinementMode};
+use crate::history::{RefAction, RefLogRecord, RefinementMode};
 use crate::prompt::PromptEntry;
 use crate::refiner::RefineCtx;
 use crate::runtime::{ExecState, Runtime};
@@ -29,7 +29,7 @@ pub(crate) fn run(
     }
     let output = {
         let rcx = RefineCtx {
-            current: current.as_ref(),
+            current: current.as_deref(),
             context: &state.context,
             metadata: &state.metadata,
             llm: rt.llm.as_deref(),
@@ -42,39 +42,45 @@ pub(crate) fn run(
 
     let mut new_version = None;
     if let Some(new_text) = output.new_text {
-        if current.is_some() {
-            let v = state.prompts.refine(
-                target,
-                new_text,
+        let trigger = trigger.map(str::to_string);
+        let signals = state.metadata.signal_snapshot();
+        let mut entry = match &current {
+            Some(current) => {
+                let mut entry = PromptEntry::clone(current);
+                entry.apply_refinement(
+                    new_text,
+                    action,
+                    refiner_name,
+                    mode,
+                    state.step,
+                    trigger,
+                    signals,
+                    output.note,
+                );
+                entry
+            }
+            None => PromptEntry::from_record(RefLogRecord {
+                step: state.step,
                 action,
-                refiner_name,
+                f_name: refiner_name.to_string(),
                 mode,
-                state.step,
-                trigger.map(str::to_string),
-                state.metadata.signal_snapshot(),
-                output.note.clone(),
-            )?;
-            new_version = Some(v);
-        } else {
-            let mut entry = PromptEntry::new(new_text, refiner_name, mode);
-            entry.ref_log[0].step = state.step;
-            entry.ref_log[0].trigger = trigger.map(str::to_string);
-            entry.ref_log[0].signals = state.metadata.signal_snapshot();
-            entry.ref_log[0].note = output.note.clone();
-            state.prompts.insert(target, entry);
-            new_version = Some(1);
+                trigger,
+                signals,
+                version: 1,
+                text_after: new_text,
+                note: output.note,
+            }),
+        };
+        // Params / origin from the refiner (e.g. from_view) belong to the
+        // same version: the entry is stored once, complete.
+        if let Some(params) = output.params {
+            entry.params = params;
         }
-        // Params / origin updates from the refiner (e.g. from_view).
-        if output.params.is_some() || output.origin.is_some() {
-            state.prompts.update(target, |e| {
-                if let Some(p) = output.params {
-                    e.params = p;
-                }
-                if let Some(o) = output.origin {
-                    e.origin = o;
-                }
-            })?;
+        if let Some(origin) = output.origin {
+            entry.origin = origin;
         }
+        new_version = Some(entry.version);
+        state.prompts.insert(target, entry);
     } else {
         for (key, value) in &output.ctx_writes {
             state

@@ -9,8 +9,11 @@
 //! the resulting text, which makes rollback, replay, and meta-optimization
 //! (§4.4) possible without external state.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -92,9 +95,12 @@ pub struct RefLogRecord {
     /// The prompt version this record produced.
     pub version: u64,
     /// The full prompt text after this refinement. Storing the text (not a
-    /// diff) keeps rollback and replay trivially correct at the cost of
-    /// memory proportional to history length; the store prunes old versions.
-    pub text_after: String,
+    /// diff) keeps rollback and replay trivially correct. Each text is one
+    /// shared allocation: the entry's `text`, this record, and the same
+    /// record in every later version of the entry all point at it, so *k*
+    /// refinements hold *k* + 1 texts however many versions P retains. The
+    /// ref_log itself is append-only and never pruned.
+    pub text_after: Arc<str>,
     /// Free-form note from the refiner (e.g. the assisted LLM's rationale).
     pub note: Option<String>,
 }
@@ -115,39 +121,8 @@ impl RefLogRecord {
     }
 }
 
-/// Query helpers over a slice of ref-log records.
-pub trait RefLogExt {
-    /// Records applied in a given mode.
-    fn in_mode(&self, mode: RefinementMode) -> Vec<&RefLogRecord>;
-    /// The record that produced `version`, if retained.
-    fn at_version(&self, version: u64) -> Option<&RefLogRecord>;
-    /// Confidence signal trajectory: `(version, confidence)` for records
-    /// that captured one.
-    fn confidence_trajectory(&self) -> Vec<(u64, f64)>;
-}
-
-impl RefLogExt for [RefLogRecord] {
-    fn in_mode(&self, mode: RefinementMode) -> Vec<&RefLogRecord> {
-        self.iter().filter(|r| r.mode == mode).collect()
-    }
-
-    fn at_version(&self, version: u64) -> Option<&RefLogRecord> {
-        self.iter().find(|r| r.version == version)
-    }
-
-    fn confidence_trajectory(&self) -> Vec<(u64, f64)> {
-        self.iter()
-            .filter_map(|r| {
-                r.signals
-                    .get("confidence")
-                    .and_then(Value::as_f64)
-                    .map(|c| (r.version, c))
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -168,7 +143,7 @@ mod tests {
             trigger: None,
             signals,
             version,
-            text_after: format!("text v{version}"),
+            text_after: format!("text v{version}").into(),
             note: None,
         }
     }
@@ -183,30 +158,6 @@ mod tests {
         assert!(s.contains("UPDATE"));
         assert!(s.contains("f_2"));
         assert!(s.contains("confidence"));
-    }
-
-    #[test]
-    fn mode_filtering() {
-        let log = [
-            record(1, RefinementMode::Manual, None),
-            record(2, RefinementMode::Assisted, None),
-            record(3, RefinementMode::Auto, None),
-            record(4, RefinementMode::Auto, None),
-        ];
-        assert_eq!(log.in_mode(RefinementMode::Auto).len(), 2);
-        assert_eq!(log.in_mode(RefinementMode::Manual).len(), 1);
-    }
-
-    #[test]
-    fn version_lookup_and_trajectory() {
-        let log = [
-            record(1, RefinementMode::Manual, Some(0.5)),
-            record(2, RefinementMode::Auto, None),
-            record(3, RefinementMode::Auto, Some(0.8)),
-        ];
-        assert_eq!(log.at_version(2).unwrap().f_name, "f_2");
-        assert!(log.at_version(9).is_none());
-        assert_eq!(log.confidence_trajectory(), vec![(1, 0.5), (3, 0.8)]);
     }
 
     #[test]

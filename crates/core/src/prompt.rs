@@ -8,8 +8,16 @@
 //! prompts have a stable identity that the prefix cache can index (paper §5,
 //! "Prompt views are particularly suitable for caching as they maintain a
 //! consistent structure across executions").
+//!
+//! An entry is a *value*: once stored in P it is never mutated, a
+//! refinement builds the next version from a pointer-copying clone, and the
+//! texts and earlier ref_log records are shared between versions
+//! (DESIGN.md §16).
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -46,16 +54,18 @@ pub enum PromptOrigin {
 /// A structured prompt fragment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PromptEntry {
-    /// Template text, possibly with `{{placeholders}}`.
-    pub text: String,
+    /// Template text, possibly with `{{placeholders}}`. The same allocation
+    /// as the last ref_log record's `text_after`.
+    pub text: Arc<str>,
     /// Entry-local parameters consulted before the context when rendering.
     pub params: BTreeMap<String, Value>,
     /// Tags for categorization and runtime dispatch (paper §3.1).
     pub tags: BTreeSet<String>,
     /// Current version; bumped by every refinement.
     pub version: u64,
-    /// The embedded refinement log (paper §4.3).
-    pub ref_log: Vec<RefLogRecord>,
+    /// The embedded refinement log (paper §4.3). Versions of one entry
+    /// share their common records.
+    pub ref_log: Vec<Arc<RefLogRecord>>,
     /// Provenance.
     pub origin: PromptOrigin,
 }
@@ -63,9 +73,8 @@ pub struct PromptEntry {
 impl PromptEntry {
     /// Create a fresh entry at version 1 with a `CREATE` log record.
     #[must_use]
-    pub fn new(text: impl Into<String>, f_name: &str, mode: RefinementMode) -> Self {
-        let text = text.into();
-        let record = RefLogRecord {
+    pub fn new(text: impl Into<Arc<str>>, f_name: &str, mode: RefinementMode) -> Self {
+        Self::from_record(RefLogRecord {
             step: 0,
             action: RefAction::Create,
             f_name: f_name.to_string(),
@@ -73,15 +82,21 @@ impl PromptEntry {
             trigger: None,
             signals: BTreeMap::new(),
             version: 1,
-            text_after: text.clone(),
+            text_after: text.into(),
             note: None,
-        };
+        })
+    }
+
+    /// Create a fresh ad-hoc entry whose lineage starts at `record`: the
+    /// entry takes its text and version from it.
+    #[must_use]
+    pub fn from_record(record: RefLogRecord) -> Self {
         Self {
-            text,
+            text: Arc::clone(&record.text_after),
             params: BTreeMap::new(),
             tags: BTreeSet::new(),
-            version: 1,
-            ref_log: vec![record],
+            version: record.version,
+            ref_log: vec![Arc::new(record)],
             origin: PromptOrigin::Adhoc,
         }
     }
@@ -135,7 +150,7 @@ impl PromptEntry {
     #[allow(clippy::too_many_arguments)] // mirrors the ref_log record's fields
     pub fn apply_refinement(
         &mut self,
-        new_text: String,
+        new_text: Arc<str>,
         action: RefAction,
         f_name: &str,
         mode: RefinementMode,
@@ -145,8 +160,8 @@ impl PromptEntry {
         note: Option<String>,
     ) {
         self.version += 1;
-        self.text = new_text.clone();
-        self.ref_log.push(RefLogRecord {
+        self.text = Arc::clone(&new_text);
+        self.ref_log.push(Arc::new(RefLogRecord {
             step,
             action,
             f_name: f_name.to_string(),
@@ -156,16 +171,17 @@ impl PromptEntry {
             version: self.version,
             text_after: new_text,
             note,
-        });
+        }));
     }
 
-    /// The text as of `version`, if still retained in the ref_log.
+    /// The text as of `version` (shared, so a rollback to it copies a
+    /// pointer), if that version is in the ref_log.
     #[must_use]
-    pub fn text_at_version(&self, version: u64) -> Option<&str> {
+    pub fn text_at_version(&self, version: u64) -> Option<&Arc<str>> {
         self.ref_log
             .iter()
             .find(|r| r.version == version)
-            .map(|r| r.text_after.as_str())
+            .map(|r| &r.text_after)
     }
 
     /// Whether this entry descends from the named view.
@@ -197,6 +213,7 @@ impl PromptEntry {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -206,7 +223,7 @@ mod tests {
         assert_eq!(e.version, 1);
         assert_eq!(e.ref_log.len(), 1);
         assert_eq!(e.ref_log[0].action, RefAction::Create);
-        assert_eq!(e.ref_log[0].text_after, e.text);
+        assert!(Arc::ptr_eq(&e.ref_log[0].text_after, &e.text));
     }
 
     #[test]
@@ -226,7 +243,7 @@ mod tests {
     fn refinement_bumps_version_and_logs() {
         let mut e = PromptEntry::new("base", "f_base", RefinementMode::Manual);
         e.apply_refinement(
-            "base\nFocus on dosage.".to_string(),
+            "base\nFocus on dosage.".into(),
             RefAction::Append,
             "f_add_specificity",
             RefinementMode::Manual,
@@ -236,11 +253,11 @@ mod tests {
             None,
         );
         assert_eq!(e.version, 2);
-        assert_eq!(e.text, "base\nFocus on dosage.");
+        assert_eq!(&*e.text, "base\nFocus on dosage.");
         assert_eq!(e.ref_log.len(), 2);
         assert_eq!(e.ref_log[1].version, 2);
-        // Invariant: last record's text matches current text.
-        assert_eq!(e.ref_log.last().unwrap().text_after, e.text);
+        // Invariant: last record's text is the current text.
+        assert!(Arc::ptr_eq(&e.ref_log[1].text_after, &e.text));
     }
 
     #[test]
@@ -256,8 +273,8 @@ mod tests {
             BTreeMap::new(),
             None,
         );
-        assert_eq!(e.text_at_version(1), Some("v1"));
-        assert_eq!(e.text_at_version(2), Some("v2"));
+        assert_eq!(e.text_at_version(1).map(AsRef::as_ref), Some("v1"));
+        assert_eq!(e.text_at_version(2).map(AsRef::as_ref), Some("v2"));
         assert_eq!(e.text_at_version(3), None);
     }
 

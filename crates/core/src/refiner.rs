@@ -52,7 +52,7 @@ impl RefineCtx<'_> {
     /// Current text, or empty for CREATE.
     #[must_use]
     pub fn current_text(&self) -> &str {
-        self.current.map_or("", |e| e.text.as_str())
+        self.current.map_or("", |e| &e.text)
     }
 
     fn require_current(&self, refiner: &str) -> Result<&PromptEntry> {
@@ -84,8 +84,9 @@ impl RefineCtx<'_> {
 #[derive(Debug, Default)]
 pub struct RefineOutput {
     /// New prompt text; `None` means the text is unchanged (a refiner may
-    /// only write to context).
-    pub new_text: Option<String>,
+    /// only write to context). Shared, so a view's resolved text reaches P
+    /// without a copy.
+    pub new_text: Option<Arc<str>>,
     /// Structured outputs written back into C (paper §3.2).
     pub ctx_writes: Vec<(String, Value)>,
     /// Replacement params (e.g. when instantiating from a view).
@@ -99,7 +100,7 @@ pub struct RefineOutput {
 impl RefineOutput {
     /// A pure text replacement.
     #[must_use]
-    pub fn text(t: impl Into<String>) -> Self {
+    pub fn text(t: impl Into<Arc<str>>) -> Self {
         Self {
             new_text: Some(t.into()),
             ..Self::default()
@@ -280,7 +281,7 @@ impl Refiner for LlmRewrite {
             segments: None,
         })?;
         Ok(RefineOutput {
-            new_text: Some(response.text),
+            new_text: Some(response.text.into()),
             note: Some(format!("assisted rewrite: {instruction}")),
             ..RefineOutput::default()
         })
@@ -329,7 +330,7 @@ impl Refiner for AutoRefine {
             None => format!("auto_refine (signal {signal} absent)"),
         };
         Ok(RefineOutput {
-            new_text: Some(join_fragments(&current.text, hint)),
+            new_text: Some(join_fragments(&current.text, hint).into()),
             note: Some(note),
             ..RefineOutput::default()
         })
@@ -612,13 +613,13 @@ mod tests {
     fn append_prepend_set_replace() {
         let fx = Fixture::new("base prompt");
         let out = apply("append", &fx, &Value::from("Focus on dosage.")).unwrap();
-        assert_eq!(out.new_text.unwrap(), "base prompt\nFocus on dosage.");
+        assert_eq!(&*out.new_text.unwrap(), "base prompt\nFocus on dosage.");
 
         let out = apply("prepend", &fx, &Value::from("System:")).unwrap();
-        assert_eq!(out.new_text.unwrap(), "System:\nbase prompt");
+        assert_eq!(&*out.new_text.unwrap(), "System:\nbase prompt");
 
         let out = apply("set_text", &fx, &Value::from("fresh")).unwrap();
-        assert_eq!(out.new_text.unwrap(), "fresh");
+        assert_eq!(&*out.new_text.unwrap(), "fresh");
 
         let out = apply(
             "replace",
@@ -626,7 +627,7 @@ mod tests {
             &map([("find", Value::from("base")), ("with", Value::from("core"))]),
         )
         .unwrap();
-        assert_eq!(out.new_text.unwrap(), "core prompt");
+        assert_eq!(&*out.new_text.unwrap(), "core prompt");
     }
 
     #[test]
@@ -774,7 +775,7 @@ mod tests {
     fn normalize_collapses_blank_runs() {
         let fx = Fixture::new("a  \n\n\n\nb\t\n\n");
         let out = apply("normalize", &fx, &Value::Null).unwrap();
-        assert_eq!(out.new_text.unwrap(), "a\n\nb");
+        assert_eq!(&*out.new_text.unwrap(), "a\n\nb");
     }
 
     #[test]

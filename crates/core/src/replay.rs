@@ -6,6 +6,8 @@
 //! that shares history up to a chosen point ("roll back to earlier states,
 //! or clone successful configurations").
 
+use std::sync::Arc;
+
 use crate::error::{Result, SpearError};
 use crate::prompt::PromptEntry;
 
@@ -30,7 +32,7 @@ pub fn replay_to(entry: &PromptEntry, version: u64) -> Result<PromptEntry> {
     let mut out = entry.clone();
     out.ref_log.truncate(idx + 1);
     out.version = version;
-    out.text = out.ref_log[idx].text_after.clone();
+    out.text = Arc::clone(&out.ref_log[idx].text_after);
     Ok(out)
 }
 
@@ -40,7 +42,7 @@ pub fn evolution(entry: &PromptEntry) -> Vec<(u64, &str)> {
     entry
         .ref_log
         .iter()
-        .map(|r| (r.version, r.text_after.as_str()))
+        .map(|r| (r.version, &*r.text_after))
         .collect()
 }
 
@@ -80,14 +82,15 @@ pub fn verify(entry: &PromptEntry) -> Result<()> {
 
 /// Fork the entry at `version`: the fork shares history up to that point
 /// and then records a `Create`-like note marking the fork, so the two
-/// lineages are distinguishable in later analysis.
+/// lineages are distinguishable in later analysis. Only the annotated
+/// record is copied; the source's own record is untouched.
 ///
 /// # Errors
 ///
 /// Propagates [`replay_to`] errors.
 pub fn fork_at(entry: &PromptEntry, version: u64) -> Result<PromptEntry> {
     let mut fork = replay_to(entry, version)?;
-    if let Some(last) = fork.ref_log.last_mut() {
+    if let Some(last) = fork.ref_log.last_mut().map(Arc::make_mut) {
         let note = format!("forked from lineage at v{version}");
         last.note = Some(match &last.note {
             Some(existing) => format!("{existing}; {note}"),
@@ -107,7 +110,7 @@ mod tests {
         let mut e = PromptEntry::new("text v1", "f_base", RefinementMode::Manual);
         for v in 2..=n {
             e.apply_refinement(
-                format!("text v{v}"),
+                format!("text v{v}").into(),
                 RefAction::Update,
                 &format!("f_{v}"),
                 RefinementMode::Auto,
@@ -124,7 +127,7 @@ mod tests {
     fn replay_reconstructs_intermediate_states() {
         let e = entry_with_versions(4);
         let at2 = replay_to(&e, 2).unwrap();
-        assert_eq!(at2.text, "text v2");
+        assert_eq!(&*at2.text, "text v2");
         assert_eq!(at2.version, 2);
         assert_eq!(at2.ref_log.len(), 2);
         verify(&at2).unwrap();
@@ -151,7 +154,7 @@ mod tests {
     #[test]
     fn verify_rejects_text_mismatch() {
         let mut e = entry_with_versions(2);
-        e.text = "tampered".to_string();
+        e.text = "tampered".into();
         assert!(verify(&e).is_err());
     }
 
@@ -162,7 +165,7 @@ mod tests {
         assert!(verify(&e).is_err());
 
         let mut e = entry_with_versions(3);
-        e.ref_log[2].version = 2;
+        Arc::make_mut(&mut e.ref_log[2]).version = 2;
         assert!(verify(&e).is_err());
 
         let mut e = entry_with_versions(1);
@@ -174,7 +177,7 @@ mod tests {
     fn fork_marks_lineage() {
         let e = entry_with_versions(3);
         let fork = fork_at(&e, 2).unwrap();
-        assert_eq!(fork.text, "text v2");
+        assert_eq!(&*fork.text, "text v2");
         assert!(fork
             .ref_log
             .last()
@@ -183,7 +186,11 @@ mod tests {
             .as_deref()
             .unwrap()
             .contains("forked"));
-        // Original untouched.
+        // Original untouched: the fork copied the record it annotated and
+        // shares the rest.
         assert_eq!(e.ref_log.len(), 3);
+        assert_eq!(e.ref_log[1].note, None);
+        assert!(Arc::ptr_eq(&e.ref_log[0], &fork.ref_log[0]));
+        assert!(Arc::ptr_eq(&e.ref_log[1].text_after, &fork.text));
     }
 }

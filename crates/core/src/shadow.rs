@@ -161,7 +161,7 @@ mod tests {
             .build();
         let shadow = rt.shadow_execute(&pipeline, &primary).unwrap();
 
-        assert_eq!(primary.prompts.get("p").unwrap().text, "base prompt");
+        assert_eq!(&*primary.prompts.get("p").unwrap().text, "base prompt");
         assert!(!primary.context.contains("answer"));
         assert!(shadow.state.context.contains("answer"));
         assert_eq!(shadow.report.gens, 1);

@@ -7,6 +7,13 @@
 //! the storage layer, independently of the entry-level `ref_log` — the
 //! former gives storage-level rollback/snapshots, the latter gives the
 //! prompt-evolution provenance the paper's introspection features need.
+//!
+//! A stored version is one immutable, shared value: reads hand out an
+//! `Arc<PromptEntry>`, and a write builds the next version from a clone
+//! that copies pointers to the texts and earlier ref_log records, never
+//! the texts themselves (DESIGN.md §16).
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -122,8 +129,9 @@ impl PromptStore {
         self.backend.get_or_init(KvStore::new)
     }
 
-    /// Insert `entry` under `key`, replacing any existing entry.
-    pub fn insert(&self, key: impl Into<String>, entry: PromptEntry) {
+    /// Insert `entry` under `key`, replacing any existing entry. An entry
+    /// read from a store (`Arc<PromptEntry>`) is stored as that pointer.
+    pub fn insert(&self, key: impl Into<String>, entry: impl Into<Arc<PromptEntry>>) {
         let key = key.into();
         self.backend().put(key.clone(), entry);
         self.persist(&key);
@@ -133,26 +141,26 @@ impl PromptStore {
     pub fn define(
         &self,
         key: impl Into<String>,
-        text: impl Into<String>,
+        text: impl Into<Arc<str>>,
         f_name: &str,
         mode: RefinementMode,
     ) {
         self.insert(key, PromptEntry::new(text, f_name, mode));
     }
 
-    /// Fetch the entry at `key`.
+    /// Fetch the entry at `key`: the stored version itself, shared.
     ///
     /// # Errors
     ///
     /// Returns [`SpearError::PromptNotFound`] when absent.
-    pub fn get(&self, key: &str) -> Result<PromptEntry> {
+    pub fn get(&self, key: &str) -> Result<Arc<PromptEntry>> {
         self.try_get(key)
             .ok_or_else(|| SpearError::PromptNotFound(key.to_string()))
     }
 
     /// Fetch the entry at `key`, or `None`.
     #[must_use]
-    pub fn try_get(&self, key: &str) -> Option<PromptEntry> {
+    pub fn try_get(&self, key: &str) -> Option<Arc<PromptEntry>> {
         self.backend.get()?.get(key)
     }
 
@@ -189,19 +197,6 @@ impl PromptStore {
         removed
     }
 
-    /// Read-modify-write an entry in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpearError::PromptNotFound`] when absent.
-    pub fn update<F: FnOnce(&mut PromptEntry)>(&self, key: &str, f: F) -> Result<()> {
-        let mut entry = self.get(key)?;
-        f(&mut entry);
-        self.backend().put(key, entry);
-        self.persist(key);
-        Ok(())
-    }
-
     /// Apply a refinement producing `new_text` to the entry at `key`,
     /// recording full provenance. This is the storage-side half of REF.
     ///
@@ -212,7 +207,7 @@ impl PromptStore {
     pub fn refine(
         &self,
         key: &str,
-        new_text: String,
+        new_text: Arc<str>,
         action: RefAction,
         f_name: &str,
         mode: RefinementMode,
@@ -221,11 +216,10 @@ impl PromptStore {
         signals: BTreeMap<String, Value>,
         note: Option<String>,
     ) -> Result<u64> {
-        let mut entry = self.get(key)?;
+        let mut entry = PromptEntry::clone(&*self.get(key)?);
         entry.apply_refinement(new_text, action, f_name, mode, step, trigger, signals, note);
         let version = entry.version;
-        self.backend().put(key, entry);
-        self.persist(key);
+        self.insert(key, entry);
         Ok(version)
     }
 
@@ -238,14 +232,7 @@ impl PromptStore {
     /// [`SpearError::PromptNotFound`] if the key is absent,
     /// [`SpearError::PromptVersionNotFound`] if the version is not retained.
     pub fn rollback(&self, key: &str, version: u64, step: u64) -> Result<u64> {
-        let entry = self.get(key)?;
-        let old_text = entry
-            .text_at_version(version)
-            .ok_or_else(|| SpearError::PromptVersionNotFound {
-                key: key.to_string(),
-                version,
-            })?
-            .to_string();
+        let old_text = Arc::clone(text_at(&*self.get(key)?, key, version)?);
         self.refine(
             key,
             old_text,
@@ -266,10 +253,7 @@ impl PromptStore {
     ///
     /// [`SpearError::PromptNotFound`] if `src` is absent.
     pub fn clone_entry(&self, src: &str, dst: impl Into<String>) -> Result<()> {
-        let entry = self.get(src)?;
-        let dst = dst.into();
-        self.backend().put(dst.clone(), entry);
-        self.persist(&dst);
+        self.insert(dst, self.get(src)?);
         Ok(())
     }
 
@@ -291,18 +275,7 @@ impl PromptStore {
     /// [`SpearError::PromptNotFound`] / [`SpearError::PromptVersionNotFound`].
     pub fn diff_versions(&self, key: &str, v1: u64, v2: u64) -> Result<PromptDiff> {
         let entry = self.get(key)?;
-        let t1 = entry
-            .text_at_version(v1)
-            .ok_or_else(|| SpearError::PromptVersionNotFound {
-                key: key.to_string(),
-                version: v1,
-            })?;
-        let t2 = entry
-            .text_at_version(v2)
-            .ok_or_else(|| SpearError::PromptVersionNotFound {
-                key: key.to_string(),
-                version: v2,
-            })?;
+        let (t1, t2) = (text_at(&entry, key, v1)?, text_at(&entry, key, v2)?);
         Ok(diff::diff(t1, t2))
     }
 
@@ -315,8 +288,9 @@ impl PromptStore {
             .collect()
     }
 
-    /// Deep-copy every entry into a fresh store (used by shadow execution:
-    /// the shadow must not see writes from the primary, and vice versa).
+    /// A fresh store holding every entry (used by shadow execution: the
+    /// shadow must not see writes from the primary, and vice versa). The
+    /// two stores share the entries themselves, which no write mutates.
     #[must_use]
     pub fn deep_clone(&self) -> PromptStore {
         let fresh = PromptStore::new();
@@ -329,7 +303,18 @@ impl PromptStore {
     }
 }
 
+/// The text `entry` (stored under `key`) had at `version`.
+fn text_at<'e>(entry: &'e PromptEntry, key: &str, version: u64) -> Result<&'e Arc<str>> {
+    entry
+        .text_at_version(version)
+        .ok_or_else(|| SpearError::PromptVersionNotFound {
+            key: key.to_string(),
+            version,
+        })
+}
+
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -369,7 +354,7 @@ mod tests {
             .unwrap();
         assert_eq!(v, 2);
         let e = s.get("p").unwrap();
-        assert_eq!(e.text, "base\nextra");
+        assert_eq!(&*e.text, "base\nextra");
         assert_eq!(e.ref_log.len(), 2);
     }
 
@@ -391,7 +376,7 @@ mod tests {
         let v = s.rollback("p", 1, 2).unwrap();
         assert_eq!(v, 3);
         let e = s.get("p").unwrap();
-        assert_eq!(e.text, "v1 text");
+        assert_eq!(&*e.text, "v1 text");
         assert_eq!(e.ref_log.len(), 3, "history is append-only");
         assert_eq!(e.ref_log[2].action, RefAction::Rollback);
     }
@@ -410,7 +395,7 @@ mod tests {
         let s = store_with("src", "text");
         s.clone_entry("src", "dst").unwrap();
         let d = s.get("dst").unwrap();
-        assert_eq!(d.text, "text");
+        assert_eq!(&*d.text, "text");
         assert_eq!(d.ref_log.len(), 1);
         assert!(s.clone_entry("missing", "x").is_err());
     }
@@ -473,8 +458,8 @@ mod tests {
                 None,
             )
             .unwrap();
-        assert_eq!(s.get("p").unwrap().text, "original");
-        assert_eq!(shadow.get("p").unwrap().text, "mutated");
+        assert_eq!(&*s.get("p").unwrap().text, "original");
+        assert_eq!(&*shadow.get("p").unwrap().text, "mutated");
     }
 
     #[test]
@@ -482,7 +467,7 @@ mod tests {
         let first = PromptStore::new();
         let second = first.clone();
         first.define("p", "from first", "f_base", RefinementMode::Manual);
-        assert_eq!(second.get("p").unwrap().text, "from first");
+        assert_eq!(&*second.get("p").unwrap().text, "from first");
         second.define("q", "from second", "f_base", RefinementMode::Manual);
         assert_eq!(first.keys(), ["p", "q"]);
     }
@@ -513,7 +498,7 @@ mod tests {
         let s = PromptStore::with_backend(backend.clone());
         assert!(s.is_empty());
         s.define("p", "v1", "f_base", RefinementMode::Manual);
-        assert_eq!(backend.get("p").unwrap().text, "v1");
+        assert_eq!(&*backend.get("p").unwrap().text, "v1");
         assert_eq!(PromptStore::with_backend(backend).keys(), ["p"]);
     }
 
@@ -534,5 +519,401 @@ mod tests {
         .unwrap();
         // Two storage-level versions of the entry exist.
         assert_eq!(s.backend().history("p").len(), 2);
+    }
+
+    /// The distinct text allocations reachable from every retained version
+    /// of `key`: entry texts and every record's `text_after`.
+    fn text_allocations(s: &PromptStore, key: &str) -> usize {
+        let mut seen = std::collections::BTreeSet::new();
+        for version in s.backend().history(key) {
+            let entry = version.value.unwrap();
+            seen.insert(entry.text.as_ptr());
+            seen.extend(entry.ref_log.iter().map(|r| r.text_after.as_ptr()));
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn k_refinements_keep_k_plus_one_texts_in_the_whole_chain() {
+        let s = store_with("p", "text v1");
+        for v in 2..=9u64 {
+            s.refine(
+                "p",
+                format!("text v{v}").into(),
+                RefAction::Update,
+                "f",
+                RefinementMode::Auto,
+                v,
+                None,
+                BTreeMap::new(),
+                None,
+            )
+            .unwrap();
+        }
+        assert_eq!(text_allocations(&s, "p"), 9, "8 refinements, 9 texts");
+
+        let chain: Vec<Arc<PromptEntry>> = s
+            .backend()
+            .history("p")
+            .into_iter()
+            .filter_map(|v| v.value)
+            .collect();
+        assert_eq!(chain.len(), 9);
+        for entry in &chain {
+            let last = entry.ref_log.last().unwrap();
+            assert!(Arc::ptr_eq(&entry.text, &last.text_after));
+        }
+        for pair in chain.windows(2) {
+            for (earlier, later) in pair[0].ref_log.iter().zip(&pair[1].ref_log) {
+                assert!(Arc::ptr_eq(earlier, later), "earlier records are shared");
+            }
+        }
+
+        // A read is the stored version; a rollback, a clone and a shadow
+        // store copy pointers, so none of them adds a text.
+        assert!(Arc::ptr_eq(&s.get("p").unwrap(), &chain[8]));
+        s.rollback("p", 3, 10).unwrap();
+        s.clone_entry("p", "q").unwrap();
+        let shadow = s.deep_clone();
+        assert_eq!(text_allocations(&s, "p"), 9);
+        assert!(Arc::ptr_eq(&s.get("p").unwrap(), &s.get("q").unwrap()));
+        assert!(Arc::ptr_eq(&s.get("p").unwrap(), &shadow.get("p").unwrap()));
+        assert!(Arc::ptr_eq(&s.get("p").unwrap().text, &chain[2].text));
+    }
+
+    /// The design this store replaced, kept as the reference the shared one
+    /// is diffed against: every version owns a copy of every byte it holds.
+    /// Field order matches [`PromptEntry`] and
+    /// [`crate::history::RefLogRecord`], so equal states serialize to equal
+    /// bytes.
+    mod copying {
+        use super::*;
+        use crate::ops::MergePolicy;
+        use crate::prompt::PromptOrigin;
+        use serde::Serialize;
+
+        #[derive(Clone, Serialize)]
+        pub struct Record {
+            pub step: u64,
+            pub action: RefAction,
+            pub f_name: String,
+            pub mode: RefinementMode,
+            pub trigger: Option<String>,
+            pub signals: BTreeMap<String, Value>,
+            pub version: u64,
+            pub text_after: String,
+            pub note: Option<String>,
+        }
+
+        #[derive(Clone, Serialize)]
+        pub struct Entry {
+            pub text: String,
+            pub params: BTreeMap<String, Value>,
+            pub tags: std::collections::BTreeSet<String>,
+            pub version: u64,
+            pub ref_log: Vec<Record>,
+            pub origin: PromptOrigin,
+        }
+
+        impl Entry {
+            fn refined(
+                &self,
+                text: String,
+                action: RefAction,
+                f_name: String,
+                step: u64,
+                signals: BTreeMap<String, Value>,
+                note: Option<String>,
+            ) -> Entry {
+                let mut next = self.clone();
+                next.version += 1;
+                next.text = text.clone();
+                next.ref_log.push(Record {
+                    step,
+                    action,
+                    f_name,
+                    mode: RefinementMode::Manual,
+                    trigger: None,
+                    signals,
+                    version: next.version,
+                    text_after: text,
+                    note,
+                });
+                next
+            }
+        }
+
+        /// Every version of every key, oldest first.
+        #[derive(Clone, Default)]
+        pub struct Store(pub BTreeMap<String, Vec<Entry>>);
+
+        impl Store {
+            pub fn latest(&self, key: &str) -> Option<&Entry> {
+                self.0.get(key).and_then(|chain| chain.last())
+            }
+
+            fn write(&mut self, key: &str, entry: Entry) {
+                self.0.entry(key.to_string()).or_default().push(entry);
+            }
+
+            pub fn define(&mut self, key: &str, text: &str) {
+                let entry = Entry {
+                    text: text.to_string(),
+                    params: BTreeMap::new(),
+                    tags: std::collections::BTreeSet::new(),
+                    version: 1,
+                    ref_log: vec![Record {
+                        step: 0,
+                        action: RefAction::Create,
+                        f_name: "f_base".to_string(),
+                        mode: RefinementMode::Manual,
+                        trigger: None,
+                        signals: BTreeMap::new(),
+                        version: 1,
+                        text_after: text.to_string(),
+                        note: None,
+                    }],
+                    origin: PromptOrigin::Adhoc,
+                };
+                self.write(key, entry);
+            }
+
+            pub fn refine(&mut self, key: &str, text: &str, step: u64) -> bool {
+                let Some(current) = self.latest(key) else {
+                    return false;
+                };
+                let next = current.refined(
+                    text.to_string(),
+                    RefAction::Update,
+                    "f_up".to_string(),
+                    step,
+                    BTreeMap::new(),
+                    None,
+                );
+                self.write(key, next);
+                true
+            }
+
+            pub fn rollback(&mut self, key: &str, version: u64, step: u64) -> bool {
+                let Some(current) = self.latest(key) else {
+                    return false;
+                };
+                let Some(old) = current.ref_log.iter().find(|r| r.version == version) else {
+                    return false;
+                };
+                let next = current.refined(
+                    old.text_after.clone(),
+                    RefAction::Rollback,
+                    format!("rollback_to_v{version}"),
+                    step,
+                    BTreeMap::new(),
+                    None,
+                );
+                self.write(key, next);
+                true
+            }
+
+            pub fn clone_entry(&mut self, src: &str, dst: &str) -> bool {
+                let Some(entry) = self.latest(src).cloned() else {
+                    return false;
+                };
+                self.write(dst, entry);
+                true
+            }
+
+            /// MERGE as `exec::merge` applies it, for signals under which
+            /// `BySignal` prefers the right side.
+            pub fn merge(
+                &mut self,
+                left: &str,
+                right: &str,
+                into: &str,
+                policy: &MergePolicy,
+                step: u64,
+                signals: BTreeMap<String, Value>,
+            ) -> bool {
+                let (Some(l), Some(r)) = (self.latest(left), self.latest(right)) else {
+                    return false;
+                };
+                let (base, text, choice) = match policy {
+                    MergePolicy::PreferLeft => (l, l.text.clone(), "left"),
+                    MergePolicy::PreferRight | MergePolicy::BySignal { .. } => {
+                        (r, r.text.clone(), "right")
+                    }
+                    MergePolicy::Concat { separator } => {
+                        (l, format!("{}{separator}{}", l.text, r.text), "concat")
+                    }
+                };
+                let mut next = base.refined(
+                    text,
+                    RefAction::Merge,
+                    format!("merge:{policy:?}"),
+                    step,
+                    signals,
+                    Some(format!("merged {left:?} + {right:?} ({choice})")),
+                );
+                next.origin = PromptOrigin::Merged {
+                    left: left.to_string(),
+                    right: right.to_string(),
+                };
+                self.write(into, next);
+                true
+            }
+        }
+    }
+
+    mod sharing_is_invisible {
+        use super::*;
+        use crate::ops::MergePolicy;
+        use crate::runtime::ExecState;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Cmd {
+            Define(u8, String),
+            Refine(u8, String),
+            Rollback(u8, u64),
+            CloneEntry(u8, u8),
+            Merge(u8, u8, u8, u8),
+            Shadow,
+        }
+
+        fn cmd() -> impl Strategy<Value = Cmd> {
+            prop_oneof![
+                (any::<u8>(), "[a-z ]{0,24}").prop_map(|(k, t)| Cmd::Define(k, t)),
+                (any::<u8>(), "[a-z ]{0,24}").prop_map(|(k, t)| Cmd::Refine(k, t)),
+                (any::<u8>(), "[a-z ]{0,24}").prop_map(|(k, t)| Cmd::Refine(k, t)),
+                (any::<u8>(), 1u64..8).prop_map(|(k, v)| Cmd::Rollback(k, v)),
+                (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Cmd::CloneEntry(a, b)),
+                (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>())
+                    .prop_map(|(l, r, i, p)| Cmd::Merge(l, r, i, p)),
+                Just(Cmd::Shadow),
+            ]
+        }
+
+        fn key(k: u8) -> String {
+            format!("p{}", k % 4)
+        }
+
+        fn policy(p: u8) -> MergePolicy {
+            match p % 4 {
+                0 => MergePolicy::PreferLeft,
+                1 => MergePolicy::PreferRight,
+                2 => MergePolicy::Concat {
+                    separator: "\n".to_string(),
+                },
+                _ => MergePolicy::BySignal {
+                    left_signal: "left_score".to_string(),
+                    right_signal: "right_score".to_string(),
+                },
+            }
+        }
+
+        /// Every retained version of every key, as serialized bytes.
+        fn shared_bytes(store: &PromptStore) -> BTreeMap<String, Vec<String>> {
+            store
+                .keys()
+                .into_iter()
+                .map(|key| {
+                    let versions = store
+                        .backend()
+                        .history(&key)
+                        .into_iter()
+                        .filter_map(|v| v.value)
+                        .map(|entry| {
+                            crate::replay::verify(&entry).unwrap();
+                            serde_json::to_string(&*entry).unwrap()
+                        })
+                        .collect();
+                    (key, versions)
+                })
+                .collect()
+        }
+
+        fn copied_bytes(store: &copying::Store) -> BTreeMap<String, Vec<String>> {
+            store
+                .0
+                .iter()
+                .map(|(key, chain)| {
+                    let versions = chain
+                        .iter()
+                        .map(|entry| serde_json::to_string(entry).unwrap())
+                        .collect();
+                    (key.clone(), versions)
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Any sequence of writes leaves the same bytes in every
+            /// retained version as the copying design does, every version
+            /// verifies, and a shadow store never sees a later write of the
+            /// primary (nor the primary one of the shadow).
+            #[test]
+            fn shared_and_copying_stores_hold_the_same_bytes(
+                cmds in proptest::collection::vec(cmd(), 1..48),
+            ) {
+                let mut state = ExecState::new();
+                state.metadata.set("left_score", 0.2);
+                state.metadata.set("right_score", 0.9);
+                let mut reference = copying::Store::default();
+                let mut shadows: Vec<(PromptStore, copying::Store)> = Vec::new();
+
+                for (i, cmd) in cmds.into_iter().enumerate() {
+                    let step = i as u64 + 1;
+                    state.step = step;
+                    let p = &state.prompts;
+                    match cmd {
+                        Cmd::Define(k, text) => {
+                            p.define(key(k), text.as_str(), "f_base", RefinementMode::Manual);
+                            reference.define(&key(k), &text);
+                        }
+                        Cmd::Refine(k, text) => {
+                            let done = p.refine(
+                                &key(k), text.as_str().into(), RefAction::Update, "f_up",
+                                RefinementMode::Manual, step, None, BTreeMap::new(), None,
+                            );
+                            prop_assert_eq!(done.is_ok(), reference.refine(&key(k), &text, step));
+                        }
+                        Cmd::Rollback(k, v) => {
+                            let done = p.rollback(&key(k), v, step);
+                            prop_assert_eq!(done.is_ok(), reference.rollback(&key(k), v, step));
+                        }
+                        Cmd::CloneEntry(a, b) => {
+                            let done = p.clone_entry(&key(a), key(b));
+                            prop_assert_eq!(done.is_ok(), reference.clone_entry(&key(a), &key(b)));
+                        }
+                        Cmd::Merge(l, r, into, pol) => {
+                            let pol = policy(pol);
+                            let done = crate::exec::merge::run(
+                                &key(l), &key(r), &key(into), &pol, &mut state,
+                            );
+                            let copied = reference.merge(
+                                &key(l), &key(r), &key(into), &pol, step,
+                                state.metadata.signal_snapshot(),
+                            );
+                            prop_assert_eq!(done.is_ok(), copied);
+                        }
+                        Cmd::Shadow => shadows.push((p.deep_clone(), reference.clone())),
+                    }
+                }
+
+                for (shadow, at_fork) in &shadows {
+                    for key in shadow.keys() {
+                        let seen = serde_json::to_string(&*shadow.get(&key).unwrap()).unwrap();
+                        let forked = serde_json::to_string(at_fork.latest(&key).unwrap()).unwrap();
+                        prop_assert_eq!(seen, forked, "shadow saw a primary write to {}", key);
+                        shadow.refine(
+                            &key, "shadow only".into(), RefAction::Update, "f_shadow",
+                            RefinementMode::Auto, 0, None, BTreeMap::new(), None,
+                        ).unwrap();
+                    }
+                    prop_assert_eq!(shadow.len(), at_fork.0.len());
+                }
+                prop_assert_eq!(shared_bytes(&state.prompts), copied_bytes(&reference));
+            }
+        }
     }
 }

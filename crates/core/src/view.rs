@@ -7,9 +7,17 @@
 //! with optional defaults), *composable* (templates may reference other
 //! views with `{{view:name}}`), *versioned* (re-registering bumps the
 //! version), and *taggable* (for runtime dispatch across note types).
+//!
+//! Like a database view, a view is resolved (composition expanded,
+//! parameter specs flattened) once per catalog state; every instantiation
+//! until the next [`ViewCatalog::register`] shares that one text.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use spear_kv::shard::fnv1a;
 use spear_kv::KvStore;
@@ -118,35 +126,44 @@ pub fn param_hash(args: &BTreeMap<String, Value>) -> u64 {
     fnv1a(repr.as_bytes())
 }
 
+/// A view resolved against one catalog state: what its instantiations share.
+#[derive(Debug)]
+struct ResolvedView {
+    view: Arc<ViewDef>,
+    /// The template with every `{{view:child}}` reference expanded.
+    text: Arc<str>,
+    /// Parameter specs of the view and of every view it composes.
+    specs: Vec<ParamSpec>,
+}
+
 /// The catalog of registered views.
 ///
 /// Cloning the catalog clones the handle (shared storage).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ViewCatalog {
     store: KvStore<ViewDef>,
-}
-
-impl Default for ViewCatalog {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Resolutions of the current catalog state, by view name. Any
+    /// registration may change any composing view, so `register` empties it.
+    resolved: Arc<RwLock<BTreeMap<String, Arc<ResolvedView>>>>,
 }
 
 impl ViewCatalog {
     /// Empty catalog.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            store: KvStore::new(),
-        }
+        Self::default()
     }
 
     /// Register (or re-register) a view. Returns the assigned version:
     /// 1 for a new view, previous+1 when redefining.
     pub fn register(&self, mut view: ViewDef) -> u64 {
+        // Held across the write, so that no resolution read from the
+        // previous state can be recorded after it.
+        let mut resolved = self.resolved.write();
         let next = self.store.get(&view.name).map_or(1, |v| v.version + 1);
         view.version = next;
         self.store.put(view.name.clone(), view);
+        resolved.clear();
         next
     }
 
@@ -155,7 +172,7 @@ impl ViewCatalog {
     /// # Errors
     ///
     /// Returns [`SpearError::ViewNotFound`] when absent.
-    pub fn get(&self, name: &str) -> Result<ViewDef> {
+    pub fn get(&self, name: &str) -> Result<Arc<ViewDef>> {
         self.store
             .get(name)
             .ok_or_else(|| SpearError::ViewNotFound(name.to_string()))
@@ -166,7 +183,7 @@ impl ViewCatalog {
     /// # Errors
     ///
     /// Returns [`SpearError::ViewNotFound`] when absent.
-    pub fn get_version(&self, name: &str, version: u64) -> Result<ViewDef> {
+    pub fn get_version(&self, name: &str, version: u64) -> Result<Arc<ViewDef>> {
         self.store
             .history(name)
             .into_iter()
@@ -210,46 +227,62 @@ impl ViewCatalog {
     /// [`SpearError::ViewNotFound`], [`SpearError::MissingViewParam`], or
     /// [`SpearError::ViewCycle`].
     pub fn instantiate(&self, name: &str, args: BTreeMap<String, Value>) -> Result<PromptEntry> {
-        let view = self.get(name)?;
-        let mut path = Vec::new();
-        let text = self.expand(&view, &mut path)?;
+        let resolved = self.resolve(name)?;
 
-        // Check required params and collect effective values.
+        // Defaults of the declared params that were not supplied.
         let mut params = BTreeMap::new();
-        for spec in self.all_param_specs(&view)? {
-            match args.get(&spec.name) {
-                Some(v) => {
-                    params.insert(spec.name.clone(), v.clone());
+        for spec in &resolved.specs {
+            if args.contains_key(&spec.name) {
+                continue;
+            }
+            match (spec.required, &spec.default) {
+                (true, _) => {
+                    return Err(SpearError::MissingViewParam {
+                        view: name.to_string(),
+                        param: spec.name.clone(),
+                    })
                 }
-                None => match (&spec.required, &spec.default) {
-                    (true, _) => {
-                        return Err(SpearError::MissingViewParam {
-                            view: name.to_string(),
-                            param: spec.name.clone(),
-                        })
-                    }
-                    (false, Some(d)) => {
-                        params.insert(spec.name.clone(), d.clone());
-                    }
-                    (false, None) => {}
-                },
+                (false, Some(d)) => {
+                    params.insert(spec.name.clone(), d.clone());
+                }
+                (false, None) => {}
             }
         }
-        // Extra args beyond declared specs are allowed and kept (views can be
-        // under-declared; template rendering will use them).
-        for (k, v) in &args {
-            params.entry(k.clone()).or_insert_with(|| v.clone());
-        }
-
         let hash = param_hash(&args);
-        let mut entry = PromptEntry::new(text, &format!("view:{name}"), RefinementMode::Manual)
-            .with_origin(PromptOrigin::View {
-                name: name.to_string(),
-                version: view.version,
-                param_hash: hash,
-            });
+        // Every supplied argument is kept, declared or not (views can be
+        // under-declared; template rendering will use them).
+        params.extend(args);
+
+        let mut entry = PromptEntry::new(
+            Arc::clone(&resolved.text),
+            &format!("view:{name}"),
+            RefinementMode::Manual,
+        )
+        .with_origin(PromptOrigin::View {
+            name: name.to_string(),
+            version: resolved.view.version,
+            param_hash: hash,
+        });
         entry.params = params;
-        entry.tags = view.tags.clone();
+        entry.tags = resolved.view.tags.clone();
+        Ok(entry)
+    }
+
+    /// The resolution of `name` in the current catalog state, computed by
+    /// its first instantiation since the last `register`.
+    fn resolve(&self, name: &str) -> Result<Arc<ResolvedView>> {
+        if let Some(hit) = self.resolved.read().get(name) {
+            return Ok(Arc::clone(hit));
+        }
+        let mut resolved = self.resolved.write();
+        if let Some(raced) = resolved.get(name) {
+            return Ok(Arc::clone(raced));
+        }
+        let view = self.get(name)?;
+        let text = self.expand(&view, &mut Vec::new())?.into();
+        let specs = self.all_param_specs(&view)?;
+        let entry = Arc::new(ResolvedView { view, text, specs });
+        resolved.insert(name.to_string(), Arc::clone(&entry));
         Ok(entry)
     }
 
@@ -296,9 +329,9 @@ impl ViewCatalog {
     }
 
     /// Parameter specs of a view plus all views it (transitively) composes.
-    fn all_param_specs(&self, view: &ViewDef) -> Result<Vec<ParamSpec>> {
+    fn all_param_specs(&self, view: &Arc<ViewDef>) -> Result<Vec<ParamSpec>> {
         let mut specs = Vec::new();
-        let mut stack = vec![view.clone()];
+        let mut stack = vec![Arc::clone(view)];
         let mut seen = BTreeSet::new();
         while let Some(v) = stack.pop() {
             if !seen.insert(v.name.clone()) {
@@ -324,6 +357,7 @@ impl ViewCatalog {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -426,6 +460,61 @@ mod tests {
         c.register(ViewDef::new("b", "B then {{view:a}}"));
         let err = c.instantiate("a", BTreeMap::new()).unwrap_err();
         assert!(matches!(err, SpearError::ViewCycle(_)));
+    }
+
+    #[test]
+    fn reregistering_a_child_changes_the_parents_next_instantiation() {
+        let c = ViewCatalog::new();
+        c.register(ViewDef::new("format", "Respond in bullet points."));
+        c.register(ViewDef::new("outer", "Task.\n{{view:format}}"));
+        let before = c.instantiate("outer", BTreeMap::new()).unwrap();
+        let again = c.instantiate("outer", BTreeMap::new()).unwrap();
+        assert_eq!(&*before.text, "Task.\nRespond in bullet points.");
+        assert!(
+            Arc::ptr_eq(&before.text, &again.text),
+            "one catalog state resolves a view once"
+        );
+
+        // Only the child is re-registered; the parent's definition, version
+        // and cached resolution are untouched by name.
+        c.register(
+            ViewDef::new("format", "Respond in {{n}} sentences.")
+                .with_param(ParamSpec::optional("n", 2)),
+        );
+        let after = c.instantiate("outer", BTreeMap::new()).unwrap();
+        assert_eq!(&*after.text, "Task.\nRespond in {{n}} sentences.");
+        assert_eq!(after.params.get("n").unwrap().as_i64(), Some(2));
+        assert!(matches!(
+            after.origin,
+            PromptOrigin::View { version: 1, .. }
+        ));
+        // A handle cloned earlier sees the same state.
+        let handle = c.clone();
+        c.register(ViewDef::new("format", "Respond tersely."));
+        let seen = handle.instantiate("outer", BTreeMap::new()).unwrap();
+        assert_eq!(&*seen.text, "Task.\nRespond tersely.");
+    }
+
+    #[test]
+    fn a_cycle_introduced_after_a_resolution_is_still_reported() {
+        let c = ViewCatalog::new();
+        c.register(ViewDef::new("b", "B."));
+        c.register(ViewDef::new("a", "A then {{view:b}}"));
+        assert_eq!(
+            &*c.instantiate("a", BTreeMap::new()).unwrap().text,
+            "A then B."
+        );
+        c.register(ViewDef::new("b", "B then {{view:a}}"));
+        for _ in 0..2 {
+            let err = c.instantiate("a", BTreeMap::new()).unwrap_err();
+            assert!(matches!(err, SpearError::ViewCycle(_)), "{err}");
+        }
+        // Breaking the cycle resolves again.
+        c.register(ViewDef::new("b", "B again."));
+        assert_eq!(
+            &*c.instantiate("a", BTreeMap::new()).unwrap().text,
+            "A then B again."
+        );
     }
 
     #[test]

@@ -843,7 +843,10 @@ pub fn family_template(plan: &LoweredPlan, views: &ViewCatalog) -> Option<String
                     Some(Value::Map(m)) => m.clone(),
                     _ => std::collections::BTreeMap::new(),
                 };
-                return views.instantiate(name, params).ok().map(|entry| entry.text);
+                return views
+                    .instantiate(name, params)
+                    .ok()
+                    .map(|entry| entry.text.to_string());
             }
             Op::Ref {
                 action: RefAction::Create,
@@ -858,7 +861,7 @@ pub fn family_template(plan: &LoweredPlan, views: &ViewCatalog) -> Option<String
                     return views
                         .instantiate(name, args.clone())
                         .ok()
-                        .map(|entry| entry.text);
+                        .map(|entry| entry.text.to_string());
                 }
                 PromptRef::Lowered {
                     identity: Some(_),

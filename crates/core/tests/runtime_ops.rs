@@ -180,7 +180,7 @@ fn merge_policies_choose_correctly() {
     let concat = state.prompts.get("merged_concat").unwrap();
     assert!(concat.text.contains("fallback text") && concat.text.contains("primary text"));
     let best = state.prompts.get("merged_best").unwrap();
-    assert_eq!(best.text, "fallback text", "higher signal wins");
+    assert_eq!(&*best.text, "fallback text", "higher signal wins");
     assert!(matches!(best.origin, PromptOrigin::Merged { .. }));
 }
 
@@ -450,4 +450,79 @@ fn execute_lowered_accepts_a_prelowered_plan() {
     let b = rt.execute_lowered(&lowered, &mut via_plan).unwrap();
     assert_eq!(a, b);
     assert_eq!(via_pipeline.trace, via_plan.trace);
+}
+
+fn create_qa_prompt_from_view() -> Pipeline {
+    Pipeline::builder("create")
+        .create_from_view(
+            "qa_prompt",
+            "med_summary",
+            [("drug".to_string(), Value::from("Enoxaparin"))]
+                .into_iter()
+                .collect(),
+        )
+        .build()
+}
+
+/// A durability sink that keeps its records.
+#[derive(Default)]
+struct MemoryLog(std::sync::Mutex<Vec<spear_kv::LogRecord<PromptEntry>>>);
+
+impl spear_kv::Persister<PromptEntry> for MemoryLog {
+    fn append(&self, record: &spear_kv::LogRecord<PromptEntry>) -> spear_kv::Result<()> {
+        self.0.lock().unwrap().push(record.clone());
+        Ok(())
+    }
+
+    fn flush(&self) -> spear_kv::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn create_from_view_stores_one_complete_version() {
+    let rt = runtime();
+    let log = Arc::new(MemoryLog::default());
+    let mut state = ExecState::new();
+    state.prompts = PromptStore::new().with_persister(log.clone());
+    rt.execute(&create_qa_prompt_from_view(), &mut state)
+        .unwrap();
+
+    // Storage and the durability log hold the entry once, and what they
+    // hold is the view-derived entry, not a half-built ad-hoc one.
+    let stored = state.prompts.backend().history("qa_prompt");
+    assert_eq!(stored.len(), 1);
+    let logged = log.0.lock().unwrap();
+    assert_eq!(logged.len(), 1);
+    let spear_kv::LogOp::Put(entry) = &logged[0].op else {
+        panic!("a put was logged");
+    };
+    assert!(Arc::ptr_eq(entry, stored[0].value.as_ref().unwrap()));
+    assert_eq!(entry.version, 1);
+    assert!(entry.derives_from_view("med_summary"));
+    assert_eq!(
+        entry.params.get("drug").and_then(Value::as_str),
+        Some("Enoxaparin")
+    );
+    assert!(entry.cache_identity().is_some());
+    assert_eq!(entry.ref_log[0].step, 1);
+    assert!(entry.ref_log[0].note.as_deref().unwrap().contains("view"));
+}
+
+#[test]
+fn eight_states_instantiated_from_one_view_share_one_text() {
+    let rt = runtime();
+    let pipeline = create_qa_prompt_from_view();
+    let texts: Vec<Arc<str>> = (0..8)
+        .map(|_| {
+            let mut state = ExecState::new();
+            rt.execute(&pipeline, &mut state).unwrap();
+            let entry = state.prompts.get("qa_prompt").unwrap();
+            assert!(Arc::ptr_eq(&entry.text, &entry.ref_log[0].text_after));
+            Arc::clone(&entry.text)
+        })
+        .collect();
+    for text in &texts[1..] {
+        assert!(Arc::ptr_eq(text, &texts[0]));
+    }
 }

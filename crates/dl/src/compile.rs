@@ -449,7 +449,7 @@ mod tests {
         state.context.set("discharge", true);
         rt.execute(c.pipeline("dispatch").unwrap(), &mut state)
             .unwrap();
-        let text = state.prompts.get("p").unwrap().text;
+        let text = state.prompts.get("p").unwrap().text.clone();
         assert!(text.contains("discharge branch"), "{text}");
         assert!(!text.contains("default branch"));
     }

@@ -6,7 +6,8 @@
 //! that substrate: a sharded, concurrent, **versioned** key-value store with
 //!
 //! - per-key version chains (every write produces a new version; old versions
-//!   remain readable until pruned),
+//!   remain readable until pruned) of immutable, shared values (a read is a
+//!   pointer copy),
 //! - consistent point-in-time [`Snapshot`]s driven by a global sequence
 //!   number,
 //! - ordered prefix scans (each shard keeps a `BTreeMap`; scans merge across
@@ -28,10 +29,11 @@
 //! store.put("prompt/qa", "v1 text".to_string());
 //! store.put("prompt/qa", "v2 text".to_string());
 //!
-//! assert_eq!(store.get("prompt/qa").as_deref(), Some("v2 text"));
+//! // Reads share the stored value (`Arc<V>`); they never copy it.
+//! assert_eq!(*store.get("prompt/qa").unwrap(), "v2 text");
 //! // Both versions remain addressable:
-//! assert_eq!(store.get_version("prompt/qa", 1).as_deref(), Some("v1 text"));
-//! assert_eq!(store.get_version("prompt/qa", 2).as_deref(), Some("v2 text"));
+//! assert_eq!(*store.get_version("prompt/qa", 1).unwrap(), "v1 text");
+//! assert_eq!(*store.get_version("prompt/qa", 2).unwrap(), "v2 text");
 //! ```
 
 #![forbid(unsafe_code)]

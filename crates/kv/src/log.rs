@@ -9,6 +9,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
@@ -31,8 +32,9 @@ pub struct LogRecord<V> {
 /// The mutation kind carried by a [`LogRecord`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LogOp<V> {
-    /// A value was written.
-    Put(V),
+    /// A value was written. The record shares the stored value; it
+    /// serializes as the bare value.
+    Put(Arc<V>),
     /// The key was deleted (tombstoned).
     Delete,
 }
@@ -180,7 +182,8 @@ impl<V: Clone + Serialize, P: Persister<V>> DurableStore<V, P> {
     /// failure as fatal).
     pub fn put(&self, key: impl Into<String>, value: V) -> Result<u64> {
         let key = key.into();
-        let version = self.store.put(key.clone(), value.clone());
+        let value = Arc::new(value);
+        let version = self.store.put(key.clone(), Arc::clone(&value));
         let seq = self
             .store
             .get_versioned(&key)
@@ -254,10 +257,10 @@ mod tests {
             durable.sync().unwrap();
         }
         let recovered: KvStore<String> = JsonlLog::recover(&path).unwrap();
-        assert_eq!(recovered.get("a").as_deref(), Some("2"));
+        assert_eq!(recovered.get("a").as_deref().map(String::as_str), Some("2"));
         assert_eq!(recovered.get("b"), None);
         assert_eq!(
-            recovered.get_version("a", 1).as_deref(),
+            recovered.get_version("a", 1).as_deref().map(String::as_str),
             Some("1"),
             "version history is rebuilt by replay"
         );

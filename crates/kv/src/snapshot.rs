@@ -31,7 +31,7 @@ impl<V: Clone> Snapshot<V> {
 
     /// Value of `key` as of the snapshot point, if it was live then.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<V> {
+    pub fn get(&self, key: &str) -> Option<Arc<V>> {
         self.inner.read_at(key, self.seq_bound)
     }
 
@@ -79,8 +79,8 @@ mod tests {
         let s2 = s.snapshot();
 
         assert_eq!(s0.get("k"), None);
-        assert_eq!(s1.get("k"), Some(1));
-        assert_eq!(s2.get("k"), Some(2));
+        assert_eq!(s1.get("k").as_deref(), Some(&1));
+        assert_eq!(s2.get("k").as_deref(), Some(&2));
         assert!(s1.contains("k"));
         assert!(!s0.contains("k"));
         assert!(s0.sequence() < s1.sequence());
@@ -104,7 +104,7 @@ mod tests {
         let snap = s.snapshot();
         let snap2 = snap.clone();
         s.put("k", 2);
-        assert_eq!(snap2.get("k"), Some(1));
+        assert_eq!(snap2.get("k").as_deref(), Some(&1));
         assert_eq!(snap2.sequence(), snap.sequence());
     }
 }

@@ -1,5 +1,9 @@
 //! The sharded, versioned key-value store.
 
+// Every P read on the exec spine goes through here: no panicking reads.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,6 +20,9 @@ use crate::stats::{StatsSnapshot, StoreStats};
 /// `value == None` marks a tombstone: the key was deleted at this version.
 /// Tombstones stay in the chain so snapshots taken before the delete still
 /// see the prior value.
+///
+/// A stored value is immutable and shared: every read hands out another
+/// pointer to the allocation the write stored, never a copy of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionedValue<V> {
     /// Per-key version number, starting at 1 and increasing by 1 per write.
@@ -24,25 +31,31 @@ pub struct VersionedValue<V> {
     /// keys and drives snapshot visibility.
     pub seq: u64,
     /// The written value, or `None` for a tombstone.
-    pub value: Option<V>,
+    pub value: Option<Arc<V>>,
 }
 
-/// A key's version chain, oldest first.
-#[derive(Debug, Clone)]
+/// A key's version chain. It exists from the key's first write on, so it
+/// always has a latest version; `older` holds the retained rest, oldest
+/// first.
+#[derive(Debug)]
 struct Chain<V> {
-    versions: Vec<VersionedValue<V>>,
+    older: Vec<VersionedValue<V>>,
+    latest: VersionedValue<V>,
 }
 
 impl<V> Chain<V> {
-    fn latest(&self) -> &VersionedValue<V> {
-        self.versions
-            .last()
-            .expect("chains are created non-empty and never fully drained")
+    fn live(&self) -> Option<&Arc<V>> {
+        self.latest.value.as_ref()
+    }
+
+    /// Retained versions, newest first.
+    fn newest_first(&self) -> impl Iterator<Item = &VersionedValue<V>> {
+        std::iter::once(&self.latest).chain(self.older.iter().rev())
     }
 
     /// Latest version whose seq is `<= seq_bound` (for snapshot reads).
     fn visible_at(&self, seq_bound: u64) -> Option<&VersionedValue<V>> {
-        self.versions.iter().rev().find(|v| v.seq <= seq_bound)
+        self.newest_first().find(|v| v.seq <= seq_bound)
     }
 }
 
@@ -149,20 +162,11 @@ impl<V: Clone> KvStore<V> {
     }
 
     /// Write `value` under `key`, returning the new per-key version number.
-    pub fn put(&self, key: impl Into<String>, value: V) -> u64 {
+    /// A value that is already shared (`Arc<V>`) is stored as that pointer.
+    pub fn put(&self, key: impl Into<String>, value: impl Into<Arc<V>>) -> u64 {
         let key = key.into();
         let mut shard = self.shard(&key).write();
-        let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
-        let chain = shard.entry(key).or_insert_with(|| Chain {
-            versions: Vec::with_capacity(1),
-        });
-        let version = chain.versions.last().map_or(1, |v| v.version + 1);
-        chain.versions.push(VersionedValue {
-            version,
-            seq,
-            value: Some(value),
-        });
-        Self::prune(chain, self.inner.max_versions);
+        let version = self.push(&mut shard, key, Some(value.into()));
         self.inner.stats.record_write();
         version
     }
@@ -173,17 +177,18 @@ impl<V: Clone> KvStore<V> {
     /// # Errors
     ///
     /// Returns [`KvError::VersionConflict`] when the current version differs.
-    pub fn put_cas(&self, key: impl Into<String>, expected: u64, value: V) -> Result<u64> {
+    pub fn put_cas(
+        &self,
+        key: impl Into<String>,
+        expected: u64,
+        value: impl Into<Arc<V>>,
+    ) -> Result<u64> {
         let key = key.into();
         let mut shard = self.shard(&key).write();
-        let current = shard.get(&key).map_or(0, |c| {
-            let latest = c.latest();
-            if latest.value.is_some() {
-                latest.version
-            } else {
-                0
-            }
-        });
+        let current = shard
+            .get(&key)
+            .filter(|c| c.live().is_some())
+            .map_or(0, |c| c.latest.version);
         if current != expected {
             self.inner.stats.record_cas_failure();
             return Err(KvError::VersionConflict {
@@ -192,35 +197,50 @@ impl<V: Clone> KvStore<V> {
                 found: current,
             });
         }
-        let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
-        let chain = shard.entry(key).or_insert_with(|| Chain {
-            versions: Vec::with_capacity(1),
-        });
-        let version = chain.versions.last().map_or(1, |v| v.version + 1);
-        chain.versions.push(VersionedValue {
-            version,
-            seq,
-            value: Some(value),
-        });
-        Self::prune(chain, self.inner.max_versions);
+        let version = self.push(&mut shard, key, Some(value.into()));
         self.inner.stats.record_write();
         Ok(version)
     }
 
-    fn prune(chain: &mut Chain<V>, max: usize) {
-        if chain.versions.len() > max {
-            let excess = chain.versions.len() - max;
-            chain.versions.drain(..excess);
+    /// Append a version (a tombstone when `value` is `None`) to `key`'s
+    /// chain under the shard's write lock, pruning the oldest versions past
+    /// the retention bound. Returns the new per-key version number.
+    fn push(&self, shard: &mut ShardMap<V>, key: String, value: Option<Arc<V>>) -> u64 {
+        let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
+        match shard.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(Chain {
+                    older: Vec::new(),
+                    latest: VersionedValue {
+                        version: 1,
+                        seq,
+                        value,
+                    },
+                });
+                1
+            }
+            Entry::Occupied(slot) => {
+                let chain = slot.into_mut();
+                let version = chain.latest.version + 1;
+                let next = VersionedValue {
+                    version,
+                    seq,
+                    value,
+                };
+                chain.older.push(std::mem::replace(&mut chain.latest, next));
+                // `max_versions >= 1` counts the latest version too.
+                let excess = (chain.older.len() + 1).saturating_sub(self.inner.max_versions);
+                chain.older.drain(..excess);
+                version
+            }
         }
     }
 
     /// Read the latest live value of `key`.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<V> {
+    pub fn get(&self, key: &str) -> Option<Arc<V>> {
         let shard = self.shard(key).read();
-        let out = shard
-            .get(key)
-            .and_then(|c| c.latest().value.as_ref().cloned());
+        let out = shard.get(key).and_then(Chain::live).cloned();
         self.inner.stats.record_read(out.is_some());
         out
     }
@@ -230,7 +250,7 @@ impl<V: Clone> KvStore<V> {
     #[must_use]
     pub fn get_versioned(&self, key: &str) -> Option<VersionedValue<V>> {
         let shard = self.shard(key).read();
-        let out = shard.get(key).map(|c| c.latest().clone());
+        let out = shard.get(key).map(|c| c.latest.clone());
         self.inner
             .stats
             .record_read(out.as_ref().is_some_and(|v| v.value.is_some()));
@@ -239,11 +259,10 @@ impl<V: Clone> KvStore<V> {
 
     /// Read a specific retained version of `key`.
     #[must_use]
-    pub fn get_version(&self, key: &str, version: u64) -> Option<V> {
+    pub fn get_version(&self, key: &str, version: u64) -> Option<Arc<V>> {
         let shard = self.shard(key).read();
         let out = shard.get(key).and_then(|c| {
-            c.versions
-                .iter()
+            c.newest_first()
                 .find(|v| v.version == version)
                 .and_then(|v| v.value.clone())
         });
@@ -254,31 +273,21 @@ impl<V: Clone> KvStore<V> {
     /// All retained versions of `key`, oldest first (tombstones included).
     #[must_use]
     pub fn history(&self, key: &str) -> Vec<VersionedValue<V>> {
-        self.shard(key)
-            .read()
-            .get(key)
-            .map(|c| c.versions.clone())
-            .unwrap_or_default()
+        self.shard(key).read().get(key).map_or_else(Vec::new, |c| {
+            let mut versions = c.older.clone();
+            versions.push(c.latest.clone());
+            versions
+        })
     }
 
     /// Delete `key` by writing a tombstone. Returns `true` if the key was
     /// live before the call.
     pub fn delete(&self, key: &str) -> bool {
         let mut shard = self.shard(key).write();
-        let Some(chain) = shard.get_mut(key) else {
-            return false;
-        };
-        if chain.latest().value.is_none() {
-            return false; // already deleted
+        if shard.get(key).and_then(Chain::live).is_none() {
+            return false; // absent or already deleted
         }
-        let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
-        let version = chain.latest().version + 1;
-        chain.versions.push(VersionedValue {
-            version,
-            seq,
-            value: None,
-        });
-        Self::prune(chain, self.inner.max_versions);
+        self.push(&mut shard, key.to_string(), None);
         self.inner.stats.record_delete();
         true
     }
@@ -289,7 +298,7 @@ impl<V: Clone> KvStore<V> {
         self.shard(key)
             .read()
             .get(key)
-            .is_some_and(|c| c.latest().value.is_some())
+            .is_some_and(|c| c.live().is_some())
     }
 
     /// Number of live keys. O(keys); intended for tests and diagnostics.
@@ -298,12 +307,7 @@ impl<V: Clone> KvStore<V> {
         self.inner
             .shards
             .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .filter(|c| c.latest().value.is_some())
-                    .count()
-            })
+            .map(|s| s.read().values().filter(|c| c.live().is_some()).count())
             .sum()
     }
 
@@ -323,7 +327,7 @@ impl<V: Clone> KvStore<V> {
             .flat_map(|s| {
                 s.read()
                     .iter()
-                    .filter(|(_, c)| c.latest().value.is_some())
+                    .filter(|(_, c)| c.live().is_some())
                     .map(|(k, _)| k.clone())
                     .collect::<Vec<_>>()
             })
@@ -336,8 +340,8 @@ impl<V: Clone> KvStore<V> {
     /// key. Shards keep ordered maps, so each shard contributes a contiguous
     /// range; results are merged and sorted across shards.
     #[must_use]
-    pub fn prefix_scan(&self, prefix: &str) -> Vec<(String, V)> {
-        let mut out: Vec<(String, V)> = self
+    pub fn prefix_scan(&self, prefix: &str) -> Vec<(String, Arc<V>)> {
+        let mut out: Vec<(String, Arc<V>)> = self
             .inner
             .shards
             .iter()
@@ -345,7 +349,7 @@ impl<V: Clone> KvStore<V> {
                 s.read()
                     .range(prefix.to_string()..)
                     .take_while(|(k, _)| k.starts_with(prefix))
-                    .filter_map(|(k, c)| c.latest().value.as_ref().map(|v| (k.clone(), v.clone())))
+                    .filter_map(|(k, c)| c.live().map(|v| (k.clone(), Arc::clone(v))))
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -385,7 +389,7 @@ impl<V: Clone> KvStore<V> {
 }
 
 impl<V: Clone> Inner<V> {
-    pub(crate) fn read_at(&self, key: &str, seq_bound: u64) -> Option<V> {
+    pub(crate) fn read_at(&self, key: &str, seq_bound: u64) -> Option<Arc<V>> {
         let shard = &self.shards[shard_for(key, self.shards.len())];
         shard
             .read()
@@ -421,6 +425,7 @@ impl<V: Clone + std::fmt::Debug> std::fmt::Debug for KvStore<V> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -429,7 +434,7 @@ mod tests {
         let s: KvStore<i64> = KvStore::new();
         assert_eq!(s.put("a", 1), 1);
         assert_eq!(s.put("a", 2), 2);
-        assert_eq!(s.get("a"), Some(2));
+        assert_eq!(s.get("a").as_deref(), Some(&2));
         assert_eq!(s.get("missing"), None);
     }
 
@@ -439,9 +444,9 @@ mod tests {
         s.put("k", "one");
         s.put("k", "two");
         s.put("k", "three");
-        assert_eq!(s.get_version("k", 1), Some("one"));
-        assert_eq!(s.get_version("k", 2), Some("two"));
-        assert_eq!(s.get_version("k", 3), Some("three"));
+        assert_eq!(s.get_version("k", 1).as_deref(), Some(&"one"));
+        assert_eq!(s.get_version("k", 2).as_deref(), Some(&"two"));
+        assert_eq!(s.get_version("k", 3).as_deref(), Some(&"three"));
         assert_eq!(s.get_version("k", 4), None);
         assert_eq!(s.history("k").len(), 3);
     }
@@ -454,10 +459,14 @@ mod tests {
         assert!(!s.delete("k"), "double delete is a no-op");
         assert_eq!(s.get("k"), None);
         assert!(!s.contains("k"));
-        assert_eq!(s.get_version("k", 1), Some(10), "history survives delete");
+        assert_eq!(
+            s.get_version("k", 1).as_deref(),
+            Some(&10),
+            "history survives delete"
+        );
         // A put after delete resurrects the key at the next version.
         assert_eq!(s.put("k", 20), 3);
-        assert_eq!(s.get("k"), Some(20));
+        assert_eq!(s.get("k").as_deref(), Some(&20));
     }
 
     #[test]
@@ -505,8 +514,8 @@ mod tests {
         assert_eq!(
             hits,
             vec![
-                ("prompt/qa".to_string(), 1),
-                ("prompt/summary".to_string(), 2)
+                ("prompt/qa".to_string(), Arc::new(1)),
+                ("prompt/summary".to_string(), Arc::new(2))
             ]
         );
         assert!(s.prefix_scan("nothing/").is_empty());
@@ -534,7 +543,7 @@ mod tests {
         let hist = s.history("k");
         assert_eq!(hist.len(), 3);
         assert_eq!(hist[0].version, 8);
-        assert_eq!(s.get("k"), Some(9));
+        assert_eq!(s.get("k").as_deref(), Some(&9));
         assert_eq!(s.get_version("k", 1), None, "pruned version is gone");
     }
 
@@ -547,10 +556,18 @@ mod tests {
         s.put("a", 2);
         s.delete("b");
         s.put("c", 1);
-        assert_eq!(snap.get("a"), Some(1), "snapshot sees pre-write value");
-        assert_eq!(snap.get("b"), Some(1), "snapshot sees pre-delete value");
+        assert_eq!(
+            snap.get("a").as_deref(),
+            Some(&1),
+            "snapshot sees pre-write value"
+        );
+        assert_eq!(
+            snap.get("b").as_deref(),
+            Some(&1),
+            "snapshot sees pre-delete value"
+        );
         assert_eq!(snap.get("c"), None, "snapshot does not see later insert");
-        assert_eq!(s.get("a"), Some(2));
+        assert_eq!(s.get("a").as_deref(), Some(&2));
     }
 
     #[test]
@@ -567,7 +584,7 @@ mod tests {
         let a: KvStore<i32> = KvStore::new();
         let b = a.clone();
         a.put("k", 7);
-        assert_eq!(b.get("k"), Some(7));
+        assert_eq!(b.get("k").as_deref(), Some(&7));
     }
 
     #[test]

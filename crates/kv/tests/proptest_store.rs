@@ -4,6 +4,7 @@
 //! be immune to subsequent mutations.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use spear_kv::KvStore;
@@ -57,7 +58,7 @@ proptest! {
                 }
                 Cmd::Get(k) => {
                     let k = key(k);
-                    prop_assert_eq!(store.get(&k), model.get(&k).copied());
+                    prop_assert_eq!(store.get(&k).map(|v| *v), model.get(&k).copied());
                 }
             }
         }
@@ -94,7 +95,7 @@ proptest! {
         }
         for k in 0..16u8 {
             let k = key(k);
-            prop_assert_eq!(snap.get(&k), model.get(&k).copied(), "key {}", k);
+            prop_assert_eq!(snap.get(&k).map(|v| *v), model.get(&k).copied(), "key {}", k);
         }
     }
 
@@ -115,10 +116,10 @@ proptest! {
         }
         for prefix in ["a/", "b/", ""] {
             let got = store.prefix_scan(prefix);
-            let want: Vec<(String, i64)> = model
+            let want: Vec<(String, Arc<i64>)> = model
                 .iter()
                 .filter(|(k, _)| k.starts_with(prefix))
-                .map(|(k, v)| (k.clone(), *v))
+                .map(|(k, v)| (k.clone(), Arc::new(*v)))
                 .collect();
             prop_assert_eq!(got, want, "prefix {}", prefix);
         }

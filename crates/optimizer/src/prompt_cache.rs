@@ -9,6 +9,8 @@
 //! so the runtime can warm the serving cache with exactly the fragments it
 //! knows are stable.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use spear_kv::KvStore;
 
@@ -89,7 +91,7 @@ impl StructuredPromptCache {
         let found = self
             .store
             .get(&Self::key(view, param_hash, version))
-            .map(|c| c.rendered);
+            .map(|c| c.rendered.clone());
         let mut stats = self.stats.lock();
         stats.lookups += 1;
         if found.is_some() {
@@ -101,7 +103,7 @@ impl StructuredPromptCache {
     /// All cached renderings of a view (any parameters, any version) —
     /// the "accessed by view name" path; used to warm serving-layer caches.
     #[must_use]
-    pub fn renderings_of_view(&self, view: &str) -> Vec<CachedPrompt> {
+    pub fn renderings_of_view(&self, view: &str) -> Vec<Arc<CachedPrompt>> {
         self.store
             .prefix_scan(&format!("view/{view}/"))
             .into_iter()
@@ -111,7 +113,7 @@ impl StructuredPromptCache {
 
     /// Latest cached version for `(view, param hash)`, if any.
     #[must_use]
-    pub fn latest_version(&self, view: &str, param_hash: u64) -> Option<CachedPrompt> {
+    pub fn latest_version(&self, view: &str, param_hash: u64) -> Option<Arc<CachedPrompt>> {
         self.store
             .prefix_scan(&format!("view/{view}/{param_hash:016x}/"))
             .into_iter()

@@ -68,7 +68,7 @@ fn replay_reconstructs_any_version_after_a_long_evolution() {
         store
             .refine(
                 "p",
-                format!("v{v} text"),
+                format!("v{v} text").into(),
                 RefAction::Update,
                 &format!("f_{v}"),
                 if v % 2 == 0 {
@@ -87,7 +87,7 @@ fn replay_reconstructs_any_version_after_a_long_evolution() {
     replay::verify(&entry).unwrap();
     for v in 1..=10u64 {
         let at = replay::replay_to(&entry, v).unwrap();
-        assert_eq!(at.text, format!("v{v} text"));
+        assert_eq!(*at.text, format!("v{v} text"));
         assert_eq!(at.version, v);
         replay::verify(&at).unwrap();
     }
@@ -136,12 +136,12 @@ fn rollback_then_replay_is_consistent() {
     store.rollback("p", 1, 3).unwrap();
 
     let entry = store.get("p").unwrap();
-    assert_eq!(entry.text, "good version");
+    assert_eq!(&*entry.text, "good version");
     assert_eq!(entry.version, 3, "rollback appends rather than erases");
     replay::verify(&entry).unwrap();
     // The regressed state is still replayable for post-mortems.
     assert_eq!(
-        replay::replay_to(&entry, 2).unwrap().text,
+        &*replay::replay_to(&entry, 2).unwrap().text,
         "regressed version"
     );
 }
@@ -182,6 +182,26 @@ fn prompt_store_with_persister_survives_restart_transparently() {
         store.sync().unwrap();
     }
 
+    // The log's bytes are a format other sessions read: sharing texts and
+    // records in memory must not show in them. Pinned from the copying
+    // store this one replaced.
+    let v1 = r#"{"step":0,"action":"Create","f_name":"f_base","mode":"Manual","trigger":null,"signals":{},"version":1,"text_after":"Summarize the medication history.","note":null}"#;
+    let v2 = r#"{"step":1,"action":"Append","f_name":"f_specificity","mode":"Manual","trigger":null,"signals":{},"version":2,"text_after":"Summarize the medication history.\nFocus on dosage.","note":null}"#;
+    let refined = format!(
+        r#"{{"text":"Summarize the medication history.\nFocus on dosage.","params":{{}},"tags":[],"version":2,"ref_log":[{v1},{v2}],"origin":"Adhoc"}}"#
+    );
+    let expected = [
+        format!(
+            r#"{{"seq":1,"key":"qa_prompt","op":{{"Put":{{"text":"Summarize the medication history.","params":{{}},"tags":[],"version":1,"ref_log":[{v1}],"origin":"Adhoc"}}}}}}"#
+        ),
+        format!(r#"{{"seq":2,"key":"qa_prompt","op":{{"Put":{refined}}}}}"#),
+        format!(r#"{{"seq":3,"key":"qa_fork","op":{{"Put":{refined}}}}}"#),
+        r#"{"seq":4,"key":"scratch","op":{"Put":{"text":"temp","params":{},"tags":[],"version":1,"ref_log":[{"step":0,"action":"Create","f_name":"f","mode":"Manual","trigger":null,"signals":{},"version":1,"text_after":"temp","note":null}],"origin":"Adhoc"}}}"#.to_string(),
+        r#"{"seq":5,"key":"scratch","op":"Delete"}"#.to_string(),
+    ];
+    let written = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(written.lines().collect::<Vec<_>>(), expected);
+
     // Session 2: full recovery, including clones and deletes.
     let recovered = PromptStore::with_backend(JsonlLog::recover(&path).unwrap());
     let entry = recovered.get("qa_prompt").unwrap();
@@ -190,5 +210,9 @@ fn prompt_store_with_persister_survives_restart_transparently() {
     assert!(recovered.contains("qa_fork"));
     assert!(!recovered.contains("scratch"));
     replay::verify(&entry).unwrap();
+    // What was recovered serializes back to what was logged.
+    assert_eq!(serde_json::to_string(&*entry).unwrap(), refined);
+    let fork = recovered.get("qa_fork").unwrap();
+    assert_eq!(serde_json::to_string(&*fork).unwrap(), refined);
     std::fs::remove_file(&path).unwrap();
 }

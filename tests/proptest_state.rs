@@ -44,7 +44,7 @@ proptest! {
             match step {
                 RefStep::Update(text) => {
                     store.refine(
-                        "p", text.clone(), RefAction::Update, "f_up",
+                        "p", text.as_str().into(), RefAction::Update, "f_up",
                         RefinementMode::Auto, i as u64, None, BTreeMap::new(), None,
                     ).unwrap();
                 }
@@ -56,7 +56,7 @@ proptest! {
                         format!("{}\n{}", current.text, text)
                     };
                     store.refine(
-                        "p", new, RefAction::Append, "f_app",
+                        "p", new.into(), RefAction::Append, "f_app",
                         RefinementMode::Manual, i as u64, None, BTreeMap::new(), None,
                     ).unwrap();
                 }
@@ -91,7 +91,7 @@ proptest! {
         value in "[a-zA-Z0-9 ]{0,20}",
     ) {
         let template = format!("{prefix}{{{{x}}}}{suffix}");
-        let entry = PromptEntry::new(&template, "f", RefinementMode::Manual)
+        let entry = PromptEntry::new(template.as_str(), "f", RefinementMode::Manual)
             .with_param("x", value.clone());
         let rendered = entry.render(&Context::new()).unwrap();
         prop_assert_eq!(rendered, format!("{prefix}{value}{suffix}"));

@@ -134,7 +134,7 @@ fn deep_clone_is_fully_independent() {
     );
     assert!(original.context.get("extra").is_none());
     let entry = original.prompts.get("p").unwrap();
-    assert_eq!(entry.text, "original prompt text");
+    assert_eq!(&*entry.text, "original prompt text");
     assert_eq!(
         entry.version, 1,
         "clone's refine must not bump the original"
