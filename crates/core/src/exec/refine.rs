@@ -2,7 +2,6 @@
 
 use crate::error::{Result, SpearError};
 use crate::history::{RefAction, RefLogRecord, RefinementMode};
-use crate::prompt::PromptEntry;
 use crate::refiner::RefineCtx;
 use crate::runtime::{ExecState, Runtime};
 use crate::trace::TraceKind;
@@ -42,45 +41,26 @@ pub(crate) fn run(
 
     let mut new_version = None;
     if let Some(new_text) = output.new_text {
-        let trigger = trigger.map(str::to_string);
-        let signals = state.metadata.signal_snapshot();
-        let mut entry = match &current {
-            Some(current) => {
-                let mut entry = PromptEntry::clone(current);
-                entry.apply_refinement(
-                    new_text,
-                    action,
-                    refiner_name,
-                    mode,
-                    state.step,
-                    trigger,
-                    signals,
-                    output.note,
-                );
-                entry
-            }
-            None => PromptEntry::from_record(RefLogRecord {
-                step: state.step,
-                action,
-                f_name: refiner_name.to_string(),
-                mode,
-                trigger,
-                signals,
-                version: 1,
-                text_after: new_text,
-                note: output.note,
-            }),
-        };
         // Params / origin from the refiner (e.g. from_view) belong to the
         // same version: the entry is stored once, complete.
-        if let Some(params) = output.params {
-            entry.params = params;
-        }
-        if let Some(origin) = output.origin {
-            entry.origin = origin;
-        }
-        new_version = Some(entry.version);
-        state.prompts.insert(target, entry);
+        let record = RefLogRecord {
+            step: state.step,
+            action,
+            f_name: refiner_name.to_string(),
+            mode,
+            trigger: trigger.map(str::to_string),
+            signals: state.metadata.signal_snapshot(),
+            version: current.as_ref().map_or(1, |c| c.version + 1),
+            text_after: new_text,
+            note: output.note,
+        };
+        new_version = Some(state.prompts.store_refined(
+            target,
+            current.as_deref(),
+            record,
+            output.params,
+            output.origin,
+        ));
     } else {
         for (key, value) in &output.ctx_writes {
             state

@@ -11,6 +11,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -121,6 +122,45 @@ impl RefLogRecord {
     }
 }
 
+/// Query helpers over a slice of ref-log records, owned or shared (an
+/// entry's `ref_log` is a `[Arc<RefLogRecord>]`).
+pub trait RefLogExt {
+    /// Records applied in a given mode.
+    fn in_mode(&self, mode: RefinementMode) -> Vec<&RefLogRecord>;
+    /// The record that produced `version`, if retained.
+    fn at_version(&self, version: u64) -> Option<&RefLogRecord>;
+    /// Confidence signal trajectory: `(version, confidence)` for records
+    /// that captured one.
+    fn confidence_trajectory(&self) -> Vec<(u64, f64)>;
+}
+
+impl<T: Borrow<RefLogRecord>> RefLogExt for [T] {
+    fn in_mode(&self, mode: RefinementMode) -> Vec<&RefLogRecord> {
+        self.iter()
+            .map(Borrow::borrow)
+            .filter(|r| r.mode == mode)
+            .collect()
+    }
+
+    fn at_version(&self, version: u64) -> Option<&RefLogRecord> {
+        self.iter()
+            .map(Borrow::borrow)
+            .find(|r| r.version == version)
+    }
+
+    fn confidence_trajectory(&self) -> Vec<(u64, f64)> {
+        self.iter()
+            .map(Borrow::borrow)
+            .filter_map(|r| {
+                r.signals
+                    .get("confidence")
+                    .and_then(Value::as_f64)
+                    .map(|c| (r.version, c))
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -158,6 +198,30 @@ mod tests {
         assert!(s.contains("UPDATE"));
         assert!(s.contains("f_2"));
         assert!(s.contains("confidence"));
+    }
+
+    #[test]
+    fn mode_filtering() {
+        let log = [
+            Arc::new(record(1, RefinementMode::Manual, None)),
+            Arc::new(record(2, RefinementMode::Assisted, None)),
+            Arc::new(record(3, RefinementMode::Auto, None)),
+            Arc::new(record(4, RefinementMode::Auto, None)),
+        ];
+        assert_eq!(log.in_mode(RefinementMode::Auto).len(), 2);
+        assert_eq!(log.in_mode(RefinementMode::Manual).len(), 1);
+    }
+
+    #[test]
+    fn version_lookup_and_trajectory() {
+        let log = [
+            Arc::new(record(1, RefinementMode::Manual, Some(0.5))),
+            Arc::new(record(2, RefinementMode::Auto, None)),
+            Arc::new(record(3, RefinementMode::Auto, Some(0.8))),
+        ];
+        assert_eq!(log.at_version(2).unwrap().f_name, "f_2");
+        assert!(log.at_version(9).is_none());
+        assert_eq!(log.confidence_trajectory(), vec![(1, 0.5), (3, 0.8)]);
     }
 
     #[test]

@@ -89,8 +89,7 @@ impl PromptEntry {
 
     /// Create a fresh ad-hoc entry whose lineage starts at `record`: the
     /// entry takes its text and version from it.
-    #[must_use]
-    pub fn from_record(record: RefLogRecord) -> Self {
+    pub(crate) fn from_record(record: RefLogRecord) -> Self {
         Self {
             text: Arc::clone(&record.text_after),
             params: BTreeMap::new(),
@@ -159,19 +158,24 @@ impl PromptEntry {
         signals: BTreeMap<String, Value>,
         note: Option<String>,
     ) {
-        self.version += 1;
-        self.text = Arc::clone(&new_text);
-        self.ref_log.push(Arc::new(RefLogRecord {
+        self.push_record(RefLogRecord {
             step,
             action,
             f_name: f_name.to_string(),
             mode,
             trigger,
             signals,
-            version: self.version,
+            version: self.version + 1,
             text_after: new_text,
             note,
-        }));
+        });
+    }
+
+    /// Make `record` the latest: the entry takes its text and version.
+    pub(crate) fn push_record(&mut self, record: RefLogRecord) {
+        self.version = record.version;
+        self.text = Arc::clone(&record.text_after);
+        self.ref_log.push(Arc::new(record));
     }
 
     /// The text as of `version` (shared, so a rollback to it copies a

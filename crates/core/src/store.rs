@@ -22,8 +22,8 @@ use spear_kv::{KvStore, LogOp, LogRecord, Persister};
 
 use crate::diff::{self, PromptDiff};
 use crate::error::{Result, SpearError};
-use crate::history::{RefAction, RefinementMode};
-use crate::prompt::PromptEntry;
+use crate::history::{RefAction, RefLogRecord, RefinementMode};
+use crate::prompt::{PromptEntry, PromptOrigin};
 use crate::value::Value;
 
 /// Named store of structured prompt fragments.
@@ -216,11 +216,50 @@ impl PromptStore {
         signals: BTreeMap<String, Value>,
         note: Option<String>,
     ) -> Result<u64> {
-        let mut entry = PromptEntry::clone(&*self.get(key)?);
-        entry.apply_refinement(new_text, action, f_name, mode, step, trigger, signals, note);
+        let current = self.get(key)?;
+        let record = RefLogRecord {
+            step,
+            action,
+            f_name: f_name.to_string(),
+            mode,
+            trigger,
+            signals,
+            version: current.version + 1,
+            text_after: new_text,
+            note,
+        };
+        Ok(self.store_refined(key, Some(&current), record, None, None))
+    }
+
+    /// Store, once and complete, the version of `key` that `record` makes
+    /// of `current` (a fresh entry when there is none), with the `params`
+    /// and `origin` a refiner such as `from_view` gives it. Every refinement
+    /// reaches P through here. Returns the stored entry's version.
+    pub(crate) fn store_refined(
+        &self,
+        key: &str,
+        current: Option<&PromptEntry>,
+        record: RefLogRecord,
+        params: Option<BTreeMap<String, Value>>,
+        origin: Option<PromptOrigin>,
+    ) -> u64 {
+        let mut entry = match current {
+            Some(current) => {
+                let mut entry = current.clone();
+                entry.push_record(record);
+                entry
+            }
+            None => PromptEntry::from_record(record),
+        };
+        if let Some(params) = params {
+            entry.params = params;
+        }
+        if let Some(origin) = origin {
+            entry.origin = origin;
+        }
         let version = entry.version;
         self.insert(key, entry);
-        Ok(version)
+        version
     }
 
     /// Roll an entry back to an earlier version. The rollback is itself a
