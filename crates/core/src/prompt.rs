@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::context::Context;
 use crate::error::Result;
-use crate::history::{RefAction, RefLogRecord, RefinementMode};
+use crate::history::{RefAction, RefLogExt, RefLogRecord, RefinementMode};
 use crate::template;
 use crate::value::Value;
 
@@ -182,10 +182,7 @@ impl PromptEntry {
     /// pointer), if that version is in the ref_log.
     #[must_use]
     pub fn text_at_version(&self, version: u64) -> Option<&Arc<str>> {
-        self.ref_log
-            .iter()
-            .find(|r| r.version == version)
-            .map(|r| &r.text_after)
+        self.ref_log.at_version(version).map(|r| &r.text_after)
     }
 
     /// Whether this entry descends from the named view.
