@@ -1,7 +1,7 @@
 //! # spear-bench — the benchmark harness
 //!
 //! Regenerates every table and figure of the SPEAR paper's evaluation (§7)
-//! plus four ablations, against the simulated substrate documented in
+//! plus five ablations, against the simulated substrate documented in
 //! DESIGN.md. Binaries:
 //!
 //! | target | reproduces |
@@ -13,23 +13,19 @@
 //! | `ablation_planner` | cost-based refinement planning vs naive |
 //! | `ablation_views` | view-guided refinement vs from-scratch prompts |
 //! | `ablation_predictive` | predictive vs reactive refinement |
-//! | `bench_batch` | concurrent batch-executor throughput sweep (`BENCH_batch.json`) |
-//! | `bench_serve` | serving-layer affinity-routing sweep (`BENCH_serve.json`) |
-//! | `bench_host` | host fast-path throughput: interned vs flat prefill (`BENCH_host.json`) |
-//! | `bench_cluster` | multi-node scale-out sweep with prefix-aware routing (`BENCH_cluster.json`) |
+//! | `ablation_gen_fusion` | GEN fusion vs sequential calls |
+//! | `analyze` | static-analysis gate over the golden plan corpus |
+//! | `disasm` | bytecode listings of representative plans |
 //!
 //! All runs are deterministic (seeded corpus, seeded task model, virtual
-//! clock); re-running a binary reproduces the numbers bit-for-bit.
+//! clock); re-running a binary reproduces the numbers bit-for-bit. Host
+//! time is measured by the stand-alone `benchmark/` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod batch_bench;
-pub mod cluster_bench;
 pub mod fusion_exp;
-pub mod host_bench;
 pub mod report;
-pub mod serve_bench;
 pub mod table3;
 pub mod workload;

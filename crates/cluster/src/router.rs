@@ -44,7 +44,7 @@ pub enum RouterPolicy {
     /// (the fabric's native policy).
     PrefixAware,
     /// Hash each request id uniformly over admitting nodes, ignoring
-    /// prompt identity — the scatter baseline `bench_cluster` compares
+    /// prompt identity — the scatter baseline `tests/routing.rs` compares
     /// against.
     HashRandom,
 }

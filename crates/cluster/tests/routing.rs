@@ -17,6 +17,18 @@ fn workload(zipf: f64) -> spear_serve::GeneratedWorkload {
 }
 
 fn cluster(nodes: usize, policy: RouterPolicy) -> Cluster {
+    fleet(
+        nodes,
+        RouterConfig {
+            policy,
+            ..RouterConfig::default()
+        },
+    )
+}
+
+/// One-lane nodes with generous admission, so every fleet size serves the
+/// identical request set.
+fn fleet(nodes: usize, router: RouterConfig) -> Cluster {
     Cluster::new(ClusterConfig {
         initial_nodes: nodes,
         node: ServeConfig {
@@ -29,12 +41,39 @@ fn cluster(nodes: usize, policy: RouterPolicy) -> Cluster {
             },
             ..ServeConfig::default()
         },
-        router: RouterConfig {
-            policy,
-            ..RouterConfig::default()
-        },
+        router,
         ..ClusterConfig::default()
     })
+}
+
+#[test]
+fn eight_nodes_reach_seven_tenths_of_ideal_scaling() {
+    // Zipf(1.1) over 12 families with the head aggressive enough to
+    // replicate over several nodes; one lane per node keeps fleet size the
+    // only parallelism knob.
+    let load = LoadGenConfig {
+        seed: 140,
+        requests: 1536,
+        families: 12,
+        mean_interarrival_us: 250,
+        family_zipf: 1.1,
+        ..LoadGenConfig::default()
+    };
+    let throughput = |nodes: usize| {
+        let router = RouterConfig {
+            replicate_share: 0.08,
+            max_replicas: 6,
+            ..RouterConfig::default()
+        };
+        let report = fleet(nodes, router).run(generate(&load)).report;
+        assert_eq!(report.completed, 1536, "{nodes} nodes served every request");
+        report.throughput_rps()
+    };
+    let efficiency = throughput(8) / (8.0 * throughput(1));
+    assert!(
+        efficiency >= 0.7,
+        "8 nodes reach {efficiency:.3} of ideal linear scaling, below 0.7"
+    );
 }
 
 #[test]

@@ -10,8 +10,8 @@
 //! one place:
 //!
 //! - [`run_lowered`] steps a [`LoweredPlan`] with a program counter — the
-//!   reference IR interpreter, kept for differential testing and dispatch
-//!   microbenchmarks (the production path compiles to [`crate::vm`]).
+//!   reference IR interpreter, kept for differential testing (the
+//!   production path compiles to [`crate::vm`]).
 //! - [`run_tree`] is the reference recursive walk over the operator tree
 //!   ([`crate::runtime::Runtime::execute_tree`]).
 //!

@@ -354,7 +354,7 @@ impl Runtime {
 
     /// Execute an already-lowered plan via the reference IR interpreter
     /// (the pre-VM spine). Kept for differential testing against the
-    /// compiled path and for the dispatch microbenchmark; produces
+    /// compiled path; produces
     /// byte-identical traces and reports to [`Runtime::execute_lowered`].
     ///
     /// # Errors

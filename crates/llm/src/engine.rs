@@ -51,10 +51,6 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Run seed for the task model's correctness draws.
     pub seed: u64,
-    /// Memoize tokenization and block hashing of shared segment chains
-    /// (the host fast path, DESIGN.md §10). Pure host-side optimization:
-    /// responses are byte-identical with it on or off.
-    pub intern_enabled: bool,
     /// Capacity (completed entries) of the whole-call generation memo
     /// consulted under [`spear_core::llm::ReusePolicy::Exact`]
     /// (DESIGN.md §15). The memo is always constructed; requests only
@@ -72,7 +68,6 @@ impl Default for EngineConfig {
             capacity_blocks: 64 * 1024,
             cache_shards: DEFAULT_NUM_SHARDS,
             seed: 42,
-            intern_enabled: true,
             reuse_capacity: 8192,
         }
     }
@@ -198,7 +193,7 @@ impl SimLlm {
     /// alone, so specialization is observably invisible to traces and
     /// fingerprints.
     pub fn preresolve(&self, segments: &SegmentedText) {
-        if !self.config.intern_enabled || segments.segments().is_empty() {
+        if segments.segments().is_empty() {
             return;
         }
         SCRATCH.with(|scratch| {
@@ -240,7 +235,7 @@ impl SimLlm {
         let (prompt_tokens, cached_tokens) = SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             let counts = match &request.segments {
-                Some(segments) if self.config.intern_enabled && !segments.is_empty() => {
+                Some(segments) if !segments.is_empty() => {
                     self.segmented_prefill(segments, cacheable, scratch)
                 }
                 _ => self.whole_text_prefill(&request.text, cacheable, scratch, capture.is_some()),
@@ -989,6 +984,9 @@ mod tests {
             "Tweet: awful homework tonight",
             "Tweet: great sunshine",
             "Tweet: awful homework tonight",
+            "Tweet: a bad exam",
+            "Tweet: b",
+            "Tweet: a bad exam",
         ] {
             let seg_req = segmented_request(&instruction, item);
             let flat_req = GenRequest::structured(seg_req.text.clone(), "view:v@1#0/v1");
@@ -1009,25 +1007,6 @@ mod tests {
             0,
             "flat requests never intern"
         );
-    }
-
-    #[test]
-    fn disabling_the_interner_changes_nothing_observable() {
-        let instruction: Arc<str> = Arc::from(long_instruction());
-        let on = engine();
-        let off = SimLlm::with_config(
-            ModelProfile::qwen25_7b_instruct(),
-            EngineConfig {
-                intern_enabled: false,
-                ..EngineConfig::default()
-            },
-        );
-        for item in ["Tweet: a bad exam", "Tweet: b", "Tweet: a bad exam"] {
-            let req = segmented_request(&instruction, item);
-            assert_eq!(on.generate(&req).unwrap(), off.generate(&req).unwrap());
-        }
-        assert_eq!(off.interner_stats().insertions, 0);
-        assert!(on.interner_stats().hits >= 1);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct LoadGenConfig {
     pub gen_calls: usize,
     /// Zipf exponent for family popularity. `0.0` (the default) keeps the
     /// historical uniform draw — byte-identical workloads, so existing
-    /// BENCH fingerprints are preserved. `s > 0.0` samples family `k`
+    /// workload fingerprints are preserved. `s > 0.0` samples family `k`
     /// (0-indexed rank) with probability proportional to `1/(k+1)^s`,
     /// reproducing the skewed family popularity real prompt corpora
     /// exhibit — the regime cluster routing's hot-prefix replication is
@@ -58,7 +58,7 @@ pub struct LoadGenConfig {
     /// Probability a request is an exact duplicate of an earlier request in
     /// the stream: same family *and* same item payload, so it renders to the
     /// byte-identical prompt (the regime the generation memo serves). `0.0`
-    /// (the default) draws nothing extra from the RNG, so existing BENCH
+    /// (the default) draws nothing extra from the RNG, so existing workload
     /// fingerprints are preserved byte-for-byte. Duplicates keep their own
     /// fresh arrival time and priority draw.
     pub duplicate_share: f64,
@@ -205,7 +205,7 @@ pub fn generate(config: &LoadGenConfig) -> GeneratedWorkload {
 
         // The duplicate gate only consumes RNG when the knob is on, so
         // `duplicate_share: 0.0` keeps the historical draw sequence (and
-        // thus the existing BENCH fingerprints) byte-identical.
+        // thus the existing workload fingerprints) byte-identical.
         let duplicate_of: Option<usize> = (config.duplicate_share > 0.0)
             .then(|| {
                 let u: f64 = rng.gen_unit();
@@ -410,7 +410,7 @@ mod tests {
     fn zero_duplicate_share_is_the_historical_stream() {
         // `duplicate_share: 0.0` draws nothing extra, so the workload is
         // byte-identical to the pre-knob generator (pinning the existing
-        // BENCH fingerprints).
+        // workload fingerprints).
         let plain = generate(&LoadGenConfig::default());
         let gated = generate(&LoadGenConfig {
             duplicate_share: 0.0,

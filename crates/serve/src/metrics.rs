@@ -252,8 +252,8 @@ pub struct ReuseReport {
 /// produced it. Every post-PR-3 `ServeReport` field carries
 /// `#[serde(default)]`, so reports written by any earlier schema — and
 /// standalone reports written today — deserialize under the current one
-/// (pinned by `tests/report_compat.rs` against the checked-in BENCH
-/// artifacts).
+/// (pinned by `tests/report_compat.rs` against the checked-in reports in
+/// `tests/data/`).
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ClusterLinkage {
     /// The node's id within the cluster.

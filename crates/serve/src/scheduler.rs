@@ -47,7 +47,7 @@
 //! owner and the same lane. Same-owner jobs execute sequentially in
 //! arrival order on one thread, so each sees its predecessors' prefix
 //! insertions deterministically; the owner-aware cache in `spear-llm`
-//! turns that into real hit-rate, as `BENCH_serve.json` witnesses. With
+//! turns that into real hit-rate, as `tests/determinism.rs` pins. With
 //! affinity off, every request gets a fresh owner (full isolation, no
 //! cross-request reuse) and lanes are assigned round-robin.
 //!

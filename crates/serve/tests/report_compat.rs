@@ -8,9 +8,10 @@
 use spear_serve::prelude::*;
 
 /// Deserialize every per-row `report` object inside a checked-in
-/// `BENCH_serve*.json` artifact into the current `ServeReport` schema.
+/// `tests/data/BENCH_serve*.json` artifact into the current `ServeReport`
+/// schema.
 fn reports_from_artifact(name: &str) -> Vec<ServeReport> {
-    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+    let path = format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
     let raw = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("checked-in artifact {path} must be readable: {e}"));
     let value: serde_json::Value = serde_json::from_str(&raw).expect("artifact is valid JSON");

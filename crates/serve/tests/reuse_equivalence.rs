@@ -162,25 +162,33 @@ proptest! {
 }
 
 /// The duplicate-heavy sweep exercises both ledger classes: duplicates
-/// inside their leader's service window count as `coalesced`, later ones
-/// as `hits`, and the split is identical at every lane count.
+/// inside their leader's service window count as `coalesced` (a bursty
+/// stream), later ones as `hits` (a stretched stream), and the split is
+/// identical at every lane count.
 #[test]
 fn ledger_classifies_hits_and_coalesced_deterministically() {
-    let load = LoadGenConfig {
-        seed: 7,
-        requests: 96,
-        families: 3,
-        mean_interarrival_us: 2_000,
-        duplicate_share: 0.7,
-        ..LoadGenConfig::default()
+    let ledger = |mean_interarrival_us: u64| {
+        let load = LoadGenConfig {
+            seed: 7,
+            requests: 96,
+            families: 3,
+            mean_interarrival_us,
+            duplicate_share: 0.7,
+            ..LoadGenConfig::default()
+        };
+        let (_, baseline) = serve(&load, 1, true, None);
+        assert!(baseline.saved_calls == baseline.hits + baseline.coalesced);
+        assert!(baseline.saved_tokens > 0);
+        assert!(baseline.inserted > 0);
+        for lanes in [4usize, 8] {
+            let (_, ledger) = serve(&load, lanes, true, None);
+            assert_eq!(ledger, baseline, "ledger diverged at {lanes} lanes");
+        }
+        baseline
     };
-    let (_, baseline) = serve(&load, 1, true, None);
-    assert!(baseline.coalesced > 0, "bursty duplicates coalesce");
-    assert!(baseline.saved_calls == baseline.hits + baseline.coalesced);
-    assert!(baseline.saved_tokens > 0);
-    assert!(baseline.inserted > 0);
-    for lanes in [4usize, 8] {
-        let (_, ledger) = serve(&load, lanes, true, None);
-        assert_eq!(ledger, baseline, "ledger diverged at {lanes} lanes");
-    }
+    assert!(ledger(2_000).coalesced > 0, "bursty duplicates coalesce");
+    assert!(
+        ledger(50_000).hits > 0,
+        "duplicates of old requests hit the memo"
+    );
 }

@@ -22,13 +22,12 @@ test:
 race:
     cargo test -p spear-llm --test race_interleavings
 
-# Regenerate the paper tables/figures and the batch throughput sweep.
+# Regenerate the paper tables and figures (host time is measured by
+# `benchmark/`; see benchmark/README.md).
 bench:
     cargo run --release -p spear-bench --bin table3
     cargo run --release -p spear-bench --bin table4
     cargo run --release -p spear-bench --bin figure1
-    cargo run --release -p spear-bench --bin bench_batch
-    cargo run --release -p spear-bench --bin bench_serve
 
 # Disassemble representative plans to bytecode listings (fused
 # superinstructions + constant pool; DESIGN.md §12).
@@ -47,28 +46,3 @@ analyze:
 # translation validation), not its numbers. Part of `just check`.
 bench-smoke:
     sh scripts/bench_smoke.sh
-
-# Host fast-path throughput: interned/segmented prefill vs flat re-tokenize
-# (DESIGN.md §10). Writes BENCH_host.json and fails below 2x on the
-# warm-prefix serve workload.
-bench-host:
-    cargo run --release -p spear-bench --bin bench_host
-
-# Serving sweep on its own; pass `--pressure` for the bounded-KV
-# memory-pressure variant (BENCH_serve_pressure.json; fails unless the
-# pool visibly evicted and preempted, identically at every lane count).
-bench-serve *ARGS:
-    cargo run --release -p spear-bench --bin bench_serve -- {{ARGS}}
-
-# Generation-reuse sweep: duplicate-heavy workload served with the
-# whole-call memo on vs off (BENCH_reuse.json; fails below 1.5x host
-# throughput, on any fingerprint divergence from reuse-off, or if the
-# hit/coalesced ledger varies across lane counts).
-bench-reuse *ARGS:
-    cargo run --release -p spear-bench --bin bench_serve -- --reuse {{ARGS}}
-
-# Cluster scale-out sweep: 1→16 prefix-aware nodes vs hash-random
-# scatter under Zipf traffic (BENCH_cluster.json; fails below 0.7x ideal
-# scaling at 8 nodes or if hash-random matches the fleet hit rate).
-bench-cluster *ARGS:
-    cargo run --release -p spear-bench --bin bench_cluster -- {{ARGS}}

@@ -184,7 +184,8 @@ fn aggregate_busy_time_is_worker_count_independent_but_makespan_shrinks() {
     );
     assert_eq!(makespan_1, busy_1, "one worker: makespan == busy time");
     assert!(
-        makespan_8 < busy_8,
-        "eight workers: the busiest lane holds only a slice of the work"
+        makespan_8 * 2 <= busy_8,
+        "eight workers: the busiest lane holds at most half the work \
+         ({makespan_8:?} of {busy_8:?})"
     );
 }
