@@ -3,6 +3,7 @@
 //! a trace fingerprint that is byte-identical across host thread counts.
 
 use serde::{Deserialize, Serialize};
+use spear_kv::shard::{fnv1a_extend, FNV1A_OFFSET};
 use spear_serve::{ServeOutcome, ServeReport, ServeStatus};
 
 use crate::router::RouterReport;
@@ -95,16 +96,7 @@ impl ClusterReport {
 /// fingerprint.
 #[must_use]
 pub fn fleet_fingerprint(outcomes: &[(u64, ServeOutcome)]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for (node, o) in outcomes {
-        mix(o.id);
-        mix(*node);
+    outcomes.iter().fold(FNV1A_OFFSET, |hash, (node, o)| {
         let tag = match &o.status {
             ServeStatus::Completed => 1,
             ServeStatus::Rejected { .. } => 2,
@@ -112,8 +104,8 @@ pub fn fleet_fingerprint(outcomes: &[(u64, ServeOutcome)]) -> u64 {
             ServeStatus::Cancelled { .. } => 4,
             ServeStatus::Failed { .. } => 5,
         };
-        mix(tag);
-        mix(o.trace_digest.unwrap_or(0));
-    }
-    hash
+        [o.id, *node, tag, o.trace_digest.unwrap_or(0)]
+            .iter()
+            .fold(hash, |hash, word| fnv1a_extend(hash, &word.to_le_bytes()))
+    })
 }

@@ -68,6 +68,12 @@ impl AgentRegistry {
             .ok_or_else(|| SpearError::AgentNotFound(name.to_string()))
     }
 
+    /// Whether `name` is registered.
+    #[must_use]
+    pub fn contains(&self, name: &str) -> bool {
+        self.inner.read().contains_key(name)
+    }
+
     /// Registered agent names, sorted.
     #[must_use]
     pub fn names(&self) -> Vec<String> {

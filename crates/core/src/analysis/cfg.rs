@@ -20,11 +20,32 @@ use super::lints::{
     Diagnostic, BACKWARD_JUMP, BAD_JUMP_TARGET, CHECK_TARGET_ESCAPES, PLACEHOLDER_LEAK,
 };
 
+/// The successors of one slot. A slot has at most two (a CHECK's
+/// fall-through and else-target), so they are stored inline.
+#[derive(Debug, Clone, Copy)]
+struct Succs {
+    targets: [usize; 2],
+    len: usize,
+}
+
+impl Succs {
+    fn one(target: usize) -> Self {
+        Self {
+            targets: [target, 0],
+            len: 1,
+        }
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        &self.targets[..self.len]
+    }
+}
+
 /// The control-flow graph of a lowered plan.
 #[derive(Debug)]
 pub struct Cfg {
     /// Successors per slot (targets may equal `len`, the exit node).
-    succs: Vec<Vec<usize>>,
+    succs: Vec<Succs>,
     /// Whether each slot is reachable from slot 0.
     reachable: Vec<bool>,
     /// Edges `(from, to)` with `to <= from` — loops are impossible without
@@ -45,20 +66,23 @@ impl Cfg {
             return Err(diags);
         }
         let len = plan.ops.len();
-        let succs: Vec<Vec<usize>> = plan
+        let succs: Vec<Succs> = plan
             .ops
             .iter()
             .enumerate()
             .map(|(pc, op)| match op {
-                LoweredOp::Leaf { .. } => vec![pc + 1],
+                LoweredOp::Leaf { .. } => Succs::one(pc + 1),
                 LoweredOp::Check { on_false, .. } => {
                     if *on_false == pc + 1 {
-                        vec![pc + 1]
+                        Succs::one(pc + 1)
                     } else {
-                        vec![pc + 1, *on_false]
+                        Succs {
+                            targets: [pc + 1, *on_false],
+                            len: 2,
+                        }
                     }
                 }
-                LoweredOp::Jump { target } => vec![*target],
+                LoweredOp::Jump { target } => Succs::one(*target),
             })
             .collect();
 
@@ -69,14 +93,19 @@ impl Cfg {
                 continue;
             }
             reachable[pc] = true;
-            stack.extend(succs[pc].iter().copied());
+            stack.extend_from_slice(succs[pc].as_slice());
         }
 
         let back_edges = succs
             .iter()
             .enumerate()
             .filter(|(pc, _)| reachable[*pc])
-            .flat_map(|(pc, ss)| ss.iter().filter(move |&&t| t <= pc).map(move |&t| (pc, t)))
+            .flat_map(|(pc, ss)| {
+                ss.as_slice()
+                    .iter()
+                    .filter(move |&&t| t <= pc)
+                    .map(move |&t| (pc, t))
+            })
             .collect();
 
         Ok(Cfg {
@@ -89,7 +118,7 @@ impl Cfg {
     /// Successor slots of `slot` (targets may equal the exit index).
     #[must_use]
     pub fn succs(&self, slot: usize) -> &[usize] {
-        &self.succs[slot]
+        self.succs[slot].as_slice()
     }
 
     /// Number of slots (the exit node is `len()`).

@@ -13,8 +13,10 @@ use crate::plan::{LoweredOp, LoweredPlan};
 
 use super::cfg::Cfg;
 
-/// A forward dataflow analysis over lowered plans.
-pub trait Analysis {
+/// A forward dataflow analysis over lowered plans. Facts may borrow from
+/// the plan under analysis (`'p`), so a lattice over the plan's names
+/// need not copy them.
+pub trait Analysis<'p> {
     /// The lattice element tracked per program point.
     type Fact: Clone;
 
@@ -22,7 +24,7 @@ pub trait Analysis {
     fn entry_fact(&self) -> Self::Fact;
 
     /// The fact after executing `op`, given the fact before it.
-    fn transfer(&self, slot: usize, op: &LoweredOp, before: &Self::Fact) -> Self::Fact;
+    fn transfer(&self, slot: usize, op: &'p LoweredOp, before: &Self::Fact) -> Self::Fact;
 
     /// Merge `from` into `into` (join). Returns whether `into` changed;
     /// the fixpoint loop re-queues a slot only when its input grew.
@@ -31,7 +33,11 @@ pub trait Analysis {
 
 /// Run `analysis` to fixpoint and return the fact holding *before* each
 /// slot. Unreachable slots get `None` — no fact ever flows into them.
-pub fn fixpoint<A: Analysis>(plan: &LoweredPlan, cfg: &Cfg, analysis: &A) -> Vec<Option<A::Fact>> {
+pub fn fixpoint<'p, A: Analysis<'p>>(
+    plan: &'p LoweredPlan,
+    cfg: &Cfg,
+    analysis: &A,
+) -> Vec<Option<A::Fact>> {
     let len = plan.ops.len();
     let mut facts: Vec<Option<A::Fact>> = vec![None; len];
     if len == 0 {
@@ -40,11 +46,10 @@ pub fn fixpoint<A: Analysis>(plan: &LoweredPlan, cfg: &Cfg, analysis: &A) -> Vec
     facts[0] = Some(analysis.entry_fact());
     let mut worklist = vec![0usize];
     while let Some(slot) = worklist.pop() {
-        let before = match &facts[slot] {
-            Some(f) => f.clone(),
-            None => continue,
+        let Some(before) = &facts[slot] else {
+            continue;
         };
-        let after = analysis.transfer(slot, &plan.ops[slot], &before);
+        let after = analysis.transfer(slot, &plan.ops[slot], before);
         for &succ in cfg.succs(slot) {
             if succ >= len {
                 continue; // the exit node holds no fact
@@ -73,7 +78,7 @@ mod tests {
     /// Mirrors the shape of the real def-use pass with a trivial lattice.
     struct Defined;
 
-    impl Analysis for Defined {
+    impl Analysis<'_> for Defined {
         type Fact = BTreeSet<usize>;
 
         fn entry_fact(&self) -> Self::Fact {

@@ -98,27 +98,28 @@ impl LintPass for ReachabilityPass {
 /// The def-use lattice: the set of prompt keys defined on *some* path to
 /// a program point. Union join makes the analysis optimistic across CHECK
 /// branches — exactly [`crate::validate::Validator`]'s tree semantics —
-/// so it flags definite mistakes, not conservative may-issues.
-struct DefinedKeys {
-    assumed: BTreeSet<String>,
+/// so it flags definite mistakes, not conservative may-issues. Keys are
+/// borrowed from the plan and the assumed set, never copied.
+struct DefinedKeys<'a> {
+    assumed: &'a BTreeSet<String>,
 }
 
-impl Analysis for DefinedKeys {
-    type Fact = BTreeSet<String>;
+impl<'a> Analysis<'a> for DefinedKeys<'a> {
+    type Fact = BTreeSet<&'a str>;
 
     fn entry_fact(&self) -> Self::Fact {
-        self.assumed.clone()
+        self.assumed.iter().map(String::as_str).collect()
     }
 
-    fn transfer(&self, _slot: usize, op: &LoweredOp, before: &Self::Fact) -> Self::Fact {
+    fn transfer(&self, _slot: usize, op: &'a LoweredOp, before: &Self::Fact) -> Self::Fact {
         let mut out = before.clone();
         if let LoweredOp::Leaf { op, .. } = op {
             match op {
                 Op::Ref { target, .. } => {
-                    out.insert(target.clone());
+                    out.insert(target.as_str());
                 }
                 Op::Merge { into, .. } => {
-                    out.insert(into.clone());
+                    out.insert(into.as_str());
                 }
                 _ => {}
             }
@@ -128,7 +129,7 @@ impl Analysis for DefinedKeys {
 
     fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool {
         let before = into.len();
-        into.extend(from.iter().cloned());
+        into.extend(from.iter().copied());
         into.len() != before
     }
 }
@@ -159,7 +160,7 @@ impl LintPass for DefUsePass {
 
     fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
         let analysis = DefinedKeys {
-            assumed: cx.assumed.clone(),
+            assumed: cx.assumed,
         };
         let facts = fixpoint(cx.plan, cx.cfg, &analysis);
         let mut diags = Vec::new();
@@ -173,7 +174,7 @@ impl LintPass for DefUsePass {
             match op {
                 Op::Ret { source, prompt, .. } => {
                     if let Some(rt) = cx.runtime {
-                        if rt.retriever_sources().binary_search(source).is_err() {
+                        if !rt.has_retriever(source) {
                             diags.push(Diagnostic::at(
                                 &UNKNOWN_RETRIEVER,
                                 slot,
@@ -183,7 +184,7 @@ impl LintPass for DefUsePass {
                         }
                     }
                     if let Some(key) = prompt {
-                        if !defined.contains(key) {
+                        if !defined.contains(key.as_str()) {
                             diags.push(Diagnostic::at(
                                 &UNDEFINED_PROMPT_KEY,
                                 slot,
@@ -208,7 +209,7 @@ impl LintPass for DefUsePass {
                     }
                     match prompt {
                         PromptRef::Key(key) => {
-                            if !defined.contains(key) {
+                            if !defined.contains(key.as_str()) {
                                 diags.push(Diagnostic::at(
                                     &UNDEFINED_PROMPT_KEY,
                                     slot,
@@ -233,7 +234,7 @@ impl LintPass for DefUsePass {
                     ..
                 } => {
                     if let Some(rt) = cx.runtime {
-                        if rt.refiner_names().binary_search(refiner).is_err() {
+                        if !rt.has_refiner(refiner) {
                             diags.push(Diagnostic::at(
                                 &UNKNOWN_REFINER,
                                 slot,
@@ -252,7 +253,7 @@ impl LintPass for DefUsePass {
                         }
                     }
                     let creates = *action == crate::history::RefAction::Create;
-                    if !creates && !defined.contains(target) {
+                    if !creates && !defined.contains(target.as_str()) {
                         diags.push(Diagnostic::at(
                             &UNDEFINED_PROMPT_KEY,
                             slot,
@@ -263,7 +264,7 @@ impl LintPass for DefUsePass {
                 }
                 Op::Merge { left, right, .. } => {
                     for side in [left, right] {
-                        if !defined.contains(side) {
+                        if !defined.contains(side.as_str()) {
                             diags.push(Diagnostic::at(
                                 &UNDEFINED_PROMPT_KEY,
                                 slot,
@@ -275,7 +276,7 @@ impl LintPass for DefUsePass {
                 }
                 Op::Delegate { agent, payload, .. } => {
                     if let Some(rt) = cx.runtime {
-                        if rt.agent_names().binary_search(agent).is_err() {
+                        if !rt.has_agent(agent) {
                             diags.push(Diagnostic::at(
                                 &UNKNOWN_AGENT,
                                 slot,
@@ -285,7 +286,7 @@ impl LintPass for DefUsePass {
                         }
                     }
                     if let PayloadSpec::PromptKey(key) = payload {
-                        if !defined.contains(key) {
+                        if !defined.contains(key.as_str()) {
                             diags.push(Diagnostic::at(
                                 &UNDEFINED_PROMPT_KEY,
                                 slot,

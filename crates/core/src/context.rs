@@ -6,9 +6,7 @@
 //! it, and REF functions may write structured output back for downstream
 //! steps.
 
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 use crate::value::Value;
 
@@ -27,8 +25,61 @@ pub struct ContextWrite {
 /// The dynamic context map **C**.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Context {
-    entries: BTreeMap<String, Value>,
+    entries: Entries,
     write_log: Vec<ContextWrite>,
+}
+
+/// C's entries: a key-sorted vector searched by binary search. Contexts
+/// are small and many: the benchmark's serving workloads hold 1–5 keys
+/// (its generated `compile_cold` programs at most 22), with up to 8192
+/// contexts alive at once. A vector's first allocation, four entries, is
+/// about a third of a B-tree's first leaf, which is sized for eleven.
+///
+/// Serializes exactly as a `BTreeMap<String, Value>` does — one object in
+/// key order — and, like one, keeps the last value of a duplicated key.
+#[derive(Debug, Clone, Default)]
+struct Entries(Vec<(String, Value)>);
+
+impl Entries {
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+
+    fn get(&self, key: &str) -> Option<&Value> {
+        self.find(key).ok().map(|i| &self.0[i].1)
+    }
+
+    fn insert(&mut self, key: String, value: Value) {
+        match self.find(&key) {
+            Ok(i) => self.0[i].1 = value,
+            Err(i) => self.0.insert(i, (key, value)),
+        }
+    }
+
+    fn remove(&mut self, key: &str) -> Option<Value> {
+        self.find(key).ok().map(|i| self.0.remove(i).1)
+    }
+}
+
+impl Serialize for Entries {
+    fn serialize_content(&self) -> Content {
+        Content::Map(
+            self.0
+                .iter()
+                .map(|(k, v)| (k.clone(), v.serialize_content()))
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for Entries {
+    fn deserialize_content(content: &Content) -> Result<Self, DeError> {
+        let mut entries = Entries::default();
+        for (k, v) in content.as_map_for("map")? {
+            entries.insert(k.clone(), Value::deserialize_content(v)?);
+        }
+        Ok(entries)
+    }
 }
 
 impl Context {
@@ -54,7 +105,7 @@ impl Context {
     /// Whether `key` is present (CHECK's `"orders" in C`).
     #[must_use]
     pub fn contains(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
+        self.entries.find(key).is_ok()
     }
 
     /// Set `key` without attribution (setup code, tests).
@@ -87,19 +138,19 @@ impl Context {
     /// All keys, sorted.
     #[must_use]
     pub fn keys(&self) -> Vec<&str> {
-        self.entries.keys().map(String::as_str).collect()
+        self.entries.0.iter().map(|(k, _)| k.as_str()).collect()
     }
 
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.0.len()
     }
 
     /// Whether the context is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.0.is_empty()
     }
 
     /// The full mutation log, oldest first.
@@ -110,7 +161,7 @@ impl Context {
 
     /// Iterate over `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        self.entries.0.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Keys present in `self` but with a different (or missing) value in
@@ -118,8 +169,9 @@ impl Context {
     #[must_use]
     pub fn changed_keys_vs(&self, other: &Context) -> Vec<String> {
         self.entries
+            .0
             .iter()
-            .filter(|(k, v)| other.entries.get(*k) != Some(*v))
+            .filter(|(k, v)| other.entries.get(k) != Some(v))
             .map(|(k, _)| k.clone())
             .collect()
     }
@@ -174,6 +226,45 @@ mod tests {
         let mut changed = a.changed_keys_vs(&b);
         changed.sort();
         assert_eq!(changed, vec!["diff".to_string(), "only_a".to_string()]);
+    }
+
+    /// The shape `Context` had when its entries were a `BTreeMap`.
+    #[derive(Serialize, Deserialize)]
+    struct MapBacked {
+        entries: std::collections::BTreeMap<String, Value>,
+        write_log: Vec<ContextWrite>,
+    }
+
+    #[test]
+    fn serializes_and_parses_exactly_like_a_btree_map() {
+        let mut c = Context::new();
+        for (key, value) in [("m", 1), ("b", 2), ("z", 3), ("b", 4), ("a", 5)] {
+            c.set(key, value);
+        }
+        c.remove("z");
+        let reference = MapBacked {
+            entries: c.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
+            write_log: c.write_log().to_vec(),
+        };
+        assert_eq!(
+            serde_json::to_string(&c).unwrap(),
+            serde_json::to_string(&reference).unwrap()
+        );
+        assert_eq!(c.keys(), ["a", "b", "m"]);
+        assert_eq!(c.get("b"), Some(Value::from(4)));
+
+        // Unsorted input with a duplicated key: the last value wins.
+        let json = r#"{"entries":{"k":1,"c":"x","k":2,"a":[]},"write_log":[]}"#;
+        let parsed: Context = serde_json::from_str(json).unwrap();
+        let reference: MapBacked = serde_json::from_str(json).unwrap();
+        let pairs: Vec<(&str, &Value)> = parsed.iter().collect();
+        let expected: Vec<(&str, &Value)> = reference
+            .entries
+            .iter()
+            .map(|(k, v)| (k.as_str(), v))
+            .collect();
+        assert_eq!(pairs, expected);
+        assert_eq!(parsed.get("k"), Some(Value::from(2)));
     }
 
     #[test]

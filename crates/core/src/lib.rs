@@ -87,6 +87,7 @@ pub mod error;
 mod exec;
 pub mod features;
 pub mod history;
+pub(crate) mod identity;
 pub mod llm;
 pub mod meta;
 pub mod metadata;

@@ -186,13 +186,14 @@ impl LoweredPlan {
             .map(|key| spear_kv::shard::fnv1a(key.as_bytes()))
     }
 
-    /// Content fingerprint over the plan's canonical serialization. Two
-    /// plans fingerprint equal iff they serialize identically, so the
-    /// serving layer can use this as a compilation-cache key: equal
-    /// fingerprints compile to equal programs.
+    /// Structural fingerprint of the whole plan (DESIGN.md §17): name,
+    /// op count and every instruction, literals kept apart by type. The
+    /// serving layer keys its compilation cache on it, so structurally
+    /// different plans get different programs unless their 64-bit hashes
+    /// collide.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        spear_kv::shard::fnv1a(serde_json::to_string(self).unwrap_or_default().as_bytes())
+        crate::identity::stable_hash(self)
     }
 }
 
@@ -554,6 +555,21 @@ mod tests {
                 LoweredOp::Leaf { .. } => {}
             }
         }
+    }
+
+    #[test]
+    fn fingerprint_golden_vector() {
+        // Pinned: an edit to any `StableHash` impl a plan reaches moves this
+        // value, and with it every program-cache key.
+        let p = Pipeline::builder("golden")
+            .create_text("p", "base", RefinementMode::Manual)
+            .check_else(
+                Cond::low_confidence(0.7),
+                |b| b.expand("p", "more"),
+                |b| b.gen("a", "p"),
+            )
+            .build();
+        assert_eq!(lower(&p).unwrap().fingerprint(), 0xd16d_fdc3_e040_20e4);
     }
 
     #[test]

@@ -544,6 +544,12 @@ impl RefinerRegistry {
             .ok_or_else(|| SpearError::RefinerNotFound(name.to_string()))
     }
 
+    /// Whether `name` is registered.
+    #[must_use]
+    pub fn contains(&self, name: &str) -> bool {
+        self.inner.read().contains_key(name)
+    }
+
     /// Registered names, sorted.
     #[must_use]
     pub fn names(&self) -> Vec<String> {

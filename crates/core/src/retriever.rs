@@ -109,6 +109,12 @@ impl RetrieverRegistry {
             .ok_or_else(|| SpearError::RetrieverNotFound(source.to_string()))
     }
 
+    /// Whether `source` is registered.
+    #[must_use]
+    pub fn contains(&self, source: &str) -> bool {
+        self.inner.read().contains_key(source)
+    }
+
     /// Registered source names, sorted.
     #[must_use]
     pub fn sources(&self) -> Vec<String> {

@@ -266,22 +266,22 @@ impl Runtime {
         &self.config
     }
 
-    /// Registered retriever source names, sorted.
+    /// Whether a retriever is registered under `source`.
     #[must_use]
-    pub fn retriever_sources(&self) -> Vec<String> {
-        self.retrievers.sources()
+    pub fn has_retriever(&self, source: &str) -> bool {
+        self.retrievers.contains(source)
     }
 
-    /// Registered refiner names, sorted.
+    /// Whether a refiner is registered under `name`.
     #[must_use]
-    pub fn refiner_names(&self) -> Vec<String> {
-        self.refiners.names()
+    pub fn has_refiner(&self, name: &str) -> bool {
+        self.refiners.contains(name)
     }
 
-    /// Registered agent names, sorted.
+    /// Whether an agent is registered under `name`.
     #[must_use]
-    pub fn agent_names(&self) -> Vec<String> {
-        self.agents.names()
+    pub fn has_agent(&self, name: &str) -> bool {
+        self.agents.contains(name)
     }
 
     /// Execute `pipeline` against `state` by lowering it to the flat IR

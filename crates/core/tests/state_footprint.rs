@@ -1,14 +1,17 @@
-//! Heap footprint of a per-request [`ExecState`].
+//! Heap footprint of a per-request [`ExecState`], and the allocations
+//! admission's verifier makes per plan.
 //!
 //! The serving tiers build one state per queued request, so what an idle
-//! state holds is multiplied by the queue length. These tests pin it with a
-//! counting allocator of their own; the counters are per thread, so the
-//! harness running tests side by side cannot disturb a reading.
+//! state holds is multiplied by the queue length; and every new program is
+//! verified before it compiles. These tests pin both with a counting
+//! allocator of their own; the counters are per thread, so the harness
+//! running tests side by side cannot disturb a reading.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use spear_core::runtime::ExecState;
+use spear_core::prelude::*;
 
 thread_local! {
     // Const-initialised and without destructors: touching them never
@@ -76,15 +79,81 @@ fn an_idle_state_owns_at_most_one_small_allocation() {
 #[test]
 fn a_queued_request_costs_its_one_input() {
     // The shape the serving tiers queue: one input in C, nothing in P.
-    // What is left is C's own: a B-tree leaf, a four-slot write log and
-    // the key, writer and value strings.
+    // What is left is C's own: a four-slot entry vector, a four-slot write
+    // log and the key, writer and value strings.
     let (_state, bytes, allocs) = footprint(|| {
         let mut state = ExecState::new();
         state.context.set("q", "question");
         state
     });
     assert!(
-        bytes <= 904 && allocs <= 7,
+        bytes <= 500 && allocs <= 7,
         "ExecState::new() + one context.set holds {bytes} heap bytes in {allocs} allocations"
+    );
+}
+
+/// Allocation calls `Verifier::with_runtime(rt).verify(plan)` makes.
+fn verify_allocs(rt: &Runtime, plan: &LoweredPlan) -> u64 {
+    let (diagnostics, _, allocs) = footprint(|| Verifier::with_runtime(rt).verify(plan));
+    assert_eq!(diagnostics, vec![], "the plan verifies clean");
+    allocs
+}
+
+#[test]
+fn verifying_a_plan_resolves_names_without_copying_registries() {
+    // RET, REF and DELEGATE each resolve a name in a registry; the CHECK
+    // with an ELSE gives the CFG a two-successor slot and a join.
+    let plan = lower(
+        &Pipeline::builder("resolve")
+            .create_text("p", "base", RefinementMode::Manual)
+            .ret_with_prompt("notes", "p", "docs", 2)
+            .check_else(
+                Cond::low_confidence(0.7),
+                |b| {
+                    b.expand("p", "more").delegate(
+                        "scorer",
+                        PayloadSpec::PromptKey("p".into()),
+                        "score",
+                    )
+                },
+                |b| b.gen("a", "p"),
+            )
+            .gen("b", "p")
+            .build(),
+    )
+    .expect("lowers");
+    let runtime = || {
+        Runtime::builder()
+            .llm(Arc::new(EchoLlm::default()))
+            .retriever(
+                "notes",
+                Arc::new(InMemoryRetriever::from_texts([("d", "x")])),
+            )
+            .agent(
+                "scorer",
+                Arc::new(FnAgent(|_: &Value, _: &Context| Ok(Value::Null))),
+            )
+    };
+    // A runtime always carries the 11 built-in refiners; register 11 more.
+    let builtins = runtime().build();
+    let doubled = (0..11)
+        .fold(runtime(), |b, i| {
+            b.refiner(
+                &format!("extra_{i}"),
+                Arc::new(FnRefiner(|_: &RefineCtx<'_>| Ok(RefineOutput::default()))),
+            )
+        })
+        .build();
+
+    let allocs = verify_allocs(&builtins, &plan);
+    assert!(
+        allocs <= 60,
+        "verifying {} slots made {allocs} allocations",
+        plan.ops.len()
+    );
+    assert_eq!(
+        verify_allocs(&doubled, &plan),
+        allocs,
+        "registry size must not change what verification allocates"
     );
 }

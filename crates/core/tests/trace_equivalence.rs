@@ -12,11 +12,15 @@
 //! determinism: running the lowered plan on a [`BatchRunner`] returns the
 //! same per-job bytes at 1, 4, and 8 workers. Every compiled program in
 //! the corpus must also pass translation validation
-//! (`analysis::validate_compile`) against its source plan.
+//! (`analysis::validate_compile`) against its source plan. A third
+//! property checks the structural identity over the same corpus: plan
+//! fingerprints and trace digests partition plans and traces exactly as
+//! their serialized form does, except where JSON text conflates values.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use serde::{Content, Serialize};
 
 use spear_core::prelude::*;
 
@@ -74,6 +78,7 @@ fn cond_strategy() -> impl Strategy<Value = Cond> {
         Just(Cond::Always),
         Just(Cond::Never),
         Just(Cond::low_confidence(0.7)),
+        (0i64..2).prop_map(|n| Cond::signal_cmp("confidence", CmpOp::Ge, n)),
         (0u8..4).prop_map(|k| Cond::InContext(format!("g{k}"))),
         (0u8..4).prop_map(|k| Cond::Truthy(Operand::Ctx(format!("g{k}")))),
     ]
@@ -141,8 +146,111 @@ fn fingerprint(result: &Result<ExecReport>, state: &ExecState) -> String {
     )
 }
 
+/// `instrs` with every integer comparison literal replaced by the equal
+/// float: a different plan whose JSON text is the same.
+fn floated(instrs: &[Instr]) -> Vec<Instr> {
+    instrs
+        .iter()
+        .map(|instr| match instr {
+            Instr::Check(cond, then, els) => {
+                let cond = match cond {
+                    Cond::Cmp {
+                        lhs,
+                        op,
+                        rhs: Operand::Lit(Value::Int(n)),
+                    } => Cond::Cmp {
+                        lhs: lhs.clone(),
+                        op: *op,
+                        rhs: Operand::Lit(Value::Float(*n as f64)),
+                    },
+                    other => other.clone(),
+                };
+                Instr::Check(cond, floated(then), floated(els))
+            }
+            other => other.clone(),
+        })
+        .collect()
+}
+
+/// The one conflation of the JSON writer this corpus can reach: an
+/// integral float is written without a fraction, as the integer is.
+fn json_conflates_integral_floats(content: Content) -> Content {
+    match content {
+        Content::F64(f) if f.fract() == 0.0 && f.abs() < 9.0e15 => Content::I64(f as i64),
+        Content::Seq(items) => Content::Seq(
+            items
+                .into_iter()
+                .map(json_conflates_integral_floats)
+                .collect(),
+        ),
+        Content::Map(entries) => Content::Map(
+            entries
+                .into_iter()
+                .map(|(k, v)| (k, json_conflates_integral_floats(v)))
+                .collect(),
+        ),
+        other => other,
+    }
+}
+
+/// The structural hash separates exactly what the serialized tree
+/// separates (which keeps ints and floats apart), and the JSON text
+/// separates exactly what that tree separates once integral floats are
+/// read as integers.
+fn same_partition<T: Serialize>(
+    a: &T,
+    b: &T,
+    hash: impl Fn(&T) -> u64,
+) -> std::result::Result<(), String> {
+    let (tree_a, tree_b) = (a.serialize_content(), b.serialize_content());
+    let json_a = serde_json::to_string(a).map_err(|e| e.to_string())?;
+    let json_b = serde_json::to_string(b).map_err(|e| e.to_string())?;
+    if (hash(a) == hash(b)) != (tree_a == tree_b) {
+        return Err(format!("hash and tree disagree: {json_a} vs {json_b}"));
+    }
+    let (text_a, text_b) = (
+        json_conflates_integral_floats(tree_a),
+        json_conflates_integral_floats(tree_b),
+    );
+    if (json_a == json_b) != (text_a == text_b) {
+        return Err(format!(
+            "JSON conflates more than floats: {json_a} vs {json_b}"
+        ));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Plan fingerprints and trace digests induce the same equivalence
+    /// classes as the serialized tree, over pairs that are identical,
+    /// identical up to `Int(n)` vs `Float(n)` literals (JSON-equal, yet
+    /// different programs), or independent.
+    #[test]
+    fn structural_identity_partitions_like_the_serialized_form(
+        a in proptest::collection::vec(instr_strategy(), 0..6),
+        b in proptest::collection::vec(instr_strategy(), 0..6),
+        pairing in 0u8..3,
+        tweets in ("[ab]{0,2}", "[ab]{0,2}"),
+    ) {
+        let b = match pairing {
+            0 => a.clone(),
+            1 => floated(&a),
+            _ => b,
+        };
+        let (plan_a, plan_b) = (lower(&pipeline(&a)).unwrap(), lower(&pipeline(&b)).unwrap());
+        let fingerprints = same_partition(&plan_a, &plan_b, LoweredPlan::fingerprint);
+        prop_assert!(fingerprints.is_ok(), "plans: {:?}", fingerprints);
+
+        let rt = runtime();
+        let (mut state_a, mut state_b) = (seeded_state(&tweets.0), seeded_state(&tweets.1));
+        let _ = rt.execute_lowered(&plan_a, &mut state_a);
+        let _ = rt.execute_lowered(&plan_b, &mut state_b);
+        let digest = |t: &Trace| t.digest().unwrap_or_else(|never| match never {});
+        let digests = same_partition(&state_a.trace, &state_b.trace, digest);
+        prop_assert!(digests.is_ok(), "traces: {:?}", digests);
+    }
 
     /// Tree walk, IR interpreter, and bytecode VM agree byte-for-byte on
     /// every random pipeline — reports, traces (success and error

@@ -101,28 +101,29 @@ impl Compiled {
 ///
 /// Returns lexing/parsing errors with positions.
 pub fn compile(src: &str) -> Result<Compiled> {
-    Ok(compile_program(&parse(src)?))
+    Ok(compile_program(parse(src)?))
 }
 
-/// Compile an already-parsed program.
+/// Compile an already-parsed program. The program is consumed: its names,
+/// texts and literals move into the views and ops instead of being copied.
 #[must_use]
-pub fn compile_program(program: &Program) -> Compiled {
+pub fn compile_program(program: Program) -> Compiled {
     let views = program
         .views
-        .iter()
+        .into_iter()
         .map(|decl| {
-            let mut def = ViewDef::new(decl.name.clone(), decl.template.clone());
-            for (name, default) in &decl.params {
+            let mut def = ViewDef::new(decl.name, decl.template);
+            for (name, default) in decl.params {
                 def = def.with_param(match default {
-                    Some(d) => ParamSpec::optional(name.clone(), d.clone()),
-                    None => ParamSpec::required(name.clone()),
+                    Some(d) => ParamSpec::optional(name, d),
+                    None => ParamSpec::required(name),
                 });
             }
-            for tag in &decl.tags {
-                def = def.with_tag(tag.clone());
+            for tag in decl.tags {
+                def = def.with_tag(tag);
             }
-            if let Some(d) = &decl.description {
-                def = def.with_description(d.clone());
+            if let Some(d) = decl.description {
+                def = def.with_description(d);
             }
             def
         })
@@ -130,17 +131,17 @@ pub fn compile_program(program: &Program) -> Compiled {
 
     let pipelines = program
         .pipelines
-        .iter()
+        .into_iter()
         .map(|decl| Pipeline {
-            name: decl.name.clone(),
-            ops: compile_stmts(&decl.stmts),
+            name: decl.name,
+            ops: compile_stmts(decl.stmts),
         })
         .collect();
 
     Compiled { views, pipelines }
 }
 
-fn compile_stmts(stmts: &[Stmt]) -> Vec<Op> {
+fn compile_stmts(stmts: Vec<Stmt>) -> Vec<Op> {
     let mut ops = Vec::with_capacity(stmts.len());
     for stmt in stmts {
         compile_stmt(stmt, &mut ops);
@@ -148,7 +149,7 @@ fn compile_stmts(stmts: &[Stmt]) -> Vec<Op> {
     ops
 }
 
-fn compile_stmt(stmt: &Stmt, ops: &mut Vec<Op>) {
+fn compile_stmt(stmt: Stmt, ops: &mut Vec<Op>) {
     match stmt {
         Stmt::Ret {
             source,
@@ -157,24 +158,21 @@ fn compile_stmt(stmt: &Stmt, ops: &mut Vec<Op>) {
             into,
             limit,
         } => ops.push(Op::Ret {
-            source: source.clone(),
+            source,
             query: match filters {
-                Some(f) => RetrievalQuery::Structured(f.clone()),
+                Some(f) => RetrievalQuery::Structured(f),
                 None => RetrievalQuery::All,
             },
-            prompt: prompt.clone(),
-            into: into.clone(),
-            limit: *limit,
+            prompt,
+            into,
+            limit,
         }),
         Stmt::Gen { label, using } => ops.push(Op::Gen {
-            label: label.clone(),
+            label,
             prompt: match using {
-                UsingClause::Key(k) => PromptRef::Key(k.clone()),
-                UsingClause::View { name, args } => PromptRef::View {
-                    name: name.clone(),
-                    args: args.clone(),
-                },
-                UsingClause::Inline(text) => PromptRef::Inline(text.clone()),
+                UsingClause::Key(k) => PromptRef::Key(k),
+                UsingClause::View { name, args } => PromptRef::View { name, args },
+                UsingClause::Inline(text) => PromptRef::Inline(text),
             },
             options: GenOptions::default(),
         }),
@@ -186,33 +184,30 @@ fn compile_stmt(stmt: &Stmt, ops: &mut Vec<Op>) {
             let (refiner, args, mode) = match body {
                 RefBody::FromView { view, args } => (
                     "from_view".to_string(),
-                    map([
-                        ("view", Value::from(view.clone())),
-                        ("args", Value::Map(args.clone())),
-                    ]),
+                    map([("view", Value::from(view)), ("args", Value::Map(args))]),
                     RefinementMode::Manual,
                 ),
                 RefBody::Text(text) => (
                     "set_text".to_string(),
-                    Value::from(text.clone()),
+                    Value::from(text),
                     RefinementMode::Manual,
                 ),
                 RefBody::With {
                     refiner,
                     args,
                     mode,
-                } => (refiner.clone(), args.clone(), *mode),
+                } => (refiner, args, mode),
             };
             ops.push(Op::Ref {
-                target: target.clone(),
-                action: *action,
+                target,
+                action,
                 refiner,
                 args,
                 mode,
             });
         }
         Stmt::Check { cond, then, els } => ops.push(Op::Check {
-            cond: cond.clone(),
+            cond,
             then_ops: compile_stmts(then),
             else_ops: compile_stmts(els),
         }),
@@ -222,23 +217,25 @@ fn compile_stmt(stmt: &Stmt, ops: &mut Vec<Op>) {
             into,
             policy,
         } => ops.push(Op::Merge {
-            left: left.clone(),
-            right: right.clone(),
-            into: into.clone(),
-            policy: policy.clone(),
+            left,
+            right,
+            into,
+            policy,
         }),
         Stmt::Delegate {
             agent,
             payload,
             into,
         } => ops.push(Op::Delegate {
-            agent: agent.clone(),
-            payload: payload.clone(),
-            into: into.clone(),
+            agent,
+            payload,
+            into,
         }),
         // Derived operators lower exactly like the builder does.
         Stmt::Expand { target, addition } => {
-            let built = Pipeline::builder("expand").expand(target, addition).build();
+            let built = Pipeline::builder("expand")
+                .expand(&target, &addition)
+                .build();
             ops.extend(built.ops);
         }
         Stmt::Retry {
@@ -251,20 +248,12 @@ fn compile_stmt(stmt: &Stmt, ops: &mut Vec<Op>) {
             max,
         } => {
             let built = Pipeline::builder("retry")
-                .retry_gen(
-                    label,
-                    prompt_key,
-                    cond.clone(),
-                    refiner,
-                    args.clone(),
-                    *mode,
-                    *max,
-                )
+                .retry_gen(&label, &prompt_key, cond, &refiner, args, mode, max)
                 .build();
             ops.extend(built.ops);
         }
         Stmt::Diff { left, right, into } => {
-            let built = Pipeline::builder("diff").diff(left, right, into).build();
+            let built = Pipeline::builder("diff").diff(&left, &right, &into).build();
             ops.extend(built.ops);
         }
         Stmt::Map {
@@ -275,14 +264,14 @@ fn compile_stmt(stmt: &Stmt, ops: &mut Vec<Op>) {
         } => {
             let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
             let built = Pipeline::builder("map")
-                .map_prompts(&key_refs, refiner, args.clone(), *mode)
+                .map_prompts(&key_refs, &refiner, args, mode)
                 .build();
             ops.extend(built.ops);
         }
         Stmt::Switch { cases, default } => {
             let lowered: Vec<(spear_core::condition::Cond, Vec<Op>)> = cases
-                .iter()
-                .map(|(cond, body)| (cond.clone(), compile_stmts(body)))
+                .into_iter()
+                .map(|(cond, body)| (cond, compile_stmts(body)))
                 .collect();
             let built = Pipeline::builder("switch")
                 .switch(lowered, compile_stmts(default))

@@ -35,14 +35,24 @@ impl Parser {
         self.peek().pos
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.at.min(self.tokens.len() - 1)].clone();
+    /// The current token, mutably, so its payload can be moved out just
+    /// before [`Parser::advance`] consumes it: the parser never backtracks.
+    fn peek_mut(&mut self) -> &mut Tok {
+        let at = self.at.min(self.tokens.len() - 1);
+        &mut self.tokens[at].tok
+    }
+
+    fn advance(&mut self) {
         self.at += 1;
-        t
     }
 
     fn err(&self, message: impl Into<String>) -> DlError {
         DlError::parse(self.pos(), message)
+    }
+
+    /// "expected `what`, found '<current token>'".
+    fn expected(&self, what: &str) -> DlError {
+        self.err(format!("expected {what}, found '{}'", self.peek().tok))
     }
 
     /// Consume a specific punctuation token.
@@ -79,45 +89,40 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String> {
-        match &self.peek().tok {
+        match self.peek_mut() {
             Tok::Ident(s) => {
-                let s = s.clone();
+                let s = std::mem::take(s);
                 self.advance();
                 Ok(s)
             }
-            other => Err(self.err(format!("expected identifier, found '{other}'"))),
+            _ => Err(self.expected("identifier")),
         }
     }
 
     fn string(&mut self) -> Result<String> {
-        match &self.peek().tok {
+        match self.peek_mut() {
             Tok::Str(s) => {
-                let s = s.clone();
+                let s = std::mem::take(s);
                 self.advance();
                 Ok(s)
             }
-            other => Err(self.err(format!("expected string literal, found '{other}'"))),
+            _ => Err(self.expected("string literal")),
         }
     }
 
     fn number(&mut self) -> Result<f64> {
-        match &self.peek().tok {
+        match self.peek().tok {
             Tok::Num(n) => {
-                let n = *n;
                 self.advance();
                 Ok(n)
             }
-            other => Err(self.err(format!("expected number, found '{other}'"))),
+            _ => Err(self.expected("number")),
         }
     }
 
     fn value(&mut self) -> Result<Value> {
         match &self.peek().tok {
-            Tok::Str(s) => {
-                let v = Value::from(s.clone());
-                self.advance();
-                Ok(v)
-            }
+            Tok::Str(_) => Ok(Value::from(self.string()?)),
             Tok::Num(n) => {
                 let n = *n;
                 self.advance();
@@ -139,7 +144,7 @@ impl Parser {
                 self.advance();
                 Ok(Value::Null)
             }
-            other => Err(self.err(format!("expected a value, found '{other}'"))),
+            _ => Err(self.expected("a value")),
         }
     }
 
@@ -248,24 +253,24 @@ impl Parser {
     // -----------------------------------------------------------------
 
     fn stmt(&mut self) -> Result<Stmt> {
-        let kw = match &self.peek().tok {
-            Tok::Ident(s) => s.clone(),
-            other => return Err(self.err(format!("expected statement, found '{other}'"))),
+        let Tok::Ident(kw) = &self.peek().tok else {
+            return Err(self.expected("statement"));
         };
-        match kw.as_str() {
-            "RET" => self.stmt_ret(),
-            "GEN" => self.stmt_gen(),
-            "REF" => self.stmt_ref(),
-            "CHECK" => self.stmt_check(),
-            "MERGE" => self.stmt_merge(),
-            "DELEGATE" => self.stmt_delegate(),
-            "EXPAND" => self.stmt_expand(),
-            "RETRY" => self.stmt_retry(),
-            "DIFF" => self.stmt_diff(),
-            "MAP" => self.stmt_map(),
-            "SWITCH" => self.stmt_switch(),
-            other => Err(self.err(format!("unknown statement '{other}'"))),
-        }
+        let parse: fn(&mut Self) -> Result<Stmt> = match kw.as_str() {
+            "RET" => Self::stmt_ret,
+            "GEN" => Self::stmt_gen,
+            "REF" => Self::stmt_ref,
+            "CHECK" => Self::stmt_check,
+            "MERGE" => Self::stmt_merge,
+            "DELEGATE" => Self::stmt_delegate,
+            "EXPAND" => Self::stmt_expand,
+            "RETRY" => Self::stmt_retry,
+            "DIFF" => Self::stmt_diff,
+            "MAP" => Self::stmt_map,
+            "SWITCH" => Self::stmt_switch,
+            other => return Err(self.err(format!("unknown statement '{other}'"))),
+        };
+        parse(self)
     }
 
     fn stmt_ret(&mut self) -> Result<Stmt> {
@@ -278,21 +283,9 @@ impl Parser {
             if self.peek().tok != Tok::RBrace {
                 loop {
                     let key = match &self.peek().tok {
-                        Tok::Ident(s) => {
-                            let s = s.clone();
-                            self.advance();
-                            s
-                        }
-                        Tok::Str(s) => {
-                            let s = s.clone();
-                            self.advance();
-                            s
-                        }
-                        other => {
-                            return Err(
-                                self.err(format!("expected filter field name, found '{other}'"))
-                            )
-                        }
+                        Tok::Ident(_) => self.ident()?,
+                        Tok::Str(_) => self.string()?,
+                        _ => return Err(self.expected("filter field name")),
                     };
                     self.expect(&Tok::Colon)?;
                     map.insert(key, self.value()?);
@@ -705,12 +698,11 @@ impl Parser {
             return Ok(Cond::Never);
         }
         // Membership: "key" [NOT] IN C|M
-        if let Tok::Str(key) = &self.peek().tok {
+        if matches!(self.peek().tok, Tok::Str(_)) {
             let next = self.tokens.get(self.at + 1).map(|t| &t.tok);
             let is_membership = matches!(next, Some(Tok::Ident(s)) if s == "IN" || s == "NOT");
             if is_membership {
-                let key = key.clone();
-                self.advance();
+                let key = self.string()?;
                 let negated = self.eat_kw("NOT");
                 self.expect_kw("IN")?;
                 let target = self.ident()?;
@@ -749,12 +741,12 @@ impl Parser {
     fn operand(&mut self) -> Result<Operand> {
         match &self.peek().tok {
             Tok::Ident(s) if s == "M" || s == "C" => {
-                let which = s.clone();
+                let signal = s == "M";
                 self.advance();
                 self.expect(&Tok::LBracket)?;
                 let key = self.string()?;
                 self.expect(&Tok::RBracket)?;
-                Ok(if which == "M" {
+                Ok(if signal {
                     Operand::Signal(key)
                 } else {
                     Operand::Ctx(key)

@@ -29,6 +29,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// prefix cache hash token blocks incrementally without materializing a
 /// byte buffer.
 #[must_use]
+#[inline]
 pub fn fnv1a_extend(state: u64, bytes: &[u8]) -> u64 {
     let mut h = state;
     for &b in bytes {

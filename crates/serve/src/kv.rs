@@ -47,6 +47,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use spear_kv::shard::fnv1a_extend;
 use spear_llm::{BlockPool, PoolExhausted};
 
 use crate::metrics::KvReport;
@@ -178,14 +179,9 @@ fn preempt_rank(p: Priority) -> u8 {
 }
 
 fn mix(seed: u64, parts: &[u64]) -> u64 {
-    let mut h = seed | 1;
-    for &p in parts {
-        for b in p.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    parts
+        .iter()
+        .fold(seed | 1, |h, p| fnv1a_extend(h, &p.to_le_bytes()))
 }
 
 struct Sim<'a> {

@@ -27,13 +27,16 @@ use spear_llm::SimLlm;
 
 use crate::metrics::CompileReport;
 
-/// Cache key: content fingerprint of the plan plus its affinity key.
-/// Fingerprint-equal plans compile identically; the affinity component
-/// keeps per-family specialized programs distinct from each other (two
-/// families can share a plan shape but not a prefix).
+/// Cache key: structural fingerprint of the plan plus its affinity key.
+/// Structurally different plans get different fingerprints (barring a
+/// 64-bit hash collision), so a hit hands out the program this plan
+/// compiles to; the affinity component keeps per-family specialized
+/// programs distinct from each other (two families can share a plan shape
+/// but not a prefix).
 ///
-/// Deriving it serialises the whole plan, so callers replaying one plan
-/// many times derive it once ([`ProgramKey::of`]) and pass it to
+/// Deriving it walks the whole plan and formats the affinity key, so
+/// callers replaying one plan many times derive it once
+/// ([`ProgramKey::of`]) and pass it to
 /// [`ProgramCache::get_or_compile_keyed`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct ProgramKey {

@@ -244,10 +244,10 @@ impl ClassAccum {
     }
 }
 
-/// What the scheduler needs to know about a plan. `fingerprint()`
-/// serialises the whole plan and `affinity_key()` hashes and formats, and a
-/// run replays a handful of plans thousands of times, so both are derived
-/// once per distinct `Arc<LoweredPlan>` per run.
+/// What the scheduler needs to know about a plan. `fingerprint()` walks
+/// the whole plan and `affinity_key()` hashes and formats, and a run
+/// replays a handful of plans thousands of times, so both are derived once
+/// per distinct `Arc<LoweredPlan>` per run.
 struct PlanIdentity {
     /// Held so the address keying the table cannot be reused by another
     /// plan while the run lasts.

@@ -12,7 +12,8 @@ use proptest::prelude::*;
 use spear_core::llm::LlmClient;
 use spear_core::plan::{lower, LoweredPlan};
 use spear_core::prelude::{
-    Cond, ExecState, Pipeline, RefinementMode, Runtime, Value, ViewCatalog, ViewDef,
+    Cond, Context, ExecState, FnAgent, PayloadSpec, Pipeline, RefinementMode, Runtime, Value,
+    ViewCatalog, ViewDef,
 };
 use spear_core::view::ParamSpec;
 use spear_llm::{ModelProfile, SimLlm};
@@ -93,6 +94,44 @@ fn eviction_follows_recency() {
     let counters = cache.drain_counters();
     assert_eq!(counters.cache_hits, 1, "a should still be resident");
     assert_eq!(counters.compiled, 1, "b should have been evicted");
+}
+
+/// Two plans whose only difference is a literal's type serialize to the
+/// same JSON text; each must still get its own program, and that program
+/// must write what the uncached VM writes.
+#[test]
+fn int_and_float_literals_get_their_own_programs() {
+    let rt = Runtime::builder()
+        .llm(Arc::new(spear_core::EchoLlm::default()))
+        .agent(
+            "is_int",
+            Arc::new(FnAgent(|payload: &Value, _: &Context| {
+                Ok(Value::from(matches!(payload, Value::Int(_))))
+            })),
+        )
+        .build();
+    let delegating = |lit: Value| {
+        lower(
+            &Pipeline::builder("lit")
+                .delegate("is_int", PayloadSpec::Lit(lit), "out")
+                .build(),
+        )
+        .expect("pipeline lowers")
+    };
+    let cache = ProgramCache::new(4);
+    for (lit, expected) in [(Value::Int(1), true), (Value::Float(1.0), false)] {
+        let plan = delegating(lit);
+        let mut uncached = ExecState::new();
+        rt.execute_lowered(&plan, &mut uncached).expect("runs");
+        assert_eq!(uncached.context.get("out"), Some(Value::from(expected)));
+
+        let program = cache.get_or_compile(&plan, &rt, None).expect("compiles");
+        let mut cached = ExecState::new();
+        rt.execute_program(&program, &mut cached).expect("runs");
+        assert_eq!(cached.context.get("out"), uncached.context.get("out"));
+    }
+    let counters = cache.drain_counters();
+    assert_eq!((counters.compiled, counters.cache_hits), (2, 0));
 }
 
 #[test]

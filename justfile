@@ -46,3 +46,9 @@ analyze:
 # translation validation), not its numbers. Part of `just check`.
 bench-smoke:
     sh scripts/bench_smoke.sh
+
+# Alternating parent/change benchmark pairs at seeds 1..PAIRS, each run
+# `--seconds 10 --trace 0`, then median [Q1, Q3] and wins per metric — the
+# comparison perf PRs quote. Not part of `just check`.
+bench-pairs rev workload pairs:
+    sh scripts/bench_pairs.sh {{rev}} {{workload}} {{pairs}}
