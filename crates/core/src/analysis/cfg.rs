@@ -1,23 +1,26 @@
 //! Control-flow graph over a lowered slot program.
 //!
-//! Every slot is a node; the virtual exit node is `plan.ops.len()`.
-//! Edges follow the interpreter in [`crate::exec::run_lowered`]:
+//! Every slot is a node; the virtual exit node is `plan.ops.len()`, and a
+//! program counter that reaches it ends the run. The slot program's edge
+//! rules, which the compiled VM follows instruction for instruction:
 //!
-//! - `Leaf` falls through to `pc + 1`;
+//! - `Leaf` runs its data operator and falls through to `pc + 1`;
 //! - `Check { on_false }` has two successors, `pc + 1` (condition holds)
 //!   and `on_false`;
 //! - `Jump { target }` has the single successor `target`.
 //!
 //! Construction is fallible: targets past the exit node — including the
 //! lowering placeholder `usize::MAX`, which [`crate::plan::lower`] must
-//! never let escape — are structural errors, reported with stable lint
-//! codes instead of building a graph that would send the program counter
-//! out of bounds.
+//! never let escape — and a `Leaf` carrying a CHECK, whose branches the
+//! slot program cannot express, are structural errors, reported with
+//! stable lint codes instead of building a graph no executor can follow.
 
+use crate::ops::Op;
 use crate::plan::{LoweredOp, LoweredPlan};
 
 use super::lints::{
-    Diagnostic, BACKWARD_JUMP, BAD_JUMP_TARGET, CHECK_TARGET_ESCAPES, PLACEHOLDER_LEAK,
+    Diagnostic, BACKWARD_JUMP, BAD_JUMP_TARGET, CHECK_IN_LEAF, CHECK_TARGET_ESCAPES,
+    PLACEHOLDER_LEAK,
 };
 
 /// The successors of one slot. A slot has at most two (a CHECK's
@@ -55,7 +58,7 @@ pub struct Cfg {
 
 impl Cfg {
     /// Build the CFG, or report the structural diagnostics (bad targets)
-    /// that make the slot program un-interpretable.
+    /// that make the slot program impossible to execute.
     ///
     /// # Errors
     ///
@@ -154,9 +157,10 @@ impl Cfg {
     }
 }
 
-/// Validate every jump target of `plan` without building a graph: the
-/// checks `lower()` itself runs before releasing a plan, and the gate
-/// `Runtime::execute_lowered` applies to plans of unknown origin.
+/// Validate every slot of `plan` without building a graph — each jump
+/// target, and that no leaf carries a CHECK: the checks `lower()` itself
+/// runs before releasing a plan, and the gate `vm::compile` applies to
+/// plans of unknown origin.
 ///
 /// A target equal to `plan.ops.len()` is the ordinary exit and is valid.
 #[must_use]
@@ -165,6 +169,18 @@ pub fn structural_diagnostics(plan: &LoweredPlan) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for (pc, op) in plan.ops.iter().enumerate() {
         match op {
+            LoweredOp::Leaf {
+                op: Op::Check { .. },
+                ..
+            } => diags.push(Diagnostic::at(
+                &CHECK_IN_LEAF,
+                pc,
+                op.describe(),
+                format!(
+                    "leaf slot {pc:04} carries a CHECK; its branches must be lowered to \
+                     Check and Jump slots"
+                ),
+            )),
             LoweredOp::Leaf { .. } => {}
             LoweredOp::Check { on_false, .. } => {
                 if *on_false == usize::MAX {

@@ -116,6 +116,14 @@ pub const NO_LLM: Lint = Lint {
     summary: "GEN requires an LLM backend",
 };
 
+/// A leaf slot carries a CHECK: its branches are not in the slot program,
+/// so no executor could run them.
+pub const CHECK_IN_LEAF: Lint = Lint {
+    code: "SPEAR-E012",
+    severity: Severity::Error,
+    summary: "CHECK in a leaf slot has no branches to run",
+};
+
 /// A slot no execution can ever reach.
 pub const UNREACHABLE_SLOT: Lint = Lint {
     code: "SPEAR-W001",
@@ -171,6 +179,7 @@ pub const REGISTRY: &[Lint] = &[
     UNKNOWN_RETRIEVER,
     UNKNOWN_AGENT,
     NO_LLM,
+    CHECK_IN_LEAF,
     UNREACHABLE_SLOT,
     AFFINITY_MISMATCH,
     BUDGET_AT_RISK,

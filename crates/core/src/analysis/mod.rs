@@ -9,9 +9,10 @@
 //!
 //! The pieces:
 //!
-//! - [`cfg`] builds an explicit control-flow graph from the slot program,
-//!   rejecting malformed targets (out-of-bounds, the `usize::MAX`
-//!   lowering placeholder) before anything else runs;
+//! - [`cfg`](mod@cfg) builds an explicit control-flow graph from the slot
+//!   program, rejecting malformed slots (out-of-bounds targets, the
+//!   `usize::MAX` lowering placeholder, a CHECK in a leaf slot) before
+//!   anything else runs;
 //! - [`dataflow`] is a small worklist fixpoint engine over that CFG;
 //! - [`passes`] holds the built-in analyses — reachability/termination,
 //!   prompt-key def-use (the [`crate::validate::Validator`] semantics,
@@ -30,9 +31,10 @@
 //!   bytecode against the original — the proof obligation gating
 //!   [`crate::vm::optimize`].
 //!
-//! [`Verifier`] ties them together; [`crate::runtime::Runtime::execute`]
-//! and spear-serve admission run it as a default-on gate that rejects
-//! with [`crate::error::SpearError::InvalidPlan`].
+//! [`Verifier`] ties them together; spear-serve admission runs it as a
+//! gate that rejects with [`crate::error::SpearError::InvalidPlan`], and
+//! [`crate::vm::compile`] runs its structural subset
+//! ([`verify_structural`]) on every plan before emitting code.
 
 pub mod absint;
 pub mod cfg;
@@ -55,12 +57,12 @@ pub use passes::{
 };
 pub use tv::{validate_compile, validate_optimized, TvFailure};
 
-/// The structural checks that make a slot program safe to hand to the
-/// interpreter at all: every target in bounds, no lowering placeholders,
-/// no backward jumps (the termination argument). This is the subset
-/// [`crate::runtime::Runtime::execute_lowered`]'s default-on gate
-/// enforces — cheap, runtime-independent, and never triggered by plans
-/// produced by [`crate::plan::lower`].
+/// The structural checks that make a slot program safe to execute at
+/// all: every target in bounds, no lowering placeholders, no CHECK in a
+/// leaf slot, no backward jumps (the termination argument). This is the
+/// subset [`crate::vm::compile`] enforces before emitting code — cheap,
+/// runtime-independent, and never triggered by plans produced by
+/// [`crate::plan::lower`].
 #[must_use]
 pub fn verify_structural(plan: &LoweredPlan) -> Vec<Diagnostic> {
     match Cfg::build(plan) {

@@ -296,9 +296,9 @@ impl LintPass for DefUsePass {
                         }
                     }
                 }
-                Op::Check { .. } => {
-                    // lowering never wraps CHECK in a Leaf; tolerate it.
-                }
+                // Unreachable: a CHECK in a leaf slot fails `Cfg::build`
+                // (SPEAR-E012) before any pass runs.
+                Op::Check { .. } => {}
             }
         }
         diags

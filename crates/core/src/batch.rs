@@ -3,9 +3,10 @@
 //! The paper's runtime (§6) executes one pipeline at a time; a
 //! production-scale deployment runs *many* instances concurrently against
 //! shared backends. [`BatchRunner`] is that executor: it fans N jobs — each
-//! a pipeline plus its own [`ExecState`] — across a fixed number of worker
-//! lanes, every lane sharing the same [`Runtime`], and collects the per-job
-//! outcomes in submission order.
+//! a lowered plan plus its own [`ExecState`] — across a fixed number of
+//! worker lanes, every lane sharing the same [`Runtime`], and collects the
+//! per-job outcomes in submission order. A batch of one plan compiles it
+//! once and runs the shared program in every job.
 //!
 //! ## Determinism under any thread count
 //!
@@ -18,10 +19,10 @@
 //!   unique owner id, which owner-aware backends (e.g. the spear-llm
 //!   prefix cache) use to keep per-pipeline visible state independent of
 //!   cross-pipeline interleaving;
-//! - jobs are assigned to workers by **static round-robin striping**
-//!   (worker `w` of `W` runs jobs `w, w+W, w+2W, …`), not by a racy work
-//!   queue, so the lane a job charges virtual time to is a pure function
-//!   of `(job index, worker count)`.
+//! - jobs are assigned to workers by **static placement** — round-robin
+//!   striping (worker `w` of `W` runs jobs `w, w+W, w+2W, …`) or the
+//!   caller's explicit lanes — not by a racy work queue, so the lane a job
+//!   charges virtual time to is a pure function of the submission.
 //!
 //! A lane is a sequence of jobs, not a thread: the calling thread runs the
 //! first lane that has work and every other such lane gets a scoped thread
@@ -48,27 +49,9 @@ use std::sync::Arc;
 
 use crate::error::{Result, SpearError};
 use crate::pipeline::Pipeline;
-use crate::plan::LoweredPlan;
+use crate::plan::{self, LoweredPlan};
 use crate::runtime::{ExecReport, ExecState, Runtime};
 use crate::scope;
-
-/// One unit of batch work: a pipeline and the state it executes against.
-#[derive(Debug)]
-pub struct BatchJob {
-    /// The pipeline to execute (shared across jobs via `Arc`).
-    pub pipeline: Arc<Pipeline>,
-    /// The job's private execution state (consumed, returned in the
-    /// outcome).
-    pub state: ExecState,
-}
-
-impl BatchJob {
-    /// Convenience constructor.
-    #[must_use]
-    pub fn new(pipeline: Arc<Pipeline>, state: ExecState) -> Self {
-        Self { pipeline, state }
-    }
-}
 
 /// What one job produced: the report and the (mutated) state, including
 /// its trace.
@@ -82,8 +65,8 @@ pub struct BatchOutcome {
 
 /// A batch job with explicit placement: which worker lane runs it and
 /// which cache-owner group it charges its prefix-cache state to. Built by
-/// schedulers (e.g. `spear-serve`) that route jobs for cache affinity
-/// instead of round-robin striping.
+/// schedulers (e.g. `spear-serve`) that route jobs for cache affinity, and
+/// by [`BatchRunner::run_lowered`] for round-robin striping.
 #[derive(Debug)]
 pub struct AssignedJob {
     /// Worker lane (wraps modulo the runner's worker count). All jobs of
@@ -125,88 +108,58 @@ impl BatchRunner {
         self.workers
     }
 
-    /// Execute `jobs` against `runtime`; outcomes come back in submission
-    /// order, each `Err` slot holding the corresponding job's failure.
-    ///
-    /// Owner ids are allocated per job and are unique across successive
-    /// `run` calls on the same runner, so two batches never alias each
-    /// other's owner-private backend state.
-    pub fn run(&self, runtime: &Runtime, jobs: Vec<BatchJob>) -> Vec<Result<BatchOutcome>> {
-        self.run_jobs(
-            jobs.into_iter().map(|job| (job.pipeline, job.state)),
-            |pipeline, state| runtime.execute(pipeline, state),
-        )
+    /// Reserve `n` fresh owner ids and return the first of them.
+    fn reserve_owners(&self, n: usize) -> u64 {
+        self.next_owner.fetch_add(n as u64, Ordering::Relaxed)
     }
 
-    /// Execute one lowered plan over many per-job states — the single-spine
-    /// analogue of [`BatchRunner::run_states`], used by the optimizer's
-    /// plan executor. Owner/lane assignment and outcome ordering are
-    /// identical to [`BatchRunner::run`].
+    /// Execute one lowered plan over many per-job states, compiling it once
+    /// for the whole batch. Jobs are striped round-robin (job `i` runs on
+    /// lane `i % workers`), each under a fresh owner id; owner ids are
+    /// unique across successive calls on the same runner, so two batches
+    /// never alias each other's owner-private backend state. Outcomes come
+    /// back in submission order, each `Err` slot holding its job's failure.
     pub fn run_lowered(
         &self,
         runtime: &Runtime,
         plan: &Arc<LoweredPlan>,
         states: Vec<ExecState>,
     ) -> Vec<Result<BatchOutcome>> {
-        // Compile once for the whole batch instead of once per job. A plan
-        // that fails to compile (i.e. fails verification) falls back to
-        // per-job `execute_lowered`, which reproduces the same
-        // `InvalidPlan` error in every slot.
-        let program = if runtime.config().verify {
-            crate::vm::compile(plan).ok()
-        } else {
-            crate::vm::compile_assuming_verified(plan).ok()
-        };
-        self.run_jobs(
-            states.into_iter().map(|state| ((), state)),
-            |(), state| match &program {
-                Some(p) => runtime.execute_program(p, state),
-                None => runtime.execute_lowered(plan, state),
-            },
-        )
-    }
-
-    /// Round-robin entry to the lane executor: statically stripe `jobs`
-    /// across the worker pool, each under a fresh owner id.
-    fn run_jobs<T, F>(
-        &self,
-        jobs: impl ExactSizeIterator<Item = (T, ExecState)>,
-        exec: F,
-    ) -> Vec<Result<BatchOutcome>>
-    where
-        T: Send,
-        F: Fn(&T, &mut ExecState) -> Result<ExecReport> + Sync,
-    {
-        let n = jobs.len();
-        if n == 0 {
+        if states.is_empty() {
             return Vec::new();
         }
-        let owner_base = self.next_owner.fetch_add(n as u64, Ordering::Relaxed);
-        let workers = self.workers.min(n);
-        let mut lanes: Vec<Vec<LaneJob<(T, ExecState)>>> = (0..workers)
-            .map(|_| Vec::with_capacity(n.div_ceil(workers)))
+        // A plan that fails to compile (i.e. fails verification) runs every
+        // job without a program, so each slot gets the `InvalidPlan` error
+        // `Runtime::execute_lowered` returns for it.
+        let program = crate::vm::compile(plan).ok().map(Arc::new);
+        let owner_base = self.reserve_owners(states.len());
+        let jobs = states
+            .into_iter()
+            .enumerate()
+            .map(|(i, state)| AssignedJob {
+                lane: i % self.workers,
+                owner: owner_base + i as u64,
+                plan: Arc::clone(plan),
+                program: program.clone(),
+                state,
+            })
             .collect();
-        for (index, job) in jobs.enumerate() {
-            let owner = owner_base + index as u64;
-            lanes[index % workers].push(LaneJob { index, owner, job });
-        }
-        run_lanes(n, lanes, |(job, mut state)| {
-            exec(&job, &mut state).map(|report| BatchOutcome { report, state })
-        })
+        self.run_assigned(runtime, jobs)
     }
 
     /// Execute lowered-plan jobs with **caller-chosen lane and owner
     /// placement** — the serving layer's entry point for cache-affinity
     /// routing.
     ///
-    /// Where [`BatchRunner::run`] stripes jobs round-robin and allocates a
-    /// fresh owner per job (full isolation), `run_assigned` lets the caller
-    /// pin each job to a worker lane and cache-owner group: jobs that share
-    /// an owner *and* a lane execute sequentially in submission order on
-    /// one thread, so they observe each other's prefix-cache insertions
-    /// deterministically — the mechanism behind affinity routing
-    /// (`spear-serve`). The caller owns the invariant that same-owner jobs
-    /// share a lane; violating it forfeits determinism, not safety.
+    /// Where [`BatchRunner::run_lowered`] stripes jobs round-robin and
+    /// allocates a fresh owner per job (full isolation), `run_assigned`
+    /// lets the caller pin each job to a worker lane and cache-owner group:
+    /// jobs that share an owner *and* a lane execute sequentially in
+    /// submission order on one thread, so they observe each other's
+    /// prefix-cache insertions deterministically — the mechanism behind
+    /// affinity routing (`spear-serve`). The caller owns the invariant that
+    /// same-owner jobs share a lane; violating it forfeits determinism, not
+    /// safety.
     ///
     /// Lanes wrap modulo the runner's worker count. The calling thread runs
     /// the first lane in use and each further lane in use gets one scoped
@@ -218,68 +171,75 @@ impl BatchRunner {
         jobs: Vec<AssignedJob>,
     ) -> Vec<Result<BatchOutcome>> {
         let n = jobs.len();
-        let mut lanes: Vec<Vec<LaneJob<AssignedJob>>> =
+        let mut lanes: Vec<Vec<(usize, AssignedJob)>> =
             (0..self.workers).map(|_| Vec::new()).collect();
         for (index, job) in jobs.into_iter().enumerate() {
-            let owner = job.owner;
-            lanes[job.lane % self.workers].push(LaneJob { index, owner, job });
+            lanes[job.lane % self.workers].push((index, job));
         }
-        run_lanes(n, lanes, |job| {
-            let mut state = job.state;
-            match job.program.as_deref() {
-                Some(program) => runtime.execute_program(program, &mut state),
-                None => runtime.execute_lowered(&job.plan, &mut state),
-            }
-            .map(|report| BatchOutcome { report, state })
-        })
+        run_lanes(runtime, n, lanes)
     }
 
-    /// Common case: run the *same* pipeline over many per-job states.
+    /// Common case: run the *same* pipeline over many per-job states —
+    /// lowered once, then [`BatchRunner::run_lowered`].
     pub fn run_states(
         &self,
         runtime: &Runtime,
         pipeline: &Arc<Pipeline>,
         states: Vec<ExecState>,
     ) -> Vec<Result<BatchOutcome>> {
-        self.run(
-            runtime,
-            states
-                .into_iter()
-                .map(|state| BatchJob::new(Arc::clone(pipeline), state))
-                .collect(),
-        )
+        match plan::lower(pipeline) {
+            Ok(plan) => self.run_lowered(runtime, &Arc::new(plan), states),
+            // Lowering is deterministic, so every slot gets the error
+            // `Runtime::execute` returns for this pipeline; the batch still
+            // reserves the owner ids it would have run under.
+            Err(_) => {
+                self.reserve_owners(states.len());
+                states
+                    .into_iter()
+                    .map(|mut state| {
+                        runtime
+                            .execute(pipeline, &mut state)
+                            .map(|report| BatchOutcome { report, state })
+                    })
+                    .collect()
+            }
+        }
     }
 }
 
-/// One job placed on a lane: its submission index (the outcome slot it
-/// fills) and the cache owner it executes as.
-struct LaneJob<J> {
-    index: usize,
-    owner: u64,
-    job: J,
+/// Run one placed job: its pre-compiled program when the caller supplied
+/// one, otherwise its plan through [`Runtime::execute_lowered`].
+fn execute(runtime: &Runtime, job: AssignedJob) -> Result<BatchOutcome> {
+    let mut state = job.state;
+    match job.program.as_deref() {
+        Some(program) => runtime.execute_program(program, &mut state),
+        None => runtime.execute_lowered(&job.plan, &mut state),
+    }
+    .map(|report| BatchOutcome { report, state })
 }
 
-/// The lane executor behind every entry point. Each non-empty lane runs
-/// its jobs in order, every job inside its own execution scope and under
-/// `catch_unwind`; the calling thread takes the first such lane itself
-/// and each of the others gets a scoped thread, so `k` lanes in use cost
-/// `k - 1` spawns. Which thread runs a lane is unobservable: owner and
-/// lane travel in the scope, never in the thread's identity, and the
-/// caller's own scope is restored as each job's guard drops.
-fn run_lanes<J, F>(n: usize, lanes: Vec<Vec<LaneJob<J>>>, exec: F) -> Vec<Result<BatchOutcome>>
-where
-    J: Send,
-    F: Fn(J) -> Result<BatchOutcome> + Sync,
-{
-    let run_lane = |lane: usize, jobs: Vec<LaneJob<J>>| -> Vec<(usize, Result<BatchOutcome>)> {
+/// The lane executor. Each non-empty lane runs its jobs — each tagged with
+/// its submission index, the outcome slot it fills — in order, every job
+/// inside its own execution scope and under `catch_unwind`; the calling
+/// thread takes the first such lane itself and each of the others gets a
+/// scoped thread, so `k` lanes in use cost `k - 1` spawns. Which thread
+/// runs a lane is unobservable: owner and lane travel in the scope, never
+/// in the thread's identity, and the caller's own scope is restored as
+/// each job's guard drops.
+fn run_lanes(
+    runtime: &Runtime,
+    n: usize,
+    lanes: Vec<Vec<(usize, AssignedJob)>>,
+) -> Vec<Result<BatchOutcome>> {
+    let run_lane = |lane: usize, jobs: Vec<(usize, AssignedJob)>| {
         jobs.into_iter()
-            .map(|LaneJob { index, owner, job }| {
-                let _scope = scope::enter(owner, lane);
-                let result = catch_unwind(AssertUnwindSafe(|| exec(job)))
+            .map(|(index, job)| {
+                let _scope = scope::enter(job.owner, lane);
+                let result = catch_unwind(AssertUnwindSafe(|| execute(runtime, job)))
                     .unwrap_or(Err(SpearError::WorkerPanicked { lane }));
                 (index, result)
             })
-            .collect()
+            .collect::<Vec<(usize, Result<BatchOutcome>)>>()
     };
     let mut slots: Vec<Option<Result<BatchOutcome>>> = (0..n).map(|_| None).collect();
     let mut in_use = lanes
@@ -293,7 +253,7 @@ where
         let run_lane = &run_lane;
         let handles: Vec<WorkerHandle<'_>> = in_use
             .map(|(lane, jobs)| {
-                let indices = jobs.iter().map(|job| job.index).collect();
+                let indices = jobs.iter().map(|(index, _)| *index).collect();
                 (lane, indices, s.spawn(move || run_lane(lane, jobs)))
             })
             .collect();
@@ -464,15 +424,10 @@ mod tests {
     #[test]
     fn failures_stay_in_their_slot() {
         let rt = runtime();
-        let good = pipeline();
-        let bad = Arc::new(Pipeline::builder("bad").gen("a", "missing_prompt").build());
-        let runner = BatchRunner::new(3);
-        let jobs = vec![
-            BatchJob::new(Arc::clone(&good), state(0)),
-            BatchJob::new(bad, state(1)),
-            BatchJob::new(good, state(2)),
-        ];
-        let outcomes = runner.run(&rt, jobs);
+        let bad = Pipeline::builder("bad").gen("a", "missing_prompt").build();
+        let mut jobs: Vec<AssignedJob> = (0..3).map(|i| assigned(i, i)).collect();
+        jobs[1].plan = Arc::new(crate::plan::lower(&bad).expect("lowers"));
+        let outcomes = BatchRunner::new(3).run_assigned(&rt, jobs);
         assert!(outcomes[0].is_ok());
         assert!(outcomes[1].is_err());
         assert!(outcomes[2].is_ok());
@@ -592,13 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_is_empty() {
-        let rt = runtime();
-        let runner = BatchRunner::new(8);
-        assert!(runner.run(&rt, Vec::new()).is_empty());
-    }
-
-    #[test]
     fn empty_input_does_no_work_on_any_entry_point() {
         // Regression: an empty submission must return an empty result
         // before any owner allocation or thread spawn. The owner counter
@@ -607,7 +555,6 @@ mod tests {
         let rt = runtime();
         let runner = BatchRunner::new(8);
         let before = runner.next_owner.load(Ordering::Relaxed);
-        assert!(runner.run(&rt, Vec::new()).is_empty());
         assert!(runner.run_states(&rt, &pipeline(), Vec::new()).is_empty());
         let plan = Arc::new(crate::plan::lower(&pipeline()).expect("lowers"));
         assert!(runner.run_lowered(&rt, &plan, Vec::new()).is_empty());

@@ -1,10 +1,10 @@
 //! Cooperative cancellation for in-flight pipeline executions.
 //!
 //! A serving layer that enforces per-request deadlines needs a way to stop
-//! a pipeline *between* operators without poisoning shared state. The
-//! execution spine ([`crate::exec`]) checks two signals in its pre-operator
-//! gate, so a cancelled execution unwinds through exactly the same trace
-//! machinery as a budget violation:
+//! a pipeline *between* operators without poisoning shared state. Both
+//! execution spines (the compiled VM and the reference tree walk) check
+//! two signals in their shared pre-operator gate, so a cancelled execution
+//! unwinds through exactly the same trace machinery as a budget violation:
 //!
 //! - a [`CancelToken`] attached to the job's
 //!   [`crate::runtime::ExecState`], which any holder of a clone can trip

@@ -6,28 +6,11 @@ use crate::runtime::ExecState;
 use crate::trace::TraceKind;
 use crate::value::Value;
 
-/// Evaluate a condition and record the `CheckTaken`/`CheckSkipped` event.
-/// Evaluation errors record nothing here — the spine logs them.
-pub(crate) fn eval_and_trace(cond: &Cond, state: &mut ExecState) -> Result<bool> {
-    let holds = cond.eval(&state.context, &state.metadata)?;
-    let cond_text = cond.to_string();
-    state.trace.record(
-        state.step,
-        if holds {
-            TraceKind::CheckTaken
-        } else {
-            TraceKind::CheckSkipped
-        },
-        format!("CHECK[{cond_text}]"),
-        Value::Bool(holds),
-    );
-    Ok(holds)
-}
-
-/// [`eval_and_trace`] with a pre-rendered `CHECK[{cond}]` label — the
-/// compiled VM interns the label once per plan instead of Display-rendering
-/// the condition on every evaluation. `label` must be exactly what
-/// `format!("CHECK[{cond}]")` would produce, so traces stay byte-identical.
+/// Evaluate a condition and record the `CheckTaken`/`CheckSkipped` event
+/// under `label`, which must be exactly `format!("CHECK[{cond}]")` (the
+/// tree walk passes `Op::describe()`, the compiled VM its pooled copy) so
+/// traces stay byte-identical. Evaluation errors record nothing here — the
+/// spine logs them.
 pub(crate) fn eval_labeled(cond: &Cond, label: &str, state: &mut ExecState) -> Result<bool> {
     let holds = cond.eval(&state.context, &state.metadata)?;
     state.trace.record(

@@ -27,7 +27,7 @@ pub(crate) struct ResolvedPrompt {
 /// Resolve a prompt reference to rendered text + segments + identity,
 /// with an optional pre-parsed template for the inline/lowered forms —
 /// the compiled VM pins the parse in its constant pool, so warm plans
-/// skip the parse-cache lookup per render (interpreter paths pass `None`).
+/// skip the parse-cache lookup per render (the tree walk passes `None`).
 pub(crate) fn resolve_prompt_with(
     rt: &Runtime,
     prompt: &PromptRef,
@@ -82,7 +82,7 @@ pub(crate) fn resolve_prompt_with(
 /// Handler for [`crate::ops::Op::Gen`]: renders the prompt, calls the
 /// backend, and records the generation in C, M, and the trace. `parsed` is
 /// the compiled VM's pooled pre-parse of an inline/lowered template
-/// (`None` on the interpreter paths).
+/// (`None` in the tree walk).
 pub(crate) fn run(
     rt: &Runtime,
     label: &str,

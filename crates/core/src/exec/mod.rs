@@ -1,23 +1,19 @@
-//! Per-operator handlers and the execution spine.
+//! Per-operator handlers and the reference tree walk.
 //!
 //! Every operator of the algebra has its own handler module — the
 //! obligation to consume and produce the full `(P, C, M)` triple is
 //! per-operator, so the code is organized the same way. Handlers are plain
 //! free functions over destructured operator fields (no trait objects):
-//! [`exec_op`] is the static dispatch point, and [`crate::vm`] inlines the
-//! same handlers into its compiled match-loop. The spine — budget gating,
-//! step counting, tracing, and error unwinding — lives here, in exactly
-//! one place:
+//! [`exec_leaf`] is the static dispatch point and [`gate`] the
+//! pre-operator check, both shared by the two execution spines:
 //!
-//! - [`run_lowered`] steps a [`LoweredPlan`] with a program counter — the
-//!   reference IR interpreter, kept for differential testing (the
-//!   production path compiles to [`crate::vm`]).
 //! - [`run_tree`] is the reference recursive walk over the operator tree
-//!   ([`crate::runtime::Runtime::execute_tree`]).
+//!   ([`crate::runtime::Runtime::execute_tree`]) — the specification;
+//! - `vm::run_program` steps a compiled [`crate::vm::Program`], the
+//!   production path every lowered plan takes.
 //!
-//! All three spines — tree walk, IR interpreter, compiled VM — produce
-//! byte-identical traces for any pipeline, including error paths (see
-//! `tests/trace_equivalence.rs`).
+//! Both spines produce byte-identical traces for any pipeline, including
+//! error paths (see `tests/trace_equivalence.rs`).
 //!
 //! The spine must never panic on user input — failures are typed
 //! [`SpearError`]s — so `unwrap()`/`expect()` are denied throughout the
@@ -32,32 +28,30 @@ pub(crate) mod merge;
 pub(crate) mod refine;
 pub(crate) mod ret;
 
+use std::sync::Arc;
+
 use crate::error::{Result, SpearError};
 use crate::ops::Op;
-use crate::plan::{LoweredOp, LoweredPlan};
 use crate::runtime::{ExecState, Runtime};
+use crate::template::ParsedTemplate;
 use crate::trace::TraceKind;
 use crate::value::Value;
 
-/// Control-flow outcome of one operator.
-pub(crate) enum Flow {
-    /// Proceed to the next operator.
-    Next,
-    /// A CHECK evaluated; `true` enters the then-branch.
-    Cond(bool),
-}
-
-/// Execute one operator against `state`: the static dispatch table from
-/// operator to its inlined handler. Handlers never gate budgets or record
-/// `Error` events — the spine owns both — but do record their own success
-/// trace event, because its payload comes from the operator's internals
-/// (token usage, condition outcome, merge choice, …).
-pub(crate) fn exec_op(
+/// Execute one data operator against `state`: the static dispatch table
+/// from operator to its inlined handler. `trigger` is the condition text of
+/// the innermost enclosing CHECK branch (REF records it); `parsed` is the
+/// VM's pooled pre-parse of an inline/lowered GEN template (`None` in the
+/// tree walk). Handlers never gate budgets or record `Error` events — the
+/// spine owns both — but do record their own success trace event, because
+/// its payload comes from the operator's internals (token usage, merge
+/// choice, …).
+pub(crate) fn exec_leaf(
     rt: &Runtime,
     op: &Op,
     trigger: Option<&str>,
+    parsed: Option<&Arc<ParsedTemplate>>,
     state: &mut ExecState,
-) -> Result<Flow> {
+) -> Result<()> {
     match op {
         Op::Ret {
             source,
@@ -65,46 +59,37 @@ pub(crate) fn exec_op(
             prompt,
             into,
             limit,
-        } => {
-            ret::run(rt, source, query, prompt.as_deref(), into, *limit, state)?;
-            Ok(Flow::Next)
-        }
+        } => ret::run(rt, source, query, prompt.as_deref(), into, *limit, state),
         Op::Gen {
             label,
             prompt,
             options,
-        } => {
-            gen::run(rt, label, prompt, options, None, state)?;
-            Ok(Flow::Next)
-        }
+        } => gen::run(rt, label, prompt, options, parsed, state),
         Op::Ref {
             target,
             action,
             refiner,
             args,
             mode,
-        } => {
-            refine::run(rt, target, *action, refiner, args, *mode, trigger, state)?;
-            Ok(Flow::Next)
-        }
-        Op::Check { cond, .. } => Ok(Flow::Cond(check::eval_and_trace(cond, state)?)),
+        } => refine::run(rt, target, *action, refiner, args, *mode, trigger, state),
         Op::Merge {
             left,
             right,
             into,
             policy,
-        } => {
-            merge::run(left, right, into, policy, state)?;
-            Ok(Flow::Next)
-        }
+        } => merge::run(left, right, into, policy, state),
         Op::Delegate {
             agent,
             payload,
             into,
-        } => {
-            delegate::run(rt, agent, payload, into, state)?;
-            Ok(Flow::Next)
-        }
+        } => delegate::run(rt, agent, payload, into, state),
+        // CHECK is control flow, which each spine steps itself. Lowering
+        // never puts one in a leaf slot and the structural verifier rejects
+        // a plan that does (SPEAR-E012), so reaching this arm is a bug.
+        Op::Check { .. } => Err(SpearError::Internal(format!(
+            "{} reached the executor as a data operator",
+            op.describe()
+        ))),
     }
 }
 
@@ -164,8 +149,8 @@ fn check_cancelled(state: &ExecState) -> Result<()> {
 
 /// The pre-operator gate: op budget, call limits, step advance. Gate
 /// failures are *not* recorded against the operator (it never ran) — only
-/// enclosing CHECK frames log them during unwind. Shared by all three
-/// spines (tree walk, IR interpreter, compiled VM).
+/// enclosing CHECK frames log them during unwind. Shared by both spines
+/// (tree walk and compiled VM).
 pub(crate) fn gate(
     rt: &Runtime,
     state: &mut ExecState,
@@ -184,80 +169,6 @@ pub(crate) fn gate(
     Ok(())
 }
 
-/// Replay the tree walk's error unwind: the failing operator's own trace
-/// event (when it ran), then one event per enclosing CHECK, innermost
-/// first — all at the current step, matching the recursive walk.
-fn unwind(state: &mut ExecState, own: Option<String>, frames: &[String], e: &SpearError) {
-    if let Some(describe) = own {
-        state.trace.record(
-            state.step,
-            TraceKind::Error,
-            describe,
-            Value::from(e.to_string()),
-        );
-    }
-    for frame in frames.iter().rev() {
-        state.trace.record(
-            state.step,
-            TraceKind::Error,
-            frame.clone(),
-            Value::from(e.to_string()),
-        );
-    }
-}
-
-/// The IR interpreter spine: step `plan` with a program counter.
-pub(crate) fn run_lowered(
-    rt: &Runtime,
-    plan: &LoweredPlan,
-    state: &mut ExecState,
-    budget: &mut u64,
-    limits: &CallLimits,
-) -> Result<()> {
-    let mut pc = 0usize;
-    while let Some(instr) = plan.ops.get(pc) {
-        match instr {
-            LoweredOp::Jump { target } => pc = *target,
-            LoweredOp::Check {
-                cond,
-                on_false,
-                frames,
-            } => {
-                if let Err(e) = gate(rt, state, budget, limits) {
-                    unwind(state, None, frames, &e);
-                    return Err(e);
-                }
-                match check::eval_and_trace(cond, state) {
-                    Ok(true) => pc += 1,
-                    Ok(false) => pc = *on_false,
-                    Err(e) => {
-                        unwind(state, Some(format!("CHECK[{cond}]")), frames, &e);
-                        return Err(e);
-                    }
-                }
-            }
-            LoweredOp::Leaf {
-                op,
-                trigger,
-                frames,
-            } => {
-                if let Err(e) = gate(rt, state, budget, limits) {
-                    unwind(state, None, frames, &e);
-                    return Err(e);
-                }
-                match exec_op(rt, op, trigger.as_deref(), state) {
-                    Ok(_) => pc += 1,
-                    Err(e) => {
-                        unwind(state, Some(op.describe()), frames, &e);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The reference spine: recursive walk over the operator tree. Gate
 /// failures propagate unrecorded (the enclosing recursion level logs them
 /// against its CHECK), execution failures are logged against the operator.
@@ -271,17 +182,12 @@ pub(crate) fn run_tree(
 ) -> Result<()> {
     for op in ops {
         gate(rt, state, budget, limits)?;
-        let outcome = exec_op(rt, op, trigger, state).and_then(|flow| match flow {
-            Flow::Next => Ok(()),
-            Flow::Cond(holds) => {
-                let Op::Check {
-                    cond,
-                    then_ops,
-                    else_ops,
-                } = op
-                else {
-                    unreachable!("only CHECK returns Flow::Cond")
-                };
+        let outcome = match op {
+            Op::Check {
+                cond,
+                then_ops,
+                else_ops,
+            } => check::eval_labeled(cond, &op.describe(), state).and_then(|holds| {
                 if holds {
                     run_tree(rt, then_ops, state, budget, Some(&cond.to_string()), limits)
                 } else if else_ops.is_empty() {
@@ -290,8 +196,9 @@ pub(crate) fn run_tree(
                     let negated = format!("!({cond})");
                     run_tree(rt, else_ops, state, budget, Some(&negated), limits)
                 }
-            }
-        });
+            }),
+            leaf => exec_leaf(rt, leaf, trigger, None, state),
+        };
         if let Err(e) = outcome {
             state.trace.record(
                 state.step,

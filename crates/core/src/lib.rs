@@ -111,7 +111,7 @@ pub mod view;
 pub mod vm;
 
 pub use analysis::{Diagnostic, Lint, LintPass, Severity, Verifier};
-pub use batch::{AssignedJob, BatchJob, BatchOutcome, BatchRunner};
+pub use batch::{AssignedJob, BatchOutcome, BatchRunner};
 pub use cancel::CancelToken;
 pub use condition::{CmpOp, Cond, Operand};
 pub use context::Context;
@@ -138,7 +138,7 @@ pub use vm::{compile, optimize, CheckSpec, ConstPool, LeafSpec, Program, VmOp};
 pub mod prelude {
     pub use crate::agent::{Agent, AgentRegistry, FnAgent};
     pub use crate::analysis::{Diagnostic, Lint, LintPass, Severity, Verifier};
-    pub use crate::batch::{AssignedJob, BatchJob, BatchOutcome, BatchRunner};
+    pub use crate::batch::{AssignedJob, BatchOutcome, BatchRunner};
     pub use crate::cancel::CancelToken;
     pub use crate::condition::{CmpOp, Cond, Operand};
     pub use crate::context::Context;

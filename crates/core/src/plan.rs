@@ -10,7 +10,8 @@
 //! over the else block.
 //!
 //! Two pieces of tree-shaped bookkeeping are baked into the instructions so
-//! the flat interpreter reproduces the tree walk byte-for-byte:
+//! the flat program, once compiled ([`crate::vm::compile`]), reproduces the
+//! tree walk byte-for-byte:
 //!
 //! - **triggers** — a REF inside a CHECK branch records the branch's
 //!   condition text in its ref_log; each leaf carries the trigger of its
@@ -20,8 +21,8 @@
 //!   instruction carries the `describe()` strings of its enclosing CHECKs
 //!   (outermost first) so the spine can replay that unwind.
 //!
-//! Both executors — [`crate::runtime::Runtime::execute`] over this IR and
-//! the reference tree walk kept as
+//! Both executors — [`crate::runtime::Runtime::execute`], which compiles
+//! this IR to bytecode, and the reference tree walk kept as
 //! [`crate::runtime::Runtime::execute_tree`] — are differentially tested
 //! for byte-identical traces (`tests/trace_equivalence.rs`).
 
@@ -36,8 +37,9 @@ use crate::value::Value;
 /// One instruction of the lowered IR.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LoweredOp {
-    /// A data operator (never [`Op::Check`]) executed by its per-operator
-    /// executor; falls through to the next instruction.
+    /// A data operator executed by its per-operator handler; falls through
+    /// to the next instruction. Never an [`Op::Check`]: the structural
+    /// verifier rejects a plan that carries one here (SPEAR-E012).
     Leaf {
         /// The operator.
         op: Op,

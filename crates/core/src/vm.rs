@@ -1,10 +1,11 @@
-//! The bytecode VM: compiled execution of lowered plans.
+//! The bytecode VM: compiled execution of lowered plans, the one
+//! production spine.
 //!
-//! The slot-program interpreter in [`crate::exec`] re-derives everything it
-//! needs per step: `Display`-formatting condition labels for every trace
-//! event, carrying heap-allocated frame vectors on every instruction, and
-//! dispatching through a match on the full [`LoweredOp`] representation.
-//! [`compile`] pays those costs **once per plan** instead of once per step:
+//! A [`LoweredPlan`] carries what a step needs in its most general form:
+//! conditions that would be `Display`-formatted into a label on every
+//! trace event, heap-allocated frame vectors on every instruction, and the
+//! full [`LoweredOp`] representation to match on. [`compile`] pays those
+//! costs **once per plan** instead of once per step:
 //!
 //! - every instruction becomes a compact, `Copy` [`VmOp`] of `u32` indices
 //!   into a [`ConstPool`];
@@ -16,28 +17,26 @@
 //!   confidence-retry idiom, DELEGATE+Jump — agent calls closing a branch,
 //!   RET+MERGE — retrieval feeding reconciliation), eliminating one fetch
 //!   per pair without changing gating, budgets, or trace order;
-//! - [`run_program`] is a tight match-loop over `&[VmOp]`: no trait
-//!   objects, no per-step allocation beyond the trace events themselves.
+//! - the run loop is a tight match over `&[VmOp]`: no trait objects, no
+//!   per-step allocation beyond the trace events themselves.
 //!
 //! ## Verification before compilation
 //!
-//! [`compile`] is fail-closed: it runs
+//! [`compile`] is fail-closed and the only way into the VM: it runs
 //! [`crate::analysis::verify_structural`] and refuses to emit code for a
-//! malformed plan. The VM therefore *assumes* verified invariants — targets
-//! in range, no leaked lowering placeholders — and skips per-step
-//! validation. The `compile_assuming_verified` entry point
-//! (used by [`crate::runtime::Runtime::execute_lowered`], whose own
-//! `verify` gate has already run) additionally clamps any out-of-range
-//! target to "halt", which reproduces the interpreter's `ops.get(pc) ==
-//! None` exit semantics for unverified plans byte-for-byte.
+//! malformed plan — a target out of range, a leaked lowering placeholder,
+//! a backward jump, or a CHECK in a leaf slot. The VM therefore *assumes*
+//! those invariants and skips per-step validation.
 //!
 //! ## Equivalence
 //!
 //! For every plan, the VM's statuses, traces, digests, and usage are
-//! byte-identical to both the IR interpreter and the reference tree walk —
-//! fused pairs still gate, count budget, and trace as two steps — proven by
+//! byte-identical to the reference tree walk
+//! ([`crate::runtime::Runtime::execute_tree`]) — fused pairs still gate,
+//! count budget, and trace as two steps — proven by
 //! `tests/trace_equivalence.rs` at 1/4/8 workers including error unwinds
-//! and cancellation.
+//! and cancellation, and per compilation by translation validation
+//! ([`crate::analysis::validate_compile`]).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -307,15 +306,16 @@ pub fn compile(plan: &LoweredPlan) -> Result<Program> {
     compile_assuming_verified(plan)
 }
 
-/// Compile without re-verifying — for callers whose own verify gate
-/// already ran (or is deliberately off). Out-of-range targets are clamped
-/// to "halt", reproducing the interpreter's `ops.get(pc) == None` exit.
+/// Compile without re-verifying, for the verifier's own bytecode pass,
+/// which runs on plans whose structure it has already checked.
+/// Out-of-range targets are clamped to "halt", so even an unverified plan
+/// compiles to code that cannot index past its end.
 ///
 /// # Errors
 ///
 /// Returns [`SpearError::Internal`] only for plans too large to index with
 /// `u32` (over four billion instructions).
-pub fn compile_assuming_verified(plan: &LoweredPlan) -> Result<Program> {
+pub(crate) fn compile_assuming_verified(plan: &LoweredPlan) -> Result<Program> {
     let n = plan.ops.len();
     if u32::try_from(n).is_err() {
         return Err(SpearError::Internal(format!(
@@ -522,7 +522,7 @@ fn single(op: &LoweredOp, n: usize, pool: &mut PoolBuilder) -> VmOp {
     }
 }
 
-/// Replay the interpreter's error unwind from pooled strings: the failing
+/// Replay the tree walk's error unwind from pooled strings: the failing
 /// operator's own describe (when it ran), then one event per enclosing
 /// CHECK, innermost first — all at the current step.
 fn unwind(
@@ -565,7 +565,8 @@ fn step_leaf(
         unwind(state, None, &spec.frames, pool, &e);
         return Err(e);
     }
-    match exec_leaf_op(rt, spec, pool, state) {
+    let trigger = spec.trigger.map(|id| pool.str(id));
+    match exec::exec_leaf(rt, &spec.op, trigger, spec.template.as_ref(), state) {
         Ok(()) => Ok(()),
         Err(e) => {
             unwind(state, Some(pool.str(spec.describe)), &spec.frames, pool, &e);
@@ -597,67 +598,10 @@ fn step_check(
     }
 }
 
-/// Dispatch a leaf operator to its inlined handler, threading the pooled
-/// trigger and pre-parsed template through.
-fn exec_leaf_op(
-    rt: &Runtime,
-    spec: &LeafSpec,
-    pool: &ConstPool,
-    state: &mut ExecState,
-) -> Result<()> {
-    match &spec.op {
-        Op::Gen {
-            label,
-            prompt,
-            options,
-        } => exec::gen::run(rt, label, prompt, options, spec.template.as_ref(), state),
-        Op::Ret {
-            source,
-            query,
-            prompt,
-            into,
-            limit,
-        } => exec::ret::run(rt, source, query, prompt.as_deref(), into, *limit, state),
-        Op::Ref {
-            target,
-            action,
-            refiner,
-            args,
-            mode,
-        } => exec::refine::run(
-            rt,
-            target,
-            *action,
-            refiner,
-            args,
-            *mode,
-            spec.trigger.map(|id| pool.str(id)),
-            state,
-        ),
-        Op::Merge {
-            left,
-            right,
-            into,
-            policy,
-        } => exec::merge::run(left, right, into, policy, state),
-        Op::Delegate {
-            agent,
-            payload,
-            into,
-        } => exec::delegate::run(rt, agent, payload, into, state),
-        // A Check embedded in a Leaf slot never comes out of `lower()`, but
-        // a hand-built plan can carry one; the interpreter evaluates it and
-        // falls through, so the VM does the same.
-        Op::Check { cond, .. } => {
-            exec::check::eval_labeled(cond, pool.str(spec.describe), state).map(|_| ())
-        }
-    }
-}
-
 /// The compiled spine: step `program` with a program counter. Fused
 /// superinstructions execute their halves in source order — two gates, two
 /// budget units, two trace events — so the trace is byte-identical to the
-/// interpreter's.
+/// tree walk's.
 pub(crate) fn run_program(
     rt: &Runtime,
     program: &Program,
@@ -734,7 +678,7 @@ fn resolve_jumps(code: &[VmOp], mut pc: usize) -> Option<usize> {
 /// ([`crate::analysis::tv::validate_optimized`]).
 ///
 /// Reachable CHECKs are always kept: they gate, consume budget, and emit
-/// trace events exactly like the interpreter, so optimization never
+/// trace events exactly as in the original program, so optimization never
 /// changes statuses, traces, digests, or usage. It only shortens jump
 /// chains and drops code no execution can reach (fused refusal shadows,
 /// branches dead under a statically-decided condition). Returns `None`
@@ -1016,7 +960,8 @@ mod tests {
         };
         let err = compile(&bad).unwrap_err();
         assert!(matches!(err, SpearError::InvalidPlan { .. }));
-        // The unverified entry point clamps instead: the program halts.
+        // The verifier-internal entry point clamps instead: the program
+        // halts.
         let prog = compile_assuming_verified(&bad).unwrap();
         assert_eq!(prog.code(), &[VmOp::Jump { target: 1 }]);
     }

@@ -4,13 +4,19 @@
 //! on them — so any drift in code, severity, anchoring, or message shows
 //! up here as a readable diff.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use spear_core::analysis::{render_diagnostics, Verifier};
+use spear_core::batch::{AssignedJob, BatchOutcome, BatchRunner};
 use spear_core::condition::Cond;
 use spear_core::history::RefinementMode;
-use spear_core::llm::GenOptions;
+use spear_core::llm::{EchoLlm, GenOptions, GenRequest, GenResponse, LlmClient};
 use spear_core::ops::{Op, PromptRef};
 use spear_core::pipeline::Pipeline;
 use spear_core::plan::{lower, LoweredOp, LoweredPlan};
+use spear_core::runtime::{ExecState, Runtime};
+use spear_core::SpearError;
 
 fn leaf(op: Op) -> LoweredOp {
     LoweredOp::Leaf {
@@ -282,12 +288,113 @@ fn bytecode_pass_is_quiet_on_dynamic_plans() {
 }
 
 #[test]
+fn golden_e012_check_in_leaf_slot() {
+    // A deserialized or hand-built plan can put a CHECK where only data
+    // operators belong; its then-branch has no slots, so executing it
+    // would silently skip the CREATE. Compilation fails closed instead.
+    let p = plan(
+        "leaf_check",
+        vec![leaf(Op::Check {
+            cond: Cond::Always,
+            then_ops: vec![create("p")],
+            else_ops: Vec::new(),
+        })],
+    );
+    assert_eq!(
+        rendered(&Verifier::new(), &p),
+        "error[SPEAR-E012] in plan \"leaf_check\": leaf slot 0000 carries a CHECK; its branches \
+         must be lowered to Check and Jump slots\n\
+         \x20 0000  CHECK[true]\n"
+    );
+    assert!(matches!(
+        spear_core::compile(&p),
+        Err(SpearError::InvalidPlan { .. })
+    ));
+}
+
+/// An echo backend that counts the generations it is asked for.
+#[derive(Default)]
+struct CountingLlm {
+    calls: AtomicUsize,
+    echo: EchoLlm,
+}
+
+impl LlmClient for CountingLlm {
+    fn generate(&self, request: &GenRequest) -> spear_core::Result<GenResponse> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.echo.generate(request)
+    }
+
+    fn model_name(&self) -> &str {
+        "counting"
+    }
+}
+
+#[test]
 fn lowering_rejects_placeholder_leaks_end_to_end() {
-    // `lower()` fails closed: a leaked placeholder comes back as
-    // InvalidPlan carrying the E003 diagnostic, never as a plan.
-    let p = plan("leaked", vec![LoweredOp::Jump { target: usize::MAX }]);
-    let diags = spear_core::analysis::verify_structural(&p);
-    assert!(diags.iter().any(|d| d.code == "SPEAR-E003"));
+    // The compiler's structural check is the one gate in front of the VM:
+    // a leaked placeholder or an escaping CHECK target comes back as
+    // InvalidPlan from every entry point, before any operator runs.
+    let malformed = [
+        plan(
+            "leaked",
+            vec![
+                leaf(create("p")),
+                leaf(gen("a", PromptRef::key("p"))),
+                LoweredOp::Jump { target: usize::MAX },
+            ],
+        ),
+        plan(
+            "bad_else",
+            vec![
+                leaf(create("p")),
+                LoweredOp::Check {
+                    cond: Cond::Always,
+                    on_false: 7,
+                    frames: Vec::new(),
+                },
+                leaf(gen("a", PromptRef::key("p"))),
+            ],
+        ),
+    ];
+    let llm = Arc::new(CountingLlm::default());
+    let rt = Runtime::builder()
+        .llm(Arc::clone(&llm) as Arc<dyn LlmClient>)
+        .build();
+    let invalid = |slot: &spear_core::Result<BatchOutcome>| {
+        matches!(slot, Err(SpearError::InvalidPlan { .. }))
+    };
+    for p in malformed {
+        let mut state = ExecState::new();
+        let result = rt.execute_lowered(&p, &mut state);
+        assert!(
+            matches!(result, Err(SpearError::InvalidPlan { .. })),
+            "{}: {result:?}",
+            p.name
+        );
+        assert!(state.trace.events().is_empty(), "{}", p.name);
+
+        let p = Arc::new(p);
+        let states = || (0..4).map(|_| ExecState::new()).collect();
+        for workers in [1, 4] {
+            let slots = BatchRunner::new(workers).run_lowered(&rt, &p, states());
+            assert_eq!(slots.len(), 4);
+            assert!(slots.iter().all(invalid), "{} at {workers} workers", p.name);
+        }
+        let jobs = (0..4)
+            .map(|i| AssignedJob {
+                lane: i,
+                owner: 1 + i as u64,
+                plan: Arc::clone(&p),
+                program: None,
+                state: ExecState::new(),
+            })
+            .collect();
+        let slots = BatchRunner::new(4).run_assigned(&rt, jobs);
+        assert_eq!(slots.len(), 4);
+        assert!(slots.iter().all(invalid), "{} via run_assigned", p.name);
+    }
+    assert_eq!(llm.calls.load(Ordering::SeqCst), 0, "no GEN ever ran");
 }
 
 mod soundness {

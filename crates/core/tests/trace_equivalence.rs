@@ -1,15 +1,14 @@
 //! Differential testing of the executors: random small pipelines must
 //! produce **byte-identical** traces and reports whether they run
-//! through the reference tree walk (`Runtime::execute_tree`), the lowered
-//! IR interpreter (`Runtime::execute_lowered_interpreted`), the
-//! compiled bytecode VM (`Runtime::execute_lowered`), or the *optimized*
-//! bytecode VM (`vm::optimize` + `Runtime::execute_program`) — including
-//! pipelines
-//! that fail mid-run, whose error unwind (one `Error` trace event per
-//! enclosing CHECK) both lowered spines replay from their baked-in frames;
-//! pipelines aborted mid-run by an operator budget; and pipelines entered
-//! with an already-cancelled token. A second property pins batch
-//! determinism: running the lowered plan on a [`BatchRunner`] returns the
+//! through the reference tree walk (`Runtime::execute_tree`, the
+//! specification), the compiled bytecode VM (`Runtime::execute_lowered`),
+//! or the *optimized* bytecode VM (`vm::optimize` +
+//! `Runtime::execute_program`) — including pipelines that fail mid-run,
+//! whose error unwind (one `Error` trace event per enclosing CHECK) the VM
+//! replays from its pooled frames; pipelines aborted mid-run by an
+//! operator budget; and pipelines entered with an already-cancelled token.
+//! A second property pins batch determinism: running the pipeline on a
+//! [`BatchRunner`], from its tree form or its lowered plan, returns the
 //! same per-job bytes at 1, 4, and 8 workers. Every compiled program in
 //! the corpus must also pass translation validation
 //! (`analysis::validate_compile`) against its source plan. A third
@@ -252,11 +251,11 @@ proptest! {
         prop_assert!(digests.is_ok(), "traces: {:?}", digests);
     }
 
-    /// Tree walk, IR interpreter, and bytecode VM agree byte-for-byte on
+    /// Tree walk, bytecode VM, and optimized VM agree byte-for-byte on
     /// every random pipeline — reports, traces (success and error
     /// unwinds), and state.
     #[test]
-    fn tree_interpreter_and_vm_traces_are_byte_identical(
+    fn tree_vm_and_optimized_vm_traces_are_byte_identical(
         instrs in proptest::collection::vec(instr_strategy(), 0..6),
         tweet in "[a-z ]{0,16}",
     ) {
@@ -265,11 +264,9 @@ proptest! {
         let rt = runtime();
 
         let mut tree_state = seeded_state(&tweet);
-        let mut int_state = tree_state.deep_clone();
         let mut vm_state = tree_state.deep_clone();
         let mut opt_state = tree_state.deep_clone();
         let tree_result = rt.execute_tree(&p, &mut tree_state);
-        let int_result = rt.execute_lowered_interpreted(&lowered, &mut int_state);
         let vm_result = rt.execute_lowered(&lowered, &mut vm_state);
 
         // Translation validation holds over the whole random corpus, and
@@ -284,11 +281,6 @@ proptest! {
         let tree = fingerprint(&tree_result, &tree_state);
         prop_assert_eq!(
             &tree,
-            &fingerprint(&int_result, &int_state),
-            "tree vs interpreter, pipeline: {:?}", p
-        );
-        prop_assert_eq!(
-            &tree,
             &fingerprint(&vm_result, &vm_state),
             "tree vs VM, pipeline: {:?}", p
         );
@@ -299,9 +291,10 @@ proptest! {
         );
     }
 
-    /// The three spines also agree when the run is cut short from outside:
-    /// a tight operator budget aborts mid-run (same slot, same unwind
-    /// frames), and an already-cancelled token aborts at the first gate.
+    /// Tree walk, VM, and optimized VM also agree when the run is cut
+    /// short from outside: a tight operator budget aborts mid-run (same
+    /// slot, same unwind frames), and an already-cancelled token aborts at
+    /// the first gate.
     #[test]
     fn budget_aborts_and_cancellation_unwind_identically(
         instrs in proptest::collection::vec(instr_strategy(), 1..6),
@@ -319,23 +312,18 @@ proptest! {
             token.cancel();
             tree_state.cancel = Some(token);
         }
-        let mut int_state = tree_state.deep_clone();
         let mut vm_state = tree_state.deep_clone();
         let mut opt_state = tree_state.deep_clone();
         let tree_result = rt.execute_tree(&p, &mut tree_state);
-        let int_result = rt.execute_lowered_interpreted(&lowered, &mut int_state);
         let vm_result = rt.execute_lowered(&lowered, &mut vm_state);
         let program = spear_core::compile(&lowered).expect("builder plans compile");
+        if let Err(failures) = spear_core::analysis::validate_compile(&lowered, &program) {
+            prop_assert!(false, "TV failed: {:?}, pipeline: {:?}", failures, p);
+        }
         let optimized = spear_core::optimize(&program).unwrap_or(program);
         let opt_result = rt.execute_program(&optimized, &mut opt_state);
 
         let tree = fingerprint(&tree_result, &tree_state);
-        prop_assert_eq!(
-            &tree,
-            &fingerprint(&int_result, &int_state),
-            "tree vs interpreter, max_ops={}, cancelled={}, pipeline: {:?}",
-            max_ops, cancelled, p
-        );
         prop_assert_eq!(
             &tree,
             &fingerprint(&vm_result, &vm_state),
@@ -350,21 +338,28 @@ proptest! {
         );
     }
 
-    /// A batch of lowered-plan jobs returns identical per-job bytes under
-    /// 1, 4, and 8 workers, and each job matches a solo tree walk.
+    /// A batch of jobs returns identical per-job bytes under 1, 4, and 8
+    /// workers whether it is submitted as the pipeline (`run_states`) or
+    /// its lowered plan (`run_lowered`), and each job matches a solo tree
+    /// walk.
     #[test]
     fn batch_execution_is_worker_count_invariant(
         instrs in proptest::collection::vec(instr_strategy(), 0..5),
     ) {
-        let p = pipeline(&instrs);
+        let p = Arc::new(pipeline(&instrs));
         let lowered = Arc::new(lower(&p).unwrap());
         let tweets: Vec<String> = (0..6).map(|i| format!("tweet number {i}")).collect();
 
-        let run = |workers: usize| -> Vec<String> {
+        let run = |workers: usize, from_tree: bool| -> Vec<String> {
             let rt = runtime();
             let states = tweets.iter().map(|t| seeded_state(t)).collect();
-            BatchRunner::new(workers)
-                .run_lowered(&rt, &lowered, states)
+            let runner = BatchRunner::new(workers);
+            let outcomes = if from_tree {
+                runner.run_states(&rt, &p, states)
+            } else {
+                runner.run_lowered(&rt, &lowered, states)
+            };
+            outcomes
                 .into_iter()
                 .map(|slot| match slot {
                     Ok(outcome) => fingerprint(&Ok(outcome.report), &outcome.state),
@@ -384,7 +379,7 @@ proptest! {
                 }
             })
             .collect();
-        // The verified-optimized program is a fourth independent spine:
+        // The verified-optimized program runs other code than the batch:
         // its solo runs must match the batch bytes at every worker count.
         let program = spear_core::compile(&lowered).expect("builder plans compile");
         let optimized = spear_core::optimize(&program).unwrap_or(program);
@@ -401,9 +396,12 @@ proptest! {
             })
             .collect();
 
-        let one = run(1);
-        prop_assert_eq!(&one, &run(4), "worker count 4 changed results");
-        prop_assert_eq!(&one, &run(8), "worker count 8 changed results");
+        let one = run(1, false);
+        prop_assert_eq!(&one, &run(4, false), "worker count 4 changed results");
+        prop_assert_eq!(&one, &run(8, false), "worker count 8 changed results");
+        for workers in [1, 4, 8] {
+            prop_assert_eq!(&one, &run(workers, true), "run_states at {} workers", workers);
+        }
         prop_assert_eq!(&one, &solo, "batch diverges from solo tree walk");
         prop_assert_eq!(&one, &solo_opt, "batch diverges from optimized VM");
     }

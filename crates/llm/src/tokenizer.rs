@@ -12,7 +12,7 @@
 //!
 //! ## Zero-allocation hot path
 //!
-//! [`Tokenizer::pieces`] yields borrowed `&str` sub-slices of the input —
+//! `Tokenizer::pieces` yields borrowed `&str` sub-slices of the input —
 //! no per-piece `String`, no buffer `Vec` — so [`Tokenizer::count`] touches
 //! the heap not at all and [`Tokenizer::encode_into`] only grows the
 //! caller's reusable token buffer. [`StreamingEncoder`] extends the same

@@ -10,9 +10,9 @@
 //! encoding: any change to opcode layout, fusion rules, or pool interning
 //! shows up as a golden-test diff.
 //!
-//! The listing shares [`PlanWriter`](crate::explain) with the EXPLAIN
-//! renderers, so slot lines and indentation match `explain_lowered`'s
-//! view of the same plan.
+//! The listing shares `PlanWriter` with the EXPLAIN renderers in
+//! [`crate::explain`](mod@crate::explain), so slot lines and indentation
+//! match `explain_lowered`'s view of the same plan.
 
 use spear_core::analysis::{analyze, Interval, ResourceModel};
 use spear_core::vm::{Program, VmOp};

@@ -11,11 +11,11 @@
 //!   into one sectioned call, with output redistribution,
 //! - [`meta_opt`] — §4.4 meta-optimization: replacing underperforming
 //!   refiners in pipelines based on mined ref_log evidence,
-//! - [`explain`] — EXPLAIN-style plan rendering with cost estimates and
-//!   optimization hints ("instrumented like query plans"),
-//! - [`disasm`] — a byte-stable disassembler for compiled bytecode
-//!   programs (instruction stream with fused superinstructions, plus the
-//!   constant pool),
+//! - [`explain`](mod@explain) — EXPLAIN-style plan rendering with cost
+//!   estimates and optimization hints ("instrumented like query plans"),
+//! - [`disasm`](mod@disasm) — a byte-stable disassembler for compiled
+//!   bytecode programs (instruction stream with fused superinstructions,
+//!   plus the constant pool),
 //! - [`cost`] — a linear latency [`cost::CostModel`] calibrated online by
 //!   least squares from observed `(tokens, latency)` pairs,
 //! - [`prompt_cache`] — the **structured prompt cache** indexed by view

@@ -4,7 +4,7 @@
 //! ## The lifecycle
 //!
 //! Under either clock a request takes the same five steps, written once on
-//! the private per-run [`Lifecycle`]: **admit** (verify the plan, then the
+//! the private per-run `Lifecycle`: **admit** (verify the plan, then the
 //! token-bucket and depth gate; a refusal is a typed `Rejected` outcome),
 //! **job** (place it on a lane under a cache owner, stamp deadline, cancel
 //! token and reuse policy on its state, fetch its compiled program),

@@ -1,6 +1,7 @@
 # SPEAR task runner. `just check` is the tier-1 gate (see README).
 
-# Run everything CI gates on: release build, tests, strict clippy, fmt.
+# Run everything CI gates on: release build, tests, strict clippy, fmt,
+# and rustdoc with warnings denied.
 check:
     sh scripts/check.sh
 

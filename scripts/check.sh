@@ -24,5 +24,7 @@ for bin in ablation_planner ablation_gen_fusion; do
 done
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
+# Doc gate: a renamed or deleted item must not leave a dangling doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Information, not a gate: the non-test line count simplicity PRs quote.
 sh scripts/loc.sh
