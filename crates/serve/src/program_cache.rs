@@ -13,10 +13,23 @@
 //! cache and all response-visible numbers are untouched, so specialized
 //! and generic programs produce byte-identical traces (pinned by the
 //! `program_cache` integration tests).
+//!
+//! Threads that share one cache (the benchmark's `compile_cold` lanes; a
+//! `ServeNode` or `Cluster` node calls it from its one scheduler thread)
+//! must not serialize on it, hence the lock discipline on
+//! [`ProgramCache`]. Of its two halves, freeing each victim on its
+//! compiling thread is the one that mattered: a `Program` is about 120
+//! allocations, and dropping one took 7–8 µs when one lane ran but 13–16
+//! µs when the other lane had compiled it, with every later allocation of
+//! both lanes slowed by the shared allocator arenas. Measured with
+//! `compile_cold` on a 2-core host: with each victim freed by whichever
+//! lane evicted it, two lanes ran no faster than one; freed by the lane
+//! that compiled it, about 1.5× faster. Moving only the compile out of the
+//! lock changed nothing measurable.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, ThreadId};
 
 use spear_core::analysis::{analyze, ProgramBounds, ResourceModel};
 use spear_core::plan::LoweredPlan;
@@ -59,16 +72,92 @@ struct Slot {
     program: Arc<Program>,
     bounds: Arc<ProgramBounds>,
     last_used: u64,
+    /// The thread that compiled the program, and so the one that frees it.
+    compiled_by: ThreadId,
 }
 
 struct Inner {
     map: HashMap<ProgramKey, Slot>,
+    /// Evicted slots waiting for the thread that compiled them, oldest
+    /// first; never longer than the cache's capacity.
+    retired: Vec<Slot>,
     tick: u64,
     counters: CompileReport,
 }
 
+impl Inner {
+    /// Touch `key`'s resident program, counting a hit.
+    fn hit(&mut self, key: &ProgramKey) -> Option<Arc<Program>> {
+        let slot = self.map.get_mut(key)?;
+        self.tick += 1;
+        slot.last_used = self.tick;
+        self.counters.cache_hits += 1;
+        Some(Arc::clone(&slot.program))
+    }
+
+    /// Take out the retired slots `thread` compiled.
+    fn take_retired(&mut self, thread: ThreadId) -> Vec<Slot> {
+        self.retired
+            .extract_if(.., |slot| slot.compiled_by == thread)
+            .collect()
+    }
+
+    /// Insert `program`, just compiled by thread `caller`, under `key` and
+    /// evict down to `capacity`. Returns the slot `caller` must free: the
+    /// victim if `caller` compiled it, else (when parking the victim
+    /// overflows `retired`) the oldest retired slot.
+    fn insert(
+        &mut self,
+        key: ProgramKey,
+        program: Arc<Program>,
+        bounds: Arc<ProgramBounds>,
+        caller: ThreadId,
+        capacity: usize,
+    ) -> Option<Slot> {
+        self.tick += 1;
+        let slot = Slot {
+            program,
+            bounds,
+            last_used: self.tick,
+            compiled_by: caller,
+        };
+        self.map.insert(key, slot);
+        // The map held at most `capacity` before this insert, so one
+        // eviction restores the bound. Ties cannot happen: every touch
+        // gets a fresh tick under the lock.
+        if self.map.len() <= capacity {
+            return None;
+        }
+        let victim_key = self
+            .map
+            .iter()
+            .min_by_key(|(_, slot)| slot.last_used)
+            .map(|(k, _)| k.clone())?;
+        let victim = self.map.remove(&victim_key)?;
+        self.counters.evicted += 1;
+        if victim.compiled_by == caller {
+            return Some(victim);
+        }
+        self.retired.push(victim);
+        (self.retired.len() > capacity).then(|| self.retired.remove(0))
+    }
+}
+
 /// A bounded, thread-safe LRU cache of compiled programs, owned by the
 /// serving node and shared across its runs.
+///
+/// Lock discipline: nothing compiles under the lock. A miss looks the key
+/// up, releases the lock, compiles, optimizes, analyzes and specializes,
+/// then re-locks to insert; if another thread inserted the same key
+/// meanwhile, the first insert wins and the late caller counts a hit and
+/// drops its own copy. An evicted program is freed by the thread that
+/// compiled it, after that thread releases the lock: a victim of another
+/// thread waits in a retired list, capped at the cache's capacity, until
+/// its compiling thread next calls (or until an overflow releases the
+/// oldest), because freeing another thread's program makes the two
+/// threads contend on each other's allocator arenas (measurements in the
+/// module docs). A cache used from one thread parks nothing: every victim
+/// is that thread's and is freed in the call that evicts it.
 pub struct ProgramCache {
     inner: Mutex<Inner>,
     capacity: usize,
@@ -90,6 +179,7 @@ impl ProgramCache {
         Self {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                retired: Vec::new(),
                 tick: 0,
                 counters: CompileReport::default(),
             }),
@@ -97,13 +187,16 @@ impl ProgramCache {
         }
     }
 
+    /// The state lock; a panic elsewhere cannot leave `Inner` half-updated
+    /// (every update is a few field writes), so a poisoned lock is reused.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of resident compiled programs.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self.inner.lock() {
-            Ok(inner) => inner.map.len(),
-            Err(poisoned) => poisoned.into_inner().map.len(),
-        }
+        self.lock().map.len()
     }
 
     /// `true` when no program is resident.
@@ -136,29 +229,26 @@ impl ProgramCache {
         runtime: &Runtime,
         engine: Option<&SimLlm>,
     ) -> Option<Arc<Program>> {
-        let mut guard = match self.inner.lock() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let inner = &mut *guard;
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(slot) = inner.map.get_mut(key) {
-            slot.last_used = tick;
-            inner.counters.cache_hits += 1;
-            return Some(Arc::clone(&slot.program));
+        let me = thread::current().id();
+        let mut inner = self.lock();
+        let retired = inner.take_retired(me);
+        let hit = inner.hit(key);
+        drop(inner);
+        drop(retired);
+        if hit.is_some() {
+            return hit;
         }
 
         let mut program = vm::compile(plan).ok()?;
-        inner.counters.compiled += 1;
 
         // Verified bytecode optimization: jump threading, dead else-edge
         // redirection, and unreachable-op pruning — accepted only when the
         // optimized form symbolically bisimulates the original
         // (`vm::optimize` is fail-closed), so traces stay byte-identical.
-        if let Some(optimized) = vm::optimize(&program) {
-            program = optimized;
-            inner.counters.optimized += 1;
+        let mut optimized = false;
+        if let Some(better) = vm::optimize(&program) {
+            program = better;
+            optimized = true;
         }
 
         // Static cost envelope for the code that will actually run.
@@ -166,6 +256,7 @@ impl ProgramCache {
 
         // Per-affinity specialization: constant-fold the family's fixed
         // prompt prefix and pre-resolve its token chain.
+        let mut specialized = false;
         if key.affinity.is_some() {
             if let Some((prefix, hash)) =
                 vm::family_template(plan, runtime.views()).and_then(|text| vm::family_prefix(&text))
@@ -176,34 +267,24 @@ impl ProgramCache {
                     engine.preresolve(&segments);
                 }
                 program.set_prefix(prefix);
-                inner.counters.specialized += 1;
+                specialized = true;
             }
         }
-
         let program = Arc::new(program);
-        inner.map.insert(
-            key.clone(),
-            Slot {
-                program: Arc::clone(&program),
-                bounds,
-                last_used: tick,
-            },
-        );
-        while inner.map.len() > self.capacity {
-            // Evict the least-recently-used entry. Ties cannot happen:
-            // every touch gets a fresh tick under the lock.
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&victim);
-                inner.counters.evicted += 1;
-            } else {
-                break;
-            }
+
+        let mut inner = self.lock();
+        if let Some(resident) = inner.hit(key) {
+            // Another thread inserted this key while we compiled: the first
+            // insert wins, and our copy drops after the unlock.
+            drop(inner);
+            return Some(resident);
         }
+        inner.counters.compiled += 1;
+        inner.counters.optimized += u64::from(optimized);
+        inner.counters.specialized += u64::from(specialized);
+        let released = inner.insert(key.clone(), Arc::clone(&program), bounds, me, self.capacity);
+        drop(inner);
+        drop(released);
         Some(program)
     }
 
@@ -213,11 +294,7 @@ impl ProgramCache {
     #[must_use]
     pub fn bounds_of(&self, plan: &LoweredPlan) -> Option<Arc<ProgramBounds>> {
         let fingerprint = plan.fingerprint();
-        let guard = match self.inner.lock() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard
+        self.lock()
             .map
             .iter()
             .find(|(k, _)| k.fingerprint == fingerprint)
@@ -227,10 +304,6 @@ impl ProgramCache {
     /// Take the counters accumulated since the last drain (the per-run
     /// delta for [`crate::metrics::ServeReport::compile`]).
     pub fn drain_counters(&self) -> CompileReport {
-        let mut inner = match self.inner.lock() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        std::mem::take(&mut inner.counters)
+        std::mem::take(&mut self.lock().counters)
     }
 }

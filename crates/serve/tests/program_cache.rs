@@ -1,12 +1,14 @@
 //! Integration tests for the serving node's compiled-program cache: the
 //! LRU bound must hold under concurrent admission from many threads (with
-//! coherent counters), recency must decide who gets evicted, and — the
-//! specialization soundness property — a per-affinity specialized program
-//! must produce byte-identical traces to a generic compile of the same
-//! plan, because specialization only pre-warms host-side memoization.
+//! coherent counters), racing misses on one key must agree on one program,
+//! recency must decide who gets evicted, an evicted program must be freed
+//! by the thread that compiled it, and — the specialization soundness
+//! property — a per-affinity specialized program must produce
+//! byte-identical traces to a generic compile of the same plan, because
+//! specialization only pre-warms host-side memoization.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Weak};
 
 use proptest::prelude::*;
 use spear_core::llm::LlmClient;
@@ -72,6 +74,128 @@ fn lru_bound_holds_under_concurrent_admission() {
         counters.compiled - counters.evicted,
         cache.len() as u64,
         "residents = compiles minus evictions"
+    );
+}
+
+#[test]
+fn racing_misses_on_one_key_share_the_first_insert() {
+    let cache = ProgramCache::new(4);
+    let rt = runtime();
+    let plan = plain_plan("raced");
+    let threads = 8;
+    let barrier = Barrier::new(threads);
+
+    let programs: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    cache.get_or_compile(&plan, &rt, None).expect("compiles")
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no panic"))
+            .collect()
+    });
+
+    assert!(
+        programs.iter().all(|p| Arc::ptr_eq(p, &programs[0])),
+        "every caller gets the resident program"
+    );
+    let counters = cache.drain_counters();
+    assert_eq!(counters.compiled, 1, "only the first insert counts");
+    assert_eq!(counters.cache_hits, threads as u64 - 1);
+    assert_eq!(cache.len(), 1);
+}
+
+#[test]
+fn evicted_programs_are_freed_by_the_thread_that_compiled_them() {
+    let capacity = 4;
+    let cache = ProgramCache::new(capacity);
+    let rt = runtime();
+    let compile = |name: &str| {
+        cache
+            .get_or_compile(&plain_plan(name), &rt, None)
+            .expect("compiles")
+    };
+    // Two meetings: after A compiles `x`, and after B has evicted it.
+    let barrier = Barrier::new(2);
+
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let x = Arc::downgrade(&compile("x"));
+            barrier.wait();
+            barrier.wait();
+            assert!(
+                x.upgrade().is_some(),
+                "an evicted program waits for the thread that compiled it"
+            );
+            // Any call frees what this thread compiled; a hit will do.
+            compile("other_0");
+            assert!(x.upgrade().is_none(), "A's next call frees `x`");
+        });
+        scope.spawn(|| {
+            barrier.wait();
+            for i in 0..capacity {
+                compile(&format!("other_{i}"));
+            }
+            barrier.wait();
+        });
+    });
+
+    let counters = cache.drain_counters();
+    assert_eq!((counters.compiled, counters.evicted), (5, 1));
+    assert_eq!((counters.cache_hits, cache.len()), (1, capacity));
+}
+
+#[test]
+fn retired_programs_of_exited_threads_stay_capped() {
+    let capacity = 4;
+    let cache = ProgramCache::new(capacity);
+    let rt = runtime();
+    // Each thread compiles `count` fresh plans, keeps a `Weak` to each
+    // program, and exits.
+    let compile_and_exit = |tag: &str, count: usize| -> Vec<Weak<_>> {
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    (0..count)
+                        .map(|i| {
+                            let plan = plain_plan(&format!("{tag}_{i}"));
+                            Arc::downgrade(
+                                &cache.get_or_compile(&plan, &rt, None).expect("compiles"),
+                            )
+                        })
+                        .collect()
+                })
+                .join()
+                .expect("no panic")
+        })
+    };
+    let alive = |programs: &[Weak<_>]| programs.iter().filter(|w| w.strong_count() > 0).count();
+
+    // `first` leaves `capacity` programs resident; `second` evicts them all
+    // into the retired list and leaves its own last `capacity` resident;
+    // `third` evicts those, and each one it parks releases the oldest.
+    let first = compile_and_exit("first", 2 * capacity);
+    let second = compile_and_exit("second", 2 * capacity);
+    assert_eq!(
+        alive(&first),
+        capacity,
+        "first's evicted programs are parked"
+    );
+    compile_and_exit("third", 3 * capacity);
+
+    assert_eq!(
+        alive(&first),
+        0,
+        "overflow releases the oldest parked first"
+    );
+    assert!(
+        alive(&second) <= capacity,
+        "at most `capacity` programs of exited threads stay alive"
     );
 }
 

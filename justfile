@@ -50,6 +50,7 @@ bench-smoke:
 
 # Alternating parent/change benchmark pairs at seeds 1..PAIRS, each run
 # `--seconds 10 --trace 0`, then median [Q1, Q3] and wins per metric — the
-# comparison perf PRs quote. Not part of `just check`.
+# comparison perf PRs quote. WORKLOAD `all` prints one table per workload
+# in BENCHMARK.json. Not part of `just check`.
 bench-pairs rev workload pairs:
     sh scripts/bench_pairs.sh {{rev}} {{workload}} {{pairs}}

@@ -6,16 +6,16 @@
 # and second at even ones, every run `--seconds 10 --trace 0`. Prints every
 # result line as it arrives, then per end-to-end metric the median [Q1, Q3]
 # of each side, the ratio of the medians (change / parent) and how many
-# pairs the change won and tied, "better" read from BENCHMARK.json. Not
-# part of check.sh.
+# pairs the change won and tied, "better" read from BENCHMARK.json.
+# WORKLOAD `all` does this for every workload BENCHMARK.json names, one
+# table each. Not part of check.sh.
 set -eu
 
 if [ $# -ne 3 ]; then
-    echo "usage: sh scripts/bench_pairs.sh PARENT_REV WORKLOAD PAIRS" >&2
+    echo "usage: sh scripts/bench_pairs.sh PARENT_REV WORKLOAD|all PAIRS" >&2
     exit 2
 fi
 rev=$1
-workload=$2
 pairs=$3
 
 cd "$(dirname "$0")/.."
@@ -35,7 +35,16 @@ build() {
 build "$tree"
 build "$root"
 
-results=""
+if [ "$2" = all ]; then
+    # The "name" entries of BENCHMARK.json's "workloads" array.
+    workloads=$(awk '
+        /"workloads": \[/ { inside = 1; next }
+        inside && /^  \]/ { exit }
+        inside && match($0, /"name": "[^"]+"/) { print substr($0, RSTART + 9, RLENGTH - 10) }
+    ' BENCHMARK.json)
+else
+    workloads=$2
+fi
 
 run() {
     line=$("$2/benchmark/target/release/spear-benchmark" --workload "$workload" \
@@ -48,19 +57,9 @@ run() {
 "
 }
 
-seed=1
-while [ "$seed" -le "$pairs" ]; do
-    if [ $((seed % 2)) -eq 1 ]; then
-        run parent "$tree" "$seed"
-        run change "$root" "$seed"
-    else
-        run change "$root" "$seed"
-        run parent "$tree" "$seed"
-    fi
-    seed=$((seed + 1))
-done
-
-awk '
+# The summary table of the "side seed {json}" lines in $results.
+summarize() {
+    awk '
 # Pass 1, BENCHMARK.json: which metrics are better higher.
 FNR == NR {
     if (match($0, /"name": "[^"]+"/)) name = substr($0, RSTART + 9, RLENGTH - 10)
@@ -123,3 +122,21 @@ END {
 ' BENCHMARK.json - <<RESULTS
 $results
 RESULTS
+}
+
+for workload in $workloads; do
+    results=""
+    seed=1
+    while [ "$seed" -le "$pairs" ]; do
+        if [ $((seed % 2)) -eq 1 ]; then
+            run parent "$tree" "$seed"
+            run change "$root" "$seed"
+        else
+            run change "$root" "$seed"
+            run parent "$tree" "$seed"
+        fi
+        seed=$((seed + 1))
+    done
+    echo "== $workload: $pairs pairs against $rev"
+    summarize
+done
