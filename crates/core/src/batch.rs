@@ -78,8 +78,8 @@ pub struct AssignedJob {
     /// The lowered plan to execute.
     pub plan: Arc<LoweredPlan>,
     /// A pre-compiled program for `plan`, when the scheduler already
-    /// compiled (and possibly specialized) it; `None` falls back to
-    /// compiling inside [`crate::runtime::Runtime::execute_lowered`].
+    /// compiled (and possibly specialized) it; `None` compiles `plan` with
+    /// [`crate::vm::compile`] when the job runs.
     pub program: Option<Arc<crate::vm::Program>>,
     /// The job's private execution state.
     pub state: ExecState,
@@ -130,7 +130,7 @@ impl BatchRunner {
         }
         // A plan that fails to compile (i.e. fails verification) runs every
         // job without a program, so each slot gets the `InvalidPlan` error
-        // `Runtime::execute_lowered` returns for it.
+        // `vm::compile` returns for it.
         let program = crate::vm::compile(plan).ok().map(Arc::new);
         let owner_base = self.reserve_owners(states.len());
         let jobs = states
@@ -208,12 +208,13 @@ impl BatchRunner {
 }
 
 /// Run one placed job: its pre-compiled program when the caller supplied
-/// one, otherwise its plan through [`Runtime::execute_lowered`].
+/// one, otherwise its plan compiled here.
 fn execute(runtime: &Runtime, job: AssignedJob) -> Result<BatchOutcome> {
     let mut state = job.state;
     match job.program.as_deref() {
         Some(program) => runtime.execute_program(program, &mut state),
-        None => runtime.execute_lowered(&job.plan, &mut state),
+        None => crate::vm::compile(&job.plan)
+            .and_then(|program| runtime.execute_program(&program, &mut state)),
     }
     .map(|report| BatchOutcome { report, state })
 }

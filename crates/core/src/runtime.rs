@@ -274,37 +274,19 @@ impl Runtime {
         self.agents.contains(name)
     }
 
-    /// Execute `pipeline` against `state` by lowering it to the flat IR
-    /// and stepping that — equivalent to
-    /// `execute_lowered(&plan::lower(pipeline), state)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first operator failure (after recording it in the
-    /// trace) and [`crate::error::SpearError::OpBudgetExceeded`] if the op
-    /// cap is hit.
-    pub fn execute(&self, pipeline: &Pipeline, state: &mut ExecState) -> Result<ExecReport> {
-        let lowered = plan::lower(pipeline)?;
-        self.execute_lowered(&lowered, state)
-    }
-
-    /// Execute an already-lowered plan against `state`: compile it with
-    /// [`crate::vm::compile`] and run the program. Optimizer plans,
-    /// DL-compiled programs, and tree pipelines all funnel through here.
-    /// A plan of unknown provenance (deserialized, hand-built) that fails
-    /// structural verification is rejected before any operator runs.
+    /// Execute `pipeline` against `state`: lower it to the flat IR,
+    /// compile that with [`crate::vm::compile`] and run the program with
+    /// [`Runtime::execute_program`] — the path an already-lowered plan
+    /// takes too, minus the lowering.
     ///
     /// # Errors
     ///
     /// [`crate::error::SpearError::InvalidPlan`] from the compiler's verify
-    /// gate (nothing is traced); otherwise the same contract as
-    /// [`Runtime::execute`].
-    pub fn execute_lowered(
-        &self,
-        lowered: &LoweredPlan,
-        state: &mut ExecState,
-    ) -> Result<ExecReport> {
-        let program = vm::compile(lowered)?;
+    /// gate (nothing is traced); otherwise propagates the first operator
+    /// failure (after recording it in the trace) and
+    /// [`crate::error::SpearError::OpBudgetExceeded`] if the op cap is hit.
+    pub fn execute(&self, pipeline: &Pipeline, state: &mut ExecState) -> Result<ExecReport> {
+        let program = vm::compile(&plan::lower(pipeline)?)?;
         self.execute_program(&program, state)
     }
 

@@ -439,15 +439,15 @@ fn execute_twice_accumulates_state() {
 }
 
 #[test]
-fn execute_lowered_accepts_a_prelowered_plan() {
+fn execute_program_runs_a_prelowered_plan_like_execute() {
     let rt = runtime();
     let pipeline = qa_pipeline();
-    let lowered = lower(&pipeline).unwrap();
+    let program = spear_core::vm::compile(&lower(&pipeline).unwrap()).unwrap();
 
     let mut via_pipeline = ExecState::new();
     let mut via_plan = ExecState::new();
     let a = rt.execute(&pipeline, &mut via_pipeline).unwrap();
-    let b = rt.execute_lowered(&lowered, &mut via_plan).unwrap();
+    let b = rt.execute_program(&program, &mut via_plan).unwrap();
     assert_eq!(a, b);
     assert_eq!(via_pipeline.trace, via_plan.trace);
 }

@@ -1,7 +1,8 @@
 //! Differential testing of the executors: random small pipelines must
 //! produce **byte-identical** traces and reports whether they run
 //! through the reference tree walk (`Runtime::execute_tree`, the
-//! specification), the compiled bytecode VM (`Runtime::execute_lowered`),
+//! specification), the compiled bytecode VM (`vm::compile` +
+//! `Runtime::execute_program`),
 //! or the *optimized* bytecode VM (`vm::optimize` +
 //! `Runtime::execute_program`) — including pipelines that fail mid-run,
 //! whose error unwind (one `Error` trace event per enclosing CHECK) the VM
@@ -244,8 +245,10 @@ proptest! {
 
         let rt = runtime();
         let (mut state_a, mut state_b) = (seeded_state(&tweets.0), seeded_state(&tweets.1));
-        let _ = rt.execute_lowered(&plan_a, &mut state_a);
-        let _ = rt.execute_lowered(&plan_b, &mut state_b);
+        for (plan, state) in [(&plan_a, &mut state_a), (&plan_b, &mut state_b)] {
+            let program = spear_core::compile(plan).expect("builder plans compile");
+            let _ = rt.execute_program(&program, state);
+        }
         let digest = |t: &Trace| t.digest().unwrap_or_else(|never| match never {});
         let digests = same_partition(&state_a.trace, &state_b.trace, digest);
         prop_assert!(digests.is_ok(), "traces: {:?}", digests);
@@ -267,11 +270,11 @@ proptest! {
         let mut vm_state = tree_state.deep_clone();
         let mut opt_state = tree_state.deep_clone();
         let tree_result = rt.execute_tree(&p, &mut tree_state);
-        let vm_result = rt.execute_lowered(&lowered, &mut vm_state);
+        let program = spear_core::compile(&lowered).expect("builder plans compile");
+        let vm_result = rt.execute_program(&program, &mut vm_state);
 
         // Translation validation holds over the whole random corpus, and
         // the verified-optimized program replays the same observable run.
-        let program = spear_core::compile(&lowered).expect("builder plans compile");
         if let Err(failures) = spear_core::analysis::validate_compile(&lowered, &program) {
             prop_assert!(false, "TV failed: {:?}, pipeline: {:?}", failures, p);
         }
@@ -315,8 +318,8 @@ proptest! {
         let mut vm_state = tree_state.deep_clone();
         let mut opt_state = tree_state.deep_clone();
         let tree_result = rt.execute_tree(&p, &mut tree_state);
-        let vm_result = rt.execute_lowered(&lowered, &mut vm_state);
         let program = spear_core::compile(&lowered).expect("builder plans compile");
+        let vm_result = rt.execute_program(&program, &mut vm_state);
         if let Err(failures) = spear_core::analysis::validate_compile(&lowered, &program) {
             prop_assert!(false, "TV failed: {:?}, pipeline: {:?}", failures, p);
         }

@@ -39,7 +39,8 @@ impl Compiled {
     /// Lower every compiled pipeline to the core plan IR, in declaration
     /// order. DL programs thereby target the same execution spine as
     /// optimizer plans and hand-built pipelines; a host can lower once and
-    /// re-execute via `Runtime::execute_lowered` without re-flattening.
+    /// compile once (`spear_core::vm::compile`) and re-execute via
+    /// `Runtime::execute_program` without re-flattening.
     ///
     /// # Errors
     ///
@@ -503,7 +504,8 @@ mod tests {
         let tree = runtime
             .execute_tree(c.pipeline("qa").unwrap(), &mut tree_state)
             .unwrap();
-        let ir = runtime.execute_lowered(plan, &mut ir_state).unwrap();
+        let program = spear_core::vm::compile(plan).unwrap();
+        let ir = runtime.execute_program(&program, &mut ir_state).unwrap();
         assert_eq!(tree, ir);
         assert_eq!(tree_state.trace, ir_state.trace);
     }

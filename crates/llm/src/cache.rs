@@ -1,34 +1,36 @@
 //! Block-based radix prefix cache, modelled on vLLM's automatic prefix
 //! caching (paper refs \[9\], \[16\]).
 //!
-//! Token streams are grouped into fixed-size blocks; each cached block is a
-//! node in a radix tree keyed by `(parent node, block content hash)`. A
-//! lookup walks the tree from the root and returns how many *tokens* of the
-//! request's prefix are already resident — those tokens skip (almost all of)
-//! the prefill cost. Insertion adds the request's full blocks; when the
-//! cache exceeds its block capacity, least-recently-used **leaf** blocks are
-//! evicted, which mirrors vLLM: a block can only be freed once no longer
-//! block extends it.
+//! Token streams are grouped into fixed-size blocks, and [`BlockHasher`]
+//! turns a stream into the content hashes of its full blocks — the only
+//! way into the cache. Each cached block is a node of the radix block tree
+//! the KV block pool also stands on, keyed by `(parent node, block hash,
+//! owner)`. A lookup walks the tree from the root and returns how many
+//! *tokens* of the request's prefix are already resident — those tokens
+//! skip (almost all of) the prefill cost. Insertion adds the request's
+//! full blocks; when the cache exceeds its block capacity,
+//! least-recently-used **leaf** blocks are evicted, which mirrors vLLM: a
+//! block can only be freed once no longer block extends it.
 
-use std::collections::HashMap;
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use parking_lot::Mutex;
 use spear_kv::shard::{fnv1a_extend, FNV1A_OFFSET};
 
-use crate::lru::LruIndex;
 use crate::tokenizer::Token;
+use crate::tree::{Tree, ROOT};
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod naive;
 
 /// Incremental block hasher: push tokens one at a time; every
 /// `block_size`-th token completes a block and appends its hash to the
-/// output. Produces exactly the hashes [`PrefixCache`] computes internally
-/// for full blocks (FNV-1a over the concatenated little-endian token
-/// bytes), with no intermediate byte buffer — FNV-1a is a plain byte fold,
-/// so streaming and batch hashing agree byte-for-byte. The trailing
-/// partial block (if any) never emits a hash, matching the cache's rule
-/// that partial blocks are not cacheable.
+/// output. The one place a block's content hash is computed (FNV-1a over
+/// the concatenated little-endian token bytes), with no intermediate byte
+/// buffer — FNV-1a is a plain byte fold, so streaming and batch hashing
+/// agree byte-for-byte. The trailing partial block (if any) never emits a
+/// hash, matching the cache's rule that partial blocks are not cacheable.
 #[derive(Debug, Clone)]
 pub struct BlockHasher {
     block_size: usize,
@@ -59,10 +61,11 @@ impl BlockHasher {
         }
     }
 
-    /// Tokens folded into the current (incomplete) block.
-    #[must_use]
-    pub fn pending_tokens(&self) -> usize {
-        self.filled
+    /// [`Self::push`] every token of `tokens`, in order.
+    pub fn push_all(&mut self, tokens: &[Token], out: &mut Vec<u64>) {
+        for &token in tokens {
+            self.push(token, out);
+        }
     }
 }
 
@@ -147,40 +150,25 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Node {
-    parent: u64,
-    block_hash: u64,
-    /// Which pipeline instance inserted the block ([`SHARED_OWNER`] for
-    /// ambient/warm inserts). Part of the index key: a block inserted by
-    /// owner A is invisible to owner B, which is what makes per-pipeline
-    /// hit counts independent of concurrent interleaving.
-    owner: u64,
-    children: u32,
-    last_used: u64,
-}
-
 /// The prefix cache. Not internally synchronized — the engine wraps it in a
 /// mutex (one cache per simulated GPU).
+///
+/// Blocks are tagged with the owner that inserted them ([`SHARED_OWNER`]
+/// for ambient/warm inserts): a block inserted by owner A is invisible to
+/// owner B, which is what makes per-pipeline hit counts independent of
+/// concurrent interleaving.
 #[derive(Debug)]
 pub struct PrefixCache {
     block_size: usize,
     capacity_blocks: usize,
-    /// `(parent id, block hash, owner) -> node id`
-    index: HashMap<(u64, u64, u64), u64>,
-    nodes: HashMap<u64, Node>,
-    /// The childless blocks — the only evictable ones — in LRU order. Kept
-    /// current wherever `children` or a leaf's `last_used` change, except
+    /// Its `evictable` index holds the childless blocks in LRU order, kept
+    /// current wherever a child count or a leaf's recency changes, except
     /// that the chain being inserted stays out until its insert ends (see
     /// [`Self::evict_to_fit`]).
-    leaves: LruIndex,
-    next_id: u64,
+    tree: Tree<u64>,
     tick: u64,
     stats: CacheStats,
 }
-
-/// Root sentinel (not stored in `nodes`).
-const ROOT: u64 = 0;
 
 impl PrefixCache {
     /// Create a cache holding at most `capacity_blocks` blocks of
@@ -190,154 +178,77 @@ impl PrefixCache {
         Self {
             block_size: block_size.max(1),
             capacity_blocks: capacity_blocks.max(1),
-            index: HashMap::new(),
-            nodes: HashMap::new(),
-            leaves: LruIndex::default(),
-            next_id: 1,
+            tree: Tree::default(),
             tick: 0,
             stats: CacheStats::default(),
         }
     }
 
-    /// A cache with vLLM-like defaults (16-token blocks, 64Ki blocks ≈ 1M
-    /// tokens — far more than any benchmark working set, so eviction only
-    /// matters when configured smaller).
-    #[must_use]
-    pub fn with_defaults() -> Self {
-        Self::new(DEFAULT_BLOCK_SIZE, 64 * 1024)
-    }
-
-    /// FNV-1a over the block's concatenated little-endian token bytes,
-    /// folded incrementally (no byte-buffer allocation).
-    fn hash_block(block: &[Token]) -> u64 {
-        let mut h = FNV1A_OFFSET;
-        for t in block {
-            h = fnv1a_extend(h, &t.0.to_le_bytes());
-        }
-        h
-    }
-
-    /// Find the node for `block` under `parent` that `owner` is allowed to
+    /// Find the node for `hash` under `parent` that `owner` is allowed to
     /// see: shared blocks match everyone; owned blocks match only their
     /// owner. Shared wins when both exist (its presence cannot depend on
     /// what concurrent pipelines did).
     fn visible(&self, parent: u64, hash: u64, owner: u64) -> Option<u64> {
-        if let Some(&id) = self.index.get(&(parent, hash, SHARED_OWNER)) {
-            return Some(id);
+        let shared = self.tree.find(parent, hash, SHARED_OWNER);
+        if shared.is_some() || owner == SHARED_OWNER {
+            return shared;
         }
-        if owner != SHARED_OWNER {
-            if let Some(&id) = self.index.get(&(parent, hash, owner)) {
-                return Some(id);
-            }
-        }
-        None
+        self.tree.find(parent, hash, owner)
     }
 
-    /// How many tokens of `tokens`' prefix are cached (ambient owner).
+    /// How many tokens of a stream's prefix are cached *as seen by
+    /// `owner`*: shared blocks plus the owner's private blocks.
+    /// `block_hashes` are the stream's full-block content hashes in order
+    /// (what [`BlockHasher`] emits for it) and `total_tokens` its length,
+    /// the trailing partial block included, which only the stats read.
     /// Touches the matched path (LRU refresh).
-    pub fn lookup(&mut self, tokens: &[Token]) -> usize {
-        self.lookup_for(tokens, SHARED_OWNER)
-    }
-
-    /// How many tokens of `tokens`' prefix are cached *as seen by
-    /// `owner`*: shared blocks plus the owner's private blocks. Touches
-    /// the matched path (LRU refresh).
-    pub fn lookup_for(&mut self, tokens: &[Token], owner: u64) -> usize {
-        let bs = self.block_size;
-        self.lookup_hashes(
-            tokens.chunks_exact(bs).map(Self::hash_block),
-            tokens.len(),
-            owner,
-        )
-    }
-
-    /// Hashed-path lookup: `block_hashes` are the stream's full-block
-    /// content hashes in order (exactly what [`BlockHasher`] emits for the
-    /// token stream) and `total_tokens` is the stream's total token count
-    /// (full blocks plus the trailing partial block), used for stats.
-    /// Behaves identically to [`Self::lookup_for`] on the corresponding
-    /// tokens — the token path hashes each block on the fly; this path
-    /// reuses hashes the caller already has.
-    pub fn lookup_for_hashed(
-        &mut self,
-        block_hashes: &[u64],
-        total_tokens: usize,
-        owner: u64,
-    ) -> usize {
+    pub fn lookup(&mut self, block_hashes: &[u64], total_tokens: usize, owner: u64) -> usize {
         debug_assert!(block_hashes.len() * self.block_size <= total_tokens);
-        self.lookup_hashes(block_hashes.iter().copied(), total_tokens, owner)
-    }
-
-    fn lookup_hashes(
-        &mut self,
-        hashes: impl Iterator<Item = u64>,
-        total_tokens: usize,
-        owner: u64,
-    ) -> usize {
         self.tick += 1;
         self.stats.lookups += 1;
         self.stats.lookup_tokens += total_tokens as u64;
         let mut parent = ROOT;
         let mut matched_blocks = 0usize;
-        for hash in hashes {
-            match self.visible(parent, hash, owner) {
-                Some(id) => {
-                    if let Some(node) = self.nodes.get_mut(&id) {
-                        let before = std::mem::replace(&mut node.last_used, self.tick);
-                        if node.children == 0 {
-                            self.leaves.touch(id, before, self.tick);
-                        }
-                    }
-                    parent = id;
-                    matched_blocks += 1;
+        for &hash in block_hashes {
+            let Some(id) = self.visible(parent, hash, owner) else {
+                break;
+            };
+            if let Some(node) = self.tree.nodes.get_mut(&id) {
+                let before = std::mem::replace(&mut node.last_used, self.tick);
+                if node.children == 0 {
+                    self.tree.evictable.touch(id, before, self.tick);
                 }
-                None => break,
             }
+            parent = id;
+            matched_blocks += 1;
         }
         let hit = matched_blocks * self.block_size;
         self.stats.hit_tokens += hit as u64;
         hit
     }
 
-    /// Register `tokens`' full blocks in the cache with the ambient
-    /// (shared) owner — the trailing partial block is never cached, as in
-    /// vLLM.
-    pub fn insert(&mut self, tokens: &[Token]) {
-        self.insert_for(tokens, SHARED_OWNER);
-    }
-
-    /// Register `tokens`' full blocks on behalf of `owner`. Blocks already
-    /// visible to the owner (shared, or previously inserted by it) are
-    /// reused; new blocks are tagged with the owner and stay invisible to
-    /// every other owner.
-    pub fn insert_for(&mut self, tokens: &[Token], owner: u64) {
-        let bs = self.block_size;
-        self.insert_hashes(tokens.chunks_exact(bs).map(Self::hash_block), owner);
-    }
-
-    /// Hashed-path insert: register the blocks whose content hashes are
-    /// `block_hashes` (see [`Self::lookup_for_hashed`] for the contract).
-    pub fn insert_for_hashed(&mut self, block_hashes: &[u64], owner: u64) {
-        self.insert_hashes(block_hashes.iter().copied(), owner);
-    }
-
-    fn insert_hashes(&mut self, hashes: impl Iterator<Item = u64>, owner: u64) {
+    /// Register the blocks whose content hashes are `block_hashes` (see
+    /// [`Self::lookup`]) on behalf of `owner`. Blocks already visible to
+    /// the owner (shared, or previously inserted by it) are reused; new
+    /// blocks are tagged with the owner and stay invisible to every other
+    /// owner.
+    pub fn insert(&mut self, block_hashes: &[u64], owner: u64) {
         self.tick += 1;
         let mut parent = ROOT;
-        for hash in hashes {
-            let id = match self.visible(parent, hash, owner) {
+        for &hash in block_hashes {
+            parent = match self.visible(parent, hash, owner) {
                 Some(id) => {
-                    if let Some(node) = self.nodes.get_mut(&id) {
+                    if let Some(node) = self.tree.nodes.get_mut(&id) {
                         let before = std::mem::replace(&mut node.last_used, self.tick);
                         if node.children == 0 {
-                            self.leaves.remove(before, id);
+                            self.tree.evictable.remove(before, id);
                         }
                     }
                     id
                 }
                 None => {
                     self.evict_to_fit();
-                    if self.nodes.len() >= self.capacity_blocks {
+                    if self.tree.len() >= self.capacity_blocks {
                         // Nothing evictable (every resident block is on the
                         // chain being inserted right now). Inserting anyway
                         // would either breach capacity or — worse, the old
@@ -347,33 +258,19 @@ impl PrefixCache {
                         // here; the remaining suffix is simply not cached.
                         break;
                     }
-                    let id = self.next_id;
-                    self.next_id += 1;
-                    self.index.insert((parent, hash, owner), id);
-                    self.nodes.insert(
-                        id,
-                        Node {
-                            parent,
-                            block_hash: hash,
-                            owner,
-                            children: 0,
-                            last_used: self.tick,
-                        },
-                    );
-                    if parent != ROOT {
-                        if let Some(p) = self.nodes.get_mut(&parent) {
-                            p.children += 1;
-                        }
-                    }
                     self.stats.inserted_blocks += 1;
-                    id
+                    self.tree.insert(parent, hash, owner, 0, self.tick)
                 }
             };
-            parent = id;
         }
         // Every block of the chain but its last now has a child.
-        if self.nodes.get(&parent).is_some_and(|n| n.children == 0) {
-            self.leaves.insert(self.tick, parent);
+        if self
+            .tree
+            .nodes
+            .get(&parent)
+            .is_some_and(|n| n.children == 0)
+        {
+            self.tree.evictable.insert(self.tick, parent);
         }
     }
 
@@ -385,23 +282,17 @@ impl PrefixCache {
     /// being inserted or refreshed *right now*, and evicting one of them
     /// would orphan its not-yet-inserted children (the accounting drift the
     /// cross-stripe reconciliation test guards against). They are exempt
-    /// by absence: `insert_hashes` takes the chain's blocks out of the
-    /// index as it reaches them and puts the last one back when it ends,
-    /// and a block of the chain left childless here stays out likewise.
+    /// by absence: `insert` takes the chain's blocks out of the index as it
+    /// reaches them and puts the last one back when it ends, and a block of
+    /// the chain left childless here stays out likewise.
     fn evict_to_fit(&mut self) {
-        while self.nodes.len() >= self.capacity_blocks {
-            let Some(id) = self.leaves.pop_lru() else {
+        while self.tree.len() >= self.capacity_blocks {
+            let Some(id) = self.tree.evictable.pop_lru() else {
                 return; // nothing evictable: every block is on the live chain
             };
-            let Some(node) = self.nodes.remove(&id) else {
-                continue;
-            };
-            self.index
-                .remove(&(node.parent, node.block_hash, node.owner));
-            if let Some(p) = self.nodes.get_mut(&node.parent) {
-                p.children = p.children.saturating_sub(1);
-                if p.children == 0 && p.last_used != self.tick {
-                    self.leaves.insert(p.last_used, node.parent);
+            if let Some((parent, last_used)) = self.tree.remove(id) {
+                if last_used != self.tick {
+                    self.tree.evictable.insert(last_used, parent);
                 }
             }
             self.stats.evicted_blocks += 1;
@@ -411,13 +302,7 @@ impl PrefixCache {
     /// Current number of resident blocks.
     #[must_use]
     pub fn len_blocks(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.tree.len()
     }
 
     /// Block size in tokens.
@@ -436,10 +321,8 @@ impl PrefixCache {
     /// are counted as [`CacheStats::freed_blocks`] so the reconciliation
     /// invariant `inserted − evicted − freed == live` survives a clear.
     pub fn clear(&mut self) {
-        self.stats.freed_blocks += self.nodes.len() as u64;
-        self.index.clear();
-        self.nodes.clear();
-        self.leaves.clear();
+        self.stats.freed_blocks += self.tree.len() as u64;
+        self.tree.clear();
     }
 }
 
@@ -449,24 +332,25 @@ impl PrefixCache {
 /// on one global lock.
 ///
 /// Sharding by first-block hash is correctness-preserving: block `k`'s
-/// radix key chains from block 0 via parent ids, so any two token streams
-/// that share even a one-block prefix hash to the same shard, and every
-/// radix path lives entirely within one shard. Streams shorter than one
-/// block have nothing cacheable and route to shard 0 (their lookups still
-/// count toward stats).
+/// radix key chains from block 0 via parent ids, so any two streams that
+/// share even a one-block prefix hash to the same shard, and every radix
+/// path lives entirely within one shard. Streams shorter than one block
+/// have nothing cacheable and route to shard 0 (their lookups still count
+/// toward stats).
 ///
 /// ## Determinism contract
 ///
-/// Combined with owner tagging ([`PrefixCache::lookup_for`] /
-/// [`PrefixCache::insert_for`]): as long as (a) shared blocks are only
+/// Combined with owner tagging ([`PrefixCache::lookup`] /
+/// [`PrefixCache::insert`]): as long as (a) shared blocks are only
 /// inserted while no owned work is in flight (warm-up), and (b) each
 /// owner's requests execute in program order, the hit count every request
 /// observes is a pure function of the warm set and that owner's own
 /// history — independent of thread count and interleaving. Eviction is
 /// the one escape hatch: a cache under capacity pressure evicts in
 /// LRU-touch order, which *is* interleaving-dependent, so deterministic
-/// runs should size `capacity_blocks` above the working set (the default
-/// is ~1M tokens per shard).
+/// runs should size `capacity_blocks` above the working set — per shard:
+/// the engine's default 64Ki blocks (≈ 1M tokens) is 4Ki blocks in each of
+/// its 16 shards.
 #[derive(Debug)]
 pub struct StripedPrefixCache {
     shards: Vec<Mutex<PrefixCache>>,
@@ -488,79 +372,36 @@ impl StripedPrefixCache {
         }
     }
 
-    /// Striped cache with vLLM-like defaults and [`DEFAULT_NUM_SHARDS`].
-    #[must_use]
-    pub fn with_defaults() -> Self {
-        Self::new(
-            DEFAULT_BLOCK_SIZE,
-            DEFAULT_NUM_SHARDS * 64 * 1024,
-            DEFAULT_NUM_SHARDS,
-        )
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_for(&self, tokens: &[Token]) -> &Mutex<PrefixCache> {
-        let head = &tokens[..self.block_size.min(tokens.len())];
-        let index = if head.is_empty() {
-            0
-        } else {
-            (PrefixCache::hash_block(head) % self.shards.len() as u64) as usize
-        };
+    fn shard_for(&self, block_hashes: &[u64]) -> &Mutex<PrefixCache> {
+        let index = block_hashes
+            .first()
+            .map_or(0, |&h| (h % self.shards.len() as u64) as usize);
         &self.shards[index]
     }
 
     /// Atomic lookup-then-insert on behalf of `owner` under a single
-    /// shard lock — the engine's per-request fast path.
-    pub fn lookup_insert(&self, tokens: &[Token], owner: u64) -> usize {
-        let mut shard = self.shard_for(tokens).lock();
-        let hit = shard.lookup_for(tokens, owner);
-        shard.insert_for(tokens, owner);
-        hit
-    }
-
-    /// Hashed-path variant of [`Self::lookup_insert`]: the caller supplies
-    /// the stream's full-block content hashes (from [`BlockHasher`], or a
-    /// memoized hash chain) plus the total token count, so the radix walk
-    /// re-hashes nothing. Routing agrees with the token path: block 0's
-    /// content hash *is* `block_hashes[0]`, so a hashed stream lands on
-    /// the same shard — and therefore the same radix tree — as the
-    /// equivalent token stream. Streams with no full block have nothing
-    /// cacheable and route to shard 0.
+    /// shard lock — the engine's per-request fast path. The caller
+    /// supplies the stream's full-block content hashes (from
+    /// [`BlockHasher`], or a memoized hash chain) plus its total token
+    /// count, as [`PrefixCache::lookup`] takes them.
     pub fn lookup_insert_hashed(
         &self,
         block_hashes: &[u64],
         total_tokens: usize,
         owner: u64,
     ) -> usize {
-        let index = match block_hashes.first() {
-            Some(&h) => (h % self.shards.len() as u64) as usize,
-            None => 0,
-        };
-        let mut shard = self.shards[index].lock();
-        let hit = shard.lookup_for_hashed(block_hashes, total_tokens, owner);
-        shard.insert_for_hashed(block_hashes, owner);
+        let mut shard = self.shard_for(block_hashes).lock();
+        let hit = shard.lookup(block_hashes, total_tokens, owner);
+        shard.insert(block_hashes, owner);
         hit
     }
 
-    /// Owner-aware lookup (see [`PrefixCache::lookup_for`]).
-    pub fn lookup_for(&self, tokens: &[Token], owner: u64) -> usize {
-        self.shard_for(tokens).lock().lookup_for(tokens, owner)
-    }
-
-    /// Owner-aware insert (see [`PrefixCache::insert_for`]).
-    pub fn insert_for(&self, tokens: &[Token], owner: u64) {
-        self.shard_for(tokens).lock().insert_for(tokens, owner);
-    }
-
-    /// Insert `tokens` as shared/pre-warmed blocks, visible to every
-    /// owner.
+    /// Insert `tokens`' full blocks as shared/pre-warmed blocks, visible
+    /// to every owner.
     pub fn warm(&self, tokens: &[Token]) {
-        self.insert_for(tokens, SHARED_OWNER);
+        let mut hashes = Vec::with_capacity(tokens.len() / self.block_size);
+        BlockHasher::new(self.block_size).push_all(tokens, &mut hashes);
+        self.shard_for(&hashes).lock().insert(&hashes, SHARED_OWNER);
     }
 
     /// Aggregate statistics across all shards.
@@ -594,6 +435,7 @@ impl StripedPrefixCache {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::tokenizer::Tokenizer;
@@ -602,13 +444,47 @@ mod tests {
         (0..n).map(|i| Token(i as u64 * 7919 + salt)).collect()
     }
 
+    /// Full-block hashes of a token stream: the cache's one way in.
+    fn hashes(tokens: &[Token], block_size: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        BlockHasher::new(block_size).push_all(tokens, &mut out);
+        out
+    }
+
+    /// [`PrefixCache::lookup`] of a token stream.
+    fn lookup(c: &mut PrefixCache, tokens: &[Token], owner: u64) -> usize {
+        c.lookup(&hashes(tokens, c.block_size()), tokens.len(), owner)
+    }
+
+    /// [`PrefixCache::insert`] of a token stream.
+    fn insert(c: &mut PrefixCache, tokens: &[Token], owner: u64) {
+        c.insert(&hashes(tokens, c.block_size()), owner);
+    }
+
+    /// A lookup in the shard a token stream routes to, without insert.
+    fn striped_lookup(c: &StripedPrefixCache, tokens: &[Token], owner: u64) -> usize {
+        let h = hashes(tokens, c.block_size);
+        c.shard_for(&h).lock().lookup(&h, tokens.len(), owner)
+    }
+
+    /// An insert into the shard a token stream routes to, without lookup.
+    fn striped_insert(c: &StripedPrefixCache, tokens: &[Token], owner: u64) {
+        let h = hashes(tokens, c.block_size);
+        c.shard_for(&h).lock().insert(&h, owner);
+    }
+
+    /// [`StripedPrefixCache::lookup_insert_hashed`] of a token stream.
+    fn lookup_insert(c: &StripedPrefixCache, tokens: &[Token], owner: u64) -> usize {
+        c.lookup_insert_hashed(&hashes(tokens, c.block_size), tokens.len(), owner)
+    }
+
     #[test]
     fn cold_lookup_misses_then_hits_after_insert() {
         let mut c = PrefixCache::new(4, 1024);
         let t = toks(16, 0);
-        assert_eq!(c.lookup(&t), 0);
-        c.insert(&t);
-        assert_eq!(c.lookup(&t), 16);
+        assert_eq!(lookup(&mut c, &t, SHARED_OWNER), 0);
+        insert(&mut c, &t, SHARED_OWNER);
+        assert_eq!(lookup(&mut c, &t, SHARED_OWNER), 16);
         assert_eq!(c.len_blocks(), 4);
     }
 
@@ -616,8 +492,8 @@ mod tests {
     fn partial_trailing_block_is_not_cached() {
         let mut c = PrefixCache::new(4, 1024);
         let t = toks(10, 0); // 2 full blocks + 2 tokens
-        c.insert(&t);
-        assert_eq!(c.lookup(&t), 8);
+        insert(&mut c, &t, SHARED_OWNER);
+        assert_eq!(lookup(&mut c, &t, SHARED_OWNER), 8);
         assert_eq!(c.len_blocks(), 2);
     }
 
@@ -628,13 +504,13 @@ mod tests {
         let mut b = a.clone();
         a.extend(toks(8, 100));
         b.extend(toks(8, 200));
-        c.insert(&a);
+        insert(&mut c, &a, SHARED_OWNER);
         // b shares the first 12 tokens = 3 full blocks.
-        assert_eq!(c.lookup(&b), 12);
-        c.insert(&b);
-        assert_eq!(c.lookup(&b), 20);
+        assert_eq!(lookup(&mut c, &b, SHARED_OWNER), 12);
+        insert(&mut c, &b, SHARED_OWNER);
+        assert_eq!(lookup(&mut c, &b, SHARED_OWNER), 20);
         // a is still fully resident.
-        assert_eq!(c.lookup(&a), 20);
+        assert_eq!(lookup(&mut c, &a, SHARED_OWNER), 20);
     }
 
     #[test]
@@ -642,10 +518,10 @@ mod tests {
         // Prefix sharing is block-granular: a one-token shift breaks reuse.
         let mut c = PrefixCache::new(4, 1024);
         let a = toks(16, 0);
-        c.insert(&a);
+        insert(&mut c, &a, SHARED_OWNER);
         let mut shifted = vec![Token(999)];
         shifted.extend_from_slice(&a[..15]);
-        assert_eq!(c.lookup(&shifted), 0);
+        assert_eq!(lookup(&mut c, &shifted, SHARED_OWNER), 0);
     }
 
     #[test]
@@ -655,13 +531,17 @@ mod tests {
         let mut c = PrefixCache::new(4, 4);
         let a = toks(8, 1);
         let b = toks(8, 2);
-        c.insert(&a);
-        c.insert(&b);
-        assert_eq!(c.lookup(&a), 8, "refresh a; b becomes LRU");
+        insert(&mut c, &a, SHARED_OWNER);
+        insert(&mut c, &b, SHARED_OWNER);
+        assert_eq!(
+            lookup(&mut c, &a, SHARED_OWNER),
+            8,
+            "refresh a; b becomes LRU"
+        );
         let d = toks(8, 3);
-        c.insert(&d);
-        assert_eq!(c.lookup(&b), 0, "b was evicted");
-        assert_eq!(c.lookup(&a), 8, "a survived");
+        insert(&mut c, &d, SHARED_OWNER);
+        assert_eq!(lookup(&mut c, &b, SHARED_OWNER), 0, "b was evicted");
+        assert_eq!(lookup(&mut c, &a, SHARED_OWNER), 8, "a survived");
         assert!(c.stats().evicted_blocks >= 2);
         assert!(c.len_blocks() <= 4);
     }
@@ -670,9 +550,9 @@ mod tests {
     fn stats_accumulate_and_hit_rate() {
         let mut c = PrefixCache::new(4, 1024);
         let t = toks(8, 0);
-        c.lookup(&t);
-        c.insert(&t);
-        c.lookup(&t);
+        lookup(&mut c, &t, SHARED_OWNER);
+        insert(&mut c, &t, SHARED_OWNER);
+        lookup(&mut c, &t, SHARED_OWNER);
         let s = c.stats();
         assert_eq!(s.lookups, 2);
         assert_eq!(s.lookup_tokens, 16);
@@ -683,24 +563,24 @@ mod tests {
     #[test]
     fn clear_drops_blocks() {
         let mut c = PrefixCache::new(4, 1024);
-        c.insert(&toks(8, 0));
+        insert(&mut c, &toks(8, 0), SHARED_OWNER);
         c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.lookup(&toks(8, 0)), 0);
+        assert_eq!(c.len_blocks(), 0);
+        assert_eq!(lookup(&mut c, &toks(8, 0), SHARED_OWNER), 0);
     }
 
     #[test]
     fn real_tokenizer_prompts_share_instruction_prefix() {
         let tok = Tokenizer::new();
-        let mut c = PrefixCache::with_defaults();
+        let mut c = PrefixCache::new(DEFAULT_BLOCK_SIZE, 1024);
         let instruction = "Classify the sentiment of the following tweet as \
              positive or negative. Respond with exactly one word. Keep your \
              reasoning implicit and do not exceed the word limit of one. "
             .repeat(4);
         let a = tok.encode(&format!("{instruction}Tweet: what a beautiful morning"));
         let b = tok.encode(&format!("{instruction}Tweet: worst commute ever"));
-        c.insert(&a);
-        let hit = c.lookup(&b);
+        insert(&mut c, &a, SHARED_OWNER);
+        let hit = lookup(&mut c, &b, SHARED_OWNER);
         let instr_tokens = tok.count(&instruction);
         assert!(
             hit >= instr_tokens - DEFAULT_BLOCK_SIZE,
@@ -712,19 +592,19 @@ mod tests {
     fn owned_blocks_are_invisible_to_other_owners() {
         let mut c = PrefixCache::new(4, 1024);
         let t = toks(16, 0);
-        c.insert_for(&t, 1);
-        assert_eq!(c.lookup_for(&t, 1), 16, "owner sees its own blocks");
-        assert_eq!(c.lookup_for(&t, 2), 0, "another owner does not");
-        assert_eq!(c.lookup(&t), 0, "nor does ambient work");
+        insert(&mut c, &t, 1);
+        assert_eq!(lookup(&mut c, &t, 1), 16, "owner sees its own blocks");
+        assert_eq!(lookup(&mut c, &t, 2), 0, "another owner does not");
+        assert_eq!(lookup(&mut c, &t, SHARED_OWNER), 0, "nor does ambient work");
     }
 
     #[test]
     fn shared_blocks_are_visible_to_every_owner() {
         let mut c = PrefixCache::new(4, 1024);
         let t = toks(16, 0);
-        c.insert(&t); // ambient == shared
+        insert(&mut c, &t, SHARED_OWNER);
         for owner in [SHARED_OWNER, 1, 2, 99] {
-            assert_eq!(c.lookup_for(&t, owner), 16);
+            assert_eq!(lookup(&mut c, &t, owner), 16);
         }
     }
 
@@ -732,13 +612,13 @@ mod tests {
     fn owner_chains_extend_shared_prefixes() {
         let mut c = PrefixCache::new(4, 1024);
         let shared = toks(8, 0);
-        c.insert(&shared);
+        insert(&mut c, &shared, SHARED_OWNER);
         let mut extended = shared.clone();
         extended.extend(toks(8, 50));
-        c.insert_for(&extended, 1);
-        assert_eq!(c.lookup_for(&extended, 1), 16);
+        insert(&mut c, &extended, 1);
+        assert_eq!(lookup(&mut c, &extended, 1), 16);
         assert_eq!(
-            c.lookup_for(&extended, 2),
+            lookup(&mut c, &extended, 2),
             8,
             "other owners still see only the shared prefix"
         );
@@ -750,14 +630,14 @@ mod tests {
         // history regardless of the order their inserts interleave.
         let t = toks(16, 7);
         let mut ab = PrefixCache::new(4, 1024);
-        ab.insert_for(&t, 1);
-        ab.insert_for(&t, 2);
+        insert(&mut ab, &t, 1);
+        insert(&mut ab, &t, 2);
         let mut ba = PrefixCache::new(4, 1024);
-        ba.insert_for(&t, 2);
-        ba.insert_for(&t, 1);
+        insert(&mut ba, &t, 2);
+        insert(&mut ba, &t, 1);
         for c in [&mut ab, &mut ba] {
-            assert_eq!(c.lookup_for(&t, 1), 16);
-            assert_eq!(c.lookup_for(&t, 2), 16);
+            assert_eq!(lookup(c, &t, 1), 16);
+            assert_eq!(lookup(c, &t, 2), 16);
         }
     }
 
@@ -768,9 +648,9 @@ mod tests {
         let mut b = a.clone();
         a.extend(toks(8, 100));
         b.extend(toks(8, 200));
-        c.insert_for(&a, SHARED_OWNER);
+        c.warm(&a);
         // b shares a's first 3 blocks; a cross-shard split would lose them.
-        assert_eq!(c.lookup_for(&b, SHARED_OWNER), 12);
+        assert_eq!(striped_lookup(&c, &b, SHARED_OWNER), 12);
         let s = c.stats();
         assert_eq!(s.lookups, 1);
         assert_eq!(s.hit_tokens, 12);
@@ -780,78 +660,69 @@ mod tests {
     fn striped_lookup_insert_is_one_round_trip() {
         let c = StripedPrefixCache::new(4, 4096, 8);
         let t = toks(16, 3);
-        assert_eq!(c.lookup_insert(&t, 5), 0);
-        assert_eq!(c.lookup_insert(&t, 5), 16);
-        assert_eq!(c.lookup_insert(&t, 6), 0, "other owner still cold");
+        assert_eq!(lookup_insert(&c, &t, 5), 0);
+        assert_eq!(lookup_insert(&c, &t, 5), 16);
+        assert_eq!(lookup_insert(&c, &t, 6), 0, "other owner still cold");
         c.clear();
         assert_eq!(c.len_blocks(), 0);
-        assert_eq!(c.lookup_insert(&t, 5), 0);
+        assert_eq!(lookup_insert(&c, &t, 5), 0);
     }
 
     #[test]
     fn striped_warm_is_shared() {
-        let c = StripedPrefixCache::with_defaults();
+        let c = StripedPrefixCache::new(DEFAULT_BLOCK_SIZE, 4096, DEFAULT_NUM_SHARDS);
         let tok = Tokenizer::new();
         let prefix = tok.encode(&"shared instruction text ".repeat(20));
         c.warm(&prefix);
-        assert!(c.lookup_for(&prefix, 1) > 0);
-        assert!(c.lookup_for(&prefix, 2) > 0);
-        assert_eq!(c.shard_count(), DEFAULT_NUM_SHARDS);
+        assert!(striped_lookup(&c, &prefix, 1) > 0);
+        assert!(striped_lookup(&c, &prefix, 2) > 0);
     }
 
     #[test]
     fn striped_short_streams_route_to_shard_zero() {
         let c = StripedPrefixCache::new(16, 4096, 8);
         let t = toks(3, 0); // shorter than a block: nothing cacheable
-        assert_eq!(c.lookup_insert(&t, 1), 0);
+        assert_eq!(lookup_insert(&c, &t, 1), 0);
+        c.warm(&t);
         assert_eq!(c.len_blocks(), 0);
         assert_eq!(c.stats().lookups, 1);
-    }
-
-    /// Full-block hashes of a token stream, via the public incremental
-    /// hasher.
-    fn block_hashes(tokens: &[Token], block_size: usize) -> Vec<u64> {
-        let mut hasher = BlockHasher::new(block_size);
-        let mut out = Vec::new();
-        for &t in tokens {
-            hasher.push(t, &mut out);
-        }
-        out
+        let shard0 = c.shards[0].lock().stats();
+        assert_eq!((shard0.lookups, shard0.lookup_tokens), (1, 3));
     }
 
     #[test]
-    fn block_hasher_matches_internal_block_hashing() {
+    fn block_hasher_folds_each_full_block_with_fnv1a() {
         let t = toks(19, 5); // 4 full blocks of 4 + partial
-        let hashes = block_hashes(&t, 4);
-        assert_eq!(hashes.len(), 4);
-        for (i, chunk) in t.chunks_exact(4).enumerate() {
-            assert_eq!(hashes[i], PrefixCache::hash_block(chunk), "block {i}");
-        }
-        let mut h = BlockHasher::new(4);
+        let got = hashes(&t, 4);
+        let want: Vec<u64> = t
+            .chunks_exact(4)
+            .map(|block| {
+                let bytes: Vec<u8> = block.iter().flat_map(|t| t.0.to_le_bytes()).collect();
+                spear_kv::shard::fnv1a(&bytes)
+            })
+            .collect();
+        assert_eq!(got, want);
         let mut out = Vec::new();
-        h.push(Token(1), &mut out);
-        assert_eq!(h.pending_tokens(), 1);
+        BlockHasher::new(4).push_all(&t[..3], &mut out);
         assert!(out.is_empty(), "partial blocks never emit a hash");
     }
 
     #[test]
-    fn hashed_path_interoperates_with_token_path() {
-        // Insert via the token path, look up via the hashed path (and the
-        // reverse): both views of the same stream must agree exactly.
+    fn total_tokens_feed_the_stats_alone() {
+        // The trailing partial block is counted in lookup tokens but never
+        // cached, whichever owner looks.
         let mut c = PrefixCache::new(4, 1024);
         let t = toks(18, 0); // 4 full blocks + 2 trailing tokens
-        let hashes = block_hashes(&t, 4);
-        assert_eq!(c.lookup_for_hashed(&hashes, t.len(), 1), 0);
-        c.insert_for(&t, 1);
-        assert_eq!(c.lookup_for_hashed(&hashes, t.len(), 1), 16);
-        assert_eq!(c.lookup_for(&t, 1), 16);
+        let h = hashes(&t, 4);
+        assert_eq!(c.lookup(&h, t.len(), 1), 0);
+        c.insert(&h, 1);
+        assert_eq!(c.lookup(&h, t.len(), 1), 16);
+        assert_eq!(c.lookup(&h, t.len(), 1), 16);
 
         let u = toks(12, 9);
-        let u_hashes = block_hashes(&u, 4);
-        c.insert_for_hashed(&u_hashes, 2);
-        assert_eq!(c.lookup_for(&u, 2), 12);
+        c.insert(&hashes(&u, 4), 2);
+        assert_eq!(lookup(&mut c, &u, 2), 12);
 
-        // Stats treat both paths identically.
         let s = c.stats();
         assert_eq!(s.lookups, 4);
         assert_eq!(s.lookup_tokens, 18 + 18 + 18 + 12);
@@ -859,19 +730,18 @@ mod tests {
     }
 
     #[test]
-    fn striped_hashed_path_routes_to_the_token_path_shard() {
+    fn striped_warm_routes_to_the_hashed_path_shard() {
         let c = StripedPrefixCache::new(4, 4096, 8);
         let t = toks(16, 3);
-        let hashes = block_hashes(&t, 4);
-        // Token-path insert, hashed-path lookup_insert: a cross-shard
-        // split would miss.
-        c.insert_for(&t, 5);
-        assert_eq!(c.lookup_insert_hashed(&hashes, t.len(), 5), 16);
-        // And the reverse: hashed insert is visible to token lookups.
+        // Warm by tokens, lookup_insert by hashes: a cross-shard split
+        // would miss.
+        c.warm(&t);
+        assert_eq!(c.lookup_insert_hashed(&hashes(&t, 4), t.len(), 5), 16);
+        // And the hashed insert is visible to a later lookup of the same
+        // tokens.
         let u = toks(16, 11);
-        let u_hashes = block_hashes(&u, 4);
-        assert_eq!(c.lookup_insert_hashed(&u_hashes, u.len(), 7), 0);
-        assert_eq!(c.lookup_for(&u, 7), 16);
+        assert_eq!(c.lookup_insert_hashed(&hashes(&u, 4), u.len(), 7), 0);
+        assert_eq!(striped_lookup(&c, &u, 7), 16);
         // No full block: nothing cacheable, stats still tick.
         let lookups_before = c.stats().lookups;
         assert_eq!(c.lookup_insert_hashed(&[], 3, 7), 0);
@@ -888,18 +758,18 @@ mod tests {
         let b = toks(8, 2); // 2 full blocks, disjoint from a
 
         // (1) cold lookup of a: 1 lookup, 8 tokens, 0 hit.
-        assert_eq!(c.lookup(&a), 0);
+        assert_eq!(lookup(&mut c, &a, SHARED_OWNER), 0);
         // (2) insert a: +2 blocks, no eviction (2 ≤ 3).
-        c.insert(&a);
+        insert(&mut c, &a, SHARED_OWNER);
         // (3) warm lookup of a: 8/8 tokens hit.
-        assert_eq!(c.lookup(&a), 8);
+        assert_eq!(lookup(&mut c, &a, SHARED_OWNER), 8);
         // (4) insert b: b's first block fits (2 -> 3 resident), b's second
         //     block hits capacity, so the LRU *leaf* — a's tail block — is
         //     evicted. a's root block has a child at eviction time and
         //     stays. Net: +2 inserted, +1 evicted.
-        c.insert(&b);
+        insert(&mut c, &b, SHARED_OWNER);
         // (5) lookup b: fully resident, 8/8 hit.
-        assert_eq!(c.lookup(&b), 8);
+        assert_eq!(lookup(&mut c, &b, SHARED_OWNER), 8);
 
         let s = c.stats();
         assert_eq!(s.lookups, 3, "steps 1, 3, 5");
@@ -916,11 +786,11 @@ mod tests {
     fn delta_since_isolates_activity_between_snapshots() {
         let mut c = PrefixCache::new(4, 1024);
         let t = toks(8, 0);
-        c.lookup(&t);
-        c.insert(&t);
+        lookup(&mut c, &t, SHARED_OWNER);
+        insert(&mut c, &t, SHARED_OWNER);
         let before = c.stats();
-        c.lookup(&t);
-        c.lookup(&t);
+        lookup(&mut c, &t, SHARED_OWNER);
+        lookup(&mut c, &t, SHARED_OWNER);
         let delta = c.stats().delta_since(&before);
         assert_eq!(delta.lookups, 2);
         assert_eq!(delta.lookup_tokens, 16);
@@ -934,8 +804,8 @@ mod tests {
     #[test]
     fn stats_serialize_for_reports() {
         let mut c = PrefixCache::new(4, 1024);
-        c.insert(&toks(8, 0));
-        c.lookup(&toks(8, 0));
+        insert(&mut c, &toks(8, 0), SHARED_OWNER);
+        lookup(&mut c, &toks(8, 0), SHARED_OWNER);
         let s = c.stats();
         let json = serde_json::to_string(&s).unwrap();
         let back: CacheStats = serde_json::from_str(&json).unwrap();
@@ -946,10 +816,10 @@ mod tests {
     fn insert_is_idempotent() {
         let mut c = PrefixCache::new(4, 1024);
         let t = toks(16, 0);
-        c.insert(&t);
+        insert(&mut c, &t, SHARED_OWNER);
         let blocks = c.len_blocks();
         let inserted = c.stats().inserted_blocks;
-        c.insert(&t);
+        insert(&mut c, &t, SHARED_OWNER);
         assert_eq!(c.len_blocks(), blocks);
         assert_eq!(c.stats().inserted_blocks, inserted);
     }
@@ -963,16 +833,20 @@ mod tests {
         // broke counter reconciliation. Now the live chain is exempt and
         // the uncacheable suffix is skipped.
         let mut c = PrefixCache::new(4, 1);
-        c.insert(&toks(8, 0));
+        insert(&mut c, &toks(8, 0), SHARED_OWNER);
         assert_eq!(c.len_blocks(), 1, "capacity is a hard bound");
-        assert_eq!(c.lookup(&toks(8, 0)), 4, "the resident block is reachable");
+        assert_eq!(
+            lookup(&mut c, &toks(8, 0), SHARED_OWNER),
+            4,
+            "the resident block is reachable"
+        );
         let s = c.stats();
         assert_eq!(s.inserted_blocks, 1, "the skipped suffix is not counted");
         assert_eq!(s.evicted_blocks, 0);
         assert_eq!(s.implied_live_blocks(), c.len_blocks() as u64);
         // A fresh stream still rotates the resident block via real LRU
         // eviction, with the eviction counted.
-        c.insert(&toks(8, 1));
+        insert(&mut c, &toks(8, 1), SHARED_OWNER);
         assert_eq!(c.len_blocks(), 1);
         let s = c.stats();
         assert_eq!((s.inserted_blocks, s.evicted_blocks), (2, 1));
@@ -982,7 +856,7 @@ mod tests {
     #[test]
     fn clear_counts_freed_blocks_for_reconciliation() {
         let mut c = PrefixCache::new(4, 1024);
-        c.insert(&toks(16, 0));
+        insert(&mut c, &toks(16, 0), SHARED_OWNER);
         assert_eq!(c.len_blocks(), 4);
         c.clear();
         let s = c.stats();
@@ -1012,9 +886,9 @@ mod tests {
             match rng.gen_range(0..10u8) {
                 0 => c.clear(),
                 1..=4 => {
-                    c.lookup_for(&tokens, owner);
+                    striped_lookup(&c, &tokens, owner);
                 }
-                _ => c.insert_for(&tokens, owner),
+                _ => striped_insert(&c, &tokens, owner),
             }
             let s = c.stats();
             assert_eq!(
@@ -1033,13 +907,14 @@ mod tests {
     /// current recency.
     fn assert_leaves_indexed(cache: &PrefixCache, context: &str) {
         let mut leaves: Vec<(u64, u64)> = cache
+            .tree
             .nodes
             .iter()
             .filter(|(_, n)| n.children == 0)
             .map(|(&id, n)| (n.last_used, id))
             .collect();
         leaves.sort_unstable();
-        let indexed: Vec<(u64, u64)> = cache.leaves.keys().collect();
+        let indexed: Vec<(u64, u64)> = cache.tree.evictable.keys().collect();
         assert_eq!(indexed, leaves, "{context}: leaf index");
     }
 
@@ -1076,9 +951,7 @@ mod tests {
                         naive.iter_mut().for_each(NaivePrefixCache::clear);
                     }
                     1..=6 => {
-                        let got = striped.shards[shard]
-                            .lock()
-                            .lookup_for_hashed(&chain, tokens, owner);
+                        let got = striped.shards[shard].lock().lookup(&chain, tokens, owner);
                         let want = naive[shard].lookup_for_hashed(&chain, tokens, owner);
                         assert_eq!(got, want, "step {step}: lookup hit");
                     }
@@ -1093,8 +966,8 @@ mod tests {
                     let cache = striped.shards[i].lock();
                     let context = format!("{shards} shards, step {step}, shard {i}");
                     assert_eq!(cache.stats, reference.stats, "{context}: stats");
-                    assert_eq!(cache.index, reference.index, "{context}: resident set");
-                    assert_eq!(cache.nodes, reference.nodes, "{context}: nodes");
+                    assert_eq!(cache.tree.index, reference.index, "{context}: resident set");
+                    assert_eq!(cache.tree.nodes, reference.nodes, "{context}: nodes");
                     assert_leaves_indexed(&cache, &context);
                 }
             }
@@ -1112,31 +985,31 @@ mod tests {
         let mut c = PrefixCache::new(4, 3);
         let streams = [toks(4, 1), toks(4, 2), toks(4, 3)];
         for t in &streams {
-            c.insert(t);
+            insert(&mut c, t, SHARED_OWNER);
         }
         let ids: Vec<u64> = streams
             .iter()
-            .map(|t| c.index[&(ROOT, PrefixCache::hash_block(t), SHARED_OWNER)])
+            .map(|t| c.tree.find(ROOT, hashes(t, 4)[0], SHARED_OWNER).unwrap())
             .collect();
         assert!(ids[0] < ids[1]);
         for &id in &ids[..2] {
-            let node = c.nodes.get_mut(&id).unwrap();
+            let node = c.tree.nodes.get_mut(&id).unwrap();
             let before = std::mem::replace(&mut node.last_used, 1);
-            c.leaves.touch(id, before, 1);
+            c.tree.evictable.touch(id, before, 1);
         }
         // Residency without the recency refresh a lookup would do.
-        let resident = |c: &PrefixCache, stream: usize| c.nodes.contains_key(&ids[stream]);
-        c.insert(&toks(4, 4));
+        let resident = |c: &PrefixCache, stream: usize| c.tree.nodes.contains_key(&ids[stream]);
+        insert(&mut c, &toks(4, 4), SHARED_OWNER);
         assert!(!resident(&c, 0), "smaller id of the tie goes first");
         assert!(resident(&c, 1));
-        c.insert(&toks(4, 5));
+        insert(&mut c, &toks(4, 5), SHARED_OWNER);
         assert!(!resident(&c, 1), "then the larger id");
         assert!(resident(&c, 2), "the more recent leaf outlives both");
         assert_leaves_indexed(&c, "after tie-break evictions");
         // clear() resets the index with the blocks it describes.
         c.clear();
-        assert_eq!(c.leaves.len(), 0);
-        c.insert(&streams[0]);
+        assert_eq!(c.tree.evictable.len(), 0);
+        insert(&mut c, &streams[0], SHARED_OWNER);
         assert_leaves_indexed(&c, "after clear");
     }
 }

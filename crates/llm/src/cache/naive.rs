@@ -6,13 +6,14 @@
 
 use std::collections::HashMap;
 
-use super::{CacheStats, Node, ROOT, SHARED_OWNER};
+use super::{CacheStats, SHARED_OWNER};
+use crate::tree::{Key, Node, ROOT};
 
 pub(super) struct NaivePrefixCache {
     block_size: usize,
     capacity_blocks: usize,
-    pub(super) index: HashMap<(u64, u64, u64), u64>,
-    pub(super) nodes: HashMap<u64, Node>,
+    pub(super) index: HashMap<Key<u64>, u64>,
+    pub(super) nodes: HashMap<u64, Node<u64>>,
     next_id: u64,
     tick: u64,
     pub(super) stats: CacheStats,
@@ -94,9 +95,10 @@ impl NaivePrefixCache {
                         id,
                         Node {
                             parent,
-                            block_hash: hash,
+                            hash,
                             owner,
                             children: 0,
+                            refs: 0,
                             last_used: self.tick,
                         },
                     );
@@ -125,8 +127,7 @@ impl NaivePrefixCache {
                 return;
             };
             let node = self.nodes.remove(&id).expect("victim exists");
-            self.index
-                .remove(&(node.parent, node.block_hash, node.owner));
+            self.index.remove(&(node.parent, node.hash, node.owner));
             if node.parent != ROOT {
                 if let Some(p) = self.nodes.get_mut(&node.parent) {
                     p.children = p.children.saturating_sub(1);

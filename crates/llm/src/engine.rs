@@ -4,13 +4,13 @@
 //!
 //! ## Structure gates caching
 //!
-//! By default the engine registers and reuses prefix-cache entries only for
-//! requests whose [`PromptIdentity`] is `Structured` — i.e. prompts that
-//! came from SPEAR's prompt store or views. Opaque ad-hoc strings bypass
-//! the cache. This operationalizes the paper's core claim: a serving layer
-//! can only exploit reuse it can *see*, and structured prompt management is
-//! what makes reuse visible. (Set
-//! [`EngineConfig::cache_opaque_prompts`] to study the counterfactual.)
+//! The engine registers and reuses prefix-cache entries only for requests
+//! whose [`PromptIdentity`] is `Structured` — i.e. prompts that came from
+//! SPEAR's prompt store or views. Opaque ad-hoc strings bypass the cache.
+//! This operationalizes the paper's core claim: a serving layer can only
+//! exploit reuse it can *see*, and structured prompt management is what
+//! makes reuse visible. (The cache ablation turns the whole cache off with
+//! [`EngineConfig::cache_enabled`].)
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,10 +39,6 @@ use crate::tokenizer::{StreamingEncoder, Token, Tokenizer};
 pub struct EngineConfig {
     /// Master switch for the prefix cache.
     pub cache_enabled: bool,
-    /// Also cache opaque (ad-hoc) prompts — OFF by default; turning it on
-    /// simulates a serving stack that hashes raw strings without prompt
-    /// identity (used by the cache ablation).
-    pub cache_opaque_prompts: bool,
     /// Tokens per cache block.
     pub block_size: usize,
     /// Cache capacity in blocks.
@@ -63,7 +59,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             cache_enabled: true,
-            cache_opaque_prompts: false,
             block_size: DEFAULT_BLOCK_SIZE,
             capacity_blocks: 64 * 1024,
             cache_shards: DEFAULT_NUM_SHARDS,
@@ -205,9 +200,7 @@ impl SimLlm {
     }
 
     fn cacheable(&self, identity: &PromptIdentity) -> bool {
-        self.config.cache_enabled
-            && (matches!(identity, PromptIdentity::Structured { .. })
-                || self.config.cache_opaque_prompts)
+        self.config.cache_enabled && matches!(identity, PromptIdentity::Structured { .. })
     }
 
     /// Tokenize the prompt, consult the prefix cache, and return
@@ -215,9 +208,9 @@ impl SimLlm {
     ///
     /// Requests that arrive with a segmented rendering take the interned
     /// fast path; everything else re-derives tokens from the flat string.
-    /// Both paths produce identical numbers — the fast path is proven
-    /// equivalent by the streaming-encoder and hashed-cache interop tests
-    /// plus the segmented-encoding property test.
+    /// Both hand the cache the same block-hash chain, so both produce
+    /// identical numbers — the fast path is proven equivalent by the
+    /// streaming-encoder tests and the segmented-encoding property test.
     fn prefill(&self, request: &GenRequest) -> (u64, u64) {
         self.prefill_capturing(request, None)
     }
@@ -257,24 +250,21 @@ impl SimLlm {
     }
 
     /// The original prefill: encode the flat text (into a reused buffer)
-    /// and walk the cache by tokens. `hash` additionally folds the token
-    /// stream through a [`BlockHasher`] into `scratch.hashes` (the memo's
-    /// leader path needs the chain; plain generation skips the work).
+    /// and fold it through a [`BlockHasher`] into `scratch.hashes` once,
+    /// for the cache when the prompt is cacheable and for the memo's
+    /// leader path when `capture` asks for the chain.
     fn whole_text_prefill(
         &self,
         text: &str,
         cacheable: bool,
         scratch: &mut Scratch,
-        hash: bool,
+        capture: bool,
     ) -> (u64, u64) {
         self.tokenizer.encode_into(text, &mut scratch.tokens);
-        let prompt_tokens = scratch.tokens.len() as u64;
-        if hash {
+        let prompt_tokens = scratch.tokens.len();
+        if cacheable || capture {
             scratch.hashes.clear();
-            let mut hasher = BlockHasher::new(self.config.block_size);
-            for &t in &scratch.tokens {
-                hasher.push(t, &mut scratch.hashes);
-            }
+            BlockHasher::new(self.config.block_size).push_all(&scratch.tokens, &mut scratch.hashes);
         }
         let cached = if cacheable {
             // The owner comes from the ambient execution scope: pipeline
@@ -283,11 +273,13 @@ impl SimLlm {
             // count independent of concurrent interleaving. Outside any
             // scope the owner is ambient and all blocks are shared —
             // exactly the original single-threaded semantics.
-            self.cache.lookup_insert(&scratch.tokens, scope::owner()) as u64
+            self.cache
+                .lookup_insert_hashed(&scratch.hashes, prompt_tokens, scope::owner())
+                as u64
         } else {
             0
         };
-        (prompt_tokens, cached)
+        (prompt_tokens as u64, cached)
     }
 
     /// The host fast path: resume tokenization and block hashing from the
@@ -334,9 +326,7 @@ impl SimLlm {
         scratch.hashes.clear();
         scratch.hashes.extend_from_slice(base_hashes);
         let mut hasher = BlockHasher::new(bs);
-        for &t in &base_tokens[base_hashes.len() * bs..] {
-            hasher.push(t, &mut scratch.hashes);
-        }
+        hasher.push_all(&base_tokens[base_hashes.len() * bs..], &mut scratch.hashes);
 
         // Resume the encoder mid-word and feed the remaining segments.
         // `scratch.tokens` holds only suffix tokens — the interned prefix is
@@ -345,9 +335,7 @@ impl SimLlm {
         let mut hashed_upto = 0usize;
         for (i, seg) in segs.iter().enumerate().skip(covered) {
             scratch.encoder.feed(seg.text(), &mut scratch.tokens);
-            for &t in &scratch.tokens[hashed_upto..] {
-                hasher.push(t, &mut scratch.hashes);
-            }
+            hasher.push_all(&scratch.tokens[hashed_upto..], &mut scratch.hashes);
             hashed_upto = scratch.tokens.len();
             if i < literal_run {
                 // Cold literal chain: memoize it for every later request
@@ -369,9 +357,7 @@ impl SimLlm {
         }
         let flushed = scratch.tokens.len();
         scratch.encoder.finish(&mut scratch.tokens);
-        for &t in &scratch.tokens[flushed..] {
-            hasher.push(t, &mut scratch.hashes);
-        }
+        hasher.push_all(&scratch.tokens[flushed..], &mut scratch.hashes);
 
         let total_tokens = base_tokens.len() + scratch.tokens.len();
         let cached = if cacheable {
@@ -729,21 +715,6 @@ mod tests {
         let second = e.generate(&req).unwrap();
         assert_eq!(second.usage.cached_tokens, 0);
         assert_eq!(e.cache_stats().lookups, 0);
-    }
-
-    #[test]
-    fn cache_opaque_config_flips_the_gate() {
-        let e = SimLlm::with_config(
-            ModelProfile::qwen25_7b_instruct(),
-            EngineConfig {
-                cache_opaque_prompts: true,
-                ..EngineConfig::default()
-            },
-        );
-        let req = GenRequest::opaque(format!("{}Tweet: x", long_instruction()));
-        e.generate(&req).unwrap();
-        let second = e.generate(&req).unwrap();
-        assert!(second.usage.cached_tokens > 0);
     }
 
     #[test]

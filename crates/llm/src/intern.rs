@@ -23,6 +23,8 @@
 //! Bounded (LRU per shard) and lock-striped like the prefix cache, so
 //! concurrent lanes serving unrelated prompt families never contend.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -224,6 +226,7 @@ impl TokenInterner {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -47,6 +47,7 @@ pub mod pool;
 pub mod profile;
 pub mod task;
 pub mod tokenizer;
+mod tree;
 
 pub use cache::{
     BlockHasher, CacheStats, PrefixCache, StripedPrefixCache, DEFAULT_BLOCK_SIZE,

@@ -1,6 +1,7 @@
-//! The ordered eviction index shared by this crate's bounded structures
-//! ([`crate::pool::BlockPool`], [`crate::cache::PrefixCache`],
-//! [`crate::memo::GenMemo`], [`crate::intern::TokenInterner`]).
+//! The ordered eviction index shared by this crate's bounded structures:
+//! the radix block tree (`tree.rs`) under [`crate::pool::BlockPool`] and
+//! [`crate::cache::PrefixCache`], [`crate::memo::GenMemo`] and
+//! [`crate::intern::TokenInterner`].
 //!
 //! Each structure keeps its *currently evictable* entries in an
 //! [`LruIndex`] keyed `(last_used, id)` and updates it wherever an entry
@@ -8,6 +9,8 @@
 //! then the smallest key — least recently used, ties broken by the smaller
 //! id — found in O(log n) instead of by scanning every entry, and the same
 //! way in all of them.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeSet;
 

@@ -26,6 +26,8 @@
 //! pinned (there is nothing to evict yet, and followers hold the key's
 //! identity in their stacks). Capacity is split evenly across shards.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -331,6 +333,7 @@ impl std::fmt::Debug for GenMemo {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -3,12 +3,14 @@
 //!
 //! The pool holds a fixed budget of *blocks* (one block = `block_size`
 //! tokens of KV state, though the pool itself is token-agnostic and works
-//! purely on block content-hash chains). Blocks form a radix forest keyed
-//! by `(parent, content hash)`, exactly like [`crate::cache::PrefixCache`],
-//! so sequences that share a prefix share the prefix's blocks physically.
+//! purely on block content-hash chains). Each stripe stands on the same
+//! radix block tree as [`crate::cache::PrefixCache`], keyed by `(parent,
+//! content hash)` with no owner, so sequences that share a prefix share
+//! the prefix's blocks physically.
 //!
 //! Unlike the prefix cache — which models *visibility* of reuse and may
-//! drop any block — the pool models *occupancy*:
+//! drop any block — the pool models *occupancy*, and keeps that policy
+//! (leases, pins, the feasibility check) on top of the tree:
 //!
 //! - an in-flight sequence **pins** every block on its path via a lease
 //!   ([`BlockPool::allocate`] increments a per-block reference count);
@@ -49,7 +51,7 @@ use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-use crate::lru::LruIndex;
+use crate::tree::{Tree, ROOT};
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -57,9 +59,6 @@ mod naive;
 
 /// Default stripe count for [`BlockPool`].
 pub const DEFAULT_POOL_STRIPES: usize = 4;
-
-/// Root sentinel (not stored in the node map).
-const ROOT: u64 = 0;
 
 /// Pool activity counters. All counters are monotonic, so snapshots can be
 /// diffed with [`PoolStats::delta_since`].
@@ -146,33 +145,20 @@ impl std::fmt::Display for PoolExhausted {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Node {
-    parent: u64,
-    hash: u64,
-    children: u32,
-    refs: u32,
-    last_used: u64,
-}
-
 #[derive(Debug, Default)]
 struct PoolStripe {
     capacity: usize,
-    /// `(parent id, block hash) -> node id`. Blocks are physical — no
-    /// owner tagging; sharing is the point.
-    index: HashMap<(u64, u64), u64>,
-    nodes: HashMap<u64, Node>,
+    /// Blocks are physical — no owner tagging; sharing is the point. Its
+    /// `evictable` index holds the nodes with `refs == 0` and
+    /// `children == 0` in LRU order, kept current wherever `refs`,
+    /// `children` or `last_used` change.
+    tree: Tree<()>,
     /// `sequence id -> pinned path (root-first node ids)`.
     leases: HashMap<u64, Vec<u64>>,
     /// Nodes with `refs > 0`. A lease is a root-first path, so a pinned
     /// node's ancestors are pinned by the same lease: this is also the
     /// number of nodes eviction may never touch.
     pinned: usize,
-    /// The evictable nodes — `refs == 0` and `children == 0` — in LRU
-    /// order, kept current wherever `refs`, `children` or `last_used`
-    /// change.
-    evictable: LruIndex,
-    next_id: u64,
     tick: u64,
     stats: PoolStats,
 }
@@ -181,7 +167,6 @@ impl PoolStripe {
     fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            next_id: 1,
             ..Self::default()
         }
     }
@@ -189,7 +174,7 @@ impl PoolStripe {
     /// Evict the LRU unpinned leaf. Returns `false` when nothing is
     /// evictable (every block pinned or an ancestor of a pinned block).
     fn evict_one(&mut self) -> bool {
-        let Some(id) = self.evictable.pop_lru() else {
+        let Some(id) = self.tree.evictable.pop_lru() else {
             return false;
         };
         self.remove_node(id);
@@ -200,17 +185,8 @@ impl PoolStripe {
     /// Drop node `id` (already out of `evictable`); a parent left
     /// unpinned and childless becomes evictable.
     fn remove_node(&mut self, id: u64) {
-        let Some(node) = self.nodes.remove(&id) else {
-            return;
-        };
-        self.index.remove(&(node.parent, node.hash));
-        if node.parent != ROOT {
-            if let Some(parent) = self.nodes.get_mut(&node.parent) {
-                parent.children = parent.children.saturating_sub(1);
-                if parent.children == 0 && parent.refs == 0 {
-                    self.evictable.insert(parent.last_used, node.parent);
-                }
-            }
+        if let Some((parent, last_used)) = self.tree.remove(id) {
+            self.tree.evictable.insert(last_used, parent);
         }
     }
 
@@ -218,7 +194,7 @@ impl PoolStripe {
     /// left it unpinned and childless — evictable, or on preemption
     /// droppable.
     fn unpin(&mut self, id: u64) -> Option<u64> {
-        let node = self.nodes.get_mut(&id)?;
+        let node = self.tree.nodes.get_mut(&id)?;
         debug_assert!(node.refs > 0, "unpinned block must be pinned");
         node.refs = node.refs.checked_sub(1)?;
         if node.refs > 0 {
@@ -242,22 +218,13 @@ impl PoolStripe {
         self.stats.requested_blocks += requested as u64;
 
         // Walk the resident extension of the lease path.
-        let mut parent = lease.last().copied().unwrap_or(ROOT);
-        let mut resident = Vec::new();
-        for &hash in &chain[start..] {
-            match self.index.get(&(parent, hash)) {
-                Some(&id) => {
-                    resident.push(id);
-                    parent = id;
-                }
-                None => break,
-            }
-        }
+        let parent = lease.last().copied().unwrap_or(ROOT);
+        let resident: Vec<u64> = self.tree.walk(parent, &chain[start..], ()).collect();
         let new_needed = requested - resident.len();
 
         // Feasibility before mutation: can eviction make enough room
         // without touching a pinned path (ours included, once pinned)?
-        let evictions_needed = (self.nodes.len() + new_needed).saturating_sub(self.capacity);
+        let evictions_needed = (self.tree.len() + new_needed).saturating_sub(self.capacity);
         if evictions_needed > 0 {
             // Everything pinned survives (the lease included), and so does
             // the resident extension, which is about to be pinned — count
@@ -265,9 +232,9 @@ impl PoolStripe {
             // call it reclaimable.
             let unpinned_resident = resident
                 .iter()
-                .filter(|id| self.nodes.get(id).is_some_and(|n| n.refs == 0))
+                .filter(|id| self.tree.nodes.get(id).is_some_and(|n| n.refs == 0))
                 .count();
-            let reclaimable = self.nodes.len() - self.pinned - unpinned_resident;
+            let reclaimable = self.tree.len() - self.pinned - unpinned_resident;
             if reclaimable < evictions_needed {
                 self.stats.alloc_failures += 1;
                 if !lease.is_empty() {
@@ -284,11 +251,11 @@ impl PoolStripe {
         // select it while we insert the genuinely new blocks.
         let tick = self.tick;
         for &id in &resident {
-            if let Some(node) = self.nodes.get_mut(&id) {
+            if let Some(node) = self.tree.nodes.get_mut(&id) {
                 if node.refs == 0 {
                     self.pinned += 1;
                     if node.children == 0 {
-                        self.evictable.remove(node.last_used, id);
+                        self.tree.evictable.remove(node.last_used, id);
                     }
                 }
                 node.refs += 1;
@@ -298,35 +265,17 @@ impl PoolStripe {
         }
         let mut parent = lease.last().copied().unwrap_or(ROOT);
         for &hash in &chain[start + resident.len()..] {
-            while self.nodes.len() >= self.capacity {
+            while self.tree.len() >= self.capacity {
                 let evicted = self.evict_one();
                 debug_assert!(evicted, "feasibility check guarantees room");
                 if !evicted {
                     break;
                 }
             }
-            let id = self.next_id;
-            self.next_id += 1;
-            self.index.insert((parent, hash), id);
-            self.nodes.insert(
-                id,
-                Node {
-                    parent,
-                    hash,
-                    children: 0,
-                    refs: 1,
-                    last_used: tick,
-                },
-            );
-            if parent != ROOT {
-                if let Some(p) = self.nodes.get_mut(&parent) {
-                    p.children += 1;
-                }
-            }
+            parent = self.tree.insert(parent, hash, (), 1, tick);
             self.pinned += 1;
             self.stats.inserted_blocks += 1;
-            lease.push(id);
-            parent = id;
+            lease.push(parent);
         }
         let grant = AllocGrant {
             reused_blocks: resident.len(),
@@ -345,7 +294,7 @@ impl PoolStripe {
         };
         for id in lease {
             if let Some(last_used) = self.unpin(id) {
-                self.evictable.insert(last_used, id);
+                self.tree.evictable.insert(last_used, id);
             }
         }
     }
@@ -363,22 +312,6 @@ impl PoolStripe {
                 self.stats.freed_blocks += 1;
             }
         }
-    }
-
-    /// Resident leading blocks of `chain` (no pinning, no LRU touch).
-    fn peek(&self, chain: &[u64]) -> usize {
-        let mut parent = ROOT;
-        let mut matched = 0;
-        for &hash in chain {
-            match self.index.get(&(parent, hash)) {
-                Some(&id) => {
-                    parent = id;
-                    matched += 1;
-                }
-                None => break,
-            }
-        }
-        matched
     }
 
     fn evict_idle(&mut self, max_blocks: usize) -> usize {
@@ -554,7 +487,10 @@ impl BlockPool {
     #[must_use]
     pub fn peek(&self, chain: &[u64]) -> usize {
         match chain.first() {
-            Some(&first) => self.stripes[self.stripe_for(first)].lock().peek(chain),
+            Some(&first) => {
+                let stripe = self.stripes[self.stripe_for(first)].lock();
+                stripe.tree.walk(ROOT, chain, ()).count()
+            }
             None => 0,
         }
     }
@@ -570,7 +506,7 @@ impl BlockPool {
     /// Resident blocks across all stripes.
     #[must_use]
     pub fn live_blocks(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().nodes.len()).sum()
+        self.stripes.iter().map(|s| s.lock().tree.len()).sum()
     }
 
     /// Resident blocks with a nonzero reference count.
@@ -856,10 +792,10 @@ mod tests {
     fn assert_same_state(stripe: &PoolStripe, naive: &NaiveStripe, context: &str) {
         assert_eq!(stripe.stats, naive.stats, "{context}: stats");
         assert_eq!(
-            stripe.index, naive.index,
+            stripe.tree.index, naive.index,
             "{context}: resident (parent, hash) set"
         );
-        assert_eq!(stripe.nodes, naive.nodes, "{context}: nodes");
+        assert_eq!(stripe.tree.nodes, naive.nodes, "{context}: nodes");
         assert_eq!(stripe.leases, naive.leases, "{context}: leases");
         assert_eq!(stripe.pinned, naive.pinned(), "{context}: pinned count");
         let mut leaves: Vec<(u64, u64)> = naive
@@ -869,7 +805,7 @@ mod tests {
             .map(|(&id, n)| (n.last_used, id))
             .collect();
         leaves.sort_unstable();
-        let indexed: Vec<(u64, u64)> = stripe.evictable.keys().collect();
+        let indexed: Vec<(u64, u64)> = stripe.tree.evictable.keys().collect();
         assert_eq!(indexed, leaves, "{context}: evictable leaves");
     }
 

@@ -5,15 +5,16 @@
 
 use std::collections::{HashMap, HashSet};
 
-use super::{AllocGrant, Node, PoolExhausted, PoolStats, ROOT};
+use super::{AllocGrant, PoolExhausted, PoolStats};
+use crate::tree::{Key, Node, ROOT};
 
 #[derive(Debug, Default)]
 pub(super) struct NaiveStripe {
     pub(super) capacity: usize,
     /// `(parent id, block hash) -> node id`. Blocks are physical — no
     /// owner tagging; sharing is the point.
-    pub(super) index: HashMap<(u64, u64), u64>,
-    pub(super) nodes: HashMap<u64, Node>,
+    pub(super) index: HashMap<Key<()>, u64>,
+    pub(super) nodes: HashMap<u64, Node<()>>,
     /// `sequence id -> pinned path (root-first node ids)`.
     pub(super) leases: HashMap<u64, Vec<u64>>,
     pub(super) next_id: u64,
@@ -67,7 +68,7 @@ impl NaiveStripe {
         let Some(node) = self.nodes.remove(&id) else {
             return;
         };
-        self.index.remove(&(node.parent, node.hash));
+        self.index.remove(&(node.parent, node.hash, node.owner));
         if node.parent != ROOT {
             if let Some(parent) = self.nodes.get_mut(&node.parent) {
                 parent.children = parent.children.saturating_sub(1);
@@ -96,7 +97,7 @@ impl NaiveStripe {
         let mut parent = lease.last().copied().unwrap_or(ROOT);
         let mut resident = Vec::new();
         for &hash in &chain[start..] {
-            match self.index.get(&(parent, hash)) {
+            match self.index.get(&(parent, hash, ())) {
                 Some(&id) => {
                     resident.push(id);
                     parent = id;
@@ -153,12 +154,13 @@ impl NaiveStripe {
             }
             let id = self.next_id;
             self.next_id += 1;
-            self.index.insert((parent, hash), id);
+            self.index.insert((parent, hash, ()), id);
             self.nodes.insert(
                 id,
                 Node {
                     parent,
                     hash,
+                    owner: (),
                     children: 0,
                     refs: 1,
                     last_used: tick,
@@ -221,7 +223,7 @@ impl NaiveStripe {
         let mut parent = ROOT;
         let mut matched = 0;
         for &hash in chain {
-            match self.index.get(&(parent, hash)) {
+            match self.index.get(&(parent, hash, ())) {
                 Some(&id) => {
                     parent = id;
                     matched += 1;

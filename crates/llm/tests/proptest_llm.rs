@@ -5,9 +5,24 @@
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use spear_llm::{ModelProfile, PrefixCache, Token};
+use spear_llm::{BlockHasher, ModelProfile, PrefixCache, Token, SHARED_OWNER};
 
 const BLOCK: usize = 4;
+
+/// Full-block hashes of `tokens`: the cache's one way in.
+fn hashes(tokens: &[Token]) -> Vec<u64> {
+    let mut out = Vec::new();
+    BlockHasher::new(BLOCK).push_all(tokens, &mut out);
+    out
+}
+
+fn insert(cache: &mut PrefixCache, tokens: &[Token]) {
+    cache.insert(&hashes(tokens), SHARED_OWNER);
+}
+
+fn lookup(cache: &mut PrefixCache, tokens: &[Token]) -> usize {
+    cache.lookup(&hashes(tokens), tokens.len(), SHARED_OWNER)
+}
 
 /// Reference model: the set of inserted block-aligned prefixes; a lookup
 /// returns the longest block-aligned prefix of the query present in the set.
@@ -52,10 +67,10 @@ proptest! {
         for (is_insert, raw) in &ops {
             let tokens: Vec<Token> = raw.iter().map(|&t| Token(t)).collect();
             if *is_insert {
-                cache.insert(&tokens);
+                insert(&mut cache, &tokens);
                 reference.insert(raw);
             } else {
-                prop_assert_eq!(cache.lookup(&tokens), reference.lookup(raw));
+                prop_assert_eq!(lookup(&mut cache, &tokens), reference.lookup(raw));
             }
         }
     }
@@ -66,9 +81,9 @@ proptest! {
     fn lookup_bounds(raw in token_seq()) {
         let tokens: Vec<Token> = raw.iter().map(|&t| Token(t)).collect();
         let mut cache = PrefixCache::new(BLOCK, 1 << 16);
-        prop_assert_eq!(cache.lookup(&tokens), 0, "cold cache misses");
-        cache.insert(&tokens);
-        let hit = cache.lookup(&tokens);
+        prop_assert_eq!(lookup(&mut cache, &tokens), 0, "cold cache misses");
+        insert(&mut cache, &tokens);
+        let hit = lookup(&mut cache, &tokens);
         prop_assert_eq!(hit, (raw.len() / BLOCK) * BLOCK);
     }
 
@@ -109,8 +124,8 @@ proptest! {
         let mut cache = PrefixCache::new(BLOCK, 4); // tiny: constant eviction
         for raw in &ops {
             let tokens: Vec<Token> = raw.iter().map(|&t| Token(t)).collect();
-            cache.insert(&tokens);
-            let hit = cache.lookup(&tokens);
+            insert(&mut cache, &tokens);
+            let hit = lookup(&mut cache, &tokens);
             prop_assert!(hit <= tokens.len());
             prop_assert_eq!(hit % BLOCK, 0, "hits are block-aligned");
             prop_assert!(cache.len_blocks() <= 4 + 1);

@@ -16,7 +16,7 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 
-use spear_llm::{StripedPrefixCache, Token};
+use spear_llm::{BlockHasher, StripedPrefixCache, Token};
 
 const BLOCK_SIZE: usize = 4;
 const CAPACITY_BLOCKS: usize = 1024;
@@ -24,6 +24,13 @@ const NUM_SHARDS: usize = 4;
 
 fn tokens(raw: &[u64]) -> Vec<Token> {
     raw.iter().map(|&t| Token(t)).collect()
+}
+
+/// The cache's hashed lookup-then-insert of a token stream.
+fn lookup_insert(cache: &StripedPrefixCache, tokens: &[Token], owner: u64) -> usize {
+    let mut hashes = Vec::new();
+    BlockHasher::new(BLOCK_SIZE).push_all(tokens, &mut hashes);
+    cache.lookup_insert_hashed(&hashes, tokens.len(), owner)
 }
 
 /// A fresh cache pre-warmed with one shared 2-block prefix.
@@ -119,7 +126,9 @@ fn logs() -> [Vec<Vec<Token>>; 2] {
 /// Each owner's hit counts with the other owner absent entirely.
 fn solo_baseline(log: &[Vec<Token>], owner: u64) -> Vec<usize> {
     let cache = fresh_cache();
-    log.iter().map(|t| cache.lookup_insert(t, owner)).collect()
+    log.iter()
+        .map(|t| lookup_insert(&cache, t, owner))
+        .collect()
 }
 
 #[test]
@@ -144,7 +153,7 @@ fn owner_discipline_holds_under_every_interleaving() {
                     s.spawn(move || {
                         let mut next = 0usize;
                         turnstile.drive(who, || {
-                            let hits = cache.lookup_insert(&log[next], who as u64 + 1);
+                            let hits = lookup_insert(&cache, &log[next], who as u64 + 1);
                             next += 1;
                             hits
                         })

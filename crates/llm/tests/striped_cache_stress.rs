@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use spear_llm::{CacheStats, StripedPrefixCache, Token};
+use spear_llm::{BlockHasher, CacheStats, StripedPrefixCache, Token};
 
 const BLOCK_SIZE: usize = 4;
 const NUM_THREADS: usize = 8;
@@ -56,6 +56,13 @@ fn tokens_of(req: &Request, warm: &[Vec<u64>]) -> Vec<Token> {
         .collect()
 }
 
+/// The cache's hashed lookup-then-insert of a token stream.
+fn lookup_insert(cache: &StripedPrefixCache, tokens: &[Token], owner: u64) -> usize {
+    let mut hashes = Vec::new();
+    BlockHasher::new(BLOCK_SIZE).push_all(tokens, &mut hashes);
+    cache.lookup_insert_hashed(&hashes, tokens.len(), owner)
+}
+
 fn fresh_cache(warm: &[Vec<u64>]) -> StripedPrefixCache {
     let cache = StripedPrefixCache::new(BLOCK_SIZE, CAPACITY_BLOCKS, NUM_SHARDS);
     for prefix in warm {
@@ -78,7 +85,7 @@ fn run_concurrent(warm: &[Vec<u64>], logs: &[Vec<Request>]) -> (Vec<Vec<usize>>,
                 s.spawn(move || {
                     let owner = t as u64 + 1;
                     log.iter()
-                        .map(|req| cache.lookup_insert(&tokens_of(req, warm), owner))
+                        .map(|req| lookup_insert(&cache, &tokens_of(req, warm), owner))
                         .collect::<Vec<usize>>()
                 })
             })
@@ -99,7 +106,7 @@ fn run_sequential(warm: &[Vec<u64>], logs: &[Vec<Request>]) -> (Vec<Vec<usize>>,
         .map(|(t, log)| {
             let owner = t as u64 + 1;
             log.iter()
-                .map(|req| cache.lookup_insert(&tokens_of(req, warm), owner))
+                .map(|req| lookup_insert(&cache, &tokens_of(req, warm), owner))
                 .collect()
         })
         .collect();
@@ -139,12 +146,12 @@ proptest! {
     ) {
         // Sanity for the generator itself: issuing the same stream twice
         // under one owner must hit every whole block the second time
-        // (lookup_insert reports cached *tokens*; the partial tail block
+        // (lookup_insert_hashed reports cached *tokens*; the partial tail block
         // is never cached).
         let cache = fresh_cache(&warm);
         let tokens = tokens_of(&req, &warm);
-        cache.lookup_insert(&tokens, 1);
-        let second = cache.lookup_insert(&tokens, 1);
+        lookup_insert(&cache, &tokens, 1);
+        let second = lookup_insert(&cache, &tokens, 1);
         prop_assert_eq!(second, (tokens.len() / BLOCK_SIZE) * BLOCK_SIZE);
     }
 }

@@ -208,9 +208,8 @@ impl ProgramCache {
     /// Look up (or compile, and for keyed families specialize) the program
     /// for `plan`. Returns `None` when the plan fails to compile — i.e.
     /// fails structural verification — in which case nothing is cached and
-    /// the caller should hand the plan to
-    /// [`Runtime::execute_lowered`], whose compile step returns the
-    /// `InvalidPlan` error through the normal execution path.
+    /// the caller can take the `InvalidPlan` error from
+    /// [`spear_core::vm::compile`] itself.
     pub fn get_or_compile(
         &self,
         plan: &LoweredPlan,

@@ -246,7 +246,8 @@ fn int_and_float_literals_get_their_own_programs() {
     for (lit, expected) in [(Value::Int(1), true), (Value::Float(1.0), false)] {
         let plan = delegating(lit);
         let mut uncached = ExecState::new();
-        rt.execute_lowered(&plan, &mut uncached).expect("runs");
+        let program = spear_core::vm::compile(&plan).expect("compiles");
+        rt.execute_program(&program, &mut uncached).expect("runs");
         assert_eq!(uncached.context.get("out"), Some(Value::from(expected)));
 
         let program = cache.get_or_compile(&plan, &rt, None).expect("compiles");

@@ -139,6 +139,7 @@ fn sentiment_workload_traces_are_byte_identical_across_both_executors() {
     .with_identity("view:tweet_pipeline@1");
     let pipeline = spear::optimizer::to_pipeline(&PhysicalPlan::sequential(&plan));
     let lowered = spear::core::lower(&pipeline).expect("lowers");
+    let program = spear::core::vm::compile(&lowered).expect("compiles");
 
     let verdict = |payload: &Value, _: &Context| {
         Ok(Value::from(
@@ -165,7 +166,7 @@ fn sentiment_workload_traces_are_byte_identical_across_both_executors() {
         ir_state.context.set("item", tweet.clone());
 
         let tree_report = tree_rt.execute_tree(&pipeline, &mut tree_state).unwrap();
-        let ir_report = ir_rt.execute_lowered(&lowered, &mut ir_state).unwrap();
+        let ir_report = ir_rt.execute_program(&program, &mut ir_state).unwrap();
 
         assert_eq!(tree_report, ir_report, "reports diverge on {tweet:?}");
         assert_eq!(
