@@ -20,18 +20,17 @@
 //! interleaving, are all invisible to the engine's outputs. That is what
 //! keeps every trace digest byte-identical with the interner on or off.
 //!
-//! Bounded (LRU per shard) and lock-striped like the prefix cache, so
-//! concurrent lanes serving unrelated prompt families never contend.
+//! Lock-striped like the prefix cache, so concurrent lanes serving
+//! unrelated prompt families never contend; each stripe is one [`LruMap`].
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spear_kv::shard::{fnv1a_extend, FNV1A_OFFSET};
 
-use crate::lru::LruIndex;
+use crate::lru::LruMap;
 use crate::tokenizer::Token;
 
 /// Default maximum interned chains (across all shards). Chains are one per
@@ -97,29 +96,10 @@ pub struct InternStats {
     pub resident: u64,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<u64, Entry>,
-    /// Every resident chain in LRU order.
-    lru: LruIndex,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    insertions: u64,
-    evictions: u64,
-}
-
-#[derive(Debug)]
-struct Entry {
-    chain: InternedChain,
-    last_used: u64,
-}
-
 /// Bounded, lock-striped map from chain key to [`InternedChain`].
 #[derive(Debug)]
 pub struct TokenInterner {
-    shards: Vec<Mutex<Shard>>,
-    capacity_per_shard: usize,
+    shards: Vec<Mutex<LruMap<u64, InternedChain>>>,
 }
 
 impl TokenInterner {
@@ -128,12 +108,11 @@ impl TokenInterner {
     #[must_use]
     pub fn new(capacity: usize, num_shards: usize) -> Self {
         let num_shards = num_shards.max(1);
-        let capacity_per_shard = capacity.div_ceil(num_shards).max(1);
+        let capacity_per_shard = capacity.div_ceil(num_shards);
         Self {
             shards: (0..num_shards)
-                .map(|_| Mutex::new(Shard::default()))
+                .map(|_| Mutex::new(LruMap::new(capacity_per_shard)))
                 .collect(),
-            capacity_per_shard,
         }
     }
 
@@ -143,7 +122,7 @@ impl TokenInterner {
         Self::new(DEFAULT_INTERN_CAPACITY, DEFAULT_INTERN_SHARDS)
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
+    fn shard(&self, key: u64) -> &Mutex<LruMap<u64, InternedChain>> {
         &self.shards[(key % self.shards.len() as u64) as usize]
     }
 
@@ -151,21 +130,7 @@ impl TokenInterner {
     /// The returned chain is three `Arc` clones — no data is copied.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<InternedChain> {
-        let mut guard = self.shard(key).lock();
-        let shard = &mut *guard;
-        shard.tick += 1;
-        match shard.map.get_mut(&key) {
-            Some(entry) => {
-                shard.lru.touch(key, entry.last_used, shard.tick);
-                entry.last_used = shard.tick;
-                shard.hits += 1;
-                Some(entry.chain.clone())
-            }
-            None => {
-                shard.misses += 1;
-                None
-            }
-        }
+        self.shard(key).lock().get(&key).cloned()
     }
 
     /// Intern a chain. If the key is already present the existing entry is
@@ -173,31 +138,8 @@ impl TokenInterner {
     /// and only its LRU position refreshes. At capacity, the least
     /// recently used chain in the shard is evicted first.
     pub fn insert(&self, key: u64, chain: InternedChain) {
-        let mut guard = self.shard(key).lock();
-        let shard = &mut *guard;
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(entry) = shard.map.get_mut(&key) {
-            shard.lru.touch(key, entry.last_used, tick);
-            entry.last_used = tick;
-            return;
-        }
-        while shard.map.len() >= self.capacity_per_shard {
-            let Some(victim) = shard.lru.pop_lru() else {
-                break;
-            };
-            shard.map.remove(&victim);
-            shard.evictions += 1;
-        }
-        shard.lru.insert(tick, key);
-        shard.map.insert(
-            key,
-            Entry {
-                chain,
-                last_used: tick,
-            },
-        );
-        shard.insertions += 1;
+        // The victim, if any, drops after the shard unlocks.
+        let _victim = self.shard(key).lock().insert(key, chain);
     }
 
     /// Aggregate counters across all shards.
@@ -205,23 +147,15 @@ impl TokenInterner {
     pub fn stats(&self) -> InternStats {
         let mut total = InternStats::default();
         for shard in &self.shards {
-            let s = shard.lock();
+            let shard = shard.lock();
+            let s = shard.stats();
             total.hits += s.hits;
             total.misses += s.misses;
             total.insertions += s.insertions;
             total.evictions += s.evictions;
-            total.resident += s.map.len() as u64;
+            total.resident += shard.len() as u64;
         }
         total
-    }
-
-    /// Drop every interned chain (counters are retained).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.map.clear();
-            shard.lru.clear();
-        }
     }
 }
 
@@ -293,18 +227,5 @@ mod tests {
         let s = interner.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.resident, 2);
-    }
-
-    #[test]
-    fn clear_drops_entries_but_keeps_counters() {
-        let interner = TokenInterner::new(8, 2);
-        interner.insert(1, chain(1, 1));
-        let _ = interner.get(1);
-        interner.clear();
-        assert!(interner.get(1).is_none());
-        let s = interner.stats();
-        assert_eq!(s.resident, 0);
-        assert_eq!(s.insertions, 1);
-        assert_eq!(s.hits, 1);
     }
 }

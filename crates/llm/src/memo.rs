@@ -22,18 +22,19 @@
 //!
 //! ## Eviction
 //!
-//! Per-shard LRU over *completed* entries only; in-flight markers are
-//! pinned (there is nothing to evict yet, and followers hold the key's
-//! identity in their stacks). Capacity is split evenly across shards.
+//! Each shard's completed entries are one [`LruMap`], bounded in entries
+//! (capacity split evenly across shards); its misses are the leads.
+//! In-flight keys sit in a set beside it, never in it, so they are never
+//! victims.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use spear_core::llm::FinishReason;
 
-use crate::lru::LruIndex;
+use crate::lru::LruMap;
 
 /// Number of lock stripes. Matches the interner's default: enough to keep
 /// 8 serving lanes from contending, cheap enough to aggregate.
@@ -100,25 +101,12 @@ pub struct MemoStats {
     pub resident_bytes: u64,
 }
 
-enum Slot {
-    /// A leader is executing this key; followers wait on the shard
-    /// condvar.
-    InFlight,
-    /// A completed generation.
-    Ready { entry: MemoEntry, last_used: u64 },
-}
-
-#[derive(Default)]
 struct ShardState {
-    slots: HashMap<u64, Slot>,
-    /// The `Ready` slots — the evictable ones — in LRU order.
-    ready: LruIndex,
-    tick: u64,
-    hits: u64,
+    /// Completed generations.
+    entries: LruMap<u64, MemoEntry>,
+    /// Keys a leader is executing; followers wait on the shard condvar.
+    in_flight: HashSet<u64>,
     coalesced_waits: u64,
-    leads: u64,
-    insertions: u64,
-    evictions: u64,
     resident_bytes: u64,
 }
 
@@ -165,7 +153,6 @@ impl Drop for LeadGuard<'_> {
 /// A bounded, lock-striped, single-flight exact-match generation memo.
 pub struct GenMemo {
     shards: Vec<Shard>,
-    capacity_per_shard: usize,
 }
 
 impl GenMemo {
@@ -176,11 +163,15 @@ impl GenMemo {
         Self {
             shards: (0..NUM_SHARDS)
                 .map(|_| Shard {
-                    state: Mutex::new(ShardState::default()),
+                    state: Mutex::new(ShardState {
+                        entries: LruMap::new(capacity.div_ceil(NUM_SHARDS)),
+                        in_flight: HashSet::new(),
+                        coalesced_waits: 0,
+                        resident_bytes: 0,
+                    }),
                     woken: Condvar::new(),
                 })
                 .collect(),
-            capacity_per_shard: capacity.div_ceil(NUM_SHARDS).max(1),
         }
     }
 
@@ -207,90 +198,50 @@ impl GenMemo {
     pub fn lookup_or_lead(&self, key: u64) -> Lookup<'_> {
         let shard = self.shard(key);
         let mut state = Self::lock(shard);
-        loop {
-            let shard_state = &mut *state;
-            match shard_state.slots.get_mut(&key) {
-                Some(Slot::Ready { entry, last_used }) => {
-                    shard_state.tick += 1;
-                    shard_state.ready.touch(key, *last_used, shard_state.tick);
-                    *last_used = shard_state.tick;
-                    shard_state.hits += 1;
-                    return Lookup::Hit(entry.clone());
-                }
-                Some(Slot::InFlight) => {
-                    shard_state.coalesced_waits += 1;
-                    state = match shard.woken.wait(state) {
-                        Ok(guard) => guard,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    // Loop: the leader either published (Ready → hit) or
-                    // abandoned (absent → we may lead).
-                }
-                None => {
-                    shard_state.slots.insert(key, Slot::InFlight);
-                    shard_state.leads += 1;
-                    return Lookup::Lead(LeadGuard {
-                        memo: self,
-                        key,
-                        done: false,
-                    });
-                }
-            }
+        while state.in_flight.contains(&key) {
+            state.coalesced_waits += 1;
+            state = match shard.woken.wait(state) {
+                Ok(guard) => guard,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            // The leader either published (a hit below) or abandoned
+            // (absent: we may lead).
         }
+        if let Some(entry) = state.entries.get(&key) {
+            return Lookup::Hit(entry.clone());
+        }
+        state.in_flight.insert(key);
+        Lookup::Lead(LeadGuard {
+            memo: self,
+            key,
+            done: false,
+        })
     }
 
     /// A non-coalescing peek used by tests: `Some` iff a completed entry
     /// is resident (never blocks, never leads, does not touch LRU order).
-    #[must_use]
-    pub fn peek(&self, key: u64) -> Option<MemoEntry> {
-        let state = Self::lock(self.shard(key));
-        match state.slots.get(&key) {
-            Some(Slot::Ready { entry, .. }) => Some(entry.clone()),
-            _ => None,
-        }
+    #[cfg(test)]
+    fn peek(&self, key: u64) -> Option<MemoEntry> {
+        Self::lock(self.shard(key)).entries.peek(&key).cloned()
     }
 
     fn publish(&self, key: u64, entry: MemoEntry) {
         let shard = self.shard(key);
         let mut state = Self::lock(shard);
-        // Evict LRU completed entries to stay within bound; the slot being
-        // published replaces an InFlight marker, so resident count grows
-        // by one. In-flight markers are pinned.
-        while state.ready.len() >= self.capacity_per_shard {
-            let Some(victim) = state.ready.pop_lru() else {
-                break;
-            };
-            if let Some(Slot::Ready { entry, .. }) = state.slots.remove(&victim) {
-                state.resident_bytes -= entry.bytes();
-                state.evictions += 1;
-            }
-        }
-        state.tick += 1;
-        let tick = state.tick;
+        state.in_flight.remove(&key);
         state.resident_bytes += entry.bytes();
-        state.insertions += 1;
-        state.ready.insert(tick, key);
-        state.slots.insert(
-            key,
-            Slot::Ready {
-                entry,
-                last_used: tick,
-            },
-        );
+        let victim = state.entries.insert(key, entry);
+        if let Some((_, victim)) = &victim {
+            state.resident_bytes -= victim.bytes();
+        }
         drop(state);
+        drop(victim);
         shard.woken.notify_all();
     }
 
     fn abandon(&self, key: u64) {
         let shard = self.shard(key);
-        let mut state = Self::lock(shard);
-        // Only remove our own in-flight marker: if the slot is Ready some
-        // later flight already published (cannot happen while we hold
-        // leadership, but stay defensive).
-        if matches!(state.slots.get(&key), Some(Slot::InFlight)) {
-            state.slots.remove(&key);
-        }
-        drop(state);
+        Self::lock(shard).in_flight.remove(&key);
         shard.woken.notify_all();
     }
 
@@ -300,26 +251,16 @@ impl GenMemo {
         let mut out = MemoStats::default();
         for shard in &self.shards {
             let state = Self::lock(shard);
-            out.hits += state.hits;
+            let lru = state.entries.stats();
+            out.hits += lru.hits;
             out.coalesced_waits += state.coalesced_waits;
-            out.leads += state.leads;
-            out.insertions += state.insertions;
-            out.evictions += state.evictions;
-            out.resident += state.ready.len() as u64;
+            out.leads += lru.misses;
+            out.insertions += lru.insertions;
+            out.evictions += lru.evictions;
+            out.resident += state.entries.len() as u64;
             out.resident_bytes += state.resident_bytes;
         }
         out
-    }
-
-    /// Drop every completed entry (between benchmark configurations).
-    /// In-flight markers are left alone; their leaders still own them.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut state = Self::lock(shard);
-            state.slots.retain(|_, slot| matches!(slot, Slot::InFlight));
-            state.ready.clear();
-            state.resident_bytes = 0;
-        }
     }
 }
 
@@ -327,8 +268,7 @@ impl std::fmt::Debug for GenMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GenMemo")
             .field("shards", &self.shards.len())
-            .field("capacity_per_shard", &self.capacity_per_shard)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -397,18 +337,6 @@ mod tests {
         let stats = memo.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.resident, 1);
-    }
-
-    #[test]
-    fn clear_drops_completed_entries() {
-        let memo = GenMemo::new(64);
-        if let Lookup::Lead(g) = memo.lookup_or_lead(1) {
-            g.complete(entry("x"));
-        }
-        memo.clear();
-        assert!(memo.peek(1).is_none());
-        assert_eq!(memo.stats().resident, 0);
-        assert_eq!(memo.stats().resident_bytes, 0);
     }
 
     /// Single-flight under racing threads: exactly one execution per key,

@@ -1,17 +1,24 @@
-//! Allocations on the block tree's two hot paths: a prefix-cache hit and
-//! a KV block-pool lease over a resident chain.
+//! Allocations on the caches' hot paths: a prefix-cache hit, a KV
+//! block-pool lease over a resident chain, a token-interner hit and a
+//! generation-memo hit.
 //!
-//! Every GEN goes through `StripedPrefixCache::lookup_insert_hashed`, and
-//! every serving step leases its sequences' chains from a `BlockPool`, so
-//! what one call allocates is multiplied by the request rate. These tests
-//! pin both with a counting allocator of their own; the counters are per
-//! thread, so the harness running tests side by side cannot disturb a
-//! reading.
+//! Every GEN goes through `StripedPrefixCache::lookup_insert_hashed` and
+//! asks the interner for its prompt family's chain, a repeated GEN hits the
+//! memo, and every serving step leases its sequences' chains from a
+//! `BlockPool`, so what one call allocates is multiplied by the request
+//! rate. These tests pin each with a counting allocator of their own; the
+//! counters are per thread, so the harness running tests side by side
+//! cannot disturb a reading.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use spear_llm::{BlockPool, StripedPrefixCache};
+use std::sync::Arc;
+
+use spear_core::llm::FinishReason;
+use spear_llm::{
+    BlockPool, GenMemo, InternedChain, Lookup, MemoEntry, StripedPrefixCache, Token, TokenInterner,
+};
 
 thread_local! {
     // Const-initialised and without destructors: touching it never
@@ -89,4 +96,55 @@ fn leasing_a_resident_chain_allocates_at_most_its_two_paths() {
         assert!(n <= 8, "allocate + release made {n} allocations");
     }
     assert_eq!(pool.stats().inserted_blocks, chain.len() as u64);
+}
+
+#[test]
+fn a_resident_chain_hits_the_interner_without_allocating() {
+    let interner = TokenInterner::new(64, 1);
+    for key in 0..8 {
+        interner.insert(
+            key,
+            InternedChain {
+                tokens: (0..40).map(Token).collect(),
+                pending: Arc::from(""),
+                block_hashes: chain().into(),
+            },
+        );
+    }
+    for key in [3, 0, 3, 7] {
+        let mut hit = None;
+        let n = allocs(|| hit = interner.get(key));
+        assert!(hit.is_some(), "chain {key} is resident");
+        assert_eq!(n, 0, "a resident get made {n} allocations");
+    }
+}
+
+#[test]
+fn a_memo_hit_allocates_no_more_than_its_entry_clone() {
+    let memo = GenMemo::new(1024);
+    let entry = MemoEntry {
+        text: "a generated answer".to_string(),
+        confidence: 0.9,
+        prompt_tokens: 512,
+        completion_tokens: 4,
+        finish: FinishReason::Stop,
+        block_hashes: chain(),
+    };
+    let clone = allocs(|| drop(entry.clone()));
+    // Enough keys that every lock stripe holds several.
+    for key in 0..64 {
+        let Lookup::Lead(lead) = memo.lookup_or_lead(key) else {
+            panic!("an empty memo cannot hit");
+        };
+        lead.complete(entry.clone());
+    }
+    for key in [3, 0, 35, 3, 63] {
+        let mut hit = None;
+        let n = allocs(|| hit = Some(memo.lookup_or_lead(key)));
+        assert!(matches!(hit, Some(Lookup::Hit(_))), "key {key} is resident");
+        assert!(
+            n <= clone,
+            "a memo hit made {n} allocations, the clone {clone}"
+        );
+    }
 }

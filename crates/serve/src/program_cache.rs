@@ -26,17 +26,21 @@
 //! lane evicted it, two lanes ran no faster than one; freed by the lane
 //! that compiled it, about 1.5× faster. Moving only the compile out of the
 //! lock changed nothing measurable.
+//!
+//! Bound, recency and the lookup counters are one [`LruMap`]; the cache
+//! adds only compiling outside the lock and freeing on the compiling
+//! thread.
 
-use std::collections::HashMap;
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, ThreadId};
 
-use spear_core::analysis::{analyze, ProgramBounds, ResourceModel};
 use spear_core::plan::LoweredPlan;
 use spear_core::runtime::Runtime;
 use spear_core::segment::{SegmentedText, TextSegment};
 use spear_core::vm::{self, Program};
-use spear_llm::SimLlm;
+use spear_llm::{LruMap, SimLlm};
 
 use crate::metrics::CompileReport;
 
@@ -70,29 +74,24 @@ impl ProgramKey {
 
 struct Slot {
     program: Arc<Program>,
-    bounds: Arc<ProgramBounds>,
-    last_used: u64,
     /// The thread that compiled the program, and so the one that frees it.
     compiled_by: ThreadId,
 }
 
 struct Inner {
-    map: HashMap<ProgramKey, Slot>,
+    programs: LruMap<ProgramKey, Slot>,
     /// Evicted slots waiting for the thread that compiled them, oldest
     /// first; never longer than the cache's capacity.
     retired: Vec<Slot>,
-    tick: u64,
+    /// The optimizer and specialization counters; the lookup ones live in
+    /// `programs`.
     counters: CompileReport,
 }
 
 impl Inner {
     /// Touch `key`'s resident program, counting a hit.
     fn hit(&mut self, key: &ProgramKey) -> Option<Arc<Program>> {
-        let slot = self.map.get_mut(key)?;
-        self.tick += 1;
-        slot.last_used = self.tick;
-        self.counters.cache_hits += 1;
-        Some(Arc::clone(&slot.program))
+        self.programs.get(key).map(|slot| Arc::clone(&slot.program))
     }
 
     /// Take out the retired slots `thread` compiled.
@@ -102,44 +101,21 @@ impl Inner {
             .collect()
     }
 
-    /// Insert `program`, just compiled by thread `caller`, under `key` and
-    /// evict down to `capacity`. Returns the slot `caller` must free: the
-    /// victim if `caller` compiled it, else (when parking the victim
-    /// overflows `retired`) the oldest retired slot.
-    fn insert(
-        &mut self,
-        key: ProgramKey,
-        program: Arc<Program>,
-        bounds: Arc<ProgramBounds>,
-        caller: ThreadId,
-        capacity: usize,
-    ) -> Option<Slot> {
-        self.tick += 1;
+    /// Insert `program`, just compiled by thread `caller`, under `key`.
+    /// Returns the slot `caller` must free: the victim if `caller`
+    /// compiled it, else (when parking the victim overflows `retired`) the
+    /// oldest retired slot.
+    fn insert(&mut self, key: ProgramKey, program: Arc<Program>, caller: ThreadId) -> Option<Slot> {
         let slot = Slot {
             program,
-            bounds,
-            last_used: self.tick,
             compiled_by: caller,
         };
-        self.map.insert(key, slot);
-        // The map held at most `capacity` before this insert, so one
-        // eviction restores the bound. Ties cannot happen: every touch
-        // gets a fresh tick under the lock.
-        if self.map.len() <= capacity {
-            return None;
-        }
-        let victim_key = self
-            .map
-            .iter()
-            .min_by_key(|(_, slot)| slot.last_used)
-            .map(|(k, _)| k.clone())?;
-        let victim = self.map.remove(&victim_key)?;
-        self.counters.evicted += 1;
+        let (_, victim) = self.programs.insert(key, slot)?;
         if victim.compiled_by == caller {
             return Some(victim);
         }
         self.retired.push(victim);
-        (self.retired.len() > capacity).then(|| self.retired.remove(0))
+        (self.retired.len() > self.programs.capacity()).then(|| self.retired.remove(0))
     }
 }
 
@@ -147,10 +123,10 @@ impl Inner {
 /// serving node and shared across its runs.
 ///
 /// Lock discipline: nothing compiles under the lock. A miss looks the key
-/// up, releases the lock, compiles, optimizes, analyzes and specializes,
-/// then re-locks to insert; if another thread inserted the same key
-/// meanwhile, the first insert wins and the late caller counts a hit and
-/// drops its own copy. An evicted program is freed by the thread that
+/// up, releases the lock, compiles, optimizes and specializes, then
+/// re-locks to insert; if another thread inserted the same key meanwhile,
+/// the first insert wins and the late caller counts a hit and drops its
+/// own copy. An evicted program is freed by the thread that
 /// compiled it, after that thread releases the lock: a victim of another
 /// thread waits in a retired list, capped at the cache's capacity, until
 /// its compiling thread next calls (or until an overflow releases the
@@ -160,14 +136,11 @@ impl Inner {
 /// is that thread's and is freed in the call that evicts it.
 pub struct ProgramCache {
     inner: Mutex<Inner>,
-    capacity: usize,
 }
 
 impl std::fmt::Debug for ProgramCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgramCache")
-            .field("capacity", &self.capacity)
-            .finish_non_exhaustive()
+        f.debug_struct("ProgramCache").finish_non_exhaustive()
     }
 }
 
@@ -178,12 +151,10 @@ impl ProgramCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(Inner {
-                map: HashMap::new(),
+                programs: LruMap::new(capacity),
                 retired: Vec::new(),
-                tick: 0,
                 counters: CompileReport::default(),
             }),
-            capacity: capacity.max(1),
         }
     }
 
@@ -196,7 +167,7 @@ impl ProgramCache {
     /// Number of resident compiled programs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.lock().programs.len()
     }
 
     /// `true` when no program is resident.
@@ -250,9 +221,6 @@ impl ProgramCache {
             optimized = true;
         }
 
-        // Static cost envelope for the code that will actually run.
-        let bounds = Arc::new(analyze(&program, &ResourceModel::default()));
-
         // Per-affinity specialization: constant-fold the family's fixed
         // prompt prefix and pre-resolve its token chain.
         let mut specialized = false;
@@ -278,31 +246,24 @@ impl ProgramCache {
             drop(inner);
             return Some(resident);
         }
-        inner.counters.compiled += 1;
         inner.counters.optimized += u64::from(optimized);
         inner.counters.specialized += u64::from(specialized);
-        let released = inner.insert(key.clone(), Arc::clone(&program), bounds, me, self.capacity);
+        let released = inner.insert(key.clone(), Arc::clone(&program), me);
         drop(inner);
         drop(released);
         Some(program)
     }
 
-    /// The static cost envelope derived for `plan`'s resident program, if
-    /// any (any affinity variant: bounds depend only on the plan's code,
-    /// which is fingerprint-determined, not on the specialized prefix).
-    #[must_use]
-    pub fn bounds_of(&self, plan: &LoweredPlan) -> Option<Arc<ProgramBounds>> {
-        let fingerprint = plan.fingerprint();
-        self.lock()
-            .map
-            .iter()
-            .find(|(k, _)| k.fingerprint == fingerprint)
-            .map(|(_, slot)| Arc::clone(&slot.bounds))
-    }
-
     /// Take the counters accumulated since the last drain (the per-run
     /// delta for [`crate::metrics::ServeReport::compile`]).
     pub fn drain_counters(&self) -> CompileReport {
-        std::mem::take(&mut self.lock().counters)
+        let mut inner = self.lock();
+        let lookups = inner.programs.take_stats();
+        CompileReport {
+            compiled: lookups.insertions,
+            cache_hits: lookups.hits,
+            evicted: lookups.evictions,
+            ..std::mem::take(&mut inner.counters)
+        }
     }
 }

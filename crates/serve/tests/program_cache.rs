@@ -7,6 +7,8 @@
 //! byte-identical traces to a generic compile of the same plan, because
 //! specialization only pre-warms host-side memoization.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier, Weak};
 
@@ -20,6 +22,48 @@ use spear_core::prelude::{
 use spear_core::view::ParamSpec;
 use spear_llm::{ModelProfile, SimLlm};
 use spear_serve::program_cache::ProgramCache;
+
+thread_local! {
+    // Const-initialised and without destructors: touching it never
+    // allocates, which an allocator must not do.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts this thread's allocation calls, so tests running side by side
+/// cannot disturb a reading.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the bookkeeping touches only a const-initialised
+// thread-local and so never re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocation calls this thread makes while running `op`.
+fn allocs(op: impl FnOnce()) -> u64 {
+    let before = ALLOCS.get();
+    op();
+    ALLOCS.get() - before
+}
 
 fn plain_plan(name: &str) -> LoweredPlan {
     let p = Pipeline::builder(name)
@@ -353,27 +397,20 @@ proptest! {
 }
 
 #[test]
-fn cached_programs_carry_static_bounds_and_optimize_on_admission() {
+fn the_verified_optimizer_runs_on_admission() {
     let cache = ProgramCache::new(4);
     let rt = runtime();
 
-    // A plain one-GEN plan: bounds are stored with the slot, optimizer
-    // finds nothing to rewrite.
-    let plan = plain_plan("bounded");
-    cache.get_or_compile(&plan, &rt, None).expect("compiles");
-    let bounds = cache
-        .bounds_of(&plan)
-        .expect("bounds stored with the program");
-    assert_eq!(bounds.llm_calls, spear_core::analysis::Interval::exact(1));
-    assert_eq!(bounds.tokens.hi, 256);
-    assert!(bounds.terminates);
+    // A plain one-GEN plan: the optimizer finds nothing to rewrite.
+    cache
+        .get_or_compile(&plain_plan("plain"), &rt, None)
+        .expect("compiles");
     let counters = cache.drain_counters();
     assert_eq!(counters.compiled, 1);
     assert_eq!(counters.optimized, 0);
 
     // A statically-gated plan: the verified optimizer folds the Never
-    // branch, the counter ticks, and the stored bounds reflect the
-    // optimized program (one reachable GEN, not two).
+    // branch and the counter ticks.
     let gated = lower(
         &Pipeline::builder("gated")
             .create_text("p", "Q: {{ctx:q}}", RefinementMode::Manual)
@@ -386,6 +423,20 @@ fn cached_programs_carry_static_bounds_and_optimize_on_admission() {
     let counters = cache.drain_counters();
     assert_eq!(counters.compiled, 1);
     assert_eq!(counters.optimized, 1);
-    let bounds = cache.bounds_of(&gated).expect("bounds stored");
-    assert_eq!(bounds.llm_calls, spear_core::analysis::Interval::exact(1));
+}
+
+#[test]
+fn a_resident_plain_plan_hits_within_its_allocation_budget() {
+    let cache = ProgramCache::new(4);
+    let rt = runtime();
+    let plan = plain_plan("resident");
+    let program = cache.get_or_compile(&plan, &rt, None).expect("compiles");
+    for _ in 0..3 {
+        let mut hit = None;
+        let n = allocs(|| hit = cache.get_or_compile(&plan, &rt, None));
+        assert!(hit.is_some_and(|hit| Arc::ptr_eq(&hit, &program)));
+        // Both are `LoweredPlan::affinity_key`, deriving the cache key; the
+        // lookup itself allocates nothing.
+        assert!(n <= 2, "a resident hit made {n} allocations");
+    }
 }
