@@ -80,9 +80,9 @@ fn analyze_plan(title: &str, plan: &LoweredPlan) -> bool {
     match spear_core::compile(plan) {
         Ok(program) => {
             match validate_compile(plan, &program) {
-                Ok(map) => println!(
+                Ok(()) => println!(
                     "translation validation: ok ({} source slots -> {} instructions)",
-                    map.len() - 1,
+                    plan.ops.len(),
                     program.code().len()
                 ),
                 Err(failures) => {

@@ -3,9 +3,8 @@
 //! The IR-level [`super::passes::ResourcePass`] walks the *source* plan
 //! with worst-case constants. This module re-derives the same facts — and
 //! tighter ones — **below** the compiler, over the [`VmOp`] stream the VM
-//! actually executes, so fusion, target patching, and (via
-//! [`static_cond`]) statically-decided CHECK branches are all accounted
-//! for. [`analyze`] runs a worklist fixpoint over the bytecode CFG in an
+//! actually executes, so (via [`static_cond`]) statically-decided CHECK
+//! branches are accounted for. [`analyze`] runs a worklist fixpoint over the bytecode CFG in an
 //! interval domain and returns a [`ProgramBounds`]:
 //!
 //! - completion-token cost `[lo, hi]` (per program and per instruction);
@@ -26,8 +25,8 @@
 //! jumps straight to top once a join count exceeds the block count.
 //!
 //! [`BytecodePass`] packages the reachability half as an opt-in lint pass
-//! emitting `SPEAR-W004` (bytecode unreachable after fusion /
-//! specialization) and `SPEAR-W005` (statically-dead CHECK branch); it is
+//! emitting `SPEAR-W004` (bytecode unreachable once statically-decided
+//! CHECKs are folded) and `SPEAR-W005` (statically-dead CHECK branch); it is
 //! not in the default verifier stack, so default verification output is
 //! unchanged — `explain_lowered_with_lints`, the `analyze` tool, and the
 //! goldens register it explicitly.
@@ -104,8 +103,7 @@ impl fmt::Display for Interval {
     }
 }
 
-/// The abstract effect of one bytecode instruction (for fused
-/// superinstructions, the sum of both halves).
+/// The abstract effect of one bytecode instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotBounds {
     /// Completion tokens this instruction generates.
@@ -234,12 +232,9 @@ pub fn successors(code: &[VmOp], pool: &ConstPool, pc: usize) -> Vec<usize> {
         return Vec::new();
     };
     match *op {
-        VmOp::Leaf { .. } | VmOp::RetMerge { .. } => vec![clamp(pc + 1)],
-        VmOp::Jump { target } | VmOp::DelegateJump { target, .. } => vec![clamp(target as usize)],
-        VmOp::Check { check, on_false }
-        | VmOp::GenCheck {
-            check, on_false, ..
-        } => {
+        VmOp::Leaf { .. } => vec![clamp(pc + 1)],
+        VmOp::Jump { target } => vec![clamp(target as usize)],
+        VmOp::Check { check, on_false } => {
             let cond = pool
                 .checks()
                 .get(check as usize)
@@ -300,20 +295,15 @@ fn leaf_effect(spec: &vm::LeafSpec, model: &ResourceModel) -> SlotBounds {
     }
 }
 
-/// The abstract effect of the instruction at `pc` (both halves of a fused
-/// pair). Out-of-pool indices contribute nothing — the VM would panic
-/// before they matter, and translation validation rejects such programs.
+/// The abstract effect of the instruction `op`. Out-of-pool indices
+/// contribute nothing — the VM would panic before they matter, and
+/// translation validation rejects such programs.
 fn op_effect(op: VmOp, pool: &ConstPool, model: &ResourceModel) -> SlotBounds {
-    let leaf = |id: u32| {
-        pool.leaves()
-            .get(id as usize)
-            .map_or_else(SlotBounds::zero, |spec| leaf_effect(spec, model))
-    };
     match op {
-        VmOp::Leaf { leaf: id }
-        | VmOp::GenCheck { leaf: id, .. }
-        | VmOp::DelegateJump { leaf: id, .. } => leaf(id),
-        VmOp::RetMerge { first, second } => leaf(first).add(&leaf(second)),
+        VmOp::Leaf { leaf } => pool
+            .leaves()
+            .get(leaf as usize)
+            .map_or_else(SlotBounds::zero, |spec| leaf_effect(spec, model)),
         VmOp::Check { .. } | VmOp::Jump { .. } => SlotBounds::zero(),
     }
 }
@@ -386,28 +376,15 @@ pub fn analyze(program: &Program, model: &ResourceModel) -> ProgramBounds {
     }
 }
 
-/// Deepest error unwind the instruction can emit: the failing half's own
-/// trace line plus one line per enclosing CHECK frame.
+/// Deepest error unwind the instruction can emit: its own trace line plus
+/// one line per enclosing CHECK frame.
 fn op_unwind_depth(op: VmOp, pool: &ConstPool) -> u64 {
-    let leaf = |id: u32| {
-        pool.leaves()
-            .get(id as usize)
-            .map_or(0, |s| s.frame_ids().len() as u64 + 1)
+    let frames = match op {
+        VmOp::Leaf { leaf } => pool.leaves().get(leaf as usize).map(|s| s.frame_ids()),
+        VmOp::Check { check, .. } => pool.checks().get(check as usize).map(|s| s.frame_ids()),
+        VmOp::Jump { .. } => None,
     };
-    let check = |id: u32| {
-        pool.checks()
-            .get(id as usize)
-            .map_or(0, |s| s.frame_ids().len() as u64 + 1)
-    };
-    match op {
-        VmOp::Leaf { leaf: id } | VmOp::DelegateJump { leaf: id, .. } => leaf(id),
-        VmOp::Check { check: id, .. } => check(id),
-        VmOp::GenCheck {
-            leaf: l, check: c, ..
-        } => leaf(l).max(check(c)),
-        VmOp::RetMerge { first, second } => leaf(first).max(leaf(second)),
-        VmOp::Jump { .. } => 0,
-    }
+    frames.map_or(0, |f| f.len() as u64 + 1)
 }
 
 /// DFS back-edge scan restricted to instructions the fixpoint reached.
@@ -472,24 +449,23 @@ impl LintPass for BytecodePass {
         let Ok(program) = vm::compile_assuming_verified(cx.plan) else {
             return Vec::new();
         };
-        let Ok(map) = tv::validate_compile(cx.plan, &program) else {
+        if tv::validate_compile(cx.plan, &program).is_err() {
             return Vec::new();
-        };
+        }
         let code = program.code();
         let pool = program.pool();
         let live = reachable(code, pool);
         let mut diags = Vec::new();
 
         for (slot, op) in cx.plan.ops.iter().enumerate() {
-            let pc = map[slot] as usize;
-            if pc < code.len() && !live[pc] && cx.cfg.is_reachable(slot) {
+            if !live[slot] && cx.cfg.is_reachable(slot) {
                 diags.push(Diagnostic::at(
                     &VM_UNREACHABLE,
                     slot,
                     op.describe(),
                     format!(
-                        "slot {slot:04} compiles to bytecode pc {pc:04}, which no execution \
-                         can reach once statically-decided CHECKs are folded"
+                        "slot {slot:04}, which no execution can reach once \
+                         statically-decided CHECKs are folded"
                     ),
                 ));
             }
@@ -499,8 +475,7 @@ impl LintPass for BytecodePass {
             let crate::plan::LoweredOp::Check { cond, .. } = op else {
                 continue;
             };
-            let pc = map[slot] as usize;
-            if pc >= code.len() || !live[pc] {
+            if !live[slot] {
                 continue;
             }
             if let Some(value) = static_cond(cond) {

@@ -147,13 +147,13 @@ pub const BUDGET_AT_RISK: Lint = Lint {
     summary: "worst-case path may exceed the budget",
 };
 
-/// A compiled `VmOp` is unreachable in the bytecode CFG — typically the
-/// shadow of a fused refusal path or a branch pruned by specialization —
-/// even though the source slot looked live at the IR level.
+/// A compiled `VmOp` is unreachable in the bytecode CFG — a branch cut off
+/// by a statically-decided CHECK — even though the source slot looked live
+/// at the IR level.
 pub const VM_UNREACHABLE: Lint = Lint {
     code: "SPEAR-W004",
     severity: Severity::Warning,
-    summary: "compiled VmOp is unreachable after fusion/optimization",
+    summary: "compiled VmOp is unreachable once static CHECKs are folded",
 };
 
 /// A CHECK branch can never be taken because its condition is statically

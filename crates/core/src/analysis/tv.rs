@@ -4,16 +4,13 @@
 //! each compilation *output* against its *input* instead of trusting the
 //! compiler's implementation:
 //!
-//! - [`validate_compile`] re-walks the source [`LoweredPlan`] in lockstep
-//!   with the emitted [`VmOp`] stream and proves op-for-op effect
+//! - [`validate_compile`] walks the source [`LoweredPlan`] and the emitted
+//!   [`VmOp`] stream at one shared index (a program has one instruction
+//!   per source slot, at the slot's own pc) and proves op-for-op effect
 //!   equivalence: every leaf/check spec must carry exactly the operator,
 //!   describe string, `CHECK[...]` label, trigger, and unwind frames the
-//!   source slot prescribes; every fused
-//!   superinstruction must cover an adjacent pair whose second half is not
-//!   a branch target (fusing a landing pad would skip the first half); and
-//!   every patched target must land on the code index of its source
-//!   target. On success it returns the source-slot → code-pc map the
-//!   bytecode lints and the disassembler annotations key off.
+//!   source slot prescribes, and every branch target must equal its source
+//!   target (clamped to the exit).
 //! - [`validate_optimized`] proves an optimized program equivalent to the
 //!   original by a product walk over jump-resolved positions: free `Jump`s
 //!   are invisible to traces and budgets, so two programs are equivalent
@@ -133,33 +130,38 @@ fn check_matches(
     Ok(())
 }
 
-fn leaf_spec(pool: &ConstPool, id: u32, pc: usize) -> Result<&LeafSpec, TvFailure> {
+fn leaf_spec(pool: &ConstPool, id: u32) -> Result<&LeafSpec, String> {
     pool.leaves()
         .get(id as usize)
-        .ok_or_else(|| TvFailure::at(None, Some(pc), format!("leaf index l{id} escapes the pool")))
+        .ok_or_else(|| format!("leaf index l{id} escapes the pool"))
 }
 
-fn check_spec(pool: &ConstPool, id: u32, pc: usize) -> Result<&CheckSpec, TvFailure> {
-    pool.checks().get(id as usize).ok_or_else(|| {
-        TvFailure::at(
-            None,
-            Some(pc),
-            format!("check index c{id} escapes the pool"),
-        )
-    })
+fn check_spec(pool: &ConstPool, id: u32) -> Result<&CheckSpec, String> {
+    pool.checks()
+        .get(id as usize)
+        .ok_or_else(|| format!("check index c{id} escapes the pool"))
+}
+
+/// A compiled branch target must be its source target, clamped to the
+/// exit `n`.
+fn target_matches(compiled: u32, source: usize, n: usize) -> Result<(), String> {
+    if compiled as usize == source.min(n) {
+        Ok(())
+    } else {
+        Err(format!(
+            "compiled target {compiled:04} differs from source target {source}"
+        ))
+    }
 }
 
 /// Symbolically validate that `program` is an effect-equivalent
-/// compilation of `plan`. On success, returns the source-slot → code-pc
-/// map (length `plan.ops.len() + 1`; both halves of a fused pair map to
-/// the same pc, and index `n` maps to `code.len()` = exit).
+/// compilation of `plan`: one instruction per source slot, at the slot's
+/// own pc, carrying the slot's content and branch target.
 ///
 /// # Errors
 ///
-/// Returns every undischarged obligation. Structural desynchronization
-/// (an opcode that cannot cover the source slot at the cursor) aborts the
-/// walk, since later comparisons would be meaningless.
-pub fn validate_compile(plan: &LoweredPlan, program: &Program) -> Result<Vec<u32>, Vec<TvFailure>> {
+/// Returns every undischarged obligation.
+pub fn validate_compile(plan: &LoweredPlan, program: &Program) -> Result<(), Vec<TvFailure>> {
     let n = plan.ops.len();
     let code = program.code();
     let pool = program.pool();
@@ -183,248 +185,53 @@ pub fn validate_compile(plan: &LoweredPlan, program: &Program) -> Result<Vec<u32
             "program source_size differs from the plan's",
         ));
     }
-
-    // Independent branch-target map: the second half of a fused pair must
-    // not be a jump landing pad, or the fused form would skip the first
-    // half for executions entering at the second.
-    let mut is_target = vec![false; n + 1];
-    for op in &plan.ops {
-        match op {
-            LoweredOp::Check { on_false, .. } => is_target[(*on_false).min(n)] = true,
-            LoweredOp::Jump { target } => is_target[(*target).min(n)] = true,
-            LoweredOp::Leaf { .. } => {}
-        }
-    }
-
-    // Lockstep walk. Targets are checked after the full map exists.
-    let mut map = vec![0u32; n + 1];
-    // (code pc, compiled target, source target) obligations.
-    let mut targets: Vec<(usize, u32, usize)> = Vec::new();
-    let mut s = 0usize;
-
-    macro_rules! desync {
-        ($pc:expr, $($msg:tt)*) => {{
-            failures.push(TvFailure::at(Some(s.min(n)), Some($pc), format!($($msg)*)));
-            return Err(failures);
-        }};
-    }
-
-    for (pc, &instr) in code.iter().enumerate() {
-        if s >= n {
-            desync!(pc, "code continues past the end of the source plan");
-        }
-        map[s] = pc as u32;
-        let fused = match instr {
-            VmOp::Leaf { leaf } => {
-                let spec = leaf_spec(pool, leaf, pc).map_err(|f| {
-                    failures.push(f);
-                    std::mem::take(&mut failures)
-                })?;
-                match &plan.ops[s] {
-                    LoweredOp::Leaf {
-                        op,
-                        trigger,
-                        frames,
-                    } => {
-                        if let Err(msg) = leaf_matches(pool, spec, op, trigger.as_deref(), frames) {
-                            failures.push(TvFailure::at(Some(s), Some(pc), msg));
-                        }
-                    }
-                    other => desync!(
-                        pc,
-                        "LEAF compiled from non-leaf source {:?}",
-                        other.describe()
-                    ),
-                }
-                false
-            }
-            VmOp::Check { check, on_false } => {
-                let spec = check_spec(pool, check, pc).map_err(|f| {
-                    failures.push(f);
-                    std::mem::take(&mut failures)
-                })?;
-                match &plan.ops[s] {
-                    LoweredOp::Check {
-                        cond,
-                        on_false: src_target,
-                        frames,
-                    } => {
-                        if let Err(msg) = check_matches(pool, spec, cond, frames) {
-                            failures.push(TvFailure::at(Some(s), Some(pc), msg));
-                        }
-                        targets.push((pc, on_false, *src_target));
-                    }
-                    other => desync!(
-                        pc,
-                        "CHECK compiled from non-check source {:?}",
-                        other.describe()
-                    ),
-                }
-                false
-            }
-            VmOp::Jump { target } => {
-                match &plan.ops[s] {
-                    LoweredOp::Jump { target: src_target } => {
-                        targets.push((pc, target, *src_target));
-                    }
-                    other => desync!(
-                        pc,
-                        "JUMP compiled from non-jump source {:?}",
-                        other.describe()
-                    ),
-                }
-                false
-            }
-            VmOp::GenCheck {
-                leaf,
-                check,
-                on_false,
-            } => {
-                let lspec = leaf_spec(pool, leaf, pc).map_err(|f| {
-                    failures.push(f);
-                    std::mem::take(&mut failures)
-                })?;
-                let cspec = check_spec(pool, check, pc).map_err(|f| {
-                    failures.push(f);
-                    std::mem::take(&mut failures)
-                })?;
-                match (plan.ops.get(s), plan.ops.get(s + 1)) {
-                    (
-                        Some(LoweredOp::Leaf {
-                            op: op @ crate::ops::Op::Gen { .. },
-                            trigger,
-                            frames,
-                        }),
-                        Some(LoweredOp::Check {
-                            cond,
-                            on_false: src_target,
-                            frames: check_frames,
-                        }),
-                    ) => {
-                        if let Err(msg) = leaf_matches(pool, lspec, op, trigger.as_deref(), frames)
-                        {
-                            failures.push(TvFailure::at(Some(s), Some(pc), msg));
-                        }
-                        if let Err(msg) = check_matches(pool, cspec, cond, check_frames) {
-                            failures.push(TvFailure::at(Some(s + 1), Some(pc), msg));
-                        }
-                        targets.push((pc, on_false, *src_target));
-                    }
-                    _ => desync!(
-                        pc,
-                        "GEN+CHECK does not cover a GEN leaf followed by a CHECK"
-                    ),
-                }
-                true
-            }
-            VmOp::DelegateJump { leaf, target } => {
-                let spec = leaf_spec(pool, leaf, pc).map_err(|f| {
-                    failures.push(f);
-                    std::mem::take(&mut failures)
-                })?;
-                match (plan.ops.get(s), plan.ops.get(s + 1)) {
-                    (
-                        Some(LoweredOp::Leaf {
-                            op: op @ crate::ops::Op::Delegate { .. },
-                            trigger,
-                            frames,
-                        }),
-                        Some(LoweredOp::Jump { target: src_target }),
-                    ) => {
-                        if let Err(msg) = leaf_matches(pool, spec, op, trigger.as_deref(), frames) {
-                            failures.push(TvFailure::at(Some(s), Some(pc), msg));
-                        }
-                        targets.push((pc, target, *src_target));
-                    }
-                    _ => desync!(
-                        pc,
-                        "DELEGATE+JUMP does not cover a DELEGATE leaf followed by a JUMP"
-                    ),
-                }
-                true
-            }
-            VmOp::RetMerge { first, second } => {
-                let fspec = leaf_spec(pool, first, pc).map_err(|f| {
-                    failures.push(f);
-                    std::mem::take(&mut failures)
-                })?;
-                let sspec = leaf_spec(pool, second, pc).map_err(|f| {
-                    failures.push(f);
-                    std::mem::take(&mut failures)
-                })?;
-                match (plan.ops.get(s), plan.ops.get(s + 1)) {
-                    (
-                        Some(LoweredOp::Leaf {
-                            op: ret @ crate::ops::Op::Ret { .. },
-                            trigger,
-                            frames,
-                        }),
-                        Some(LoweredOp::Leaf {
-                            op: merge @ crate::ops::Op::Merge { .. },
-                            trigger: merge_trigger,
-                            frames: merge_frames,
-                        }),
-                    ) => {
-                        if let Err(msg) = leaf_matches(pool, fspec, ret, trigger.as_deref(), frames)
-                        {
-                            failures.push(TvFailure::at(Some(s), Some(pc), msg));
-                        }
-                        if let Err(msg) =
-                            leaf_matches(pool, sspec, merge, merge_trigger.as_deref(), merge_frames)
-                        {
-                            failures.push(TvFailure::at(Some(s + 1), Some(pc), msg));
-                        }
-                    }
-                    _ => desync!(
-                        pc,
-                        "RET+MERGE does not cover a RET leaf followed by a MERGE leaf"
-                    ),
-                }
-                true
-            }
-        };
-        if fused {
-            if s + 1 >= n || is_target[s + 1] {
-                failures.push(TvFailure::at(
-                    Some(s),
-                    Some(pc),
-                    "illegal fusion: the second half is a branch target (landing pad)",
-                ));
-            }
-            if s < n {
-                map[s + 1] = pc as u32;
-            }
-            s += 2;
-        } else {
-            s += 1;
-        }
-    }
-    if s != n {
+    if code.len() != n {
         failures.push(TvFailure::at(
-            Some(s.min(n)),
-            Some(code.len()),
-            "source plan continues past the end of the code",
+            None,
+            None,
+            format!("{} instructions for {n} source slots", code.len()),
         ));
-        return Err(failures);
     }
-    map[n] = code.len() as u32;
 
-    for (pc, compiled, src_target) in targets {
-        let expected = map[src_target.min(n)];
-        if compiled != expected {
-            failures.push(TvFailure::at(
-                None,
-                Some(pc),
-                format!(
-                    "patched target {compiled:04} does not land on source target {src_target} \
-                     (expected code pc {expected:04})"
-                ),
-            ));
+    for (slot, (source, &instr)) in plan.ops.iter().zip(code).enumerate() {
+        let obligation = match (source, instr) {
+            (
+                LoweredOp::Leaf {
+                    op,
+                    trigger,
+                    frames,
+                },
+                VmOp::Leaf { leaf },
+            ) => leaf_spec(pool, leaf)
+                .and_then(|spec| leaf_matches(pool, spec, op, trigger.as_deref(), frames)),
+            (
+                LoweredOp::Check {
+                    cond,
+                    on_false: source_target,
+                    frames,
+                },
+                VmOp::Check { check, on_false },
+            ) => check_spec(pool, check)
+                .and_then(|spec| check_matches(pool, spec, cond, frames))
+                .and_then(|()| target_matches(on_false, *source_target, n)),
+            (
+                LoweredOp::Jump {
+                    target: source_target,
+                },
+                VmOp::Jump { target },
+            ) => target_matches(target, *source_target, n),
+            (source, instr) => Err(format!(
+                "{instr:?} does not compile source {:?}",
+                source.describe()
+            )),
+        };
+        if let Err(message) = obligation {
+            failures.push(TvFailure::at(Some(slot), Some(slot), message));
         }
     }
 
     if failures.is_empty() {
-        Ok(map)
+        Ok(())
     } else {
         Err(failures)
     }
@@ -494,31 +301,6 @@ fn obs_eq(a: &Program, b: &Program, pa: usize, pb: usize) -> Result<(), String> 
     match (a.code()[pa], b.code()[pb]) {
         (VmOp::Leaf { leaf: la }, VmOp::Leaf { leaf: lb }) => leaf_eq(la, lb),
         (VmOp::Check { check: ca, .. }, VmOp::Check { check: cb, .. }) => check_eq(ca, cb),
-        (
-            VmOp::GenCheck {
-                leaf: la,
-                check: ca,
-                ..
-            },
-            VmOp::GenCheck {
-                leaf: lb,
-                check: cb,
-                ..
-            },
-        ) => leaf_eq(la, lb).and_then(|()| check_eq(ca, cb)),
-        (VmOp::DelegateJump { leaf: la, .. }, VmOp::DelegateJump { leaf: lb, .. }) => {
-            leaf_eq(la, lb)
-        }
-        (
-            VmOp::RetMerge {
-                first: fa,
-                second: sa,
-            },
-            VmOp::RetMerge {
-                first: fb,
-                second: sb,
-            },
-        ) => leaf_eq(fa, fb).and_then(|()| leaf_eq(sa, sb)),
         (oa, ob) => Err(format!("instruction shapes differ: {oa:?} vs {ob:?}")),
     }
 }
@@ -578,26 +360,13 @@ pub fn validate_optimized(original: &Program, optimized: &Program) -> Result<(),
             _ => failures.push(TvFailure::at(None, Some(na), "jump-only cycle")),
         };
         match (ca[pa], cb[pb]) {
-            (VmOp::Leaf { .. }, _) | (VmOp::RetMerge { .. }, _) => {
-                push_pair(pa + 1, pb + 1, &mut failures);
-            }
-            (VmOp::DelegateJump { target: ta, .. }, VmOp::DelegateJump { target: tb, .. }) => {
-                push_pair(ta as usize, tb as usize, &mut failures);
-            }
+            (VmOp::Leaf { .. }, _) => push_pair(pa + 1, pb + 1, &mut failures),
             (
                 VmOp::Check {
                     check,
                     on_false: fa,
                 },
                 VmOp::Check { on_false: fb, .. },
-            )
-            | (
-                VmOp::GenCheck {
-                    check,
-                    on_false: fa,
-                    ..
-                },
-                VmOp::GenCheck { on_false: fb, .. },
             ) => {
                 let decided = original
                     .pool()
@@ -645,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn compile_outputs_validate_with_a_total_source_map() {
+    fn compile_outputs_validate_slot_for_slot() {
         let plan = lowered(|b| {
             b.create_text("p", "base", RefinementMode::Manual)
                 .gen("warm", "p")
@@ -654,11 +423,12 @@ mod tests {
                 .build()
         });
         let program = vm::compile(&plan).unwrap();
-        let map = validate_compile(&plan, &program).unwrap();
-        assert_eq!(map.len(), plan.ops.len() + 1);
-        // The fused GEN+CHECK maps both source halves to one pc.
-        assert_eq!(map[1], map[2]);
-        assert_eq!(*map.last().unwrap() as usize, program.code().len());
+        assert!(validate_compile(&plan, &program).is_ok());
+        // One source slot more than the program has instructions.
+        let mut longer = plan.clone();
+        longer.ops.push(plan.ops[1].clone());
+        let failures = validate_compile(&longer, &program).unwrap_err();
+        assert!(failures.iter().any(|f| f.message.contains("source slots")));
     }
 
     #[test]

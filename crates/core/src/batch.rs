@@ -78,8 +78,8 @@ pub struct AssignedJob {
     /// The lowered plan to execute.
     pub plan: Arc<LoweredPlan>,
     /// A pre-compiled program for `plan`, when the scheduler already
-    /// compiled (and possibly specialized) it; `None` compiles `plan` with
-    /// [`crate::vm::compile`] when the job runs.
+    /// compiled it; `None` compiles `plan` with [`crate::vm::compile`] when
+    /// the job runs.
     pub program: Option<Arc<crate::vm::Program>>,
     /// The job's private execution state.
     pub state: ExecState,

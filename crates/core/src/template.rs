@@ -107,19 +107,6 @@ pub(crate) struct ParsedTemplate {
     segments: Vec<ParsedSegment>,
 }
 
-impl ParsedTemplate {
-    /// The leading literal segment — the template's constant prefix — as
-    /// the shared `Arc` and pre-computed hash [`render_segmented`] will
-    /// emit for it on every render. `None` when the template opens with a
-    /// placeholder (nothing constant to fold).
-    pub(crate) fn leading_literal(&self) -> Option<(Arc<str>, u64)> {
-        match self.segments.first() {
-            Some(ParsedSegment::Literal { text, hash }) => Some((Arc::clone(text), *hash)),
-            _ => None,
-        }
-    }
-}
-
 /// Distinct templates cached before the parse cache resets. Templates are
 /// a small static population (views, store entries); the bound only guards
 /// against a pathological stream of generated templates.

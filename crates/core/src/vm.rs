@@ -7,16 +7,13 @@
 //! full [`LoweredOp`] representation to match on. [`compile`] pays those
 //! costs **once per plan** instead of once per step:
 //!
-//! - every instruction becomes a compact, `Copy` [`VmOp`] of `u32` indices
-//!   into a [`ConstPool`];
+//! - every slot becomes one compact, `Copy` [`VmOp`] of `u32` indices into
+//!   a [`ConstPool`], at the same index: the program counter *is* the
+//!   slot, and every branch target is its source target;
 //! - the pool interns every string the spine can ever emit for the plan —
 //!   operator describe lines, `CHECK[...]` labels, unwind frames, REF
 //!   triggers — plus each GEN's pre-parsed prompt template, so the hot loop
 //!   never formats or parses anything that is a pure function of the plan;
-//! - hot instruction pairs fuse into superinstructions (GEN+CHECK — the
-//!   confidence-retry idiom, DELEGATE+Jump — agent calls closing a branch,
-//!   RET+MERGE — retrieval feeding reconciliation), eliminating one fetch
-//!   per pair without changing gating, budgets, or trace order;
 //! - the run loop is a tight match over `&[VmOp]`: no trait objects, no
 //!   per-step allocation beyond the trace events themselves.
 //!
@@ -32,8 +29,7 @@
 //!
 //! For every plan, the VM's statuses, traces, digests, and usage are
 //! byte-identical to the reference tree walk
-//! ([`crate::runtime::Runtime::execute_tree`]) — fused pairs still gate,
-//! count budget, and trace as two steps — proven by
+//! ([`crate::runtime::Runtime::execute_tree`]), proven by
 //! `tests/trace_equivalence.rs` at 1/4/8 workers including error unwinds
 //! and cancellation, and per compilation by translation validation
 //! ([`crate::analysis::validate_compile`]).
@@ -46,14 +42,12 @@ use std::sync::Arc;
 use crate::condition::Cond;
 use crate::error::{Result, SpearError};
 use crate::exec::{self, CallLimits};
-use crate::history::RefAction;
 use crate::ops::{Op, PromptRef};
 use crate::plan::{LoweredOp, LoweredPlan};
 use crate::runtime::{ExecState, Runtime};
 use crate::template::{self, ParsedTemplate};
 use crate::trace::TraceKind;
 use crate::value::Value;
-use crate::view::ViewCatalog;
 
 /// One compiled instruction: `u32` indices into the program's
 /// [`ConstPool`]. `Copy`, two or three words, no heap payload — the VM loop
@@ -77,33 +71,6 @@ pub enum VmOp {
     Jump {
         /// Target code index.
         target: u32,
-    },
-    /// Superinstruction: a GEN leaf immediately followed by a CHECK — the
-    /// confidence-retry idiom. Semantics are exactly the two instructions
-    /// in sequence (two gates, two budget units, two trace events).
-    GenCheck {
-        /// The GEN leaf.
-        leaf: u32,
-        /// The fused CHECK.
-        check: u32,
-        /// Jump target when the condition is false.
-        on_false: u32,
-    },
-    /// Superinstruction: a DELEGATE leaf immediately followed by a jump
-    /// (an agent call closing a then-branch).
-    DelegateJump {
-        /// The DELEGATE leaf.
-        leaf: u32,
-        /// Jump target after the delegate completes.
-        target: u32,
-    },
-    /// Superinstruction: a RET leaf immediately followed by a MERGE leaf
-    /// (retrieval feeding reconciliation).
-    RetMerge {
-        /// The RET leaf.
-        first: u32,
-        /// The MERGE leaf.
-        second: u32,
     },
 }
 
@@ -231,15 +198,13 @@ impl ConstPool {
 }
 
 /// A compiled plan: bytecode over a constant pool, plus the source plan's
-/// trace identity (name and size) and, when specialized for a prompt
-/// family, the family's constant-folded literal prefix.
+/// trace identity (name and size).
 #[derive(Debug)]
 pub struct Program {
     name: String,
     source_size: u64,
     code: Vec<VmOp>,
     pool: ConstPool,
-    prefix: Option<Arc<str>>,
 }
 
 impl Program {
@@ -265,21 +230,6 @@ impl Program {
     #[must_use]
     pub fn pool(&self) -> &ConstPool {
         &self.pool
-    }
-
-    /// The family-fixed literal prompt prefix this program was specialized
-    /// for, when per-affinity specialization folded one in.
-    #[must_use]
-    pub fn prefix(&self) -> Option<&str> {
-        self.prefix.as_deref()
-    }
-
-    /// Record the family-fixed literal prefix the program was specialized
-    /// for (set by per-affinity caches after pre-resolving the prefix's
-    /// token chain; purely descriptive — execution semantics are
-    /// unchanged).
-    pub fn set_prefix(&mut self, prefix: Arc<str>) {
-        self.prefix = Some(prefix);
     }
 }
 
@@ -324,60 +274,37 @@ pub(crate) fn compile_assuming_verified(plan: &LoweredPlan) -> Result<Program> {
         )));
     }
 
-    // Branch-target map over source indices: the second instruction of a
-    // fused pair must not be reachable by a jump, or fusing would skip the
-    // first half for jumps landing on the second.
-    let mut is_target = vec![false; n + 1];
-    for op in &plan.ops {
-        match op {
-            LoweredOp::Check { on_false, .. } => is_target[(*on_false).min(n)] = true,
-            LoweredOp::Jump { target } => is_target[(*target).min(n)] = true,
-            LoweredOp::Leaf { .. } => {}
-        }
-    }
-
     let mut pool = PoolBuilder::default();
-    // Emit with *source* targets; `new_index` maps them to code indices in
-    // the patch pass below.
-    let mut code: Vec<VmOp> = Vec::with_capacity(n);
-    let mut new_index = vec![0u32; n + 1];
-    let mut pc = 0usize;
-    while pc < n {
-        new_index[pc] = code.len() as u32;
-        let fused = if pc + 1 < n && !is_target[pc + 1] {
-            fuse(&plan.ops[pc], &plan.ops[pc + 1], n, &mut pool)
-        } else {
-            None
-        };
-        if let Some(op) = fused {
-            new_index[pc + 1] = code.len() as u32;
-            code.push(op);
-            pc += 2;
-        } else {
-            code.push(single(&plan.ops[pc], n, &mut pool));
-            pc += 1;
-        }
-    }
-    new_index[n] = code.len() as u32;
-
-    for op in &mut code {
-        match op {
-            VmOp::Check { on_false, .. } | VmOp::GenCheck { on_false, .. } => {
-                *on_false = new_index[*on_false as usize];
-            }
-            VmOp::Jump { target } | VmOp::DelegateJump { target, .. } => {
-                *target = new_index[*target as usize];
-            }
-            VmOp::Leaf { .. } | VmOp::RetMerge { .. } => {}
-        }
-    }
+    let code = plan
+        .ops
+        .iter()
+        .map(|op| match op {
+            LoweredOp::Leaf {
+                op,
+                trigger,
+                frames,
+            } => VmOp::Leaf {
+                leaf: pool.add_leaf(op, trigger.as_deref(), frames),
+            },
+            LoweredOp::Check {
+                cond,
+                on_false,
+                frames,
+            } => VmOp::Check {
+                check: pool.add_check(cond, frames),
+                on_false: clamp(*on_false, n),
+            },
+            LoweredOp::Jump { target } => VmOp::Jump {
+                target: clamp(*target, n),
+            },
+        })
+        .collect();
 
     Ok(Program {
         name: plan.name.clone(),
         source_size: plan.source_size,
         code,
         pool: pool.finish(),
-        prefix: None,
     })
 }
 
@@ -447,79 +374,6 @@ impl PoolBuilder {
 /// field even for unverified plans carrying `usize::MAX` placeholders.
 fn clamp(target: usize, n: usize) -> u32 {
     target.min(n) as u32
-}
-
-/// Try to fuse the instruction pair at `(first, second)`.
-fn fuse(first: &LoweredOp, second: &LoweredOp, n: usize, pool: &mut PoolBuilder) -> Option<VmOp> {
-    match (first, second) {
-        (
-            LoweredOp::Leaf {
-                op: op @ Op::Gen { .. },
-                trigger,
-                frames,
-            },
-            LoweredOp::Check {
-                cond,
-                on_false,
-                frames: check_frames,
-            },
-        ) => Some(VmOp::GenCheck {
-            leaf: pool.add_leaf(op, trigger.as_deref(), frames),
-            check: pool.add_check(cond, check_frames),
-            on_false: clamp(*on_false, n),
-        }),
-        (
-            LoweredOp::Leaf {
-                op: op @ Op::Delegate { .. },
-                trigger,
-                frames,
-            },
-            LoweredOp::Jump { target },
-        ) => Some(VmOp::DelegateJump {
-            leaf: pool.add_leaf(op, trigger.as_deref(), frames),
-            target: clamp(*target, n),
-        }),
-        (
-            LoweredOp::Leaf {
-                op: ret @ Op::Ret { .. },
-                trigger,
-                frames,
-            },
-            LoweredOp::Leaf {
-                op: merge @ Op::Merge { .. },
-                trigger: merge_trigger,
-                frames: merge_frames,
-            },
-        ) => Some(VmOp::RetMerge {
-            first: pool.add_leaf(ret, trigger.as_deref(), frames),
-            second: pool.add_leaf(merge, merge_trigger.as_deref(), merge_frames),
-        }),
-        _ => None,
-    }
-}
-
-/// Compile one unfused instruction.
-fn single(op: &LoweredOp, n: usize, pool: &mut PoolBuilder) -> VmOp {
-    match op {
-        LoweredOp::Leaf {
-            op,
-            trigger,
-            frames,
-        } => VmOp::Leaf {
-            leaf: pool.add_leaf(op, trigger.as_deref(), frames),
-        },
-        LoweredOp::Check {
-            cond,
-            on_false,
-            frames,
-        } => VmOp::Check {
-            check: pool.add_check(cond, frames),
-            on_false: clamp(*on_false, n),
-        },
-        LoweredOp::Jump { target } => VmOp::Jump {
-            target: clamp(*target, n),
-        },
-    }
 }
 
 /// Replay the tree walk's error unwind from pooled strings: the failing
@@ -598,10 +452,7 @@ fn step_check(
     }
 }
 
-/// The compiled spine: step `program` with a program counter. Fused
-/// superinstructions execute their halves in source order — two gates, two
-/// budget units, two trace events — so the trace is byte-identical to the
-/// tree walk's.
+/// The compiled spine: step `program` with a program counter.
 pub(crate) fn run_program(
     rt: &Runtime,
     program: &Program,
@@ -625,27 +476,6 @@ pub(crate) fn run_program(
                 } else {
                     on_false as usize
                 };
-            }
-            VmOp::GenCheck {
-                leaf,
-                check,
-                on_false,
-            } => {
-                step_leaf(rt, pool.leaf(leaf), pool, state, budget, limits)?;
-                pc = if step_check(rt, pool.check(check), pool, state, budget, limits)? {
-                    pc + 1
-                } else {
-                    on_false as usize
-                };
-            }
-            VmOp::DelegateJump { leaf, target } => {
-                step_leaf(rt, pool.leaf(leaf), pool, state, budget, limits)?;
-                pc = target as usize;
-            }
-            VmOp::RetMerge { first, second } => {
-                step_leaf(rt, pool.leaf(first), pool, state, budget, limits)?;
-                step_leaf(rt, pool.leaf(second), pool, state, budget, limits)?;
-                pc += 1;
             }
         }
     }
@@ -680,8 +510,8 @@ fn resolve_jumps(code: &[VmOp], mut pc: usize) -> Option<usize> {
 /// Reachable CHECKs are always kept: they gate, consume budget, and emit
 /// trace events exactly as in the original program, so optimization never
 /// changes statuses, traces, digests, or usage. It only shortens jump
-/// chains and drops code no execution can reach (fused refusal shadows,
-/// branches dead under a statically-decided condition). Returns `None`
+/// chains and drops code no execution can reach (branches dead under a
+/// statically-decided condition). Returns `None`
 /// when the program is already optimal, contains a jump-only cycle, or —
 /// fail-closed — when the optimized candidate does not symbolically
 /// bisimulate the original; callers then keep the original program.
@@ -694,13 +524,13 @@ pub fn optimize(program: &Program) -> Option<Program> {
     // free Jumps straight to the first observable instruction.
     for op in &mut code {
         match op {
-            VmOp::Check { on_false, .. } | VmOp::GenCheck { on_false, .. } => {
+            VmOp::Check { on_false, .. } => {
                 *on_false = resolve_jumps(&program.code, *on_false as usize)? as u32;
             }
-            VmOp::Jump { target } | VmOp::DelegateJump { target, .. } => {
+            VmOp::Jump { target } => {
                 *target = resolve_jumps(&program.code, *target as usize)? as u32;
             }
-            VmOp::Leaf { .. } | VmOp::RetMerge { .. } => {}
+            VmOp::Leaf { .. } => {}
         }
     }
 
@@ -711,14 +541,14 @@ pub fn optimize(program: &Program) -> Option<Program> {
     // never taken, and refined reachability below prunes the then-branch.
     for pc in 0..len {
         let decided = match code[pc] {
-            VmOp::Check { check, .. } | VmOp::GenCheck { check, .. } => {
+            VmOp::Check { check, .. } => {
                 crate::analysis::absint::static_cond(program.pool.check(check).cond())
             }
             _ => None,
         };
         if decided == Some(true) {
             let fall = resolve_jumps(&code, pc + 1)? as u32;
-            if let VmOp::Check { on_false, .. } | VmOp::GenCheck { on_false, .. } = &mut code[pc] {
+            if let VmOp::Check { on_false, .. } = &mut code[pc] {
                 *on_false = fall;
             }
         }
@@ -740,13 +570,13 @@ pub fn optimize(program: &Program) -> Option<Program> {
     remap[len] = kept.len() as u32;
     for op in &mut kept {
         match op {
-            VmOp::Check { on_false, .. } | VmOp::GenCheck { on_false, .. } => {
+            VmOp::Check { on_false, .. } => {
                 *on_false = remap[*on_false as usize];
             }
-            VmOp::Jump { target } | VmOp::DelegateJump { target, .. } => {
+            VmOp::Jump { target } => {
                 *target = remap[*target as usize];
             }
-            VmOp::Leaf { .. } | VmOp::RetMerge { .. } => {}
+            VmOp::Leaf { .. } => {}
         }
     }
 
@@ -758,78 +588,9 @@ pub fn optimize(program: &Program) -> Option<Program> {
         source_size: program.source_size,
         code: kept,
         pool: program.pool.clone(),
-        prefix: program.prefix.clone(),
     };
     crate::analysis::tv::validate_optimized(program, &candidate).ok()?;
     Some(candidate)
-}
-
-/// The family-fixed template text a plan's prompt family renders — the
-/// text whose leading literal is constant across every request of the
-/// family — derived from the same instruction [`LoweredPlan::affinity_key`]
-/// derives the family identity from. `None` when the plan only uses opaque
-/// ad-hoc prompts (no affinity, nothing fixed to fold).
-#[must_use]
-pub fn family_template(plan: &LoweredPlan, views: &ViewCatalog) -> Option<String> {
-    for instr in &plan.ops {
-        let LoweredOp::Leaf { op, .. } = instr else {
-            continue;
-        };
-        match op {
-            Op::Ref {
-                action: RefAction::Create,
-                refiner,
-                args,
-                ..
-            } if refiner == "from_view" => {
-                let name = args.path("view")?.as_str()?;
-                let params = match args.path("args") {
-                    Some(Value::Map(m)) => m.clone(),
-                    _ => std::collections::BTreeMap::new(),
-                };
-                return views
-                    .instantiate(name, params)
-                    .ok()
-                    .map(|entry| entry.text.to_string());
-            }
-            Op::Ref {
-                action: RefAction::Create,
-                refiner,
-                args,
-                ..
-            } if refiner == "set_text" => {
-                return args.as_str().map(str::to_string);
-            }
-            Op::Gen { prompt, .. } => match prompt {
-                PromptRef::View { name, args } => {
-                    return views
-                        .instantiate(name, args.clone())
-                        .ok()
-                        .map(|entry| entry.text.to_string());
-                }
-                PromptRef::Lowered {
-                    identity: Some(_),
-                    text,
-                } => return Some(text.clone()),
-                PromptRef::Lowered { identity: None, .. } | PromptRef::Inline(_) => return None,
-                PromptRef::Key(_) => {}
-            },
-            _ => {}
-        }
-    }
-    None
-}
-
-/// The constant-foldable prompt prefix of a family-fixed template: the
-/// leading literal segment exactly as [`crate::template::render_segmented`]
-/// will produce it on every request of the family (template parsing never
-/// emits adjacent literals, so the shared prefix is at most one segment).
-/// Returns the literal and its content hash, ready for
-/// [`crate::segment::TextSegment::from_shared`].
-#[must_use]
-pub fn family_prefix(template_text: &str) -> Option<(Arc<str>, u64)> {
-    let parsed = template::parse_shared(template_text).ok()?;
-    parsed.leading_literal()
 }
 
 #[cfg(test)]
@@ -859,96 +620,50 @@ mod tests {
     }
 
     #[test]
-    fn gen_check_pairs_fuse() {
-        // create, gen, check, expand  =>  leaf, gen+check, leaf
-        let p = Pipeline::builder("gc")
+    fn every_slot_compiles_to_its_own_pc() {
+        // source: create, gen, check(on_false=5), expand, jump(6), gen —
+        // every opcode kind, a GEN right before a CHECK, and a branch exit.
+        let p = Pipeline::builder("slots")
             .create_text("p", "base", RefinementMode::Manual)
-            .gen("a", "p")
-            .check(Cond::low_confidence(0.5), |b| b.expand("p", "more"))
-            .build();
-        let prog = compiled(&p);
-        assert_eq!(prog.code().len(), 3);
-        let VmOp::GenCheck { on_false, .. } = prog.code()[1] else {
-            panic!("expected fused GenCheck: {:?}", prog.code());
-        };
-        assert_eq!(on_false, 3, "false exits past the fused branch");
-    }
-
-    #[test]
-    fn fusion_refuses_jump_targets() {
-        // else-branch: check's on_false lands exactly on the first else
-        // instruction; a gen there followed by a check must NOT fuse with
-        // anything that would hide the landing pad.
-        let p = Pipeline::builder("landing")
-            .create_text("p", "base", RefinementMode::Manual)
-            .check_else(Cond::Always, |b| b.gen("a", "p"), |b| b.gen("b", "p"))
-            .build();
-        let lowered = lower(&p).unwrap();
-        // ops: create, check(on_false=4), gen a, jump 5, gen b
-        let prog = compile(&lowered).unwrap();
-        // The then-branch gen at source 2 is followed by Jump — Gen+Jump is
-        // not a fusion pair — and the else gen at 4 is a jump target.
-        assert_eq!(prog.code().len(), lowered.ops.len());
-    }
-
-    #[test]
-    fn delegate_jump_fuses_when_legal() {
-        let p = Pipeline::builder("dj")
-            .create_text("p", "base", RefinementMode::Manual)
+            .gen("warm", "p")
             .check_else(
-                Cond::Always,
-                |b| {
-                    b.delegate(
-                        "helper",
-                        crate::ops::PayloadSpec::Lit(Value::from("x")),
-                        "out",
-                    )
-                },
-                |b| b.expand("p", "alt"),
+                Cond::low_confidence(0.9),
+                |b| b.expand("p", "retry hint"),
+                |b| b.gen("final", "p"),
             )
             .build();
         let lowered = lower(&p).unwrap();
-        // ops: create, check, delegate, jump, expand — jump at 3 is not a
-        // target, so delegate+jump fuse.
         let prog = compile(&lowered).unwrap();
-        assert!(
-            prog.code()
-                .iter()
-                .any(|op| matches!(op, VmOp::DelegateJump { .. })),
-            "expected fused DelegateJump: {:?}",
-            prog.code()
+        assert_eq!(prog.code().len(), lowered.ops.len());
+        for (pc, (op, src)) in prog.code().iter().zip(&lowered.ops).enumerate() {
+            match (op, src) {
+                (VmOp::Leaf { .. }, LoweredOp::Leaf { .. }) => {}
+                (VmOp::Check { on_false, .. }, LoweredOp::Check { on_false: src, .. })
+                | (VmOp::Jump { target: on_false }, LoweredOp::Jump { target: src }) => {
+                    assert_eq!(*on_false as usize, *src, "target of pc {pc}");
+                }
+                _ => panic!("pc {pc}: {op:?} does not translate {}", src.describe()),
+            }
+        }
+        // An out-of-range target, reachable only through the verifier's
+        // unchecked entry point, clamps to halt.
+        let bad = LoweredPlan {
+            name: "bad".into(),
+            source_size: 1,
+            ops: vec![LoweredOp::Check {
+                cond: Cond::Always,
+                on_false: usize::MAX,
+                frames: Vec::new(),
+            }],
+        };
+        let prog = compile_assuming_verified(&bad).unwrap();
+        assert_eq!(
+            prog.code(),
+            &[VmOp::Check {
+                check: 0,
+                on_false: 1
+            }]
         );
-        let VmOp::DelegateJump { target, .. } = prog
-            .code()
-            .iter()
-            .copied()
-            .find(|op| matches!(op, VmOp::DelegateJump { .. }))
-            .unwrap()
-        else {
-            unreachable!()
-        };
-        assert_eq!(target as usize, prog.code().len(), "jump exits the plan");
-    }
-
-    #[test]
-    fn branch_targets_remap_across_fusion() {
-        // A fused pair before a branch target shifts later indices; the
-        // check's on_false must land on the same source instruction.
-        let p = Pipeline::builder("remap")
-            .create_text("p", "base", RefinementMode::Manual)
-            .gen("warm", "p")
-            .check(Cond::low_confidence(0.9), |b| b.expand("p", "retry hint"))
-            .gen("final", "p")
-            .build();
-        let lowered = lower(&p).unwrap();
-        // source: create, gen, check(on_false=4), expand, gen
-        let prog = compile(&lowered).unwrap();
-        // compiled: leaf(create), gen+check(on_false->3), leaf(expand), leaf(gen)
-        assert_eq!(prog.code().len(), 4);
-        let VmOp::GenCheck { on_false, .. } = prog.code()[1] else {
-            panic!("expected fusion: {:?}", prog.code());
-        };
-        assert_eq!(on_false, 3, "on_false remapped from source 4 to code 3");
     }
 
     #[test]
@@ -1008,21 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn family_prefix_matches_render_segmented() {
-        let text = "Shared instructions.\nItem: {{ctx:item}}";
-        let (prefix, hash) = family_prefix(text).expect("has a literal prefix");
-        assert_eq!(prefix.as_ref(), "Shared instructions.\nItem: ");
-        let mut ctx = crate::context::Context::new();
-        ctx.set("item", "payload");
-        let rendered =
-            template::render_segmented(text, &std::collections::BTreeMap::new(), &ctx).unwrap();
-        let first = &rendered.segments()[0];
-        assert_eq!(first.text(), prefix.as_ref());
-        assert_eq!(first.hash(), hash);
-        assert!(first.is_literal());
-    }
-
-    #[test]
     fn optimize_prunes_a_statically_dead_else_branch() {
         let p = Pipeline::builder("opt-else")
             .create_text("p", "base", RefinementMode::Manual)
@@ -1037,10 +737,7 @@ mod tests {
             opt.code()
         );
         // The CHECK itself survives — it still gates, budgets, and traces.
-        assert!(opt
-            .code()
-            .iter()
-            .any(|op| matches!(op, VmOp::Check { .. } | VmOp::GenCheck { .. })));
+        assert!(opt.code().iter().any(|op| matches!(op, VmOp::Check { .. })));
         // And the optimized form bisimulates the original.
         assert!(crate::analysis::tv::validate_optimized(&prog, &opt).is_ok());
     }
@@ -1076,7 +773,6 @@ mod tests {
             source_size: 1,
             code: vec![VmOp::Jump { target: 0 }],
             pool: ConstPool::default(),
-            prefix: None,
         };
         assert!(optimize(&cyclic).is_none());
     }

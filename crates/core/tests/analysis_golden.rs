@@ -245,16 +245,16 @@ fn golden_w004_w005_statically_dead_else_branch() {
         "warning[SPEAR-W005] in plan \"specialized\": condition `true` always holds: the else \
          branch can never be taken\n\
          \x20 0001  CHECK[true] else -> 0004\n\
-         warning[SPEAR-W004] in plan \"specialized\": slot 0004 compiles to bytecode pc 0004, \
-         which no execution can reach once statically-decided CHECKs are folded\n\
+         warning[SPEAR-W004] in plan \"specialized\": slot 0004, which no execution can reach \
+         once statically-decided CHECKs are folded\n\
          \x20 0004  REF[APPEND, append] on P[\"p\"]\n"
     );
 }
 
 #[test]
 fn golden_w004_w005_never_taken_then_branch() {
-    // The dual: a `Never` guard whose then-branch — here fused into a
-    // GEN+CHECK superinstruction — can never run.
+    // The dual: a `Never` guard, right after a GEN, whose then-branch can
+    // never run.
     let p = lower(
         &Pipeline::builder("gated")
             .create_text("p", "base", RefinementMode::Manual)
@@ -268,8 +268,8 @@ fn golden_w004_w005_never_taken_then_branch() {
         "warning[SPEAR-W005] in plan \"gated\": condition `false` never holds: the then branch \
          can never be taken\n\
          \x20 0002  CHECK[false] else -> 0004\n\
-         warning[SPEAR-W004] in plan \"gated\": slot 0003 compiles to bytecode pc 0002, which \
-         no execution can reach once statically-decided CHECKs are folded\n\
+         warning[SPEAR-W004] in plan \"gated\": slot 0003, which no execution can reach once \
+         statically-decided CHECKs are folded\n\
          \x20 0003  GEN[\"b\"] using P[\"p\"]\n"
     );
 }

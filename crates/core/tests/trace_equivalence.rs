@@ -278,6 +278,7 @@ proptest! {
         if let Err(failures) = spear_core::analysis::validate_compile(&lowered, &program) {
             prop_assert!(false, "TV failed: {:?}, pipeline: {:?}", failures, p);
         }
+        prop_assert_eq!(program.code().len(), lowered.ops.len(), "one pc per slot");
         let optimized = spear_core::optimize(&program).unwrap_or(program);
         let opt_result = rt.execute_program(&optimized, &mut opt_state);
 
@@ -323,6 +324,7 @@ proptest! {
         if let Err(failures) = spear_core::analysis::validate_compile(&lowered, &program) {
             prop_assert!(false, "TV failed: {:?}, pipeline: {:?}", failures, p);
         }
+        prop_assert_eq!(program.code().len(), lowered.ops.len(), "one pc per slot");
         let optimized = spear_core::optimize(&program).unwrap_or(program);
         let opt_result = rt.execute_program(&optimized, &mut opt_state);
 

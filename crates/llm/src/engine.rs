@@ -12,8 +12,9 @@
 //! makes reuse visible. (The cache ablation turns the whole cache off with
 //! [`EngineConfig::cache_enabled`].)
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use spear_core::error::Result;
@@ -97,13 +98,6 @@ thread_local! {
     });
 }
 
-/// Owner ids handed to requests inside [`SimLlm::submit_many`]. The high
-/// bit keeps them disjoint from [`spear_core::batch::BatchRunner`]'s
-/// owner sequence, so batch pipelines and direct engine batches never
-/// alias each other's private cache state.
-const SUBMIT_OWNER_BASE: u64 = 1 << 63;
-static SUBMIT_OWNER_SEQ: AtomicU64 = AtomicU64::new(0);
-
 impl SimLlm {
     /// Engine with default config.
     #[must_use]
@@ -175,28 +169,6 @@ impl SimLlm {
     #[must_use]
     pub fn reuse_stats(&self) -> MemoStats {
         self.memo.stats()
-    }
-
-    /// Pre-resolve a prompt family's shared prefix through the token
-    /// interner: tokenize `segments` and intern the leading literal-run
-    /// chains so the first real request of the family starts warm. Used by
-    /// the serving layer when it specializes a compiled program for an
-    /// affinity group.
-    ///
-    /// Only host-side memoization state is touched — the prefix cache and
-    /// every response-visible number (tokens, hits, latency) are left
-    /// alone, so specialization is observably invisible to traces and
-    /// fingerprints.
-    pub fn preresolve(&self, segments: &SegmentedText) {
-        if segments.segments().is_empty() {
-            return;
-        }
-        SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            // `cacheable: false` keeps the prefix cache untouched; interning
-            // happens regardless because it is keyed by content alone.
-            let _ = self.segmented_prefill(segments, false, scratch);
-        });
     }
 
     fn cacheable(&self, identity: &PromptIdentity) -> bool {
@@ -416,63 +388,6 @@ impl SimLlm {
         }
         Ok(out)
     }
-
-    /// Submit many independent requests across a worker pool, returning
-    /// responses in submission order.
-    ///
-    /// This is the engine-level parallel entry point (the pipeline-level
-    /// one is `spear_core::batch::BatchRunner`). Requests are striped
-    /// across `workers` std threads statically (worker `w` runs requests
-    /// `w, w+W, …`), each request under its own fresh cache owner, so for
-    /// a fixed request list the responses — including cached-token counts
-    /// and latencies — are byte-identical at any worker count:
-    /// every request sees exactly the pre-warmed shared blocks (see
-    /// [`Self::warm`]) plus nothing else.
-    ///
-    /// The trade-off is that requests inside one `submit_many` call do
-    /// not serve each other's freshly inserted prefixes; warm shared
-    /// scaffolds first when cross-request reuse matters. Use
-    /// [`Self::generate_batch`] for continuous-batching semantics
-    /// (sequential, amortized overhead, intra-batch reuse).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the failure of the earliest-submitted failing request.
-    pub fn submit_many(&self, requests: &[GenRequest], workers: usize) -> Result<Vec<GenResponse>> {
-        let n = requests.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let workers = workers.max(1).min(n);
-        let owner_base =
-            SUBMIT_OWNER_BASE | SUBMIT_OWNER_SEQ.fetch_add(n as u64, Ordering::Relaxed);
-        let mut slots: Vec<Option<Result<GenResponse>>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|lane| {
-                    s.spawn(move || {
-                        let mut produced = Vec::new();
-                        let mut index = lane;
-                        while index < n {
-                            let _scope = scope::enter(owner_base + index as u64, lane);
-                            produced.push((index, self.generate(&requests[index])));
-                            index += workers;
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (index, result) in handle.join().expect("submit worker panicked") {
-                    slots[index] = Some(result);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every request index is assigned exactly once"))
-            .collect()
-    }
 }
 
 impl SimLlm {
@@ -677,6 +592,7 @@ impl std::fmt::Debug for SimLlm {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use spear_core::llm::GenOptions;
@@ -844,96 +760,6 @@ mod tests {
             fresh.generate(&req).unwrap().latency,
             "a singleton batch pays full overhead"
         );
-    }
-
-    fn batch_requests(n: usize) -> Vec<GenRequest> {
-        let instruction = long_instruction();
-        (0..n)
-            .map(|i| {
-                GenRequest::structured(
-                    format!("{instruction}Tweet: submitted item number {i}"),
-                    "view:batch@1#0/v1",
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn submit_many_keeps_submission_order() {
-        let e = engine();
-        let responses = e.submit_many(&batch_requests(12), 4).unwrap();
-        assert_eq!(responses.len(), 12);
-        let serial = engine();
-        for (i, r) in responses.iter().enumerate() {
-            let expected = serial.generate(&batch_requests(12)[i]).unwrap();
-            assert_eq!(r.text, expected.text, "slot {i} holds request {i}'s output");
-        }
-    }
-
-    #[test]
-    fn submit_many_is_deterministic_across_worker_counts() {
-        let run = |workers: usize| -> Vec<String> {
-            let e = engine();
-            e.warm(&long_instruction());
-            e.submit_many(&batch_requests(16), workers)
-                .unwrap()
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{}|{}|{}|{}",
-                        r.text,
-                        r.usage.cached_tokens,
-                        r.latency.as_micros(),
-                        r.confidence
-                    )
-                })
-                .collect()
-        };
-        let one = run(1);
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(8));
-    }
-
-    #[test]
-    fn submit_many_sees_warm_blocks_but_isolates_requests() {
-        let e = engine();
-        e.warm(&long_instruction());
-        let responses = e.submit_many(&batch_requests(6), 3).unwrap();
-        for r in &responses {
-            let rate = r.usage.cache_hit_rate().unwrap();
-            assert!(rate > 0.8, "warm instruction prefix is shared: {rate}");
-        }
-        // Repeating the same call does not inherit the first call's
-        // private insertions: hit rates are identical, not higher.
-        let again = e.submit_many(&batch_requests(6), 3).unwrap();
-        for (a, b) in responses.iter().zip(&again) {
-            assert_eq!(a.usage.cached_tokens, b.usage.cached_tokens);
-        }
-    }
-
-    #[test]
-    fn submit_many_on_empty_input_is_a_no_op() {
-        // Regression: an empty submission must return an empty result
-        // without spawning workers, burning owner ids, or touching the
-        // clock or cache.
-        let e = engine();
-        for workers in [0, 1, 4] {
-            let responses = e.submit_many(&[], workers).unwrap();
-            assert!(responses.is_empty());
-        }
-        assert_eq!(e.clock().elapsed(), std::time::Duration::ZERO);
-        assert_eq!(e.cache_stats().lookups, 0);
-    }
-
-    #[test]
-    fn submit_many_splits_clock_lanes() {
-        let e = engine();
-        let responses = e.submit_many(&batch_requests(8), 4).unwrap();
-        let total: std::time::Duration = responses.iter().map(|r| r.latency).sum();
-        assert_eq!(e.clock().elapsed(), total, "lanes sum to aggregate time");
-        let makespan = e.clock().max_lane_elapsed();
-        assert!(makespan < total, "parallel makespan beats serial total");
-        assert!(makespan * 4 >= total, "4 lanes can be at most 4x faster");
     }
 
     fn segmented_request(instruction: &Arc<str>, item: &str) -> GenRequest {

@@ -2,13 +2,12 @@
 //!
 //! [`disasm`] renders a [`spear_core::Program`] — the output of
 //! `spear_core::vm::compile` — as a stable, human-readable listing:
-//! the instruction stream first (fused superinstructions spelled with a
-//! `+`, branch targets resolved to slot numbers, pool operands by index)
-//! and then the constant pool itself (interned strings, leaf specs, check
-//! specs). The format is pinned byte-exact by the `disasm_golden`
-//! integration tests, so it doubles as the specification of the bytecode
-//! encoding: any change to opcode layout, fusion rules, or pool interning
-//! shows up as a golden-test diff.
+//! the instruction stream first (one line per source slot, branch targets
+//! as slot numbers, pool operands by index) and then the constant pool
+//! itself (interned strings, leaf specs, check specs). The format is
+//! pinned byte-exact by the `disasm_golden` integration tests, so it
+//! doubles as the specification of the bytecode encoding: any change to
+//! opcode layout or pool interning shows up as a golden-test diff.
 //!
 //! The listing shares `PlanWriter` with the EXPLAIN renderers in
 //! [`crate::explain`](mod@crate::explain), so slot lines and indentation
@@ -52,39 +51,6 @@ pub fn disasm(program: &Program) -> String {
             }
             VmOp::Jump { target } => {
                 w.slot(pc, format_args!("JUMP           -> {target:04}"));
-            }
-            VmOp::GenCheck {
-                leaf,
-                check,
-                on_false,
-            } => {
-                w.slot(
-                    pc,
-                    format_args!(
-                        "GEN+CHECK      l{leaf:02} c{check:02}  else -> {on_false:04}  ; {} ; {}",
-                        pool.str(pool.leaves()[leaf as usize].describe_id()),
-                        pool.str(pool.checks()[check as usize].label_id())
-                    ),
-                );
-            }
-            VmOp::DelegateJump { leaf, target } => {
-                w.slot(
-                    pc,
-                    format_args!(
-                        "DELEGATE+JUMP  l{leaf:02}  -> {target:04}     ; {}",
-                        pool.str(pool.leaves()[leaf as usize].describe_id())
-                    ),
-                );
-            }
-            VmOp::RetMerge { first, second } => {
-                w.slot(
-                    pc,
-                    format_args!(
-                        "RET+MERGE      l{first:02} l{second:02}              ; {} ; {}",
-                        pool.str(pool.leaves()[first as usize].describe_id()),
-                        pool.str(pool.leaves()[second as usize].describe_id())
-                    ),
-                );
             }
         }
     }
@@ -153,9 +119,6 @@ pub fn disasm(program: &Program) -> String {
             }
         }
     }
-    if let Some(prefix) = program.prefix() {
-        w.line(format_args!("SPECIALIZED PREFIX  {prefix:?}"));
-    }
     w.finish()
 }
 
@@ -198,18 +161,5 @@ mod tests {
         assert!(text.contains("strings:"));
         assert!(text.contains("leaves:"));
         assert!(text.contains("checks:"));
-    }
-
-    #[test]
-    fn specialized_prefix_is_rendered_when_present() {
-        let pipeline = Pipeline::builder("s")
-            .create_text("p", "fixed: {{q}}", RefinementMode::Manual)
-            .gen("a", "p")
-            .build();
-        let plan = lower(&pipeline).expect("lowers");
-        let mut program = spear_core::compile(&plan).expect("verified plan compiles");
-        assert!(!disasm(&program).contains("SPECIALIZED PREFIX"));
-        program.set_prefix(std::sync::Arc::from("fixed: "));
-        assert!(disasm(&program).contains("SPECIALIZED PREFIX  \"fixed: \""));
     }
 }

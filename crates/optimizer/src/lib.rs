@@ -14,7 +14,7 @@
 //! - [`explain`](mod@explain) — EXPLAIN-style plan rendering with cost
 //!   estimates and optimization hints ("instrumented like query plans"),
 //! - [`disasm`](mod@disasm) — a byte-stable disassembler for compiled
-//!   bytecode programs (instruction stream with fused superinstructions,
+//!   bytecode programs (instruction stream, one instruction per plan slot,
 //!   plus the constant pool),
 //! - [`cost`] — a linear latency [`cost::CostModel`] calibrated online by
 //!   least squares from observed `(tokens, latency)` pairs,

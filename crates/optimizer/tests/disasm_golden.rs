@@ -1,23 +1,19 @@
 //! Golden tests for the bytecode disassembler: byte-exact listings of a
-//! program exercising every opcode — all three fused superinstructions
-//! (GEN+CHECK, DELEGATE+JUMP, RET+MERGE), the bare forms the fuser must
-//! refuse (a CHECK that is a branch target, a JUMP whose predecessor is
-//! not a DELEGATE), and the full constant pool (strings, leaf specs with
-//! triggers/frames/templates, check specs). Any change to opcode layout,
-//! fusion rules, or pool interning shows up here as a readable diff.
+//! program exercising every opcode (LEAF, CHECK, JUMP — one per source
+//! slot, at the slot's own pc) and the full constant pool (strings, leaf
+//! specs with triggers/frames/templates, check specs). Any change to
+//! opcode layout or pool interning shows up here as a readable diff.
 
 use spear_core::prelude::*;
 use spear_optimizer::disasm;
 
-/// One pipeline that compiles to all six opcodes.
+/// One pipeline that compiles to every opcode, over every operator kind
+/// in a leaf (RET, MERGE, REF, GEN, DELEGATE):
 ///
-/// - `ret` + `merge` adjacent at top level → `RET+MERGE`;
-/// - `retry_gen` → GEN immediately followed by its confidence CHECK →
-///   `GEN+CHECK`;
-/// - a then-branch that is exactly one DELEGATE → `DELEGATE+JUMP`;
-/// - the second CHECK sits at the first check's else target, so fusion
-///   with the preceding GEN is refused → bare `CHECK`;
-/// - a then-branch ending in a GEN keeps its closing jump → bare `JUMP`.
+/// - `retry_gen` → a GEN immediately followed by its confidence `CHECK`;
+/// - each `check_else` → a `CHECK` whose else target follows the
+///   then-branch's closing `JUMP`;
+/// - the second CHECK sits at the first check's else target.
 fn kitchen_sink() -> Pipeline {
     Pipeline::builder("kitchen_sink")
         .ret("corpus", "docs_a", 2)
@@ -67,19 +63,22 @@ fn compile(pipeline: &Pipeline) -> spear_core::Program {
 fn kitchen_sink_disassembly_is_pinned() {
     let program = compile(&kitchen_sink());
     let expected = "\
-DISASSEMBLY OF PROGRAM \"kitchen_sink\"  (13 source ops, 12 instructions)
-  0000  RET+MERGE      l00 l01              ; RET[\"corpus\"] -> C[\"docs_a\"] ; MERGE[P[\"docs_a\"], P[\"docs_b\"]] -> P[\"docs\"]
-  0001  LEAF           l02                  ; REF[CREATE, set_text] on P[\"p\"]
-  0002  GEN+CHECK      l03 c00  else -> 0005  ; GEN[\"answer_0\"] using P[\"p\"] ; CHECK[M[\"confidence\"] < 0.7]
-  0003  LEAF           l04                  ; REF[UPDATE, auto_refine] on P[\"p\"]
-  0004  LEAF           l05                  ; GEN[\"answer_1\"] using P[\"p\"]
-  0005  CHECK          c01  else -> 0007  ; CHECK[M[\"confidence\"] < 0.9]
-  0006  DELEGATE+JUMP  l06  -> 0008     ; DELEGATE[\"escalate\"] -> C[\"review\"]
-  0007  LEAF           l07                  ; REF[CREATE, set_text] on P[\"note\"]
-  0008  CHECK          c02  else -> 0011  ; CHECK[M[\"retries\"] < 2]
-  0009  LEAF           l08                  ; GEN[\"alt\"] using P[\"p\"]
-  0010  JUMP           -> 0012
-  0011  LEAF           l09                  ; REF[CREATE, set_text] on P[\"note2\"]
+DISASSEMBLY OF PROGRAM \"kitchen_sink\"  (13 source ops, 15 instructions)
+  0000  LEAF           l00                  ; RET[\"corpus\"] -> C[\"docs_a\"]
+  0001  LEAF           l01                  ; MERGE[P[\"docs_a\"], P[\"docs_b\"]] -> P[\"docs\"]
+  0002  LEAF           l02                  ; REF[CREATE, set_text] on P[\"p\"]
+  0003  LEAF           l03                  ; GEN[\"answer_0\"] using P[\"p\"]
+  0004  CHECK          c00  else -> 0007  ; CHECK[M[\"confidence\"] < 0.7]
+  0005  LEAF           l04                  ; REF[UPDATE, auto_refine] on P[\"p\"]
+  0006  LEAF           l05                  ; GEN[\"answer_1\"] using P[\"p\"]
+  0007  CHECK          c01  else -> 0010  ; CHECK[M[\"confidence\"] < 0.9]
+  0008  LEAF           l06                  ; DELEGATE[\"escalate\"] -> C[\"review\"]
+  0009  JUMP           -> 0011
+  0010  LEAF           l07                  ; REF[CREATE, set_text] on P[\"note\"]
+  0011  CHECK          c02  else -> 0014  ; CHECK[M[\"retries\"] < 2]
+  0012  LEAF           l08                  ; GEN[\"alt\"] using P[\"p\"]
+  0013  JUMP           -> 0015
+  0014  LEAF           l09                  ; REF[CREATE, set_text] on P[\"note2\"]
 CONST POOL  (18 strings, 10 leaves, 3 checks)
   strings:
     s00  \"RET[\\\"corpus\\\"] -> C[\\\"docs_a\\\"]\"
@@ -116,20 +115,18 @@ CONST POOL  (18 strings, 10 leaves, 3 checks)
     c01  label=s08  frames=[]
     c02  label=s13  frames=[]
 STATIC BOUNDS  tokens=[1, 768] llm_calls=[1, 3] latency>=100us unwind<=2
-    0002  tokens=[1, 256] llm_calls=[1, 1] latency>=100us
-    0004  tokens=[1, 256] llm_calls=[1, 1] latency>=100us
-    0009  tokens=[1, 256] llm_calls=[1, 1] latency>=100us
+    0003  tokens=[1, 256] llm_calls=[1, 1] latency>=100us
+    0006  tokens=[1, 256] llm_calls=[1, 1] latency>=100us
+    0012  tokens=[1, 256] llm_calls=[1, 1] latency>=100us
 ";
     assert_eq!(disasm(&program), expected);
 }
 
 #[test]
-fn lowered_physical_plan_pins_parsed_templates_and_delegate_fusion() {
+fn lowered_physical_plan_pins_parsed_templates() {
     // The reordered Filter→Map shape from the explain goldens: its GENs
     // are lowered prompts whose templates parse at compile time, so the
-    // leaf pool pins `template=parsed`. The filter's DELEGATE stays a bare
-    // leaf (it precedes a CHECK, not a jump), and the verdict GEN cannot
-    // fuse with that CHECK either — a DELEGATE sits between them.
+    // leaf pool pins `template=parsed`.
     let plan = spear_optimizer::plan::SemanticPlan::filter_then_map(
         "Keep negative tweets.",
         "Clean up the tweet.",

@@ -84,7 +84,7 @@ EXPLAIN LOWERED PLAN \"gated\"  (4 source ops, 4 slots)
   0003  GEN[\"b\"] using P[\"p\"]  (when false)
 warning[SPEAR-W005] in plan \"gated\": condition `false` never holds: the then branch can never be taken
   0002  CHECK[false] else -> 0004
-warning[SPEAR-W004] in plan \"gated\": slot 0003 compiles to bytecode pc 0002, which no execution can reach once statically-decided CHECKs are folded
+warning[SPEAR-W004] in plan \"gated\": slot 0003, which no execution can reach once statically-decided CHECKs are folded
   0003  GEN[\"b\"] using P[\"p\"]
 ";
     assert_eq!(

@@ -316,18 +316,13 @@ impl KvReport {
 }
 
 /// Counters from the scheduler's [`crate::program_cache::ProgramCache`]:
-/// how many admissions compiled a fresh program, how many specialized one
-/// for an affinity family, and how many reused a cached program. All
-/// counters are lane-count-invariant — admission order is deterministic
-/// and compilation happens before dispatch.
+/// how many admissions compiled a fresh program and how many reused a
+/// cached program. All counters are lane-count-invariant — admission order
+/// is deterministic and compilation happens before dispatch.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CompileReport {
     /// Programs compiled from a lowered plan (cache misses).
     pub compiled: u64,
-    /// Compiled programs additionally specialized for their affinity
-    /// family (prefix constant-folded and pre-resolved through the token
-    /// interner).
-    pub specialized: u64,
     /// Admissions served by an already-compiled cached program.
     pub cache_hits: u64,
     /// Cached programs evicted by capacity pressure.

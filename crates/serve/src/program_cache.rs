@@ -1,18 +1,10 @@
-//! Bounded cache of compiled (and per-affinity specialized) programs.
+//! Bounded cache of compiled programs.
 //!
 //! The scheduler compiles each admitted plan to `spear-core`'s bytecode
-//! once per `(plan fingerprint, affinity key)` pair and reuses the
-//! `Arc<Program>` for every later member of the family. On first compile
-//! of a keyed family the cache additionally **specializes** the program:
-//! it constant-folds the family's fixed prompt prefix (the leading
-//! template literal every member renders identically) and pre-resolves
-//! that prefix's token/block-hash chain through the engine's token
-//! interner, so the family's first real request already starts warm.
-//!
-//! Specialization touches only host-side memoization state — the prefix
-//! cache and all response-visible numbers are untouched, so specialized
-//! and generic programs produce byte-identical traces (pinned by the
-//! `program_cache` integration tests).
+//! once per plan fingerprint ([`LoweredPlan::fingerprint`]) and reuses the
+//! `Arc<Program>` for every later admission of the same plan. The
+//! fingerprint hashes every slot, and the affinity key is a pure function
+//! of the slots, so the fingerprint alone identifies the program.
 //!
 //! Threads that share one cache (the benchmark's `compile_cold` lanes; a
 //! `ServeNode` or `Cluster` node calls it from its one scheduler thread)
@@ -38,39 +30,10 @@ use std::thread::{self, ThreadId};
 
 use spear_core::plan::LoweredPlan;
 use spear_core::runtime::Runtime;
-use spear_core::segment::{SegmentedText, TextSegment};
 use spear_core::vm::{self, Program};
 use spear_llm::{LruMap, SimLlm};
 
 use crate::metrics::CompileReport;
-
-/// Cache key: structural fingerprint of the plan plus its affinity key.
-/// Structurally different plans get different fingerprints (barring a
-/// 64-bit hash collision), so a hit hands out the program this plan
-/// compiles to; the affinity component keeps per-family specialized
-/// programs distinct from each other (two families can share a plan shape
-/// but not a prefix).
-///
-/// Deriving it walks the whole plan and formats the affinity key, so
-/// callers replaying one plan many times derive it once
-/// ([`ProgramKey::of`]) and pass it to
-/// [`ProgramCache::get_or_compile_keyed`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct ProgramKey {
-    /// [`LoweredPlan::fingerprint`].
-    pub(crate) fingerprint: u64,
-    /// [`LoweredPlan::affinity_key`].
-    pub(crate) affinity: Option<String>,
-}
-
-impl ProgramKey {
-    pub(crate) fn of(plan: &LoweredPlan) -> Self {
-        Self {
-            fingerprint: plan.fingerprint(),
-            affinity: plan.affinity_key(),
-        }
-    }
-}
 
 struct Slot {
     program: Arc<Program>,
@@ -79,19 +42,21 @@ struct Slot {
 }
 
 struct Inner {
-    programs: LruMap<ProgramKey, Slot>,
+    /// Keyed by [`LoweredPlan::fingerprint`].
+    programs: LruMap<u64, Slot>,
     /// Evicted slots waiting for the thread that compiled them, oldest
     /// first; never longer than the cache's capacity.
     retired: Vec<Slot>,
-    /// The optimizer and specialization counters; the lookup ones live in
-    /// `programs`.
+    /// The optimizer counter; the lookup ones live in `programs`.
     counters: CompileReport,
 }
 
 impl Inner {
     /// Touch `key`'s resident program, counting a hit.
-    fn hit(&mut self, key: &ProgramKey) -> Option<Arc<Program>> {
-        self.programs.get(key).map(|slot| Arc::clone(&slot.program))
+    fn hit(&mut self, key: u64) -> Option<Arc<Program>> {
+        self.programs
+            .get(&key)
+            .map(|slot| Arc::clone(&slot.program))
     }
 
     /// Take out the retired slots `thread` compiled.
@@ -105,7 +70,7 @@ impl Inner {
     /// Returns the slot `caller` must free: the victim if `caller`
     /// compiled it, else (when parking the victim overflows `retired`) the
     /// oldest retired slot.
-    fn insert(&mut self, key: ProgramKey, program: Arc<Program>, caller: ThreadId) -> Option<Slot> {
+    fn insert(&mut self, key: u64, program: Arc<Program>, caller: ThreadId) -> Option<Slot> {
         let slot = Slot {
             program,
             compiled_by: caller,
@@ -123,8 +88,8 @@ impl Inner {
 /// serving node and shared across its runs.
 ///
 /// Lock discipline: nothing compiles under the lock. A miss looks the key
-/// up, releases the lock, compiles, optimizes and specializes, then
-/// re-locks to insert; if another thread inserted the same key meanwhile,
+/// up, releases the lock, compiles and optimizes, then re-locks to
+/// insert; if another thread inserted the same key meanwhile,
 /// the first insert wins and the late caller counts a hit and drops its
 /// own copy. An evicted program is freed by the thread that
 /// compiled it, after that thread releases the lock: a victim of another
@@ -176,28 +141,28 @@ impl ProgramCache {
         self.len() == 0
     }
 
-    /// Look up (or compile, and for keyed families specialize) the program
-    /// for `plan`. Returns `None` when the plan fails to compile — i.e.
-    /// fails structural verification — in which case nothing is cached and
-    /// the caller can take the `InvalidPlan` error from
-    /// [`spear_core::vm::compile`] itself.
+    /// Look up (or compile) the program for `plan`. Returns `None` when the
+    /// plan fails to compile — i.e. fails structural verification — in
+    /// which case nothing is cached and the caller can take the
+    /// `InvalidPlan` error from [`spear_core::vm::compile`] itself.
+    ///
+    /// `runtime` and `engine` are not read: a program depends on its plan
+    /// alone. They stay in the signature for existing callers.
     pub fn get_or_compile(
         &self,
         plan: &LoweredPlan,
-        runtime: &Runtime,
-        engine: Option<&SimLlm>,
+        _runtime: &Runtime,
+        _engine: Option<&SimLlm>,
     ) -> Option<Arc<Program>> {
-        self.get_or_compile_keyed(&ProgramKey::of(plan), plan, runtime, engine)
+        self.get_or_compile_keyed(plan.fingerprint(), plan)
     }
 
-    /// [`Self::get_or_compile`] with `plan`'s key already derived (`key`
-    /// must be [`ProgramKey::of`] this very plan).
+    /// [`Self::get_or_compile`] with `plan`'s fingerprint already derived
+    /// (`key` must be [`LoweredPlan::fingerprint`] of this very plan).
     pub(crate) fn get_or_compile_keyed(
         &self,
-        key: &ProgramKey,
+        key: u64,
         plan: &LoweredPlan,
-        runtime: &Runtime,
-        engine: Option<&SimLlm>,
     ) -> Option<Arc<Program>> {
         let me = thread::current().id();
         let mut inner = self.lock();
@@ -209,35 +174,14 @@ impl ProgramCache {
             return hit;
         }
 
-        let mut program = vm::compile(plan).ok()?;
-
         // Verified bytecode optimization: jump threading, dead else-edge
         // redirection, and unreachable-op pruning — accepted only when the
         // optimized form symbolically bisimulates the original
         // (`vm::optimize` is fail-closed), so traces stay byte-identical.
-        let mut optimized = false;
-        if let Some(better) = vm::optimize(&program) {
-            program = better;
-            optimized = true;
-        }
-
-        // Per-affinity specialization: constant-fold the family's fixed
-        // prompt prefix and pre-resolve its token chain.
-        let mut specialized = false;
-        if key.affinity.is_some() {
-            if let Some((prefix, hash)) =
-                vm::family_template(plan, runtime.views()).and_then(|text| vm::family_prefix(&text))
-            {
-                if let Some(engine) = engine {
-                    let mut segments = SegmentedText::new();
-                    segments.push_segment(TextSegment::from_shared(Arc::clone(&prefix), hash));
-                    engine.preresolve(&segments);
-                }
-                program.set_prefix(prefix);
-                specialized = true;
-            }
-        }
-        let program = Arc::new(program);
+        let program = vm::compile(plan).ok()?;
+        let optimized = vm::optimize(&program);
+        let counted = u64::from(optimized.is_some());
+        let program = Arc::new(optimized.unwrap_or(program));
 
         let mut inner = self.lock();
         if let Some(resident) = inner.hit(key) {
@@ -246,9 +190,8 @@ impl ProgramCache {
             drop(inner);
             return Some(resident);
         }
-        inner.counters.optimized += u64::from(optimized);
-        inner.counters.specialized += u64::from(specialized);
-        let released = inner.insert(key.clone(), Arc::clone(&program), me);
+        inner.counters.optimized += counted;
+        let released = inner.insert(key, Arc::clone(&program), me);
         drop(inner);
         drop(released);
         Some(program)

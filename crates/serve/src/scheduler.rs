@@ -81,13 +81,12 @@ use spear_llm::{CacheStats, MemoStats, SimLlm};
 use crate::error::ServeError;
 use crate::kv::{self, KvPressureConfig, SeqInput, SeqTiming};
 use crate::metrics::{ClassReport, Histogram, KvReport, ReuseReport, ServeReport};
-use crate::program_cache::{ProgramCache, ProgramKey};
+use crate::program_cache::ProgramCache;
 use crate::queue::{AdmissionConfig, AdmissionQueue};
 use crate::request::{Priority, ServeRequest};
 
 /// Owner-id namespace for serve-assigned cache groups: disjoint from
-/// `BatchRunner`'s small sequential ids and from `SimLlm::submit_many`'s
-/// `1 << 63` namespace.
+/// `BatchRunner`'s small sequential ids.
 const SERVE_OWNER_BASE: u64 = 1 << 62;
 
 /// Distinct plan families the admission-verification memo holds before
@@ -122,9 +121,9 @@ pub struct ServeConfig {
     /// `lanes` × `quantum` dispatch rounds.
     pub pressure: Option<KvPressureConfig>,
     /// Capacity of the node's compiled-program cache
-    /// ([`crate::program_cache::ProgramCache`]): distinct
-    /// `(plan fingerprint, affinity key)` pairs held resident. Admissions
-    /// beyond capacity evict least-recently-used programs (counted in
+    /// ([`crate::program_cache::ProgramCache`]): distinct plan
+    /// fingerprints held resident. Admissions beyond capacity evict
+    /// least-recently-used programs (counted in
     /// [`crate::metrics::CompileReport`]).
     pub program_cache_capacity: usize,
     /// Whole-call generation reuse (DESIGN.md §15): stamp each request's
@@ -252,7 +251,10 @@ struct PlanIdentity {
     /// Held so the address keying the table cannot be reused by another
     /// plan while the run lasts.
     _plan: Arc<LoweredPlan>,
-    key: ProgramKey,
+    /// [`LoweredPlan::fingerprint`]: the program-cache and verify-memo key.
+    fingerprint: u64,
+    /// [`LoweredPlan::affinity_key`]: the placement group.
+    affinity: Option<String>,
     affinity_seed: u64,
 }
 
@@ -265,7 +267,8 @@ impl PlanIdentities {
             .entry(Arc::as_ptr(plan))
             .or_insert_with(|| PlanIdentity {
                 _plan: Arc::clone(plan),
-                key: ProgramKey::of(plan),
+                fingerprint: plan.fingerprint(),
+                affinity: plan.affinity_key(),
                 affinity_seed: plan.affinity_seed().unwrap_or_default(),
             })
     }
@@ -307,7 +310,7 @@ impl Placement {
     /// `(owner, lane, grouped)` for a request of `class` running
     /// `identity`'s plan.
     fn place(&mut self, identity: &PlanIdentity, class: Priority) -> (u64, usize, bool) {
-        let key = match &identity.key.affinity {
+        let key = match &identity.affinity {
             Some(key) if self.affinity_routing => key.as_str(),
             _ => {
                 let lane = self.round_robin % self.lanes;
@@ -420,7 +423,7 @@ impl<'a> Lifecycle<'a> {
     /// plan family per run; later family members reuse the verdict
     /// (rejection details included).
     fn verify(&mut self, request: &ServeRequest) -> Option<Vec<String>> {
-        let fingerprint = self.plans.of(&request.plan).key.fingerprint;
+        let fingerprint = self.plans.of(&request.plan).fingerprint;
         let key = verify_key(request, fingerprint);
         if let Some(cached) = self.verify_memo.get(&key) {
             self.verify_memo_hits += 1;
@@ -500,12 +503,10 @@ impl<'a> Lifecycle<'a> {
         request.state.deadline_us = request.deadline_us;
         request.state.cancel = Some(request.cancel);
         request.state.reuse = self.reuse_policy;
-        let program = self.node.programs.get_or_compile_keyed(
-            &identity.key,
-            &request.plan,
-            self.runtime,
-            self.engine,
-        );
+        let program = self
+            .node
+            .programs
+            .get_or_compile_keyed(identity.fingerprint, &request.plan);
         let job = AssignedJob {
             lane,
             owner,

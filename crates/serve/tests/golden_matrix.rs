@@ -283,25 +283,28 @@ const CANCELLED_TAIL: &str = "tight/cancelled-tail";
 /// digests stopped hashing JSON text and became structural
 /// (DESIGN.md §17); with each outcome's digest and the report's
 /// `trace_fingerprint` masked, every cell rendered byte-identically before
-/// and after that change.
+/// and after that change. All seventeen moved again when the program cache
+/// stopped specializing programs and `CompileReport` lost its
+/// `"specialized"` counter: the old rendering with that one key stripped
+/// from the report JSON hashes to each digest below.
 const GOLDEN: &[(&str, u64)] = &[
-    ("none/affinity-on/reuse-on/lanes-1", 0xe91e0e55a6b6d09c),
-    ("none/affinity-on/reuse-on/lanes-4", 0xabcd1cc73cda2bda),
-    ("none/affinity-on/reuse-off/lanes-1", 0xf03d9c7df3c3eebd),
-    ("none/affinity-on/reuse-off/lanes-4", 0x8cb8fc251b229340),
-    ("none/affinity-off/reuse-on/lanes-1", 0x409cfec4b2766db9),
-    ("none/affinity-off/reuse-on/lanes-4", 0xcd9097abf3897a1f),
-    ("none/affinity-off/reuse-off/lanes-1", 0x157919caec64a116),
-    ("none/affinity-off/reuse-off/lanes-4", 0x5b26dfa19a342a26),
-    ("tight/affinity-on/reuse-on/lanes-1", 0xe0a4a71b44a8a07a),
-    ("tight/affinity-on/reuse-on/lanes-4", 0x6539862c5af96970),
-    ("tight/affinity-on/reuse-off/lanes-1", 0x0e7cef26ca827140),
-    ("tight/affinity-on/reuse-off/lanes-4", 0x2f8d31abdd9d7626),
-    ("tight/affinity-off/reuse-on/lanes-1", 0x4a30d0ab54ce62d7),
-    ("tight/affinity-off/reuse-on/lanes-4", 0x80982a47ba5b46c5),
-    ("tight/affinity-off/reuse-off/lanes-1", 0xb1c6f2239594da19),
-    ("tight/affinity-off/reuse-off/lanes-4", 0xd3a1fc5ce167e877),
-    (CANCELLED_TAIL, 0x76b83682f7b902b4),
+    ("none/affinity-on/reuse-on/lanes-1", 0xe9fe5ee97e2b4b48),
+    ("none/affinity-on/reuse-on/lanes-4", 0x9da63fd962b67c4d),
+    ("none/affinity-on/reuse-off/lanes-1", 0xdd4f962170174509),
+    ("none/affinity-on/reuse-off/lanes-4", 0x11764fcd5f7bd85b),
+    ("none/affinity-off/reuse-on/lanes-1", 0x8405c2b3be3dde61),
+    ("none/affinity-off/reuse-on/lanes-4", 0x9a369450d48e476b),
+    ("none/affinity-off/reuse-off/lanes-1", 0x18b7414f74b761de),
+    ("none/affinity-off/reuse-off/lanes-4", 0x98c71c70fc21185a),
+    ("tight/affinity-on/reuse-on/lanes-1", 0x393bc2b1333b186b),
+    ("tight/affinity-on/reuse-on/lanes-4", 0x26919ca88035053d),
+    ("tight/affinity-on/reuse-off/lanes-1", 0x0f92dcdf7e3f51b5),
+    ("tight/affinity-on/reuse-off/lanes-4", 0x321cacafd390d1af),
+    ("tight/affinity-off/reuse-on/lanes-1", 0xe78c0316c907a4c6),
+    ("tight/affinity-off/reuse-on/lanes-4", 0x06b1f2911d96cb10),
+    ("tight/affinity-off/reuse-off/lanes-1", 0x74b02356461fd354),
+    ("tight/affinity-off/reuse-off/lanes-4", 0xbd17739b7aded8e6),
+    (CANCELLED_TAIL, 0x450d16cce1354977),
 ];
 
 #[test]

@@ -30,8 +30,8 @@ bench:
     cargo run --release -p spear-bench --bin table4
     cargo run --release -p spear-bench --bin figure1
 
-# Disassemble representative plans to bytecode listings (fused
-# superinstructions + constant pool; DESIGN.md §12).
+# Disassemble representative plans to bytecode listings (instruction
+# stream + constant pool; DESIGN.md §12).
 disasm:
     cargo run -p spear-bench --bin disasm
 
