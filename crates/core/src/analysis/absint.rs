@@ -1,11 +1,10 @@
 //! Abstract interpretation over compiled bytecode: sound cost envelopes.
 //!
-//! The IR-level [`super::passes::ResourcePass`] walks the *source* plan
-//! with worst-case constants. This module re-derives the same facts — and
-//! tighter ones — **below** the compiler, over the [`VmOp`] stream the VM
-//! actually executes, so (via [`static_cond`]) statically-decided CHECK
-//! branches are accounted for. [`analyze`] runs a worklist fixpoint over the bytecode CFG in an
-//! interval domain and returns a [`ProgramBounds`]:
+//! [`analyze`] derives cost facts **below** the compiler, over the
+//! [`VmOp`] stream the VM actually executes: one forward [`Cfg::sweep`]
+//! over the cond-refined bytecode CFG ([`Cfg::of_code`], so
+//! statically-decided CHECK branches via [`static_cond`] are accounted
+//! for) in an interval domain, returning a [`ProgramBounds`]:
 //!
 //! - completion-token cost `[lo, hi]` (per program and per instruction);
 //! - worst-case LLM-call count `[lo, hi]`;
@@ -15,14 +14,18 @@
 //!   ([`ProgramBounds::kv_blocks`]);
 //! - the maximum error-unwind depth any single failure can produce.
 //!
+//! The same bounds are the verifier's deadline check
+//! ([`super::Verifier::deadline_us`]): this module is the one reader of
+//! [`ResourceModel`].
+//!
 //! Soundness contract: for every execution of the program under a backend
 //! respecting the [`ResourceModel`] minimums and each GEN's
 //! `options.max_tokens` cap (both simulated backends do), measured usage
 //! never exceeds the `hi` bounds, and a run that reaches the exit spends
 //! at least the `lo` bounds. Cyclic bytecode (only reachable through
-//! `compile_assuming_verified` of an unverified plan) falls back to the
-//! top element `[0, ∞)` instead of iterating forever: the widening step
-//! jumps straight to top once a join count exceeds the block count.
+//! `compile_assuming_verified` of an unverified plan) has a reachable
+//! back edge, which the sweep refuses: the envelope is then the top
+//! element `[0, ∞)` and `terminates` is `false`.
 //!
 //! [`BytecodePass`] packages the reachability half as an opt-in lint pass
 //! emitting `SPEAR-W004` (bytecode unreachable once statically-decided
@@ -31,16 +34,40 @@
 //! unchanged — `explain_lowered_with_lints`, the `analyze` tool, and the
 //! goldens register it explicitly.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use crate::condition::Cond;
 use crate::ops::Op;
+use crate::plan::LoweredPlan;
 use crate::vm::{self, ConstPool, Program, VmOp};
 
-use super::lints::{Diagnostic, DEAD_CHECK_BRANCH, VM_UNREACHABLE};
-use super::passes::{LintPass, PassContext, ResourceModel};
-use super::tv;
+use super::cfg::Cfg;
+use super::lints::{
+    Diagnostic, BUDGET_AT_RISK, BUDGET_INFEASIBLE, DEAD_CHECK_BRANCH, VM_UNREACHABLE,
+};
+use super::passes::{LintPass, PassContext};
+
+/// Worst-case cost assumptions for the bounds. The defaults match the
+/// cheapest generation the simulated backend can produce
+/// ([`crate::llm::EchoLlm`] charges `100 + 10·prompt_tokens` µs and at
+/// least one completion token), so a deadline flagged infeasible cannot
+/// be met even under the friendliest backend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResourceModel {
+    /// Minimum virtual latency one GEN contributes, µs.
+    pub min_gen_latency_us: u64,
+    /// Minimum completion tokens one GEN contributes.
+    pub min_gen_tokens: u64,
+}
+
+impl Default for ResourceModel {
+    fn default() -> Self {
+        Self {
+            min_gen_latency_us: 100,
+            min_gen_tokens: 1,
+        }
+    }
+}
 
 /// A closed interval `[lo, hi]` over `u64`; `hi == u64::MAX` means
 /// "unbounded" and renders as `inf`.
@@ -83,13 +110,10 @@ impl Interval {
         }
     }
 
-    /// Least upper bound (join at a CFG merge point). Returns `true` when
-    /// `self` changed.
-    pub fn join(&mut self, other: &Self) -> bool {
-        let before = *self;
+    /// Least upper bound (join at a CFG merge point).
+    pub fn join(&mut self, other: &Self) {
         self.lo = self.lo.min(other.lo);
         self.hi = self.hi.max(other.hi);
-        *self != before
     }
 }
 
@@ -131,12 +155,10 @@ impl SlotBounds {
         }
     }
 
-    fn join(&mut self, other: &Self) -> bool {
-        let t = self.tokens.join(&other.tokens);
-        let c = self.llm_calls.join(&other.llm_calls);
-        let before = self.latency_lo_us;
+    fn join(&mut self, other: &Self) {
+        self.tokens.join(&other.tokens);
+        self.llm_calls.join(&other.llm_calls);
         self.latency_lo_us = self.latency_lo_us.min(other.latency_lo_us);
-        t || c || before != self.latency_lo_us
     }
 
     fn top() -> Self {
@@ -221,65 +243,6 @@ pub fn static_cond(cond: &Cond) -> Option<bool> {
     }
 }
 
-/// Successor code indices of the instruction at `pc`, refined by
-/// statically-decided conditions (a decided CHECK contributes only its
-/// live edge). Indices are clamped to `code.len()` = exit.
-#[must_use]
-pub fn successors(code: &[VmOp], pool: &ConstPool, pc: usize) -> Vec<usize> {
-    let len = code.len();
-    let clamp = |t: usize| t.min(len);
-    let Some(op) = code.get(pc) else {
-        return Vec::new();
-    };
-    match *op {
-        VmOp::Leaf { .. } => vec![clamp(pc + 1)],
-        VmOp::Jump { target } => vec![clamp(target as usize)],
-        VmOp::Check { check, on_false } => {
-            let cond = pool
-                .checks()
-                .get(check as usize)
-                .map(vm::CheckSpec::cond)
-                .and_then(static_cond);
-            match cond {
-                Some(true) => vec![clamp(pc + 1)],
-                Some(false) => vec![clamp(on_false as usize)],
-                None => {
-                    let a = clamp(pc + 1);
-                    let b = clamp(on_false as usize);
-                    if a == b {
-                        vec![a]
-                    } else {
-                        vec![a, b]
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Reachability over the refined bytecode CFG: `flags[pc]` for every
-/// instruction some execution can reach (index `code.len()` is the exit).
-#[must_use]
-pub fn reachable(code: &[VmOp], pool: &ConstPool) -> Vec<bool> {
-    let len = code.len();
-    let mut seen = vec![false; len + 1];
-    let mut stack = vec![0];
-    while let Some(pc) = stack.pop() {
-        if seen[pc] {
-            continue;
-        }
-        seen[pc] = true;
-        if pc < len {
-            for succ in successors(code, pool, pc) {
-                if !seen[succ] {
-                    stack.push(succ);
-                }
-            }
-        }
-    }
-    seen
-}
-
 /// The abstract effect of the leaf `spec` under `model`.
 fn leaf_effect(spec: &vm::LeafSpec, model: &ResourceModel) -> SlotBounds {
     match spec.op() {
@@ -308,71 +271,83 @@ fn op_effect(op: VmOp, pool: &ConstPool, model: &ResourceModel) -> SlotBounds {
     }
 }
 
-/// Derive the static cost envelope of `program` under `model` by a
-/// worklist fixpoint over the refined bytecode CFG, in the interval
-/// domain with widening-to-top on cycles.
+/// Derive the static cost envelope of `program` under `model` by one
+/// forward sweep over the cond-refined bytecode CFG, in the interval
+/// domain. A reachable back edge (cyclic bytecode) yields the top element
+/// and `terminates = false`.
 #[must_use]
 pub fn analyze(program: &Program, model: &ResourceModel) -> ProgramBounds {
     let code = program.code();
     let pool = program.pool();
-    let len = code.len();
+    let cfg = Cfg::of_code(code, pool);
+    let effect = |pc: usize| op_effect(code[pc], pool, model);
 
-    // Path-sum facts *before* each instruction; index `len` is the exit.
-    let mut facts: Vec<Option<SlotBounds>> = vec![None; len + 1];
-    facts[0] = Some(SlotBounds::zero());
-    let mut joins = vec![0usize; len + 1];
-    let widen_at = len + 2;
-    let mut worklist: VecDeque<usize> = VecDeque::from([0]);
+    // The path-sum fact at the exit, the sweep's last entry.
+    let exit = cfg
+        .sweep(
+            SlotBounds::zero(),
+            |pc, before| before.add(&effect(pc)),
+            SlotBounds::join,
+        )
+        .and_then(|mut facts| facts.pop().flatten());
 
-    while let Some(pc) = worklist.pop_front() {
-        if pc >= len {
-            continue;
-        }
-        let Some(fact) = facts[pc] else { continue };
-        let out = fact.add(&op_effect(code[pc], pool, model));
-        for succ in successors(code, pool, pc) {
-            let changed = match &mut facts[succ] {
-                Some(existing) => existing.join(&out),
-                slot @ None => {
-                    *slot = Some(out);
-                    true
-                }
-            };
-            if changed {
-                joins[succ] += 1;
-                if joins[succ] > widen_at {
-                    // A join count past the block count means a cycle is
-                    // feeding the fact: jump straight to top so the
-                    // fixpoint terminates with sound (if loose) bounds.
-                    facts[succ] = Some(SlotBounds::top());
-                }
-                worklist.push_back(succ);
-            }
-        }
-    }
-
-    let mut per_op = Vec::with_capacity(len);
+    let mut per_op = Vec::with_capacity(code.len());
     let mut unwind_depth = 0u64;
     for (pc, &op) in code.iter().enumerate() {
-        if facts[pc].is_some() {
-            per_op.push(Some(op_effect(op, pool, model)));
+        if cfg.is_reachable(pc) {
+            per_op.push(Some(effect(pc)));
             unwind_depth = unwind_depth.max(op_unwind_depth(op, pool));
         } else {
             per_op.push(None);
         }
     }
 
-    let (exit, terminates) = match facts[len] {
-        Some(exit) => (exit, !has_reachable_cycle(code, pool, &facts)),
+    let (exit, terminates) = match exit {
+        Some(exit) => (exit, true),
         None => (SlotBounds::top(), false),
     };
     ProgramBounds {
         tokens: exit.tokens,
         llm_calls: exit.llm_calls,
-        latency_lo_us: if terminates { exit.latency_lo_us } else { 0 },
+        latency_lo_us: exit.latency_lo_us,
         unwind_depth,
         terminates,
         per_op,
+    }
+}
+
+/// The deadline finding for `plan`, read from its [`analyze`] bounds
+/// under the default [`ResourceModel`]:
+///
+/// - the cheapest refined path over the deadline → the plan *cannot*
+///   fit: [`BUDGET_INFEASIBLE`];
+/// - otherwise, the most GENs any path runs at their minimum latency over
+///   the deadline → the plan *may* not fit: [`BUDGET_AT_RISK`].
+///
+/// Compiles `plan`, so it is only called when a deadline is set.
+pub(super) fn deadline_diagnostic(plan: &LoweredPlan, deadline_us: u64) -> Option<Diagnostic> {
+    let program = vm::compile_assuming_verified(plan).ok()?;
+    let model = ResourceModel::default();
+    let bounds = analyze(&program, &model);
+    let worst_us = bounds.llm_calls.hi.saturating_mul(model.min_gen_latency_us);
+    if bounds.latency_lo_us > deadline_us {
+        Some(Diagnostic::plan_level(
+            &BUDGET_INFEASIBLE,
+            format!(
+                "every path needs at least {} µs of generation but the deadline is {} µs",
+                bounds.latency_lo_us, deadline_us
+            ),
+        ))
+    } else if worst_us > deadline_us {
+        Some(Diagnostic::plan_level(
+            &BUDGET_AT_RISK,
+            format!(
+                "the worst-case path needs {worst_us} µs of generation against a deadline of \
+                 {deadline_us} µs"
+            ),
+        ))
+    } else {
+        None
     }
 }
 
@@ -387,48 +362,9 @@ fn op_unwind_depth(op: VmOp, pool: &ConstPool) -> u64 {
     frames.map_or(0, |f| f.len() as u64 + 1)
 }
 
-/// DFS back-edge scan restricted to instructions the fixpoint reached.
-fn has_reachable_cycle(code: &[VmOp], pool: &ConstPool, facts: &[Option<SlotBounds>]) -> bool {
-    let len = code.len();
-    // 0 = white, 1 = on stack, 2 = done.
-    let mut color = vec![0u8; len + 1];
-    // Iterative DFS with an explicit stack of (node, next-successor-index).
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for root in 0..len {
-        if color[root] != 0 || facts[root].is_none() {
-            continue;
-        }
-        stack.push((root, 0));
-        color[root] = 1;
-        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-            let succs = if node < len {
-                successors(code, pool, node)
-            } else {
-                Vec::new()
-            };
-            if *idx < succs.len() {
-                let next = succs[*idx];
-                *idx += 1;
-                match color[next] {
-                    1 => return true,
-                    0 => {
-                        color[next] = 1;
-                        stack.push((next, 0));
-                    }
-                    _ => {}
-                }
-            } else {
-                color[node] = 2;
-                stack.pop();
-            }
-        }
-    }
-    false
-}
-
-/// Opt-in lint pass over the *compiled* plan: recompiles the source,
-/// validates the translation ([`super::tv::validate_compile`] — fail
-/// closed: no diagnostics from an unvalidated mapping), then reports
+/// Opt-in lint pass over the *compiled* plan: compiles the source (pc =
+/// slot, so a bytecode fact is the fact of the slot at the same index),
+/// then reports
 ///
 /// - `SPEAR-W004` for every source slot whose bytecode is unreachable in
 ///   the refined bytecode CFG even though the IR CFG considers it live
@@ -449,16 +385,11 @@ impl LintPass for BytecodePass {
         let Ok(program) = vm::compile_assuming_verified(cx.plan) else {
             return Vec::new();
         };
-        if tv::validate_compile(cx.plan, &program).is_err() {
-            return Vec::new();
-        }
-        let code = program.code();
-        let pool = program.pool();
-        let live = reachable(code, pool);
+        let live = Cfg::of_code(program.code(), program.pool());
         let mut diags = Vec::new();
 
         for (slot, op) in cx.plan.ops.iter().enumerate() {
-            if !live[slot] && cx.cfg.is_reachable(slot) {
+            if !live.is_reachable(slot) && cx.cfg.is_reachable(slot) {
                 diags.push(Diagnostic::at(
                     &VM_UNREACHABLE,
                     slot,
@@ -475,7 +406,7 @@ impl LintPass for BytecodePass {
             let crate::plan::LoweredOp::Check { cond, .. } = op else {
                 continue;
             };
-            if !live[slot] {
+            if !live.is_reachable(slot) {
                 continue;
             }
             if let Some(value) = static_cond(cond) {

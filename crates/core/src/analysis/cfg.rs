@@ -1,22 +1,33 @@
-//! Control-flow graph over a lowered slot program.
+//! The control-flow graph: one type over a lowered slot program and over
+//! its compiled bytecode.
 //!
-//! Every slot is a node; the virtual exit node is `plan.ops.len()`, and a
-//! program counter that reaches it ends the run. The slot program's edge
-//! rules, which the compiled VM follows instruction for instruction:
+//! Every slot is a node; the virtual exit node is `len()`, and a program
+//! counter that reaches it ends the run. The slot program's edge rules,
+//! which the compiled VM follows instruction for instruction (pc = slot):
 //!
 //! - `Leaf` runs its data operator and falls through to `pc + 1`;
 //! - `Check { on_false }` has two successors, `pc + 1` (condition holds)
 //!   and `on_false`;
 //! - `Jump { target }` has the single successor `target`.
 //!
-//! Construction is fallible: targets past the exit node — including the
-//! lowering placeholder `usize::MAX`, which [`crate::plan::lower`] must
-//! never let escape — and a `Leaf` carrying a CHECK, whose branches the
-//! slot program cannot express, are structural errors, reported with
-//! stable lint codes instead of building a graph no executor can follow.
+//! [`Cfg::build`] reads a plan and is fallible: targets past the exit
+//! node — including the lowering placeholder `usize::MAX`, which
+//! [`crate::plan::lower`] must never let escape — and a `Leaf` carrying a
+//! CHECK, whose branches the slot program cannot express, are structural
+//! errors, reported with stable lint codes instead of building a graph no
+//! executor can follow. [`Cfg::of_code`] reads compiled bytecode, whose
+//! targets are already clamped to the exit, and refines each CHECK by
+//! [`static_cond`]: a statically decided CHECK keeps only its live edge.
+//!
+//! Both share reachability, back-edge bookkeeping and [`Cfg::sweep`], the
+//! one forward-dataflow engine: with no reachable back edge, slot order is
+//! a topological order, so one pass in slot order reaches the fixpoint.
 
 use crate::ops::Op;
 use crate::plan::{LoweredOp, LoweredPlan};
+use crate::vm::{ConstPool, VmOp};
+
+use super::absint::static_cond;
 
 use super::lints::{
     Diagnostic, BACKWARD_JUMP, BAD_JUMP_TARGET, CHECK_IN_LEAF, CHECK_TARGET_ESCAPES,
@@ -39,12 +50,24 @@ impl Succs {
         }
     }
 
+    /// Both edges of a branch, collapsed to one when they coincide.
+    fn branch(then: usize, on_false: usize) -> Self {
+        if then == on_false {
+            Self::one(then)
+        } else {
+            Self {
+                targets: [then, on_false],
+                len: 2,
+            }
+        }
+    }
+
     fn as_slice(&self) -> &[usize] {
         &self.targets[..self.len]
     }
 }
 
-/// The control-flow graph of a lowered plan.
+/// The control-flow graph of a lowered plan or of its compiled bytecode.
 #[derive(Debug)]
 pub struct Cfg {
     /// Successors per slot (targets may equal `len`, the exit node).
@@ -68,27 +91,56 @@ impl Cfg {
         if !diags.is_empty() {
             return Err(diags);
         }
-        let len = plan.ops.len();
-        let succs: Vec<Succs> = plan
-            .ops
-            .iter()
-            .enumerate()
-            .map(|(pc, op)| match op {
-                LoweredOp::Leaf { .. } => Succs::one(pc + 1),
-                LoweredOp::Check { on_false, .. } => {
-                    if *on_false == pc + 1 {
-                        Succs::one(pc + 1)
-                    } else {
-                        Succs {
-                            targets: [pc + 1, *on_false],
-                            len: 2,
+        Ok(Self::from_succs(
+            plan.ops
+                .iter()
+                .enumerate()
+                .map(|(pc, op)| match op {
+                    LoweredOp::Leaf { .. } => Succs::one(pc + 1),
+                    LoweredOp::Check { on_false, .. } => Succs::branch(pc + 1, *on_false),
+                    LoweredOp::Jump { target } => Succs::one(*target),
+                })
+                .collect(),
+        ))
+    }
+
+    /// The cond-refined CFG of compiled bytecode: a CHECK whose condition
+    /// [`static_cond`] decides contributes only its live edge, and every
+    /// target is clamped to the exit `code.len()`. A CHECK index outside
+    /// `pool` counts as undecided.
+    #[must_use]
+    pub fn of_code(code: &[VmOp], pool: &ConstPool) -> Cfg {
+        let len = code.len();
+        Self::from_succs(
+            code.iter()
+                .enumerate()
+                .map(|(pc, op)| {
+                    let next = pc + 1;
+                    match *op {
+                        VmOp::Leaf { .. } => Succs::one(next),
+                        VmOp::Jump { target } => Succs::one((target as usize).min(len)),
+                        VmOp::Check { check, on_false } => {
+                            let on_false = (on_false as usize).min(len);
+                            let decided = pool
+                                .checks()
+                                .get(check as usize)
+                                .and_then(|spec| static_cond(spec.cond()));
+                            match decided {
+                                Some(true) => Succs::one(next),
+                                Some(false) => Succs::one(on_false),
+                                None => Succs::branch(next, on_false),
+                            }
                         }
                     }
-                }
-                LoweredOp::Jump { target } => Succs::one(*target),
-            })
-            .collect();
+                })
+                .collect(),
+        )
+    }
 
+    /// Reachability from slot 0 and the reachable back edges of a graph
+    /// whose targets all lie in `0..=succs.len()`.
+    fn from_succs(succs: Vec<Succs>) -> Cfg {
+        let len = succs.len();
         let mut reachable = vec![false; len];
         let mut stack = if len > 0 { vec![0usize] } else { Vec::new() };
         while let Some(pc) = stack.pop() {
@@ -111,11 +163,11 @@ impl Cfg {
             })
             .collect();
 
-        Ok(Cfg {
+        Cfg {
             succs,
             reachable,
             back_edges,
-        })
+        }
     }
 
     /// Successor slots of `slot` (targets may equal the exit index).
@@ -154,6 +206,44 @@ impl Cfg {
     #[must_use]
     pub fn terminates(&self) -> bool {
         self.back_edges.is_empty()
+    }
+
+    /// Forward dataflow in one slot-order sweep: the fact holding *before*
+    /// each slot, and at index `len()` the exit's; `None` where no fact
+    /// flows (an unreachable slot). `transfer` moves a fact across a slot
+    /// and `join` merges a fact into another where edges meet.
+    ///
+    /// Slot order is a topological order exactly when every reachable
+    /// edge points forward, and then each slot's input is final before the
+    /// slot is visited. A graph with a reachable back edge gets `None`
+    /// rather than an answer that missed the facts along it.
+    pub fn sweep<F: Clone>(
+        &self,
+        entry: F,
+        mut transfer: impl FnMut(usize, &F) -> F,
+        mut join: impl FnMut(&mut F, &F),
+    ) -> Option<Vec<Option<F>>> {
+        if !self.terminates() {
+            return None;
+        }
+        let len = self.len();
+        let mut facts = vec![None; len + 1];
+        facts[0] = Some(entry);
+        for pc in 0..len {
+            let (done, ahead) = facts.split_at_mut(pc + 1);
+            let Some(before) = &done[pc] else {
+                continue;
+            };
+            let after = transfer(pc, before);
+            // Every reachable edge points forward, so `succ > pc`.
+            for &succ in self.succs(pc) {
+                match &mut ahead[succ - pc - 1] {
+                    Some(fact) => join(fact, &after),
+                    empty @ None => *empty = Some(after.clone()),
+                }
+            }
+        }
+        Some(facts)
     }
 }
 
@@ -242,12 +332,14 @@ pub fn termination_diagnostics(plan: &LoweredPlan, cfg: &Cfg) -> Vec<Diagnostic>
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::condition::Cond;
     use crate::history::RefinementMode;
     use crate::pipeline::Pipeline;
     use crate::plan::lower;
+    use std::collections::BTreeSet;
 
     fn jump(target: usize) -> LoweredOp {
         LoweredOp::Jump { target }
@@ -328,5 +420,59 @@ mod tests {
         assert!(cfg.is_reachable(0));
         assert!(!cfg.is_reachable(1));
         assert!(cfg.is_reachable(2));
+    }
+
+    /// A toy sweep: the set of slots some path to each point has visited.
+    fn visited(cfg: &Cfg) -> Option<Vec<Option<BTreeSet<usize>>>> {
+        cfg.sweep(
+            BTreeSet::new(),
+            |slot, before| {
+                let mut out = before.clone();
+                out.insert(slot);
+                out
+            },
+            |into, from| into.extend(from.iter().copied()),
+        )
+    }
+
+    #[test]
+    fn sweep_facts_union_at_join_points() {
+        // create, check, then-expand, jump, else-expand, gen
+        let p = Pipeline::builder("j")
+            .create_text("p", "base", RefinementMode::Manual)
+            .check_else(
+                Cond::Always,
+                |b| b.expand("p", "then"),
+                |b| b.expand("p", "else"),
+            )
+            .gen("a", "p")
+            .build();
+        let plan = lower(&p).expect("lowers");
+        let facts = visited(&Cfg::build(&plan).expect("valid")).expect("forward");
+
+        // The trailing gen (slot 5) is reached from both branches, so its
+        // input fact contains the then-slot (2) and the else-slot (4).
+        let at_gen = facts[5].as_ref().expect("reachable");
+        assert!(at_gen.contains(&2) && at_gen.contains(&4));
+        // The else branch's input does NOT contain the then slot.
+        let at_else = facts[4].as_ref().expect("reachable");
+        assert!(!at_else.contains(&2));
+        // The exit's fact is the last entry and has seen every slot.
+        assert_eq!(facts[6].as_ref().expect("exit").len(), 6);
+    }
+
+    #[test]
+    fn sweep_leaves_unreachable_slots_without_a_fact() {
+        let plan = plan_of(vec![jump(2), jump(2), jump(3)]);
+        let facts = visited(&Cfg::build(&plan).expect("valid")).expect("forward");
+        assert!(facts[0].is_some());
+        assert!(facts[1].is_none());
+        assert!(facts[2].is_some());
+    }
+
+    #[test]
+    fn sweep_refuses_a_reachable_back_edge() {
+        let looping = plan_of(vec![leaf(), jump(0)]);
+        assert!(visited(&Cfg::build(&looping).expect("structurally fine")).is_none());
     }
 }

@@ -66,11 +66,12 @@ pub const UNDEFINED_PROMPT_KEY: Lint = Lint {
     summary: "prompt key is used before any CREATE",
 };
 
-/// Even the cheapest path through the plan exceeds a stated budget.
+/// Even the cheapest executable path through the plan exceeds its
+/// deadline.
 pub const BUDGET_INFEASIBLE: Lint = Lint {
     code: "SPEAR-E005",
     severity: Severity::Error,
-    summary: "plan cannot meet its deadline or token budget",
+    summary: "plan cannot meet its deadline",
 };
 
 /// A jump goes backwards, so slot-program termination is no longer
@@ -139,12 +140,12 @@ pub const AFFINITY_MISMATCH: Lint = Lint {
     summary: "affinity keys diverge across fused stages",
 };
 
-/// The worst-case path exceeds a stated budget (the plan may still finish
+/// The worst-case path exceeds the deadline (the plan may still finish
 /// in time on cheaper paths).
 pub const BUDGET_AT_RISK: Lint = Lint {
     code: "SPEAR-W003",
     severity: Severity::Warning,
-    summary: "worst-case path may exceed the budget",
+    summary: "worst-case path may exceed the deadline",
 };
 
 /// A compiled `VmOp` is unreachable in the bytecode CFG — a branch cut off

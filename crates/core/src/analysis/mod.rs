@@ -1,31 +1,31 @@
-//! Static analysis over the lowered plan IR.
+//! Static analysis over the lowered plan IR and its compiled bytecode.
 //!
 //! Pipelines are data, so plans can be checked like query plans before a
-//! single token is spent. This module is the IR-level counterpart of the
-//! tree checker in [`crate::validate`] — and since PR 2 unified execution
-//! behind [`crate::plan::LoweredPlan`], it is the checker that sees what
+//! single token is spent. Every execution path runs a
+//! [`crate::plan::LoweredPlan`], so this is the checker that sees what
 //! actually runs: optimizer-lowered physical plans with free `Jump`s,
 //! DELEGATE-based filters, and fused GEN stages included.
 //!
 //! The pieces:
 //!
-//! - [`cfg`](mod@cfg) builds an explicit control-flow graph from the slot
-//!   program, rejecting malformed slots (out-of-bounds targets, the
-//!   `usize::MAX` lowering placeholder, a CHECK in a leaf slot) before
-//!   anything else runs;
-//! - [`dataflow`] is a small worklist fixpoint engine over that CFG;
-//! - [`passes`] holds the built-in analyses — reachability/termination,
-//!   prompt-key def-use (the [`crate::validate::Validator`] semantics,
-//!   optimistic across CHECK branches), resource feasibility against a
-//!   deadline/token budget, and affinity-key consistency across fused
-//!   stages — plus the [`LintPass`] trait future passes implement;
+//! - [`cfg`](mod@cfg) is the one control-flow graph: [`Cfg::build`] over
+//!   the slot program, rejecting malformed slots (out-of-bounds targets,
+//!   the `usize::MAX` lowering placeholder, a CHECK in a leaf slot) before
+//!   anything else runs, and [`Cfg::of_code`] over compiled bytecode, with
+//!   statically-decided CHECKs refined to their live edge. Its
+//!   [`Cfg::sweep`] is the one forward-dataflow engine: every verified
+//!   plan only jumps forward, so one pass in slot order is the fixpoint;
+//! - [`passes`] holds the built-in lint passes — reachability/termination,
+//!   prompt-key def-use (optimistic across CHECK branches), and
+//!   affinity-key consistency across fused stages — plus the
+//!   [`LintPass`] trait future passes implement;
 //! - [`lints`] is the registry of stable diagnostic codes
 //!   (`SPEAR-E001`…) every pass draws from;
-//! - [`absint`] re-runs the analysis below the compiler: an abstract
-//!   interpreter over compiled [`crate::vm::Program`] bytecode deriving
-//!   sound interval bounds (tokens, LLM calls, latency floor, unwind
-//!   depth, KV footprint), plus the opt-in [`BytecodePass`] surfacing
-//!   `SPEAR-W004`/`SPEAR-W005`;
+//! - [`absint`] is the one cost walk: an abstract interpreter over
+//!   compiled [`crate::vm::Program`] bytecode deriving sound interval
+//!   bounds (tokens, LLM calls, latency floor, unwind depth, KV
+//!   footprint), which the verifier's deadline check reads, plus the
+//!   opt-in [`BytecodePass`] surfacing `SPEAR-W004`/`SPEAR-W005`;
 //! - [`tv`] is translation validation: symbolic equivalence checks of
 //!   `vm::compile` output against its source plan, and of optimized
 //!   bytecode against the original — the proof obligation gating
@@ -36,9 +36,10 @@
 //! [`crate::vm::compile`] runs its structural subset
 //! ([`verify_structural`]) on every plan before emitting code.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod absint;
 pub mod cfg;
-pub mod dataflow;
 pub mod lints;
 pub mod passes;
 pub mod tv;
@@ -48,13 +49,12 @@ use std::collections::BTreeSet;
 use crate::plan::LoweredPlan;
 use crate::runtime::Runtime;
 
-pub use absint::{analyze, static_cond, BytecodePass, Interval, ProgramBounds, SlotBounds};
-pub use cfg::Cfg;
-pub use dataflow::{fixpoint, Analysis};
-pub use lints::{lint, Diagnostic, Lint, Severity, REGISTRY};
-pub use passes::{
-    AffinityPass, DefUsePass, LintPass, PassContext, ReachabilityPass, ResourceModel, ResourcePass,
+pub use absint::{
+    analyze, static_cond, BytecodePass, Interval, ProgramBounds, ResourceModel, SlotBounds,
 };
+pub use cfg::Cfg;
+pub use lints::{lint, Diagnostic, Lint, Severity, REGISTRY};
+pub use passes::{AffinityPass, DefUsePass, LintPass, PassContext, ReachabilityPass};
 pub use tv::{validate_compile, validate_optimized, TvFailure};
 
 /// The structural checks that make a slot program safe to execute at
@@ -92,8 +92,6 @@ pub struct Verifier<'rt> {
     runtime: Option<&'rt Runtime>,
     assumed: BTreeSet<String>,
     deadline_us: Option<u64>,
-    max_tokens: Option<u64>,
-    model: ResourceModel,
     extra_passes: Vec<Box<dyn LintPass>>,
 }
 
@@ -105,15 +103,13 @@ impl Default for Verifier<'_> {
 
 impl<'rt> Verifier<'rt> {
     /// A runtime-independent verifier: structure, termination, def-use,
-    /// and (when budgets are set) feasibility — but no registry checks.
+    /// and (when a deadline is set) feasibility — but no registry checks.
     #[must_use]
     pub fn new() -> Self {
         Self {
             runtime: None,
             assumed: BTreeSet::new(),
             deadline_us: None,
-            max_tokens: None,
-            model: ResourceModel::default(),
             extra_passes: Vec::new(),
         }
     }
@@ -128,33 +124,21 @@ impl<'rt> Verifier<'rt> {
         }
     }
 
-    /// Declare a prompt key that exists in the starting state (the IR
-    /// analogue of [`crate::validate::Validator::assume_prompt`]).
+    /// Declare a prompt key that exists in the starting state, so reading
+    /// it before any CREATE is not an error.
     #[must_use]
     pub fn assume_prompt(mut self, key: impl Into<String>) -> Self {
         self.assumed.insert(key.into());
         self
     }
 
-    /// Require the plan to fit a virtual deadline (µs); see
-    /// [`ResourcePass`] for the cost model.
+    /// Require the plan to fit a virtual deadline (µs), judged by the
+    /// [`analyze`] bounds of the compiled plan: a cheapest path over it is
+    /// `SPEAR-E005`, a worst case over it `SPEAR-W003`. Only a verifier
+    /// with a deadline compiles the plan.
     #[must_use]
     pub fn deadline_us(mut self, deadline_us: u64) -> Self {
         self.deadline_us = Some(deadline_us);
-        self
-    }
-
-    /// Require the plan to fit a completion-token budget.
-    #[must_use]
-    pub fn max_tokens(mut self, max_tokens: u64) -> Self {
-        self.max_tokens = Some(max_tokens);
-        self
-    }
-
-    /// Override the worst-case cost assumptions.
-    #[must_use]
-    pub fn resource_model(mut self, model: ResourceModel) -> Self {
-        self.model = model;
         self
     }
 
@@ -171,9 +155,9 @@ impl<'rt> Verifier<'rt> {
     ///
     /// Structural defects short-circuit: a plan whose targets are
     /// malformed has no meaningful CFG, so only those diagnostics are
-    /// returned. Dataflow passes additionally require termination (a
-    /// DAG); when backward jumps exist they are skipped — the E006
-    /// errors already reject the plan.
+    /// returned. Dataflow passes additionally require termination (every
+    /// reachable edge forward); when backward jumps exist they are
+    /// skipped — the E006 errors already reject the plan.
     #[must_use]
     pub fn verify(&self, plan: &LoweredPlan) -> Vec<Diagnostic> {
         let cfg = match Cfg::build(plan) {
@@ -186,13 +170,13 @@ impl<'rt> Verifier<'rt> {
             runtime: self.runtime,
             assumed: &self.assumed,
             deadline_us: self.deadline_us,
-            max_tokens: self.max_tokens,
-            model: self.model,
         };
         let mut diags = ReachabilityPass.run(&cx);
         if cfg.terminates() {
             diags.extend(DefUsePass.run(&cx));
-            diags.extend(ResourcePass.run(&cx));
+            if let Some(deadline) = self.deadline_us {
+                diags.extend(absint::deadline_diagnostic(plan, deadline));
+            }
             diags.extend(AffinityPass.run(&cx));
             for pass in &self.extra_passes {
                 diags.extend(pass.run(&cx));
@@ -230,6 +214,7 @@ pub fn render_diagnostics(plan: &LoweredPlan, diags: &[Diagnostic]) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::condition::Cond;
@@ -324,17 +309,93 @@ mod tests {
         );
     }
 
+    fn runtime() -> Runtime {
+        use crate::retriever::InMemoryRetriever;
+        use std::sync::Arc;
+        let views = crate::view::ViewCatalog::new();
+        views.register(crate::view::ViewDef::new("known_view", "template"));
+        Runtime::builder()
+            .llm(Arc::new(crate::llm::EchoLlm::default()))
+            .retriever(
+                "notes",
+                Arc::new(InMemoryRetriever::from_texts([("a", "x")])),
+            )
+            .agent(
+                "scorer",
+                Arc::new(crate::agent::FnAgent(
+                    |p: &crate::value::Value, _: &crate::context::Context| Ok(p.clone()),
+                )),
+            )
+            .views(views)
+            .build()
+    }
+
     #[test]
-    fn token_budgets_walk_the_same_dag() {
-        let p = Pipeline::builder("tok")
-            .create_text("p", "base", RefinementMode::Manual)
-            .gen("a", "p")
-            .gen("b", "p")
+    fn registered_names_resolve_and_unknown_ones_are_errors() {
+        use crate::history::RefAction;
+        use crate::ops::PayloadSpec;
+        use crate::value::Value;
+        let rt = runtime();
+        let sound = Pipeline::builder("ok")
+            .ret("notes", "docs", 5)
+            .create_from_view("prompt", "known_view", Default::default())
+            .gen("answer", "prompt")
+            .check(Cond::low_confidence(0.7), |b| b.expand("prompt", "hint"))
+            .delegate("scorer", PayloadSpec::PromptKey("prompt".into()), "score")
             .build();
-        let diags = Verifier::new().max_tokens(1).verify(&lowered(&p));
+        assert_eq!(Verifier::with_runtime(&rt).verify(&lowered(&sound)), vec![]);
+
+        let ghosts = Pipeline::builder("bad")
+            .ret("ghost_source", "docs", 5)
+            .create_from_view("p", "ghost_view", Default::default())
+            .refine(
+                "p",
+                RefAction::Update,
+                "ghost_refiner",
+                Value::Null,
+                RefinementMode::Manual,
+            )
+            .delegate("ghost_agent", PayloadSpec::Lit(Value::Null), "out")
+            .build();
+        let diags = Verifier::with_runtime(&rt).verify(&lowered(&ghosts));
+        let codes: Vec<&str> = diags.iter().map(|d| d.code).collect();
+        assert_eq!(
+            codes,
+            ["SPEAR-E009", "SPEAR-E008", "SPEAR-E007", "SPEAR-E010"]
+        );
+        assert!(diags[0].message.contains("retriever source"));
+        assert!(diags[1].message.contains("view \"ghost_view\""));
+        assert!(diags[2].message.contains("refiner \"ghost_refiner\""));
+        assert!(diags[3].message.contains("agent \"ghost_agent\""));
+    }
+
+    #[test]
+    fn merge_sources_are_checked() {
+        let p = Pipeline::builder("m")
+            .create_text("left", "x", RefinementMode::Manual)
+            .merge(
+                "left",
+                "missing_right",
+                "out",
+                crate::ops::MergePolicy::PreferLeft,
+            )
+            .gen("a", "out")
+            .build();
+        let diags = Verifier::new().verify(&lowered(&p));
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "SPEAR-E005");
-        assert!(diags[0].message.contains("token"));
+        assert!(diags[0].message.contains("missing_right"));
+    }
+
+    #[test]
+    fn gen_without_an_llm_is_an_error() {
+        let p = Pipeline::builder("no_llm")
+            .create_text("p", "x", RefinementMode::Manual)
+            .gen("a", "p")
+            .build();
+        let diags = Verifier::with_runtime(&Runtime::builder().build()).verify(&lowered(&p));
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].code, "SPEAR-E011");
+        assert_eq!(diags[0].message, "runtime has no LLM configured");
     }
 
     #[test]

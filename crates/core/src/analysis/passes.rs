@@ -1,8 +1,8 @@
 //! The built-in lint passes and the [`LintPass`] extension point.
 //!
 //! Each pass reads a [`PassContext`] (the plan, its CFG, and whatever the
-//! caller configured — a runtime's registries, assumed prompt keys,
-//! budgets) and returns slot-anchored [`Diagnostic`]s. New checks plug in
+//! caller configured — a runtime's registries, assumed prompt keys, a
+//! deadline) and returns slot-anchored [`Diagnostic`]s. New checks plug in
 //! by implementing [`LintPass`] and registering a lint code in
 //! [`super::lints::REGISTRY`].
 
@@ -13,34 +13,10 @@ use crate::plan::{LoweredOp, LoweredPlan};
 use crate::runtime::Runtime;
 
 use super::cfg::{termination_diagnostics, Cfg};
-use super::dataflow::{fixpoint, Analysis};
 use super::lints::{
-    Diagnostic, AFFINITY_MISMATCH, BUDGET_AT_RISK, BUDGET_INFEASIBLE, NO_LLM, UNDEFINED_PROMPT_KEY,
-    UNKNOWN_AGENT, UNKNOWN_REFINER, UNKNOWN_RETRIEVER, UNKNOWN_VIEW, UNREACHABLE_SLOT,
+    Diagnostic, AFFINITY_MISMATCH, NO_LLM, UNDEFINED_PROMPT_KEY, UNKNOWN_AGENT, UNKNOWN_REFINER,
+    UNKNOWN_RETRIEVER, UNKNOWN_VIEW, UNREACHABLE_SLOT,
 };
-
-/// Worst-case cost assumptions for the resource-feasibility walk. The
-/// defaults match the cheapest generation the simulated backend can
-/// produce ([`crate::llm::EchoLlm`] charges `100 + 10·prompt_tokens` µs
-/// and at least one completion token), so feasibility errors are
-/// conservative: a plan flagged infeasible cannot finish in budget even
-/// under the friendliest backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResourceModel {
-    /// Minimum virtual latency one GEN contributes, µs.
-    pub min_gen_latency_us: u64,
-    /// Minimum completion tokens one GEN contributes.
-    pub min_gen_tokens: u64,
-}
-
-impl Default for ResourceModel {
-    fn default() -> Self {
-        Self {
-            min_gen_latency_us: 100,
-            min_gen_tokens: 1,
-        }
-    }
-}
 
 /// Everything a pass may consult.
 pub struct PassContext<'a> {
@@ -55,10 +31,6 @@ pub struct PassContext<'a> {
     pub assumed: &'a BTreeSet<String>,
     /// Virtual deadline the plan must fit in, µs.
     pub deadline_us: Option<u64>,
-    /// Token budget the plan must fit in.
-    pub max_tokens: Option<u64>,
-    /// Cost assumptions for the feasibility walk.
-    pub model: ResourceModel,
 }
 
 /// An extensible lint pass over a lowered plan.
@@ -95,49 +67,33 @@ impl LintPass for ReachabilityPass {
     }
 }
 
-/// The def-use lattice: the set of prompt keys defined on *some* path to
-/// a program point. Union join makes the analysis optimistic across CHECK
-/// branches — exactly [`crate::validate::Validator`]'s tree semantics —
-/// so it flags definite mistakes, not conservative may-issues. Keys are
-/// borrowed from the plan and the assumed set, never copied.
-struct DefinedKeys<'a> {
-    assumed: &'a BTreeSet<String>,
-}
-
-impl<'a> Analysis<'a> for DefinedKeys<'a> {
-    type Fact = BTreeSet<&'a str>;
-
-    fn entry_fact(&self) -> Self::Fact {
-        self.assumed.iter().map(String::as_str).collect()
-    }
-
-    fn transfer(&self, _slot: usize, op: &'a LoweredOp, before: &Self::Fact) -> Self::Fact {
-        let mut out = before.clone();
-        if let LoweredOp::Leaf { op, .. } = op {
-            match op {
-                Op::Ref { target, .. } => {
-                    out.insert(target.as_str());
-                }
-                Op::Merge { into, .. } => {
-                    out.insert(into.as_str());
-                }
-                _ => {}
+/// The def-use fact after `op`: the prompt keys defined on *some* path,
+/// plus the key `op` itself defines. Keys are borrowed from the plan and
+/// the assumed set, never copied.
+fn defined_after<'a>(op: &'a LoweredOp, before: &BTreeSet<&'a str>) -> BTreeSet<&'a str> {
+    let mut out = before.clone();
+    if let LoweredOp::Leaf { op, .. } = op {
+        match op {
+            Op::Ref { target, .. } => {
+                out.insert(target.as_str());
             }
+            Op::Merge { into, .. } => {
+                out.insert(into.as_str());
+            }
+            _ => {}
         }
-        out
     }
-
-    fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool {
-        let before = into.len();
-        into.extend(from.iter().copied());
-        into.len() != before
-    }
+    out
 }
 
-/// Prompt-key def-use plus registry resolution, ported from
-/// [`crate::validate::Validator`]: same checks, same messages, reported
-/// in slot order (which is the source pipeline's program order, since
-/// lowering emits then-branches before else-branches).
+/// Prompt-key def-use plus registry resolution, reported in slot order
+/// (which is the source pipeline's program order, since lowering emits
+/// then-branches before else-branches).
+///
+/// The def-use facts come from one [`Cfg::sweep`] whose join is set
+/// **union**: a key counts as defined if *some* path defines it, so the
+/// pass is optimistic across CHECK branches and flags definite mistakes,
+/// not conservative may-issues — runtime errors still catch the rest.
 pub struct DefUsePass;
 
 impl DefUsePass {
@@ -159,10 +115,14 @@ impl LintPass for DefUsePass {
     }
 
     fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
-        let analysis = DefinedKeys {
-            assumed: cx.assumed,
+        let entry: BTreeSet<&str> = cx.assumed.iter().map(String::as_str).collect();
+        let Some(facts) = cx.cfg.sweep(
+            entry,
+            |slot, before| defined_after(&cx.plan.ops[slot], before),
+            |into, from| into.extend(from.iter().copied()),
+        ) else {
+            return Vec::new(); // a back edge: ReachabilityPass reports it
         };
-        let facts = fixpoint(cx.plan, cx.cfg, &analysis);
         let mut diags = Vec::new();
         for (slot, instr) in cx.plan.ops.iter().enumerate() {
             let LoweredOp::Leaf { op, .. } = instr else {
@@ -299,106 +259,6 @@ impl LintPass for DefUsePass {
                 // Unreachable: a CHECK in a leaf slot fails `Cfg::build`
                 // (SPEAR-E012) before any pass runs.
                 Op::Check { .. } => {}
-            }
-        }
-        diags
-    }
-}
-
-/// Worst-case token/latency walk against the configured budgets. Requires
-/// a DAG (the verifier only runs it when termination holds): for each
-/// node the cheapest and costliest path sums are propagated in slot
-/// order, which is a topological order of a strictly-forward CFG.
-///
-/// - cheapest path > budget → the plan *cannot* fit: [`BUDGET_INFEASIBLE`]
-/// - costliest path > budget → the plan *may* not fit: [`BUDGET_AT_RISK`]
-pub struct ResourcePass;
-
-impl LintPass for ResourcePass {
-    fn name(&self) -> &'static str {
-        "resource-feasibility"
-    }
-
-    fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
-        if cx.deadline_us.is_none() && cx.max_tokens.is_none() {
-            return Vec::new();
-        }
-        let len = cx.plan.ops.len();
-        // (min, max) path sums of (latency, tokens) *before* each node;
-        // index `len` is the exit.
-        let mut lat: Vec<Option<(u64, u64)>> = vec![None; len + 1];
-        let mut tok: Vec<Option<(u64, u64)>> = vec![None; len + 1];
-        lat[0] = Some((0, 0));
-        tok[0] = Some((0, 0));
-        for slot in 0..len {
-            let (Some((lat_min, lat_max)), Some((tok_min, tok_max))) = (lat[slot], tok[slot])
-            else {
-                continue; // unreachable slot
-            };
-            let gen = matches!(
-                &cx.plan.ops[slot],
-                LoweredOp::Leaf {
-                    op: Op::Gen { .. },
-                    ..
-                }
-            );
-            let (dl, dt) = if gen {
-                (cx.model.min_gen_latency_us, cx.model.min_gen_tokens)
-            } else {
-                (0, 0)
-            };
-            let out_lat = (lat_min + dl, lat_max + dl);
-            let out_tok = (tok_min + dt, tok_max + dt);
-            for &succ in cx.cfg.succs(slot) {
-                let succ = succ.min(len);
-                lat[succ] = Some(match lat[succ] {
-                    Some((lo, hi)) => (lo.min(out_lat.0), hi.max(out_lat.1)),
-                    None => out_lat,
-                });
-                tok[succ] = Some(match tok[succ] {
-                    Some((lo, hi)) => (lo.min(out_tok.0), hi.max(out_tok.1)),
-                    None => out_tok,
-                });
-            }
-        }
-        let mut diags = Vec::new();
-        let (exit_lat, exit_tok) = (lat[len].unwrap_or((0, 0)), tok[len].unwrap_or((0, 0)));
-        if let Some(deadline) = cx.deadline_us {
-            if exit_lat.0 > deadline {
-                diags.push(Diagnostic::plan_level(
-                    &BUDGET_INFEASIBLE,
-                    format!(
-                        "every path needs at least {} µs of generation but the deadline is {} µs",
-                        exit_lat.0, deadline
-                    ),
-                ));
-            } else if exit_lat.1 > deadline {
-                diags.push(Diagnostic::plan_level(
-                    &BUDGET_AT_RISK,
-                    format!(
-                        "the worst-case path needs {} µs of generation against a deadline of {} µs",
-                        exit_lat.1, deadline
-                    ),
-                ));
-            }
-        }
-        if let Some(budget) = cx.max_tokens {
-            if exit_tok.0 > budget {
-                diags.push(Diagnostic::plan_level(
-                    &BUDGET_INFEASIBLE,
-                    format!(
-                        "every path generates at least {} token(s) but the budget is {}",
-                        exit_tok.0, budget
-                    ),
-                ));
-            } else if exit_tok.1 > budget {
-                diags.push(Diagnostic::plan_level(
-                    &BUDGET_AT_RISK,
-                    format!(
-                        "the worst-case path generates {} token(s) against a budget of {}",
-                        exit_tok.1, budget
-                    ),
-                ));
             }
         }
         diags

@@ -105,7 +105,6 @@ pub mod shadow;
 pub mod store;
 pub mod template;
 pub mod trace;
-pub mod validate;
 pub mod value;
 pub mod view;
 pub mod vm;
@@ -129,7 +128,6 @@ pub use prompt::{PromptEntry, PromptOrigin};
 pub use runtime::{ExecReport, ExecState, Runtime, RuntimeBuilder, RuntimeConfig};
 pub use segment::{SegmentedText, TextSegment};
 pub use store::PromptStore;
-pub use validate::{ValidationIssue, Validator};
 pub use value::Value;
 pub use view::{ParamSpec, ViewCatalog, ViewDef};
 pub use vm::{compile, optimize, CheckSpec, ConstPool, LeafSpec, Program, VmOp};
@@ -163,7 +161,6 @@ pub mod prelude {
     pub use crate::segment::{SegmentedText, TextSegment};
     pub use crate::store::PromptStore;
     pub use crate::trace::{Trace, TraceEvent, TraceKind};
-    pub use crate::validate::{ValidationIssue, Validator};
     pub use crate::value::{map, Value};
     pub use crate::view::{ParamSpec, ViewCatalog, ViewDef};
     // `vm::compile` is deliberately not glob-exported: downstream crates

@@ -22,7 +22,7 @@ use crate::exec::{self, CallLimits};
 use crate::llm::LlmClient;
 use crate::metadata::{Metadata, TokenUsage};
 use crate::pipeline::Pipeline;
-use crate::plan::{self, LoweredPlan};
+use crate::plan;
 use crate::refiner::RefinerRegistry;
 use crate::retriever::RetrieverRegistry;
 use crate::store::PromptStore;
@@ -304,16 +304,6 @@ impl Runtime {
             state,
             |rt, st, budget, limits| vm::run_program(rt, program, st, budget, limits),
         )
-    }
-
-    /// Run the full static verifier over `lowered` against this runtime's
-    /// registries — shorthand for
-    /// `analysis::Verifier::with_runtime(self).verify(lowered)`. Unlike
-    /// the structural gate in [`crate::vm::compile`], this includes
-    /// def-use, registry resolution, and affinity checks.
-    #[must_use]
-    pub fn verify_lowered(&self, lowered: &LoweredPlan) -> Vec<crate::analysis::Diagnostic> {
-        crate::analysis::Verifier::with_runtime(self).verify(lowered)
     }
 
     /// Execute `pipeline` via the reference recursive tree walk — the

@@ -558,12 +558,12 @@ pub fn optimize(program: &Program) -> Option<Program> {
     // Every explicit target on a live op now lands on a live op (threading
     // skips Jumps; dead else edges were redirected to live fall-throughs),
     // so the remap below is total over the targets that remain.
-    let live = crate::analysis::absint::reachable(&code, &program.pool);
+    let live = crate::analysis::Cfg::of_code(&code, &program.pool);
     let mut remap = vec![0u32; len + 1];
     let mut kept: Vec<VmOp> = Vec::with_capacity(len);
     for (pc, &op) in code.iter().enumerate() {
         remap[pc] = kept.len() as u32;
-        if live[pc] {
+        if live.is_reachable(pc) {
             kept.push(op);
         }
     }

@@ -216,6 +216,28 @@ fn golden_w003_budget_at_risk() {
     );
 }
 
+#[test]
+fn golden_e005_floor_skips_statically_dead_branches() {
+    let p = lower(
+        &Pipeline::builder("gated_floor")
+            .create_text("p", "base", RefinementMode::Manual)
+            .check_else(
+                Cond::Never,
+                |t| t.gen("a", "p"),
+                |e| e.gen("b", "p").gen("c", "p"),
+            )
+            .build(),
+    )
+    .expect("lowers");
+    // The one-GEN then-branch never runs under `Never`: every executable
+    // path takes the two-GEN else-branch, 200 µs against a 150 µs deadline.
+    assert_eq!(
+        rendered(&Verifier::new().deadline_us(150), &p),
+        "error[SPEAR-E005] in plan \"gated_floor\": every path needs at least 200 µs of \
+         generation but the deadline is 150 µs\n"
+    );
+}
+
 /// A verifier with the opt-in bytecode pass registered: IR-level lints
 /// plus `SPEAR-W004`/`SPEAR-W005` from the abstract interpreter's
 /// cond-refined bytecode CFG.

@@ -52,10 +52,11 @@ impl Compiled {
     }
 
     /// Run the full IR verifier over every compiled pipeline against
-    /// `runtime` (install the program's views first, as with
-    /// [`Compiled::validate`]). Returns `(pipeline name, diagnostic)`
-    /// pairs — including warning-severity lints that
-    /// [`Compiled::validate`] does not surface.
+    /// `runtime` (the program's own views are assumed installed — pass a
+    /// runtime that has them, typically after [`Compiled::install_views`]).
+    /// Returns `(pipeline name, diagnostic)` pairs, warnings included;
+    /// [`spear_core::analysis::Diagnostic::is_error`] picks the findings
+    /// that must block execution.
     ///
     /// # Errors
     ///
@@ -73,26 +74,6 @@ impl Compiled {
             }
         }
         Ok(out)
-    }
-
-    /// Statically validate every compiled pipeline against `runtime` (the
-    /// program's own views are assumed installed — pass a runtime that has
-    /// them, typically after [`Compiled::install_views`]). Returns
-    /// `(pipeline name, issue)` pairs.
-    #[must_use]
-    pub fn validate(
-        &self,
-        runtime: &spear_core::runtime::Runtime,
-    ) -> Vec<(String, spear_core::validate::ValidationIssue)> {
-        self.pipelines
-            .iter()
-            .flat_map(|p| {
-                runtime
-                    .validate(p)
-                    .into_iter()
-                    .map(move |i| (p.name.clone(), i))
-            })
-            .collect()
     }
 }
 
@@ -445,15 +426,22 @@ mod tests {
     }
 
     #[test]
-    fn compiled_programs_validate_against_a_runtime() {
+    fn compiled_programs_verify_against_a_runtime() {
         use spear_core::prelude::*;
         use std::sync::Arc;
         let c = compile(PROGRAM).unwrap();
         // Without views installed: issues; after install: clean (the
         // retriever is still missing, so exactly those issues remain).
         let rt = Runtime::builder().llm(Arc::new(EchoLlm::default())).build();
-        let before = c.validate(&rt);
-        assert!(before.iter().any(|(_, i)| i.message.contains("view")));
+        let errors = |rt: &Runtime| -> Vec<_> {
+            c.verify(rt)
+                .unwrap()
+                .into_iter()
+                .filter(|(_, d)| d.is_error())
+                .collect()
+        };
+        let before = errors(&rt);
+        assert!(before.iter().any(|(_, d)| d.message.contains("view")));
 
         let rt2 = Runtime::builder()
             .llm(Arc::new(EchoLlm::default()))
@@ -467,7 +455,7 @@ mod tests {
                 v
             })
             .build();
-        assert_eq!(c.validate(&rt2), vec![]);
+        assert_eq!(errors(&rt2), vec![]);
     }
 
     #[test]

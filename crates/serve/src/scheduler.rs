@@ -907,18 +907,14 @@ fn fingerprint(outcomes: &[ServeOutcome]) -> u64 {
     })
 }
 
-/// Statically verify a request's plan at admission: full IR verification
+/// Statically verify a request's plan at admission: full verification
 /// against the runtime's registries, seeded with the prompt keys already
 /// present in the request's starting state, with the request's service
-/// deadline as the feasibility budget. When the IR verifier is clean and
-/// a deadline is set, the decision is refined with the bytecode abstract
-/// interpreter's interval bounds
-/// ([`spear_core::analysis::absint::analyze`]): its latency floor walks
-/// only paths that survive statically-decided CHECKs, so it is at least
-/// the IR floor and can expose infeasibility the slot-order walk misses —
-/// refinement only ever *adds* rejections, keeping the previous decisions
-/// a strict subset. Returns the rendered error-severity diagnostics, or
-/// `None` when the plan is sound enough to run.
+/// deadline as the feasibility budget (the bytecode bounds of
+/// [`spear_core::analysis::absint::analyze`]: their latency floor walks
+/// only paths that survive statically-decided CHECKs). Returns the
+/// rendered error-severity diagnostics, or `None` when the plan is sound
+/// enough to run.
 fn verify_for_admission(runtime: &Runtime, request: &ServeRequest) -> Option<Vec<String>> {
     let mut verifier = spear_core::analysis::Verifier::with_runtime(runtime);
     for key in request.state.prompts.keys() {
@@ -927,40 +923,13 @@ fn verify_for_admission(runtime: &Runtime, request: &ServeRequest) -> Option<Vec
     if let Some(deadline) = request.deadline_us {
         verifier = verifier.deadline_us(deadline);
     }
-    let mut details: Vec<String> = verifier
+    let details: Vec<String> = verifier
         .verify(&request.plan)
         .iter()
         .filter(|d| d.is_error())
         .map(ToString::to_string)
         .collect();
-    if details.is_empty() {
-        if let Some(deadline) = request.deadline_us {
-            if let Ok(program) = spear_core::vm::compile(&request.plan) {
-                let bounds = spear_core::analysis::analyze(
-                    &program,
-                    &spear_core::analysis::ResourceModel::default(),
-                );
-                if bounds.latency_lo_us > deadline {
-                    details.push(
-                        spear_core::analysis::Diagnostic::plan_level(
-                            &spear_core::analysis::lints::BUDGET_INFEASIBLE,
-                            format!(
-                                "every executable path needs at least {} µs of generation \
-                                 but the deadline is {deadline} µs (bytecode interval bounds)",
-                                bounds.latency_lo_us
-                            ),
-                        )
-                        .to_string(),
-                    );
-                }
-            }
-        }
-    }
-    if details.is_empty() {
-        None
-    } else {
-        Some(details)
-    }
+    (!details.is_empty()).then_some(details)
 }
 
 #[cfg(test)]

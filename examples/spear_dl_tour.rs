@@ -57,14 +57,18 @@ fn main() -> Result<()> {
     let pipeline = compiled.pipeline("enoxaparin_qa").expect("declared");
     println!("{}", pipeline.describe());
 
-    // Install the declared views, statically validate, and execute.
+    // Install the declared views, statically verify, and execute.
     let views = ViewCatalog::new();
     compiled.install_views(&views);
     let runtime = Runtime::builder()
         .llm(Arc::new(SimLlm::new(ModelProfile::qwen25_7b_instruct())))
         .views(views)
         .build();
-    let issues = compiled.validate(&runtime);
+    let issues: Vec<_> = compiled
+        .verify(&runtime)?
+        .into_iter()
+        .filter(|(_, d)| d.is_error())
+        .collect();
     println!(
         "static validation: {}",
         if issues.is_empty() {

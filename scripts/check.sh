@@ -17,9 +17,10 @@ sh scripts/bench_smoke.sh
 # Static-analysis gate: bytecode lints, translation validation, and the
 # verified optimizer's bisimulation check over the golden plan corpus.
 cargo run --release -p spear-bench --bin analyze
-# Reproduction gate: these paper outputs must match their checked-in
-# results byte for byte (the virtual clock makes the comparison exact).
-for bin in ablation_planner ablation_gen_fusion; do
+# Reproduction gate: these paper outputs, and the static-analysis report,
+# must match their checked-in results byte for byte (the virtual clock
+# makes the comparison exact; `analyze` prints no host timing).
+for bin in ablation_planner ablation_gen_fusion analyze; do
     cargo run --release -q -p spear-bench --bin "$bin" | cmp - "results/$bin.txt"
 done
 cargo clippy --workspace --all-targets -- -D warnings
