@@ -1,16 +1,14 @@
-//! Compile SPEAR-DL programs to `spear-core` views and pipelines.
+//! The compiled form of a SPEAR-DL program, [`Compiled`], and its one way
+//! in, [`compile`]: the lexer's tokens go to the parser, which emits core
+//! [`ViewDef`]s and [`Pipeline`]s as it reads, so the only errors are
+//! lexing and parsing errors.
 
-use spear_core::history::RefinementMode;
-use spear_core::llm::GenOptions;
-use spear_core::ops::{Op, PromptRef};
 use spear_core::pipeline::Pipeline;
-use spear_core::retriever::RetrievalQuery;
-use spear_core::value::{map, Value};
-use spear_core::view::{ParamSpec, ViewCatalog, ViewDef};
+use spear_core::view::{ViewCatalog, ViewDef};
 
-use crate::ast::{Program, RefBody, Stmt, UsingClause};
 use crate::error::Result;
-use crate::parser::parse;
+use crate::lexer::lex;
+use crate::parser;
 
 /// A compiled program: the views to install and the executable pipelines.
 #[derive(Debug, Clone)]
@@ -38,8 +36,9 @@ impl Compiled {
 
     /// Lower every compiled pipeline to the core plan IR, in declaration
     /// order. DL programs thereby target the same execution spine as
-    /// optimizer plans and hand-built pipelines; a host can lower once and
-    /// compile once (`spear_core::vm::compile`) and re-execute via
+    /// optimizer plans and hand-built pipelines; a host can lower once,
+    /// verify each plan with [`spear_core::analysis::Verifier`], compile
+    /// once (`spear_core::vm::compile`) and re-execute via
     /// `Runtime::execute_program` without re-flattening.
     ///
     /// # Errors
@@ -50,224 +49,24 @@ impl Compiled {
     pub fn lower(&self) -> spear_core::error::Result<Vec<spear_core::plan::LoweredPlan>> {
         self.pipelines.iter().map(spear_core::plan::lower).collect()
     }
-
-    /// Run the full IR verifier over every compiled pipeline against
-    /// `runtime` (the program's own views are assumed installed — pass a
-    /// runtime that has them, typically after [`Compiled::install_views`]).
-    /// Returns `(pipeline name, diagnostic)` pairs, warnings included;
-    /// [`spear_core::analysis::Diagnostic::is_error`] picks the findings
-    /// that must block execution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering failures as [`spear_core::error::SpearError`].
-    pub fn verify(
-        &self,
-        runtime: &spear_core::runtime::Runtime,
-    ) -> spear_core::error::Result<Vec<(String, spear_core::analysis::Diagnostic)>> {
-        let mut out = Vec::new();
-        for pipeline in &self.pipelines {
-            let plan = spear_core::plan::lower(pipeline)?;
-            let verifier = spear_core::analysis::Verifier::with_runtime(runtime);
-            for diagnostic in verifier.verify(&plan) {
-                out.push((pipeline.name.clone(), diagnostic));
-            }
-        }
-        Ok(out)
-    }
 }
 
-/// Parse and compile SPEAR-DL source.
+/// Compile SPEAR-DL source to its views and pipelines.
 ///
 /// # Errors
 ///
-/// Returns lexing/parsing errors with positions.
+/// Returns the first lexing or parsing error, with its position.
 pub fn compile(src: &str) -> Result<Compiled> {
-    Ok(compile_program(parse(src)?))
-}
-
-/// Compile an already-parsed program. The program is consumed: its names,
-/// texts and literals move into the views and ops instead of being copied.
-#[must_use]
-pub fn compile_program(program: Program) -> Compiled {
-    let views = program
-        .views
-        .into_iter()
-        .map(|decl| {
-            let mut def = ViewDef::new(decl.name, decl.template);
-            for (name, default) in decl.params {
-                def = def.with_param(match default {
-                    Some(d) => ParamSpec::optional(name, d),
-                    None => ParamSpec::required(name),
-                });
-            }
-            for tag in decl.tags {
-                def = def.with_tag(tag);
-            }
-            if let Some(d) = decl.description {
-                def = def.with_description(d);
-            }
-            def
-        })
-        .collect();
-
-    let pipelines = program
-        .pipelines
-        .into_iter()
-        .map(|decl| Pipeline {
-            name: decl.name,
-            ops: compile_stmts(decl.stmts),
-        })
-        .collect();
-
-    Compiled { views, pipelines }
-}
-
-fn compile_stmts(stmts: Vec<Stmt>) -> Vec<Op> {
-    let mut ops = Vec::with_capacity(stmts.len());
-    for stmt in stmts {
-        compile_stmt(stmt, &mut ops);
-    }
-    ops
-}
-
-fn compile_stmt(stmt: Stmt, ops: &mut Vec<Op>) {
-    match stmt {
-        Stmt::Ret {
-            source,
-            filters,
-            prompt,
-            into,
-            limit,
-        } => ops.push(Op::Ret {
-            source,
-            query: match filters {
-                Some(f) => RetrievalQuery::Structured(f),
-                None => RetrievalQuery::All,
-            },
-            prompt,
-            into,
-            limit,
-        }),
-        Stmt::Gen { label, using } => ops.push(Op::Gen {
-            label,
-            prompt: match using {
-                UsingClause::Key(k) => PromptRef::Key(k),
-                UsingClause::View { name, args } => PromptRef::View { name, args },
-                UsingClause::Inline(text) => PromptRef::Inline(text),
-            },
-            options: GenOptions::default(),
-        }),
-        Stmt::Ref {
-            action,
-            target,
-            body,
-        } => {
-            let (refiner, args, mode) = match body {
-                RefBody::FromView { view, args } => (
-                    "from_view".to_string(),
-                    map([("view", Value::from(view)), ("args", Value::Map(args))]),
-                    RefinementMode::Manual,
-                ),
-                RefBody::Text(text) => (
-                    "set_text".to_string(),
-                    Value::from(text),
-                    RefinementMode::Manual,
-                ),
-                RefBody::With {
-                    refiner,
-                    args,
-                    mode,
-                } => (refiner, args, mode),
-            };
-            ops.push(Op::Ref {
-                target,
-                action,
-                refiner,
-                args,
-                mode,
-            });
-        }
-        Stmt::Check { cond, then, els } => ops.push(Op::Check {
-            cond,
-            then_ops: compile_stmts(then),
-            else_ops: compile_stmts(els),
-        }),
-        Stmt::Merge {
-            left,
-            right,
-            into,
-            policy,
-        } => ops.push(Op::Merge {
-            left,
-            right,
-            into,
-            policy,
-        }),
-        Stmt::Delegate {
-            agent,
-            payload,
-            into,
-        } => ops.push(Op::Delegate {
-            agent,
-            payload,
-            into,
-        }),
-        // Derived operators lower exactly like the builder does.
-        Stmt::Expand { target, addition } => {
-            let built = Pipeline::builder("expand")
-                .expand(&target, &addition)
-                .build();
-            ops.extend(built.ops);
-        }
-        Stmt::Retry {
-            label,
-            prompt_key,
-            cond,
-            refiner,
-            args,
-            mode,
-            max,
-        } => {
-            let built = Pipeline::builder("retry")
-                .retry_gen(&label, &prompt_key, cond, &refiner, args, mode, max)
-                .build();
-            ops.extend(built.ops);
-        }
-        Stmt::Diff { left, right, into } => {
-            let built = Pipeline::builder("diff").diff(&left, &right, &into).build();
-            ops.extend(built.ops);
-        }
-        Stmt::Map {
-            keys,
-            refiner,
-            args,
-            mode,
-        } => {
-            let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-            let built = Pipeline::builder("map")
-                .map_prompts(&key_refs, &refiner, args, mode)
-                .build();
-            ops.extend(built.ops);
-        }
-        Stmt::Switch { cases, default } => {
-            let lowered: Vec<(spear_core::condition::Cond, Vec<Op>)> = cases
-                .into_iter()
-                .map(|(cond, body)| (cond, compile_stmts(body)))
-                .collect();
-            let built = Pipeline::builder("switch")
-                .switch(lowered, compile_stmts(default))
-                .build();
-            ops.extend(built.ops);
-        }
-    }
+    parser::program(lex(src)?)
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use spear_core::condition::Cond;
-    use spear_core::history::RefAction;
+    use spear_core::history::{RefAction, RefinementMode};
+    use spear_core::ops::Op;
 
     const PROGRAM: &str = r#"
     VIEW med_summary(drug) TAGS [clinical] =
@@ -434,14 +233,16 @@ mod tests {
         // retriever is still missing, so exactly those issues remain).
         let rt = Runtime::builder().llm(Arc::new(EchoLlm::default())).build();
         let errors = |rt: &Runtime| -> Vec<_> {
-            c.verify(rt)
+            let verifier = Verifier::with_runtime(rt);
+            c.lower()
                 .unwrap()
-                .into_iter()
-                .filter(|(_, d)| d.is_error())
+                .iter()
+                .flat_map(|plan| verifier.verify(plan))
+                .filter(Diagnostic::is_error)
                 .collect()
         };
         let before = errors(&rt);
-        assert!(before.iter().any(|(_, d)| d.message.contains("view")));
+        assert!(before.iter().any(|d| d.message.contains("view")));
 
         let rt2 = Runtime::builder()
             .llm(Arc::new(EchoLlm::default()))

@@ -7,12 +7,12 @@ use crate::lexer::Pos;
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, DlError>;
 
-/// A lexing, parsing, or compilation error.
+/// A lexing or parsing error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DlError {
     /// Which phase produced the error.
     pub phase: Phase,
-    /// Source position (best effort for compile errors).
+    /// Source position.
     pub pos: Pos,
     /// Human-readable message.
     pub message: String,
@@ -23,10 +23,8 @@ pub struct DlError {
 pub enum Phase {
     /// Tokenization.
     Lex,
-    /// Parsing.
+    /// Parsing (which also builds the core views and pipelines).
     Parse,
-    /// Compilation to core pipelines.
-    Compile,
 }
 
 impl DlError {
@@ -49,16 +47,6 @@ impl DlError {
             message: message.into(),
         }
     }
-
-    /// A compiler error.
-    #[must_use]
-    pub fn compile(pos: Pos, message: impl Into<String>) -> Self {
-        Self {
-            phase: Phase::Compile,
-            pos,
-            message: message.into(),
-        }
-    }
 }
 
 impl fmt::Display for DlError {
@@ -66,7 +54,6 @@ impl fmt::Display for DlError {
         let phase = match self.phase {
             Phase::Lex => "lex",
             Phase::Parse => "parse",
-            Phase::Compile => "compile",
         };
         write!(
             f,
@@ -79,6 +66,7 @@ impl fmt::Display for DlError {
 impl std::error::Error for DlError {}
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

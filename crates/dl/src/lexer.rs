@@ -327,6 +327,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

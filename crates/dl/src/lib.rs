@@ -5,8 +5,16 @@
 //! refinement logic. These views are parameterized, versioned, and
 //! composable." Programs declare VIEWs and PIPELINEs; pipelines use the
 //! core operators (RET, GEN, REF, CHECK, MERGE, DELEGATE) and the derived
-//! ones (EXPAND, RETRY, DIFF), with the paper's condition notation
-//! (`M["confidence"] < 0.7`, `"orders" NOT IN C`).
+//! ones (EXPAND, RETRY, DIFF, MAP, SWITCH), with the paper's condition
+//! notation (`M["confidence"] < 0.7`, `"orders" NOT IN C`).
+//!
+//! The language is surface syntax over the one operator algebra: the
+//! parser emits `spear-core` [`ViewDef`](spear_core::view::ViewDef)s and
+//! [`Op`](spear_core::ops::Op)s as it reads, with no syntax tree of its
+//! own, and [`compile()`] is the one way from source to a [`Compiled`]
+//! program. Nesting and `RETRY … MAX` are bounded ([`MAX_DEPTH`],
+//! [`MAX_RETRIES`]), so any input yields a program or a positioned
+//! [`DlError`].
 //!
 //! ```
 //! use spear_dl::compile;
@@ -29,13 +37,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod ast;
 pub mod compile;
 pub mod error;
 pub mod lexer;
-pub mod parser;
+mod parser;
 
-pub use compile::{compile, compile_program, Compiled};
+pub use compile::{compile, Compiled};
 pub use error::{DlError, Phase, Result};
-pub use parser::parse;
+pub use parser::{MAX_DEPTH, MAX_RETRIES};

@@ -1,29 +1,49 @@
-//! SPEAR-DL recursive-descent parser.
+//! SPEAR-DL recursive-descent parser. It builds the core forms directly:
+//! each `VIEW` becomes a [`ViewDef`], each statement the [`Op`]s it
+//! denotes, and the derived statements (EXPAND, RETRY, DIFF, MAP, SWITCH)
+//! lower through the [`PipelineBuilder`] methods that define them, so
+//! there is no syntax tree to translate afterwards.
 
 use std::collections::BTreeMap;
 
 use spear_core::condition::{CmpOp, Cond, Operand};
 use spear_core::history::{RefAction, RefinementMode};
-use spear_core::ops::{MergePolicy, PayloadSpec};
-use spear_core::value::Value;
+use spear_core::llm::GenOptions;
+use spear_core::ops::{MergePolicy, Op, PayloadSpec, PromptRef};
+use spear_core::pipeline::{Pipeline, PipelineBuilder};
+use spear_core::retriever::RetrievalQuery;
+use spear_core::value::{map, Value};
+use spear_core::view::{ParamSpec, ViewDef};
 
-use crate::ast::{PipelineDecl, Program, RefBody, Stmt, UsingClause, ViewDecl};
+use crate::compile::Compiled;
 use crate::error::{DlError, Result};
-use crate::lexer::{lex, Pos, Tok, Token};
+use crate::lexer::{Pos, Tok, Token};
 
-/// Parse a complete SPEAR-DL source file.
-///
-/// # Errors
-///
-/// Returns the first lexing or parsing error, with position.
-pub fn parse(src: &str) -> Result<Program> {
-    let tokens = lex(src)?;
-    Parser { tokens, at: 0 }.program()
+/// How deep a program may nest: every CHECK, ELSE, CASE and DEFAULT body
+/// and every `!` or parenthesised condition is one level. The parser
+/// recurses once per level, so the bound is what keeps a hostile program
+/// from overflowing the stack; hand-written programs nest a few levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// The largest `RETRY … MAX n`. Each retry unrolls into a CHECK holding a
+/// REF and a GEN, so the bound caps what one statement can emit.
+pub const MAX_RETRIES: u32 = 64;
+
+/// Parse a lexed SPEAR-DL program into its views and pipelines.
+pub(crate) fn program(tokens: Vec<Token>) -> Result<Compiled> {
+    Parser {
+        tokens,
+        at: 0,
+        depth: 0,
+    }
+    .program()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     at: usize,
+    /// Nesting levels currently open (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -110,14 +130,19 @@ impl Parser {
         }
     }
 
-    fn number(&mut self) -> Result<f64> {
-        match self.peek().tok {
-            Tok::Num(n) => {
-                self.advance();
-                Ok(n)
-            }
-            _ => Err(self.expected("number")),
+    /// A whole number from 0 to `max`: the `n` of `LIMIT n` and `MAX n`.
+    fn count(&mut self, max: u32) -> Result<u32> {
+        let n = match self.peek().tok {
+            Tok::Num(n) => n,
+            _ => return Err(self.expected("number")),
+        };
+        if n.fract() != 0.0 || !(0.0..=f64::from(max)).contains(&n) {
+            return Err(self.err(format!(
+                "expected a whole number from 0 to {max}, found {n}"
+            )));
         }
+        self.advance();
+        Ok(n as u32)
     }
 
     fn value(&mut self) -> Result<Value> {
@@ -148,20 +173,35 @@ impl Parser {
         }
     }
 
+    /// Run `parse` one nesting level deeper, or fail at the current token
+    /// if that would exceed [`MAX_DEPTH`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
     // -----------------------------------------------------------------
     // Program structure
     // -----------------------------------------------------------------
 
-    fn program(&mut self) -> Result<Program> {
-        let mut program = Program::default();
+    fn program(&mut self) -> Result<Compiled> {
+        let mut compiled = Compiled {
+            views: Vec::new(),
+            pipelines: Vec::new(),
+        };
         loop {
             if self.peek().tok == Tok::Eof {
-                return Ok(program);
+                return Ok(compiled);
             }
             if self.peek_kw("VIEW") {
-                program.views.push(self.view_decl()?);
+                compiled.views.push(self.view()?);
             } else if self.peek_kw("PIPELINE") {
-                program.pipelines.push(self.pipeline_decl()?);
+                compiled.pipelines.push(self.pipeline()?);
             } else {
                 return Err(self.err(format!(
                     "expected 'VIEW' or 'PIPELINE' at top level, found '{}'",
@@ -171,22 +211,21 @@ impl Parser {
         }
     }
 
-    fn view_decl(&mut self) -> Result<ViewDecl> {
+    /// `VIEW name(params) TAGS [..] DESC ".." = "template";`
+    fn view(&mut self) -> Result<ViewDef> {
         self.expect_kw("VIEW")?;
-        let name = self.ident()?;
-        let mut params = Vec::new();
+        let mut view = ViewDef::new(self.ident()?, String::new());
         if self.peek().tok == Tok::LParen {
             self.advance();
             if self.peek().tok != Tok::RParen {
                 loop {
-                    let pname = self.ident()?;
-                    let default = if self.peek().tok == Tok::Eq {
+                    let name = self.ident()?;
+                    view.params.push(if self.peek().tok == Tok::Eq {
                         self.advance();
-                        Some(self.value()?)
+                        ParamSpec::optional(name, self.value()?)
                     } else {
-                        None
-                    };
-                    params.push((pname, default));
+                        ParamSpec::required(name)
+                    });
                     if self.peek().tok == Tok::Comma {
                         self.advance();
                     } else {
@@ -196,12 +235,11 @@ impl Parser {
             }
             self.expect(&Tok::RParen)?;
         }
-        let mut tags = Vec::new();
         if self.eat_kw("TAGS") {
             self.expect(&Tok::LBracket)?;
             if self.peek().tok != Tok::RBracket {
                 loop {
-                    tags.push(self.ident()?);
+                    view.tags.insert(self.ident()?);
                     if self.peek().tok == Tok::Comma {
                         self.advance();
                     } else {
@@ -211,52 +249,50 @@ impl Parser {
             }
             self.expect(&Tok::RBracket)?;
         }
-        let description = if self.eat_kw("DESC") {
-            Some(self.string()?)
-        } else {
-            None
-        };
+        if self.eat_kw("DESC") {
+            view.description = self.string()?;
+        }
         self.expect(&Tok::Eq)?;
-        let template = self.string()?;
+        view.template = self.string()?;
         self.expect(&Tok::Semi)?;
-        Ok(ViewDecl {
-            name,
-            params,
-            tags,
-            description,
-            template,
-        })
+        Ok(view)
     }
 
-    fn pipeline_decl(&mut self) -> Result<PipelineDecl> {
+    /// `PIPELINE name { stmts }`
+    fn pipeline(&mut self) -> Result<Pipeline> {
         self.expect_kw("PIPELINE")?;
         let name = self.ident()?;
-        let stmts = self.block()?;
-        Ok(PipelineDecl { name, stmts })
+        let ops = self.block()?;
+        Ok(Pipeline { name, ops })
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>> {
+    fn block(&mut self) -> Result<Vec<Op>> {
         self.expect(&Tok::LBrace)?;
-        let mut stmts = Vec::new();
+        let mut ops = Pipeline::builder("");
         while self.peek().tok != Tok::RBrace {
             if self.peek().tok == Tok::Eof {
                 return Err(self.err("unterminated block: expected '}'"));
             }
-            stmts.push(self.stmt()?);
+            ops = self.stmt(ops)?;
         }
         self.expect(&Tok::RBrace)?;
-        Ok(stmts)
+        Ok(ops.build().ops)
+    }
+
+    /// A CHECK, ELSE, CASE or DEFAULT body: a block one level deeper.
+    fn body(&mut self) -> Result<Vec<Op>> {
+        self.nested(Self::block)
     }
 
     // -----------------------------------------------------------------
-    // Statements
+    // Statements: each appends the ops it denotes to `ops`.
     // -----------------------------------------------------------------
 
-    fn stmt(&mut self) -> Result<Stmt> {
+    fn stmt(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         let Tok::Ident(kw) = &self.peek().tok else {
             return Err(self.expected("statement"));
         };
-        let parse: fn(&mut Self) -> Result<Stmt> = match kw.as_str() {
+        let parse: fn(&mut Self, PipelineBuilder) -> Result<PipelineBuilder> = match kw.as_str() {
             "RET" => Self::stmt_ret,
             "GEN" => Self::stmt_gen,
             "REF" => Self::stmt_ref,
@@ -270,16 +306,17 @@ impl Parser {
             "SWITCH" => Self::stmt_switch,
             other => return Err(self.err(format!("unknown statement '{other}'"))),
         };
-        parse(self)
+        parse(self, ops)
     }
 
-    fn stmt_ret(&mut self) -> Result<Stmt> {
+    /// `RET "source" [WHERE {..}] [WITH PROMPT "key"] INTO "ctx" [LIMIT n];`
+    fn stmt_ret(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         self.expect_kw("RET")?;
         let source = self.string()?;
-        let mut filters = None;
+        let mut query = RetrievalQuery::All;
         if self.eat_kw("WHERE") {
             self.expect(&Tok::LBrace)?;
-            let mut map = BTreeMap::new();
+            let mut filters = BTreeMap::new();
             if self.peek().tok != Tok::RBrace {
                 loop {
                     let key = match &self.peek().tok {
@@ -288,7 +325,7 @@ impl Parser {
                         _ => return Err(self.expected("filter field name")),
                     };
                     self.expect(&Tok::Colon)?;
-                    map.insert(key, self.value()?);
+                    filters.insert(key, self.value()?);
                     if self.peek().tok == Tok::Comma {
                         self.advance();
                     } else {
@@ -297,7 +334,7 @@ impl Parser {
                 }
             }
             self.expect(&Tok::RBrace)?;
-            filters = Some(map);
+            query = RetrievalQuery::Structured(filters);
         }
         let prompt = if self.eat_kw("WITH") {
             self.expect_kw("PROMPT")?;
@@ -308,18 +345,18 @@ impl Parser {
         self.expect_kw("INTO")?;
         let into = self.string()?;
         let limit = if self.eat_kw("LIMIT") {
-            self.number()? as usize
+            self.count(u32::MAX)? as usize
         } else {
             16
         };
         self.expect(&Tok::Semi)?;
-        Ok(Stmt::Ret {
+        Ok(ops.op(Op::Ret {
             source,
-            filters,
+            query,
             prompt,
             into,
             limit,
-        })
+        }))
     }
 
     fn named_args(&mut self) -> Result<BTreeMap<String, Value>> {
@@ -339,6 +376,17 @@ impl Parser {
         }
         self.expect(&Tok::RParen)?;
         Ok(args)
+    }
+
+    /// `name` or `name(k = v, ...)`, the view of `VIEW` in GEN and REF.
+    fn view_call(&mut self) -> Result<(String, BTreeMap<String, Value>)> {
+        let name = self.ident()?;
+        let args = if self.peek().tok == Tok::LParen {
+            self.named_args()?
+        } else {
+            BTreeMap::new()
+        };
+        Ok((name, args))
     }
 
     /// Refiner arguments: `()` → Null, `("text")` → Str, `(k = v, ...)` →
@@ -373,44 +421,51 @@ impl Parser {
         }
     }
 
-    fn mode(&mut self) -> Result<RefinementMode> {
-        if self.eat_kw("MODE") {
-            let m = self.ident()?;
-            match m.as_str() {
-                "MANUAL" => Ok(RefinementMode::Manual),
-                "ASSISTED" => Ok(RefinementMode::Assisted),
-                "AUTO" => Ok(RefinementMode::Auto),
-                other => Err(self.err(format!(
-                    "unknown mode '{other}' (expected MANUAL, ASSISTED, or AUTO)"
-                ))),
+    /// `refiner(args) [MODE m]`, what follows `WITH` in REF, RETRY and MAP.
+    fn refiner(&mut self) -> Result<(String, Value, RefinementMode)> {
+        let refiner = self.ident()?;
+        let args = self.refiner_args()?;
+        let mode = if self.eat_kw("MODE") {
+            match self.ident()?.as_str() {
+                "MANUAL" => RefinementMode::Manual,
+                "ASSISTED" => RefinementMode::Assisted,
+                "AUTO" => RefinementMode::Auto,
+                other => {
+                    return Err(self.err(format!(
+                        "unknown mode '{other}' (expected MANUAL, ASSISTED, or AUTO)"
+                    )))
+                }
             }
         } else {
-            Ok(RefinementMode::Manual)
-        }
+            RefinementMode::Manual
+        };
+        Ok((refiner, args, mode))
     }
 
-    fn stmt_gen(&mut self) -> Result<Stmt> {
+    /// `GEN "label" USING "key" | VIEW name(args) | INLINE "text";`
+    fn stmt_gen(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         self.expect_kw("GEN")?;
         let label = self.string()?;
         self.expect_kw("USING")?;
-        let using = if self.eat_kw("VIEW") {
-            let name = self.ident()?;
-            let args = if self.peek().tok == Tok::LParen {
-                self.named_args()?
-            } else {
-                BTreeMap::new()
-            };
-            UsingClause::View { name, args }
+        let prompt = if self.eat_kw("VIEW") {
+            let (name, args) = self.view_call()?;
+            PromptRef::View { name, args }
         } else if self.eat_kw("INLINE") {
-            UsingClause::Inline(self.string()?)
+            PromptRef::Inline(self.string()?)
         } else {
-            UsingClause::Key(self.string()?)
+            PromptRef::Key(self.string()?)
         };
         self.expect(&Tok::Semi)?;
-        Ok(Stmt::Gen { label, using })
+        Ok(ops.op(Op::Gen {
+            label,
+            prompt,
+            options: GenOptions::default(),
+        }))
     }
 
-    fn stmt_ref(&mut self) -> Result<Stmt> {
+    /// `REF ACTION "target" FROM VIEW name(args) | TEXT "text" | WITH
+    /// refiner(args) [MODE m];`
+    fn stmt_ref(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         self.expect_kw("REF")?;
         let action = match self.ident()?.as_str() {
             "CREATE" => RefAction::Create,
@@ -424,50 +479,54 @@ impl Parser {
             }
         };
         let target = self.string()?;
-        let body = if self.eat_kw("FROM") {
+        let (refiner, args, mode) = if self.eat_kw("FROM") {
             self.expect_kw("VIEW")?;
-            let view = self.ident()?;
-            let args = if self.peek().tok == Tok::LParen {
-                self.named_args()?
-            } else {
-                BTreeMap::new()
-            };
-            RefBody::FromView { view, args }
+            let (view, args) = self.view_call()?;
+            (
+                "from_view".to_string(),
+                map([("view", Value::from(view)), ("args", Value::Map(args))]),
+                RefinementMode::Manual,
+            )
         } else if self.eat_kw("TEXT") {
-            RefBody::Text(self.string()?)
+            (
+                "set_text".to_string(),
+                Value::from(self.string()?),
+                RefinementMode::Manual,
+            )
         } else if self.eat_kw("WITH") {
-            let refiner = self.ident()?;
-            let args = self.refiner_args()?;
-            let mode = self.mode()?;
-            RefBody::With {
-                refiner,
-                args,
-                mode,
-            }
+            self.refiner()?
         } else {
             return Err(self.err("expected 'FROM VIEW', 'TEXT', or 'WITH' in REF"));
         };
         self.expect(&Tok::Semi)?;
-        Ok(Stmt::Ref {
-            action,
+        Ok(ops.op(Op::Ref {
             target,
-            body,
-        })
+            action,
+            refiner,
+            args,
+            mode,
+        }))
     }
 
-    fn stmt_check(&mut self) -> Result<Stmt> {
+    /// `CHECK cond { .. } [ELSE { .. }]`
+    fn stmt_check(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         self.expect_kw("CHECK")?;
         let cond = self.cond()?;
-        let then = self.block()?;
-        let els = if self.eat_kw("ELSE") {
-            self.block()?
+        let then_ops = self.body()?;
+        let else_ops = if self.eat_kw("ELSE") {
+            self.body()?
         } else {
             Vec::new()
         };
-        Ok(Stmt::Check { cond, then, els })
+        Ok(ops.op(Op::Check {
+            cond,
+            then_ops,
+            else_ops,
+        }))
     }
 
-    fn stmt_merge(&mut self) -> Result<Stmt> {
+    /// `MERGE "left" "right" INTO "dst" [POLICY ..];`
+    fn stmt_merge(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         self.expect_kw("MERGE")?;
         let left = self.string()?;
         let right = self.string()?;
@@ -501,15 +560,16 @@ impl Parser {
             MergePolicy::PreferLeft
         };
         self.expect(&Tok::Semi)?;
-        Ok(Stmt::Merge {
+        Ok(ops.op(Op::Merge {
             left,
             right,
             into,
             policy,
-        })
+        }))
     }
 
-    fn stmt_delegate(&mut self) -> Result<Stmt> {
+    /// `DELEGATE "agent" PAYLOAD C["key"] | P["key"] | value INTO "ctx";`
+    fn stmt_delegate(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         self.expect_kw("DELEGATE")?;
         let agent = self.string()?;
         self.expect_kw("PAYLOAD")?;
@@ -533,22 +593,24 @@ impl Parser {
         self.expect_kw("INTO")?;
         let into = self.string()?;
         self.expect(&Tok::Semi)?;
-        Ok(Stmt::Delegate {
+        Ok(ops.op(Op::Delegate {
             agent,
             payload,
             into,
-        })
+        }))
     }
 
-    fn stmt_expand(&mut self) -> Result<Stmt> {
+    /// `EXPAND "target" "addition";`
+    fn stmt_expand(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         self.expect_kw("EXPAND")?;
         let target = self.string()?;
         let addition = self.string()?;
         self.expect(&Tok::Semi)?;
-        Ok(Stmt::Expand { target, addition })
+        Ok(ops.expand(&target, &addition))
     }
 
-    fn stmt_retry(&mut self) -> Result<Stmt> {
+    /// `RETRY "label" USING "key" IF cond WITH refiner(args) [MODE m] [MAX n];`
+    fn stmt_retry(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         self.expect_kw("RETRY")?;
         let label = self.string()?;
         self.expect_kw("USING")?;
@@ -556,27 +618,18 @@ impl Parser {
         self.expect_kw("IF")?;
         let cond = self.cond()?;
         self.expect_kw("WITH")?;
-        let refiner = self.ident()?;
-        let args = self.refiner_args()?;
-        let mode = self.mode()?;
+        let (refiner, args, mode) = self.refiner()?;
         let max = if self.eat_kw("MAX") {
-            self.number()? as u32
+            self.count(MAX_RETRIES)?
         } else {
             1
         };
         self.expect(&Tok::Semi)?;
-        Ok(Stmt::Retry {
-            label,
-            prompt_key,
-            cond,
-            refiner,
-            args,
-            mode,
-            max,
-        })
+        Ok(ops.retry_gen(&label, &prompt_key, cond, &refiner, args, mode, max))
     }
 
-    fn stmt_map(&mut self) -> Result<Stmt> {
+    /// `MAP ["k1", "k2"] WITH refiner(args) [MODE m];`
+    fn stmt_map(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         self.expect_kw("MAP")?;
         self.expect(&Tok::LBracket)?;
         let mut keys = Vec::new();
@@ -592,19 +645,14 @@ impl Parser {
         }
         self.expect(&Tok::RBracket)?;
         self.expect_kw("WITH")?;
-        let refiner = self.ident()?;
-        let args = self.refiner_args()?;
-        let mode = self.mode()?;
+        let (refiner, args, mode) = self.refiner()?;
         self.expect(&Tok::Semi)?;
-        Ok(Stmt::Map {
-            keys,
-            refiner,
-            args,
-            mode,
-        })
+        let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+        Ok(ops.map_prompts(&keys, &refiner, args, mode))
     }
 
-    fn stmt_switch(&mut self) -> Result<Stmt> {
+    /// `SWITCH { CASE cond { .. } ... [DEFAULT { .. }] }`
+    fn stmt_switch(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         self.expect_kw("SWITCH")?;
         self.expect(&Tok::LBrace)?;
         let mut cases = Vec::new();
@@ -612,10 +660,10 @@ impl Parser {
         loop {
             if self.eat_kw("CASE") {
                 let cond = self.cond()?;
-                let body = self.block()?;
+                let body = self.body()?;
                 cases.push((cond, body));
             } else if self.eat_kw("DEFAULT") {
-                default = self.block()?;
+                default = self.body()?;
             } else if self.peek().tok == Tok::RBrace {
                 self.advance();
                 break;
@@ -629,61 +677,60 @@ impl Parser {
         if cases.is_empty() && default.is_empty() {
             return Err(self.err("SWITCH requires at least one CASE or DEFAULT"));
         }
-        Ok(Stmt::Switch { cases, default })
+        Ok(ops.switch(cases, default))
     }
 
-    fn stmt_diff(&mut self) -> Result<Stmt> {
+    /// `DIFF "left" "right" INTO "ctx";`
+    fn stmt_diff(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         self.expect_kw("DIFF")?;
         let left = self.string()?;
         let right = self.string()?;
         self.expect_kw("INTO")?;
         let into = self.string()?;
         self.expect(&Tok::Semi)?;
-        Ok(Stmt::Diff { left, right, into })
+        Ok(ops.diff(&left, &right, &into))
     }
 
     // -----------------------------------------------------------------
     // Conditions
     // -----------------------------------------------------------------
 
+    /// `a || b || ..`, the loosest-binding form.
     fn cond(&mut self) -> Result<Cond> {
-        self.cond_or()
-    }
-
-    fn cond_or(&mut self) -> Result<Cond> {
-        let mut parts = vec![self.cond_and()?];
-        while self.peek().tok == Tok::OrOr {
-            self.advance();
-            parts.push(self.cond_and()?);
-        }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("non-empty")
-        } else {
-            Cond::Any(parts)
-        })
+        self.joined(&Tok::OrOr, Self::cond_and, Cond::Any)
     }
 
     fn cond_and(&mut self) -> Result<Cond> {
-        let mut parts = vec![self.cond_unary()?];
-        while self.peek().tok == Tok::AndAnd {
-            self.advance();
-            parts.push(self.cond_unary()?);
+        self.joined(&Tok::AndAnd, Self::cond_unary, Cond::All)
+    }
+
+    /// One `part`, or several separated by `sep` and combined by `join`.
+    fn joined(
+        &mut self,
+        sep: &Tok,
+        part: fn(&mut Self) -> Result<Cond>,
+        join: fn(Vec<Cond>) -> Cond,
+    ) -> Result<Cond> {
+        let first = part(self)?;
+        if &self.peek().tok != sep {
+            return Ok(first);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("non-empty")
-        } else {
-            Cond::All(parts)
-        })
+        let mut parts = vec![first];
+        while &self.peek().tok == sep {
+            self.advance();
+            parts.push(part(self)?);
+        }
+        Ok(join(parts))
     }
 
     fn cond_unary(&mut self) -> Result<Cond> {
         if self.peek().tok == Tok::Bang {
             self.advance();
-            return Ok(Cond::Not(Box::new(self.cond_unary()?)));
+            return Ok(Cond::Not(Box::new(self.nested(Self::cond_unary)?)));
         }
         if self.peek().tok == Tok::LParen {
             self.advance();
-            let c = self.cond()?;
+            let c = self.nested(Self::cond)?;
             self.expect(&Tok::RParen)?;
             return Ok(c);
         }
@@ -758,30 +805,52 @@ impl Parser {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::compile;
+
+    fn args<const N: usize>(pairs: [(&str, Value); N]) -> BTreeMap<String, Value> {
+        pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+    }
+
+    /// The ops of the one pipeline in `src`.
+    fn ops(src: &str) -> Vec<Op> {
+        let mut compiled = compile(src).unwrap();
+        assert_eq!(compiled.pipelines.len(), 1);
+        compiled.pipelines.remove(0).ops
+    }
+
+    fn built(build: impl FnOnce(PipelineBuilder) -> PipelineBuilder) -> Vec<Op> {
+        build(Pipeline::builder("")).build().ops
+    }
 
     #[test]
     fn parses_view_declarations() {
-        let p = parse(
+        let c = compile(
             r#"VIEW med_summary(drug, word_limit = 50)
                  TAGS [clinical, qa]
                  DESC "Medication summary scaffold"
                = "Summarize {{drug}} within {{word_limit}} words.";"#,
         )
         .unwrap();
-        assert_eq!(p.views.len(), 1);
-        let v = &p.views[0];
-        assert_eq!(v.name, "med_summary");
-        assert_eq!(v.params[0], ("drug".to_string(), None));
-        assert_eq!(v.params[1].1, Some(Value::Int(50)));
-        assert_eq!(v.tags, vec!["clinical", "qa"]);
-        assert!(v.description.as_deref().unwrap().contains("scaffold"));
+        assert_eq!(
+            c.views,
+            vec![ViewDef::new(
+                "med_summary",
+                "Summarize {{drug}} within {{word_limit}} words."
+            )
+            .with_param(ParamSpec::required("drug"))
+            .with_param(ParamSpec::optional("word_limit", 50))
+            .with_tag("clinical")
+            .with_tag("qa")
+            .with_description("Medication summary scaffold")]
+        );
     }
 
     #[test]
     fn parses_the_paper_qa_pipeline() {
-        let p = parse(
+        let c = compile(
             r#"
             PIPELINE enoxaparin_qa {
               RET "initial_notes" INTO "notes" LIMIT 5;
@@ -799,187 +868,188 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(p.pipelines.len(), 1);
-        let stmts = &p.pipelines[0].stmts;
-        assert_eq!(stmts.len(), 6);
-        assert!(matches!(&stmts[0], Stmt::Ret { limit: 5, .. }));
-        assert!(matches!(
-            &stmts[1],
-            Stmt::Ref {
-                action: RefAction::Create,
-                body: RefBody::FromView { .. },
-                ..
-            }
-        ));
-        let Stmt::Check { cond, then, els } = &stmts[3] else {
-            panic!("expected CHECK");
-        };
-        assert_eq!(cond.to_string(), "M[\"confidence\"] < 0.7");
-        assert_eq!(then.len(), 2);
-        assert!(els.is_empty());
-        let Stmt::Check { cond, .. } = &stmts[4] else {
-            panic!("expected CHECK");
-        };
-        assert_eq!(cond.to_string(), "\"orders\" not in C");
+        let expected = Pipeline::builder("enoxaparin_qa")
+            .ret("initial_notes", "notes", 5)
+            .create_from_view(
+                "qa_prompt",
+                "med_summary",
+                args([("drug", Value::from("Enoxaparin"))]),
+            )
+            .gen("answer_0", "qa_prompt")
+            .check(Cond::low_confidence(0.7), |b| {
+                b.refine(
+                    "qa_prompt",
+                    RefAction::Update,
+                    "auto_refine",
+                    Value::Null,
+                    RefinementMode::Auto,
+                )
+                .gen("answer_1", "qa_prompt")
+            })
+            .check(Cond::NotInContext("orders".to_string()), |b| {
+                b.ret("order_lookup", "orders", 16)
+            })
+            .delegate(
+                "validation_agent",
+                PayloadSpec::CtxKey("answer_1".to_string()),
+                "evidence_score",
+            )
+            .build();
+        assert_eq!(c.pipelines, vec![expected]);
     }
 
     #[test]
     fn parses_conditions_with_precedence() {
-        let p =
-            parse(r#"PIPELINE c { CHECK M["a"] < 1 && M["b"] > 2 || !("x" IN C) { } }"#).unwrap();
-        let Stmt::Check { cond, .. } = &p.pipelines[0].stmts[0] else {
-            panic!()
-        };
         // OR of (AND, NOT).
-        let Cond::Any(parts) = cond else {
-            panic!("expected Any, got {cond:?}")
-        };
-        assert!(matches!(parts[0], Cond::All(_)));
-        assert!(matches!(parts[1], Cond::Not(_)));
+        let cond = Cond::Any(vec![
+            Cond::All(vec![
+                Cond::signal_cmp("a", CmpOp::Lt, 1),
+                Cond::signal_cmp("b", CmpOp::Gt, 2),
+            ]),
+            Cond::Not(Box::new(Cond::InContext("x".to_string()))),
+        ]);
+        assert_eq!(
+            ops(r#"PIPELINE c { CHECK M["a"] < 1 && M["b"] > 2 || !("x" IN C) { } }"#),
+            built(|b| b.check(cond, |b| b))
+        );
     }
 
     #[test]
     fn parses_merge_policies_and_delegate_payloads() {
-        let p = parse(
-            r#"PIPELINE m {
+        assert_eq!(
+            ops(r#"PIPELINE m {
                  MERGE "a" "b" INTO "c" POLICY CONCAT("\n---\n");
                  MERGE "a" "b" INTO "d" POLICY BY_SIGNAL("confidence:a", "confidence:b");
                  MERGE "a" "b" INTO "e";
                  DELEGATE "agent" PAYLOAD P["a"] INTO "out";
                  DELEGATE "agent" PAYLOAD 42 INTO "out2";
-               }"#,
-        )
-        .unwrap();
-        let s = &p.pipelines[0].stmts;
-        assert!(matches!(
-            &s[0],
-            Stmt::Merge {
-                policy: MergePolicy::Concat { .. },
-                ..
-            }
-        ));
-        assert!(matches!(
-            &s[1],
-            Stmt::Merge {
-                policy: MergePolicy::BySignal { .. },
-                ..
-            }
-        ));
-        assert!(matches!(
-            &s[2],
-            Stmt::Merge {
-                policy: MergePolicy::PreferLeft,
-                ..
-            }
-        ));
-        assert!(matches!(
-            &s[3],
-            Stmt::Delegate {
-                payload: PayloadSpec::PromptKey(_),
-                ..
-            }
-        ));
-        assert!(matches!(
-            &s[4],
-            Stmt::Delegate {
-                payload: PayloadSpec::Lit(Value::Int(42)),
-                ..
-            }
-        ));
+               }"#),
+            built(|b| b
+                .merge(
+                    "a",
+                    "b",
+                    "c",
+                    MergePolicy::Concat {
+                        separator: "\n---\n".to_string()
+                    }
+                )
+                .merge(
+                    "a",
+                    "b",
+                    "d",
+                    MergePolicy::BySignal {
+                        left_signal: "confidence:a".to_string(),
+                        right_signal: "confidence:b".to_string(),
+                    }
+                )
+                .merge("a", "b", "e", MergePolicy::PreferLeft)
+                .delegate("agent", PayloadSpec::PromptKey("a".to_string()), "out")
+                .delegate("agent", PayloadSpec::Lit(Value::Int(42)), "out2"))
+        );
     }
 
     #[test]
     fn parses_derived_operators() {
-        let p = parse(
-            r#"PIPELINE d {
+        assert_eq!(
+            ops(r#"PIPELINE d {
                  EXPAND "qa_prompt" "Include PE risk factors.";
                  RETRY "answer" USING "qa_prompt" IF M["confidence"] < 0.7
                    WITH auto_refine() MODE AUTO MAX 2;
                  DIFF "v1" "v2" INTO "delta";
-               }"#,
-        )
-        .unwrap();
-        let s = &p.pipelines[0].stmts;
-        assert!(matches!(&s[0], Stmt::Expand { .. }));
-        let Stmt::Retry { max, mode, .. } = &s[1] else {
-            panic!()
-        };
-        assert_eq!(*max, 2);
-        assert_eq!(*mode, RefinementMode::Auto);
-        assert!(matches!(&s[2], Stmt::Diff { .. }));
+               }"#),
+            built(|b| b
+                .expand("qa_prompt", "Include PE risk factors.")
+                .retry_gen(
+                    "answer",
+                    "qa_prompt",
+                    Cond::low_confidence(0.7),
+                    "auto_refine",
+                    Value::Null,
+                    RefinementMode::Auto,
+                    2,
+                )
+                .diff("v1", "v2", "delta"))
+        );
     }
 
     #[test]
     fn parses_gen_variants_and_ret_where() {
-        let p = parse(
-            r#"PIPELINE g {
+        let filters = args([
+            ("patient_id", Value::from("pt-1")),
+            ("max_age_hours", Value::Int(72)),
+        ]);
+        assert_eq!(
+            ops(r#"PIPELINE g {
                  GEN "a" USING VIEW summary(topic = "school");
                  GEN "b" USING INLINE "Classify: {{ctx:tweet}}";
                  RET "notes" WHERE { patient_id: "pt-1", max_age_hours: 72 }
                    INTO "recent" LIMIT 10;
                  RET "meds" WITH PROMPT "retrieve_meds" INTO "orders";
-               }"#,
-        )
-        .unwrap();
-        let s = &p.pipelines[0].stmts;
-        assert!(matches!(
-            &s[0],
-            Stmt::Gen {
-                using: UsingClause::View { .. },
-                ..
-            }
-        ));
-        assert!(matches!(
-            &s[1],
-            Stmt::Gen {
-                using: UsingClause::Inline(_),
-                ..
-            }
-        ));
-        let Stmt::Ret { filters, limit, .. } = &s[2] else {
-            panic!()
-        };
-        assert_eq!(*limit, 10);
-        assert_eq!(
-            filters.as_ref().unwrap().get("max_age_hours"),
-            Some(&Value::Int(72))
+               }"#),
+            built(|b| b
+                .gen_with(
+                    "a",
+                    PromptRef::View {
+                        name: "summary".to_string(),
+                        args: args([("topic", Value::from("school"))]),
+                    },
+                    GenOptions::default(),
+                )
+                .gen_with(
+                    "b",
+                    PromptRef::Inline("Classify: {{ctx:tweet}}".to_string()),
+                    GenOptions::default(),
+                )
+                .ret_structured("notes", filters, "recent", 10)
+                .ret_with_prompt("meds", "retrieve_meds", "orders", 16))
         );
-        assert!(matches!(
-            &s[3],
-            Stmt::Ret {
-                prompt: Some(_),
-                ..
-            }
-        ));
     }
 
     #[test]
     fn refiner_arg_forms() {
-        let p = parse(
-            r#"PIPELINE r {
+        let update = |b: PipelineBuilder, refiner: &str, args: Value| {
+            b.refine(
+                "p",
+                RefAction::Update,
+                refiner,
+                args,
+                RefinementMode::Manual,
+            )
+        };
+        assert_eq!(
+            ops(r#"PIPELINE r {
                  REF APPEND "p" WITH append("Focus on dosage.");
                  REF UPDATE "p" WITH replace(find = "old", with_ = "new");
                  REF UPDATE "p" WITH normalize();
-               }"#,
-        )
-        .unwrap();
-        let s = &p.pipelines[0].stmts;
-        let args = |i: usize| match &s[i] {
-            Stmt::Ref {
-                body: RefBody::With { args, .. },
-                ..
-            } => args.clone(),
-            _ => panic!(),
-        };
-        assert_eq!(args(0), Value::from("Focus on dosage."));
-        assert!(matches!(args(1), Value::Map(_)));
-        assert_eq!(args(2), Value::Null);
+               }"#),
+            built(|b| {
+                let b = b.refine(
+                    "p",
+                    RefAction::Append,
+                    "append",
+                    Value::from("Focus on dosage."),
+                    RefinementMode::Manual,
+                );
+                let b = update(
+                    b,
+                    "replace",
+                    map([("find", Value::from("old")), ("with_", Value::from("new"))]),
+                );
+                update(b, "normalize", Value::Null)
+            })
+        );
     }
 
     #[test]
     fn parses_map_and_switch() {
-        let p = parse(
-            r#"PIPELINE d {
+        let note_type = |kind: &str| Cond::Cmp {
+            lhs: Operand::Ctx("note_type".to_string()),
+            op: CmpOp::Eq,
+            rhs: Operand::Lit(Value::from(kind)),
+        };
+        let gen_a = |key: &str| built(|b| b.gen("a", key));
+        assert_eq!(
+            ops(r#"PIPELINE d {
                  MAP ["intro_note", "followup_note"] WITH normalize();
                  SWITCH {
                    CASE C["note_type"] == "discharge" {
@@ -992,52 +1062,117 @@ mod tests {
                      GEN "a" USING "generic_view";
                    }
                  }
-               }"#,
-        )
-        .unwrap();
-        let s = &p.pipelines[0].stmts;
-        let Stmt::Map { keys, refiner, .. } = &s[0] else {
-            panic!("expected MAP, got {:?}", s[0]);
-        };
-        assert_eq!(
-            keys,
-            &vec!["intro_note".to_string(), "followup_note".to_string()]
+               }"#),
+            built(|b| b
+                .map_prompts(
+                    &["intro_note", "followup_note"],
+                    "normalize",
+                    Value::Null,
+                    RefinementMode::Manual,
+                )
+                .switch(
+                    vec![
+                        (note_type("discharge"), gen_a("discharge_view")),
+                        (note_type("radiology"), gen_a("radiology_view")),
+                    ],
+                    gen_a("generic_view"),
+                ))
         );
-        assert_eq!(refiner, "normalize");
-        let Stmt::Switch { cases, default } = &s[1] else {
-            panic!("expected SWITCH");
-        };
-        assert_eq!(cases.len(), 2);
-        assert_eq!(default.len(), 1);
     }
 
     #[test]
     fn empty_switch_is_rejected() {
-        let err = parse("PIPELINE p { SWITCH { } }").unwrap_err();
+        let err = compile("PIPELINE p { SWITCH { } }").unwrap_err();
         assert!(err.to_string().contains("CASE"), "{err}");
     }
 
     #[test]
     fn errors_carry_positions_and_expectations() {
-        let err = parse("PIPELINE p { GEN \"a\" \"b\"; }").unwrap_err();
+        let err = compile("PIPELINE p { GEN \"a\" \"b\"; }").unwrap_err();
         assert!(err.to_string().contains("USING"), "{err}");
 
-        let err = parse("VIEW v = missing_string;").unwrap_err();
+        let err = compile("VIEW v = missing_string;").unwrap_err();
         assert!(err.to_string().contains("string literal"));
 
-        let err = parse("NOISE").unwrap_err();
+        let err = compile("NOISE").unwrap_err();
         assert!(err.to_string().contains("VIEW"));
 
-        let err = parse("PIPELINE p { CHECK M[\"a\"] < 1 { ").unwrap_err();
+        let err = compile("PIPELINE p { CHECK M[\"a\"] < 1 { ").unwrap_err();
         assert!(err.to_string().contains("unterminated"));
     }
 
     #[test]
     fn truthiness_condition() {
-        let p = parse(r#"PIPELINE t { CHECK C["orders"] { } }"#).unwrap();
-        let Stmt::Check { cond, .. } = &p.pipelines[0].stmts[0] else {
-            panic!()
+        assert_eq!(
+            ops(r#"PIPELINE t { CHECK C["orders"] { } }"#),
+            built(|b| b.check(Cond::Truthy(Operand::Ctx("orders".to_string())), |b| b))
+        );
+    }
+
+    #[test]
+    fn counts_are_whole_numbers_within_their_bound() {
+        let retry = |max: &str| {
+            compile(&format!(
+                r#"PIPELINE r {{ RETRY "a" USING "p" IF TRUE WITH normalize() MAX {max}; }}"#
+            ))
         };
-        assert!(matches!(cond, Cond::Truthy(Operand::Ctx(_))));
+        let limit = |n: &str| compile(&format!(r#"PIPELINE r {{ RET "s" INTO "c" LIMIT {n}; }}"#));
+        for bad in [
+            retry("-1"),
+            retry("2.9"),
+            retry(&(MAX_RETRIES + 1).to_string()),
+            retry("4000000000"),
+            limit("-5"),
+            limit("1.5"),
+        ] {
+            let err = bad.unwrap_err().to_string();
+            assert!(
+                err.starts_with("spear-dl parse error at 1:")
+                    && err.contains("expected a whole number from 0 to"),
+                "{err}"
+            );
+        }
+        let size = |c: crate::Compiled| c.pipelines[0].size();
+        assert_eq!(size(retry("0").unwrap()), 1);
+        assert_eq!(
+            size(retry(&MAX_RETRIES.to_string()).unwrap()),
+            1 + 3 * u64::from(MAX_RETRIES)
+        );
+        assert_eq!(size(limit("0").unwrap()), 1);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let bangs = format!("PIPELINE p {{ CHECK {}TRUE {{ }} }}", "!".repeat(1_000_000));
+        let checks = format!("PIPELINE p {{ {}", "CHECK TRUE { ".repeat(20_000));
+        for src in [bangs, checks] {
+            let err = compile(&src).unwrap_err().to_string();
+            assert!(err.contains("error at"), "{err}");
+            assert!(
+                err.contains(&format!("nesting deeper than {MAX_DEPTH} levels")),
+                "{err}"
+            );
+        }
+        // Exactly the bound still compiles, in each kind of nesting.
+        let checks = |n: usize| {
+            format!(
+                "PIPELINE p {{ {}{} }}",
+                "CHECK TRUE { ".repeat(n),
+                "} ".repeat(n)
+            )
+        };
+        let cond = |open: &str, close: &str, n: usize| {
+            format!(
+                "PIPELINE p {{ CHECK {}TRUE{} {{ }} }}",
+                open.repeat(n),
+                close.repeat(n)
+            )
+        };
+        for n in [MAX_DEPTH, MAX_DEPTH + 1] {
+            let fits = n <= MAX_DEPTH;
+            assert_eq!(compile(&checks(n)).is_ok(), fits, "{n} CHECKs");
+            assert_eq!(compile(&cond("(", ")", n)).is_ok(), fits, "{n} parens");
+            assert_eq!(compile(&cond("!", "", n)).is_ok(), fits, "{n} bangs");
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! Property tests for SPEAR-DL: the lexer and parser must be total over
 //! arbitrary input (typed errors, never panics), and well-formed generated
-//! programs must roundtrip through parse → compile.
+//! programs must compile, lower and verify clean.
 
 use proptest::prelude::*;
-use spear_dl::{compile, parse};
+use spear_core::analysis::Verifier;
+use spear_dl::compile;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -72,7 +73,7 @@ proptest! {
             .llm(std::sync::Arc::new(spear_core::llm::EchoLlm::default()))
             .views(views)
             .build();
-        let diagnostics = compiled.verify(&runtime).expect("DL pipelines lower clean");
+        let diagnostics = Verifier::with_runtime(&runtime).verify(&lowered[0]);
         prop_assert!(
             diagnostics.is_empty(),
             "DL-compiled plan tripped the verifier: {diagnostics:?}"
@@ -85,7 +86,7 @@ proptest! {
     #[test]
     fn string_literal_roundtrip(text in "[a-zA-Z0-9 .,!?-]{0,60}") {
         let src = format!("VIEW v = \"{text}\";");
-        let program = parse(&src).unwrap();
-        prop_assert_eq!(&program.views[0].template, &text);
+        let compiled = compile(&src).unwrap();
+        prop_assert_eq!(&compiled.views[0].template, &text);
     }
 }

@@ -44,7 +44,8 @@ PIPELINE enoxaparin_qa {
 "#;
 
 fn main() -> Result<()> {
-    // Compile: lexer → parser → core pipeline. Errors carry positions:
+    // Compile: lexer → parser, which emits core views and pipelines.
+    // Errors carry positions:
     let bad = dl::compile("PIPELINE p { GEN \"a\" \"b\"; }");
     println!("error reporting demo: {}\n", bad.unwrap_err());
 
@@ -64,10 +65,12 @@ fn main() -> Result<()> {
         .llm(Arc::new(SimLlm::new(ModelProfile::qwen25_7b_instruct())))
         .views(views)
         .build();
+    let verifier = Verifier::with_runtime(&runtime);
     let issues: Vec<_> = compiled
-        .verify(&runtime)?
-        .into_iter()
-        .filter(|(_, d)| d.is_error())
+        .lower()?
+        .iter()
+        .flat_map(|plan| verifier.verify(plan))
+        .filter(Diagnostic::is_error)
         .collect();
     println!(
         "static validation: {}",

@@ -23,6 +23,8 @@ cargo run --release -p spear-bench --bin analyze
 for bin in ablation_planner ablation_gen_fusion analyze; do
     cargo run --release -q -p spear-bench --bin "$bin" | cmp - "results/$bin.txt"
 done
+# ... and so must the SPEAR-DL tour: error text, compile, verify, execute.
+cargo run --release -q --example spear_dl_tour | cmp - results/spear_dl_tour.txt
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
 # Doc gate: a renamed or deleted item must not leave a dangling doc link.
