@@ -2,10 +2,11 @@
 //!
 //! Usage: `cargo run -p spear-bench --bin analyze` (or `just analyze`).
 //!
-//! For every representative plan — the paper's confidence-retry pipeline,
-//! the three physical shapes of the sentiment workload, and a
-//! statically-gated exemplar that exercises the W004/W005 lints — this
-//! binary runs the full derived-facts pipeline end to end:
+//! For every plan of the golden corpus ([`spear_bench::corpus`]) — the
+//! paper's confidence-retry pipeline, the three physical shapes of the
+//! sentiment workload, and a statically-gated exemplar that exercises the
+//! W004/W005 lints — this binary runs the full derived-facts pipeline end
+//! to end:
 //!
 //! 1. verify with the IR lints *plus* the bytecode abstract-interpreter
 //!    pass ([`spear_core::analysis::BytecodePass`]) and render every
@@ -21,44 +22,10 @@
 //! any translation-validation obligation fails — this is the `just
 //! analyze` step `scripts/check.sh` gates on.
 
-use std::collections::BTreeMap;
-
 use spear_core::analysis::{
     analyze, validate_compile, validate_optimized, ResourceModel, Severity, Verifier,
 };
 use spear_core::prelude::*;
-use spear_optimizer::lower_physical;
-use spear_optimizer::plan::{PhysicalPlan, SemanticPlan};
-
-fn retry_pipeline() -> Pipeline {
-    let args: BTreeMap<String, Value> = [("drug".to_string(), Value::from("Enoxaparin"))]
-        .into_iter()
-        .collect();
-    Pipeline::builder("enoxaparin_qa")
-        .create_from_view("qa_prompt", "med_summary", args)
-        .retry_gen(
-            "answer",
-            "qa_prompt",
-            Cond::low_confidence(0.7),
-            "auto_refine",
-            Value::Null,
-            RefinementMode::Auto,
-            2,
-        )
-        .build()
-}
-
-/// A specialization-idiom exemplar: the `Never` guard makes its then
-/// branch statically dead, so the bytecode pass reports W005 (decided
-/// condition) and W004 (unreachable compiled slot). Warnings, not errors
-/// — the gate stays green while still demonstrating the lints.
-fn gated_pipeline() -> Pipeline {
-    Pipeline::builder("gated_exemplar")
-        .create_text("p", "base", RefinementMode::Manual)
-        .gen("a", "p")
-        .check(Cond::Never, |t| t.gen("b", "p"))
-        .build()
-}
 
 /// Analyze one plan end to end; returns `true` when it passes the gate.
 fn analyze_plan(title: &str, plan: &LoweredPlan) -> bool {
@@ -109,18 +76,7 @@ fn analyze_plan(title: &str, plan: &LoweredPlan) -> bool {
                 None => println!("optimizer: no profitable rewrite"),
             }
             let bounds = analyze(&program, &ResourceModel::default());
-            println!(
-                "static bounds: tokens={} llm_calls={} latency>={}us unwind<={}{}",
-                bounds.tokens,
-                bounds.llm_calls,
-                bounds.latency_lo_us,
-                bounds.unwind_depth,
-                if bounds.terminates {
-                    ""
-                } else {
-                    "  (may not terminate)"
-                },
-            );
+            println!("static bounds: {bounds}");
         }
         Err(e) => {
             println!("GATE: compile failed: {e}");
@@ -132,34 +88,7 @@ fn analyze_plan(title: &str, plan: &LoweredPlan) -> bool {
 }
 
 fn main() {
-    let mut corpus: Vec<(String, LoweredPlan)> = Vec::new();
-    corpus.push((
-        "confidence-retry (paper §2, Table 1)".to_owned(),
-        lower(&retry_pipeline()).expect("pipeline lowers"),
-    ));
-
-    let semantic = SemanticPlan::map_then_filter("Clean up the tweet.", "Keep negative tweets.")
-        .with_identity("view:tweet_pipeline@1");
-    corpus.push((
-        "sentiment, sequential Map→Filter".to_owned(),
-        lower_physical(&PhysicalPlan::sequential(&semantic)).expect("physical plan lowers"),
-    ));
-    corpus.push((
-        "sentiment, fused Map+Filter".to_owned(),
-        lower_physical(&PhysicalPlan::fused(&semantic)).expect("physical plan lowers"),
-    ));
-
-    let reordered = SemanticPlan::filter_then_map("Keep negative tweets.", "Clean up the tweet.");
-    corpus.push((
-        "sentiment, reordered Filter→Map (pushdown)".to_owned(),
-        lower_physical(&PhysicalPlan::sequential(&reordered)).expect("physical plan lowers"),
-    ));
-
-    corpus.push((
-        "statically-gated exemplar (W004/W005)".to_owned(),
-        lower(&gated_pipeline()).expect("pipeline lowers"),
-    ));
-
+    let corpus = spear_bench::corpus::plans();
     let mut ok = true;
     for (title, plan) in &corpus {
         ok &= analyze_plan(title, plan);

@@ -1,64 +1,23 @@
-//! Dump bytecode disassembly listings for representative plans.
+//! Print the listing of every golden-corpus plan, compiled and verified.
 //!
 //! Usage: `cargo run -p spear-bench --bin disasm` (or `just disasm`).
 //!
-//! Compiles the paper's confidence-retry pipeline and the three physical
-//! shapes of the sentiment workload down to `spear-core`'s bytecode and
-//! prints each program via `spear_optimizer::disasm` — the quickest way to
-//! see what the fuser and constant pool actually did to a plan.
+//! Verifies each plan of [`spear_bench::corpus`] with the bytecode lints
+//! on and prints its `spear_optimizer::listing`, which compiles the plan
+//! down to `spear-core`'s bytecode: the slots with their pool operands and
+//! static bounds, the constant pool, the whole-program envelope and the
+//! diagnostics — the quickest way to see what lowering and the constant
+//! pool actually did to a plan. The output is byte-stable and checked in
+//! as `results/disasm.txt`.
 
-use std::collections::BTreeMap;
-
-use spear_core::prelude::*;
-use spear_optimizer::plan::{PhysicalPlan, SemanticPlan};
-use spear_optimizer::{disasm, lower_physical};
-
-fn retry_pipeline() -> Pipeline {
-    let args: BTreeMap<String, Value> = [("drug".to_string(), Value::from("Enoxaparin"))]
-        .into_iter()
-        .collect();
-    Pipeline::builder("enoxaparin_qa")
-        .create_from_view("qa_prompt", "med_summary", args)
-        .retry_gen(
-            "answer",
-            "qa_prompt",
-            Cond::low_confidence(0.7),
-            "auto_refine",
-            Value::Null,
-            RefinementMode::Auto,
-            2,
-        )
-        .build()
-}
-
-fn dump(title: &str, plan: &LoweredPlan) {
-    let program = spear_core::compile(plan).expect("verified plan compiles");
-    println!("## {title}\n");
-    println!("{}", disasm(&program));
-}
+use spear_core::analysis::{BytecodePass, Verifier};
+use spear_optimizer::listing;
 
 fn main() {
-    let plan = lower(&retry_pipeline()).expect("pipeline lowers");
-    dump("confidence-retry (paper §2, Table 1)", &plan);
-
-    let semantic = SemanticPlan::map_then_filter("Clean up the tweet.", "Keep negative tweets.")
-        .with_identity("view:tweet_pipeline@1");
-    for (title, physical) in [
-        (
-            "sentiment, sequential Map→Filter",
-            PhysicalPlan::sequential(&semantic),
-        ),
-        (
-            "sentiment, fused Map+Filter",
-            PhysicalPlan::fused(&semantic),
-        ),
-    ] {
-        let lowered = lower_physical(&physical).expect("physical plan lowers");
-        dump(title, &lowered);
+    let verifier = Verifier::new().register_pass(Box::new(BytecodePass));
+    for (title, plan) in spear_bench::corpus::plans() {
+        let diagnostics = verifier.verify(&plan);
+        println!("## {title}\n");
+        println!("{}", listing(&plan, Some(&diagnostics)));
     }
-
-    let reordered = SemanticPlan::filter_then_map("Keep negative tweets.", "Clean up the tweet.");
-    let lowered =
-        lower_physical(&PhysicalPlan::sequential(&reordered)).expect("physical plan lowers");
-    dump("sentiment, reordered Filter→Map (pushdown)", &lowered);
 }

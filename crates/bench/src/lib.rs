@@ -14,8 +14,8 @@
 //! | `ablation_views` | view-guided refinement vs from-scratch prompts |
 //! | `ablation_predictive` | predictive vs reactive refinement |
 //! | `ablation_gen_fusion` | GEN fusion vs sequential calls |
-//! | `analyze` | static-analysis gate over the golden plan corpus |
-//! | `disasm` | bytecode listings of representative plans |
+//! | `analyze` | static-analysis gate over the golden plan [`corpus`] |
+//! | `disasm` | the listing of every corpus plan, compiled and verified |
 //!
 //! All runs are deterministic (seeded corpus, seeded task model, virtual
 //! clock); re-running a binary reproduces the numbers bit-for-bit. Host
@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod corpus;
 pub mod fusion_exp;
 pub mod report;
 pub mod table3;

@@ -1,7 +1,7 @@
 //! The cluster front-end: placement of requests onto serving nodes.
 //!
 //! Placement is **prefix-aware**: requests whose plans share an
-//! [`spear_core::plan::LoweredPlan::affinity_key`] (a prompt *family*)
+//! [`spear_core::plan::LoweredPlan::affinity_seed`] (a prompt *family*)
 //! land on the same node, so the family's shared instruction prefix is
 //! warmed exactly once per replica fleet-wide. The family identity used
 //! for placement is [`spear_llm::affinity_chain_key`] — the same seeded

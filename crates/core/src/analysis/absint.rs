@@ -31,8 +31,7 @@
 //! emitting `SPEAR-W004` (bytecode unreachable once statically-decided
 //! CHECKs are folded) and `SPEAR-W005` (statically-dead CHECK branch); it is
 //! not in the default verifier stack, so default verification output is
-//! unchanged — `explain_lowered_with_lints`, the `analyze` tool, and the
-//! goldens register it explicitly.
+//! unchanged — the `analyze` tool and the goldens register it explicitly.
 
 use std::fmt;
 
@@ -205,6 +204,23 @@ impl ProgramBounds {
         prompt_tokens
             .saturating_add(self.tokens.hi)
             .div_ceil(block_size.max(1))
+    }
+}
+
+/// The whole-program envelope on one line — `tokens=[1, 256] llm_calls=[1, 1]
+/// latency>=100us unwind<=2`, plus `  (may not terminate)` when the sweep
+/// could not prove termination. Per-instruction bounds are not included.
+impl fmt::Display for ProgramBounds {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "tokens={} llm_calls={} latency>={}us unwind<={}",
+            self.tokens, self.llm_calls, self.latency_lo_us, self.unwind_depth
+        )?;
+        if !self.terminates {
+            f.write_str("  (may not terminate)")?;
+        }
+        Ok(())
     }
 }
 

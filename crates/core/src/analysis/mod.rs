@@ -186,9 +186,10 @@ impl<'rt> Verifier<'rt> {
     }
 }
 
-/// Render diagnostics anchored to their plan slots, reusing the
-/// `explain_lowered` instruction formatting (`  NNNN  <op>`) so verifier
-/// output and plan explanations line up visually:
+/// Render diagnostics anchored to their plan slots, each in the slot-line
+/// form of `spear_optimizer`'s listing (`  NNNN  <op>`, the text from
+/// [`crate::plan::LoweredOp::describe`]) so verifier output and plan
+/// listings read the same:
 ///
 /// ```text
 /// error[SPEAR-E004] in plan "bad": P["ghost"] is never created before this GEN

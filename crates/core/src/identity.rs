@@ -45,6 +45,24 @@ pub fn stable_hash<T: StableHash + ?Sized>(value: &T) -> u64 {
     value.stable_hash(FNV1A_OFFSET)
 }
 
+/// An FNV-1a state that is also a [`std::fmt::Write`] sink: `write!` into
+/// it folds the formatted bytes as they are produced, so hashing formatted
+/// text builds no `String` and equals `fnv1a` of that text.
+pub(crate) struct Fnv1aSink(pub(crate) u64);
+
+impl Fnv1aSink {
+    pub(crate) fn new() -> Self {
+        Self(FNV1A_OFFSET)
+    }
+}
+
+impl std::fmt::Write for Fnv1aSink {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 = fnv1a_extend(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Fold one enum-variant tag.
 fn tag(h: u64, tag: u8) -> u64 {
     fnv1a_extend(h, &[tag])

@@ -95,25 +95,21 @@ pub struct LoweredPlan {
 }
 
 impl LoweredPlan {
-    /// Multi-line rendering: one instruction per line with its index.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        let mut out = format!("LOWERED PLAN {:?}\n", self.name);
-        for (pc, op) in self.ops.iter().enumerate() {
-            out.push_str(&format!("  {pc:04}  {}\n", op.describe()));
-        }
-        out
-    }
-
-    /// The plan's **cache-affinity key**: a stable identity for the prompt
+    /// The plan's **cache-affinity seed**: a stable identity for the prompt
     /// prefix its first generation will prefill, or `None` when the plan
     /// only uses opaque ad-hoc prompts.
     ///
-    /// Two plans with equal affinity keys render prompts that share a
-    /// prefix (same view + parameters, or same base text), so a serving
-    /// layer that routes them to the same cache stripe and worker lane
-    /// maximizes radix-tree prefix reuse — the scheduling analogue of the
-    /// engine's "structure gates caching" rule. The key is derived from the
+    /// Two plans with equal seeds render prompts that share a prefix (same
+    /// view + parameters, or same base text), so a serving layer that
+    /// routes them to the same cache stripe and worker lane maximizes
+    /// radix-tree prefix reuse — the scheduling analogue of the engine's
+    /// "structure gates caching" rule. Every placement decision keys on
+    /// this one value: the serve scheduler's owner groups and lane pinning,
+    /// the KV scheduler's shared-prefix grouping, and the cluster router's
+    /// consistent node placement, so "same family" means the same thing at
+    /// every layer.
+    ///
+    /// The seed is the FNV-1a hash of the family's text, derived from the
     /// same structured identities the prefix cache keys on
     /// ([`crate::prompt::PromptEntry::cache_identity`]):
     ///
@@ -124,25 +120,30 @@ impl LoweredPlan {
     /// - else the first `REF[CREATE, set_text]` → `text:{fnv1a(text):x}`
     ///   (identical base texts share a prefix even without a view),
     /// - else `None`: nothing about the plan predicts prefix reuse.
+    ///
+    /// The text is folded into the hash as it is formatted, so computing
+    /// the seed allocates nothing.
     #[must_use]
-    pub fn affinity_key(&self) -> Option<String> {
+    pub fn affinity_seed(&self) -> Option<u64> {
+        use std::fmt::Write as _;
+        let mut seed = crate::identity::Fnv1aSink::new();
         for instr in &self.ops {
             let LoweredOp::Leaf { op, .. } = instr else {
                 continue;
             };
-            match op {
+            let _ = match op {
                 Op::Ref {
                     action: RefAction::Create,
                     refiner,
                     args,
                     ..
                 } if refiner == "from_view" => {
-                    let name = args.path("view")?.as_str()?.to_string();
+                    let name = args.path("view")?.as_str()?;
                     let params = match args.path("args") {
                         Some(Value::Map(m)) => crate::view::param_hash(m),
                         _ => crate::view::param_hash(&std::collections::BTreeMap::new()),
                     };
-                    return Some(format!("view:{name}#{params:x}"));
+                    write!(seed, "view:{name}#{params:x}")
                 }
                 Op::Ref {
                     action: RefAction::Create,
@@ -151,41 +152,27 @@ impl LoweredPlan {
                     ..
                 } if refiner == "set_text" => {
                     let text = args.as_str()?;
-                    return Some(format!(
-                        "text:{:x}",
-                        spear_kv::shard::fnv1a(text.as_bytes())
-                    ));
+                    write!(seed, "text:{:x}", spear_kv::shard::fnv1a(text.as_bytes()))
                 }
                 Op::Gen { prompt, .. } => match prompt {
                     PromptRef::View { name, args } => {
-                        return Some(format!("view:{name}#{:x}", crate::view::param_hash(args)));
+                        write!(seed, "view:{name}#{:x}", crate::view::param_hash(args))
                     }
                     PromptRef::Lowered {
                         identity: Some(id), ..
-                    } => return Some(id.clone()),
+                    } => seed.write_str(id),
                     PromptRef::Lowered { identity: None, .. } | PromptRef::Inline(_) => {
                         return None;
                     }
                     // A key reference resolves to whatever an earlier REF
                     // created; keep scanning (the creating REF precedes it).
-                    PromptRef::Key(_) => {}
+                    PromptRef::Key(_) => continue,
                 },
-                _ => {}
-            }
+                _ => continue,
+            };
+            return Some(seed.0);
         }
         None
-    }
-
-    /// The plan's affinity key folded to a stable `u64` seed — the hashed
-    /// form every placement decision keys on: the serve scheduler's lane
-    /// pinning, the KV scheduler's shared-prefix grouping, and the cluster
-    /// router's consistent node placement all derive from this one value,
-    /// so "same family" means the same thing at every layer. `None` iff
-    /// [`LoweredPlan::affinity_key`] is `None`.
-    #[must_use]
-    pub fn affinity_seed(&self) -> Option<u64> {
-        self.affinity_key()
-            .map(|key| spear_kv::shard::fnv1a(key.as_bytes()))
     }
 
     /// Structural fingerprint of the whole plan (DESIGN.md §17): name,
@@ -319,7 +306,7 @@ mod tests {
         // create, check, expand, expand, gen
         assert_eq!(lowered.ops.len(), 5);
         let LoweredOp::Check { on_false, .. } = &lowered.ops[1] else {
-            panic!("check at 1: {}", lowered.describe())
+            panic!("check at 1: {:?}", lowered.ops)
         };
         assert_eq!(*on_false, 4, "false skips straight to the trailing gen");
         // Branch leaves carry the trigger and the enclosing frame.
@@ -374,7 +361,7 @@ mod tests {
             .build();
         let lowered = lower(&p).unwrap();
         let LoweredOp::Leaf { frames, .. } = &lowered.ops[2] else {
-            panic!("innermost leaf at 2: {}", lowered.describe())
+            panic!("innermost leaf at 2: {:?}", lowered.ops)
         };
         assert_eq!(
             frames,
@@ -386,8 +373,13 @@ mod tests {
         assert_eq!(frames, &["CHECK[true]".to_string()]);
     }
 
+    /// The seed a plan whose family text is `key` must carry.
+    fn seed_of(key: &str) -> Option<u64> {
+        Some(spear_kv::shard::fnv1a(key.as_bytes()))
+    }
+
     #[test]
-    fn affinity_key_comes_from_the_creating_view() {
+    fn affinity_seed_comes_from_the_creating_view() {
         let args: std::collections::BTreeMap<String, Value> =
             [("topic".to_string(), Value::from("school"))]
                 .into_iter()
@@ -396,24 +388,22 @@ mod tests {
             .create_from_view("p", "tweet_filter", args.clone())
             .gen("a", "p")
             .build();
-        let key = lower(&p)
-            .unwrap()
-            .affinity_key()
-            .expect("view-derived plans have a key");
+        let seed = lower(&p).unwrap().affinity_seed();
+        assert!(seed.is_some(), "view-derived plans have a seed");
         assert_eq!(
-            key,
-            format!("view:tweet_filter#{:x}", crate::view::param_hash(&args))
+            seed,
+            seed_of(&format!(
+                "view:tweet_filter#{:x}",
+                crate::view::param_hash(&args)
+            ))
         );
 
-        // Same view, same params, different per-request context => same key.
+        // Same view, same params, different per-request context => same seed.
         let q = Pipeline::builder("aff2")
             .create_from_view("p", "tweet_filter", args)
             .gen("a", "p")
             .build();
-        assert_eq!(
-            lower(&q).unwrap().affinity_key().as_deref(),
-            Some(key.as_str())
-        );
+        assert_eq!(lower(&q).unwrap().affinity_seed(), seed);
 
         // Different params land in a different affinity group.
         let other: std::collections::BTreeMap<String, Value> =
@@ -424,7 +414,27 @@ mod tests {
             .create_from_view("p", "tweet_filter", other)
             .gen("a", "p")
             .build();
-        assert_ne!(lower(&r).unwrap().affinity_key(), Some(key));
+        assert_ne!(lower(&r).unwrap().affinity_seed(), seed);
+    }
+
+    #[test]
+    fn param_hash_folds_the_rendered_arguments() {
+        // `k=v;` per argument in key order, strings bare and every other
+        // value in its `Display` form.
+        let args: std::collections::BTreeMap<String, Value> = [
+            ("n".to_string(), Value::Int(3)),
+            ("topic".to_string(), Value::from("school")),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(
+            crate::view::param_hash(&args),
+            spear_kv::shard::fnv1a(b"n=3;topic=school;")
+        );
+        assert_eq!(
+            crate::view::param_hash(&std::collections::BTreeMap::new()),
+            spear_kv::shard::fnv1a(b"")
+        );
     }
 
     #[test]
@@ -433,12 +443,8 @@ mod tests {
             .create_text("p", "shared base text", RefinementMode::Manual)
             .gen("a", "p")
             .build();
-        let plan = lower(&keyed).unwrap();
-        let key = plan.affinity_key().unwrap();
-        assert_eq!(
-            plan.affinity_seed(),
-            Some(spear_kv::shard::fnv1a(key.as_bytes()))
-        );
+        let key = format!("text:{:x}", spear_kv::shard::fnv1a(b"shared base text"));
+        assert_eq!(lower(&keyed).unwrap().affinity_seed(), seed_of(&key));
 
         let opaque = Pipeline::builder("op")
             .gen_with(
@@ -451,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn affinity_key_falls_back_to_base_text_and_opaque_is_none() {
+    fn affinity_seed_falls_back_to_base_text_and_opaque_is_none() {
         let a = Pipeline::builder("t1")
             .create_text("p", "shared base text", RefinementMode::Manual)
             .gen("a", "p")
@@ -464,12 +470,19 @@ mod tests {
             .create_text("p", "a different base", RefinementMode::Manual)
             .gen("a", "p")
             .build();
-        let ka = lower(&a).unwrap().affinity_key().unwrap();
-        assert!(ka.starts_with("text:"));
-        assert_eq!(lower(&b).unwrap().affinity_key().unwrap(), ka);
-        assert_ne!(lower(&c).unwrap().affinity_key().unwrap(), ka);
+        let sa = lower(&a).unwrap().affinity_seed();
+        assert_eq!(
+            sa,
+            seed_of(&format!(
+                "text:{:x}",
+                spear_kv::shard::fnv1a(b"shared base text")
+            ))
+        );
+        assert_eq!(lower(&b).unwrap().affinity_seed(), sa);
+        assert_ne!(lower(&c).unwrap().affinity_seed(), sa);
+        assert!(lower(&c).unwrap().affinity_seed().is_some());
 
-        // A purely inline GEN has no structured identity: no key.
+        // A purely inline GEN has no structured identity: no seed.
         let opaque = Pipeline::builder("op")
             .gen_with(
                 "a",
@@ -477,11 +490,11 @@ mod tests {
                 crate::llm::GenOptions::default(),
             )
             .build();
-        assert_eq!(lower(&opaque).unwrap().affinity_key(), None);
+        assert_eq!(lower(&opaque).unwrap().affinity_seed(), None);
     }
 
     #[test]
-    fn affinity_key_reads_inline_views_and_lowered_identities() {
+    fn affinity_seed_reads_inline_views_and_lowered_identities() {
         let v = Pipeline::builder("iv")
             .gen_with(
                 "a",
@@ -492,11 +505,13 @@ mod tests {
                 crate::llm::GenOptions::default(),
             )
             .build();
-        assert!(lower(&v)
-            .unwrap()
-            .affinity_key()
-            .unwrap()
-            .starts_with("view:summary#"));
+        assert_eq!(
+            lower(&v).unwrap().affinity_seed(),
+            seed_of(&format!(
+                "view:summary#{:x}",
+                crate::view::param_hash(&std::collections::BTreeMap::new())
+            ))
+        );
 
         let l = Pipeline::builder("low")
             .gen_with(
@@ -509,8 +524,8 @@ mod tests {
             )
             .build();
         assert_eq!(
-            lower(&l).unwrap().affinity_key().as_deref(),
-            Some("view:fused@1#0/v1")
+            lower(&l).unwrap().affinity_seed(),
+            seed_of("view:fused@1#0/v1")
         );
     }
 

@@ -19,7 +19,6 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use spear_kv::shard::fnv1a;
 use spear_kv::KvStore;
 
 use crate::error::{Result, SpearError};
@@ -116,14 +115,17 @@ impl ViewDef {
 /// Stable hash of instantiation arguments, used in cache identities.
 #[must_use]
 pub fn param_hash(args: &BTreeMap<String, Value>) -> u64 {
-    let mut repr = String::new();
+    use std::fmt::Write as _;
+    // `k=v;` per argument, `v` as `Value::render` spells it, folded
+    // straight into the hash.
+    let mut hash = crate::identity::Fnv1aSink::new();
     for (k, v) in args {
-        repr.push_str(k);
-        repr.push('=');
-        repr.push_str(&v.render());
-        repr.push(';');
+        let _ = match v {
+            Value::Str(s) => write!(hash, "{k}={s};"),
+            other => write!(hash, "{k}={other};"),
+        };
     }
-    fnv1a(repr.as_bytes())
+    hash.0
 }
 
 /// A view resolved against one catalog state: what its instantiations share.

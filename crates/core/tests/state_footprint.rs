@@ -157,3 +157,56 @@ fn verifying_a_plan_resolves_names_without_copying_registries() {
         "registry size must not change what verification allocates"
     );
 }
+
+#[test]
+fn an_affinity_seed_allocates_nothing() {
+    // One plan per family shape: a view with parameters, a view without,
+    // a lowered identity, and a base text.
+    let args: std::collections::BTreeMap<String, Value> = [
+        ("n".to_string(), Value::Int(3)),
+        ("topic".to_string(), Value::from("school")),
+    ]
+    .into_iter()
+    .collect();
+    let families = [
+        Pipeline::builder("from_view")
+            .create_from_view("p", "tweet_filter", args.clone())
+            .gen("a", "p")
+            .build(),
+        Pipeline::builder("inline_view")
+            .gen_with(
+                "a",
+                PromptRef::View {
+                    name: "summary".into(),
+                    args,
+                },
+                GenOptions::default(),
+            )
+            .build(),
+        Pipeline::builder("lowered")
+            .gen_with(
+                "a",
+                PromptRef::Lowered {
+                    text: "fused template".into(),
+                    identity: Some("view:fused@1#0/v1".into()),
+                },
+                GenOptions::default(),
+            )
+            .build(),
+        Pipeline::builder("text")
+            .create_text("p", "shared base text", RefinementMode::Manual)
+            .gen("a", "p")
+            .build(),
+    ];
+    for pipeline in &families {
+        let plan = lower(pipeline).expect("lowers");
+        let (seed, bytes, allocs) = footprint(|| plan.affinity_seed());
+        assert!(seed.is_some(), "{} has a family", pipeline.name);
+        assert_eq!(
+            (bytes, allocs),
+            (0, 0),
+            "affinity_seed of {}",
+            pipeline.name
+        );
+    }
+}

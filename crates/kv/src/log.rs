@@ -304,6 +304,51 @@ mod tests {
     }
 
     #[test]
+    fn a_hostile_nesting_depth_is_a_corrupt_line_not_a_stack_overflow() {
+        let path = temp_path("deep");
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        std::fs::write(
+            &path,
+            format!("{{\"seq\":1,\"key\":\"a\",\"op\":{{\"Put\":1}}}}\n{deep}\n"),
+        )
+        .unwrap();
+        let err = JsonlLog::read_all::<i32>(&path).unwrap_err();
+        match err {
+            KvError::CorruptLog { line, reason } => {
+                assert_eq!(line, 2);
+                assert!(reason.contains("recursion limit exceeded"), "{reason}");
+            }
+            other => panic!("unexpected error: {other}"),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_record_too_deep_to_recover_fails_when_it_is_written() {
+        let path = temp_path("deep-write");
+        let _ = std::fs::remove_file(&path);
+        let nest = |n: usize| {
+            (0..n).fold(serde_json::Value::Null, |v, _| {
+                serde_json::Value::Array(vec![v])
+            })
+        };
+        {
+            let log = JsonlLog::open(&path).unwrap();
+            let durable = DurableStore::new(KvStore::<serde_json::Value>::new(), log);
+            durable.put("shallow", nest(8)).unwrap();
+            let err = durable.put("deep", nest(300)).unwrap_err();
+            assert!(
+                matches!(&err, KvError::Serde(e) if e.contains("recursion limit exceeded")),
+                "{err}"
+            );
+            durable.sync().unwrap();
+        }
+        let recovered: KvStore<serde_json::Value> = JsonlLog::recover(&path).unwrap();
+        assert_eq!(recovered.get("shallow").as_deref(), Some(&nest(8)));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn blank_lines_are_tolerated() {
         let path = temp_path("blank");
         std::fs::write(

@@ -99,24 +99,6 @@ impl SimClock {
             lane.store(0, Ordering::Relaxed);
         }
     }
-
-    /// Replace a just-charged duration with a corrected (smaller) one —
-    /// used by batched execution to amortize overhead after the fact.
-    /// Operates on the calling thread's lane, where the charge landed.
-    pub(crate) fn advance_signed_rollback(&self, charged: Duration, corrected: Duration) {
-        let delta = charged.saturating_sub(corrected);
-        let d = u64::try_from(delta.as_micros()).unwrap_or(u64::MAX);
-        let slot = self.lane_slot();
-        // Saturating: the clock never goes negative even if misused.
-        let mut current = slot.load(Ordering::Relaxed);
-        loop {
-            let next = current.saturating_sub(d);
-            match slot.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,16 +154,6 @@ mod tests {
         assert_eq!(c.max_lane_elapsed(), Duration::from_micros(250));
         c.reset();
         assert_eq!(c.max_lane_elapsed(), Duration::ZERO);
-    }
-
-    #[test]
-    fn rollback_hits_the_charging_lane() {
-        let c = SimClock::new();
-        let _s = spear_core::scope::enter(1, 7);
-        c.advance(Duration::from_micros(1000));
-        c.advance_signed_rollback(Duration::from_micros(1000), Duration::from_micros(400));
-        assert_eq!(c.lane_elapsed(7), Duration::from_micros(400));
-        assert_eq!(c.lane_elapsed(0), Duration::ZERO);
     }
 
     #[test]

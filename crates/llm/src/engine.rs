@@ -344,53 +344,6 @@ impl SimLlm {
 }
 
 impl SimLlm {
-    /// Fraction of the per-request overhead each batched request still pays
-    /// (scheduling/sampling are amortized under continuous batching, but
-    /// not free).
-    pub const BATCH_MARGINAL_OVERHEAD: f64 = 0.1;
-
-    /// Run several requests as one continuously batched submission.
-    ///
-    /// Models vLLM-style continuous batching: the full request overhead is
-    /// paid once per batch; every subsequent request pays only
-    /// [`Self::BATCH_MARGINAL_OVERHEAD`] of it. Token costs are unchanged,
-    /// and requests are admitted in order, so later requests hit prefix
-    /// blocks that earlier ones inserted — which is why "batched tasks with
-    /// shared scaffolds" (paper §5) benefit twice: amortized overhead *and*
-    /// intra-batch prefix reuse.
-    ///
-    /// Each response's `latency` is that request's marginal contribution;
-    /// the virtual clock advances by the batch total.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing request.
-    pub fn generate_batch(
-        &self,
-        requests: &[GenRequest],
-    ) -> spear_core::error::Result<Vec<GenResponse>> {
-        let mut out = Vec::with_capacity(requests.len());
-        for (i, request) in requests.iter().enumerate() {
-            let mut response = self.generate(request)?;
-            if i > 0 {
-                let discount =
-                    self.profile.request_overhead_us * (1.0 - Self::BATCH_MARGINAL_OVERHEAD);
-                let discounted = response
-                    .latency
-                    .saturating_sub(std::time::Duration::from_micros(discount as u64));
-                // generate() already advanced the clock by the full
-                // latency; take the amortized part back.
-                self.clock
-                    .advance_signed_rollback(response.latency, discounted);
-                response.latency = discounted;
-            }
-            out.push(response);
-        }
-        Ok(out)
-    }
-}
-
-impl SimLlm {
     /// Everything after prefill: the behavioural task model, `max_tokens`
     /// truncation, the latency model, and the clock advance. Pure in the
     /// request given fixed engine config — only prefill depends on live
@@ -700,66 +653,6 @@ mod tests {
         e.clear_cache();
         let resp = e.generate(&req).unwrap();
         assert_eq!(resp.usage.cached_tokens, 0);
-    }
-
-    #[test]
-    fn batching_amortizes_overhead_and_shares_the_cache() {
-        let instruction = long_instruction();
-        let requests: Vec<GenRequest> = (0..8)
-            .map(|i| {
-                GenRequest::structured(
-                    format!("{instruction}Tweet: batched item number {i}"),
-                    "view:batch@1#0/v1",
-                )
-            })
-            .collect();
-
-        let unbatched = SimLlm::new(ModelProfile::qwen25_7b_instruct());
-        let mut unbatched_total = std::time::Duration::ZERO;
-        for r in &requests {
-            unbatched_total += unbatched.generate(r).unwrap().latency;
-        }
-
-        let batched = SimLlm::new(ModelProfile::qwen25_7b_instruct());
-        let responses = batched.generate_batch(&requests).unwrap();
-        let batched_total: std::time::Duration = responses.iter().map(|r| r.latency).sum();
-
-        // 7 amortized overheads at 90% discount.
-        let expected_saving =
-            7.0 * batched.profile().request_overhead_us * (1.0 - SimLlm::BATCH_MARGINAL_OVERHEAD)
-                / 1e6;
-        let saving = unbatched_total.as_secs_f64() - batched_total.as_secs_f64();
-        assert!(
-            (saving - expected_saving).abs() < 1e-3,
-            "saving {saving} vs expected {expected_saving}"
-        );
-        // The clock agrees with the summed marginal latencies.
-        assert_eq!(batched.clock().elapsed(), batched_total);
-        // Intra-batch prefix reuse: every request after the first hits the
-        // shared instruction prefix.
-        for r in &responses[1..] {
-            assert!(r.usage.cached_tokens > 0);
-        }
-        // Behaviour is identical to unbatched execution.
-        assert_eq!(
-            responses[3].text,
-            unbatched.generate(&requests[3]).unwrap().text
-        );
-    }
-
-    #[test]
-    fn singleton_and_empty_batches_are_trivial() {
-        let e = engine();
-        assert!(e.generate_batch(&[]).unwrap().is_empty());
-        let req = GenRequest::structured("Classify.\nTweet: x", "view:v@1#0/v1");
-        let single = e.generate_batch(std::slice::from_ref(&req)).unwrap();
-        assert_eq!(single.len(), 1);
-        let fresh = engine();
-        assert_eq!(
-            single[0].latency,
-            fresh.generate(&req).unwrap().latency,
-            "a singleton batch pays full overhead"
-        );
     }
 
     fn segmented_request(instruction: &Arc<str>, item: &str) -> GenRequest {

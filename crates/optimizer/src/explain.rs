@@ -6,14 +6,14 @@
 //! walks a pipeline and annotates every operator with the cost model's
 //! a-priori estimates — LLM calls, token traffic, expected latency —
 //! under stated workload assumptions, plus the optimizations that apply
-//! (cacheable vs opaque prompts, fusable GEN runs).
+//! (cacheable vs opaque prompts, fusable GEN runs). The slot-level view
+//! of the lowered plan is [`crate::listing()`].
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use spear_core::ops::{Op, PromptRef};
 use spear_core::pipeline::Pipeline;
-use spear_core::plan::{LoweredOp, LoweredPlan};
 
 use crate::cost::CostModel;
 use crate::gen_fusion;
@@ -59,38 +59,31 @@ impl PlanCost {
     }
 }
 
-/// Line-oriented render buffer shared by the EXPLAIN renderers here and
-/// the bytecode disassembler ([`crate::disasm`]): infallible writes,
-/// slot-anchored instruction lines, and depth-indented detail lines, so
-/// the two plan views stay visually consistent.
-pub(crate) struct PlanWriter {
+/// Line-oriented render buffer for the tree walk: infallible writes,
+/// full-width lines and depth-indented detail lines.
+struct PlanWriter {
     out: String,
 }
 
 impl PlanWriter {
     /// An empty buffer.
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self { out: String::new() }
     }
 
     /// A full-width line (headers, totals, hints).
-    pub(crate) fn line(&mut self, text: std::fmt::Arguments<'_>) {
+    fn line(&mut self, text: std::fmt::Arguments<'_>) {
         let _ = writeln!(self.out, "{text}");
     }
 
-    /// A slot-anchored instruction line: `  0004  <text>`.
-    pub(crate) fn slot(&mut self, pc: usize, text: std::fmt::Arguments<'_>) {
-        let _ = writeln!(self.out, "  {pc:04}  {text}");
-    }
-
-    /// A depth-indented detail line (tree renderings, pool entries).
-    pub(crate) fn detail(&mut self, depth: usize, text: std::fmt::Arguments<'_>) {
+    /// A depth-indented detail line.
+    fn detail(&mut self, depth: usize, text: std::fmt::Arguments<'_>) {
         let indent = "  ".repeat(depth + 1);
         let _ = writeln!(self.out, "{indent}{text}");
     }
 
     /// The accumulated text.
-    pub(crate) fn finish(self) -> String {
+    fn finish(self) -> String {
         self.out
     }
 }
@@ -153,77 +146,6 @@ pub fn explain(
         ));
     }
     (ctx.w.finish(), ctx.total)
-}
-
-/// Render a lowered plan, one instruction per line with its slot index,
-/// explicit jump targets, and per-GEN cacheability annotations — the IR
-/// analogue of a physical `EXPLAIN` in a query engine.
-///
-/// Unlike [`explain`], which walks the operator *tree*, this shows exactly
-/// the program the runtime's dispatch loop steps through: CHECKs carry
-/// their `else -> slot` target and a branch's leaves carry its trigger, so
-/// predicate pushdown is visible as a jump past the guarded stages.
-#[must_use]
-pub fn explain_lowered(plan: &LoweredPlan) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "EXPLAIN LOWERED PLAN {:?}  ({} source ops, {} slots)",
-        plan.name,
-        plan.source_size,
-        plan.ops.len()
-    );
-    for (pc, op) in plan.ops.iter().enumerate() {
-        match op {
-            LoweredOp::Leaf { op, trigger, .. } => {
-                let _ = write!(out, "  {pc:04}  {}", op.describe());
-                if let Some(trigger) = trigger {
-                    let _ = write!(out, "  (when {trigger})");
-                }
-                let _ = writeln!(out);
-                if let Op::Gen {
-                    prompt: PromptRef::Lowered { text, identity },
-                    ..
-                } = op
-                {
-                    let _ = writeln!(
-                        out,
-                        "        prompt: {text:?}  [{}]",
-                        match identity {
-                            Some(id) => format!("cacheable as {id:?}"),
-                            None => "opaque — no prefix reuse".to_string(),
-                        }
-                    );
-                }
-            }
-            LoweredOp::Check { cond, on_false, .. } => {
-                let _ = writeln!(out, "  {pc:04}  CHECK[{cond}]  else -> {on_false:04}");
-            }
-            LoweredOp::Jump { target } => {
-                let _ = writeln!(out, "  {pc:04}  JUMP -> {target:04}");
-            }
-        }
-    }
-    out
-}
-
-/// [`explain_lowered`] plus the static verifier's findings: the plan is
-/// rendered as usual, then each diagnostic from
-/// [`spear_core::analysis::Verifier`] is appended in the same
-/// slot-anchored format. A clean plan gets an explicit "verifier: clean"
-/// line so callers can tell "verified" from "not run".
-#[must_use]
-pub fn explain_lowered_with_lints(
-    plan: &LoweredPlan,
-    diagnostics: &[spear_core::analysis::Diagnostic],
-) -> String {
-    let mut out = explain_lowered(plan);
-    if diagnostics.is_empty() {
-        let _ = writeln!(out, "verifier: clean ({} slots checked)", plan.ops.len());
-    } else {
-        out.push_str(&spear_core::analysis::render_diagnostics(plan, diagnostics));
-    }
-    out
 }
 
 fn gen_cost(structured: bool, model: &CostModel, a: &ExplainAssumptions) -> Duration {
@@ -379,24 +301,6 @@ mod tests {
             },
         );
         assert!(opaque_cost.expected_latency > cached_cost.expected_latency);
-    }
-
-    #[test]
-    fn explain_with_lints_appends_diagnostics_or_clean_marker() {
-        let plan = spear_core::plan::lower(&pipeline()).unwrap();
-        let diags = spear_core::analysis::Verifier::new().verify(&plan);
-        let text = explain_lowered_with_lints(&plan, &diags);
-        assert!(text.contains("verifier: clean"), "{text}");
-
-        let bad = LoweredPlan {
-            name: "bad".into(),
-            source_size: 1,
-            ops: vec![LoweredOp::Jump { target: 9 }],
-        };
-        let diags = spear_core::analysis::Verifier::new().verify(&bad);
-        let text = explain_lowered_with_lints(&bad, &diags);
-        assert!(text.contains("SPEAR-E001"), "{text}");
-        assert!(text.contains("  0000  JUMP -> 0009"), "{text}");
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //!   into one sectioned call, with output redistribution,
 //! - [`meta_opt`] — §4.4 meta-optimization: replacing underperforming
 //!   refiners in pipelines based on mined ref_log evidence,
-//! - [`explain`](mod@explain) — EXPLAIN-style plan rendering with cost
-//!   estimates and optimization hints ("instrumented like query plans"),
-//! - [`disasm`](mod@disasm) — a byte-stable disassembler for compiled
-//!   bytecode programs (instruction stream, one instruction per plan slot,
-//!   plus the constant pool),
+//! - [`explain`](mod@explain) — EXPLAIN-style rendering of the operator
+//!   tree with cost estimates and optimization hints ("instrumented like
+//!   query plans"),
+//! - [`listing`](mod@listing) — the one byte-stable listing of a lowered
+//!   plan's slots, with its compiled program's pool operands, constant
+//!   pool and static bounds when it compiles, and the verifier's
+//!   diagnostics when passed,
 //! - [`cost`] — a linear latency [`cost::CostModel`] calibrated online by
 //!   least squares from observed `(tokens, latency)` pairs,
 //! - [`prompt_cache`] — the **structured prompt cache** indexed by view
@@ -35,11 +37,11 @@
 #![deny(clippy::redundant_clone, clippy::inefficient_to_string)]
 
 pub mod cost;
-pub mod disasm;
 pub mod exec;
 pub mod explain;
 pub mod fusion;
 pub mod gen_fusion;
+pub mod listing;
 pub mod lowering;
 pub mod meta_opt;
 pub mod plan;
@@ -49,15 +51,13 @@ pub mod refinement_planner;
 pub mod view_selector;
 
 pub use cost::{CostModel, CostObservation};
-pub use disasm::disasm;
 pub use exec::{run_plan, run_plan_with, ItemOutcome, PlanRunOptions, PlanRunReport};
-pub use explain::{
-    explain, explain_lowered, explain_lowered_with_lints, ExplainAssumptions, PlanCost,
-};
+pub use explain::{explain, ExplainAssumptions, PlanCost};
 pub use fusion::{
     classify_adjacent, decide, FusionDecision, GenRelation, PlanEstimates, StageEstimate,
 };
 pub use gen_fusion::{find_opportunities, fuse_pipeline, GenFusionOpportunity};
+pub use listing::listing;
 pub use lowering::{lower_physical, to_pipeline};
 pub use meta_opt::{replace_underperformers, AppliedSubstitution, MetaOptConfig, Substitute};
 pub use plan::{PhysicalPlan, PhysicalStage, SemanticOp, SemanticPlan};

@@ -89,7 +89,7 @@ pub struct GeneratedWorkload {
     pub views: ViewCatalog,
     /// One shared lowered plan per family; requests hold clones of these
     /// `Arc`s, so affinity grouping is visible through pointer-independent
-    /// [`LoweredPlan::affinity_key`]s.
+    /// [`LoweredPlan::affinity_seed`]s.
     pub plans: Vec<Arc<LoweredPlan>>,
     /// The request stream, sorted by non-decreasing `arrival_us` with ids
     /// `0..requests`.
@@ -289,7 +289,7 @@ mod tests {
             assert_eq!(x.priority, y.priority);
             assert_eq!(x.arrival_us, y.arrival_us);
             assert_eq!(x.est_tokens, y.est_tokens);
-            assert_eq!(x.affinity_key(), y.affinity_key());
+            assert_eq!(x.plan.affinity_seed(), y.plan.affinity_seed());
         }
         let c = generate(&LoadGenConfig { seed: 43, ..config });
         let arrivals_a: Vec<u64> = a.requests.iter().map(|r| r.arrival_us).collect();
@@ -312,18 +312,33 @@ mod tests {
     }
 
     #[test]
-    fn families_share_affinity_keys_and_differ_across_families() {
+    fn families_share_affinity_seeds_and_differ_across_families() {
         let w = generate(&LoadGenConfig {
             requests: 40,
             families: 3,
             ..LoadGenConfig::default()
         });
-        let mut keys = std::collections::BTreeSet::new();
+        let mut seeds = std::collections::BTreeSet::new();
         for r in &w.requests {
-            let key = r.affinity_key().expect("view-backed plans have keys");
-            keys.insert(key);
+            let seed = r
+                .plan
+                .affinity_seed()
+                .expect("view-backed plans have seeds");
+            seeds.insert(seed);
         }
-        assert_eq!(keys.len(), 3, "one key per family");
+        assert_eq!(seeds.len(), 3, "one seed per family");
+        // Each family's seed is its view's identity text, hashed.
+        let expected: std::collections::BTreeSet<u64> = (0..3)
+            .map(|f| {
+                let key = format!(
+                    "view:{}#{:x}",
+                    family_view_name(f),
+                    spear_core::view::param_hash(&BTreeMap::new())
+                );
+                spear_kv::shard::fnv1a(key.as_bytes())
+            })
+            .collect();
+        assert_eq!(seeds, expected);
         // Instructions diverge at the first line.
         let a = family_instruction(0);
         let b = family_instruction(1);
@@ -359,13 +374,13 @@ mod tests {
             ..LoadGenConfig::default()
         };
         let w = generate(&config);
-        let keys: Vec<String> = (0..8)
-            .map(|f| w.plans[f].affinity_key().expect("view-backed"))
+        let seeds: Vec<u64> = (0..8)
+            .map(|f| w.plans[f].affinity_seed().expect("view-backed"))
             .collect();
         let mut counts = vec![0usize; 8];
         for r in &w.requests {
-            let key = r.affinity_key().unwrap();
-            let family = keys.iter().position(|k| *k == key).unwrap();
+            let seed = r.plan.affinity_seed().unwrap();
+            let family = seeds.iter().position(|&s| s == seed).unwrap();
             counts[family] += 1;
         }
         // Rank-0 dominates; the tail is thin. (Zipf 1.2 over 8 families
@@ -384,7 +399,7 @@ mod tests {
         // Deterministic: same config, same stream.
         let v = generate(&config);
         for (a, b) in w.requests.iter().zip(&v.requests) {
-            assert_eq!(a.affinity_key(), b.affinity_key());
+            assert_eq!(a.plan.affinity_seed(), b.plan.affinity_seed());
             assert_eq!(a.arrival_us, b.arrival_us);
         }
     }
@@ -400,7 +415,7 @@ mod tests {
         });
         let default = generate(&LoadGenConfig::default());
         for (a, b) in uniform.requests.iter().zip(&default.requests) {
-            assert_eq!(a.affinity_key(), b.affinity_key());
+            assert_eq!(a.plan.affinity_seed(), b.plan.affinity_seed());
             assert_eq!(a.arrival_us, b.arrival_us);
             assert_eq!(a.priority, b.priority);
         }
@@ -419,7 +434,7 @@ mod tests {
         for (a, b) in plain.requests.iter().zip(&gated.requests) {
             assert_eq!(a.arrival_us, b.arrival_us);
             assert_eq!(a.priority, b.priority);
-            assert_eq!(a.affinity_key(), b.affinity_key());
+            assert_eq!(a.plan.affinity_seed(), b.plan.affinity_seed());
             assert_eq!(
                 a.state.context.get_ref("item"),
                 b.state.context.get_ref("item")
@@ -435,13 +450,13 @@ mod tests {
             ..LoadGenConfig::default()
         };
         let w = generate(&config);
-        // A duplicate shares (affinity key, item) with an earlier request;
+        // A duplicate shares (affinity seed, item) with an earlier request;
         // count requests whose payload pair appeared before them.
         let mut seen = std::collections::BTreeSet::new();
         let mut duplicates = 0usize;
         for r in &w.requests {
             let item = format!("{:?}", r.state.context.get_ref("item"));
-            let pair = (r.affinity_key(), item);
+            let pair = (r.plan.affinity_seed(), item);
             if !seen.insert(pair) {
                 duplicates += 1;
             }

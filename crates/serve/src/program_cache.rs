@@ -3,7 +3,7 @@
 //! The scheduler compiles each admitted plan to `spear-core`'s bytecode
 //! once per plan fingerprint ([`LoweredPlan::fingerprint`]) and reuses the
 //! `Arc<Program>` for every later admission of the same plan. The
-//! fingerprint hashes every slot, and the affinity key is a pure function
+//! fingerprint hashes every slot, and the affinity seed is a pure function
 //! of the slots, so the fingerprint alone identifies the program.
 //!
 //! Threads that share one cache (the benchmark's `compile_cold` lanes; a

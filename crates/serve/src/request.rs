@@ -46,7 +46,7 @@ pub struct ServeRequest {
     pub priority: Priority,
     /// The lowered plan to execute. Requests sharing a plan share the
     /// `Arc`; affinity routing groups requests by the plan's
-    /// [`LoweredPlan::affinity_key`].
+    /// [`LoweredPlan::affinity_seed`].
     pub plan: Arc<LoweredPlan>,
     /// The request's private execution state (context inputs, etc.).
     pub state: ExecState,
@@ -122,12 +122,6 @@ impl ServeRequest {
     pub fn cancel_handle(&self) -> CancelToken {
         self.cancel.clone()
     }
-
-    /// The affinity group key of this request's plan, if it has one.
-    #[must_use]
-    pub fn affinity_key(&self) -> Option<String> {
-        self.plan.affinity_key()
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +150,7 @@ mod tests {
         assert_eq!(r.deadline_us, Some(5_000));
         assert_eq!(r.est_tokens, 64);
         assert_eq!(r.shared_prefix_tokens, 32);
-        assert!(r.affinity_key().is_some());
+        assert!(r.plan.affinity_seed().is_some());
         let handle = r.cancel_handle();
         handle.cancel();
         assert!(r.cancel.is_cancelled());

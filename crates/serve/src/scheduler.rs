@@ -42,7 +42,7 @@
 //! ## Cache-affinity routing
 //!
 //! With `affinity_routing` on, requests whose lowered plans share an
-//! [`affinity key`](spear_core::plan::LoweredPlan::affinity_key) — i.e.
+//! [`affinity seed`](spear_core::plan::LoweredPlan::affinity_seed) — i.e.
 //! whose prompts share a structured prefix — are mapped to the same cache
 //! owner and the same lane. Same-owner jobs execute sequentially in
 //! arrival order on one thread, so each sees its predecessors' prefix
@@ -101,7 +101,7 @@ pub struct ServeConfig {
     pub lanes: usize,
     /// Maximum requests dispatched per lane per round.
     pub quantum: usize,
-    /// Route same-affinity-key requests to a shared cache owner and lane.
+    /// Route same-affinity-seed requests to a shared cache owner and lane.
     pub affinity_routing: bool,
     /// Admission-control limits.
     pub admission: AdmissionConfig,
@@ -244,18 +244,17 @@ impl ClassAccum {
 }
 
 /// What the scheduler needs to know about a plan. `fingerprint()` walks
-/// the whole plan and `affinity_key()` hashes and formats, and a run
-/// replays a handful of plans thousands of times, so both are derived once
-/// per distinct `Arc<LoweredPlan>` per run.
+/// the whole plan and `affinity_seed()` scans it, and a run replays a
+/// handful of plans thousands of times, so both are derived once per
+/// distinct `Arc<LoweredPlan>` per run.
 struct PlanIdentity {
     /// Held so the address keying the table cannot be reused by another
     /// plan while the run lasts.
     _plan: Arc<LoweredPlan>,
     /// [`LoweredPlan::fingerprint`]: the program-cache and verify-memo key.
     fingerprint: u64,
-    /// [`LoweredPlan::affinity_key`]: the placement group.
-    affinity: Option<String>,
-    affinity_seed: u64,
+    /// [`LoweredPlan::affinity_seed`]: the placement group.
+    affinity_seed: Option<u64>,
 }
 
 #[derive(Default)]
@@ -268,23 +267,21 @@ impl PlanIdentities {
             .or_insert_with(|| PlanIdentity {
                 _plan: Arc::clone(plan),
                 fingerprint: plan.fingerprint(),
-                affinity: plan.affinity_key(),
-                affinity_seed: plan.affinity_seed().unwrap_or_default(),
+                affinity_seed: plan.affinity_seed(),
             })
     }
 }
 
 /// One run's lane and cache-owner placement. With affinity routing on,
-/// every (class, affinity key) pair is one group with one owner and one
-/// hashed lane, however many distinct plans carry the key; everything else
-/// gets a fresh owner and the next lane round-robin.
+/// every (class, affinity seed) pair is one group with one owner and one
+/// hashed lane, however many distinct plans carry the seed; everything
+/// else gets a fresh owner and the next lane round-robin.
 struct Placement {
     owner_base: u64,
     lanes: usize,
     affinity_routing: bool,
-    /// Affinity key -> (owner, lane), one table per priority class so a
-    /// dispatch looks its group up by `&str`.
-    groups: [HashMap<String, (u64, usize)>; Priority::ALL.len()],
+    /// Affinity seed -> (owner, lane), one table per priority class.
+    groups: [HashMap<u64, (u64, usize)>; Priority::ALL.len()],
     next_owner: u64,
     round_robin: usize,
 }
@@ -307,24 +304,25 @@ impl Placement {
         owner
     }
 
-    /// `(owner, lane, grouped)` for a request of `class` running
-    /// `identity`'s plan.
-    fn place(&mut self, identity: &PlanIdentity, class: Priority) -> (u64, usize, bool) {
-        let key = match &identity.affinity {
-            Some(key) if self.affinity_routing => key.as_str(),
+    /// `(owner, lane, group)` for a request of `class` running
+    /// `identity`'s plan; `group` is the affinity seed it was grouped by,
+    /// `None` when it runs under an owner of its own.
+    fn place(&mut self, identity: &PlanIdentity, class: Priority) -> (u64, usize, Option<u64>) {
+        let seed = match identity.affinity_seed {
+            Some(seed) if self.affinity_routing => seed,
             _ => {
                 let lane = self.round_robin % self.lanes;
                 self.round_robin += 1;
-                return (self.fresh_owner(), lane, false);
+                return (self.fresh_owner(), lane, None);
             }
         };
-        if let Some(&(owner, lane)) = self.groups[class as usize].get(key) {
-            return (owner, lane, true);
+        if let Some(&(owner, lane)) = self.groups[class as usize].get(&seed) {
+            return (owner, lane, Some(seed));
         }
-        let lane = (identity.affinity_seed % self.lanes as u64) as usize;
+        let lane = (seed % self.lanes as u64) as usize;
         let owner = self.fresh_owner();
-        self.groups[class as usize].insert(key.to_owned(), (owner, lane));
-        (owner, lane, true)
+        self.groups[class as usize].insert(seed, (owner, lane));
+        (owner, lane, Some(seed))
     }
 }
 
@@ -486,11 +484,10 @@ impl<'a> Lifecycle<'a> {
     /// dispatch order: owner ids and program-cache recency follow it.
     fn job(&mut self, mut request: ServeRequest) -> (AssignedJob, Ticket) {
         let identity = self.plans.of(&request.plan);
-        let (owner, lane, grouped) = self.placement.place(identity, request.priority);
-        let (family_seed, shared_prefix_tokens) = if grouped {
-            (identity.affinity_seed, request.shared_prefix_tokens)
-        } else {
-            (fnv1a(&request.id.to_le_bytes()), 0)
+        let (owner, lane, group) = self.placement.place(identity, request.priority);
+        let (family_seed, shared_prefix_tokens) = match group {
+            Some(seed) => (seed, request.shared_prefix_tokens),
+            None => (fnv1a(&request.id.to_le_bytes()), 0),
         };
         let ticket = Ticket {
             id: request.id,
@@ -1013,16 +1010,17 @@ mod tests {
     }
 
     #[test]
-    fn two_plans_with_one_affinity_key_share_one_owner_per_class() {
+    fn two_plans_with_one_affinity_seed_share_one_owner_per_class() {
         // Same base text, different GEN counts: two plans (two
-        // fingerprints) with one affinity key.
+        // fingerprints) with one affinity seed.
         let (one, two) = (plan(1), plan(2));
         let mut plans = PlanIdentities::default();
         let config = ServeConfig::default();
         let mut placement = Placement::new(100, &config);
         let first = placement.place(plans.of(&one), Priority::Interactive);
         assert_eq!(first.0, 100);
-        assert!(first.2, "keyed plans are grouped");
+        assert_eq!(first.2, one.affinity_seed(), "seeded plans are grouped");
+        assert!(first.2.is_some());
         assert_eq!(
             placement.place(plans.of(&two), Priority::Interactive),
             first
@@ -1044,9 +1042,9 @@ mod tests {
         assert_eq!(
             placed,
             [
-                (100, 0, false),
-                (101, 1 % lanes, false),
-                (102, 2 % lanes, false)
+                (100, 0, None),
+                (101, 1 % lanes, None),
+                (102, 2 % lanes, None)
             ]
         );
     }

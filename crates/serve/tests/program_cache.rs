@@ -316,7 +316,7 @@ fn failed_compiles_are_not_cached() {
     assert_eq!(counters.compiled, 0);
 }
 
-/// Build a view-derived pipeline (so the plan carries an affinity key) over
+/// Build a view-derived pipeline (so the plan carries an affinity seed) over
 /// a family-fixed template prefix and a per-request parameter.
 fn family_plan(template_head: &str, topic: &str, retry: bool) -> (LoweredPlan, ViewCatalog) {
     let views = ViewCatalog::new();
@@ -360,7 +360,15 @@ proptest! {
         retry in any::<bool>(),
     ) {
         let (plan, views) = family_plan(&head, &topic, retry);
-        prop_assert!(plan.affinity_key().is_some(), "view-derived plan must be keyed");
+        let args: BTreeMap<String, Value> = [("topic".to_string(), Value::from(topic.as_str()))]
+            .into_iter()
+            .collect();
+        let family = format!("view:family#{:x}", spear_core::view::param_hash(&args));
+        prop_assert_eq!(
+            plan.affinity_seed(),
+            Some(spear_kv::shard::fnv1a(family.as_bytes())),
+            "view-derived plan must be seeded by its family"
+        );
 
         let run = |cached: bool| -> (String, String) {
             let engine = Arc::new(SimLlm::new(ModelProfile::qwen25_7b_instruct()));

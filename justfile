@@ -30,8 +30,9 @@ bench:
     cargo run --release -p spear-bench --bin table4
     cargo run --release -p spear-bench --bin figure1
 
-# Disassemble representative plans to bytecode listings (instruction
-# stream + constant pool; DESIGN.md §12).
+# List every golden-corpus plan: slots with pool operands and static
+# bounds, constant pool, diagnostics (DESIGN.md §12); equals
+# results/disasm.txt.
 disasm:
     cargo run -p spear-bench --bin disasm
 

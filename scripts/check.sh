@@ -17,10 +17,11 @@ sh scripts/bench_smoke.sh
 # Static-analysis gate: bytecode lints, translation validation, and the
 # verified optimizer's bisimulation check over the golden plan corpus.
 cargo run --release -p spear-bench --bin analyze
-# Reproduction gate: these paper outputs, and the static-analysis report,
-# must match their checked-in results byte for byte (the virtual clock
-# makes the comparison exact; `analyze` prints no host timing).
-for bin in ablation_planner ablation_gen_fusion analyze; do
+# Reproduction gate: these paper outputs, the static-analysis report and
+# the corpus listings must match their checked-in results byte for byte
+# (the virtual clock makes the comparison exact; `analyze` and `disasm`
+# print no host timing).
+for bin in ablation_planner ablation_gen_fusion analyze disasm; do
     cargo run --release -q -p spear-bench --bin "$bin" | cmp - "results/$bin.txt"
 done
 # ... and so must the SPEAR-DL tour: error text, compile, verify, execute.

@@ -47,6 +47,20 @@ fn malformed_line_mid_file_reports_its_line_number() {
 }
 
 #[test]
+fn a_hostile_nesting_depth_is_a_parse_error_not_a_stack_overflow() {
+    let jsonl = sample_trace().to_jsonl().unwrap();
+    let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    let corrupted = format!("{}\n{deep}", jsonl.lines().next().unwrap());
+    match Trace::from_jsonl(&corrupted).expect_err("an over-deep line must fail") {
+        SpearError::TraceParse { line, reason } => {
+            assert_eq!(line, 2, "the deep line is line 2");
+            assert!(reason.contains("recursion limit exceeded"), "{reason}");
+        }
+        other => panic!("expected TraceParse, got {other:?}"),
+    }
+}
+
+#[test]
 fn trailing_garbage_after_a_valid_object_is_rejected() {
     let jsonl = sample_trace().to_jsonl().unwrap();
     let mut lines: Vec<String> = jsonl.lines().map(str::to_string).collect();
