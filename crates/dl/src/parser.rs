@@ -19,10 +19,12 @@ use crate::compile::Compiled;
 use crate::error::{DlError, Result};
 use crate::lexer::{Pos, Tok, Token};
 
-/// How deep a program may nest: every CHECK, ELSE, CASE and DEFAULT body
-/// and every `!` or parenthesised condition is one level. The parser
-/// recurses once per level, so the bound is what keeps a hostile program
-/// from overflowing the stack; hand-written programs nest a few levels.
+/// How deep a program may nest: every CHECK, ELSE, CASE and DEFAULT body,
+/// every `!` or parenthesised condition, and every CASE of a SWITCH after
+/// its first (it lowers into the previous CASE's ELSE) is one level. The
+/// parser and every pass over the lowered pipeline recurse once per
+/// level, so the bound is what keeps a hostile program from overflowing
+/// the stack; hand-written programs nest a few levels.
 pub const MAX_DEPTH: usize = 64;
 
 /// The largest `RETRY … MAX n`. Each retry unrolls into a CHECK holding a
@@ -176,13 +178,20 @@ impl Parser {
     /// Run `parse` one nesting level deeper, or fail at the current token
     /// if that would exceed [`MAX_DEPTH`].
     fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.open_level()?;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Open one nesting level for the caller to close, or fail at the
+    /// current token if that would exceed [`MAX_DEPTH`].
+    fn open_level(&mut self) -> Result<()> {
         if self.depth == MAX_DEPTH {
             return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
         }
         self.depth += 1;
-        let out = parse(self);
-        self.depth -= 1;
-        out
+        Ok(())
     }
 
     // -----------------------------------------------------------------
@@ -651,19 +660,37 @@ impl Parser {
         Ok(ops.map_prompts(&keys, &refiner, args, mode))
     }
 
-    /// `SWITCH { CASE cond { .. } ... [DEFAULT { .. }] }`
+    /// `SWITCH { CASE cond { .. } ... [DEFAULT { .. }] }`. It lowers to
+    /// one CHECK per CASE, each in the previous CASE's ELSE, and DEFAULT
+    /// in the last ELSE, so it is charged the nesting it lowers to: every
+    /// CASE after the first opens one more level, held to the end of the
+    /// SWITCH, and DEFAULT, which lands innermost, must come last.
     fn stmt_switch(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         self.expect_kw("SWITCH")?;
         self.expect(&Tok::LBrace)?;
+        let outer = self.depth;
+        let out = self.switch_arms(ops);
+        self.depth = outer;
+        out
+    }
+
+    /// A SWITCH's CASEs and DEFAULT, through its closing `}`.
+    fn switch_arms(&mut self, ops: PipelineBuilder) -> Result<PipelineBuilder> {
         let mut cases = Vec::new();
         let mut default = Vec::new();
         loop {
             if self.eat_kw("CASE") {
+                if !cases.is_empty() {
+                    self.open_level()?;
+                }
                 let cond = self.cond()?;
                 let body = self.body()?;
                 cases.push((cond, body));
             } else if self.eat_kw("DEFAULT") {
                 default = self.body()?;
+                if self.peek().tok != Tok::RBrace {
+                    return Err(self.err("DEFAULT must be the last arm of a SWITCH"));
+                }
             } else if self.peek().tok == Tok::RBrace {
                 self.advance();
                 break;
@@ -1168,11 +1195,63 @@ mod tests {
                 close.repeat(n)
             )
         };
+        // A SWITCH of n CASEs lowers to n nested CHECKs.
+        let switch_stmt = |n: usize| format!("SWITCH {{ {}}}", "CASE TRUE { } ".repeat(n));
+        let switch = |n: usize| format!("PIPELINE p {{ {} }}", switch_stmt(n));
         for n in [MAX_DEPTH, MAX_DEPTH + 1] {
             let fits = n <= MAX_DEPTH;
             assert_eq!(compile(&checks(n)).is_ok(), fits, "{n} CHECKs");
             assert_eq!(compile(&cond("(", ")", n)).is_ok(), fits, "{n} parens");
             assert_eq!(compile(&cond("!", "", n)).is_ok(), fits, "{n} bangs");
+            assert_eq!(compile(&switch(n)).is_ok(), fits, "{n} CASEs");
         }
+        let deepest = |ops: &[Op]| {
+            let mut depth = 0;
+            let mut level = ops;
+            while let Some(Op::Check { else_ops, .. }) = level.first() {
+                depth += 1;
+                level = else_ops;
+            }
+            depth
+        };
+        let compiled = compile(&switch(MAX_DEPTH)).unwrap();
+        assert_eq!(deepest(&compiled.pipelines[0].ops), MAX_DEPTH);
+        // A SWITCH nested at the bound has no level left for its CASEs,
+        // nor does a CASE past the bound in a SWITCH at depth one.
+        let inside = |n: usize, cases: usize| {
+            format!(
+                "PIPELINE p {{ {}{} {}}}",
+                "CHECK TRUE { ".repeat(n),
+                switch_stmt(cases),
+                "} ".repeat(n)
+            )
+        };
+        for (n, cases, fits) in [
+            (MAX_DEPTH - 1, 1, true),
+            (MAX_DEPTH, 1, false),
+            (1, MAX_DEPTH - 1, true),
+            (1, MAX_DEPTH, false),
+        ] {
+            assert_eq!(
+                compile(&inside(n, cases)).is_ok(),
+                fits,
+                "{cases} CASEs inside {n} CHECKs"
+            );
+        }
+        // A SWITCH far too long for the stack gets the positioned error,
+        // and so does a CASE after DEFAULT, which would land below it.
+        let err = compile(&switch(100_000)).unwrap_err().to_string();
+        assert!(
+            err.contains("error at 1:")
+                && err.contains(&format!("nesting deeper than {MAX_DEPTH} levels")),
+            "{err}"
+        );
+        let err = compile("PIPELINE p { SWITCH { DEFAULT { } CASE TRUE { } } }")
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("DEFAULT must be the last arm of a SWITCH"),
+            "{err}"
+        );
     }
 }

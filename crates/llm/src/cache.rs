@@ -14,7 +14,9 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use parking_lot::Mutex;
+use std::collections::HashMap;
+
+use parking_lot::{Mutex, RwLock};
 use spear_kv::shard::{fnv1a_extend, FNV1A_OFFSET};
 
 use crate::tokenizer::Token;
@@ -75,8 +77,9 @@ pub const DEFAULT_BLOCK_SIZE: usize = 16;
 /// Default shard count for [`StripedPrefixCache`].
 pub const DEFAULT_NUM_SHARDS: usize = 16;
 
-/// Owner tag for blocks visible to every pipeline instance (pre-warmed
-/// prefixes and all ambient single-threaded inserts).
+/// Owner tag for blocks visible to every pipeline instance (all ambient
+/// single-threaded inserts; pre-warmed prefixes, kept in the
+/// [`StripedPrefixCache`]'s warm tier, are shared the same way).
 pub const SHARED_OWNER: u64 = 0;
 
 /// Prefix-cache hit/miss/eviction counters.
@@ -150,11 +153,26 @@ impl CacheStats {
     }
 }
 
+/// The matched head of a chain: its last node ([`ROOT`] when empty) and
+/// its length in blocks. A walk that stopped there resumes from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Matched {
+    node: u64,
+    blocks: usize,
+}
+
+impl Matched {
+    const NONE: Self = Self {
+        node: ROOT,
+        blocks: 0,
+    };
+}
+
 /// The prefix cache. Not internally synchronized — the engine wraps it in a
 /// mutex (one cache per simulated GPU).
 ///
 /// Blocks are tagged with the owner that inserted them ([`SHARED_OWNER`]
-/// for ambient/warm inserts): a block inserted by owner A is invisible to
+/// for ambient inserts): a block inserted by owner A is invisible to
 /// owner B, which is what makes per-pipeline hit counts independent of
 /// concurrent interleaving.
 #[derive(Debug)]
@@ -203,13 +221,24 @@ impl PrefixCache {
     /// the trailing partial block included, which only the stats read.
     /// Touches the matched path (LRU refresh).
     pub fn lookup(&mut self, block_hashes: &[u64], total_tokens: usize, owner: u64) -> usize {
-        debug_assert!(block_hashes.len() * self.block_size <= total_tokens);
-        self.tick += 1;
-        self.stats.lookups += 1;
-        self.stats.lookup_tokens += total_tokens as u64;
-        let mut parent = ROOT;
-        let mut matched_blocks = 0usize;
-        for &hash in block_hashes {
+        self.lookup_from(Matched::NONE, block_hashes, total_tokens, owner)
+    }
+
+    /// [`Self::lookup`] of a chain whose first `from.blocks` blocks were
+    /// matched outside this cache (in the warm tier), ending at
+    /// `from.node`: they count as hits, and the walk resumes under
+    /// `from.node`.
+    pub(crate) fn lookup_from(
+        &mut self,
+        from: Matched,
+        block_hashes: &[u64],
+        total_tokens: usize,
+        owner: u64,
+    ) -> usize {
+        self.count_lookup(block_hashes, total_tokens);
+        let mut parent = from.node;
+        let mut matched_blocks = from.blocks;
+        for &hash in &block_hashes[from.blocks..] {
             let Some(id) = self.visible(parent, hash, owner) else {
                 break;
             };
@@ -222,9 +251,7 @@ impl PrefixCache {
             parent = id;
             matched_blocks += 1;
         }
-        let hit = matched_blocks * self.block_size;
-        self.stats.hit_tokens += hit as u64;
-        hit
+        self.count_hit(matched_blocks)
     }
 
     /// Register the blocks whose content hashes are `block_hashes` (see
@@ -233,35 +260,84 @@ impl PrefixCache {
     /// blocks are tagged with the owner and stay invisible to every other
     /// owner.
     pub fn insert(&mut self, block_hashes: &[u64], owner: u64) {
+        self.insert_from(Matched::NONE, block_hashes, owner);
+    }
+
+    /// [`Self::insert`] resuming at `from`, as [`Self::lookup_from`] does.
+    pub(crate) fn insert_from(&mut self, from: Matched, block_hashes: &[u64], owner: u64) {
         self.tick += 1;
-        let mut parent = ROOT;
-        for &hash in block_hashes {
-            parent = match self.visible(parent, hash, owner) {
-                Some(id) => {
-                    if let Some(node) = self.tree.nodes.get_mut(&id) {
-                        let before = std::mem::replace(&mut node.last_used, self.tick);
-                        if node.children == 0 {
-                            self.tree.evictable.remove(before, id);
-                        }
-                    }
-                    id
+        self.extend(from, block_hashes, owner);
+    }
+
+    /// [`Self::lookup_from`] followed by [`Self::insert_from`], in one
+    /// walk: the same two ticks, touches, evictions and stats. The
+    /// lookup's touches are all overwritten by the insert's, which
+    /// re-walks the very blocks the lookup matched, so only the insert's
+    /// pass is made.
+    pub(crate) fn lookup_insert(
+        &mut self,
+        from: Matched,
+        block_hashes: &[u64],
+        total_tokens: usize,
+        owner: u64,
+    ) -> usize {
+        self.count_lookup(block_hashes, total_tokens);
+        self.tick += 1;
+        let matched_blocks = self.extend(from, block_hashes, owner);
+        self.count_hit(matched_blocks)
+    }
+
+    /// The tick and stats every lookup starts with.
+    fn count_lookup(&mut self, block_hashes: &[u64], total_tokens: usize) {
+        debug_assert!(block_hashes.len() * self.block_size <= total_tokens);
+        self.tick += 1;
+        self.stats.lookups += 1;
+        self.stats.lookup_tokens += total_tokens as u64;
+    }
+
+    /// Count `matched_blocks` as the lookup's hit and return it in tokens.
+    fn count_hit(&mut self, matched_blocks: usize) -> usize {
+        let hit = matched_blocks * self.block_size;
+        self.stats.hit_tokens += hit as u64;
+        hit
+    }
+
+    /// The insert walk at the current tick: stamp the blocks `owner`
+    /// already sees from `from` on, then add the rest of the chain.
+    /// Returns how many of the chain's blocks were visible before it,
+    /// `from.blocks` included.
+    fn extend(&mut self, from: Matched, block_hashes: &[u64], owner: u64) -> usize {
+        let mut parent = from.node;
+        let mut matched_blocks = from.blocks;
+        while let Some(id) = block_hashes
+            .get(matched_blocks)
+            .and_then(|&hash| self.visible(parent, hash, owner))
+        {
+            if let Some(node) = self.tree.nodes.get_mut(&id) {
+                let before = std::mem::replace(&mut node.last_used, self.tick);
+                if node.children == 0 {
+                    self.tree.evictable.remove(before, id);
                 }
-                None => {
-                    self.evict_to_fit();
-                    if self.tree.len() >= self.capacity_blocks {
-                        // Nothing evictable (every resident block is on the
-                        // chain being inserted right now). Inserting anyway
-                        // would either breach capacity or — worse, the old
-                        // behaviour — evict this chain's own freshly
-                        // inserted ancestor, leaving an unreachable child
-                        // whose eviction could never be accounted. Stop
-                        // here; the remaining suffix is simply not cached.
-                        break;
-                    }
-                    self.stats.inserted_blocks += 1;
-                    self.tree.insert(parent, hash, owner, 0, self.tick)
-                }
-            };
+            }
+            parent = id;
+            matched_blocks += 1;
+        }
+        // A block just added has no children, so nothing past the first
+        // miss can be visible: the rest of the chain is new.
+        for &hash in &block_hashes[matched_blocks..] {
+            self.evict_to_fit();
+            if self.tree.len() >= self.capacity_blocks {
+                // Nothing evictable (every resident block is on the
+                // chain being inserted right now). Inserting anyway would
+                // either breach capacity or — worse, the old behaviour —
+                // evict this chain's own freshly inserted ancestor,
+                // leaving an unreachable child whose eviction could never
+                // be accounted. Stop here; the remaining suffix is simply
+                // not cached.
+                break;
+            }
+            self.stats.inserted_blocks += 1;
+            parent = self.tree.insert(parent, hash, owner, 0, self.tick);
         }
         // Every block of the chain but its last now has a child.
         if self
@@ -272,6 +348,7 @@ impl PrefixCache {
         {
             self.tree.evictable.insert(self.tick, parent);
         }
+        matched_blocks
     }
 
     /// Evict LRU leaves until there is room for one more block, taking
@@ -326,45 +403,102 @@ impl PrefixCache {
     }
 }
 
-/// A lock-striped prefix cache: the radix tree is sharded by the hash of a
+/// Set in every warm-tier block id and in no shard tree's: those count
+/// up from 1, so a live block can hang under a warm one.
+const WARM_ID: u64 = 1 << 63;
+
+/// The blocks [`StripedPrefixCache::warm`] inserted, keyed `(parent,
+/// hash)`. They are shared with every owner, pinned (never evicted, never
+/// touched, outside every shard's capacity), and change only under
+/// `warm` and `clear`, so a lookup walks them under a read guard without
+/// taking a shard lock.
+#[derive(Debug, Default)]
+struct WarmTier {
+    index: HashMap<(u64, u64), u64>,
+    /// Blocks ever inserted; the last one's id is `WARM_ID | inserted`.
+    inserted: u64,
+    /// Blocks dropped by `clear`.
+    freed: u64,
+}
+
+impl WarmTier {
+    /// How far `block_hashes` runs along warm blocks from the root.
+    fn walk(&self, block_hashes: &[u64]) -> Matched {
+        let mut at = Matched::NONE;
+        for &hash in block_hashes {
+            let Some(&id) = self.index.get(&(at.node, hash)) else {
+                break;
+            };
+            at = Matched {
+                node: id,
+                blocks: at.blocks + 1,
+            };
+        }
+        at
+    }
+
+    /// Add `block_hashes` as a warm chain under `parent`.
+    fn extend(&mut self, mut parent: u64, block_hashes: &[u64]) {
+        for &hash in block_hashes {
+            self.inserted += 1;
+            let id = WARM_ID | self.inserted;
+            self.index.insert((parent, hash), id);
+            parent = id;
+        }
+    }
+}
+
+/// A lock-striped prefix cache over a frozen warm tier.
+///
+/// The blocks [`Self::warm`] inserts form one immutable tier, read by
+/// every lookup under a read guard: pre-warmed prefixes are the blocks
+/// nearly every request of a run shares, and reading them takes no lock
+/// any other request waits on, touches no recency, and is never evicted.
+/// Everything else lives in the radix tree, sharded by the hash of a
 /// stream's **first block**, each shard behind its own mutex, so
 /// concurrent GEN calls touching unrelated prompt families never contend
-/// on one global lock.
+/// on one global lock. A lookup walks the warm tier as far as it reaches
+/// and continues in the one shard, in one pass that matches and then
+/// inserts.
 ///
 /// Sharding by first-block hash is correctness-preserving: block `k`'s
 /// radix key chains from block 0 via parent ids, so any two streams that
 /// share even a one-block prefix hash to the same shard, and every radix
-/// path lives entirely within one shard. Streams shorter than one block
-/// have nothing cacheable and route to shard 0 (their lookups still count
-/// toward stats).
+/// path lives entirely within one shard (below its warm head, if any).
+/// Streams shorter than one block have nothing cacheable and route to
+/// shard 0 (their lookups still count toward stats).
 ///
 /// ## Determinism contract
 ///
 /// Combined with owner tagging ([`PrefixCache::lookup`] /
-/// [`PrefixCache::insert`]): as long as (a) shared blocks are only
-/// inserted while no owned work is in flight (warm-up), and (b) each
-/// owner's requests execute in program order, the hit count every request
+/// [`PrefixCache::insert`]): as long as (a) blocks are only warmed while
+/// no owned work is in flight (between runs), and (b) each owner's
+/// requests execute in program order, the hit count every request
 /// observes is a pure function of the warm set and that owner's own
-/// history — independent of thread count and interleaving. Eviction is
-/// the one escape hatch: a cache under capacity pressure evicts in
+/// history — independent of thread count and interleaving. Warm blocks
+/// are pinned, so they never take part in it. Eviction of live blocks is
+/// the one escape hatch: a shard under capacity pressure evicts in
 /// LRU-touch order, which *is* interleaving-dependent, so deterministic
-/// runs should size `capacity_blocks` above the working set — per shard:
-/// the engine's default 64Ki blocks (≈ 1M tokens) is 4Ki blocks in each of
-/// its 16 shards.
+/// runs should size `capacity_blocks` above the live working set — per
+/// shard: the engine's default 64Ki blocks (≈ 1M tokens) is 4Ki blocks in
+/// each of its 16 shards.
 #[derive(Debug)]
 pub struct StripedPrefixCache {
+    warm: RwLock<WarmTier>,
     shards: Vec<Mutex<PrefixCache>>,
     block_size: usize,
 }
 
 impl StripedPrefixCache {
     /// A striped cache of `num_shards` shards, each holding up to
-    /// `capacity_blocks / num_shards` blocks (rounded up, minimum 1).
+    /// `capacity_blocks / num_shards` live blocks (rounded up, minimum 1);
+    /// warm blocks come on top.
     #[must_use]
     pub fn new(block_size: usize, capacity_blocks: usize, num_shards: usize) -> Self {
         let num_shards = num_shards.max(1);
         let per_shard = capacity_blocks.div_ceil(num_shards).max(1);
         Self {
+            warm: RwLock::new(WarmTier::default()),
             shards: (0..num_shards)
                 .map(|_| Mutex::new(PrefixCache::new(block_size, per_shard)))
                 .collect(),
@@ -379,8 +513,9 @@ impl StripedPrefixCache {
         &self.shards[index]
     }
 
-    /// Atomic lookup-then-insert on behalf of `owner` under a single
-    /// shard lock — the engine's per-request fast path. The caller
+    /// Atomic lookup-then-insert on behalf of `owner` — the engine's
+    /// per-request fast path: the warm tier under a read guard, then the
+    /// rest of the chain in one walk under a single shard lock. The caller
     /// supplies the stream's full-block content hashes (from
     /// [`BlockHasher`], or a memoized hash chain) plus its total token
     /// count, as [`PrefixCache::lookup`] takes them.
@@ -390,24 +525,52 @@ impl StripedPrefixCache {
         total_tokens: usize,
         owner: u64,
     ) -> usize {
-        let mut shard = self.shard_for(block_hashes).lock();
-        let hit = shard.lookup(block_hashes, total_tokens, owner);
-        shard.insert(block_hashes, owner);
-        hit
+        // Held through the shard walk, so no `clear` can drop the warm
+        // head the live chain continues from.
+        let warm = self.warm.read();
+        let from = warm.walk(block_hashes);
+        self.shard_for(block_hashes)
+            .lock()
+            .lookup_insert(from, block_hashes, total_tokens, owner)
     }
 
-    /// Insert `tokens`' full blocks as shared/pre-warmed blocks, visible
-    /// to every owner.
+    /// Insert `tokens`' full blocks as shared blocks, visible to every
+    /// owner and pinned in the warm tier.
     pub fn warm(&self, tokens: &[Token]) {
         let mut hashes = Vec::with_capacity(tokens.len() / self.block_size);
         BlockHasher::new(self.block_size).push_all(tokens, &mut hashes);
-        self.shard_for(&hashes).lock().insert(&hashes, SHARED_OWNER);
+        self.warm_hashed(&hashes);
     }
 
-    /// Aggregate statistics across all shards.
+    /// [`Self::warm`] of a stream's full-block content hashes.
+    fn warm_hashed(&self, block_hashes: &[u64]) {
+        let mut warm = self.warm.write();
+        let from = warm.walk(block_hashes);
+        let Some(&hash) = block_hashes.get(from.blocks) else {
+            return;
+        };
+        let mut shard = self.shard_for(block_hashes).lock();
+        if shard.tree.find(from.node, hash, SHARED_OWNER).is_some() {
+            // A live shared block (an ambient insert) already continues
+            // the warm head: extend that chain live, so none of its
+            // blocks is cut off from the lookups that reach it.
+            shard.insert_from(from, block_hashes, SHARED_OWNER);
+        } else {
+            warm.extend(from.node, &block_hashes[from.blocks..]);
+        }
+    }
+
+    /// Aggregate statistics across the warm tier and all shards.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
+        let mut total = {
+            let warm = self.warm.read();
+            CacheStats {
+                inserted_blocks: warm.inserted,
+                freed_blocks: warm.freed,
+                ..CacheStats::default()
+            }
+        };
         for shard in &self.shards {
             let s = shard.lock().stats();
             total.lookups += s.lookups;
@@ -420,14 +583,22 @@ impl StripedPrefixCache {
         total
     }
 
-    /// Total resident blocks across shards.
+    /// Total resident blocks, warm and live.
     #[must_use]
     pub fn len_blocks(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len_blocks()).sum()
+        let warm = self.warm.read().index.len();
+        warm + self
+            .shards
+            .iter()
+            .map(|s| s.lock().len_blocks())
+            .sum::<usize>()
     }
 
-    /// Drop all blocks in every shard (statistics are retained).
+    /// Drop all blocks, warm and live (statistics are retained).
     pub fn clear(&self) {
+        let mut warm = self.warm.write();
+        warm.freed += warm.index.len() as u64;
+        warm.index.clear();
         for shard in &self.shards {
             shard.lock().clear();
         }
@@ -461,16 +632,22 @@ mod tests {
         c.insert(&hashes(tokens, c.block_size()), owner);
     }
 
-    /// A lookup in the shard a token stream routes to, without insert.
+    /// A lookup through the warm tier and the shard a token stream routes
+    /// to, without insert.
     fn striped_lookup(c: &StripedPrefixCache, tokens: &[Token], owner: u64) -> usize {
         let h = hashes(tokens, c.block_size);
-        c.shard_for(&h).lock().lookup(&h, tokens.len(), owner)
+        let from = c.warm.read().walk(&h);
+        c.shard_for(&h)
+            .lock()
+            .lookup_from(from, &h, tokens.len(), owner)
     }
 
-    /// An insert into the shard a token stream routes to, without lookup.
+    /// An insert through the warm tier into the shard a token stream
+    /// routes to, without lookup.
     fn striped_insert(c: &StripedPrefixCache, tokens: &[Token], owner: u64) {
         let h = hashes(tokens, c.block_size);
-        c.shard_for(&h).lock().insert(&h, owner);
+        let from = c.warm.read().walk(&h);
+        c.shard_for(&h).lock().insert_from(from, &h, owner);
     }
 
     /// [`StripedPrefixCache::lookup_insert_hashed`] of a token stream.
@@ -974,6 +1151,112 @@ mod tests {
             let stats = striped.stats();
             assert!(stats.evicted_blocks > 1000, "churn must evict: {stats:?}");
             assert!(stats.freed_blocks > 0, "churn must clear: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn the_warm_tier_matches_the_scan_reference_with_warms_between_steps() {
+        use super::naive::NaivePrefixCache;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // The churn above with family chains warmed between steps. The
+        // reference holds warm blocks as pinned shared nodes, so its live
+        // blocks must equal the shards' and its pinned ones the warm tier.
+        // Owner 0 is SHARED_OWNER: its inserts are live shared chains, and
+        // a warm that lands on one must extend it live.
+        for (shards, capacity) in [(1usize, 40usize), (16, 160)] {
+            let striped = StripedPrefixCache::new(4, capacity, shards);
+            let per_shard = capacity.div_ceil(shards);
+            let mut naive: Vec<NaivePrefixCache> = (0..shards)
+                .map(|_| NaivePrefixCache::new(4, per_shard))
+                .collect();
+            let mut warm_ids = 0u64;
+            let mut live_warms = 0usize;
+            let mut rng = SmallRng::seed_from_u64(0x3A7E + shards as u64);
+            for step in 0..3000 {
+                let fam = rng.gen_range(0..40u64);
+                let variant = rng.gen_range(0..3u64);
+                let len = rng.gen_range(1..14usize);
+                let owner = rng.gen_range(0..3u64);
+                let chain: Vec<u64> = (0..len)
+                    .map(|i| {
+                        let tail = if i < 3 { 0 } else { variant + 1 };
+                        (fam + 1) * 1_000_003 + tail * 1_009 + i as u64
+                    })
+                    .collect();
+                let tokens = len * 4 + 2;
+                let shard = (chain[0] % shards as u64) as usize;
+                match rng.gen_range(0..20u8) {
+                    0 => {
+                        striped.clear();
+                        naive.iter_mut().for_each(NaivePrefixCache::clear);
+                    }
+                    1 => {
+                        striped.warm_hashed(&chain);
+                        let live = naive[shard].warm_for_hashed(&chain, || {
+                            warm_ids += 1;
+                            WARM_ID | warm_ids
+                        });
+                        live_warms += usize::from(live);
+                    }
+                    2..=6 => {
+                        let from = striped.warm.read().walk(&chain);
+                        let got = striped.shards[shard]
+                            .lock()
+                            .lookup_from(from, &chain, tokens, owner);
+                        let want = naive[shard].lookup_for_hashed(&chain, tokens, owner);
+                        assert_eq!(got, want, "step {step}: lookup hit");
+                    }
+                    _ => {
+                        let got = striped.lookup_insert_hashed(&chain, tokens, owner);
+                        let want = naive[shard].lookup_for_hashed(&chain, tokens, owner);
+                        naive[shard].insert_for_hashed(&chain, owner);
+                        assert_eq!(got, want, "step {step}: lookup_insert hit");
+                    }
+                }
+                let mut pinned = HashMap::new();
+                for (i, reference) in naive.iter().enumerate() {
+                    let live = |id: &u64| reference.nodes[id].refs == 0;
+                    let index: HashMap<_, _> = reference
+                        .index
+                        .iter()
+                        .filter(|(_, id)| live(id))
+                        .map(|(&key, &id)| (key, id))
+                        .collect();
+                    let nodes: HashMap<_, _> = reference
+                        .nodes
+                        .iter()
+                        .filter(|(id, _)| live(id))
+                        .map(|(&id, node)| (id, node.clone()))
+                        .collect();
+                    pinned.extend(
+                        reference
+                            .index
+                            .iter()
+                            .filter(|(_, id)| !live(id))
+                            .map(|(&(parent, hash, _), &id)| ((parent, hash), id)),
+                    );
+                    let cache = striped.shards[i].lock();
+                    let context = format!("{shards} shards, step {step}, shard {i}");
+                    assert_eq!(cache.stats, reference.stats, "{context}: stats");
+                    assert_eq!(cache.tree.index, index, "{context}: resident set");
+                    assert_eq!(cache.tree.nodes, nodes, "{context}: nodes");
+                    assert_leaves_indexed(&cache, &context);
+                }
+                assert_eq!(striped.warm.read().index, pinned, "step {step}: warm tier");
+                assert_eq!(
+                    striped.stats().implied_live_blocks(),
+                    striped.len_blocks() as u64,
+                    "step {step}: reconciliation"
+                );
+            }
+            let stats = striped.stats();
+            assert!(stats.evicted_blocks > 1000, "churn must evict: {stats:?}");
+            assert!(stats.freed_blocks > 0, "churn must clear: {stats:?}");
+            assert!(
+                warm_ids > 0 && live_warms > 0,
+                "{warm_ids} warm, {live_warms} live"
+            );
         }
     }
 

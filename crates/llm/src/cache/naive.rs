@@ -3,6 +3,8 @@
 //! test compares against: every eviction scans all blocks for the least
 //! recently used leaf not touched at the current tick (ties, which the
 //! scan used to leave to map iteration order, go to the smaller id).
+//! Warm blocks are ordinary shared nodes here, pinned by `refs = 1`: never
+//! evicted, outside the capacity and the stats.
 
 use std::collections::HashMap;
 
@@ -42,6 +44,53 @@ impl NaivePrefixCache {
             }
         }
         None
+    }
+
+    /// Resident blocks that count against the capacity: all but the
+    /// pinned warm ones.
+    fn live_len(&self) -> usize {
+        self.nodes.values().filter(|n| n.refs == 0).count()
+    }
+
+    /// Warm `block_hashes` as pinned shared blocks, taking their ids from
+    /// `next_warm_id`. Where a live shared block already continues the
+    /// pinned head, the whole chain is an ordinary shared insert instead;
+    /// returns whether that happened.
+    pub(super) fn warm_for_hashed(
+        &mut self,
+        block_hashes: &[u64],
+        mut next_warm_id: impl FnMut() -> u64,
+    ) -> bool {
+        let mut parent = ROOT;
+        for (i, &hash) in block_hashes.iter().enumerate() {
+            match self.index.get(&(parent, hash, SHARED_OWNER)) {
+                Some(&id) if self.nodes[&id].refs > 0 => parent = id,
+                Some(_) => {
+                    self.insert_for_hashed(block_hashes, SHARED_OWNER);
+                    return true;
+                }
+                None => {
+                    for &hash in &block_hashes[i..] {
+                        let id = next_warm_id();
+                        self.index.insert((parent, hash, SHARED_OWNER), id);
+                        self.nodes.insert(
+                            id,
+                            Node {
+                                parent,
+                                hash,
+                                owner: SHARED_OWNER,
+                                children: 0,
+                                refs: 1,
+                                last_used: 0,
+                            },
+                        );
+                        parent = id;
+                    }
+                    return false;
+                }
+            }
+        }
+        false
     }
 
     pub(super) fn lookup_for_hashed(
@@ -85,7 +134,7 @@ impl NaivePrefixCache {
                 }
                 None => {
                     self.evict_to_fit();
-                    if self.nodes.len() >= self.capacity_blocks {
+                    if self.live_len() >= self.capacity_blocks {
                         break;
                     }
                     let id = self.next_id;
@@ -116,11 +165,11 @@ impl NaivePrefixCache {
     }
 
     fn evict_to_fit(&mut self) {
-        while self.nodes.len() >= self.capacity_blocks {
+        while self.live_len() >= self.capacity_blocks {
             let victim = self
                 .nodes
                 .iter()
-                .filter(|(_, n)| n.children == 0 && n.last_used != self.tick)
+                .filter(|(_, n)| n.children == 0 && n.refs == 0 && n.last_used != self.tick)
                 .min_by_key(|(&id, n)| (n.last_used, id))
                 .map(|(&id, _)| id);
             let Some(id) = victim else {
@@ -138,7 +187,7 @@ impl NaivePrefixCache {
     }
 
     pub(super) fn clear(&mut self) {
-        self.stats.freed_blocks += self.nodes.len() as u64;
+        self.stats.freed_blocks += self.live_len() as u64;
         self.index.clear();
         self.nodes.clear();
     }

@@ -148,7 +148,10 @@ impl SimLlm {
 
     /// Pre-register a prompt's blocks, simulating a prior pipeline run that
     /// left the view's rendered prefix resident (Table 3's setting: the
-    /// base view V had already executed).
+    /// base view V had already executed). The blocks go to the cache's
+    /// warm tier: shared with every owner, pinned outside the capacity,
+    /// and read by every GEN without a shard lock. Warm between runs, not
+    /// while owned work is in flight (the cache's determinism contract).
     pub fn warm(&self, text: &str) {
         if self.config.cache_enabled {
             let tokens = self.tokenizer.encode(text);

@@ -1,6 +1,6 @@
-//! Allocations on the caches' hot paths: a prefix-cache hit, a KV
-//! block-pool lease over a resident chain, a token-interner hit and a
-//! generation-memo hit.
+//! Allocations on the caches' hot paths: a prefix-cache hit (in a shard
+//! alone, and through the warm tier into a shard), a KV block-pool lease
+//! over a resident chain, a token-interner hit and a generation-memo hit.
 //!
 //! Every GEN goes through `StripedPrefixCache::lookup_insert_hashed` and
 //! asks the interner for its prompt family's chain, a repeated GEN hits the
@@ -17,7 +17,8 @@ use std::sync::Arc;
 
 use spear_core::llm::FinishReason;
 use spear_llm::{
-    BlockPool, GenMemo, InternedChain, Lookup, MemoEntry, StripedPrefixCache, Token, TokenInterner,
+    BlockHasher, BlockPool, GenMemo, InternedChain, Lookup, MemoEntry, StripedPrefixCache, Token,
+    TokenInterner,
 };
 
 thread_local! {
@@ -76,6 +77,28 @@ fn a_resident_chain_hits_the_prefix_cache_without_allocating() {
         let n = allocs(|| hit = cache.lookup_insert_hashed(&chain, tokens, 1));
         assert_eq!(hit, chain.len() * 16, "the whole chain is resident");
         assert_eq!(n, 0, "a resident hit made {n} allocations");
+    }
+}
+
+#[test]
+fn a_warmed_prefix_with_a_resident_suffix_hits_without_allocating() {
+    // Sixteen warmed blocks, then sixteen private ones the first call
+    // inserts: every later call walks the warm tier, then the shard.
+    let cache = StripedPrefixCache::new(16, 4096, 4);
+    let tokens: Vec<Token> = (0..32 * 16 + 5).map(Token).collect();
+    cache.warm(&tokens[..16 * 16]);
+    let mut chain = Vec::new();
+    BlockHasher::new(16).push_all(&tokens, &mut chain);
+    assert_eq!(
+        cache.lookup_insert_hashed(&chain, tokens.len(), 1),
+        16 * 16,
+        "the warmed prefix hits"
+    );
+    for _ in 0..3 {
+        let mut hit = 0;
+        let n = allocs(|| hit = cache.lookup_insert_hashed(&chain, tokens.len(), 1));
+        assert_eq!(hit, chain.len() * 16, "the whole chain is resident");
+        assert_eq!(n, 0, "a warm-then-shard hit made {n} allocations");
     }
 }
 

@@ -5,8 +5,16 @@
 # checkout, then runs PAIRS pairs at seeds 1..PAIRS, REV first at odd seeds
 # and second at even ones, every run `--seconds 10 --trace 0`. Prints every
 # result line as it arrives, then per end-to-end metric the median [Q1, Q3]
-# of each side, the ratio of the medians (change / parent) and how many
-# pairs the change won and tied, "better" read from BENCHMARK.json.
+# of each side, the ratio of the medians (change / parent), how many pairs
+# the change won and tied, and a verdict, with "better" and "bound" read
+# from BENCHMARK.json:
+#   gain        the change won at least 9 in 10 pairs, and its median is
+#               better than the parent's by more than the parent's Q3 - Q1;
+#   worse       its median is worse than the parent's by more than `bound`
+#               (relative to the parent's median);
+#   unresolved  the parent's (Q3 - Q1) / median exceeds `bound`, and not
+#               every change run beats every parent run;
+#   holds       otherwise.
 # WORKLOAD `all` does this for every workload BENCHMARK.json names, one
 # table each. Not part of check.sh.
 set -eu
@@ -60,10 +68,11 @@ run() {
 # The summary table of the "side seed {json}" lines in $results.
 summarize() {
     awk '
-# Pass 1, BENCHMARK.json: which metrics are better higher.
+# Pass 1, BENCHMARK.json: which metrics are better higher, and their bounds.
 FNR == NR {
     if (match($0, /"name": "[^"]+"/)) name = substr($0, RSTART + 9, RLENGTH - 10)
     if ($0 ~ /"better": "higher"/) higher[name] = 1
+    if (match($0, /"bound": [0-9.eE+-]+/)) bound[name] = substr($0, RSTART + 9, RLENGTH - 9) + 0
     next
 }
 # Pass 2, one "side seed {json}" line per run.
@@ -98,11 +107,29 @@ function summary(side, metric,    n, s, a) {
     for (s in seeds) if ((side, metric, s) in value) a[++n] = value[side, metric, s]
     sort(a, n)
     med[side] = quantile(a, n, 0.5)
-    return sprintf("%.6g [%.6g, %.6g]", med[side], quantile(a, n, 0.25), quantile(a, n, 0.75))
+    q1[side] = quantile(a, n, 0.25)
+    q3[side] = quantile(a, n, 0.75)
+    lo[side] = a[1]
+    hi[side] = a[n]
+    return sprintf("%.6g [%.6g, %.6g]", med[side], q1[side], q3[side])
+}
+function abs(x) { return x < 0 ? -x : x }
+# The verdict on metric m from the last two summary() calls (see the
+# script header).
+function verdict(m, wins, n,    p, better, iqr, beats) {
+    if (!(m in bound)) return "-"
+    p = med["parent"]
+    better = (m in higher) ? med["change"] - p : p - med["change"]
+    iqr = q3["parent"] - q1["parent"]
+    if (n > 0 && wins * 10 >= 9 * n && better > iqr) return "gain"
+    if (p == 0 ? better < 0 : -better / abs(p) > bound[m]) return "worse"
+    beats = (m in higher) ? lo["change"] > hi["parent"] : hi["change"] < lo["parent"]
+    if (p != 0 && iqr / abs(p) > bound[m] && !beats) return "unresolved"
+    return "holds"
 }
 END {
-    printf "%-16s %-34s %-34s %8s %6s %5s\n", "metric", "parent median [Q1, Q3]", \
-        "change median [Q1, Q3]", "ratio", "wins", "ties"
+    printf "%-16s %-34s %-34s %8s %6s %5s  %s\n", "metric", "parent median [Q1, Q3]", \
+        "change median [Q1, Q3]", "ratio", "wins", "ties", "verdict"
     for (i = 1; i <= metrics; i++) {
         m = order[i]
         p = summary("parent", m)
@@ -116,7 +143,8 @@ END {
             else if ((d > 0) == (m in higher)) wins++
         }
         ratio = med["parent"] == 0 ? "-" : sprintf("%.3f", med["change"] / med["parent"])
-        printf "%-16s %-34s %-34s %8s %6s %5s\n", m, p, c, ratio, wins "/" n, ties
+        printf "%-16s %-34s %-34s %8s %6s %5s  %s\n", m, p, c, ratio, wins "/" n, ties, \
+            verdict(m, wins, n)
     }
 }
 ' BENCHMARK.json - <<RESULTS

@@ -130,42 +130,52 @@ fn executing_a_dl_pipeline_without_its_views_fails_cleanly() {
 
 #[test]
 fn a_pipeline_at_the_nesting_bound_round_trips_through_json() {
-    // The deepest program the front end accepts: MAX_DEPTH nested CHECK
-    // bodies around one GEN. Its JSON nests three levels per CHECK (the
-    // op, its fields, its branch), deeper than serde_json's usual 128, and
-    // the vendored parser's recursion limit must leave room for it.
+    // The deepest programs the front end accepts: MAX_DEPTH nested CHECK
+    // bodies around one GEN, and a SWITCH of MAX_DEPTH CASEs, which lowers
+    // to as many CHECKs, each in the last one's else, with the GEN in its
+    // DEFAULT. Their JSON nests three levels per CHECK (the op, its
+    // fields, its branch), deeper than serde_json's usual 128, and the
+    // vendored parser's recursion limit must leave room for it.
     let n = spear::dl::MAX_DEPTH;
-    let src = format!(
-        "PIPELINE deep {{ {}GEN \"a\" USING INLINE \"Say hi.\"; {}}}",
+    let gen = "GEN \"a\" USING INLINE \"Say hi.\";";
+    let checks = format!(
+        "PIPELINE deep {{ {}{gen} {}}}",
         "CHECK TRUE { ".repeat(n),
         "} ".repeat(n)
     );
-    let compiled = spear::dl::compile(&src).expect("exactly the bound compiles");
-    let pipeline = compiled.pipeline("deep").unwrap();
-    let json = serde_json::to_string(pipeline).unwrap();
-    // (No string in this program holds a bracket.)
-    let mut depth = 0usize;
-    let mut deepest = 0usize;
-    for b in json.bytes() {
-        match b {
-            b'[' | b'{' => {
-                depth += 1;
-                deepest = deepest.max(depth);
+    let switch = format!(
+        "PIPELINE deep {{ SWITCH {{ {}DEFAULT {{ {gen} }} }} }}",
+        "CASE FALSE { } ".repeat(n)
+    );
+    for src in [checks, switch] {
+        let compiled = spear::dl::compile(&src).expect("exactly the bound compiles");
+        let pipeline = compiled.pipeline("deep").unwrap();
+        let json = serde_json::to_string(pipeline).unwrap();
+        // (No string in these programs holds a bracket.)
+        let mut depth = 0usize;
+        let mut deepest = 0usize;
+        for b in json.bytes() {
+            match b {
+                b'[' | b'{' => {
+                    depth += 1;
+                    deepest = deepest.max(depth);
+                }
+                b']' | b'}' => depth -= 1,
+                _ => {}
             }
-            b']' | b'}' => depth -= 1,
-            _ => {}
         }
-    }
-    assert!(deepest > 3 * n, "{deepest} levels");
-    let back: Pipeline = serde_json::from_str(&json).expect("the pipeline parses back");
-    assert_eq!(&back, pipeline);
+        assert!(deepest > 3 * n, "{deepest} levels");
+        let back: Pipeline = serde_json::from_str(&json).expect("the pipeline parses back");
+        assert_eq!(&back, pipeline);
 
-    // ... and so does the trace of running it.
-    let rt = Runtime::builder()
-        .llm(Arc::new(SimLlm::new(ModelProfile::qwen25_7b_instruct())))
-        .build();
-    let mut state = ExecState::new();
-    rt.execute(pipeline, &mut state).expect("runs");
-    let jsonl = state.trace.to_jsonl().unwrap();
-    assert_eq!(Trace::from_jsonl(&jsonl).unwrap(), state.trace);
+        // ... and so does the trace of running it, which reaches the GEN.
+        let rt = Runtime::builder()
+            .llm(Arc::new(SimLlm::new(ModelProfile::qwen25_7b_instruct())))
+            .build();
+        let mut state = ExecState::new();
+        let report = rt.execute(pipeline, &mut state).expect("runs");
+        assert_eq!(report.gens, 1, "the GEN at the bottom runs");
+        let jsonl = state.trace.to_jsonl().unwrap();
+        assert_eq!(Trace::from_jsonl(&jsonl).unwrap(), state.trace);
+    }
 }
