@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn kv_error_is_wrapped_with_source() {
         use std::error::Error;
-        let e = SpearError::from(spear_kv::KvError::KeyNotFound("k".into()));
+        let e = SpearError::from(spear_kv::KvError::from(std::io::Error::other("boom")));
         assert!(e.source().is_some());
     }
 }

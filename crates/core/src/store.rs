@@ -5,8 +5,9 @@
 //! (paper §3.2). The store is backed by the `spear-kv` versioned KV
 //! substrate (paper §6), so every write of an entry is itself versioned at
 //! the storage layer, independently of the entry-level `ref_log` — the
-//! former gives storage-level rollback/snapshots, the latter gives the
-//! prompt-evolution provenance the paper's introspection features need.
+//! former keeps the last stored versions addressable and is what a
+//! durability log replays, the latter gives the prompt-evolution
+//! provenance the paper's introspection features need.
 //!
 //! A stored version is one immutable, shared value: reads hand out an
 //! `Arc<PromptEntry>`, and a write builds the next version from a clone
@@ -123,7 +124,8 @@ impl PromptStore {
         Ok(())
     }
 
-    /// The underlying KV store (for snapshotting and persistence wiring).
+    /// The underlying KV store (its storage-level version history, and
+    /// persistence wiring).
     #[must_use]
     pub fn backend(&self) -> &KvStore<PromptEntry> {
         self.backend.get_or_init(KvStore::new)

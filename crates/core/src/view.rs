@@ -186,11 +186,10 @@ impl ViewCatalog {
     ///
     /// Returns [`SpearError::ViewNotFound`] when absent.
     pub fn get_version(&self, name: &str, version: u64) -> Result<Arc<ViewDef>> {
+        // `register` is the only writer and stamps each view with the
+        // store's per-key version, so the two numberings agree.
         self.store
-            .history(name)
-            .into_iter()
-            .filter_map(|v| v.value)
-            .find(|v| v.version == version)
+            .get_version(name, version)
             .ok_or_else(|| SpearError::ViewNotFound(format!("{name}@v{version}")))
     }
 

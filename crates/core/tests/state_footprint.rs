@@ -1,11 +1,12 @@
-//! Heap footprint of a per-request [`ExecState`], and the allocations
-//! admission's verifier makes per plan.
+//! Heap footprint of a per-request [`ExecState`] and of writes to its
+//! prompt store, and the allocations admission's verifier makes per plan.
 //!
 //! The serving tiers build one state per queued request, so what an idle
-//! state holds is multiplied by the queue length; and every new program is
-//! verified before it compiles. These tests pin both with a counting
-//! allocator of their own; the counters are per thread, so the harness
-//! running tests side by side cannot disturb a reading.
+//! state holds, and what each prompt it defines adds, is multiplied by the
+//! queue length; and every new program is verified before it compiles.
+//! These tests pin both with a counting allocator of their own; the
+//! counters are per thread, so the harness running tests side by side
+//! cannot disturb a reading.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -89,6 +90,30 @@ fn a_queued_request_costs_its_one_input() {
     assert!(
         bytes <= 500 && allocs <= 7,
         "ExecState::new() + one context.set holds {bytes} heap bytes in {allocs} allocations"
+    );
+}
+
+#[test]
+fn a_prompt_write_costs_its_key_and_at_most_one_map_node() {
+    // The first write builds P's backend: the shared map and its first
+    // B-tree leaf. The entry is already shared, so it is not counted.
+    let entry = Arc::new(PromptEntry::new(
+        "shared text",
+        "f_base",
+        RefinementMode::Manual,
+    ));
+    let store = PromptStore::new();
+    let (_, bytes, allocs) = footprint(|| store.insert("p", Arc::clone(&entry)));
+    assert!(
+        bytes <= 904 && allocs <= 4,
+        "the first insert holds {bytes} heap bytes in {allocs} allocations"
+    );
+
+    // A second key lands in the same leaf: only its name is new.
+    let (_, bytes, allocs) = footprint(|| store.insert("q", Arc::clone(&entry)));
+    assert!(
+        bytes <= 64 && allocs <= 2,
+        "a second key holds {bytes} heap bytes in {allocs} allocations"
     );
 }
 

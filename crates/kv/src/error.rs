@@ -5,27 +5,9 @@ use std::fmt;
 /// Convenience alias used throughout `spear-kv`.
 pub type Result<T> = std::result::Result<T, KvError>;
 
-/// Errors produced by the key-value store and its persistence log.
+/// Errors produced by the persistence log (the store itself cannot fail).
 #[derive(Debug)]
 pub enum KvError {
-    /// The requested key does not exist (or is deleted at the read point).
-    KeyNotFound(String),
-    /// The requested version of a key does not exist.
-    VersionNotFound {
-        /// Key whose version chain was consulted.
-        key: String,
-        /// Version that was requested.
-        version: u64,
-    },
-    /// A compare-and-swap failed because the current version did not match.
-    VersionConflict {
-        /// Key the CAS targeted.
-        key: String,
-        /// Version the caller expected.
-        expected: u64,
-        /// Version actually found.
-        found: u64,
-    },
     /// An I/O error from the persistence log.
     Io(std::io::Error),
     /// A (de)serialization error from the persistence log.
@@ -42,18 +24,6 @@ pub enum KvError {
 impl fmt::Display for KvError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            KvError::KeyNotFound(k) => write!(f, "key not found: {k:?}"),
-            KvError::VersionNotFound { key, version } => {
-                write!(f, "version {version} of key {key:?} not found")
-            }
-            KvError::VersionConflict {
-                key,
-                expected,
-                found,
-            } => write!(
-                f,
-                "version conflict on key {key:?}: expected {expected}, found {found}"
-            ),
             KvError::Io(e) => write!(f, "kv log i/o error: {e}"),
             KvError::Serde(e) => write!(f, "kv log serialization error: {e}"),
             KvError::CorruptLog { line, reason } => {
@@ -90,16 +60,12 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = KvError::KeyNotFound("p/qa".into());
-        assert!(e.to_string().contains("p/qa"));
-
-        let e = KvError::VersionConflict {
-            key: "k".into(),
-            expected: 3,
-            found: 5,
+        let e = KvError::CorruptLog {
+            line: 3,
+            reason: "expected value".into(),
         };
         let s = e.to_string();
-        assert!(s.contains('3') && s.contains('5'));
+        assert!(s.contains("line 3") && s.contains("expected value"));
     }
 
     #[test]

@@ -3,22 +3,20 @@
 //! The SPEAR paper (§6) notes that the prompt store **P**, context **C**, and
 //! metadata **M** "may be in-memory or backed by high-performance key-value
 //! systems, enabling low-latency and distributed deployments". This crate is
-//! that substrate: a sharded, concurrent, **versioned** key-value store with
+//! that substrate for **P**: a concurrent, **versioned** key-value store —
+//! one ordered map under one lock — with
 //!
 //! - per-key version chains (every write produces a new version; old versions
 //!   remain readable until pruned) of immutable, shared values (a read is a
 //!   pointer copy),
-//! - consistent point-in-time [`Snapshot`]s driven by a global sequence
-//!   number,
-//! - ordered prefix scans (each shard keeps a `BTreeMap`; scans merge across
-//!   shards),
-//! - operation statistics ([`StoreStats`]), and
+//! - ordered prefix scans, and
 //! - optional durability through an append-only JSONL [`log`] with replay.
 //!
-//! Keys are `String`s; values are generic (`V: Clone`). The store is the
-//! backing layer for `spear-core`'s `PromptStore` and `Context`, where values
-//! are structured prompt entries, and for the structured prompt-cache index in
-//! `spear-optimizer`.
+//! Keys are `String`s; values are generic (`V: Clone`). The store backs
+//! `spear-core`'s `PromptStore` (values are structured prompt entries) and
+//! `ViewCatalog`, and the structured prompt-cache index in
+//! `spear-optimizer`. The FNV-1a hash in [`shard`] is the workspace's one
+//! stable hash.
 //!
 //! ## Example
 //!
@@ -45,12 +43,8 @@
 pub mod error;
 pub mod log;
 pub mod shard;
-pub mod snapshot;
-pub mod stats;
 pub mod store;
 
 pub use error::{KvError, Result};
-pub use log::{DurableStore, JsonlLog, LogOp, LogRecord, Persister};
-pub use snapshot::Snapshot;
-pub use stats::StoreStats;
-pub use store::{KvStore, KvStoreBuilder, VersionedValue};
+pub use log::{JsonlLog, LogOp, LogRecord, Persister};
+pub use store::{KvStore, VersionedValue};

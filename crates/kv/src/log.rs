@@ -4,10 +4,12 @@
 //! store's state (including the version chains that back prompt histories)
 //! can be rebuilt after a restart, and so refinement replay (§6 of the paper)
 //! has a durable substrate. Records are JSON Lines: one serialized
-//! [`LogRecord`] per line, in global sequence order.
+//! [`LogRecord`] per line, in global sequence order. A record is durable
+//! once its newline is written: a final line without one is a write that a
+//! crash cut short, so reading drops it and reopening truncates it.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -65,14 +67,23 @@ pub struct JsonlLog {
 }
 
 impl JsonlLog {
-    /// Open (creating or appending to) the log at `path`.
+    /// Open (creating or appending to) the log at `path`. A torn final
+    /// record is truncated first, so the next append starts a fresh line.
     ///
     /// # Errors
     ///
     /// Returns an error if the file cannot be opened for append.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(&path)?;
+        let durable = durable_len(&mut file)?;
+        if durable < file.metadata()?.len() {
+            file.set_len(durable)?;
+        }
         Ok(Self {
             path,
             writer: Mutex::new(BufWriter::new(file)),
@@ -85,24 +96,31 @@ impl JsonlLog {
         &self.path
     }
 
-    /// Read every record in the log, in order.
+    /// Read every durable record in the log, in order; a torn final
+    /// record is dropped.
     ///
     /// # Errors
     ///
     /// Returns [`KvError::CorruptLog`] for malformed lines and I/O errors
     /// for unreadable files.
     pub fn read_all<V: DeserializeOwned>(path: impl AsRef<Path>) -> Result<Vec<LogRecord<V>>> {
-        let file = File::open(path.as_ref())?;
-        let reader = BufReader::new(file);
+        let mut reader = BufReader::new(File::open(path.as_ref())?);
         let mut out = Vec::new();
-        for (idx, line) in reader.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
+        let mut buf = String::new();
+        for line in 1.. {
+            buf.clear();
+            if reader.read_line(&mut buf)? == 0 {
+                break;
+            }
+            let Some(text) = buf.strip_suffix('\n') else {
+                break; // torn final record
+            };
+            if text.trim().is_empty() {
                 continue;
             }
             let rec: LogRecord<V> =
-                serde_json::from_str(&line).map_err(|e| KvError::CorruptLog {
-                    line: idx + 1,
+                serde_json::from_str(text).map_err(|e| KvError::CorruptLog {
+                    line,
                     reason: e.to_string(),
                 })?;
             out.push(rec);
@@ -136,10 +154,9 @@ impl JsonlLog {
 
 impl<V: Serialize + Send + Sync> Persister<V> for JsonlLog {
     fn append(&self, record: &LogRecord<V>) -> Result<()> {
-        let line = serde_json::to_string(record)?;
-        let mut w = self.writer.lock();
-        w.write_all(line.as_bytes())?;
-        w.write_all(b"\n")?;
+        let mut line = serde_json::to_string(record)?;
+        line.push('\n');
+        self.writer.lock().write_all(line.as_bytes())?;
         Ok(())
     }
 
@@ -149,84 +166,22 @@ impl<V: Serialize + Send + Sync> Persister<V> for JsonlLog {
     }
 }
 
-/// A [`KvStore`] wrapper that mirrors every mutation into a [`Persister`].
-///
-/// The wrapper is intentionally thin: reads go straight to the store, writes
-/// first mutate the store (assigning the sequence number) and then append a
-/// record. Crash-consistency model: the log may lag the in-memory store by
-/// unflushed records; it never contains a record for a mutation that did not
-/// happen.
-pub struct DurableStore<V, P: Persister<V>> {
-    store: KvStore<V>,
-    persister: P,
-}
-
-impl<V: Clone + Serialize, P: Persister<V>> DurableStore<V, P> {
-    /// Wrap `store`, mirroring future mutations into `persister`.
-    pub fn new(store: KvStore<V>, persister: P) -> Self {
-        Self { store, persister }
-    }
-
-    /// The wrapped in-memory store (for reads).
-    #[must_use]
-    pub fn store(&self) -> &KvStore<V> {
-        &self.store
-    }
-
-    /// Durable put.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the log append fails (the in-memory write has
-    /// already happened; callers that need atomicity should treat a log
-    /// failure as fatal).
-    pub fn put(&self, key: impl Into<String>, value: V) -> Result<u64> {
-        let key = key.into();
-        let value = Arc::new(value);
-        let version = self.store.put(key.clone(), Arc::clone(&value));
-        let seq = self
-            .store
-            .get_versioned(&key)
-            .map(|v| v.seq)
-            .unwrap_or_default();
-        self.persister.append(&LogRecord {
-            seq,
-            key,
-            op: LogOp::Put(value),
-        })?;
-        Ok(version)
-    }
-
-    /// Durable delete.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the log append fails.
-    pub fn delete(&self, key: &str) -> Result<bool> {
-        let deleted = self.store.delete(key);
-        if deleted {
-            let seq = self
-                .store
-                .get_versioned(key)
-                .map(|v| v.seq)
-                .unwrap_or_default();
-            self.persister.append(&LogRecord {
-                seq,
-                key: key.to_string(),
-                op: LogOp::Delete,
-            })?;
+/// Length of the log's durable part: everything up to and including its
+/// last newline. Scans backwards from the end, one block at a time.
+fn durable_len(file: &mut File) -> std::io::Result<u64> {
+    let mut block = [0u8; 4096];
+    let mut end = file.seek(SeekFrom::End(0))?;
+    while end > 0 {
+        let start = end.saturating_sub(block.len() as u64);
+        let chunk = &mut block[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(chunk)?;
+        if let Some(i) = chunk.iter().rposition(|&b| b == b'\n') {
+            return Ok(start + i as u64 + 1);
         }
-        Ok(deleted)
+        end = start;
     }
-
-    /// Flush the persister.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the flush fails.
-    pub fn sync(&self) -> Result<()> {
-        self.persister.flush()
-    }
+    Ok(0)
 }
 
 #[cfg(test)]
@@ -243,18 +198,30 @@ mod tests {
         p
     }
 
+    fn put<V>(seq: u64, key: &str, value: V) -> LogRecord<V> {
+        LogRecord {
+            seq,
+            key: key.to_string(),
+            op: LogOp::Put(Arc::new(value)),
+        }
+    }
+
     #[test]
     fn log_roundtrip_and_recovery() {
         let path = temp_path("roundtrip");
         let _ = std::fs::remove_file(&path);
         {
             let log = JsonlLog::open(&path).unwrap();
-            let durable = DurableStore::new(KvStore::<String>::new(), log);
-            durable.put("a", "1".to_string()).unwrap();
-            durable.put("a", "2".to_string()).unwrap();
-            durable.put("b", "x".to_string()).unwrap();
-            durable.delete("b").unwrap();
-            durable.sync().unwrap();
+            log.append(&put(1, "a", "1".to_string())).unwrap();
+            log.append(&put(2, "a", "2".to_string())).unwrap();
+            log.append(&put(3, "b", "x".to_string())).unwrap();
+            log.append(&LogRecord::<String> {
+                seq: 4,
+                key: "b".into(),
+                op: LogOp::Delete,
+            })
+            .unwrap();
+            Persister::<String>::flush(&log).unwrap();
         }
         let recovered: KvStore<String> = JsonlLog::recover(&path).unwrap();
         assert_eq!(recovered.get("a").as_deref().map(String::as_str), Some("2"));
@@ -267,23 +234,33 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// One durable record, then a second cut off mid-write.
+    const TORN: &str =
+        "{\"seq\":1,\"key\":\"a\",\"op\":{\"Put\":1}}\n{\"seq\":2,\"key\":\"a\",\"op\":{\"Pu";
+
     #[test]
-    fn records_carry_monotonic_seq() {
-        let path = temp_path("seq");
-        let _ = std::fs::remove_file(&path);
+    fn a_torn_final_record_is_dropped_on_recovery() {
+        let path = temp_path("torn");
+        std::fs::write(&path, TORN).unwrap();
+        let recovered: KvStore<i32> = JsonlLog::recover(&path).unwrap();
+        assert_eq!(recovered.get("a").as_deref(), Some(&1));
+        assert_eq!(recovered.history("a").len(), 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn reopening_after_a_torn_record_appends_on_a_fresh_line() {
+        let path = temp_path("torn-reopen");
+        std::fs::write(&path, TORN).unwrap();
         {
             let log = JsonlLog::open(&path).unwrap();
-            let durable = DurableStore::new(KvStore::<i32>::new(), log);
-            for i in 0..5 {
-                durable.put(format!("k{i}"), i).unwrap();
-            }
-            durable.sync().unwrap();
+            log.append(&put(2, "b", 2)).unwrap();
+            Persister::<i32>::flush(&log).unwrap();
         }
         let recs: Vec<LogRecord<i32>> = JsonlLog::read_all(&path).unwrap();
-        assert_eq!(recs.len(), 5);
-        for w in recs.windows(2) {
-            assert!(w[0].seq < w[1].seq, "sequence numbers must increase");
-        }
+        assert_eq!(recs, [put(1, "a", 1), put(2, "b", 2)]);
+        let recovered: KvStore<i32> = JsonlLog::recover(&path).unwrap();
+        assert_eq!(recovered.keys(), ["a", "b"]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -334,14 +311,13 @@ mod tests {
         };
         {
             let log = JsonlLog::open(&path).unwrap();
-            let durable = DurableStore::new(KvStore::<serde_json::Value>::new(), log);
-            durable.put("shallow", nest(8)).unwrap();
-            let err = durable.put("deep", nest(300)).unwrap_err();
+            log.append(&put(1, "shallow", nest(8))).unwrap();
+            let err = log.append(&put(2, "deep", nest(300))).unwrap_err();
             assert!(
                 matches!(&err, KvError::Serde(e) if e.contains("recursion limit exceeded")),
                 "{err}"
             );
-            durable.sync().unwrap();
+            Persister::<serde_json::Value>::flush(&log).unwrap();
         }
         let recovered: KvStore<serde_json::Value> = JsonlLog::recover(&path).unwrap();
         assert_eq!(recovered.get("shallow").as_deref(), Some(&nest(8)));

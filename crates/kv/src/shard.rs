@@ -1,14 +1,9 @@
-//! Hash-based shard routing.
+//! The stable FNV-1a hash the workspace keys on.
 //!
-//! The store splits its keyspace across a fixed number of shards, each
-//! protected by its own `RwLock`, so unrelated keys never contend. Shard
-//! selection uses a stable FNV-1a hash of the key bytes — stable so that the
-//! mapping survives process restarts, which matters when replaying a
-//! persistence log into a store with the same shard count.
-
-/// Default number of shards. A small power of two keeps the modulo cheap and
-/// is plenty for the prompt/context workloads SPEAR generates.
-pub const DEFAULT_SHARDS: usize = 16;
+//! The store itself routes nothing: it is one map. The rest of the
+//! workspace (prefix cache, interner, tokenizer, router, plan identities)
+//! hashes with these functions because their values must not change across
+//! processes or Rust versions.
 
 /// FNV-1a 64-bit offset basis — the initial state of the hash.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -39,17 +34,6 @@ pub fn fnv1a_extend(state: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Map a key to a shard index in `0..num_shards`.
-///
-/// # Panics
-///
-/// Panics if `num_shards` is zero; the store builder guarantees it never is.
-#[must_use]
-pub fn shard_for(key: &str, num_shards: usize) -> usize {
-    assert!(num_shards > 0, "shard count must be non-zero");
-    (fnv1a(key.as_bytes()) % num_shards as u64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,30 +55,5 @@ mod tests {
             assert_eq!(streamed, batch, "split at {split}");
         }
         assert_eq!(fnv1a_extend(FNV1A_OFFSET, b""), fnv1a(b""));
-    }
-
-    #[test]
-    fn shard_is_stable_and_in_range() {
-        for key in ["", "a", "prompt/qa", "ctx/answer_0", "🦀"] {
-            let s = shard_for(key, DEFAULT_SHARDS);
-            assert!(s < DEFAULT_SHARDS);
-            assert_eq!(s, shard_for(key, DEFAULT_SHARDS), "must be deterministic");
-        }
-    }
-
-    #[test]
-    fn keys_spread_across_shards() {
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..256 {
-            seen.insert(shard_for(&format!("key-{i}"), DEFAULT_SHARDS));
-        }
-        // With 256 keys over 16 shards, expect every shard hit.
-        assert_eq!(seen.len(), DEFAULT_SHARDS);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_shards_panics() {
-        let _ = shard_for("k", 0);
     }
 }

@@ -1,13 +1,20 @@
-//! Property-based tests: the sharded versioned store must behave exactly
-//! like a simple model (a `BTreeMap` plus per-key version counters) under
-//! arbitrary interleavings of puts, deletes, and reads, and snapshots must
-//! be immune to subsequent mutations.
+//! Property-based tests: the versioned store must behave exactly like a
+//! simple model (a `BTreeMap` plus per-key version counters) under arbitrary
+//! interleavings of puts, deletes, and reads, and keep exactly the last 64
+//! versions of each key.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use spear_kv::KvStore;
+
+/// Few keys and long command sequences: about half of all chains pass the
+/// store's retention bound.
+const KEYS: u8 = 4;
+
+/// Versions the store retains per key.
+const MAX_VERSIONS: u64 = 64;
 
 #[derive(Debug, Clone)]
 enum Cmd {
@@ -18,9 +25,9 @@ enum Cmd {
 
 fn cmd_strategy() -> impl Strategy<Value = Cmd> {
     prop_oneof![
-        (any::<u8>(), any::<i64>()).prop_map(|(k, v)| Cmd::Put(k % 16, v)),
-        any::<u8>().prop_map(|k| Cmd::Delete(k % 16)),
-        any::<u8>().prop_map(|k| Cmd::Get(k % 16)),
+        (any::<u8>(), any::<i64>()).prop_map(|(k, v)| Cmd::Put(k % KEYS, v)),
+        any::<u8>().prop_map(|k| Cmd::Delete(k % KEYS)),
+        any::<u8>().prop_map(|k| Cmd::Get(k % KEYS)),
     ]
 }
 
@@ -31,11 +38,12 @@ fn key(k: u8) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The store agrees with a model map on every read, and per-key version
-    /// numbers count every write (including tombstones).
+    /// The store agrees with a model map on every read, per-key version
+    /// numbers count every write (including tombstones), and each key keeps
+    /// its last 64 versions.
     #[test]
-    fn store_matches_model(cmds in proptest::collection::vec(cmd_strategy(), 1..200)) {
-        let store: KvStore<i64> = KvStore::<i64>::builder().max_versions(1024).build();
+    fn store_matches_model(cmds in proptest::collection::vec(cmd_strategy(), 1..1000)) {
+        let store: KvStore<i64> = KvStore::new();
         let mut model: BTreeMap<String, i64> = BTreeMap::new();
         let mut write_counts: BTreeMap<String, u64> = BTreeMap::new();
 
@@ -67,35 +75,12 @@ proptest! {
         let live: Vec<String> = model.keys().cloned().collect();
         prop_assert_eq!(store.keys(), live);
         prop_assert_eq!(store.len(), model.len());
-    }
-
-    /// Snapshots pin state: any sequence of later mutations leaves every
-    /// snapshot read unchanged.
-    #[test]
-    fn snapshots_are_immutable(
-        before in proptest::collection::vec(cmd_strategy(), 0..60),
-        after in proptest::collection::vec(cmd_strategy(), 0..60),
-    ) {
-        let store: KvStore<i64> = KvStore::<i64>::builder().max_versions(4096).build();
-        let mut model: BTreeMap<String, i64> = BTreeMap::new();
-        for cmd in before {
-            match cmd {
-                Cmd::Put(k, v) => { store.put(key(k), v); model.insert(key(k), v); }
-                Cmd::Delete(k) => { store.delete(&key(k)); model.remove(&key(k)); }
-                Cmd::Get(_) => {}
-            }
-        }
-        let snap = store.snapshot();
-        for cmd in after {
-            match cmd {
-                Cmd::Put(k, v) => { store.put(key(k), v); }
-                Cmd::Delete(k) => { store.delete(&key(k)); }
-                Cmd::Get(_) => {}
-            }
-        }
-        for k in 0..16u8 {
+        for k in 0..KEYS {
             let k = key(k);
-            prop_assert_eq!(snap.get(&k).map(|v| *v), model.get(&k).copied(), "key {}", k);
+            let writes = write_counts.get(&k).copied().unwrap_or(0);
+            let history = store.history(&k);
+            prop_assert_eq!(history.len() as u64, writes.min(MAX_VERSIONS), "key {}", k);
+            prop_assert_eq!(history.last().map_or(0, |v| v.version), writes, "key {}", k);
         }
     }
 

@@ -24,8 +24,12 @@ cargo run --release -p spear-bench --bin analyze
 for bin in ablation_planner ablation_gen_fusion analyze disasm; do
     cargo run --release -q -p spear-bench --bin "$bin" | cmp - "results/$bin.txt"
 done
-# ... and so must the SPEAR-DL tour: error text, compile, verify, execute.
-cargo run --release -q --example spear_dl_tour | cmp - results/spear_dl_tour.txt
+# ... and so must every example: the SPEAR-DL tour (error text, compile,
+# verify, execute) and the four that drive P end to end (views, REF,
+# refinement history, meta prompts).
+for example in spear_dl_tour quickstart adaptive_retry enoxaparin_qa sentiment_pipeline; do
+    cargo run --release -q --example "$example" | cmp - "results/$example.txt"
+done
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
 # Doc gate: a renamed or deleted item must not leave a dangling doc link.

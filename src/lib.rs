@@ -9,7 +9,7 @@
 //!
 //! - [`core`] — the prompt algebra, execution state, views, histories,
 //!   refinement modes, meta prompts, shadow execution, and replay,
-//! - [`kv`] — the versioned key-value substrate backing the stores,
+//! - [`kv`] — the versioned key-value substrate backing P and the views,
 //! - [`llm`] — a deterministic LLM inference simulator with vLLM-style
 //!   automatic prefix caching (swap in a real backend by implementing
 //!   [`core::LlmClient`]),
