@@ -25,16 +25,11 @@ pub struct PromptFeatures {
 
 impl PromptFeatures {
     /// Detect features from prompt text (case-insensitive marker scan).
+    /// The simulator's task model reads the same markers in its resumable
+    /// scan (`spear_llm::task::TaskScan`), which is tested against this.
     #[must_use]
     pub fn detect(prompt: &str) -> Self {
-        Self::detect_lowered(&prompt.to_lowercase())
-    }
-
-    /// [`PromptFeatures::detect`] over text the caller has already
-    /// lowercased with [`str::to_lowercase`] — lets hot paths that scan a
-    /// prompt several times pay for the case fold once.
-    #[must_use]
-    pub fn detect_lowered(lower: &str) -> Self {
+        let lower = prompt.to_lowercase();
         Self {
             has_objective: lower.contains("objective:") || lower.contains("the goal is"),
             has_specificity: lower.contains("be specific")

@@ -116,10 +116,21 @@ pub const FOOD_WORDS: &[&str] = &[
     "burger",
 ];
 
-fn words_of(text: &str) -> impl Iterator<Item = String> + '_ {
+fn words_of(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| !c.is_alphanumeric())
         .filter(|w| !w.is_empty())
-        .map(str::to_lowercase)
+}
+
+/// Whether `word`'s lowercase is one of `list`'s entries, which are all
+/// lowercase ASCII: an ASCII word compares in place, any other (which may
+/// fold to ASCII, as the Kelvin sign does to `k`) is lowercased first. The
+/// task model scores every GEN's item this way.
+fn listed(word: &str, list: &[&str]) -> bool {
+    if word.is_ascii() {
+        list.iter().any(|entry| word.eq_ignore_ascii_case(entry))
+    } else {
+        list.contains(&word.to_lowercase().as_str())
+    }
 }
 
 /// Lexicon polarity score of `text`: +1 per positive word, −1 per negative
@@ -128,9 +139,9 @@ fn words_of(text: &str) -> impl Iterator<Item = String> + '_ {
 pub fn sentiment_score(text: &str) -> i32 {
     let mut score = 0;
     for w in words_of(text) {
-        if POSITIVE_WORDS.contains(&w.as_str()) {
+        if listed(w, POSITIVE_WORDS) {
             score += 1;
-        } else if NEGATIVE_WORDS.contains(&w.as_str()) {
+        } else if listed(w, NEGATIVE_WORDS) {
             score -= 1;
         }
     }
@@ -140,14 +151,14 @@ pub fn sentiment_score(text: &str) -> i32 {
 /// Whether `text` mentions a school-topic word.
 #[must_use]
 pub fn is_school_related(text: &str) -> bool {
-    words_of(text).any(|w| SCHOOL_WORDS.contains(&w.as_str()))
+    words_of(text).any(|w| listed(w, SCHOOL_WORDS))
 }
 
 /// Count of ambiguous words in `text` (difficulty proxy).
 #[must_use]
 pub fn ambiguity(text: &str) -> usize {
     words_of(text)
-        .filter(|w| AMBIGUOUS_WORDS.contains(&w.as_str()))
+        .filter(|w| listed(w, AMBIGUOUS_WORDS))
         .count()
 }
 
@@ -180,6 +191,51 @@ mod tests {
     fn ambiguity_counts() {
         assert_eq!(ambiguity("it was okay I guess, fine really"), 2);
         assert_eq!(ambiguity("love it"), 0);
+    }
+
+    #[test]
+    fn word_lists_are_lowercase_ascii() {
+        let lists = [
+            POSITIVE_WORDS,
+            NEGATIVE_WORDS,
+            AMBIGUOUS_WORDS,
+            SCHOOL_WORDS,
+            WORK_WORDS,
+            WEATHER_WORDS,
+            SPORTS_WORDS,
+            FOOD_WORDS,
+        ];
+        for word in lists.concat() {
+            assert!(
+                word.is_ascii() && word.to_ascii_lowercase() == word,
+                "{word} is not lowercase ASCII"
+            );
+        }
+    }
+
+    #[test]
+    fn listed_matches_lowercasing_every_word() {
+        for text in [
+            "I LOVE this, so much HOMEWORK tonight!",
+            "Σ Hate \u{212A}ill İnternet ExAm wörter naïve",
+            "okay OKAY fine İ",
+            "",
+        ] {
+            for list in [
+                POSITIVE_WORDS,
+                NEGATIVE_WORDS,
+                SCHOOL_WORDS,
+                AMBIGUOUS_WORDS,
+            ] {
+                for word in words_of(text) {
+                    assert_eq!(
+                        listed(word, list),
+                        list.contains(&word.to_lowercase().as_str()),
+                        "{word}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

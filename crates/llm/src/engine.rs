@@ -29,10 +29,12 @@ use crate::cache::{
     BlockHasher, CacheStats, StripedPrefixCache, DEFAULT_BLOCK_SIZE, DEFAULT_NUM_SHARDS,
 };
 use crate::clock::SimClock;
-use crate::intern::{chain_key, InternStats, InternedChain, TokenInterner, CHAIN_SEED};
+use crate::intern::{
+    chain_key, InternStats, InternedChain, ScannedChain, TokenInterner, CHAIN_SEED,
+};
 use crate::memo::{GenMemo, Lookup, MemoEntry, MemoStats};
 use crate::profile::ModelProfile;
-use crate::task::{self, TaskParams};
+use crate::task::{TaskParams, TaskScan};
 use crate::tokenizer::{StreamingEncoder, Token, Tokenizer};
 
 /// Engine configuration.
@@ -74,7 +76,7 @@ pub struct SimLlm {
     profile: ModelProfile,
     tokenizer: Tokenizer,
     cache: StripedPrefixCache,
-    interner: TokenInterner,
+    interner: TokenInterner<ScannedChain>,
     memo: GenMemo,
     clock: SimClock,
     config: EngineConfig,
@@ -178,15 +180,17 @@ impl SimLlm {
         self.config.cache_enabled && matches!(identity, PromptIdentity::Structured { .. })
     }
 
-    /// Tokenize the prompt, consult the prefix cache, and return
-    /// `(prompt_tokens, cached_tokens)`.
+    /// Tokenize and scan the prompt, consult the prefix cache, and return
+    /// `(prompt_tokens, cached_tokens, scan)`.
     ///
     /// Requests that arrive with a segmented rendering take the interned
-    /// fast path; everything else re-derives tokens from the flat string.
-    /// Both hand the cache the same block-hash chain, so both produce
-    /// identical numbers — the fast path is proven equivalent by the
-    /// streaming-encoder tests and the segmented-encoding property test.
-    fn prefill(&self, request: &GenRequest) -> (u64, u64) {
+    /// fast path; everything else re-derives tokens and the task scan from
+    /// the flat string. Both hand the cache the same block-hash chain and
+    /// the task model the same scan facts, so both produce identical
+    /// numbers — the fast path is proven equivalent by the streaming-encoder
+    /// tests, the task scan's differential tests and the segmented-encoding
+    /// property test.
+    fn prefill(&self, request: &GenRequest) -> (u64, u64, TaskScan) {
         self.prefill_capturing(request, None)
     }
 
@@ -198,9 +202,9 @@ impl SimLlm {
         &self,
         request: &GenRequest,
         capture: Option<&mut Vec<u64>>,
-    ) -> (u64, u64) {
+    ) -> (u64, u64, TaskScan) {
         let cacheable = self.cacheable(&request.identity);
-        let (prompt_tokens, cached_tokens) = SCRATCH.with(|scratch| {
+        let (prompt_tokens, cached_tokens, scan) = SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             let counts = match &request.segments {
                 Some(segments) if !segments.is_empty() => {
@@ -221,20 +225,21 @@ impl SimLlm {
             self.tokenizer.count(&request.text) as u64,
             "prefill paths must agree on the token count"
         );
-        (prompt_tokens, cached_tokens)
+        (prompt_tokens, cached_tokens, scan)
     }
 
     /// The original prefill: encode the flat text (into a reused buffer)
     /// and fold it through a [`BlockHasher`] into `scratch.hashes` once,
     /// for the cache when the prompt is cacheable and for the memo's
-    /// leader path when `capture` asks for the chain.
+    /// leader path when `capture` asks for the chain; the task scan runs
+    /// over the text from an empty state.
     fn whole_text_prefill(
         &self,
         text: &str,
         cacheable: bool,
         scratch: &mut Scratch,
         capture: bool,
-    ) -> (u64, u64) {
+    ) -> (u64, u64, TaskScan) {
         self.tokenizer.encode_into(text, &mut scratch.tokens);
         let prompt_tokens = scratch.tokens.len();
         if cacheable || capture {
@@ -254,18 +259,19 @@ impl SimLlm {
         } else {
             0
         };
-        (prompt_tokens as u64, cached)
+        (prompt_tokens as u64, cached, TaskScan::of(text))
     }
 
-    /// The host fast path: resume tokenization and block hashing from the
-    /// longest interned literal-segment chain, so a warm prompt-family
-    /// prefix costs O(suffix) per request instead of O(prompt).
+    /// The host fast path: resume tokenization, block hashing and the task
+    /// scan from the longest interned literal-segment chain, so a warm
+    /// prompt-family prefix costs O(suffix) per request instead of
+    /// O(prompt).
     fn segmented_prefill(
         &self,
         segments: &SegmentedText,
         cacheable: bool,
         scratch: &mut Scratch,
-    ) -> (u64, u64) {
+    ) -> (u64, u64, TaskScan) {
         let segs = segments.segments();
         let bs = self.config.block_size;
 
@@ -280,7 +286,7 @@ impl SimLlm {
         }
 
         // Longest interned chain wins.
-        let mut base: Option<(usize, InternedChain)> = None;
+        let mut base: Option<(usize, ScannedChain)> = None;
         for i in (0..literal_run).rev() {
             if let Some(chain) = self.interner.get(scratch.keys[i]) {
                 base = Some((i + 1, chain));
@@ -289,11 +295,14 @@ impl SimLlm {
         }
         let (covered, base_tokens, base_hashes, base_pending): (usize, &[Token], &[u64], &str) =
             match &base {
-                Some((covered, chain)) => {
+                Some((covered, ScannedChain { chain, .. })) => {
                     (*covered, &chain.tokens, &chain.block_hashes, &chain.pending)
                 }
                 None => (0, &[], &[], ""),
             };
+        let mut scan = base
+            .as_ref()
+            .map_or_else(TaskScan::new, |(_, base)| base.scan);
 
         // Resume the block-hash chain: interned full-block hashes, then the
         // straddling partial block's tokens re-folded into the hasher state.
@@ -303,13 +312,14 @@ impl SimLlm {
         let mut hasher = BlockHasher::new(bs);
         hasher.push_all(&base_tokens[base_hashes.len() * bs..], &mut scratch.hashes);
 
-        // Resume the encoder mid-word and feed the remaining segments.
-        // `scratch.tokens` holds only suffix tokens — the interned prefix is
-        // never copied per request.
+        // Resume the encoder mid-word and the task scan, and feed them the
+        // remaining segments. `scratch.tokens` holds only suffix tokens —
+        // the interned prefix is never copied per request.
         scratch.encoder.reset(base_pending);
         let mut hashed_upto = 0usize;
         for (i, seg) in segs.iter().enumerate().skip(covered) {
             scratch.encoder.feed(seg.text(), &mut scratch.tokens);
+            scan.feed(seg.text());
             hasher.push_all(&scratch.tokens[hashed_upto..], &mut scratch.hashes);
             hashed_upto = scratch.tokens.len();
             if i < literal_run {
@@ -322,10 +332,13 @@ impl SimLlm {
                 tokens.extend_from_slice(&scratch.tokens);
                 self.interner.insert(
                     scratch.keys[i],
-                    InternedChain {
-                        tokens: tokens.into(),
-                        pending: Arc::from(scratch.encoder.pending()),
-                        block_hashes: scratch.hashes.clone().into(),
+                    ScannedChain {
+                        chain: InternedChain {
+                            tokens: tokens.into(),
+                            pending: Arc::from(scratch.encoder.pending()),
+                            block_hashes: scratch.hashes.clone().into(),
+                        },
+                        scan,
                     },
                 );
             }
@@ -342,20 +355,27 @@ impl SimLlm {
         } else {
             0
         };
-        (total_tokens as u64, cached)
+        (total_tokens as u64, cached, scan)
     }
 }
 
 impl SimLlm {
-    /// Everything after prefill: the behavioural task model, `max_tokens`
-    /// truncation, the latency model, and the clock advance. Pure in the
-    /// request given fixed engine config — only prefill depends on live
-    /// cache state, which is why the reuse memo stores this part's output
-    /// and replays prefill accounting live.
-    fn decode(&self, request: &GenRequest, prompt_tokens: u64, cached_tokens: u64) -> GenResponse {
+    /// Everything after prefill: the behavioural task model over prefill's
+    /// finished `scan` of the prompt, `max_tokens` truncation, the latency
+    /// model, and the clock advance. Pure in the request given fixed engine
+    /// config — only prefill depends on live cache state, which is why the
+    /// reuse memo stores this part's output and replays prefill accounting
+    /// live.
+    fn decode(
+        &self,
+        request: &GenRequest,
+        prompt_tokens: u64,
+        cached_tokens: u64,
+        scan: &TaskScan,
+    ) -> GenResponse {
         let structured = matches!(request.identity, PromptIdentity::Structured { .. });
-        let mut outcome = task::detect_and_run(
-            request.options.task.as_deref(),
+        let mut outcome = scan.run(
+            scan.task(request.options.task.as_deref()),
             &request.text,
             &TaskParams {
                 profile: &self.profile,
@@ -493,8 +513,8 @@ impl SimLlm {
 
 impl LlmClient for SimLlm {
     fn generate(&self, request: &GenRequest) -> Result<GenResponse> {
-        let (prompt_tokens, cached_tokens) = self.prefill(request);
-        Ok(self.decode(request, prompt_tokens, cached_tokens))
+        let (prompt_tokens, cached_tokens, scan) = self.prefill(request);
+        Ok(self.decode(request, prompt_tokens, cached_tokens, &scan))
     }
 
     fn generate_with_reuse(
@@ -517,9 +537,9 @@ impl LlmClient for SimLlm {
                 // if decode ever grew an error path, followers would be
                 // released to retry rather than adopt a poisoned slot.
                 let mut block_hashes = Vec::new();
-                let (prompt_tokens, cached_tokens) =
+                let (prompt_tokens, cached_tokens, scan) =
                     self.prefill_capturing(request, Some(&mut block_hashes));
-                let response = self.decode(request, prompt_tokens, cached_tokens);
+                let response = self.decode(request, prompt_tokens, cached_tokens, &scan);
                 guard.complete(MemoEntry {
                     text: response.text.clone(),
                     confidence: response.confidence,

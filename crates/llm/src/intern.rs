@@ -1,21 +1,24 @@
-//! Token interner: memoized tokenization and block hashing for shared
-//! prompt-segment chains.
+//! Token interner: memoized tokenization, block hashing and task scanning
+//! for shared prompt-segment chains.
 //!
 //! A [`spear_core::segment::SegmentedText`] identifies the shared prefix of
 //! a prompt family by content hash. The interner maps each *segment chain*
 //! (segments `0..=i`, keyed by a running fold of their content hashes) to
-//! the chain's encoded tokens, its per-block hash chain, and the trailing
+//! the chain's encoded tokens, its per-block hash chain, the trailing
 //! unterminated word — everything a [`crate::tokenizer::StreamingEncoder`]
-//! needs to resume encoding at the chain boundary. A warm prefix is thus
-//! tokenized and block-hashed **once per process, not once per request**;
-//! per-request work becomes O(suffix).
+//! needs to resume encoding at the chain boundary ([`InternedChain`]) —
+//! and, next to it, the task model's [`TaskScan`] state there
+//! ([`ScannedChain`], what the engine interns). A warm prefix is thus
+//! tokenized, block-hashed and scanned for task markers **once per
+//! process, not once per request**; per-request work becomes O(suffix).
 //!
 //! ## Why this cannot change observable behaviour
 //!
 //! Entries are keyed purely by segment *content* and store pure functions
 //! of that content (token ids are FNV-1a of piece bytes; block hashes are
-//! FNV-1a of token bytes). A hit therefore returns byte-identical data to
-//! what re-encoding would produce — proven by the segmented-encoding
+//! FNV-1a of token bytes; the scan records marker offsets in the text). A
+//! hit therefore returns byte-identical data to what re-encoding and
+//! rescanning would produce — proven by the segmented-encoding
 //! equivalence proptest — so hit/miss and eviction timing, and thread
 //! interleaving, are all invisible to the engine's outputs. That is what
 //! keeps every trace digest byte-identical with the interner on or off.
@@ -31,6 +34,7 @@ use parking_lot::Mutex;
 use spear_kv::shard::{fnv1a_extend, FNV1A_OFFSET};
 
 use crate::lru::LruMap;
+use crate::task::TaskScan;
 use crate::tokenizer::Token;
 
 /// Default maximum interned chains (across all shards). Chains are one per
@@ -81,6 +85,18 @@ pub struct InternedChain {
     pub block_hashes: Arc<[u64]>,
 }
 
+/// What the engine interns per literal chain: the chain's encoding and the
+/// task model's scan of its text, both resumed over the rest of the prompt
+/// instead of redone for the prefix. The scan is a plain value, so copying
+/// it out of a hit allocates nothing.
+#[derive(Debug, Clone)]
+pub struct ScannedChain {
+    /// The tokenizer's and block hasher's resume state.
+    pub chain: InternedChain,
+    /// The task model's resume state.
+    pub scan: TaskScan,
+}
+
 /// Interner activity counters (point-in-time snapshot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct InternStats {
@@ -96,13 +112,14 @@ pub struct InternStats {
     pub resident: u64,
 }
 
-/// Bounded, lock-striped map from chain key to [`InternedChain`].
+/// Bounded, lock-striped map from chain key to an interned value: an
+/// [`InternedChain`] by default; the engine interns [`ScannedChain`]s.
 #[derive(Debug)]
-pub struct TokenInterner {
-    shards: Vec<Mutex<LruMap<u64, InternedChain>>>,
+pub struct TokenInterner<V = InternedChain> {
+    shards: Vec<Mutex<LruMap<u64, V>>>,
 }
 
-impl TokenInterner {
+impl<V: Clone> TokenInterner<V> {
     /// An interner holding at most `capacity` chains across `num_shards`
     /// lock stripes.
     #[must_use]
@@ -122,14 +139,15 @@ impl TokenInterner {
         Self::new(DEFAULT_INTERN_CAPACITY, DEFAULT_INTERN_SHARDS)
     }
 
-    fn shard(&self, key: u64) -> &Mutex<LruMap<u64, InternedChain>> {
+    fn shard(&self, key: u64) -> &Mutex<LruMap<u64, V>> {
         &self.shards[(key % self.shards.len() as u64) as usize]
     }
 
     /// Look up a chain by key. A hit refreshes the entry's LRU position.
-    /// The returned chain is three `Arc` clones — no data is copied.
+    /// The returned value is a clone: for a chain, three `Arc` clones (and
+    /// a copy of the scan) — no heap data is copied.
     #[must_use]
-    pub fn get(&self, key: u64) -> Option<InternedChain> {
+    pub fn get(&self, key: u64) -> Option<V> {
         self.shard(key).lock().get(&key).cloned()
     }
 
@@ -137,7 +155,7 @@ impl TokenInterner {
     /// kept (entries are content-determined, so both values are identical)
     /// and only its LRU position refreshes. At capacity, the least
     /// recently used chain in the shard is evicted first.
-    pub fn insert(&self, key: u64, chain: InternedChain) {
+    pub fn insert(&self, key: u64, chain: V) {
         // The victim, if any, drops after the shard unlocks.
         let _victim = self.shard(key).lock().insert(key, chain);
     }

@@ -56,10 +56,12 @@ pub use cache::{
 pub use clock::{SimClock, MAX_LANES};
 pub use engine::{EngineConfig, SimLlm};
 pub use intern::{
-    affinity_chain_key, chain_key, InternStats, InternedChain, TokenInterner, CHAIN_SEED,
+    affinity_chain_key, chain_key, InternStats, InternedChain, ScannedChain, TokenInterner,
+    CHAIN_SEED,
 };
 pub use lru::{LruMap, LruStats};
 pub use memo::{GenMemo, LeadGuard, Lookup, MemoEntry, MemoStats};
 pub use pool::{AllocGrant, BlockPool, PoolExhausted, PoolStats, DEFAULT_POOL_STRIPES};
 pub use profile::{ModelProfile, PromptFeatures, QualityWeights, TaskKind};
+pub use task::TaskScan;
 pub use tokenizer::{StreamingEncoder, Token, Tokenizer};

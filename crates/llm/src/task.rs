@@ -8,11 +8,41 @@
 //! identical results. The residual error floor comes from genuinely
 //! ambiguous items (generator-controlled), which no prompt fixes — matching
 //! how prompt refinements move accuracy in the paper without reaching 1.0.
+//!
+//! ## One resumable scan per prompt
+//!
+//! Everything the model reads from a prompt's wording is collected by one
+//! forward pass, [`TaskScan`]: the first offset of each case-insensitive
+//! marker (detection, [`PromptFeatures`], the justification, dosage and
+//! timing directives), the digits after the first word-limit phrase, and the
+//! last offset of each case-sensitive item marker (`Input:`, `Tweet:`,
+//! `Text:`). The scan takes the prompt in chunks and its state is a plain
+//! `Copy` value, so the engine keeps it in the token interner next to the
+//! tokenizer's resume state ([`crate::intern::ScannedChain`]): a prompt
+//! family's shared prefix is scanned once per process, and each request
+//! scans only its suffix. A prompt that arrives whole is the same scan fed
+//! one chunk. The behaviours that need more than those facts — the prompt
+//! rewrite and write tasks, the generic answer and QA's sentence search —
+//! read the original text.
+//!
+//! Feeding chunk by chunk is exact because every marker is ASCII. Each
+//! chunk is lowercased char by char; the only context-dependent lowercase
+//! mapping is Greek capital sigma, whose two results (σ and final ς) are
+//! both two non-ASCII bytes, so marker matches and lowered offsets equal
+//! those in the whole prompt's `to_lowercase`. A chunk keeps the last
+//! (longest marker − 1) lowered bytes of the text before it, so a marker
+//! split across chunks is found once, and a digit run open at a chunk's end
+//! continues into the next.
+
+use std::cell::RefCell;
 
 use spear_data::vocab;
 use spear_kv::shard::fnv1a;
 
 use crate::profile::{ModelProfile, PromptFeatures, TaskKind};
+
+#[cfg(test)]
+mod reference;
 
 /// Result of running the task model.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,127 +53,490 @@ pub struct TaskOutcome {
     pub confidence: f64,
 }
 
+/// The case-insensitive markers the model reads, one per [`Marker`].
+const MARKERS: [&str; 28] = [
+    "--- prompt ---",
+    "write a prompt",
+    "generate a prompt",
+    "summarize",
+    "clean up",
+    "sentiment",
+    "classify",
+    "school",
+    "medication",
+    "enoxaparin",
+    "objective:",
+    "the goal is",
+    "be specific",
+    "every relevant detail",
+    "focus on",
+    "step by step",
+    "reasoning",
+    "example:",
+    "output:",
+    "word limit",
+    "at most",
+    "no more than",
+    "justification",
+    "dosage",
+    "timing",
+    "at most ",
+    "word limit of ",
+    "no more than ",
+];
+
+/// Index into [`MARKERS`]. The last three are the word-limit phrases whose
+/// digits the scan reads, in the order they are tried.
+#[derive(Debug, Clone, Copy)]
+enum Marker {
+    RewriteBlock,
+    WriteAPrompt,
+    GenerateAPrompt,
+    Summarize,
+    CleanUp,
+    Sentiment,
+    Classify,
+    School,
+    Medication,
+    Enoxaparin,
+    Objective,
+    TheGoalIs,
+    BeSpecific,
+    EveryRelevantDetail,
+    FocusOn,
+    StepByStep,
+    Reasoning,
+    Example,
+    Output,
+    WordLimit,
+    AtMost,
+    NoMoreThan,
+    Justification,
+    Dosage,
+    Timing,
+    AtMostN,
+}
+
+/// The first of the three word-limit phrases in [`MARKERS`].
+const LIMIT_PHRASES: usize = Marker::AtMostN as usize;
+
+const _: () = assert!(MARKERS.len() <= 32 && LIMIT_PHRASES + 3 == MARKERS.len());
+
+/// The shortest marker: a window's last `SHORTEST - 1` bytes cannot start
+/// a match in it (the next window's carry holds them).
+const SHORTEST: usize = 6;
+
+/// For each byte `b`, the [`MARKERS`] whose byte `at` is `b`, one bit each.
+const fn byte_table(at: usize) -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut m = 0;
+    while m < MARKERS.len() {
+        assert!(MARKERS[m].len() >= SHORTEST);
+        table[MARKERS[m].as_bytes()[at] as usize] |= 1 << m;
+        m += 1;
+    }
+    table
+}
+
+/// The markers a window position can start, filtered on its first three
+/// bytes, so a full comparison runs only where one almost surely matches.
+const FIRST_BYTE: [u32; 256] = byte_table(0);
+const SECOND_BYTE: [u32; 256] = byte_table(1);
+const THIRD_BYTE: [u32; 256] = byte_table(2);
+
+/// The first position at or after `from` where one of the `unseen`
+/// markers starts in `window`, and that marker.
+fn next_marker(window: &[u8], from: usize, unseen: u32) -> Option<(usize, usize)> {
+    let starts = window.len().saturating_sub(SHORTEST - 1);
+    for at in from..starts {
+        let mut candidates = FIRST_BYTE[usize::from(window[at])]
+            & SECOND_BYTE[usize::from(window[at + 1])]
+            & THIRD_BYTE[usize::from(window[at + 2])]
+            & unseen;
+        while candidates != 0 {
+            let m = candidates.trailing_zeros() as usize;
+            if window[at..].starts_with(MARKERS[m].as_bytes()) {
+                return Some((at, m));
+            }
+            candidates &= candidates - 1;
+        }
+    }
+    None
+}
+
+/// Lowered bytes a chunk keeps of the text before it: one short of the
+/// longest marker.
+const CARRY: usize = {
+    let mut longest = 0;
+    let mut m = 0;
+    while m < MARKERS.len() {
+        if MARKERS[m].len() > longest {
+            longest = MARKERS[m].len();
+        }
+        m += 1;
+    }
+    longest - 1
+};
+
+/// The case-sensitive item markers, in priority order; each ends in `:`.
+const ITEM_MARKERS: [&str; 3] = ["Input:", "Tweet:", "Text:"];
+
+/// Original bytes a chunk keeps of the text before it: one short of the
+/// longest item marker.
+const ITEM_CARRY: usize = 5;
+
+/// An offset not seen yet.
+const NONE: usize = usize::MAX;
+
+thread_local! {
+    // One lowered window (carry + chunk) at a time, reused across feeds.
+    static LOWERED: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// The last at most `N` bytes of the text fed so far.
+#[derive(Debug, Clone, Copy)]
+struct Tail<const N: usize> {
+    buf: [u8; N],
+    len: usize,
+}
+
+impl<const N: usize> Tail<N> {
+    const EMPTY: Self = Self {
+        buf: [0; N],
+        len: 0,
+    };
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    /// The kept bytes from their first char boundary on. The bytes
+    /// skipped continue a char that starts before the tail, so no ASCII
+    /// marker can include them.
+    fn text(&self) -> &str {
+        let bytes = self.bytes();
+        let start = bytes
+            .iter()
+            .position(|&b| !(0x80..0xC0).contains(&b))
+            .unwrap_or(bytes.len());
+        std::str::from_utf8(&bytes[start..]).unwrap_or_default()
+    }
+
+    /// Append `more`, keeping the last `N` bytes.
+    fn push(&mut self, more: &[u8]) {
+        if more.len() >= N {
+            self.buf.copy_from_slice(&more[more.len() - N..]);
+            self.len = N;
+        } else {
+            let keep = self.len.min(N - more.len());
+            self.buf.copy_within(self.len - keep..self.len, 0);
+            self.buf[keep..keep + more.len()].copy_from_slice(more);
+            self.len = keep + more.len();
+        }
+    }
+}
+
+/// Whether `head ++ tail` ends with `marker`.
+fn ends_with_split(head: &[u8], tail: &[u8], marker: &[u8]) -> bool {
+    if tail.len() >= marker.len() {
+        tail.ends_with(marker)
+    } else {
+        let (front, back) = marker.split_at(marker.len() - tail.len());
+        tail == back && head.ends_with(front)
+    }
+}
+
+/// Append `chunk`'s lowercase to `out`, one char at a time.
+fn lowercase_into(chunk: &str, out: &mut String) {
+    if chunk.is_ascii() {
+        let start = out.len();
+        out.push_str(chunk);
+        out[start..].make_ascii_lowercase();
+        return;
+    }
+    out.extend(chunk.chars().flat_map(char::to_lowercase));
+}
+
+/// Everything the task model reads from a prompt, gathered in one forward
+/// pass that can stop after any chunk and resume from a copy of its state
+/// (see the module docs). Feed the prompt's chunks in order; the readers
+/// then answer for the text fed so far.
+#[derive(Debug, Clone, Copy)]
+pub struct TaskScan {
+    /// Lowered offset of each marker's first occurrence, or [`NONE`].
+    first: [usize; MARKERS.len()],
+    /// The markers not seen yet, one bit each.
+    unseen: u32,
+    /// The number after each word-limit phrase as far as it has been read:
+    /// digits folded base 10 from `Some(0)`, `None` once they overflow.
+    limits: [Option<usize>; 3],
+    /// Whether that digit run reached the end of the text so far, so the
+    /// next chunk may continue it.
+    limits_open: [bool; 3],
+    /// Original offset of each item marker's last occurrence, or [`NONE`].
+    items: [usize; ITEM_MARKERS.len()],
+    /// Bytes fed so far, in original and in lowered coordinates.
+    original_len: usize,
+    lowered_len: usize,
+    carry: Tail<CARRY>,
+    item_carry: Tail<ITEM_CARRY>,
+}
+
+impl Default for TaskScan {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl TaskScan {
+    /// The scan of the empty text.
+    #[must_use]
+    pub const fn new() -> Self {
+        Self {
+            first: [NONE; MARKERS.len()],
+            unseen: (1 << MARKERS.len()) - 1,
+            limits: [None; 3],
+            limits_open: [false; 3],
+            items: [NONE; ITEM_MARKERS.len()],
+            original_len: 0,
+            lowered_len: 0,
+            carry: Tail::EMPTY,
+            item_carry: Tail::EMPTY,
+        }
+    }
+
+    /// The scan of `prompt` fed as one chunk.
+    #[must_use]
+    pub fn of(prompt: &str) -> Self {
+        let mut scan = Self::new();
+        scan.feed(prompt);
+        scan
+    }
+
+    /// Continue the scan over the next chunk of the prompt.
+    pub fn feed(&mut self, chunk: &str) {
+        self.scan_items(chunk);
+        LOWERED.with(|window| {
+            let window = &mut *window.borrow_mut();
+            window.clear();
+            window.push_str(self.carry.text());
+            let carried = window.len();
+            lowercase_into(chunk, window);
+            self.scan_lowered(window.as_bytes(), carried);
+        });
+    }
+
+    /// Record every item marker that ends in `chunk`.
+    fn scan_items(&mut self, chunk: &str) {
+        for (colon, _) in chunk.match_indices(':') {
+            let upto = &chunk.as_bytes()[..=colon];
+            for (k, marker) in ITEM_MARKERS.iter().enumerate() {
+                if ends_with_split(self.item_carry.bytes(), upto, marker.as_bytes()) {
+                    self.items[k] = self.original_len + upto.len() - marker.len();
+                }
+            }
+        }
+        self.item_carry.push(chunk.as_bytes());
+        self.original_len += chunk.len();
+    }
+
+    /// Record the first occurrence of each unseen marker in `window`, the
+    /// `carried` bytes of the carry followed by the lowered chunk. An unseen
+    /// marker cannot lie wholly inside the carry — the previous window held
+    /// it — so every match here is new.
+    fn scan_lowered(&mut self, window: &[u8], carried: usize) {
+        let base = self.lowered_len - carried;
+        let chunk = &window[carried..];
+        for k in 0..3 {
+            if self.limits_open[k] {
+                self.read_digits(k, chunk);
+            }
+        }
+        let mut from = 0;
+        while let Some((at, m)) = next_marker(window, from, self.unseen) {
+            self.first[m] = base + at;
+            self.unseen &= !(1 << m);
+            if m >= LIMIT_PHRASES {
+                let k = m - LIMIT_PHRASES;
+                self.limits[k] = Some(0);
+                self.limits_open[k] = true;
+                self.read_digits(k, &window[at + MARKERS[m].len()..]);
+            }
+            // Another marker may start at the same position.
+            from = at;
+        }
+        self.lowered_len = base + window.len();
+        self.carry.push(chunk);
+    }
+
+    /// Fold the digits at the start of `bytes` into word limit `k`, closing
+    /// it at the first non-digit.
+    fn read_digits(&mut self, k: usize, bytes: &[u8]) {
+        for &b in bytes {
+            if !b.is_ascii_digit() {
+                self.limits_open[k] = false;
+                return;
+            }
+            self.limits[k] = self.limits[k]
+                .and_then(|n| n.checked_mul(10))
+                .and_then(|n| n.checked_add(usize::from(b - b'0')));
+        }
+    }
+
+    fn has(&self, marker: Marker) -> bool {
+        self.first[marker as usize] != NONE
+    }
+
+    fn at(&self, marker: Marker) -> Option<usize> {
+        Some(self.first[marker as usize]).filter(|&at| at != NONE)
+    }
+
+    fn summarizes(&self) -> bool {
+        self.has(Marker::Summarize) || self.has(Marker::CleanUp)
+    }
+
+    /// Route the prompt to a task. An explicit `options.task` hint wins;
+    /// otherwise the prompt's wording decides.
+    #[must_use]
+    pub fn task(&self, hint: Option<&str>) -> TaskKind {
+        let hinted = match hint {
+            Some("summarize") => Some(TaskKind::Summarize),
+            Some("classify_sentiment") => Some(TaskKind::ClassifySentiment),
+            Some("classify_school_negative") => Some(TaskKind::ClassifySchoolNegative),
+            Some("fused_map_filter") => Some(TaskKind::FusedMapFilter),
+            Some("fused_filter_map") => Some(TaskKind::FusedFilterMap),
+            Some("rewrite_prompt") => Some(TaskKind::RewritePrompt),
+            Some("write_prompt") => Some(TaskKind::WritePrompt),
+            Some("qa") => Some(TaskKind::Qa),
+            _ => None,
+        };
+        if let Some(kind) = hinted {
+            return kind;
+        }
+        if self.has(Marker::RewriteBlock) {
+            return TaskKind::RewritePrompt;
+        }
+        if self.has(Marker::WriteAPrompt) || self.has(Marker::GenerateAPrompt) {
+            return TaskKind::WritePrompt;
+        }
+        let summarizes = self.summarizes();
+        let classifies = self.has(Marker::Sentiment) || self.has(Marker::Classify);
+        let school = self.has(Marker::School);
+        // Clinical QA outranks the generic summarize/classify routing: a
+        // prompt about medication history is extractive QA even when it
+        // says "summarize".
+        if !classifies && (self.has(Marker::Medication) || self.has(Marker::Enoxaparin)) {
+            return TaskKind::Qa;
+        }
+        match (summarizes, classifies) {
+            (_, true) if school => TaskKind::ClassifySchoolNegative,
+            (true, true) => {
+                // Fusion order: which directive appears first.
+                let s_at = self.at(Marker::Summarize).or(self.at(Marker::CleanUp));
+                let c_at = self.at(Marker::Sentiment).or(self.at(Marker::Classify));
+                if s_at <= c_at {
+                    TaskKind::FusedMapFilter
+                } else {
+                    TaskKind::FusedFilterMap
+                }
+            }
+            (true, false) => TaskKind::Summarize,
+            (false, true) => TaskKind::ClassifySentiment,
+            (false, false) => TaskKind::Generic,
+        }
+    }
+
+    /// The prompt's structural features.
+    #[must_use]
+    pub fn features(&self) -> PromptFeatures {
+        PromptFeatures {
+            has_objective: self.has(Marker::Objective) || self.has(Marker::TheGoalIs),
+            has_specificity: self.has(Marker::BeSpecific)
+                || self.has(Marker::EveryRelevantDetail)
+                || self.has(Marker::FocusOn),
+            has_hint: self.has(Marker::StepByStep) || self.has(Marker::Reasoning),
+            has_example: self.has(Marker::Example) && self.has(Marker::Output),
+            has_word_limit: self.has(Marker::WordLimit)
+                || self.has(Marker::AtMost)
+                || self.has(Marker::NoMoreThan),
+        }
+    }
+
+    /// The word limit ("at most N", "word limit of N", "no more than N"):
+    /// the first of those phrases, in that order, whose first occurrence is
+    /// followed by a positive number; `None` when unconstrained.
+    #[must_use]
+    pub fn word_limit(&self) -> Option<usize> {
+        self.limits.iter().find_map(|&n| n.filter(|&n| n > 0))
+    }
+
+    /// The item under analysis in `prompt`, which must be the text this
+    /// scan was fed: the text after the last occurrence of the first item
+    /// marker present in priority order — any `Input:` beats a later
+    /// `Tweet:`, which beats a later `Text:` — else the last non-empty line.
+    #[must_use]
+    pub fn item<'a>(&self, prompt: &'a str) -> &'a str {
+        for (&at, marker) in self.items.iter().zip(ITEM_MARKERS) {
+            if at != NONE {
+                return prompt[at + marker.len()..].trim();
+            }
+        }
+        prompt
+            .lines()
+            .rev()
+            .find(|l| !l.trim().is_empty())
+            .unwrap_or("")
+            .trim()
+    }
+
+    /// Run task `kind` over `prompt`, which must be the text this scan was
+    /// fed.
+    #[must_use]
+    pub fn run(&self, kind: TaskKind, prompt: &str, params: &TaskParams<'_>) -> TaskOutcome {
+        match kind {
+            TaskKind::Summarize => summarize(self.item(prompt), self),
+            TaskKind::ClassifySentiment => classify(self.item(prompt), self, params, kind, false),
+            TaskKind::ClassifySchoolNegative => {
+                classify(self.item(prompt), self, params, kind, true)
+            }
+            TaskKind::FusedMapFilter | TaskKind::FusedFilterMap => {
+                fused(self.item(prompt), self, params, kind)
+            }
+            TaskKind::RewritePrompt => rewrite_prompt(prompt),
+            TaskKind::WritePrompt => write_prompt(prompt),
+            TaskKind::Qa => qa(prompt, self),
+            TaskKind::Generic => generic(prompt),
+        }
+    }
+}
+
 /// Route a request to a task. An explicit `options.task` hint wins;
 /// otherwise the prompt's wording decides.
 #[must_use]
 pub fn detect_task(hint: Option<&str>, prompt: &str) -> TaskKind {
-    detect_task_lowered(hint, &prompt.to_lowercase())
+    TaskScan::of(prompt).task(hint)
 }
 
-/// Detect the task and run it with one shared case fold of the prompt.
-///
-/// [`detect_task`] and [`run`] each lowercase the prompt (detection
-/// markers, feature scan, word-limit parse, justification check are all
-/// case-insensitive); the engine's hot path calls this combined entry
-/// point so the fold happens once per request instead of three times.
-/// Behaviour is byte-identical to `run(detect_task(hint, prompt), prompt,
-/// params)`.
-#[must_use]
-pub fn detect_and_run(hint: Option<&str>, prompt: &str, params: &TaskParams<'_>) -> TaskOutcome {
-    let lower = prompt.to_lowercase();
-    run_lowered(detect_task_lowered(hint, &lower), prompt, &lower, params)
-}
-
-/// [`detect_task`] over a caller-lowercased prompt.
-fn detect_task_lowered(hint: Option<&str>, lower: &str) -> TaskKind {
-    if let Some(h) = hint {
-        match h {
-            "summarize" => return TaskKind::Summarize,
-            "classify_sentiment" => return TaskKind::ClassifySentiment,
-            "classify_school_negative" => return TaskKind::ClassifySchoolNegative,
-            "fused_map_filter" => return TaskKind::FusedMapFilter,
-            "fused_filter_map" => return TaskKind::FusedFilterMap,
-            "rewrite_prompt" => return TaskKind::RewritePrompt,
-            "write_prompt" => return TaskKind::WritePrompt,
-            "qa" => return TaskKind::Qa,
-            _ => {}
-        }
-    }
-    if lower.contains("--- prompt ---") {
-        return TaskKind::RewritePrompt;
-    }
-    if lower.contains("write a prompt") || lower.contains("generate a prompt") {
-        return TaskKind::WritePrompt;
-    }
-    let summarizes = lower.contains("summarize") || lower.contains("clean up");
-    let classifies = lower.contains("sentiment") || lower.contains("classify");
-    let school = lower.contains("school");
-    // Clinical QA outranks the generic summarize/classify routing: a prompt
-    // about medication history is extractive QA even when it says
-    // "summarize".
-    if !classifies && (lower.contains("medication") || lower.contains("enoxaparin")) {
-        return TaskKind::Qa;
-    }
-    match (summarizes, classifies) {
-        (true, true) => {
-            if school {
-                TaskKind::ClassifySchoolNegative
-            } else {
-                // Fusion order: which directive appears first.
-                let s_at = lower.find("summarize").or_else(|| lower.find("clean up"));
-                let c_at = lower.find("sentiment").or_else(|| lower.find("classify"));
-                match (s_at, c_at) {
-                    (Some(s), Some(c)) if s <= c => TaskKind::FusedMapFilter,
-                    _ => TaskKind::FusedFilterMap,
-                }
-            }
-        }
-        (true, false) => TaskKind::Summarize,
-        (false, true) => {
-            if school {
-                TaskKind::ClassifySchoolNegative
-            } else {
-                TaskKind::ClassifySentiment
-            }
-        }
-        (false, false) => {
-            if lower.contains("medication") || lower.contains("enoxaparin") {
-                TaskKind::Qa
-            } else {
-                TaskKind::Generic
-            }
-        }
-    }
-}
-
-/// Extract the item under analysis: text after the last `Input:` / `Tweet:`
-/// / `Text:` marker, else the last non-empty line.
+/// Extract the item under analysis: the text after the last occurrence of
+/// the first marker present in priority order — `Input:`, then `Tweet:`,
+/// then `Text:`, so any `Input:` beats a later `Tweet:` — else the last
+/// non-empty line.
 #[must_use]
 pub fn extract_input(prompt: &str) -> &str {
-    for marker in ["Input:", "Tweet:", "Text:"] {
-        if let Some(pos) = prompt.rfind(marker) {
-            return prompt[pos + marker.len()..].trim();
-        }
-    }
-    prompt
-        .lines()
-        .rev()
-        .find(|l| !l.trim().is_empty())
-        .unwrap_or("")
-        .trim()
+    TaskScan::of(prompt).item(prompt)
 }
 
 /// Parse a word limit from the prompt ("at most N words", "word limit of
 /// N", "no more than N words"); `None` when unconstrained.
 #[must_use]
 pub fn parse_word_limit(prompt: &str) -> Option<usize> {
-    parse_word_limit_lowered(&prompt.to_lowercase())
+    TaskScan::of(prompt).word_limit()
 }
 
-/// [`parse_word_limit`] over a caller-lowercased prompt.
-fn parse_word_limit_lowered(lower: &str) -> Option<usize> {
-    for marker in ["at most ", "word limit of ", "no more than "] {
-        if let Some(pos) = lower.find(marker) {
-            let rest = &lower[pos + marker.len()..];
-            let num: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            if let Ok(n) = num.parse::<usize>() {
-                if n > 0 {
-                    return Some(n);
-                }
-            }
-        }
-    }
-    None
+/// Run the task model over `prompt`.
+#[must_use]
+pub fn run(kind: TaskKind, prompt: &str, params: &TaskParams<'_>) -> TaskOutcome {
+    TaskScan::of(prompt).run(kind, prompt, params)
 }
 
 /// Uniform draw in `[0, 1)` from a hash.
@@ -171,33 +564,11 @@ pub struct TaskParams<'a> {
     pub seed: u64,
 }
 
-/// Run the task model over `prompt`.
-#[must_use]
-pub fn run(kind: TaskKind, prompt: &str, params: &TaskParams<'_>) -> TaskOutcome {
-    run_lowered(kind, prompt, &prompt.to_lowercase(), params)
-}
-
-/// [`run`] with the prompt's case fold supplied by the caller (`lower`
-/// MUST be `prompt.to_lowercase()`).
-fn run_lowered(kind: TaskKind, prompt: &str, lower: &str, params: &TaskParams<'_>) -> TaskOutcome {
-    match kind {
-        TaskKind::Summarize => summarize(prompt, lower),
-        TaskKind::ClassifySentiment => classify(prompt, lower, params, kind, false),
-        TaskKind::ClassifySchoolNegative => classify(prompt, lower, params, kind, true),
-        TaskKind::FusedMapFilter | TaskKind::FusedFilterMap => fused(prompt, lower, params, kind),
-        TaskKind::RewritePrompt => rewrite_prompt(prompt),
-        TaskKind::WritePrompt => write_prompt(prompt),
-        TaskKind::Qa => qa(prompt, lower),
-        TaskKind::Generic => generic(prompt),
-    }
-}
-
 fn correctness_probability(
     kind: TaskKind,
-    lower: &str,
+    features: PromptFeatures,
     params: &TaskParams<'_>,
 ) -> (f64, PromptFeatures) {
-    let features = PromptFeatures::detect_lowered(lower);
     let w = &params.profile.quality;
     let mut p = params.profile.base_accuracy(kind) + w.bonus(&features, params.structured_identity);
     match kind {
@@ -237,14 +608,13 @@ fn confidence_for(p: f64, strength: i32, jitter_seed: u64) -> f64 {
 }
 
 fn classify(
-    prompt: &str,
-    lower: &str,
+    item: &str,
+    scan: &TaskScan,
     params: &TaskParams<'_>,
     kind: TaskKind,
     school: bool,
 ) -> TaskOutcome {
-    let item = extract_input(prompt);
-    let (p, features) = correctness_probability(kind, lower, params);
+    let (p, features) = correctness_probability(kind, scan.features(), params);
     let (neg, strength) = lexicon_negative(item);
     let r = draw(item, &params.profile.name, features, params.seed, 0xC1A5);
     let decided_negative = if r < p { neg } else { !neg };
@@ -257,8 +627,8 @@ fn classify(
         // The Table 3 pipeline also summarizes (the Map half of view V):
         // when the prompt carries a summarize directive, emit the summary
         // after the label so decode cost reflects the real output.
-        if lower.contains("summarize") || lower.contains("clean up") {
-            let limit = parse_word_limit_lowered(lower).unwrap_or(25);
+        if scan.summarizes() {
+            let limit = scan.word_limit().unwrap_or(25);
             format!(
                 "{label} :: {} — decided after weighing the overall tone, the \
                  dominant subject, and the school-topic wording of the tweet \
@@ -275,7 +645,7 @@ fn classify(
             "positive"
         };
         // Filters asked for a justification decode a sentence, not a word.
-        if lower.contains("justification") {
+        if scan.has(Marker::Justification) {
             format!("{label} — clearly {label} wording about the main subject")
         } else {
             label.to_string()
@@ -287,20 +657,16 @@ fn classify(
     }
 }
 
-fn summarize(prompt: &str, lower: &str) -> TaskOutcome {
-    let item = extract_input(prompt);
-    let limit = parse_word_limit_lowered(lower).unwrap_or(25);
-    let cleaned = clean(item, limit);
+fn summarize(item: &str, scan: &TaskScan) -> TaskOutcome {
     TaskOutcome {
         confidence: 0.9,
-        text: cleaned,
+        text: clean(item, scan.word_limit().unwrap_or(25)),
     }
 }
 
-fn fused(prompt: &str, lower: &str, params: &TaskParams<'_>, kind: TaskKind) -> TaskOutcome {
-    let item = extract_input(prompt);
-    let limit = parse_word_limit_lowered(lower).unwrap_or(25);
-    let (p, features) = correctness_probability(kind, lower, params);
+fn fused(item: &str, scan: &TaskScan, params: &TaskParams<'_>, kind: TaskKind) -> TaskOutcome {
+    let limit = scan.word_limit().unwrap_or(25);
+    let (p, features) = correctness_probability(kind, scan.features(), params);
     let (neg, strength) = lexicon_negative(item);
     let r = draw(item, &params.profile.name, features, params.seed, 0xF05E);
     let decided_negative = if r < p { neg } else { !neg };
@@ -309,7 +675,7 @@ fn fused(prompt: &str, lower: &str, params: &TaskParams<'_>, kind: TaskKind) -> 
     } else {
         "positive"
     };
-    let tail = if lower.contains("justification") {
+    let tail = if scan.has(Marker::Justification) {
         " — checked"
     } else {
         ""
@@ -355,9 +721,13 @@ fn rewrite_prompt(prompt: &str) -> TaskOutcome {
     let objective_mode = instruction.to_lowercase().contains("objective");
     let keep_fraction = if objective_mode { 82 } else { 92 };
 
-    // Cut at a word boundary near the preservation fraction.
-    let cut_target = original.len() * keep_fraction / 100;
-    let cut = original[..cut_target.min(original.len())]
+    // Cut at a word boundary near the preservation fraction (the target
+    // backs off to a char boundary first).
+    let mut cut_target = original.len() * keep_fraction / 100;
+    while !original.is_char_boundary(cut_target) {
+        cut_target -= 1;
+    }
+    let cut = original[..cut_target]
         .rfind(char::is_whitespace)
         .unwrap_or(original.len());
     let head = original[..cut].trim_end();
@@ -441,16 +811,17 @@ fn write_prompt(prompt: &str) -> TaskOutcome {
 
 /// Clinical QA: extract the sentence mentioning the drug; confidence rises
 /// with hint/specificity features, enabling the §2 retry pattern.
-fn qa(prompt: &str, lower: &str) -> TaskOutcome {
-    let features = PromptFeatures::detect_lowered(lower);
-    let sentence = prompt
-        .split(['.', '\n'])
-        .find(|s| s.to_lowercase().contains("enoxaparin") && s.to_lowercase().contains("mg"));
+fn qa(prompt: &str, scan: &TaskScan) -> TaskOutcome {
+    let features = scan.features();
+    let sentence = prompt.split(['.', '\n']).find(|s| {
+        let s = s.to_lowercase();
+        s.contains("enoxaparin") && s.contains("mg")
+    });
     let mut confidence: f64 = 0.55;
     if features.has_hint {
         confidence += 0.2;
     }
-    if features.has_specificity || lower.contains("dosage") || lower.contains("timing") {
+    if features.has_specificity || scan.has(Marker::Dosage) || scan.has(Marker::Timing) {
         confidence += 0.15;
     }
     match sentence {
@@ -510,6 +881,7 @@ fn generic(prompt: &str) -> TaskOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn qwen_params(seed: u64) -> (ModelProfile, u64) {
         (ModelProfile::qwen25_7b_instruct(), seed)
@@ -565,28 +937,178 @@ mod tests {
         assert_eq!(detect_task(None, "hello"), TaskKind::Generic);
     }
 
-    #[test]
-    fn detect_and_run_matches_the_two_step_path() {
+    const KINDS: [TaskKind; 9] = [
+        TaskKind::Summarize,
+        TaskKind::ClassifySentiment,
+        TaskKind::ClassifySchoolNegative,
+        TaskKind::FusedMapFilter,
+        TaskKind::FusedFilterMap,
+        TaskKind::RewritePrompt,
+        TaskKind::WritePrompt,
+        TaskKind::Qa,
+        TaskKind::Generic,
+    ];
+
+    /// The scan of `text` fed in the pieces that `cuts` (char indices)
+    /// split it into.
+    fn scan_in_pieces(text: &str, cuts: &[usize]) -> TaskScan {
+        let mut bounds: Vec<usize> = cuts
+            .iter()
+            .filter_map(|&c| text.char_indices().nth(c).map(|(at, _)| at))
+            .collect();
+        bounds.sort_unstable();
+        let mut scan = TaskScan::new();
+        let mut from = 0;
+        for to in bounds.into_iter().chain([text.len()]) {
+            scan.feed(&text[from..to]);
+            from = to;
+        }
+        scan
+    }
+
+    /// Everything the scan reports equals the whole-prompt reference.
+    fn assert_matches_reference(text: &str, scan: &TaskScan, hint: Option<&str>) {
         let (profile, seed) = qwen_params(5);
         let params = TaskParams {
             profile: &profile,
             structured_identity: true,
             seed,
         };
-        for prompt in [
-            "Summarize the tweet. Use at most 10 words.\nTweet: SO much HOMEWORK tonight ugh",
-            "Classify the sentiment. Provide a justification.\nTweet: GREAT day",
-            "Summarize the tweet, then classify its sentiment. A word limit of 12.\nTweet: rain",
-            "Highlight any use of Enoxaparin. Think STEP BY STEP.\n\
-             Notes: enoxaparin 40 mg SC daily.",
-            "hello there",
-        ] {
-            let kind = detect_task(None, prompt);
+        let lower = text.to_lowercase();
+        assert_eq!(
+            scan.task(hint),
+            reference::detect_task_lowered(hint, &lower),
+            "{text:?}"
+        );
+        assert_eq!(scan.features(), PromptFeatures::detect(text), "{text:?}");
+        assert_eq!(
+            scan.word_limit(),
+            reference::parse_word_limit_lowered(&lower),
+            "{text:?}"
+        );
+        assert_eq!(scan.item(text), reference::extract_input(text), "{text:?}");
+        assert_eq!(
+            scan.run(scan.task(hint), text, &params),
+            reference::detect_and_run(hint, text, &params),
+            "{text:?}"
+        );
+        for kind in KINDS {
             assert_eq!(
-                detect_and_run(None, prompt, &params),
-                run(kind, prompt, &params),
-                "{prompt}"
+                scan.run(kind, text, &params),
+                reference::run_lowered(kind, text, &lower, &params),
+                "{kind:?} over {text:?}"
             );
+        }
+    }
+
+    /// A marker (or item marker, or word-limit phrase) in lower, upper or
+    /// title case, a digit run, plain words, fold edge cases or any char.
+    fn piece() -> impl Strategy<Value = String> {
+        let marker = (0..MARKERS.len() + ITEM_MARKERS.len(), 0..3u8).prop_map(|(m, case)| {
+            let text = MARKERS
+                .get(m)
+                .copied()
+                .unwrap_or_else(|| ITEM_MARKERS[m - MARKERS.len()]);
+            match case {
+                0 => text.to_string(),
+                1 => text.to_uppercase(),
+                _ => text[..1].to_uppercase() + &text[1..],
+            }
+        });
+        prop_oneof![
+            4 => marker,
+            2 => "[0-9]{1,3}",
+            1 => Just("0".repeat(24) + "7"),
+            1 => Just("9".repeat(25)),
+            2 => "[a-zA-Z]{1,6}",
+            2 => Just(" ".to_string()),
+            1 => Just("\n".to_string()),
+            1 => Just(". ".to_string()),
+            1 => Just("mg".to_string()),
+            1 => Just("Σ".to_string()),
+            1 => Just("ΟΔΟΣ".to_string()),
+            1 => Just("İ".to_string()),
+            1 => Just("\u{212A}".to_string()),
+            1 => Just("ẞ".to_string()),
+            2 => any::<u32>()
+                .prop_map(|c| char::from_u32(c % 0x11_0000).unwrap_or('\u{FFFD}').to_string()),
+        ]
+    }
+
+    fn hint() -> impl Strategy<Value = Option<&'static str>> {
+        prop_oneof![
+            6 => Just(None),
+            1 => Just(Some("summarize")),
+            1 => Just(Some("classify_school_negative")),
+            1 => Just(Some("fused_filter_map")),
+            1 => Just(Some("qa")),
+            1 => Just(Some("not_a_task")),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Over arbitrary Unicode text cut at arbitrary char boundaries,
+        /// the scan gives exactly the whole-prompt reference's task,
+        /// features, word limit, item and outcome.
+        #[test]
+        fn scan_over_any_chunking_matches_the_whole_prompt_reference(
+            pieces in proptest::collection::vec(piece(), 0..24),
+            cuts in proptest::collection::vec(0..96usize, 0..8),
+            hint in hint(),
+        ) {
+            let text = pieces.concat();
+            assert_matches_reference(&text, &scan_in_pieces(&text, &cuts), hint);
+        }
+    }
+
+    #[test]
+    fn markers_split_across_chunks_are_found_once() {
+        let text = "Please summarize, then classify. At most 12 words.\nInput: a\nTweet: b";
+        for at in 0..=text.len() {
+            assert_matches_reference(text, &scan_in_pieces(text, &[at]), None);
+        }
+        // Every char its own chunk: digit runs and markers cross every cut.
+        let every: Vec<usize> = (0..text.len()).collect();
+        let scan = scan_in_pieces(text, &every);
+        assert_eq!(scan.task(None), TaskKind::FusedMapFilter);
+        assert_eq!(scan.word_limit(), Some(12));
+        assert_eq!(
+            scan.item(text),
+            "a\nTweet: b",
+            "any Input: beats a later Tweet:"
+        );
+    }
+
+    #[test]
+    fn chunkwise_lowering_is_exact_at_context_and_length_changing_folds() {
+        // Final sigma folds to ς in the whole string and to σ chunk by
+        // chunk; both are two non-ASCII bytes, so lowered offsets agree.
+        // İ grows to three bytes, the Kelvin sign shrinks to ASCII `k`
+        // and ẞ shrinks to two bytes.
+        for text in [
+            "ΟΔΟΣ classify ΟΔΟΣ. summarize\nTweet: rain",
+            "ΣΣ summarize İİİ classify at most 4 words\nText: sun",
+            "\u{212A}\u{212A} clean up ẞẞ sentiment no more than 3\nInput: x y z w",
+            "İnput: not a marker\nTEXT: nor this\nText: this",
+        ] {
+            let every: Vec<usize> = (0..text.chars().count()).collect();
+            assert_matches_reference(text, &TaskScan::of(text), None);
+            assert_matches_reference(text, &scan_in_pieces(text, &every), None);
+        }
+    }
+
+    #[test]
+    fn a_resumed_copy_continues_where_the_prefix_stopped() {
+        let prefix = "Summarize and classify the sentiment. Use at most 1";
+        let mut interned = TaskScan::new();
+        interned.feed(prefix);
+        for suffix in ["5 words.\nTweet: rain", " words.\nTweet: sun"] {
+            let mut scan = interned;
+            scan.feed(suffix);
+            let text = format!("{prefix}{suffix}");
+            assert_matches_reference(&text, &scan, None);
         }
     }
 
@@ -597,6 +1119,11 @@ mod tests {
             extract_input("a\nInput: first\nInput: second"),
             "second",
             "last marker wins"
+        );
+        assert_eq!(
+            extract_input("a\nInput: first\nTweet: later"),
+            "first\nTweet: later",
+            "markers are tried in priority order: any Input: beats a later Tweet:"
         );
         assert_eq!(extract_input("only line"), "only line");
     }

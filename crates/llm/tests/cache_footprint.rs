@@ -1,24 +1,27 @@
 //! Allocations on the caches' hot paths: a prefix-cache hit (in a shard
 //! alone, and through the warm tier into a shard), a KV block-pool lease
-//! over a resident chain, a token-interner hit and a generation-memo hit.
+//! over a resident chain, a token-interner hit, a generation-memo hit, the
+//! task scan resumed from an interned chain, and a whole warm segmented
+//! GEN.
 //!
-//! Every GEN goes through `StripedPrefixCache::lookup_insert_hashed` and
-//! asks the interner for its prompt family's chain, a repeated GEN hits the
-//! memo, and every serving step leases its sequences' chains from a
-//! `BlockPool`, so what one call allocates is multiplied by the request
-//! rate. These tests pin each with a counting allocator of their own; the
-//! counters are per thread, so the harness running tests side by side
-//! cannot disturb a reading.
+//! Every GEN goes through `StripedPrefixCache::lookup_insert_hashed`, asks
+//! the interner for its prompt family's chain and resumes its task scan, a
+//! repeated GEN hits the memo, and every serving step leases its sequences'
+//! chains from a `BlockPool`, so what one call allocates is multiplied by
+//! the request rate. These tests pin each with a counting allocator of
+//! their own; the counters are per thread, so the harness running tests
+//! side by side cannot disturb a reading.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use std::sync::Arc;
 
-use spear_core::llm::FinishReason;
+use spear_core::llm::{FinishReason, GenRequest, LlmClient};
+use spear_core::segment::{SegmentedText, TextSegment};
 use spear_llm::{
-    BlockHasher, BlockPool, GenMemo, InternedChain, Lookup, MemoEntry, StripedPrefixCache, Token,
-    TokenInterner,
+    BlockHasher, BlockPool, GenMemo, InternedChain, Lookup, MemoEntry, ModelProfile, ScannedChain,
+    SimLlm, StripedPrefixCache, TaskKind, TaskScan, Token, TokenInterner,
 };
 
 thread_local! {
@@ -169,5 +172,71 @@ fn a_memo_hit_allocates_no_more_than_its_entry_clone() {
             n <= clone,
             "a memo hit made {n} allocations, the clone {clone}"
         );
+    }
+}
+
+/// A prompt family's shared instruction, as a view renders it.
+const INSTRUCTION: &str = "You are given one tweet per request. Summarize the tweet \
+    and decide whether it is about the focus topic and expresses negative sentiment. \
+    Answer with the label, then the cleaned summary, using a word limit of 40.\nTweet: ";
+
+#[test]
+fn resuming_an_interned_task_scan_over_an_ascii_suffix_does_not_allocate() {
+    let interner = TokenInterner::new(64, 1);
+    interner.insert(
+        7,
+        ScannedChain {
+            chain: InternedChain {
+                tokens: (0..40).map(Token).collect(),
+                pending: Arc::from(""),
+                block_hashes: chain().into(),
+            },
+            scan: TaskScan::of(INSTRUCTION),
+        },
+    );
+    let suffixes = [
+        "ugh my homework is due tomorrow and i have not started it",
+        "great sunshine today",
+        "the exam went badly. Weigh the topic wording before the tone.",
+    ];
+    // The first feed on a thread sizes its lowering buffer.
+    for suffix in suffixes {
+        TaskScan::of(INSTRUCTION).feed(suffix);
+    }
+    for suffix in suffixes {
+        let mut kind = None;
+        let n = allocs(|| {
+            let mut scan = interner.get(7).expect("interned").scan;
+            scan.feed(suffix);
+            kind = Some(scan.task(None));
+        });
+        assert_eq!(kind, Some(TaskKind::FusedMapFilter));
+        assert_eq!(n, 0, "resuming the scan made {n} allocations");
+    }
+}
+
+#[test]
+fn a_warm_segmented_generate_stays_within_its_allocation_budget() {
+    let llm = SimLlm::new(ModelProfile::qwen25_7b_instruct());
+    let mut segments = SegmentedText::new();
+    segments.push_segment(TextSegment::from_shared(
+        Arc::from(INSTRUCTION),
+        spear_kv::shard::fnv1a(INSTRUCTION.as_bytes()),
+    ));
+    segments.push("so much homework tonight, the exam is going to be awful".to_string());
+    let request =
+        GenRequest::structured(segments.join(), "view:filter@1#0/v1").with_segments(segments);
+    // Intern the family's chain, fill the prefix cache and size this
+    // thread's scratch buffers.
+    for _ in 0..3 {
+        llm.generate(&request).expect("generates");
+    }
+    for _ in 0..3 {
+        let n = allocs(|| drop(llm.generate(&request).expect("generates")));
+        // What is left is the task's output and the response: neither the
+        // scan resumed from the interned chain nor the lexicon lookups
+        // allocate. Lowercasing the whole prompt and each item word per
+        // GEN, as the task model did before, made it 21.
+        assert!(n <= 8, "a warm segmented generate made {n} allocations");
     }
 }

@@ -18,6 +18,11 @@ use spear_llm::{
     Tokenizer, CHAIN_SEED,
 };
 
+/// Words and punctuation, plus the task model's markers whole and in
+/// halves (so a split lands inside one), word-limit phrases and digit runs
+/// (so a number continues across segments), and fold edge cases: Σ (final
+/// sigma), İ (lowercases to 3 bytes) and the Kelvin sign (lowercases to
+/// ASCII `k`).
 fn fragment() -> impl Strategy<Value = String> {
     prop_oneof![
         "[a-z]{1,12}",
@@ -29,6 +34,19 @@ fn fragment() -> impl Strategy<Value = String> {
         Just("wörter, naïve".to_string()),
         Just("don't".to_string()),
         Just("{{x}}".to_string()),
+        Just("summa".to_string()),
+        Just("rize".to_string()),
+        Just("Summarize".to_string()),
+        Just("Classify the sentiment".to_string()),
+        Just("Tw".to_string()),
+        Just("eet: ".to_string()),
+        Just("Input:".to_string()),
+        Just("at most ".to_string()),
+        Just("word limit of ".to_string()),
+        "[0-9]{1,3}",
+        Just("Σ".to_string()),
+        Just("İ".to_string()),
+        Just("\u{212A}".to_string()),
     ]
 }
 
@@ -98,7 +116,7 @@ proptest! {
 #[test]
 fn interner_is_bounded_and_consistent_under_concurrent_access() {
     let capacity = 32;
-    let interner = TokenInterner::new(capacity, 4);
+    let interner: TokenInterner = TokenInterner::new(capacity, 4);
     let threads = 8;
     let per_thread = 400;
     std::thread::scope(|s| {

@@ -15,6 +15,9 @@
 #   unresolved  the parent's (Q3 - Q1) / median exceeds `bound`, and not
 #               every change run beats every parent run;
 #   holds       otherwise.
+# A last row, failed_share, sums each side's "failed" and "attempted" over
+# its runs and says `worse` when the change's failed share exceeds the
+# parent's, `holds` otherwise.
 # WORKLOAD `all` does this for every workload BENCHMARK.json names, one
 # table each. Not part of check.sh.
 set -eu
@@ -78,6 +81,8 @@ FNR == NR {
 # Pass 2, one "side seed {json}" line per run.
 {
     side = $1; seed = $2; rest = $0
+    if (match(rest, /"attempted": [0-9]+/)) attempted[side] += substr(rest, RSTART + 13, RLENGTH - 13)
+    if (match(rest, /"failed": [0-9]+/)) failed[side] += substr(rest, RSTART + 10, RLENGTH - 10)
     while (match(rest, /"[a-z_0-9]+": \{"value": [-0-9.eE+]+/)) {
         field = substr(rest, RSTART, RLENGTH)
         rest = substr(rest, RSTART + RLENGTH)
@@ -146,6 +151,12 @@ END {
         printf "%-16s %-34s %-34s %8s %6s %5s  %s\n", m, p, c, ratio, wins "/" n, ties, \
             verdict(m, wins, n)
     }
+    p = attempted["parent"] ? failed["parent"] / attempted["parent"] : 0
+    c = attempted["change"] ? failed["change"] / attempted["change"] : 0
+    printf "%-16s %-34s %-34s %8s %6s %5s  %s\n", "failed_share", \
+        sprintf("%.6g (%d of %d)", p, failed["parent"], attempted["parent"]), \
+        sprintf("%.6g (%d of %d)", c, failed["change"], attempted["change"]), "-", "-", "-", \
+        (c > p ? "worse" : "holds")
 }
 ' BENCHMARK.json - <<RESULTS
 $results
