@@ -12,8 +12,6 @@
 //! least-recently-used **leaf** blocks are evicted, which mirrors vLLM: a
 //! block can only be freed once no longer block extends it.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use std::collections::HashMap;
 
 use parking_lot::{Mutex, RwLock};

@@ -11,8 +11,15 @@
 //! exploit reuse it can *see*, and structured prompt management is what
 //! makes reuse visible. (The cache ablation turns the whole cache off with
 //! [`EngineConfig::cache_enabled`].)
-
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+//!
+//! ## One prefill
+//!
+//! Every request takes one prefill (DESIGN.md §10): tokenizing, block
+//! hashing and the task scan resume from the longest interned chain of the
+//! prompt's leading literal segments and run over the rest. A prompt
+//! without segments is one non-literal chunk, so it starts from empty and
+//! interns nothing; the block-hash chain prefill leaves behind is what the
+//! prefix cache looks up and what the generation memo stores.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -23,7 +30,7 @@ use spear_core::llm::{
 };
 use spear_core::metadata::TokenUsage;
 use spear_core::scope;
-use spear_core::segment::SegmentedText;
+use spear_core::segment::{SegmentedText, TextSegment};
 
 use crate::cache::{
     BlockHasher, CacheStats, StripedPrefixCache, DEFAULT_BLOCK_SIZE, DEFAULT_NUM_SHARDS,
@@ -98,6 +105,15 @@ thread_local! {
         keys: Vec::new(),
         encoder: StreamingEncoder::new(),
     });
+}
+
+/// The request's segments: empty when it has none, and then its text is
+/// one chunk.
+fn segments(request: &GenRequest) -> &[TextSegment] {
+    request
+        .segments
+        .as_ref()
+        .map_or(&[], SegmentedText::segments)
 }
 
 impl SimLlm {
@@ -181,98 +197,22 @@ impl SimLlm {
     }
 
     /// Tokenize and scan the prompt, consult the prefix cache, and return
-    /// `(prompt_tokens, cached_tokens, scan)`.
-    ///
-    /// Requests that arrive with a segmented rendering take the interned
-    /// fast path; everything else re-derives tokens and the task scan from
-    /// the flat string. Both hand the cache the same block-hash chain and
-    /// the task model the same scan facts, so both produce identical
-    /// numbers — the fast path is proven equivalent by the streaming-encoder
-    /// tests, the task scan's differential tests and the segmented-encoding
-    /// property test.
-    fn prefill(&self, request: &GenRequest) -> (u64, u64, TaskScan) {
-        self.prefill_capturing(request, None)
-    }
-
-    /// [`Self::prefill`], optionally copying the prompt's full-block
-    /// hash chain into `capture` — the content-pure identity the
-    /// generation memo stores so later hits can replay cache admission
+    /// `(prompt_tokens, cached_tokens, scan)`, leaving the prompt's
+    /// full-block hash chain in `scratch.hashes`: the content-pure identity
+    /// the generation memo stores so later hits can replay cache admission
     /// without re-tokenizing (see [`Self::generate_with_reuse`]).
-    fn prefill_capturing(
-        &self,
-        request: &GenRequest,
-        capture: Option<&mut Vec<u64>>,
-    ) -> (u64, u64, TaskScan) {
-        let cacheable = self.cacheable(&request.identity);
-        let (prompt_tokens, cached_tokens, scan) = SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            let counts = match &request.segments {
-                Some(segments) if !segments.is_empty() => {
-                    self.segmented_prefill(segments, cacheable, scratch)
-                }
-                _ => self.whole_text_prefill(&request.text, cacheable, scratch, capture.is_some()),
-            };
-            if let Some(out) = capture {
-                // Both paths leave the full-block chain in scratch.hashes
-                // (the segmented path always, the flat path on demand).
-                out.clear();
-                out.extend_from_slice(&scratch.hashes);
-            }
-            counts
-        });
-        debug_assert_eq!(
-            prompt_tokens,
-            self.tokenizer.count(&request.text) as u64,
-            "prefill paths must agree on the token count"
-        );
-        (prompt_tokens, cached_tokens, scan)
-    }
-
-    /// The original prefill: encode the flat text (into a reused buffer)
-    /// and fold it through a [`BlockHasher`] into `scratch.hashes` once,
-    /// for the cache when the prompt is cacheable and for the memo's
-    /// leader path when `capture` asks for the chain; the task scan runs
-    /// over the text from an empty state.
-    fn whole_text_prefill(
-        &self,
-        text: &str,
-        cacheable: bool,
-        scratch: &mut Scratch,
-        capture: bool,
-    ) -> (u64, u64, TaskScan) {
-        self.tokenizer.encode_into(text, &mut scratch.tokens);
-        let prompt_tokens = scratch.tokens.len();
-        if cacheable || capture {
-            scratch.hashes.clear();
-            BlockHasher::new(self.config.block_size).push_all(&scratch.tokens, &mut scratch.hashes);
-        }
-        let cached = if cacheable {
-            // The owner comes from the ambient execution scope: pipeline
-            // instances under a BatchRunner each see shared (pre-warmed)
-            // blocks plus their own insert history, which keeps this hit
-            // count independent of concurrent interleaving. Outside any
-            // scope the owner is ambient and all blocks are shared —
-            // exactly the original single-threaded semantics.
-            self.cache
-                .lookup_insert_hashed(&scratch.hashes, prompt_tokens, scope::owner())
-                as u64
-        } else {
-            0
-        };
-        (prompt_tokens as u64, cached, TaskScan::of(text))
-    }
-
-    /// The host fast path: resume tokenization, block hashing and the task
-    /// scan from the longest interned literal-segment chain, so a warm
-    /// prompt-family prefix costs O(suffix) per request instead of
-    /// O(prompt).
-    fn segmented_prefill(
-        &self,
-        segments: &SegmentedText,
-        cacheable: bool,
-        scratch: &mut Scratch,
-    ) -> (u64, u64, TaskScan) {
-        let segs = segments.segments();
+    ///
+    /// Tokenization, block hashing and the task scan resume from the
+    /// longest interned literal-segment chain, so a warm prompt-family
+    /// prefix costs O(suffix) per request instead of O(prompt). A request
+    /// without segments is its text as one non-literal chunk: nothing to
+    /// resume from and nothing to intern. Resuming is invisible — the
+    /// streaming-encoder tests, the task scan's differential tests and the
+    /// segmented-encoding property test prove a segmented prompt gets the
+    /// same numbers as its flat text.
+    fn prefill(&self, request: &GenRequest, scratch: &mut Scratch) -> (u64, u64, TaskScan) {
+        let segs = segments(request);
+        let flat = segs.is_empty().then_some(request.text.as_str());
         let bs = self.config.block_size;
 
         // Chain keys over the leading literal run — the only prefixes
@@ -313,13 +253,14 @@ impl SimLlm {
         hasher.push_all(&base_tokens[base_hashes.len() * bs..], &mut scratch.hashes);
 
         // Resume the encoder mid-word and the task scan, and feed them the
-        // remaining segments. `scratch.tokens` holds only suffix tokens —
+        // remaining chunks. `scratch.tokens` holds only suffix tokens —
         // the interned prefix is never copied per request.
         scratch.encoder.reset(base_pending);
         let mut hashed_upto = 0usize;
-        for (i, seg) in segs.iter().enumerate().skip(covered) {
-            scratch.encoder.feed(seg.text(), &mut scratch.tokens);
-            scan.feed(seg.text());
+        let chunks = segs.iter().map(TextSegment::text).chain(flat);
+        for (i, text) in chunks.enumerate().skip(covered) {
+            scratch.encoder.feed(text, &mut scratch.tokens);
+            scan.feed(text);
             hasher.push_all(&scratch.tokens[hashed_upto..], &mut scratch.hashes);
             hashed_upto = scratch.tokens.len();
             if i < literal_run {
@@ -348,7 +289,17 @@ impl SimLlm {
         hasher.push_all(&scratch.tokens[flushed..], &mut scratch.hashes);
 
         let total_tokens = base_tokens.len() + scratch.tokens.len();
-        let cached = if cacheable {
+        debug_assert_eq!(
+            total_tokens,
+            self.tokenizer.count(&request.text),
+            "resumed prefill must count the whole prompt"
+        );
+        let cached = if self.cacheable(&request.identity) {
+            // The owner comes from the ambient execution scope: pipeline
+            // instances under a BatchRunner each see shared (pre-warmed)
+            // blocks plus their own insert history, which keeps this hit
+            // count independent of concurrent interleaving. Outside any
+            // scope the owner is ambient and all blocks are shared.
             self.cache
                 .lookup_insert_hashed(&scratch.hashes, total_tokens, scope::owner())
                 as u64
@@ -428,30 +379,24 @@ impl SimLlm {
     }
 
     /// The memo key of `request`: a chain-key fold over everything the
-    /// response observably depends on — the rendered content (segment-hash
-    /// chain when a segmented rendering exists, a tagged hash of the flat
-    /// text otherwise; the two keyspaces are disjoint, so a prompt that
-    /// arrives both ways executes twice rather than ever aliasing), the
-    /// identity class (structured vs opaque feeds the task model and the
-    /// cacheability gate), and the decode parameters. Engine-fixed inputs
+    /// response observably depends on — the rendered content (the
+    /// segment-hash chain; a prompt without segments keys as its one
+    /// chunk, like a one-segment rendering of the same text, which
+    /// responds identically), the identity class (structured vs opaque
+    /// feeds the task model and the cacheability gate), and the decode
+    /// parameters. Engine-fixed inputs
     /// (model, seed, config) need no folding: the memo lives inside one
     /// engine.
     fn reuse_key(&self, request: &GenRequest) -> u64 {
         const SEGMENTED_TAG: u64 = 0x7365_676d;
-        const FLAT_TAG: u64 = 0x666c_6174;
-        let mut key = match &request.segments {
-            Some(segments) if !segments.is_empty() => {
-                let mut key = chain_key(CHAIN_SEED, SEGMENTED_TAG);
-                for seg in segments.segments() {
-                    key = chain_key(key, seg.hash());
-                }
-                key
-            }
-            _ => chain_key(
-                chain_key(CHAIN_SEED, FLAT_TAG),
-                spear_kv::shard::fnv1a(request.text.as_bytes()),
-            ),
-        };
+        let segs = segments(request);
+        let flat = segs
+            .is_empty()
+            .then(|| spear_kv::shard::fnv1a(request.text.as_bytes()));
+        let mut key = chain_key(CHAIN_SEED, SEGMENTED_TAG);
+        for hash in segs.iter().map(TextSegment::hash).chain(flat) {
+            key = chain_key(key, hash);
+        }
         key = chain_key(
             key,
             u64::from(matches!(
@@ -513,7 +458,8 @@ impl SimLlm {
 
 impl LlmClient for SimLlm {
     fn generate(&self, request: &GenRequest) -> Result<GenResponse> {
-        let (prompt_tokens, cached_tokens, scan) = self.prefill(request);
+        let (prompt_tokens, cached_tokens, scan) =
+            SCRATCH.with(|scratch| self.prefill(request, &mut scratch.borrow_mut()));
         Ok(self.decode(request, prompt_tokens, cached_tokens, &scan))
     }
 
@@ -532,13 +478,16 @@ impl LlmClient for SimLlm {
                 Some(GenReuse { key, reused: true }),
             )),
             Lookup::Lead(guard) => {
-                // Leader: execute for real, capturing the block-hash chain
-                // so hits can replay admission. The guard is drop-safe —
-                // if decode ever grew an error path, followers would be
-                // released to retry rather than adopt a poisoned slot.
-                let mut block_hashes = Vec::new();
-                let (prompt_tokens, cached_tokens, scan) =
-                    self.prefill_capturing(request, Some(&mut block_hashes));
+                // Leader: execute for real, copying the block-hash chain
+                // prefill leaves behind so hits can replay admission. The
+                // guard is drop-safe — if decode ever grew an error path,
+                // followers would be released to retry rather than adopt a
+                // poisoned slot.
+                let ((prompt_tokens, cached_tokens, scan), block_hashes) =
+                    SCRATCH.with(|scratch| {
+                        let scratch = &mut *scratch.borrow_mut();
+                        (self.prefill(request, scratch), scratch.hashes.clone())
+                    });
                 let response = self.decode(request, prompt_tokens, cached_tokens, &scan);
                 guard.complete(MemoEntry {
                     text: response.text.clone(),
@@ -824,6 +773,22 @@ mod tests {
         let stats = e.reuse_stats();
         assert_eq!(stats.hits, 0, "no false sharing across keys: {stats:?}");
         assert_eq!(stats.insertions, 3);
+    }
+
+    #[test]
+    fn a_flat_prompt_keys_as_its_one_chunk() {
+        let e = engine();
+        let text = format!("{}Tweet: mixed feelings", long_instruction());
+        let flat = GenRequest::structured(text.clone(), "view:v@1#0/v1");
+        let one_chunk = flat.clone().with_segments(SegmentedText::from_text(text));
+        let policy = spear_core::llm::ReusePolicy::Exact;
+        let (led, first) = e.generate_with_reuse(&flat, policy).unwrap();
+        let (hit, second) = e.generate_with_reuse(&one_chunk, policy).unwrap();
+        let (first, second) = (first.unwrap(), second.unwrap());
+        assert_eq!(first.key, second.key);
+        assert!(!first.reused && second.reused);
+        assert_eq!(led.text, hit.text);
+        assert_eq!(e.interner_stats(), InternStats::default(), "no literal");
     }
 
     #[test]

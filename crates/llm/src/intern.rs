@@ -23,10 +23,9 @@
 //! interleaving, are all invisible to the engine's outputs. That is what
 //! keeps every trace digest byte-identical with the interner on or off.
 //!
-//! Lock-striped like the prefix cache, so concurrent lanes serving
-//! unrelated prompt families never contend; each stripe is one [`LruMap`].
-
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+//! One [`LruMap`] under one lock: every request of a prompt family probes
+//! the same chain keys, so striping by key would not spread a family's
+//! traffic, and no workload puts more than two lanes on one engine.
 
 use std::sync::Arc;
 
@@ -37,14 +36,11 @@ use crate::lru::LruMap;
 use crate::task::TaskScan;
 use crate::tokenizer::Token;
 
-/// Default maximum interned chains (across all shards). Chains are one per
-/// distinct prompt-family prefix — a small population — so the default is
-/// generous; the bound exists to survive pathological workloads that mint
-/// unbounded distinct prefixes.
+/// Default maximum interned chains. Chains are one per distinct
+/// prompt-family prefix — a small population — so the default is generous;
+/// the bound exists to survive pathological workloads that mint unbounded
+/// distinct prefixes.
 pub const DEFAULT_INTERN_CAPACITY: usize = 4096;
-
-/// Default shard count (matches the prefix cache's striping).
-pub const DEFAULT_INTERN_SHARDS: usize = 16;
 
 /// Seed state for a segment-chain key fold.
 pub const CHAIN_SEED: u64 = FNV1A_OFFSET;
@@ -112,35 +108,26 @@ pub struct InternStats {
     pub resident: u64,
 }
 
-/// Bounded, lock-striped map from chain key to an interned value: an
-/// [`InternedChain`] by default; the engine interns [`ScannedChain`]s.
+/// Bounded map from chain key to an interned value: an [`InternedChain`]
+/// by default; the engine interns [`ScannedChain`]s.
 #[derive(Debug)]
 pub struct TokenInterner<V = InternedChain> {
-    shards: Vec<Mutex<LruMap<u64, V>>>,
+    chains: Mutex<LruMap<u64, V>>,
 }
 
 impl<V: Clone> TokenInterner<V> {
-    /// An interner holding at most `capacity` chains across `num_shards`
-    /// lock stripes.
+    /// An interner holding at most `capacity` chains.
     #[must_use]
-    pub fn new(capacity: usize, num_shards: usize) -> Self {
-        let num_shards = num_shards.max(1);
-        let capacity_per_shard = capacity.div_ceil(num_shards);
+    pub fn new(capacity: usize) -> Self {
         Self {
-            shards: (0..num_shards)
-                .map(|_| Mutex::new(LruMap::new(capacity_per_shard)))
-                .collect(),
+            chains: Mutex::new(LruMap::new(capacity)),
         }
     }
 
     /// Defaults sized for benchmark and serving workloads.
     #[must_use]
     pub fn with_defaults() -> Self {
-        Self::new(DEFAULT_INTERN_CAPACITY, DEFAULT_INTERN_SHARDS)
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<LruMap<u64, V>> {
-        &self.shards[(key % self.shards.len() as u64) as usize]
+        Self::new(DEFAULT_INTERN_CAPACITY)
     }
 
     /// Look up a chain by key. A hit refreshes the entry's LRU position.
@@ -148,32 +135,30 @@ impl<V: Clone> TokenInterner<V> {
     /// a copy of the scan) — no heap data is copied.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<V> {
-        self.shard(key).lock().get(&key).cloned()
+        self.chains.lock().get(&key).cloned()
     }
 
     /// Intern a chain. If the key is already present the existing entry is
     /// kept (entries are content-determined, so both values are identical)
     /// and only its LRU position refreshes. At capacity, the least
-    /// recently used chain in the shard is evicted first.
+    /// recently used chain is evicted first.
     pub fn insert(&self, key: u64, chain: V) {
-        // The victim, if any, drops after the shard unlocks.
-        let _victim = self.shard(key).lock().insert(key, chain);
+        // The victim, if any, drops after the map unlocks.
+        let _victim = self.chains.lock().insert(key, chain);
     }
 
-    /// Aggregate counters across all shards.
+    /// The interner's counters.
     #[must_use]
     pub fn stats(&self) -> InternStats {
-        let mut total = InternStats::default();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            let s = shard.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.insertions += s.insertions;
-            total.evictions += s.evictions;
-            total.resident += shard.len() as u64;
+        let chains = self.chains.lock();
+        let s = chains.stats();
+        InternStats {
+            hits: s.hits,
+            misses: s.misses,
+            insertions: s.insertions,
+            evictions: s.evictions,
+            resident: chains.len() as u64,
         }
-        total
     }
 }
 
@@ -192,7 +177,7 @@ mod tests {
 
     #[test]
     fn get_after_insert_returns_the_chain() {
-        let interner = TokenInterner::new(64, 4);
+        let interner = TokenInterner::new(64);
         let key = chain_key(CHAIN_SEED, 42);
         assert!(interner.get(key).is_none());
         interner.insert(key, chain(5, 7));
@@ -224,7 +209,7 @@ mod tests {
 
     #[test]
     fn reinsert_keeps_the_existing_entry() {
-        let interner = TokenInterner::new(64, 1);
+        let interner = TokenInterner::new(64);
         interner.insert(9, chain(3, 1));
         interner.insert(9, chain(3, 1));
         let s = interner.stats();
@@ -233,8 +218,8 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_lru_within_a_shard() {
-        let interner = TokenInterner::new(2, 1);
+    fn eviction_is_lru() {
+        let interner = TokenInterner::new(2);
         interner.insert(1, chain(1, 1));
         interner.insert(2, chain(1, 2));
         let _ = interner.get(1); // refresh 1; 2 becomes LRU
@@ -245,5 +230,16 @@ mod tests {
         let s = interner.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.resident, 2);
+    }
+
+    #[test]
+    fn capacity_bounds_the_whole_interner() {
+        let interner = TokenInterner::new(3);
+        for key in 0..32 {
+            interner.insert(key, chain(1, key));
+        }
+        let s = interner.stats();
+        assert_eq!((s.resident, s.insertions, s.evictions), (3, 32, 29));
+        assert!((29..32).all(|key| interner.get(key).is_some()));
     }
 }

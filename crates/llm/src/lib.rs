@@ -36,6 +36,8 @@
 // Hot-path hygiene: these crates sit on the per-request fast path, where a
 // stray clone or to_string() is a real regression, not a style nit.
 #![deny(clippy::redundant_clone, clippy::inefficient_to_string)]
+// No `unwrap` or `expect` outside tests; each test module allows them.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cache;
 pub mod clock;
@@ -61,7 +63,7 @@ pub use intern::{
 };
 pub use lru::{LruMap, LruStats};
 pub use memo::{GenMemo, LeadGuard, Lookup, MemoEntry, MemoStats};
-pub use pool::{AllocGrant, BlockPool, PoolExhausted, PoolStats, DEFAULT_POOL_STRIPES};
+pub use pool::{AllocGrant, BlockPool, PoolExhausted, PoolStats};
 pub use profile::{ModelProfile, PromptFeatures, QualityWeights, TaskKind};
 pub use task::TaskScan;
 pub use tokenizer::{StreamingEncoder, Token, Tokenizer};

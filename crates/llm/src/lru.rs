@@ -1,15 +1,15 @@
-//! The two LRU cores of the workspace's bounded caches; both evict the
-//! least recently used entry in O(log n), without a scan.
+//! The two LRU cores of the workspace's bounded caches; both find the
+//! least recently used entry without a scan.
 //!
-//! - [`LruMap`], a whole bounded map with counters: one per shard of
-//!   [`crate::intern::TokenInterner`] and [`crate::memo::GenMemo`], and
-//!   one in `spear-serve`'s `ProgramCache`.
+//! - [`LruMap`], a whole bounded map with counters: the one map of
+//!   [`crate::intern::TokenInterner`] and of [`crate::memo::GenMemo`], and
+//!   of `spear-serve`'s `ProgramCache` and admission-verification memo.
+//!   Recency is a list threaded through its slots, so a touch or an
+//!   eviction is O(1) and a hit allocates nothing.
 //! - [`LruIndex`], only the `(last_used, id)` order, for the block tree
-//!   (`tree.rs`), where all blocks of a chain share one tick.
+//!   (`tree.rs`), where all blocks of a chain share one tick: O(log n).
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 
 /// Evictable entries ordered by `(last_used, id)`.
@@ -73,17 +73,37 @@ pub struct LruStats {
     pub evictions: u64,
 }
 
+/// End of the recency list.
+const NIL: usize = usize::MAX;
+
+/// One resident entry and its neighbours in recency order.
+#[derive(Debug)]
+struct Slot<K, V> {
+    key: K,
+    value: V,
+    /// The next less recently used slot, or [`NIL`].
+    older: usize,
+    /// The next more recently used slot, or [`NIL`].
+    newer: usize,
+}
+
 /// A map of at most `capacity` entries that evicts its least recently used
 /// one to make room. Every touch (a [`get`](Self::get) hit, an
-/// [`insert`](Self::insert)) takes a fresh tick, so recency has no ties.
-/// Not synchronized: a shared cache keeps it under its own lock.
+/// [`insert`](Self::insert)) makes the entry the most recent, so recency
+/// has no ties. Not synchronized: a shared cache keeps it under its own
+/// lock.
 #[derive(Debug)]
 pub struct LruMap<K, V> {
-    entries: HashMap<K, (V, u64)>,
-    /// `last_used -> key` for every entry; the first is the victim.
-    recency: BTreeMap<u64, K>,
+    /// `key -> slot`.
+    index: HashMap<K, usize>,
+    /// The entries. Nothing is removed but a victim, whose slot the entry
+    /// evicting it takes, so the slots never have holes.
+    slots: Vec<Slot<K, V>>,
+    /// Least recently used slot: the next victim ([`NIL`] when empty).
+    oldest: usize,
+    /// Most recently used slot ([`NIL`] when empty).
+    newest: usize,
     capacity: usize,
-    tick: u64,
     stats: LruStats,
 }
 
@@ -92,10 +112,11 @@ impl<K: Clone + Eq + Hash, V> LruMap<K, V> {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            entries: HashMap::new(),
-            recency: BTreeMap::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
             capacity: capacity.max(1),
-            tick: 0,
             stats: LruStats::default(),
         }
     }
@@ -109,13 +130,13 @@ impl<K: Clone + Eq + Hash, V> LruMap<K, V> {
     /// Number of resident entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// `true` when nothing is resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// The counters since construction or the last `take_stats`.
@@ -131,12 +152,11 @@ impl<K: Clone + Eq + Hash, V> LruMap<K, V> {
 
     /// Look `key` up, making it the most recently used entry on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        match self.entries.get_mut(key) {
-            Some((value, last_used)) => {
-                self.tick += 1;
-                Self::touch(&mut self.recency, last_used, self.tick);
+        match self.index.get(key) {
+            Some(&slot) => {
+                self.touch(slot);
                 self.stats.hits += 1;
-                Some(value)
+                Some(&self.slots[slot].value)
             }
             None => {
                 self.stats.misses += 1;
@@ -150,37 +170,72 @@ impl<K: Clone + Eq + Hash, V> LruMap<K, V> {
     /// resident under `key` is kept — `value` is dropped — and only
     /// becomes the most recently used.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((_, last_used)) = self.entries.get_mut(&key) {
-            Self::touch(&mut self.recency, last_used, tick);
+        if let Some(&slot) = self.index.get(&key) {
+            self.touch(slot);
             return None;
         }
-        // Never above `capacity`, so one eviction makes room.
-        let mut victim = None;
-        if self.entries.len() >= self.capacity {
-            if let Some((_, lru)) = self.recency.pop_first() {
-                victim = self.entries.remove_entry(&lru).map(|(k, (v, _))| (k, v));
-                self.stats.evictions += 1;
-            }
-        }
-        self.recency.insert(tick, key.clone());
-        self.entries.insert(key, (value, tick));
         self.stats.insertions += 1;
-        victim
+        let entry = Slot {
+            key: key.clone(),
+            value,
+            older: NIL,
+            newer: NIL,
+        };
+        if self.slots.len() < self.capacity {
+            let slot = self.slots.len();
+            self.slots.push(entry);
+            self.index.insert(key, slot);
+            self.link_newest(slot);
+            return None;
+        }
+        // Full (never above `capacity`): the least recently used entry
+        // gives up its slot.
+        let slot = self.oldest;
+        self.unlink(slot);
+        let victim = std::mem::replace(&mut self.slots[slot], entry);
+        self.index.remove(&victim.key);
+        self.index.insert(key, slot);
+        self.link_newest(slot);
+        self.stats.evictions += 1;
+        Some((victim.key, victim.value))
     }
 
     /// Read `key`'s entry without touching it or counting a lookup.
     #[cfg(test)]
     pub(crate) fn peek(&self, key: &K) -> Option<&V> {
-        self.entries.get(key).map(|(value, _)| value)
+        self.index.get(key).map(|&slot| &self.slots[slot].value)
     }
 
-    fn touch(recency: &mut BTreeMap<u64, K>, last_used: &mut u64, tick: u64) {
-        if let Some(key) = recency.remove(last_used) {
-            recency.insert(tick, key);
+    /// Make `slot` the most recently used.
+    fn touch(&mut self, slot: usize) {
+        if slot != self.newest {
+            self.unlink(slot);
+            self.link_newest(slot);
         }
-        *last_used = tick;
+    }
+
+    /// Take `slot` out of the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let Slot { older, newer, .. } = self.slots[slot];
+        match older {
+            NIL => self.oldest = newer,
+            older => self.slots[older].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            newer => self.slots[newer].older = older,
+        }
+    }
+
+    /// Put an unlinked `slot` at the most recent end of the list.
+    fn link_newest(&mut self, slot: usize) {
+        self.slots[slot].older = self.newest;
+        self.slots[slot].newer = NIL;
+        match self.newest {
+            NIL => self.oldest = slot,
+            newest => self.slots[newest].newer = slot,
+        }
+        self.newest = slot;
     }
 }
 

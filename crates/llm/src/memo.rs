@@ -1,5 +1,5 @@
-//! Whole-call generation reuse: a bounded, lock-striped, exact-match
-//! output memo with single-flight coalescing (DESIGN.md §15).
+//! Whole-call generation reuse: a bounded, exact-match output memo with
+//! single-flight coalescing (DESIGN.md §15).
 //!
 //! The prompt-as-data thesis makes this sound: a generation's observable
 //! outcome is a pure function of (rendered prompt ⊕ identity class ⊕
@@ -14,7 +14,7 @@
 //! ## Single flight
 //!
 //! Concurrent lanes racing on one key coalesce: the first becomes the
-//! *leader* and executes; followers block on the shard's condvar and
+//! *leader* and executes; followers block on the memo's one condvar and
 //! adopt the completed entry. A leader that fails (or panics — the guard
 //! is drop-safe) removes its in-flight marker and wakes all followers,
 //! one of which becomes the new leader: errors are never cached and
@@ -22,12 +22,10 @@
 //!
 //! ## Eviction
 //!
-//! Each shard's completed entries are one [`LruMap`], bounded in entries
-//! (capacity split evenly across shards); its misses are the leads.
-//! In-flight keys sit in a set beside it, never in it, so they are never
-//! victims.
-
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+//! Completed entries are one [`LruMap`], bounded in entries; its misses
+//! are the leads. In-flight keys sit in a set beside it, never in it, so
+//! they are never victims. Map, set and counters share one lock: a
+//! lookup holds it for a hash probe and a clone.
 
 use std::collections::HashSet;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -35,10 +33,6 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use spear_core::llm::FinishReason;
 
 use crate::lru::LruMap;
-
-/// Number of lock stripes. Matches the interner's default: enough to keep
-/// 8 serving lanes from contending, cheap enough to aggregate.
-const NUM_SHARDS: usize = 16;
 
 /// The content-pure result of one generation, keyed by reuse identity.
 ///
@@ -73,7 +67,7 @@ impl MemoEntry {
     }
 }
 
-/// Counters over the memo's lifetime, aggregated across shards.
+/// Counters over the memo's lifetime.
 ///
 /// `hits` and `coalesced_waits` count *physical* events on this host run
 /// (a follower that raced a leader, a warm lookup); they are not
@@ -101,18 +95,13 @@ pub struct MemoStats {
     pub resident_bytes: u64,
 }
 
-struct ShardState {
+struct State {
     /// Completed generations.
     entries: LruMap<u64, MemoEntry>,
-    /// Keys a leader is executing; followers wait on the shard condvar.
+    /// Keys a leader is executing; followers wait on the condvar.
     in_flight: HashSet<u64>,
     coalesced_waits: u64,
     resident_bytes: u64,
-}
-
-struct Shard {
-    state: Mutex<ShardState>,
-    woken: Condvar,
 }
 
 /// Outcome of [`GenMemo::lookup_or_lead`].
@@ -150,40 +139,32 @@ impl Drop for LeadGuard<'_> {
     }
 }
 
-/// A bounded, lock-striped, single-flight exact-match generation memo.
+/// A bounded, single-flight exact-match generation memo.
 pub struct GenMemo {
-    shards: Vec<Shard>,
+    state: Mutex<State>,
+    woken: Condvar,
 }
 
 impl GenMemo {
-    /// A memo bounded at roughly `capacity` completed entries, split
-    /// evenly across the lock stripes (each stripe holds at least one).
+    /// A memo bounded at `capacity` completed entries (at least one).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            shards: (0..NUM_SHARDS)
-                .map(|_| Shard {
-                    state: Mutex::new(ShardState {
-                        entries: LruMap::new(capacity.div_ceil(NUM_SHARDS)),
-                        in_flight: HashSet::new(),
-                        coalesced_waits: 0,
-                        resident_bytes: 0,
-                    }),
-                    woken: Condvar::new(),
-                })
-                .collect(),
+            state: Mutex::new(State {
+                entries: LruMap::new(capacity),
+                in_flight: HashSet::new(),
+                coalesced_waits: 0,
+                resident_bytes: 0,
+            }),
+            woken: Condvar::new(),
         }
     }
 
-    fn shard(&self, key: u64) -> &Shard {
-        &self.shards[(key % self.shards.len() as u64) as usize]
-    }
-
-    /// Ignore poisoning: shard state is a plain map + counters, always
+    /// Ignore poisoning: the state is a plain map + counters, always
     /// internally consistent at every unlock point, and the in-flight
     /// protocol recovers from abandoned leaders by construction.
-    fn lock(shard: &Shard) -> MutexGuard<'_, ShardState> {
-        match shard.state.lock() {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        match self.state.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -196,11 +177,10 @@ impl GenMemo {
     /// the leader. The call only blocks while some other thread is
     /// actively executing the same key — the definition of single-flight.
     pub fn lookup_or_lead(&self, key: u64) -> Lookup<'_> {
-        let shard = self.shard(key);
-        let mut state = Self::lock(shard);
+        let mut state = self.lock();
         while state.in_flight.contains(&key) {
             state.coalesced_waits += 1;
-            state = match shard.woken.wait(state) {
+            state = match self.woken.wait(state) {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
@@ -222,12 +202,11 @@ impl GenMemo {
     /// is resident (never blocks, never leads, does not touch LRU order).
     #[cfg(test)]
     fn peek(&self, key: u64) -> Option<MemoEntry> {
-        Self::lock(self.shard(key)).entries.peek(&key).cloned()
+        self.lock().entries.peek(&key).cloned()
     }
 
     fn publish(&self, key: u64, entry: MemoEntry) {
-        let shard = self.shard(key);
-        let mut state = Self::lock(shard);
+        let mut state = self.lock();
         state.in_flight.remove(&key);
         state.resident_bytes += entry.bytes();
         let victim = state.entries.insert(key, entry);
@@ -236,39 +215,34 @@ impl GenMemo {
         }
         drop(state);
         drop(victim);
-        shard.woken.notify_all();
+        self.woken.notify_all();
     }
 
     fn abandon(&self, key: u64) {
-        let shard = self.shard(key);
-        Self::lock(shard).in_flight.remove(&key);
-        shard.woken.notify_all();
+        self.lock().in_flight.remove(&key);
+        self.woken.notify_all();
     }
 
-    /// Lifetime counters, aggregated across shards.
+    /// Lifetime counters.
     #[must_use]
     pub fn stats(&self) -> MemoStats {
-        let mut out = MemoStats::default();
-        for shard in &self.shards {
-            let state = Self::lock(shard);
-            let lru = state.entries.stats();
-            out.hits += lru.hits;
-            out.coalesced_waits += state.coalesced_waits;
-            out.leads += lru.misses;
-            out.insertions += lru.insertions;
-            out.evictions += lru.evictions;
-            out.resident += state.entries.len() as u64;
-            out.resident_bytes += state.resident_bytes;
+        let state = self.lock();
+        let lru = state.entries.stats();
+        MemoStats {
+            hits: lru.hits,
+            coalesced_waits: state.coalesced_waits,
+            leads: lru.misses,
+            insertions: lru.insertions,
+            evictions: lru.evictions,
+            resident: state.entries.len() as u64,
+            resident_bytes: state.resident_bytes,
         }
-        out
     }
 }
 
 impl std::fmt::Debug for GenMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GenMemo")
-            .field("shards", &self.shards.len())
-            .finish_non_exhaustive()
+        f.debug_struct("GenMemo").finish_non_exhaustive()
     }
 }
 
@@ -321,22 +295,42 @@ mod tests {
         assert!(matches!(memo.lookup_or_lead(7), Lookup::Lead(_)));
     }
 
+    fn lead_and_complete(memo: &GenMemo, key: u64) {
+        match memo.lookup_or_lead(key) {
+            Lookup::Lead(g) => g.complete(entry(&format!("v{key}"))),
+            Lookup::Hit(_) => panic!("key {key} is not resident"),
+        }
+    }
+
     #[test]
     fn lru_eviction_is_bounded_and_recency_ordered() {
-        let memo = GenMemo::new(1); // 1 entry per shard
-                                    // Two keys on the same shard: k and k + NUM_SHARDS as u64.
-        let (a, b) = (3u64, 3 + NUM_SHARDS as u64);
-        for key in [a, b] {
-            match memo.lookup_or_lead(key) {
-                Lookup::Lead(g) => g.complete(entry(&format!("v{key}"))),
-                Lookup::Hit(_) => panic!(),
-            }
-        }
-        assert!(memo.peek(a).is_none(), "oldest entry evicted");
-        assert_eq!(memo.peek(b).unwrap().text, format!("v{b}"));
+        let memo = GenMemo::new(2);
+        lead_and_complete(&memo, 3);
+        lead_and_complete(&memo, 4);
+        // Refresh 3; 4 becomes the least recently used.
+        assert!(matches!(memo.lookup_or_lead(3), Lookup::Hit(_)));
+        lead_and_complete(&memo, 5);
+        assert!(memo.peek(4).is_none(), "least recently used entry evicted");
+        assert_eq!(memo.peek(3).unwrap().text, "v3");
+        assert_eq!(memo.peek(5).unwrap().text, "v5");
         let stats = memo.stats();
         assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.resident, 1);
+        assert_eq!(stats.resident, 2);
+    }
+
+    #[test]
+    fn capacity_bounds_the_whole_memo() {
+        let memo = GenMemo::new(3);
+        for key in 0..32 {
+            lead_and_complete(&memo, key);
+        }
+        let stats = memo.stats();
+        assert_eq!(
+            (stats.resident, stats.insertions, stats.evictions),
+            (3, 32, 29)
+        );
+        assert!((29..32).all(|key| memo.peek(key).is_some()));
+        assert_eq!(stats.resident_bytes, 3 * entry("v29").bytes());
     }
 
     /// Single-flight under racing threads: exactly one execution per key,

@@ -45,8 +45,6 @@
 //! operations on the *same* sequence must be externally ordered (a
 //! sequence has one owner — its scheduler).
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
@@ -56,9 +54,6 @@ use crate::tree::{Tree, ROOT};
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod naive;
-
-/// Default stripe count for [`BlockPool`].
-pub const DEFAULT_POOL_STRIPES: usize = 4;
 
 /// Pool activity counters. All counters are monotonic, so snapshots can be
 /// diffed with [`PoolStats::delta_since`].
@@ -313,14 +308,6 @@ impl PoolStripe {
             }
         }
     }
-
-    fn evict_idle(&mut self, max_blocks: usize) -> usize {
-        let mut evicted = 0;
-        while evicted < max_blocks && self.evict_one() {
-            evicted += 1;
-        }
-        evicted
-    }
 }
 
 /// Pin the longest prefix of `chain` that `allocate` accepts, for a
@@ -394,12 +381,6 @@ impl BlockPool {
         self.stripes.iter().map(|s| s.lock().capacity).sum()
     }
 
-    /// Stripe count.
-    #[must_use]
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
     fn stripe_for(&self, first_hash: u64) -> usize {
         (first_hash % self.stripes.len() as u64) as usize
     }
@@ -466,20 +447,6 @@ impl BlockPool {
     /// childless blocks (preemption: recompute-on-resume).
     pub fn free(&self, seq: u64) {
         self.with_lease_stripe(seq, |stripe, seq| stripe.free(seq));
-    }
-
-    /// Evict up to `max_blocks` unpinned LRU leaf blocks (memory
-    /// reclamation outside allocation pressure). Returns how many were
-    /// evicted.
-    pub fn evict_idle(&self, max_blocks: usize) -> usize {
-        let mut remaining = max_blocks;
-        for stripe in &self.stripes {
-            if remaining == 0 {
-                break;
-            }
-            remaining -= stripe.lock().evict_idle(remaining);
-        }
-        max_blocks - remaining
     }
 
     /// Resident leading blocks of `chain`, without pinning or touching
@@ -640,7 +607,6 @@ mod tests {
                 pool.free(seq);
             }
         }
-        pool.evict_idle(2);
         let s = pool.stats();
         assert_eq!(
             s.inserted_blocks - s.evicted_blocks - s.freed_blocks,
@@ -764,9 +730,6 @@ mod tests {
         Free {
             seq: u64,
         },
-        EvictIdle {
-            n: usize,
-        },
         Peek {
             fam: u64,
             variant: u64,
@@ -781,7 +744,6 @@ mod tests {
             2 => target().prop_map(|(seq, fam, variant, len)| Op::AllocatePrefix { seq, fam, variant, len }),
             3 => (0..6u64).prop_map(|seq| Op::Release { seq }),
             3 => (0..6u64).prop_map(|seq| Op::Free { seq }),
-            1 => (1..6usize).prop_map(|n| Op::EvictIdle { n }),
             1 => (0..3u64, 0..3u64, 0..12usize)
                 .prop_map(|(fam, variant, len)| Op::Peek { fam, variant, len }),
         ]
@@ -867,9 +829,6 @@ mod tests {
                         pool.free(seq);
                         naive.free(seq);
                         held.remove(&seq);
-                    }
-                    Op::EvictIdle { n } => {
-                        prop_assert_eq!(pool.evict_idle(n), naive.evict_idle(n));
                     }
                     Op::Peek { fam, variant, len } => {
                         let chain = forked_chain(fam, variant, len);

@@ -234,14 +234,6 @@ impl NaiveStripe {
         matched
     }
 
-    pub(super) fn evict_idle(&mut self, max_blocks: usize) -> usize {
-        let mut evicted = 0;
-        while evicted < max_blocks && self.evict_one() {
-            evicted += 1;
-        }
-        evicted
-    }
-
     pub(super) fn pinned(&self) -> usize {
         self.nodes.values().filter(|n| n.refs > 0).count()
     }

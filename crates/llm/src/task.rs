@@ -879,6 +879,7 @@ fn generic(prompt: &str) -> TaskOutcome {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

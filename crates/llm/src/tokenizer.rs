@@ -12,13 +12,14 @@
 //!
 //! ## Zero-allocation hot path
 //!
-//! `Tokenizer::pieces` yields borrowed `&str` sub-slices of the input —
-//! no per-piece `String`, no buffer `Vec` — so [`Tokenizer::count`] touches
-//! the heap not at all and [`Tokenizer::encode_into`] only grows the
-//! caller's reusable token buffer. [`StreamingEncoder`] extends the same
-//! guarantee to text arriving in segments: feeding `"hel"` then `"lo"`
-//! produces exactly the tokens of `"hello"`, because the encoder carries
-//! the unterminated word across segment boundaries.
+//! `Tokenizer::pieces`, the one code that splits text into pieces, yields
+//! borrowed `&str` sub-slices of the input — no per-piece `String`, no
+//! buffer `Vec` — so [`Tokenizer::count`] touches the heap not at all and
+//! [`Tokenizer::encode_into`] only grows the caller's reusable token
+//! buffer. [`StreamingEncoder`] extends the same guarantee to text arriving
+//! in segments: feeding `"hel"` then `"lo"` produces exactly the tokens of
+//! `"hello"`, because the encoder carries the unterminated word across
+//! segment boundaries and hands the rest to `pieces`.
 
 use spear_kv::shard::fnv1a;
 
@@ -32,73 +33,6 @@ const MAX_PIECE_CHARS: usize = 6;
 /// Is `ch` part of a word (alphanumeric run, apostrophes included)?
 fn is_word_char(ch: char) -> bool {
     ch.is_alphanumeric() || ch == '\''
-}
-
-/// Byte offset of the end of the next piece-sized chunk of `word` starting
-/// at byte `start`: at most [`MAX_PIECE_CHARS`] characters, always on a
-/// char boundary.
-fn chunk_end(word: &str, start: usize) -> usize {
-    match word[start..].char_indices().nth(MAX_PIECE_CHARS) {
-        Some((offset, _)) => start + offset,
-        None => word.len(),
-    }
-}
-
-/// Emit the subword pieces of one complete word as tokens.
-fn emit_word(word: &str, out: &mut Vec<Token>) {
-    let mut start = 0;
-    while start < word.len() {
-        let end = chunk_end(word, start);
-        out.push(Token(fnv1a(&word.as_bytes()[start..end])));
-        start = end;
-    }
-}
-
-/// Borrowed piece iterator: yields `&str` sub-slices of the input text,
-/// allocating nothing.
-struct Pieces<'a> {
-    text: &'a str,
-    /// Scan cursor (byte offset).
-    pos: usize,
-    /// Byte range of the word currently being chunked, if any.
-    word: Option<(usize, usize)>,
-}
-
-impl<'a> Iterator for Pieces<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        loop {
-            if let Some((start, end)) = self.word {
-                let split = chunk_end(&self.text[..end], start);
-                self.word = if split < end {
-                    Some((split, end))
-                } else {
-                    None
-                };
-                return Some(&self.text[start..split]);
-            }
-            let rest = &self.text[self.pos..];
-            let mut chars = rest.char_indices();
-            let (_, ch) = chars.next()?;
-            if is_word_char(ch) {
-                let mut end = self.pos + ch.len_utf8();
-                for (offset, c) in chars {
-                    if !is_word_char(c) {
-                        break;
-                    }
-                    end = self.pos + offset + c.len_utf8();
-                }
-                self.word = Some((self.pos, end));
-                self.pos = end;
-                continue;
-            }
-            self.pos += ch.len_utf8();
-            if !ch.is_whitespace() {
-                return Some(&self.text[self.pos - ch.len_utf8()..self.pos]);
-            }
-        }
-    }
 }
 
 /// Deterministic subword tokenizer.
@@ -145,13 +79,31 @@ impl Tokenizer {
     /// Split text into subword pieces: alphanumeric runs (chunked to at most
     /// [`MAX_PIECE_CHARS`] chars) and single punctuation marks; whitespace
     /// separates but does not emit tokens. Pieces are borrowed sub-slices of
-    /// `text`.
+    /// `text`, found in one forward pass.
     fn pieces(text: &str) -> impl Iterator<Item = &str> {
-        Pieces {
-            text,
-            pos: 0,
-            word: None,
-        }
+        let mut pos = 0;
+        std::iter::from_fn(move || {
+            let rest = &text[pos..];
+            let mut chars = rest.char_indices();
+            loop {
+                let (start, ch) = chars.next()?;
+                let mut end = start + ch.len_utf8();
+                if is_word_char(ch) {
+                    // A word chunks from its first char, so its next piece
+                    // is the next run of at most MAX_PIECE_CHARS word chars.
+                    for (offset, c) in chars.by_ref().take(MAX_PIECE_CHARS - 1) {
+                        if !is_word_char(c) {
+                            break;
+                        }
+                        end = offset + c.len_utf8();
+                    }
+                } else if ch.is_whitespace() {
+                    continue;
+                }
+                pos += end;
+                return Some(&rest[start..end]);
+            }
+        })
     }
 }
 
@@ -194,55 +146,34 @@ impl StreamingEncoder {
 
     /// Feed the next text segment, appending any completed tokens to `out`.
     pub fn feed(&mut self, text: &str, out: &mut Vec<Token>) {
-        let mut pos = 0;
+        let mut rest = text;
         if !self.pending.is_empty() {
             // The pending word may continue into this segment.
-            for (offset, ch) in text.char_indices() {
-                if !is_word_char(ch) {
-                    break;
-                }
-                pos = offset + ch.len_utf8();
-            }
-            self.pending.push_str(&text[..pos]);
-            if pos == text.len() {
+            let body = text.trim_start_matches(is_word_char);
+            self.pending.push_str(&text[..text.len() - body.len()]);
+            if body.is_empty() {
                 return; // the whole segment extended the word
             }
-            emit_word(&self.pending, out);
-            self.pending.clear();
+            self.finish(out);
+            rest = body;
         }
-        let mut word_start: Option<usize> = None;
-        for (offset, ch) in text[pos..].char_indices() {
-            let at = pos + offset;
-            if is_word_char(ch) {
-                if word_start.is_none() {
-                    word_start = Some(at);
-                }
-            } else {
-                if let Some(start) = word_start.take() {
-                    emit_word(&text[start..at], out);
-                }
-                if !ch.is_whitespace() {
-                    out.push(Token(fnv1a(&text.as_bytes()[at..at + ch.len_utf8()])));
-                }
-            }
-        }
-        if let Some(start) = word_start {
-            // Trailing word: might continue in the next segment.
-            self.pending.push_str(&text[start..]);
-        }
+        // Everything up to the trailing word is complete; that word might
+        // continue in the next segment.
+        let complete = rest.trim_end_matches(is_word_char);
+        Tokenizer.encode_append(complete, out);
+        self.pending.push_str(&rest[complete.len()..]);
     }
 
     /// End of stream: flush the pending word (if any). The encoder is reset
     /// and reusable afterwards.
     pub fn finish(&mut self, out: &mut Vec<Token>) {
-        if !self.pending.is_empty() {
-            emit_word(&self.pending, out);
-            self.pending.clear();
-        }
+        Tokenizer.encode_append(&self.pending, out);
+        self.pending.clear();
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -333,6 +264,34 @@ mod tests {
         assert_eq!(t.count(text), t.encode(text).len());
         let joined_len: usize = Tokenizer::pieces(text).map(str::len).sum();
         assert!(joined_len <= text.len());
+    }
+
+    /// The piece rule spelled out: split at every char that is not a word
+    /// char, drop whitespace, keep other marks as one piece each, and cut
+    /// each word into runs of [`MAX_PIECE_CHARS`] chars from its start.
+    fn reference_pieces(text: &str) -> Vec<String> {
+        let mut pieces = Vec::new();
+        let mut word = Vec::new();
+        for ch in text.chars().chain([' ']) {
+            if is_word_char(ch) {
+                word.push(ch);
+                continue;
+            }
+            pieces.extend(word.chunks(MAX_PIECE_CHARS).map(String::from_iter));
+            word.clear();
+            if !ch.is_whitespace() {
+                pieces.push(ch.to_string());
+            }
+        }
+        pieces
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pieces_follow_the_piece_rule(text in "[a-zA-Z0-9'éß漢🦀 \n.,;:!—-]{0,64}") {
+            let got: Vec<&str> = Tokenizer::pieces(&text).collect();
+            proptest::prop_assert_eq!(got, reference_pieces(&text));
+        }
     }
 
     #[test]

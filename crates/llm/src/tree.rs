@@ -6,8 +6,6 @@
 //! every pinned block. The cache's owner is a `u64` owner id; the pool's
 //! blocks are physical, owned by `()`.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use std::collections::HashMap;
 use std::hash::Hash;
 

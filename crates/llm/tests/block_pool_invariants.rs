@@ -1,5 +1,5 @@
 //! Property tests for the bounded KV [`BlockPool`]: for *arbitrary*
-//! sequences of allocate / release / free / evict operations, the pool's
+//! sequences of allocate / release / free / pressure operations, the pool's
 //! three safety invariants hold after every single step —
 //!
 //! 1. pinned (leased) blocks are never evicted: every active lease's full
@@ -36,8 +36,10 @@ enum Op {
     Release { seq: u64 },
     /// Unpin and drop private blocks (preemption).
     Free { seq: u64 },
-    /// Background reclamation of up to `n` unpinned blocks.
-    EvictIdle { n: usize },
+    /// A sequence outside the model leases as much as fits of `n` fresh
+    /// blocks and is preempted at once: capacity pressure alone, which
+    /// evicts unpinned blocks in LRU order.
+    Pressure { n: usize },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -46,8 +48,30 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(seq, fam, len)| Op::Allocate { seq, fam, len }),
         2 => (0..MAX_SEQS).prop_map(|seq| Op::Release { seq }),
         2 => (0..MAX_SEQS).prop_map(|seq| Op::Free { seq }),
-        1 => (1..6usize).prop_map(|n| Op::EvictIdle { n }),
+        1 => (1..6usize).prop_map(|n| Op::Pressure { n }),
     ]
+}
+
+/// The sequence [`Op::Pressure`] and [`drain`] lease for: outside the
+/// model's `0..MAX_SEQS`.
+const PRESSURE_SEQ: u64 = MAX_SEQS;
+
+/// Lease as much as fits of `len` blocks that share no hash with any
+/// family, starting with block hash `first`, then preempt them.
+fn press(pool: &BlockPool, first: u64, len: usize) {
+    let chain: Vec<u64> = (0..len as u64).map(|i| first + i * 1_000_000).collect();
+    pool.allocate_prefix(PRESSURE_SEQ, &chain);
+    pool.free(PRESSURE_SEQ);
+}
+
+/// Take a pool with nothing pinned to empty through capacity pressure: a
+/// chain picks its stripe by its first block hash, so a pool-sized chain
+/// from each first hash in `0..capacity` presses on every stripe.
+fn drain(pool: &BlockPool) {
+    let capacity = pool.capacity();
+    for first in 0..capacity as u64 {
+        press(pool, first, capacity);
+    }
 }
 
 /// The reference model: which chain each active lease pins.
@@ -143,20 +167,18 @@ proptest! {
                     pool.free(seq);
                     model.leases.remove(&seq);
                 }
-                Op::EvictIdle { n } => {
-                    pool.evict_idle(n);
-                }
+                Op::Pressure { n } => press(&pool, 0, n),
             }
             check_invariants(&pool, &model, step, op);
         }
-        // Drain every lease: with nothing pinned, evict_idle can take the
-        // pool to empty and the counters still reconcile to zero.
+        // Drain every lease: with nothing pinned, pressure can take the pool
+        // to empty and the counters still reconcile to zero.
         let seqs: Vec<u64> = model.leases.keys().copied().collect();
         for seq in seqs {
             pool.release(seq);
         }
         model.leases.clear();
-        pool.evict_idle(usize::MAX);
+        drain(&pool);
         prop_assert_eq!(pool.live_blocks(), 0);
         prop_assert_eq!(pool.pinned_blocks(), 0);
         let s = pool.stats();

@@ -1,8 +1,8 @@
 //! Allocations on the caches' hot paths: a prefix-cache hit (in a shard
 //! alone, and through the warm tier into a shard), a KV block-pool lease
 //! over a resident chain, a token-interner hit, a generation-memo hit, the
-//! task scan resumed from an interned chain, and a whole warm segmented
-//! GEN.
+//! task scan resumed from an interned chain, and a whole warm GEN, with
+//! segments and without.
 //!
 //! Every GEN goes through `StripedPrefixCache::lookup_insert_hashed`, asks
 //! the interner for its prompt family's chain and resumes its task scan, a
@@ -126,8 +126,10 @@ fn leasing_a_resident_chain_allocates_at_most_its_two_paths() {
 
 #[test]
 fn a_resident_chain_hits_the_interner_without_allocating() {
-    let interner = TokenInterner::new(64, 1);
-    for key in 0..8 {
+    let interner = TokenInterner::new(64);
+    // More chains than one node of an ordered map holds, so a recency
+    // structure that splits and merges nodes on a touch would show here.
+    for key in 0..64 {
         interner.insert(
             key,
             InternedChain {
@@ -137,7 +139,7 @@ fn a_resident_chain_hits_the_interner_without_allocating() {
             },
         );
     }
-    for key in [3, 0, 3, 7] {
+    for key in [3, 0, 3, 7, 63, 12, 40] {
         let mut hit = None;
         let n = allocs(|| hit = interner.get(key));
         assert!(hit.is_some(), "chain {key} is resident");
@@ -157,7 +159,7 @@ fn a_memo_hit_allocates_no_more_than_its_entry_clone() {
         block_hashes: chain(),
     };
     let clone = allocs(|| drop(entry.clone()));
-    // Enough keys that every lock stripe holds several.
+    // A memo holding many entries, so a hit probes a populated map.
     for key in 0..64 {
         let Lookup::Lead(lead) = memo.lookup_or_lead(key) else {
             panic!("an empty memo cannot hit");
@@ -182,7 +184,7 @@ const INSTRUCTION: &str = "You are given one tweet per request. Summarize the tw
 
 #[test]
 fn resuming_an_interned_task_scan_over_an_ascii_suffix_does_not_allocate() {
-    let interner = TokenInterner::new(64, 1);
+    let interner = TokenInterner::new(64);
     interner.insert(
         7,
         ScannedChain {
@@ -238,5 +240,23 @@ fn a_warm_segmented_generate_stays_within_its_allocation_budget() {
         // allocate. Lowercasing the whole prompt and each item word per
         // GEN, as the task model did before, made it 21.
         assert!(n <= 8, "a warm segmented generate made {n} allocations");
+    }
+}
+
+#[test]
+fn a_warm_flat_generate_stays_within_its_allocation_budget() {
+    let llm = SimLlm::new(ModelProfile::qwen25_7b_instruct());
+    let request = GenRequest::structured(
+        format!("{INSTRUCTION}so much homework tonight, the exam is going to be awful"),
+        "view:filter@1#0/v1",
+    );
+    for _ in 0..3 {
+        llm.generate(&request).expect("generates");
+    }
+    for _ in 0..3 {
+        let n = allocs(|| drop(llm.generate(&request).expect("generates")));
+        // A prompt without segments is one chunk of the same prefill, so
+        // what is left is again the task's output and the response.
+        assert!(n <= 8, "a warm flat generate made {n} allocations");
     }
 }

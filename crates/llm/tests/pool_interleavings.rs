@@ -19,6 +19,19 @@ use spear_llm::BlockPool;
 
 const CAPACITY: usize = 6;
 
+/// A sequence that is never leased across turns: the evictor's.
+const PRESSURE_SEQ: u64 = 3;
+
+/// The evictor: lease as much as fits of a pool-sized chain of fresh
+/// blocks, then preempt it. Capacity pressure is the pool's only
+/// eviction, so this evicts every unpinned block it needs room for; with
+/// nothing pinned it takes the pool to empty.
+fn press(pool: &BlockPool) {
+    let fresh: Vec<u64> = (0..CAPACITY as u64).map(|i| 9_000 + i).collect();
+    pool.allocate_prefix(PRESSURE_SEQ, &fresh);
+    pool.free(PRESSURE_SEQ);
+}
+
 /// Shared family prefix + per-sequence private tail.
 fn chain(seq: u64, len: usize) -> Vec<u64> {
     (0..len as u64)
@@ -162,7 +175,7 @@ fn pin_invariant_holds_under_every_allocator_evictor_schedule() {
             scope.spawn(move || {
                 turnstile_e.drive(2, |step| {
                     let reg = registry_e.lock().expect("registry poisoned");
-                    pool_e.evict_idle(2);
+                    press(&pool_e);
                     check_safety(&pool_e, &reg, 2, step);
                 });
             });
@@ -171,7 +184,7 @@ fn pin_invariant_holds_under_every_allocator_evictor_schedule() {
         // End state: both sequences freed their leases, so nothing is
         // pinned; whatever survived is evictable cache.
         assert_eq!(pool.pinned_blocks(), 0, "dangling pins under {schedule:?}");
-        pool.evict_idle(usize::MAX);
+        press(&pool);
         assert_eq!(
             pool.live_blocks(),
             0,

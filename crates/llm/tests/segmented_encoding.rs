@@ -116,7 +116,7 @@ proptest! {
 #[test]
 fn interner_is_bounded_and_consistent_under_concurrent_access() {
     let capacity = 32;
-    let interner: TokenInterner = TokenInterner::new(capacity, 4);
+    let interner: TokenInterner = TokenInterner::new(capacity);
     let threads = 8;
     let per_thread = 400;
     std::thread::scope(|s| {

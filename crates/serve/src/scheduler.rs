@@ -76,7 +76,7 @@ use spear_core::metadata::{ReuseEvent, TokenUsage};
 use spear_core::plan::LoweredPlan;
 use spear_core::runtime::Runtime;
 use spear_kv::shard::{fnv1a, fnv1a_extend, FNV1A_OFFSET};
-use spear_llm::{CacheStats, MemoStats, SimLlm};
+use spear_llm::{CacheStats, LruMap, MemoStats, SimLlm};
 
 use crate::error::ServeError;
 use crate::kv::{self, KvPressureConfig, SeqInput, SeqTiming};
@@ -89,9 +89,10 @@ use crate::request::{Priority, ServeRequest};
 /// `BatchRunner`'s small sequential ids.
 const SERVE_OWNER_BASE: u64 = 1 << 62;
 
-/// Distinct plan families the admission-verification memo holds before
-/// resetting (overflow means an adversarially diverse workload; clearing
-/// just re-verifies, it never changes decisions).
+/// Distinct plan families the admission-verification memo holds; beyond
+/// that the least recently used verdict goes (overflow means an
+/// adversarially diverse workload; a miss just re-verifies, it never
+/// changes decisions).
 const VERIFY_MEMO_CAPACITY: usize = 1024;
 
 /// Scheduler configuration.
@@ -369,8 +370,7 @@ struct Lifecycle<'a> {
     /// Admission verdicts by plan family ([`verify_key`]). Verification
     /// also reads the runtime's registries and each run may bring another
     /// runtime, which is why the memo lives here and not on the node.
-    verify_memo: HashMap<u64, Option<Vec<String>>>,
-    verify_memo_hits: u64,
+    verify_memo: LruMap<u64, Option<Vec<String>>>,
     queue: AdmissionQueue,
     placement: Placement,
     /// Indexed by `Priority as usize`, like [`Placement::groups`].
@@ -406,8 +406,7 @@ impl<'a> Lifecycle<'a> {
                 ReusePolicy::Off
             },
             plans: PlanIdentities::default(),
-            verify_memo: HashMap::new(),
-            verify_memo_hits: 0,
+            verify_memo: LruMap::new(VERIFY_MEMO_CAPACITY),
             queue: AdmissionQueue::new(node.config.admission.clone()),
             placement: Placement::new(SERVE_OWNER_BASE | (run_nonce << 32), &node.config),
             classes,
@@ -424,13 +423,9 @@ impl<'a> Lifecycle<'a> {
         let fingerprint = self.plans.of(&request.plan).fingerprint;
         let key = verify_key(request, fingerprint);
         if let Some(cached) = self.verify_memo.get(&key) {
-            self.verify_memo_hits += 1;
             return cached.clone();
         }
         let verdict = verify_for_admission(self.runtime, request);
-        if self.verify_memo.len() >= VERIFY_MEMO_CAPACITY {
-            self.verify_memo.clear();
-        }
         self.verify_memo.insert(key, verdict.clone());
         verdict
     }
@@ -592,7 +587,7 @@ impl<'a> Lifecycle<'a> {
         );
         let [interactive, batch] = self.classes.map(ClassAccum::finish);
         let mut compile = self.node.programs.drain_counters();
-        compile.verify_memo_hits = self.verify_memo_hits;
+        compile.verify_memo_hits = self.verify_memo.stats().hits;
         let mut report = ServeReport {
             lanes: self.node.config.lanes,
             affinity_routing: self.node.config.affinity_routing,

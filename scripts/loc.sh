@@ -2,17 +2,45 @@
 # Non-test Rust line count (`just loc`; printed by scripts/check.sh as
 # information, not a gate), so simplicity PRs quote one number. Per crate:
 # every `src/**/*.rs` line down to the file's last top-level `#[cfg(test)]`
-# (that marker line included; a file without one counts whole). `tests/`
-# and `benches/` directories are not read. Blank and comment lines count:
-# deleting them must not look like a reduction. The root package (`src/`)
-# is listed as `spear`; `vendor/` and `benchmark/` are outside the
-# workspace and not counted.
+# (that marker line included; a file without one counts whole). A file
+# compiled only as `#[cfg(test)] mod name;` (a test reference such as
+# `cache/naive.rs`) is test code and is not read, nor are `tests/` and
+# `benches/` directories. Blank and comment lines count: deleting them
+# must not look like a reduction. The root package (`src/`) is listed as
+# `spear`; `vendor/` and `benchmark/` are outside the workspace and not
+# counted.
 set -eu
 
 cd "$(dirname "$0")/.."
 
+# The files declared by `#[cfg(test)] mod name;` (attributes may sit
+# between the two) anywhere under $1, as both paths the module may take.
+test_only_files() {
+    find "$1" -name '*.rs' -print | while read -r file; do
+        dir=$(dirname "$file")
+        case "$(basename "$file")" in
+            lib.rs | main.rs | mod.rs) base=$dir ;;
+            *) base=$dir/$(basename "$file" .rs) ;;
+        esac
+        awk '
+            /^[ \t]*#\[cfg\(test\)\]/ { test = 1; next }
+            /^[ \t]*#\[/ { next }
+            test && /^[ \t]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;/ {
+                sub(/.*mod /, ""); sub(/;.*/, ""); print
+            }
+            { test = 0 }
+        ' "$file" | while read -r name; do
+            printf '%s\n%s\n' "$base/$name.rs" "$base/$name/mod.rs"
+        done
+    done
+}
+
 count() {
+    skip=$(test_only_files "$1")
     find "$1" -name '*.rs' -print | sort | while read -r file; do
+        if printf '%s\n' "$skip" | grep -qxF "$file"; then
+            continue
+        fi
         awk '/^#\[cfg\(test\)\]/ { last = NR } END { print (last ? last : NR) }' "$file"
     done | awk '{ total += $1 } END { print total + 0 }'
 }
