@@ -4,8 +4,7 @@
 use std::collections::BTreeMap;
 
 use spear_core::prelude::*;
-use spear_optimizer::lower_physical;
-use spear_optimizer::plan::{PhysicalPlan, SemanticPlan};
+use spear_optimizer::fusion::{self, Stage};
 
 /// The paper's confidence-retry pipeline (§2, Table 1).
 fn retry_pipeline() -> Pipeline {
@@ -47,10 +46,13 @@ fn gated_pipeline() -> Pipeline {
 /// If a corpus plan fails to lower, which would be a lowering bug.
 #[must_use]
 pub fn plans() -> Vec<(&'static str, LoweredPlan)> {
-    let semantic = SemanticPlan::map_then_filter("Clean up the tweet.", "Keep negative tweets.")
-        .with_identity("view:tweet_pipeline@1");
-    let reordered = SemanticPlan::filter_then_map("Keep negative tweets.", "Clean up the tweet.");
-    let physical = |plan: PhysicalPlan| lower_physical(&plan).expect("physical plan lowers");
+    let map = Stage::Map("Clean up the tweet.".to_owned());
+    let filter = Stage::Filter("Keep negative tweets.".to_owned());
+    let map_filter = [map.clone(), filter.clone()];
+    let identity = Some("view:tweet_pipeline@1");
+    let physical = |stages: &[Stage], fused: bool, identity: Option<&str>| {
+        lower(&fusion::pipeline(stages, fused, identity)).expect("physical plan lowers")
+    };
     vec![
         (
             "confidence-retry (paper §2, Table 1)",
@@ -58,15 +60,15 @@ pub fn plans() -> Vec<(&'static str, LoweredPlan)> {
         ),
         (
             "sentiment, sequential Map→Filter",
-            physical(PhysicalPlan::sequential(&semantic)),
+            physical(&map_filter, false, identity),
         ),
         (
             "sentiment, fused Map+Filter",
-            physical(PhysicalPlan::fused(&semantic)),
+            physical(&map_filter, true, identity),
         ),
         (
             "sentiment, reordered Filter→Map (pushdown)",
-            physical(PhysicalPlan::sequential(&reordered)),
+            physical(&[filter, map], false, None),
         ),
         (
             "statically-gated exemplar (W004/W005)",

@@ -17,9 +17,7 @@ use spear_core::error::Result;
 use spear_data::tweets::{self, Sentiment, TweetConfig};
 use spear_llm::{EngineConfig, ModelProfile, SimLlm};
 use spear_optimizer::cost::CostModel;
-use spear_optimizer::fusion::{self, PlanEstimates, StageEstimate};
-use spear_optimizer::plan::{PhysicalPlan, SemanticPlan};
-use spear_optimizer::run_plan;
+use spear_optimizer::fusion::{self, PlanEstimates, Stage, StageEstimate};
 
 use crate::workload;
 
@@ -42,18 +40,14 @@ impl FusionOrder {
         }
     }
 
-    /// Build the logical plan.
+    /// The stages, in order.
     #[must_use]
-    pub fn plan(self) -> SemanticPlan {
+    pub fn stages(self) -> Vec<Stage> {
+        let map = Stage::Map(workload::map_instruction());
+        let filter = Stage::Filter(workload::filter_instruction());
         match self {
-            FusionOrder::MapFilter => SemanticPlan::map_then_filter(
-                &workload::map_instruction(),
-                &workload::filter_instruction(),
-            ),
-            FusionOrder::FilterMap => SemanticPlan::filter_then_map(
-                &workload::filter_instruction(),
-                &workload::map_instruction(),
-            ),
+            FusionOrder::MapFilter => vec![map, filter],
+            FusionOrder::FilterMap => vec![filter, map],
         }
     }
 }
@@ -105,11 +99,11 @@ pub struct FusionMeasurement {
     pub optimizer_would_fuse: bool,
 }
 
-fn accuracy(outcomes: &[spear_optimizer::ItemOutcome], corpus: &[tweets::Tweet]) -> f64 {
-    let correct = outcomes
+fn accuracy(passed: &[bool], corpus: &[tweets::Tweet]) -> f64 {
+    let correct = passed
         .iter()
         .zip(corpus)
-        .filter(|(o, t)| o.passed == (t.label == Sentiment::Negative))
+        .filter(|(&p, t)| p == (t.label == Sentiment::Negative))
         .count();
     correct as f64 / corpus.len().max(1) as f64
 }
@@ -132,21 +126,27 @@ pub fn measure(
         seed: config.seed,
     });
     let items: Vec<String> = corpus.iter().map(|t| t.text.clone()).collect();
-    let plan = order.plan();
+    let stages = order.stages();
 
-    let engine_cfg = EngineConfig {
-        seed: config.seed,
-        ..EngineConfig::default()
+    // Each form runs on its own identically-seeded engine.
+    let run = |fused: bool| {
+        let engine = SimLlm::with_config(
+            profile.clone(),
+            EngineConfig {
+                seed: config.seed,
+                ..EngineConfig::default()
+            },
+        );
+        let runtime = fusion::runtime_builder().llm(Arc::new(engine)).build();
+        fusion::run(&runtime, &fusion::pipeline(&stages, fused, None), &items)
     };
-    let seq_engine = Arc::new(SimLlm::with_config(profile.clone(), engine_cfg.clone()));
-    let seq = run_plan(seq_engine, &PhysicalPlan::sequential(&plan), &items)?;
-    let fused_engine = Arc::new(SimLlm::with_config(profile.clone(), engine_cfg));
-    let fused = run_plan(fused_engine, &PhysicalPlan::fused(&plan), &items)?;
+    let seq = run(false)?;
+    let fused = run(true)?;
 
     let seq_time = seq.latency.as_secs_f64();
     let fused_time = fused.latency.as_secs_f64();
-    let seq_acc = accuracy(&seq.outcomes, &corpus);
-    let fused_acc = accuracy(&fused.outcomes, &corpus);
+    let seq_acc = accuracy(&seq.passed, &corpus);
+    let fused_acc = accuracy(&fused.passed, &corpus);
 
     // Feed the sequential run's observed per-call token profile to the
     // optimizer's fusion rule, checking that the cost-based decision agrees
@@ -172,7 +172,7 @@ pub fn measure(
         cached_us: profile.cached_prefill_us_per_token,
         decode_us: profile.decode_us_per_token,
     };
-    let decision = fusion::decide(&plan, &estimates, &cost_model);
+    let decision = fusion::decide(&stages, &estimates, &cost_model);
 
     Ok(FusionMeasurement {
         model: profile.name.clone(),

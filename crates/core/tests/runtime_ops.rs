@@ -452,6 +452,45 @@ fn execute_program_runs_a_prelowered_plan_like_execute() {
     assert_eq!(via_pipeline.trace, via_plan.trace);
 }
 
+#[test]
+fn report_totals_equal_the_sums_over_the_trace_gen_events() {
+    // Two GENs run and one is skipped: `EchoLlm` answers at confidence
+    // 0.6, so the low-confidence CHECK's then-branch never runs.
+    let rt = runtime();
+    let mut state = ExecState::new();
+    state
+        .prompts
+        .define("p", "summarize the notes", "f", RefinementMode::Manual);
+    let pipeline = Pipeline::builder("totals")
+        .gen("a", "p")
+        .check(Cond::low_confidence(0.5), |t| t.gen("skipped", "p"))
+        .gen("b", "p")
+        .build();
+    let report = rt.execute(&pipeline, &mut state).unwrap();
+
+    let mut usage = TokenUsage::default();
+    let mut latency = Duration::ZERO;
+    let gens = state.trace.of_kind(TraceKind::Gen);
+    for event in &gens {
+        let field = |key: &str| -> u64 {
+            let detail = event.detail.as_map().unwrap();
+            u64::try_from(detail[key].as_i64().unwrap()).unwrap()
+        };
+        usage.absorb(TokenUsage {
+            prompt_tokens: field("prompt_tokens"),
+            cached_tokens: field("cached_tokens"),
+            completion_tokens: field("completion_tokens"),
+        });
+        latency += Duration::from_micros(field("latency_us"));
+    }
+    assert_eq!(report.gens, 2);
+    assert_eq!(report.gens, gens.len() as u64);
+    assert_eq!(report.usage, usage);
+    assert_eq!(report.latency, latency);
+    assert!(usage.total() > 0 && latency > Duration::ZERO);
+    assert!(!state.context.contains("skipped"));
+}
+
 fn create_qa_prompt_from_view() -> Pipeline {
     Pipeline::builder("create")
         .create_from_view(

@@ -96,6 +96,27 @@ impl CostModel {
     }
 }
 
+/// `x` clamped into `[0, 1]`, NaN read as 0: for the probabilities and
+/// fractions callers supply as estimates.
+pub(crate) fn unit(x: f64) -> f64 {
+    if x.is_nan() {
+        0.0
+    } else {
+        x.clamp(0.0, 1.0)
+    }
+}
+
+/// `s` seconds as a [`Duration`], without the panics of
+/// `Duration::from_secs_f64`: negative and NaN read as zero, and what
+/// overflows saturates at `Duration::MAX`.
+pub(crate) fn secs(s: f64) -> Duration {
+    if s > 0.0 {
+        Duration::try_from_secs_f64(s).unwrap_or(Duration::MAX)
+    } else {
+        Duration::ZERO
+    }
+}
+
 /// Solve a 4×4 linear system by Gaussian elimination with partial pivoting.
 fn solve4(mut a: [[f64; 4]; 4], mut b: [f64; 4]) -> Option<[f64; 4]> {
     for col in 0..4 {
@@ -132,8 +153,24 @@ fn solve4(mut a: [[f64; 4]; 4], mut b: [f64; 4]) -> Option<[f64; 4]> {
 }
 
 #[cfg(test)]
-mod tests {
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Any `f64` a caller could pass as an estimate: the shim's finite
+    /// draws plus the non-finite and out-of-range edges.
+    pub(crate) fn any_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<f64>(),
+            -2.0f64..2.0,
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::MAX),
+            Just(f64::MIN),
+        ]
+    }
 
     fn synth(overhead: f64, prefill: f64, cached: f64, decode: f64) -> Vec<CostObservation> {
         let mut out = Vec::new();

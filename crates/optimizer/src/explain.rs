@@ -15,7 +15,8 @@ use std::time::Duration;
 use spear_core::ops::{Op, PromptRef};
 use spear_core::pipeline::Pipeline;
 
-use crate::cost::CostModel;
+use crate::cost::{secs, unit, CostModel};
+use crate::fusion::StageEstimate;
 use crate::gen_fusion;
 
 /// Workload assumptions the estimates are conditioned on.
@@ -54,8 +55,9 @@ pub struct PlanCost {
 impl PlanCost {
     fn add(&mut self, other: PlanCost, weight: f64) {
         self.expected_gen_calls += other.expected_gen_calls * weight;
-        self.expected_latency +=
-            Duration::from_secs_f64(other.expected_latency.as_secs_f64() * weight);
+        self.expected_latency = self
+            .expected_latency
+            .saturating_add(secs(other.expected_latency.as_secs_f64() * weight));
     }
 }
 
@@ -99,13 +101,19 @@ struct RenderCtx<'a> {
     total: PlanCost,
 }
 
-/// Render the plan. Returns `(text, total cost)`.
+/// Render the plan. Returns `(text, total cost)`. The assumptions'
+/// probability and fraction are clamped into `[0, 1]` first.
 #[must_use]
 pub fn explain(
     pipeline: &Pipeline,
     model: &CostModel,
     assumptions: &ExplainAssumptions,
 ) -> (String, PlanCost) {
+    let assumptions = &ExplainAssumptions {
+        cached_fraction: unit(assumptions.cached_fraction),
+        branch_probability: unit(assumptions.branch_probability),
+        ..*assumptions
+    };
     let mut ctx = RenderCtx {
         w: PlanWriter::new(),
         model,
@@ -148,15 +156,6 @@ pub fn explain(
     (ctx.w.finish(), ctx.total)
 }
 
-fn gen_cost(structured: bool, model: &CostModel, a: &ExplainAssumptions) -> Duration {
-    let cached = if structured {
-        a.prompt_tokens * a.cached_fraction
-    } else {
-        0.0
-    };
-    model.estimate_call(a.prompt_tokens - cached, cached, a.decode_tokens)
-}
-
 impl RenderCtx<'_> {
     fn render_ops(&mut self, ops: &[Op], depth: usize, weight: f64) {
         for op in ops {
@@ -167,7 +166,16 @@ impl RenderCtx<'_> {
                         PromptRef::Lowered { identity, .. } => identity.is_some(),
                         PromptRef::Key(_) | PromptRef::View { .. } => true,
                     };
-                    let latency = gen_cost(structured, self.model, self.a);
+                    let latency = StageEstimate {
+                        prompt_tokens: self.a.prompt_tokens,
+                        cached_fraction: if structured {
+                            self.a.cached_fraction
+                        } else {
+                            0.0
+                        },
+                        decode_tokens: self.a.decode_tokens,
+                    }
+                    .call_cost(self.model);
                     self.total.add(
                         PlanCost {
                             expected_gen_calls: 1.0,
@@ -220,8 +228,11 @@ impl RenderCtx<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::cost::tests::any_f64;
+    use proptest::prelude::*;
     use spear_core::condition::Cond;
     use spear_core::history::RefinementMode;
     use spear_core::value::Value;
@@ -313,5 +324,35 @@ mod tests {
         let (text, _) = explain(&p, &CostModel::default(), &ExplainAssumptions::default());
         assert!(text.contains("HINT"), "{text}");
         assert!(text.contains("GEN fusion would save"));
+    }
+
+    proptest! {
+        #[test]
+        fn explain_never_panics_on_any_assumptions(
+            prompt_tokens in any_f64(),
+            decode_tokens in any_f64(),
+            cached_fraction in any_f64(),
+            branch_probability in any_f64(),
+        ) {
+            // A GEN on each side of the CHECK: 1 + p + (1 − p) = 2 expected
+            // calls for every probability once it is clamped.
+            let p = Pipeline::builder("both_branches")
+                .create_text("p", "base", RefinementMode::Manual)
+                .gen("a", "p")
+                .check_else(
+                    Cond::low_confidence(0.7),
+                    |t| t.gen("b", "p"),
+                    |e| e.gen("c", "p"),
+                )
+                .build();
+            let a = ExplainAssumptions {
+                prompt_tokens,
+                decode_tokens,
+                cached_fraction,
+                branch_probability,
+            };
+            let (_, cost) = explain(&p, &CostModel::default(), &a);
+            prop_assert!((cost.expected_gen_calls - 2.0).abs() < 1e-9, "{:?}", cost);
+        }
     }
 }

@@ -205,6 +205,7 @@ pub fn fuse_pipeline(pipeline: &Pipeline) -> (Pipeline, usize) {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use spear_core::prelude::*;

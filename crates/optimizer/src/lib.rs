@@ -2,11 +2,10 @@
 //!
 //! Implements the optimization strategies of the SPEAR paper's §5:
 //!
-//! - [`plan`] / [`lowering`] / [`exec`] — semantic Map/Filter plans over
-//!   item collections, lowered onto the core runtime's plan IR and executed
-//!   there, with sequential (predicate-pushdown) and fused physical forms,
-//! - [`fusion`] — **selectivity-aware operator fusion** decisions driven by
-//!   the cost model, plus shared-context vs independent GEN classification,
+//! - [`fusion`] — **selectivity-aware operator fusion**: per-item
+//!   Map/Filter stages built as one core pipeline in a sequential
+//!   (predicate-pushdown) or fused form, run on the core batch runner, and
+//!   the cost-model decision between the two forms,
 //! - [`gen_fusion`] — fusing adjacent shared-context GENs in core pipelines
 //!   into one sectioned call, with output redistribution,
 //! - [`meta_opt`] — §4.4 meta-optimization: replacing underperforming
@@ -35,32 +34,26 @@
 // Hot-path hygiene: these crates sit on the per-request fast path, where a
 // stray clone or to_string() is a real regression, not a style nit.
 #![deny(clippy::redundant_clone, clippy::inefficient_to_string)]
+// No `unwrap` or `expect` outside tests; each test module allows them.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cost;
-pub mod exec;
 pub mod explain;
 pub mod fusion;
 pub mod gen_fusion;
 pub mod listing;
-pub mod lowering;
 pub mod meta_opt;
-pub mod plan;
 pub mod predictive;
 pub mod prompt_cache;
 pub mod refinement_planner;
 pub mod view_selector;
 
 pub use cost::{CostModel, CostObservation};
-pub use exec::{run_plan, run_plan_with, ItemOutcome, PlanRunOptions, PlanRunReport};
 pub use explain::{explain, ExplainAssumptions, PlanCost};
-pub use fusion::{
-    classify_adjacent, decide, FusionDecision, GenRelation, PlanEstimates, StageEstimate,
-};
+pub use fusion::{decide, FusionDecision, PlanEstimates, RunReport, Stage, StageEstimate};
 pub use gen_fusion::{find_opportunities, fuse_pipeline, GenFusionOpportunity};
 pub use listing::listing;
-pub use lowering::{lower_physical, to_pipeline};
 pub use meta_opt::{replace_underperformers, AppliedSubstitution, MetaOptConfig, Substitute};
-pub use plan::{PhysicalPlan, PhysicalStage, SemanticOp, SemanticPlan};
 pub use predictive::{RiskModel, RiskSample, RiskWeights};
 pub use prompt_cache::{CachedPrompt, PromptCacheStats, StructuredPromptCache};
 pub use refinement_planner::{plan as plan_refinements, Budget, RefinementPlan, RefinerProfile};

@@ -165,6 +165,7 @@ fn frames(ids: &[u32]) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use spear_core::analysis::Verifier;

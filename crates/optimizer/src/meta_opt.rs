@@ -176,6 +176,7 @@ pub fn replace_underperformers(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use spear_core::condition::Cond;

@@ -155,6 +155,7 @@ impl std::fmt::Debug for StructuredPromptCache {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

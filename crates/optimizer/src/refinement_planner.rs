@@ -119,6 +119,7 @@ pub fn plan(profiles: &[RefinerProfile], budget: &Budget, min_gain: f64) -> Refi
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

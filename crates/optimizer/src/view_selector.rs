@@ -118,6 +118,7 @@ pub fn select_view(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use spear_core::view::ViewDef;

@@ -9,19 +9,32 @@
 
 use spear_core::analysis::{BytecodePass, Verifier};
 use spear_core::prelude::*;
-use spear_optimizer::plan::{PhysicalPlan, SemanticPlan};
-use spear_optimizer::{listing, lower_physical};
+use spear_optimizer::fusion::{self, Stage};
+use spear_optimizer::listing;
 
-fn map_filter() -> SemanticPlan {
-    SemanticPlan::map_then_filter("Clean up the tweet.", "Keep negative tweets.")
-        .with_identity("view:tweet_pipeline@1")
+/// The sentiment workload's Map→Filter stages, with a structured identity,
+/// in the sequential or fused form.
+fn map_filter(fused: bool) -> LoweredPlan {
+    let stages = [
+        Stage::Map("Clean up the tweet.".to_owned()),
+        Stage::Filter("Keep negative tweets.".to_owned()),
+    ];
+    lower(&fusion::pipeline(
+        &stages,
+        fused,
+        Some("view:tweet_pipeline@1"),
+    ))
+    .expect("lowers")
 }
 
 /// The reordered Filter→Map shape, where predicate pushdown pays: the
 /// CHECK's else target jumps clear past the guarded Map stage.
 fn filter_map() -> LoweredPlan {
-    let plan = SemanticPlan::filter_then_map("Keep negative tweets.", "Clean up the tweet.");
-    lower_physical(&PhysicalPlan::sequential(&plan)).expect("lowers")
+    let stages = [
+        Stage::Filter("Keep negative tweets.".to_owned()),
+        Stage::Map("Clean up the tweet.".to_owned()),
+    ];
+    lower(&fusion::pipeline(&stages, false, None)).expect("lowers")
 }
 
 /// One pipeline that compiles to every opcode, over every operator kind
@@ -73,7 +86,7 @@ fn kitchen_sink() -> Pipeline {
 
 #[test]
 fn sequential_plan_lists_a_stage_per_gen() {
-    let plan = lower_physical(&PhysicalPlan::sequential(&map_filter())).expect("lowers");
+    let plan = map_filter(false);
     let expected = "\
 EXPLAIN LOWERED PLAN \"physical([Map] [Filter])\"  (3 source ops, 3 slots)
   0000  l00  GEN[\"s0\"] using lowered prompt
@@ -100,7 +113,7 @@ STATIC BOUNDS  tokens=[2, 128] llm_calls=[2, 2] latency>=200us unwind<=1
 
 #[test]
 fn fused_plan_lists_one_gen_with_both_parsers() {
-    let plan = lower_physical(&PhysicalPlan::fused(&map_filter())).expect("lowers");
+    let plan = map_filter(true);
     let expected = "\
 EXPLAIN LOWERED PLAN \"physical([Map+Filter])\"  (3 source ops, 3 slots)
   0000  l00  GEN[\"s0\"] using lowered prompt

@@ -6,20 +6,8 @@
 
 use proptest::prelude::*;
 use spear_core::analysis::Verifier;
-use spear_optimizer::lower_physical;
-use spear_optimizer::plan::{PhysicalPlan, SemanticPlan};
-
-fn build_semantic(a: &str, b: &str, filter_first: bool, identity: Option<String>) -> SemanticPlan {
-    let plan = if filter_first {
-        SemanticPlan::filter_then_map(a, b)
-    } else {
-        SemanticPlan::map_then_filter(a, b)
-    };
-    match identity {
-        Some(id) => plan.with_identity(id),
-        None => plan,
-    }
-}
+use spear_core::plan::lower;
+use spear_optimizer::fusion::{self, Stage};
 
 proptest! {
     #[test]
@@ -30,13 +18,13 @@ proptest! {
         identity in proptest::option::of("[a-z_]{1,12}"),
         fused in any::<bool>(),
     ) {
-        let plan = build_semantic(&a, &b, filter_first, identity);
-        let physical = if fused {
-            PhysicalPlan::fused(&plan)
+        let stages = if filter_first {
+            [Stage::Filter(a), Stage::Map(b)]
         } else {
-            PhysicalPlan::sequential(&plan)
+            [Stage::Map(a), Stage::Filter(b)]
         };
-        let lowered = lower_physical(&physical).expect("optimizer lowering must not leak placeholders");
+        let pipeline = fusion::pipeline(&stages, fused, identity.as_deref());
+        let lowered = lower(&pipeline).expect("optimizer lowering must not leak placeholders");
         let diagnostics = Verifier::new().verify(&lowered);
         prop_assert!(
             diagnostics.is_empty(),

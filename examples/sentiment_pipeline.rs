@@ -10,9 +10,7 @@ use spear::core::prelude::*;
 use spear::data::tweets::{self, Sentiment, TweetConfig};
 use spear::llm::{ModelProfile, SimLlm};
 use spear::optimizer::cost::CostModel;
-use spear::optimizer::fusion::{self, PlanEstimates, StageEstimate};
-use spear::optimizer::plan::{PhysicalPlan, SemanticPlan};
-use spear::optimizer::run_plan;
+use spear::optimizer::fusion::{self, PlanEstimates, Stage, StageEstimate};
 
 fn main() -> Result<()> {
     let corpus = tweets::generate(&TweetConfig {
@@ -82,28 +80,26 @@ fn main() -> Result<()> {
     // Part 2: the fusion optimizer deciding sequential vs fused plans.
     // ---------------------------------------------------------------
     let items: Vec<String> = corpus.iter().map(|t| t.text.clone()).collect();
-    for (name, plan) in [
-        (
-            "Map→Filter",
-            SemanticPlan::map_then_filter(
-                "Clean up the tweet and summarize the remaining content.",
-                "Classify the sentiment of the tweet as positive or negative \
-                 and keep only negative tweets; state a justification.",
-            ),
-        ),
-        (
-            "Filter→Map",
-            SemanticPlan::filter_then_map(
-                "Classify the sentiment of the tweet as positive or negative \
-                 and keep only negative tweets; state a justification.",
-                "Clean up the tweet and summarize the remaining content.",
-            ),
-        ),
+    let map = Stage::Map("Clean up the tweet and summarize the remaining content.".into());
+    let filter = Stage::Filter(
+        "Classify the sentiment of the tweet as positive or negative \
+         and keep only negative tweets; state a justification."
+            .into(),
+    );
+    for (name, stages) in [
+        ("Map→Filter", [map.clone(), filter.clone()]),
+        ("Filter→Map", [filter, map]),
     ] {
-        let seq_engine = std::sync::Arc::new(SimLlm::new(ModelProfile::qwen25_7b_instruct()));
-        let seq = run_plan(seq_engine, &PhysicalPlan::sequential(&plan), &items)?;
-        let fused_engine = std::sync::Arc::new(SimLlm::new(ModelProfile::qwen25_7b_instruct()));
-        let fused = run_plan(fused_engine, &PhysicalPlan::fused(&plan), &items)?;
+        // Each form runs on its own fresh engine.
+        let run = |fused: bool| {
+            let engine = SimLlm::new(ModelProfile::qwen25_7b_instruct());
+            let runtime = fusion::runtime_builder()
+                .llm(std::sync::Arc::new(engine))
+                .build();
+            fusion::run(&runtime, &fusion::pipeline(&stages, fused, None), &items)
+        };
+        let seq = run(false)?;
+        let fused = run(true)?;
 
         // Ask the optimizer what it would have chosen, from the observed
         // token profile and selectivity.
@@ -114,7 +110,7 @@ fn main() -> Result<()> {
             decode_tokens: usage.completion_tokens as f64 / calls.max(1) as f64,
         };
         let decision = fusion::decide(
-            &plan,
+            &stages,
             &PlanEstimates {
                 n_items: items.len() as f64,
                 selectivity,

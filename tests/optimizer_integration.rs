@@ -12,11 +12,9 @@ use spear::core::{meta, view::param_hash};
 use spear::data::tweets::{self, TweetConfig};
 use spear::llm::{ModelProfile, SimLlm};
 use spear::optimizer::cost::{CostModel, CostObservation};
-use spear::optimizer::fusion::{decide, PlanEstimates, StageEstimate};
-use spear::optimizer::plan::{PhysicalPlan, SemanticPlan};
+use spear::optimizer::fusion::{self, decide, PlanEstimates, Stage, StageEstimate};
 use spear::optimizer::prompt_cache::StructuredPromptCache;
 use spear::optimizer::refinement_planner::{plan as plan_refinements, Budget, RefinerProfile};
-use spear::optimizer::run_plan;
 
 fn items(n: usize, negative_fraction: f64) -> Vec<String> {
     tweets::generate(&TweetConfig {
@@ -31,18 +29,43 @@ fn items(n: usize, negative_fraction: f64) -> Vec<String> {
     .collect()
 }
 
+/// The Map→Filter sentiment stages the executor-parity tests run.
+fn map_filter() -> [Stage; 2] {
+    [
+        Stage::Map("Clean up the tweet.".into()),
+        Stage::Filter("Classify the sentiment as positive or negative; keep negative.".into()),
+    ]
+}
+
+/// A runtime for the fusion pipelines over a fresh simulated engine.
+fn fusion_runtime(config: RuntimeConfig) -> Runtime {
+    fusion::runtime_builder()
+        .llm(std::sync::Arc::new(SimLlm::new(
+            ModelProfile::qwen25_7b_instruct(),
+        )))
+        .config(config)
+        .build()
+}
+
 #[test]
 fn fusion_decision_agrees_with_measured_latency_on_both_sides_of_the_crossover() {
-    let plan = SemanticPlan::filter_then_map(
-        &spear_bench_filter_instruction(),
-        "Clean up the tweet and summarize the remaining content.",
-    );
+    let stages = [
+        Stage::Filter(spear_bench_filter_instruction()),
+        Stage::Map("Clean up the tweet and summarize the remaining content.".into()),
+    ];
     for (selectivity, expect_fuse) in [(0.1, false), (1.0, true)] {
         let corpus = items(120, selectivity);
-        let seq_llm = std::sync::Arc::new(SimLlm::new(ModelProfile::qwen25_7b_instruct()));
-        let seq = run_plan(seq_llm, &PhysicalPlan::sequential(&plan), &corpus).unwrap();
-        let fused_llm = std::sync::Arc::new(SimLlm::new(ModelProfile::qwen25_7b_instruct()));
-        let fused = run_plan(fused_llm, &PhysicalPlan::fused(&plan), &corpus).unwrap();
+        let run = |fused: bool| {
+            let pipeline = fusion::pipeline(&stages, fused, None);
+            fusion::run(
+                &fusion_runtime(RuntimeConfig::default()),
+                &pipeline,
+                &corpus,
+            )
+            .unwrap()
+        };
+        let seq = run(false);
+        let fused = run(true);
 
         let measured_fuse_wins = fused.latency < seq.latency;
         assert_eq!(
@@ -64,7 +87,7 @@ fn fusion_decision_agrees_with_measured_latency_on_both_sides_of_the_crossover()
                 decode_tokens: fused.usage.completion_tokens as f64 / fused.gen_calls as f64,
             },
         };
-        let decision = decide(&plan, &estimates, &CostModel::default());
+        let decision = decide(&stages, &estimates, &CostModel::default());
         assert_eq!(
             decision.fuse, expect_fuse,
             "optimizer decision at selectivity {selectivity}: {}",
@@ -75,33 +98,17 @@ fn fusion_decision_agrees_with_measured_latency_on_both_sides_of_the_crossover()
 
 #[test]
 fn token_budget_aborts_optimized_plans_with_the_same_error_as_the_tree_walk() {
-    use spear::optimizer::{run_plan_with, to_pipeline, PlanRunOptions};
-    use std::sync::Arc;
-
-    let plan = SemanticPlan::map_then_filter(
-        "Clean up the tweet.",
-        "Classify the sentiment as positive or negative; keep negative.",
-    );
-    let physical = PhysicalPlan::sequential(&plan);
+    let pipeline = fusion::pipeline(&map_filter(), false, None);
     let corpus = items(4, 0.5);
     let config = RuntimeConfig {
         max_tokens: Some(10),
         ..RuntimeConfig::default()
     };
 
-    // The optimized path: run_plan over the lowered IR. The first GEN
+    // The optimized path: fusion::run over the lowered IR. The first GEN
     // crosses the 10-token line, so the gate before the second stage
     // aborts the item mid-plan.
-    let err = run_plan_with(
-        Arc::new(SimLlm::new(ModelProfile::qwen25_7b_instruct())),
-        &physical,
-        &corpus,
-        &PlanRunOptions {
-            workers: 1,
-            config: config.clone(),
-        },
-    )
-    .unwrap_err();
+    let err = fusion::run(&fusion_runtime(config.clone()), &pipeline, &corpus).unwrap_err();
     assert!(
         matches!(err, SpearError::TokenBudgetExceeded { .. }),
         "optimized plan aborts on the runtime's budget: {err}"
@@ -109,15 +116,10 @@ fn token_budget_aborts_optimized_plans_with_the_same_error_as_the_tree_walk() {
 
     // The tree-walk path over the same lowered pipeline hits the identical
     // variant — there is no budget bypass left in the optimizer executor.
-    let rt = Runtime::builder()
-        .llm(Arc::new(SimLlm::new(ModelProfile::qwen25_7b_instruct())))
-        .config(config)
-        .build();
+    let rt = fusion_runtime(config);
     let mut state = ExecState::new();
-    state.context.set("item", corpus[0].clone());
-    let tree_err = rt
-        .execute_tree(&to_pipeline(&physical), &mut state)
-        .unwrap_err();
+    state.context.set(fusion::ITEM_KEY, corpus[0].clone());
+    let tree_err = rt.execute_tree(&pipeline, &mut state).unwrap_err();
     assert!(
         matches!(tree_err, SpearError::TokenBudgetExceeded { .. }),
         "tree walk reports the same variant: {tree_err}"
@@ -126,44 +128,21 @@ fn token_budget_aborts_optimized_plans_with_the_same_error_as_the_tree_walk() {
 
 #[test]
 fn sentiment_workload_traces_are_byte_identical_across_both_executors() {
-    use spear::core::agent::FnAgent;
-    use std::sync::Arc;
-
     // The paper's sentiment workload, lowered once; each executor gets its
     // own identically-seeded engine so backend state cannot leak between
     // the two paths.
-    let plan = SemanticPlan::map_then_filter(
-        "Clean up the tweet.",
-        "Classify the sentiment as positive or negative; keep negative.",
-    )
-    .with_identity("view:tweet_pipeline@1");
-    let pipeline = spear::optimizer::to_pipeline(&PhysicalPlan::sequential(&plan));
+    let pipeline = fusion::pipeline(&map_filter(), false, Some("view:tweet_pipeline@1"));
     let lowered = spear::core::lower(&pipeline).expect("lowers");
     let program = spear::core::vm::compile(&lowered).expect("compiles");
 
-    let verdict = |payload: &Value, _: &Context| {
-        Ok(Value::from(
-            payload
-                .as_str()
-                .unwrap_or_default()
-                .to_lowercase()
-                .starts_with("negative"),
-        ))
-    };
-    let runtime = || {
-        Runtime::builder()
-            .llm(Arc::new(SimLlm::new(ModelProfile::qwen25_7b_instruct())))
-            .agent("plan_filter_verdict", Arc::new(FnAgent(verdict)))
-            .build()
-    };
-    let tree_rt = runtime();
-    let ir_rt = runtime();
+    let tree_rt = fusion_runtime(RuntimeConfig::default());
+    let ir_rt = fusion_runtime(RuntimeConfig::default());
 
     for tweet in items(6, 0.5) {
         let mut tree_state = ExecState::new();
-        tree_state.context.set("item", tweet.clone());
+        tree_state.context.set(fusion::ITEM_KEY, tweet.clone());
         let mut ir_state = ExecState::new();
-        ir_state.context.set("item", tweet.clone());
+        ir_state.context.set(fusion::ITEM_KEY, tweet.clone());
 
         let tree_report = tree_rt.execute_tree(&pipeline, &mut tree_state).unwrap();
         let ir_report = ir_rt.execute_program(&program, &mut ir_state).unwrap();
