@@ -12,11 +12,10 @@
 //! least-recently-used **leaf** blocks are evicted, which mirrors vLLM: a
 //! block can only be freed once no longer block extends it.
 
-use std::collections::HashMap;
-
 use parking_lot::{Mutex, RwLock};
 use spear_kv::shard::{fnv1a_extend, FNV1A_OFFSET};
 
+use crate::hash::FoldMap;
 use crate::tokenizer::Token;
 use crate::tree::{Tree, ROOT};
 
@@ -412,7 +411,7 @@ const WARM_ID: u64 = 1 << 63;
 /// taking a shard lock.
 #[derive(Debug, Default)]
 struct WarmTier {
-    index: HashMap<(u64, u64), u64>,
+    index: FoldMap<(u64, u64), u64>,
     /// Blocks ever inserted; the last one's id is `WARM_ID | inserted`.
     inserted: u64,
     /// Blocks dropped by `clear`.
@@ -1212,16 +1211,16 @@ mod tests {
                         assert_eq!(got, want, "step {step}: lookup_insert hit");
                     }
                 }
-                let mut pinned = HashMap::new();
+                let mut pinned = FoldMap::default();
                 for (i, reference) in naive.iter().enumerate() {
                     let live = |id: &u64| reference.nodes[id].refs == 0;
-                    let index: HashMap<_, _> = reference
+                    let index: FoldMap<_, _> = reference
                         .index
                         .iter()
                         .filter(|(_, id)| live(id))
                         .map(|(&key, &id)| (key, id))
                         .collect();
-                    let nodes: HashMap<_, _> = reference
+                    let nodes: FoldMap<_, _> = reference
                         .nodes
                         .iter()
                         .filter(|(id, _)| live(id))

@@ -6,16 +6,15 @@
 //! Warm blocks are ordinary shared nodes here, pinned by `refs = 1`: never
 //! evicted, outside the capacity and the stats.
 
-use std::collections::HashMap;
-
 use super::{CacheStats, SHARED_OWNER};
+use crate::hash::FoldMap;
 use crate::tree::{Key, Node, ROOT};
 
 pub(super) struct NaivePrefixCache {
     block_size: usize,
     capacity_blocks: usize,
-    pub(super) index: HashMap<Key<u64>, u64>,
-    pub(super) nodes: HashMap<u64, Node<u64>>,
+    pub(super) index: FoldMap<Key<u64>, u64>,
+    pub(super) nodes: FoldMap<u64, Node<u64>>,
     next_id: u64,
     tick: u64,
     pub(super) stats: CacheStats,
@@ -26,8 +25,8 @@ impl NaivePrefixCache {
         Self {
             block_size: block_size.max(1),
             capacity_blocks: capacity_blocks.max(1),
-            index: HashMap::new(),
-            nodes: HashMap::new(),
+            index: FoldMap::default(),
+            nodes: FoldMap::default(),
             next_id: 1,
             tick: 0,
             stats: CacheStats::default(),

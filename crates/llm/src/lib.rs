@@ -42,6 +42,7 @@
 pub mod cache;
 pub mod clock;
 pub mod engine;
+mod hash;
 pub mod intern;
 mod lru;
 pub mod memo;

@@ -9,8 +9,10 @@
 //! - [`LruIndex`], only the `(last_used, id)` order, for the block tree
 //!   (`tree.rs`), where all blocks of a chain share one tick: O(log n).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::hash::Hash;
+
+use crate::hash::FoldMap;
 
 /// Evictable entries ordered by `(last_used, id)`.
 #[derive(Debug, Default)]
@@ -95,7 +97,7 @@ struct Slot<K, V> {
 #[derive(Debug)]
 pub struct LruMap<K, V> {
     /// `key -> slot`.
-    index: HashMap<K, usize>,
+    index: FoldMap<K, usize>,
     /// The entries. Nothing is removed but a victim, whose slot the entry
     /// evicting it takes, so the slots never have holes.
     slots: Vec<Slot<K, V>>,
@@ -112,7 +114,7 @@ impl<K: Clone + Eq + Hash, V> LruMap<K, V> {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            index: HashMap::new(),
+            index: FoldMap::default(),
             slots: Vec::new(),
             oldest: NIL,
             newest: NIL,
@@ -244,6 +246,7 @@ impl<K: Clone + Eq + Hash, V> LruMap<K, V> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     /// The scan-based bounded map [`LruMap`] replaced: one map of
     /// `(value, last_used)` and an eviction that scans every entry for the

@@ -27,11 +27,11 @@
 //! they are never victims. Map, set and counters share one lock: a
 //! lookup holds it for a hash probe and a clone.
 
-use std::collections::HashSet;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use spear_core::llm::FinishReason;
 
+use crate::hash::FoldSet;
 use crate::lru::LruMap;
 
 /// The content-pure result of one generation, keyed by reuse identity.
@@ -99,7 +99,7 @@ struct State {
     /// Completed generations.
     entries: LruMap<u64, MemoEntry>,
     /// Keys a leader is executing; followers wait on the condvar.
-    in_flight: HashSet<u64>,
+    in_flight: FoldSet<u64>,
     coalesced_waits: u64,
     resident_bytes: u64,
 }
@@ -152,7 +152,7 @@ impl GenMemo {
         Self {
             state: Mutex::new(State {
                 entries: LruMap::new(capacity),
-                in_flight: HashSet::new(),
+                in_flight: FoldSet::default(),
                 coalesced_waits: 0,
                 resident_bytes: 0,
             }),

@@ -14,7 +14,8 @@
 //!
 //! - an in-flight sequence **pins** every block on its path via a lease
 //!   ([`BlockPool::allocate`] increments a per-block reference count);
-//!   pinned blocks are never evicted, period;
+//!   pinned blocks are never evicted, period. [`BlockPool::pin_resident`]
+//!   pins only what is already resident, as a scheduler's admission does;
 //! - when a sequence finishes, [`BlockPool::release`] unpins its path but
 //!   leaves the blocks resident — they become reusable cache for later
 //!   sequences sharing the prefix;
@@ -40,15 +41,28 @@
 //!
 //! The pool is lock-striped by each chain's first block hash (like
 //! [`crate::cache::StripedPrefixCache`]), so a sequence's whole path lives
-//! in one stripe and concurrent sequences from unrelated prompt families
-//! never contend. Operations on *different* sequences are safe to race;
-//! operations on the *same* sequence must be externally ordered (a
-//! sequence has one owner — its scheduler).
-
-use std::collections::HashMap;
+//! in one stripe, and `allocate` and `pin_resident` for unrelated prompt
+//! families lock different stripes. `release`, `free` and `lease_blocks`
+//! (so `allocate_prefix`) have no chain to go by: they lock the stripes in
+//! order until one holds the lease, all of them for a sequence that holds
+//! none, and so may contend across families. That costs nothing while
+//! every caller uses one stripe (ROADMAP item 16(a)).
+//! Operations on *different* sequences are safe to race; operations on
+//! the *same* sequence must be externally ordered (a sequence has one
+//! owner — its scheduler).
+//!
+//! ## Cost per block
+//!
+//! An allocation walks the lease's resident extension once, into a
+//! buffer the stripe keeps, and appends it to the lease in one step, so
+//! leasing, extending or pinning a resident chain allocates at most the
+//! lease's own path once the buffer has grown (`tests/cache_footprint.rs`).
+//! The tree's maps and the lease map hash their `u64` keys with the
+//! crate's seeded fold hasher (`crate::hash`), not SipHash.
 
 use parking_lot::Mutex;
 
+use crate::hash::FoldMap;
 use crate::tree::{Tree, ROOT};
 
 #[cfg(test)]
@@ -119,6 +133,15 @@ pub struct AllocGrant {
     pub lease_blocks: usize,
 }
 
+impl AllocGrant {
+    /// The grant of an empty chain.
+    const NONE: Self = Self {
+        reused_blocks: 0,
+        new_blocks: 0,
+        lease_blocks: 0,
+    };
+}
+
 /// Allocation failure: the pool cannot make room without evicting a
 /// pinned block. The caller must preempt a lease and retry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,13 +172,16 @@ struct PoolStripe {
     /// `children` or `last_used` change.
     tree: Tree<()>,
     /// `sequence id -> pinned path (root-first node ids)`.
-    leases: HashMap<u64, Vec<u64>>,
+    leases: FoldMap<u64, Vec<u64>>,
     /// Nodes with `refs > 0`. A lease is a root-first path, so a pinned
     /// node's ancestors are pinned by the same lease: this is also the
     /// number of nodes eviction may never touch.
     pinned: usize,
     tick: u64,
     stats: PoolStats,
+    /// The resident extension of the lease being grown, found by one walk
+    /// of the tree; a buffer kept across calls.
+    resident: Vec<u64>,
 }
 
 impl PoolStripe {
@@ -199,23 +225,37 @@ impl PoolStripe {
         (node.children == 0).then_some(node.last_used)
     }
 
-    /// Extend (or create) `seq`'s lease to cover the full `chain`.
-    fn allocate(&mut self, seq: u64, chain: &[u64]) -> Result<AllocGrant, PoolExhausted> {
-        self.tick += 1;
-        self.stats.allocations += 1;
-        let mut lease = self.leases.remove(&seq).unwrap_or_default();
+    /// Take `seq`'s lease out of the map (an empty one when it holds
+    /// none) and walk its resident extension along `chain` into
+    /// `self.resident`.
+    fn open_lease(&mut self, seq: u64, chain: &[u64]) -> Vec<u64> {
+        let lease = self.leases.remove(&seq).unwrap_or_default();
         debug_assert!(
             lease.len() <= chain.len(),
             "a lease never shrinks without release/free"
         );
-        let start = lease.len();
-        let requested = chain.len() - start;
-        self.stats.requested_blocks += requested as u64;
-
-        // Walk the resident extension of the lease path.
         let parent = lease.last().copied().unwrap_or(ROOT);
-        let resident: Vec<u64> = self.tree.walk(parent, &chain[start..], ()).collect();
-        let new_needed = requested - resident.len();
+        self.resident.clear();
+        self.resident
+            .extend(self.tree.walk(parent, &chain[lease.len()..], ()));
+        lease
+    }
+
+    /// Put back a lease that did not grow; an empty one is no lease.
+    fn restore_lease(&mut self, seq: u64, lease: Vec<u64>) {
+        if !lease.is_empty() {
+            self.leases.insert(seq, lease);
+        }
+    }
+
+    /// Extend (or create) `seq`'s lease to cover the full `chain`.
+    fn allocate(&mut self, seq: u64, chain: &[u64]) -> Result<AllocGrant, PoolExhausted> {
+        self.tick += 1;
+        self.stats.allocations += 1;
+        let lease = self.open_lease(seq, chain);
+        let requested = chain.len() - lease.len();
+        self.stats.requested_blocks += requested as u64;
+        let new_needed = requested - self.resident.len();
 
         // Feasibility before mutation: can eviction make enough room
         // without touching a pinned path (ours included, once pinned)?
@@ -225,27 +265,49 @@ impl PoolStripe {
             // the resident extension, which is about to be pinned — count
             // the part of it nobody pins yet so we neither evict it nor
             // call it reclaimable.
-            let unpinned_resident = resident
+            let unpinned_resident = self
+                .resident
                 .iter()
                 .filter(|id| self.tree.nodes.get(id).is_some_and(|n| n.refs == 0))
                 .count();
             let reclaimable = self.tree.len() - self.pinned - unpinned_resident;
             if reclaimable < evictions_needed {
                 self.stats.alloc_failures += 1;
-                if !lease.is_empty() {
-                    self.leases.insert(seq, lease);
-                }
+                self.restore_lease(seq, lease);
                 return Err(PoolExhausted {
                     needed_blocks: new_needed,
                     reclaimable_blocks: reclaimable,
                 });
             }
         }
+        Ok(self.commit(seq, lease, &chain[chain.len() - new_needed..]))
+    }
 
-        // Commit. Pin the resident extension first so eviction can never
-        // select it while we insert the genuinely new blocks.
+    /// Extend `seq`'s lease over the resident continuation of `chain`
+    /// alone: what `allocate(seq, &chain[..resident])` does after a
+    /// `peek` of `resident` blocks, in one walk. Pinning resident blocks
+    /// needs no room, so this cannot fail.
+    fn pin_resident(&mut self, seq: u64, chain: &[u64]) -> AllocGrant {
+        let lease = self.open_lease(seq, chain);
+        if lease.len() + self.resident.len() == 0 {
+            // The facade's empty chain: no call is counted.
+            self.restore_lease(seq, lease);
+            return AllocGrant::NONE;
+        }
+        self.tick += 1;
+        self.stats.allocations += 1;
+        self.stats.requested_blocks += self.resident.len() as u64;
+        self.commit(seq, lease, &[])
+    }
+
+    /// Pin `self.resident` onto `lease` at the current tick, then insert
+    /// `new` blocks after it, evicting to make room, and file the lease
+    /// under `seq`.
+    fn commit(&mut self, seq: u64, mut lease: Vec<u64>, new: &[u64]) -> AllocGrant {
+        // Pin the resident extension first so eviction can never select
+        // it while we insert the genuinely new blocks.
         let tick = self.tick;
-        for &id in &resident {
+        for &id in &self.resident {
             if let Some(node) = self.tree.nodes.get_mut(&id) {
                 if node.refs == 0 {
                     self.pinned += 1;
@@ -256,10 +318,10 @@ impl PoolStripe {
                 node.refs += 1;
                 node.last_used = tick;
             }
-            lease.push(id);
         }
+        lease.extend_from_slice(&self.resident);
         let mut parent = lease.last().copied().unwrap_or(ROOT);
-        for &hash in &chain[start + resident.len()..] {
+        for &hash in new {
             while self.tree.len() >= self.capacity {
                 let evicted = self.evict_one();
                 debug_assert!(evicted, "feasibility check guarantees room");
@@ -273,33 +335,36 @@ impl PoolStripe {
             lease.push(parent);
         }
         let grant = AllocGrant {
-            reused_blocks: resident.len(),
-            new_blocks: new_needed,
+            reused_blocks: self.resident.len(),
+            new_blocks: new.len(),
             lease_blocks: lease.len(),
         };
-        self.stats.reused_blocks += resident.len() as u64;
+        self.stats.reused_blocks += self.resident.len() as u64;
         self.leases.insert(seq, lease);
-        Ok(grant)
+        grant
     }
 
     /// Unpin `seq`'s lease, leaving its blocks resident as reusable cache.
-    fn release(&mut self, seq: u64) {
+    /// Returns `false` when `seq` holds no lease here.
+    fn release(&mut self, seq: u64) -> bool {
         let Some(lease) = self.leases.remove(&seq) else {
-            return;
+            return false;
         };
-        for id in lease {
+        for &id in &lease {
             if let Some(last_used) = self.unpin(id) {
                 self.tree.evictable.insert(last_used, id);
             }
         }
+        true
     }
 
     /// Unpin `seq`'s lease and drop every block on it that is now
     /// unreferenced and childless (leaf-first, so private suffixes vanish
-    /// while shared prefixes survive).
-    fn free(&mut self, seq: u64) {
+    /// while shared prefixes survive). Returns `false` when `seq` holds
+    /// no lease here.
+    fn free(&mut self, seq: u64) -> bool {
         let Some(lease) = self.leases.remove(&seq) else {
-            return;
+            return false;
         };
         for &id in lease.iter().rev() {
             if self.unpin(id).is_some() {
@@ -307,6 +372,7 @@ impl PoolStripe {
                 self.stats.freed_blocks += 1;
             }
         }
+        true
     }
 }
 
@@ -355,9 +421,6 @@ fn longest_feasible_prefix(
 #[derive(Debug)]
 pub struct BlockPool {
     stripes: Vec<Mutex<PoolStripe>>,
-    /// `sequence id -> stripe index`, so `release`/`free` can find a lease
-    /// without re-deriving its chain. Always locked *before* any stripe.
-    routes: Mutex<HashMap<u64, usize>>,
 }
 
 impl BlockPool {
@@ -371,7 +434,6 @@ impl BlockPool {
             stripes: (0..stripes)
                 .map(|_| Mutex::new(PoolStripe::new(per_stripe)))
                 .collect(),
-            routes: Mutex::new(HashMap::new()),
         }
     }
 
@@ -381,8 +443,10 @@ impl BlockPool {
         self.stripes.iter().map(|s| s.lock().capacity).sum()
     }
 
-    fn stripe_for(&self, first_hash: u64) -> usize {
-        (first_hash % self.stripes.len() as u64) as usize
+    /// The stripe of every chain starting with `first`, and so of every
+    /// lease on one.
+    fn stripe_for(&self, first: u64) -> &Mutex<PoolStripe> {
+        &self.stripes[(first % self.stripes.len() as u64) as usize]
     }
 
     /// Pin blocks for sequence `seq` covering the full `chain` (block
@@ -396,27 +460,21 @@ impl BlockPool {
     /// evicting every reclaimable (unpinned) block; the pool is left
     /// unchanged.
     pub fn allocate(&self, seq: u64, chain: &[u64]) -> Result<AllocGrant, PoolExhausted> {
-        let Some(&first) = chain.first() else {
-            return Ok(AllocGrant {
-                reused_blocks: 0,
-                new_blocks: 0,
-                lease_blocks: 0,
-            });
-        };
-        let stripe = {
-            let mut routes = self.routes.lock();
-            *routes.entry(seq).or_insert_with(|| self.stripe_for(first))
-        };
-        let result = self.stripes[stripe].lock().allocate(seq, chain);
-        if result.is_err() {
-            // A failed first allocation leaves no lease; drop the route so
-            // the sequence does not leak a routing slot.
-            let mut routes = self.routes.lock();
-            if !self.stripes[stripe].lock().leases.contains_key(&seq) {
-                routes.remove(&seq);
-            }
+        match chain.first() {
+            Some(&first) => self.stripe_for(first).lock().allocate(seq, chain),
+            None => Ok(AllocGrant::NONE),
         }
-        result
+    }
+
+    /// Extend `seq`'s lease over the leading blocks of `chain` that are
+    /// already resident, inserting none: the grant, counters, pins and
+    /// recency of `allocate(seq, &chain[..peek(chain)])`, in one walk of
+    /// the chain. Never fails, since it needs no room.
+    pub fn pin_resident(&self, seq: u64, chain: &[u64]) -> AllocGrant {
+        match chain.first() {
+            Some(&first) => self.stripe_for(first).lock().pin_resident(seq, chain),
+            None => AllocGrant::NONE,
+        }
     }
 
     /// Pin as many *leading* blocks of `chain` as currently fit — used by
@@ -428,25 +486,16 @@ impl BlockPool {
         longest_feasible_prefix(held, chain, |prefix| self.allocate(seq, prefix))
     }
 
-    fn with_lease_stripe(&self, seq: u64, op: impl FnOnce(&mut PoolStripe, u64)) {
-        let stripe = {
-            let mut routes = self.routes.lock();
-            routes.remove(&seq)
-        };
-        if let Some(stripe) = stripe {
-            op(&mut self.stripes[stripe].lock(), seq);
-        }
-    }
-
     /// Unpin `seq`'s lease; its blocks stay resident as reusable cache.
     pub fn release(&self, seq: u64) {
-        self.with_lease_stripe(seq, |stripe, seq| stripe.release(seq));
+        // A lease lives in one stripe: stop at the one that held it.
+        let _ = self.stripes.iter().any(|s| s.lock().release(seq));
     }
 
     /// Unpin `seq`'s lease and immediately drop its now-unreferenced
     /// childless blocks (preemption: recompute-on-resume).
     pub fn free(&self, seq: u64) {
-        self.with_lease_stripe(seq, |stripe, seq| stripe.free(seq));
+        let _ = self.stripes.iter().any(|s| s.lock().free(seq));
     }
 
     /// Resident leading blocks of `chain`, without pinning or touching
@@ -454,10 +503,12 @@ impl BlockPool {
     #[must_use]
     pub fn peek(&self, chain: &[u64]) -> usize {
         match chain.first() {
-            Some(&first) => {
-                let stripe = self.stripes[self.stripe_for(first)].lock();
-                stripe.tree.walk(ROOT, chain, ()).count()
-            }
+            Some(&first) => self
+                .stripe_for(first)
+                .lock()
+                .tree
+                .walk(ROOT, chain, ())
+                .count(),
             None => 0,
         }
     }
@@ -466,8 +517,9 @@ impl BlockPool {
     /// lease).
     #[must_use]
     pub fn lease_blocks(&self, seq: u64) -> Option<usize> {
-        let stripe = *self.routes.lock().get(&seq)?;
-        self.stripes[stripe].lock().leases.get(&seq).map(Vec::len)
+        self.stripes
+            .iter()
+            .find_map(|s| s.lock().leases.get(&seq).map(Vec::len))
     }
 
     /// Resident blocks across all stripes.
@@ -663,14 +715,41 @@ mod tests {
     }
 
     #[test]
-    fn failed_first_allocation_leaks_no_route() {
+    fn failed_first_allocation_leaves_no_lease() {
         let pool = single(2);
         pool.allocate(1, &chain(1, 2)).unwrap();
         assert!(pool.allocate(2, &chain(2, 2)).is_err());
         assert_eq!(pool.lease_blocks(2), None);
-        // The sequence can retry later without a stale route.
+        // The sequence can retry later.
         pool.release(1);
         assert!(pool.allocate(2, &chain(2, 2)).is_ok());
+    }
+
+    #[test]
+    fn pin_resident_pins_the_resident_prefix_and_inserts_nothing() {
+        let pool = single(8);
+        let c = chain(4, 5);
+        // Nothing resident: no lease, and no call counted.
+        assert_eq!(pool.pin_resident(1, &c), AllocGrant::NONE);
+        assert_eq!(
+            (pool.lease_blocks(1), pool.stats()),
+            (None, PoolStats::default())
+        );
+        pool.allocate(2, &c[..3]).unwrap();
+        pool.release(2);
+        let g = pool.pin_resident(1, &c);
+        assert_eq!((g.reused_blocks, g.new_blocks, g.lease_blocks), (3, 0, 3));
+        assert_eq!((pool.live_blocks(), pool.pinned_blocks()), (3, 3));
+        // A held lease grows over what became resident beyond it.
+        pool.allocate(3, &c).unwrap();
+        let g = pool.pin_resident(1, &c);
+        assert_eq!((g.reused_blocks, g.new_blocks, g.lease_blocks), (2, 0, 5));
+        let s = pool.stats();
+        assert_eq!(
+            (s.allocations, s.requested_blocks, s.reused_blocks),
+            (4, 13, 8)
+        );
+        assert_eq!(s.inserted_blocks, 5);
     }
 
     #[test]
@@ -695,6 +774,7 @@ mod tests {
 
     use super::naive::NaiveStripe;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     /// Blocks every sequence of a family shares before its variants fork.
     const SHARED_BLOCKS: usize = 3;
@@ -730,6 +810,12 @@ mod tests {
         Free {
             seq: u64,
         },
+        PinResident {
+            seq: u64,
+            fam: u64,
+            variant: u64,
+            len: usize,
+        },
         Peek {
             fam: u64,
             variant: u64,
@@ -744,6 +830,7 @@ mod tests {
             2 => target().prop_map(|(seq, fam, variant, len)| Op::AllocatePrefix { seq, fam, variant, len }),
             3 => (0..6u64).prop_map(|seq| Op::Release { seq }),
             3 => (0..6u64).prop_map(|seq| Op::Free { seq }),
+            3 => target().prop_map(|(seq, fam, variant, len)| Op::PinResident { seq, fam, variant, len }),
             1 => (0..3u64, 0..3u64, 0..12usize)
                 .prop_map(|(fam, variant, len)| Op::Peek { fam, variant, len }),
         ]
@@ -829,6 +916,23 @@ mod tests {
                         pool.free(seq);
                         naive.free(seq);
                         held.remove(&seq);
+                    }
+                    Op::PinResident { seq, fam, variant, len } => {
+                        // The one-walk pin against the two calls it
+                        // replaces in the scheduler's admission.
+                        let chain = target(&held, seq, fam, variant, len);
+                        let got = pool.pin_resident(seq, &chain);
+                        let resident = naive.peek(&chain);
+                        let want = if resident == 0 {
+                            AllocGrant::NONE
+                        } else {
+                            naive.allocate(seq, &chain[..resident]).unwrap()
+                        };
+                        prop_assert_eq!(got, want, "step {} {:?}", step, op);
+                        if got.lease_blocks > 0 {
+                            let (fam, variant) = held.get(&seq).map_or((fam, variant), |h| (h.0, h.1));
+                            held.insert(seq, (fam, variant, got.lease_blocks));
+                        }
                     }
                     Op::Peek { fam, variant, len } => {
                         let chain = forked_chain(fam, variant, len);

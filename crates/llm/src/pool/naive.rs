@@ -3,9 +3,10 @@
 //! the set of nodes that must survive on every feasibility check, and
 //! `evict_one` scans every node for the LRU unpinned leaf.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use super::{AllocGrant, PoolExhausted, PoolStats};
+use crate::hash::FoldMap;
 use crate::tree::{Key, Node, ROOT};
 
 #[derive(Debug, Default)]
@@ -13,10 +14,10 @@ pub(super) struct NaiveStripe {
     pub(super) capacity: usize,
     /// `(parent id, block hash) -> node id`. Blocks are physical — no
     /// owner tagging; sharing is the point.
-    pub(super) index: HashMap<Key<()>, u64>,
-    pub(super) nodes: HashMap<u64, Node<()>>,
+    pub(super) index: FoldMap<Key<()>, u64>,
+    pub(super) nodes: FoldMap<u64, Node<()>>,
     /// `sequence id -> pinned path (root-first node ids)`.
-    pub(super) leases: HashMap<u64, Vec<u64>>,
+    pub(super) leases: FoldMap<u64, Vec<u64>>,
     pub(super) next_id: u64,
     pub(super) tick: u64,
     pub(super) stats: PoolStats,

@@ -5,10 +5,15 @@
 //! caller's policy: the cache exempts the chain it is inserting, the pool
 //! every pinned block. The cache's owner is a `u64` owner id; the pool's
 //! blocks are physical, owned by `()`.
+//!
+//! Each block step is a probe of `index` and one or two of `nodes`, so both
+//! maps hash with the crate's seeded fold hasher (`crate::hash`): their keys
+//! are node ids the tree counts out and block hashes `BlockHasher` already
+//! mixed, which SipHash would only mix again.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
+use crate::hash::FoldMap;
 use crate::lru::LruIndex;
 
 /// Parent of every chain's first block; never a node id.
@@ -31,8 +36,8 @@ pub(crate) type Key<O> = (u64, u64, O);
 
 #[derive(Debug, Default)]
 pub(crate) struct Tree<O> {
-    pub(crate) index: HashMap<Key<O>, u64>,
-    pub(crate) nodes: HashMap<u64, Node<O>>,
+    pub(crate) index: FoldMap<Key<O>, u64>,
+    pub(crate) nodes: FoldMap<u64, Node<O>>,
     /// The blocks eviction may take, in LRU order.
     pub(crate) evictable: LruIndex,
     /// The last id handed out (ids start after [`ROOT`]).

@@ -8,6 +8,13 @@
 //! 3. the counters reconcile exactly:
 //!    `inserted − evicted − freed == live`.
 //!
+//! A twin pool runs the same operations, except that it pins a resident
+//! prefix with `peek` then `allocate` of that prefix, the two calls
+//! `pin_resident` stands for: after every step both pools must agree on
+//! grants, counters, residency and leases, so the one-walk `pin_resident`
+//! leaves the same recency behind and later evictions pick the same
+//! victims.
+//!
 //! On failure proptest shrinks to a minimal counterexample op sequence.
 
 use std::collections::HashMap;
@@ -36,6 +43,9 @@ enum Op {
     Release { seq: u64 },
     /// Unpin and drop private blocks (preemption).
     Free { seq: u64 },
+    /// Extend `seq`'s lease over whatever of its chain is resident,
+    /// inserting nothing (admission).
+    PinResident { seq: u64, fam: u64, len: usize },
     /// A sequence outside the model leases as much as fits of `n` fresh
     /// blocks and is preempted at once: capacity pressure alone, which
     /// evicts unpinned blocks in LRU order.
@@ -48,7 +58,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(seq, fam, len)| Op::Allocate { seq, fam, len }),
         2 => (0..MAX_SEQS).prop_map(|seq| Op::Release { seq }),
         2 => (0..MAX_SEQS).prop_map(|seq| Op::Free { seq }),
-        1 => (1..6usize).prop_map(|n| Op::Pressure { n }),
+        2 => (0..MAX_SEQS, 0..FAMILIES, 0..10usize)
+            .prop_map(|(seq, fam, len)| Op::PinResident { seq, fam, len }),
+        2 => (1..6usize).prop_map(|n| Op::Pressure { n }),
     ]
 }
 
@@ -79,6 +91,31 @@ fn drain(pool: &BlockPool) {
 struct Model {
     /// `seq -> (family, leased chain length)`.
     leases: HashMap<u64, (u64, usize)>,
+}
+
+/// `pool` and its `twin` hold the same blocks, pins, leases and counters.
+fn check_twins(pool: &BlockPool, twin: &BlockPool, step: usize, op: &Op) {
+    assert_eq!(pool.stats(), twin.stats(), "step {step} ({op:?}): stats");
+    assert_eq!(
+        (pool.live_blocks(), pool.pinned_blocks()),
+        (twin.live_blocks(), twin.pinned_blocks()),
+        "step {step} ({op:?}): live and pinned blocks"
+    );
+    for fam in 0..FAMILIES {
+        let chain = family_chain(fam, 10);
+        assert_eq!(
+            pool.peek(&chain),
+            twin.peek(&chain),
+            "step {step} ({op:?}): resident blocks of family {fam}"
+        );
+    }
+    for seq in 0..MAX_SEQS {
+        assert_eq!(
+            pool.lease_blocks(seq),
+            twin.lease_blocks(seq),
+            "step {step} ({op:?}): lease of seq {seq}"
+        );
+    }
 }
 
 fn check_invariants(pool: &BlockPool, model: &Model, step: usize, op: &Op) {
@@ -119,6 +156,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
         let pool = BlockPool::new(capacity, stripes);
+        let twin = BlockPool::new(capacity, stripes);
         let mut model = Model::default();
         for (step, op) in ops.iter().enumerate() {
             match *op {
@@ -132,7 +170,9 @@ proptest! {
                     let chain = family_chain(fam, len);
                     let before_live = pool.live_blocks();
                     let before_stats = pool.stats();
-                    match pool.allocate(seq, &chain) {
+                    let result = pool.allocate(seq, &chain);
+                    prop_assert_eq!(result, twin.allocate(seq, &chain));
+                    match result {
                         Ok(grant) => {
                             prop_assert_eq!(grant.lease_blocks, len);
                             if len > 0 {
@@ -161,15 +201,36 @@ proptest! {
                 }
                 Op::Release { seq } => {
                     pool.release(seq);
+                    twin.release(seq);
                     model.leases.remove(&seq);
                 }
                 Op::Free { seq } => {
                     pool.free(seq);
+                    twin.free(seq);
                     model.leases.remove(&seq);
                 }
-                Op::Pressure { n } => press(&pool, 0, n),
+                Op::PinResident { seq, fam, len } => {
+                    let (fam, len) = match model.leases.get(&seq) {
+                        Some(&(held_fam, held_len)) => (held_fam, held_len.max(len)),
+                        None => (fam, len),
+                    };
+                    let chain = family_chain(fam, len);
+                    let grant = pool.pin_resident(seq, &chain);
+                    let resident = twin.peek(&chain);
+                    let want = twin.allocate(seq, &chain[..resident]);
+                    prop_assert_eq!(Ok(grant), want);
+                    prop_assert_eq!(grant.new_blocks, 0);
+                    if grant.lease_blocks > 0 {
+                        model.leases.insert(seq, (fam, grant.lease_blocks));
+                    }
+                }
+                Op::Pressure { n } => {
+                    press(&pool, 0, n);
+                    press(&twin, 0, n);
+                }
             }
             check_invariants(&pool, &model, step, op);
+            check_twins(&pool, &twin, step, op);
         }
         // Drain every lease: with nothing pinned, pressure can take the pool
         // to empty and the counters still reconcile to zero.

@@ -436,14 +436,12 @@ impl<'a> Sim<'a> {
                 let blocks = self.blocks_for_tokens(target);
                 self.extend_chain(idx, blocks);
                 let chain = &self.seqs[idx].chain[..blocks];
-                let resident = self.pool.peek(chain);
                 // Pinning resident blocks needs no new ones, so this does
-                // not fail; a refusal would leave the pool untouched and
-                // the sequence starting with nothing pinned.
+                // not fail.
                 let leased_blocks = self
                     .pool
-                    .allocate(Self::pool_seq(idx), &chain[..resident])
-                    .map_or(0, |grant| grant.lease_blocks);
+                    .pin_resident(Self::pool_seq(idx), chain)
+                    .lease_blocks;
                 admissions += 1;
                 let bs = self.cfg.block_size as u64;
                 let seq = &mut self.seqs[idx];
