@@ -4,11 +4,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use spear_core::error::Result;
+use spear_core::error::{Result, SpearError};
 use spear_core::history::RefinementMode;
 use spear_core::llm::{GenOptions, GenRequest, LlmClient, PromptIdentity};
 use spear_core::prompt::PromptEntry;
-use spear_core::refiner::{RefineCtx, RefinerRegistry};
+use spear_core::refiner::{self, RefineCtx};
 use spear_core::store::PromptStore;
 use spear_core::value::{map, Value};
 use spear_core::view::{ViewCatalog, ViewDef};
@@ -52,7 +52,12 @@ pub fn ablation_planner(seed: u64) -> Result<Vec<PlannerRow>> {
         },
     );
     let tokenizer = Tokenizer::new();
-    let registry = RefinerRegistry::with_builtins();
+    let builtins = refiner::builtins();
+    let resolve = |name: &str| {
+        builtins
+            .get(name)
+            .ok_or_else(|| SpearError::RefinerNotFound(name.to_string()))
+    };
     let views = ViewCatalog::new();
     let store = PromptStore::new();
     let notes = "Medications: enoxaparin 40 mg SC daily for DVT prophylaxis. \
@@ -98,7 +103,7 @@ pub fn ablation_planner(seed: u64) -> Result<Vec<PlannerRow>> {
         let entry = PromptEntry::new(base_text, "f_base", RefinementMode::Manual);
         let context = spear_core::context::Context::new();
         let metadata = spear_core::metadata::Metadata::new();
-        let output = registry.resolve(name)?.refine(&RefineCtx {
+        let output = resolve(name)?.refine(&RefineCtx {
             current: Some(&entry),
             context: &context,
             metadata: &metadata,
@@ -131,7 +136,7 @@ pub fn ablation_planner(seed: u64) -> Result<Vec<PlannerRow>> {
                 .unwrap_or(Value::Null);
             let context = spear_core::context::Context::new();
             let metadata = spear_core::metadata::Metadata::new();
-            let output = registry.resolve(name)?.refine(&RefineCtx {
+            let output = resolve(name)?.refine(&RefineCtx {
                 current: Some(&entry),
                 context: &context,
                 metadata: &metadata,

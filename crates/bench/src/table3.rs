@@ -20,11 +20,11 @@
 
 use std::collections::BTreeMap;
 
-use spear_core::error::Result;
+use spear_core::error::{Result, SpearError};
 use spear_core::history::{RefAction, RefinementMode};
 use spear_core::llm::{GenOptions, GenRequest, LlmClient, PromptIdentity};
 use spear_core::prompt::PromptEntry;
-use spear_core::refiner::{RefineCtx, RefinerRegistry};
+use spear_core::refiner::{self, RefineCtx};
 use spear_core::store::PromptStore;
 use spear_core::value::Value;
 use spear_core::view::ViewCatalog;
@@ -85,7 +85,7 @@ struct Prepared {
 
 #[allow(clippy::too_many_arguments)] // mirrors REF's fields
 fn refine_with(
-    store: &PromptStore,
+    store: &mut PromptStore,
     views: &ViewCatalog,
     llm: &dyn LlmClient,
     key: &str,
@@ -94,11 +94,14 @@ fn refine_with(
     action: RefAction,
     mode: RefinementMode,
 ) -> Result<PromptEntry> {
-    let registry = RefinerRegistry::with_builtins();
+    let builtins = refiner::builtins();
     let current = store.get(key)?;
     let context = spear_core::context::Context::new();
     let metadata = spear_core::metadata::Metadata::new();
-    let output = registry.resolve(refiner)?.refine(&RefineCtx {
+    let found = builtins
+        .get(refiner)
+        .ok_or_else(|| SpearError::RefinerNotFound(refiner.to_string()))?;
+    let output = found.refine(&RefineCtx {
         current: Some(&current),
         context: &context,
         metadata: &metadata,
@@ -123,12 +126,12 @@ fn refine_with(
 }
 
 /// Build the five strategies. Each preparation goes through the real SPEAR
-/// machinery (view catalog, prompt store, refiner registry), so ref_logs
+/// machinery (view catalog, prompt store, built-in refiners), so ref_logs
 /// and origins are authentic.
 fn prepare_strategies(engine: &SimLlm) -> Result<Vec<Prepared>> {
     let views = ViewCatalog::new();
     views.register(workload::view_v());
-    let store = PromptStore::new();
+    let mut store = PromptStore::new();
 
     // The base view V, instantiated and stored (its prior execution is what
     // warmed the serving cache).
@@ -177,7 +180,7 @@ fn prepare_strategies(engine: &SimLlm) -> Result<Vec<Prepared>> {
     // 3. Manual Refinement: REF[APPEND] on V.
     store.clone_entry("V", "manual")?;
     let manual = refine_with(
-        &store,
+        &mut store,
         &views,
         engine,
         "manual",
@@ -196,7 +199,7 @@ fn prepare_strategies(engine: &SimLlm) -> Result<Vec<Prepared>> {
     store.clone_entry("V", "assisted")?;
     let before = engine.clock().elapsed();
     let assisted = refine_with(
-        &store,
+        &mut store,
         &views,
         engine,
         "assisted",
@@ -217,7 +220,7 @@ fn prepare_strategies(engine: &SimLlm) -> Result<Vec<Prepared>> {
     store.clone_entry("V", "auto")?;
     let before = engine.clock().elapsed();
     let auto = refine_with(
-        &store,
+        &mut store,
         &views,
         engine,
         "auto",

@@ -6,11 +6,6 @@
 //! structured value that the operator writes back into C — e.g. the paper's
 //! `DELEGATE["validation_agent", C["answer_1"]] → C["evidence_score"]`.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
-
 use crate::context::Context;
 use crate::error::{Result, SpearError};
 use crate::value::Value;
@@ -34,58 +29,6 @@ where
 {
     fn call(&self, payload: &Value, context: &Context) -> Result<Value> {
         (self.0)(payload, context)
-    }
-}
-
-/// Named registry of agents; DELEGATE resolves agent names here.
-#[derive(Clone, Default)]
-pub struct AgentRegistry {
-    inner: Arc<RwLock<BTreeMap<String, Arc<dyn Agent>>>>,
-}
-
-impl AgentRegistry {
-    /// Empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register `agent` under `name` (replacing any previous one).
-    pub fn register(&self, name: impl Into<String>, agent: Arc<dyn Agent>) {
-        self.inner.write().insert(name.into(), agent);
-    }
-
-    /// Resolve an agent name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpearError::AgentNotFound`] when absent.
-    pub fn resolve(&self, name: &str) -> Result<Arc<dyn Agent>> {
-        self.inner
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| SpearError::AgentNotFound(name.to_string()))
-    }
-
-    /// Whether `name` is registered.
-    #[must_use]
-    pub fn contains(&self, name: &str) -> bool {
-        self.inner.read().contains_key(name)
-    }
-
-    /// Registered agent names, sorted.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.inner.read().keys().cloned().collect()
-    }
-}
-
-impl std::fmt::Debug for AgentRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AgentRegistry")
-            .field("agents", &self.names())
-            .finish()
     }
 }
 
@@ -165,14 +108,15 @@ mod tests {
 
     #[test]
     fn registry_resolution() {
-        let reg = AgentRegistry::new();
-        reg.register(
-            "doubler",
-            Arc::new(FnAgent(|p: &Value, _: &Context| Ok(p.clone()))),
-        );
-        assert!(reg.resolve("doubler").is_ok());
+        let rt = crate::runtime::Runtime::builder()
+            .agent(
+                "doubler",
+                std::sync::Arc::new(FnAgent(|p: &Value, _: &Context| Ok(p.clone()))),
+            )
+            .build();
+        assert!(rt.agent("doubler").is_ok());
         assert!(matches!(
-            reg.resolve("missing"),
+            rt.agent("missing"),
             Err(SpearError::AgentNotFound(_))
         ));
     }

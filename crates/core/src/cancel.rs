@@ -119,6 +119,60 @@ mod tests {
     }
 
     #[test]
+    fn a_token_tripped_by_another_thread_stops_the_running_pipeline() {
+        use crate::agent::FnAgent;
+        use crate::context::Context;
+        use crate::error::SpearError;
+        use crate::history::RefinementMode;
+        use crate::llm::EchoLlm;
+        use crate::ops::PayloadSpec;
+        use crate::pipeline::Pipeline;
+        use crate::runtime::{ExecState, Runtime};
+        use crate::value::Value;
+        use std::sync::{Arc, Barrier};
+
+        // The controller trips the token while the lane is inside DELEGATE;
+        // the agent returns only once it sees the trip.
+        let token = CancelToken::new("client disconnect");
+        let started = Arc::new(Barrier::new(2));
+        let (watch, reached) = (token.clone(), Arc::clone(&started));
+        let rt = Runtime::builder()
+            .llm(Arc::new(EchoLlm::default()))
+            .agent(
+                "waiter",
+                Arc::new(FnAgent(move |_: &Value, _: &Context| {
+                    reached.wait();
+                    while !watch.is_cancelled() {
+                        std::thread::yield_now();
+                    }
+                    Ok(Value::Null)
+                })),
+            )
+            .build();
+        let p = Pipeline::builder("c")
+            .create_text("p", "Answer: {{ctx:q}}", RefinementMode::Manual)
+            .delegate("waiter", PayloadSpec::PromptKey("p".into()), "waited")
+            .gen("a", "p")
+            .build();
+        let mut state = ExecState::new();
+        state.context.set("q", "x");
+        state.cancel = Some(token.clone());
+        let err = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                started.wait();
+                token.cancel();
+            });
+            rt.execute(&p, &mut state).unwrap_err()
+        });
+        assert!(
+            matches!(&err, SpearError::Cancelled { reason, .. } if reason == "client disconnect"),
+            "{err}"
+        );
+        assert!(state.context.contains("waited"), "DELEGATE completed");
+        assert!(!state.context.contains("a"), "GEN never ran");
+    }
+
+    #[test]
     fn virtual_deadline_cancels_between_slots_deterministically() {
         use crate::error::SpearError;
         use crate::history::RefinementMode;

@@ -15,7 +15,7 @@ pub(crate) fn run(
     into: &str,
     state: &mut ExecState,
 ) -> Result<()> {
-    let agent = rt.agents.resolve(agent_name)?;
+    let agent = rt.agent(agent_name)?;
     let payload_value = match payload {
         PayloadSpec::CtxKey(k) => state.context.get(k).ok_or_else(|| SpearError::Agent {
             agent: agent_name.to_string(),

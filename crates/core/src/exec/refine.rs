@@ -21,7 +21,7 @@ pub(crate) fn run(
     trigger: Option<&str>,
     state: &mut ExecState,
 ) -> Result<()> {
-    let refiner = rt.refiners.resolve(refiner_name)?;
+    let refiner = rt.refiner(refiner_name)?;
     let current = state.prompts.try_get(target);
     if current.is_none() && action != RefAction::Create {
         return Err(SpearError::PromptNotFound(target.to_string()));

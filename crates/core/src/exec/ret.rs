@@ -18,7 +18,7 @@ pub(crate) fn run(
     limit: usize,
     state: &mut ExecState,
 ) -> Result<()> {
-    let retriever = rt.retrievers.resolve(source)?;
+    let retriever = rt.retriever(source)?;
     let effective_query = match prompt {
         Some(key) => {
             let entry = state.prompts.get(key)?;

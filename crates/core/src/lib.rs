@@ -134,7 +134,7 @@ pub use vm::{compile, optimize, CheckSpec, ConstPool, LeafSpec, Program, VmOp};
 
 /// Convenient glob-import of the most-used types.
 pub mod prelude {
-    pub use crate::agent::{Agent, AgentRegistry, FnAgent};
+    pub use crate::agent::{Agent, FnAgent};
     pub use crate::analysis::{Diagnostic, Lint, LintPass, Severity, Verifier};
     pub use crate::batch::{AssignedJob, BatchOutcome, BatchRunner};
     pub use crate::cancel::CancelToken;
@@ -152,10 +152,9 @@ pub mod prelude {
     pub use crate::pipeline::{Pipeline, PipelineBuilder};
     pub use crate::plan::{lower, LoweredOp, LoweredPlan};
     pub use crate::prompt::{PromptEntry, PromptOrigin};
-    pub use crate::refiner::{FnRefiner, RefineCtx, RefineOutput, Refiner, RefinerRegistry};
+    pub use crate::refiner::{FnRefiner, RefineCtx, RefineOutput, Refiner};
     pub use crate::retriever::{
         InMemoryRetriever, RetrievalQuery, RetrievalRequest, RetrievedDoc, Retriever,
-        RetrieverRegistry,
     };
     pub use crate::runtime::{ExecReport, ExecState, Runtime, RuntimeBuilder, RuntimeConfig};
     pub use crate::segment::{SegmentedText, TextSegment};

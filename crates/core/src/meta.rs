@@ -190,7 +190,7 @@ mod tests {
     /// Build a store where `good_refiner` raises confidence by +0.3 and
     /// `bad_refiner` lowers it by 0.1 across several entries.
     fn mined_store() -> PromptStore {
-        let store = PromptStore::new();
+        let mut store = PromptStore::new();
         for i in 0..3 {
             let key = format!("p{i}");
             store.define(&key, "base", "f_base", RefinementMode::Manual);
@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn recommend_none_when_nothing_measured_positive() {
-        let store = PromptStore::new();
+        let mut store = PromptStore::new();
         store.define("p", "x", "f", RefinementMode::Manual);
         let stats = analyze_refiners(&store);
         assert!(recommend(&stats).is_none());

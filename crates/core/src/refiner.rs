@@ -2,8 +2,9 @@
 //!
 //! A [`Refiner`] transforms a prompt entry's text, possibly informed by the
 //! context C and metadata M, and "may write structured output back into C
-//! for downstream steps". Refiners are stateless and registered by name in a
-//! [`RefinerRegistry`]; per-application arguments arrive as a [`Value`], so
+//! for downstream steps". Refiners are stateless and registered by name on
+//! the runtime ([`builtins`] plus `RuntimeBuilder::refiner`);
+//! per-application arguments arrive as a [`Value`], so
 //! pipelines remain serializable data (essential for SPEAR-DL, logging, and
 //! replay).
 //!
@@ -15,8 +16,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use crate::context::Context;
 use crate::error::{Result, SpearError};
@@ -491,78 +490,27 @@ impl Refiner for SplitSections {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-/// Named registry of refiners.
-#[derive(Clone, Default)]
-pub struct RefinerRegistry {
-    inner: Arc<RwLock<BTreeMap<String, Arc<dyn Refiner>>>>,
-}
-
-impl RefinerRegistry {
-    /// Empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registry pre-loaded with every built-in refiner.
-    #[must_use]
-    pub fn with_builtins() -> Self {
-        let reg = Self::new();
-        reg.register("set_text", Arc::new(SetText));
-        reg.register("append", Arc::new(Append));
-        reg.register("prepend", Arc::new(Prepend));
-        reg.register("replace", Arc::new(Replace));
-        reg.register("from_view", Arc::new(FromView));
-        reg.register("llm_rewrite", Arc::new(LlmRewrite));
-        reg.register("auto_refine", Arc::new(AutoRefine));
-        reg.register("inject_example", Arc::new(InjectExample));
-        reg.register("normalize", Arc::new(Normalize));
-        reg.register("diff", Arc::new(DiffRefiner));
-        reg.register("split_sections", Arc::new(SplitSections));
-        reg
-    }
-
-    /// Register `refiner` under `name` (replacing any previous one).
-    pub fn register(&self, name: impl Into<String>, refiner: Arc<dyn Refiner>) {
-        self.inner.write().insert(name.into(), refiner);
-    }
-
-    /// Resolve a refiner name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpearError::RefinerNotFound`] when absent.
-    pub fn resolve(&self, name: &str) -> Result<Arc<dyn Refiner>> {
-        self.inner
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| SpearError::RefinerNotFound(name.to_string()))
-    }
-
-    /// Whether `name` is registered.
-    #[must_use]
-    pub fn contains(&self, name: &str) -> bool {
-        self.inner.read().contains_key(name)
-    }
-
-    /// Registered names, sorted.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.inner.read().keys().cloned().collect()
-    }
-}
-
-impl std::fmt::Debug for RefinerRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RefinerRegistry")
-            .field("refiners", &self.names())
-            .finish()
-    }
+/// Every built-in refiner, by the name REF calls it: what a runtime
+/// starts with before `RuntimeBuilder::refiner` adds its own.
+#[must_use]
+pub fn builtins() -> BTreeMap<String, Arc<dyn Refiner>> {
+    let builtins: [(&str, Arc<dyn Refiner>); 11] = [
+        ("set_text", Arc::new(SetText)),
+        ("append", Arc::new(Append)),
+        ("prepend", Arc::new(Prepend)),
+        ("replace", Arc::new(Replace)),
+        ("from_view", Arc::new(FromView)),
+        ("llm_rewrite", Arc::new(LlmRewrite)),
+        ("auto_refine", Arc::new(AutoRefine)),
+        ("inject_example", Arc::new(InjectExample)),
+        ("normalize", Arc::new(Normalize)),
+        ("diff", Arc::new(DiffRefiner)),
+        ("split_sections", Arc::new(SplitSections)),
+    ];
+    builtins
+        .into_iter()
+        .map(|(name, refiner)| (name.to_string(), refiner))
+        .collect()
 }
 
 #[cfg(test)]
@@ -570,6 +518,7 @@ mod tests {
     use super::*;
     use crate::history::RefinementMode;
     use crate::llm::EchoLlm;
+    use crate::runtime::Runtime;
     use crate::value::map;
     use crate::view::{ParamSpec, ViewDef};
 
@@ -611,8 +560,10 @@ mod tests {
     }
 
     fn apply(name: &str, fx: &Fixture, args: &Value) -> Result<RefineOutput> {
-        let reg = RefinerRegistry::with_builtins();
-        reg.resolve(name)?.refine(&fx.rcx(args, None))
+        Runtime::builder()
+            .build()
+            .refiner(name)?
+            .refine(&fx.rcx(args, None))
     }
 
     #[test]
@@ -651,7 +602,6 @@ mod tests {
     #[test]
     fn append_without_target_errors() {
         let fx = Fixture::new("ignored");
-        let reg = RefinerRegistry::with_builtins();
         let args = Value::from("x");
         let rcx = RefineCtx {
             current: None,
@@ -662,12 +612,12 @@ mod tests {
             prompts: &fx.prompts,
             args: &args,
         };
-        assert!(reg.resolve("append").unwrap().refine(&rcx).is_err());
+        assert!(builtins()["append"].refine(&rcx).is_err());
     }
 
     #[test]
     fn diff_refiner_writes_context_only() {
-        let fx = Fixture::new("ignored");
+        let mut fx = Fixture::new("ignored");
         fx.prompts
             .define("a", "shared", "f", RefinementMode::Manual);
         fx.prompts
@@ -716,11 +666,8 @@ mod tests {
         assert!(matches!(err, SpearError::LlmUnavailable { .. }));
 
         let echo = EchoLlm::default();
-        let reg = RefinerRegistry::with_builtins();
         let args = Value::from("emphasize PE risk");
-        let out = reg
-            .resolve("llm_rewrite")
-            .unwrap()
+        let out = builtins()["llm_rewrite"]
             .refine(&fx.rcx(&args, Some(&echo)))
             .unwrap();
         assert!(out.new_text.is_some());
@@ -862,34 +809,36 @@ mod tests {
     }
 
     #[test]
-    fn registry_listing_and_missing() {
-        let reg = RefinerRegistry::with_builtins();
-        assert!(reg.names().contains(&"auto_refine".to_string()));
+    fn a_runtime_has_the_builtins_and_a_miss_is_refiner_not_found() {
+        let rt = Runtime::builder().build();
+        assert!(builtins().keys().all(|name| rt.has_refiner(name)));
+        assert!(rt.has_refiner("auto_refine"));
         assert!(matches!(
-            reg.resolve("ghost"),
+            rt.refiner("ghost"),
             Err(SpearError::RefinerNotFound(_))
         ));
     }
 
     #[test]
     fn fn_refiner_and_ctx_writes() {
-        let reg = RefinerRegistry::new();
-        reg.register(
-            "extractor",
-            Arc::new(FnRefiner(|rcx: &RefineCtx<'_>| {
-                Ok(RefineOutput {
-                    new_text: None,
-                    ctx_writes: vec![(
-                        "prompt_len".to_string(),
-                        Value::from(rcx.current_text().len()),
-                    )],
-                    ..RefineOutput::default()
-                })
-            })),
-        );
+        let rt = Runtime::builder()
+            .refiner(
+                "extractor",
+                Arc::new(FnRefiner(|rcx: &RefineCtx<'_>| {
+                    Ok(RefineOutput {
+                        new_text: None,
+                        ctx_writes: vec![(
+                            "prompt_len".to_string(),
+                            Value::from(rcx.current_text().len()),
+                        )],
+                        ..RefineOutput::default()
+                    })
+                })),
+            )
+            .build();
         let fx = Fixture::new("12345");
-        let out = reg
-            .resolve("extractor")
+        let out = rt
+            .refiner("extractor")
             .unwrap()
             .refine(&fx.rcx(&Value::Null, None))
             .unwrap();

@@ -9,12 +9,10 @@
 //! provides the BM25 engine.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
-use crate::error::{Result, SpearError};
+use crate::error::Result;
 use crate::value::Value;
 
 /// How RET expresses what to fetch.
@@ -74,60 +72,8 @@ pub trait Retriever: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`SpearError::Retrieval`] on backend failure.
+    /// Returns [`crate::error::SpearError::Retrieval`] on backend failure.
     fn retrieve(&self, request: &RetrievalRequest) -> Result<Vec<RetrievedDoc>>;
-}
-
-/// Named registry of retrievers; RET resolves `source` names here.
-#[derive(Clone, Default)]
-pub struct RetrieverRegistry {
-    inner: Arc<RwLock<BTreeMap<String, Arc<dyn Retriever>>>>,
-}
-
-impl RetrieverRegistry {
-    /// Empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register `retriever` under `source` (replacing any previous one).
-    pub fn register(&self, source: impl Into<String>, retriever: Arc<dyn Retriever>) {
-        self.inner.write().insert(source.into(), retriever);
-    }
-
-    /// Resolve a source name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpearError::RetrieverNotFound`] when absent.
-    pub fn resolve(&self, source: &str) -> Result<Arc<dyn Retriever>> {
-        self.inner
-            .read()
-            .get(source)
-            .cloned()
-            .ok_or_else(|| SpearError::RetrieverNotFound(source.to_string()))
-    }
-
-    /// Whether `source` is registered.
-    #[must_use]
-    pub fn contains(&self, source: &str) -> bool {
-        self.inner.read().contains_key(source)
-    }
-
-    /// Registered source names, sorted.
-    #[must_use]
-    pub fn sources(&self) -> Vec<String> {
-        self.inner.read().keys().cloned().collect()
-    }
-}
-
-impl std::fmt::Debug for RetrieverRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RetrieverRegistry")
-            .field("sources", &self.sources())
-            .finish()
-    }
 }
 
 /// Simple in-memory retriever over a fixed document list.
@@ -214,6 +160,7 @@ impl Retriever for InMemoryRetriever {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SpearError;
 
     fn doc(id: &str, text: &str, fields: &[(&str, Value)]) -> RetrievedDoc {
         RetrievedDoc {
@@ -291,14 +238,15 @@ mod tests {
 
     #[test]
     fn registry_resolves_and_errors() {
-        let reg = RetrieverRegistry::new();
-        reg.register("notes", Arc::new(corpus()));
-        assert!(reg.resolve("notes").is_ok());
+        let rt = crate::runtime::Runtime::builder()
+            .retriever("notes", std::sync::Arc::new(corpus()))
+            .build();
+        assert!(rt.retriever("notes").is_ok());
         assert!(matches!(
-            reg.resolve("other"),
+            rt.retriever("other"),
             Err(SpearError::RetrieverNotFound(_))
         ));
-        assert_eq!(reg.sources(), vec!["notes".to_string()]);
+        assert!(rt.has_retriever("notes") && !rt.has_retriever("other"));
     }
 
     #[test]

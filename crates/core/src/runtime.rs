@@ -11,20 +11,21 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::agent::AgentRegistry;
+use crate::agent::Agent;
 use crate::cancel::CancelToken;
 use crate::context::Context;
-use crate::error::Result;
+use crate::error::{Result, SpearError};
 use crate::exec::{self, CallLimits};
 use crate::llm::LlmClient;
 use crate::metadata::{Metadata, TokenUsage};
 use crate::pipeline::Pipeline;
 use crate::plan;
-use crate::refiner::RefinerRegistry;
-use crate::retriever::RetrieverRegistry;
+use crate::refiner::{self, Refiner};
+use crate::retriever::Retriever;
 use crate::store::PromptStore;
 use crate::trace::{Trace, TraceKind};
 use crate::value::Value;
@@ -58,6 +59,11 @@ impl Default for RuntimeConfig {
 }
 
 /// The mutable execution state: the paper's (P, C, M) plus the trace.
+///
+/// A plain value: a clone shares nothing writable with the original (P's
+/// entries are immutable and shared by pointer), so a shadow run against a
+/// clone cannot leak writes into the primary. The clone keeps the
+/// cancellation token, so cancelling the primary stops its shadows too.
 #[derive(Debug, Clone, Default)]
 pub struct ExecState {
     /// The prompt store P.
@@ -92,25 +98,6 @@ impl ExecState {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Deep copy: the clone shares nothing with the original, so a shadow
-    /// run cannot leak writes into the primary (note `PromptStore::clone`
-    /// alone would share the backing KV store).
-    #[must_use]
-    pub fn deep_clone(&self) -> Self {
-        Self {
-            prompts: self.prompts.deep_clone(),
-            context: self.context.clone(),
-            metadata: self.metadata.clone(),
-            trace: self.trace.clone(),
-            step: self.step,
-            // A shadow run shares the cancellation signals: cancelling the
-            // primary should stop its shadows too.
-            cancel: self.cancel.clone(),
-            deadline_us: self.deadline_us,
-            reuse: self.reuse,
-        }
-    }
 }
 
 /// Summary of one `execute` call.
@@ -133,9 +120,9 @@ pub struct ExecReport {
 /// Builds a [`Runtime`].
 pub struct RuntimeBuilder {
     llm: Option<Arc<dyn LlmClient>>,
-    retrievers: RetrieverRegistry,
-    agents: AgentRegistry,
-    refiners: RefinerRegistry,
+    retrievers: BTreeMap<String, Arc<dyn Retriever>>,
+    agents: BTreeMap<String, Arc<dyn Agent>>,
+    refiners: BTreeMap<String, Arc<dyn Refiner>>,
     views: ViewCatalog,
     config: RuntimeConfig,
 }
@@ -148,24 +135,25 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Register a retriever.
+    /// Register a retriever (replacing any previous one under `source`).
     #[must_use]
-    pub fn retriever(self, source: &str, retriever: Arc<dyn crate::retriever::Retriever>) -> Self {
-        self.retrievers.register(source, retriever);
+    pub fn retriever(mut self, source: &str, retriever: Arc<dyn Retriever>) -> Self {
+        self.retrievers.insert(source.to_string(), retriever);
         self
     }
 
-    /// Register an agent.
+    /// Register an agent (replacing any previous one under `name`).
     #[must_use]
-    pub fn agent(self, name: &str, agent: Arc<dyn crate::agent::Agent>) -> Self {
-        self.agents.register(name, agent);
+    pub fn agent(mut self, name: &str, agent: Arc<dyn Agent>) -> Self {
+        self.agents.insert(name.to_string(), agent);
         self
     }
 
-    /// Register a custom refiner (built-ins are pre-registered).
+    /// Register a custom refiner (built-ins are pre-registered; a name
+    /// already taken is replaced).
     #[must_use]
-    pub fn refiner(self, name: &str, refiner: Arc<dyn crate::refiner::Refiner>) -> Self {
-        self.refiners.register(name, refiner);
+    pub fn refiner(mut self, name: &str, refiner: Arc<dyn Refiner>) -> Self {
+        self.refiners.insert(name.to_string(), refiner);
         self
     }
 
@@ -199,17 +187,18 @@ impl RuntimeBuilder {
 
 /// The pipeline executor and its registries.
 ///
-/// `Runtime` is `Send + Sync`: `execute` takes `&self`, every registry is
-/// read-only after construction, and all backends are required to be
+/// `Runtime` is `Send + Sync`: `execute` takes `&self`, the agent, refiner
+/// and retriever maps are filled by the builder and only read afterwards
+/// (without a lock), and all backends are required to be
 /// thread-safe (`LlmClient: Send + Sync` etc.), so one runtime can serve
 /// many concurrent pipeline instances — this is what
 /// [`crate::batch::BatchRunner`] relies on to share a single runtime
 /// across its worker pool.
 pub struct Runtime {
     pub(crate) llm: Option<Arc<dyn LlmClient>>,
-    pub(crate) retrievers: RetrieverRegistry,
-    pub(crate) agents: AgentRegistry,
-    pub(crate) refiners: RefinerRegistry,
+    retrievers: BTreeMap<String, Arc<dyn Retriever>>,
+    agents: BTreeMap<String, Arc<dyn Agent>>,
+    refiners: BTreeMap<String, Arc<dyn Refiner>>,
     pub(crate) views: ViewCatalog,
     pub(crate) config: RuntimeConfig,
 }
@@ -230,9 +219,9 @@ impl Runtime {
     pub fn builder() -> RuntimeBuilder {
         RuntimeBuilder {
             llm: None,
-            retrievers: RetrieverRegistry::new(),
-            agents: AgentRegistry::new(),
-            refiners: RefinerRegistry::with_builtins(),
+            retrievers: BTreeMap::new(),
+            agents: BTreeMap::new(),
+            refiners: refiner::builtins(),
             views: ViewCatalog::new(),
             config: RuntimeConfig::default(),
         }
@@ -259,19 +248,37 @@ impl Runtime {
     /// Whether a retriever is registered under `source`.
     #[must_use]
     pub fn has_retriever(&self, source: &str) -> bool {
-        self.retrievers.contains(source)
+        self.retrievers.contains_key(source)
     }
 
     /// Whether a refiner is registered under `name`.
     #[must_use]
     pub fn has_refiner(&self, name: &str) -> bool {
-        self.refiners.contains(name)
+        self.refiners.contains_key(name)
     }
 
     /// Whether an agent is registered under `name`.
     #[must_use]
     pub fn has_agent(&self, name: &str) -> bool {
-        self.agents.contains(name)
+        self.agents.contains_key(name)
+    }
+
+    /// The retriever registered under `source`
+    /// ([`SpearError::RetrieverNotFound`] when none is).
+    pub(crate) fn retriever(&self, source: &str) -> Result<&dyn Retriever> {
+        lookup(&self.retrievers, source, SpearError::RetrieverNotFound)
+    }
+
+    /// The refiner registered under `name`
+    /// ([`SpearError::RefinerNotFound`] when none is).
+    pub(crate) fn refiner(&self, name: &str) -> Result<&dyn Refiner> {
+        lookup(&self.refiners, name, SpearError::RefinerNotFound)
+    }
+
+    /// The agent registered under `name` ([`SpearError::AgentNotFound`]
+    /// when none is).
+    pub(crate) fn agent(&self, name: &str) -> Result<&dyn Agent> {
+        lookup(&self.agents, name, SpearError::AgentNotFound)
     }
 
     /// Execute `pipeline` against `state`: lower it to the flat IR,
@@ -375,11 +382,23 @@ impl std::fmt::Debug for Runtime {
                 "llm",
                 &self.llm.as_ref().map(|l| l.model_name().to_string()),
             )
-            .field("retrievers", &self.retrievers.sources())
-            .field("agents", &self.agents.names())
+            .field("retrievers", &self.retrievers.keys())
+            .field("agents", &self.agents.keys())
             .field("views", &self.views.names())
             .finish()
     }
+}
+
+/// The value registered under `name`, or the `missing` error naming it.
+fn lookup<'a, T: ?Sized>(
+    registered: &'a BTreeMap<String, Arc<T>>,
+    name: &str,
+    missing: fn(String) -> SpearError,
+) -> Result<&'a T> {
+    registered
+        .get(name)
+        .map(|found| &**found)
+        .ok_or_else(|| missing(name.to_string()))
 }
 
 /// Metadata snapshot used to compute per-call report deltas.

@@ -1,6 +1,6 @@
 //! Shadow execution (paper §6).
 //!
-//! A shadow run executes a pipeline against a deep copy of the execution
+//! A shadow run executes a pipeline against a clone of the execution
 //! state: the primary state is never touched, and the runtime returns both
 //! the shadow's final state and a structured diff. This is how a developer
 //! (or the optimizer) evaluates a candidate refinement or an alternative
@@ -123,14 +123,15 @@ impl ShadowDiff {
 }
 
 impl Runtime {
-    /// Execute `pipeline` against a deep copy of `primary`, leaving the
-    /// primary untouched.
+    /// Execute `pipeline` against a clone of `primary`, leaving the primary
+    /// untouched (a clone of P is never durable, so a shadow's writes reach
+    /// no log either).
     ///
     /// # Errors
     ///
     /// Propagates executor errors from the shadow run.
     pub fn shadow_execute(&self, pipeline: &Pipeline, primary: &ExecState) -> Result<ShadowRun> {
-        let mut state = primary.deep_clone();
+        let mut state = primary.clone();
         let report = self.execute(pipeline, &mut state)?;
         Ok(ShadowRun { state, report })
     }
@@ -150,7 +151,7 @@ mod tests {
     #[test]
     fn shadow_does_not_mutate_primary() {
         let rt = runtime();
-        let primary = ExecState::new();
+        let mut primary = ExecState::new();
         primary
             .prompts
             .define("p", "base prompt", "f", RefinementMode::Manual);
@@ -170,7 +171,7 @@ mod tests {
     #[test]
     fn diff_reports_divergence() {
         let rt = runtime();
-        let primary = ExecState::new();
+        let mut primary = ExecState::new();
         primary
             .prompts
             .define("p", "base", "f", RefinementMode::Manual);
@@ -195,7 +196,7 @@ mod tests {
     #[test]
     fn identical_states_diff_empty() {
         let state = ExecState::new();
-        let d = ShadowDiff::between(&state, &state.deep_clone());
+        let d = ShadowDiff::between(&state, &state.clone());
         assert!(d.is_empty());
     }
 }

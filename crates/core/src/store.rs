@@ -17,7 +17,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use spear_kv::{KvStore, LogOp, LogRecord, Persister};
 
@@ -29,20 +29,21 @@ use crate::value::Value;
 
 /// Named store of structured prompt fragments.
 ///
-/// Cloning the store clones the *handle*; both handles see the same entries
-/// (the KV substrate is internally shared). Entry mutation is
-/// read-modify-write and is not transactional across concurrent writers to
-/// the *same key*; SPEAR pipelines mutate P single-threaded from the
-/// executor, which is the intended usage.
-///
-/// The KV backend is built by the first write (or [`PromptStore::backend`]
-/// call), not by [`PromptStore::new`]: the serving tiers hand every queued
-/// request its own store, and most never hold a prompt while they wait.
-/// The cell is shared, so handles cloned before that write see it too.
-#[derive(Clone)]
+/// A plain value: writes take `&mut self`, so a refinement's
+/// read-modify-write has one writer by construction. A clone is an
+/// independent store holding the same entries and storage versions — the
+/// entries themselves are shared, immutable `Arc`s, so cloning copies
+/// pointers — and is never durable: the persister stays with the original,
+/// so a shadow run against a clone appends nothing to the original's log.
 pub struct PromptStore {
-    backend: Arc<OnceLock<KvStore<PromptEntry>>>,
+    backend: KvStore<PromptEntry>,
     persister: Option<Arc<dyn Persister<PromptEntry>>>,
+}
+
+impl Clone for PromptStore {
+    fn clone(&self) -> Self {
+        Self::with_backend(self.backend.clone())
+    }
 }
 
 impl std::fmt::Debug for PromptStore {
@@ -61,14 +62,10 @@ impl Default for PromptStore {
 }
 
 impl PromptStore {
-    /// Create an empty store; its in-memory backend appears with the
-    /// first write.
+    /// Create an empty store. It allocates nothing until the first write.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            backend: Arc::default(),
-            persister: None,
-        }
+        Self::with_backend(KvStore::new())
     }
 
     /// Create a store over an existing KV backend (e.g. one recovered from
@@ -76,7 +73,7 @@ impl PromptStore {
     #[must_use]
     pub fn with_backend(backend: KvStore<PromptEntry>) -> Self {
         Self {
-            backend: Arc::new(OnceLock::from(backend)),
+            backend,
             persister: None,
         }
     }
@@ -99,7 +96,7 @@ impl PromptStore {
     /// at their commit points.
     fn persist(&self, key: &str) {
         if let Some(p) = &self.persister {
-            if let Some(versioned) = self.backend.get().and_then(|b| b.get_versioned(key)) {
+            if let Some(versioned) = self.backend.get_versioned(key) {
                 let record = LogRecord {
                     seq: versioned.seq,
                     key: key.to_string(),
@@ -128,20 +125,20 @@ impl PromptStore {
     /// persistence wiring).
     #[must_use]
     pub fn backend(&self) -> &KvStore<PromptEntry> {
-        self.backend.get_or_init(KvStore::new)
+        &self.backend
     }
 
     /// Insert `entry` under `key`, replacing any existing entry. An entry
     /// read from a store (`Arc<PromptEntry>`) is stored as that pointer.
-    pub fn insert(&self, key: impl Into<String>, entry: impl Into<Arc<PromptEntry>>) {
+    pub fn insert(&mut self, key: impl Into<String>, entry: impl Into<Arc<PromptEntry>>) {
         let key = key.into();
-        self.backend().put(key.clone(), entry);
+        self.backend.put(key.clone(), entry);
         self.persist(&key);
     }
 
     /// Convenience: create a fresh entry from raw text.
     pub fn define(
-        &self,
+        &mut self,
         key: impl Into<String>,
         text: impl Into<Arc<str>>,
         f_name: &str,
@@ -163,25 +160,25 @@ impl PromptStore {
     /// Fetch the entry at `key`, or `None`.
     #[must_use]
     pub fn try_get(&self, key: &str) -> Option<Arc<PromptEntry>> {
-        self.backend.get()?.get(key)
+        self.backend.get(key)
     }
 
     /// Whether `key` exists.
     #[must_use]
     pub fn contains(&self, key: &str) -> bool {
-        self.backend.get().is_some_and(|b| b.contains(key))
+        self.backend.contains(key)
     }
 
     /// All keys, sorted.
     #[must_use]
     pub fn keys(&self) -> Vec<String> {
-        self.backend.get().map(KvStore::keys).unwrap_or_default()
+        self.backend.keys()
     }
 
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.backend.get().map_or(0, KvStore::len)
+        self.backend.len()
     }
 
     /// Whether the store is empty.
@@ -191,8 +188,8 @@ impl PromptStore {
     }
 
     /// Remove `key`. Returns `true` if it existed.
-    pub fn remove(&self, key: &str) -> bool {
-        let removed = self.backend.get().is_some_and(|b| b.delete(key));
+    pub fn remove(&mut self, key: &str) -> bool {
+        let removed = self.backend.delete(key);
         if removed {
             self.persist(key);
         }
@@ -207,7 +204,7 @@ impl PromptStore {
     /// Returns [`SpearError::PromptNotFound`] when absent.
     #[allow(clippy::too_many_arguments)]
     pub fn refine(
-        &self,
+        &mut self,
         key: &str,
         new_text: Arc<str>,
         action: RefAction,
@@ -238,7 +235,7 @@ impl PromptStore {
     /// and `origin` a refiner such as `from_view` gives it. Every refinement
     /// reaches P through here. Returns the stored entry's version.
     pub(crate) fn store_refined(
-        &self,
+        &mut self,
         key: &str,
         current: Option<&PromptEntry>,
         record: RefLogRecord,
@@ -272,7 +269,7 @@ impl PromptStore {
     ///
     /// [`SpearError::PromptNotFound`] if the key is absent,
     /// [`SpearError::PromptVersionNotFound`] if the version is not retained.
-    pub fn rollback(&self, key: &str, version: u64, step: u64) -> Result<u64> {
+    pub fn rollback(&mut self, key: &str, version: u64, step: u64) -> Result<u64> {
         let old_text = Arc::clone(text_at(&*self.get(key)?, key, version)?);
         self.refine(
             key,
@@ -293,8 +290,9 @@ impl PromptStore {
     /// # Errors
     ///
     /// [`SpearError::PromptNotFound`] if `src` is absent.
-    pub fn clone_entry(&self, src: &str, dst: impl Into<String>) -> Result<()> {
-        self.insert(dst, self.get(src)?);
+    pub fn clone_entry(&mut self, src: &str, dst: impl Into<String>) -> Result<()> {
+        let entry = self.get(src)?;
+        self.insert(dst, entry);
         Ok(())
     }
 
@@ -328,20 +326,6 @@ impl PromptStore {
             .filter(|k| self.try_get(k).is_some_and(|e| e.tags.contains(tag)))
             .collect()
     }
-
-    /// A fresh store holding every entry (used by shadow execution: the
-    /// shadow must not see writes from the primary, and vice versa). The
-    /// two stores share the entries themselves, which no write mutates.
-    #[must_use]
-    pub fn deep_clone(&self) -> PromptStore {
-        let fresh = PromptStore::new();
-        for key in self.keys() {
-            if let Some(entry) = self.try_get(&key) {
-                fresh.insert(key, entry);
-            }
-        }
-        fresh
-    }
 }
 
 /// The text `entry` (stored under `key`) had at `version`.
@@ -360,7 +344,7 @@ mod tests {
     use super::*;
 
     fn store_with(key: &str, text: &str) -> PromptStore {
-        let s = PromptStore::new();
+        let mut s = PromptStore::new();
         s.define(key, text, "f_base", RefinementMode::Manual);
         s
     }
@@ -379,7 +363,7 @@ mod tests {
 
     #[test]
     fn refine_persists_new_version() {
-        let s = store_with("p", "base");
+        let mut s = store_with("p", "base");
         let v = s
             .refine(
                 "p",
@@ -401,7 +385,7 @@ mod tests {
 
     #[test]
     fn rollback_restores_text_but_appends_history() {
-        let s = store_with("p", "v1 text");
+        let mut s = store_with("p", "v1 text");
         s.refine(
             "p",
             "v2 text".into(),
@@ -424,7 +408,7 @@ mod tests {
 
     #[test]
     fn rollback_to_unknown_version_errors() {
-        let s = store_with("p", "v1");
+        let mut s = store_with("p", "v1");
         assert!(matches!(
             s.rollback("p", 7, 1),
             Err(SpearError::PromptVersionNotFound { .. })
@@ -433,7 +417,7 @@ mod tests {
 
     #[test]
     fn clone_entry_copies_provenance() {
-        let s = store_with("src", "text");
+        let mut s = store_with("src", "text");
         s.clone_entry("src", "dst").unwrap();
         let d = s.get("dst").unwrap();
         assert_eq!(&*d.text, "text");
@@ -443,7 +427,7 @@ mod tests {
 
     #[test]
     fn diff_between_entries_and_versions() {
-        let s = store_with("a", "shared line");
+        let mut s = store_with("a", "shared line");
         s.define("b", "shared line\nextra", "f", RefinementMode::Manual);
         let d = s.diff("a", "b").unwrap();
         assert_eq!(d.added, 1);
@@ -468,7 +452,7 @@ mod tests {
 
     #[test]
     fn tag_query() {
-        let s = PromptStore::new();
+        let mut s = PromptStore::new();
         s.insert(
             "discharge",
             PromptEntry::new("t", "f", RefinementMode::Manual).with_tag("clinical"),
@@ -483,9 +467,9 @@ mod tests {
     }
 
     #[test]
-    fn deep_clone_isolates_writes() {
+    fn a_clone_isolates_writes() {
         let s = store_with("p", "original");
-        let shadow = s.deep_clone();
+        let mut shadow = s.clone();
         shadow
             .refine(
                 "p",
@@ -504,18 +488,8 @@ mod tests {
     }
 
     #[test]
-    fn a_handle_cloned_before_the_first_write_shares_it() {
-        let first = PromptStore::new();
-        let second = first.clone();
-        first.define("p", "from first", "f_base", RefinementMode::Manual);
-        assert_eq!(&*second.get("p").unwrap().text, "from first");
-        second.define("q", "from second", "f_base", RefinementMode::Manual);
-        assert_eq!(first.keys(), ["p", "q"]);
-    }
-
-    #[test]
-    fn reads_leave_an_untouched_store_unbuilt() {
-        let s = PromptStore::new();
+    fn reads_of_an_empty_store_find_nothing_and_its_clone_is_its_own() {
+        let mut s = PromptStore::new();
         assert!(s.keys().is_empty());
         assert!(s.is_empty());
         assert!(!s.contains("p"));
@@ -523,10 +497,9 @@ mod tests {
         assert!(matches!(s.get("p"), Err(SpearError::PromptNotFound(_))));
         assert!(s.keys_with_tag("t").is_empty());
         assert!(!s.remove("p"));
-        let shadow = s.deep_clone();
-        assert!(s.backend.get().is_none() && shadow.backend.get().is_none());
 
-        // The shadow of an empty store is still its own store.
+        // The clone of an empty store is still its own store.
+        let mut shadow = s.clone();
         shadow.define("p", "shadow only", "f_base", RefinementMode::Manual);
         assert!(s.is_empty());
         s.define("q", "primary only", "f_base", RefinementMode::Manual);
@@ -535,17 +508,24 @@ mod tests {
 
     #[test]
     fn a_store_over_an_existing_backend_reads_and_writes_it() {
-        let backend = KvStore::new();
-        let s = PromptStore::with_backend(backend.clone());
-        assert!(s.is_empty());
-        s.define("p", "v1", "f_base", RefinementMode::Manual);
-        assert_eq!(&*backend.get("p").unwrap().text, "v1");
-        assert_eq!(PromptStore::with_backend(backend).keys(), ["p"]);
+        let mut backend = KvStore::new();
+        backend.put(
+            "p",
+            PromptEntry::new("v1", "f_base", RefinementMode::Manual),
+        );
+        let mut s = PromptStore::with_backend(backend);
+        assert_eq!(&*s.get("p").unwrap().text, "v1");
+        s.define("q", "v1", "f_base", RefinementMode::Manual);
+        assert_eq!(s.backend().keys(), ["p", "q"]);
+        assert_eq!(
+            PromptStore::with_backend(s.backend().clone()).keys(),
+            ["p", "q"]
+        );
     }
 
     #[test]
     fn backend_versioning_tracks_entry_writes() {
-        let s = store_with("p", "v1");
+        let mut s = store_with("p", "v1");
         s.refine(
             "p",
             "v2".into(),
@@ -576,7 +556,7 @@ mod tests {
 
     #[test]
     fn k_refinements_keep_k_plus_one_texts_in_the_whole_chain() {
-        let s = store_with("p", "text v1");
+        let mut s = store_with("p", "text v1");
         for v in 2..=9u64 {
             s.refine(
                 "p",
@@ -610,13 +590,14 @@ mod tests {
             }
         }
 
-        // A read is the stored version; a rollback, a clone and a shadow
-        // store copy pointers, so none of them adds a text.
+        // A read is the stored version; a rollback, a cloned entry and a
+        // cloned store copy pointers, so none of them adds a text.
         assert!(Arc::ptr_eq(&s.get("p").unwrap(), &chain[8]));
         s.rollback("p", 3, 10).unwrap();
         s.clone_entry("p", "q").unwrap();
-        let shadow = s.deep_clone();
+        let shadow = s.clone();
         assert_eq!(text_allocations(&s, "p"), 9);
+        assert_eq!(text_allocations(&shadow, "p"), 9);
         assert!(Arc::ptr_eq(&s.get("p").unwrap(), &s.get("q").unwrap()));
         assert!(Arc::ptr_eq(&s.get("p").unwrap(), &shadow.get("p").unwrap()));
         assert!(Arc::ptr_eq(&s.get("p").unwrap().text, &chain[2].text));
@@ -905,7 +886,7 @@ mod tests {
                 for (i, cmd) in cmds.into_iter().enumerate() {
                     let step = i as u64 + 1;
                     state.step = step;
-                    let p = &state.prompts;
+                    let p = &mut state.prompts;
                     match cmd {
                         Cmd::Define(k, text) => {
                             p.define(key(k), text.as_str(), "f_base", RefinementMode::Manual);
@@ -937,11 +918,11 @@ mod tests {
                             );
                             prop_assert_eq!(done.is_ok(), copied);
                         }
-                        Cmd::Shadow => shadows.push((p.deep_clone(), reference.clone())),
+                        Cmd::Shadow => shadows.push((p.clone(), reference.clone())),
                     }
                 }
 
-                for (shadow, at_fork) in &shadows {
+                for (shadow, at_fork) in &mut shadows {
                     for key in shadow.keys() {
                         let seen = serde_json::to_string(&*shadow.get(&key).unwrap()).unwrap();
                         let forked = serde_json::to_string(at_fork.latest(&key).unwrap()).unwrap();

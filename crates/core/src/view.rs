@@ -140,13 +140,22 @@ struct ResolvedView {
 
 /// The catalog of registered views.
 ///
-/// Cloning the catalog clones the handle (shared storage).
+/// Cloning the catalog clones the handle (shared storage): a runtime's lanes
+/// and a cluster's node threads read one catalog, and lanes write its
+/// resolution cache, so its state sits under one lock.
 #[derive(Clone, Debug, Default)]
 pub struct ViewCatalog {
+    inner: Arc<RwLock<Catalog>>,
+}
+
+/// The state behind a [`ViewCatalog`]'s lock. Its helpers take the guarded
+/// value, never the handle: the lock is not re-entrant.
+#[derive(Debug, Default)]
+struct Catalog {
     store: KvStore<ViewDef>,
     /// Resolutions of the current catalog state, by view name. Any
     /// registration may change any composing view, so `register` empties it.
-    resolved: Arc<RwLock<BTreeMap<String, Arc<ResolvedView>>>>,
+    resolved: BTreeMap<String, Arc<ResolvedView>>,
 }
 
 impl ViewCatalog {
@@ -159,13 +168,13 @@ impl ViewCatalog {
     /// Register (or re-register) a view. Returns the assigned version:
     /// 1 for a new view, previous+1 when redefining.
     pub fn register(&self, mut view: ViewDef) -> u64 {
-        // Held across the write, so that no resolution read from the
-        // previous state can be recorded after it.
-        let mut resolved = self.resolved.write();
-        let next = self.store.get(&view.name).map_or(1, |v| v.version + 1);
+        // One write guard covers the store and its resolutions, so no
+        // resolution read from the previous state outlives the write.
+        let mut catalog = self.inner.write();
+        let next = catalog.store.get(&view.name).map_or(1, |v| v.version + 1);
         view.version = next;
-        self.store.put(view.name.clone(), view);
-        resolved.clear();
+        catalog.store.put(view.name.clone(), view);
+        catalog.resolved.clear();
         next
     }
 
@@ -175,9 +184,7 @@ impl ViewCatalog {
     ///
     /// Returns [`SpearError::ViewNotFound`] when absent.
     pub fn get(&self, name: &str) -> Result<Arc<ViewDef>> {
-        self.store
-            .get(name)
-            .ok_or_else(|| SpearError::ViewNotFound(name.to_string()))
+        self.inner.read().get(name)
     }
 
     /// Fetch a historical version of `name` (if still retained).
@@ -188,7 +195,9 @@ impl ViewCatalog {
     pub fn get_version(&self, name: &str, version: u64) -> Result<Arc<ViewDef>> {
         // `register` is the only writer and stamps each view with the
         // store's per-key version, so the two numberings agree.
-        self.store
+        self.inner
+            .read()
+            .store
             .get_version(name, version)
             .ok_or_else(|| SpearError::ViewNotFound(format!("{name}@v{version}")))
     }
@@ -196,22 +205,25 @@ impl ViewCatalog {
     /// Whether `name` is registered.
     #[must_use]
     pub fn contains(&self, name: &str) -> bool {
-        self.store.contains(name)
+        self.inner.read().store.contains(name)
     }
 
     /// All view names, sorted.
     #[must_use]
     pub fn names(&self) -> Vec<String> {
-        self.store.keys()
+        self.inner.read().store.keys()
     }
 
     /// Names of views carrying `tag`, sorted — the dispatch primitive behind
     /// "different types of input notes may invoke different views".
     #[must_use]
     pub fn names_with_tag(&self, tag: &str) -> Vec<String> {
-        self.names()
+        let catalog = self.inner.read();
+        catalog
+            .store
+            .keys()
             .into_iter()
-            .filter(|n| self.store.get(n).is_some_and(|v| v.tags.contains(tag)))
+            .filter(|n| catalog.store.get(n).is_some_and(|v| v.tags.contains(tag)))
             .collect()
     }
 
@@ -272,19 +284,29 @@ impl ViewCatalog {
     /// The resolution of `name` in the current catalog state, computed by
     /// its first instantiation since the last `register`.
     fn resolve(&self, name: &str) -> Result<Arc<ResolvedView>> {
-        if let Some(hit) = self.resolved.read().get(name) {
+        if let Some(hit) = self.inner.read().resolved.get(name) {
             return Ok(Arc::clone(hit));
         }
-        let mut resolved = self.resolved.write();
-        if let Some(raced) = resolved.get(name) {
+        let mut catalog = self.inner.write();
+        if let Some(raced) = catalog.resolved.get(name) {
             return Ok(Arc::clone(raced));
         }
-        let view = self.get(name)?;
-        let text = self.expand(&view, &mut Vec::new())?.into();
-        let specs = self.all_param_specs(&view)?;
+        let view = catalog.get(name)?;
+        let text = catalog.expand(&view, &mut Vec::new())?.into();
+        let specs = catalog.all_param_specs(&view)?;
         let entry = Arc::new(ResolvedView { view, text, specs });
-        resolved.insert(name.to_string(), Arc::clone(&entry));
+        catalog
+            .resolved
+            .insert(name.to_string(), Arc::clone(&entry));
         Ok(entry)
+    }
+}
+
+impl Catalog {
+    fn get(&self, name: &str) -> Result<Arc<ViewDef>> {
+        self.store
+            .get(name)
+            .ok_or_else(|| SpearError::ViewNotFound(name.to_string()))
     }
 
     /// Recursively expand `{{view:child}}` references.
@@ -494,6 +516,43 @@ mod tests {
         c.register(ViewDef::new("format", "Respond tersely."));
         let seen = handle.instantiate("outer", BTreeMap::new()).unwrap();
         assert_eq!(&*seen.text, "Task.\nRespond tersely.");
+    }
+
+    #[test]
+    fn lanes_racing_registrations_see_whole_catalog_states() {
+        let c = ViewCatalog::new();
+        c.register(ViewDef::new("format", "Respond in style 0."));
+        c.register(ViewDef::new("outer", "Task.\n{{view:format}}"));
+        let styles = 50;
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for style in 1..=styles {
+                    c.register(ViewDef::new("format", format!("Respond in style {style}.")));
+                }
+            });
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    let mut last = 0;
+                    for _ in 0..200 {
+                        let entry = c.instantiate("outer", BTreeMap::new()).unwrap();
+                        let style: u64 = entry
+                            .text
+                            .strip_prefix("Task.\nRespond in style ")
+                            .and_then(|rest| rest.strip_suffix('.'))
+                            .and_then(|n| n.parse().ok())
+                            .unwrap_or_else(|| panic!("torn resolution {:?}", entry.text));
+                        assert!(style >= last, "a resolution went back in time");
+                        last = style;
+                    }
+                });
+            }
+        });
+        let last = c.instantiate("outer", BTreeMap::new()).unwrap();
+        assert_eq!(&*last.text, format!("Task.\nRespond in style {styles}."));
+        assert_eq!(c.get("format").unwrap().version, styles + 1);
     }
 
     #[test]

@@ -60,10 +60,13 @@ fn footprint<T>(build: impl FnOnce() -> T) -> (T, i64, u64) {
 }
 
 #[test]
-fn an_idle_state_owns_at_most_one_small_allocation() {
+fn an_idle_state_owns_nothing_on_the_heap() {
+    // P, C, M and the trace are owned values whose empty forms allocate
+    // nothing; no cell or lock is built up front.
     let (state, bytes, allocs) = footprint(ExecState::new);
-    assert!(
-        bytes <= 64 && allocs <= 1,
+    assert_eq!(
+        (bytes, allocs),
+        (0, 0),
         "ExecState::new() holds {bytes} heap bytes in {allocs} allocations"
     );
 
@@ -80,32 +83,33 @@ fn an_idle_state_owns_at_most_one_small_allocation() {
 #[test]
 fn a_queued_request_costs_its_one_input() {
     // The shape the serving tiers queue: one input in C, nothing in P.
-    // What is left is C's own: a four-slot entry vector, a four-slot write
-    // log and the key, writer and value strings.
+    // Everything it holds is C's own: a four-slot entry vector, a four-slot
+    // write log and the key, writer and value strings.
     let (_state, bytes, allocs) = footprint(|| {
         let mut state = ExecState::new();
         state.context.set("q", "question");
         state
     });
     assert!(
-        bytes <= 500 && allocs <= 7,
+        bytes <= 464 && allocs <= 6,
         "ExecState::new() + one context.set holds {bytes} heap bytes in {allocs} allocations"
     );
 }
 
 #[test]
 fn a_prompt_write_costs_its_key_and_at_most_one_map_node() {
-    // The first write builds P's backend: the shared map and its first
-    // B-tree leaf. The entry is already shared, so it is not counted.
+    // The first write builds P's first B-tree leaf and names the key (its
+    // name is built once and copied once). The entry is already shared, so
+    // it is not counted.
     let entry = Arc::new(PromptEntry::new(
         "shared text",
         "f_base",
         RefinementMode::Manual,
     ));
-    let store = PromptStore::new();
+    let mut store = PromptStore::new();
     let (_, bytes, allocs) = footprint(|| store.insert("p", Arc::clone(&entry)));
     assert!(
-        bytes <= 904 && allocs <= 4,
+        bytes <= 809 && allocs <= 3,
         "the first insert holds {bytes} heap bytes in {allocs} allocations"
     );
 

@@ -267,8 +267,8 @@ proptest! {
         let rt = runtime();
 
         let mut tree_state = seeded_state(&tweet);
-        let mut vm_state = tree_state.deep_clone();
-        let mut opt_state = tree_state.deep_clone();
+        let mut vm_state = tree_state.clone();
+        let mut opt_state = tree_state.clone();
         let tree_result = rt.execute_tree(&p, &mut tree_state);
         let program = spear_core::compile(&lowered).expect("builder plans compile");
         let vm_result = rt.execute_program(&program, &mut vm_state);
@@ -316,8 +316,8 @@ proptest! {
             token.cancel();
             tree_state.cancel = Some(token);
         }
-        let mut vm_state = tree_state.deep_clone();
-        let mut opt_state = tree_state.deep_clone();
+        let mut vm_state = tree_state.clone();
+        let mut opt_state = tree_state.clone();
         let tree_result = rt.execute_tree(&p, &mut tree_state);
         let program = spear_core::compile(&lowered).expect("builder plans compile");
         let vm_result = rt.execute_program(&program, &mut vm_state);

@@ -289,7 +289,7 @@ mod tests {
             .build();
         let mut tree_state = ExecState::new();
         tree_state.context.set("notes", "enoxaparin 40 mg daily");
-        let mut ir_state = tree_state.deep_clone();
+        let mut ir_state = tree_state.clone();
         let tree = runtime
             .execute_tree(c.pipeline("qa").unwrap(), &mut tree_state)
             .unwrap();

@@ -3,8 +3,9 @@
 //! The SPEAR paper (§6) notes that the prompt store **P**, context **C**, and
 //! metadata **M** "may be in-memory or backed by high-performance key-value
 //! systems, enabling low-latency and distributed deployments". This crate is
-//! that substrate for **P**: a concurrent, **versioned** key-value store —
-//! one ordered map under one lock — with
+//! that substrate for **P**: a **versioned** key-value store — one ordered
+//! map, owned by its user like any other value (writes take `&mut self`; a
+//! clone is an independent store that shares the stored values) — with
 //!
 //! - per-key version chains (every write produces a new version; old versions
 //!   remain readable until pruned) of immutable, shared values (a read is a
@@ -23,7 +24,7 @@
 //! ```
 //! use spear_kv::KvStore;
 //!
-//! let store: KvStore<String> = KvStore::new();
+//! let mut store: KvStore<String> = KvStore::new();
 //! store.put("prompt/qa", "v1 text".to_string());
 //! store.put("prompt/qa", "v2 text".to_string());
 //!

@@ -137,7 +137,7 @@ impl JsonlLog {
     /// Propagates read and corruption errors from [`JsonlLog::read_all`].
     pub fn recover<V: Clone + DeserializeOwned>(path: impl AsRef<Path>) -> Result<KvStore<V>> {
         let records = Self::read_all::<V>(path)?;
-        let store = KvStore::new();
+        let mut store = KvStore::new();
         for rec in records {
             match rec.op {
                 LogOp::Put(v) => {

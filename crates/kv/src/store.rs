@@ -1,4 +1,4 @@
-//! The versioned key-value store: one ordered map under one lock.
+//! The versioned key-value store: one ordered map, owned by its user.
 
 // Every P read on the exec spine goes through here: no panicking reads.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -7,8 +7,6 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 /// Versions retained per key, the latest included. When a chain grows past
 /// this bound its oldest versions are pruned.
@@ -36,7 +34,7 @@ pub struct VersionedValue<V> {
 /// A key's version chain. It exists from the key's first write on, so it
 /// always has a latest version; `older` holds the retained rest, oldest
 /// first.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Chain<V> {
     older: Vec<VersionedValue<V>>,
     latest: VersionedValue<V>,
@@ -48,13 +46,34 @@ impl<V> Chain<V> {
     }
 }
 
-struct Inner<V> {
+/// Versioned key-value store: one ordered map of version chains.
+///
+/// A plain value: writes take `&mut self`, and a clone is an independent
+/// store holding the same versions. Because every version holds its value
+/// as an `Arc<V>`, cloning copies pointers, never a stored value.
+#[derive(Clone)]
+pub struct KvStore<V> {
     keys: BTreeMap<String, Chain<V>>,
     /// Next global sequence number to hand out.
     next_seq: u64,
 }
 
-impl<V> Inner<V> {
+impl<V: Clone> Default for KvStore<V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<V: Clone> KvStore<V> {
+    /// Create an empty store. It allocates nothing until the first write.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            keys: BTreeMap::new(),
+            next_seq: 1,
+        }
+    }
+
     /// Append a version (a tombstone when `value` is `None`) to `key`'s
     /// chain, pruning the oldest versions past [`MAX_VERSIONS`]. Returns the
     /// new per-key version number.
@@ -94,72 +113,30 @@ impl<V> Inner<V> {
             .iter()
             .filter_map(|(k, c)| c.live().map(|v| (k, v)))
     }
-}
-
-/// Concurrent, versioned key-value store.
-///
-/// Cloning a `KvStore` is cheap and yields a handle to the same underlying
-/// store (it is internally `Arc`ed), so it can be shared freely across the
-/// SPEAR runtime, optimizer, and benchmark threads.
-pub struct KvStore<V> {
-    inner: Arc<RwLock<Inner<V>>>,
-}
-
-impl<V> Clone for KvStore<V> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<V: Clone> Default for KvStore<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<V: Clone> KvStore<V> {
-    /// Create an empty store.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            inner: Arc::new(RwLock::new(Inner {
-                keys: BTreeMap::new(),
-                next_seq: 1,
-            })),
-        }
-    }
 
     /// Write `value` under `key`, returning the new per-key version number.
     /// A value that is already shared (`Arc<V>`) is stored as that pointer.
-    pub fn put(&self, key: impl Into<String>, value: impl Into<Arc<V>>) -> u64 {
-        self.inner.write().push(key.into(), Some(value.into()))
+    pub fn put(&mut self, key: impl Into<String>, value: impl Into<Arc<V>>) -> u64 {
+        self.push(key.into(), Some(value.into()))
     }
 
     /// Read the latest live value of `key`.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<Arc<V>> {
-        self.inner
-            .read()
-            .keys
-            .get(key)
-            .and_then(Chain::live)
-            .cloned()
+        self.keys.get(key).and_then(Chain::live).cloned()
     }
 
     /// Read the latest entry of `key` with its version metadata. Returns a
     /// tombstone entry (with `value: None`) if the key was deleted.
     #[must_use]
     pub fn get_versioned(&self, key: &str) -> Option<VersionedValue<V>> {
-        self.inner.read().keys.get(key).map(|c| c.latest.clone())
+        self.keys.get(key).map(|c| c.latest.clone())
     }
 
     /// Read a specific retained version of `key`.
     #[must_use]
     pub fn get_version(&self, key: &str, version: u64) -> Option<Arc<V>> {
-        let inner = self.inner.read();
-        let chain = inner.keys.get(key)?;
+        let chain = self.keys.get(key)?;
         std::iter::once(&chain.latest)
             .chain(&chain.older)
             .find(|v| v.version == version)
@@ -169,7 +146,7 @@ impl<V: Clone> KvStore<V> {
     /// All retained versions of `key`, oldest first (tombstones included).
     #[must_use]
     pub fn history(&self, key: &str) -> Vec<VersionedValue<V>> {
-        self.inner.read().keys.get(key).map_or_else(Vec::new, |c| {
+        self.keys.get(key).map_or_else(Vec::new, |c| {
             let mut versions = c.older.clone();
             versions.push(c.latest.clone());
             versions
@@ -178,29 +155,24 @@ impl<V: Clone> KvStore<V> {
 
     /// Delete `key` by writing a tombstone. Returns `true` if the key was
     /// live before the call.
-    pub fn delete(&self, key: &str) -> bool {
-        let mut inner = self.inner.write();
-        if inner.keys.get(key).and_then(Chain::live).is_none() {
+    pub fn delete(&mut self, key: &str) -> bool {
+        if !self.contains(key) {
             return false; // absent or already deleted
         }
-        inner.push(key.to_string(), None);
+        self.push(key.to_string(), None);
         true
     }
 
     /// Whether `key` currently has a live (non-deleted) value.
     #[must_use]
     pub fn contains(&self, key: &str) -> bool {
-        self.inner
-            .read()
-            .keys
-            .get(key)
-            .is_some_and(|c| c.live().is_some())
+        self.keys.get(key).is_some_and(|c| c.live().is_some())
     }
 
     /// Number of live keys. O(keys); intended for tests and diagnostics.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.read().live().count()
+        self.live().count()
     }
 
     /// Whether the store holds no live keys.
@@ -212,16 +184,14 @@ impl<V: Clone> KvStore<V> {
     /// All live keys, sorted.
     #[must_use]
     pub fn keys(&self) -> Vec<String> {
-        self.inner.read().live().map(|(k, _)| k.clone()).collect()
+        self.live().map(|(k, _)| k.clone()).collect()
     }
 
     /// Live `(key, value)` pairs whose key starts with `prefix`, sorted by
     /// key.
     #[must_use]
     pub fn prefix_scan(&self, prefix: &str) -> Vec<(String, Arc<V>)> {
-        self.inner
-            .read()
-            .keys
+        self.keys
             .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
             .filter_map(|(k, c)| c.live().map(|v| (k.clone(), Arc::clone(v))))
@@ -244,7 +214,7 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip() {
-        let s: KvStore<i64> = KvStore::new();
+        let mut s: KvStore<i64> = KvStore::new();
         assert_eq!(s.put("a", 1), 1);
         assert_eq!(s.put("a", 2), 2);
         assert_eq!(s.get("a").as_deref(), Some(&2));
@@ -253,7 +223,7 @@ mod tests {
 
     #[test]
     fn versions_are_retained_and_addressable() {
-        let s: KvStore<&str> = KvStore::new();
+        let mut s: KvStore<&str> = KvStore::new();
         s.put("k", "one");
         s.put("k", "two");
         s.put("k", "three");
@@ -266,7 +236,7 @@ mod tests {
 
     #[test]
     fn delete_writes_tombstone_but_preserves_history() {
-        let s: KvStore<i32> = KvStore::new();
+        let mut s: KvStore<i32> = KvStore::new();
         s.put("k", 10);
         assert!(s.delete("k"));
         assert!(!s.delete("k"), "double delete is a no-op");
@@ -284,13 +254,13 @@ mod tests {
 
     #[test]
     fn delete_missing_key_is_false() {
-        let s: KvStore<i32> = KvStore::new();
+        let mut s: KvStore<i32> = KvStore::new();
         assert!(!s.delete("nope"));
     }
 
     #[test]
     fn prefix_scan_is_sorted_and_filtered() {
-        let s: KvStore<i32> = KvStore::new();
+        let mut s: KvStore<i32> = KvStore::new();
         s.put("prompt/qa", 1);
         s.put("prompt/summary", 2);
         s.put("ctx/answer", 3);
@@ -309,7 +279,7 @@ mod tests {
 
     #[test]
     fn len_and_keys_track_live_keys_only() {
-        let s: KvStore<i32> = KvStore::new();
+        let mut s: KvStore<i32> = KvStore::new();
         assert!(s.is_empty());
         s.put("b", 2);
         s.put("a", 1);
@@ -322,7 +292,7 @@ mod tests {
 
     #[test]
     fn version_pruning_bounds_chain_length() {
-        let s: KvStore<u64> = KvStore::new();
+        let mut s: KvStore<u64> = KvStore::new();
         let writes = MAX_VERSIONS as u64 + 10;
         for i in 0..writes {
             s.put("k", i);
@@ -336,7 +306,7 @@ mod tests {
 
     #[test]
     fn seq_orders_writes_across_keys() {
-        let s: KvStore<i32> = KvStore::new();
+        let mut s: KvStore<i32> = KvStore::new();
         s.put("a", 1);
         s.put("b", 2);
         s.delete("a");
@@ -345,40 +315,23 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_state() {
-        let a: KvStore<i32> = KvStore::new();
-        let b = a.clone();
+    fn a_clone_holds_the_same_versions_and_takes_its_own_writes() {
+        let mut a: KvStore<i32> = KvStore::new();
         a.put("k", 7);
-        assert_eq!(b.get("k").as_deref(), Some(&7));
-    }
-
-    #[test]
-    fn concurrent_writers_produce_distinct_versions() {
-        let s: KvStore<usize> = KvStore::new();
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let s = s.clone();
-                std::thread::spawn(move || {
-                    for i in 0..100 {
-                        s.put("shared", t * 1000 + i);
-                        s.put(format!("own-{t}"), i);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        // 8 threads * 100 writes to "shared" => version 800 (pruned chain,
-        // but the version counter keeps increasing monotonically).
-        assert_eq!(s.get_versioned("shared").unwrap().version, 800);
-        assert_eq!(s.len(), 9);
-        // Every write took its own sequence number.
-        let max_seq = s
-            .keys()
-            .iter()
-            .map(|k| s.get_versioned(k).unwrap().seq)
-            .max();
-        assert_eq!(max_seq, Some(1600));
+        let mut b = a.clone();
+        a.put("k", 8);
+        b.put("k", 9);
+        b.put("only-b", 1);
+        assert_eq!(a.get("k").as_deref(), Some(&8));
+        assert_eq!(b.get("k").as_deref(), Some(&9));
+        assert!(!a.contains("only-b"));
+        // Both copies continue one numbering from the fork.
+        assert_eq!(a.get_versioned("k").unwrap().seq, 2);
+        assert_eq!(b.get_versioned("k").unwrap().seq, 2);
+        // The version before the fork is one shared allocation.
+        assert!(Arc::ptr_eq(
+            &a.get_version("k", 1).unwrap(),
+            &b.get_version("k", 1).unwrap()
+        ));
     }
 }

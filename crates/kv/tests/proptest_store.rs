@@ -43,7 +43,7 @@ proptest! {
     /// its last 64 versions.
     #[test]
     fn store_matches_model(cmds in proptest::collection::vec(cmd_strategy(), 1..1000)) {
-        let store: KvStore<i64> = KvStore::new();
+        let mut store: KvStore<i64> = KvStore::new();
         let mut model: BTreeMap<String, i64> = BTreeMap::new();
         let mut write_counts: BTreeMap<String, u64> = BTreeMap::new();
 
@@ -90,7 +90,7 @@ proptest! {
         entries in proptest::collection::btree_map("[ab]/[a-d]{1,3}", any::<i64>(), 0..40),
         deleted in proptest::collection::vec("[ab]/[a-d]{1,3}", 0..10),
     ) {
-        let store: KvStore<i64> = KvStore::new();
+        let mut store: KvStore<i64> = KvStore::new();
         let mut model = entries.clone();
         for (k, v) in &entries {
             store.put(k.clone(), *v);

@@ -38,25 +38,20 @@ pub struct PromptCacheStats {
 
 /// Structured prompt cache keyed by `(view, param hash, version)` — or by
 /// an arbitrary identity string for non-view prompts.
+///
+/// A plain value with one owner: inserts and lookups (which count into
+/// [`PromptCacheStats`]) take `&mut self`.
+#[derive(Default)]
 pub struct StructuredPromptCache {
     store: KvStore<CachedPrompt>,
-    stats: parking_lot::Mutex<PromptCacheStats>,
-}
-
-impl Default for StructuredPromptCache {
-    fn default() -> Self {
-        Self::new()
-    }
+    stats: PromptCacheStats,
 }
 
 impl StructuredPromptCache {
     /// Empty cache.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            store: KvStore::new(),
-            stats: parking_lot::Mutex::new(PromptCacheStats::default()),
-        }
+        Self::default()
     }
 
     fn key(view: Option<&str>, param_hash: u64, version: u64) -> String {
@@ -68,7 +63,7 @@ impl StructuredPromptCache {
 
     /// Insert a rendered prompt.
     pub fn insert(
-        &self,
+        &mut self,
         view: Option<&str>,
         param_hash: u64,
         version: u64,
@@ -87,15 +82,14 @@ impl StructuredPromptCache {
 
     /// Exact lookup by `(view, param hash, version)`.
     #[must_use]
-    pub fn lookup(&self, view: Option<&str>, param_hash: u64, version: u64) -> Option<String> {
+    pub fn lookup(&mut self, view: Option<&str>, param_hash: u64, version: u64) -> Option<String> {
         let found = self
             .store
             .get(&Self::key(view, param_hash, version))
             .map(|c| c.rendered.clone());
-        let mut stats = self.stats.lock();
-        stats.lookups += 1;
+        self.stats.lookups += 1;
         if found.is_some() {
-            stats.hits += 1;
+            self.stats.hits += 1;
         }
         found
     }
@@ -142,7 +136,7 @@ impl StructuredPromptCache {
     /// Statistics so far.
     #[must_use]
     pub fn stats(&self) -> PromptCacheStats {
-        *self.stats.lock()
+        self.stats
     }
 }
 
@@ -161,7 +155,7 @@ mod tests {
 
     #[test]
     fn insert_lookup_roundtrip() {
-        let c = StructuredPromptCache::new();
+        let mut c = StructuredPromptCache::new();
         c.insert(Some("med_summary"), 0xAB, 1, "rendered text");
         assert_eq!(
             c.lookup(Some("med_summary"), 0xAB, 1).as_deref(),
@@ -176,7 +170,7 @@ mod tests {
 
     #[test]
     fn view_scan_and_latest_version() {
-        let c = StructuredPromptCache::new();
+        let mut c = StructuredPromptCache::new();
         c.insert(Some("qa"), 0x1, 1, "v1");
         c.insert(Some("qa"), 0x1, 3, "v3");
         c.insert(Some("qa"), 0x2, 1, "other params");
@@ -192,7 +186,7 @@ mod tests {
 
     #[test]
     fn adhoc_prompts_use_identity_hash() {
-        let c = StructuredPromptCache::new();
+        let mut c = StructuredPromptCache::new();
         c.insert(None, 0xFEED, 1, "ad hoc rendering");
         assert_eq!(
             c.lookup(None, 0xFEED, 1).as_deref(),
@@ -203,7 +197,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces() {
-        let c = StructuredPromptCache::new();
+        let mut c = StructuredPromptCache::new();
         c.insert(Some("v"), 1, 1, "old");
         c.insert(Some("v"), 1, 1, "new");
         assert_eq!(c.lookup(Some("v"), 1, 1).as_deref(), Some("new"));

@@ -158,7 +158,7 @@ mod tests {
         let c = ViewCatalog::new();
         c.register(ViewDef::new("a", "summarize the findings of the report"));
         c.register(ViewDef::new("b", "summarize the findings of the study"));
-        let cache = StructuredPromptCache::new();
+        let mut cache = StructuredPromptCache::new();
         cache.insert(Some("b"), 0x1, 1, "rendered");
         let ranked = rank_views(
             &c,

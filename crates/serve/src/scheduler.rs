@@ -1292,7 +1292,7 @@ mod tests {
         let plan = Arc::new(
             lower(&Pipeline::builder("pre").gen("a", "preexisting").build()).expect("lowers"),
         );
-        let state = ExecState::new();
+        let mut state = ExecState::new();
         state
             .prompts
             .define("preexisting", "seeded text", "test", RefinementMode::Manual);

@@ -14,6 +14,11 @@ fmt:
 loc:
     sh scripts/loc.sh
 
+# Every lock or atomic in product code, checked against DESIGN.md §5's
+# lock inventory (part of `just check`).
+locks:
+    sh scripts/locks.sh
+
 # Fast feedback loop: debug tests only.
 test:
     cargo test --workspace -q

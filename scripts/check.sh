@@ -32,6 +32,9 @@ for example in spear_dl_tour quickstart adaptive_retry enoxaparin_qa sentiment_p
 done
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
+# Lock inventory gate: every lock or atomic in product code has a row in
+# DESIGN.md §5 naming the threads that meet there.
+sh scripts/locks.sh
 # Doc gate: a renamed or deleted item must not leave a dangling doc link.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Information, not a gate: the non-test line count simplicity PRs quote.

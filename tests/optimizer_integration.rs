@@ -216,7 +216,7 @@ fn refinement_planner_consumes_mined_ref_logs() {
     // Build a store whose histories show one helpful and one harmful
     // refiner, mine it with core::meta, and confirm the planner keeps the
     // helpful one and drops the harmful one.
-    let store = PromptStore::new();
+    let mut store = PromptStore::new();
     for i in 0..4 {
         let key = format!("p{i}");
         store.define(&key, "base", "f_base", RefinementMode::Manual);
@@ -299,7 +299,7 @@ fn structured_prompt_cache_warms_the_serving_cache() {
     // The stable prefix is everything before the per-item tweet.
     let rendered_prefix = entry.text.replace("{{ctx:tweet}}", "");
 
-    let cache = StructuredPromptCache::new();
+    let mut cache = StructuredPromptCache::new();
     cache.insert(
         Some("scaffold"),
         param_hash(&args),

@@ -18,7 +18,7 @@ fn temp_path(name: &str) -> PathBuf {
 
 #[test]
 fn replay_reconstructs_any_version_after_a_long_evolution() {
-    let store = PromptStore::new();
+    let mut store = PromptStore::new();
     store.define("p", "v1 text", "f_base", RefinementMode::Manual);
     for v in 2..=10u64 {
         store
@@ -74,7 +74,7 @@ fn trace_roundtrips_through_jsonl_for_offline_analysis() {
 
 #[test]
 fn rollback_then_replay_is_consistent() {
-    let store = PromptStore::new();
+    let mut store = PromptStore::new();
     store.define("p", "good version", "f", RefinementMode::Manual);
     store
         .refine(
@@ -112,7 +112,7 @@ fn prompt_store_with_persister_survives_restart_transparently() {
     // nothing in the pipeline code knows about durability.
     {
         let log = Arc::new(JsonlLog::open(&path).unwrap());
-        let store = PromptStore::new().with_persister(log);
+        let mut store = PromptStore::new().with_persister(log);
         store.define(
             "qa_prompt",
             "Summarize the medication history.",
@@ -172,5 +172,73 @@ fn prompt_store_with_persister_survives_restart_transparently() {
     assert_eq!(serde_json::to_string(&*entry).unwrap(), refined);
     let fork = recovered.get("qa_fork").unwrap();
     assert_eq!(serde_json::to_string(&*fork).unwrap(), refined);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_shadow_run_against_a_durable_state_logs_nothing_and_recovery_rebuilds_the_primary() {
+    use std::sync::Arc;
+    let path = temp_path("shadow-of-durable");
+    let _ = std::fs::remove_file(&path);
+    let log = Arc::new(JsonlLog::open(&path).unwrap());
+    let logged = || std::fs::read_to_string(&path).unwrap().lines().count();
+
+    let mut state = ExecState::new();
+    state.prompts = PromptStore::new().with_persister(log);
+    state
+        .prompts
+        .define("p", "Classify the note.", "f_base", RefinementMode::Manual);
+    state.prompts.sync().unwrap();
+    assert_eq!(logged(), 1);
+
+    // The shadow refines `p` and creates `q`: REF writes to its own P only.
+    let rt = Runtime::builder().llm(Arc::new(EchoLlm::default())).build();
+    let pipeline = Pipeline::builder("variant")
+        .expand("p", "Cite the sentence you relied on.")
+        .create_text("q", "A second prompt.", RefinementMode::Manual)
+        .gen("a", "p")
+        .build();
+    let shadow = rt.shadow_execute(&pipeline, &state).unwrap();
+    assert_eq!(shadow.report.refs, 2);
+    assert_eq!(shadow.state.prompts.get("p").unwrap().version, 2);
+    assert!(shadow.state.prompts.contains("q"));
+    shadow.state.prompts.sync().unwrap();
+    state.prompts.sync().unwrap();
+    assert_eq!(logged(), 1, "the shadow's writes reached the primary's log");
+    assert_eq!(state.prompts.get("p").unwrap().version, 1);
+    assert!(!state.prompts.contains("q"));
+
+    // A later write to the primary is appended, numbered after the primary's
+    // own writes (the shadow's do not take sequence numbers from it).
+    state
+        .prompts
+        .refine(
+            "p",
+            "Classify the note.\nAnswer in one word.".into(),
+            RefAction::Append,
+            "f_terse",
+            RefinementMode::Manual,
+            1,
+            None,
+            BTreeMap::new(),
+            None,
+        )
+        .unwrap();
+    state.prompts.sync().unwrap();
+    assert_eq!(logged(), 2);
+    assert_eq!(state.prompts.backend().get_versioned("p").unwrap().seq, 2);
+
+    // Recovery rebuilds exactly the primary: every key, every retained
+    // storage version, every entry byte.
+    let recovered = PromptStore::with_backend(JsonlLog::recover(&path).unwrap());
+    assert_eq!(recovered.keys(), state.prompts.keys());
+    assert_eq!(recovered.keys(), ["p"]);
+    for key in state.prompts.keys() {
+        assert_eq!(
+            recovered.backend().history(&key),
+            state.prompts.backend().history(&key),
+            "{key}"
+        );
+    }
     std::fs::remove_file(&path).unwrap();
 }

@@ -37,7 +37,7 @@ proptest! {
     /// Every retained version replays to exactly the text it recorded.
     #[test]
     fn histories_always_verify_and_replay(steps in proptest::collection::vec(ref_step(), 0..30)) {
-        let store = PromptStore::new();
+        let mut store = PromptStore::new();
         store.define("p", "base text", "f_base", RefinementMode::Manual);
         let mut clones = 0usize;
         for (i, step) in steps.iter().enumerate() {

@@ -1,5 +1,5 @@
 //! Durability-layer edge cases: `Trace::from_jsonl` failure modes (with
-//! line-accurate diagnostics) and `ExecState::deep_clone` independence.
+//! line-accurate diagnostics) and the independence of a cloned `ExecState`.
 
 use spear::core::prelude::*;
 use spear::core::trace::Trace;
@@ -106,7 +106,7 @@ fn error_display_names_the_line() {
 }
 
 #[test]
-fn deep_clone_is_fully_independent() {
+fn a_cloned_state_is_fully_independent() {
     let mut original = ExecState::new();
     original.context.set("doc", "original context value");
     original
@@ -116,7 +116,7 @@ fn deep_clone_is_fully_independent() {
     original.trace = sample_trace();
     original.step = 3;
 
-    let mut clone = original.deep_clone();
+    let mut clone = original.clone();
 
     // Mutate every component of the clone.
     clone.context.set("doc", "mutated");
