@@ -4,21 +4,12 @@
 //!
 //! Usage: `cargo run -p spear-bench --bin ablation_cache [-- --n 500]`
 
-use spear_bench::report::{f, Table};
+use spear_bench::report::{args, f, Table};
 use spear_bench::table3::{run, Table3Config};
 
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let n = arg("--n", 500) as usize;
-    let seed = arg("--seed", 140);
+    let [n, seed] = args([("--n", 500), ("--seed", 140)]);
+    let n = n as usize;
     eprintln!(
         "Ablation A: Table 3 strategies with the prefix cache enabled vs disabled ({n} tweets)"
     );

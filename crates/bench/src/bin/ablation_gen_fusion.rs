@@ -7,20 +7,11 @@
 
 use std::sync::Arc;
 
-use spear_bench::report::{f, Table};
+use spear_bench::report::{args, f, Table};
 use spear_core::prelude::*;
 use spear_llm::{ModelProfile, SimLlm};
 use spear_optimizer::cost::CostModel;
 use spear_optimizer::gen_fusion;
-
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// A report-style pipeline: three sections generated from one shared view
 /// prompt (the paper's "generating multiple sections from the same view").
@@ -44,7 +35,8 @@ fn sectioned_pipeline(case_id: usize) -> Pipeline {
 }
 
 fn main() {
-    let n = arg("--n", 100) as usize;
+    let [n] = args([("--n", 100)]);
+    let n = n as usize;
     eprintln!("Ablation E: shared-context GEN fusion over {n} three-section reports");
 
     let run = |fuse: bool| -> (u64, f64) {

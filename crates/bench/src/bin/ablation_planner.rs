@@ -4,14 +4,10 @@
 //! Usage: `cargo run -p spear-bench --bin ablation_planner [-- --seed 7]`
 
 use spear_bench::ablations::ablation_planner;
-use spear_bench::report::{f, Table};
+use spear_bench::report::{args, f, Table};
 
 fn main() {
-    let seed = std::env::args()
-        .skip_while(|a| a != "--seed")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7);
+    let [seed] = args([("--seed", 7)]);
     eprintln!("Ablation B: cost-based refinement planning (seed {seed})");
     let rows = ablation_planner(seed).expect("planner ablation failed");
 

@@ -4,20 +4,11 @@
 //! Usage: `cargo run -p spear-bench --bin ablation_predictive [-- --n 1000]`
 
 use spear_bench::ablations::ablation_predictive;
-use spear_bench::report::{f, Table};
-
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use spear_bench::report::{args, f, Table};
 
 fn main() {
-    let n = arg("--n", 1000) as usize;
-    let seed = arg("--seed", 7);
+    let [n, seed] = args([("--n", 1000), ("--seed", 7)]);
+    let n = n as usize;
     eprintln!("Ablation D: predictive vs reactive refinement ({n} items, 35% ambiguous)");
     let rows = ablation_predictive(seed, n).expect("predictive ablation failed");
 

@@ -5,20 +5,11 @@
 //! Usage: `cargo run -p spear-bench --bin figure1 [-- --n 1000 --seed 140]`
 
 use spear_bench::fusion_exp::figure1;
-use spear_bench::report::{f, pct, Table};
-
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use spear_bench::report::{args, f, pct, Table};
 
 fn main() {
-    let n = arg("--n", 1000) as usize;
-    let seed = arg("--seed", 140);
+    let [n, seed] = args([("--n", 1000), ("--seed", 140)]);
+    let n = n as usize;
     eprintln!(
         "Figure 1: fusion performance gain vs accuracy drop across models — \
          {n} tweets/cell, selectivity 50%, seed {seed}"

@@ -3,22 +3,14 @@
 //!
 //! Usage: `cargo run -p spear-bench --bin table3 [-- --n 1000 --seed 140]`
 
-use spear_bench::report::{f, Table};
+use spear_bench::report::{args, f, Table};
 use spear_bench::table3::{run, Table3Config};
 
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
+    let [n, seed] = args([("--n", 1000), ("--seed", 140)]);
     let config = Table3Config {
-        n_tweets: arg("--n", 1000) as usize,
-        seed: arg("--seed", 140),
+        n_tweets: n as usize,
+        seed,
         ..Table3Config::default()
     };
     eprintln!(

@@ -78,6 +78,40 @@ pub fn pct(x: f64, d: usize) -> String {
     format!("{x:+.d$}%")
 }
 
+/// The values of a bin's `--flag value` options, each a `u64` that falls
+/// back to its default when the flag is absent: `args([("--n", 1000),
+/// ("--seed", 140)])` returns `[n, seed]`.
+///
+/// Exits with status 2, naming the flag, on a flag the bin does not take,
+/// a flag without a value, or a value that is not a `u64`.
+#[must_use]
+pub fn args<const N: usize>(flags: [(&str, u64); N]) -> [u64; N] {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    parse_args(&argv, flags).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_args<const N: usize>(
+    argv: &[String],
+    flags: [(&str, u64); N],
+) -> Result<[u64; N], String> {
+    let mut values = flags.map(|(_, default)| default);
+    let mut argv = argv.iter();
+    while let Some(flag) = argv.next() {
+        let i = flags
+            .iter()
+            .position(|(name, _)| name == flag)
+            .ok_or_else(|| format!("unknown flag {flag:?}"))?;
+        let value = argv.next().map_or("", String::as_str);
+        values[i] = value
+            .parse()
+            .map_err(|_| format!("{flag} takes a non-negative integer, not {value:?}"))?;
+    }
+    Ok(values)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,5 +142,22 @@ mod tests {
         assert_eq!(f(1.23456, 2), "1.23");
         assert_eq!(pct(-10.349, 2), "-10.35%");
         assert_eq!(pct(21.166, 2), "+21.17%");
+    }
+
+    #[test]
+    fn args_take_defaults_values_and_reject_the_rest() {
+        let argv = |list: &[&str]| list.iter().map(|a| (*a).to_string()).collect::<Vec<_>>();
+        let flags = [("--n", 1000), ("--seed", 140)];
+        assert_eq!(parse_args(&argv(&[]), flags), Ok([1000, 140]));
+        assert_eq!(
+            parse_args(&argv(&["--seed", "7", "--n", "50"]), flags),
+            Ok([50, 7])
+        );
+        let err = |list: &[&str]| parse_args(&argv(list), flags).unwrap_err();
+        assert!(err(&["--n", "abc"]).contains("--n"));
+        assert!(err(&["--n", "-3"]).contains("--n"));
+        assert!(err(&["--sede", "7"]).contains("--sede"));
+        assert!(err(&["--seed"]).contains("--seed"));
+        assert!(err(&["7"]).contains("\"7\""));
     }
 }

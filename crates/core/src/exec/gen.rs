@@ -36,9 +36,7 @@ pub(crate) fn resolve_prompt_with(
 ) -> Result<ResolvedPrompt> {
     let render_template = |text: &str| -> Result<SegmentedText> {
         match parsed {
-            Some(parsed) => {
-                template::render_segmented_parsed(parsed, text, &BTreeMap::new(), &state.context)
-            }
+            Some(parsed) => parsed.render(text, &BTreeMap::new(), &state.context),
             None => template::render_segmented(text, &BTreeMap::new(), &state.context),
         }
     };

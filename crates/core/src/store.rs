@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use spear_kv::{KvStore, LogOp, LogRecord, Persister};
+use spear_kv::{KvError, KvStore, LogOp, LogRecord, Persister};
 
 use crate::diff::{self, PromptDiff};
 use crate::error::{Result, SpearError};
@@ -38,6 +38,10 @@ use crate::value::Value;
 pub struct PromptStore {
     backend: KvStore<PromptEntry>,
     persister: Option<Arc<dyn Persister<PromptEntry>>>,
+    /// The first record the persister failed to append since the last
+    /// [`PromptStore::sync`], which reports it. Boxed: P is copied with
+    /// every per-request state, and a store is almost never durable.
+    lost: Option<Box<KvError>>,
 }
 
 impl Clone for PromptStore {
@@ -75,6 +79,7 @@ impl PromptStore {
         Self {
             backend,
             persister: None,
+            lost: None,
         }
     }
 
@@ -91,10 +96,10 @@ impl PromptStore {
 
     /// Mirror a completed write to the persister, if any. The in-memory
     /// mutation has already landed, so a log failure cannot be unwound;
-    /// it is reported on stderr rather than silently dropped. Callers that
-    /// need hard durability guarantees should check [`PromptStore::sync`]
-    /// at their commit points.
-    fn persist(&self, key: &str) {
+    /// the first one is kept for the next [`PromptStore::sync`] to return.
+    /// Callers that need hard durability guarantees should check `sync` at
+    /// their commit points.
+    fn persist(&mut self, key: &str) {
         if let Some(p) = &self.persister {
             if let Some(versioned) = self.backend.get_versioned(key) {
                 let record = LogRecord {
@@ -103,7 +108,7 @@ impl PromptStore {
                     op: versioned.value.map_or(LogOp::Delete, LogOp::Put),
                 };
                 if let Err(e) = p.append(&record) {
-                    eprintln!("spear-core: durability append failed for {key:?}: {e}");
+                    self.lost.get_or_insert(Box::new(e));
                 }
             }
         }
@@ -113,12 +118,14 @@ impl PromptStore {
     ///
     /// # Errors
     ///
-    /// Propagates persister flush failures.
-    pub fn sync(&self) -> Result<()> {
+    /// Propagates persister flush failures, then returns (once) the first
+    /// record the persister failed to append since the last `sync`, as
+    /// [`SpearError::Kv`]; the write it mirrored still stands in memory.
+    pub fn sync(&mut self) -> Result<()> {
         if let Some(p) = &self.persister {
             p.flush()?;
         }
-        Ok(())
+        self.lost.take().map_or(Ok(()), |e| Err(SpearError::Kv(*e)))
     }
 
     /// The underlying KV store (its storage-level version history, and
@@ -132,8 +139,13 @@ impl PromptStore {
     /// read from a store (`Arc<PromptEntry>`) is stored as that pointer.
     pub fn insert(&mut self, key: impl Into<String>, entry: impl Into<Arc<PromptEntry>>) {
         let key = key.into();
-        self.backend.put(key.clone(), entry);
-        self.persist(&key);
+        if self.persister.is_none() {
+            // Nothing names the key afterwards: it moves into the map.
+            self.backend.put(key, entry);
+        } else {
+            self.backend.put(key.clone(), entry);
+            self.persist(&key);
+        }
     }
 
     /// Convenience: create a fresh entry from raw text.

@@ -19,11 +19,14 @@ use crate::error::{Result, SpearError};
 use crate::segment::{SegmentedText, TextSegment};
 use crate::value::Value;
 
-/// One parsed segment of a template.
+/// One segment of a parsed template.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Segment {
-    /// Literal text.
-    Text(String),
+    /// Literal text, as the shared, pre-hashed segment every render of the
+    /// template hands the engine: a view prefix rendered on every request
+    /// of a family is allocated and hashed once per distinct template, not
+    /// once per render.
+    Literal(TextSegment),
     /// A `{{...}}` placeholder, with its optional `source:` prefix split off.
     Placeholder {
         /// `None` for plain `{{name}}`; `Some("ctx")`, `Some("param")`, or
@@ -34,18 +37,75 @@ pub enum Segment {
     },
 }
 
-/// Split a template into literal and placeholder segments.
+/// A template's parse: literal and placeholder segments in order, no
+/// literal empty and no two adjacent. Shared process-wide through the
+/// parse cache and pinned into compiled-program constant pools (see
+/// [`crate::vm`]).
+#[derive(Debug)]
+pub struct ParsedTemplate {
+    segments: Vec<Segment>,
+}
+
+impl ParsedTemplate {
+    /// The segments, in template order.
+    #[must_use]
+    pub fn segments(&self) -> &[Segment] {
+        &self.segments
+    }
+
+    /// Render as a [`SegmentedText`]: each literal as its shared segment,
+    /// each placeholder as one owned segment of its resolved value.
+    /// `template` is the source text, used only for error messages.
+    pub(crate) fn render(
+        &self,
+        template: &str,
+        params: &BTreeMap<String, Value>,
+        context: &Context,
+    ) -> Result<SegmentedText> {
+        let mut out = SegmentedText::new();
+        for seg in &self.segments {
+            match seg {
+                Segment::Literal(text) => out.push_segment(text.clone()),
+                Segment::Placeholder { source, name } => {
+                    let v =
+                        resolve_placeholder(template, source.as_deref(), name, params, context)?;
+                    out.push(v.render());
+                }
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Distinct templates cached before the parse cache resets. Templates are
+/// a small static population (views, store entries); the bound only guards
+/// against a pathological stream of generated templates.
+const PARSE_CACHE_CAPACITY: usize = 1024;
+
+/// Split a template into literal and placeholder segments, memoized
+/// process-wide. Keyed by the full template string (exact, no
+/// hash-collision exposure); parse errors are not cached.
 ///
 /// # Errors
 ///
-/// Returns [`SpearError::MalformedTemplate`] on an unclosed `{{`.
-pub fn parse(template: &str) -> Result<Vec<Segment>> {
+/// Returns [`SpearError::MalformedTemplate`] on an unclosed or empty `{{`.
+pub fn parse(template: &str) -> Result<Arc<ParsedTemplate>> {
+    static CACHE: OnceLock<Mutex<HashMap<String, Arc<ParsedTemplate>>>> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    if let Some(parsed) = cache.lock().get(template) {
+        return Ok(Arc::clone(parsed));
+    }
     let mut segments = Vec::new();
+    let push_literal = |segments: &mut Vec<Segment>, text: &str| {
+        if !text.is_empty() {
+            let text: Arc<str> = text.into();
+            let hash = fnv1a(text.as_bytes());
+            segments.push(Segment::Literal(TextSegment::from_shared(text, hash)));
+        }
+    };
     let mut rest = template;
     while let Some(start) = rest.find("{{") {
-        if !rest[..start].is_empty() {
-            segments.push(Segment::Text(rest[..start].to_string()));
-        }
+        push_literal(&mut segments, &rest[..start]);
         let after = &rest[start + 2..];
         let Some(end) = after.find("}}") else {
             return Err(SpearError::MalformedTemplate(truncate(template)));
@@ -61,78 +121,7 @@ pub fn parse(template: &str) -> Result<Vec<Segment>> {
         segments.push(Segment::Placeholder { source, name });
         rest = &after[end + 2..];
     }
-    if !rest.is_empty() {
-        segments.push(Segment::Text(rest.to_string()));
-    }
-    Ok(segments)
-}
-
-/// Names of all placeholders in `template`, in order of first appearance
-/// (view references excluded — those are resolved at instantiation time).
-///
-/// # Errors
-///
-/// Propagates parse errors.
-pub fn placeholders(template: &str) -> Result<Vec<String>> {
-    let mut names = Vec::new();
-    for seg in parse(template)? {
-        if let Segment::Placeholder { source, name } = seg {
-            if source.as_deref() != Some("view") && !names.contains(&name) {
-                names.push(name);
-            }
-        }
-    }
-    Ok(names)
-}
-
-/// One segment of a cached parse: literals are shared, pre-hashed `Arc`s,
-/// so a view prefix rendered on every request of a family is allocated and
-/// hashed once per distinct template, not once per render.
-#[derive(Debug)]
-pub(crate) enum ParsedSegment {
-    Literal {
-        text: Arc<str>,
-        hash: u64,
-    },
-    Placeholder {
-        source: Option<String>,
-        name: String,
-    },
-}
-
-/// A template's cached parse. Shared process-wide through the parse cache
-/// and pinned into compiled-program constant pools (see [`crate::vm`]).
-#[derive(Debug)]
-pub(crate) struct ParsedTemplate {
-    segments: Vec<ParsedSegment>,
-}
-
-/// Distinct templates cached before the parse cache resets. Templates are
-/// a small static population (views, store entries); the bound only guards
-/// against a pathological stream of generated templates.
-const PARSE_CACHE_CAPACITY: usize = 1024;
-
-/// Parse `template`, memoized process-wide. Keyed by the full template
-/// string (exact, no hash-collision exposure); parse errors are not cached.
-pub(crate) fn parse_shared(template: &str) -> Result<Arc<ParsedTemplate>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Arc<ParsedTemplate>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(parsed) = cache.lock().get(template) {
-        return Ok(Arc::clone(parsed));
-    }
-    let segments = parse(template)?
-        .into_iter()
-        .map(|seg| match seg {
-            Segment::Text(t) => {
-                let text: Arc<str> = t.into();
-                ParsedSegment::Literal {
-                    hash: fnv1a(text.as_bytes()),
-                    text,
-                }
-            }
-            Segment::Placeholder { source, name } => ParsedSegment::Placeholder { source, name },
-        })
-        .collect();
+    push_literal(&mut segments, rest);
     let parsed = Arc::new(ParsedTemplate { segments });
     let mut map = cache.lock();
     if map.len() >= PARSE_CACHE_CAPACITY {
@@ -186,18 +175,7 @@ pub fn render(
     params: &BTreeMap<String, Value>,
     context: &Context,
 ) -> Result<String> {
-    let parsed = parse_shared(template)?;
-    let mut out = String::with_capacity(template.len());
-    for seg in &parsed.segments {
-        match seg {
-            ParsedSegment::Literal { text, .. } => out.push_str(text),
-            ParsedSegment::Placeholder { source, name } => {
-                let v = resolve_placeholder(template, source.as_deref(), name, params, context)?;
-                out.push_str(&v.render());
-            }
-        }
-    }
-    Ok(out)
+    Ok(render_segmented(template, params, context)?.join())
 }
 
 /// Render `template` as a [`SegmentedText`]: one shared, pre-hashed segment
@@ -214,36 +192,7 @@ pub fn render_segmented(
     params: &BTreeMap<String, Value>,
     context: &Context,
 ) -> Result<SegmentedText> {
-    render_segmented_parsed(&*parse_shared(template)?, template, params, context)
-}
-
-/// [`render_segmented`] over an already-parsed template — the compiled-VM
-/// fast path, which pins the `Arc<ParsedTemplate>` in its constant pool
-/// and skips the parse-cache lookup per render. `template` is the source
-/// text, used only for error messages.
-///
-/// # Errors
-///
-/// Same contract as [`render`].
-pub(crate) fn render_segmented_parsed(
-    parsed: &ParsedTemplate,
-    template: &str,
-    params: &BTreeMap<String, Value>,
-    context: &Context,
-) -> Result<SegmentedText> {
-    let mut out = SegmentedText::new();
-    for seg in &parsed.segments {
-        match seg {
-            ParsedSegment::Literal { text, hash } => {
-                out.push_segment(TextSegment::from_shared(Arc::clone(text), *hash));
-            }
-            ParsedSegment::Placeholder { source, name } => {
-                let v = resolve_placeholder(template, source.as_deref(), name, params, context)?;
-                out.push(v.render());
-            }
-        }
-    }
-    Ok(out)
+    parse(template)?.render(template, params, context)
 }
 
 fn truncate(template: &str) -> String {
@@ -336,12 +285,6 @@ mod tests {
     fn unknown_source_prefix_is_malformed() {
         let err = render("{{env:HOME}}", &BTreeMap::new(), &Context::new()).unwrap_err();
         assert!(matches!(err, SpearError::MalformedTemplate(_)));
-    }
-
-    #[test]
-    fn placeholders_lists_unique_names_in_order() {
-        let names = placeholders("{{a}} {{b}} {{a}} {{ctx:c}} {{view:ignored}}").unwrap();
-        assert_eq!(names, vec!["a", "b", "c"]);
     }
 
     #[test]

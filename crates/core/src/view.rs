@@ -24,6 +24,7 @@ use spear_kv::KvStore;
 use crate::error::{Result, SpearError};
 use crate::history::RefinementMode;
 use crate::prompt::{PromptEntry, PromptOrigin};
+use crate::template::{self, Segment};
 use crate::value::Value;
 
 /// A declared view parameter.
@@ -317,32 +318,24 @@ impl Catalog {
             return Err(SpearError::ViewCycle(cycle));
         }
         path.push(view.name.clone());
-        let segments = crate::template::parse(&view.template)?;
         let mut out = String::with_capacity(view.template.len());
-        for seg in segments {
+        for seg in template::parse(&view.template)?.segments() {
             match seg {
-                crate::template::Segment::Text(t) => out.push_str(&t),
-                crate::template::Segment::Placeholder { source, name } => {
+                Segment::Literal(text) => out.push_str(text.text()),
+                Segment::Placeholder { source, name } => {
                     if source.as_deref() == Some("view") {
-                        let child = self.get(&name)?;
+                        let child = self.get(name)?;
                         out.push_str(&self.expand(&child, path)?);
                     } else {
                         // Re-emit non-view placeholders verbatim for GEN-time
                         // rendering.
-                        match source {
-                            Some(src) => {
-                                out.push_str("{{");
-                                out.push_str(&src);
-                                out.push(':');
-                                out.push_str(&name);
-                                out.push_str("}}");
-                            }
-                            None => {
-                                out.push_str("{{");
-                                out.push_str(&name);
-                                out.push_str("}}");
-                            }
+                        out.push_str("{{");
+                        if let Some(src) = source {
+                            out.push_str(src);
+                            out.push(':');
                         }
+                        out.push_str(name);
+                        out.push_str("}}");
                     }
                 }
             }
@@ -361,14 +354,14 @@ impl Catalog {
                 continue; // cycle handled by expand(); avoid looping here
             }
             specs.extend(v.params.iter().cloned());
-            for seg in crate::template::parse(&v.template)? {
-                if let crate::template::Segment::Placeholder {
+            for seg in template::parse(&v.template)?.segments() {
+                if let Segment::Placeholder {
                     source: Some(src),
                     name,
                 } = seg
                 {
                     if src == "view" {
-                        if let Ok(child) = self.get(&name) {
+                        if let Ok(child) = self.get(name) {
                             stack.push(child);
                         }
                     }

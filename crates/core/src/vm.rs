@@ -337,7 +337,7 @@ impl PoolBuilder {
             Op::Gen {
                 prompt: PromptRef::Inline(text) | PromptRef::Lowered { text, .. },
                 ..
-            } => template::parse_shared(text).ok(),
+            } => template::parse(text).ok(),
             _ => None,
         };
         let spec = LeafSpec {

@@ -3,15 +3,18 @@
 //! must be total (no panics) and law-abiding for arbitrary inputs.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use spear_core::condition::{CmpOp, Cond, Operand};
 use spear_core::context::Context;
 use spear_core::diff;
+use spear_core::error::SpearError;
 use spear_core::metadata::Metadata;
 use spear_core::template;
 use spear_core::value::Value;
+use spear_kv::shard::fnv1a;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
@@ -27,6 +30,23 @@ fn value_strategy() -> impl Strategy<Value = Value> {
             proptest::collection::btree_map("[a-z]{1,6}", inner, 0..4).prop_map(Value::Map),
         ]
     })
+}
+
+/// Template text from the pieces that stress the parser: lone braces, `:`,
+/// spaces, multibyte characters and well-formed placeholders.
+fn hostile_template() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        3 => Just("{".to_string()),
+        3 => Just("}".to_string()),
+        2 => Just(":".to_string()),
+        2 => Just(" ".to_string()),
+        2 => "[éß漢🦀]{1,2}",
+        2 => "\\{\\{ {0,1}[a-zé]{1,3} {0,1}\\}\\}",
+        1 => "\\{\\{param:[a-z]{1,3}\\}\\}",
+        1 => "\\{\\{ctx:[a-z]{1,3}\\}\\}",
+        1 => "\\{\\{view:[a-z]{1,3}\\}\\}",
+    ];
+    proptest::collection::vec(piece, 0..24).prop_map(|pieces| pieces.concat())
 }
 
 fn operand_strategy() -> impl Strategy<Value = Operand> {
@@ -99,33 +119,61 @@ proptest! {
         let _ = cond.to_string();
     }
 
-    /// The template parser is total: arbitrary input either parses or
-    /// returns a typed error; rendering with every placeholder bound
-    /// succeeds whenever parsing succeeded.
+    /// The template parser is total: arbitrary input, and input built from
+    /// the pieces that stress it (lone braces, `:`, spaces, multibyte
+    /// characters, well-formed placeholders of every source), either parses
+    /// or returns a typed error. A parse is canonical (no empty literal, no
+    /// two literals adjacent, each literal hashed as the engine hashes it)
+    /// and cached (a second parse is the same `Arc`); rendering with every
+    /// placeholder bound succeeds, and the flat and segmented renders agree.
+    /// A `{{view:..}}` or unknown source fails the render instead.
     #[test]
-    fn template_parser_is_total(input in ".{0,120}") {
-        match template::parse(&input) {
-            Ok(segments) => {
-                // Bind every placeholder and render.
-                let mut params = BTreeMap::new();
-                let mut renderable = true;
-                for seg in &segments {
-                    if let template::Segment::Placeholder { source, name } = seg {
+    fn template_parser_is_total(arbitrary in ".{0,120}", hostile in hostile_template()) {
+        for input in [arbitrary, hostile] {
+            let parsed = match template::parse(&input) {
+                Ok(parsed) => parsed,
+                Err(e) => {
+                    prop_assert!(matches!(e, SpearError::MalformedTemplate(_)), "{input:?}: {e}");
+                    continue;
+                }
+            };
+            prop_assert!(Arc::ptr_eq(&parsed, &template::parse(&input).unwrap()));
+            // Bind every placeholder to "x"; the render is then the literals
+            // with "x" between them.
+            let mut params = BTreeMap::new();
+            let mut ctx = Context::new();
+            let mut expected = String::new();
+            let mut renderable = true;
+            let mut after_literal = false;
+            for seg in parsed.segments() {
+                match seg {
+                    template::Segment::Literal(text) => {
+                        prop_assert!(!text.text().is_empty() && !after_literal, "{input:?}");
+                        prop_assert_eq!(text.hash(), fnv1a(text.text().as_bytes()));
+                        expected.push_str(text.text());
+                    }
+                    template::Segment::Placeholder { source, name } => {
                         match source.as_deref() {
                             None | Some("param") => {
                                 params.insert(name.clone(), Value::from("x"));
                             }
-                            // ctx/view/unknown sources may legitimately fail.
+                            Some("ctx") => ctx.set(name.clone(), "x"),
+                            // A view or unknown source fails the render.
                             _ => renderable = false,
                         }
+                        expected.push('x');
                     }
                 }
-                if renderable {
-                    prop_assert!(template::render(&input, &params, &Context::new()).is_ok());
-                }
+                after_literal = matches!(seg, template::Segment::Literal(_));
             }
-            Err(e) => {
-                let _ = e.to_string();
+            let flat = template::render(&input, &params, &ctx);
+            if renderable {
+                let flat = flat.unwrap();
+                prop_assert_eq!(&flat, &expected);
+                let segmented = template::render_segmented(&input, &params, &ctx).unwrap();
+                prop_assert_eq!(segmented.join(), flat);
+            } else {
+                prop_assert!(flat.is_err(), "{input:?}");
             }
         }
     }

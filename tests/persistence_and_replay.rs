@@ -176,6 +176,35 @@ fn prompt_store_with_persister_survives_restart_transparently() {
 }
 
 #[test]
+fn sync_reports_a_record_the_persister_failed_to_append() {
+    use spear::kv::{KvError, LogRecord, Persister};
+    use std::sync::Arc;
+
+    /// A sink that refuses every record, as a log does for one
+    /// `serde_json` cannot encode.
+    struct Refusing;
+    impl Persister<PromptEntry> for Refusing {
+        fn append(&self, record: &LogRecord<PromptEntry>) -> spear::kv::Result<()> {
+            Err(KvError::Serde(format!("refused {}", record.key)))
+        }
+        fn flush(&self) -> spear::kv::Result<()> {
+            Ok(())
+        }
+    }
+
+    let mut store = PromptStore::new().with_persister(Arc::new(Refusing));
+    store.define("p", "first", "f_base", RefinementMode::Manual);
+    store.define("q", "second", "f_base", RefinementMode::Manual);
+    // The writes stand in memory; the first lost record is reported, once.
+    assert_eq!(&*store.get("p").unwrap().text, "first");
+    assert_eq!(&*store.get("q").unwrap().text, "second");
+    let err = store.sync().unwrap_err();
+    assert!(matches!(err, SpearError::Kv(_)), "{err}");
+    assert!(err.to_string().contains("refused p"), "{err}");
+    store.sync().unwrap();
+}
+
+#[test]
 fn a_shadow_run_against_a_durable_state_logs_nothing_and_recovery_rebuilds_the_primary() {
     use std::sync::Arc;
     let path = temp_path("shadow-of-durable");
@@ -198,7 +227,7 @@ fn a_shadow_run_against_a_durable_state_logs_nothing_and_recovery_rebuilds_the_p
         .create_text("q", "A second prompt.", RefinementMode::Manual)
         .gen("a", "p")
         .build();
-    let shadow = rt.shadow_execute(&pipeline, &state).unwrap();
+    let mut shadow = rt.shadow_execute(&pipeline, &state).unwrap();
     assert_eq!(shadow.report.refs, 2);
     assert_eq!(shadow.state.prompts.get("p").unwrap().version, 2);
     assert!(shadow.state.prompts.contains("q"));
