@@ -37,7 +37,7 @@ use crate::value::Value;
 /// so a shadow run against a clone appends nothing to the original's log.
 pub struct PromptStore {
     backend: KvStore<PromptEntry>,
-    persister: Option<Arc<dyn Persister<PromptEntry>>>,
+    persister: Option<Box<dyn Persister<PromptEntry>>>,
     /// The first record the persister failed to append since the last
     /// [`PromptStore::sync`], which reports it. Boxed: P is copied with
     /// every per-request state, and a store is almost never durable.
@@ -89,7 +89,7 @@ impl PromptStore {
     /// `JsonlLog::recover` after a restart (paper §6: stores "may be ...
     /// backed by high-performance key-value systems").
     #[must_use]
-    pub fn with_persister(mut self, persister: Arc<dyn Persister<PromptEntry>>) -> Self {
+    pub fn with_persister(mut self, persister: Box<dyn Persister<PromptEntry>>) -> Self {
         self.persister = Some(persister);
         self
     }
@@ -100,7 +100,7 @@ impl PromptStore {
     /// Callers that need hard durability guarantees should check `sync` at
     /// their commit points.
     fn persist(&mut self, key: &str) {
-        if let Some(p) = &self.persister {
+        if let Some(p) = &mut self.persister {
             if let Some(versioned) = self.backend.get_versioned(key) {
                 let record = LogRecord {
                     seq: versioned.seq,
@@ -122,7 +122,7 @@ impl PromptStore {
     /// record the persister failed to append since the last `sync`, as
     /// [`SpearError::Kv`]; the write it mirrored still stands in memory.
     pub fn sync(&mut self) -> Result<()> {
-        if let Some(p) = &self.persister {
+        if let Some(p) = &mut self.persister {
             p.flush()?;
         }
         self.lost.take().map_or(Ok(()), |e| Err(SpearError::Kv(*e)))

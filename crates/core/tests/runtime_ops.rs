@@ -503,17 +503,17 @@ fn create_qa_prompt_from_view() -> Pipeline {
         .build()
 }
 
-/// A durability sink that keeps its records.
+/// A durability sink that keeps its records where the test can read them.
 #[derive(Default)]
-struct MemoryLog(std::sync::Mutex<Vec<spear_kv::LogRecord<PromptEntry>>>);
+struct MemoryLog(Arc<std::sync::Mutex<Vec<spear_kv::LogRecord<PromptEntry>>>>);
 
 impl spear_kv::Persister<PromptEntry> for MemoryLog {
-    fn append(&self, record: &spear_kv::LogRecord<PromptEntry>) -> spear_kv::Result<()> {
+    fn append(&mut self, record: &spear_kv::LogRecord<PromptEntry>) -> spear_kv::Result<()> {
         self.0.lock().unwrap().push(record.clone());
         Ok(())
     }
 
-    fn flush(&self) -> spear_kv::Result<()> {
+    fn flush(&mut self) -> spear_kv::Result<()> {
         Ok(())
     }
 }
@@ -521,9 +521,10 @@ impl spear_kv::Persister<PromptEntry> for MemoryLog {
 #[test]
 fn create_from_view_stores_one_complete_version() {
     let rt = runtime();
-    let log = Arc::new(MemoryLog::default());
+    let log = MemoryLog::default();
+    let logged = Arc::clone(&log.0);
     let mut state = ExecState::new();
-    state.prompts = PromptStore::new().with_persister(log.clone());
+    state.prompts = PromptStore::new().with_persister(Box::new(log));
     rt.execute(&create_qa_prompt_from_view(), &mut state)
         .unwrap();
 
@@ -531,7 +532,7 @@ fn create_from_view_stores_one_complete_version() {
     // hold is the view-derived entry, not a half-built ad-hoc one.
     let stored = state.prompts.backend().history("qa_prompt");
     assert_eq!(stored.len(), 1);
-    let logged = log.0.lock().unwrap();
+    let logged = logged.lock().unwrap();
     assert_eq!(logged.len(), 1);
     let spear_kv::LogOp::Put(entry) = &logged[0].op else {
         panic!("a put was logged");

@@ -13,7 +13,6 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
@@ -43,27 +42,29 @@ pub enum LogOp<V> {
 
 /// Sink for durable mutation records.
 ///
-/// Implementations must persist records in the order they are appended.
-pub trait Persister<V>: Send + Sync {
+/// A persister is owned by the one store that writes through it, so both
+/// methods take `&mut self`. Implementations must persist records in the
+/// order they are appended.
+pub trait Persister<V>: Send {
     /// Append one record. Called after the in-memory mutation has landed.
     ///
     /// # Errors
     ///
     /// Returns an error if the record could not be made durable.
-    fn append(&self, record: &LogRecord<V>) -> Result<()>;
+    fn append(&mut self, record: &LogRecord<V>) -> Result<()>;
 
     /// Flush any buffered records to stable storage.
     ///
     /// # Errors
     ///
     /// Returns an error if the flush failed.
-    fn flush(&self) -> Result<()>;
+    fn flush(&mut self) -> Result<()>;
 }
 
 /// JSON-Lines file persister.
 pub struct JsonlLog {
     path: PathBuf,
-    writer: Mutex<BufWriter<File>>,
+    writer: BufWriter<File>,
 }
 
 impl JsonlLog {
@@ -86,7 +87,7 @@ impl JsonlLog {
         }
         Ok(Self {
             path,
-            writer: Mutex::new(BufWriter::new(file)),
+            writer: BufWriter::new(file),
         })
     }
 
@@ -152,16 +153,16 @@ impl JsonlLog {
     }
 }
 
-impl<V: Serialize + Send + Sync> Persister<V> for JsonlLog {
-    fn append(&self, record: &LogRecord<V>) -> Result<()> {
+impl<V: Serialize> Persister<V> for JsonlLog {
+    fn append(&mut self, record: &LogRecord<V>) -> Result<()> {
         let mut line = serde_json::to_string(record)?;
         line.push('\n');
-        self.writer.lock().write_all(line.as_bytes())?;
+        self.writer.write_all(line.as_bytes())?;
         Ok(())
     }
 
-    fn flush(&self) -> Result<()> {
-        self.writer.lock().flush()?;
+    fn flush(&mut self) -> Result<()> {
+        self.writer.flush()?;
         Ok(())
     }
 }
@@ -211,7 +212,7 @@ mod tests {
         let path = temp_path("roundtrip");
         let _ = std::fs::remove_file(&path);
         {
-            let log = JsonlLog::open(&path).unwrap();
+            let mut log = JsonlLog::open(&path).unwrap();
             log.append(&put(1, "a", "1".to_string())).unwrap();
             log.append(&put(2, "a", "2".to_string())).unwrap();
             log.append(&put(3, "b", "x".to_string())).unwrap();
@@ -221,7 +222,7 @@ mod tests {
                 op: LogOp::Delete,
             })
             .unwrap();
-            Persister::<String>::flush(&log).unwrap();
+            Persister::<String>::flush(&mut log).unwrap();
         }
         let recovered: KvStore<String> = JsonlLog::recover(&path).unwrap();
         assert_eq!(recovered.get("a").as_deref().map(String::as_str), Some("2"));
@@ -253,9 +254,9 @@ mod tests {
         let path = temp_path("torn-reopen");
         std::fs::write(&path, TORN).unwrap();
         {
-            let log = JsonlLog::open(&path).unwrap();
+            let mut log = JsonlLog::open(&path).unwrap();
             log.append(&put(2, "b", 2)).unwrap();
-            Persister::<i32>::flush(&log).unwrap();
+            Persister::<i32>::flush(&mut log).unwrap();
         }
         let recs: Vec<LogRecord<i32>> = JsonlLog::read_all(&path).unwrap();
         assert_eq!(recs, [put(1, "a", 1), put(2, "b", 2)]);
@@ -310,14 +311,14 @@ mod tests {
             })
         };
         {
-            let log = JsonlLog::open(&path).unwrap();
+            let mut log = JsonlLog::open(&path).unwrap();
             log.append(&put(1, "shallow", nest(8))).unwrap();
             let err = log.append(&put(2, "deep", nest(300))).unwrap_err();
             assert!(
                 matches!(&err, KvError::Serde(e) if e.contains("recursion limit exceeded")),
                 "{err}"
             );
-            Persister::<serde_json::Value>::flush(&log).unwrap();
+            Persister::<serde_json::Value>::flush(&mut log).unwrap();
         }
         let recovered: KvStore<serde_json::Value> = JsonlLog::recover(&path).unwrap();
         assert_eq!(recovered.get("shallow").as_deref(), Some(&nest(8)));

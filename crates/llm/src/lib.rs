@@ -41,6 +41,7 @@
 
 pub mod cache;
 pub mod clock;
+pub mod compat;
 pub mod engine;
 mod hash;
 pub mod intern;
@@ -57,6 +58,8 @@ pub use cache::{
     DEFAULT_NUM_SHARDS, SHARED_OWNER,
 };
 pub use clock::{SimClock, MAX_LANES};
+#[doc(hidden)]
+pub use compat::BlockPool;
 pub use engine::{EngineConfig, SimLlm};
 pub use intern::{
     affinity_chain_key, chain_key, InternStats, InternedChain, ScannedChain, TokenInterner,
@@ -64,7 +67,7 @@ pub use intern::{
 };
 pub use lru::{LruMap, LruStats};
 pub use memo::{GenMemo, LeadGuard, Lookup, MemoEntry, MemoStats};
-pub use pool::{AllocGrant, BlockPool, PoolExhausted, PoolStats};
+pub use pool::{AllocGrant, PoolExhausted, PoolStats};
 pub use profile::{ModelProfile, PromptFeatures, QualityWeights, TaskKind};
 pub use task::TaskScan;
 pub use tokenizer::{StreamingEncoder, Token, Tokenizer};

@@ -3,10 +3,10 @@
 //!
 //! The pool holds a fixed budget of *blocks* (one block = `block_size`
 //! tokens of KV state, though the pool itself is token-agnostic and works
-//! purely on block content-hash chains). Each stripe stands on the same
-//! radix block tree as [`crate::cache::PrefixCache`], keyed by `(parent,
-//! content hash)` with no owner, so sequences that share a prefix share
-//! the prefix's blocks physically.
+//! purely on block content-hash chains). It stands on the same radix block
+//! tree as [`crate::cache::PrefixCache`], keyed by `(parent, content hash)`
+//! with no owner, so sequences that share a prefix share the prefix's
+//! blocks physically.
 //!
 //! Unlike the prefix cache — which models *visibility* of reuse and may
 //! drop any block — the pool models *occupancy*, and keeps that policy
@@ -39,28 +39,20 @@
 //! - `inserted_blocks − evicted_blocks − freed_blocks == live_blocks()`;
 //! - a block on any active lease's path is never evicted or freed.
 //!
-//! The pool is lock-striped by each chain's first block hash (like
-//! [`crate::cache::StripedPrefixCache`]), so a sequence's whole path lives
-//! in one stripe, and `allocate` and `pin_resident` for unrelated prompt
-//! families lock different stripes. `release`, `free` and `lease_blocks`
-//! (so `allocate_prefix`) have no chain to go by: they lock the stripes in
-//! order until one holds the lease, all of them for a sequence that holds
-//! none, and so may contend across families. That costs nothing while
-//! every caller uses one stripe (ROADMAP item 16(a)).
-//! Operations on *different* sequences are safe to race; operations on
-//! the *same* sequence must be externally ordered (a sequence has one
-//! owner — its scheduler).
+//! The pool is a plain value: every write takes `&mut self`, so the
+//! operations on one pool, and so on one sequence, are ordered by its one
+//! owner — `spear_serve`'s KV simulator, which runs the virtual clock on
+//! one thread. [`crate::compat::BlockPool`] is the `&self` form an older
+//! caller still uses.
 //!
 //! ## Cost per block
 //!
 //! An allocation walks the lease's resident extension once, into a
-//! buffer the stripe keeps, and appends it to the lease in one step, so
+//! buffer the pool keeps, and appends it to the lease in one step, so
 //! leasing, extending or pinning a resident chain allocates at most the
 //! lease's own path once the buffer has grown (`tests/cache_footprint.rs`).
 //! The tree's maps and the lease map hash their `u64` keys with the
 //! crate's seeded fold hasher (`crate::hash`), not SipHash.
-
-use parking_lot::Mutex;
 
 use crate::hash::FoldMap;
 use crate::tree::{Tree, ROOT};
@@ -69,9 +61,8 @@ use crate::tree::{Tree, ROOT};
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod naive;
 
-/// Pool activity counters. All counters are monotonic, so snapshots can be
-/// diffed with [`PoolStats::delta_since`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// Pool activity counters. All counters are monotonic.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// `allocate` calls (including failed ones).
     pub allocations: u64,
@@ -90,35 +81,6 @@ pub struct PoolStats {
     pub freed_blocks: u64,
     /// Allocations that failed with [`PoolExhausted`].
     pub alloc_failures: u64,
-}
-
-impl PoolStats {
-    /// Fraction of requested blocks served by resident prefixes, in
-    /// `[0, 1]`; `None` before any request.
-    #[must_use]
-    pub fn reuse_rate(&self) -> Option<f64> {
-        if self.requested_blocks == 0 {
-            None
-        } else {
-            Some(self.reused_blocks as f64 / self.requested_blocks as f64)
-        }
-    }
-
-    /// Counter-wise `self − earlier`, saturating on misordered snapshots.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &PoolStats) -> PoolStats {
-        PoolStats {
-            allocations: self.allocations.saturating_sub(earlier.allocations),
-            requested_blocks: self
-                .requested_blocks
-                .saturating_sub(earlier.requested_blocks),
-            reused_blocks: self.reused_blocks.saturating_sub(earlier.reused_blocks),
-            inserted_blocks: self.inserted_blocks.saturating_sub(earlier.inserted_blocks),
-            evicted_blocks: self.evicted_blocks.saturating_sub(earlier.evicted_blocks),
-            freed_blocks: self.freed_blocks.saturating_sub(earlier.freed_blocks),
-            alloc_failures: self.alloc_failures.saturating_sub(earlier.alloc_failures),
-        }
-    }
 }
 
 /// Successful allocation: how much of the request was already resident.
@@ -163,8 +125,9 @@ impl std::fmt::Display for PoolExhausted {
     }
 }
 
+/// The bounded block pool. See the module docs for the semantics.
 #[derive(Debug, Default)]
-struct PoolStripe {
+pub struct BlockPool {
     capacity: usize,
     /// Blocks are physical — no owner tagging; sharing is the point. Its
     /// `evictable` index holds the nodes with `refs == 0` and
@@ -184,12 +147,52 @@ struct PoolStripe {
     resident: Vec<u64>,
 }
 
-impl PoolStripe {
-    fn new(capacity: usize) -> Self {
+impl BlockPool {
+    /// A pool of `capacity_blocks` blocks (minimum 1).
+    #[must_use]
+    pub fn new(capacity_blocks: usize) -> Self {
         Self {
-            capacity: capacity.max(1),
+            capacity: capacity_blocks.max(1),
             ..Self::default()
         }
+    }
+
+    /// Total block capacity.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Resident leading blocks of `chain`, without pinning or touching
+    /// LRU order.
+    #[must_use]
+    pub fn peek(&self, chain: &[u64]) -> usize {
+        self.tree.walk(ROOT, chain, ()).count()
+    }
+
+    /// Blocks currently pinned by `seq`'s lease (`None` when it holds no
+    /// lease).
+    #[must_use]
+    pub fn lease_blocks(&self, seq: u64) -> Option<usize> {
+        self.leases.get(&seq).map(Vec::len)
+    }
+
+    /// Resident blocks.
+    #[must_use]
+    pub fn live_blocks(&self) -> usize {
+        self.tree.len()
+    }
+
+    /// Resident blocks with a nonzero reference count.
+    #[must_use]
+    pub fn pinned_blocks(&self) -> usize {
+        self.pinned
+    }
+
+    /// The activity counters.
+    #[must_use]
+    pub fn stats(&self) -> PoolStats {
+        self.stats
     }
 
     /// Evict the LRU unpinned leaf. Returns `false` when nothing is
@@ -248,8 +251,20 @@ impl PoolStripe {
         }
     }
 
-    /// Extend (or create) `seq`'s lease to cover the full `chain`.
-    fn allocate(&mut self, seq: u64, chain: &[u64]) -> Result<AllocGrant, PoolExhausted> {
+    /// Pin blocks for sequence `seq` covering the full `chain` (block
+    /// content hashes from block 0). Extends the sequence's existing lease
+    /// when one exists — `chain` must then start with the already-leased
+    /// hashes. An empty chain is a no-op grant, and is not counted.
+    ///
+    /// # Errors
+    ///
+    /// [`PoolExhausted`] when the new blocks cannot fit even after
+    /// evicting every reclaimable (unpinned) block; the pool is left
+    /// unchanged.
+    pub fn allocate(&mut self, seq: u64, chain: &[u64]) -> Result<AllocGrant, PoolExhausted> {
+        if chain.is_empty() {
+            return Ok(AllocGrant::NONE);
+        }
         self.tick += 1;
         self.stats.allocations += 1;
         let lease = self.open_lease(seq, chain);
@@ -283,15 +298,17 @@ impl PoolStripe {
         Ok(self.commit(seq, lease, &chain[chain.len() - new_needed..]))
     }
 
-    /// Extend `seq`'s lease over the resident continuation of `chain`
-    /// alone: what `allocate(seq, &chain[..resident])` does after a
-    /// `peek` of `resident` blocks, in one walk. Pinning resident blocks
-    /// needs no room, so this cannot fail.
-    fn pin_resident(&mut self, seq: u64, chain: &[u64]) -> AllocGrant {
+    /// Extend `seq`'s lease over the leading blocks of `chain` that are
+    /// already resident, inserting none: the grant, counters, pins and
+    /// recency of `allocate(seq, &chain[..peek(chain)])`, in one walk of
+    /// the chain. Never fails, since it needs no room.
+    pub fn pin_resident(&mut self, seq: u64, chain: &[u64]) -> AllocGrant {
+        if chain.is_empty() {
+            return AllocGrant::NONE;
+        }
         let lease = self.open_lease(seq, chain);
         if lease.len() + self.resident.len() == 0 {
-            // The facade's empty chain: no call is counted.
-            self.restore_lease(seq, lease);
+            // Nothing to pin: `allocate` of an empty prefix, uncounted.
             return AllocGrant::NONE;
         }
         self.tick += 1;
@@ -344,27 +361,34 @@ impl PoolStripe {
         grant
     }
 
+    /// Pin as many *leading* blocks of `chain` as currently fit — used by
+    /// schedulers only when nothing is left to preempt, so a lone oversized
+    /// sequence still makes progress (its uncovered tail is simply never
+    /// resident, like a streamed suffix). Never fails.
+    pub fn allocate_prefix(&mut self, seq: u64, chain: &[u64]) -> AllocGrant {
+        let held = self.lease_blocks(seq).unwrap_or(0);
+        longest_feasible_prefix(held, chain, |prefix| self.allocate(seq, prefix))
+    }
+
     /// Unpin `seq`'s lease, leaving its blocks resident as reusable cache.
-    /// Returns `false` when `seq` holds no lease here.
-    fn release(&mut self, seq: u64) -> bool {
+    pub fn release(&mut self, seq: u64) {
         let Some(lease) = self.leases.remove(&seq) else {
-            return false;
+            return;
         };
         for &id in &lease {
             if let Some(last_used) = self.unpin(id) {
                 self.tree.evictable.insert(last_used, id);
             }
         }
-        true
     }
 
     /// Unpin `seq`'s lease and drop every block on it that is now
-    /// unreferenced and childless (leaf-first, so private suffixes vanish
-    /// while shared prefixes survive). Returns `false` when `seq` holds
-    /// no lease here.
-    fn free(&mut self, seq: u64) -> bool {
+    /// unreferenced and childless (preemption, recompute-on-resume:
+    /// leaf-first, so private suffixes vanish while shared prefixes
+    /// survive).
+    pub fn free(&mut self, seq: u64) {
         let Some(lease) = self.leases.remove(&seq) else {
-            return false;
+            return;
         };
         for &id in lease.iter().rev() {
             if self.unpin(id).is_some() {
@@ -372,7 +396,6 @@ impl PoolStripe {
                 self.stats.freed_blocks += 1;
             }
         }
-        true
     }
 }
 
@@ -415,143 +438,6 @@ fn longest_feasible_prefix(
     grant
 }
 
-/// The lock-striped bounded block pool. See the module docs for the
-/// semantics; see [`crate::cache::StripedPrefixCache`] for why striping by
-/// first-block hash keeps every chain within one stripe.
-#[derive(Debug)]
-pub struct BlockPool {
-    stripes: Vec<Mutex<PoolStripe>>,
-}
-
-impl BlockPool {
-    /// A pool of `capacity_blocks` blocks across `stripes` lock stripes
-    /// (per-stripe capacity is the ceiling split, minimum 1).
-    #[must_use]
-    pub fn new(capacity_blocks: usize, stripes: usize) -> Self {
-        let stripes = stripes.max(1);
-        let per_stripe = capacity_blocks.div_ceil(stripes).max(1);
-        Self {
-            stripes: (0..stripes)
-                .map(|_| Mutex::new(PoolStripe::new(per_stripe)))
-                .collect(),
-        }
-    }
-
-    /// Total block capacity across stripes.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().capacity).sum()
-    }
-
-    /// The stripe of every chain starting with `first`, and so of every
-    /// lease on one.
-    fn stripe_for(&self, first: u64) -> &Mutex<PoolStripe> {
-        &self.stripes[(first % self.stripes.len() as u64) as usize]
-    }
-
-    /// Pin blocks for sequence `seq` covering the full `chain` (block
-    /// content hashes from block 0). Extends the sequence's existing lease
-    /// when one exists — `chain` must then start with the already-leased
-    /// hashes. Empty chains are a no-op grant.
-    ///
-    /// # Errors
-    ///
-    /// [`PoolExhausted`] when the new blocks cannot fit even after
-    /// evicting every reclaimable (unpinned) block; the pool is left
-    /// unchanged.
-    pub fn allocate(&self, seq: u64, chain: &[u64]) -> Result<AllocGrant, PoolExhausted> {
-        match chain.first() {
-            Some(&first) => self.stripe_for(first).lock().allocate(seq, chain),
-            None => Ok(AllocGrant::NONE),
-        }
-    }
-
-    /// Extend `seq`'s lease over the leading blocks of `chain` that are
-    /// already resident, inserting none: the grant, counters, pins and
-    /// recency of `allocate(seq, &chain[..peek(chain)])`, in one walk of
-    /// the chain. Never fails, since it needs no room.
-    pub fn pin_resident(&self, seq: u64, chain: &[u64]) -> AllocGrant {
-        match chain.first() {
-            Some(&first) => self.stripe_for(first).lock().pin_resident(seq, chain),
-            None => AllocGrant::NONE,
-        }
-    }
-
-    /// Pin as many *leading* blocks of `chain` as currently fit — used by
-    /// schedulers only when nothing is left to preempt, so a lone oversized
-    /// sequence still makes progress (its uncovered tail is simply never
-    /// resident, like a streamed suffix). Never fails.
-    pub fn allocate_prefix(&self, seq: u64, chain: &[u64]) -> AllocGrant {
-        let held = self.lease_blocks(seq).unwrap_or(0);
-        longest_feasible_prefix(held, chain, |prefix| self.allocate(seq, prefix))
-    }
-
-    /// Unpin `seq`'s lease; its blocks stay resident as reusable cache.
-    pub fn release(&self, seq: u64) {
-        // A lease lives in one stripe: stop at the one that held it.
-        let _ = self.stripes.iter().any(|s| s.lock().release(seq));
-    }
-
-    /// Unpin `seq`'s lease and immediately drop its now-unreferenced
-    /// childless blocks (preemption: recompute-on-resume).
-    pub fn free(&self, seq: u64) {
-        let _ = self.stripes.iter().any(|s| s.lock().free(seq));
-    }
-
-    /// Resident leading blocks of `chain`, without pinning or touching
-    /// LRU order.
-    #[must_use]
-    pub fn peek(&self, chain: &[u64]) -> usize {
-        match chain.first() {
-            Some(&first) => self
-                .stripe_for(first)
-                .lock()
-                .tree
-                .walk(ROOT, chain, ())
-                .count(),
-            None => 0,
-        }
-    }
-
-    /// Blocks currently pinned by `seq`'s lease (`None` when it holds no
-    /// lease).
-    #[must_use]
-    pub fn lease_blocks(&self, seq: u64) -> Option<usize> {
-        self.stripes
-            .iter()
-            .find_map(|s| s.lock().leases.get(&seq).map(Vec::len))
-    }
-
-    /// Resident blocks across all stripes.
-    #[must_use]
-    pub fn live_blocks(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().tree.len()).sum()
-    }
-
-    /// Resident blocks with a nonzero reference count.
-    #[must_use]
-    pub fn pinned_blocks(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().pinned).sum()
-    }
-
-    /// Aggregate counters across all stripes.
-    #[must_use]
-    pub fn stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for stripe in &self.stripes {
-            let s = stripe.lock().stats;
-            total.allocations += s.allocations;
-            total.requested_blocks += s.requested_blocks;
-            total.reused_blocks += s.reused_blocks;
-            total.inserted_blocks += s.inserted_blocks;
-            total.evicted_blocks += s.evicted_blocks;
-            total.freed_blocks += s.freed_blocks;
-            total.alloc_failures += s.alloc_failures;
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -562,13 +448,9 @@ mod tests {
         (0..n as u64).map(|i| fam * 1_000 + i + 1).collect()
     }
 
-    fn single(capacity: usize) -> BlockPool {
-        BlockPool::new(capacity, 1)
-    }
-
     #[test]
     fn allocate_release_reuse_roundtrip() {
-        let pool = single(16);
+        let mut pool = BlockPool::new(16);
         let c = chain(1, 4);
         let g = pool.allocate(10, &c).unwrap();
         assert_eq!((g.reused_blocks, g.new_blocks, g.lease_blocks), (0, 4, 4));
@@ -585,7 +467,7 @@ mod tests {
 
     #[test]
     fn lease_extension_pins_only_the_delta() {
-        let pool = single(16);
+        let mut pool = BlockPool::new(16);
         let c = chain(2, 6);
         pool.allocate(7, &c[..2]).unwrap();
         let g = pool.allocate(7, &c[..5]).unwrap();
@@ -596,7 +478,7 @@ mod tests {
 
     #[test]
     fn pinned_blocks_are_never_evicted() {
-        let pool = single(4);
+        let mut pool = BlockPool::new(4);
         pool.allocate(1, &chain(1, 3)).unwrap();
         // A second sequence needing 3 blocks cannot fit: only 1 slot free,
         // the other 3 are pinned.
@@ -614,7 +496,7 @@ mod tests {
 
     #[test]
     fn shared_prefixes_share_physical_blocks() {
-        let pool = single(16);
+        let mut pool = BlockPool::new(16);
         let mut a = chain(9, 3);
         let mut b = a.clone();
         a.push(100);
@@ -632,7 +514,7 @@ mod tests {
 
     #[test]
     fn free_keeps_released_prefixes_resident() {
-        let pool = single(16);
+        let mut pool = BlockPool::new(16);
         pool.allocate(1, &chain(3, 4)).unwrap();
         pool.release(1);
         // Another sequence pins the same prefix and is then preempted:
@@ -650,7 +532,7 @@ mod tests {
 
     #[test]
     fn accounting_reconciles() {
-        let pool = BlockPool::new(8, 2);
+        let mut pool = BlockPool::new(8);
         for seq in 0..6u64 {
             let _ = pool.allocate(seq, &chain(seq, 3));
             if seq % 2 == 0 {
@@ -669,7 +551,7 @@ mod tests {
 
     #[test]
     fn allocate_prefix_pins_what_fits() {
-        let pool = single(4);
+        let mut pool = BlockPool::new(4);
         pool.allocate(1, &chain(1, 3)).unwrap();
         // Sequence 2 wants 6 blocks; only 1 slot is free.
         let g = pool.allocate_prefix(2, &chain(2, 6));
@@ -688,7 +570,7 @@ mod tests {
 
     #[test]
     fn eviction_is_lru_leaf_first() {
-        let pool = single(4);
+        let mut pool = BlockPool::new(4);
         pool.allocate(1, &chain(1, 2)).unwrap();
         pool.release(1);
         pool.allocate(2, &chain(2, 2)).unwrap();
@@ -704,7 +586,7 @@ mod tests {
 
     #[test]
     fn empty_chains_and_unknown_sequences_are_noops() {
-        let pool = single(4);
+        let mut pool = BlockPool::new(4);
         let g = pool.allocate(1, &[]).unwrap();
         assert_eq!(g.lease_blocks, 0);
         pool.release(99);
@@ -712,11 +594,19 @@ mod tests {
         assert_eq!(pool.live_blocks(), 0);
         assert_eq!(pool.lease_blocks(1), None);
         assert_eq!(pool.peek(&[]), 0);
+        // An empty chain is answered without a count, also for a sequence
+        // that holds a lease, which keeps it.
+        pool.allocate(2, &chain(2, 2)).unwrap();
+        let before = pool.stats();
+        assert_eq!(pool.allocate(2, &[]), Ok(AllocGrant::NONE));
+        assert_eq!(pool.pin_resident(2, &[]), AllocGrant::NONE);
+        assert_eq!(pool.stats(), before);
+        assert_eq!(pool.lease_blocks(2), Some(2));
     }
 
     #[test]
     fn failed_first_allocation_leaves_no_lease() {
-        let pool = single(2);
+        let mut pool = BlockPool::new(2);
         pool.allocate(1, &chain(1, 2)).unwrap();
         assert!(pool.allocate(2, &chain(2, 2)).is_err());
         assert_eq!(pool.lease_blocks(2), None);
@@ -727,7 +617,7 @@ mod tests {
 
     #[test]
     fn pin_resident_pins_the_resident_prefix_and_inserts_nothing() {
-        let pool = single(8);
+        let mut pool = BlockPool::new(8);
         let c = chain(4, 5);
         // Nothing resident: no lease, and no call counted.
         assert_eq!(pool.pin_resident(1, &c), AllocGrant::NONE);
@@ -752,27 +642,9 @@ mod tests {
         assert_eq!(s.inserted_blocks, 5);
     }
 
-    #[test]
-    fn stats_delta_and_serialization() {
-        let pool = single(8);
-        pool.allocate(1, &chain(1, 3)).unwrap();
-        let before = pool.stats();
-        pool.release(1);
-        pool.allocate(2, &chain(1, 3)).unwrap();
-        let delta = pool.stats().delta_since(&before);
-        assert_eq!(delta.reused_blocks, 3);
-        assert_eq!(delta.inserted_blocks, 0);
-        assert!((delta.reuse_rate().unwrap() - 1.0).abs() < 1e-12);
-        let json = serde_json::to_string(&delta).unwrap();
-        let back: PoolStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, delta);
-        // Misordered snapshots saturate.
-        assert_eq!(before.delta_since(&pool.stats()).allocations, 0);
-    }
+    // --- Differential: the incremental pool against the scan-based one.
 
-    // --- Differential: the incremental stripe against the scan-based one.
-
-    use super::naive::NaiveStripe;
+    use super::naive::NaivePool;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -838,15 +710,15 @@ mod tests {
 
     /// Same residency, pins, recency and counters as the reference, and
     /// the counted index agrees with a scan of the nodes it summarises.
-    fn assert_same_state(stripe: &PoolStripe, naive: &NaiveStripe, context: &str) {
-        assert_eq!(stripe.stats, naive.stats, "{context}: stats");
+    fn assert_same_state(pool: &BlockPool, naive: &NaivePool, context: &str) {
+        assert_eq!(pool.stats, naive.stats, "{context}: stats");
         assert_eq!(
-            stripe.tree.index, naive.index,
+            pool.tree.index, naive.index,
             "{context}: resident (parent, hash) set"
         );
-        assert_eq!(stripe.tree.nodes, naive.nodes, "{context}: nodes");
-        assert_eq!(stripe.leases, naive.leases, "{context}: leases");
-        assert_eq!(stripe.pinned, naive.pinned(), "{context}: pinned count");
+        assert_eq!(pool.tree.nodes, naive.nodes, "{context}: nodes");
+        assert_eq!(pool.leases, naive.leases, "{context}: leases");
+        assert_eq!(pool.pinned, naive.pinned(), "{context}: pinned count");
         let mut leaves: Vec<(u64, u64)> = naive
             .nodes
             .iter()
@@ -854,7 +726,7 @@ mod tests {
             .map(|(&id, n)| (n.last_used, id))
             .collect();
         leaves.sort_unstable();
-        let indexed: Vec<(u64, u64)> = stripe.tree.evictable.keys().collect();
+        let indexed: Vec<(u64, u64)> = pool.tree.evictable.keys().collect();
         assert_eq!(indexed, leaves, "{context}: evictable leaves");
     }
 
@@ -862,12 +734,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn incremental_stripe_matches_the_scan_reference(
+        fn incremental_pool_matches_the_scan_reference(
             capacity in 2..20usize,
             ops in proptest::collection::vec(op_strategy(), 1..80),
         ) {
-            let pool = BlockPool::new(capacity, 1);
-            let mut naive = NaiveStripe::new(capacity);
+            let mut pool = BlockPool::new(capacity);
+            let mut naive = NaivePool::new(capacity);
             // A sequence's chain is fixed while it holds a lease; later
             // allocations only ever extend it (the pool contract).
             let mut held: HashMap<u64, (u64, u64, usize)> = HashMap::new();
@@ -882,7 +754,7 @@ mod tests {
                     Op::Allocate { seq, fam, variant, len } => {
                         let chain = target(&held, seq, fam, variant, len);
                         let got = pool.allocate(seq, &chain);
-                        // The facade answers empty chains itself.
+                        // The pool answers empty chains itself.
                         let want = if chain.is_empty() {
                             Ok(AllocGrant { reused_blocks: 0, new_blocks: 0, lease_blocks: 0 })
                         } else {
@@ -939,7 +811,7 @@ mod tests {
                         prop_assert_eq!(pool.peek(&chain), naive.peek(&chain));
                     }
                 }
-                assert_same_state(&pool.stripes[0].lock(), &naive, &format!("step {step} {op:?}"));
+                assert_same_state(&pool, &naive, &format!("step {step} {op:?}"));
                 prop_assert_eq!(pool.pinned_blocks(), naive.pinned());
                 prop_assert_eq!(pool.lease_blocks(0), naive.leases.get(&0).map(Vec::len));
             }

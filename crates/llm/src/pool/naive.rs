@@ -1,4 +1,4 @@
-//! The scan-based stripe the incremental one replaced, kept as the
+//! The scan-based pool the incremental one replaced, kept as the
 //! reference the differential tests compare against: `protected()` rebuilds
 //! the set of nodes that must survive on every feasibility check, and
 //! `evict_one` scans every node for the LRU unpinned leaf.
@@ -10,7 +10,7 @@ use crate::hash::FoldMap;
 use crate::tree::{Key, Node, ROOT};
 
 #[derive(Debug, Default)]
-pub(super) struct NaiveStripe {
+pub(super) struct NaivePool {
     pub(super) capacity: usize,
     /// `(parent id, block hash) -> node id`. Blocks are physical — no
     /// owner tagging; sharing is the point.
@@ -23,7 +23,7 @@ pub(super) struct NaiveStripe {
     pub(super) stats: PoolStats,
 }
 
-impl NaiveStripe {
+impl NaivePool {
     pub(super) fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),

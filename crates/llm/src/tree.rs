@@ -1,5 +1,5 @@
-//! The radix block tree under both [`crate::cache::PrefixCache`] and the
-//! [`crate::pool::BlockPool`] stripes: a chain of blocks is a root-first
+//! The radix block tree under both [`crate::cache::PrefixCache`] and
+//! [`crate::pool::BlockPool`]: a chain of blocks is a root-first
 //! path of nodes keyed by `(parent id, content hash, owner)`, so chains
 //! that share a prefix share its nodes. Which blocks are evictable is the
 //! caller's policy: the cache exempts the chain it is inserting, the pool

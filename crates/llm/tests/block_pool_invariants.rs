@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use spear_llm::BlockPool;
+use spear_llm::pool::BlockPool;
 
 const FAMILIES: u64 = 4;
 const MAX_SEQS: u64 = 6;
@@ -69,21 +69,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 const PRESSURE_SEQ: u64 = MAX_SEQS;
 
 /// Lease as much as fits of `len` blocks that share no hash with any
-/// family, starting with block hash `first`, then preempt them.
-fn press(pool: &BlockPool, first: u64, len: usize) {
-    let chain: Vec<u64> = (0..len as u64).map(|i| first + i * 1_000_000).collect();
+/// family, then preempt them.
+fn press(pool: &mut BlockPool, len: usize) {
+    let chain: Vec<u64> = (0..len as u64).map(|i| i * 1_000_000).collect();
     pool.allocate_prefix(PRESSURE_SEQ, &chain);
     pool.free(PRESSURE_SEQ);
 }
 
-/// Take a pool with nothing pinned to empty through capacity pressure: a
-/// chain picks its stripe by its first block hash, so a pool-sized chain
-/// from each first hash in `0..capacity` presses on every stripe.
-fn drain(pool: &BlockPool) {
+/// Take a pool with nothing pinned to empty through capacity pressure: one
+/// pool-sized chain evicts every resident block, then is freed.
+fn drain(pool: &mut BlockPool) {
     let capacity = pool.capacity();
-    for first in 0..capacity as u64 {
-        press(pool, first, capacity);
-    }
+    press(pool, capacity);
 }
 
 /// The reference model: which chain each active lease pins.
@@ -152,11 +149,10 @@ proptest! {
     #[test]
     fn pool_invariants_hold_for_arbitrary_op_sequences(
         capacity in 2..16usize,
-        stripes in 1..3usize,
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
-        let pool = BlockPool::new(capacity, stripes);
-        let twin = BlockPool::new(capacity, stripes);
+        let mut pool = BlockPool::new(capacity);
+        let mut twin = BlockPool::new(capacity);
         let mut model = Model::default();
         for (step, op) in ops.iter().enumerate() {
             match *op {
@@ -225,8 +221,8 @@ proptest! {
                     }
                 }
                 Op::Pressure { n } => {
-                    press(&pool, 0, n);
-                    press(&twin, 0, n);
+                    press(&mut pool, n);
+                    press(&mut twin, n);
                 }
             }
             check_invariants(&pool, &model, step, op);
@@ -239,7 +235,7 @@ proptest! {
             pool.release(seq);
         }
         model.leases.clear();
-        drain(&pool);
+        drain(&mut pool);
         prop_assert_eq!(pool.live_blocks(), 0);
         prop_assert_eq!(pool.pinned_blocks(), 0);
         let s = pool.stats();

@@ -21,8 +21,8 @@ use std::sync::Arc;
 use spear_core::llm::{FinishReason, GenRequest, LlmClient};
 use spear_core::segment::{SegmentedText, TextSegment};
 use spear_llm::{
-    BlockHasher, BlockPool, GenMemo, InternedChain, Lookup, MemoEntry, ModelProfile, ScannedChain,
-    SimLlm, StripedPrefixCache, TaskKind, TaskScan, Token, TokenInterner,
+    pool::BlockPool, BlockHasher, GenMemo, InternedChain, Lookup, MemoEntry, ModelProfile,
+    ScannedChain, SimLlm, StripedPrefixCache, TaskKind, TaskScan, Token, TokenInterner,
 };
 
 thread_local! {
@@ -108,7 +108,7 @@ fn a_warmed_prefix_with_a_resident_suffix_hits_without_allocating() {
 
 #[test]
 fn leasing_a_resident_chain_allocates_at_most_its_two_paths() {
-    let pool = BlockPool::new(64, 1);
+    let mut pool = BlockPool::new(64);
     let chain = chain();
     pool.allocate(1, &chain).expect("fits");
     pool.release(1);
@@ -131,7 +131,7 @@ fn leasing_a_resident_chain_allocates_at_most_its_two_paths() {
 
 #[test]
 fn extending_a_lease_over_resident_blocks_allocates_only_its_growth() {
-    let pool = BlockPool::new(64, 1);
+    let mut pool = BlockPool::new(64);
     let chain = chain();
     pool.allocate(1, &chain).expect("fits");
     pool.release(1);
@@ -156,7 +156,7 @@ fn extending_a_lease_over_resident_blocks_allocates_only_its_growth() {
 
 #[test]
 fn pinning_a_resident_chain_at_admission_allocates_only_its_lease() {
-    let pool = BlockPool::new(64, 1);
+    let mut pool = BlockPool::new(64);
     let chain = chain();
     pool.allocate(1, &chain).expect("fits");
     pool.release(1);

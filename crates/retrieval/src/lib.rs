@@ -16,7 +16,7 @@
 //! use spear_core::retriever::{RetrievalQuery, RetrievalRequest, Retriever};
 //! use spear_retrieval::{DocStore, Document};
 //!
-//! let store = DocStore::new();
+//! let mut store = DocStore::new();
 //! store.add(Document::new("n1", "enoxaparin 40 mg daily", BTreeMap::new()));
 //! store.add(Document::new("n2", "vitals stable overnight", BTreeMap::new()));
 //!

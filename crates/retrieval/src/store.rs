@@ -11,8 +11,6 @@
 
 use std::collections::BTreeMap;
 
-use parking_lot::RwLock;
-
 use spear_core::error::{Result, SpearError};
 use spear_core::retriever::{RetrievalQuery, RetrievalRequest, RetrievedDoc, Retriever};
 use spear_core::value::Value;
@@ -47,52 +45,31 @@ impl Document {
     }
 }
 
-struct Inner {
+/// An indexed document store. A plain value: documents are added through
+/// `&mut self` at set-up, and lanes then retrieve through a shared `&self`.
+#[derive(Default)]
+pub struct DocStore {
     docs: Vec<Document>,
     index: InvertedIndex,
-}
-
-/// An indexed, concurrently readable document store.
-pub struct DocStore {
-    inner: RwLock<Inner>,
-}
-
-impl Default for DocStore {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl DocStore {
     /// Empty store.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            inner: RwLock::new(Inner {
-                docs: Vec::new(),
-                index: InvertedIndex::new(),
-            }),
-        }
+        Self::default()
     }
 
     /// Add one document (indexed immediately).
-    pub fn add(&self, doc: Document) {
-        let mut inner = self.inner.write();
-        inner.index.add(&doc.text);
-        inner.docs.push(doc);
-    }
-
-    /// Add many documents.
-    pub fn add_all(&self, docs: impl IntoIterator<Item = Document>) {
-        for d in docs {
-            self.add(d);
-        }
+    pub fn add(&mut self, doc: Document) {
+        self.index.add(&doc.text);
+        self.docs.push(doc);
     }
 
     /// Number of documents.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.read().docs.len()
+        self.docs.len()
     }
 
     /// Whether the store is empty.
@@ -137,16 +114,15 @@ impl DocStore {
 
 impl Retriever for DocStore {
     fn retrieve(&self, request: &RetrievalRequest) -> Result<Vec<RetrievedDoc>> {
-        let inner = self.inner.read();
         let mut out = match &request.query {
-            RetrievalQuery::All => inner
+            RetrievalQuery::All => self
                 .docs
                 .iter()
                 .map(|d| Self::to_retrieved(d, 0.0))
                 .collect::<Vec<_>>(),
             RetrievalQuery::Structured(filters) => {
                 let mut hits = Vec::new();
-                for d in &inner.docs {
+                for d in &self.docs {
                     if Self::matches(d, filters)? {
                         hits.push(Self::to_retrieved(d, 0.0));
                     }
@@ -155,11 +131,10 @@ impl Retriever for DocStore {
             }
             RetrievalQuery::Prompt(prompt) => {
                 let terms = keywords(prompt);
-                inner
-                    .index
+                self.index
                     .search(&terms, request.limit)
                     .into_iter()
-                    .map(|(doc_id, score)| Self::to_retrieved(&inner.docs[doc_id], score))
+                    .map(|(doc_id, score)| Self::to_retrieved(&self.docs[doc_id], score))
                     .collect()
             }
         };
@@ -181,7 +156,7 @@ impl std::fmt::Debug for DocStore {
 /// filters.
 #[must_use]
 pub fn doc_store_from_notes(notes: &[spear_data::ClinicalNote]) -> DocStore {
-    let store = DocStore::new();
+    let mut store = DocStore::new();
     for n in notes {
         let mut fields = BTreeMap::new();
         fields.insert("patient_id".to_string(), Value::from(n.patient_id.clone()));
@@ -207,7 +182,7 @@ mod tests {
     }
 
     fn store() -> DocStore {
-        let s = DocStore::new();
+        let mut s = DocStore::new();
         s.add(Document::new(
             "n1",
             "enoxaparin 40 mg daily for dvt prophylaxis",

@@ -37,7 +37,7 @@ proptest! {
         docs in proptest::collection::vec(doc_text(), 1..15),
         query in proptest::collection::vec(word(), 1..4),
     ) {
-        let store = DocStore::new();
+        let mut store = DocStore::new();
         for (i, text) in docs.iter().enumerate() {
             store.add(Document::new(format!("d{i}"), text.clone(), BTreeMap::new()));
         }
@@ -82,7 +82,7 @@ proptest! {
         max_age in 0u64..200,
     ) {
         let n = types.len().min(ages.len());
-        let store = DocStore::new();
+        let mut store = DocStore::new();
         for i in 0..n {
             let mut fields = BTreeMap::new();
             fields.insert("note_type".to_string(), Value::from(types[i]));
@@ -111,7 +111,7 @@ proptest! {
         docs in proptest::collection::vec(doc_text(), 0..12),
         limit in 0usize..6,
     ) {
-        let store = DocStore::new();
+        let mut store = DocStore::new();
         for (i, text) in docs.iter().enumerate() {
             store.add(Document::new(format!("d{i}"), text.clone(), BTreeMap::new()));
         }

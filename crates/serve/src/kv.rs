@@ -48,7 +48,8 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use spear_kv::shard::fnv1a_extend;
-use spear_llm::{BlockPool, PoolExhausted};
+use spear_llm::pool::BlockPool;
+use spear_llm::PoolExhausted;
 
 use crate::metrics::KvReport;
 use crate::queue::ClassFifo;
@@ -62,8 +63,10 @@ pub struct KvPressureConfig {
     pub pool_blocks: usize,
     /// Tokens per KV block.
     pub block_size: usize,
-    /// Lock stripes for the pool (scheduling here is single-threaded, so
-    /// this only shapes per-stripe capacity rounding).
+    /// Compat only, read by no product code: the stripe count
+    /// `benchmark/src/layers.rs` passes to `spear_llm::compat::BlockPool`,
+    /// which requires 1. The pool is not striped.
+    #[doc(hidden)]
     pub pool_stripes: usize,
     /// Per-iteration token budget shared by decode steps and prefill
     /// chunks.
@@ -592,7 +595,7 @@ pub(crate) fn simulate(inputs: &[SeqInput], cfg: &KvPressureConfig) -> KvSimRun 
         cfg,
         inputs,
         seqs,
-        pool: BlockPool::new(cfg.pool_blocks, cfg.pool_stripes.max(1)),
+        pool: BlockPool::new(cfg.pool_blocks),
         running: Vec::new(),
         resume: std::collections::VecDeque::new(),
         waiting: ClassFifo::new(u32::MAX), // aging handled upstream; FIFO per class here
@@ -630,7 +633,6 @@ mod tests {
         KvPressureConfig {
             pool_blocks: 24,
             block_size: 16,
-            pool_stripes: 1,
             max_batched_tokens: 64,
             prefill_chunk_tokens: 32,
             ..KvPressureConfig::default()
@@ -688,7 +690,6 @@ mod tests {
         let cfg = KvPressureConfig {
             pool_blocks: 4,
             block_size: 16,
-            pool_stripes: 1,
             ..KvPressureConfig::default()
         };
         // 640 prompt tokens = 40 blocks, 10× the pool.
@@ -802,13 +803,11 @@ mod tests {
         let tiny = KvPressureConfig {
             pool_blocks: 4,
             block_size: 16,
-            pool_stripes: 1,
             ..KvPressureConfig::default()
         };
         let bursty_cfg = KvPressureConfig {
             pool_blocks: 256,
             block_size: 16,
-            pool_stripes: 1,
             max_batched_tokens: 1024,
             prefill_chunk_tokens: 128,
             ..KvPressureConfig::default()

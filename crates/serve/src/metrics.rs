@@ -302,19 +302,6 @@ pub struct KvReport {
     pub peak_live_blocks: u64,
 }
 
-impl KvReport {
-    /// Fraction of requested blocks served by resident prefixes under
-    /// contention, in `[0, 1]`; `None` before any request.
-    #[must_use]
-    pub fn pool_reuse_rate(&self) -> Option<f64> {
-        if self.requested_blocks == 0 {
-            None
-        } else {
-            Some(self.reused_blocks as f64 / self.requested_blocks as f64)
-        }
-    }
-}
-
 /// Counters from the scheduler's [`crate::program_cache::ProgramCache`]:
 /// how many admissions compiled a fresh program and how many reused a
 /// cached program. All counters are lane-count-invariant — admission order

@@ -18,7 +18,6 @@ fn tight_pressure() -> KvPressureConfig {
     KvPressureConfig {
         pool_blocks: 200,
         block_size: 4,
-        pool_stripes: 1,
         max_batched_tokens: 1024,
         prefill_chunk_tokens: 128,
         ..KvPressureConfig::default()

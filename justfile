@@ -19,6 +19,11 @@ loc:
 locks:
     sh scripts/locks.sh
 
+# Every `#[doc(hidden)]` compat item, checked against the `benchmark/`
+# call sites in DESIGN.md §18 (part of `just check`).
+compat:
+    sh scripts/compat.sh
+
 # Fast feedback loop: debug tests only.
 test:
     cargo test --workspace -q

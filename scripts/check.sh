@@ -33,8 +33,11 @@ done
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
 # Lock inventory gate: every lock or atomic in product code has a row in
-# DESIGN.md §5 naming the threads that meet there.
+# DESIGN.md §5 naming the threads that meet there, and every row a lock.
 sh scripts/locks.sh
+# Compat gate: every `#[doc(hidden)]` item has a DESIGN.md §18 row naming
+# the `benchmark/` call site that still needs it.
+sh scripts/compat.sh
 # Doc gate: a renamed or deleted item must not leave a dangling doc link.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Information, not a gate: the non-test line count simplicity PRs quote.

@@ -3,7 +3,9 @@
 # field or static of product code whose type names a `Mutex`, `RwLock`,
 # `Condvar`, `OnceLock` or `Atomic*`, as `file<TAB>field`, and exits
 # non-zero naming each one that has no row in DESIGN.md §5's lock
-# inventory. A row is keyed by its first two cells: | `file` | `field` |.
+# inventory, and each §5 row that names no declaration the scan finds (a
+# lock that was removed or renamed). A row is keyed by its first two
+# cells: | `file` | `field` |.
 # Product code is what scripts/loc.sh counts: `src/**/*.rs` down to each
 # file's last top-level `#[cfg(test)]`, without the files compiled only as
 # `#[cfg(test)] mod name;`.
@@ -61,7 +63,28 @@ done <<EOF_FOUND
 $found
 EOF_FOUND
 
-if [ "$missing" -ne 0 ]; then
-    echo "locks.sh: $missing lock or atomic declaration(s) without an inventory row" >&2
+# The `file<TAB>field` key of every inventory row in DESIGN.md §5.
+rows=$(awk '
+    /^## 5\./ { inside = 1; next }
+    inside && /^## / { exit }
+    inside && /^\| `[^`]+` \| `[^`]+` \|/ {
+        split($0, cell, /`/)
+        print cell[2] "\t" cell[4]
+    }
+' DESIGN.md)
+
+stale=0
+while IFS=$tab read -r file name; do
+    [ -n "$file" ] || continue
+    if ! printf '%s\n' "$found" | grep -qxF "$file$tab$name"; then
+        printf '%s\t%s\tSTALE: an inventory row for a declaration the scan does not find\n' "$file" "$name"
+        stale=$((stale + 1))
+    fi
+done <<EOF_ROWS
+$rows
+EOF_ROWS
+
+if [ "$missing" -ne 0 ] || [ "$stale" -ne 0 ]; then
+    echo "locks.sh: $missing declaration(s) without an inventory row, $stale stale row(s)" >&2
     exit 1
 fi

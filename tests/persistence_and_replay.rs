@@ -104,14 +104,13 @@ fn rollback_then_replay_is_consistent() {
 
 #[test]
 fn prompt_store_with_persister_survives_restart_transparently() {
-    use std::sync::Arc;
     let path = temp_path("store-persister");
     let _ = std::fs::remove_file(&path);
 
     // Session 1: a durable PromptStore used through its normal API —
     // nothing in the pipeline code knows about durability.
     {
-        let log = Arc::new(JsonlLog::open(&path).unwrap());
+        let log = Box::new(JsonlLog::open(&path).unwrap());
         let mut store = PromptStore::new().with_persister(log);
         store.define(
             "qa_prompt",
@@ -178,21 +177,20 @@ fn prompt_store_with_persister_survives_restart_transparently() {
 #[test]
 fn sync_reports_a_record_the_persister_failed_to_append() {
     use spear::kv::{KvError, LogRecord, Persister};
-    use std::sync::Arc;
 
     /// A sink that refuses every record, as a log does for one
     /// `serde_json` cannot encode.
     struct Refusing;
     impl Persister<PromptEntry> for Refusing {
-        fn append(&self, record: &LogRecord<PromptEntry>) -> spear::kv::Result<()> {
+        fn append(&mut self, record: &LogRecord<PromptEntry>) -> spear::kv::Result<()> {
             Err(KvError::Serde(format!("refused {}", record.key)))
         }
-        fn flush(&self) -> spear::kv::Result<()> {
+        fn flush(&mut self) -> spear::kv::Result<()> {
             Ok(())
         }
     }
 
-    let mut store = PromptStore::new().with_persister(Arc::new(Refusing));
+    let mut store = PromptStore::new().with_persister(Box::new(Refusing));
     store.define("p", "first", "f_base", RefinementMode::Manual);
     store.define("q", "second", "f_base", RefinementMode::Manual);
     // The writes stand in memory; the first lost record is reported, once.
@@ -209,7 +207,7 @@ fn a_shadow_run_against_a_durable_state_logs_nothing_and_recovery_rebuilds_the_p
     use std::sync::Arc;
     let path = temp_path("shadow-of-durable");
     let _ = std::fs::remove_file(&path);
-    let log = Arc::new(JsonlLog::open(&path).unwrap());
+    let log = Box::new(JsonlLog::open(&path).unwrap());
     let logged = || std::fs::read_to_string(&path).unwrap().lines().count();
 
     let mut state = ExecState::new();
