@@ -16,14 +16,17 @@
 //! marker (detection, [`PromptFeatures`], the justification, dosage and
 //! timing directives), the digits after the first word-limit phrase, and the
 //! last offset of each case-sensitive item marker (`Input:`, `Tweet:`,
-//! `Text:`). The scan takes the prompt in chunks and its state is a plain
-//! `Copy` value, so the engine keeps it in the token interner next to the
-//! tokenizer's resume state ([`crate::intern::ScannedChain`]): a prompt
-//! family's shared prefix is scanned once per process, and each request
-//! scans only its suffix. A prompt that arrives whole is the same scan fed
-//! one chunk. The behaviours that need more than those facts — the prompt
-//! rewrite and write tasks, the generic answer and QA's sentence search —
-//! read the original text.
+//! `Text:`), the first offset of the case-sensitive fused-section header
+//! `in this order:`, and the prompt's word count. The scan takes the prompt
+//! in chunks and its state is a plain `Copy` value, so the engine keeps it
+//! in the token interner next to the tokenizer's resume state
+//! ([`crate::intern::ScannedChain`]): a prompt family's shared prefix is
+//! scanned once per process, and each request scans only its suffix. A
+//! prompt that arrives whole is the same scan fed one chunk. The generic
+//! answer reads the scan, and slices the text only to parse the section
+//! labels after a fused-section header. The behaviours that need more than
+//! those facts — the prompt rewrite and write tasks and QA's sentence
+//! search — read the original text.
 //!
 //! Feeding chunk by chunk is exact because every marker is ASCII. Each
 //! chunk is lowercased char by char; the only context-dependent lowercase
@@ -32,7 +35,9 @@
 //! those in the whole prompt's `to_lowercase`. A chunk keeps the last
 //! (longest marker − 1) lowered bytes of the text before it, so a marker
 //! split across chunks is found once, and a digit run open at a chunk's end
-//! continues into the next.
+//! continues into the next. Words are counted as `split_whitespace` splits
+//! them, and whether the text so far ends inside a word carries across the
+//! cut.
 
 use std::cell::RefCell;
 
@@ -181,9 +186,14 @@ const CARRY: usize = {
 /// The case-sensitive item markers, in priority order; each ends in `:`.
 const ITEM_MARKERS: [&str; 3] = ["Input:", "Tweet:", "Text:"];
 
+/// The case-sensitive header of a fused multi-section request (the
+/// optimizer's GEN fusion writes "Produce one section per requested
+/// output, in this order: a, b."); it ends in `:` like the item markers.
+const ORDER_HEADER: &str = "in this order:";
+
 /// Original bytes a chunk keeps of the text before it: one short of the
-/// longest item marker.
-const ITEM_CARRY: usize = 5;
+/// longest colon-ended marker, [`ORDER_HEADER`].
+const ITEM_CARRY: usize = ORDER_HEADER.len() - 1;
 
 /// An offset not seen yet.
 const NONE: usize = usize::MAX;
@@ -246,6 +256,29 @@ fn ends_with_split(head: &[u8], tail: &[u8], marker: &[u8]) -> bool {
     }
 }
 
+/// `char::is_whitespace` on ASCII: `\t`, `\n`, `\x0B`, `\x0C`, `\r` and
+/// space (`u8::is_ascii_whitespace` leaves out `\x0B`).
+const fn ascii_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// The words that start in ASCII `bytes` after its first byte: each
+/// non-space byte after a space. Summed in `u8`, 255 pairs at a time, so
+/// the loop runs in vector lanes.
+fn word_starts(bytes: &[u8]) -> usize {
+    let tails = bytes.get(1..).unwrap_or_default();
+    bytes
+        .chunks(255)
+        .zip(tails.chunks(255))
+        .map(|(a, b)| {
+            let starts = a.iter().zip(b).fold(0u8, |n, (&x, &y)| {
+                n + u8::from(ascii_space(x) & !ascii_space(y))
+            });
+            usize::from(starts)
+        })
+        .sum()
+}
+
 /// Append `chunk`'s lowercase to `out`, one char at a time.
 fn lowercase_into(chunk: &str, out: &mut String) {
     if chunk.is_ascii() {
@@ -275,6 +308,12 @@ pub struct TaskScan {
     limits_open: [bool; 3],
     /// Original offset of each item marker's last occurrence, or [`NONE`].
     items: [usize; ITEM_MARKERS.len()],
+    /// Original offset of [`ORDER_HEADER`]'s first occurrence, or [`NONE`].
+    order_at: usize,
+    /// Whitespace-separated words so far, and whether the text so far ends
+    /// inside one.
+    words: usize,
+    in_word: bool,
     /// Bytes fed so far, in original and in lowered coordinates.
     original_len: usize,
     lowered_len: usize,
@@ -298,6 +337,9 @@ impl TaskScan {
             limits: [None; 3],
             limits_open: [false; 3],
             items: [NONE; ITEM_MARKERS.len()],
+            order_at: NONE,
+            words: 0,
+            in_word: false,
             original_len: 0,
             lowered_len: 0,
             carry: Tail::EMPTY,
@@ -315,6 +357,7 @@ impl TaskScan {
 
     /// Continue the scan over the next chunk of the prompt.
     pub fn feed(&mut self, chunk: &str) {
+        self.count_words(chunk);
         self.scan_items(chunk);
         LOWERED.with(|window| {
             let window = &mut *window.borrow_mut();
@@ -326,14 +369,40 @@ impl TaskScan {
         });
     }
 
-    /// Record every item marker that ends in `chunk`.
+    /// Count the words that start in `chunk`, splitting at
+    /// `char::is_whitespace` as `split_whitespace` does.
+    fn count_words(&mut self, chunk: &str) {
+        let bytes = chunk.as_bytes();
+        let (Some(&first), Some(&last)) = (bytes.first(), bytes.last()) else {
+            return;
+        };
+        if chunk.is_ascii() {
+            self.words += usize::from(!self.in_word && !ascii_space(first)) + word_starts(bytes);
+            self.in_word = !ascii_space(last);
+        } else {
+            for c in chunk.chars() {
+                let space = c.is_whitespace();
+                self.words += usize::from(!space && !self.in_word);
+                self.in_word = !space;
+            }
+        }
+    }
+
+    /// Record every item marker, and the first [`ORDER_HEADER`], that ends
+    /// in `chunk`.
     fn scan_items(&mut self, chunk: &str) {
         for (colon, _) in chunk.match_indices(':') {
             let upto = &chunk.as_bytes()[..=colon];
+            let starts = |marker: &str| self.original_len + upto.len() - marker.len();
             for (k, marker) in ITEM_MARKERS.iter().enumerate() {
                 if ends_with_split(self.item_carry.bytes(), upto, marker.as_bytes()) {
-                    self.items[k] = self.original_len + upto.len() - marker.len();
+                    self.items[k] = starts(marker);
                 }
+            }
+            if self.order_at == NONE
+                && ends_with_split(self.item_carry.bytes(), upto, ORDER_HEADER.as_bytes())
+            {
+                self.order_at = starts(ORDER_HEADER);
             }
         }
         self.item_carry.push(chunk.as_bytes());
@@ -505,38 +574,9 @@ impl TaskScan {
             TaskKind::RewritePrompt => rewrite_prompt(prompt),
             TaskKind::WritePrompt => write_prompt(prompt),
             TaskKind::Qa => qa(prompt, self),
-            TaskKind::Generic => generic(prompt),
+            TaskKind::Generic => generic(prompt, self),
         }
     }
-}
-
-/// Route a request to a task. An explicit `options.task` hint wins;
-/// otherwise the prompt's wording decides.
-#[must_use]
-pub fn detect_task(hint: Option<&str>, prompt: &str) -> TaskKind {
-    TaskScan::of(prompt).task(hint)
-}
-
-/// Extract the item under analysis: the text after the last occurrence of
-/// the first marker present in priority order — `Input:`, then `Tweet:`,
-/// then `Text:`, so any `Input:` beats a later `Tweet:` — else the last
-/// non-empty line.
-#[must_use]
-pub fn extract_input(prompt: &str) -> &str {
-    TaskScan::of(prompt).item(prompt)
-}
-
-/// Parse a word limit from the prompt ("at most N words", "word limit of
-/// N", "no more than N words"); `None` when unconstrained.
-#[must_use]
-pub fn parse_word_limit(prompt: &str) -> Option<usize> {
-    TaskScan::of(prompt).word_limit()
-}
-
-/// Run the task model over `prompt`.
-#[must_use]
-pub fn run(kind: TaskKind, prompt: &str, params: &TaskParams<'_>) -> TaskOutcome {
-    TaskScan::of(prompt).run(kind, prompt, params)
 }
 
 /// Uniform draw in `[0, 1)` from a hash.
@@ -839,37 +879,39 @@ fn qa(prompt: &str, scan: &TaskScan) -> TaskOutcome {
     }
 }
 
-fn generic(prompt: &str) -> TaskOutcome {
+/// The generic answer over the scan of `prompt`: its word count, and for
+/// a fused multi-section request the section labels after the header.
+fn generic(prompt: &str, scan: &TaskScan) -> TaskOutcome {
+    let words = scan.words;
     // Fused multi-section requests (the optimizer's GEN fusion appends
     // "Produce one section per requested output, in this order: a, b ...").
-    if let Some(rest) = prompt.split("in this order:").nth(1) {
-        if prompt.contains("one section per requested output") {
-            let labels: Vec<&str> = rest
-                .split('.')
-                .next()
-                .unwrap_or("")
-                .split(',')
-                .map(str::trim)
-                .filter(|l| !l.is_empty())
+    if scan.order_at != NONE && prompt.contains("one section per requested output") {
+        // The text up to the header's next occurrence.
+        let rest = &prompt[scan.order_at + ORDER_HEADER.len()..];
+        let rest = rest.find(ORDER_HEADER).map_or(rest, |end| &rest[..end]);
+        let labels: Vec<&str> = rest
+            .split('.')
+            .next()
+            .unwrap_or("")
+            .split(',')
+            .map(str::trim)
+            .filter(|l| !l.is_empty())
+            .collect();
+        if !labels.is_empty() {
+            let sections: Vec<String> = labels
+                .iter()
+                .map(|l| {
+                    format!(
+                        "{l}: the {l} supported by the record of this                              {words}-word request, stated in plain prose"
+                    )
+                })
                 .collect();
-            if !labels.is_empty() {
-                let words = prompt.split_whitespace().count();
-                let sections: Vec<String> = labels
-                    .iter()
-                    .map(|l| {
-                        format!(
-                            "{l}: the {l} supported by the record of this                              {words}-word request, stated in plain prose"
-                        )
-                    })
-                    .collect();
-                return TaskOutcome {
-                    text: sections.join("\n===\n"),
-                    confidence: 0.82,
-                };
-            }
+            return TaskOutcome {
+                text: sections.join("\n===\n"),
+                confidence: 0.82,
+            };
         }
     }
-    let words = prompt.split_whitespace().count();
     TaskOutcome {
         text: format!(
             "The requested output, stated in plain prose from the provided              {words}-word material with the relevant details restated for              the reader."
@@ -890,7 +932,7 @@ mod tests {
 
     fn run_with(kind: TaskKind, prompt: &str, structured: bool, seed: u64) -> TaskOutcome {
         let (profile, seed) = qwen_params(seed);
-        run(
+        TaskScan::of(prompt).run(
             kind,
             prompt,
             &TaskParams {
@@ -901,41 +943,49 @@ mod tests {
         )
     }
 
+    fn detect(hint: Option<&str>, prompt: &str) -> TaskKind {
+        TaskScan::of(prompt).task(hint)
+    }
+
+    fn item_of(prompt: &str) -> &str {
+        TaskScan::of(prompt).item(prompt)
+    }
+
     #[test]
     fn detection_routes_by_hint_and_wording() {
-        assert_eq!(detect_task(Some("summarize"), ""), TaskKind::Summarize);
+        assert_eq!(detect(Some("summarize"), ""), TaskKind::Summarize);
         assert_eq!(
-            detect_task(None, "Classify the sentiment of the tweet."),
+            detect(None, "Classify the sentiment of the tweet."),
             TaskKind::ClassifySentiment
         );
         assert_eq!(
-            detect_task(None, "Summarize the tweet, then classify its sentiment."),
+            detect(None, "Summarize the tweet, then classify its sentiment."),
             TaskKind::FusedMapFilter
         );
         assert_eq!(
-            detect_task(None, "Classify the sentiment, then summarize the tweet."),
+            detect(None, "Classify the sentiment, then summarize the tweet."),
             TaskKind::FusedFilterMap
         );
         assert_eq!(
-            detect_task(
+            detect(
                 None,
                 "Classify whether the tweet is school related and negative."
             ),
             TaskKind::ClassifySchoolNegative
         );
         assert_eq!(
-            detect_task(None, "Rewrite this.\n--- PROMPT ---\nold"),
+            detect(None, "Rewrite this.\n--- PROMPT ---\nold"),
             TaskKind::RewritePrompt
         );
         assert_eq!(
-            detect_task(None, "Please write a prompt for ..."),
+            detect(None, "Please write a prompt for ..."),
             TaskKind::WritePrompt
         );
         assert_eq!(
-            detect_task(None, "Highlight the medication history."),
+            detect(None, "Highlight the medication history."),
             TaskKind::Qa
         );
-        assert_eq!(detect_task(None, "hello"), TaskKind::Generic);
+        assert_eq!(detect(None, "hello"), TaskKind::Generic);
     }
 
     const KINDS: [TaskKind; 9] = [
@@ -1002,14 +1052,23 @@ mod tests {
         }
     }
 
-    /// A marker (or item marker, or word-limit phrase) in lower, upper or
-    /// title case, a digit run, plain words, fold edge cases or any char.
+    /// Whitespace beyond the space and newline: the rest of ASCII's, then
+    /// Unicode's next line, no-break, em and ideographic spaces.
+    const SPACES: [&str; 8] = [
+        "\t", "\x0B", "\x0C", "\r", "\u{85}", "\u{A0}", "\u{2003}", "\u{3000}",
+    ];
+
+    /// A marker (or item marker, or word-limit phrase, or the fused-section
+    /// header) in lower, upper or title case, a digit run, plain words, the
+    /// header's other pieces, ASCII and Unicode whitespace, fold edge cases
+    /// or any char.
     fn piece() -> impl Strategy<Value = String> {
-        let marker = (0..MARKERS.len() + ITEM_MARKERS.len(), 0..3u8).prop_map(|(m, case)| {
+        let colon_ended: Vec<&str> = ITEM_MARKERS.into_iter().chain([ORDER_HEADER]).collect();
+        let marker = (0..MARKERS.len() + colon_ended.len(), 0..3u8).prop_map(move |(m, case)| {
             let text = MARKERS
                 .get(m)
                 .copied()
-                .unwrap_or_else(|| ITEM_MARKERS[m - MARKERS.len()]);
+                .unwrap_or_else(|| colon_ended[m - MARKERS.len()]);
             match case {
                 0 => text.to_string(),
                 1 => text.to_uppercase(),
@@ -1025,6 +1084,11 @@ mod tests {
             2 => Just(" ".to_string()),
             1 => Just("\n".to_string()),
             1 => Just(". ".to_string()),
+            1 => Just(ORDER_HEADER.to_string()),
+            1 => Just("one section per requested output".to_string()),
+            1 => Just(",".to_string()),
+            1 => Just(".".to_string()),
+            2 => (0..SPACES.len()).prop_map(|k| SPACES[k].to_string()),
             1 => Just("mg".to_string()),
             1 => Just("Σ".to_string()),
             1 => Just("ΟΔΟΣ".to_string()),
@@ -1082,6 +1146,73 @@ mod tests {
         );
     }
 
+    /// The generic answer over `text` fed in two chunks cut at byte `at`.
+    fn generic_in_two(text: &str, at: usize) -> TaskOutcome {
+        let (profile, seed) = qwen_params(5);
+        let params = TaskParams {
+            profile: &profile,
+            structured_identity: true,
+            seed,
+        };
+        let mut scan = TaskScan::new();
+        scan.feed(&text[..at]);
+        scan.feed(&text[at..]);
+        scan.run(TaskKind::Generic, text, &params)
+    }
+
+    #[test]
+    fn a_fused_header_split_across_two_chunks_is_found() {
+        let text = "Answer both. Produce one section per requested output, in this order: \
+                    summary, label. Then stop.";
+        let header = text.find(ORDER_HEADER).unwrap();
+        for at in header..=header + ORDER_HEADER.len() {
+            let out = generic_in_two(text, at);
+            assert_eq!(out.confidence, 0.82, "cut at {at}");
+            assert!(out.text.starts_with("summary: ") && out.text.contains("\n===\nlabel: "));
+            assert_matches_reference(text, &scan_in_pieces(text, &[at]), None);
+        }
+    }
+
+    #[test]
+    fn a_second_fused_header_ends_the_labels_of_the_first() {
+        let text = "Produce one section per requested output, in this order: a, b \
+                    in this order: c, d.";
+        let out = generic_in_two(text, text.len() / 2);
+        assert_eq!(
+            out.text.lines().filter(|l| *l != "===").count(),
+            2,
+            "{:?}",
+            out.text
+        );
+        assert!(out.text.starts_with("a: ") && out.text.contains("\n===\nb: "));
+        assert_eq!(
+            TaskScan::of(text).order_at,
+            text.find(ORDER_HEADER).unwrap()
+        );
+        assert_matches_reference(text, &TaskScan::of(text), None);
+    }
+
+    #[test]
+    fn a_word_split_across_chunks_counts_once() {
+        let text = "alpha beta\x0Bgamma\u{3000}delta";
+        for at in text.char_indices().map(|(at, _)| at).chain([text.len()]) {
+            let mut scan = TaskScan::new();
+            scan.feed(&text[..at]);
+            scan.feed(&text[at..]);
+            assert_eq!(scan.words, 4, "cut at {at}");
+            assert_matches_reference(text, &scan, None);
+        }
+        // ASCII chunks longer than one 255-pair block of the word count,
+        // with words and runs of spaces across every block edge.
+        let long = "ab \x0B c\td  ".repeat(90);
+        for at in [0, 1, 254, 255, 256, 510, 511, long.len() - 1] {
+            let mut scan = TaskScan::new();
+            scan.feed(&long[..at]);
+            scan.feed(&long[at..]);
+            assert_eq!(scan.words, 270, "cut at {at}");
+        }
+    }
+
     #[test]
     fn chunkwise_lowering_is_exact_at_context_and_length_changing_folds() {
         // Final sigma folds to ς in the whole string and to σ chunk by
@@ -1115,26 +1246,29 @@ mod tests {
 
     #[test]
     fn input_extraction_prefers_markers() {
-        assert_eq!(extract_input("Classify.\nTweet: rain again"), "rain again");
+        assert_eq!(item_of("Classify.\nTweet: rain again"), "rain again");
         assert_eq!(
-            extract_input("a\nInput: first\nInput: second"),
+            item_of("a\nInput: first\nInput: second"),
             "second",
             "last marker wins"
         );
         assert_eq!(
-            extract_input("a\nInput: first\nTweet: later"),
+            item_of("a\nInput: first\nTweet: later"),
             "first\nTweet: later",
             "markers are tried in priority order: any Input: beats a later Tweet:"
         );
-        assert_eq!(extract_input("only line"), "only line");
+        assert_eq!(item_of("only line"), "only line");
     }
 
     #[test]
     fn word_limit_parsing() {
-        assert_eq!(parse_word_limit("use at most 30 words"), Some(30));
-        assert_eq!(parse_word_limit("a word limit of 12 applies"), Some(12));
-        assert_eq!(parse_word_limit("no more than 5 words"), Some(5));
-        assert_eq!(parse_word_limit("unconstrained"), None);
+        assert_eq!(TaskScan::of("use at most 30 words").word_limit(), Some(30));
+        assert_eq!(
+            TaskScan::of("a word limit of 12 applies").word_limit(),
+            Some(12)
+        );
+        assert_eq!(TaskScan::of("no more than 5 words").word_limit(), Some(5));
+        assert_eq!(TaskScan::of("unconstrained").word_limit(), None);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! The whole-prompt task model [`TaskScan`](super::TaskScan) replaced, kept
 //! as the reference the differential tests compare against: one
 //! `to_lowercase` of the whole prompt, then one `contains`/`find` pass per
-//! marker, and `rfind` for the item.
+//! marker, `rfind` for the item, and `split`/`split_whitespace` over the
+//! whole prompt for the generic answer.
 
 use spear_data::vocab;
 use spear_kv::shard::fnv1a;
 
 use super::{
-    clean, confidence_for, correctness_probability, draw, generic, lexicon_negative,
-    rewrite_prompt, write_prompt, TaskOutcome, TaskParams,
+    clean, confidence_for, correctness_probability, draw, lexicon_negative, rewrite_prompt,
+    write_prompt, TaskOutcome, TaskParams,
 };
 use crate::profile::{PromptFeatures, TaskKind};
 
@@ -226,5 +227,44 @@ fn qa(prompt: &str, lower: &str) -> TaskOutcome {
             text: "No Enoxaparin use documented in the provided context.".to_string(),
             confidence: (confidence - 0.1).max(0.05),
         },
+    }
+}
+
+fn generic(prompt: &str) -> TaskOutcome {
+    // Fused multi-section requests (the optimizer's GEN fusion appends
+    // "Produce one section per requested output, in this order: a, b ...").
+    if let Some(rest) = prompt.split("in this order:").nth(1) {
+        if prompt.contains("one section per requested output") {
+            let labels: Vec<&str> = rest
+                .split('.')
+                .next()
+                .unwrap_or("")
+                .split(',')
+                .map(str::trim)
+                .filter(|l| !l.is_empty())
+                .collect();
+            if !labels.is_empty() {
+                let words = prompt.split_whitespace().count();
+                let sections: Vec<String> = labels
+                    .iter()
+                    .map(|l| {
+                        format!(
+                            "{l}: the {l} supported by the record of this                              {words}-word request, stated in plain prose"
+                        )
+                    })
+                    .collect();
+                return TaskOutcome {
+                    text: sections.join("\n===\n"),
+                    confidence: 0.82,
+                };
+            }
+        }
+    }
+    let words = prompt.split_whitespace().count();
+    TaskOutcome {
+        text: format!(
+            "The requested output, stated in plain prose from the provided              {words}-word material with the relevant details restated for              the reader."
+        ),
+        confidence: 0.7,
     }
 }

@@ -49,7 +49,11 @@ pub struct ServeRequest {
     /// [`LoweredPlan::affinity_seed`].
     pub plan: Arc<LoweredPlan>,
     /// The request's private execution state (context inputs, etc.).
-    pub state: ExecState,
+    /// Boxed, so a request is under 128 bytes: the scheduler moves the
+    /// state out when it dispatches the request, and the consumed slot in
+    /// the caller's request `Vec` keeps only a pointer's width of it for the
+    /// rest of the run.
+    pub state: Box<ExecState>,
     /// Arrival timestamp on the virtual clock, in microseconds. Requests
     /// must be submitted in non-decreasing arrival order.
     pub arrival_us: u64,
@@ -86,7 +90,7 @@ impl ServeRequest {
             id,
             priority,
             plan,
-            state,
+            state: Box::new(state),
             arrival_us,
             deadline_us: None,
             est_tokens: 0,
@@ -154,6 +158,15 @@ mod tests {
         let handle = r.cancel_handle();
         handle.cancel();
         assert!(r.cancel.is_cancelled());
+    }
+
+    #[test]
+    fn a_request_holds_its_state_by_pointer() {
+        assert!(
+            std::mem::size_of::<ServeRequest>() <= 128,
+            "{} bytes",
+            std::mem::size_of::<ServeRequest>()
+        );
     }
 
     #[test]

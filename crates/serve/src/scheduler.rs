@@ -504,7 +504,7 @@ impl<'a> Lifecycle<'a> {
             owner,
             plan: request.plan,
             program,
-            state: request.state,
+            state: *request.state,
         };
         (job, ticket)
     }

@@ -67,8 +67,8 @@ bench-pairs rev workload pairs:
     sh scripts/bench_pairs.sh {{rev}} {{workload}} {{pairs}}
 
 # Byte-identity check for a change that claims to move no paper output:
-# builds REV in a git worktree under target/paper-diff/, runs the ten
-# spear-bench bins and the five examples on both sides, and prints
+# builds REV in a `git archive` export under target/paper-diff/, runs the
+# ten spear-bench bins and the five examples on both sides, and prints
 # `same` / `differs` per output; non-zero exit on any difference. Not part
 # of `just check`.
 paper-diff rev:

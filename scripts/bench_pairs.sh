@@ -1,13 +1,13 @@
 #!/bin/sh
 # Alternating parent/change benchmark pairs (`just bench-pairs REV WORKLOAD
 # PAIRS`), the comparison perf PRs quote. Builds the benchmark of REV in a
-# git worktree under target/bench-pairs/ and the benchmark of the current
-# checkout, then runs PAIRS pairs at seeds 1..PAIRS, REV first at odd seeds
-# and second at even ones, every run `--seconds 10 --trace 0`. Prints every
-# result line as it arrives, then per end-to-end metric the median [Q1, Q3]
-# of each side, the ratio of the medians (change / parent), how many pairs
-# the change won and tied, and a verdict, with "better" and "bound" read
-# from BENCHMARK.json:
+# `git archive` export under target/bench-pairs/ and the benchmark of the
+# current checkout, then runs PAIRS pairs at seeds 1..PAIRS, REV first at
+# odd seeds and second at even ones, every run `--seconds 10 --trace 0`.
+# Prints every result line as it arrives, then per end-to-end metric the
+# median [Q1, Q3] of each side, the ratio of the medians (change / parent),
+# how many pairs the change won and tied, and a verdict, with "better" and
+# "bound" read from BENCHMARK.json:
 #   gain        the change won at least 9 in 10 pairs, and its median is
 #               better than the parent's by more than the parent's Q3 - Q1;
 #   worse       its median is worse than the parent's by more than `bound`
@@ -34,8 +34,13 @@ root=$(pwd)
 sha=$(git rev-parse --verify "$rev^{commit}")
 tree="$root/target/bench-pairs/$sha"
 if [ ! -d "$tree" ]; then
-    # -f: a tree deleted with target/ is still registered until pruned.
-    git worktree add -f --detach "$tree" "$sha" >&2
+    # An export of REV's files, not a worktree: nothing is written to .git.
+    # It is unpacked beside its final path and renamed, so an interrupted
+    # export is not taken for a whole one.
+    rm -rf "$tree.partial"
+    mkdir -p "$tree.partial"
+    git archive "$sha" | tar -x -C "$tree.partial"
+    mv "$tree.partial" "$tree"
 fi
 
 # Each side builds into its own checkout, whatever CARGO_TARGET_DIR says.

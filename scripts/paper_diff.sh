@@ -1,7 +1,7 @@
 #!/bin/sh
 # Byte-identity check of the paper outputs (`just paper-diff REV`), for a
-# change that claims to move none of them. Builds REV in a git worktree
-# under target/paper-diff/, the way bench_pairs.sh builds its parent, and
+# change that claims to move none of them. Builds REV in a `git archive`
+# export under target/paper-diff/, the way bench_pairs.sh builds its parent, and
 # the current checkout, then runs on both sides, with default arguments:
 # the ten spear-bench bins (table3, table4, figure1, the five ablations,
 # analyze, disasm) and the five examples. Prints `same` or `differs` for
@@ -21,8 +21,13 @@ root=$(pwd)
 sha=$(git rev-parse --verify "$1^{commit}")
 tree="$root/target/paper-diff/$sha"
 if [ ! -d "$tree" ]; then
-    # -f: a tree deleted with target/ is still registered until pruned.
-    git worktree add -f --detach "$tree" "$sha" >&2
+    # An export of REV's files, not a worktree: nothing is written to .git.
+    # It is unpacked beside its final path and renamed, so an interrupted
+    # export is not taken for a whole one.
+    rm -rf "$tree.partial"
+    mkdir -p "$tree.partial"
+    git archive "$sha" | tar -x -C "$tree.partial"
+    mv "$tree.partial" "$tree"
 fi
 
 # Each side builds into its own checkout, whatever CARGO_TARGET_DIR says.
