@@ -30,7 +30,8 @@ mod naive;
 /// buffer — FNV-1a is a plain byte fold, so streaming and batch hashing
 /// agree byte-for-byte. The trailing partial block (if any) never emits a
 /// hash, matching the cache's rule that partial blocks are not cacheable.
-#[derive(Debug, Clone)]
+/// A plain value: a copy is a resume point.
+#[derive(Debug, Clone, Copy)]
 pub struct BlockHasher {
     block_size: usize,
     state: u64,

@@ -16,12 +16,15 @@
 //!
 //! Every request takes one prefill (DESIGN.md §10): tokenizing, block
 //! hashing and the task scan resume from the longest interned chain of the
-//! prompt's leading literal segments and run over the rest. A prompt
-//! without segments is one non-literal chunk, so it starts from empty and
-//! interns nothing; the block-hash chain prefill leaves behind is what the
-//! prefix cache looks up and what the generation memo stores.
+//! prompt's leading literal segments and run over the rest — or, when the
+//! thread's previous prefill read further along the same segments (the
+//! next GEN of a request whose prompt grew), from where that one stood. A
+//! prompt without segments is one non-literal chunk, so it starts from
+//! empty and interns nothing; the block-hash chain prefill leaves behind is
+//! what the prefix cache looks up and what the generation memo stores.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use spear_core::error::Result;
@@ -90,21 +93,58 @@ pub struct SimLlm {
 }
 
 /// Per-thread reusable prefill buffers: after the first few requests on a
-/// thread, tokenizing and block-hashing a prompt allocates nothing.
+/// thread, tokenizing and block-hashing a prompt allocates nothing. They
+/// also hold the thread's last segmented prefill as a resume point for the
+/// next (see [`SimLlm::prefill`]): `keys` are its chain keys, `marks` its
+/// state after each segment it fed, for `block_size`-token blocks over a
+/// base interned chain of `covered` segments.
 struct Scratch {
     tokens: Vec<Token>,
     hashes: Vec<u64>,
     keys: Vec<u64>,
     encoder: StreamingEncoder,
+    /// `marks[k]`: the state after segment `covered + k`.
+    marks: Vec<Mark>,
+    /// The marks' pending words, end to end.
+    pending: String,
+    covered: usize,
+    /// `None`: no record.
+    block_size: Option<usize>,
+    /// Segments the last prefill took from the one before it (0: none).
+    resumed: usize,
+}
+
+/// Where a prefill stood after feeding one segment: enough to go on from
+/// there without feeding it again.
+struct Mark {
+    /// `scratch.tokens.len()`: the suffix tokens, past the interned base.
+    tokens: usize,
+    /// `scratch.hashes.len()`: every full block so far, base included.
+    hashes: usize,
+    hasher: BlockHasher,
+    /// The encoder's unterminated word, in `scratch.pending`.
+    pending: Range<usize>,
+    scan: TaskScan,
+}
+
+impl Scratch {
+    const fn new() -> Self {
+        Self {
+            tokens: Vec::new(),
+            hashes: Vec::new(),
+            keys: Vec::new(),
+            encoder: StreamingEncoder::new(),
+            marks: Vec::new(),
+            pending: String::new(),
+            covered: 0,
+            block_size: None,
+            resumed: 0,
+        }
+    }
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
-        tokens: Vec::new(),
-        hashes: Vec::new(),
-        keys: Vec::new(),
-        encoder: StreamingEncoder::new(),
-    });
+    static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
 }
 
 /// The request's segments: empty when it has none, and then its text is
@@ -206,24 +246,46 @@ impl SimLlm {
     /// longest interned literal-segment chain, so a warm prompt-family
     /// prefix costs O(suffix) per request instead of O(prompt). A request
     /// without segments is its text as one non-literal chunk: nothing to
-    /// resume from and nothing to intern. Resuming is invisible — the
-    /// streaming-encoder tests, the task scan's differential tests and the
-    /// segmented-encoding property test prove a segmented prompt gets the
-    /// same numbers as its flat text.
+    /// resume from and nothing to intern.
+    ///
+    /// They also resume from the thread's previous prefill, which is where
+    /// a request's next GEN finds the payload its last GEN read. When the
+    /// interner covered the whole leading literal run, and the previous
+    /// prefill, for the same block size and over the same base, fed further
+    /// along the same chain keys, this one truncates the scratch tokens and
+    /// hashes to that prefill's mark after the last shared segment, restores
+    /// its hasher, pending word and scan, and feeds only the rest. Otherwise
+    /// the record starts over here; a flat request leaves none. The
+    /// interner probe, its inserts and the cache lookup are the same either
+    /// way.
+    ///
+    /// Resuming is invisible — the streaming-encoder tests, the task scan's
+    /// differential tests and the segmented-encoding property tests prove
+    /// a segmented prompt gets the same numbers as its flat text, however
+    /// the requests before it on the thread were cut.
     fn prefill(&self, request: &GenRequest, scratch: &mut Scratch) -> (u64, u64, TaskScan) {
         let segs = segments(request);
         let flat = segs.is_empty().then_some(request.text.as_str());
         let bs = self.config.block_size;
 
-        // Chain keys over the leading literal run — the only prefixes
-        // whose tokenization recurs across requests of a prompt family.
-        let literal_run = segs.iter().take_while(|s| s.is_literal()).count();
-        scratch.keys.clear();
+        // Chain keys over every segment, counting how many lead the
+        // previous prefill's. Only the leading literal run's keys name
+        // interned chains — the only prefixes whose tokenization recurs
+        // across requests of a prompt family.
+        let mut shared = 0;
         let mut key = CHAIN_SEED;
-        for seg in &segs[..literal_run] {
+        for (i, seg) in segs.iter().enumerate() {
             key = chain_key(key, seg.hash());
-            scratch.keys.push(key);
+            match scratch.keys.get_mut(i) {
+                Some(prev) => {
+                    shared += usize::from(shared == i && *prev == key);
+                    *prev = key;
+                }
+                None => scratch.keys.push(key),
+            }
         }
+        scratch.keys.truncate(segs.len());
+        let literal_run = segs.iter().take_while(|s| s.is_literal()).count();
 
         // Longest interned chain wins.
         let mut base: Option<(usize, ScannedChain)> = None;
@@ -240,25 +302,54 @@ impl SimLlm {
                 }
                 None => (0, &[], &[], ""),
             };
-        let mut scan = base
-            .as_ref()
-            .map_or_else(TaskScan::new, |(_, base)| base.scan);
 
-        // Resume the block-hash chain: interned full-block hashes, then the
-        // straddling partial block's tokens re-folded into the hasher state.
-        scratch.tokens.clear();
-        scratch.hashes.clear();
-        scratch.hashes.extend_from_slice(base_hashes);
-        let mut hasher = BlockHasher::new(bs);
-        hasher.push_all(&base_tokens[base_hashes.len() * bs..], &mut scratch.hashes);
+        let resume = covered == literal_run
+            && scratch.block_size == Some(bs)
+            && scratch.covered == covered
+            && shared > covered;
+        let (start, mut hasher, mut scan) = if resume {
+            // `scratch` still holds the previous prefill up to its end;
+            // cut it back to where the first differing segment begins.
+            let mark = &scratch.marks[shared - 1 - covered];
+            scratch.tokens.truncate(mark.tokens);
+            scratch.hashes.truncate(mark.hashes);
+            scratch
+                .encoder
+                .reset(&scratch.pending[mark.pending.clone()]);
+            scratch.pending.truncate(mark.pending.end);
+            let resumed = (shared, mark.hasher, mark.scan);
+            scratch.marks.truncate(shared - covered);
+            resumed
+        } else {
+            // Resume the block-hash chain: interned full-block hashes, then
+            // the straddling partial block's tokens re-folded into the
+            // hasher state.
+            scratch.tokens.clear();
+            scratch.hashes.clear();
+            scratch.hashes.extend_from_slice(base_hashes);
+            let mut hasher = BlockHasher::new(bs);
+            hasher.push_all(&base_tokens[base_hashes.len() * bs..], &mut scratch.hashes);
+            scratch.encoder.reset(base_pending);
+            scratch.marks.clear();
+            scratch.pending.clear();
+            scratch.covered = covered;
+            let scan = base
+                .as_ref()
+                .map_or_else(TaskScan::new, |(_, base)| base.scan);
+            (covered, hasher, scan)
+        };
+        scratch.resumed = if resume { start } else { 0 };
+        // No record until this prefill is whole: a panic caught further up
+        // (a batch job's) must not leave half of one behind.
+        scratch.block_size = None;
 
         // Resume the encoder mid-word and the task scan, and feed them the
-        // remaining chunks. `scratch.tokens` holds only suffix tokens —
-        // the interned prefix is never copied per request.
-        scratch.encoder.reset(base_pending);
-        let mut hashed_upto = 0usize;
+        // remaining chunks, marking the state after each segment.
+        // `scratch.tokens` holds only suffix tokens — the interned prefix is
+        // never copied per request.
+        let mut hashed_upto = scratch.tokens.len();
         let chunks = segs.iter().map(TextSegment::text).chain(flat);
-        for (i, text) in chunks.enumerate().skip(covered) {
+        for (i, text) in chunks.enumerate().skip(start) {
             scratch.encoder.feed(text, &mut scratch.tokens);
             scan.feed(text);
             hasher.push_all(&scratch.tokens[hashed_upto..], &mut scratch.hashes);
@@ -283,6 +374,17 @@ impl SimLlm {
                     },
                 );
             }
+            if flat.is_none() {
+                let from = scratch.pending.len();
+                scratch.pending.push_str(scratch.encoder.pending());
+                scratch.marks.push(Mark {
+                    tokens: scratch.tokens.len(),
+                    hashes: scratch.hashes.len(),
+                    hasher,
+                    pending: from..scratch.pending.len(),
+                    scan,
+                });
+            }
         }
         let flushed = scratch.tokens.len();
         scratch.encoder.finish(&mut scratch.tokens);
@@ -294,6 +396,7 @@ impl SimLlm {
             self.tokenizer.count(&request.text),
             "resumed prefill must count the whole prompt"
         );
+        scratch.block_size = Some(bs);
         let cached = if self.cacheable(&request.identity) {
             // The owner comes from the ambient execution scope: pipeline
             // instances under a BatchRunner each see shared (pre-warmed)
@@ -669,6 +772,121 @@ mod tests {
             0,
             "flat requests never intern"
         );
+    }
+
+    /// `[instruction, payload, tail]`: an interned literal, a per-request
+    /// value and a literal after it, which a refinement grows.
+    fn grown_request(instruction: &Arc<str>, payload: &str, tail: &str) -> GenRequest {
+        let mut segments = SegmentedText::new();
+        segments.push_segment(TextSegment::from_shared(
+            Arc::clone(instruction),
+            spear_kv::shard::fnv1a(instruction.as_bytes()),
+        ));
+        segments.push(payload.to_string());
+        segments.push_segment(TextSegment::from_shared(
+            Arc::from(tail),
+            spear_kv::shard::fnv1a(tail.as_bytes()),
+        ));
+        GenRequest::structured(segments.join(), "view:v@1#0/v1").with_segments(segments)
+    }
+
+    /// Prefill `request` on `scratch`, checked against `twin`, an engine
+    /// of the same config that has seen the same requests, each on a fresh
+    /// scratch: the same counts, scan and block-hash chain. Returns how
+    /// many segments the prefill took from the one before it.
+    fn prefill_checked(
+        e: &SimLlm,
+        twin: &SimLlm,
+        request: &GenRequest,
+        scratch: &mut Scratch,
+    ) -> usize {
+        let (tokens, cached, scan) = e.prefill(request, scratch);
+        let mut fresh = Scratch::new();
+        let (want_tokens, want_cached, want_scan) = twin.prefill(request, &mut fresh);
+        assert_eq!((tokens, cached), (want_tokens, want_cached));
+        assert_eq!(format!("{scan:?}"), format!("{want_scan:?}"));
+        assert_eq!(scratch.hashes, fresh.hashes, "block-hash chain");
+        assert_eq!(fresh.resumed, 0);
+        scratch.resumed
+    }
+
+    fn block_size(block_size: usize) -> SimLlm {
+        SimLlm::with_config(
+            ModelProfile::qwen25_7b_instruct(),
+            EngineConfig {
+                block_size,
+                ..EngineConfig::default()
+            },
+        )
+    }
+
+    const PAYLOAD: &str = "so much homework tonight and the exam is going to be awful, \
+                           naïve plans for 12 chapters ";
+    const TAIL: &str = "\nAnswer with one word.";
+
+    #[test]
+    fn a_grown_prompt_resumes_after_its_payload() {
+        let instruction: Arc<str> = Arc::from(long_instruction());
+        let (e, twin) = (engine(), engine());
+        let mut scratch = Scratch::new();
+        let mut tail = TAIL.to_string();
+        // The first GEN interns the instruction; the second finds it
+        // interned but a record over a cold base, so neither resumes.
+        let mut resumed = Vec::new();
+        for pass in 0..4 {
+            if pass >= 2 {
+                tail.push_str(&format!(" Pass {pass}: tighten the wording."));
+            }
+            let request = grown_request(&instruction, PAYLOAD, &tail);
+            resumed.push(prefill_checked(&e, &twin, &request, &mut scratch));
+        }
+        assert_eq!(resumed, [0, 0, 2, 2], "resumes after the payload");
+        assert_eq!(e.interner_stats(), twin.interner_stats());
+        assert_eq!(e.cache_stats(), twin.cache_stats());
+    }
+
+    #[test]
+    fn a_flat_request_or_another_block_size_in_between_does_not_resume() {
+        let instruction: Arc<str> = Arc::from(long_instruction());
+        let (e16, twin16, e8, twin8) =
+            (block_size(16), block_size(16), block_size(8), block_size(8));
+        let first = grown_request(&instruction, PAYLOAD, TAIL);
+        let grown = grown_request(&instruction, PAYLOAD, &format!("{TAIL} Pass 1: again."));
+        let mut scratch = Scratch::new();
+        for _ in 0..2 {
+            prefill_checked(&e16, &twin16, &first, &mut scratch);
+            prefill_checked(&e8, &twin8, &first, &mut scratch);
+        }
+        assert_eq!(prefill_checked(&e16, &twin16, &first, &mut scratch), 0);
+        assert_eq!(prefill_checked(&e16, &twin16, &first, &mut scratch), 3);
+        let flat = GenRequest::structured(first.text.clone(), "view:v@1#0/v1");
+        assert_eq!(prefill_checked(&e16, &twin16, &flat, &mut scratch), 0);
+        assert_eq!(prefill_checked(&e16, &twin16, &grown, &mut scratch), 0);
+        assert_eq!(prefill_checked(&e8, &twin8, &grown, &mut scratch), 0);
+        assert_eq!(prefill_checked(&e16, &twin16, &grown, &mut scratch), 0);
+        assert_eq!(prefill_checked(&e16, &twin16, &grown, &mut scratch), 3);
+    }
+
+    #[test]
+    fn an_identical_prompt_sent_twice_resumes_at_its_end() {
+        let instruction: Arc<str> = Arc::from(long_instruction());
+        // A prompt ending mid-word leaves a pending word at its last mark.
+        let request = grown_request(&instruction, PAYLOAD, "\nAnswer: mayb");
+        let (e, twin) = (engine(), engine());
+        let mut scratch = Scratch::new();
+        let resumed: Vec<usize> = (0..4)
+            .map(|_| prefill_checked(&e, &twin, &request, &mut scratch))
+            .collect();
+        assert_eq!(resumed, [0, 0, 3, 3]);
+        // Through `generate`, on this thread's scratch, the response is
+        // the flat prompt's on an engine with the same cache history.
+        let flat_request = GenRequest::structured(request.text.clone(), "view:v@1#0/v1");
+        for _ in 0..3 {
+            assert_eq!(
+                e.generate(&request).unwrap(),
+                twin.generate(&flat_request).unwrap()
+            );
+        }
     }
 
     #[test]

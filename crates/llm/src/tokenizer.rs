@@ -125,8 +125,10 @@ pub struct StreamingEncoder {
 impl StreamingEncoder {
     /// A fresh encoder (no pending word).
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self {
+            pending: String::new(),
+        }
     }
 
     /// Reset to a given resume state: `pending` is the unterminated word a

@@ -3,7 +3,7 @@
 //! over a resident chain, extended over resident blocks and pinned at
 //! admission, a token-interner hit, a generation-memo hit, the
 //! task scan resumed from an interned chain, and a whole warm GEN, with
-//! segments and without.
+//! segments and without, and resumed from the GEN before it.
 //!
 //! Every GEN goes through `StripedPrefixCache::lookup_insert_hashed`, asks
 //! the interner for its prompt family's chain and resumes its task scan, a
@@ -269,29 +269,84 @@ fn resuming_an_interned_task_scan_over_an_ascii_suffix_does_not_allocate() {
     }
 }
 
-#[test]
-fn a_warm_segmented_generate_stays_within_its_allocation_budget() {
-    let llm = SimLlm::new(ModelProfile::qwen25_7b_instruct());
+/// `[INSTRUCTION, payload, tail]`: the family's interned instruction, the
+/// request's payload and a literal tail after it, which a refinement grows.
+fn segmented(payload: &str, tail: &str) -> GenRequest {
     let mut segments = SegmentedText::new();
     segments.push_segment(TextSegment::from_shared(
         Arc::from(INSTRUCTION),
         spear_kv::shard::fnv1a(INSTRUCTION.as_bytes()),
     ));
-    segments.push("so much homework tonight, the exam is going to be awful".to_string());
-    let request =
-        GenRequest::structured(segments.join(), "view:filter@1#0/v1").with_segments(segments);
+    segments.push(payload.to_string());
+    segments.push_segment(TextSegment::from_shared(
+        Arc::from(tail),
+        spear_kv::shard::fnv1a(tail.as_bytes()),
+    ));
+    GenRequest::structured(segments.join(), "view:filter@1#0/v1").with_segments(segments)
+}
+
+const PAYLOADS: [&str; 2] = [
+    "so much homework tonight, the exam is going to be awful",
+    "great sunshine today and the topic is the exam",
+];
+
+#[test]
+fn a_warm_segmented_generate_stays_within_its_allocation_budget() {
+    let llm = SimLlm::new(ModelProfile::qwen25_7b_instruct());
+    // Two payloads in turn, so no GEN finds the one before it on the thread
+    // to resume from: each resumes from the interned instruction.
+    let requests = PAYLOADS.map(|payload| segmented(payload, "\nAnswer:"));
     // Intern the family's chain, fill the prefix cache and size this
     // thread's scratch buffers.
     for _ in 0..3 {
-        llm.generate(&request).expect("generates");
+        for request in &requests {
+            llm.generate(request).expect("generates");
+        }
     }
     for _ in 0..3 {
-        let n = allocs(|| drop(llm.generate(&request).expect("generates")));
-        // What is left is the task's output and the response: neither the
-        // scan resumed from the interned chain nor the lexicon lookups
-        // allocate. Lowercasing the whole prompt and each item word per
-        // GEN, as the task model did before, made it 21.
-        assert!(n <= 8, "a warm segmented generate made {n} allocations");
+        for request in &requests {
+            let n = allocs(|| drop(llm.generate(request).expect("generates")));
+            // What is left is the task's output and the response: neither
+            // the scan resumed from the interned chain nor the lexicon
+            // lookups allocate. Lowercasing the whole prompt and each item
+            // word per GEN, as the task model did before, made it 21.
+            assert!(n <= 8, "a warm segmented generate made {n} allocations");
+        }
+    }
+}
+
+#[test]
+fn a_grown_prompt_resumed_from_the_previous_generate_stays_within_its_allocation_budget() {
+    let llm = SimLlm::new(ModelProfile::qwen25_7b_instruct());
+    // A request's GEN, then its next GEN after a refinement appended a
+    // line: the second resumes after the payload the first read.
+    let tail = "\nAnswer:";
+    let grown = format!("{tail}\nPass 1: tighten it.");
+    let gens = PAYLOADS.map(|payload| [segmented(payload, tail), segmented(payload, &grown)]);
+    // Intern the chain, fill the cache, size the scratch and its record.
+    for _ in 0..3 {
+        for [first, second] in &gens {
+            llm.generate(first).expect("generates");
+            llm.generate(second).expect("generates");
+        }
+    }
+    for _ in 0..3 {
+        for [first, second] in &gens {
+            // After the other payload's GEN, the grown prompt resumes from
+            // the interned instruction; after its own first GEN, from the
+            // end of the payload. The record costs nothing on top.
+            let interned = allocs(|| drop(llm.generate(second).expect("generates")));
+            llm.generate(first).expect("generates");
+            let resumed = allocs(|| drop(llm.generate(second).expect("generates")));
+            assert!(
+                resumed <= 8,
+                "a resumed generate made {resumed} allocations"
+            );
+            assert!(
+                resumed <= interned,
+                "resuming made {resumed} allocations, the interned path {interned}"
+            );
+        }
     }
 }
 

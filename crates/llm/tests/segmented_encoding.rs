@@ -14,15 +14,15 @@ use spear_core::llm::{GenRequest, LlmClient};
 use spear_core::segment::{SegmentedText, TextSegment};
 use spear_kv::shard::fnv1a;
 use spear_llm::{
-    chain_key, InternedChain, ModelProfile, SimLlm, StreamingEncoder, Token, TokenInterner,
-    Tokenizer, CHAIN_SEED,
+    chain_key, EngineConfig, InternedChain, ModelProfile, SimLlm, StreamingEncoder, Token,
+    TokenInterner, Tokenizer, CHAIN_SEED,
 };
 
 /// Words and punctuation, plus the task model's markers whole and in
-/// halves (so a split lands inside one), word-limit phrases and digit runs
-/// (so a number continues across segments), and fold edge cases: Σ (final
-/// sigma), İ (lowercases to 3 bytes) and the Kelvin sign (lowercases to
-/// ASCII `k`).
+/// halves (so a split lands inside one), the fused-section header whole
+/// and split, word-limit phrases and digit runs (so a number continues
+/// across segments), and fold edge cases: Σ (final sigma), İ (lowercases
+/// to 3 bytes) and the Kelvin sign (lowercases to ASCII `k`).
 fn fragment() -> impl Strategy<Value = String> {
     prop_oneof![
         "[a-z]{1,12}",
@@ -41,6 +41,9 @@ fn fragment() -> impl Strategy<Value = String> {
         Just("Tw".to_string()),
         Just("eet: ".to_string()),
         Just("Input:".to_string()),
+        Just("in this order:".to_string()),
+        Just("in this or".to_string()),
+        Just("der: ".to_string()),
         Just("at most ".to_string()),
         Just("word limit of ".to_string()),
         "[0-9]{1,3}",
@@ -107,6 +110,115 @@ proptest! {
             );
         }
     }
+
+    /// A run of requests on one thread, each keeping a leading run of the
+    /// previous one's segments and replacing or extending the rest (a
+    /// refined prompt's next GEN), resumes from the thread's previous
+    /// prefill wherever it can: the interner and the prefix cache count
+    /// what a twin sending each request from a fresh thread, with nothing
+    /// to resume from, counts, and every response equals the flat text's
+    /// on a twin that saw the same requests afterwards (a flat request in
+    /// between would leave the thread nothing to resume from).
+    #[test]
+    fn requests_resumed_from_the_previous_prefill_are_engine_equivalent(
+        first in pieces(),
+        edits in proptest::collection::vec((0..8usize, pieces()), 1..8),
+    ) {
+        let engine = SimLlm::new(ModelProfile::qwen25_7b_instruct());
+        let fresh = SimLlm::new(ModelProfile::qwen25_7b_instruct());
+        let requests = requests(first, &edits);
+        let mut responses = Vec::new();
+        for request in &requests {
+            let response = engine.generate(request).unwrap();
+            let fresh_response = std::thread::scope(|s| {
+                s.spawn(|| fresh.generate(request).unwrap()).join().unwrap()
+            });
+            prop_assert_eq!(&response, &fresh_response);
+            prop_assert_eq!(engine.interner_stats(), fresh.interner_stats());
+            prop_assert_eq!(engine.cache_stats(), fresh.cache_stats());
+            responses.push(response);
+        }
+        let flat = SimLlm::new(ModelProfile::qwen25_7b_instruct());
+        for (request, response) in requests.iter().zip(&responses) {
+            let flat_request = GenRequest::structured(request.text.clone(), "view:prop@1#0/v1");
+            prop_assert_eq!(response, &flat.generate(&flat_request).unwrap());
+        }
+        prop_assert_eq!(engine.cache_stats(), flat.cache_stats());
+    }
+
+    /// The same run through engines taking turns on one thread: two of
+    /// block size 16, each with its own interner, and one of block size 8.
+    /// The thread's previous prefill is another engine's, so an engine
+    /// resumes from it only for its own block size, and still interns the
+    /// literal chains it has not seen.
+    #[test]
+    fn engines_taking_turns_on_one_thread_are_engine_equivalent(
+        first in pieces(),
+        edits in proptest::collection::vec((0..8usize, pieces()), 1..6),
+    ) {
+        let engine = |block_size| {
+            SimLlm::with_config(
+                ModelProfile::qwen25_7b_instruct(),
+                EngineConfig { block_size, ..EngineConfig::default() },
+            )
+        };
+        let engines = [engine(16), engine(16), engine(8)];
+        let requests = requests(first, &edits);
+        let mut responses = Vec::new();
+        for request in &requests {
+            for e in &engines {
+                responses.push(e.generate(request).unwrap());
+            }
+        }
+        let flat = [engine(16), engine(16), engine(8)];
+        let mut responses = responses.iter();
+        for request in &requests {
+            let flat_request = GenRequest::structured(request.text.clone(), "view:prop@1#0/v1");
+            for f in &flat {
+                prop_assert_eq!(responses.next().unwrap(), &f.generate(&flat_request).unwrap());
+            }
+        }
+        for (e, f) in engines.iter().zip(&flat) {
+            prop_assert_eq!(e.cache_stats(), f.cache_stats());
+        }
+        prop_assert_eq!(engines[0].interner_stats(), engines[1].interner_stats());
+    }
+}
+
+/// A prompt's pieces: literal or value, each a [`fragment`].
+fn pieces() -> impl Strategy<Value = Vec<(bool, String)>> {
+    proptest::collection::vec((any::<bool>(), fragment()), 0..6)
+}
+
+/// The requests of a refinement run: `first`, then per edit `(keep,
+/// more)` the previous request's first `keep` pieces followed by `more`.
+/// Requests with no text are left out.
+fn requests(first: Vec<(bool, String)>, edits: &[(usize, Vec<(bool, String)>)]) -> Vec<GenRequest> {
+    let mut prompts = vec![first];
+    for (keep, more) in edits {
+        let mut next = prompts[prompts.len() - 1].clone();
+        next.truncate(*keep);
+        next.extend(more.iter().cloned());
+        prompts.push(next);
+    }
+    prompts
+        .iter()
+        .filter(|pieces| !pieces.is_empty())
+        .map(|pieces| {
+            let mut segments = SegmentedText::new();
+            for (literal, text) in pieces {
+                if *literal {
+                    segments.push_segment(TextSegment::from_shared(
+                        Arc::from(text.as_str()),
+                        fnv1a(text.as_bytes()),
+                    ));
+                } else {
+                    segments.push(text.clone());
+                }
+            }
+            GenRequest::structured(segments.join(), "view:prop@1#0/v1").with_segments(segments)
+        })
+        .collect()
 }
 
 /// Hammer a small interner from many threads over an overlapping keyspace

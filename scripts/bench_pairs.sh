@@ -50,6 +50,7 @@ build() {
 }
 build "$tree"
 build "$root"
+stderr="$root/target/bench-pairs/run.stderr"
 
 if [ "$2" = all ]; then
     # The "name" entries of BENCHMARK.json's "workloads" array.
@@ -62,9 +63,17 @@ else
     workloads=$2
 fi
 
+# A run that exits non-zero fails the comparison, result line or not.
 run() {
-    line=$("$2/benchmark/target/release/spear-benchmark" --workload "$workload" \
-        --seed "$3" --seconds 10 --trace 0 2>/dev/null | grep '^{') || {
+    status=0
+    out=$("$2/benchmark/target/release/spear-benchmark" --workload "$workload" \
+        --seed "$3" --seconds 10 --trace 0 2>"$stderr") || status=$?
+    if [ "$status" -ne 0 ]; then
+        echo "$workload $1 seed $3: exit code $status; the end of its stderr:" >&2
+        tail -n 20 "$stderr" >&2
+        exit 1
+    fi
+    line=$(printf '%s\n' "$out" | grep '^{') || {
         echo "$1 seed $3: no result line (a failed output check exits without one)" >&2
         exit 1
     }
