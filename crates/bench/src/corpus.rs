@@ -45,7 +45,7 @@ fn gated_pipeline() -> Pipeline {
 ///
 /// If a corpus plan fails to lower, which would be a lowering bug.
 #[must_use]
-pub fn plans() -> Vec<(&'static str, LoweredPlan)> {
+pub fn plans() -> Vec<(&'static str, Program)> {
     let map = Stage::Map("Clean up the tweet.".to_owned());
     let filter = Stage::Filter("Keep negative tweets.".to_owned());
     let map_filter = [map.clone(), filter.clone()];

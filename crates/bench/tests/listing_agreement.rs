@@ -2,19 +2,19 @@
 //!
 //! Over the golden corpus, the serve load generator's plan families and
 //! the SPEAR-DL kitchen-sink program, the full listing of each plan (its
-//! compiled program's sections and its diagnostics) lists every pc
+//! program's sections and its diagnostics) lists every pc
 //! exactly once, in order, and every diagnostic anchored to a slot quotes
 //! that slot with the same instruction text as the listing's line for it.
 
 use spear_core::analysis::{BytecodePass, Diagnostic, Verifier};
-use spear_core::plan::{lower, LoweredPlan};
-use spear_core::vm::VmOp;
+use spear_core::plan::lower;
+use spear_core::vm::{Program, VmOp};
 use spear_optimizer::listing;
 use spear_serve::loadgen::{generate, LoadGenConfig};
 
 /// The plans the property runs over, each with a name for messages.
-fn plans() -> Vec<(String, LoweredPlan)> {
-    let mut plans: Vec<(String, LoweredPlan)> = spear_bench::corpus::plans()
+fn plans() -> Vec<(String, Program)> {
+    let mut plans: Vec<(String, Program)> = spear_bench::corpus::plans()
         .into_iter()
         .map(|(title, plan)| (title.to_owned(), plan))
         .collect();
@@ -25,7 +25,7 @@ fn plans() -> Vec<(String, LoweredPlan)> {
         ..LoadGenConfig::default()
     });
     for (i, plan) in families.plans.iter().enumerate() {
-        plans.push((format!("loadgen family {i}"), LoweredPlan::clone(plan)));
+        plans.push((format!("loadgen family {i}"), Program::clone(plan)));
     }
     let sink = spear_dl::compile(include_str!("../../dl/tests/kitchen_sink.dl"))
         .expect("the kitchen sink compiles");
@@ -48,25 +48,22 @@ fn the_listing_and_the_verifier_agree_on_every_slot() {
     let verifier = Verifier::new().register_pass(Box::new(BytecodePass));
     let mut quoted = 0;
     for (name, plan) in plans() {
-        let program = spear_core::compile(&plan).expect("corpus plans compile");
         let diagnostics = verifier.verify(&plan);
         let text = listing(&plan, Some(&diagnostics));
-        let (slots, rest) = text
-            .split_once("CONST POOL")
-            .expect("a listing with its program has a pool");
+        let (slots, rest) = text.split_once("CONST POOL").expect("a listing has a pool");
         let (_, verdict) = rest
             .split_once("STATIC BOUNDS")
-            .expect("a listing with its program has bounds");
+            .expect("a listing has bounds");
 
         // Every pc exactly once, in order; the text after the pool
         // operand is the instruction, then the trigger when there is one.
         let listed: Vec<(usize, &str)> = slots.lines().filter_map(slot_line).collect();
         let pcs: Vec<usize> = listed.iter().map(|&(pc, _)| pc).collect();
-        assert_eq!(pcs, (0..plan.ops.len()).collect::<Vec<_>>(), "{name}");
+        assert_eq!(pcs, (0..plan.code().len()).collect::<Vec<_>>(), "{name}");
         let instructions: Vec<&str> = listed
             .iter()
             .map(|&(pc, line)| {
-                let operand = match program.code()[pc] {
+                let operand = match plan.code()[pc] {
                     VmOp::Leaf { leaf } => format!("l{leaf:02}  "),
                     VmOp::Check { check, .. } => format!("c{check:02}  "),
                     VmOp::Jump { .. } => "     ".to_owned(),

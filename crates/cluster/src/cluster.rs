@@ -25,8 +25,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use spear_core::llm::LlmClient;
-use spear_core::plan::LoweredPlan;
 use spear_core::runtime::Runtime;
+use spear_core::vm::Program;
 use spear_llm::{EngineConfig, ModelProfile, SimLlm};
 use spear_serve::{ClusterLinkage, GeneratedWorkload, ServeConfig, ServeNode, ServeOutcome};
 
@@ -154,8 +154,8 @@ impl Cluster {
             }
             // Derived-facts routing: when the caller provides no token
             // estimate, the bytecode abstract interpreter's static upper
-            // bound stands in (0 when the plan is unbounded or invalid —
-            // the router then applies its own floor).
+            // bound stands in (0 when the plan is unbounded — the router
+            // then applies its own floor).
             let est_tokens = if request.est_tokens == 0 {
                 *bound_memo
                     .entry(request.plan.fingerprint())
@@ -351,17 +351,13 @@ impl Cluster {
 }
 
 /// The statically derived worst-case completion-token count of `plan`:
-/// compile it to bytecode and take the abstract interpreter's token
-/// interval upper bound. Returns `0` — "no information", router applies
-/// its own floor — when the plan fails structural verification or when
-/// the bound is unbounded (cyclic bytecode).
+/// the abstract interpreter's token interval upper bound. Returns `0` —
+/// "no information", router applies its own floor — when the bound is
+/// unbounded.
 #[must_use]
-pub fn static_token_upper_bound(plan: &LoweredPlan) -> u64 {
-    let Ok(program) = spear_core::vm::compile(plan) else {
-        return 0;
-    };
+pub fn static_token_upper_bound(plan: &Program) -> u64 {
     let bounds =
-        spear_core::analysis::analyze(&program, &spear_core::analysis::ResourceModel::default());
+        spear_core::analysis::analyze(plan, &spear_core::analysis::ResourceModel::default());
     if bounds.tokens.hi == u64::MAX {
         0
     } else {
@@ -374,7 +370,7 @@ mod tests {
     use super::*;
     use spear_core::history::RefinementMode;
     use spear_core::pipeline::Pipeline;
-    use spear_core::plan::{lower, LoweredOp};
+    use spear_core::plan::lower;
 
     #[test]
     fn static_upper_bound_sums_gen_budgets() {
@@ -388,15 +384,5 @@ mod tests {
         .unwrap();
         // Two GENs at the default 256-token cap each.
         assert_eq!(static_token_upper_bound(&plan), 512);
-    }
-
-    #[test]
-    fn invalid_plans_yield_no_information() {
-        let plan = LoweredPlan {
-            name: "broken".into(),
-            source_size: 1,
-            ops: vec![LoweredOp::Jump { target: usize::MAX }],
-        };
-        assert_eq!(static_token_upper_bound(&plan), 0);
     }
 }

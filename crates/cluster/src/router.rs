@@ -1,7 +1,7 @@
 //! The cluster front-end: placement of requests onto serving nodes.
 //!
 //! Placement is **prefix-aware**: requests whose plans share an
-//! [`spear_core::plan::LoweredPlan::affinity_seed`] (a prompt *family*)
+//! [`spear_core::vm::Program::affinity_seed`] (a prompt *family*)
 //! land on the same node, so the family's shared instruction prefix is
 //! warmed exactly once per replica fleet-wide. The family identity used
 //! for placement is [`spear_llm::affinity_chain_key`] — the same seeded
@@ -180,7 +180,7 @@ impl Router {
 
     /// Place one request and return the target node id.
     ///
-    /// `affinity_seed` is [`spear_core::plan::LoweredPlan::affinity_seed`]
+    /// `affinity_seed` is [`spear_core::vm::Program::affinity_seed`]
     /// (`None` for opaque plans, which fall back to id-hash placement).
     ///
     /// # Panics

@@ -1,10 +1,10 @@
-//! Abstract interpretation over compiled bytecode: sound cost envelopes.
+//! Abstract interpretation over bytecode: sound cost envelopes.
 //!
-//! [`analyze`] derives cost facts **below** the compiler, over the
-//! [`VmOp`] stream the VM actually executes: one forward [`Cfg::sweep`]
-//! over the cond-refined bytecode CFG ([`Cfg::of_code`], so
-//! statically-decided CHECK branches via [`static_cond`] are accounted
-//! for) in an interval domain, returning a [`ProgramBounds`]:
+//! [`analyze`] derives cost facts over the [`VmOp`] stream the VM actually
+//! executes: one forward [`Cfg::sweep`] over the cond-refined graph
+//! ([`Cfg::new`] with `refined`, so statically-decided CHECK branches via
+//! [`static_cond`] are accounted for) in an interval domain, returning a
+//! [`ProgramBounds`]:
 //!
 //! - completion-token cost `[lo, hi]` (per program and per instruction);
 //! - worst-case LLM-call count `[lo, hi]`;
@@ -22,10 +22,10 @@
 //! respecting the [`ResourceModel`] minimums and each GEN's
 //! `options.max_tokens` cap (both simulated backends do), measured usage
 //! never exceeds the `hi` bounds, and a run that reaches the exit spends
-//! at least the `lo` bounds. Cyclic bytecode (only reachable through
-//! `compile_assuming_verified` of an unverified plan) has a reachable
-//! back edge, which the sweep refuses: the envelope is then the top
-//! element `[0, ∞)` and `terminates` is `false`.
+//! at least the `lo` bounds. Cyclic bytecode (which the gate keeps out of
+//! every released program, so only this crate's own tests can build it)
+//! has a reachable back edge, which the sweep refuses: the envelope is
+//! then the top element `[0, ∞)` and `terminates` is `false`.
 //!
 //! [`BytecodePass`] packages the reachability half as an opt-in lint pass
 //! emitting `SPEAR-W004` (bytecode unreachable once statically-decided
@@ -37,7 +37,6 @@ use std::fmt;
 
 use crate::condition::Cond;
 use crate::ops::Op;
-use crate::plan::LoweredPlan;
 use crate::vm::{self, ConstPool, Program, VmOp};
 
 use super::cfg::Cfg;
@@ -169,7 +168,7 @@ impl SlotBounds {
     }
 }
 
-/// Statically derived cost envelope of a compiled program.
+/// Statically derived cost envelope of a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramBounds {
     /// Completion tokens over any complete execution.
@@ -275,8 +274,7 @@ fn leaf_effect(spec: &vm::LeafSpec, model: &ResourceModel) -> SlotBounds {
 }
 
 /// The abstract effect of the instruction `op`. Out-of-pool indices
-/// contribute nothing — the VM would panic before they matter, and
-/// translation validation rejects such programs.
+/// contribute nothing; no program `lower` releases has one.
 fn op_effect(op: VmOp, pool: &ConstPool, model: &ResourceModel) -> SlotBounds {
     match op {
         VmOp::Leaf { leaf } => pool
@@ -295,7 +293,7 @@ fn op_effect(op: VmOp, pool: &ConstPool, model: &ResourceModel) -> SlotBounds {
 pub fn analyze(program: &Program, model: &ResourceModel) -> ProgramBounds {
     let code = program.code();
     let pool = program.pool();
-    let cfg = Cfg::of_code(code, pool);
+    let cfg = Cfg::new(code, pool, true);
     let effect = |pc: usize| op_effect(code[pc], pool, model);
 
     // The path-sum fact at the exit, the sweep's last entry.
@@ -332,19 +330,16 @@ pub fn analyze(program: &Program, model: &ResourceModel) -> ProgramBounds {
     }
 }
 
-/// The deadline finding for `plan`, read from its [`analyze`] bounds
+/// The deadline finding for `program`, read from its [`analyze`] bounds
 /// under the default [`ResourceModel`]:
 ///
 /// - the cheapest refined path over the deadline → the plan *cannot*
 ///   fit: [`BUDGET_INFEASIBLE`];
 /// - otherwise, the most GENs any path runs at their minimum latency over
 ///   the deadline → the plan *may* not fit: [`BUDGET_AT_RISK`].
-///
-/// Compiles `plan`, so it is only called when a deadline is set.
-pub(super) fn deadline_diagnostic(plan: &LoweredPlan, deadline_us: u64) -> Option<Diagnostic> {
-    let program = vm::compile_assuming_verified(plan).ok()?;
+pub(super) fn deadline_diagnostic(program: &Program, deadline_us: u64) -> Option<Diagnostic> {
     let model = ResourceModel::default();
-    let bounds = analyze(&program, &model);
+    let bounds = analyze(program, &model);
     let worst_us = bounds.llm_calls.hi.saturating_mul(model.min_gen_latency_us);
     if bounds.latency_lo_us > deadline_us {
         Some(Diagnostic::plan_level(
@@ -378,13 +373,11 @@ fn op_unwind_depth(op: VmOp, pool: &ConstPool) -> u64 {
     frames.map_or(0, |f| f.len() as u64 + 1)
 }
 
-/// Opt-in lint pass over the *compiled* plan: compiles the source (pc =
-/// slot, so a bytecode fact is the fact of the slot at the same index),
-/// then reports
+/// Opt-in lint pass over the cond-refined graph, reporting
 ///
-/// - `SPEAR-W004` for every source slot whose bytecode is unreachable in
-///   the refined bytecode CFG even though the IR CFG considers it live
-///   (dead branches under statically-decided CHECKs);
+/// - `SPEAR-W004` for every slot unreachable in the refined graph even
+///   though the unrefined one considers it live (dead branches under
+///   statically-decided CHECKs);
 /// - `SPEAR-W005` for every reachable CHECK whose condition is statically
 ///   decided, i.e. one branch can never be taken.
 ///
@@ -398,18 +391,17 @@ impl LintPass for BytecodePass {
     }
 
     fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
-        let Ok(program) = vm::compile_assuming_verified(cx.plan) else {
-            return Vec::new();
-        };
-        let live = Cfg::of_code(program.code(), program.pool());
+        let program = cx.program;
+        let live = Cfg::new(program.code(), program.pool(), true);
+        let describe = |slot: usize| program.describe(slot).unwrap_or_default();
         let mut diags = Vec::new();
 
-        for (slot, op) in cx.plan.ops.iter().enumerate() {
+        for slot in 0..live.len() {
             if !live.is_reachable(slot) && cx.cfg.is_reachable(slot) {
                 diags.push(Diagnostic::at(
                     &VM_UNREACHABLE,
                     slot,
-                    op.describe(),
+                    describe(slot),
                     format!(
                         "slot {slot:04}, which no execution can reach once \
                          statically-decided CHECKs are folded"
@@ -418,13 +410,14 @@ impl LintPass for BytecodePass {
             }
         }
 
-        for (slot, op) in cx.plan.ops.iter().enumerate() {
-            let crate::plan::LoweredOp::Check { cond, .. } = op else {
+        for (slot, &op) in program.code().iter().enumerate() {
+            let VmOp::Check { check, .. } = op else {
                 continue;
             };
             if !live.is_reachable(slot) {
                 continue;
             }
+            let cond = program.pool().check(check).cond();
             if let Some(value) = static_cond(cond) {
                 let (verdict, dead) = if value {
                     ("always holds", "else")
@@ -434,7 +427,7 @@ impl LintPass for BytecodePass {
                 diags.push(Diagnostic::at(
                     &DEAD_CHECK_BRANCH,
                     slot,
-                    op.describe(),
+                    describe(slot),
                     format!("condition `{cond}` {verdict}: the {dead} branch can never be taken"),
                 ));
             }
@@ -451,11 +444,11 @@ mod tests {
     use super::*;
     use crate::history::RefinementMode;
     use crate::pipeline::Pipeline;
-    use crate::plan::{lower, LoweredOp, LoweredPlan};
+    use crate::plan::asm::{assemble, Slot};
+    use crate::plan::lower;
 
     fn compiled(build: impl FnOnce(crate::pipeline::PipelineBuilder) -> Pipeline) -> Program {
-        let p = build(Pipeline::builder("absint"));
-        vm::compile(&lower(&p).unwrap()).unwrap()
+        lower(&build(Pipeline::builder("absint"))).unwrap()
     }
 
     #[test]
@@ -507,12 +500,7 @@ mod tests {
 
     #[test]
     fn cyclic_bytecode_falls_back_to_top() {
-        let plan = LoweredPlan {
-            name: "loop".into(),
-            source_size: 1,
-            ops: vec![LoweredOp::Jump { target: 0 }],
-        };
-        let prog = vm::compile_assuming_verified(&plan).unwrap();
+        let prog = assemble("loop", vec![Slot::Jump(0)]);
         let bounds = analyze(&prog, &ResourceModel::default());
         assert!(!bounds.terminates);
         assert_eq!(bounds.tokens, Interval::top());

@@ -1,31 +1,34 @@
-//! The control-flow graph: one type over a lowered slot program and over
-//! its compiled bytecode.
+//! The control-flow graph of a program.
 //!
 //! Every slot is a node; the virtual exit node is `len()`, and a program
-//! counter that reaches it ends the run. The slot program's edge rules,
-//! which the compiled VM follows instruction for instruction (pc = slot):
+//! counter that reaches it ends the run. The edge rules, which the VM
+//! follows instruction for instruction (pc = slot):
 //!
 //! - `Leaf` runs its data operator and falls through to `pc + 1`;
 //! - `Check { on_false }` has two successors, `pc + 1` (condition holds)
 //!   and `on_false`;
 //! - `Jump { target }` has the single successor `target`.
 //!
-//! [`Cfg::build`] reads a plan and is fallible: targets past the exit
-//! node — including the lowering placeholder `usize::MAX`, which
-//! [`crate::plan::lower`] must never let escape — and a `Leaf` carrying a
-//! CHECK, whose branches the slot program cannot express, are structural
-//! errors, reported with stable lint codes instead of building a graph no
-//! executor can follow. [`Cfg::of_code`] reads compiled bytecode, whose
-//! targets are already clamped to the exit, and refines each CHECK by
-//! [`static_cond`]: a statically decided CHECK keeps only its live edge.
+//! [`Cfg::new`] is the one constructor, over a program's code and pool.
+//! Asked for the *refined* graph, it decides each CHECK by
+//! [`static_cond`]: a statically decided CHECK keeps only its live edge
+//! (the graph the optimizer, the abstract interpreter and
+//! [`super::BytecodePass`] read). Targets are clamped to the exit, so a
+//! graph can be built over code the gate has not checked yet.
 //!
-//! Both share reachability, back-edge bookkeeping and [`Cfg::sweep`], the
-//! one forward-dataflow engine: with no reachable back edge, slot order is
-//! a topological order, so one pass in slot order reaches the fixpoint.
+//! The gate that [`crate::plan::lower`] runs on emitted code lives here
+//! too: `structural_diagnostics` rejects targets past the exit —
+//! including the lowering placeholder — and a `Leaf` carrying a CHECK,
+//! whose branches the code cannot express; `termination_diagnostics`
+//! rejects backward jumps.
+//!
+//! [`Cfg::sweep`] is the one forward-dataflow engine: with no reachable
+//! back edge, slot order is a topological order, so one pass in slot order
+//! reaches the fixpoint.
 
 use crate::ops::Op;
-use crate::plan::{LoweredOp, LoweredPlan};
-use crate::vm::{ConstPool, VmOp};
+use crate::plan::PLACEHOLDER;
+use crate::vm::{ConstPool, Program, VmOp};
 
 use super::absint::static_cond;
 
@@ -34,8 +37,6 @@ use super::lints::{
     PLACEHOLDER_LEAK,
 };
 
-/// The successors of one slot. A slot has at most two (a CHECK's
-/// fall-through and else-target), so they are stored inline.
 #[derive(Debug, Clone, Copy)]
 struct Succs {
     targets: [usize; 2],
@@ -67,7 +68,7 @@ impl Succs {
     }
 }
 
-/// The control-flow graph of a lowered plan or of its compiled bytecode.
+/// The control-flow graph of a program's code, unrefined or refined.
 #[derive(Debug)]
 pub struct Cfg {
     /// Successors per slot (targets may equal `len`, the exit node).
@@ -80,36 +81,12 @@ pub struct Cfg {
 }
 
 impl Cfg {
-    /// Build the CFG, or report the structural diagnostics (bad targets)
-    /// that make the slot program impossible to execute.
-    ///
-    /// # Errors
-    ///
-    /// Returns every malformed-target diagnostic found, in slot order.
-    pub fn build(plan: &LoweredPlan) -> Result<Cfg, Vec<Diagnostic>> {
-        let diags = structural_diagnostics(plan);
-        if !diags.is_empty() {
-            return Err(diags);
-        }
-        Ok(Self::from_succs(
-            plan.ops
-                .iter()
-                .enumerate()
-                .map(|(pc, op)| match op {
-                    LoweredOp::Leaf { .. } => Succs::one(pc + 1),
-                    LoweredOp::Check { on_false, .. } => Succs::branch(pc + 1, *on_false),
-                    LoweredOp::Jump { target } => Succs::one(*target),
-                })
-                .collect(),
-        ))
-    }
-
-    /// The cond-refined CFG of compiled bytecode: a CHECK whose condition
-    /// [`static_cond`] decides contributes only its live edge, and every
-    /// target is clamped to the exit `code.len()`. A CHECK index outside
-    /// `pool` counts as undecided.
+    /// The graph of `code`, whose pool indices point into `pool`. With
+    /// `refined`, a CHECK whose condition [`static_cond`] decides
+    /// contributes only its live edge. Every target is clamped to the exit
+    /// `code.len()`; a CHECK index outside `pool` counts as undecided.
     #[must_use]
-    pub fn of_code(code: &[VmOp], pool: &ConstPool) -> Cfg {
+    pub fn new(code: &[VmOp], pool: &ConstPool, refined: bool) -> Cfg {
         let len = code.len();
         Self::from_succs(
             code.iter()
@@ -124,6 +101,7 @@ impl Cfg {
                             let decided = pool
                                 .checks()
                                 .get(check as usize)
+                                .filter(|_| refined)
                                 .and_then(|spec| static_cond(spec.cond()));
                             match decided {
                                 Some(true) => Succs::one(next),
@@ -195,7 +173,7 @@ impl Cfg {
     }
 
     /// Reachable edges `(from, to)` with `to <= from`. Empty for every
-    /// plan produced by [`crate::plan::lower`], whose targets all move
+    /// program released by [`crate::plan::lower`], whose targets all move
     /// strictly forward — which is exactly the termination argument.
     #[must_use]
     pub fn back_edges(&self) -> &[(usize, usize)] {
@@ -247,61 +225,67 @@ impl Cfg {
     }
 }
 
-/// Validate every slot of `plan` without building a graph — each jump
-/// target, and that no leaf carries a CHECK: the checks `lower()` itself
-/// runs before releasing a plan, and the gate `vm::compile` applies to
-/// plans of unknown origin.
+/// Validate every slot of `program` without building a graph — each
+/// branch target, and that no leaf carries a CHECK: the first half of the
+/// gate `lower()` runs before releasing a program.
 ///
-/// A target equal to `plan.ops.len()` is the ordinary exit and is valid.
+/// A target equal to the slot count is the ordinary exit and is valid.
 #[must_use]
-pub fn structural_diagnostics(plan: &LoweredPlan) -> Vec<Diagnostic> {
-    let len = plan.ops.len();
+pub(crate) fn structural_diagnostics(program: &Program) -> Vec<Diagnostic> {
+    let code = program.code();
+    let len = code.len();
+    let describe = |pc: usize| program.describe(pc).unwrap_or_default();
     let mut diags = Vec::new();
-    for (pc, op) in plan.ops.iter().enumerate() {
+    for (pc, &op) in code.iter().enumerate() {
         match op {
-            LoweredOp::Leaf {
-                op: Op::Check { .. },
-                ..
-            } => diags.push(Diagnostic::at(
-                &CHECK_IN_LEAF,
-                pc,
-                op.describe(),
-                format!(
-                    "leaf slot {pc:04} carries a CHECK; its branches must be lowered to \
-                     Check and Jump slots"
-                ),
-            )),
-            LoweredOp::Leaf { .. } => {}
-            LoweredOp::Check { on_false, .. } => {
-                if *on_false == usize::MAX {
+            VmOp::Leaf { leaf } => {
+                let carries_check = program
+                    .pool()
+                    .leaves()
+                    .get(leaf as usize)
+                    .is_some_and(|spec| matches!(spec.op(), Op::Check { .. }));
+                if carries_check {
+                    diags.push(Diagnostic::at(
+                        &CHECK_IN_LEAF,
+                        pc,
+                        describe(pc),
+                        format!(
+                            "leaf slot {pc:04} carries a CHECK; its branches must be lowered to \
+                             Check and Jump slots"
+                        ),
+                    ));
+                }
+            }
+            VmOp::Check { on_false, .. } => {
+                if on_false == PLACEHOLDER {
                     diags.push(Diagnostic::at(
                         &PLACEHOLDER_LEAK,
                         pc,
-                        op.describe(),
+                        describe(pc),
                         format!("CHECK at slot {pc:04} kept the usize::MAX lowering placeholder"),
                     ));
-                } else if *on_false > len {
+                } else if on_false as usize > len {
                     diags.push(Diagnostic::at(
                         &CHECK_TARGET_ESCAPES,
                         pc,
-                        op.describe(),
+                        describe(pc),
                         format!("CHECK else-target {on_false} escapes the plan ({len} slots)"),
                     ));
                 }
             }
-            LoweredOp::Jump { target } => {
-                if *target == usize::MAX {
+            VmOp::Jump { target } => {
+                if target == PLACEHOLDER {
                     diags.push(Diagnostic::at(
                         &PLACEHOLDER_LEAK,
                         pc,
-                        op.describe(),
+                        describe(pc),
                         format!("JUMP at slot {pc:04} kept the usize::MAX lowering placeholder"),
                     ));
-                } else if *target > len {
+                } else if target as usize > len {
                     diags.push(Diagnostic::at(
                         &BAD_JUMP_TARGET,
                         pc,
-                        op.describe(),
+                        describe(pc),
                         format!("jump target {target} is out of bounds ({len} slots)"),
                     ));
                 }
@@ -312,16 +296,16 @@ pub fn structural_diagnostics(plan: &LoweredPlan) -> Vec<Diagnostic> {
 }
 
 /// Diagnostics for reachable back edges: one [`BACKWARD_JUMP`] error per
-/// edge, anchored at the jumping slot.
+/// edge, anchored at the jumping slot — the second half of the gate.
 #[must_use]
-pub fn termination_diagnostics(plan: &LoweredPlan, cfg: &Cfg) -> Vec<Diagnostic> {
+pub(crate) fn termination_diagnostics(program: &Program, cfg: &Cfg) -> Vec<Diagnostic> {
     cfg.back_edges()
         .iter()
         .map(|(from, to)| {
             Diagnostic::at(
                 &BACKWARD_JUMP,
                 *from,
-                plan.ops[*from].describe(),
+                program.describe(*from).unwrap_or_default(),
                 format!(
                     "slot {from:04} jumps backwards to {to:04}; lowered plans must move \
                      strictly forward to guarantee termination"
@@ -338,26 +322,25 @@ mod tests {
     use crate::condition::Cond;
     use crate::history::RefinementMode;
     use crate::pipeline::Pipeline;
+    use crate::plan::asm::{assemble, create, Slot};
     use crate::plan::lower;
     use std::collections::BTreeSet;
 
-    fn jump(target: usize) -> LoweredOp {
-        LoweredOp::Jump { target }
+    fn jump(target: u32) -> Slot {
+        Slot::Jump(target)
     }
 
-    fn plan_of(ops: Vec<LoweredOp>) -> LoweredPlan {
-        LoweredPlan {
-            name: "hand_built".into(),
-            source_size: ops.len() as u64,
-            ops,
-        }
+    fn plan_of(slots: Vec<Slot>) -> Program {
+        assemble("hand_built", slots)
     }
 
-    fn leaf() -> LoweredOp {
-        let p = Pipeline::builder("x")
-            .create_text("p", "t", RefinementMode::Manual)
-            .build();
-        lower(&p).expect("trivial pipeline lowers").ops[0].clone()
+    fn leaf() -> Slot {
+        Slot::Leaf(create("p"))
+    }
+
+    /// The unrefined graph, the one the gate and the default passes read.
+    fn cfg(program: &Program) -> Cfg {
+        Cfg::new(program.code(), program.pool(), false)
     }
 
     #[test]
@@ -372,8 +355,8 @@ mod tests {
             .gen("a", "p")
             .build();
         let lowered = lower(&p).expect("lowers");
-        let cfg = Cfg::build(&lowered).expect("valid plan");
-        assert_eq!(cfg.len(), lowered.ops.len());
+        let cfg = cfg(&lowered);
+        assert_eq!(cfg.len(), lowered.code().len());
         assert!((0..cfg.len()).all(|s| cfg.is_reachable(s)));
         assert!(cfg.terminates());
     }
@@ -384,12 +367,11 @@ mod tests {
         let diags = structural_diagnostics(&bad);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, "SPEAR-E001");
-        assert!(Cfg::build(&bad).is_err());
     }
 
     #[test]
     fn placeholder_targets_get_their_own_code() {
-        let bad = plan_of(vec![jump(usize::MAX)]);
+        let bad = plan_of(vec![jump(PLACEHOLDER)]);
         let diags = structural_diagnostics(&bad);
         assert_eq!(diags[0].code, "SPEAR-E003");
     }
@@ -398,14 +380,13 @@ mod tests {
     fn exit_targets_are_valid() {
         let ok = plan_of(vec![leaf(), jump(2)]);
         assert!(structural_diagnostics(&ok).is_empty());
-        let cfg = Cfg::build(&ok).expect("valid");
-        assert!(cfg.terminates());
+        assert!(cfg(&ok).terminates());
     }
 
     #[test]
     fn backward_jumps_are_flagged_with_the_jumping_slot() {
         let looping = plan_of(vec![leaf(), jump(0)]);
-        let cfg = Cfg::build(&looping).expect("structurally fine");
+        let cfg = cfg(&looping);
         assert!(!cfg.terminates());
         let diags = termination_diagnostics(&looping, &cfg);
         assert_eq!(diags.len(), 1);
@@ -416,7 +397,7 @@ mod tests {
     #[test]
     fn unreachable_slots_are_detected() {
         let p = plan_of(vec![jump(2), leaf(), leaf()]);
-        let cfg = Cfg::build(&p).expect("valid");
+        let cfg = cfg(&p);
         assert!(cfg.is_reachable(0));
         assert!(!cfg.is_reachable(1));
         assert!(cfg.is_reachable(2));
@@ -448,7 +429,7 @@ mod tests {
             .gen("a", "p")
             .build();
         let plan = lower(&p).expect("lowers");
-        let facts = visited(&Cfg::build(&plan).expect("valid")).expect("forward");
+        let facts = visited(&cfg(&plan)).expect("forward");
 
         // The trailing gen (slot 5) is reached from both branches, so its
         // input fact contains the then-slot (2) and the else-slot (4).
@@ -464,7 +445,7 @@ mod tests {
     #[test]
     fn sweep_leaves_unreachable_slots_without_a_fact() {
         let plan = plan_of(vec![jump(2), jump(2), jump(3)]);
-        let facts = visited(&Cfg::build(&plan).expect("valid")).expect("forward");
+        let facts = visited(&cfg(&plan)).expect("forward");
         assert!(facts[0].is_some());
         assert!(facts[1].is_none());
         assert!(facts[2].is_some());
@@ -473,6 +454,6 @@ mod tests {
     #[test]
     fn sweep_refuses_a_reachable_back_edge() {
         let looping = plan_of(vec![leaf(), jump(0)]);
-        assert!(visited(&Cfg::build(&looping).expect("structurally fine")).is_none());
+        assert!(visited(&cfg(&looping)).is_none());
     }
 }

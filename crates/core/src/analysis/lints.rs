@@ -148,9 +148,9 @@ pub const BUDGET_AT_RISK: Lint = Lint {
     summary: "worst-case path may exceed the deadline",
 };
 
-/// A compiled `VmOp` is unreachable in the bytecode CFG — a branch cut off
-/// by a statically-decided CHECK — even though the source slot looked live
-/// at the IR level.
+/// A slot is unreachable in the refined CFG — a branch cut off by a
+/// statically-decided CHECK — even though the unrefined CFG considers it
+/// live.
 pub const VM_UNREACHABLE: Lint = Lint {
     code: "SPEAR-W004",
     severity: Severity::Warning,

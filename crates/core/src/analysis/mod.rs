@@ -1,40 +1,38 @@
-//! Static analysis over the lowered plan IR and its compiled bytecode.
+//! Static analysis over programs, the one plan form.
 //!
 //! Pipelines are data, so plans can be checked like query plans before a
 //! single token is spent. Every execution path runs a
-//! [`crate::plan::LoweredPlan`], so this is the checker that sees what
-//! actually runs: optimizer-lowered physical plans with free `Jump`s,
+//! [`crate::vm::Program`], so this is the checker that sees what actually
+//! runs: optimizer-lowered physical plans with free `Jump`s,
 //! DELEGATE-based filters, and fused GEN stages included.
 //!
 //! The pieces:
 //!
-//! - [`cfg`](mod@cfg) is the one control-flow graph: [`Cfg::build`] over
-//!   the slot program, rejecting malformed slots (out-of-bounds targets,
-//!   the `usize::MAX` lowering placeholder, a CHECK in a leaf slot) before
-//!   anything else runs, and [`Cfg::of_code`] over compiled bytecode, with
-//!   statically-decided CHECKs refined to their live edge. Its
-//!   [`Cfg::sweep`] is the one forward-dataflow engine: every verified
-//!   plan only jumps forward, so one pass in slot order is the fixpoint;
-//! - [`passes`] holds the built-in lint passes — reachability/termination,
-//!   prompt-key def-use (optimistic across CHECK branches), and
-//!   affinity-key consistency across fused stages — plus the
-//!   [`LintPass`] trait future passes implement;
+//! - [`cfg`](mod@cfg) is the one control-flow graph: [`Cfg::new`] over a
+//!   program's code and pool, optionally with statically-decided CHECKs
+//!   refined to their live edge, plus the structural gate
+//!   (`verify_structural`) that [`crate::plan::lower`] runs on emitted
+//!   code — out-of-bounds targets, the lowering placeholder, a CHECK in a
+//!   leaf slot, backward jumps. Its [`Cfg::sweep`] is the one
+//!   forward-dataflow engine: every released program only jumps forward,
+//!   so one pass in slot order is the fixpoint;
+//! - [`passes`] holds the built-in lint passes — reachability, prompt-key
+//!   def-use (optimistic across CHECK branches), and affinity-key
+//!   consistency across fused stages — plus the [`LintPass`] trait future
+//!   passes implement;
 //! - [`lints`] is the registry of stable diagnostic codes
 //!   (`SPEAR-E001`…) every pass draws from;
-//! - [`absint`] is the one cost walk: an abstract interpreter over
-//!   compiled [`crate::vm::Program`] bytecode deriving sound interval
-//!   bounds (tokens, LLM calls, latency floor, unwind depth, KV
-//!   footprint), which the verifier's deadline check reads, plus the
-//!   opt-in [`BytecodePass`] surfacing `SPEAR-W004`/`SPEAR-W005`;
-//! - [`tv`] is translation validation: symbolic equivalence checks of
-//!   `vm::compile` output against its source plan, and of optimized
+//! - [`absint`] is the one cost walk: an abstract interpreter over a
+//!   program's bytecode deriving sound interval bounds (tokens, LLM calls,
+//!   latency floor, unwind depth, KV footprint), which the verifier's
+//!   deadline check reads, plus the opt-in [`BytecodePass`] surfacing
+//!   `SPEAR-W004`/`SPEAR-W005`;
+//! - [`tv`] is translation validation: symbolic equivalence of optimized
 //!   bytecode against the original — the proof obligation gating
 //!   [`crate::vm::optimize`].
 //!
 //! [`Verifier`] ties them together; spear-serve admission runs it as a
-//! gate that rejects with [`crate::error::SpearError::InvalidPlan`], and
-//! [`crate::vm::compile`] runs its structural subset
-//! ([`verify_structural`]) on every plan before emitting code.
+//! gate that rejects with [`crate::error::SpearError::InvalidPlan`].
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -46,8 +44,8 @@ pub mod tv;
 
 use std::collections::BTreeSet;
 
-use crate::plan::LoweredPlan;
 use crate::runtime::Runtime;
+use crate::vm::Program;
 
 pub use absint::{
     analyze, static_cond, BytecodePass, Interval, ProgramBounds, ResourceModel, SlotBounds,
@@ -57,18 +55,19 @@ pub use lints::{lint, Diagnostic, Lint, Severity, REGISTRY};
 pub use passes::{AffinityPass, DefUsePass, LintPass, PassContext, ReachabilityPass};
 pub use tv::{validate_compile, validate_optimized, TvFailure};
 
-/// The structural checks that make a slot program safe to execute at
-/// all: every target in bounds, no lowering placeholders, no CHECK in a
-/// leaf slot, no backward jumps (the termination argument). This is the
-/// subset [`crate::vm::compile`] enforces before emitting code — cheap,
-/// runtime-independent, and never triggered by plans produced by
-/// [`crate::plan::lower`].
+/// The structural checks that make emitted code safe to execute at all:
+/// every target in bounds, no lowering placeholders, no CHECK in a leaf
+/// slot, no backward jumps (the termination argument). This is the gate
+/// [`crate::plan::lower`] runs before releasing a program — cheap,
+/// runtime-independent, and never triggered by code `lower` emits.
 #[must_use]
-pub fn verify_structural(plan: &LoweredPlan) -> Vec<Diagnostic> {
-    match Cfg::build(plan) {
-        Err(diags) => diags,
-        Ok(cfg) => cfg::termination_diagnostics(plan, &cfg),
+pub(crate) fn verify_structural(program: &Program) -> Vec<Diagnostic> {
+    let diags = cfg::structural_diagnostics(program);
+    if !diags.is_empty() {
+        return diags;
     }
+    let cfg = Cfg::new(program.code(), program.pool(), false);
+    cfg::termination_diagnostics(program, &cfg)
 }
 
 /// The static verifier: CFG construction plus a configurable stack of
@@ -79,14 +78,14 @@ pub fn verify_structural(plan: &LoweredPlan) -> Vec<Diagnostic> {
 /// use spear_core::pipeline::Pipeline;
 /// use spear_core::plan::lower;
 ///
-/// let plan = lower(
+/// let program = lower(
 ///     &Pipeline::builder("p")
 ///         .create_text("p", "base", spear_core::history::RefinementMode::Manual)
 ///         .gen("a", "p")
 ///         .build(),
 /// )
 /// .unwrap();
-/// assert!(Verifier::new().verify(&plan).is_empty());
+/// assert!(Verifier::new().verify(&program).is_empty());
 /// ```
 pub struct Verifier<'rt> {
     runtime: Option<&'rt Runtime>,
@@ -133,9 +132,9 @@ impl<'rt> Verifier<'rt> {
     }
 
     /// Require the plan to fit a virtual deadline (µs), judged by the
-    /// [`analyze`] bounds of the compiled plan: a cheapest path over it is
+    /// [`analyze`] bounds of the program: a cheapest path over it is
     /// `SPEAR-E005`, a worst case over it `SPEAR-W003`. Only a verifier
-    /// with a deadline compiles the plan.
+    /// with a deadline runs the abstract interpreter.
     #[must_use]
     pub fn deadline_us(mut self, deadline_us: u64) -> Self {
         self.deadline_us = Some(deadline_us);
@@ -149,65 +148,57 @@ impl<'rt> Verifier<'rt> {
         self
     }
 
-    /// Run every pass over `plan`. An empty result means the plan is
+    /// Run every pass over `program`. An empty result means the plan is
     /// statically sound under this verifier's configuration; any
     /// [`Diagnostic::is_error`] finding means it must not execute.
     ///
-    /// Structural defects short-circuit: a plan whose targets are
-    /// malformed has no meaningful CFG, so only those diagnostics are
-    /// returned. Dataflow passes additionally require termination (every
-    /// reachable edge forward); when backward jumps exist they are
-    /// skipped — the E006 errors already reject the plan.
+    /// The program passed the structural gate when it was lowered, so its
+    /// graph is well formed and moves strictly forward.
     #[must_use]
-    pub fn verify(&self, plan: &LoweredPlan) -> Vec<Diagnostic> {
-        let cfg = match Cfg::build(plan) {
-            Ok(cfg) => cfg,
-            Err(diags) => return diags,
-        };
+    pub fn verify(&self, program: &Program) -> Vec<Diagnostic> {
+        let cfg = Cfg::new(program.code(), program.pool(), false);
         let cx = PassContext {
-            plan,
+            program,
             cfg: &cfg,
             runtime: self.runtime,
             assumed: &self.assumed,
             deadline_us: self.deadline_us,
         };
         let mut diags = ReachabilityPass.run(&cx);
-        if cfg.terminates() {
-            diags.extend(DefUsePass.run(&cx));
-            if let Some(deadline) = self.deadline_us {
-                diags.extend(absint::deadline_diagnostic(plan, deadline));
-            }
-            diags.extend(AffinityPass.run(&cx));
-            for pass in &self.extra_passes {
-                diags.extend(pass.run(&cx));
-            }
+        diags.extend(DefUsePass.run(&cx));
+        if let Some(deadline) = self.deadline_us {
+            diags.extend(absint::deadline_diagnostic(program, deadline));
+        }
+        diags.extend(AffinityPass.run(&cx));
+        for pass in &self.extra_passes {
+            diags.extend(pass.run(&cx));
         }
         diags
     }
 }
 
-/// Render diagnostics anchored to their plan slots, each in the slot-line
-/// form of `spear_optimizer`'s listing (`  NNNN  <op>`, the text from
-/// [`crate::plan::LoweredOp::describe`]) so verifier output and plan
-/// listings read the same:
+/// Render diagnostics anchored to their program slots, each in the
+/// slot-line form of `spear_optimizer`'s listing (`  NNNN  <op>`, the text
+/// from [`Program::describe`]) so verifier output and plan listings read
+/// the same:
 ///
 /// ```text
 /// error[SPEAR-E004] in plan "bad": P["ghost"] is never created before this GEN
 ///   0000  GEN["answer"] using P["ghost"]
 /// ```
 #[must_use]
-pub fn render_diagnostics(plan: &LoweredPlan, diags: &[Diagnostic]) -> String {
+pub fn render_diagnostics(program: &Program, diags: &[Diagnostic]) -> String {
     let mut out = String::new();
     for d in diags {
         out.push_str(&format!(
             "{}[{}] in plan {:?}: {}\n",
-            d.severity, d.code, plan.name, d.message
+            d.severity,
+            d.code,
+            program.name(),
+            d.message
         ));
         if let Some(slot) = d.slot {
-            let rendered = plan
-                .ops
-                .get(slot)
-                .map_or_else(|| d.op.clone(), crate::plan::LoweredOp::describe);
+            let rendered = program.describe(slot).unwrap_or_else(|| d.op.clone());
             out.push_str(&format!("  {slot:04}  {rendered}\n"));
         }
     }
@@ -219,11 +210,14 @@ pub fn render_diagnostics(plan: &LoweredPlan, diags: &[Diagnostic]) -> String {
 mod tests {
     use super::*;
     use crate::condition::Cond;
+    use crate::error::SpearError;
     use crate::history::RefinementMode;
+    use crate::ops::Op;
     use crate::pipeline::Pipeline;
-    use crate::plan::{lower, LoweredOp};
+    use crate::plan::asm::{assemble, create, release, Slot};
+    use crate::plan::{lower, PLACEHOLDER};
 
-    fn lowered(p: &Pipeline) -> LoweredPlan {
+    fn lowered(p: &Pipeline) -> Program {
         lower(p).expect("test pipelines lower")
     }
 
@@ -400,18 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn structural_defects_short_circuit() {
-        let plan = LoweredPlan {
-            name: "broken".into(),
-            source_size: 1,
-            ops: vec![LoweredOp::Jump { target: usize::MAX }],
-        };
-        let diags = Verifier::new().deadline_us(1).verify(&plan);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "SPEAR-E003");
-    }
-
-    #[test]
     fn extra_passes_plug_in() {
         struct AlwaysWarn;
         impl LintPass for AlwaysWarn {
@@ -421,7 +403,7 @@ mod tests {
             fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
                 vec![Diagnostic::plan_level(
                     &lints::BUDGET_AT_RISK,
-                    format!("custom pass saw {} slot(s)", cx.plan.ops.len()),
+                    format!("custom pass saw {} slot(s)", cx.program.code().len()),
                 )]
             }
         }
@@ -443,5 +425,116 @@ mod tests {
         let rendered = render_diagnostics(&plan, &diags);
         assert!(rendered.contains("error[SPEAR-E004] in plan \"bad\""));
         assert!(rendered.contains("\n  0000  GEN"));
+    }
+
+    /// The gate's findings on hand-written `slots`, rendered; the gate must
+    /// refuse to release them.
+    fn gated(name: &str, slots: Vec<Slot>) -> String {
+        let program = assemble(name, slots);
+        match release(program.clone()) {
+            Err(SpearError::InvalidPlan { plan, diagnostics }) => {
+                assert_eq!(plan, name);
+                render_diagnostics(&program, &diagnostics)
+            }
+            other => panic!("the gate released {name}: {other:?}"),
+        }
+    }
+
+    fn gen_key(label: &str, key: &str) -> Op {
+        Op::Gen {
+            label: label.into(),
+            prompt: crate::ops::PromptRef::key(key),
+            options: crate::llm::GenOptions::default(),
+        }
+    }
+
+    #[test]
+    fn golden_e001_bad_jump_target() {
+        assert_eq!(
+            gated("bad_jump", vec![Slot::Leaf(create("p")), Slot::Jump(9)]),
+            "error[SPEAR-E001] in plan \"bad_jump\": jump target 9 is out of bounds (2 slots)\n\
+             \x20 0001  JUMP -> 0009\n"
+        );
+    }
+
+    #[test]
+    fn golden_e002_check_target_escapes() {
+        let slots = vec![
+            Slot::Leaf(create("p")),
+            Slot::Check(Cond::Always, 7),
+            Slot::Leaf(gen_key("a", "p")),
+        ];
+        assert_eq!(
+            gated("bad_else", slots),
+            "error[SPEAR-E002] in plan \"bad_else\": CHECK else-target 7 escapes the plan (3 \
+             slots)\n\
+             \x20 0001  CHECK[true] else -> 0007\n"
+        );
+    }
+
+    #[test]
+    fn golden_e003_placeholder_leak() {
+        let text = gated("leaked", vec![Slot::Jump(PLACEHOLDER)]);
+        assert!(
+            text.starts_with(
+                "error[SPEAR-E003] in plan \"leaked\": JUMP at slot 0000 kept the usize::MAX \
+                 lowering placeholder\n"
+            ),
+            "{text}"
+        );
+        let text = gated("leaked_else", vec![Slot::Check(Cond::Always, PLACEHOLDER)]);
+        assert!(
+            text.starts_with(
+                "error[SPEAR-E003] in plan \"leaked_else\": CHECK at slot 0000 kept the \
+                 usize::MAX lowering placeholder\n"
+            ),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn golden_e006_backward_jump() {
+        assert_eq!(
+            gated("looping", vec![Slot::Leaf(create("p")), Slot::Jump(0)]),
+            "error[SPEAR-E006] in plan \"looping\": slot 0001 jumps backwards to 0000; lowered \
+             plans must move strictly forward to guarantee termination\n\
+             \x20 0001  JUMP -> 0000\n"
+        );
+    }
+
+    #[test]
+    fn golden_e012_check_in_leaf_slot() {
+        // A hand-built program can put a CHECK where only data operators
+        // belong; its then-branch has no slots, so executing it would
+        // silently skip the CREATE. The gate refuses it instead.
+        let check = Op::Check {
+            cond: Cond::Always,
+            then_ops: vec![create("p")],
+            else_ops: Vec::new(),
+        };
+        assert_eq!(
+            gated("leaf_check", vec![Slot::Leaf(check)]),
+            "error[SPEAR-E012] in plan \"leaf_check\": leaf slot 0000 carries a CHECK; its \
+             branches must be lowered to Check and Jump slots\n\
+             \x20 0000  CHECK[true]\n"
+        );
+    }
+
+    #[test]
+    fn golden_w001_unreachable_slot() {
+        // Code `lower` never emits but the gate admits: a forward jump
+        // over a slot nothing else reaches.
+        let slots = vec![
+            Slot::Jump(2),
+            Slot::Leaf(create("orphan")),
+            Slot::Leaf(create("p")),
+        ];
+        let program = release(assemble("dead_code", slots)).expect("forward and in bounds");
+        assert_eq!(
+            render_diagnostics(&program, &Verifier::new().verify(&program)),
+            "warning[SPEAR-W001] in plan \"dead_code\": slot 0001 can never be reached from \
+             entry\n\
+             \x20 0001  REF[CREATE, set_text] on P[\"orphan\"]\n"
+        );
     }
 }

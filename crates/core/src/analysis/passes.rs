@@ -1,6 +1,6 @@
 //! The built-in lint passes and the [`LintPass`] extension point.
 //!
-//! Each pass reads a [`PassContext`] (the plan, its CFG, and whatever the
+//! Each pass reads a [`PassContext`] (the program, its CFG, and whatever the
 //! caller configured — a runtime's registries, assumed prompt keys, a
 //! deadline) and returns slot-anchored [`Diagnostic`]s. New checks plug in
 //! by implementing [`LintPass`] and registering a lint code in
@@ -9,10 +9,10 @@
 use std::collections::BTreeSet;
 
 use crate::ops::{Op, PayloadSpec, PromptRef};
-use crate::plan::{LoweredOp, LoweredPlan};
 use crate::runtime::Runtime;
+use crate::vm::{Program, VmOp};
 
-use super::cfg::{termination_diagnostics, Cfg};
+use super::cfg::Cfg;
 use super::lints::{
     Diagnostic, AFFINITY_MISMATCH, NO_LLM, UNDEFINED_PROMPT_KEY, UNKNOWN_AGENT, UNKNOWN_REFINER,
     UNKNOWN_RETRIEVER, UNKNOWN_VIEW, UNREACHABLE_SLOT,
@@ -20,9 +20,9 @@ use super::lints::{
 
 /// Everything a pass may consult.
 pub struct PassContext<'a> {
-    /// The plan under analysis.
-    pub plan: &'a LoweredPlan,
-    /// Its control-flow graph (structurally valid by construction).
+    /// The program under analysis.
+    pub program: &'a Program,
+    /// Its control-flow graph, unrefined (every CHECK keeps both edges).
     pub cfg: &'a Cfg,
     /// Registries to resolve names against; `None` skips registry and
     /// LLM-availability checks (pure dataflow verification).
@@ -33,7 +33,7 @@ pub struct PassContext<'a> {
     pub deadline_us: Option<u64>,
 }
 
-/// An extensible lint pass over a lowered plan.
+/// An extensible lint pass over a program.
 pub trait LintPass {
     /// Stable pass name (for tooling / debugging).
     fn name(&self) -> &'static str;
@@ -41,9 +41,9 @@ pub trait LintPass {
     fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic>;
 }
 
-/// Reachability + guaranteed termination: every slot must be reachable
-/// from entry (W001) and no reachable edge may go backwards (E006) —
-/// strictly-forward targets are the IR's termination argument.
+/// Reachability: every slot must be reachable from entry (W001). That no
+/// edge goes backwards (E006) is the gate's check: no released program has
+/// one.
 pub struct ReachabilityPass;
 
 impl LintPass for ReachabilityPass {
@@ -52,27 +52,35 @@ impl LintPass for ReachabilityPass {
     }
 
     fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
-        let mut diags = termination_diagnostics(cx.plan, cx.cfg);
-        for (slot, op) in cx.plan.ops.iter().enumerate() {
-            if !cx.cfg.is_reachable(slot) {
-                diags.push(Diagnostic::at(
+        (0..cx.cfg.len())
+            .filter(|&slot| !cx.cfg.is_reachable(slot))
+            .map(|slot| {
+                Diagnostic::at(
                     &UNREACHABLE_SLOT,
                     slot,
-                    op.describe(),
+                    cx.program.describe(slot).unwrap_or_default(),
                     format!("slot {slot:04} can never be reached from entry"),
-                ));
-            }
-        }
-        diags
+                )
+            })
+            .collect()
     }
 }
 
-/// The def-use fact after `op`: the prompt keys defined on *some* path,
-/// plus the key `op` itself defines. Keys are borrowed from the plan and
-/// the assumed set, never copied.
-fn defined_after<'a>(op: &'a LoweredOp, before: &BTreeSet<&'a str>) -> BTreeSet<&'a str> {
+/// The operator of slot `slot`, when it is a leaf.
+fn leaf_op(program: &Program, slot: usize) -> Option<&Op> {
+    match program.code()[slot] {
+        VmOp::Leaf { leaf } => Some(program.pool().leaf(leaf).op()),
+        VmOp::Check { .. } | VmOp::Jump { .. } => None,
+    }
+}
+
+/// The def-use fact after `op` (a leaf's operator, `None` for a CHECK or
+/// JUMP): the prompt keys defined on *some* path, plus the key `op` itself
+/// defines. Keys are borrowed from the program and the assumed set, never
+/// copied.
+fn defined_after<'a>(op: Option<&'a Op>, before: &BTreeSet<&'a str>) -> BTreeSet<&'a str> {
     let mut out = before.clone();
-    if let LoweredOp::Leaf { op, .. } = op {
+    if let Some(op) = op {
         match op {
             Op::Ref { target, .. } => {
                 out.insert(target.as_str());
@@ -87,7 +95,7 @@ fn defined_after<'a>(op: &'a LoweredOp, before: &BTreeSet<&'a str>) -> BTreeSet<
 }
 
 /// Prompt-key def-use plus registry resolution, reported in slot order
-/// (which is the source pipeline's program order, since lowering emits
+/// (which is the source pipeline's operator order, since lowering emits
 /// then-branches before else-branches).
 ///
 /// The def-use facts come from one [`Cfg::sweep`] whose join is set
@@ -118,17 +126,17 @@ impl LintPass for DefUsePass {
         let entry: BTreeSet<&str> = cx.assumed.iter().map(String::as_str).collect();
         let Some(facts) = cx.cfg.sweep(
             entry,
-            |slot, before| defined_after(&cx.plan.ops[slot], before),
+            |slot, before| defined_after(leaf_op(cx.program, slot), before),
             |into, from| into.extend(from.iter().copied()),
         ) else {
-            return Vec::new(); // a back edge: ReachabilityPass reports it
+            return Vec::new(); // a back edge: the gate rejects it
         };
         let mut diags = Vec::new();
-        for (slot, instr) in cx.plan.ops.iter().enumerate() {
-            let LoweredOp::Leaf { op, .. } = instr else {
+        for (slot, fact) in facts[..cx.cfg.len()].iter().enumerate() {
+            let Some(op) = leaf_op(cx.program, slot) else {
                 continue; // CHECK conditions read (C, M), not prompts
             };
-            let Some(defined) = &facts[slot] else {
+            let Some(defined) = fact else {
                 continue; // unreachable: ReachabilityPass reports it
             };
             match op {
@@ -256,8 +264,8 @@ impl LintPass for DefUsePass {
                         }
                     }
                 }
-                // Unreachable: a CHECK in a leaf slot fails `Cfg::build`
-                // (SPEAR-E012) before any pass runs.
+                // Unreachable: a CHECK in a leaf slot fails the gate
+                // (SPEAR-E012), so no released program holds one.
                 Op::Check { .. } => {}
             }
         }
@@ -289,18 +297,14 @@ impl LintPass for AffinityPass {
 
     fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
         let mut first: Option<(usize, &str)> = None;
-        for (slot, instr) in cx.plan.ops.iter().enumerate() {
-            let LoweredOp::Leaf {
-                op:
-                    Op::Gen {
-                        prompt:
-                            PromptRef::Lowered {
-                                identity: Some(id), ..
-                            },
-                        ..
+        for slot in 0..cx.cfg.len() {
+            let Some(Op::Gen {
+                prompt:
+                    PromptRef::Lowered {
+                        identity: Some(id), ..
                     },
                 ..
-            } = instr
+            }) = leaf_op(cx.program, slot)
             else {
                 continue;
             };
@@ -311,7 +315,7 @@ impl LintPass for AffinityPass {
                     return vec![Diagnostic::at(
                         &AFFINITY_MISMATCH,
                         slot,
-                        instr.describe(),
+                        cx.program.describe(slot).unwrap_or_default(),
                         format!(
                             "fused stage carries affinity base {base:?} but the stage at slot \
                              {first_slot:04} carries {first_base:?}; mixed bases defeat \

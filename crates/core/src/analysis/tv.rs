@@ -1,35 +1,27 @@
-//! Translation validation: symbolic equivalence of compiled bytecode.
+//! Translation validation: symbolic equivalence of optimized bytecode.
 //!
-//! `vm::compile` is trusted nowhere else in the stack — this module checks
-//! each compilation *output* against its *input* instead of trusting the
-//! compiler's implementation:
+//! The optimizer is trusted nowhere else in the stack — this module checks
+//! each optimization *output* against its *input* instead of trusting the
+//! optimizer's implementation: [`validate_optimized`] proves an optimized
+//! program equivalent to the original by a product walk over
+//! jump-resolved positions. Free `Jump`s are invisible to traces and
+//! budgets, so two programs are equivalent iff the observable instruction
+//! at every co-reachable position pair matches content-wise and their
+//! successors stay paired — refined by [`super::absint::static_cond`],
+//! which is what licenses dead-branch elimination under
+//! statically-decided CHECKs.
 //!
-//! - [`validate_compile`] walks the source [`LoweredPlan`] and the emitted
-//!   [`VmOp`] stream at one shared index (a program has one instruction
-//!   per source slot, at the slot's own pc) and proves op-for-op effect
-//!   equivalence: every leaf/check spec must carry exactly the operator,
-//!   describe string, `CHECK[...]` label, trigger, and unwind frames the
-//!   source slot prescribes, and every branch target must equal its source
-//!   target (clamped to the exit).
-//! - [`validate_optimized`] proves an optimized program equivalent to the
-//!   original by a product walk over jump-resolved positions: free `Jump`s
-//!   are invisible to traces and budgets, so two programs are equivalent
-//!   iff the observable instruction at every co-reachable position pair
-//!   matches content-wise and their successors stay paired — refined by
-//!   [`super::absint::static_cond`], which is what licenses dead-branch
-//!   elimination under statically-decided CHECKs.
-//!
-//! Both validators are fail-closed like `verify_structural`: any
-//! obligation that cannot be discharged is a [`TvFailure`], and callers
-//! (the optimizer, the `analyze` tool) treat failure as "keep the
-//! unoptimized artifact", never "assume it is fine".
+//! The validator is fail-closed like the structural gate: any obligation
+//! that cannot be discharged is a [`TvFailure`], and callers (the
+//! optimizer, the `analyze` tool) treat failure as "keep the unoptimized
+//! artifact", never "assume it is fine". Lowering needs no validator:
+//! [`crate::plan::lower`] emits the program itself, and
+//! `tests/trace_equivalence.rs` holds it to the reference tree walk.
 
 use std::collections::HashSet;
 use std::fmt;
 
-use crate::condition::Cond;
-use crate::plan::{LoweredOp, LoweredPlan};
-use crate::vm::{CheckSpec, ConstPool, LeafSpec, Program, VmOp};
+use crate::vm::{CheckSpec, Program, VmOp};
 
 use super::absint::static_cond;
 
@@ -67,169 +59,45 @@ impl fmt::Display for TvFailure {
     }
 }
 
-/// Compare a compiled leaf spec against the source leaf it claims to
-/// implement, content-wise (pool indices are an implementation detail).
-fn leaf_matches(
-    pool: &ConstPool,
-    spec: &LeafSpec,
-    op: &crate::ops::Op,
-    trigger: Option<&str>,
-    frames: &[String],
-) -> Result<(), String> {
-    if spec.op() != op {
-        return Err(format!(
-            "compiled operator {:?} differs from source operator {:?}",
-            spec.op().describe(),
-            op.describe()
-        ));
-    }
-    if pool.str(spec.describe_id()) != op.describe() {
-        return Err("pooled describe string differs from the operator's describe()".into());
-    }
-    let spec_trigger = spec.trigger_id().map(|id| pool.str(id));
-    if spec_trigger != trigger {
-        return Err(format!(
-            "pooled trigger {spec_trigger:?} differs from source trigger {trigger:?}"
-        ));
-    }
-    let spec_frames: Vec<&str> = spec.frame_ids().iter().map(|&id| pool.str(id)).collect();
-    if spec_frames.len() != frames.len() || spec_frames.iter().zip(frames).any(|(a, b)| a != b) {
-        return Err(format!(
-            "pooled unwind frames {spec_frames:?} differ from source frames {frames:?}"
-        ));
-    }
-    Ok(())
-}
-
-/// Compare a compiled check spec against its source condition.
-fn check_matches(
-    pool: &ConstPool,
-    spec: &CheckSpec,
-    cond: &Cond,
-    frames: &[String],
-) -> Result<(), String> {
-    if spec.cond() != cond {
-        return Err(format!(
-            "compiled condition `{}` differs from source condition `{cond}`",
-            spec.cond()
-        ));
-    }
-    let label = format!("CHECK[{cond}]");
-    if pool.str(spec.label_id()) != label {
-        return Err(format!(
-            "pooled label {:?} differs from {label:?}",
-            pool.str(spec.label_id())
-        ));
-    }
-    let spec_frames: Vec<&str> = spec.frame_ids().iter().map(|&id| pool.str(id)).collect();
-    if spec_frames.len() != frames.len() || spec_frames.iter().zip(frames).any(|(a, b)| a != b) {
-        return Err(format!(
-            "pooled unwind frames {spec_frames:?} differ from source frames {frames:?}"
-        ));
-    }
-    Ok(())
-}
-
-fn leaf_spec(pool: &ConstPool, id: u32) -> Result<&LeafSpec, String> {
-    pool.leaves()
-        .get(id as usize)
-        .ok_or_else(|| format!("leaf index l{id} escapes the pool"))
-}
-
-fn check_spec(pool: &ConstPool, id: u32) -> Result<&CheckSpec, String> {
-    pool.checks()
-        .get(id as usize)
-        .ok_or_else(|| format!("check index c{id} escapes the pool"))
-}
-
-/// A compiled branch target must be its source target, clamped to the
-/// exit `n`.
-fn target_matches(compiled: u32, source: usize, n: usize) -> Result<(), String> {
-    if compiled as usize == source.min(n) {
-        Ok(())
-    } else {
-        Err(format!(
-            "compiled target {compiled:04} differs from source target {source}"
-        ))
-    }
-}
-
-/// Symbolically validate that `program` is an effect-equivalent
-/// compilation of `plan`: one instruction per source slot, at the slot's
-/// own pc, carrying the slot's content and branch target.
+/// Slot-for-slot equality of two programs: the same name, size and slot
+/// count, and at every slot the same instruction shape, content (compared
+/// through each program's own pool) and branch target. What compared a
+/// translation with its source before `lower` emitted the program itself;
+/// a program and its clone always pass.
 ///
 /// # Errors
 ///
-/// Returns every undischarged obligation.
-pub fn validate_compile(plan: &LoweredPlan, program: &Program) -> Result<(), Vec<TvFailure>> {
-    let n = plan.ops.len();
-    let code = program.code();
-    let pool = program.pool();
-    let mut failures = Vec::new();
-
-    if program.name() != plan.name {
-        failures.push(TvFailure::at(
+/// Returns every slot that differs.
+#[doc(hidden)]
+pub fn validate_compile(plan: &Program, program: &Program) -> Result<(), Vec<TvFailure>> {
+    if plan.name() != program.name()
+        || plan.source_size() != program.source_size()
+        || plan.code().len() != program.code().len()
+    {
+        return Err(vec![TvFailure::at(
             None,
             None,
-            format!(
-                "program name {:?} differs from plan name {:?}",
-                program.name(),
-                plan.name
-            ),
-        ));
+            "the programs differ in name, size or slot count",
+        )]);
     }
-    if program.source_size() != plan.source_size {
-        failures.push(TvFailure::at(
-            None,
-            None,
-            "program source_size differs from the plan's",
-        ));
-    }
-    if code.len() != n {
-        failures.push(TvFailure::at(
-            None,
-            None,
-            format!("{} instructions for {n} source slots", code.len()),
-        ));
-    }
-
-    for (slot, (source, &instr)) in plan.ops.iter().zip(code).enumerate() {
-        let obligation = match (source, instr) {
-            (
-                LoweredOp::Leaf {
-                    op,
-                    trigger,
-                    frames,
-                },
-                VmOp::Leaf { leaf },
-            ) => leaf_spec(pool, leaf)
-                .and_then(|spec| leaf_matches(pool, spec, op, trigger.as_deref(), frames)),
-            (
-                LoweredOp::Check {
-                    cond,
-                    on_false: source_target,
-                    frames,
-                },
-                VmOp::Check { check, on_false },
-            ) => check_spec(pool, check)
-                .and_then(|spec| check_matches(pool, spec, cond, frames))
-                .and_then(|()| target_matches(on_false, *source_target, n)),
-            (
-                LoweredOp::Jump {
-                    target: source_target,
-                },
-                VmOp::Jump { target },
-            ) => target_matches(target, *source_target, n),
-            (source, instr) => Err(format!(
-                "{instr:?} does not compile source {:?}",
-                source.describe()
-            )),
-        };
-        if let Err(message) = obligation {
-            failures.push(TvFailure::at(Some(slot), Some(slot), message));
-        }
-    }
-
+    let failures: Vec<TvFailure> = plan
+        .code()
+        .iter()
+        .zip(program.code())
+        .enumerate()
+        .filter_map(|(slot, (&a, &b))| {
+            let differs = match (a, b) {
+                (VmOp::Jump { target: x }, VmOp::Jump { target: y }) => {
+                    (x != y).then(|| "jump targets differ".to_owned())
+                }
+                (VmOp::Check { on_false: x, .. }, VmOp::Check { on_false: y, .. }) if x != y => {
+                    Some("else-targets differ".to_owned())
+                }
+                _ => obs_eq(plan, program, slot, slot).err(),
+            };
+            differs.map(|message| TvFailure::at(Some(slot), Some(slot), message))
+        })
+        .collect();
     if failures.is_empty() {
         Ok(())
     } else {
@@ -407,14 +275,13 @@ mod tests {
     use crate::history::RefinementMode;
     use crate::pipeline::Pipeline;
     use crate::plan::lower;
-    use crate::vm;
 
-    fn lowered(build: impl FnOnce(crate::pipeline::PipelineBuilder) -> Pipeline) -> LoweredPlan {
+    fn lowered(build: impl FnOnce(crate::pipeline::PipelineBuilder) -> Pipeline) -> Program {
         lower(&build(Pipeline::builder("tv"))).unwrap()
     }
 
     #[test]
-    fn compile_outputs_validate_slot_for_slot() {
+    fn a_program_validates_against_its_clone_slot_for_slot() {
         let plan = lowered(|b| {
             b.create_text("p", "base", RefinementMode::Manual)
                 .gen("warm", "p")
@@ -422,13 +289,18 @@ mod tests {
                 .gen("final", "p")
                 .build()
         });
-        let program = vm::compile(&plan).unwrap();
-        assert!(validate_compile(&plan, &program).is_ok());
-        // One source slot more than the program has instructions.
-        let mut longer = plan.clone();
-        longer.ops.push(plan.ops[1].clone());
-        let failures = validate_compile(&longer, &program).unwrap_err();
-        assert!(failures.iter().any(|f| f.message.contains("source slots")));
+        assert!(validate_compile(&plan, &crate::vm::compile(&plan).unwrap()).is_ok());
+        // One slot more than the plan has.
+        let longer = lowered(|b| {
+            b.create_text("p", "base", RefinementMode::Manual)
+                .gen("warm", "p")
+                .check(Cond::low_confidence(0.9), |t| t.expand("p", "retry"))
+                .gen("final", "p")
+                .gen("extra", "p")
+                .build()
+        });
+        let failures = validate_compile(&longer, &plan).unwrap_err();
+        assert!(failures.iter().any(|f| f.message.contains("slot count")));
     }
 
     #[test]
@@ -443,10 +315,9 @@ mod tests {
                 .gen("a", "p")
                 .build()
         });
-        let program_b = vm::compile(&plan_b).unwrap();
-        let failures = validate_compile(&plan_a, &program_b).unwrap_err();
+        let failures = validate_compile(&plan_a, &plan_b).unwrap_err();
         assert!(!failures.is_empty());
-        assert!(failures.iter().any(|f| f.message.contains("differs")));
+        assert!(failures.iter().any(|f| f.message.contains("differ")));
     }
 
     #[test]
@@ -456,26 +327,22 @@ mod tests {
                 .check_else(Cond::Always, |t| t.gen("a", "p"), |e| e.gen("b", "p"))
                 .build()
         });
-        let one = vm::compile(&plan).unwrap();
-        let two = vm::compile(&plan).unwrap();
-        assert!(validate_optimized(&one, &two).is_ok());
+        assert!(validate_optimized(&plan, &plan.clone()).is_ok());
     }
 
     #[test]
     fn programs_of_different_plans_do_not_bisimulate() {
-        let one = vm::compile(&lowered(|b| {
+        let one = lowered(|b| {
             b.create_text("p", "base", RefinementMode::Manual)
                 .gen("a", "p")
                 .build()
-        }))
-        .unwrap();
-        let two = vm::compile(&lowered(|b| {
+        });
+        let two = lowered(|b| {
             b.create_text("p", "base", RefinementMode::Manual)
                 .gen("a", "p")
                 .gen("b", "p")
                 .build()
-        }))
-        .unwrap();
+        });
         // Same name, same shape up to the extra gen: the walk must catch
         // the point where one halts and the other generates.
         let failures = validate_optimized(&one, &two).unwrap_err();

@@ -5,8 +5,8 @@
 //! shared backends. [`BatchRunner`] is that executor: it fans N jobs — each
 //! a lowered plan plus its own [`ExecState`] — across a fixed number of
 //! worker lanes, every lane sharing the same [`Runtime`], and collects the
-//! per-job outcomes in submission order. A batch of one plan compiles it
-//! once and runs the shared program in every job.
+//! per-job outcomes in submission order. A batch of one plan runs the one
+//! shared program in every job.
 //!
 //! ## Determinism under any thread count
 //!
@@ -49,9 +49,10 @@ use std::sync::Arc;
 
 use crate::error::{Result, SpearError};
 use crate::pipeline::Pipeline;
-use crate::plan::{self, LoweredPlan};
+use crate::plan;
 use crate::runtime::{ExecReport, ExecState, Runtime};
 use crate::scope;
+use crate::vm::Program;
 
 /// What one job produced: the report and the (mutated) state, including
 /// its trace.
@@ -76,11 +77,7 @@ pub struct AssignedJob {
     /// each other's prefix-cache insertions.
     pub owner: u64,
     /// The lowered plan to execute.
-    pub plan: Arc<LoweredPlan>,
-    /// A pre-compiled program for `plan`, when the scheduler already
-    /// compiled it; `None` compiles `plan` with [`crate::vm::compile`] when
-    /// the job runs.
-    pub program: Option<Arc<crate::vm::Program>>,
+    pub program: Arc<Program>,
     /// The job's private execution state.
     pub state: ExecState,
 }
@@ -113,8 +110,8 @@ impl BatchRunner {
         self.next_owner.fetch_add(n as u64, Ordering::Relaxed)
     }
 
-    /// Execute one lowered plan over many per-job states, compiling it once
-    /// for the whole batch. Jobs are striped round-robin (job `i` runs on
+    /// Execute one lowered plan over many per-job states. Jobs are striped
+    /// round-robin (job `i` runs on
     /// lane `i % workers`), each under a fresh owner id; owner ids are
     /// unique across successive calls on the same runner, so two batches
     /// never alias each other's owner-private backend state. Outcomes come
@@ -122,16 +119,12 @@ impl BatchRunner {
     pub fn run_lowered(
         &self,
         runtime: &Runtime,
-        plan: &Arc<LoweredPlan>,
+        program: &Arc<Program>,
         states: Vec<ExecState>,
     ) -> Vec<Result<BatchOutcome>> {
         if states.is_empty() {
             return Vec::new();
         }
-        // A plan that fails to compile (i.e. fails verification) runs every
-        // job without a program, so each slot gets the `InvalidPlan` error
-        // `vm::compile` returns for it.
-        let program = crate::vm::compile(plan).ok().map(Arc::new);
         let owner_base = self.reserve_owners(states.len());
         let jobs = states
             .into_iter()
@@ -139,8 +132,7 @@ impl BatchRunner {
             .map(|(i, state)| AssignedJob {
                 lane: i % self.workers,
                 owner: owner_base + i as u64,
-                plan: Arc::clone(plan),
-                program: program.clone(),
+                program: Arc::clone(program),
                 state,
             })
             .collect();
@@ -207,16 +199,12 @@ impl BatchRunner {
     }
 }
 
-/// Run one placed job: its pre-compiled program when the caller supplied
-/// one, otherwise its plan compiled here.
+/// Run one placed job.
 fn execute(runtime: &Runtime, job: AssignedJob) -> Result<BatchOutcome> {
     let mut state = job.state;
-    match job.program.as_deref() {
-        Some(program) => runtime.execute_program(program, &mut state),
-        None => crate::vm::compile(&job.plan)
-            .and_then(|program| runtime.execute_program(&program, &mut state)),
-    }
-    .map(|report| BatchOutcome { report, state })
+    runtime
+        .execute_program(&job.program, &mut state)
+        .map(|report| BatchOutcome { report, state })
 }
 
 /// The lane executor. Each non-empty lane runs its jobs — each tagged with
@@ -372,8 +360,7 @@ mod tests {
         AssignedJob {
             lane,
             owner: 1000 + lane as u64,
-            plan: Arc::new(crate::plan::lower(&pipeline()).expect("lowers")),
-            program: None,
+            program: Arc::new(crate::plan::lower(&pipeline()).expect("lowers")),
             state: state(i),
         }
     }
@@ -427,7 +414,7 @@ mod tests {
         let rt = runtime();
         let bad = Pipeline::builder("bad").gen("a", "missing_prompt").build();
         let mut jobs: Vec<AssignedJob> = (0..3).map(|i| assigned(i, i)).collect();
-        jobs[1].plan = Arc::new(crate::plan::lower(&bad).expect("lowers"));
+        jobs[1].program = Arc::new(crate::plan::lower(&bad).expect("lowers"));
         let outcomes = BatchRunner::new(3).run_assigned(&rt, jobs);
         assert!(outcomes[0].is_ok());
         assert!(outcomes[1].is_err());

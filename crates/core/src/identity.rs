@@ -1,6 +1,6 @@
 //! Structural identity: one stable hash over the IR and trace types.
 //!
-//! [`crate::plan::LoweredPlan::fingerprint`] (the program-cache key) and
+//! [`crate::vm::Program::fingerprint`] (the program-cache key) and
 //! [`crate::trace::Trace::digest`] (the determinism witness) both fold a
 //! value's structure straight into FNV-1a with [`StableHash`]: no
 //! serialization, no formatting, no allocation. The encoding is fixed so
@@ -27,10 +27,10 @@ use crate::condition::{CmpOp, Cond, Operand};
 use crate::history::{RefAction, RefinementMode};
 use crate::llm::GenOptions;
 use crate::ops::{MergePolicy, Op, PayloadSpec, PromptRef};
-use crate::plan::{LoweredOp, LoweredPlan};
 use crate::retriever::RetrievalQuery;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::value::Value;
+use crate::vm::{Program, VmOp};
 
 /// A value with a stable structural encoding, folded into an FNV-1a state.
 pub trait StableHash {
@@ -113,6 +113,12 @@ impl StableHash for str {
 impl StableHash for String {
     fn stable_hash(&self, h: u64) -> u64 {
         self.as_str().stable_hash(h)
+    }
+}
+
+impl<T: StableHash + ?Sized> StableHash for &T {
+    fn stable_hash(&self, h: u64) -> u64 {
+        (**self).stable_hash(h)
     }
 }
 
@@ -354,32 +360,38 @@ impl StableHash for Op {
     }
 }
 
-impl StableHash for LoweredOp {
+/// A program folds the stream of the slot form lowering emits it from:
+/// name, source size, then the slots as a sequence — a leaf as tag 0, its
+/// operator, its trigger as an `Option` of text and its frames as a
+/// sequence of text; a CHECK as tag 1, its condition, its else-target and
+/// its frames; a JUMP as tag 2 and its target; targets widened to `u64`.
+/// Strings are folded from the pool, so the hash depends on the text, not
+/// on pool indices.
+impl StableHash for Program {
     fn stable_hash(&self, h: u64) -> u64 {
-        match self {
-            LoweredOp::Leaf {
-                op,
-                trigger,
-                frames,
-            } => frames.stable_hash(trigger.stable_hash(op.stable_hash(tag(h, 0)))),
-            LoweredOp::Check {
-                cond,
-                on_false,
-                frames,
-            } => frames.stable_hash(on_false.stable_hash(cond.stable_hash(tag(h, 1)))),
-            LoweredOp::Jump { target } => target.stable_hash(tag(h, 2)),
-        }
-    }
-}
-
-impl StableHash for LoweredPlan {
-    fn stable_hash(&self, h: u64) -> u64 {
-        let LoweredPlan {
-            name,
-            source_size,
-            ops,
-        } = self;
-        ops.stable_hash(source_size.stable_hash(name.stable_hash(h)))
+        let pool = self.pool();
+        let frames = |ids: &[u32], h: u64| {
+            ids.iter().fold(ids.len().stable_hash(h), |h, &id| {
+                pool.str(id).stable_hash(h)
+            })
+        };
+        let h = self.source_size().stable_hash(self.name().stable_hash(h));
+        let code = self.code();
+        code.iter()
+            .fold(code.len().stable_hash(h), |h, &slot| match slot {
+                VmOp::Leaf { leaf } => {
+                    let spec = pool.leaf(leaf);
+                    let h = spec.op().stable_hash(tag(h, 0));
+                    let h = spec.trigger_id().map(|id| pool.str(id)).stable_hash(h);
+                    frames(spec.frame_ids(), h)
+                }
+                VmOp::Check { check, on_false } => {
+                    let spec = pool.check(check);
+                    let h = spec.cond().stable_hash(tag(h, 1));
+                    frames(spec.frame_ids(), u64::from(on_false).stable_hash(h))
+                }
+                VmOp::Jump { target } => u64::from(target).stable_hash(tag(h, 2)),
+            })
     }
 }
 

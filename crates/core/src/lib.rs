@@ -123,14 +123,14 @@ pub use llm::{
 pub use metadata::{Metadata, ReuseEvent, TokenUsage};
 pub use ops::{MergePolicy, Op, PayloadSpec, PromptRef};
 pub use pipeline::{Pipeline, PipelineBuilder};
-pub use plan::{lower, LoweredOp, LoweredPlan};
+pub use plan::lower;
 pub use prompt::{PromptEntry, PromptOrigin};
 pub use runtime::{ExecReport, ExecState, Runtime, RuntimeBuilder, RuntimeConfig};
 pub use segment::{SegmentedText, TextSegment};
 pub use store::PromptStore;
 pub use value::Value;
 pub use view::{ParamSpec, ViewCatalog, ViewDef};
-pub use vm::{compile, optimize, CheckSpec, ConstPool, LeafSpec, Program, VmOp};
+pub use vm::{optimize, CheckSpec, ConstPool, LeafSpec, Program, VmOp};
 
 /// Convenient glob-import of the most-used types.
 pub mod prelude {
@@ -150,7 +150,7 @@ pub mod prelude {
     pub use crate::metadata::{Metadata, ReuseEvent, TokenUsage};
     pub use crate::ops::{MergePolicy, Op, PayloadSpec, PromptRef};
     pub use crate::pipeline::{Pipeline, PipelineBuilder};
-    pub use crate::plan::{lower, LoweredOp, LoweredPlan};
+    pub use crate::plan::lower;
     pub use crate::prompt::{PromptEntry, PromptOrigin};
     pub use crate::refiner::{FnRefiner, RefineCtx, RefineOutput, Refiner};
     pub use crate::retriever::{
@@ -162,7 +162,5 @@ pub mod prelude {
     pub use crate::trace::{Trace, TraceEvent, TraceKind};
     pub use crate::value::{map, Value};
     pub use crate::view::{ParamSpec, ViewCatalog, ViewDef};
-    // `vm::compile` is deliberately not glob-exported: downstream crates
-    // (e.g. the DL compiler) define their own `compile`.
     pub use crate::vm::{ConstPool, Program, VmOp};
 }

@@ -1,284 +1,227 @@
-//! The lowered plan IR: a flat instruction form for pipelines.
+//! Lowering: a pipeline's operator tree flattened into its one plan form,
+//! the bytecode [`Program`].
 //!
 //! A [`Pipeline`] is a tree (CHECK nests its branches); the executor spine
 //! wants a flat program it can step with a program counter — the same move
 //! a query engine makes when it lowers a logical plan into a physical one.
-//! [`lower`] flattens the operator tree into a [`LoweredPlan`]: every
-//! non-CHECK operator becomes a [`LoweredOp::Leaf`], every CHECK becomes a
-//! [`LoweredOp::Check`] with an explicit `on_false` jump target, and a
-//! then-branch followed by an else-branch ends in a [`LoweredOp::Jump`]
-//! over the else block.
+//! [`lower`] walks the tree once and emits each slot as it goes: every
+//! non-CHECK operator becomes a `Leaf`, every CHECK a `Check` with an
+//! explicit `on_false` jump target, and a then-branch followed by an
+//! else-branch ends in a `Jump` over the else block (see
+//! [`crate::vm::VmOp`]). Each slot's strings are interned into the
+//! program's [`crate::vm::ConstPool`] as the slot is emitted, in slot
+//! order.
 //!
-//! Two pieces of tree-shaped bookkeeping are baked into the instructions so
-//! the flat program, once compiled ([`crate::vm::compile`]), reproduces the
-//! tree walk byte-for-byte:
+//! Two pieces of tree-shaped bookkeeping are baked into the slots so the
+//! flat program reproduces the tree walk byte-for-byte:
 //!
 //! - **triggers** — a REF inside a CHECK branch records the branch's
 //!   condition text in its ref_log; each leaf carries the trigger of its
 //!   innermost enclosing branch.
 //! - **frames** — when an operator fails, the tree walk records one
-//!   `Error` trace event per enclosing CHECK while unwinding; each
-//!   instruction carries the `describe()` strings of its enclosing CHECKs
+//!   `Error` trace event per enclosing CHECK while unwinding; each slot
+//!   carries the pooled `describe()` strings of its enclosing CHECKs
 //!   (outermost first) so the spine can replay that unwind.
 //!
-//! Both executors — [`crate::runtime::Runtime::execute`], which compiles
-//! this IR to bytecode, and the reference tree walk kept as
+//! Both executors — [`crate::runtime::Runtime::execute`], which runs the
+//! lowered program, and the reference tree walk kept as
 //! [`crate::runtime::Runtime::execute_tree`] — are differentially tested
 //! for byte-identical traces (`tests/trace_equivalence.rs`).
 
-use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::condition::Cond;
-use crate::history::RefAction;
+use crate::error::{Result, SpearError};
 use crate::ops::{Op, PromptRef};
 use crate::pipeline::Pipeline;
-use crate::value::Value;
+use crate::template;
+use crate::vm::{CheckSpec, ConstPool, LeafSpec, Program, VmOp};
 
-/// One instruction of the lowered IR.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LoweredOp {
-    /// A data operator executed by its per-operator handler; falls through
-    /// to the next instruction. Never an [`Op::Check`]: the structural
-    /// verifier rejects a plan that carries one here (SPEAR-E012).
-    Leaf {
-        /// The operator.
-        op: Op,
-        /// Condition text of the innermost enclosing CHECK branch (negated
-        /// for else-branches); REF records it as the ref_log trigger.
-        trigger: Option<String>,
-        /// `describe()` of enclosing CHECKs, outermost first (error unwind).
-        frames: Vec<String>,
-    },
-    /// Evaluate a condition: fall through when it holds, jump to `on_false`
-    /// otherwise.
-    Check {
-        /// The condition over (C, M).
-        cond: Cond,
-        /// Jump target when the condition is false (first instruction after
-        /// the then-branch, or into the else-branch when one exists).
-        on_false: usize,
-        /// `describe()` of enclosing CHECKs, outermost first.
-        frames: Vec<String>,
-    },
-    /// Unconditional jump (closes a then-branch that is followed by an
-    /// else-branch). Free: consumes no op budget and records no trace.
-    Jump {
-        /// Target instruction index.
-        target: usize,
-    },
-}
+/// The plan form this module emitted before lowering produced the program
+/// directly; it is the program.
+#[doc(hidden)]
+pub type LoweredPlan = Program;
 
-impl LoweredOp {
-    /// Compact one-line rendering in the paper's notation.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        match self {
-            LoweredOp::Leaf { op, .. } => op.describe(),
-            LoweredOp::Check { cond, on_false, .. } => {
-                format!("CHECK[{cond}] else -> {on_false:04}")
-            }
-            LoweredOp::Jump { target } => format!("JUMP -> {target:04}"),
-        }
-    }
-}
+/// The target a branch slot holds until lowering patches it. One that
+/// survives to the gate is `SPEAR-E003`.
+pub(crate) const PLACEHOLDER: u32 = u32::MAX;
 
-/// A pipeline lowered to a flat instruction list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LoweredPlan {
-    /// Name of the source pipeline (used in traces).
-    pub name: String,
-    /// `Pipeline::size()` of the source — the op count the trace's
-    /// `PipelineStart` event reports (jumps are not counted).
-    pub source_size: u64,
-    /// The instructions.
-    pub ops: Vec<LoweredOp>,
-}
-
-impl LoweredPlan {
-    /// The plan's **cache-affinity seed**: a stable identity for the prompt
-    /// prefix its first generation will prefill, or `None` when the plan
-    /// only uses opaque ad-hoc prompts.
-    ///
-    /// Two plans with equal seeds render prompts that share a prefix (same
-    /// view + parameters, or same base text), so a serving layer that
-    /// routes them to the same cache stripe and worker lane maximizes
-    /// radix-tree prefix reuse — the scheduling analogue of the engine's
-    /// "structure gates caching" rule. Every placement decision keys on
-    /// this one value: the serve scheduler's owner groups and lane pinning,
-    /// the KV scheduler's shared-prefix grouping, and the cluster router's
-    /// consistent node placement, so "same family" means the same thing at
-    /// every layer.
-    ///
-    /// The seed is the FNV-1a hash of the family's text, derived from the
-    /// same structured identities the prefix cache keys on
-    /// ([`crate::prompt::PromptEntry::cache_identity`]):
-    ///
-    /// - the first `REF[CREATE, from_view]` instruction →
-    ///   `view:{name}#{param_hash:x}`,
-    /// - else the first GEN over an inline view or an identity-carrying
-    ///   lowered template → that identity,
-    /// - else the first `REF[CREATE, set_text]` → `text:{fnv1a(text):x}`
-    ///   (identical base texts share a prefix even without a view),
-    /// - else `None`: nothing about the plan predicts prefix reuse.
-    ///
-    /// The text is folded into the hash as it is formatted, so computing
-    /// the seed allocates nothing.
-    #[must_use]
-    pub fn affinity_seed(&self) -> Option<u64> {
-        use std::fmt::Write as _;
-        let mut seed = crate::identity::Fnv1aSink::new();
-        for instr in &self.ops {
-            let LoweredOp::Leaf { op, .. } = instr else {
-                continue;
-            };
-            let _ = match op {
-                Op::Ref {
-                    action: RefAction::Create,
-                    refiner,
-                    args,
-                    ..
-                } if refiner == "from_view" => {
-                    let name = args.path("view")?.as_str()?;
-                    let params = match args.path("args") {
-                        Some(Value::Map(m)) => crate::view::param_hash(m),
-                        _ => crate::view::param_hash(&std::collections::BTreeMap::new()),
-                    };
-                    write!(seed, "view:{name}#{params:x}")
-                }
-                Op::Ref {
-                    action: RefAction::Create,
-                    refiner,
-                    args,
-                    ..
-                } if refiner == "set_text" => {
-                    let text = args.as_str()?;
-                    write!(seed, "text:{:x}", spear_kv::shard::fnv1a(text.as_bytes()))
-                }
-                Op::Gen { prompt, .. } => match prompt {
-                    PromptRef::View { name, args } => {
-                        write!(seed, "view:{name}#{:x}", crate::view::param_hash(args))
-                    }
-                    PromptRef::Lowered {
-                        identity: Some(id), ..
-                    } => seed.write_str(id),
-                    PromptRef::Lowered { identity: None, .. } | PromptRef::Inline(_) => {
-                        return None;
-                    }
-                    // A key reference resolves to whatever an earlier REF
-                    // created; keep scanning (the creating REF precedes it).
-                    PromptRef::Key(_) => continue,
-                },
-                _ => continue,
-            };
-            return Some(seed.0);
-        }
-        None
-    }
-
-    /// Structural fingerprint of the whole plan (DESIGN.md §17): name,
-    /// op count and every instruction, literals kept apart by type. The
-    /// serving layer keys its compilation cache on it, so structurally
-    /// different plans get different programs unless their 64-bit hashes
-    /// collide.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        crate::identity::stable_hash(self)
-    }
-}
-
-/// Lower a pipeline into the flat IR.
+/// Lower a pipeline into its program.
 ///
-/// Lowering fails closed: before a plan is released it passes the
-/// structural self-check of [`crate::analysis::verify_structural`], so a
-/// malformed branch shape can never leak an unpatched
-/// `Jump { target: usize::MAX }` placeholder (or any other bad target)
-/// into the executor.
+/// Lowering fails closed: before a program is released it passes the
+/// structural gate (`analysis::verify_structural`), so a
+/// malformed branch shape can never leak an unpatched placeholder target
+/// (or any other bad target) into the executor.
 ///
 /// # Errors
 ///
-/// Returns [`crate::error::SpearError::InvalidPlan`] carrying the
-/// structural diagnostics when the emitted slot program is malformed.
-pub fn lower(pipeline: &Pipeline) -> crate::error::Result<LoweredPlan> {
-    let mut ops = Vec::new();
-    lower_ops(&pipeline.ops, None, &mut Vec::new(), &mut ops);
-    release(LoweredPlan {
-        name: pipeline.name.clone(),
-        source_size: pipeline.size(),
-        ops,
-    })
+/// Returns [`SpearError::InvalidPlan`] carrying the structural diagnostics
+/// when the emitted code is malformed.
+pub fn lower(pipeline: &Pipeline) -> Result<Program> {
+    let mut emitter = Emitter::default();
+    emitter.ops(&pipeline.ops, None);
+    release(emitter.finish(pipeline.name.clone(), pipeline.size()))
 }
 
-/// The fail-closed gate between emitting instructions and handing the
-/// plan to callers.
-fn release(plan: LoweredPlan) -> crate::error::Result<LoweredPlan> {
-    let diagnostics = crate::analysis::verify_structural(&plan);
+/// The fail-closed gate between emitting code and handing the program to
+/// callers.
+fn release(program: Program) -> Result<Program> {
+    let diagnostics = crate::analysis::verify_structural(&program);
     if diagnostics
         .iter()
         .any(crate::analysis::Diagnostic::is_error)
     {
-        return Err(crate::error::SpearError::InvalidPlan {
-            plan: plan.name,
+        return Err(SpearError::InvalidPlan {
+            plan: program.name().to_owned(),
             diagnostics,
         });
     }
-    Ok(plan)
+    Ok(program)
 }
 
-fn lower_ops(
-    ops: &[Op],
-    trigger: Option<&str>,
-    frames: &mut Vec<String>,
-    out: &mut Vec<LoweredOp>,
-) {
-    for op in ops {
-        match op {
-            Op::Check {
-                cond,
-                then_ops,
-                else_ops,
-            } => {
-                let check_at = out.len();
-                out.push(LoweredOp::Check {
-                    cond: cond.clone(),
-                    on_false: usize::MAX, // patched below
-                    frames: frames.clone(),
-                });
-                let cond_text = cond.to_string();
-                frames.push(op.describe());
-                lower_ops(then_ops, Some(&cond_text), frames, out);
-                let on_false = if else_ops.is_empty() {
-                    out.len()
-                } else {
-                    let jump_at = out.len();
-                    out.push(LoweredOp::Jump { target: usize::MAX });
-                    let else_start = out.len();
-                    let negated = format!("!({cond_text})");
-                    lower_ops(else_ops, Some(&negated), frames, out);
-                    let end = out.len();
-                    out[jump_at] = LoweredOp::Jump { target: end };
-                    else_start
-                };
-                frames.pop();
-                // A non-Check here would mean the branch shape went wrong;
-                // leave the placeholder in place and let `release()` turn
-                // it into an `InvalidPlan` error instead of panicking.
-                if let LoweredOp::Check { on_false: slot, .. } = &mut out[check_at] {
-                    *slot = on_false;
-                }
+/// The code and constant pool under construction.
+#[derive(Default)]
+struct Emitter {
+    code: Vec<VmOp>,
+    strings: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
+    leaves: Vec<LeafSpec>,
+    checks: Vec<CheckSpec>,
+    /// Pool ids of the enclosing CHECKs' labels, outermost first: the
+    /// unwind frames of the next slot.
+    frames: Vec<u32>,
+}
+
+impl Emitter {
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.index.get(s) {
+            return id;
+        }
+        let id = self.strings.len() as u32;
+        let shared: Arc<str> = Arc::from(s);
+        self.strings.push(Arc::clone(&shared));
+        self.index.insert(shared, id);
+        id
+    }
+
+    /// The index the next emitted slot takes.
+    fn pc(&self) -> u32 {
+        self.code.len() as u32
+    }
+
+    fn ops(&mut self, ops: &[Op], trigger: Option<&str>) {
+        for op in ops {
+            match op {
+                Op::Check {
+                    cond,
+                    then_ops,
+                    else_ops,
+                } => self.check(cond, then_ops, else_ops),
+                other => self.leaf(other, trigger),
             }
-            other => out.push(LoweredOp::Leaf {
-                op: other.clone(),
-                trigger: trigger.map(str::to_string),
-                frames: frames.clone(),
-            }),
         }
     }
+
+    fn leaf(&mut self, op: &Op, trigger: Option<&str>) {
+        // Pre-parse inline/lowered GEN templates; a template that fails to
+        // parse is emitted without one so the runtime path reproduces the
+        // exact MalformedTemplate error (and its trace) at execution time.
+        let template = match op {
+            Op::Gen {
+                prompt: PromptRef::Inline(text) | PromptRef::Lowered { text, .. },
+                ..
+            } => template::parse(text).ok(),
+            _ => None,
+        };
+        let spec = LeafSpec {
+            describe: self.intern(&op.describe()),
+            trigger: trigger.map(|t| self.intern(t)),
+            frames: self.frames.as_slice().into(),
+            template,
+            op: op.clone(),
+        };
+        let leaf = self.leaves.len() as u32;
+        self.leaves.push(spec);
+        self.code.push(VmOp::Leaf { leaf });
+    }
+
+    /// Push `cond`'s check spec, framed by the enclosing CHECKs; returns
+    /// its index and its label's pool id.
+    fn check_spec(&mut self, cond: &Cond) -> (u32, u32) {
+        let label = self.intern(&format!("CHECK[{cond}]"));
+        self.checks.push(CheckSpec {
+            cond: cond.clone(),
+            label,
+            frames: self.frames.as_slice().into(),
+        });
+        (self.checks.len() as u32 - 1, label)
+    }
+
+    fn check(&mut self, cond: &Cond, then_ops: &[Op], else_ops: &[Op]) {
+        // The label is also the frame string: `Op::Check` describes itself
+        // as `CHECK[{cond}]`.
+        let (check, label) = self.check_spec(cond);
+        let check_at = self.code.len();
+        self.code.push(VmOp::Check {
+            check,
+            on_false: PLACEHOLDER,
+        });
+        let cond_text = cond.to_string();
+        self.frames.push(label);
+        self.ops(then_ops, Some(&cond_text));
+        let on_false = if else_ops.is_empty() {
+            self.pc()
+        } else {
+            let jump_at = self.code.len();
+            self.code.push(VmOp::Jump {
+                target: PLACEHOLDER,
+            });
+            let else_start = self.pc();
+            self.ops(else_ops, Some(&format!("!({cond_text})")));
+            self.code[jump_at] = VmOp::Jump { target: self.pc() };
+            else_start
+        };
+        self.frames.pop();
+        self.code[check_at] = VmOp::Check { check, on_false };
+    }
+
+    /// The emitted program, not yet gated.
+    fn finish(self, name: String, source_size: u64) -> Program {
+        let pool = ConstPool {
+            strings: self.strings,
+            leaves: self.leaves,
+            checks: self.checks,
+        };
+        Program::assemble(name, source_size, self.code, pool)
+    }
 }
+
+#[cfg(test)]
+pub(crate) mod asm;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::history::RefinementMode;
+    use crate::value::Value;
+    use crate::vm::LeafSpec;
+
+    /// The leaf spec at slot `pc`.
+    fn leaf_at(program: &Program, pc: usize) -> &LeafSpec {
+        let VmOp::Leaf { leaf } = program.code()[pc] else {
+            panic!("leaf at {pc}: {:?}", program.code())
+        };
+        program.pool().leaf(leaf)
+    }
+
+    /// A leaf's trigger text and frame strings, read from the pool.
+    fn trigger_and_frames(program: &Program, pc: usize) -> (Option<&str>, Vec<&str>) {
+        let pool = program.pool();
+        let spec = leaf_at(program, pc);
+        let frames = spec.frame_ids().iter().map(|&id| pool.str(id)).collect();
+        (spec.trigger_id().map(|id| pool.str(id)), frames)
+    }
 
     #[test]
     fn straight_line_pipelines_lower_to_leaves() {
@@ -287,12 +230,13 @@ mod tests {
             .gen("a", "p")
             .build();
         let lowered = lower(&p).unwrap();
-        assert_eq!(lowered.name, "flat");
-        assert_eq!(lowered.source_size, 2);
-        assert_eq!(lowered.ops.len(), 2);
-        assert!(lowered.ops.iter().all(
-            |op| matches!(op, LoweredOp::Leaf { trigger: None, frames, .. } if frames.is_empty())
-        ));
+        assert_eq!(lowered.name(), "flat");
+        assert_eq!(lowered.source_size(), 2);
+        assert_eq!(lowered.code().len(), 2);
+        assert_eq!(lowered.pool().leaves().len(), 2);
+        for pc in 0..2 {
+            assert_eq!(trigger_and_frames(&lowered, pc), (None, vec![]));
+        }
     }
 
     #[test]
@@ -304,28 +248,18 @@ mod tests {
             .build();
         let lowered = lower(&p).unwrap();
         // create, check, expand, expand, gen
-        assert_eq!(lowered.ops.len(), 5);
-        let LoweredOp::Check { on_false, .. } = &lowered.ops[1] else {
-            panic!("check at 1: {:?}", lowered.ops)
+        assert_eq!(lowered.code().len(), 5);
+        let VmOp::Check { on_false, .. } = lowered.code()[1] else {
+            panic!("check at 1: {:?}", lowered.code())
         };
-        assert_eq!(*on_false, 4, "false skips straight to the trailing gen");
+        assert_eq!(on_false, 4, "false skips straight to the trailing gen");
         // Branch leaves carry the trigger and the enclosing frame.
-        let LoweredOp::Leaf {
-            trigger, frames, ..
-        } = &lowered.ops[2]
-        else {
-            panic!("leaf at 2")
-        };
-        assert_eq!(trigger.as_deref(), Some("true"));
-        assert_eq!(frames, &["CHECK[true]".to_string()]);
+        assert_eq!(
+            trigger_and_frames(&lowered, 2),
+            (Some("true"), vec!["CHECK[true]"])
+        );
         // The trailing gen is back at top level.
-        let LoweredOp::Leaf {
-            trigger, frames, ..
-        } = &lowered.ops[4]
-        else {
-            panic!("leaf at 4")
-        };
-        assert!(trigger.is_none() && frames.is_empty());
+        assert_eq!(trigger_and_frames(&lowered, 4), (None, vec![]));
     }
 
     #[test]
@@ -340,16 +274,13 @@ mod tests {
             .build();
         let lowered = lower(&p).unwrap();
         // create, check, then-expand, jump, else-expand
-        assert_eq!(lowered.ops.len(), 5);
-        let LoweredOp::Check { on_false, .. } = &lowered.ops[1] else {
+        assert_eq!(lowered.code().len(), 5);
+        let VmOp::Check { on_false, .. } = lowered.code()[1] else {
             panic!("check at 1")
         };
-        assert_eq!(*on_false, 4, "false enters the else branch");
-        assert_eq!(lowered.ops[3], LoweredOp::Jump { target: 5 });
-        let LoweredOp::Leaf { trigger, .. } = &lowered.ops[4] else {
-            panic!("leaf at 4")
-        };
-        assert_eq!(trigger.as_deref(), Some("!(true)"));
+        assert_eq!(on_false, 4, "false enters the else branch");
+        assert_eq!(lowered.code()[3], VmOp::Jump { target: 5 });
+        assert_eq!(trigger_and_frames(&lowered, 4).0, Some("!(true)"));
     }
 
     #[test]
@@ -360,17 +291,21 @@ mod tests {
             })
             .build();
         let lowered = lower(&p).unwrap();
-        let LoweredOp::Leaf { frames, .. } = &lowered.ops[2] else {
-            panic!("innermost leaf at 2: {:?}", lowered.ops)
-        };
         assert_eq!(
-            frames,
-            &["CHECK[true]".to_string(), "CHECK[false]".to_string()]
+            trigger_and_frames(&lowered, 2).1,
+            ["CHECK[true]", "CHECK[false]"]
         );
-        let LoweredOp::Check { frames, .. } = &lowered.ops[1] else {
-            panic!("inner check at 1")
+        let VmOp::Check { check, .. } = lowered.code()[1] else {
+            panic!("inner check at 1: {:?}", lowered.code())
         };
-        assert_eq!(frames, &["CHECK[true]".to_string()]);
+        let pool = lowered.pool();
+        let frames: Vec<&str> = pool
+            .check(check)
+            .frame_ids()
+            .iter()
+            .map(|&id| pool.str(id))
+            .collect();
+        assert_eq!(frames, ["CHECK[true]"]);
     }
 
     /// The seed a plan whose family text is `key` must carry.
@@ -533,14 +468,10 @@ mod tests {
     fn release_rejects_leaked_placeholders() {
         // Regression for the fail-closed gate: if a malformed branch shape
         // ever leaves an unpatched placeholder behind, `lower()` must
-        // return Err instead of releasing the plan to the executor.
-        let leaked = LoweredPlan {
-            name: "leaky".into(),
-            source_size: 1,
-            ops: vec![LoweredOp::Jump { target: usize::MAX }],
-        };
-        let err = release(leaked).unwrap_err();
-        let crate::error::SpearError::InvalidPlan { plan, diagnostics } = err else {
+        // return Err instead of releasing the program to the executor.
+        let leaky = asm::assemble("leaky", vec![asm::Slot::Jump(PLACEHOLDER)]);
+        let err = asm::release(leaky).unwrap_err();
+        let SpearError::InvalidPlan { plan, diagnostics } = err else {
             panic!("expected InvalidPlan")
         };
         assert_eq!(plan, "leaky");
@@ -565,11 +496,11 @@ mod tests {
             )
             .build();
         let lowered = lower(&p).unwrap();
-        for op in &lowered.ops {
-            match op {
-                LoweredOp::Jump { target } => assert_ne!(*target, usize::MAX),
-                LoweredOp::Check { on_false, .. } => assert_ne!(*on_false, usize::MAX),
-                LoweredOp::Leaf { .. } => {}
+        for op in lowered.code() {
+            match *op {
+                VmOp::Jump { target } => assert_ne!(target, PLACEHOLDER),
+                VmOp::Check { on_false, .. } => assert_ne!(on_false, PLACEHOLDER),
+                VmOp::Leaf { .. } => {}
             }
         }
     }
@@ -587,17 +518,5 @@ mod tests {
             )
             .build();
         assert_eq!(lower(&p).unwrap().fingerprint(), 0xd16d_fdc3_e040_20e4);
-    }
-
-    #[test]
-    fn lowered_plans_serialize_roundtrip() {
-        let p = Pipeline::builder("s")
-            .create_text("p", "base", RefinementMode::Manual)
-            .check(Cond::low_confidence(0.5), |b| b.expand("p", "x"))
-            .build();
-        let lowered = lower(&p).unwrap();
-        let json = serde_json::to_string(&lowered).unwrap();
-        let back: LoweredPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(lowered, back);
     }
 }

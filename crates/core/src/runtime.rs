@@ -1,9 +1,9 @@
 //! The SPEAR runtime: executes pipelines over the state triple (P, C, M).
 //!
 //! The runtime is a thin dispatch layer. [`Runtime::execute`] lowers the
-//! pipeline to the flat IR of [`crate::plan`], compiles it to bytecode
-//! with [`crate::vm::compile`] (the one verify gate), and steps the
-//! compiled program; the VM loop owns tracing, budget enforcement, and the
+//! pipeline to its bytecode program with [`crate::plan::lower`] (the one
+//! structural gate) and steps the program; the VM loop owns tracing,
+//! budget enforcement, and the
 //! op-count cap, and each operator's semantics live in its own handler
 //! module (`exec::{ret,gen,refine,check,merge,delegate}`). The recursive
 //! tree walk ([`Runtime::execute_tree`]) is kept as the specification the
@@ -281,25 +281,23 @@ impl Runtime {
         lookup(&self.agents, name, SpearError::AgentNotFound)
     }
 
-    /// Execute `pipeline` against `state`: lower it to the flat IR,
-    /// compile that with [`crate::vm::compile`] and run the program with
-    /// [`Runtime::execute_program`] — the path an already-lowered plan
-    /// takes too, minus the lowering.
+    /// Execute `pipeline` against `state`: lower it to its program with
+    /// [`crate::plan::lower`] and run that with [`Runtime::execute_program`]
+    /// — the path an already-lowered plan takes too, minus the lowering.
     ///
     /// # Errors
     ///
-    /// [`crate::error::SpearError::InvalidPlan`] from the compiler's verify
+    /// [`crate::error::SpearError::InvalidPlan`] from lowering's structural
     /// gate (nothing is traced); otherwise propagates the first operator
     /// failure (after recording it in the trace) and
     /// [`crate::error::SpearError::OpBudgetExceeded`] if the op cap is hit.
     pub fn execute(&self, pipeline: &Pipeline, state: &mut ExecState) -> Result<ExecReport> {
-        let program = vm::compile(&plan::lower(pipeline)?)?;
-        self.execute_program(&program, state)
+        self.execute_program(&plan::lower(pipeline)?, state)
     }
 
-    /// Execute a compiled [`Program`] against `state`. No verify gate runs
-    /// here: programs only exist via [`crate::vm::compile`] (fail-closed),
-    /// so the VM may assume the verifier's structural invariants.
+    /// Execute a [`Program`] against `state`. No verify gate runs here:
+    /// programs only exist via [`crate::plan::lower`] (fail-closed), so the
+    /// VM may assume the gate's structural invariants.
     ///
     /// # Errors
     ///

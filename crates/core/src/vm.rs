@@ -1,29 +1,29 @@
-//! The bytecode VM: compiled execution of lowered plans, the one
-//! production spine.
+//! The bytecode VM: the one plan form and the one production spine.
 //!
-//! A [`LoweredPlan`] carries what a step needs in its most general form:
-//! conditions that would be `Display`-formatted into a label on every
-//! trace event, heap-allocated frame vectors on every instruction, and the
-//! full [`LoweredOp`] representation to match on. [`compile`] pays those
-//! costs **once per plan** instead of once per step:
+//! [`crate::plan::lower`] emits a [`Program`] straight from the operator
+//! tree; there is no second plan form and no translation step. A program
+//! pays once, at lowering, what a step would otherwise pay every time:
 //!
-//! - every slot becomes one compact, `Copy` [`VmOp`] of `u32` indices into
-//!   a [`ConstPool`], at the same index: the program counter *is* the
-//!   slot, and every branch target is its source target;
+//! - every slot is one compact, `Copy` [`VmOp`] of `u32` indices into a
+//!   [`ConstPool`]: the program counter *is* the slot, and every branch
+//!   target is a slot index;
 //! - the pool interns every string the spine can ever emit for the plan —
 //!   operator describe lines, `CHECK[...]` labels, unwind frames, REF
 //!   triggers — plus each GEN's pre-parsed prompt template, so the hot loop
 //!   never formats or parses anything that is a pure function of the plan;
+//! - the program's identity — its [`Program::fingerprint`] and
+//!   [`Program::affinity_seed`] — is derived once, when it is emitted;
 //! - the run loop is a tight match over `&[VmOp]`: no trait objects, no
 //!   per-step allocation beyond the trace events themselves.
 //!
-//! ## Verification before compilation
+//! ## Verified on emission
 //!
-//! [`compile`] is fail-closed and the only way into the VM: it runs
-//! [`crate::analysis::verify_structural`] and refuses to emit code for a
-//! malformed plan — a target out of range, a leaked lowering placeholder,
-//! a backward jump, or a CHECK in a leaf slot. The VM therefore *assumes*
-//! those invariants and skips per-step validation.
+//! `lower` is fail-closed and the only way to obtain a program outside
+//! this crate: it runs the structural gate on the emitted code and refuses
+//! to release a malformed one — a target out of range, a leaked lowering
+//! placeholder, a backward jump, or a CHECK in a leaf slot. Nothing outside
+//! the crate can build or edit a program, so the VM *assumes* those
+//! invariants and skips per-step validation.
 //!
 //! ## Equivalence
 //!
@@ -31,27 +31,26 @@
 //! byte-identical to the reference tree walk
 //! ([`crate::runtime::Runtime::execute_tree`]), proven by
 //! `tests/trace_equivalence.rs` at 1/4/8 workers including error unwinds
-//! and cancellation, and per compilation by translation validation
-//! ([`crate::analysis::validate_compile`]).
+//! and cancellation. [`optimize`] is gated per program by translation
+//! validation ([`crate::analysis::validate_optimized`]).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::condition::Cond;
 use crate::error::{Result, SpearError};
 use crate::exec::{self, CallLimits};
+use crate::history::RefAction;
 use crate::ops::{Op, PromptRef};
-use crate::plan::{LoweredOp, LoweredPlan};
 use crate::runtime::{ExecState, Runtime};
-use crate::template::{self, ParsedTemplate};
+use crate::template::ParsedTemplate;
 use crate::trace::TraceKind;
 use crate::value::Value;
 
-/// One compiled instruction: `u32` indices into the program's
-/// [`ConstPool`]. `Copy`, two or three words, no heap payload — the VM loop
-/// fetches instructions by value.
+/// One instruction: `u32` indices into the program's [`ConstPool`].
+/// `Copy`, two or three words, no heap payload — the VM loop fetches
+/// instructions by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmOp {
     /// Execute pool leaf `leaf`; fall through.
@@ -74,9 +73,9 @@ pub enum VmOp {
     },
 }
 
-/// A data operator's compiled form: the operator plus pool indices for
-/// every string the spine can emit on its behalf, and the pre-parsed
-/// template of an inline/lowered GEN prompt.
+/// A data operator's slot: the operator plus pool indices for every string
+/// the spine can emit on its behalf, and the pre-parsed template of an
+/// inline/lowered GEN prompt.
 #[derive(Debug, Clone)]
 pub struct LeafSpec {
     pub(crate) op: Op,
@@ -113,16 +112,15 @@ impl LeafSpec {
     }
 
     /// Whether the leaf carries a pre-parsed prompt template (GEN over an
-    /// inline or lowered prompt whose template parsed cleanly at compile
-    /// time).
+    /// inline or lowered prompt whose template parsed cleanly at lowering).
     #[must_use]
     pub fn has_template(&self) -> bool {
         self.template.is_some()
     }
 }
 
-/// A condition's compiled form: the condition plus its pooled
-/// `CHECK[{cond}]` label and unwind frames.
+/// A condition's slot: the condition plus its pooled `CHECK[{cond}]` label
+/// and unwind frames.
 #[derive(Debug, Clone)]
 pub struct CheckSpec {
     pub(crate) cond: Cond,
@@ -150,13 +148,13 @@ impl CheckSpec {
     }
 }
 
-/// The compiled constants of one program: interned strings (describe
-/// lines, check labels, frames, triggers), leaf specs, and check specs.
+/// The constants of one program: interned strings (describe lines, check
+/// labels, frames, triggers), leaf specs, and check specs.
 #[derive(Debug, Clone, Default)]
 pub struct ConstPool {
-    strings: Vec<Arc<str>>,
-    leaves: Vec<LeafSpec>,
-    checks: Vec<CheckSpec>,
+    pub(crate) strings: Vec<Arc<str>>,
+    pub(crate) leaves: Vec<LeafSpec>,
+    pub(crate) checks: Vec<CheckSpec>,
 }
 
 impl ConstPool {
@@ -188,42 +186,89 @@ impl ConstPool {
         &self.checks
     }
 
-    fn leaf(&self, id: u32) -> &LeafSpec {
+    pub(crate) fn leaf(&self, id: u32) -> &LeafSpec {
         &self.leaves[id as usize]
     }
 
-    fn check(&self, id: u32) -> &CheckSpec {
+    pub(crate) fn check(&self, id: u32) -> &CheckSpec {
         &self.checks[id as usize]
     }
 }
 
-/// A compiled plan: bytecode over a constant pool, plus the source plan's
-/// trace identity (name and size).
-#[derive(Debug)]
+/// A lowered plan: bytecode over a constant pool, the source pipeline's
+/// trace identity (name and size), and the plan's structural identity.
+///
+/// Only [`crate::plan::lower`] releases programs, each through the
+/// structural gate, and nothing outside this crate can build or edit one.
+#[derive(Debug, Clone)]
 pub struct Program {
-    name: String,
+    fields: PlanFields,
     source_size: u64,
-    code: Vec<VmOp>,
     pool: ConstPool,
+    fingerprint: u64,
+    affinity_seed: Option<u64>,
+}
+
+/// The `name` and `ops` a program's slot listing starts from, readable
+/// (never writable) as `program.name` and `program.ops` through `Deref`.
+/// Product code reads them as [`Program::name`] and [`Program::code`].
+#[derive(Debug, Clone)]
+#[non_exhaustive]
+pub struct PlanFields {
+    /// Name of the source pipeline.
+    #[doc(hidden)]
+    pub name: String,
+    /// The instruction stream.
+    #[doc(hidden)]
+    pub ops: Vec<VmOp>,
+}
+
+impl std::ops::Deref for Program {
+    type Target = PlanFields;
+
+    fn deref(&self) -> &PlanFields {
+        &self.fields
+    }
 }
 
 impl Program {
+    /// Assemble emitted parts into a program and derive its identity. Not
+    /// a release: [`crate::plan::lower`] gates what this returns.
+    pub(crate) fn assemble(
+        name: String,
+        source_size: u64,
+        code: Vec<VmOp>,
+        pool: ConstPool,
+    ) -> Program {
+        let mut program = Program {
+            fields: PlanFields { name, ops: code },
+            source_size,
+            pool,
+            fingerprint: 0,
+            affinity_seed: None,
+        };
+        program.fingerprint = crate::identity::stable_hash(&program);
+        program.affinity_seed = affinity_seed(&program.pool);
+        program
+    }
+
     /// Name of the source pipeline (used in traces).
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.fields.name
     }
 
-    /// `Pipeline::size()` of the source plan.
+    /// `Pipeline::size()` of the source — the op count the trace's
+    /// `PipelineStart` event reports (jumps are not counted).
     #[must_use]
     pub fn source_size(&self) -> u64 {
         self.source_size
     }
 
-    /// The instruction stream.
+    /// The instruction stream, one instruction per slot.
     #[must_use]
     pub fn code(&self) -> &[VmOp] {
-        &self.code
+        &self.fields.ops
     }
 
     /// The constant pool.
@@ -231,149 +276,131 @@ impl Program {
     pub fn pool(&self) -> &ConstPool {
         &self.pool
     }
-}
 
-/// Compile a lowered plan into a [`Program`], fail-closed: the plan is
-/// structurally verified first and a malformed plan is rejected before any
-/// code is emitted, which is what entitles the VM to skip per-step target
-/// validation.
-///
-/// # Errors
-///
-/// Returns [`SpearError::InvalidPlan`] carrying the structural diagnostics
-/// when verification fails.
-pub fn compile(plan: &LoweredPlan) -> Result<Program> {
-    let diagnostics = crate::analysis::verify_structural(plan);
-    if diagnostics
-        .iter()
-        .any(crate::analysis::Diagnostic::is_error)
-    {
-        return Err(SpearError::InvalidPlan {
-            plan: plan.name.clone(),
-            diagnostics,
-        });
-    }
-    compile_assuming_verified(plan)
-}
-
-/// Compile without re-verifying, for the verifier's own bytecode pass,
-/// which runs on plans whose structure it has already checked.
-/// Out-of-range targets are clamped to "halt", so even an unverified plan
-/// compiles to code that cannot index past its end.
-///
-/// # Errors
-///
-/// Returns [`SpearError::Internal`] only for plans too large to index with
-/// `u32` (over four billion instructions).
-pub(crate) fn compile_assuming_verified(plan: &LoweredPlan) -> Result<Program> {
-    let n = plan.ops.len();
-    if u32::try_from(n).is_err() {
-        return Err(SpearError::Internal(format!(
-            "plan {:?} too large to compile: {n} instructions",
-            plan.name
-        )));
+    /// Structural fingerprint of the plan (DESIGN.md §17): name, op count
+    /// and every slot with its operator, trigger, frames and targets,
+    /// literals kept apart by type. Derived when the plan is emitted. The
+    /// serving layer keys its program cache on it, so structurally
+    /// different plans get different programs unless their 64-bit hashes
+    /// collide. An optimized program keeps the fingerprint of the plan it
+    /// implements.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
-    let mut pool = PoolBuilder::default();
-    let code = plan
-        .ops
-        .iter()
-        .map(|op| match op {
-            LoweredOp::Leaf {
-                op,
-                trigger,
-                frames,
-            } => VmOp::Leaf {
-                leaf: pool.add_leaf(op, trigger.as_deref(), frames),
-            },
-            LoweredOp::Check {
-                cond,
-                on_false,
-                frames,
-            } => VmOp::Check {
-                check: pool.add_check(cond, frames),
-                on_false: clamp(*on_false, n),
-            },
-            LoweredOp::Jump { target } => VmOp::Jump {
-                target: clamp(*target, n),
-            },
+    /// The plan's **cache-affinity seed**: a stable identity for the prompt
+    /// prefix its first generation will prefill, or `None` when the plan
+    /// only uses opaque ad-hoc prompts. Derived when the plan is emitted.
+    ///
+    /// Two plans with equal seeds render prompts that share a prefix (same
+    /// view + parameters, or same base text), so a serving layer that
+    /// routes them to the same cache stripe and worker lane maximizes
+    /// radix-tree prefix reuse — the scheduling analogue of the engine's
+    /// "structure gates caching" rule. Every placement decision keys on
+    /// this one value: the serve scheduler's owner groups and lane pinning,
+    /// the KV scheduler's shared-prefix grouping, and the cluster router's
+    /// consistent node placement, so "same family" means the same thing at
+    /// every layer.
+    ///
+    /// The seed is the FNV-1a hash of the family's text, derived from the
+    /// same structured identities the prefix cache keys on
+    /// ([`crate::prompt::PromptEntry::cache_identity`]):
+    ///
+    /// - the first `REF[CREATE, from_view]` leaf →
+    ///   `view:{name}#{param_hash:x}`,
+    /// - else the first GEN over an inline view or an identity-carrying
+    ///   lowered template → that identity,
+    /// - else the first `REF[CREATE, set_text]` → `text:{fnv1a(text):x}`
+    ///   (identical base texts share a prefix even without a view),
+    /// - else `None`: nothing about the plan predicts prefix reuse.
+    #[must_use]
+    pub fn affinity_seed(&self) -> Option<u64> {
+        self.affinity_seed
+    }
+
+    /// The one-line rendering of slot `pc` in the paper's notation — the
+    /// leaf's pooled describe line, `CHECK[..] else -> NNNN` or
+    /// `JUMP -> NNNN` — shared by listings and diagnostics. `None` past
+    /// the end.
+    #[must_use]
+    pub fn describe(&self, pc: usize) -> Option<String> {
+        let pool = &self.pool;
+        Some(match *self.code().get(pc)? {
+            VmOp::Leaf { leaf } => pool.str(pool.leaf(leaf).describe).to_owned(),
+            VmOp::Check { check, on_false } => {
+                format!(
+                    "{} else -> {on_false:04}",
+                    pool.str(pool.check(check).label)
+                )
+            }
+            VmOp::Jump { target } => format!("JUMP -> {target:04}"),
         })
-        .collect();
-
-    Ok(Program {
-        name: plan.name.clone(),
-        source_size: plan.source_size,
-        code,
-        pool: pool.finish(),
-    })
-}
-
-/// String interner + spec collector used during compilation.
-#[derive(Default)]
-struct PoolBuilder {
-    strings: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
-    leaves: Vec<LeafSpec>,
-    checks: Vec<CheckSpec>,
-}
-
-impl PoolBuilder {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.index.get(s) {
-            return id;
-        }
-        let id = self.strings.len() as u32;
-        let shared: Arc<str> = Arc::from(s);
-        self.strings.push(Arc::clone(&shared));
-        self.index.insert(shared, id);
-        id
     }
+}
 
-    fn add_leaf(&mut self, op: &Op, trigger: Option<&str>, frames: &[String]) -> u32 {
-        // Pre-parse inline/lowered GEN templates; a template that fails to
-        // parse compiles without one so the runtime path reproduces the
-        // exact MalformedTemplate error (and its trace) at execution time.
-        let template = match op {
-            Op::Gen {
-                prompt: PromptRef::Inline(text) | PromptRef::Lowered { text, .. },
+/// The seed [`Program::affinity_seed`] documents, from the leaves in slot
+/// order (the pool holds one leaf spec per leaf slot, in slot order). The
+/// text is folded into the hash as it is formatted, so deriving the seed
+/// allocates nothing.
+fn affinity_seed(pool: &ConstPool) -> Option<u64> {
+    use std::fmt::Write as _;
+    let mut seed = crate::identity::Fnv1aSink::new();
+    for spec in &pool.leaves {
+        let _ = match &spec.op {
+            Op::Ref {
+                action: RefAction::Create,
+                refiner,
+                args,
                 ..
-            } => template::parse(text).ok(),
-            _ => None,
+            } if refiner == "from_view" => {
+                let name = args.path("view")?.as_str()?;
+                let params = match args.path("args") {
+                    Some(Value::Map(m)) => crate::view::param_hash(m),
+                    _ => crate::view::param_hash(&std::collections::BTreeMap::new()),
+                };
+                write!(seed, "view:{name}#{params:x}")
+            }
+            Op::Ref {
+                action: RefAction::Create,
+                refiner,
+                args,
+                ..
+            } if refiner == "set_text" => {
+                let text = args.as_str()?;
+                write!(seed, "text:{:x}", spear_kv::shard::fnv1a(text.as_bytes()))
+            }
+            Op::Gen { prompt, .. } => match prompt {
+                PromptRef::View { name, args } => {
+                    write!(seed, "view:{name}#{:x}", crate::view::param_hash(args))
+                }
+                PromptRef::Lowered {
+                    identity: Some(id), ..
+                } => seed.write_str(id),
+                PromptRef::Lowered { identity: None, .. } | PromptRef::Inline(_) => {
+                    return None;
+                }
+                // A key reference resolves to whatever an earlier REF
+                // created; keep scanning (the creating REF precedes it).
+                PromptRef::Key(_) => continue,
+            },
+            _ => continue,
         };
-        let spec = LeafSpec {
-            describe: self.intern(&op.describe()),
-            trigger: trigger.map(|t| self.intern(t)),
-            frames: frames.iter().map(|f| self.intern(f)).collect(),
-            template,
-            op: op.clone(),
-        };
-        self.leaves.push(spec);
-        (self.leaves.len() - 1) as u32
+        return Some(seed.0);
     }
-
-    fn add_check(&mut self, cond: &Cond, frames: &[String]) -> u32 {
-        let spec = CheckSpec {
-            label: self.intern(&format!("CHECK[{cond}]")),
-            frames: frames.iter().map(|f| self.intern(f)).collect(),
-            cond: cond.clone(),
-        };
-        self.checks.push(spec);
-        (self.checks.len() - 1) as u32
-    }
-
-    fn finish(self) -> ConstPool {
-        ConstPool {
-            strings: self.strings,
-            leaves: self.leaves,
-            checks: self.checks,
-        }
-    }
+    None
 }
 
-/// Clamp a source target into `0..=n` ("n" = halt) so it fits the `u32`
-/// field even for unverified plans carrying `usize::MAX` placeholders.
-fn clamp(target: usize, n: usize) -> u32 {
-    target.min(n) as u32
+/// The translation from a second plan form that no longer exists: returns
+/// a clone of `plan`, which [`crate::plan::lower`] already emitted as a
+/// gated program.
+///
+/// # Errors
+///
+/// Never.
+#[doc(hidden)]
+pub fn compile(plan: &Program) -> Result<Program> {
+    Ok(plan.clone())
 }
 
 /// Replay the tree walk's error unwind from pooled strings: the failing
@@ -460,7 +487,7 @@ pub(crate) fn run_program(
     budget: &mut u64,
     limits: &CallLimits,
 ) -> Result<()> {
-    let code = program.code.as_slice();
+    let code = program.code();
     let pool = &program.pool;
     let mut pc = 0usize;
     while let Some(&instr) = code.get(pc) {
@@ -517,18 +544,18 @@ fn resolve_jumps(code: &[VmOp], mut pc: usize) -> Option<usize> {
 /// bisimulate the original; callers then keep the original program.
 #[must_use]
 pub fn optimize(program: &Program) -> Option<Program> {
-    let len = program.code.len();
-    let mut code = program.code.clone();
+    let len = program.code().len();
+    let mut code = program.code().to_vec();
 
     // Jump threading: every explicit target resolves through chains of
     // free Jumps straight to the first observable instruction.
     for op in &mut code {
         match op {
             VmOp::Check { on_false, .. } => {
-                *on_false = resolve_jumps(&program.code, *on_false as usize)? as u32;
+                *on_false = resolve_jumps(program.code(), *on_false as usize)? as u32;
             }
             VmOp::Jump { target } => {
-                *target = resolve_jumps(&program.code, *target as usize)? as u32;
+                *target = resolve_jumps(program.code(), *target as usize)? as u32;
             }
             VmOp::Leaf { .. } => {}
         }
@@ -558,7 +585,7 @@ pub fn optimize(program: &Program) -> Option<Program> {
     // Every explicit target on a live op now lands on a live op (threading
     // skips Jumps; dead else edges were redirected to live fall-throughs),
     // so the remap below is total over the targets that remain.
-    let live = crate::analysis::Cfg::of_code(&code, &program.pool);
+    let live = crate::analysis::Cfg::new(&code, &program.pool, true);
     let mut remap = vec![0u32; len + 1];
     let mut kept: Vec<VmOp> = Vec::with_capacity(len);
     for (pc, &op) in code.iter().enumerate() {
@@ -580,14 +607,16 @@ pub fn optimize(program: &Program) -> Option<Program> {
         }
     }
 
-    if kept == program.code {
+    if kept == program.code() {
         return None;
     }
     let candidate = Program {
-        name: program.name.clone(),
-        source_size: program.source_size,
-        code: kept,
+        fields: PlanFields {
+            name: program.fields.name.clone(),
+            ops: kept,
+        },
         pool: program.pool.clone(),
+        ..*program
     };
     crate::analysis::tv::validate_optimized(program, &candidate).ok()?;
     Some(candidate)
@@ -599,10 +628,11 @@ mod tests {
     use super::*;
     use crate::history::RefinementMode;
     use crate::pipeline::Pipeline;
+    use crate::plan::asm::{assemble, Slot};
     use crate::plan::lower;
 
     fn compiled(p: &Pipeline) -> Program {
-        compile(&lower(p).unwrap()).unwrap()
+        lower(p).unwrap()
     }
 
     #[test]
@@ -621,8 +651,8 @@ mod tests {
 
     #[test]
     fn every_slot_compiles_to_its_own_pc() {
-        // source: create, gen, check(on_false=5), expand, jump(6), gen —
-        // every opcode kind, a GEN right before a CHECK, and a branch exit.
+        // create, gen, check(on_false=5), expand, jump(6), gen — every
+        // opcode kind, a GEN right before a CHECK, and a branch exit.
         let p = Pipeline::builder("slots")
             .create_text("p", "base", RefinementMode::Manual)
             .gen("warm", "p")
@@ -632,53 +662,40 @@ mod tests {
                 |b| b.gen("final", "p"),
             )
             .build();
-        let lowered = lower(&p).unwrap();
-        let prog = compile(&lowered).unwrap();
-        assert_eq!(prog.code().len(), lowered.ops.len());
-        for (pc, (op, src)) in prog.code().iter().zip(&lowered.ops).enumerate() {
-            match (op, src) {
-                (VmOp::Leaf { .. }, LoweredOp::Leaf { .. }) => {}
-                (VmOp::Check { on_false, .. }, LoweredOp::Check { on_false: src, .. })
-                | (VmOp::Jump { target: on_false }, LoweredOp::Jump { target: src }) => {
-                    assert_eq!(*on_false as usize, *src, "target of pc {pc}");
-                }
-                _ => panic!("pc {pc}: {op:?} does not translate {}", src.describe()),
-            }
-        }
-        // An out-of-range target, reachable only through the verifier's
-        // unchecked entry point, clamps to halt.
-        let bad = LoweredPlan {
-            name: "bad".into(),
-            source_size: 1,
-            ops: vec![LoweredOp::Check {
-                cond: Cond::Always,
-                on_false: usize::MAX,
-                frames: Vec::new(),
-            }],
-        };
-        let prog = compile_assuming_verified(&bad).unwrap();
+        let prog = compiled(&p);
         assert_eq!(
             prog.code(),
-            &[VmOp::Check {
-                check: 0,
-                on_false: 1
-            }]
+            [
+                VmOp::Leaf { leaf: 0 },
+                VmOp::Leaf { leaf: 1 },
+                VmOp::Check {
+                    check: 0,
+                    on_false: 5
+                },
+                VmOp::Leaf { leaf: 2 },
+                VmOp::Jump { target: 6 },
+                VmOp::Leaf { leaf: 3 },
+            ]
         );
+        let described: Vec<String> = (0..prog.code().len())
+            .map(|pc| prog.describe(pc).unwrap())
+            .collect();
+        assert_eq!(described[2], "CHECK[M[\"confidence\"] < 0.9] else -> 0005");
+        assert_eq!(described[4], "JUMP -> 0006");
+        assert_eq!(described[5], "GEN[\"final\"] using P[\"p\"]");
+        assert_eq!(prog.describe(6), None, "past the end");
     }
 
     #[test]
-    fn compile_is_fail_closed() {
-        let bad = LoweredPlan {
-            name: "bad".into(),
-            source_size: 1,
-            ops: vec![LoweredOp::Jump { target: usize::MAX }],
-        };
-        let err = compile(&bad).unwrap_err();
-        assert!(matches!(err, SpearError::InvalidPlan { .. }));
-        // The verifier-internal entry point clamps instead: the program
-        // halts.
-        let prog = compile_assuming_verified(&bad).unwrap();
-        assert_eq!(prog.code(), &[VmOp::Jump { target: 1 }]);
+    fn the_plan_fields_read_through_to_the_program() {
+        let p = Pipeline::builder("fields")
+            .create_text("p", "base", RefinementMode::Manual)
+            .gen("a", "p")
+            .build();
+        let prog = compiled(&p);
+        assert_eq!(prog.name, prog.name());
+        assert_eq!(prog.ops, prog.code());
+        assert_eq!(compile(&prog).unwrap().fingerprint(), prog.fingerprint());
     }
 
     #[test]
@@ -768,12 +785,7 @@ mod tests {
 
     #[test]
     fn optimize_bails_on_jump_cycles() {
-        let cyclic = Program {
-            name: "cycle".into(),
-            source_size: 1,
-            code: vec![VmOp::Jump { target: 0 }],
-            pool: ConstPool::default(),
-        };
+        let cyclic = assemble("cycle", vec![Slot::Jump(0)]);
         assert!(optimize(&cyclic).is_none());
     }
 }

@@ -139,8 +139,7 @@ proptest! {
         tweet in "[a-z ]{0,16}",
     ) {
         let p = apply(Pipeline::builder("sound"), &instrs).build();
-        let lowered = lower(&p).unwrap();
-        let program = spear_core::compile(&lowered).expect("builder plans compile");
+        let program = lower(&p).unwrap();
         let optimized = spear_core::optimize(&program);
         let bounds = analyze(&program, &ResourceModel::default());
         let opt_bounds = optimized
@@ -168,8 +167,7 @@ proptest! {
     ) {
         let p = apply(Pipeline::builder("sound"), &instrs).build();
         let lowered = Arc::new(lower(&p).unwrap());
-        let program = spear_core::compile(&lowered).expect("builder plans compile");
-        let bounds = analyze(&program, &ResourceModel::default());
+        let bounds = analyze(&lowered, &ResourceModel::default());
         let tweets: Vec<String> = (0..6).map(|i| format!("tweet number {i}")).collect();
 
         for workers in [1usize, 4, 8] {

@@ -442,7 +442,7 @@ fn execute_twice_accumulates_state() {
 fn execute_program_runs_a_prelowered_plan_like_execute() {
     let rt = runtime();
     let pipeline = qa_pipeline();
-    let program = spear_core::vm::compile(&lower(&pipeline).unwrap()).unwrap();
+    let program = lower(&pipeline).unwrap();
 
     let mut via_pipeline = ExecState::new();
     let mut via_plan = ExecState::new();

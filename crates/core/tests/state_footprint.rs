@@ -3,7 +3,7 @@
 //!
 //! The serving tiers build one state per queued request, so what an idle
 //! state holds, and what each prompt it defines adds, is multiplied by the
-//! queue length; and every new program is verified before it compiles.
+//! queue length; and every new program is verified before it runs.
 //! These tests pin both with a counting allocator of their own; the
 //! counters are per thread, so the harness running tests side by side
 //! cannot disturb a reading.
@@ -122,7 +122,7 @@ fn a_prompt_write_costs_its_key_and_at_most_one_map_node() {
 }
 
 /// Allocation calls `Verifier::with_runtime(rt).verify(plan)` makes.
-fn verify_allocs(rt: &Runtime, plan: &LoweredPlan) -> u64 {
+fn verify_allocs(rt: &Runtime, plan: &Program) -> u64 {
     let (diagnostics, _, allocs) = footprint(|| Verifier::with_runtime(rt).verify(plan));
     assert_eq!(diagnostics, vec![], "the plan verifies clean");
     allocs
@@ -178,7 +178,7 @@ fn verifying_a_plan_resolves_names_without_copying_registries() {
     assert!(
         allocs <= 60,
         "verifying {} slots made {allocs} allocations",
-        plan.ops.len()
+        plan.code().len()
     );
     assert_eq!(
         verify_allocs(&doubled, &plan),

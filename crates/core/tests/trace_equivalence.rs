@@ -1,7 +1,7 @@
 //! Differential testing of the executors: random small pipelines must
 //! produce **byte-identical** traces and reports whether they run
 //! through the reference tree walk (`Runtime::execute_tree`, the
-//! specification), the compiled bytecode VM (`vm::compile` +
+//! specification), the bytecode VM (`plan::lower` +
 //! `Runtime::execute_program`),
 //! or the *optimized* bytecode VM (`vm::optimize` +
 //! `Runtime::execute_program`) — including pipelines that fail mid-run,
@@ -10,12 +10,12 @@
 //! operator budget; and pipelines entered with an already-cancelled token.
 //! A second property pins batch determinism: running the pipeline on a
 //! [`BatchRunner`], from its tree form or its lowered plan, returns the
-//! same per-job bytes at 1, 4, and 8 workers. Every compiled program in
-//! the corpus must also pass translation validation
-//! (`analysis::validate_compile`) against its source plan. A third
-//! property checks the structural identity over the same corpus: plan
-//! fingerprints and trace digests partition plans and traces exactly as
-//! their serialized form does, except where JSON text conflates values.
+//! same per-job bytes at 1, 4, and 8 workers. Lowering emits the program
+//! directly, so these properties are what hold its slots, pool and
+//! interning to the specification. A third property checks the structural
+//! identity over the same corpus: plan fingerprints and trace digests
+//! partition pipelines and traces exactly as their serialized form does,
+//! except where JSON text conflates values.
 
 use std::sync::Arc;
 
@@ -193,19 +193,19 @@ fn json_conflates_integral_floats(content: Content) -> Content {
     }
 }
 
-/// The structural hash separates exactly what the serialized tree
-/// separates (which keeps ints and floats apart), and the JSON text
-/// separates exactly what that tree separates once integral floats are
-/// read as integers.
+/// The structural hashes of `a` and `b` separate exactly what the
+/// serialized tree separates (which keeps ints and floats apart), and the
+/// JSON text separates exactly what that tree separates once integral
+/// floats are read as integers.
 fn same_partition<T: Serialize>(
     a: &T,
     b: &T,
-    hash: impl Fn(&T) -> u64,
+    (hash_a, hash_b): (u64, u64),
 ) -> std::result::Result<(), String> {
     let (tree_a, tree_b) = (a.serialize_content(), b.serialize_content());
     let json_a = serde_json::to_string(a).map_err(|e| e.to_string())?;
     let json_b = serde_json::to_string(b).map_err(|e| e.to_string())?;
-    if (hash(a) == hash(b)) != (tree_a == tree_b) {
+    if (hash_a == hash_b) != (tree_a == tree_b) {
         return Err(format!("hash and tree disagree: {json_a} vs {json_b}"));
     }
     let (text_a, text_b) = (
@@ -224,9 +224,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Plan fingerprints and trace digests induce the same equivalence
-    /// classes as the serialized tree, over pairs that are identical,
-    /// identical up to `Int(n)` vs `Float(n)` literals (JSON-equal, yet
-    /// different programs), or independent.
+    /// classes as the serialized tree of the pipeline a plan is lowered
+    /// from and of the trace, over pairs that are identical, identical up
+    /// to `Int(n)` vs `Float(n)` literals (JSON-equal, yet different
+    /// programs), or independent.
     #[test]
     fn structural_identity_partitions_like_the_serialized_form(
         a in proptest::collection::vec(instr_strategy(), 0..6),
@@ -239,18 +240,26 @@ proptest! {
             1 => floated(&a),
             _ => b,
         };
-        let (plan_a, plan_b) = (lower(&pipeline(&a)).unwrap(), lower(&pipeline(&b)).unwrap());
-        let fingerprints = same_partition(&plan_a, &plan_b, LoweredPlan::fingerprint);
+        let (pipeline_a, pipeline_b) = (pipeline(&a), pipeline(&b));
+        let (plan_a, plan_b) = (lower(&pipeline_a).unwrap(), lower(&pipeline_b).unwrap());
+        let fingerprints = same_partition(
+            &pipeline_a,
+            &pipeline_b,
+            (plan_a.fingerprint(), plan_b.fingerprint()),
+        );
         prop_assert!(fingerprints.is_ok(), "plans: {:?}", fingerprints);
 
         let rt = runtime();
         let (mut state_a, mut state_b) = (seeded_state(&tweets.0), seeded_state(&tweets.1));
         for (plan, state) in [(&plan_a, &mut state_a), (&plan_b, &mut state_b)] {
-            let program = spear_core::compile(plan).expect("builder plans compile");
-            let _ = rt.execute_program(&program, state);
+            let _ = rt.execute_program(plan, state);
         }
         let digest = |t: &Trace| t.digest().unwrap_or_else(|never| match never {});
-        let digests = same_partition(&state_a.trace, &state_b.trace, digest);
+        let digests = same_partition(
+            &state_a.trace,
+            &state_b.trace,
+            (digest(&state_a.trace), digest(&state_b.trace)),
+        );
         prop_assert!(digests.is_ok(), "traces: {:?}", digests);
     }
 
@@ -270,16 +279,10 @@ proptest! {
         let mut vm_state = tree_state.clone();
         let mut opt_state = tree_state.clone();
         let tree_result = rt.execute_tree(&p, &mut tree_state);
-        let program = spear_core::compile(&lowered).expect("builder plans compile");
-        let vm_result = rt.execute_program(&program, &mut vm_state);
+        let vm_result = rt.execute_program(&lowered, &mut vm_state);
 
-        // Translation validation holds over the whole random corpus, and
-        // the verified-optimized program replays the same observable run.
-        if let Err(failures) = spear_core::analysis::validate_compile(&lowered, &program) {
-            prop_assert!(false, "TV failed: {:?}, pipeline: {:?}", failures, p);
-        }
-        prop_assert_eq!(program.code().len(), lowered.ops.len(), "one pc per slot");
-        let optimized = spear_core::optimize(&program).unwrap_or(program);
+        // The verified-optimized program replays the same observable run.
+        let optimized = spear_core::optimize(&lowered).unwrap_or(lowered);
         let opt_result = rt.execute_program(&optimized, &mut opt_state);
 
         let tree = fingerprint(&tree_result, &tree_state);
@@ -319,13 +322,8 @@ proptest! {
         let mut vm_state = tree_state.clone();
         let mut opt_state = tree_state.clone();
         let tree_result = rt.execute_tree(&p, &mut tree_state);
-        let program = spear_core::compile(&lowered).expect("builder plans compile");
-        let vm_result = rt.execute_program(&program, &mut vm_state);
-        if let Err(failures) = spear_core::analysis::validate_compile(&lowered, &program) {
-            prop_assert!(false, "TV failed: {:?}, pipeline: {:?}", failures, p);
-        }
-        prop_assert_eq!(program.code().len(), lowered.ops.len(), "one pc per slot");
-        let optimized = spear_core::optimize(&program).unwrap_or(program);
+        let vm_result = rt.execute_program(&lowered, &mut vm_state);
+        let optimized = spear_core::optimize(&lowered).unwrap_or(lowered);
         let opt_result = rt.execute_program(&optimized, &mut opt_state);
 
         let tree = fingerprint(&tree_result, &tree_state);
@@ -386,8 +384,7 @@ proptest! {
             .collect();
         // The verified-optimized program runs other code than the batch:
         // its solo runs must match the batch bytes at every worker count.
-        let program = spear_core::compile(&lowered).expect("builder plans compile");
-        let optimized = spear_core::optimize(&program).unwrap_or(program);
+        let optimized = spear_core::optimize(&lowered).unwrap_or_else(|| (*lowered).clone());
         let solo_opt: Vec<String> = tweets
             .iter()
             .map(|t| {

@@ -34,19 +34,19 @@ impl Compiled {
         self.pipelines.iter().find(|p| p.name == name)
     }
 
-    /// Lower every compiled pipeline to the core plan IR, in declaration
-    /// order. DL programs thereby target the same execution spine as
-    /// optimizer plans and hand-built pipelines; a host can lower once,
-    /// verify each plan with [`spear_core::analysis::Verifier`], compile
-    /// once (`spear_core::vm::compile`) and re-execute via
-    /// `Runtime::execute_program` without re-flattening.
+    /// Lower every compiled pipeline to its core bytecode program, in
+    /// declaration order. DL programs thereby target the same execution
+    /// spine as optimizer plans and hand-built pipelines; a host can lower
+    /// once, verify each program with [`spear_core::analysis::Verifier`]
+    /// and re-execute it via `Runtime::execute_program` without
+    /// re-flattening.
     ///
     /// # Errors
     ///
     /// Returns [`spear_core::error::SpearError::InvalidPlan`] if any
-    /// lowered plan fails the structural verifier (lowering fails closed
-    /// rather than emitting a malformed slot program).
-    pub fn lower(&self) -> spear_core::error::Result<Vec<spear_core::plan::LoweredPlan>> {
+    /// emitted program fails lowering's structural gate (lowering fails
+    /// closed rather than releasing malformed code).
+    pub fn lower(&self) -> spear_core::error::Result<Vec<spear_core::vm::Program>> {
         self.pipelines.iter().map(spear_core::plan::lower).collect()
     }
 }
@@ -261,19 +261,19 @@ mod tests {
 
     #[test]
     fn lowering_targets_the_core_ir() {
-        use spear_core::plan::LoweredOp;
+        use spear_core::vm::VmOp;
         let c = compile(PROGRAM).unwrap();
         let lowered = c.lower().expect("compiled pipelines lower clean");
         assert_eq!(lowered.len(), 1);
         let plan = &lowered[0];
-        assert_eq!(plan.name, "qa");
-        assert_eq!(plan.source_size, c.pipeline("qa").unwrap().size());
+        assert_eq!(plan.name(), "qa");
+        assert_eq!(plan.source_size(), c.pipeline("qa").unwrap().size());
         // The retry CHECKs flatten into explicit jump targets; executing
         // the lowered form matches executing the tree.
         assert!(plan
-            .ops
+            .code()
             .iter()
-            .any(|op| matches!(op, LoweredOp::Check { on_false, .. } if *on_false != 0)));
+            .any(|op| matches!(op, VmOp::Check { on_false, .. } if *on_false != 0)));
 
         use spear_core::prelude::*;
         use std::sync::Arc;
@@ -293,8 +293,7 @@ mod tests {
         let tree = runtime
             .execute_tree(c.pipeline("qa").unwrap(), &mut tree_state)
             .unwrap();
-        let program = spear_core::vm::compile(plan).unwrap();
-        let ir = runtime.execute_program(&program, &mut ir_state).unwrap();
+        let ir = runtime.execute_program(plan, &mut ir_state).unwrap();
         assert_eq!(tree, ir);
         assert_eq!(tree_state.trace, ir_state.trace);
     }

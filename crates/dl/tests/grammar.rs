@@ -294,5 +294,29 @@ fn kitchen_sink_lowers() {
     let compiled = compile(KITCHEN_SINK).unwrap();
     let plans = compiled.lower().unwrap();
     assert_eq!(plans.len(), 2);
-    assert_eq!(plans[0].source_size, expected_sink().size());
+    assert_eq!(plans[0].source_size(), expected_sink().size());
+}
+
+#[test]
+fn kitchen_sink_plan_identities_are_pinned() {
+    // Pinned: the fingerprint (program-cache key) and affinity seed of the
+    // kitchen-sink plans, which between them hold every statement form. A
+    // change to lowering or to the identity fold moves these values.
+    let plans = compile(KITCHEN_SINK).unwrap().lower().unwrap();
+    let identities: Vec<(&str, usize, u64, Option<u64>)> = plans
+        .iter()
+        .map(|p| (p.name(), p.code().len(), p.fingerprint(), p.affinity_seed()))
+        .collect();
+    assert_eq!(
+        identities,
+        [
+            (
+                "sink",
+                68,
+                0xdc1f_2c4e_24a3_0dd3,
+                Some(0x4824_cfe3_29ce_c78f)
+            ),
+            ("empty", 0, 0xadc2_9fcd_4695_a3d1, None),
+        ]
+    );
 }

@@ -54,7 +54,7 @@ pub fn chain_key(prev: u64, segment_hash: u64) -> u64 {
     fnv1a_extend(prev, &segment_hash.to_le_bytes())
 }
 
-/// Fold a plan's [`affinity seed`](spear_core::plan::LoweredPlan::affinity_seed)
+/// Fold a plan's [`affinity seed`](spear_core::vm::Program::affinity_seed)
 /// into the interner's chain-key space: the root chain key of the prompt
 /// family that seed identifies. Cluster routing scores are further
 /// [`chain_key`] folds over this value (one fold per placement salt), so

@@ -1,21 +1,16 @@
 //! The one listing of a lowered plan.
 //!
-//! A compiled [`Program`] is its [`LoweredPlan`] slot for slot (the
-//! program counter *is* the slot), so one renderer prints both: [`listing`]
-//! writes one line per slot, its text taken from [`LoweredOp::describe`] —
-//! the same text the verifier's diagnostics and the error unwind use — with
-//! a branch leaf's trigger (`(when …)`) and a lowered GEN's prompt text
-//! (cacheable or opaque) under it.
-//!
-//! - When the plan compiles (`spear_core::compile`), the listing reads its
-//!   program too: a pool-operand column (`l07` for leaf spec 7, `c02` for
-//!   check spec 2), the constant pool (interned strings, leaf specs, check
-//!   specs), and the abstract interpreter's static bounds: each slot's
-//!   under its line, the whole-program envelope at the end. A plan that
-//!   fails structural verification is listed from the plan alone.
-//! - The verifier's diagnostics, when passed, are appended as
-//!   [`render_diagnostics`] writes them, or a `verifier: clean` line so
-//!   "verified" reads apart from "not run".
+//! A [`Program`] is the lowered plan (the program counter *is* the slot),
+//! so one renderer prints it: [`listing`] writes one line per slot — its
+//! pool operand (`l07` for leaf spec 7, `c02` for check spec 2) and its
+//! text from [`Program::describe`], the same text the verifier's
+//! diagnostics and the error unwind use — with a branch leaf's trigger
+//! (`(when …)`), a lowered GEN's prompt text (cacheable or opaque) and the
+//! abstract interpreter's static bounds under it; then the constant pool
+//! (interned strings, leaf specs, check specs) and the whole-program
+//! envelope. The verifier's diagnostics, when passed, are appended as
+//! [`render_diagnostics`] writes them, or a `verifier: clean` line so
+//! "verified" reads apart from "not run".
 //!
 //! The format is pinned byte-exact by the `listing_golden` tests, so it
 //! doubles as the specification of the bytecode encoding: a change to
@@ -29,87 +24,83 @@ use spear_core::analysis::{
     analyze, render_diagnostics, Diagnostic, Interval, ResourceModel, SlotBounds,
 };
 use spear_core::ops::{Op, PromptRef};
-use spear_core::plan::{LoweredOp, LoweredPlan};
 use spear_core::vm::{Program, VmOp};
 
-/// Render `plan` as a deterministic listing, with its compiled program's
-/// sections when it compiles and `diagnostics` (the verifier's findings
-/// on it) when passed.
+/// Detail lines start under the instruction text.
+const INDENT: usize = 13;
+
+/// Render `program` as a deterministic listing, with `diagnostics` (the
+/// verifier's findings on it) when passed.
 #[must_use]
-pub fn listing(plan: &LoweredPlan, diagnostics: Option<&[Diagnostic]>) -> String {
-    let program = spear_core::compile(plan).ok();
+pub fn listing(program: &Program, diagnostics: Option<&[Diagnostic]>) -> String {
+    let pool = program.pool();
+    let code = program.code();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "EXPLAIN LOWERED PLAN {:?}  ({} source ops, {} slots)",
-        plan.name,
-        plan.source_size,
-        plan.ops.len()
+        program.name(),
+        program.source_size(),
+        code.len()
     );
-    let bounds = program
-        .as_ref()
-        .map(|program| analyze(program, &ResourceModel::default()));
-    // Detail lines start under the instruction text.
-    let indent = if program.is_some() { 13 } else { 8 };
+    let bounds = analyze(program, &ResourceModel::default());
     let zero = Interval::exact(0);
-    for (pc, op) in plan.ops.iter().enumerate() {
+    for (pc, &op) in code.iter().enumerate() {
         let _ = write!(out, "  {pc:04}  ");
-        let _ = match program.as_ref().and_then(|program| program.code().get(pc)) {
-            Some(VmOp::Leaf { leaf }) => write!(out, "l{leaf:02}  "),
-            Some(VmOp::Check { check, .. }) => write!(out, "c{check:02}  "),
-            Some(VmOp::Jump { .. }) => write!(out, "     "),
-            None => Ok(()),
+        let leaf = match op {
+            VmOp::Leaf { leaf } => {
+                let _ = write!(out, "l{leaf:02}  ");
+                Some(&pool.leaves()[leaf as usize])
+            }
+            VmOp::Check { check, .. } => {
+                let _ = write!(out, "c{check:02}  ");
+                None
+            }
+            VmOp::Jump { .. } => {
+                out.push_str("     ");
+                None
+            }
         };
-        let _ = write!(out, "{}", op.describe());
-        if let LoweredOp::Leaf {
-            trigger: Some(trigger),
-            ..
-        } = op
-        {
-            let _ = write!(out, "  (when {trigger})");
+        out.push_str(&program.describe(pc).unwrap_or_default());
+        if let Some(trigger) = leaf.and_then(|spec| spec.trigger_id()) {
+            let _ = write!(out, "  (when {})", pool.str(trigger));
         }
         out.push('\n');
-        if let LoweredOp::Leaf {
-            op:
-                Op::Gen {
-                    prompt: PromptRef::Lowered { text, identity },
-                    ..
-                },
+        if let Some(Op::Gen {
+            prompt: PromptRef::Lowered { text, identity },
             ..
-        } = op
+        }) = leaf.map(|spec| spec.op())
         {
             let _ = match identity {
-                Some(id) => writeln!(out, "{:indent$}prompt: {text:?}  [cacheable as {id:?}]", ""),
+                Some(id) => writeln!(out, "{:INDENT$}prompt: {text:?}  [cacheable as {id:?}]", ""),
                 None => writeln!(
                     out,
-                    "{:indent$}prompt: {text:?}  [opaque — no prefix reuse]",
+                    "{:INDENT$}prompt: {text:?}  [opaque — no prefix reuse]",
                     ""
                 ),
             };
         }
-        let _ = match bounds.as_ref().and_then(|bounds| bounds.per_op.get(pc)) {
+        let _ = match bounds.per_op.get(pc) {
             Some(Some(SlotBounds {
                 tokens,
                 llm_calls,
                 latency_lo_us,
             })) if *tokens != zero || *llm_calls != zero => writeln!(
                 out,
-                "{:indent$}static: tokens={tokens} llm_calls={llm_calls} latency>={latency_lo_us}us",
+                "{:INDENT$}static: tokens={tokens} llm_calls={llm_calls} latency>={latency_lo_us}us",
                 ""
             ),
-            Some(None) => writeln!(out, "{:indent$}static: unreachable", ""),
+            Some(None) => writeln!(out, "{:INDENT$}static: unreachable", ""),
             Some(Some(_)) | None => Ok(()),
         };
     }
-    if let (Some(program), Some(bounds)) = (&program, &bounds) {
-        const_pool(&mut out, program);
-        let _ = writeln!(out, "STATIC BOUNDS  {bounds}");
-    }
+    const_pool(&mut out, program);
+    let _ = writeln!(out, "STATIC BOUNDS  {bounds}");
     match diagnostics {
         Some([]) => {
-            let _ = writeln!(out, "verifier: clean ({} slots checked)", plan.ops.len());
+            let _ = writeln!(out, "verifier: clean ({} slots checked)", code.len());
         }
-        Some(diagnostics) => out.push_str(&render_diagnostics(plan, diagnostics)),
+        Some(diagnostics) => out.push_str(&render_diagnostics(program, diagnostics)),
         None => {}
     }
     out
@@ -168,11 +159,10 @@ fn frames(ids: &[u32]) -> String {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use spear_core::analysis::Verifier;
     use spear_core::prelude::*;
 
     #[test]
-    fn a_compiled_plan_adds_its_program_sections() {
+    fn a_listing_has_every_slot_and_the_program_sections() {
         let pipeline = Pipeline::builder("d")
             .create_text("p", "Q: {{q}}", RefinementMode::Manual)
             .gen("a", "p")
@@ -189,10 +179,10 @@ mod tests {
         let full = listing(&plan, Some(&[]));
         assert!(full.starts_with(&unverified), "{full}");
         // Every slot is listed exactly once, with its pool operand.
-        for (pc, op) in plan.ops.iter().enumerate() {
+        for pc in 0..plan.code().len() {
             let line = format!("  {pc:04}  ");
             assert_eq!(full.matches(&line).count(), 1, "slot {pc}");
-            assert!(full.contains(&op.describe()), "slot {pc}");
+            assert!(full.contains(&plan.describe(pc).unwrap()), "slot {pc}");
         }
         assert!(full.contains("  0002  c00  CHECK[M[\"confidence\"] < 0.5] else -> 0005\n"));
         assert!(full.contains("  0004       JUMP -> 0006\n"));
@@ -207,24 +197,5 @@ mod tests {
             assert!(full.contains(section), "{section}");
         }
         assert!(full.ends_with("verifier: clean (6 slots checked)\n"));
-    }
-
-    #[test]
-    fn a_plan_that_does_not_compile_is_listed_from_the_plan_alone() {
-        let bad = LoweredPlan {
-            name: "bad".into(),
-            source_size: 1,
-            ops: vec![LoweredOp::Jump { target: 9 }],
-        };
-        assert!(spear_core::compile(&bad).is_err());
-        let diags = Verifier::new().verify(&bad);
-        let text = listing(&bad, Some(&diags));
-        assert!(text.contains("SPEAR-E001"), "{text}");
-        assert!(text.starts_with(
-            "EXPLAIN LOWERED PLAN \"bad\"  (1 source ops, 1 slots)\n  0000  JUMP -> 0009\n"
-        ));
-        for section in ["CONST POOL", "STATIC BOUNDS", "static:"] {
-            assert!(!text.contains(section), "{section} without a program");
-        }
     }
 }

@@ -14,7 +14,7 @@ use spear_optimizer::listing;
 
 /// The sentiment workload's Map→Filter stages, with a structured identity,
 /// in the sequential or fused form.
-fn map_filter(fused: bool) -> LoweredPlan {
+fn map_filter(fused: bool) -> Program {
     let stages = [
         Stage::Map("Clean up the tweet.".to_owned()),
         Stage::Filter("Keep negative tweets.".to_owned()),
@@ -29,7 +29,7 @@ fn map_filter(fused: bool) -> LoweredPlan {
 
 /// The reordered Filter→Map shape, where predicate pushdown pays: the
 /// CHECK's else target jumps clear past the guarded Map stage.
-fn filter_map() -> LoweredPlan {
+fn filter_map() -> Program {
     let stages = [
         Stage::Filter("Keep negative tweets.".to_owned()),
         Stage::Map("Clean up the tweet.".to_owned()),

@@ -29,7 +29,7 @@ proptest! {
         prop_assert!(
             diagnostics.is_empty(),
             "optimizer-lowered plan {:?} tripped the verifier: {:?}",
-            lowered.name,
+            lowered.name(),
             diagnostics
         );
     }

@@ -17,7 +17,7 @@
 //! - [`scheduler::ServeNode`] — a virtual-time dispatch loop over
 //!   [`spear_core::batch::BatchRunner`] lanes with per-request deadlines
 //!   (cooperative cancellation between plan slots) and cache-affinity
-//!   placement via [`spear_core::plan::LoweredPlan::affinity_seed`];
+//!   placement via [`spear_core::vm::Program::affinity_seed`];
 //! - [`loadgen`] — a seeded open-loop generator producing reproducible
 //!   workloads for benchmarks and tests;
 //! - [`metrics::ServeReport`] — a serializable snapshot: admission and

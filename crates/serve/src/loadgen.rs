@@ -18,9 +18,10 @@ use std::sync::Arc;
 use rand::prelude::*;
 
 use spear_core::pipeline::Pipeline;
-use spear_core::plan::{lower, LoweredPlan};
+use spear_core::plan::lower;
 use spear_core::runtime::ExecState;
 use spear_core::view::{ViewCatalog, ViewDef};
+use spear_core::vm::Program;
 use spear_llm::Tokenizer;
 
 use crate::request::{Priority, ServeRequest};
@@ -89,8 +90,8 @@ pub struct GeneratedWorkload {
     pub views: ViewCatalog,
     /// One shared lowered plan per family; requests hold clones of these
     /// `Arc`s, so affinity grouping is visible through pointer-independent
-    /// [`LoweredPlan::affinity_seed`]s.
-    pub plans: Vec<Arc<LoweredPlan>>,
+    /// [`Program::affinity_seed`]s.
+    pub plans: Vec<Arc<Program>>,
     /// The request stream, sorted by non-decreasing `arrival_us` with ids
     /// `0..requests`.
     pub requests: Vec<ServeRequest>,
@@ -489,5 +490,48 @@ mod tests {
             tokens > 200,
             "family instruction should be hundreds of tokens, got {tokens}"
         );
+    }
+
+    #[test]
+    fn family_plan_identities_are_pinned() {
+        // Pinned: the program-cache key and the placement seed of every
+        // family plan, one and two GENs deep. A change to lowering or to
+        // the identity fold moves these values, and with them every
+        // program-cache key and the router's placement.
+        const PINNED: [[(u64, u64); 8]; 2] = [
+            [
+                (0xb679_46c7_ee44_79ae, 0x0b81_3de1_3670_4370),
+                (0x3630_0a07_034a_b12a, 0x060e_c30f_81ca_a421),
+                (0x0b1a_fd37_ba80_69b6, 0xff53_3ef8_18c3_a51a),
+                (0x55a7_bf26_5476_5dea, 0x56fb_84c1_8fff_21a3),
+                (0x9c7b_122b_e5ca_d036, 0xae37_b965_48f1_94ec),
+                (0x4e4c_efdd_b20c_b03a, 0x19f4_76c7_8ed8_63ad),
+                (0x9af1_02a0_652e_f6ce, 0x9793_efa3_c699_c026),
+                (0x882c_e4b7_d0b8_e3ba, 0x25eb_37b1_c9a5_84af),
+            ],
+            [
+                (0x114a_74c9_2386_1c7f, 0x0b81_3de1_3670_4370),
+                (0xf7e2_f441_7fa5_d89b, 0x060e_c30f_81ca_a421),
+                (0x18ac_0962_5785_cd97, 0xff53_3ef8_18c3_a51a),
+                (0x81f9_9928_80be_815b, 0x56fb_84c1_8fff_21a3),
+                (0x1b65_37b8_87f7_6397, 0xae37_b965_48f1_94ec),
+                (0x3ac1_8742_72fd_a26b, 0x19f4_76c7_8ed8_63ad),
+                (0x29cd_c6af_2ba7_d91f, 0x9793_efa3_c699_c026),
+                (0x2665_3127_b211_1b6b, 0x25eb_37b1_c9a5_84af),
+            ],
+        ];
+        for (gen_calls, pinned) in (1..).zip(PINNED) {
+            let workload = generate(&LoadGenConfig {
+                families: TOPICS.len(),
+                gen_calls,
+                ..LoadGenConfig::default()
+            });
+            let identities: Vec<(u64, u64)> = workload
+                .plans
+                .iter()
+                .map(|plan| (plan.fingerprint(), plan.affinity_seed().expect("seeded")))
+                .collect();
+            assert_eq!(identities, pinned, "gen_calls {gen_calls}");
+        }
     }
 }

@@ -303,18 +303,18 @@ pub struct KvReport {
 }
 
 /// Counters from the scheduler's [`crate::program_cache::ProgramCache`]:
-/// how many admissions compiled a fresh program and how many reused a
+/// how many admissions cached a fresh program and how many reused a
 /// cached program. All counters are lane-count-invariant — admission order
-/// is deterministic and compilation happens before dispatch.
+/// is deterministic and caching happens before dispatch.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CompileReport {
-    /// Programs compiled from a lowered plan (cache misses).
+    /// Programs a miss optimized and cached (cache misses).
     pub compiled: u64,
     /// Admissions served by an already-compiled cached program.
     pub cache_hits: u64,
     /// Cached programs evicted by capacity pressure.
     pub evicted: u64,
-    /// Freshly compiled programs additionally improved by the verified
+    /// Freshly cached programs additionally improved by the verified
     /// bytecode optimizer (translation validation passed and at least one
     /// op was removed or rethreaded).
     #[serde(default)]

@@ -1,7 +1,7 @@
-//! Bounded cache of compiled programs.
+//! Bounded cache of optimized programs.
 //!
-//! The scheduler compiles each admitted plan to `spear-core`'s bytecode
-//! once per plan fingerprint ([`LoweredPlan::fingerprint`]) and reuses the
+//! The scheduler optimizes each admitted plan (`spear_core::vm::optimize`)
+//! once per plan fingerprint ([`Program::fingerprint`]) and reuses the
 //! `Arc<Program>` for every later admission of the same plan. The
 //! fingerprint hashes every slot, and the affinity seed is a pure function
 //! of the slots, so the fingerprint alone identifies the program.
@@ -10,14 +10,14 @@
 //! `ServeNode` or `Cluster` node calls it from its one scheduler thread)
 //! must not serialize on it, hence the lock discipline on
 //! [`ProgramCache`]. Of its two halves, freeing each victim on its
-//! compiling thread is the one that mattered: a `Program` is about 120
-//! allocations, and dropping one took 7–8 µs when one lane ran but 13–16
-//! µs when the other lane had compiled it, with every later allocation of
-//! both lanes slowed by the shared allocator arenas. Measured with
-//! `compile_cold` on a 2-core host: with each victim freed by whichever
-//! lane evicted it, two lanes ran no faster than one; freed by the lane
-//! that compiled it, about 1.5× faster. Moving only the compile out of the
-//! lock changed nothing measurable.
+//! compiling thread (the one that built the cached copy) is the one that
+//! mattered: a `Program` is about 120 allocations, and dropping one took
+//! 7–8 µs when one lane ran but 13–16 µs when the other lane had compiled
+//! it, with every later allocation of both lanes slowed by the shared
+//! allocator arenas. Measured with `compile_cold` on a 2-core host: with
+//! each victim freed by whichever lane evicted it, two lanes ran no faster
+//! than one; freed by the lane that compiled it, about 1.5× faster. Moving
+//! only the compile out of the lock changed nothing measurable.
 //!
 //! Bound, recency and the lookup counters are one [`LruMap`]; the cache
 //! adds only compiling outside the lock and freeing on the compiling
@@ -28,7 +28,6 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, ThreadId};
 
-use spear_core::plan::LoweredPlan;
 use spear_core::runtime::Runtime;
 use spear_core::vm::{self, Program};
 use spear_llm::{LruMap, SimLlm};
@@ -42,7 +41,7 @@ struct Slot {
 }
 
 struct Inner {
-    /// Keyed by [`LoweredPlan::fingerprint`].
+    /// Keyed by [`Program::fingerprint`].
     programs: LruMap<u64, Slot>,
     /// Evicted slots waiting for the thread that compiled them, oldest
     /// first; never longer than the cache's capacity.
@@ -84,11 +83,11 @@ impl Inner {
     }
 }
 
-/// A bounded, thread-safe LRU cache of compiled programs, owned by the
+/// A bounded, thread-safe LRU cache of optimized programs, owned by the
 /// serving node and shared across its runs.
 ///
 /// Lock discipline: nothing compiles under the lock. A miss looks the key
-/// up, releases the lock, compiles and optimizes, then re-locks to
+/// up, releases the lock, optimizes, then re-locks to
 /// insert; if another thread inserted the same key meanwhile,
 /// the first insert wins and the late caller counts a hit and drops its
 /// own copy. An evicted program is freed by the thread that
@@ -110,8 +109,8 @@ impl std::fmt::Debug for ProgramCache {
 }
 
 impl ProgramCache {
-    /// A cache holding at most `capacity` compiled programs (clamped to at
-    /// least 1).
+    /// A cache holding at most `capacity` programs (clamped to at least
+    /// 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
@@ -129,7 +128,7 @@ impl ProgramCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Number of resident compiled programs.
+    /// Number of resident programs.
     #[must_use]
     pub fn len(&self) -> usize {
         self.lock().programs.len()
@@ -141,36 +140,34 @@ impl ProgramCache {
         self.len() == 0
     }
 
-    /// Look up (or compile) the program for `plan`. Returns `None` when the
-    /// plan fails to compile — i.e. fails structural verification — in
-    /// which case nothing is cached and the caller can take the
-    /// `InvalidPlan` error from [`spear_core::vm::compile`] itself.
+    /// Look up (or optimize and cache) the program for `plan`: the
+    /// resident copy on a hit, a new one on a miss. Never `None`: every
+    /// program passed lowering's structural gate. A miss with nothing to
+    /// optimize caches a copy of `plan`.
     ///
     /// `runtime` and `engine` are not read: a program depends on its plan
     /// alone. They stay in the signature for existing callers.
     pub fn get_or_compile(
         &self,
-        plan: &LoweredPlan,
+        plan: &Program,
         _runtime: &Runtime,
         _engine: Option<&SimLlm>,
     ) -> Option<Arc<Program>> {
-        self.get_or_compile_keyed(plan.fingerprint(), plan)
+        Some(self.resident(plan, None))
     }
 
-    /// [`Self::get_or_compile`] with `plan`'s fingerprint already derived
-    /// (`key` must be [`LoweredPlan::fingerprint`] of this very plan).
-    pub(crate) fn get_or_compile_keyed(
-        &self,
-        key: u64,
-        plan: &LoweredPlan,
-    ) -> Option<Arc<Program>> {
+    /// The program to run for `plan`: the resident one on a hit; on a
+    /// miss, `plan` optimized, or else `shared` (an `Arc` of `plan` itself)
+    /// or a copy of `plan`, now resident.
+    pub(crate) fn resident(&self, plan: &Program, shared: Option<&Arc<Program>>) -> Arc<Program> {
+        let key = plan.fingerprint();
         let me = thread::current().id();
         let mut inner = self.lock();
         let retired = inner.take_retired(me);
         let hit = inner.hit(key);
         drop(inner);
         drop(retired);
-        if hit.is_some() {
+        if let Some(hit) = hit {
             return hit;
         }
 
@@ -178,23 +175,26 @@ impl ProgramCache {
         // redirection, and unreachable-op pruning — accepted only when the
         // optimized form symbolically bisimulates the original
         // (`vm::optimize` is fail-closed), so traces stay byte-identical.
-        let program = vm::compile(plan).ok()?;
-        let optimized = vm::optimize(&program);
+        let optimized = vm::optimize(plan);
         let counted = u64::from(optimized.is_some());
-        let program = Arc::new(optimized.unwrap_or(program));
+        let program = match (optimized, shared) {
+            (Some(optimized), _) => Arc::new(optimized),
+            (None, Some(shared)) => Arc::clone(shared),
+            (None, None) => Arc::new(plan.clone()),
+        };
 
         let mut inner = self.lock();
         if let Some(resident) = inner.hit(key) {
             // Another thread inserted this key while we compiled: the first
             // insert wins, and our copy drops after the unlock.
             drop(inner);
-            return Some(resident);
+            return resident;
         }
         inner.counters.optimized += counted;
         let released = inner.insert(key, Arc::clone(&program), me);
         drop(inner);
         drop(released);
-        Some(program)
+        program
     }
 
     /// Take the counters accumulated since the last drain (the per-run

@@ -265,11 +265,12 @@ mod tests {
     use super::*;
     use spear_core::history::RefinementMode;
     use spear_core::pipeline::Pipeline;
-    use spear_core::plan::{lower, LoweredPlan};
+    use spear_core::plan::lower;
     use spear_core::runtime::ExecState;
+    use spear_core::vm::Program;
     use std::sync::Arc;
 
-    fn plan() -> Arc<LoweredPlan> {
+    fn plan() -> Arc<Program> {
         Arc::new(
             lower(
                 &Pipeline::builder("q")

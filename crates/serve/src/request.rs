@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use spear_core::cancel::CancelToken;
-use spear_core::plan::LoweredPlan;
 use spear_core::runtime::ExecState;
+use spear_core::vm::Program;
 
 /// Scheduling class of a request.
 ///
@@ -46,8 +46,8 @@ pub struct ServeRequest {
     pub priority: Priority,
     /// The lowered plan to execute. Requests sharing a plan share the
     /// `Arc`; affinity routing groups requests by the plan's
-    /// [`LoweredPlan::affinity_seed`].
-    pub plan: Arc<LoweredPlan>,
+    /// [`Program::affinity_seed`].
+    pub plan: Arc<Program>,
     /// The request's private execution state (context inputs, etc.).
     /// Boxed, so a request is under 128 bytes: the scheduler moves the
     /// state out when it dispatches the request, and the consumed slot in
@@ -82,7 +82,7 @@ impl ServeRequest {
     pub fn new(
         id: u64,
         priority: Priority,
-        plan: Arc<LoweredPlan>,
+        plan: Arc<Program>,
         state: ExecState,
         arrival_us: u64,
     ) -> Self {

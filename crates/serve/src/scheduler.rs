@@ -42,7 +42,7 @@
 //! ## Cache-affinity routing
 //!
 //! With `affinity_routing` on, requests whose lowered plans share an
-//! [`affinity seed`](spear_core::plan::LoweredPlan::affinity_seed) — i.e.
+//! [`affinity seed`](spear_core::vm::Program::affinity_seed) — i.e.
 //! whose prompts share a structured prefix — are mapped to the same cache
 //! owner and the same lane. Same-owner jobs execute sequentially in
 //! arrival order on one thread, so each sees its predecessors' prefix
@@ -67,13 +67,11 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use spear_core::batch::{AssignedJob, BatchOutcome, BatchRunner};
 use spear_core::error::SpearError;
 use spear_core::llm::ReusePolicy;
 use spear_core::metadata::{ReuseEvent, TokenUsage};
-use spear_core::plan::LoweredPlan;
 use spear_core::runtime::Runtime;
 use spear_kv::shard::{fnv1a, fnv1a_extend, FNV1A_OFFSET};
 use spear_llm::{CacheStats, LruMap, MemoStats, SimLlm};
@@ -244,35 +242,6 @@ impl ClassAccum {
     }
 }
 
-/// What the scheduler needs to know about a plan. `fingerprint()` walks
-/// the whole plan and `affinity_seed()` scans it, and a run replays a
-/// handful of plans thousands of times, so both are derived once per
-/// distinct `Arc<LoweredPlan>` per run.
-struct PlanIdentity {
-    /// Held so the address keying the table cannot be reused by another
-    /// plan while the run lasts.
-    _plan: Arc<LoweredPlan>,
-    /// [`LoweredPlan::fingerprint`]: the program-cache and verify-memo key.
-    fingerprint: u64,
-    /// [`LoweredPlan::affinity_seed`]: the placement group.
-    affinity_seed: Option<u64>,
-}
-
-#[derive(Default)]
-struct PlanIdentities(HashMap<*const LoweredPlan, PlanIdentity>);
-
-impl PlanIdentities {
-    fn of(&mut self, plan: &Arc<LoweredPlan>) -> &PlanIdentity {
-        self.0
-            .entry(Arc::as_ptr(plan))
-            .or_insert_with(|| PlanIdentity {
-                _plan: Arc::clone(plan),
-                fingerprint: plan.fingerprint(),
-                affinity_seed: plan.affinity_seed(),
-            })
-    }
-}
-
 /// One run's lane and cache-owner placement. With affinity routing on,
 /// every (class, affinity seed) pair is one group with one owner and one
 /// hashed lane, however many distinct plans carry the seed; everything
@@ -305,11 +274,11 @@ impl Placement {
         owner
     }
 
-    /// `(owner, lane, group)` for a request of `class` running
-    /// `identity`'s plan; `group` is the affinity seed it was grouped by,
-    /// `None` when it runs under an owner of its own.
-    fn place(&mut self, identity: &PlanIdentity, class: Priority) -> (u64, usize, Option<u64>) {
-        let seed = match identity.affinity_seed {
+    /// `(owner, lane, group)` for a request of `class` running a plan
+    /// with `affinity_seed`; `group` is the affinity seed it was grouped
+    /// by, `None` when it runs under an owner of its own.
+    fn place(&mut self, affinity_seed: Option<u64>, class: Priority) -> (u64, usize, Option<u64>) {
+        let seed = match affinity_seed {
             Some(seed) if self.affinity_routing => seed,
             _ => {
                 let lane = self.round_robin % self.lanes;
@@ -366,7 +335,6 @@ struct Lifecycle<'a> {
     /// Engine counters when the run began; the report carries the deltas.
     engine_before: Option<(CacheStats, MemoStats)>,
     reuse_policy: ReusePolicy,
-    plans: PlanIdentities,
     /// Admission verdicts by plan family ([`verify_key`]). Verification
     /// also reads the runtime's registries and each run may bring another
     /// runtime, which is why the memo lives here and not on the node.
@@ -405,7 +373,6 @@ impl<'a> Lifecycle<'a> {
             } else {
                 ReusePolicy::Off
             },
-            plans: PlanIdentities::default(),
             verify_memo: LruMap::new(VERIFY_MEMO_CAPACITY),
             queue: AdmissionQueue::new(node.config.admission.clone()),
             placement: Placement::new(SERVE_OWNER_BASE | (run_nonce << 32), &node.config),
@@ -420,8 +387,7 @@ impl<'a> Lifecycle<'a> {
     /// plan family per run; later family members reuse the verdict
     /// (rejection details included).
     fn verify(&mut self, request: &ServeRequest) -> Option<Vec<String>> {
-        let fingerprint = self.plans.of(&request.plan).fingerprint;
-        let key = verify_key(request, fingerprint);
+        let key = verify_key(request, request.plan.fingerprint());
         if let Some(cached) = self.verify_memo.get(&key) {
             return cached.clone();
         }
@@ -452,7 +418,7 @@ impl<'a> Lifecycle<'a> {
         let (id, class) = (request.id, request.priority);
         if self.node.config.verify_admission {
             if let Some(details) = self.verify(&request) {
-                let plan = request.plan.name.clone();
+                let plan = request.plan.name().to_owned();
                 self.reject(id, class, ServeError::InvalidPlan { plan, details });
                 return false;
             }
@@ -478,8 +444,9 @@ impl<'a> Lifecycle<'a> {
     /// that identifies the result. Callers must make these calls in their
     /// dispatch order: owner ids and program-cache recency follow it.
     fn job(&mut self, mut request: ServeRequest) -> (AssignedJob, Ticket) {
-        let identity = self.plans.of(&request.plan);
-        let (owner, lane, group) = self.placement.place(identity, request.priority);
+        let (owner, lane, group) = self
+            .placement
+            .place(request.plan.affinity_seed(), request.priority);
         let (family_seed, shared_prefix_tokens) = match group {
             Some(seed) => (seed, request.shared_prefix_tokens),
             None => (fnv1a(&request.id.to_le_bytes()), 0),
@@ -498,11 +465,10 @@ impl<'a> Lifecycle<'a> {
         let program = self
             .node
             .programs
-            .get_or_compile_keyed(identity.fingerprint, &request.plan);
+            .resident(&request.plan, Some(&request.plan));
         let job = AssignedJob {
             lane,
             owner,
-            plan: request.plan,
             program,
             state: *request.state,
         };
@@ -930,14 +896,16 @@ mod tests {
     use spear_core::history::RefinementMode;
     use spear_core::llm::EchoLlm;
     use spear_core::pipeline::Pipeline;
-    use spear_core::plan::{lower, LoweredPlan};
+    use spear_core::plan::lower;
     use spear_core::runtime::ExecState;
+    use spear_core::vm::Program;
+    use std::sync::Arc;
 
     fn runtime() -> Runtime {
         Runtime::builder().llm(Arc::new(EchoLlm::default())).build()
     }
 
-    fn plan(gens: usize) -> Arc<LoweredPlan> {
+    fn plan(gens: usize) -> Arc<Program> {
         let mut b = Pipeline::builder("serve_test").create_text(
             "p",
             "Answer briefly: {{ctx:q}}",
@@ -1009,20 +977,19 @@ mod tests {
         // Same base text, different GEN counts: two plans (two
         // fingerprints) with one affinity seed.
         let (one, two) = (plan(1), plan(2));
-        let mut plans = PlanIdentities::default();
         let config = ServeConfig::default();
         let mut placement = Placement::new(100, &config);
-        let first = placement.place(plans.of(&one), Priority::Interactive);
+        let first = placement.place(one.affinity_seed(), Priority::Interactive);
         assert_eq!(first.0, 100);
         assert_eq!(first.2, one.affinity_seed(), "seeded plans are grouped");
         assert!(first.2.is_some());
         assert_eq!(
-            placement.place(plans.of(&two), Priority::Interactive),
+            placement.place(two.affinity_seed(), Priority::Interactive),
             first
         );
-        let batch = placement.place(plans.of(&one), Priority::Batch);
+        let batch = placement.place(one.affinity_seed(), Priority::Batch);
         assert_eq!((batch.0, batch.1), (101, first.1), "a group per class");
-        assert_eq!(placement.place(plans.of(&two), Priority::Batch), batch);
+        assert_eq!(placement.place(two.affinity_seed(), Priority::Batch), batch);
 
         // Affinity off: a fresh owner and the next lane, every time.
         let config = ServeConfig {
@@ -1031,7 +998,7 @@ mod tests {
         };
         let mut placement = Placement::new(100, &config);
         let placed: Vec<_> = (0..3)
-            .map(|_| placement.place(plans.of(&one), Priority::Interactive))
+            .map(|_| placement.place(one.affinity_seed(), Priority::Interactive))
             .collect();
         let lanes = config.lanes;
         assert_eq!(

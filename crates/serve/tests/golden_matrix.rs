@@ -19,9 +19,10 @@ use spear_core::history::RefinementMode;
 use spear_core::llm::LlmClient;
 use spear_core::ops::PayloadSpec;
 use spear_core::pipeline::Pipeline;
-use spear_core::plan::{lower, LoweredPlan};
+use spear_core::plan::lower;
 use spear_core::runtime::Runtime;
 use spear_core::value::Value;
+use spear_core::vm::Program;
 use spear_kv::shard::fnv1a;
 use spear_llm::{ModelProfile, SimLlm};
 use spear_serve::prelude::*;
@@ -100,7 +101,7 @@ fn load(seed: u64) -> LoadGenConfig {
     }
 }
 
-fn lowered(pipeline: &Pipeline) -> Arc<LoweredPlan> {
+fn lowered(pipeline: &Pipeline) -> Arc<Program> {
     Arc::new(lower(pipeline).expect("test pipelines lower"))
 }
 

@@ -25,10 +25,11 @@ use std::sync::Arc;
 
 use spear_core::history::RefinementMode;
 use spear_core::pipeline::Pipeline;
-use spear_core::plan::{lower, LoweredPlan};
+use spear_core::plan::lower;
 use spear_core::runtime::ExecState;
+use spear_core::vm::Program;
 
-fn plan() -> Arc<LoweredPlan> {
+fn plan() -> Arc<Program> {
     Arc::new(
         lower(
             &Pipeline::builder("aging")
@@ -40,7 +41,7 @@ fn plan() -> Arc<LoweredPlan> {
     )
 }
 
-fn request(id: u64, class: Priority, plan: &Arc<LoweredPlan>) -> ServeRequest {
+fn request(id: u64, class: Priority, plan: &Arc<Program>) -> ServeRequest {
     // All arrivals at t=0 with zero token cost: admission is depth-only,
     // so the property is about dispatch order, not the token bucket.
     ServeRequest::new(id, class, Arc::clone(plan), ExecState::new(), 0)

@@ -6,7 +6,9 @@
 # odd seeds and second at even ones, every run `--seconds 10 --trace 0`.
 # Prints every result line as it arrives, then per end-to-end metric the
 # median [Q1, Q3] of each side, the ratio of the medians (change / parent),
-# how many pairs the change won and tied, and a verdict, with "better" and
+# the median [min, max] of the per-pair ratios (change / parent at one
+# seed, so seed-to-seed input spread cancels and run noise shows), how
+# many pairs the change won and tied, and a verdict, with "better" and
 # "bound" read from BENCHMARK.json:
 #   gain        the change won at least 9 in 10 pairs, and its median is
 #               better than the parent's by more than the parent's Q3 - Q1;
@@ -147,30 +149,35 @@ function verdict(m, wins, n,    p, better, iqr, beats) {
     return "holds"
 }
 END {
-    printf "%-16s %-34s %-34s %8s %6s %5s  %s\n", "metric", "parent median [Q1, Q3]", \
-        "change median [Q1, Q3]", "ratio", "wins", "ties", "verdict"
+    printf "%-16s %-34s %-34s %8s %-27s %6s %5s  %s\n", "metric", "parent median [Q1, Q3]", \
+        "change median [Q1, Q3]", "ratio", "pair ratio median [min, max]", "wins", "ties", \
+        "verdict"
     for (i = 1; i <= metrics; i++) {
         m = order[i]
         p = summary("parent", m)
         c = summary("change", m)
-        wins = ties = n = 0
+        wins = ties = n = nr = 0
+        split("", pair)
         for (s in seeds) {
             if (!(("parent", m, s) in value) || !(("change", m, s) in value)) continue
             n++
             d = value["change", m, s] - value["parent", m, s]
             if (d == 0) ties++
             else if ((d > 0) == (m in higher)) wins++
+            if (value["parent", m, s] != 0) pair[++nr] = value["change", m, s] / value["parent", m, s]
         }
         ratio = med["parent"] == 0 ? "-" : sprintf("%.3f", med["change"] / med["parent"])
-        printf "%-16s %-34s %-34s %8s %6s %5s  %s\n", m, p, c, ratio, wins "/" n, ties, \
-            verdict(m, wins, n)
+        sort(pair, nr)
+        pairs = nr == 0 ? "-" : sprintf("%.3f [%.3f, %.3f]", quantile(pair, nr, 0.5), pair[1], pair[nr])
+        printf "%-16s %-34s %-34s %8s %-27s %6s %5s  %s\n", m, p, c, ratio, pairs, wins "/" n, \
+            ties, verdict(m, wins, n)
     }
     p = attempted["parent"] ? failed["parent"] / attempted["parent"] : 0
     c = attempted["change"] ? failed["change"] / attempted["change"] : 0
-    printf "%-16s %-34s %-34s %8s %6s %5s  %s\n", "failed_share", \
+    printf "%-16s %-34s %-34s %8s %-27s %6s %5s  %s\n", "failed_share", \
         sprintf("%.6g (%d of %d)", p, failed["parent"], attempted["parent"]), \
         sprintf("%.6g (%d of %d)", c, failed["change"], attempted["change"]), "-", "-", "-", \
-        (c > p ? "worse" : "holds")
+        "-", (c > p ? "worse" : "holds")
 }
 ' BENCHMARK.json - <<RESULTS
 $results

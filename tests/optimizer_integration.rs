@@ -132,8 +132,7 @@ fn sentiment_workload_traces_are_byte_identical_across_both_executors() {
     // own identically-seeded engine so backend state cannot leak between
     // the two paths.
     let pipeline = fusion::pipeline(&map_filter(), false, Some("view:tweet_pipeline@1"));
-    let lowered = spear::core::lower(&pipeline).expect("lowers");
-    let program = spear::core::vm::compile(&lowered).expect("compiles");
+    let program = spear::core::lower(&pipeline).expect("lowers");
 
     let tree_rt = fusion_runtime(RuntimeConfig::default());
     let ir_rt = fusion_runtime(RuntimeConfig::default());
