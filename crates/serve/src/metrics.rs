@@ -308,7 +308,8 @@ pub struct KvReport {
 /// is deterministic and caching happens before dispatch.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CompileReport {
-    /// Programs a miss optimized and cached (cache misses).
+    /// Programs cached on a miss, optimized or not (cache misses); the
+    /// optimized share is `optimized`.
     pub compiled: u64,
     /// Admissions served by an already-compiled cached program.
     pub cache_hits: u64,

@@ -153,13 +153,13 @@ impl ProgramCache {
         _runtime: &Runtime,
         _engine: Option<&SimLlm>,
     ) -> Option<Arc<Program>> {
-        Some(self.resident(plan, None))
+        Some(self.resident(plan))
     }
 
     /// The program to run for `plan`: the resident one on a hit; on a
-    /// miss, `plan` optimized, or else `shared` (an `Arc` of `plan` itself)
-    /// or a copy of `plan`, now resident.
-    pub(crate) fn resident(&self, plan: &Program, shared: Option<&Arc<Program>>) -> Arc<Program> {
+    /// miss, `plan` optimized, or else a copy of `plan`, now resident and
+    /// built (so later freed) by the calling thread.
+    pub(crate) fn resident(&self, plan: &Program) -> Arc<Program> {
         let key = plan.fingerprint();
         let me = thread::current().id();
         let mut inner = self.lock();
@@ -177,11 +177,7 @@ impl ProgramCache {
         // (`vm::optimize` is fail-closed), so traces stay byte-identical.
         let optimized = vm::optimize(plan);
         let counted = u64::from(optimized.is_some());
-        let program = match (optimized, shared) {
-            (Some(optimized), _) => Arc::new(optimized),
-            (None, Some(shared)) => Arc::clone(shared),
-            (None, None) => Arc::new(plan.clone()),
-        };
+        let program = Arc::new(optimized.unwrap_or_else(|| plan.clone()));
 
         let mut inner = self.lock();
         if let Some(resident) = inner.hit(key) {

@@ -462,10 +462,7 @@ impl<'a> Lifecycle<'a> {
         request.state.deadline_us = request.deadline_us;
         request.state.cancel = Some(request.cancel);
         request.state.reuse = self.reuse_policy;
-        let program = self
-            .node
-            .programs
-            .resident(&request.plan, Some(&request.plan));
+        let program = self.node.programs.resident(&request.plan);
         let job = AssignedJob {
             lane,
             owner,
