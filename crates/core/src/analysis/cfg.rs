@@ -262,7 +262,7 @@ pub(crate) fn structural_diagnostics(program: &Program) -> Vec<Diagnostic> {
                         &PLACEHOLDER_LEAK,
                         pc,
                         describe(pc),
-                        format!("CHECK at slot {pc:04} kept the usize::MAX lowering placeholder"),
+                        format!("CHECK at slot {pc:04} kept the u32::MAX lowering placeholder"),
                     ));
                 } else if on_false as usize > len {
                     diags.push(Diagnostic::at(
@@ -279,7 +279,7 @@ pub(crate) fn structural_diagnostics(program: &Program) -> Vec<Diagnostic> {
                         &PLACEHOLDER_LEAK,
                         pc,
                         describe(pc),
-                        format!("JUMP at slot {pc:04} kept the usize::MAX lowering placeholder"),
+                        format!("JUMP at slot {pc:04} kept the u32::MAX lowering placeholder"),
                     ));
                 } else if target as usize > len {
                     diags.push(Diagnostic::at(

@@ -52,7 +52,7 @@ pub const CHECK_TARGET_ESCAPES: Lint = Lint {
     summary: "CHECK else-target escapes the plan",
 };
 
-/// The lowering placeholder (`usize::MAX`) escaped into a finished plan.
+/// The lowering placeholder (`u32::MAX`) escaped into a finished plan.
 pub const PLACEHOLDER_LEAK: Lint = Lint {
     code: "SPEAR-E003",
     severity: Severity::Error,

@@ -477,7 +477,7 @@ mod tests {
         let text = gated("leaked", vec![Slot::Jump(PLACEHOLDER)]);
         assert!(
             text.starts_with(
-                "error[SPEAR-E003] in plan \"leaked\": JUMP at slot 0000 kept the usize::MAX \
+                "error[SPEAR-E003] in plan \"leaked\": JUMP at slot 0000 kept the u32::MAX \
                  lowering placeholder\n"
             ),
             "{text}"
@@ -486,7 +486,7 @@ mod tests {
         assert!(
             text.starts_with(
                 "error[SPEAR-E003] in plan \"leaked_else\": CHECK at slot 0000 kept the \
-                 usize::MAX lowering placeholder\n"
+                 u32::MAX lowering placeholder\n"
             ),
             "{text}"
         );

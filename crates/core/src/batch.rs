@@ -3,10 +3,13 @@
 //! The paper's runtime (§6) executes one pipeline at a time; a
 //! production-scale deployment runs *many* instances concurrently against
 //! shared backends. [`BatchRunner`] is that executor: it fans N jobs — each
-//! a lowered plan plus its own [`ExecState`] — across a fixed number of
-//! worker lanes, every lane sharing the same [`Runtime`], and collects the
-//! per-job outcomes in submission order. A batch of one plan runs the one
-//! shared program in every job.
+//! a program plus its own [`ExecState`] — across a fixed number of worker
+//! lanes, every lane sharing the same [`Runtime`], and collects the per-job
+//! outcomes in submission order. A batch of one plan runs the one shared
+//! program in every job. A caller that keeps less than the whole outcome
+//! (serving keeps a digest, a status and usage) reduces each job on the
+//! lane that ran it ([`BatchRunner::run_assigned`]'s `finish`), so the
+//! job's state is freed there and never crosses back.
 //!
 //! ## Determinism under any thread count
 //!
@@ -76,7 +79,7 @@ pub struct AssignedJob {
     /// Cache-owner id (see [`crate::scope`]). Jobs sharing an owner see
     /// each other's prefix-cache insertions.
     pub owner: u64,
-    /// The lowered plan to execute.
+    /// The program to execute.
     pub program: Arc<Program>,
     /// The job's private execution state.
     pub state: ExecState,
@@ -110,7 +113,7 @@ impl BatchRunner {
         self.next_owner.fetch_add(n as u64, Ordering::Relaxed)
     }
 
-    /// Execute one lowered plan over many per-job states. Jobs are striped
+    /// Execute one program over many per-job states. Jobs are striped
     /// round-robin (job `i` runs on
     /// lane `i % workers`), each under a fresh owner id; owner ids are
     /// unique across successive calls on the same runner, so two batches
@@ -136,12 +139,11 @@ impl BatchRunner {
                 state,
             })
             .collect();
-        self.run_assigned(runtime, jobs)
+        self.run_assigned(runtime, jobs, |result| result)
     }
 
-    /// Execute lowered-plan jobs with **caller-chosen lane and owner
-    /// placement** — the serving layer's entry point for cache-affinity
-    /// routing.
+    /// Execute jobs with **caller-chosen lane and owner placement** — the
+    /// serving layer's entry point for cache-affinity routing.
     ///
     /// Where [`BatchRunner::run_lowered`] stripes jobs round-robin and
     /// allocates a fresh owner per job (full isolation), `run_assigned`
@@ -156,19 +158,28 @@ impl BatchRunner {
     /// Lanes wrap modulo the runner's worker count. The calling thread runs
     /// the first lane in use and each further lane in use gets one scoped
     /// thread, so a round whose jobs all share a lane — the common serving
-    /// round — spawns nothing. Outcomes come back in submission order.
-    pub fn run_assigned(
+    /// round — spawns nothing.
+    ///
+    /// `finish` reduces each job's result to what the caller keeps. The
+    /// lane calls it right after the job, inside the job's scope and
+    /// `catch_unwind`, so whatever `finish` drops — the job's trace,
+    /// context and prompts — is freed on the thread that built it, while
+    /// the lane's other jobs still run. A job whose lane thread died, or a
+    /// slot no lane filled, gets `finish` of its typed error on the calling
+    /// thread. Results come back in submission order.
+    pub fn run_assigned<T: Send>(
         &self,
         runtime: &Runtime,
         jobs: Vec<AssignedJob>,
-    ) -> Vec<Result<BatchOutcome>> {
+        finish: impl Fn(Result<BatchOutcome>) -> T + Sync,
+    ) -> Vec<T> {
         let n = jobs.len();
         let mut lanes: Vec<Vec<(usize, AssignedJob)>> =
             (0..self.workers).map(|_| Vec::new()).collect();
         for (index, job) in jobs.into_iter().enumerate() {
             lanes[job.lane % self.workers].push((index, job));
         }
-        run_lanes(runtime, n, lanes)
+        run_lanes(runtime, n, lanes, &finish)
     }
 
     /// Common case: run the *same* pipeline over many per-job states —
@@ -209,28 +220,29 @@ fn execute(runtime: &Runtime, job: AssignedJob) -> Result<BatchOutcome> {
 
 /// The lane executor. Each non-empty lane runs its jobs — each tagged with
 /// its submission index, the outcome slot it fills — in order, every job
-/// inside its own execution scope and under `catch_unwind`; the calling
-/// thread takes the first such lane itself and each of the others gets a
-/// scoped thread, so `k` lanes in use cost `k - 1` spawns. Which thread
-/// runs a lane is unobservable: owner and lane travel in the scope, never
-/// in the thread's identity, and the caller's own scope is restored as
-/// each job's guard drops.
-fn run_lanes(
+/// and its `finish` inside the job's own execution scope and under
+/// `catch_unwind`; the calling thread takes the first such lane itself and
+/// each of the others gets a scoped thread, so `k` lanes in use cost
+/// `k - 1` spawns. Which thread runs a lane is unobservable: owner and
+/// lane travel in the scope, never in the thread's identity, and the
+/// caller's own scope is restored as each job's guard drops.
+fn run_lanes<T: Send>(
     runtime: &Runtime,
     n: usize,
     lanes: Vec<Vec<(usize, AssignedJob)>>,
-) -> Vec<Result<BatchOutcome>> {
+    finish: &(impl Fn(Result<BatchOutcome>) -> T + Sync),
+) -> Vec<T> {
     let run_lane = |lane: usize, jobs: Vec<(usize, AssignedJob)>| {
         jobs.into_iter()
             .map(|(index, job)| {
                 let _scope = scope::enter(job.owner, lane);
-                let result = catch_unwind(AssertUnwindSafe(|| execute(runtime, job)))
-                    .unwrap_or(Err(SpearError::WorkerPanicked { lane }));
+                let result = catch_unwind(AssertUnwindSafe(|| finish(execute(runtime, job))))
+                    .unwrap_or_else(|_| finish(Err(SpearError::WorkerPanicked { lane })));
                 (index, result)
             })
-            .collect::<Vec<(usize, Result<BatchOutcome>)>>()
+            .collect::<Vec<(usize, T)>>()
     };
-    let mut slots: Vec<Option<Result<BatchOutcome>>> = (0..n).map(|_| None).collect();
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let mut in_use = lanes
         .into_iter()
         .enumerate()
@@ -240,7 +252,7 @@ fn run_lanes(
     };
     std::thread::scope(|s| {
         let run_lane = &run_lane;
-        let handles: Vec<WorkerHandle<'_>> = in_use
+        let handles: Vec<WorkerHandle<'_, T>> = in_use
             .map(|(lane, jobs)| {
                 let indices = jobs.iter().map(|(index, _)| *index).collect();
                 (lane, indices, s.spawn(move || run_lane(lane, jobs)))
@@ -249,22 +261,27 @@ fn run_lanes(
         for (index, result) in run_lane(own_lane, own_jobs) {
             slots[index] = Some(result);
         }
-        collect_outcomes(&mut slots, handles);
+        collect_outcomes(&mut slots, handles, finish);
     });
-    seal_slots(slots)
+    seal_slots(slots, finish)
 }
 
 /// One spawned worker: its lane, the job indices it owns, and its handle.
-type WorkerHandle<'scope> = (
+type WorkerHandle<'scope, T> = (
     usize,
     Vec<usize>,
-    std::thread::ScopedJoinHandle<'scope, Vec<(usize, Result<BatchOutcome>)>>,
+    std::thread::ScopedJoinHandle<'scope, Vec<(usize, T)>>,
 );
 
 /// Join every worker and place its results; a worker whose thread died
-/// despite per-job `catch_unwind` marks all of its assigned slots with
-/// [`SpearError::WorkerPanicked`] instead of poisoning the batch.
-fn collect_outcomes(slots: &mut [Option<Result<BatchOutcome>>], handles: Vec<WorkerHandle<'_>>) {
+/// despite per-job `catch_unwind` fills all of its assigned slots with
+/// `finish` of [`SpearError::WorkerPanicked`] instead of poisoning the
+/// batch.
+fn collect_outcomes<T>(
+    slots: &mut [Option<T>],
+    handles: Vec<WorkerHandle<'_, T>>,
+    finish: impl Fn(Result<BatchOutcome>) -> T,
+) {
     for (lane, indices, handle) in handles {
         match handle.join() {
             Ok(produced) => {
@@ -274,21 +291,23 @@ fn collect_outcomes(slots: &mut [Option<Result<BatchOutcome>>], handles: Vec<Wor
             }
             Err(_) => {
                 for index in indices {
-                    slots[index] = Some(Err(SpearError::WorkerPanicked { lane }));
+                    slots[index] = Some(finish(Err(SpearError::WorkerPanicked { lane })));
                 }
             }
         }
     }
 }
 
-/// Turn the slot table into the final outcome vector. Every index is
+/// Turn the slot table into the final result vector. Every index is
 /// assigned to exactly one worker, so an unfilled slot is a bug in this
-/// module — reported as a typed error, not a panic.
-fn seal_slots(slots: Vec<Option<Result<BatchOutcome>>>) -> Vec<Result<BatchOutcome>> {
+/// module — reported as `finish` of a typed error, not a panic.
+fn seal_slots<T>(slots: Vec<Option<T>>, finish: impl Fn(Result<BatchOutcome>) -> T) -> Vec<T> {
     slots
         .into_iter()
         .map(|slot| {
-            slot.unwrap_or_else(|| Err(SpearError::Internal("job slot never filled".into())))
+            slot.unwrap_or_else(|| {
+                finish(Err(SpearError::Internal("job slot never filled".into())))
+            })
         })
         .collect()
 }
@@ -415,7 +434,7 @@ mod tests {
         let bad = Pipeline::builder("bad").gen("a", "missing_prompt").build();
         let mut jobs: Vec<AssignedJob> = (0..3).map(|i| assigned(i, i)).collect();
         jobs[1].program = Arc::new(crate::plan::lower(&bad).expect("lowers"));
-        let outcomes = BatchRunner::new(3).run_assigned(&rt, jobs);
+        let outcomes = BatchRunner::new(3).run_assigned(&rt, jobs, |r| r);
         assert!(outcomes[0].is_ok());
         assert!(outcomes[1].is_err());
         assert!(outcomes[2].is_ok());
@@ -436,7 +455,7 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {}));
         let striped = BatchRunner::new(2).run_states(&rt, &pipeline(), striped);
         probe.seen.lock().unwrap().clear();
-        let own = BatchRunner::new(4).run_assigned(&rt, own);
+        let own = BatchRunner::new(4).run_assigned(&rt, own, |r| r);
         std::panic::set_hook(hook);
 
         assert!(striped[0].is_ok());
@@ -467,7 +486,7 @@ mod tests {
         let me = std::thread::current().id();
         let (probe, rt) = probed();
         let jobs = (0..5).map(|i| assigned(2, i)).collect();
-        let outcomes = BatchRunner::new(4).run_assigned(&rt, jobs);
+        let outcomes = BatchRunner::new(4).run_assigned(&rt, jobs, |r| r);
         assert!(outcomes.iter().all(std::result::Result::is_ok));
         let outcomes =
             BatchRunner::new(1).run_states(&rt, &pipeline(), (0..5).map(state).collect());
@@ -499,7 +518,7 @@ mod tests {
         // Lanes 1, 2 and 3 of five are in use: the caller takes lane 1.
         let (probe, rt) = probed();
         let jobs = (0..9).map(|i| assigned(1 + i % 3, i)).collect();
-        let outcomes = BatchRunner::new(5).run_assigned(&rt, jobs);
+        let outcomes = BatchRunner::new(5).run_assigned(&rt, jobs, |r| r);
         assert!(outcomes.iter().all(std::result::Result::is_ok));
         let threads = threads_by_lane(&probe.seen.lock().unwrap());
         assert_eq!(threads.len(), 3);
@@ -525,7 +544,7 @@ mod tests {
         // A caller already inside a scope gets its own scope back, and the
         // jobs it ran inline never saw it.
         let _outer = scope::enter(77, 5);
-        runner.run_assigned(&rt, (0..4).map(|i| assigned(i % 2, i)).collect());
+        runner.run_assigned(&rt, (0..4).map(|i| assigned(i % 2, i)).collect(), |r| r);
         assert_eq!((scope::owner(), scope::lane()), (77, 5));
         let seen = probe.seen.lock().unwrap();
         assert_eq!(seen.len(), 8);
@@ -546,7 +565,7 @@ mod tests {
         assert!(runner.run_states(&rt, &pipeline(), Vec::new()).is_empty());
         let plan = Arc::new(crate::plan::lower(&pipeline()).expect("lowers"));
         assert!(runner.run_lowered(&rt, &plan, Vec::new()).is_empty());
-        assert!(runner.run_assigned(&rt, Vec::new()).is_empty());
+        assert!(runner.run_assigned(&rt, Vec::new(), |r| r).is_empty());
         assert_eq!(
             runner.next_owner.load(Ordering::Relaxed),
             before,
@@ -558,7 +577,7 @@ mod tests {
     fn assigned_jobs_share_lanes_and_keep_submission_order() {
         let rt = runtime();
         let jobs = (0..9).map(|i| assigned(i % 3, i)).collect();
-        let outcomes = BatchRunner::new(4).run_assigned(&rt, jobs);
+        let outcomes = BatchRunner::new(4).run_assigned(&rt, jobs, |r| r);
         assert_eq!(outcomes.len(), 9);
         for (i, o) in outcomes.iter().enumerate() {
             let o = o.as_ref().expect("job succeeds");
@@ -577,8 +596,98 @@ mod tests {
         let rt = runtime();
         // All wrap onto lane 7 % 2 == 1.
         let jobs = (0..4).map(|i| assigned(7, i)).collect();
-        let outcomes = BatchRunner::new(2).run_assigned(&rt, jobs);
+        let outcomes = BatchRunner::new(2).run_assigned(&rt, jobs, |r| r);
         assert!(outcomes.iter().all(std::result::Result::is_ok));
+    }
+
+    /// A job of its own owner on `lane`, so a sighting names its job.
+    fn owned(lane: usize, i: usize) -> AssignedJob {
+        AssignedJob {
+            owner: 2000 + i as u64,
+            ..assigned(lane, i)
+        }
+    }
+
+    /// The answer a job wrote, read where `finish` runs.
+    fn answer(result: &Result<BatchOutcome>) -> String {
+        match result.as_ref().map(|o| o.state.context.get("a")) {
+            Ok(Some(Value::Str(text))) => text,
+            other => panic!("string answer, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn finish_runs_on_the_thread_that_ran_its_job() {
+        let me = std::thread::current().id();
+        let (probe, rt) = probed();
+        // Lanes 0, 1 and 2 in use: the caller takes lane 0.
+        let jobs = (0..9).map(|i| owned(i % 3, i)).collect();
+        let finished = BatchRunner::new(3).run_assigned(&rt, jobs, |result| {
+            assert!(result.is_ok());
+            (std::thread::current().id(), scope::owner(), scope::lane())
+        });
+        let seen = probe.seen.lock().unwrap();
+        assert_eq!(seen.len(), 9);
+        for (i, sighting) in finished.iter().enumerate() {
+            assert_eq!(*sighting, (sighting.0, 2000 + i as u64, i % 3), "job {i}");
+            assert!(
+                seen.contains(sighting),
+                "job {i}'s finish ran where its GEN did"
+            );
+            assert_eq!(sighting.0 == me, i % 3 == 0, "job {i}");
+        }
+        assert_eq!((scope::owner(), scope::lane()), (scope::AMBIENT_OWNER, 0));
+    }
+
+    #[test]
+    fn finished_results_come_back_in_submission_order() {
+        let rt = runtime();
+        for workers in [1, 2, 4] {
+            let jobs = (0..11).map(|i| owned(i % workers, i)).collect();
+            let answers = BatchRunner::new(workers).run_assigned(&rt, jobs, |r| answer(&r));
+            assert_eq!(answers.len(), 11);
+            for (i, text) in answers.iter().enumerate() {
+                assert!(
+                    text.contains(&format!("question number {i}")),
+                    "{workers} workers: slot {i} holds its own job's output: {text}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_finishes_as_worker_panicked() {
+        let (_, rt) = probed();
+        let finish = |result: Result<BatchOutcome>| match result {
+            Ok(_) => None,
+            Err(SpearError::WorkerPanicked { lane }) => Some(lane),
+            Err(other) => panic!("unexpected error {other}"),
+        };
+        // Bombs on the caller's lane 0 (job 2) and the spawned lane 1
+        // (job 3).
+        let mut jobs: Vec<AssignedJob> = (0..6).map(|i| owned(i % 2, i)).collect();
+        for bomb in [2, 3] {
+            jobs[bomb].state.context.set("q", "bomb");
+        }
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let finished = BatchRunner::new(2).run_assigned(&rt, jobs, finish);
+        std::panic::set_hook(hook);
+        assert_eq!(finished, [None, None, Some(0), Some(1), None, None]);
+    }
+
+    #[test]
+    fn an_empty_submission_never_calls_finish() {
+        let rt = runtime();
+        let runner = BatchRunner::new(4);
+        let before = runner.next_owner.load(Ordering::Relaxed);
+        let calls = AtomicU64::new(0);
+        let finished = runner.run_assigned(&rt, Vec::new(), |_| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(finished.is_empty());
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        assert_eq!(runner.next_owner.load(Ordering::Relaxed), before);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct ServeRequest {
     pub id: u64,
     /// Scheduling class.
     pub priority: Priority,
-    /// The lowered plan to execute. Requests sharing a plan share the
+    /// The program to execute. Requests sharing a plan share the
     /// `Arc`; affinity routing groups requests by the plan's
     /// [`Program::affinity_seed`].
     pub plan: Arc<Program>,

@@ -8,13 +8,21 @@
 //! token-bucket and depth gate; a refusal is a typed `Rejected` outcome),
 //! **job** (place it on a lane under a cache owner, stamp deadline, cancel
 //! token and reuse policy on its state, fetch its compiled program),
-//! **settle** (classify what the execution returned: status, measured
-//! service, digest, usage, class counters, reuse row), **record** (the
-//! clock's start / service / finish enter the histograms and the
-//! [`ServeOutcome`]) and **finish** (sort, fingerprint, assemble the
-//! [`ServeReport`]). The lifecycle owns every piece of per-run state, so a
-//! [`ServeNode`] holds only what outlives a run: configuration, lanes,
-//! program cache.
+//! **settle** (count the executed request in its class and keep its reuse
+//! row), **record** (the clock's start / service / finish enter the
+//! histograms and the [`ServeOutcome`]) and **finish** (sort, fingerprint,
+//! assemble the [`ServeReport`]). The lifecycle owns every piece of
+//! per-run state, so a [`ServeNode`] holds only what outlives a run:
+//! configuration, lanes, program cache.
+//!
+//! Between *job* and *settle* the execution's result is reduced to what
+//! serving keeps — status, measured service, trace digest, usage, GEN
+//! calls, reuse events — on the lane that ran it, the moment the job ends
+//! (`Settled::of`, [`BatchRunner::run_assigned`]'s `finish`). The job's
+//! state (trace, context, prompt versions) is freed there and never comes
+//! back to the scheduler thread, so the pool clock, which executes a whole
+//! run before it times any of it, holds one small `Settled` per request
+//! rather than every request's state at once.
 //!
 //! ## Two clocks
 //!
@@ -41,7 +49,7 @@
 //!
 //! ## Cache-affinity routing
 //!
-//! With `affinity_routing` on, requests whose lowered plans share an
+//! With `affinity_routing` on, requests whose programs share an
 //! [`affinity seed`](spear_core::vm::Program::affinity_seed) — i.e.
 //! whose prompts share a structured prefix — are mapped to the same cache
 //! owner and the same lane. Same-owner jobs execute sequentially in
@@ -323,6 +331,9 @@ struct Settled {
     usage: TokenUsage,
     /// GEN calls the usage totals accumulate over (1 unless completed).
     gen_calls: u64,
+    /// Per-GEN reuse events of a completed execution (empty otherwise),
+    /// until [`Lifecycle::settle`] moves them into the reuse rows.
+    reuse_events: Vec<ReuseEvent>,
 }
 
 /// One serving run's request lifecycle and every piece of state that lives
@@ -472,48 +483,31 @@ impl<'a> Lifecycle<'a> {
         (job, ticket)
     }
 
-    /// Classify what an execution returned and count it; timing comes
-    /// later, from whichever clock is running.
-    fn settle(&mut self, ticket: &Ticket, result: spear_core::Result<BatchOutcome>) -> Settled {
+    /// Count an executed request in its class and keep its reuse row.
+    /// Callers settle in their dispatch order, under either clock; timing
+    /// comes later, from whichever clock is running.
+    fn settle(&mut self, ticket: &Ticket, mut settled: Settled) -> Settled {
         let report = &mut self.classes[ticket.class as usize].report;
-        match result {
-            Ok(outcome) => {
-                let metadata = outcome.state.metadata;
+        match settled.status {
+            ServeStatus::Completed => {
                 report.completed += 1;
-                report.prompt_tokens += metadata.usage.prompt_tokens;
-                report.cached_tokens += metadata.usage.cached_tokens;
-                if !metadata.reuse_events.is_empty() {
+                report.prompt_tokens += settled.usage.prompt_tokens;
+                report.cached_tokens += settled.usage.cached_tokens;
+                if !settled.reuse_events.is_empty() {
                     self.reuse_rows.push((
                         ticket.arrival_us,
                         ticket.id,
-                        metadata.latency_us,
-                        metadata.reuse_events,
+                        settled.service_us,
+                        std::mem::take(&mut settled.reuse_events),
                     ));
                 }
-                Settled {
-                    status: ServeStatus::Completed,
-                    service_us: metadata.latency_us,
-                    digest: outcome.state.trace.digest().ok(),
-                    usage: metadata.usage,
-                    gen_calls: metadata.gen_calls.max(1),
-                }
             }
-            Err(SpearError::Cancelled { reason, after_us }) => {
-                let status = if reason == "deadline" {
-                    report.deadline_exceeded += 1;
-                    ServeStatus::DeadlineExceeded { after_us }
-                } else {
-                    report.cancelled += 1;
-                    ServeStatus::Cancelled { reason }
-                };
-                Settled::unfinished(status, after_us)
-            }
-            Err(error) => {
-                report.failed += 1;
-                let error = error.to_string();
-                Settled::unfinished(ServeStatus::Failed { error }, 0)
-            }
+            ServeStatus::DeadlineExceeded { .. } => report.deadline_exceeded += 1,
+            ServeStatus::Cancelled { .. } => report.cancelled += 1,
+            ServeStatus::Failed { .. } => report.failed += 1,
+            ServeStatus::Rejected { .. } => unreachable!("a rejected request never executes"),
         }
+        settled
     }
 
     /// Place a settled request in virtual time.
@@ -579,6 +573,37 @@ impl<'a> Lifecycle<'a> {
 }
 
 impl Settled {
+    /// Reduce what an execution returned to what serving keeps. It runs on
+    /// the lane that ran the job (module docs), so the outcome's state —
+    /// trace, context, prompt versions — is dropped there.
+    fn of(result: spear_core::Result<BatchOutcome>) -> Self {
+        match result {
+            Ok(outcome) => {
+                let metadata = outcome.state.metadata;
+                Self {
+                    status: ServeStatus::Completed,
+                    service_us: metadata.latency_us,
+                    digest: outcome.state.trace.digest().ok(),
+                    usage: metadata.usage,
+                    gen_calls: metadata.gen_calls.max(1),
+                    reuse_events: metadata.reuse_events,
+                }
+            }
+            Err(SpearError::Cancelled { reason, after_us }) => {
+                let status = if reason == "deadline" {
+                    ServeStatus::DeadlineExceeded { after_us }
+                } else {
+                    ServeStatus::Cancelled { reason }
+                };
+                Self::unfinished(status, after_us)
+            }
+            Err(error) => {
+                let error = error.to_string();
+                Self::unfinished(ServeStatus::Failed { error }, 0)
+            }
+        }
+    }
+
     /// A cancelled or failed execution: no digest, no usage.
     fn unfinished(status: ServeStatus, service_us: u64) -> Self {
         Self {
@@ -587,6 +612,7 @@ impl Settled {
             digest: None,
             usage: TokenUsage::default(),
             gen_calls: 1,
+            reuse_events: Vec::new(),
         }
     }
 
@@ -716,12 +742,12 @@ impl ServeNode {
                 jobs.push(job);
                 tickets.push(ticket);
             }
-            let results = self.runner.run_assigned(life.runtime, jobs);
+            let results = self.runner.run_assigned(life.runtime, jobs, Settled::of);
 
             // (4) Charge virtual time in dispatch order (same-lane jobs
             // queue behind each other).
-            for (ticket, result) in tickets.iter().zip(results) {
-                let settled = life.settle(ticket, result);
+            for (ticket, settled) in tickets.iter().zip(results) {
+                let settled = life.settle(ticket, settled);
                 let start_us = lane_clock[ticket.lane].max(now);
                 let at = SeqTiming {
                     start_us,
@@ -770,10 +796,10 @@ impl ServeNode {
                 }
             }
         }
-        let results = self.runner.run_assigned(life.runtime, jobs);
+        let results = self.runner.run_assigned(life.runtime, jobs, Settled::of);
         let (executed, footprints): (Vec<_>, Vec<_>) = (tickets.into_iter().zip(results))
-            .map(|(ticket, result)| {
-                let settled = life.settle(&ticket, result);
+            .map(|(ticket, settled)| {
+                let settled = life.settle(&ticket, settled);
                 let footprint = settled.footprint(&ticket);
                 ((ticket, settled), footprint)
             })
