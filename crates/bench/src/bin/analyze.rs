@@ -5,22 +5,18 @@
 //! For every plan of the golden corpus ([`spear_bench::corpus`]) — the
 //! paper's confidence-retry pipeline, the three physical shapes of the
 //! sentiment workload, and a statically-gated exemplar that exercises the
-//! W004/W005 lints — this binary runs the full derived-facts pipeline end
-//! to end:
+//! W004/W005 lints — this binary runs the derived-facts pipeline end to
+//! end:
 //!
 //! 1. verify with the default lints *plus* the bytecode
 //!    abstract-interpreter pass ([`spear_core::analysis::BytecodePass`])
 //!    and render every diagnostic;
-//! 2. run the verified optimizer and, when it fires, re-validate the
-//!    optimized program bisimulates the original
-//!    ([`spear_core::analysis::validate_optimized`]);
-//! 3. print the abstract interpreter's static cost envelope.
+//! 2. print the abstract interpreter's static cost envelope.
 //!
-//! Exits non-zero when any plan carries an **error**-class diagnostic or
-//! any translation-validation obligation fails — this is the `just
-//! analyze` step `scripts/check.sh` gates on.
+//! Exits non-zero when any plan carries an **error**-class diagnostic —
+//! this is the `just analyze` step `scripts/check.sh` gates on.
 
-use spear_core::analysis::{analyze, validate_optimized, ResourceModel, Severity, Verifier};
+use spear_core::analysis::{analyze, ResourceModel, Severity, Verifier};
 use spear_core::prelude::*;
 
 /// Analyze one plan end to end; returns `true` when it passes the gate.
@@ -43,22 +39,6 @@ fn analyze_plan(title: &str, program: &Program) -> bool {
         }
     }
 
-    match spear_core::optimize(program) {
-        Some(optimized) => match validate_optimized(program, &optimized) {
-            Ok(()) => println!(
-                "optimizer: {} -> {} instructions (bisimulation validated)",
-                program.code().len(),
-                optimized.code().len()
-            ),
-            Err(failures) => {
-                for f in &failures {
-                    println!("GATE: {f}");
-                }
-                ok = false;
-            }
-        },
-        None => println!("optimizer: no profitable rewrite"),
-    }
     let bounds = analyze(program, &ResourceModel::default());
     println!("static bounds: {bounds}");
     println!();

@@ -8,7 +8,7 @@
 //!    [`Router`] using the plan's affinity identity, with churn applied
 //!    the instant it is scheduled;
 //! 2. **service** — each node (own engine: striped prefix cache, block
-//!    pool, interner; own program cache) runs its assigned slice through
+//!    pool, interner) runs its assigned slice through
 //!    [`spear_serve::ServeNode`], whose virtual-time loop is already
 //!    invariant to host thread count;
 //! 3. **roll-up** — per-node reports are stamped with their

@@ -1,8 +1,8 @@
 //! # spear-cluster — sharded multi-node serving fabric
 //!
 //! Scales the single-node serving layer ([`spear_serve`]) out to a
-//! simulated fleet: N nodes, each owning its *own* striped prefix cache,
-//! KV block pool, and compiled-program cache, behind a front-end
+//! simulated fleet: N nodes, each owning its *own* striped prefix cache
+//! and KV block pool, behind a front-end
 //! [`Router`] that places requests by **prompt identity** rather than by
 //! hash. Prompt families — requests sharing a structured prefix, the
 //! identity SPEAR makes first-class — stay on one node (or a small

@@ -1,9 +1,9 @@
 //! Per-node bookkeeping inside the fabric.
 //!
 //! A cluster node *is* a [`spear_serve::ServeNode`] plus its own engine
-//! (striped prefix cache, block pool, interner) and its own compiled
-//! program cache — the fabric shares nothing between nodes except the
-//! router's placement map. This module holds the handle the event loop
+//! (striped prefix cache, block pool, interner); it runs each request's
+//! own plan and owns no program cache. The fabric shares nothing between
+//! nodes except the router's placement map. This module holds the handle the event loop
 //! tracks per node before the serving pass materializes the real engine.
 
 use spear_serve::ServeRequest;

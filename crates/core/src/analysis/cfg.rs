@@ -12,8 +12,8 @@
 //! [`Cfg::new`] is the one constructor, over a program's code and pool.
 //! Asked for the *refined* graph, it decides each CHECK by
 //! [`static_cond`]: a statically decided CHECK keeps only its live edge
-//! (the graph the optimizer, the abstract interpreter and
-//! [`super::BytecodePass`] read). Targets are clamped to the exit, so a
+//! (the graph the abstract interpreter and [`super::BytecodePass`]
+//! read). Targets are clamped to the exit, so a
 //! graph can be built over code the gate has not checked yet.
 //!
 //! The gate that [`crate::plan::lower`] runs on emitted code lives here

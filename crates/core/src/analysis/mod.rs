@@ -3,8 +3,8 @@
 //! Pipelines are data, so plans can be checked like query plans before a
 //! single token is spent. Every execution path runs a
 //! [`crate::vm::Program`], so this is the checker that sees what actually
-//! runs: optimizer-lowered physical plans with free `Jump`s,
-//! DELEGATE-based filters, and fused GEN stages included.
+//! runs: lowered physical plans with free `Jump`s, DELEGATE-based
+//! filters, and fused GEN stages included.
 //!
 //! The pieces:
 //!
@@ -27,9 +27,8 @@
 //!   latency floor, unwind depth, KV footprint), which the verifier's
 //!   deadline check reads, plus the opt-in [`BytecodePass`] surfacing
 //!   `SPEAR-W004`/`SPEAR-W005`;
-//! - [`tv`] is translation validation: symbolic equivalence of optimized
-//!   bytecode against the original — the proof obligation gating
-//!   [`crate::vm::optimize`].
+//! - [`tv`] is the slot-for-slot comparison of two programs (what
+//!   translation validation once checked, kept for the benchmark's calls).
 //!
 //! [`Verifier`] ties them together; spear-serve admission runs it as a
 //! gate that rejects with [`crate::error::SpearError::InvalidPlan`].

@@ -1,29 +1,16 @@
-//! Translation validation: symbolic equivalence of optimized bytecode.
+//! Slot-for-slot comparison of two programs.
 //!
-//! The optimizer is trusted nowhere else in the stack — this module checks
-//! each optimization *output* against its *input* instead of trusting the
-//! optimizer's implementation: [`validate_optimized`] proves an optimized
-//! program equivalent to the original by a product walk over
-//! jump-resolved positions. Free `Jump`s are invisible to traces and
-//! budgets, so two programs are equivalent iff the observable instruction
-//! at every co-reachable position pair matches content-wise and their
-//! successors stay paired — refined by [`super::absint::static_cond`],
-//! which is what licenses dead-branch elimination under
-//! statically-decided CHECKs.
-//!
-//! The validator is fail-closed like the structural gate: any obligation
-//! that cannot be discharged is a [`TvFailure`], and callers (the
-//! optimizer, the `analyze` tool) treat failure as "keep the unoptimized
-//! artifact", never "assume it is fine". Lowering needs no validator:
-//! [`crate::plan::lower`] emits the program itself, and
-//! `tests/trace_equivalence.rs` holds it to the reference tree walk.
+//! [`crate::plan::lower`] emits the program itself and nothing rewrites
+//! it afterwards, so there is no translation left to validate:
+//! `tests/trace_equivalence.rs` holds every program to the reference tree
+//! walk. What stays is `validate_compile`, the slot-for-slot equality
+//! that once compared a translation with its source, and
+//! `validate_optimized`, which now means the same. Both are fail-closed:
+//! any slot that cannot be shown equal is a [`TvFailure`].
 
-use std::collections::HashSet;
 use std::fmt;
 
-use crate::vm::{CheckSpec, Program, VmOp};
-
-use super::absint::static_cond;
+use crate::vm::{Program, VmOp};
 
 /// One undischarged proof obligation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,7 +80,7 @@ pub fn validate_compile(plan: &Program, program: &Program) -> Result<(), Vec<TvF
                 (VmOp::Check { on_false: x, .. }, VmOp::Check { on_false: y, .. }) if x != y => {
                     Some("else-targets differ".to_owned())
                 }
-                _ => obs_eq(plan, program, slot, slot).err(),
+                _ => obs_eq(plan, program, slot).err(),
             };
             differs.map(|message| TvFailure::at(Some(slot), Some(slot), message))
         })
@@ -105,29 +92,9 @@ pub fn validate_compile(plan: &Program, program: &Program) -> Result<(), Vec<TvF
     }
 }
 
-/// Resolve `pc` through chains of free `Jump`s to the first observable
-/// instruction (or the exit, `code.len()`). `None` on a jump-only cycle.
-fn resolve(code: &[VmOp], mut pc: usize) -> Option<usize> {
-    let len = code.len();
-    let mut hops = 0usize;
-    loop {
-        pc = pc.min(len);
-        match code.get(pc) {
-            Some(VmOp::Jump { target }) => {
-                pc = *target as usize;
-                hops += 1;
-                if hops > len {
-                    return None;
-                }
-            }
-            _ => return Some(pc),
-        }
-    }
-}
-
-/// Observable equality of the instructions at `(pa, pb)`, content-wise
-/// across the two pools. Both indices are jump-resolved and in range.
-fn obs_eq(a: &Program, b: &Program, pa: usize, pb: usize) -> Result<(), String> {
+/// Observable equality of the two instructions at `pc`, content-wise
+/// across the two pools. `pc` is in range of both programs.
+fn obs_eq(a: &Program, b: &Program, pc: usize) -> Result<(), String> {
     let (pl, ql) = (a.pool(), b.pool());
     let leaf_eq = |ia: u32, ib: u32| -> Result<(), String> {
         let (sa, sb) = match (pl.leaves().get(ia as usize), ql.leaves().get(ib as usize)) {
@@ -166,105 +133,23 @@ fn obs_eq(a: &Program, b: &Program, pa: usize, pb: usize) -> Result<(), String> 
         }
         Ok(())
     };
-    match (a.code()[pa], b.code()[pb]) {
+    match (a.code()[pc], b.code()[pc]) {
         (VmOp::Leaf { leaf: la }, VmOp::Leaf { leaf: lb }) => leaf_eq(la, lb),
         (VmOp::Check { check: ca, .. }, VmOp::Check { check: cb, .. }) => check_eq(ca, cb),
         (oa, ob) => Err(format!("instruction shapes differ: {oa:?} vs {ob:?}")),
     }
 }
 
-/// Prove `optimized` trace- and budget-equivalent to `original` by a
-/// cond-refined product walk over jump-resolved positions.
+/// What once proved a rewritten program equivalent to its source by a
+/// product walk; there is no rewriter left, so it checks the stricter
+/// slot-for-slot equality of `validate_compile`.
 ///
 /// # Errors
 ///
-/// Returns the failed obligations; callers must then discard the
-/// optimized program.
+/// Returns every slot that differs.
+#[doc(hidden)]
 pub fn validate_optimized(original: &Program, optimized: &Program) -> Result<(), Vec<TvFailure>> {
-    let mut failures = Vec::new();
-    if original.name() != optimized.name() || original.source_size() != optimized.source_size() {
-        failures.push(TvFailure::at(
-            None,
-            None,
-            "optimized program changes the plan's trace identity (name/source size)",
-        ));
-        return Err(failures);
-    }
-    let (ca, cb) = (original.code(), optimized.code());
-    let (start_a, start_b) = match (resolve(ca, 0), resolve(cb, 0)) {
-        (Some(a), Some(b)) => (a, b),
-        _ => {
-            failures.push(TvFailure::at(None, Some(0), "jump-only cycle at entry"));
-            return Err(failures);
-        }
-    };
-    let mut seen: HashSet<(usize, usize)> = HashSet::new();
-    let mut work = vec![(start_a, start_b)];
-    while let Some((pa, pb)) = work.pop() {
-        if !seen.insert((pa, pb)) {
-            continue;
-        }
-        let (exit_a, exit_b) = (pa >= ca.len(), pb >= cb.len());
-        if exit_a || exit_b {
-            if exit_a != exit_b {
-                failures.push(TvFailure::at(
-                    None,
-                    Some(if exit_a { pb } else { pa }),
-                    "one program halts where the other continues",
-                ));
-            }
-            continue;
-        }
-        if let Err(msg) = obs_eq(original, optimized, pa, pb) {
-            failures.push(TvFailure::at(None, Some(pa), msg));
-            continue;
-        }
-        // Paired successors. `obs_eq` guarantees matching shapes.
-        let mut push_pair = |na: usize, nb: usize, failures: &mut Vec<TvFailure>| match (
-            resolve(ca, na),
-            resolve(cb, nb),
-        ) {
-            (Some(a), Some(b)) => work.push((a, b)),
-            _ => failures.push(TvFailure::at(None, Some(na), "jump-only cycle")),
-        };
-        match (ca[pa], cb[pb]) {
-            (VmOp::Leaf { .. }, _) => push_pair(pa + 1, pb + 1, &mut failures),
-            (
-                VmOp::Check {
-                    check,
-                    on_false: fa,
-                },
-                VmOp::Check { on_false: fb, .. },
-            ) => {
-                let decided = original
-                    .pool()
-                    .checks()
-                    .get(check as usize)
-                    .map(CheckSpec::cond)
-                    .and_then(static_cond);
-                match decided {
-                    Some(true) => push_pair(pa + 1, pb + 1, &mut failures),
-                    Some(false) => push_pair(fa as usize, fb as usize, &mut failures),
-                    None => {
-                        push_pair(pa + 1, pb + 1, &mut failures);
-                        push_pair(fa as usize, fb as usize, &mut failures);
-                    }
-                }
-            }
-            // Unreachable: obs_eq rejected mismatched shapes, and resolve
-            // never lands on a Jump.
-            _ => failures.push(TvFailure::at(
-                None,
-                Some(pa),
-                "unexpected instruction pairing",
-            )),
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
-    }
+    validate_compile(original, optimized)
 }
 
 #[cfg(test)]
@@ -321,33 +206,21 @@ mod tests {
     }
 
     #[test]
-    fn identical_programs_bisimulate() {
+    fn the_optimized_adapter_checks_slot_equality() {
         let plan = lowered(|b| {
             b.create_text("p", "base", RefinementMode::Manual)
                 .check_else(Cond::Always, |t| t.gen("a", "p"), |e| e.gen("b", "p"))
                 .build()
         });
         assert!(validate_optimized(&plan, &plan.clone()).is_ok());
-    }
-
-    #[test]
-    fn programs_of_different_plans_do_not_bisimulate() {
-        let one = lowered(|b| {
+        // The else branch is statically dead, but a program without it is
+        // no longer accepted: only slot-for-slot equality passes.
+        let pruned = lowered(|b| {
             b.create_text("p", "base", RefinementMode::Manual)
-                .gen("a", "p")
+                .check(Cond::Always, |t| t.gen("a", "p"))
                 .build()
         });
-        let two = lowered(|b| {
-            b.create_text("p", "base", RefinementMode::Manual)
-                .gen("a", "p")
-                .gen("b", "p")
-                .build()
-        });
-        // Same name, same shape up to the extra gen: the walk must catch
-        // the point where one halts and the other generates.
-        let failures = validate_optimized(&one, &two).unwrap_err();
-        assert!(failures
-            .iter()
-            .any(|f| f.message.contains("halts") || f.message.contains("source size")));
+        let failures = validate_optimized(&plan, &pruned).unwrap_err();
+        assert!(failures.iter().any(|f| f.message.contains("slot count")));
     }
 }

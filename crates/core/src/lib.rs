@@ -130,7 +130,7 @@ pub use segment::{SegmentedText, TextSegment};
 pub use store::PromptStore;
 pub use value::Value;
 pub use view::{ParamSpec, ViewCatalog, ViewDef};
-pub use vm::{optimize, CheckSpec, ConstPool, LeafSpec, Program, VmOp};
+pub use vm::{CheckSpec, ConstPool, LeafSpec, Program, VmOp};
 
 /// Convenient glob-import of the most-used types.
 pub mod prelude {

@@ -117,12 +117,6 @@ impl Metadata {
         self.signals.remove(key)
     }
 
-    /// All signal keys, sorted.
-    #[must_use]
-    pub fn signal_keys(&self) -> Vec<&str> {
-        self.signals.keys().map(String::as_str).collect()
-    }
-
     /// Accumulated latency as a [`Duration`].
     #[must_use]
     pub fn latency(&self) -> Duration {

@@ -31,8 +31,8 @@
 //! byte-identical to the reference tree walk
 //! ([`crate::runtime::Runtime::execute_tree`]), proven by
 //! `tests/trace_equivalence.rs` at 1/4/8 workers including error unwinds
-//! and cancellation. [`optimize`] is gated per program by translation
-//! validation ([`crate::analysis::validate_optimized`]).
+//! and cancellation. Every program runs as `lower` emitted it: there is
+//! no rewriting pass between emission and execution.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -280,10 +280,9 @@ impl Program {
     /// Structural fingerprint of the plan (DESIGN.md §17): name, op count
     /// and every slot with its operator, trigger, frames and targets,
     /// literals kept apart by type. Derived when the plan is emitted. The
-    /// serving layer keys its program cache on it, so structurally
-    /// different plans get different programs unless their 64-bit hashes
-    /// collide. An optimized program keeps the fingerprint of the plan it
-    /// implements.
+    /// serving layer keys its admission-verify memo on it, so structurally
+    /// different plans get their own verdicts unless their 64-bit hashes
+    /// collide.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -509,117 +508,13 @@ pub(crate) fn run_program(
     Ok(())
 }
 
-/// Resolve `pc` through chains of free `Jump`s to the first observable
-/// instruction (or the exit, `code.len()`). `None` on a jump-only cycle.
-fn resolve_jumps(code: &[VmOp], mut pc: usize) -> Option<usize> {
-    let len = code.len();
-    let mut hops = 0usize;
-    loop {
-        pc = pc.min(len);
-        match code.get(pc) {
-            Some(VmOp::Jump { target }) => {
-                pc = *target as usize;
-                hops += 1;
-                if hops > len {
-                    return None;
-                }
-            }
-            _ => return Some(pc),
-        }
-    }
-}
-
-/// Optimize a compiled program — jump threading, statically-decided CHECK
-/// else-edge redirection, and cond-refined unreachable-op elimination —
-/// gated by translation validation
-/// ([`crate::analysis::tv::validate_optimized`]).
-///
-/// Reachable CHECKs are always kept: they gate, consume budget, and emit
-/// trace events exactly as in the original program, so optimization never
-/// changes statuses, traces, digests, or usage. It only shortens jump
-/// chains and drops code no execution can reach (branches dead under a
-/// statically-decided condition). Returns `None`
-/// when the program is already optimal, contains a jump-only cycle, or —
-/// fail-closed — when the optimized candidate does not symbolically
-/// bisimulate the original; callers then keep the original program.
+/// The bytecode optimizer this crate once ran on admission: it returns
+/// `None` ("nothing to rewrite") for every program, and every program runs
+/// as `lower` emitted it.
+#[doc(hidden)]
 #[must_use]
-pub fn optimize(program: &Program) -> Option<Program> {
-    let len = program.code().len();
-    let mut code = program.code().to_vec();
-
-    // Jump threading: every explicit target resolves through chains of
-    // free Jumps straight to the first observable instruction.
-    for op in &mut code {
-        match op {
-            VmOp::Check { on_false, .. } => {
-                *on_false = resolve_jumps(program.code(), *on_false as usize)? as u32;
-            }
-            VmOp::Jump { target } => {
-                *target = resolve_jumps(program.code(), *target as usize)? as u32;
-            }
-            VmOp::Leaf { .. } => {}
-        }
-    }
-
-    // A statically-true CHECK can never take its else edge; pointing that
-    // edge at the fall-through makes the dead branch unreachable without
-    // changing behavior (the check itself still gates and traces). The
-    // statically-false case needs no rewrite: the implicit fall-through is
-    // never taken, and refined reachability below prunes the then-branch.
-    for pc in 0..len {
-        let decided = match code[pc] {
-            VmOp::Check { check, .. } => {
-                crate::analysis::absint::static_cond(program.pool.check(check).cond())
-            }
-            _ => None,
-        };
-        if decided == Some(true) {
-            let fall = resolve_jumps(&code, pc + 1)? as u32;
-            if let VmOp::Check { on_false, .. } = &mut code[pc] {
-                *on_false = fall;
-            }
-        }
-    }
-
-    // Cond-refined reachability over the rewritten code, then compaction.
-    // Every explicit target on a live op now lands on a live op (threading
-    // skips Jumps; dead else edges were redirected to live fall-throughs),
-    // so the remap below is total over the targets that remain.
-    let live = crate::analysis::Cfg::new(&code, &program.pool, true);
-    let mut remap = vec![0u32; len + 1];
-    let mut kept: Vec<VmOp> = Vec::with_capacity(len);
-    for (pc, &op) in code.iter().enumerate() {
-        remap[pc] = kept.len() as u32;
-        if live.is_reachable(pc) {
-            kept.push(op);
-        }
-    }
-    remap[len] = kept.len() as u32;
-    for op in &mut kept {
-        match op {
-            VmOp::Check { on_false, .. } => {
-                *on_false = remap[*on_false as usize];
-            }
-            VmOp::Jump { target } => {
-                *target = remap[*target as usize];
-            }
-            VmOp::Leaf { .. } => {}
-        }
-    }
-
-    if kept == program.code() {
-        return None;
-    }
-    let candidate = Program {
-        fields: PlanFields {
-            name: program.fields.name.clone(),
-            ops: kept,
-        },
-        pool: program.pool.clone(),
-        ..*program
-    };
-    crate::analysis::tv::validate_optimized(program, &candidate).ok()?;
-    Some(candidate)
+pub fn optimize(_program: &Program) -> Option<Program> {
+    None
 }
 
 #[cfg(test)]
@@ -628,7 +523,6 @@ mod tests {
     use super::*;
     use crate::history::RefinementMode;
     use crate::pipeline::Pipeline;
-    use crate::plan::asm::{assemble, Slot};
     use crate::plan::lower;
 
     fn compiled(p: &Pipeline) -> Program {
@@ -737,55 +631,5 @@ mod tests {
             .build();
         let prog = compiled(&p);
         assert!(prog.pool().leaves()[0].has_template());
-    }
-
-    #[test]
-    fn optimize_prunes_a_statically_dead_else_branch() {
-        let p = Pipeline::builder("opt-else")
-            .create_text("p", "base", RefinementMode::Manual)
-            .check_else(Cond::Always, |b| b.gen("a", "p"), |b| b.gen("b", "p"))
-            .build();
-        let prog = compiled(&p);
-        let opt = optimize(&prog).expect("dead else branch optimizes");
-        assert!(
-            opt.code().len() < prog.code().len(),
-            "else branch removed: {:?} -> {:?}",
-            prog.code(),
-            opt.code()
-        );
-        // The CHECK itself survives — it still gates, budgets, and traces.
-        assert!(opt.code().iter().any(|op| matches!(op, VmOp::Check { .. })));
-        // And the optimized form bisimulates the original.
-        assert!(crate::analysis::tv::validate_optimized(&prog, &opt).is_ok());
-    }
-
-    #[test]
-    fn optimize_prunes_a_never_taken_then_branch() {
-        let p = Pipeline::builder("opt-then")
-            .create_text("p", "base", RefinementMode::Manual)
-            .check(Cond::Never, |b| b.expand("p", "dead").expand("p", "weight"))
-            .gen("a", "p")
-            .build();
-        let prog = compiled(&p);
-        let opt = optimize(&prog).expect("dead then branch optimizes");
-        assert!(opt.code().len() < prog.code().len());
-        assert!(crate::analysis::tv::validate_optimized(&prog, &opt).is_ok());
-    }
-
-    #[test]
-    fn optimize_returns_none_when_nothing_improves() {
-        let p = Pipeline::builder("already-tight")
-            .create_text("p", "base", RefinementMode::Manual)
-            .gen("warm", "p")
-            .check(Cond::low_confidence(0.9), |b| b.expand("p", "retry"))
-            .gen("final", "p")
-            .build();
-        assert!(optimize(&compiled(&p)).is_none());
-    }
-
-    #[test]
-    fn optimize_bails_on_jump_cycles() {
-        let cyclic = assemble("cycle", vec![Slot::Jump(0)]);
-        assert!(optimize(&cyclic).is_none());
     }
 }

@@ -1,9 +1,11 @@
 //! Heap footprint of a per-request [`ExecState`] and of writes to its
-//! prompt store, and the allocations admission's verifier makes per plan.
+//! prompt store, the allocations admission's verifier makes per plan, and
+//! those of one VM step with its trace record.
 //!
 //! The serving tiers build one state per queued request, so what an idle
 //! state holds, and what each prompt it defines adds, is multiplied by the
-//! queue length; and every new program is verified before it runs.
+//! queue length; every new program is verified before it runs; and every
+//! slot a program runs records a trace event.
 //! These tests pin both with a counting allocator of their own; the
 //! counters are per thread, so the harness running tests side by side
 //! cannot disturb a reading.
@@ -238,4 +240,43 @@ fn an_affinity_seed_allocates_nothing() {
             pipeline.name
         );
     }
+}
+
+#[test]
+fn one_more_data_leaf_costs_five_allocations() {
+    // DELEGATE to an agent that returns `Null` into C: a data leaf that
+    // calls no LLM. Two programs that differ by four such leaves; 8 to 12
+    // leaves crosses no doubling of the trace's event vector or C's write
+    // log, so the difference is four steps, each with its trace record.
+    let rt = Runtime::builder()
+        .llm(Arc::new(EchoLlm::default()))
+        .agent(
+            "noop",
+            Arc::new(FnAgent(|_: &Value, _: &Context| Ok(Value::Null))),
+        )
+        .build();
+    let run_allocs = |leaves: usize| {
+        let plan = lower(
+            &(0..leaves)
+                .fold(
+                    Pipeline::builder("steps").create_text("p", "base", RefinementMode::Manual),
+                    |b, _| b.delegate("noop", PayloadSpec::CtxKey("q".into()), "out"),
+                )
+                .build(),
+        )
+        .expect("lowers");
+        let mut state = ExecState::new();
+        state.context.set("q", "v");
+        let (report, _, allocs) = footprint(|| rt.execute_program(&plan, &mut state));
+        assert_eq!(report.expect("runs").ops_executed, leaves as u64 + 1);
+        allocs
+    };
+    run_allocs(1);
+    let (few, more) = (run_allocs(8), run_allocs(12));
+    assert_eq!(
+        more - few,
+        4 * 5,
+        "four more DELEGATE steps made {} allocations",
+        more - few
+    );
 }

@@ -1,9 +1,7 @@
 //! Differential testing of the executors: random small pipelines must
 //! produce **byte-identical** traces and reports whether they run
 //! through the reference tree walk (`Runtime::execute_tree`, the
-//! specification), the bytecode VM (`plan::lower` +
-//! `Runtime::execute_program`),
-//! or the *optimized* bytecode VM (`vm::optimize` +
+//! specification) or the bytecode VM (`plan::lower` +
 //! `Runtime::execute_program`) — including pipelines that fail mid-run,
 //! whose error unwind (one `Error` trace event per enclosing CHECK) the VM
 //! replays from its pooled frames; pipelines aborted mid-run by an
@@ -263,11 +261,10 @@ proptest! {
         prop_assert!(digests.is_ok(), "traces: {:?}", digests);
     }
 
-    /// Tree walk, bytecode VM, and optimized VM agree byte-for-byte on
-    /// every random pipeline — reports, traces (success and error
-    /// unwinds), and state.
+    /// Tree walk and bytecode VM agree byte-for-byte on every random
+    /// pipeline — reports, traces (success and error unwinds), and state.
     #[test]
-    fn tree_vm_and_optimized_vm_traces_are_byte_identical(
+    fn tree_and_vm_traces_are_byte_identical(
         instrs in proptest::collection::vec(instr_strategy(), 0..6),
         tweet in "[a-z ]{0,16}",
     ) {
@@ -277,28 +274,17 @@ proptest! {
 
         let mut tree_state = seeded_state(&tweet);
         let mut vm_state = tree_state.clone();
-        let mut opt_state = tree_state.clone();
         let tree_result = rt.execute_tree(&p, &mut tree_state);
         let vm_result = rt.execute_program(&lowered, &mut vm_state);
 
-        // The verified-optimized program replays the same observable run.
-        let optimized = spear_core::optimize(&lowered).unwrap_or(lowered);
-        let opt_result = rt.execute_program(&optimized, &mut opt_state);
-
-        let tree = fingerprint(&tree_result, &tree_state);
         prop_assert_eq!(
-            &tree,
-            &fingerprint(&vm_result, &vm_state),
+            fingerprint(&tree_result, &tree_state),
+            fingerprint(&vm_result, &vm_state),
             "tree vs VM, pipeline: {:?}", p
-        );
-        prop_assert_eq!(
-            &tree,
-            &fingerprint(&opt_result, &opt_state),
-            "tree vs optimized VM, pipeline: {:?}", p
         );
     }
 
-    /// Tree walk, VM, and optimized VM also agree when the run is cut
+    /// Tree walk and VM also agree when the run is cut
     /// short from outside: a tight operator budget aborts mid-run (same
     /// slot, same unwind frames), and an already-cancelled token aborts at
     /// the first gate.
@@ -320,23 +306,13 @@ proptest! {
             tree_state.cancel = Some(token);
         }
         let mut vm_state = tree_state.clone();
-        let mut opt_state = tree_state.clone();
         let tree_result = rt.execute_tree(&p, &mut tree_state);
         let vm_result = rt.execute_program(&lowered, &mut vm_state);
-        let optimized = spear_core::optimize(&lowered).unwrap_or(lowered);
-        let opt_result = rt.execute_program(&optimized, &mut opt_state);
 
-        let tree = fingerprint(&tree_result, &tree_state);
         prop_assert_eq!(
-            &tree,
-            &fingerprint(&vm_result, &vm_state),
+            fingerprint(&tree_result, &tree_state),
+            fingerprint(&vm_result, &vm_state),
             "tree vs VM, max_ops={}, cancelled={}, pipeline: {:?}",
-            max_ops, cancelled, p
-        );
-        prop_assert_eq!(
-            &tree,
-            &fingerprint(&opt_result, &opt_state),
-            "tree vs optimized VM, max_ops={}, cancelled={}, pipeline: {:?}",
             max_ops, cancelled, p
         );
     }
@@ -382,22 +358,6 @@ proptest! {
                 }
             })
             .collect();
-        // The verified-optimized program runs other code than the batch:
-        // its solo runs must match the batch bytes at every worker count.
-        let optimized = spear_core::optimize(&lowered).unwrap_or_else(|| (*lowered).clone());
-        let solo_opt: Vec<String> = tweets
-            .iter()
-            .map(|t| {
-                let rt = runtime();
-                let mut state = seeded_state(t);
-                let result = rt.execute_program(&optimized, &mut state);
-                match result {
-                    Ok(report) => fingerprint(&Ok(report), &state),
-                    Err(e) => format!("err:{e:?}"),
-                }
-            })
-            .collect();
-
         let one = run(1, false);
         prop_assert_eq!(&one, &run(4, false), "worker count 4 changed results");
         prop_assert_eq!(&one, &run(8, false), "worker count 8 changed results");
@@ -405,6 +365,5 @@ proptest! {
             prop_assert_eq!(&one, &run(workers, true), "run_states at {} workers", workers);
         }
         prop_assert_eq!(&one, &solo, "batch diverges from solo tree walk");
-        prop_assert_eq!(&one, &solo_opt, "batch diverges from optimized VM");
     }
 }

@@ -116,13 +116,6 @@ impl CacheStats {
         }
     }
 
-    /// Tokens that missed the cache across all lookups (the prefill the
-    /// engine actually had to pay for).
-    #[must_use]
-    pub fn miss_tokens(&self) -> u64 {
-        self.lookup_tokens - self.hit_tokens
-    }
-
     /// Counter-wise difference `self - earlier` — the activity between two
     /// snapshots of the same cache. All counters are monotonic, so the
     /// delta of a later snapshot against an earlier one is itself a valid
@@ -950,7 +943,6 @@ mod tests {
         assert_eq!(s.lookups, 3, "steps 1, 3, 5");
         assert_eq!(s.lookup_tokens, 24, "3 lookups x 8 tokens");
         assert_eq!(s.hit_tokens, 16, "steps 3 and 5");
-        assert_eq!(s.miss_tokens(), 8, "only the cold lookup missed");
         assert_eq!(s.inserted_blocks, 4, "2 for a + 2 for b");
         assert_eq!(s.evicted_blocks, 1, "a's leaf displaced by b's tail");
         assert!((s.hit_rate().unwrap() - 16.0 / 24.0).abs() < 1e-12);
@@ -971,7 +963,6 @@ mod tests {
         assert_eq!(delta.lookup_tokens, 16);
         assert_eq!(delta.hit_tokens, 16);
         assert_eq!(delta.inserted_blocks, 0);
-        assert_eq!(delta.miss_tokens(), 0);
         // Misordered snapshots saturate instead of wrapping.
         assert_eq!(before.delta_since(&c.stats()).lookups, 0);
     }

@@ -69,7 +69,7 @@ pub mod error;
 pub mod kv;
 pub mod loadgen;
 pub mod metrics;
-pub mod program_cache;
+mod program_cache;
 pub mod queue;
 pub mod request;
 pub mod scheduler;
@@ -95,7 +95,6 @@ pub mod prelude {
         ClassReport, ClusterLinkage, CompileReport, Histogram, HistogramSummary, KvReport,
         ReuseReport, ServeReport,
     };
-    pub use crate::program_cache::ProgramCache;
     pub use crate::queue::{AdmissionConfig, AdmissionQueue, ClassFifo};
     pub use crate::request::{Priority, ServeRequest};
     pub use crate::scheduler::{ServeConfig, ServeNode, ServeOutcome, ServeRun, ServeStatus};

@@ -494,10 +494,10 @@ mod tests {
 
     #[test]
     fn family_plan_identities_are_pinned() {
-        // Pinned: the program-cache key and the placement seed of every
-        // family plan, one and two GENs deep. A change to lowering or to
-        // the identity fold moves these values, and with them every
-        // program-cache key and the router's placement.
+        // Pinned: the fingerprint and the placement seed of every family
+        // plan, one and two GENs deep. A change to lowering or to the
+        // identity fold moves these values, and with them every
+        // admission-verify memo key and the router's placement.
         const PINNED: [[(u64, u64); 8]; 2] = [
             [
                 (0xb679_46c7_ee44_79ae, 0x0b81_3de1_3670_4370),

@@ -199,8 +199,8 @@ pub struct ServeReport {
     /// Defaults for reports written before memory pressure existed.
     #[serde(default)]
     pub kv: KvReport,
-    /// Plan-compilation counters from the program cache. Defaults for
-    /// reports written before the compiled hot path existed.
+    /// Admission-compile counters (only `verify_memo_hits` is filled).
+    /// Defaults for reports written before the compiled hot path existed.
     #[serde(default)]
     pub compile: CompileReport,
     /// Linkage to the cluster run this node-level report was produced
@@ -302,24 +302,18 @@ pub struct KvReport {
     pub peak_live_blocks: u64,
 }
 
-/// Counters from the scheduler's [`crate::program_cache::ProgramCache`]:
-/// how many admissions cached a fresh program and how many reused a
-/// cached program. All counters are lane-count-invariant — admission order
-/// is deterministic and caching happens before dispatch.
+/// Admission-compile counters. A `ServeReport` fills only
+/// `verify_memo_hits`: a node runs each request's own plan and caches no
+/// program, so `compiled`, `cache_hits` and `evicted` read 0 there. They
+/// are the lookup counters of the benchmark's program-cache adapter.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CompileReport {
-    /// Programs cached on a miss, optimized or not (cache misses); the
-    /// optimized share is `optimized`.
+    /// Program-cache misses (programs cached).
     pub compiled: u64,
-    /// Admissions served by an already-compiled cached program.
+    /// Program-cache hits.
     pub cache_hits: u64,
     /// Cached programs evicted by capacity pressure.
     pub evicted: u64,
-    /// Freshly cached programs additionally improved by the verified
-    /// bytecode optimizer (translation validation passed and at least one
-    /// op was removed or rethreaded).
-    #[serde(default)]
-    pub optimized: u64,
     /// Admission verifications skipped because an identical plan family
     /// (fingerprint + assumed prompts + deadline) already verified clean
     /// this run.
@@ -328,8 +322,8 @@ pub struct CompileReport {
 }
 
 impl CompileReport {
-    /// Fraction of admissions served from the program cache, in `[0, 1]`;
-    /// `None` before any admission.
+    /// Fraction of program-cache lookups that hit, in `[0, 1]`; `None`
+    /// before any lookup.
     #[must_use]
     pub fn hit_rate(&self) -> Option<f64> {
         let total = self.compiled + self.cache_hits;

@@ -1,27 +1,23 @@
-//! Bounded cache of optimized programs.
+//! A bounded, thread-safe LRU cache of program copies, kept as an adapter
+//! for the stand-alone benchmark (DESIGN.md §18): no serving path calls
+//! it, because a `ServeNode` runs each request's own plan. The benchmark's
+//! `compile_cold` drives it from two lanes, and its `serve.program_cache.*`
+//! layer metrics time it.
 //!
-//! The scheduler optimizes each admitted plan (`spear_core::vm::optimize`)
-//! once per plan fingerprint ([`Program::fingerprint`]) and reuses the
-//! `Arc<Program>` for every later admission of the same plan. The
-//! fingerprint hashes every slot, and the affinity seed is a pure function
-//! of the slots, so the fingerprint alone identifies the program.
-//!
-//! Threads that share one cache (the benchmark's `compile_cold` lanes; a
-//! `ServeNode` or `Cluster` node calls it from its one scheduler thread)
-//! must not serialize on it, hence the lock discipline on
-//! [`ProgramCache`]. Of its two halves, freeing each victim on its
-//! compiling thread (the one that built the cached copy) is the one that
-//! mattered: a `Program` is about 120 allocations, and dropping one took
-//! 7–8 µs when one lane ran but 13–16 µs when the other lane had compiled
-//! it, with every later allocation of both lanes slowed by the shared
-//! allocator arenas. Measured with `compile_cold` on a 2-core host: with
-//! each victim freed by whichever lane evicted it, two lanes ran no faster
-//! than one; freed by the lane that compiled it, about 1.5× faster. Moving
-//! only the compile out of the lock changed nothing measurable.
+//! Threads that share one cache must not serialize on it, hence the lock
+//! discipline on [`ProgramCache`]. Of its two halves, freeing each victim
+//! on its compiling thread (the one that built the cached copy) is the one
+//! that mattered: a `Program` is about 120 allocations, and dropping one
+//! took 7–8 µs when one lane ran but 13–16 µs when the other lane had
+//! compiled it, with every later allocation of both lanes slowed by the
+//! shared allocator arenas. Measured with `compile_cold` on a 2-core host:
+//! with each victim freed by whichever lane evicted it, two lanes ran no
+//! faster than one; freed by the lane that compiled it, about 1.5× faster.
+//! Moving only the miss's work (then an optimizer pass and a copy) out of
+//! the lock changed nothing measurable.
 //!
 //! Bound, recency and the lookup counters are one [`LruMap`]; the cache
-//! adds only compiling outside the lock and freeing on the compiling
-//! thread.
+//! adds only copying outside the lock and freeing on the compiling thread.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -29,7 +25,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, ThreadId};
 
 use spear_core::runtime::Runtime;
-use spear_core::vm::{self, Program};
+use spear_core::vm::Program;
 use spear_llm::{LruMap, SimLlm};
 
 use crate::metrics::CompileReport;
@@ -46,8 +42,6 @@ struct Inner {
     /// Evicted slots waiting for the thread that compiled them, oldest
     /// first; never longer than the cache's capacity.
     retired: Vec<Slot>,
-    /// The optimizer counter; the lookup ones live in `programs`.
-    counters: CompileReport,
 }
 
 impl Inner {
@@ -83,11 +77,11 @@ impl Inner {
     }
 }
 
-/// A bounded, thread-safe LRU cache of optimized programs, owned by the
-/// serving node and shared across its runs.
+/// A bounded, thread-safe LRU cache of program copies, keyed by
+/// [`Program::fingerprint`].
 ///
-/// Lock discipline: nothing compiles under the lock. A miss looks the key
-/// up, releases the lock, optimizes, then re-locks to
+/// Lock discipline: nothing is copied under the lock. A miss looks the key
+/// up, releases the lock, copies the plan, then re-locks to
 /// insert; if another thread inserted the same key meanwhile,
 /// the first insert wins and the late caller counts a hit and drops its
 /// own copy. An evicted program is freed by the thread that
@@ -98,6 +92,7 @@ impl Inner {
 /// threads contend on each other's allocator arenas (measurements in the
 /// module docs). A cache used from one thread parks nothing: every victim
 /// is that thread's and is freed in the call that evicts it.
+#[doc(hidden)]
 pub struct ProgramCache {
     inner: Mutex<Inner>,
 }
@@ -117,7 +112,6 @@ impl ProgramCache {
             inner: Mutex::new(Inner {
                 programs: LruMap::new(capacity),
                 retired: Vec::new(),
-                counters: CompileReport::default(),
             }),
         }
     }
@@ -140,10 +134,10 @@ impl ProgramCache {
         self.len() == 0
     }
 
-    /// Look up (or optimize and cache) the program for `plan`: the
-    /// resident copy on a hit, a new one on a miss. Never `None`: every
-    /// program passed lowering's structural gate. A miss with nothing to
-    /// optimize caches a copy of `plan`.
+    /// The program for `plan`: the resident copy on a hit; on a miss, a
+    /// copy of `plan`, now resident and built (so later freed) by the
+    /// calling thread. Never `None`: every program passed lowering's
+    /// structural gate.
     ///
     /// `runtime` and `engine` are not read: a program depends on its plan
     /// alone. They stay in the signature for existing callers.
@@ -153,13 +147,6 @@ impl ProgramCache {
         _runtime: &Runtime,
         _engine: Option<&SimLlm>,
     ) -> Option<Arc<Program>> {
-        Some(self.resident(plan))
-    }
-
-    /// The program to run for `plan`: the resident one on a hit; on a
-    /// miss, `plan` optimized, or else a copy of `plan`, now resident and
-    /// built (so later freed) by the calling thread.
-    pub(crate) fn resident(&self, plan: &Program) -> Arc<Program> {
         let key = plan.fingerprint();
         let me = thread::current().id();
         let mut inner = self.lock();
@@ -167,42 +154,34 @@ impl ProgramCache {
         let hit = inner.hit(key);
         drop(inner);
         drop(retired);
-        if let Some(hit) = hit {
+        if hit.is_some() {
             return hit;
         }
-
-        // Verified bytecode optimization: jump threading, dead else-edge
-        // redirection, and unreachable-op pruning — accepted only when the
-        // optimized form symbolically bisimulates the original
-        // (`vm::optimize` is fail-closed), so traces stay byte-identical.
-        let optimized = vm::optimize(plan);
-        let counted = u64::from(optimized.is_some());
-        let program = Arc::new(optimized.unwrap_or_else(|| plan.clone()));
+        let program = Arc::new(plan.clone());
 
         let mut inner = self.lock();
         if let Some(resident) = inner.hit(key) {
-            // Another thread inserted this key while we compiled: the first
+            // Another thread inserted this key while we copied: the first
             // insert wins, and our copy drops after the unlock.
             drop(inner);
-            return resident;
+            return Some(resident);
         }
-        inner.counters.optimized += counted;
         let released = inner.insert(key, Arc::clone(&program), me);
         drop(inner);
         drop(released);
-        program
+        Some(program)
     }
 
-    /// Take the counters accumulated since the last drain (the per-run
-    /// delta for [`crate::metrics::ServeReport::compile`]).
+    /// Take the lookup counters accumulated since the last drain: misses
+    /// as `compiled`, hits as `cache_hits`, and evictions. A `ServeReport`
+    /// never carries them.
     pub fn drain_counters(&self) -> CompileReport {
-        let mut inner = self.lock();
-        let lookups = inner.programs.take_stats();
+        let lookups = self.lock().programs.take_stats();
         CompileReport {
             compiled: lookups.insertions,
             cache_hits: lookups.hits,
             evicted: lookups.evictions,
-            ..std::mem::take(&mut inner.counters)
+            ..CompileReport::default()
         }
     }
 }

@@ -84,12 +84,6 @@ impl<T> ClassFifo<T> {
         self.deque(class).push_back(item);
     }
 
-    /// Enqueue at the *front* of `class` — used to re-admit preempted work
-    /// ahead of everything that arrived after it.
-    pub fn push_front(&mut self, class: Priority, item: T) {
-        self.deque(class).push_front(item);
-    }
-
     /// Pop the next item, honouring class priority and the aging bound.
     pub fn pop(&mut self) -> Option<(Priority, T)> {
         let take_batch = !self.batch.is_empty()
@@ -252,12 +246,6 @@ impl AdmissionQueue {
         }
         out
     }
-
-    /// Current token-bucket level (observability).
-    #[must_use]
-    pub fn bucket_level(&self) -> f64 {
-        self.level
-    }
 }
 
 #[cfg(test)]
@@ -337,7 +325,6 @@ mod tests {
         // The same request arriving 30us later is admitted: refill is a
         // pure function of arrival timestamps.
         q.offer(req(3, Priority::Interactive, 30, 50)).unwrap();
-        assert!(q.bucket_level() < 1.0);
     }
 
     #[test]
@@ -372,28 +359,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().id, 2);
         assert_eq!(q.pop().unwrap().id, 3);
         assert_eq!(q.pop().unwrap().id, 100, "aged in after starvation_limit");
-    }
-
-    #[test]
-    fn class_fifo_push_front_reenters_ahead_of_arrivals() {
-        // The resume path for preempted work: push_front puts an item
-        // ahead of everything queued behind it in its class, while class
-        // priority and aging still apply.
-        let mut f: ClassFifo<u64> = ClassFifo::new(4);
-        f.push_back(Priority::Batch, 1);
-        f.push_back(Priority::Batch, 2);
-        f.push_front(Priority::Batch, 99);
-        f.push_back(Priority::Interactive, 10);
-        f.push_front(Priority::Interactive, 9);
-        assert_eq!(f.len(), 5);
-        assert_eq!(f.depth(Priority::Batch), 3);
-        assert_eq!(f.pop(), Some((Priority::Interactive, 9)));
-        assert_eq!(f.pop(), Some((Priority::Interactive, 10)));
-        assert_eq!(f.pop(), Some((Priority::Batch, 99)));
-        assert_eq!(f.pop(), Some((Priority::Batch, 1)));
-        assert_eq!(f.pop(), Some((Priority::Batch, 2)));
-        assert_eq!(f.pop(), None);
-        assert!(f.is_empty());
     }
 
     #[test]

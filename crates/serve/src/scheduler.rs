@@ -7,13 +7,14 @@
 //! the private per-run `Lifecycle`: **admit** (verify the plan, then the
 //! token-bucket and depth gate; a refusal is a typed `Rejected` outcome),
 //! **job** (place it on a lane under a cache owner, stamp deadline, cancel
-//! token and reuse policy on its state, fetch its compiled program),
+//! token and reuse policy on its state, and hand it the request's own
+//! program, as admitted),
 //! **settle** (count the executed request in its class and keep its reuse
 //! row), **record** (the clock's start / service / finish enter the
 //! histograms and the [`ServeOutcome`]) and **finish** (sort, fingerprint,
 //! assemble the [`ServeReport`]). The lifecycle owns every piece of
 //! per-run state, so a [`ServeNode`] holds only what outlives a run:
-//! configuration, lanes, program cache.
+//! configuration, lanes and the run counter.
 //!
 //! Between *job* and *settle* the execution's result is reduced to what
 //! serving keeps — status, measured service, trace digest, usage, GEN
@@ -86,8 +87,7 @@ use spear_llm::{CacheStats, LruMap, MemoStats, SimLlm};
 
 use crate::error::ServeError;
 use crate::kv::{self, KvPressureConfig, SeqInput, SeqTiming};
-use crate::metrics::{ClassReport, Histogram, KvReport, ReuseReport, ServeReport};
-use crate::program_cache::ProgramCache;
+use crate::metrics::{ClassReport, CompileReport, Histogram, KvReport, ReuseReport, ServeReport};
 use crate::queue::{AdmissionConfig, AdmissionQueue};
 use crate::request::{Priority, ServeRequest};
 
@@ -127,12 +127,6 @@ pub struct ServeConfig {
     /// verification still apply). `None` = unbounded memory, timed by
     /// `lanes` × `quantum` dispatch rounds.
     pub pressure: Option<KvPressureConfig>,
-    /// Capacity of the node's compiled-program cache
-    /// ([`crate::program_cache::ProgramCache`]): distinct plan
-    /// fingerprints held resident. Admissions beyond capacity evict
-    /// least-recently-used programs (counted in
-    /// [`crate::metrics::CompileReport`]).
-    pub program_cache_capacity: usize,
     /// Whole-call generation reuse (DESIGN.md §15): stamp each request's
     /// execution state with [`ReusePolicy::Exact`] so duplicate GENs are
     /// served from the engine's single-flight memo. Observably invisible —
@@ -152,7 +146,6 @@ impl Default for ServeConfig {
             admission: AdmissionConfig::default(),
             verify_admission: true,
             pressure: None,
-            program_cache_capacity: 64,
             reuse: true,
         }
     }
@@ -452,8 +445,9 @@ impl<'a> Lifecycle<'a> {
     }
 
     /// Turn a dequeued request into its executable job plus the ticket
-    /// that identifies the result. Callers must make these calls in their
-    /// dispatch order: owner ids and program-cache recency follow it.
+    /// that identifies the result. The job runs the request's own plan, as
+    /// admitted. Callers must make these calls in their dispatch order:
+    /// owner ids follow it.
     fn job(&mut self, mut request: ServeRequest) -> (AssignedJob, Ticket) {
         let (owner, lane, group) = self
             .placement
@@ -473,11 +467,10 @@ impl<'a> Lifecycle<'a> {
         request.state.deadline_us = request.deadline_us;
         request.state.cancel = Some(request.cancel);
         request.state.reuse = self.reuse_policy;
-        let program = self.node.programs.resident(&request.plan);
         let job = AssignedJob {
             lane,
             owner,
-            program,
+            program: request.plan,
             state: *request.state,
         };
         (job, ticket)
@@ -543,8 +536,10 @@ impl<'a> Lifecycle<'a> {
             "request ids must be unique"
         );
         let [interactive, batch] = self.classes.map(ClassAccum::finish);
-        let mut compile = self.node.programs.drain_counters();
-        compile.verify_memo_hits = self.verify_memo.stats().hits;
+        let compile = CompileReport {
+            verify_memo_hits: self.verify_memo.stats().hits,
+            ..CompileReport::default()
+        };
         let mut report = ServeReport {
             lanes: self.node.config.lanes,
             affinity_routing: self.node.config.affinity_routing,
@@ -644,7 +639,6 @@ pub struct ServeNode {
     config: ServeConfig,
     runner: BatchRunner,
     run_seq: AtomicU64,
-    programs: ProgramCache,
 }
 
 impl ServeNode {
@@ -652,12 +646,10 @@ impl ServeNode {
     #[must_use]
     pub fn new(config: ServeConfig) -> Self {
         let lanes = config.lanes.max(1);
-        let programs = ProgramCache::new(config.program_cache_capacity);
         Self {
             config: ServeConfig { lanes, ..config },
             runner: BatchRunner::new(lanes),
             run_seq: AtomicU64::new(0),
-            programs,
         }
     }
 
@@ -665,12 +657,6 @@ impl ServeNode {
     #[must_use]
     pub fn config(&self) -> &ServeConfig {
         &self.config
-    }
-
-    /// The node's compiled-program cache (shared across runs).
-    #[must_use]
-    pub fn programs(&self) -> &ProgramCache {
-        &self.programs
     }
 
     /// Serve a workload to completion and return per-request outcomes
@@ -1035,6 +1021,34 @@ mod tests {
     }
 
     #[test]
+    fn a_job_runs_the_request_plan_as_admitted() {
+        // A repeated plan and a distinct one: each job holds the very
+        // `Arc` its request carried, never a copy.
+        let rt = runtime();
+        let node = ServeNode::new(ServeConfig::default());
+        let (one, two) = (plan(1), plan(2));
+        let requests: Vec<_> = [&one, &one, &two]
+            .into_iter()
+            .zip(0..)
+            .map(|(plan, id)| {
+                ServeRequest::new(
+                    id,
+                    Priority::Interactive,
+                    Arc::clone(plan),
+                    ExecState::new(),
+                    0,
+                )
+            })
+            .collect();
+        let mut life = Lifecycle::begin(&node, &rt, None, &requests);
+        for request in requests {
+            let plan = Arc::clone(&request.plan);
+            let (job, _) = life.job(request);
+            assert!(Arc::ptr_eq(&job.program, &plan));
+        }
+    }
+
+    #[test]
     fn all_requests_get_exactly_one_outcome() {
         let rt = runtime();
         for node in node_per_clock(true) {
@@ -1142,8 +1156,6 @@ mod tests {
         });
         for run in [a, b] {
             assert_eq!(run.report.interactive.completed, 10);
-            // `compile.compiled` / `cache_hits` come from the node's shared
-            // program cache and split between the runs by timing.
             assert_eq!(run.report.compile.verify_memo_hits, 9);
         }
     }

@@ -35,7 +35,6 @@ fn serve(
         },
         verify_admission: true,
         pressure: None,
-        program_cache_capacity: 64,
         reuse: true,
     });
     let run = node.run(&runtime, Some(&engine), workload.requests);
@@ -162,7 +161,6 @@ fn interactive_flood_cannot_starve_batch() {
         },
         verify_admission: true,
         pressure: None,
-        program_cache_capacity: 64,
         reuse: true,
     });
     let run = node.run(&runtime, None, requests);

@@ -38,7 +38,6 @@ fn config(lanes: usize, pressure: Option<KvPressureConfig>) -> ServeConfig {
         },
         verify_admission: true,
         pressure,
-        program_cache_capacity: 64,
         reuse: true,
     }
 }

@@ -49,7 +49,6 @@ fn serve(
         },
         verify_admission: false,
         pressure: None,
-        program_cache_capacity: 64,
         reuse,
     });
     let run = node.run(&runtime, Some(&engine), workload.requests);

@@ -47,9 +47,8 @@ disasm:
     cargo run -p spear-bench --bin disasm
 
 # Static-analysis gate over the golden plan corpus: bytecode lints
-# (W004/W005), translation validation, verified-optimizer bisimulation,
-# and abstract cost bounds (DESIGN.md §14). Exits non-zero on any
-# error-class diagnostic or TV failure.
+# (W004/W005) and abstract cost bounds (DESIGN.md §14). Exits non-zero on
+# any error-class diagnostic.
 analyze:
     cargo run -p spear-bench --bin analyze
 

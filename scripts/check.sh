@@ -14,14 +14,15 @@ cargo test -q -p rand -p serde -p serde_json -p proptest -p parking_lot
 cargo test --release --manifest-path benchmark/Cargo.toml -q
 # ... and its output checks passing against them, on all five workloads.
 sh scripts/bench_smoke.sh
-# Static-analysis gate: bytecode lints, translation validation, and the
-# verified optimizer's bisimulation check over the golden plan corpus.
+# Static-analysis gate: the bytecode lints and the static cost envelope
+# over the golden plan corpus.
 cargo run --release -p spear-bench --bin analyze
-# Reproduction gate: these paper outputs, the static-analysis report and
-# the corpus listings must match their checked-in results byte for byte
-# (the virtual clock makes the comparison exact; `analyze` and `disasm`
-# print no host timing).
-for bin in ablation_planner ablation_gen_fusion analyze disasm; do
+# Reproduction gate: the eight paper outputs, the static-analysis report
+# and the corpus listings must match their checked-in results byte for
+# byte (the virtual clock makes the comparison exact; no bin prints host
+# timing).
+for bin in table3 table4 figure1 ablation_cache ablation_planner ablation_views \
+    ablation_predictive ablation_gen_fusion analyze disasm; do
     cargo run --release -q -p spear-bench --bin "$bin" | cmp - "results/$bin.txt"
 done
 # ... and so must every example: the SPEAR-DL tour (error text, compile,
