@@ -1,15 +1,13 @@
 //! Ablation studies beyond the paper's headline tables (DESIGN.md §3,
 //! experiments A–D). Each validates one §5 optimization in isolation.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
 use spear_core::error::{Result, SpearError};
 use spear_core::history::RefinementMode;
 use spear_core::llm::{GenOptions, GenRequest, LlmClient, PromptIdentity};
 use spear_core::prompt::PromptEntry;
 use spear_core::refiner::{self, RefineCtx};
 use spear_core::store::PromptStore;
+use spear_core::template::PromptText;
 use spear_core::value::{map, Value};
 use spear_core::view::{ViewCatalog, ViewDef};
 use spear_data::tweets::{self, Sentiment, TweetConfig};
@@ -98,7 +96,6 @@ pub fn ablation_planner(seed: u64) -> Result<Vec<PlannerRow>> {
 
     // Measure each refiner in isolation: confidence gain + token cost.
     let mut profiles = Vec::new();
-    let mut refined_texts: BTreeMap<String, Arc<str>> = BTreeMap::new();
     for (name, args) in &candidates {
         let entry = PromptEntry::new(base_text, "f_base", RefinementMode::Manual);
         let context = spear_core::context::Context::new();
@@ -121,14 +118,13 @@ pub fn ablation_planner(seed: u64) -> Result<Vec<PlannerRow>> {
             token_cost: token_cost.max(0.0),
             latency_us: 0.0,
         });
-        refined_texts.insert((*name).to_string(), text);
     }
 
     // Apply a refiner sequence cumulatively and measure the result.
     let apply_sequence = |names: &[String]| -> Result<(u64, f64)> {
-        let mut text: Arc<str> = base_text.into();
+        let mut text: PromptText = base_text.into();
         for name in names {
-            let entry = PromptEntry::new(Arc::clone(&text), "f", RefinementMode::Manual);
+            let entry = PromptEntry::new(text.clone(), "f", RefinementMode::Manual);
             let args = candidates
                 .iter()
                 .find(|(n, _)| n == name)

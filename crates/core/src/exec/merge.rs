@@ -1,7 +1,5 @@
 //! MERGE — reconciling two prompt fragments (paper §3.3).
 
-use std::sync::Arc;
-
 use crate::error::{Result, SpearError};
 use crate::history::{RefAction, RefinementMode};
 use crate::ops::MergePolicy;
@@ -31,15 +29,16 @@ pub(crate) fn run(
 
     let (base, merged_text, choice) = match policy {
         MergePolicy::PreferLeft => {
-            let text = Arc::clone(&l.text);
+            let text = l.text.clone();
             (l, text, "left")
         }
         MergePolicy::PreferRight => {
-            let text = Arc::clone(&r.text);
+            let text = r.text.clone();
             (r, text, "right")
         }
         MergePolicy::Concat { separator } => {
-            let text = format!("{}{separator}{}", l.text, r.text).into();
+            // Starts with the left text, so the left parse extends.
+            let text = l.text.successor(format!("{}{separator}{}", l.text, r.text));
             (l, text, "concat")
         }
         MergePolicy::BySignal {
@@ -52,7 +51,7 @@ pub(crate) fn run(
                 (Some(a), Some(b)) if b > a => (r, "right"),
                 _ => (l, "left"),
             };
-            let text = Arc::clone(&winner.text);
+            let text = winner.text.clone();
             (winner, text, choice)
         }
     };

@@ -28,20 +28,17 @@ pub(crate) mod merge;
 pub(crate) mod refine;
 pub(crate) mod ret;
 
-use std::sync::Arc;
-
 use crate::error::{Result, SpearError};
 use crate::ops::Op;
 use crate::runtime::{ExecState, Runtime};
-use crate::template::ParsedTemplate;
 use crate::trace::TraceKind;
 use crate::value::Value;
 
 /// Execute one data operator against `state`: the static dispatch table
 /// from operator to its inlined handler. `trigger` is the condition text of
-/// the innermost enclosing CHECK branch (REF records it); `parsed` is the
-/// VM's pooled pre-parse of an inline/lowered GEN template (`None` in the
-/// tree walk). Handlers never gate budgets or record `Error` events — the
+/// the innermost enclosing CHECK branch (REF records it). A GEN's prompt
+/// text carries its parse, so both spines render from the operator alone.
+/// Handlers never gate budgets or record `Error` events — the
 /// spine owns both — but do record their own success trace event, because
 /// its payload comes from the operator's internals (token usage, merge
 /// choice, …).
@@ -49,7 +46,6 @@ pub(crate) fn exec_leaf(
     rt: &Runtime,
     op: &Op,
     trigger: Option<&str>,
-    parsed: Option<&Arc<ParsedTemplate>>,
     state: &mut ExecState,
 ) -> Result<()> {
     match op {
@@ -64,7 +60,7 @@ pub(crate) fn exec_leaf(
             label,
             prompt,
             options,
-        } => gen::run(rt, label, prompt, options, parsed, state),
+        } => gen::run(rt, label, prompt, options, state),
         Op::Ref {
             target,
             action,
@@ -197,7 +193,7 @@ pub(crate) fn run_tree(
                     run_tree(rt, else_ops, state, budget, Some(&negated), limits)
                 }
             }),
-            leaf => exec_leaf(rt, leaf, trigger, None, state),
+            leaf => exec_leaf(rt, leaf, trigger, state),
         };
         if let Err(e) = outcome {
             state.trace.record(

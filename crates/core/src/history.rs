@@ -14,10 +14,10 @@
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use crate::template::PromptText;
 use crate::value::Value;
 
 /// The action type of a refinement (the first argument of `REF[action, f]`).
@@ -95,13 +95,13 @@ pub struct RefLogRecord {
     pub signals: BTreeMap<String, Value>,
     /// The prompt version this record produced.
     pub version: u64,
-    /// The full prompt text after this refinement. Storing the text (not a
-    /// diff) keeps rollback and replay trivially correct. Each text is one
-    /// shared allocation: the entry's `text`, this record, and the same
-    /// record in every later version of the entry all point at it, so *k*
-    /// refinements hold *k* + 1 texts however many versions P retains. The
-    /// ref_log itself is append-only and never pruned.
-    pub text_after: Arc<str>,
+    /// The full prompt text after this refinement, with its parse. Storing
+    /// the text (not a diff) keeps rollback and replay trivially correct.
+    /// Each text is one shared allocation: the entry's `text`, this record,
+    /// and the same record in every later version of the entry all point at
+    /// it, so *k* refinements hold *k* + 1 texts however many versions P
+    /// retains. The ref_log itself is append-only and never pruned.
+    pub text_after: PromptText,
     /// Free-form note from the refiner (e.g. the assisted LLM's rationale).
     pub note: Option<String>,
 }
@@ -165,6 +165,7 @@ impl<T: Borrow<RefLogRecord>> RefLogExt for [T] {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn record(version: u64, mode: RefinementMode, conf: Option<f64>) -> RefLogRecord {
         let mut signals = BTreeMap::new();

@@ -271,6 +271,7 @@ impl StableHash for PromptRef {
     fn stable_hash(&self, h: u64) -> u64 {
         match self {
             PromptRef::Key(k) => k.stable_hash(tag(h, 0)),
+            // A `PromptText` hashes as the `str` it derefs to.
             PromptRef::Inline(text) => text.stable_hash(tag(h, 1)),
             PromptRef::View { name, args } => args.stable_hash(name.stable_hash(tag(h, 2))),
             PromptRef::Lowered { text, identity } => {

@@ -18,6 +18,7 @@ use crate::condition::Cond;
 use crate::history::{RefAction, RefinementMode};
 use crate::llm::GenOptions;
 use crate::retriever::RetrievalQuery;
+use crate::template::PromptText;
 use crate::value::Value;
 
 /// How GEN (and prompt-based RET) names its prompt.
@@ -25,10 +26,10 @@ use crate::value::Value;
 pub enum PromptRef {
     /// A named entry in P — structured, versioned, cacheable.
     Key(String),
-    /// An ad-hoc string (may contain `{{ctx:...}}` placeholders). Opaque to
-    /// the optimizer and the prefix cache — this is the baseline the paper
-    /// compares against.
-    Inline(String),
+    /// An ad-hoc string (may contain `{{ctx:...}}` placeholders), parsed
+    /// when the operator is built. Opaque to the optimizer and the prefix
+    /// cache — this is the baseline the paper compares against.
+    Inline(PromptText),
     /// Instantiate a view on the fly without storing it in P.
     View {
         /// View name.
@@ -42,8 +43,8 @@ pub enum PromptRef {
     /// attach the source plan's structured identity, keeping such prompts
     /// cacheable (structure gates caching).
     Lowered {
-        /// Template text.
-        text: String,
+        /// Template text, parsed when the operator is built.
+        text: PromptText,
         /// Structured identity inherited from the source plan; `None`
         /// means opaque.
         identity: Option<String>,

@@ -33,9 +33,8 @@ use std::sync::Arc;
 
 use crate::condition::Cond;
 use crate::error::{Result, SpearError};
-use crate::ops::{Op, PromptRef};
+use crate::ops::Op;
 use crate::pipeline::Pipeline;
-use crate::template;
 use crate::vm::{CheckSpec, ConstPool, LeafSpec, Program, VmOp};
 
 /// The plan form this module emitted before lowering produced the program
@@ -124,21 +123,10 @@ impl Emitter {
     }
 
     fn leaf(&mut self, op: &Op, trigger: Option<&str>) {
-        // Pre-parse inline/lowered GEN templates; a template that fails to
-        // parse is emitted without one so the runtime path reproduces the
-        // exact MalformedTemplate error (and its trace) at execution time.
-        let template = match op {
-            Op::Gen {
-                prompt: PromptRef::Inline(text) | PromptRef::Lowered { text, .. },
-                ..
-            } => template::parse(text).ok(),
-            _ => None,
-        };
         let spec = LeafSpec {
             describe: self.intern(&op.describe()),
             trigger: trigger.map(|t| self.intern(t)),
             frames: self.frames.as_slice().into(),
-            template,
             op: op.clone(),
         };
         let leaf = self.leaves.len() as u32;
@@ -204,6 +192,7 @@ pub(crate) mod asm;
 mod tests {
     use super::*;
     use crate::history::RefinementMode;
+    use crate::ops::PromptRef;
     use crate::value::Value;
     use crate::vm::LeafSpec;
 

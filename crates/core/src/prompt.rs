@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use crate::context::Context;
 use crate::error::Result;
 use crate::history::{RefAction, RefLogExt, RefLogRecord, RefinementMode};
-use crate::template;
+use crate::template::PromptText;
 use crate::value::Value;
 
 /// Where a prompt entry came from.
@@ -54,9 +54,9 @@ pub enum PromptOrigin {
 /// A structured prompt fragment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PromptEntry {
-    /// Template text, possibly with `{{placeholders}}`. The same allocation
-    /// as the last ref_log record's `text_after`.
-    pub text: Arc<str>,
+    /// Template text, possibly with `{{placeholders}}`, with its parse. The
+    /// same allocation as the last ref_log record's `text_after`.
+    pub text: PromptText,
     /// Entry-local parameters consulted before the context when rendering.
     pub params: BTreeMap<String, Value>,
     /// Tags for categorization and runtime dispatch (paper §3.1).
@@ -73,7 +73,7 @@ pub struct PromptEntry {
 impl PromptEntry {
     /// Create a fresh entry at version 1 with a `CREATE` log record.
     #[must_use]
-    pub fn new(text: impl Into<Arc<str>>, f_name: &str, mode: RefinementMode) -> Self {
+    pub fn new(text: impl Into<PromptText>, f_name: &str, mode: RefinementMode) -> Self {
         Self::from_record(RefLogRecord {
             step: 0,
             action: RefAction::Create,
@@ -91,7 +91,7 @@ impl PromptEntry {
     /// entry takes its text and version from it.
     pub(crate) fn from_record(record: RefLogRecord) -> Self {
         Self {
-            text: Arc::clone(&record.text_after),
+            text: record.text_after.clone(),
             params: BTreeMap::new(),
             tags: BTreeSet::new(),
             version: record.version,
@@ -127,7 +127,7 @@ impl PromptEntry {
     ///
     /// Propagates template errors (unbound placeholder, malformed syntax).
     pub fn render(&self, context: &Context) -> Result<String> {
-        template::render(&self.text, &self.params, context)
+        Ok(self.render_segmented(context)?.join())
     }
 
     /// Render as content-hashed segments (literal fragments vs resolved
@@ -139,7 +139,7 @@ impl PromptEntry {
     ///
     /// Propagates template errors (unbound placeholder, malformed syntax).
     pub fn render_segmented(&self, context: &Context) -> Result<crate::segment::SegmentedText> {
-        template::render_segmented(&self.text, &self.params, context)
+        self.text.render(&self.params, context)
     }
 
     /// Apply a refinement that produced `new_text`, bumping the version and
@@ -149,7 +149,7 @@ impl PromptEntry {
     #[allow(clippy::too_many_arguments)] // mirrors the ref_log record's fields
     pub fn apply_refinement(
         &mut self,
-        new_text: Arc<str>,
+        new_text: PromptText,
         action: RefAction,
         f_name: &str,
         mode: RefinementMode,
@@ -171,17 +171,18 @@ impl PromptEntry {
         });
     }
 
-    /// Make `record` the latest: the entry takes its text and version.
+    /// Make `record` the latest: the entry takes its text, parse included,
+    /// and version.
     pub(crate) fn push_record(&mut self, record: RefLogRecord) {
         self.version = record.version;
-        self.text = Arc::clone(&record.text_after);
+        self.text = record.text_after.clone();
         self.ref_log.push(Arc::new(record));
     }
 
-    /// The text as of `version` (shared, so a rollback to it copies a
-    /// pointer), if that version is in the ref_log.
+    /// The text as of `version` (shared with its parse, so a rollback to it
+    /// copies pointers), if that version is in the ref_log.
     #[must_use]
-    pub fn text_at_version(&self, version: u64) -> Option<&Arc<str>> {
+    pub fn text_at_version(&self, version: u64) -> Option<&PromptText> {
         self.ref_log.at_version(version).map(|r| &r.text_after)
     }
 
@@ -224,7 +225,10 @@ mod tests {
         assert_eq!(e.version, 1);
         assert_eq!(e.ref_log.len(), 1);
         assert_eq!(e.ref_log[0].action, RefAction::Create);
-        assert!(Arc::ptr_eq(&e.ref_log[0].text_after, &e.text));
+        assert!(Arc::ptr_eq(
+            e.ref_log[0].text_after.shared(),
+            e.text.shared()
+        ));
     }
 
     #[test]
@@ -258,7 +262,10 @@ mod tests {
         assert_eq!(e.ref_log.len(), 2);
         assert_eq!(e.ref_log[1].version, 2);
         // Invariant: last record's text is the current text.
-        assert!(Arc::ptr_eq(&e.ref_log[1].text_after, &e.text));
+        assert!(Arc::ptr_eq(
+            e.ref_log[1].text_after.shared(),
+            e.text.shared()
+        ));
     }
 
     #[test]
@@ -274,8 +281,8 @@ mod tests {
             BTreeMap::new(),
             None,
         );
-        assert_eq!(e.text_at_version(1).map(AsRef::as_ref), Some("v1"));
-        assert_eq!(e.text_at_version(2).map(AsRef::as_ref), Some("v2"));
+        assert_eq!(e.text_at_version(1).map(|t| &**t), Some("v1"));
+        assert_eq!(e.text_at_version(2).map(|t| &**t), Some("v2"));
         assert_eq!(e.text_at_version(3), None);
     }
 

@@ -22,6 +22,7 @@ use crate::error::{Result, SpearError};
 use crate::llm::{GenOptions, GenRequest, LlmClient, PromptIdentity};
 use crate::metadata::Metadata;
 use crate::prompt::{PromptEntry, PromptOrigin};
+use crate::template::PromptText;
 use crate::value::Value;
 use crate::view::ViewCatalog;
 
@@ -83,9 +84,9 @@ impl RefineCtx<'_> {
 #[derive(Debug, Default)]
 pub struct RefineOutput {
     /// New prompt text; `None` means the text is unchanged (a refiner may
-    /// only write to context). Shared, so a view's resolved text reaches P
-    /// without a copy.
-    pub new_text: Option<Arc<str>>,
+    /// only write to context). It carries its parse, so a view's resolved
+    /// text reaches P without a copy or a parse.
+    pub new_text: Option<PromptText>,
     /// Structured outputs written back into C (paper §3.2).
     pub ctx_writes: Vec<(String, Value)>,
     /// Replacement params (e.g. when instantiating from a view).
@@ -99,7 +100,7 @@ pub struct RefineOutput {
 impl RefineOutput {
     /// A pure text replacement.
     #[must_use]
-    pub fn text(t: impl Into<Arc<str>>) -> Self {
+    pub fn text(t: impl Into<PromptText>) -> Self {
         Self {
             new_text: Some(t.into()),
             ..Self::default()
@@ -151,6 +152,12 @@ fn join_fragments(a: &str, b: &str) -> String {
     }
 }
 
+/// `current`'s text with `addition` joined after it, its parse extended.
+fn join_after(current: &PromptEntry, addition: &str) -> PromptText {
+    let text = &current.text;
+    text.successor(join_fragments(text, addition))
+}
+
 /// `append` — add the string argument at the end (the paper's
 /// `REF[APPEND, "Focus on dosage and timing of Enoxaparin."]`).
 struct Append;
@@ -158,7 +165,7 @@ impl Refiner for Append {
     fn refine(&self, rcx: &RefineCtx<'_>) -> Result<RefineOutput> {
         let addition = rcx.args_str("append")?;
         let current = rcx.require_current("append")?;
-        Ok(RefineOutput::text(join_fragments(&current.text, addition)))
+        Ok(RefineOutput::text(join_after(current, addition)))
     }
 }
 
@@ -329,7 +336,7 @@ impl Refiner for AutoRefine {
             None => format!("auto_refine (signal {signal} absent)"),
         };
         Ok(RefineOutput {
-            new_text: Some(join_fragments(&current.text, hint).into()),
+            new_text: Some(join_after(current, hint)),
             note: Some(note),
             ..RefineOutput::default()
         })
@@ -345,7 +352,7 @@ impl Refiner for InjectExample {
         let output = rcx.args_field("inject_example", "output")?.render();
         let current = rcx.require_current("inject_example")?;
         let example = format!("Example:\nInput: {input}\nOutput: {output}");
-        Ok(RefineOutput::text(join_fragments(&current.text, &example)))
+        Ok(RefineOutput::text(join_after(current, &example)))
     }
 }
 

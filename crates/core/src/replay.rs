@@ -32,7 +32,7 @@ pub fn replay_to(entry: &PromptEntry, version: u64) -> Result<PromptEntry> {
     let mut out = entry.clone();
     out.ref_log.truncate(idx + 1);
     out.version = version;
-    out.text = Arc::clone(&out.ref_log[idx].text_after);
+    out.text = out.ref_log[idx].text_after.clone();
     Ok(out)
 }
 
@@ -191,6 +191,9 @@ mod tests {
         assert_eq!(e.ref_log.len(), 3);
         assert_eq!(e.ref_log[1].note, None);
         assert!(Arc::ptr_eq(&e.ref_log[0], &fork.ref_log[0]));
-        assert!(Arc::ptr_eq(&e.ref_log[1].text_after, &fork.text));
+        assert!(Arc::ptr_eq(
+            e.ref_log[1].text_after.shared(),
+            fork.text.shared()
+        ));
     }
 }

@@ -42,9 +42,10 @@ impl TextSegment {
         }
     }
 
-    /// A template-literal segment from a pre-hashed shared string (the
-    /// template parse cache hashes each literal once per distinct
-    /// template). `hash` must be `fnv1a(text.as_bytes())`.
+    /// A template-literal segment from a pre-hashed shared string (a
+    /// template's parse hashes each literal once, when the prompt text is
+    /// made; a literal an append extends resumes its hash). `hash` must be
+    /// `fnv1a(text.as_bytes())`.
     #[must_use]
     pub fn from_shared(text: Arc<str>, hash: u64) -> Self {
         debug_assert_eq!(hash, fnv1a(text.as_bytes()));

@@ -25,6 +25,7 @@ use crate::diff::{self, PromptDiff};
 use crate::error::{Result, SpearError};
 use crate::history::{RefAction, RefLogRecord, RefinementMode};
 use crate::prompt::{PromptEntry, PromptOrigin};
+use crate::template::PromptText;
 use crate::value::Value;
 
 /// Named store of structured prompt fragments.
@@ -152,7 +153,7 @@ impl PromptStore {
     pub fn define(
         &mut self,
         key: impl Into<String>,
-        text: impl Into<Arc<str>>,
+        text: impl Into<PromptText>,
         f_name: &str,
         mode: RefinementMode,
     ) {
@@ -218,7 +219,7 @@ impl PromptStore {
     pub fn refine(
         &mut self,
         key: &str,
-        new_text: Arc<str>,
+        new_text: PromptText,
         action: RefAction,
         f_name: &str,
         mode: RefinementMode,
@@ -282,7 +283,7 @@ impl PromptStore {
     /// [`SpearError::PromptNotFound`] if the key is absent,
     /// [`SpearError::PromptVersionNotFound`] if the version is not retained.
     pub fn rollback(&mut self, key: &str, version: u64, step: u64) -> Result<u64> {
-        let old_text = Arc::clone(text_at(&*self.get(key)?, key, version)?);
+        let old_text = text_at(&*self.get(key)?, key, version)?.clone();
         self.refine(
             key,
             old_text,
@@ -341,7 +342,7 @@ impl PromptStore {
 }
 
 /// The text `entry` (stored under `key`) had at `version`.
-fn text_at<'e>(entry: &'e PromptEntry, key: &str, version: u64) -> Result<&'e Arc<str>> {
+fn text_at<'e>(entry: &'e PromptEntry, key: &str, version: u64) -> Result<&'e PromptText> {
     entry
         .text_at_version(version)
         .ok_or_else(|| SpearError::PromptVersionNotFound {
@@ -594,7 +595,7 @@ mod tests {
         assert_eq!(chain.len(), 9);
         for entry in &chain {
             let last = entry.ref_log.last().unwrap();
-            assert!(Arc::ptr_eq(&entry.text, &last.text_after));
+            assert!(Arc::ptr_eq(entry.text.shared(), last.text_after.shared()));
         }
         for pair in chain.windows(2) {
             for (earlier, later) in pair[0].ref_log.iter().zip(&pair[1].ref_log) {
@@ -612,7 +613,10 @@ mod tests {
         assert_eq!(text_allocations(&shadow, "p"), 9);
         assert!(Arc::ptr_eq(&s.get("p").unwrap(), &s.get("q").unwrap()));
         assert!(Arc::ptr_eq(&s.get("p").unwrap(), &shadow.get("p").unwrap()));
-        assert!(Arc::ptr_eq(&s.get("p").unwrap().text, &chain[2].text));
+        assert!(Arc::ptr_eq(
+            s.get("p").unwrap().text.shared(),
+            chain[2].text.shared()
+        ));
     }
 
     /// The design this store replaced, kept as the reference the shared one

@@ -7,12 +7,16 @@
 //! `{{ctx:name}}` pinning one source. The `{{view:name}}` form is resolved
 //! earlier, at view-instantiation time (see [`crate::view`]); encountering it
 //! here is an error, which catches views that were never instantiated.
+//!
+//! A [`PromptText`] carries its parse, made once, with the text.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
-use parking_lot::Mutex;
-use spear_kv::shard::fnv1a;
+use serde::{Content, DeError, Deserialize, Serialize};
+use spear_kv::shard::{fnv1a, fnv1a_extend};
 
 use crate::context::Context;
 use crate::error::{Result, SpearError};
@@ -24,26 +28,24 @@ use crate::value::Value;
 pub enum Segment {
     /// Literal text, as the shared, pre-hashed segment every render of the
     /// template hands the engine: a view prefix rendered on every request
-    /// of a family is allocated and hashed once per distinct template, not
-    /// once per render.
+    /// of a family is allocated and hashed once per parse, not per render.
     Literal(TextSegment),
-    /// A `{{...}}` placeholder, with its optional `source:` prefix split off.
+    /// A `{{...}}` placeholder, with its optional `source:` prefix split off
+    /// (both shared, so a derived parse copies pointers).
     Placeholder {
         /// `None` for plain `{{name}}`; `Some("ctx")`, `Some("param")`, or
         /// `Some("view")` for the prefixed forms.
-        source: Option<String>,
+        source: Option<Arc<str>>,
         /// The placeholder name.
-        name: String,
+        name: Arc<str>,
     },
 }
 
 /// A template's parse: literal and placeholder segments in order, no
-/// literal empty and no two adjacent. Shared process-wide through the
-/// parse cache and pinned into compiled-program constant pools (see
-/// [`crate::vm`]).
-#[derive(Debug)]
+/// literal empty and no two adjacent. Clones share the segments.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedTemplate {
-    segments: Vec<Segment>,
+    segments: Arc<[Segment]>,
 }
 
 impl ParsedTemplate {
@@ -53,22 +55,125 @@ impl ParsedTemplate {
         &self.segments
     }
 
-    /// Render as a [`SegmentedText`]: each literal as its shared segment,
-    /// each placeholder as one owned segment of its resolved value.
-    /// `template` is the source text, used only for error messages.
-    pub(crate) fn render(
+    /// The one parse routine, and it appends: `prev`, the parse of
+    /// `text[..from]` (which must not end in `{`), extended by the parse of
+    /// `text[from..]`, whose leading literal merges into a literal `prev`
+    /// ends with. `None` on an unclosed or empty `{{`.
+    fn extend(prev: &[Segment], text: &str, from: usize) -> Option<Self> {
+        let suffix = &text[from..];
+        let head = &suffix[..suffix.find("{{").unwrap_or(suffix.len())];
+        // Everything after the leading literal: a placeholder first.
+        let (mut rest, mut tail) = (Vec::new(), &suffix[head.len()..]);
+        while let Some(start) = tail.find("{{") {
+            rest.extend(literal(&tail[..start]));
+            let after = &tail[start + 2..];
+            let end = after.find("}}")?;
+            let inner = after[..end].trim();
+            if inner.is_empty() {
+                return None;
+            }
+            let (source, name) = match inner.split_once(':') {
+                Some((src, n)) => (Some(src.trim().into()), n.trim().into()),
+                None => (None, inner.into()),
+            };
+            rest.push(Segment::Placeholder { source, name });
+            tail = &after[end + 2..];
+        }
+        rest.extend(literal(tail));
+        let (keep, joined) = match prev.last() {
+            // One slice of `text`, hashed by resuming its old literal's hash.
+            Some(Segment::Literal(last)) if !head.is_empty() => {
+                let merged = &text[from - last.text().len()..from + head.len()];
+                let hash = fnv1a_extend(last.hash(), head.as_bytes());
+                let merged = Segment::Literal(TextSegment::from_shared(merged.into(), hash));
+                (prev.len() - 1, Some(merged))
+            }
+            _ => (prev.len(), literal(head)),
+        };
+        // Every part has an exact length, so this is one allocation.
+        let kept = prev[..keep].iter().cloned();
+        let segments = kept.chain(joined).chain(rest).collect();
+        Some(Self { segments })
+    }
+}
+
+fn literal(text: &str) -> Option<Segment> {
+    let hash = fnv1a(text.as_bytes());
+    (!text.is_empty()).then(|| Segment::Literal(TextSegment::from_shared(text.into(), hash)))
+}
+
+/// A prompt text and its parse, made together (a P entry's version and its
+/// ref_log record, a view's resolution, an inline or lowered GEN prompt).
+/// It reads as its `str`, compares and hashes by that text alone, and
+/// serializes as the bare string, parsed again when read back.
+#[derive(Clone)]
+pub struct PromptText {
+    text: Arc<str>,
+    /// `None` when the text is malformed: a render then fails as a parse
+    /// of the text does.
+    parse: Option<ParsedTemplate>,
+}
+
+impl PromptText {
+    /// Parse `text`.
+    #[must_use]
+    pub fn new(text: impl Into<Arc<str>>) -> Self {
+        let text = text.into();
+        let parse = ParsedTemplate::extend(&[], &text, 0);
+        Self { text, parse }
+    }
+
+    /// The text `next` of a version made from this one. When `next` starts
+    /// with this text (an APPEND, EXPAND or `auto_refine` step), its parse
+    /// is this one extended by the new part: O(suffix), every segment but
+    /// the last literal shared. Otherwise `next` is parsed whole.
+    #[must_use]
+    pub fn successor(&self, next: impl Into<Arc<str>>) -> Self {
+        let next = next.into();
+        match &self.parse {
+            Some(parse) if next.starts_with(&*self.text) && !self.text.ends_with('{') => {
+                let parse = ParsedTemplate::extend(parse.segments(), &next, self.text.len());
+                Self { text: next, parse }
+            }
+            _ => Self::new(next),
+        }
+    }
+
+    /// The text's allocation, which every clone shares.
+    #[must_use]
+    pub fn shared(&self) -> &Arc<str> {
+        &self.text
+    }
+
+    /// The parse, or `None` when the text is malformed.
+    #[must_use]
+    pub fn parsed(&self) -> Option<&ParsedTemplate> {
+        self.parse.as_ref()
+    }
+
+    /// Render as a [`SegmentedText`], resolving placeholders from `params`
+    /// then `context`: each literal as its shared, pre-hashed segment, each
+    /// placeholder as one owned segment of its value. The segment
+    /// boundaries let the engine recognize and memoize the shared prefix
+    /// (see the `spear-llm` token interner).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpearError::UnboundPlaceholder`] if a placeholder resolves
+    /// nowhere, and [`SpearError::MalformedTemplate`] on syntax errors.
+    pub fn render(
         &self,
-        template: &str,
         params: &BTreeMap<String, Value>,
         context: &Context,
     ) -> Result<SegmentedText> {
+        let parse = self.parse.as_ref().ok_or_else(|| malformed(&self.text))?;
         let mut out = SegmentedText::new();
-        for seg in &self.segments {
+        for seg in parse.segments() {
             match seg {
                 Segment::Literal(text) => out.push_segment(text.clone()),
                 Segment::Placeholder { source, name } => {
                     let v =
-                        resolve_placeholder(template, source.as_deref(), name, params, context)?;
+                        resolve_placeholder(&self.text, source.as_deref(), name, params, context)?;
                     out.push(v.render());
                 }
             }
@@ -77,63 +182,65 @@ impl ParsedTemplate {
     }
 }
 
-/// Distinct templates cached before the parse cache resets. Templates are
-/// a small static population (views, store entries); the bound only guards
-/// against a pathological stream of generated templates.
-const PARSE_CACHE_CAPACITY: usize = 1024;
+impl Deref for PromptText {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
 
-/// Split a template into literal and placeholder segments, memoized
-/// process-wide. Keyed by the full template string (exact, no
-/// hash-collision exposure); parse errors are not cached.
+impl<T: Into<Arc<str>>> From<T> for PromptText {
+    fn from(text: T) -> Self {
+        Self::new(text)
+    }
+}
+
+impl PartialEq for PromptText {
+    fn eq(&self, other: &Self) -> bool {
+        self.text == other.text
+    }
+}
+
+impl Eq for PromptText {}
+
+impl fmt::Debug for PromptText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.text, f)
+    }
+}
+
+impl fmt::Display for PromptText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text)
+    }
+}
+
+impl Serialize for PromptText {
+    fn serialize_content(&self) -> Content {
+        self.text.serialize_content()
+    }
+}
+
+impl Deserialize for PromptText {
+    fn deserialize_content(content: &Content) -> std::result::Result<Self, DeError> {
+        String::deserialize_content(content).map(Self::new)
+    }
+}
+
+/// Split a template into literal and placeholder segments.
 ///
 /// # Errors
 ///
 /// Returns [`SpearError::MalformedTemplate`] on an unclosed or empty `{{`.
-pub fn parse(template: &str) -> Result<Arc<ParsedTemplate>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Arc<ParsedTemplate>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(parsed) = cache.lock().get(template) {
-        return Ok(Arc::clone(parsed));
-    }
-    let mut segments = Vec::new();
-    let push_literal = |segments: &mut Vec<Segment>, text: &str| {
-        if !text.is_empty() {
-            let text: Arc<str> = text.into();
-            let hash = fnv1a(text.as_bytes());
-            segments.push(Segment::Literal(TextSegment::from_shared(text, hash)));
-        }
-    };
-    let mut rest = template;
-    while let Some(start) = rest.find("{{") {
-        push_literal(&mut segments, &rest[..start]);
-        let after = &rest[start + 2..];
-        let Some(end) = after.find("}}") else {
-            return Err(SpearError::MalformedTemplate(truncate(template)));
-        };
-        let inner = after[..end].trim();
-        if inner.is_empty() {
-            return Err(SpearError::MalformedTemplate(truncate(template)));
-        }
-        let (source, name) = match inner.split_once(':') {
-            Some((src, n)) => (Some(src.trim().to_string()), n.trim().to_string()),
-            None => (None, inner.to_string()),
-        };
-        segments.push(Segment::Placeholder { source, name });
-        rest = &after[end + 2..];
-    }
-    push_literal(&mut segments, rest);
-    let parsed = Arc::new(ParsedTemplate { segments });
-    let mut map = cache.lock();
-    if map.len() >= PARSE_CACHE_CAPACITY {
-        map.clear();
-    }
-    Ok(Arc::clone(
-        map.entry(template.to_string()).or_insert(parsed),
-    ))
+pub fn parse(template: &str) -> Result<ParsedTemplate> {
+    ParsedTemplate::extend(&[], template, 0).ok_or_else(|| malformed(template))
 }
 
-/// Resolve one placeholder against `params` then `context`, with the same
-/// error behaviour [`render`] has always had.
+fn malformed(template: &str) -> SpearError {
+    SpearError::MalformedTemplate(truncate(template))
+}
+
+/// Resolve one placeholder against `params` then `context`.
 fn resolve_placeholder(
     template: &str,
     source: Option<&str>,
@@ -164,35 +271,18 @@ fn resolve_placeholder(
     })
 }
 
-/// Render `template`, resolving placeholders from `params` then `context`.
+/// Render a bare `template` string as [`PromptText::render`] renders a
+/// prompt text, parsing it first.
 ///
 /// # Errors
 ///
-/// Returns [`SpearError::UnboundPlaceholder`] if a placeholder resolves
-/// nowhere, and [`SpearError::MalformedTemplate`] on syntax errors.
-pub fn render(
-    template: &str,
-    params: &BTreeMap<String, Value>,
-    context: &Context,
-) -> Result<String> {
-    Ok(render_segmented(template, params, context)?.join())
-}
-
-/// Render `template` as a [`SegmentedText`]: one shared, pre-hashed segment
-/// per literal and one owned segment per resolved placeholder value. The
-/// joined segments are byte-identical to [`render`]'s output; the segment
-/// boundaries are what lets the engine recognize and memoize the shared
-/// prefix (see the `spear-llm` token interner).
-///
-/// # Errors
-///
-/// Same contract as [`render`].
+/// Same contract as [`PromptText::render`].
 pub fn render_segmented(
     template: &str,
     params: &BTreeMap<String, Value>,
     context: &Context,
 ) -> Result<SegmentedText> {
-    parse(template)?.render(template, params, context)
+    PromptText::new(template).render(params, context)
 }
 
 fn truncate(template: &str) -> String {
@@ -211,7 +301,14 @@ fn truncate(template: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::RefinementMode;
+    use crate::prompt::PromptEntry;
     use crate::value::map;
+    use crate::view::{ViewCatalog, ViewDef};
+
+    fn render(t: &str, params: &BTreeMap<String, Value>, context: &Context) -> Result<String> {
+        Ok(render_segmented(t, params, context)?.join())
+    }
 
     fn params(pairs: &[(&str, Value)]) -> BTreeMap<String, Value> {
         pairs
@@ -318,18 +415,41 @@ mod tests {
 
     #[test]
     fn segmented_render_shares_literals_across_renders() {
+        // A literal is its parse's, and a parse is its text's: two renders
+        // of one entry share the literal's allocation, and so do two
+        // instantiations of one view. Two equal bare strings are parsed
+        // apart, so their renders do not.
         let mut ctx = Context::new();
         ctx.set("x", Value::from("a"));
         let template = "prefix that is shared {{ctx:x}} suffix";
-        let a = render_segmented(template, &BTreeMap::new(), &ctx).unwrap();
-        let b = render_segmented(template, &BTreeMap::new(), &ctx).unwrap();
+        let head = |s: &SegmentedText| s.segments()[0].text().as_ptr();
+
+        let entry = PromptEntry::new(template, "f", RefinementMode::Manual);
+        let a = entry.render_segmented(&ctx).unwrap();
+        let b = entry.render_segmented(&ctx).unwrap();
         assert_eq!(a, b);
+        assert!(std::ptr::eq(head(&a), head(&b)), "two renders of one entry");
+
+        let views = ViewCatalog::new();
+        views.register(ViewDef::new("v", template));
+        let c = views.instantiate("v", BTreeMap::new()).unwrap();
+        let d = views.instantiate("v", BTreeMap::new()).unwrap();
+        let (c, d) = (
+            c.render_segmented(&ctx).unwrap(),
+            d.render_segmented(&ctx).unwrap(),
+        );
+        assert_eq!(c, a);
         assert!(
-            std::ptr::eq(
-                a.segments()[0].text().as_ptr(),
-                b.segments()[0].text().as_ptr()
-            ),
-            "the literal prefix must come from the shared parse cache"
+            std::ptr::eq(head(&c), head(&d)),
+            "two instantiations of one view"
+        );
+
+        let e = render_segmented(template, &BTreeMap::new(), &ctx).unwrap();
+        let f = render_segmented(template, &BTreeMap::new(), &ctx).unwrap();
+        assert_eq!(e, f);
+        assert!(
+            !std::ptr::eq(head(&e), head(&f)),
+            "bare strings parse apart"
         );
     }
 

@@ -9,8 +9,9 @@
 //! version), and *taggable* (for runtime dispatch across note types).
 //!
 //! Like a database view, a view is resolved (composition expanded,
-//! parameter specs flattened) once per catalog state; every instantiation
-//! until the next [`ViewCatalog::register`] shares that one text.
+//! parameter specs flattened, the text parsed) once per catalog state;
+//! every instantiation until the next [`ViewCatalog::register`] shares that
+//! one text and its parse.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -24,7 +25,7 @@ use spear_kv::KvStore;
 use crate::error::{Result, SpearError};
 use crate::history::RefinementMode;
 use crate::prompt::{PromptEntry, PromptOrigin};
-use crate::template::{self, Segment};
+use crate::template::{self, PromptText, Segment};
 use crate::value::Value;
 
 /// A declared view parameter.
@@ -133,8 +134,9 @@ pub fn param_hash(args: &BTreeMap<String, Value>) -> u64 {
 #[derive(Debug)]
 struct ResolvedView {
     view: Arc<ViewDef>,
-    /// The template with every `{{view:child}}` reference expanded.
-    text: Arc<str>,
+    /// The template with every `{{view:child}}` reference expanded, and
+    /// its parse.
+    text: PromptText,
     /// Parameter specs of the view and of every view it composes.
     specs: Vec<ParamSpec>,
 }
@@ -268,7 +270,7 @@ impl ViewCatalog {
         params.extend(args);
 
         let mut entry = PromptEntry::new(
-            Arc::clone(&resolved.text),
+            resolved.text.clone(),
             &format!("view:{name}"),
             RefinementMode::Manual,
         )
@@ -293,7 +295,7 @@ impl ViewCatalog {
             return Ok(Arc::clone(raced));
         }
         let view = catalog.get(name)?;
-        let text = catalog.expand(&view, &mut Vec::new())?.into();
+        let text = PromptText::new(catalog.expand(&view, &mut Vec::new())?);
         let specs = catalog.all_param_specs(&view)?;
         let entry = Arc::new(ResolvedView { view, text, specs });
         catalog
@@ -360,7 +362,7 @@ impl Catalog {
                     name,
                 } = seg
                 {
-                    if src == "view" {
+                    if &**src == "view" {
                         if let Ok(child) = self.get(name) {
                             stack.push(child);
                         }
@@ -487,7 +489,7 @@ mod tests {
         let again = c.instantiate("outer", BTreeMap::new()).unwrap();
         assert_eq!(&*before.text, "Task.\nRespond in bullet points.");
         assert!(
-            Arc::ptr_eq(&before.text, &again.text),
+            Arc::ptr_eq(before.text.shared(), again.text.shared()),
             "one catalog state resolves a view once"
         );
 

@@ -9,8 +9,9 @@
 //!   target is a slot index;
 //! - the pool interns every string the spine can ever emit for the plan —
 //!   operator describe lines, `CHECK[...]` labels, unwind frames, REF
-//!   triggers — plus each GEN's pre-parsed prompt template, so the hot loop
-//!   never formats or parses anything that is a pure function of the plan;
+//!   triggers — so the hot loop never formats anything that is a pure
+//!   function of the plan (an inline or lowered GEN prompt is parsed once,
+//!   with the operator that holds it: see [`crate::template::PromptText`]);
 //! - the program's identity — its [`Program::fingerprint`] and
 //!   [`Program::affinity_seed`] — is derived once, when it is emitted;
 //! - the run loop is a tight match over `&[VmOp]`: no trait objects, no
@@ -44,7 +45,6 @@ use crate::exec::{self, CallLimits};
 use crate::history::RefAction;
 use crate::ops::{Op, PromptRef};
 use crate::runtime::{ExecState, Runtime};
-use crate::template::ParsedTemplate;
 use crate::trace::TraceKind;
 use crate::value::Value;
 
@@ -74,15 +74,13 @@ pub enum VmOp {
 }
 
 /// A data operator's slot: the operator plus pool indices for every string
-/// the spine can emit on its behalf, and the pre-parsed template of an
-/// inline/lowered GEN prompt.
+/// the spine can emit on its behalf.
 #[derive(Debug, Clone)]
 pub struct LeafSpec {
     pub(crate) op: Op,
     pub(crate) describe: u32,
     pub(crate) trigger: Option<u32>,
     pub(crate) frames: Box<[u32]>,
-    pub(crate) template: Option<Arc<ParsedTemplate>>,
 }
 
 impl LeafSpec {
@@ -111,11 +109,17 @@ impl LeafSpec {
         &self.frames
     }
 
-    /// Whether the leaf carries a pre-parsed prompt template (GEN over an
-    /// inline or lowered prompt whose template parsed cleanly at lowering).
+    /// Whether the leaf is a GEN over an inline or lowered prompt whose
+    /// template parsed cleanly (the text carries its parse).
     #[must_use]
     pub fn has_template(&self) -> bool {
-        self.template.is_some()
+        matches!(
+            &self.op,
+            Op::Gen {
+                prompt: PromptRef::Inline(text) | PromptRef::Lowered { text, .. },
+                ..
+            } if text.parsed().is_some()
+        )
     }
 }
 
@@ -446,7 +450,7 @@ fn step_leaf(
         return Err(e);
     }
     let trigger = spec.trigger.map(|id| pool.str(id));
-    match exec::exec_leaf(rt, &spec.op, trigger, spec.template.as_ref(), state) {
+    match exec::exec_leaf(rt, &spec.op, trigger, state) {
         Ok(()) => Ok(()),
         Err(e) => {
             unwind(state, Some(pool.str(spec.describe)), &spec.frames, pool, &e);

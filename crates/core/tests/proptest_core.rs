@@ -3,7 +3,6 @@
 //! must be total (no panics) and law-abiding for arbitrary inputs.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -12,7 +11,7 @@ use spear_core::context::Context;
 use spear_core::diff;
 use spear_core::error::SpearError;
 use spear_core::metadata::Metadata;
-use spear_core::template;
+use spear_core::template::{self, PromptText};
 use spear_core::value::Value;
 use spear_kv::shard::fnv1a;
 
@@ -47,6 +46,21 @@ fn hostile_template() -> impl Strategy<Value = String> {
         1 => "\\{\\{view:[a-z]{1,3}\\}\\}",
     ];
     proptest::collection::vec(piece, 0..24).prop_map(|pieces| pieces.concat())
+}
+
+/// Text to append to: mostly the characters a `{{`, `}}` or `source:`
+/// split across an append would be made of, a multibyte character and a
+/// few letters for names.
+fn appendable_text() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        4 => Just("{".to_string()),
+        3 => Just("}".to_string()),
+        2 => Just(":".to_string()),
+        2 => Just(" ".to_string()),
+        1 => Just("é".to_string()),
+        2 => "[a-c]{1,3}",
+    ];
+    proptest::collection::vec(piece, 0..16).prop_map(|pieces| pieces.concat())
 }
 
 fn operand_strategy() -> impl Strategy<Value = Operand> {
@@ -124,7 +138,7 @@ proptest! {
     /// characters, well-formed placeholders of every source), either parses
     /// or returns a typed error. A parse is canonical (no empty literal, no
     /// two literals adjacent, each literal hashed as the engine hashes it)
-    /// and cached (a second parse is the same `Arc`); rendering with every
+    /// and deterministic (a second parse is equal); rendering with every
     /// placeholder bound succeeds, and the flat and segmented renders agree.
     /// A `{{view:..}}` or unknown source fails the render instead.
     #[test]
@@ -137,7 +151,7 @@ proptest! {
                     continue;
                 }
             };
-            prop_assert!(Arc::ptr_eq(&parsed, &template::parse(&input).unwrap()));
+            prop_assert_eq!(&parsed, &template::parse(&input).unwrap());
             // Bind every placeholder to "x"; the render is then the literals
             // with "x" between them.
             let mut params = BTreeMap::new();
@@ -155,9 +169,9 @@ proptest! {
                     template::Segment::Placeholder { source, name } => {
                         match source.as_deref() {
                             None | Some("param") => {
-                                params.insert(name.clone(), Value::from("x"));
+                                params.insert(name.to_string(), Value::from("x"));
                             }
-                            Some("ctx") => ctx.set(name.clone(), "x"),
+                            Some("ctx") => ctx.set(name.to_string(), "x"),
                             // A view or unknown source fails the render.
                             _ => renderable = false,
                         }
@@ -166,7 +180,7 @@ proptest! {
                 }
                 after_literal = matches!(seg, template::Segment::Literal(_));
             }
-            let flat = template::render(&input, &params, &ctx);
+            let flat = template::render_segmented(&input, &params, &ctx).map(|s| s.join());
             if renderable {
                 let flat = flat.unwrap();
                 prop_assert_eq!(&flat, &expected);
@@ -218,5 +232,45 @@ proptest! {
         let json = serde_json::to_string(&v).unwrap();
         let back: Value = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(v, back);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// There is one parse routine, and it appends: the parse a text's
+    /// successor derives by extending `parse(base)` with `suffix` equals
+    /// `parse(base + suffix)` — the same segments and literal hashes, and
+    /// `None` exactly when the whole parse errs — and a render through it
+    /// joins to the flat render of the whole text. A `base` that ends in
+    /// `{` before a `suffix` that starts with one (a `{{` across the
+    /// boundary) is common in this alphabet.
+    #[test]
+    fn an_extended_parse_equals_the_whole_parse(
+        base in appendable_text(),
+        suffix in appendable_text(),
+    ) {
+        let whole = format!("{base}{suffix}");
+        let extended = PromptText::new(base.as_str()).successor(whole.as_str());
+        let fresh = template::parse(&whole);
+        prop_assert_eq!(extended.parsed(), fresh.as_ref().ok(), "{:?} + {:?}", base, suffix);
+        let Some(parse) = extended.parsed() else {
+            return Ok(());
+        };
+        let (mut params, mut ctx) = (BTreeMap::new(), Context::new());
+        for seg in parse.segments() {
+            if let template::Segment::Placeholder { name, .. } = seg {
+                params.insert(name.to_string(), Value::from("x"));
+                ctx.set(name.to_string(), "x");
+            }
+        }
+        match (
+            extended.render(&params, &ctx),
+            template::render_segmented(&whole, &params, &ctx).map(|s| s.join()),
+        ) {
+            (Ok(segmented), Ok(flat)) => prop_assert_eq!(segmented.join(), flat),
+            (Err(_), Err(_)) => {}
+            (a, b) => prop_assert!(false, "{whole:?}: {a:?} vs {b:?}"),
+        }
     }
 }

@@ -558,8 +558,11 @@ fn eight_states_instantiated_from_one_view_share_one_text() {
             let mut state = ExecState::new();
             rt.execute(&pipeline, &mut state).unwrap();
             let entry = state.prompts.get("qa_prompt").unwrap();
-            assert!(Arc::ptr_eq(&entry.text, &entry.ref_log[0].text_after));
-            Arc::clone(&entry.text)
+            assert!(Arc::ptr_eq(
+                entry.text.shared(),
+                entry.ref_log[0].text_after.shared()
+            ));
+            Arc::clone(entry.text.shared())
         })
         .collect();
     for text in &texts[1..] {

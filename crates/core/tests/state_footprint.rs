@@ -6,60 +6,19 @@
 //! state holds, and what each prompt it defines adds, is multiplied by the
 //! queue length; every new program is verified before it runs; and every
 //! slot a program runs records a trace event.
-//! These tests pin both with a counting allocator of their own; the
-//! counters are per thread, so the harness running tests side by side
-//! cannot disturb a reading.
+//! These tests pin both with the shared counting allocator
+//! (`tests/support/counting.rs`); its counters are per thread, so the
+//! harness running tests side by side cannot disturb a reading.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use spear_core::prelude::*;
+use spear_core::template::{PromptText, Segment};
 
-thread_local! {
-    // Const-initialised and without destructors: touching them never
-    // allocates, which an allocator must not do.
-    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
 
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the bookkeeping touches only const-initialised
-// thread-locals and so never re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.with(|b| b.set(b.get() + layout.size() as i64));
-        ALLOCS.with(|a| a.set(a.get() + 1));
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.with(|b| b.set(b.get() - layout.size() as i64));
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.with(|b| b.set(b.get() + new_size as i64 - layout.size() as i64));
-        ALLOCS.with(|a| a.set(a.get() + 1));
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// `(live heap bytes, allocation calls)` this thread gained while building
-/// the value `build` returns (which is still alive when they are read).
-fn footprint<T>(build: impl FnOnce() -> T) -> (T, i64, u64) {
-    let (bytes, allocs) = (LIVE_BYTES.get(), ALLOCS.get());
-    let value = build();
-    (value, LIVE_BYTES.get() - bytes, ALLOCS.get() - allocs)
-}
+use counting::footprint;
 
 #[test]
 fn an_idle_state_owns_nothing_on_the_heap() {
@@ -279,4 +238,55 @@ fn one_more_data_leaf_costs_five_allocations() {
         "four more DELEGATE steps made {} allocations",
         more - few
     );
+}
+
+#[test]
+fn an_expand_of_a_view_derived_entry_extends_the_views_parse() {
+    // The shape of a serving request that grows its prompt: an entry
+    // instantiated from a view, then one EXPAND. The expanded text starts
+    // with the view's, so its parse is the view's extended by the
+    // sentence: two allocations more than the step made when the text
+    // carried no parse (19): the segment slice and the merged tail literal.
+    // The head literal is the view's own.
+    let views = ViewCatalog::new();
+    views.register(ViewDef::new(
+        "family",
+        "You are processing support tickets. Condense the item below.\n\
+         Item: {{ctx:item}}\nAnswer with a word limit of 50.",
+    ));
+    let rt = Runtime::builder()
+        .llm(Arc::new(EchoLlm::default()))
+        .views(views)
+        .build();
+    let run = |expand: bool| {
+        let mut b = Pipeline::builder("expand").create_from_view("p", "family", Default::default());
+        if expand {
+            b = b.expand("p", "Pass 1: revisit the ledger and tighten the wording.");
+        }
+        let plan = lower(&b.build()).expect("lowers");
+        let mut state = ExecState::new();
+        state.context.set("item", "v");
+        let (report, _, allocs) = footprint(|| rt.execute_program(&plan, &mut state));
+        report.expect("runs");
+        (state, allocs)
+    };
+    run(true);
+    let ((_, without), (state, with)) = (run(false), run(true));
+    assert!(
+        with - without <= 19 + 2,
+        "an EXPAND of a view-derived entry made {} allocations",
+        with - without
+    );
+
+    let head = |text: &PromptText| match &text.parsed().expect("parses").segments()[0] {
+        Segment::Literal(literal) => literal.text().as_ptr(),
+        Segment::Placeholder { .. } => panic!("the view starts with a literal"),
+    };
+    let view = rt
+        .views()
+        .instantiate("family", Default::default())
+        .expect("instantiates");
+    let expanded = state.prompts.get("p").expect("defined");
+    assert_eq!(expanded.version, 2);
+    assert!(std::ptr::eq(head(&view.text), head(&expanded.text)));
 }

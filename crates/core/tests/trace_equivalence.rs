@@ -48,7 +48,7 @@ fn apply(mut b: PipelineBuilder, instrs: &[Instr]) -> PipelineBuilder {
             Instr::Gen(label, k) => b.gen(&format!("g{label}"), &key(*k)),
             Instr::GenInline(label, text) => b.gen_with(
                 &format!("g{label}"),
-                PromptRef::Inline(format!("{text} {{{{ctx:tweet}}}}")),
+                PromptRef::Inline(format!("{text} {{{{ctx:tweet}}}}").into()),
                 GenOptions::default(),
             ),
             Instr::Merge(l, r, into) => b.merge(

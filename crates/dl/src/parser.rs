@@ -460,7 +460,7 @@ impl Parser {
             let (name, args) = self.view_call()?;
             PromptRef::View { name, args }
         } else if self.eat_kw("INLINE") {
-            PromptRef::Inline(self.string()?)
+            PromptRef::Inline(self.string()?.into())
         } else {
             PromptRef::Key(self.string()?)
         };
@@ -1024,7 +1024,7 @@ mod tests {
                 )
                 .gen_with(
                     "b",
-                    PromptRef::Inline("Classify: {{ctx:tweet}}".to_string()),
+                    PromptRef::Inline("Classify: {{ctx:tweet}}".into()),
                     GenOptions::default(),
                 )
                 .ret_structured("notes", filters, "recent", 10)

@@ -101,7 +101,7 @@ fn expected_sink() -> Pipeline {
         .op(gen_view("empty_args", "bare", BTreeMap::new()))
         .gen_with(
             "inline",
-            PromptRef::Inline("Classify: {{ctx:tweet}}".to_string()),
+            PromptRef::Inline("Classify: {{ctx:tweet}}".into()),
             GenOptions::default(),
         )
         .create_from_view("p", "full", args([("drug", Value::from("Enoxaparin"))]))

@@ -9,12 +9,9 @@
 //! the interner for its prompt family's chain and resumes its task scan, a
 //! repeated GEN hits the memo, and every serving step leases its sequences'
 //! chains from a `BlockPool`, so what one call allocates is multiplied by
-//! the request rate. These tests pin each with a counting allocator of
-//! their own; the counters are per thread, so the harness running tests
-//! side by side cannot disturb a reading.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! the request rate. These tests pin each with the shared counting
+//! allocator (`tests/support/counting.rs`); its counters are per thread, so
+//! the harness running tests side by side cannot disturb a reading.
 
 use std::sync::Arc;
 
@@ -25,45 +22,10 @@ use spear_llm::{
     ScannedChain, SimLlm, StripedPrefixCache, TaskKind, TaskScan, Token, TokenInterner,
 };
 
-thread_local! {
-    // Const-initialised and without destructors: touching it never
-    // allocates, which an allocator must not do.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
 
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the bookkeeping touches only a const-initialised
-// thread-local and so never re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|a| a.set(a.get() + 1));
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|a| a.set(a.get() + 1));
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocation calls this thread makes while running `op`.
-fn allocs(op: impl FnOnce()) -> u64 {
-    let before = ALLOCS.get();
-    op();
-    ALLOCS.get() - before
-}
+use counting::allocs;
 
 /// A 32-block content-hash chain, as `BlockHasher` would emit it.
 fn chain() -> Vec<u64> {

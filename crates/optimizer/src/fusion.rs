@@ -157,7 +157,7 @@ fn gen(i: usize, text: String, task: &str, identity: Option<&str>) -> Op {
     Op::Gen {
         label: format!("s{i}"),
         prompt: PromptRef::Lowered {
-            text,
+            text: text.into(),
             identity: identity.map(|id| format!("{id}/stage{i}")),
         },
         options: GenOptions {

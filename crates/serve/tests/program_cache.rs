@@ -6,8 +6,6 @@
 //! thread that compiled it, a cached program must produce byte-identical
 //! traces to the lowered plan itself, and a hit must not allocate.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier, Weak};
 
@@ -22,47 +20,10 @@ use spear_core::view::ParamSpec;
 use spear_llm::{ModelProfile, SimLlm};
 use spear_serve::ProgramCache;
 
-thread_local! {
-    // Const-initialised and without destructors: touching it never
-    // allocates, which an allocator must not do.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
 
-/// Counts this thread's allocation calls, so tests running side by side
-/// cannot disturb a reading.
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the bookkeeping touches only a const-initialised
-// thread-local and so never re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|a| a.set(a.get() + 1));
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|a| a.set(a.get() + 1));
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocation calls this thread makes while running `op`.
-fn allocs(op: impl FnOnce()) -> u64 {
-    let before = ALLOCS.get();
-    op();
-    ALLOCS.get() - before
-}
+use counting::allocs;
 
 fn plain_plan(name: &str) -> Program {
     let p = Pipeline::builder(name)
