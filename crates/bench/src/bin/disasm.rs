@@ -4,10 +4,10 @@
 //!
 //! Verifies each plan of [`spear_bench::corpus`] with the bytecode lints
 //! on and prints its `spear_optimizer::listing`, which compiles the plan
-//! down to `spear-core`'s bytecode: the slots with their pool operands and
-//! static bounds, the constant pool, the whole-program envelope and the
-//! diagnostics — the quickest way to see what lowering and the constant
-//! pool actually did to a plan. The output is byte-stable and checked in
+//! down to `spear-core`'s bytecode: the slots with their spec operands and
+//! static bounds, the leaf and check specs, the whole-program envelope and
+//! the diagnostics — the quickest way to see what lowering actually did to
+//! a plan. The output is byte-stable and checked in
 //! as `results/disasm.txt`.
 
 use spear_core::analysis::{BytecodePass, Verifier};

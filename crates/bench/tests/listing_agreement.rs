@@ -50,12 +50,12 @@ fn the_listing_and_the_verifier_agree_on_every_slot() {
     for (name, plan) in plans() {
         let diagnostics = verifier.verify(&plan);
         let text = listing(&plan, Some(&diagnostics));
-        let (slots, rest) = text.split_once("CONST POOL").expect("a listing has a pool");
+        let (slots, rest) = text.split_once("SPECS").expect("a listing has specs");
         let (_, verdict) = rest
             .split_once("STATIC BOUNDS")
             .expect("a listing has bounds");
 
-        // Every pc exactly once, in order; the text after the pool
+        // Every pc exactly once, in order; the text after the spec
         // operand is the instruction, then the trigger when there is one.
         let listed: Vec<(usize, &str)> = slots.lines().filter_map(slot_line).collect();
         let pcs: Vec<usize> = listed.iter().map(|&(pc, _)| pc).collect();

@@ -37,7 +37,7 @@ use std::fmt;
 
 use crate::condition::Cond;
 use crate::ops::Op;
-use crate::vm::{self, ConstPool, Program, VmOp};
+use crate::vm::{self, Program, VmOp};
 
 use super::cfg::Cfg;
 use super::lints::{
@@ -273,11 +273,11 @@ fn leaf_effect(spec: &vm::LeafSpec, model: &ResourceModel) -> SlotBounds {
     }
 }
 
-/// The abstract effect of the instruction `op`. Out-of-pool indices
-/// contribute nothing; no program `lower` releases has one.
-fn op_effect(op: VmOp, pool: &ConstPool, model: &ResourceModel) -> SlotBounds {
+/// The abstract effect of the instruction `op`. Indices outside the
+/// program's specs contribute nothing; no program `lower` releases has one.
+fn op_effect(op: VmOp, program: &Program, model: &ResourceModel) -> SlotBounds {
     match op {
-        VmOp::Leaf { leaf } => pool
+        VmOp::Leaf { leaf } => program
             .leaves()
             .get(leaf as usize)
             .map_or_else(SlotBounds::zero, |spec| leaf_effect(spec, model)),
@@ -292,9 +292,8 @@ fn op_effect(op: VmOp, pool: &ConstPool, model: &ResourceModel) -> SlotBounds {
 #[must_use]
 pub fn analyze(program: &Program, model: &ResourceModel) -> ProgramBounds {
     let code = program.code();
-    let pool = program.pool();
-    let cfg = Cfg::new(code, pool, true);
-    let effect = |pc: usize| op_effect(code[pc], pool, model);
+    let cfg = Cfg::new(program, true);
+    let effect = |pc: usize| op_effect(code[pc], program, model);
 
     // The path-sum fact at the exit, the sweep's last entry.
     let exit = cfg
@@ -310,7 +309,7 @@ pub fn analyze(program: &Program, model: &ResourceModel) -> ProgramBounds {
     for (pc, &op) in code.iter().enumerate() {
         if cfg.is_reachable(pc) {
             per_op.push(Some(effect(pc)));
-            unwind_depth = unwind_depth.max(op_unwind_depth(op, pool));
+            unwind_depth = unwind_depth.max(op_unwind_depth(op, program));
         } else {
             per_op.push(None);
         }
@@ -363,14 +362,14 @@ pub(super) fn deadline_diagnostic(program: &Program, deadline_us: u64) -> Option
 }
 
 /// Deepest error unwind the instruction can emit: its own trace line plus
-/// one line per enclosing CHECK frame.
-fn op_unwind_depth(op: VmOp, pool: &ConstPool) -> u64 {
-    let frames = match op {
-        VmOp::Leaf { leaf } => pool.leaves().get(leaf as usize).map(|s| s.frame_ids()),
-        VmOp::Check { check, .. } => pool.checks().get(check as usize).map(|s| s.frame_ids()),
+/// one line per enclosing CHECK, the length of its chain.
+fn op_unwind_depth(op: VmOp, program: &Program) -> u64 {
+    let within = match op {
+        VmOp::Leaf { leaf } => program.leaves().get(leaf as usize).map(|s| s.within()),
+        VmOp::Check { check, .. } => program.checks().get(check as usize).map(|s| s.within()),
         VmOp::Jump { .. } => None,
     };
-    frames.map_or(0, |f| f.len() as u64 + 1)
+    within.map_or(0, |within| program.enclosing(within).count() as u64 + 1)
 }
 
 /// Opt-in lint pass over the cond-refined graph, reporting
@@ -392,7 +391,7 @@ impl LintPass for BytecodePass {
 
     fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
         let program = cx.program;
-        let live = Cfg::new(program.code(), program.pool(), true);
+        let live = Cfg::new(program, true);
         let describe = |slot: usize| program.describe(slot).unwrap_or_default();
         let mut diags = Vec::new();
 
@@ -417,7 +416,7 @@ impl LintPass for BytecodePass {
             if !live.is_reachable(slot) {
                 continue;
             }
-            let cond = program.pool().check(check).cond();
+            let cond = program.check(check).cond();
             if let Some(value) = static_cond(cond) {
                 let (verdict, dead) = if value {
                     ("always holds", "else")

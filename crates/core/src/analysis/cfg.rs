@@ -9,7 +9,7 @@
 //!   and `on_false`;
 //! - `Jump { target }` has the single successor `target`.
 //!
-//! [`Cfg::new`] is the one constructor, over a program's code and pool.
+//! [`Cfg::new`] is the one constructor, over a program.
 //! Asked for the *refined* graph, it decides each CHECK by
 //! [`static_cond`]: a statically decided CHECK keeps only its live edge
 //! (the graph the abstract interpreter and [`super::BytecodePass`]
@@ -28,7 +28,7 @@
 
 use crate::ops::Op;
 use crate::plan::PLACEHOLDER;
-use crate::vm::{ConstPool, Program, VmOp};
+use crate::vm::{Program, VmOp};
 
 use super::absint::static_cond;
 
@@ -81,12 +81,13 @@ pub struct Cfg {
 }
 
 impl Cfg {
-    /// The graph of `code`, whose pool indices point into `pool`. With
-    /// `refined`, a CHECK whose condition [`static_cond`] decides
-    /// contributes only its live edge. Every target is clamped to the exit
-    /// `code.len()`; a CHECK index outside `pool` counts as undecided.
+    /// The graph of `program`'s code. With `refined`, a CHECK whose
+    /// condition [`static_cond`] decides contributes only its live edge.
+    /// Every target is clamped to the exit `code.len()`; a CHECK index
+    /// outside the program's check specs counts as undecided.
     #[must_use]
-    pub fn new(code: &[VmOp], pool: &ConstPool, refined: bool) -> Cfg {
+    pub fn new(program: &Program, refined: bool) -> Cfg {
+        let code = program.code();
         let len = code.len();
         Self::from_succs(
             code.iter()
@@ -98,7 +99,7 @@ impl Cfg {
                         VmOp::Jump { target } => Succs::one((target as usize).min(len)),
                         VmOp::Check { check, on_false } => {
                             let on_false = (on_false as usize).min(len);
-                            let decided = pool
+                            let decided = program
                                 .checks()
                                 .get(check as usize)
                                 .filter(|_| refined)
@@ -240,7 +241,6 @@ pub(crate) fn structural_diagnostics(program: &Program) -> Vec<Diagnostic> {
         match op {
             VmOp::Leaf { leaf } => {
                 let carries_check = program
-                    .pool()
                     .leaves()
                     .get(leaf as usize)
                     .is_some_and(|spec| matches!(spec.op(), Op::Check { .. }));
@@ -340,7 +340,7 @@ mod tests {
 
     /// The unrefined graph, the one the gate and the default passes read.
     fn cfg(program: &Program) -> Cfg {
-        Cfg::new(program.code(), program.pool(), false)
+        Cfg::new(program, false)
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! The pieces:
 //!
 //! - [`cfg`](mod@cfg) is the one control-flow graph: [`Cfg::new`] over a
-//!   program's code and pool, optionally with statically-decided CHECKs
+//!   program, optionally with statically-decided CHECKs
 //!   refined to their live edge, plus the structural gate
 //!   (`verify_structural`) that [`crate::plan::lower`] runs on emitted
 //!   code — out-of-bounds targets, the lowering placeholder, a CHECK in a
@@ -65,7 +65,7 @@ pub(crate) fn verify_structural(program: &Program) -> Vec<Diagnostic> {
     if !diags.is_empty() {
         return diags;
     }
-    let cfg = Cfg::new(program.code(), program.pool(), false);
+    let cfg = Cfg::new(program, false);
     cfg::termination_diagnostics(program, &cfg)
 }
 
@@ -155,7 +155,7 @@ impl<'rt> Verifier<'rt> {
     /// graph is well formed and moves strictly forward.
     #[must_use]
     pub fn verify(&self, program: &Program) -> Vec<Diagnostic> {
-        let cfg = Cfg::new(program.code(), program.pool(), false);
+        let cfg = Cfg::new(program, false);
         let cx = PassContext {
             program,
             cfg: &cfg,

@@ -69,7 +69,7 @@ impl LintPass for ReachabilityPass {
 /// The operator of slot `slot`, when it is a leaf.
 fn leaf_op(program: &Program, slot: usize) -> Option<&Op> {
     match program.code()[slot] {
-        VmOp::Leaf { leaf } => Some(program.pool().leaf(leaf).op()),
+        VmOp::Leaf { leaf } => Some(program.leaf(leaf).op()),
         VmOp::Check { .. } | VmOp::Jump { .. } => None,
     }
 }

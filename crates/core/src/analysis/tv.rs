@@ -47,8 +47,8 @@ impl fmt::Display for TvFailure {
 }
 
 /// Slot-for-slot equality of two programs: the same name, size and slot
-/// count, and at every slot the same instruction shape, content (compared
-/// through each program's own pool) and branch target. What compared a
+/// count, and at every slot the same instruction shape, spec and branch
+/// target. What compared a
 /// translation with its source before `lower` emitted the program itself;
 /// a program and its clone always pass.
 ///
@@ -92,46 +92,24 @@ pub fn validate_compile(plan: &Program, program: &Program) -> Result<(), Vec<TvF
     }
 }
 
-/// Observable equality of the two instructions at `pc`, content-wise
-/// across the two pools. `pc` is in range of both programs.
+/// Observable equality of the two instructions at `pc`: equal specs,
+/// which hold everything a slot can emit (its operator or condition, its
+/// label and triggers, its enclosing branch). `pc` is in range of both
+/// programs.
 fn obs_eq(a: &Program, b: &Program, pc: usize) -> Result<(), String> {
-    let (pl, ql) = (a.pool(), b.pool());
     let leaf_eq = |ia: u32, ib: u32| -> Result<(), String> {
-        let (sa, sb) = match (pl.leaves().get(ia as usize), ql.leaves().get(ib as usize)) {
-            (Some(sa), Some(sb)) => (sa, sb),
-            _ => return Err("leaf index escapes the pool".into()),
-        };
-        if sa.op() != sb.op()
-            || pl.str(sa.describe_id()) != ql.str(sb.describe_id())
-            || sa.trigger_id().map(|id| pl.str(id)) != sb.trigger_id().map(|id| ql.str(id))
-            || sa.frame_ids().len() != sb.frame_ids().len()
-            || sa
-                .frame_ids()
-                .iter()
-                .zip(sb.frame_ids())
-                .any(|(&x, &y)| pl.str(x) != ql.str(y))
-        {
-            return Err("leaf specs differ".into());
+        match (a.leaves().get(ia as usize), b.leaves().get(ib as usize)) {
+            (Some(sa), Some(sb)) if sa == sb => Ok(()),
+            (Some(_), Some(_)) => Err("leaf specs differ".into()),
+            _ => Err("leaf index escapes the specs".into()),
         }
-        Ok(())
     };
     let check_eq = |ia: u32, ib: u32| -> Result<(), String> {
-        let (sa, sb) = match (pl.checks().get(ia as usize), ql.checks().get(ib as usize)) {
-            (Some(sa), Some(sb)) => (sa, sb),
-            _ => return Err("check index escapes the pool".into()),
-        };
-        if sa.cond() != sb.cond()
-            || pl.str(sa.label_id()) != ql.str(sb.label_id())
-            || sa.frame_ids().len() != sb.frame_ids().len()
-            || sa
-                .frame_ids()
-                .iter()
-                .zip(sb.frame_ids())
-                .any(|(&x, &y)| pl.str(x) != ql.str(y))
-        {
-            return Err("check specs differ".into());
+        match (a.checks().get(ia as usize), b.checks().get(ib as usize)) {
+            (Some(sa), Some(sb)) if sa == sb => Ok(()),
+            (Some(_), Some(_)) => Err("check specs differ".into()),
+            _ => Err("check index escapes the specs".into()),
         }
-        Ok(())
     };
     match (a.code()[pc], b.code()[pc]) {
         (VmOp::Leaf { leaf: la }, VmOp::Leaf { leaf: lb }) => leaf_eq(la, lb),

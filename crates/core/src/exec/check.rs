@@ -8,7 +8,7 @@ use crate::value::Value;
 
 /// Evaluate a condition and record the `CheckTaken`/`CheckSkipped` event
 /// under `label`, which must be exactly `format!("CHECK[{cond}]")` (the
-/// tree walk passes `Op::describe()`, the compiled VM its pooled copy) so
+/// tree walk passes `Op::describe()`, the compiled VM its check spec's) so
 /// traces stay byte-identical. Evaluation errors record nothing here — the
 /// spine logs them.
 pub(crate) fn eval_labeled(cond: &Cond, label: &str, state: &mut ExecState) -> Result<bool> {

@@ -30,7 +30,7 @@ use crate::ops::{MergePolicy, Op, PayloadSpec, PromptRef};
 use crate::retriever::RetrievalQuery;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::value::Value;
-use crate::vm::{Program, VmOp};
+use crate::vm::{Program, VmOp, Within};
 
 /// A value with a stable structural encoding, folded into an FNV-1a state.
 pub trait StableHash {
@@ -363,36 +363,45 @@ impl StableHash for Op {
 
 /// A program folds the stream of the slot form lowering emits it from:
 /// name, source size, then the slots as a sequence — a leaf as tag 0, its
-/// operator, its trigger as an `Option` of text and its frames as a
-/// sequence of text; a CHECK as tag 1, its condition, its else-target and
-/// its frames; a JUMP as tag 2 and its target; targets widened to `u64`.
-/// Strings are folded from the pool, so the hash depends on the text, not
-/// on pool indices.
+/// operator, its trigger as an `Option` of text and its frames (the labels
+/// of its enclosing CHECKs, outermost first) as a sequence of text; a
+/// CHECK as tag 1, its condition, its else-target and its frames; a JUMP
+/// as tag 2 and its target; targets widened to `u64`. The nesting is
+/// folded as text, so the hash depends on it, not on spec indices.
 impl StableHash for Program {
     fn stable_hash(&self, h: u64) -> u64 {
-        let pool = self.pool();
-        let frames = |ids: &[u32], h: u64| {
-            ids.iter().fold(ids.len().stable_hash(h), |h, &id| {
-                pool.str(id).stable_hash(h)
-            })
+        let frames = |within: Within, h: u64| {
+            let depth = self.enclosing(within).count();
+            fold_labels(self, within, depth.stable_hash(h))
         };
         let h = self.source_size().stable_hash(self.name().stable_hash(h));
         let code = self.code();
         code.iter()
             .fold(code.len().stable_hash(h), |h, &slot| match slot {
                 VmOp::Leaf { leaf } => {
-                    let spec = pool.leaf(leaf);
+                    let spec = self.leaf(leaf);
                     let h = spec.op().stable_hash(tag(h, 0));
-                    let h = spec.trigger_id().map(|id| pool.str(id)).stable_hash(h);
-                    frames(spec.frame_ids(), h)
+                    let h = self.trigger(spec.within()).stable_hash(h);
+                    frames(spec.within(), h)
                 }
                 VmOp::Check { check, on_false } => {
-                    let spec = pool.check(check);
+                    let spec = self.check(check);
                     let h = spec.cond().stable_hash(tag(h, 1));
-                    frames(spec.frame_ids(), u64::from(on_false).stable_hash(h))
+                    frames(spec.within(), u64::from(on_false).stable_hash(h))
                 }
                 VmOp::Jump { target } => u64::from(target).stable_hash(tag(h, 2)),
             })
+    }
+}
+
+/// Fold the labels of the CHECKs enclosing `within`, outermost first: the
+/// chain runs innermost-first, so recurse to its end before folding.
+fn fold_labels(program: &Program, within: Within, h: u64) -> u64 {
+    match within.and_then(|(check, _)| program.checks().get(check as usize)) {
+        Some(spec) => spec
+            .label()
+            .stable_hash(fold_labels(program, spec.within(), h)),
+        None => h,
     }
 }
 

@@ -130,7 +130,7 @@ pub use segment::{SegmentedText, TextSegment};
 pub use store::PromptStore;
 pub use value::Value;
 pub use view::{ParamSpec, ViewCatalog, ViewDef};
-pub use vm::{CheckSpec, ConstPool, LeafSpec, Program, VmOp};
+pub use vm::{CheckSpec, LeafSpec, Program, VmOp};
 
 /// Convenient glob-import of the most-used types.
 pub mod prelude {
@@ -162,5 +162,5 @@ pub mod prelude {
     pub use crate::trace::{Trace, TraceEvent, TraceKind};
     pub use crate::value::{map, Value};
     pub use crate::view::{ParamSpec, ViewCatalog, ViewDef};
-    pub use crate::vm::{ConstPool, Program, VmOp};
+    pub use crate::vm::{Program, VmOp};
 }

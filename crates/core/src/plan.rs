@@ -8,34 +8,32 @@
 //! non-CHECK operator becomes a `Leaf`, every CHECK a `Check` with an
 //! explicit `on_false` jump target, and a then-branch followed by an
 //! else-branch ends in a `Jump` over the else block (see
-//! [`crate::vm::VmOp`]). Each slot's strings are interned into the
-//! program's [`crate::vm::ConstPool`] as the slot is emitted, in slot
-//! order.
+//! [`crate::vm::VmOp`]). The code and the leaf and check specs are sized
+//! for the tree before the walk, so they never grow.
 //!
-//! Two pieces of tree-shaped bookkeeping are baked into the slots so the
-//! flat program reproduces the tree walk byte-for-byte:
+//! The tree's nesting is baked into the specs so the flat program
+//! reproduces the tree walk byte-for-byte: each spec names its innermost
+//! enclosing CHECK branch ([`crate::vm::Within`]), and each check spec its
+//! own, so the enclosing CHECKs form a chain. It gives the two pieces of
+//! tree-shaped bookkeeping the tree walk keeps on its stack:
 //!
 //! - **triggers** — a REF inside a CHECK branch records the branch's
-//!   condition text in its ref_log; each leaf carries the trigger of its
-//!   innermost enclosing branch.
+//!   condition text in its ref_log: the innermost branch's text, which
+//!   its check spec holds, formatted once here;
 //! - **frames** — when an operator fails, the tree walk records one
-//!   `Error` trace event per enclosing CHECK while unwinding; each slot
-//!   carries the pooled `describe()` strings of its enclosing CHECKs
-//!   (outermost first) so the spine can replay that unwind.
+//!   `Error` trace event per enclosing CHECK while unwinding; the spine
+//!   replays that unwind by walking the chain innermost-first.
 //!
 //! Both executors — [`crate::runtime::Runtime::execute`], which runs the
 //! lowered program, and the reference tree walk kept as
 //! [`crate::runtime::Runtime::execute_tree`] — are differentially tested
 //! for byte-identical traces (`tests/trace_equivalence.rs`).
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use crate::condition::Cond;
 use crate::error::{Result, SpearError};
 use crate::ops::Op;
 use crate::pipeline::Pipeline;
-use crate::vm::{CheckSpec, ConstPool, LeafSpec, Program, VmOp};
+use crate::vm::{Branch, CheckSpec, LeafSpec, Program, VmOp, Within};
 
 /// The plan form this module emitted before lowering produced the program
 /// directly; it is the program.
@@ -58,9 +56,36 @@ pub(crate) const PLACEHOLDER: u32 = u32::MAX;
 /// Returns [`SpearError::InvalidPlan`] carrying the structural diagnostics
 /// when the emitted code is malformed.
 pub fn lower(pipeline: &Pipeline) -> Result<Program> {
-    let mut emitter = Emitter::default();
+    let [leaves, checks, jumps] = slots(&pipeline.ops);
+    let mut emitter = Emitter {
+        code: Vec::with_capacity(leaves + checks + jumps),
+        leaves: Vec::with_capacity(leaves),
+        checks: Vec::with_capacity(checks),
+    };
     emitter.ops(&pipeline.ops, None);
-    release(emitter.finish(pipeline.name.clone(), pipeline.size()))
+    release(emitter.finish(pipeline.name.clone(), (leaves + checks) as u64))
+}
+
+/// The leaf, check and jump slots lowering `ops` emits: one slot per
+/// operator (their sum with the checks is `Pipeline::size()`), plus a
+/// JUMP per CHECK with an else-branch.
+fn slots(ops: &[Op]) -> [usize; 3] {
+    ops.iter()
+        .fold([0; 3], |[leaves, checks, jumps], op| match op {
+            Op::Check {
+                then_ops, else_ops, ..
+            } => {
+                let [tl, tc, tj] = slots(then_ops);
+                let [el, ec, ej] = slots(else_ops);
+                let jump = usize::from(!else_ops.is_empty());
+                [
+                    leaves + tl + el,
+                    checks + 1 + tc + ec,
+                    jumps + jump + tj + ej,
+                ]
+            }
+            _ => [leaves + 1, checks, jumps],
+        })
 }
 
 /// The fail-closed gate between emitting code and handing the program to
@@ -79,85 +104,64 @@ fn release(program: Program) -> Result<Program> {
     Ok(program)
 }
 
-/// The code and constant pool under construction.
+/// The code and specs under construction.
 #[derive(Default)]
 struct Emitter {
     code: Vec<VmOp>,
-    strings: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
     leaves: Vec<LeafSpec>,
     checks: Vec<CheckSpec>,
-    /// Pool ids of the enclosing CHECKs' labels, outermost first: the
-    /// unwind frames of the next slot.
-    frames: Vec<u32>,
 }
 
 impl Emitter {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.index.get(s) {
-            return id;
-        }
-        let id = self.strings.len() as u32;
-        let shared: Arc<str> = Arc::from(s);
-        self.strings.push(Arc::clone(&shared));
-        self.index.insert(shared, id);
-        id
-    }
-
     /// The index the next emitted slot takes.
     fn pc(&self) -> u32 {
         self.code.len() as u32
     }
 
-    fn ops(&mut self, ops: &[Op], trigger: Option<&str>) {
+    /// Emit `ops`, each inside the branch `within`.
+    fn ops(&mut self, ops: &[Op], within: Within) {
         for op in ops {
             match op {
                 Op::Check {
                     cond,
                     then_ops,
                     else_ops,
-                } => self.check(cond, then_ops, else_ops),
-                other => self.leaf(other, trigger),
+                } => self.check(cond, then_ops, else_ops, within),
+                other => self.leaf(other, within),
             }
         }
     }
 
-    fn leaf(&mut self, op: &Op, trigger: Option<&str>) {
-        let spec = LeafSpec {
-            describe: self.intern(&op.describe()),
-            trigger: trigger.map(|t| self.intern(t)),
-            frames: self.frames.as_slice().into(),
-            op: op.clone(),
-        };
+    fn leaf(&mut self, op: &Op, within: Within) {
         let leaf = self.leaves.len() as u32;
-        self.leaves.push(spec);
+        self.leaves.push(LeafSpec {
+            op: op.clone(),
+            within,
+        });
         self.code.push(VmOp::Leaf { leaf });
     }
 
-    /// Push `cond`'s check spec, framed by the enclosing CHECKs; returns
-    /// its index and its label's pool id.
-    fn check_spec(&mut self, cond: &Cond) -> (u32, u32) {
-        let label = self.intern(&format!("CHECK[{cond}]"));
+    /// Push `cond`'s check spec inside the branch `within`, with the else
+    /// branch's trigger when it has one; returns its index.
+    fn check_spec(&mut self, cond: &Cond, within: Within, has_else: bool) -> u32 {
         self.checks.push(CheckSpec {
             cond: cond.clone(),
-            label,
-            frames: self.frames.as_slice().into(),
+            // `Op::Check` describes itself as this label.
+            label: format!("CHECK[{cond}]"),
+            negated: has_else.then(|| format!("!({cond})")),
+            within,
         });
-        (self.checks.len() as u32 - 1, label)
+        self.checks.len() as u32 - 1
     }
 
-    fn check(&mut self, cond: &Cond, then_ops: &[Op], else_ops: &[Op]) {
-        // The label is also the frame string: `Op::Check` describes itself
-        // as `CHECK[{cond}]`.
-        let (check, label) = self.check_spec(cond);
+    fn check(&mut self, cond: &Cond, then_ops: &[Op], else_ops: &[Op], within: Within) {
+        let check = self.check_spec(cond, within, !else_ops.is_empty());
         let check_at = self.code.len();
         self.code.push(VmOp::Check {
             check,
             on_false: PLACEHOLDER,
         });
-        let cond_text = cond.to_string();
-        self.frames.push(label);
-        self.ops(then_ops, Some(&cond_text));
+        self.ops(then_ops, Some((check, Branch::Then)));
         let on_false = if else_ops.is_empty() {
             self.pc()
         } else {
@@ -166,22 +170,16 @@ impl Emitter {
                 target: PLACEHOLDER,
             });
             let else_start = self.pc();
-            self.ops(else_ops, Some(&format!("!({cond_text})")));
+            self.ops(else_ops, Some((check, Branch::Else)));
             self.code[jump_at] = VmOp::Jump { target: self.pc() };
             else_start
         };
-        self.frames.pop();
         self.code[check_at] = VmOp::Check { check, on_false };
     }
 
     /// The emitted program, not yet gated.
     fn finish(self, name: String, source_size: u64) -> Program {
-        let pool = ConstPool {
-            strings: self.strings,
-            leaves: self.leaves,
-            checks: self.checks,
-        };
-        Program::assemble(name, source_size, self.code, pool)
+        Program::assemble(name, source_size, self.code, self.leaves, self.checks)
     }
 }
 
@@ -194,22 +192,27 @@ mod tests {
     use crate::history::RefinementMode;
     use crate::ops::PromptRef;
     use crate::value::Value;
-    use crate::vm::LeafSpec;
 
     /// The leaf spec at slot `pc`.
     fn leaf_at(program: &Program, pc: usize) -> &LeafSpec {
         let VmOp::Leaf { leaf } = program.code()[pc] else {
             panic!("leaf at {pc}: {:?}", program.code())
         };
-        program.pool().leaf(leaf)
+        program.leaf(leaf)
     }
 
-    /// A leaf's trigger text and frame strings, read from the pool.
+    /// The labels of the CHECKs enclosing a slot inside `within`,
+    /// outermost first.
+    fn frames(program: &Program, within: Within) -> Vec<&str> {
+        let mut frames: Vec<&str> = program.enclosing(within).map(CheckSpec::label).collect();
+        frames.reverse();
+        frames
+    }
+
+    /// A leaf's trigger text and frame labels.
     fn trigger_and_frames(program: &Program, pc: usize) -> (Option<&str>, Vec<&str>) {
-        let pool = program.pool();
-        let spec = leaf_at(program, pc);
-        let frames = spec.frame_ids().iter().map(|&id| pool.str(id)).collect();
-        (spec.trigger_id().map(|id| pool.str(id)), frames)
+        let within = leaf_at(program, pc).within();
+        (program.trigger(within), frames(program, within))
     }
 
     #[test]
@@ -222,7 +225,7 @@ mod tests {
         assert_eq!(lowered.name(), "flat");
         assert_eq!(lowered.source_size(), 2);
         assert_eq!(lowered.code().len(), 2);
-        assert_eq!(lowered.pool().leaves().len(), 2);
+        assert_eq!(lowered.leaves().len(), 2);
         for pc in 0..2 {
             assert_eq!(trigger_and_frames(&lowered, pc), (None, vec![]));
         }
@@ -287,14 +290,10 @@ mod tests {
         let VmOp::Check { check, .. } = lowered.code()[1] else {
             panic!("inner check at 1: {:?}", lowered.code())
         };
-        let pool = lowered.pool();
-        let frames: Vec<&str> = pool
-            .check(check)
-            .frame_ids()
-            .iter()
-            .map(|&id| pool.str(id))
-            .collect();
-        assert_eq!(frames, ["CHECK[true]"]);
+        assert_eq!(
+            frames(&lowered, lowered.check(check).within()),
+            ["CHECK[true]"]
+        );
     }
 
     /// The seed a plan whose family text is `key` must carry.

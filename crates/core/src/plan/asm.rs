@@ -1,5 +1,5 @@
 //! Hand-written code for tests: slots assembled into a [`Program`] through
-//! the lowering's own interner, *without* the structural gate, so tests can
+//! the lowering's own emitter, *without* the structural gate, so tests can
 //! hold the malformed shapes `lower` never releases and feed them to the
 //! gate, the analyses and the VM.
 
@@ -28,7 +28,7 @@ pub(crate) fn assemble(name: &str, slots: Vec<Slot>) -> Program {
         match slot {
             Slot::Leaf(op) => emitter.leaf(&op, None),
             Slot::Check(cond, on_false) => {
-                let (check, _) = emitter.check_spec(&cond);
+                let check = emitter.check_spec(&cond, None, false);
                 emitter.code.push(VmOp::Check { check, on_false });
             }
             Slot::Jump(target) => emitter.code.push(VmOp::Jump { target }),

@@ -58,14 +58,16 @@ impl ParsedTemplate {
     /// The one parse routine, and it appends: `prev`, the parse of
     /// `text[..from]` (which must not end in `{`), extended by the parse of
     /// `text[from..]`, whose leading literal merges into a literal `prev`
-    /// ends with. `None` on an unclosed or empty `{{`.
-    fn extend(prev: &[Segment], text: &str, from: usize) -> Option<Self> {
+    /// ends with. A literal that is all of `text` shares `whole`, the
+    /// text's own allocation, when one is passed. `None` on an unclosed or
+    /// empty `{{`.
+    fn extend(prev: &[Segment], text: &str, from: usize, whole: Option<&Arc<str>>) -> Option<Self> {
         let suffix = &text[from..];
         let head = &suffix[..suffix.find("{{").unwrap_or(suffix.len())];
         // Everything after the leading literal: a placeholder first.
         let (mut rest, mut tail) = (Vec::new(), &suffix[head.len()..]);
         while let Some(start) = tail.find("{{") {
-            rest.extend(literal(&tail[..start]));
+            rest.extend(literal(&tail[..start], whole));
             let after = &tail[start + 2..];
             let end = after.find("}}")?;
             let inner = after[..end].trim();
@@ -79,16 +81,16 @@ impl ParsedTemplate {
             rest.push(Segment::Placeholder { source, name });
             tail = &after[end + 2..];
         }
-        rest.extend(literal(tail));
+        rest.extend(literal(tail, whole));
         let (keep, joined) = match prev.last() {
             // One slice of `text`, hashed by resuming its old literal's hash.
             Some(Segment::Literal(last)) if !head.is_empty() => {
                 let merged = &text[from - last.text().len()..from + head.len()];
                 let hash = fnv1a_extend(last.hash(), head.as_bytes());
-                let merged = Segment::Literal(TextSegment::from_shared(merged.into(), hash));
-                (prev.len() - 1, Some(merged))
+                let merged = TextSegment::from_shared(share(merged, whole), hash);
+                (prev.len() - 1, Some(Segment::Literal(merged)))
             }
-            _ => (prev.len(), literal(head)),
+            _ => (prev.len(), literal(head, whole)),
         };
         // Every part has an exact length, so this is one allocation.
         let kept = prev[..keep].iter().cloned();
@@ -97,9 +99,18 @@ impl ParsedTemplate {
     }
 }
 
-fn literal(text: &str) -> Option<Segment> {
+/// `slice`, a slice of the text being parsed, as a shared string: `whole`,
+/// the text's own allocation, when the slice is all of it.
+fn share(slice: &str, whole: Option<&Arc<str>>) -> Arc<str> {
+    match whole {
+        Some(whole) if whole.len() == slice.len() => Arc::clone(whole),
+        _ => slice.into(),
+    }
+}
+
+fn literal(text: &str, whole: Option<&Arc<str>>) -> Option<Segment> {
     let hash = fnv1a(text.as_bytes());
-    (!text.is_empty()).then(|| Segment::Literal(TextSegment::from_shared(text.into(), hash)))
+    (!text.is_empty()).then(|| Segment::Literal(TextSegment::from_shared(share(text, whole), hash)))
 }
 
 /// A prompt text and its parse, made together (a P entry's version and its
@@ -115,24 +126,27 @@ pub struct PromptText {
 }
 
 impl PromptText {
-    /// Parse `text`.
+    /// Parse `text`. A text without placeholders is one literal, which
+    /// shares the text's allocation.
     #[must_use]
     pub fn new(text: impl Into<Arc<str>>) -> Self {
         let text = text.into();
-        let parse = ParsedTemplate::extend(&[], &text, 0);
+        let parse = ParsedTemplate::extend(&[], &text, 0, Some(&text));
         Self { text, parse }
     }
 
     /// The text `next` of a version made from this one. When `next` starts
     /// with this text (an APPEND, EXPAND or `auto_refine` step), its parse
     /// is this one extended by the new part: O(suffix), every segment but
-    /// the last literal shared. Otherwise `next` is parsed whole.
+    /// the last literal shared, and that one is `next` itself when it
+    /// spans the whole text. Otherwise `next` is parsed whole.
     #[must_use]
     pub fn successor(&self, next: impl Into<Arc<str>>) -> Self {
         let next = next.into();
         match &self.parse {
             Some(parse) if next.starts_with(&*self.text) && !self.text.ends_with('{') => {
-                let parse = ParsedTemplate::extend(parse.segments(), &next, self.text.len());
+                let parse =
+                    ParsedTemplate::extend(parse.segments(), &next, self.text.len(), Some(&next));
                 Self { text: next, parse }
             }
             _ => Self::new(next),
@@ -233,7 +247,7 @@ impl Deserialize for PromptText {
 ///
 /// Returns [`SpearError::MalformedTemplate`] on an unclosed or empty `{{`.
 pub fn parse(template: &str) -> Result<ParsedTemplate> {
-    ParsedTemplate::extend(&[], template, 0).ok_or_else(|| malformed(template))
+    ParsedTemplate::extend(&[], template, 0, None).ok_or_else(|| malformed(template))
 }
 
 fn malformed(template: &str) -> SpearError {

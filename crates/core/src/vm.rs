@@ -2,16 +2,22 @@
 //!
 //! [`crate::plan::lower`] emits a [`Program`] straight from the operator
 //! tree; there is no second plan form and no translation step. A program
-//! pays once, at lowering, what a step would otherwise pay every time:
+//! is its code and its specs, and pays once, at lowering, what a step
+//! would otherwise pay every time:
 //!
-//! - every slot is one compact, `Copy` [`VmOp`] of `u32` indices into a
-//!   [`ConstPool`]: the program counter *is* the slot, and every branch
-//!   target is a slot index;
-//! - the pool interns every string the spine can ever emit for the plan —
-//!   operator describe lines, `CHECK[...]` labels, unwind frames, REF
-//!   triggers — so the hot loop never formats anything that is a pure
-//!   function of the plan (an inline or lowered GEN prompt is parsed once,
-//!   with the operator that holds it: see [`crate::template::PromptText`]);
+//! - every slot is one compact, `Copy` [`VmOp`] of `u32` indices into the
+//!   program's [`LeafSpec`]s and [`CheckSpec`]s: the program counter *is*
+//!   the slot, and every branch target is a slot index;
+//! - each spec names its innermost enclosing CHECK branch
+//!   ([`LeafSpec::within`]), so the CHECK nesting is a chain the unwind
+//!   walks innermost-first, not a list copied into every slot;
+//! - a [`CheckSpec`] owns its `CHECK[..]` label and the REF triggers of
+//!   its branches, formatted once at lowering, so the hot loop formats
+//!   nothing that is a pure function of the plan (an operator's describe
+//!   line is formatted where it is read: when the operator's own failure
+//!   is unwound, and in [`Program::describe`]; an inline or lowered GEN
+//!   prompt is parsed once, with the operator that holds it: see
+//!   [`crate::template::PromptText`]);
 //! - the program's identity — its [`Program::fingerprint`] and
 //!   [`Program::affinity_seed`] — is derived once, when it is emitted;
 //! - the run loop is a tight match over `&[VmOp]`: no trait objects, no
@@ -37,8 +43,6 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
-
 use crate::condition::Cond;
 use crate::error::{Result, SpearError};
 use crate::exec::{self, CallLimits};
@@ -48,20 +52,20 @@ use crate::runtime::{ExecState, Runtime};
 use crate::trace::TraceKind;
 use crate::value::Value;
 
-/// One instruction: `u32` indices into the program's [`ConstPool`].
-/// `Copy`, two or three words, no heap payload — the VM loop fetches
-/// instructions by value.
+/// One instruction: `u32` indices into the program's specs. `Copy`, two
+/// or three words, no heap payload — the VM loop fetches instructions by
+/// value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmOp {
-    /// Execute pool leaf `leaf`; fall through.
+    /// Execute leaf spec `leaf`; fall through.
     Leaf {
-        /// Index into [`ConstPool::leaves`].
+        /// Index into [`Program::leaves`].
         leaf: u32,
     },
-    /// Evaluate pool check `check`; fall through when it holds, jump to
+    /// Evaluate check spec `check`; fall through when it holds, jump to
     /// `on_false` otherwise.
     Check {
-        /// Index into [`ConstPool::checks`].
+        /// Index into [`Program::checks`].
         check: u32,
         /// Jump target (code index) when the condition is false.
         on_false: u32,
@@ -73,14 +77,25 @@ pub enum VmOp {
     },
 }
 
-/// A data operator's slot: the operator plus pool indices for every string
-/// the spine can emit on its behalf.
-#[derive(Debug, Clone)]
+/// A branch of a CHECK.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Branch {
+    /// Taken when the condition holds.
+    Then,
+    /// Taken when it does not.
+    Else,
+}
+
+/// A slot's innermost enclosing CHECK branch: the check spec's index and
+/// the branch, or `None` at top level.
+pub type Within = Option<(u32, Branch)>;
+
+/// A data operator's slot: the operator and its innermost enclosing
+/// branch.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeafSpec {
     pub(crate) op: Op,
-    pub(crate) describe: u32,
-    pub(crate) trigger: Option<u32>,
-    pub(crate) frames: Box<[u32]>,
+    pub(crate) within: Within,
 }
 
 impl LeafSpec {
@@ -90,23 +105,10 @@ impl LeafSpec {
         &self.op
     }
 
-    /// Pool index of the operator's `describe()` string (error unwinds).
+    /// The innermost CHECK branch enclosing the leaf.
     #[must_use]
-    pub fn describe_id(&self) -> u32 {
-        self.describe
-    }
-
-    /// Pool index of the innermost enclosing CHECK branch's condition text
-    /// (the REF trigger), when inside a branch.
-    #[must_use]
-    pub fn trigger_id(&self) -> Option<u32> {
-        self.trigger
-    }
-
-    /// Pool indices of enclosing CHECK describe strings, outermost first.
-    #[must_use]
-    pub fn frame_ids(&self) -> &[u32] {
-        &self.frames
+    pub fn within(&self) -> Within {
+        self.within
     }
 
     /// Whether the leaf is a GEN over an inline or lowered prompt whose
@@ -123,13 +125,16 @@ impl LeafSpec {
     }
 }
 
-/// A condition's slot: the condition plus its pooled `CHECK[{cond}]` label
-/// and unwind frames.
-#[derive(Debug, Clone)]
+/// A condition's slot: the condition, its `CHECK[{cond}]` label (the
+/// trace text of the check and of every unwind through it), the else
+/// branch's REF trigger `!({cond})` when there is an else branch, and its
+/// innermost enclosing branch.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckSpec {
     pub(crate) cond: Cond,
-    pub(crate) label: u32,
-    pub(crate) frames: Box<[u32]>,
+    pub(crate) label: String,
+    pub(crate) negated: Option<String>,
+    pub(crate) within: Within,
 }
 
 impl CheckSpec {
@@ -139,68 +144,22 @@ impl CheckSpec {
         &self.cond
     }
 
-    /// Pool index of the `CHECK[{cond}]` label.
+    /// The `CHECK[{cond}]` label.
     #[must_use]
-    pub fn label_id(&self) -> u32 {
-        self.label
+    pub fn label(&self) -> &str {
+        &self.label
     }
 
-    /// Pool indices of enclosing CHECK describe strings, outermost first.
+    /// The innermost CHECK branch enclosing this one.
     #[must_use]
-    pub fn frame_ids(&self) -> &[u32] {
-        &self.frames
+    pub fn within(&self) -> Within {
+        self.within
     }
 }
 
-/// The constants of one program: interned strings (describe lines, check
-/// labels, frames, triggers), leaf specs, and check specs.
-#[derive(Debug, Clone, Default)]
-pub struct ConstPool {
-    pub(crate) strings: Vec<Arc<str>>,
-    pub(crate) leaves: Vec<LeafSpec>,
-    pub(crate) checks: Vec<CheckSpec>,
-}
-
-impl ConstPool {
-    /// The interned string with pool index `id`.
-    ///
-    /// # Panics
-    ///
-    /// Never for indices obtained from this pool's own specs.
-    #[must_use]
-    pub fn str(&self, id: u32) -> &str {
-        &self.strings[id as usize]
-    }
-
-    /// All interned strings, in pool order.
-    #[must_use]
-    pub fn strings(&self) -> &[Arc<str>] {
-        &self.strings
-    }
-
-    /// All leaf specs, in pool order.
-    #[must_use]
-    pub fn leaves(&self) -> &[LeafSpec] {
-        &self.leaves
-    }
-
-    /// All check specs, in pool order.
-    #[must_use]
-    pub fn checks(&self) -> &[CheckSpec] {
-        &self.checks
-    }
-
-    pub(crate) fn leaf(&self, id: u32) -> &LeafSpec {
-        &self.leaves[id as usize]
-    }
-
-    pub(crate) fn check(&self, id: u32) -> &CheckSpec {
-        &self.checks[id as usize]
-    }
-}
-
-/// A lowered plan: bytecode over a constant pool, the source pipeline's
-/// trace identity (name and size), and the plan's structural identity.
+/// A lowered plan: bytecode over its leaf and check specs, the source
+/// pipeline's trace identity (name and size), and the plan's structural
+/// identity.
 ///
 /// Only [`crate::plan::lower`] releases programs, each through the
 /// structural gate, and nothing outside this crate can build or edit one.
@@ -208,7 +167,8 @@ impl ConstPool {
 pub struct Program {
     fields: PlanFields,
     source_size: u64,
-    pool: ConstPool,
+    leaves: Vec<LeafSpec>,
+    checks: Vec<CheckSpec>,
     fingerprint: u64,
     affinity_seed: Option<u64>,
 }
@@ -242,17 +202,19 @@ impl Program {
         name: String,
         source_size: u64,
         code: Vec<VmOp>,
-        pool: ConstPool,
+        leaves: Vec<LeafSpec>,
+        checks: Vec<CheckSpec>,
     ) -> Program {
         let mut program = Program {
             fields: PlanFields { name, ops: code },
             source_size,
-            pool,
+            leaves,
+            checks,
             fingerprint: 0,
             affinity_seed: None,
         };
         program.fingerprint = crate::identity::stable_hash(&program);
-        program.affinity_seed = affinity_seed(&program.pool);
+        program.affinity_seed = affinity_seed(&program.leaves);
         program
     }
 
@@ -275,10 +237,46 @@ impl Program {
         &self.fields.ops
     }
 
-    /// The constant pool.
+    /// The leaf specs, one per leaf slot, in slot order.
     #[must_use]
-    pub fn pool(&self) -> &ConstPool {
-        &self.pool
+    pub fn leaves(&self) -> &[LeafSpec] {
+        &self.leaves
+    }
+
+    /// The check specs, one per CHECK slot, in slot order.
+    #[must_use]
+    pub fn checks(&self) -> &[CheckSpec] {
+        &self.checks
+    }
+
+    pub(crate) fn leaf(&self, id: u32) -> &LeafSpec {
+        &self.leaves[id as usize]
+    }
+
+    pub(crate) fn check(&self, id: u32) -> &CheckSpec {
+        &self.checks[id as usize]
+    }
+
+    /// The CHECKs enclosing a slot whose innermost enclosing branch is
+    /// `within`, innermost first: the order an error unwinds through them.
+    pub(crate) fn enclosing(&self, within: Within) -> impl Iterator<Item = &CheckSpec> {
+        let spec =
+            move |within: Within| within.and_then(|(check, _)| self.checks.get(check as usize));
+        std::iter::successors(spec(within), move |check| spec(check.within))
+    }
+
+    /// The REF trigger of a leaf whose innermost enclosing branch is
+    /// `within`, `None` at top level: the condition text in a then-branch
+    /// (the check's label without its `CHECK[` `]`), `!({cond})` in an
+    /// else-branch.
+    #[must_use]
+    pub fn trigger(&self, within: Within) -> Option<&str> {
+        let (check, branch) = within?;
+        let spec = self.checks.get(check as usize)?;
+        match branch {
+            Branch::Then => spec.label.strip_prefix("CHECK[")?.strip_suffix(']'),
+            Branch::Else => spec.negated.as_deref(),
+        }
     }
 
     /// Structural fingerprint of the plan (DESIGN.md §17): name, op count
@@ -291,7 +289,6 @@ impl Program {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
-
     /// The plan's **cache-affinity seed**: a stable identity for the prompt
     /// prefix its first generation will prefill, or `None` when the plan
     /// only uses opaque ad-hoc prompts. Derived when the plan is emitted.
@@ -323,19 +320,15 @@ impl Program {
     }
 
     /// The one-line rendering of slot `pc` in the paper's notation — the
-    /// leaf's pooled describe line, `CHECK[..] else -> NNNN` or
+    /// leaf operator's describe line, `CHECK[..] else -> NNNN` or
     /// `JUMP -> NNNN` — shared by listings and diagnostics. `None` past
     /// the end.
     #[must_use]
     pub fn describe(&self, pc: usize) -> Option<String> {
-        let pool = &self.pool;
         Some(match *self.code().get(pc)? {
-            VmOp::Leaf { leaf } => pool.str(pool.leaf(leaf).describe).to_owned(),
+            VmOp::Leaf { leaf } => self.leaf(leaf).op.describe(),
             VmOp::Check { check, on_false } => {
-                format!(
-                    "{} else -> {on_false:04}",
-                    pool.str(pool.check(check).label)
-                )
+                format!("{} else -> {on_false:04}", self.check(check).label)
             }
             VmOp::Jump { target } => format!("JUMP -> {target:04}"),
         })
@@ -343,13 +336,12 @@ impl Program {
 }
 
 /// The seed [`Program::affinity_seed`] documents, from the leaves in slot
-/// order (the pool holds one leaf spec per leaf slot, in slot order). The
-/// text is folded into the hash as it is formatted, so deriving the seed
-/// allocates nothing.
-fn affinity_seed(pool: &ConstPool) -> Option<u64> {
+/// order. The text is folded into the hash as it is formatted, so deriving
+/// the seed allocates nothing.
+fn affinity_seed(leaves: &[LeafSpec]) -> Option<u64> {
     use std::fmt::Write as _;
     let mut seed = crate::identity::Fnv1aSink::new();
-    for spec in &pool.leaves {
+    for spec in leaves {
         let _ = match &spec.op {
             Op::Ref {
                 action: RefAction::Create,
@@ -406,14 +398,14 @@ pub fn compile(plan: &Program) -> Result<Program> {
     Ok(plan.clone())
 }
 
-/// Replay the tree walk's error unwind from pooled strings: the failing
-/// operator's own describe (when it ran), then one event per enclosing
-/// CHECK, innermost first — all at the current step.
+/// Replay the tree walk's error unwind: the failing operator's own
+/// describe line (when it ran), then one event per CHECK enclosing
+/// `within`, innermost first — all at the current step.
 fn unwind(
     state: &mut ExecState,
-    own: Option<&str>,
-    frames: &[u32],
-    pool: &ConstPool,
+    program: &Program,
+    own: Option<String>,
+    within: Within,
     e: &SpearError,
 ) {
     let message = e.to_string();
@@ -421,15 +413,15 @@ fn unwind(
         state.trace.record(
             state.step,
             TraceKind::Error,
-            describe.to_owned(),
+            describe,
             Value::from(message.clone()),
         );
     }
-    for &frame in frames.iter().rev() {
+    for check in program.enclosing(within) {
         state.trace.record(
             state.step,
             TraceKind::Error,
-            pool.str(frame).to_owned(),
+            check.label.clone(),
             Value::from(message.clone()),
         );
     }
@@ -439,21 +431,20 @@ fn unwind(
 #[inline]
 fn step_leaf(
     rt: &Runtime,
+    program: &Program,
     spec: &LeafSpec,
-    pool: &ConstPool,
     state: &mut ExecState,
     budget: &mut u64,
     limits: &CallLimits,
 ) -> Result<()> {
     if let Err(e) = exec::gate(rt, state, budget, limits) {
-        unwind(state, None, &spec.frames, pool, &e);
+        unwind(state, program, None, spec.within, &e);
         return Err(e);
     }
-    let trigger = spec.trigger.map(|id| pool.str(id));
-    match exec::exec_leaf(rt, &spec.op, trigger, state) {
+    match exec::exec_leaf(rt, &spec.op, program.trigger(spec.within), state) {
         Ok(()) => Ok(()),
         Err(e) => {
-            unwind(state, Some(pool.str(spec.describe)), &spec.frames, pool, &e);
+            unwind(state, program, Some(spec.op.describe()), spec.within, &e);
             Err(e)
         }
     }
@@ -463,20 +454,20 @@ fn step_leaf(
 #[inline]
 fn step_check(
     rt: &Runtime,
+    program: &Program,
     spec: &CheckSpec,
-    pool: &ConstPool,
     state: &mut ExecState,
     budget: &mut u64,
     limits: &CallLimits,
 ) -> Result<bool> {
     if let Err(e) = exec::gate(rt, state, budget, limits) {
-        unwind(state, None, &spec.frames, pool, &e);
+        unwind(state, program, None, spec.within, &e);
         return Err(e);
     }
-    match exec::check::eval_labeled(&spec.cond, pool.str(spec.label), state) {
+    match exec::check::eval_labeled(&spec.cond, &spec.label, state) {
         Ok(holds) => Ok(holds),
         Err(e) => {
-            unwind(state, Some(pool.str(spec.label)), &spec.frames, pool, &e);
+            unwind(state, program, Some(spec.label.clone()), spec.within, &e);
             Err(e)
         }
     }
@@ -491,17 +482,16 @@ pub(crate) fn run_program(
     limits: &CallLimits,
 ) -> Result<()> {
     let code = program.code();
-    let pool = &program.pool;
     let mut pc = 0usize;
     while let Some(&instr) = code.get(pc) {
         match instr {
             VmOp::Jump { target } => pc = target as usize,
             VmOp::Leaf { leaf } => {
-                step_leaf(rt, pool.leaf(leaf), pool, state, budget, limits)?;
+                step_leaf(rt, program, program.leaf(leaf), state, budget, limits)?;
                 pc += 1;
             }
             VmOp::Check { check, on_false } => {
-                pc = if step_check(rt, pool.check(check), pool, state, budget, limits)? {
+                pc = if step_check(rt, program, program.check(check), state, budget, limits)? {
                     pc + 1
                 } else {
                     on_false as usize
@@ -544,7 +534,7 @@ mod tests {
         assert_eq!(prog.source_size(), 2);
         assert_eq!(prog.code().len(), 2);
         assert!(prog.code().iter().all(|op| matches!(op, VmOp::Leaf { .. })));
-        assert_eq!(prog.pool().leaves().len(), 2);
+        assert_eq!(prog.leaves().len(), 2);
     }
 
     #[test]
@@ -597,28 +587,98 @@ mod tests {
     }
 
     #[test]
-    fn pool_strings_are_deduplicated() {
-        let p = Pipeline::builder("dedup")
+    fn a_slot_names_its_innermost_branch_and_the_chain_runs_innermost_first() {
+        // Three CHECKs deep, the innermost in the else-branch of the middle.
+        let p = Pipeline::builder("chain")
             .check(Cond::Always, |b| {
-                b.expand("p", "a").expand("p", "b").expand("p", "c")
+                b.check_else(
+                    Cond::Never,
+                    |b| b.expand("p", "then"),
+                    |b| b.check(Cond::low_confidence(0.5), |b| b.expand("p", "deep")),
+                )
             })
             .build();
         let prog = compiled(&p);
-        let check_frames: Vec<&str> = prog
-            .pool()
-            .leaves()
-            .iter()
-            .flat_map(|l| l.frame_ids())
-            .map(|&id| prog.pool().str(id))
+        let deep = prog.leaves().last().unwrap();
+        let labels: Vec<&str> = prog
+            .enclosing(deep.within())
+            .map(CheckSpec::label)
             .collect();
-        assert_eq!(check_frames, vec!["CHECK[true]"; 3]);
-        let distinct: std::collections::HashSet<&str> =
-            prog.pool().strings().iter().map(AsRef::as_ref).collect();
         assert_eq!(
-            distinct.len(),
-            prog.pool().strings().len(),
-            "interned strings are unique"
+            labels,
+            [
+                "CHECK[M[\"confidence\"] < 0.5]",
+                "CHECK[false]",
+                "CHECK[true]"
+            ]
         );
+        assert_eq!(prog.trigger(deep.within()), Some("M[\"confidence\"] < 0.5"));
+        let VmOp::Check { check, .. } = prog.code()[4] else {
+            panic!("the innermost check at 4: {:?}", prog.code())
+        };
+        assert_eq!(
+            prog.checks()[check as usize].within(),
+            Some((1, Branch::Else))
+        );
+        assert_eq!(prog.trigger(Some((1, Branch::Else))), Some("!(false)"));
+        assert_eq!(prog.trigger(Some((1, Branch::Then))), Some("false"));
+        assert_eq!(
+            prog.trigger(Some((0, Branch::Else))),
+            None,
+            "no else branch"
+        );
+        assert_eq!(prog.trigger(None), None);
+    }
+
+    #[test]
+    fn a_three_deep_chain_unwinds_and_triggers_as_the_tree_walk_does() {
+        // Three CHECKs that all hold, the innermost in an else-branch: a
+        // REF records the innermost branch's text, then a GEN over an
+        // undefined key unwinds through all three.
+        let p = Pipeline::builder("unwind")
+            .create_text("p", "base", RefinementMode::Manual)
+            .check(Cond::Always, |b| {
+                b.check_else(
+                    Cond::InContext("x".into()),
+                    |b| b.expand("p", "unused"),
+                    |b| {
+                        b.check(Cond::NotInContext("y".into()), |b| {
+                            b.expand("p", "deep").gen("a", "missing")
+                        })
+                    },
+                )
+            })
+            .build();
+        let rt = Runtime::builder()
+            .llm(std::sync::Arc::new(crate::llm::EchoLlm::default()))
+            .build();
+        let mut state = ExecState::new();
+        assert!(rt.execute_program(&compiled(&p), &mut state).is_err());
+        let errors: Vec<&str> = state
+            .trace
+            .events()
+            .iter()
+            .filter(|event| event.kind == TraceKind::Error)
+            .map(|event| event.op.as_str())
+            .take(4)
+            .collect();
+        assert_eq!(
+            errors,
+            [
+                "GEN[\"a\"] using P[\"missing\"]",
+                "CHECK[\"y\" not in C]",
+                "CHECK[\"x\" in C]",
+                "CHECK[true]"
+            ]
+        );
+        let entry = state.prompts.get("p").unwrap();
+        let trigger = entry.ref_log.last().unwrap().trigger.as_deref();
+        assert_eq!(trigger, Some("\"y\" not in C"));
+
+        let mut tree = ExecState::new();
+        assert!(rt.execute_tree(&p, &mut tree).is_err());
+        assert_eq!(tree.trace, state.trace, "as the tree walk runs");
+        assert_eq!(tree.prompts.get("p").unwrap(), entry);
     }
 
     #[test]
@@ -634,6 +694,6 @@ mod tests {
             )
             .build();
         let prog = compiled(&p);
-        assert!(prog.pool().leaves()[0].has_template());
+        assert!(prog.leaves()[0].has_template());
     }
 }

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use spear_core::prelude::*;
 use spear_core::replay;
-use spear_core::template::PromptText;
+use spear_core::template::{PromptText, Segment};
 
 /// An entry whose versions parse differently: v1 has one placeholder, v2
 /// appends a second (its parse extends v1's), v3 rewrites the text whole.
@@ -132,4 +132,27 @@ fn an_inline_prompt_read_back_from_json_renders_as_a_fresh_one() {
         text.render(&BTreeMap::new(), &context()).expect("renders"),
         fresh.render(&BTreeMap::new(), &context()).expect("renders"),
     );
+}
+
+/// Whether `text` parses to one literal that is the text's own allocation.
+fn one_shared_literal(text: &PromptText) -> bool {
+    match text.parsed().expect("parses").segments() {
+        [Segment::Literal(literal)] => std::ptr::eq(literal.text(), &**text.shared()),
+        segments => panic!("one literal: {segments:?}"),
+    }
+}
+
+#[test]
+fn a_literal_that_is_the_whole_text_shares_its_allocation() {
+    let note = PromptText::new("Low confidence after refinement; route to review.");
+    assert!(one_shared_literal(&note));
+    // A successor whose merged literal spans the new text.
+    let grown = note.successor("Low confidence after refinement; route to review. Twice.");
+    assert!(one_shared_literal(&grown));
+    // A literal beside a placeholder is its own slice.
+    let templated = PromptText::new("Review {{ctx:item}}");
+    let Segment::Literal(head) = &templated.parsed().expect("parses").segments()[0] else {
+        panic!("a leading literal")
+    };
+    assert_eq!(head.text(), "Review ");
 }

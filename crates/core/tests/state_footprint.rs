@@ -241,6 +241,41 @@ fn one_more_data_leaf_costs_five_allocations() {
 }
 
 #[test]
+fn a_ref_create_of_a_placeholder_free_text_shares_it_with_its_literal() {
+    // The note `batch_adaptive` writes per request: a REF CREATE of a text
+    // without placeholders, on a new key beside one P already holds. The
+    // text is one literal, which shares the text's allocation: 15
+    // allocations, against 16 when the literal copied the text.
+    const NOTE: &str = "Low confidence after refinement; route to review.";
+    let rt = Runtime::builder().llm(Arc::new(EchoLlm::default())).build();
+    let run = |note: bool| {
+        let mut b = Pipeline::builder("note").create_text("p", "base", RefinementMode::Manual);
+        if note {
+            b = b.create_text("note", NOTE, RefinementMode::Manual);
+        }
+        let plan = lower(&b.build()).expect("lowers");
+        let mut state = ExecState::new();
+        let (report, _, allocs) = footprint(|| rt.execute_program(&plan, &mut state));
+        report.expect("runs");
+        (state, allocs)
+    };
+    run(true);
+    let ((_, without), (state, with)) = (run(false), run(true));
+    assert_eq!(
+        with - without,
+        15,
+        "a REF CREATE of the note made {} allocations",
+        with - without
+    );
+
+    let entry = state.prompts.get("note").expect("defined");
+    let [Segment::Literal(literal)] = entry.text.parsed().expect("parses").segments() else {
+        panic!("one literal: {:?}", entry.text.parsed())
+    };
+    assert!(std::ptr::eq(literal.text(), &**entry.text.shared()));
+}
+
+#[test]
 fn an_expand_of_a_view_derived_entry_extends_the_views_parse() {
     // The shape of a serving request that grows its prompt: an entry
     // instantiated from a view, then one EXPAND. The expanded text starts

@@ -4,13 +4,14 @@
 //! specification) or the bytecode VM (`plan::lower` +
 //! `Runtime::execute_program`) — including pipelines that fail mid-run,
 //! whose error unwind (one `Error` trace event per enclosing CHECK) the VM
-//! replays from its pooled frames; pipelines aborted mid-run by an
+//! replays by walking each slot's chain of enclosing branches, innermost
+//! first, with CHECKs nested up to three deep; pipelines aborted mid-run by an
 //! operator budget; and pipelines entered with an already-cancelled token.
 //! A second property pins batch determinism: running the pipeline on a
 //! [`BatchRunner`], from its tree form or its lowered plan, returns the
 //! same per-job bytes at 1, 4, and 8 workers. Lowering emits the program
-//! directly, so these properties are what hold its slots, pool and
-//! interning to the specification. A third property checks the structural
+//! directly, so these properties are what hold its slots and specs to the
+//! specification. A third property checks the structural
 //! identity over the same corpus: plan fingerprints and trace digests
 //! partition pipelines and traces exactly as their serialized form does,
 //! except where JSON text conflates values.
@@ -90,7 +91,7 @@ fn instr_strategy() -> impl Strategy<Value = Instr> {
         ((0u8..4), "[a-z ]{1,8}").prop_map(|(l, t)| Instr::GenInline(l, t)),
         ((0u8..4), (0u8..4), (0u8..4)).prop_map(|(l, r, i)| Instr::Merge(l, r, i)),
     ];
-    leaf.prop_recursive(2, 12, 3, |inner| {
+    leaf.prop_recursive(3, 12, 3, |inner| {
         (
             cond_strategy(),
             proptest::collection::vec(inner.clone(), 0..3),

@@ -40,13 +40,16 @@ fn compiling_the_kitchen_sink_stays_within_its_allocation_budget() {
 }
 
 /// Allocations lowering the kitchen-sink plans (2 plans, 68 slots) makes:
-/// 444, on the first call as on every other, now that `lower` parses
-/// nothing. Compile and lower together make 963 against 965 when `lower`
-/// parsed inline prompts through a process-wide cache (513 + 452 on its
-/// first call, 445 on a warm one). Lowering to a separate plan form and
-/// then translating that into programs made 331 + 386 = 717 (393 for the
-/// translation on a cold template cache).
-const LOWER_BUDGET: u64 = 444;
+/// 239, now that a program holds its code and its specs sized for the
+/// tree up front, with no interned describe lines, triggers or frame
+/// lists (444 with a string pool; 444 was also the first call's count
+/// once `lower` parsed nothing). Compile and lower together made 963
+/// then, against 965 when `lower` parsed inline prompts through a
+/// process-wide cache (513 + 452 on its first call, 445 on a warm one).
+/// Lowering to a separate plan form and then translating that into
+/// programs made 331 + 386 = 717 (393 for the translation on a cold
+/// template cache).
+const LOWER_BUDGET: u64 = 239;
 
 /// Allocation calls (reallocations included) one `lower` makes.
 fn lower_allocs(compiled: &spear_dl::Compiled) -> u64 {

@@ -14,8 +14,8 @@
 //!   tree with cost estimates and optimization hints ("instrumented like
 //!   query plans"),
 //! - [`listing`](mod@listing) — the one byte-stable listing of a lowered
-//!   plan's slots, with its compiled program's pool operands, constant
-//!   pool and static bounds when it compiles, and the verifier's
+//!   plan's slots, with its compiled program's spec operands, specs and
+//!   static bounds when it compiles, and the verifier's
 //!   diagnostics when passed,
 //! - [`cost`] — a linear latency [`cost::CostModel`] calibrated online by
 //!   least squares from observed `(tokens, latency)` pairs,

@@ -2,19 +2,19 @@
 //!
 //! A [`Program`] is the lowered plan (the program counter *is* the slot),
 //! so one renderer prints it: [`listing`] writes one line per slot — its
-//! pool operand (`l07` for leaf spec 7, `c02` for check spec 2) and its
+//! spec operand (`l07` for leaf spec 7, `c02` for check spec 2) and its
 //! text from [`Program::describe`], the same text the verifier's
 //! diagnostics and the error unwind use — with a branch leaf's trigger
 //! (`(when …)`), a lowered GEN's prompt text (cacheable or opaque) and the
-//! abstract interpreter's static bounds under it; then the constant pool
-//! (interned strings, leaf specs, check specs) and the whole-program
-//! envelope. The verifier's diagnostics, when passed, are appended as
-//! [`render_diagnostics`] writes them, or a `verifier: clean` line so
-//! "verified" reads apart from "not run".
+//! abstract interpreter's static bounds under it; then the specs (each
+//! leaf and check spec with its innermost enclosing branch) and the
+//! whole-program envelope. The verifier's diagnostics, when passed, are
+//! appended as [`render_diagnostics`] writes them, or a `verifier: clean`
+//! line so "verified" reads apart from "not run".
 //!
 //! The format is pinned byte-exact by the `listing_golden` tests, so it
 //! doubles as the specification of the bytecode encoding: a change to
-//! lowering, jump targets, opcode layout or pool interning shows up there
+//! lowering, jump targets, opcode layout or branch nesting shows up there
 //! as a readable diff. The operator-tree view with cost estimates is
 //! [`crate::explain()`], a separate renderer.
 
@@ -24,7 +24,7 @@ use spear_core::analysis::{
     analyze, render_diagnostics, Diagnostic, Interval, ResourceModel, SlotBounds,
 };
 use spear_core::ops::{Op, PromptRef};
-use spear_core::vm::{Program, VmOp};
+use spear_core::vm::{Branch, Program, VmOp, Within};
 
 /// Detail lines start under the instruction text.
 const INDENT: usize = 13;
@@ -33,7 +33,6 @@ const INDENT: usize = 13;
 /// verifier's findings on it) when passed.
 #[must_use]
 pub fn listing(program: &Program, diagnostics: Option<&[Diagnostic]>) -> String {
-    let pool = program.pool();
     let code = program.code();
     let mut out = String::new();
     let _ = writeln!(
@@ -50,7 +49,7 @@ pub fn listing(program: &Program, diagnostics: Option<&[Diagnostic]>) -> String 
         let leaf = match op {
             VmOp::Leaf { leaf } => {
                 let _ = write!(out, "l{leaf:02}  ");
-                Some(&pool.leaves()[leaf as usize])
+                Some(&program.leaves()[leaf as usize])
             }
             VmOp::Check { check, .. } => {
                 let _ = write!(out, "c{check:02}  ");
@@ -62,8 +61,8 @@ pub fn listing(program: &Program, diagnostics: Option<&[Diagnostic]>) -> String 
             }
         };
         out.push_str(&program.describe(pc).unwrap_or_default());
-        if let Some(trigger) = leaf.and_then(|spec| spec.trigger_id()) {
-            let _ = write!(out, "  (when {})", pool.str(trigger));
+        if let Some(trigger) = leaf.and_then(|spec| program.trigger(spec.within())) {
+            let _ = write!(out, "  (when {trigger})");
         }
         out.push('\n');
         if let Some(Op::Gen {
@@ -94,7 +93,7 @@ pub fn listing(program: &Program, diagnostics: Option<&[Diagnostic]>) -> String 
             Some(Some(_)) | None => Ok(()),
         };
     }
-    const_pool(&mut out, program);
+    specs(&mut out, program);
     let _ = writeln!(out, "STATIC BOUNDS  {bounds}");
     match diagnostics {
         Some([]) => {
@@ -106,53 +105,38 @@ pub fn listing(program: &Program, diagnostics: Option<&[Diagnostic]>) -> String 
     out
 }
 
-/// The constant-pool section: every interned string, leaf spec and check
-/// spec, by pool index.
-fn const_pool(out: &mut String, program: &Program) {
-    let pool = program.pool();
+/// The specs section: every leaf spec and check spec, by index, with its
+/// innermost enclosing branch.
+fn specs(out: &mut String, program: &Program) {
     let _ = writeln!(
         out,
-        "CONST POOL  ({} strings, {} leaves, {} checks)",
-        pool.strings().len(),
-        pool.leaves().len(),
-        pool.checks().len(),
+        "SPECS  ({} leaves, {} checks)",
+        program.leaves().len(),
+        program.checks().len(),
     );
-    let _ = writeln!(out, "  strings:");
-    for (id, s) in pool.strings().iter().enumerate() {
-        let _ = writeln!(out, "    s{id:02}  {s:?}");
-    }
     let _ = writeln!(out, "  leaves:");
-    for (id, leaf) in pool.leaves().iter().enumerate() {
+    for (id, leaf) in program.leaves().iter().enumerate() {
         let _ = writeln!(
             out,
-            "    l{id:02}  describe=s{:02}  trigger={}  frames={}  template={}",
-            leaf.describe_id(),
-            leaf.trigger_id()
-                .map_or_else(|| "-".to_owned(), |t| format!("s{t:02}")),
-            frames(leaf.frame_ids()),
+            "    l{id:02}  within={}  template={}",
+            within(leaf.within()),
             if leaf.has_template() { "parsed" } else { "-" },
         );
     }
     let _ = writeln!(out, "  checks:");
-    for (id, check) in pool.checks().iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    c{id:02}  label=s{:02}  frames={}",
-            check.label_id(),
-            frames(check.frame_ids()),
-        );
+    for (id, check) in program.checks().iter().enumerate() {
+        let _ = writeln!(out, "    c{id:02}  within={}", within(check.within()));
     }
 }
 
-/// `[s00, s03]`-style rendering of a spec's unwind-frame indices, shared
-/// by the leaf and check pool sections.
-fn frames(ids: &[u32]) -> String {
-    let body = ids
-        .iter()
-        .map(|id| format!("s{id:02}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("[{body}]")
+/// `c00.then`-style rendering of a spec's innermost enclosing branch, `-`
+/// at top level.
+fn within(within: Within) -> String {
+    match within {
+        Some((check, Branch::Then)) => format!("c{check:02}.then"),
+        Some((check, Branch::Else)) => format!("c{check:02}.else"),
+        None => "-".to_owned(),
+    }
 }
 
 #[cfg(test)]
@@ -178,7 +162,7 @@ mod tests {
         assert!(!unverified.contains("verifier:"), "{unverified}");
         let full = listing(&plan, Some(&[]));
         assert!(full.starts_with(&unverified), "{full}");
-        // Every slot is listed exactly once, with its pool operand.
+        // Every slot is listed exactly once, with its spec operand.
         for pc in 0..plan.code().len() {
             let line = format!("  {pc:04}  ");
             assert_eq!(full.matches(&line).count(), 1, "slot {pc}");
@@ -188,8 +172,7 @@ mod tests {
         assert!(full.contains("  0004       JUMP -> 0006\n"));
         for section in [
             "static: tokens=",
-            "CONST POOL",
-            "strings:",
+            "SPECS",
             "leaves:",
             "checks:",
             "STATIC BOUNDS  tokens=",

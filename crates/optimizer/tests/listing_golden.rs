@@ -1,10 +1,10 @@
 //! Golden tests for the one plan listing: byte-exact renderings of the
 //! sentiment workload's three physical shapes, a statically gated plan
 //! with its verifier findings, and a program exercising every opcode
-//! (LEAF, CHECK, JUMP — one per source slot, at the slot's own pc) and the
-//! full constant pool (strings, leaf specs with triggers/frames/templates,
+//! (LEAF, CHECK, JUMP — one per source slot, at the slot's own pc) and
+//! every spec (leaf specs with their enclosing branches and templates,
 //! check specs). Any change to lowering rules, jump targets, prompt
-//! templates, opcode layout or pool interning shows up here as a readable
+//! templates, opcode layout or branch nesting shows up here as a readable
 //! diff.
 
 use spear_core::analysis::{BytecodePass, Verifier};
@@ -96,15 +96,11 @@ EXPLAIN LOWERED PLAN \"physical([Map] [Filter])\"  (3 source ops, 3 slots)
              prompt: \"Keep negative tweets. Respond with the label followed by a one-sentence justification.\\nTweet: {{ctx:s0}}\"  [cacheable as \"view:tweet_pipeline@1/stage1\"]
              static: tokens=[1, 64] llm_calls=[1, 1] latency>=100us
   0002  l02  DELEGATE[\"plan_filter_verdict\"] -> C[\"pass1\"]
-CONST POOL  (3 strings, 3 leaves, 0 checks)
-  strings:
-    s00  \"GEN[\\\"s0\\\"] using lowered prompt\"
-    s01  \"GEN[\\\"s1\\\"] using lowered prompt\"
-    s02  \"DELEGATE[\\\"plan_filter_verdict\\\"] -> C[\\\"pass1\\\"]\"
+SPECS  (3 leaves, 0 checks)
   leaves:
-    l00  describe=s00  trigger=-  frames=[]  template=parsed
-    l01  describe=s01  trigger=-  frames=[]  template=parsed
-    l02  describe=s02  trigger=-  frames=[]  template=-
+    l00  within=-  template=parsed
+    l01  within=-  template=parsed
+    l02  within=-  template=-
   checks:
 STATIC BOUNDS  tokens=[2, 128] llm_calls=[2, 2] latency>=200us unwind<=1
 ";
@@ -121,15 +117,11 @@ EXPLAIN LOWERED PLAN \"physical([Map+Filter])\"  (3 source ops, 3 slots)
              static: tokens=[1, 64] llm_calls=[1, 1] latency>=100us
   0001  l01  DELEGATE[\"plan_fused_verdict\"] -> C[\"pass0\"]
   0002  l02  DELEGATE[\"plan_fused_text\"] -> C[\"t0\"]
-CONST POOL  (3 strings, 3 leaves, 0 checks)
-  strings:
-    s00  \"GEN[\\\"s0\\\"] using lowered prompt\"
-    s01  \"DELEGATE[\\\"plan_fused_verdict\\\"] -> C[\\\"pass0\\\"]\"
-    s02  \"DELEGATE[\\\"plan_fused_text\\\"] -> C[\\\"t0\\\"]\"
+SPECS  (3 leaves, 0 checks)
   leaves:
-    l00  describe=s00  trigger=-  frames=[]  template=parsed
-    l01  describe=s01  trigger=-  frames=[]  template=-
-    l02  describe=s02  trigger=-  frames=[]  template=-
+    l00  within=-  template=parsed
+    l01  within=-  template=-
+    l02  within=-  template=-
   checks:
 STATIC BOUNDS  tokens=[1, 64] llm_calls=[1, 1] latency>=100us unwind<=1
 ";
@@ -159,19 +151,13 @@ EXPLAIN LOWERED PLAN \"gated\"  (4 source ops, 4 slots)
   0002  c00  CHECK[false] else -> 0004
   0003  l02  GEN[\"b\"] using P[\"p\"]  (when false)
              static: unreachable
-CONST POOL  (5 strings, 3 leaves, 1 checks)
-  strings:
-    s00  \"REF[CREATE, set_text] on P[\\\"p\\\"]\"
-    s01  \"GEN[\\\"a\\\"] using P[\\\"p\\\"]\"
-    s02  \"CHECK[false]\"
-    s03  \"GEN[\\\"b\\\"] using P[\\\"p\\\"]\"
-    s04  \"false\"
+SPECS  (3 leaves, 1 checks)
   leaves:
-    l00  describe=s00  trigger=-  frames=[]  template=-
-    l01  describe=s01  trigger=-  frames=[]  template=-
-    l02  describe=s03  trigger=s04  frames=[s02]  template=-
+    l00  within=-  template=-
+    l01  within=-  template=-
+    l02  within=c00.then  template=-
   checks:
-    c00  label=s02  frames=[]
+    c00  within=-
 STATIC BOUNDS  tokens=[1, 256] llm_calls=[1, 1] latency>=100us unwind<=1
 warning[SPEAR-W005] in plan \"gated\": condition `false` never holds: the then branch can never be taken
   0002  CHECK[false] else -> 0004
@@ -193,13 +179,10 @@ EXPLAIN LOWERED PLAN \"clean\"  (2 source ops, 2 slots)
   0000  l00  REF[CREATE, set_text] on P[\"p\"]
   0001  l01  GEN[\"a\"] using P[\"p\"]
              static: tokens=[1, 256] llm_calls=[1, 1] latency>=100us
-CONST POOL  (2 strings, 2 leaves, 0 checks)
-  strings:
-    s00  \"REF[CREATE, set_text] on P[\\\"p\\\"]\"
-    s01  \"GEN[\\\"a\\\"] using P[\\\"p\\\"]\"
+SPECS  (2 leaves, 0 checks)
   leaves:
-    l00  describe=s00  trigger=-  frames=[]  template=-
-    l01  describe=s01  trigger=-  frames=[]  template=-
+    l00  within=-  template=-
+    l01  within=-  template=-
   checks:
 STATIC BOUNDS  tokens=[1, 256] llm_calls=[1, 1] latency>=100us unwind<=1
 verifier: clean (2 slots checked)
@@ -230,41 +213,22 @@ EXPLAIN LOWERED PLAN \"kitchen_sink\"  (13 source ops, 15 slots)
              static: tokens=[1, 256] llm_calls=[1, 1] latency>=100us
   0013       JUMP -> 0015
   0014  l09  REF[CREATE, set_text] on P[\"note2\"]  (when !(M[\"retries\"] < 2))
-CONST POOL  (18 strings, 10 leaves, 3 checks)
-  strings:
-    s00  \"RET[\\\"corpus\\\"] -> C[\\\"docs_a\\\"]\"
-    s01  \"MERGE[P[\\\"docs_a\\\"], P[\\\"docs_b\\\"]] -> P[\\\"docs\\\"]\"
-    s02  \"REF[CREATE, set_text] on P[\\\"p\\\"]\"
-    s03  \"GEN[\\\"answer_0\\\"] using P[\\\"p\\\"]\"
-    s04  \"CHECK[M[\\\"confidence\\\"] < 0.7]\"
-    s05  \"REF[UPDATE, auto_refine] on P[\\\"p\\\"]\"
-    s06  \"M[\\\"confidence\\\"] < 0.7\"
-    s07  \"GEN[\\\"answer_1\\\"] using P[\\\"p\\\"]\"
-    s08  \"CHECK[M[\\\"confidence\\\"] < 0.9]\"
-    s09  \"DELEGATE[\\\"escalate\\\"] -> C[\\\"review\\\"]\"
-    s10  \"M[\\\"confidence\\\"] < 0.9\"
-    s11  \"REF[CREATE, set_text] on P[\\\"note\\\"]\"
-    s12  \"!(M[\\\"confidence\\\"] < 0.9)\"
-    s13  \"CHECK[M[\\\"retries\\\"] < 2]\"
-    s14  \"GEN[\\\"alt\\\"] using P[\\\"p\\\"]\"
-    s15  \"M[\\\"retries\\\"] < 2\"
-    s16  \"REF[CREATE, set_text] on P[\\\"note2\\\"]\"
-    s17  \"!(M[\\\"retries\\\"] < 2)\"
+SPECS  (10 leaves, 3 checks)
   leaves:
-    l00  describe=s00  trigger=-  frames=[]  template=-
-    l01  describe=s01  trigger=-  frames=[]  template=-
-    l02  describe=s02  trigger=-  frames=[]  template=-
-    l03  describe=s03  trigger=-  frames=[]  template=-
-    l04  describe=s05  trigger=s06  frames=[s04]  template=-
-    l05  describe=s07  trigger=s06  frames=[s04]  template=-
-    l06  describe=s09  trigger=s10  frames=[s08]  template=-
-    l07  describe=s11  trigger=s12  frames=[s08]  template=-
-    l08  describe=s14  trigger=s15  frames=[s13]  template=-
-    l09  describe=s16  trigger=s17  frames=[s13]  template=-
+    l00  within=-  template=-
+    l01  within=-  template=-
+    l02  within=-  template=-
+    l03  within=-  template=-
+    l04  within=c00.then  template=-
+    l05  within=c00.then  template=-
+    l06  within=c01.then  template=-
+    l07  within=c01.else  template=-
+    l08  within=c02.then  template=-
+    l09  within=c02.else  template=-
   checks:
-    c00  label=s04  frames=[]
-    c01  label=s08  frames=[]
-    c02  label=s13  frames=[]
+    c00  within=-
+    c01  within=-
+    c02  within=-
 STATIC BOUNDS  tokens=[1, 768] llm_calls=[1, 3] latency>=100us unwind<=2
 ";
     assert_eq!(listing(&plan, None), expected);
@@ -286,19 +250,13 @@ EXPLAIN LOWERED PLAN \"physical([Filter] [Map])\"  (4 source ops, 4 slots)
   0003  l02  GEN[\"s1\"] using lowered prompt  (when truthy(C[\"pass0\"]))
              prompt: \"Clean up the tweet. Use at most 25 words.\\nTweet: {{ctx:item}}\"  [opaque — no prefix reuse]
              static: tokens=[1, 64] llm_calls=[1, 1] latency>=100us
-CONST POOL  (5 strings, 3 leaves, 1 checks)
-  strings:
-    s00  \"GEN[\\\"s0\\\"] using lowered prompt\"
-    s01  \"DELEGATE[\\\"plan_filter_verdict\\\"] -> C[\\\"pass0\\\"]\"
-    s02  \"CHECK[truthy(C[\\\"pass0\\\"])]\"
-    s03  \"GEN[\\\"s1\\\"] using lowered prompt\"
-    s04  \"truthy(C[\\\"pass0\\\"])\"
+SPECS  (3 leaves, 1 checks)
   leaves:
-    l00  describe=s00  trigger=-  frames=[]  template=parsed
-    l01  describe=s01  trigger=-  frames=[]  template=-
-    l02  describe=s03  trigger=s04  frames=[s02]  template=parsed
+    l00  within=-  template=parsed
+    l01  within=-  template=-
+    l02  within=c00.then  template=parsed
   checks:
-    c00  label=s02  frames=[]
+    c00  within=-
 STATIC BOUNDS  tokens=[1, 128] llm_calls=[1, 2] latency>=100us unwind<=2
 ";
     assert_eq!(listing(&plan, None), expected);

@@ -40,8 +40,8 @@ bench:
     cargo run --release -p spear-bench --bin table4
     cargo run --release -p spear-bench --bin figure1
 
-# List every golden-corpus plan: slots with pool operands and static
-# bounds, constant pool, diagnostics (DESIGN.md §12); equals
+# List every golden-corpus plan: slots with spec operands and static
+# bounds, specs, diagnostics (DESIGN.md §12); equals
 # results/disasm.txt.
 disasm:
     cargo run -p spear-bench --bin disasm

@@ -14,22 +14,25 @@ cargo test -q -p rand -p serde -p serde_json -p proptest -p parking_lot
 cargo test --release --manifest-path benchmark/Cargo.toml -q
 # ... and its output checks passing against them, on all five workloads.
 sh scripts/bench_smoke.sh
-# Static-analysis gate: the bytecode lints and the static cost envelope
-# over the golden plan corpus.
-cargo run --release -p spear-bench --bin analyze
 # Reproduction gate: the eight paper outputs, the static-analysis report
-# and the corpus listings must match their checked-in results byte for
-# byte (the virtual clock makes the comparison exact; no bin prints host
-# timing).
+# (the bytecode lints and the static cost envelope over the golden plan
+# corpus) and the corpus listings must match their checked-in results byte
+# for byte (the virtual clock makes the comparison exact; no bin prints
+# host timing). Each output is written under target/ before it is
+# compared, so a program that exits non-zero fails the gate even when it
+# printed the expected bytes.
+mkdir -p target/check
 for bin in table3 table4 figure1 ablation_cache ablation_planner ablation_views \
     ablation_predictive ablation_gen_fusion analyze disasm; do
-    cargo run --release -q -p spear-bench --bin "$bin" | cmp - "results/$bin.txt"
+    cargo run --release -q -p spear-bench --bin "$bin" > "target/check/$bin.txt"
+    cmp "target/check/$bin.txt" "results/$bin.txt"
 done
 # ... and so must every example: the SPEAR-DL tour (error text, compile,
 # verify, execute) and the four that drive P end to end (views, REF,
 # refinement history, meta prompts).
 for example in spear_dl_tour quickstart adaptive_retry enoxaparin_qa sentiment_pipeline; do
-    cargo run --release -q --example "$example" | cmp - "results/$example.txt"
+    cargo run --release -q --example "$example" > "target/check/$example.txt"
+    cmp "target/check/$example.txt" "results/$example.txt"
 done
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
