@@ -167,16 +167,22 @@ impl BatchRunner {
     /// the lane's other jobs still run. A job whose lane thread died, or a
     /// slot no lane filled, gets `finish` of its typed error on the calling
     /// thread. Results come back in submission order.
+    ///
+    /// The jobs stay where the caller submitted them: each lane holds its
+    /// jobs' submission indices and a mutable borrow of each, and takes a
+    /// job's state out of the buffer when it runs it, so no job is copied
+    /// into a lane. A job's program `Arc` stays in the buffer until the
+    /// call returns.
     pub fn run_assigned<T: Send>(
         &self,
         runtime: &Runtime,
-        jobs: Vec<AssignedJob>,
+        mut jobs: Vec<AssignedJob>,
         finish: impl Fn(Result<BatchOutcome>) -> T + Sync,
     ) -> Vec<T> {
         let n = jobs.len();
-        let mut lanes: Vec<Vec<(usize, AssignedJob)>> =
+        let mut lanes: Vec<Vec<(usize, &mut AssignedJob)>> =
             (0..self.workers).map(|_| Vec::new()).collect();
-        for (index, job) in jobs.into_iter().enumerate() {
+        for (index, job) in jobs.iter_mut().enumerate() {
             lanes[job.lane % self.workers].push((index, job));
         }
         run_lanes(runtime, n, lanes, &finish)
@@ -210,9 +216,10 @@ impl BatchRunner {
     }
 }
 
-/// Run one placed job.
-fn execute(runtime: &Runtime, job: AssignedJob) -> Result<BatchOutcome> {
-    let mut state = job.state;
+/// Run one placed job on the state taken out of it (an idle state, which
+/// owns no heap, is left in its place).
+fn execute(runtime: &Runtime, job: &mut AssignedJob) -> Result<BatchOutcome> {
+    let mut state = std::mem::replace(&mut job.state, ExecState::new());
     runtime
         .execute_program(&job.program, &mut state)
         .map(|report| BatchOutcome { report, state })
@@ -229,10 +236,10 @@ fn execute(runtime: &Runtime, job: AssignedJob) -> Result<BatchOutcome> {
 fn run_lanes<T: Send>(
     runtime: &Runtime,
     n: usize,
-    lanes: Vec<Vec<(usize, AssignedJob)>>,
+    lanes: Vec<Vec<(usize, &mut AssignedJob)>>,
     finish: &(impl Fn(Result<BatchOutcome>) -> T + Sync),
 ) -> Vec<T> {
-    let run_lane = |lane: usize, jobs: Vec<(usize, AssignedJob)>| {
+    let run_lane = |lane: usize, jobs: Vec<(usize, &mut AssignedJob)>| {
         jobs.into_iter()
             .map(|(index, job)| {
                 let _scope = scope::enter(job.owner, lane);

@@ -3,7 +3,7 @@
 use crate::error::{Result, SpearError};
 use crate::ops::PayloadSpec;
 use crate::runtime::{ExecState, Runtime};
-use crate::trace::TraceKind;
+use crate::trace::{shared, TraceKind};
 use crate::value::Value;
 
 /// Handler for [`crate::ops::Op::Delegate`]: resolves the agent, builds
@@ -34,7 +34,7 @@ pub(crate) fn run(
     state.trace.record(
         state.step,
         TraceKind::Delegate,
-        format!("DELEGATE[{agent_name:?}] -> C[{into:?}]"),
+        shared(format_args!("DELEGATE[{agent_name:?}] -> C[{into:?}]")),
         Value::Null,
     );
     Ok(())

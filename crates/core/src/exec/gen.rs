@@ -3,13 +3,12 @@
 use std::collections::BTreeMap;
 
 use crate::error::{Result, SpearError};
-use crate::llm::{GenOptions, GenRequest, PromptIdentity};
+use crate::llm::{GenOptions, GenRequest, GenResponse, PromptIdentity};
 use crate::ops::PromptRef;
 use crate::prompt::PromptEntry;
 use crate::runtime::{ExecState, Runtime};
 use crate::template::PromptText;
-use crate::trace::TraceKind;
-use crate::value::{map, Value};
+use crate::trace::{shared, Detail, TraceKind};
 
 /// The request GEN sends for `prompt`: its rendered text, the segments it
 /// joins from (the renderer's literal/value boundaries, so backends can
@@ -45,7 +44,8 @@ fn request(
 }
 
 /// Handler for [`crate::ops::Op::Gen`]: renders the prompt, calls the
-/// backend, and records the generation in C, M, and the trace.
+/// backend, and records the generation in C, M, and the trace. The
+/// response's text moves into C and its model name into the trace event.
 pub(crate) fn run(
     rt: &Runtime,
     label: &str,
@@ -58,38 +58,32 @@ pub(crate) fn run(
     })?;
     let (response, reuse) =
         llm.generate_with_reuse(&request(rt, prompt, options, state)?, state.reuse)?;
-    state
-        .context
-        .set_attributed(label, response.text.clone(), state.step, "GEN");
-    state
-        .metadata
-        .record_gen(response.usage, response.latency, response.confidence);
+    let GenResponse {
+        text,
+        confidence,
+        usage,
+        latency,
+        model,
+        ..
+    } = response;
+    state.context.set_attributed(label, text, state.step, "GEN");
+    state.metadata.record_gen(usage, latency, confidence);
     if let Some(reuse) = reuse {
-        state
-            .metadata
-            .record_reuse(reuse.key, reuse.reused, response.usage);
+        state.metadata.record_reuse(reuse.key, reuse.reused, usage);
     }
     state
         .metadata
-        .set(format!("confidence:{label}"), response.confidence);
+        .set(format!("confidence:{label}"), confidence);
     state.trace.record(
         state.step,
         TraceKind::Gen,
-        format!("GEN[{label:?}]"),
-        map([
-            ("model", Value::from(response.model.clone())),
-            ("confidence", Value::from(response.confidence)),
-            ("prompt_tokens", Value::from(response.usage.prompt_tokens)),
-            ("cached_tokens", Value::from(response.usage.cached_tokens)),
-            (
-                "completion_tokens",
-                Value::from(response.usage.completion_tokens),
-            ),
-            (
-                "latency_us",
-                Value::from(u64::try_from(response.latency.as_micros()).unwrap_or(u64::MAX)),
-            ),
-        ]),
+        shared(format_args!("GEN[{label:?}]")),
+        Detail::Gen {
+            model,
+            confidence,
+            usage,
+            latency_us: u64::try_from(latency.as_micros()).unwrap_or(u64::MAX),
+        },
     );
     Ok(())
 }

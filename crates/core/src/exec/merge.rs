@@ -5,8 +5,7 @@ use crate::history::{RefAction, RefinementMode};
 use crate::ops::MergePolicy;
 use crate::prompt::{PromptEntry, PromptOrigin};
 use crate::runtime::ExecState;
-use crate::trace::TraceKind;
-use crate::value::Value;
+use crate::trace::{shared, Detail, TraceKind};
 
 /// Handler for [`crate::ops::Op::Merge`]: applies the reconciliation
 /// policy and records the merged entry (with `Merged` origin) under the
@@ -75,8 +74,10 @@ pub(crate) fn run(
     state.trace.record(
         state.step,
         TraceKind::Merge,
-        format!("MERGE[P[{left:?}], P[{right:?}]] -> P[{into:?}]"),
-        Value::from(choice),
+        shared(format_args!(
+            "MERGE[P[{left:?}], P[{right:?}]] -> P[{into:?}]"
+        )),
+        Detail::Choice(choice),
     );
     Ok(())
 }

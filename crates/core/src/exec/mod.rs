@@ -28,15 +28,19 @@ pub(crate) mod merge;
 pub(crate) mod refine;
 pub(crate) mod ret;
 
+use std::sync::Arc;
+
 use crate::error::{Result, SpearError};
 use crate::ops::Op;
 use crate::runtime::{ExecState, Runtime};
-use crate::trace::TraceKind;
-use crate::value::Value;
+use crate::trace::{shared, Detail, TraceKind};
+use crate::vm::Branch;
 
 /// Execute one data operator against `state`: the static dispatch table
-/// from operator to its inlined handler. `trigger` is the condition text of
-/// the innermost enclosing CHECK branch (REF records it). A GEN's prompt
+/// from operator to its inlined handler. `trigger` is the innermost
+/// enclosing CHECK branch with the text its check holds for it — the
+/// `CHECK[..]` label of a then-branch, the `!({cond})` of an else-branch
+/// (REF records the condition text it stands for). A GEN's prompt
 /// text carries its parse, so both spines render from the operator alone.
 /// Handlers never gate budgets or record `Error` events — the
 /// spine owns both — but do record their own success trace event, because
@@ -45,7 +49,7 @@ use crate::value::Value;
 pub(crate) fn exec_leaf(
     rt: &Runtime,
     op: &Op,
-    trigger: Option<&str>,
+    trigger: Option<(&Arc<str>, Branch)>,
     state: &mut ExecState,
 ) -> Result<()> {
     match op {
@@ -173,7 +177,7 @@ pub(crate) fn run_tree(
     ops: &[Op],
     state: &mut ExecState,
     budget: &mut u64,
-    trigger: Option<&str>,
+    trigger: Option<(&Arc<str>, Branch)>,
     limits: &CallLimits,
 ) -> Result<()> {
     for op in ops {
@@ -183,24 +187,29 @@ pub(crate) fn run_tree(
                 cond,
                 then_ops,
                 else_ops,
-            } => check::eval_labeled(cond, &op.describe(), state).and_then(|holds| {
-                if holds {
-                    run_tree(rt, then_ops, state, budget, Some(&cond.to_string()), limits)
-                } else if else_ops.is_empty() {
-                    Ok(())
-                } else {
-                    let negated = format!("!({cond})");
-                    run_tree(rt, else_ops, state, budget, Some(&negated), limits)
-                }
-            }),
+            } => {
+                let label: Arc<str> = op.describe().into();
+                check::eval_labeled(cond, &label, state).and_then(|holds| {
+                    if holds {
+                        let then = Some((&label, Branch::Then));
+                        run_tree(rt, then_ops, state, budget, then, limits)
+                    } else if else_ops.is_empty() {
+                        Ok(())
+                    } else {
+                        let negated: Arc<str> = format!("!({cond})").into();
+                        let otherwise = Some((&negated, Branch::Else));
+                        run_tree(rt, else_ops, state, budget, otherwise, limits)
+                    }
+                })
+            }
             leaf => exec_leaf(rt, leaf, trigger, state),
         };
         if let Err(e) = outcome {
             state.trace.record(
                 state.step,
                 TraceKind::Error,
-                op.describe(),
-                Value::from(e.to_string()),
+                op.describe().into(),
+                Detail::Message(shared(format_args!("{e}"))),
             );
             return Err(e);
         }

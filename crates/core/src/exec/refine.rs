@@ -1,15 +1,20 @@
 //! REF — prompt construction and refinement (paper §3.3, §4.3).
 
+use std::sync::Arc;
+
 use crate::error::{Result, SpearError};
 use crate::history::{RefAction, RefLogRecord, RefinementMode};
 use crate::refiner::RefineCtx;
 use crate::runtime::{ExecState, Runtime};
-use crate::trace::TraceKind;
-use crate::value::{map, Value};
+use crate::trace::{branch_text, shared, Detail, TraceKind, Trigger};
+use crate::value::Value;
+use crate::vm::Branch;
 
 /// Handler for [`crate::ops::Op::Ref`]: runs the refiner and applies its
 /// output — either a new prompt version (recorded in the ref_log with the
-/// CHECK trigger that caused it) or context writes.
+/// CHECK trigger that caused it) or context writes. `trigger` is the
+/// innermost enclosing branch and the text its check holds for it; the
+/// trace event shares that text.
 #[allow(clippy::too_many_arguments)] // mirrors Op::Ref's five fields plus spine context
 pub(crate) fn run(
     rt: &Runtime,
@@ -18,7 +23,7 @@ pub(crate) fn run(
     refiner_name: &str,
     args: &Value,
     mode: RefinementMode,
-    trigger: Option<&str>,
+    trigger: Option<(&Arc<str>, Branch)>,
     state: &mut ExecState,
 ) -> Result<()> {
     let refiner = rt.refiner(refiner_name)?;
@@ -48,7 +53,7 @@ pub(crate) fn run(
             action,
             f_name: refiner_name.to_string(),
             mode,
-            trigger: trigger.map(str::to_string),
+            trigger: trigger.map(|(text, branch)| branch_text(text, branch).to_string()),
             signals: state.metadata.signal_snapshot(),
             version: current.as_ref().map_or(1, |c| c.version + 1),
             text_after: new_text,
@@ -79,15 +84,14 @@ pub(crate) fn run(
     state.trace.record(
         state.step,
         TraceKind::Ref,
-        format!("REF[{action}, {refiner_name}] on P[{target:?}]"),
-        map([
-            ("mode", Value::from(mode.to_string())),
-            ("version", Value::from(new_version.unwrap_or(0))),
-            (
-                "trigger",
-                trigger.map_or(Value::Null, |t| Value::from(t.to_string())),
-            ),
-        ]),
+        shared(format_args!(
+            "REF[{action}, {refiner_name}] on P[{target:?}]"
+        )),
+        Detail::Ref {
+            mode,
+            version: new_version.unwrap_or(0),
+            trigger: trigger.map(|(text, branch)| Trigger::new(text, branch)),
+        },
     );
     Ok(())
 }

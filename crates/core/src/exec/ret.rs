@@ -3,8 +3,8 @@
 use crate::error::Result;
 use crate::retriever::{RetrievalQuery, RetrievalRequest};
 use crate::runtime::{ExecState, Runtime};
-use crate::trace::TraceKind;
-use crate::value::{map, Value};
+use crate::trace::{shared, Detail, TraceKind};
+use crate::value::Value;
 
 /// Handler for [`crate::ops::Op::Ret`]: resolves the retriever, renders a
 /// prompt-based query when one is configured (so REF can refine retrieval
@@ -43,8 +43,8 @@ pub(crate) fn run(
     state.trace.record(
         state.step,
         TraceKind::Ret,
-        format!("RET[{source:?}] -> C[{into:?}]"),
-        map([("count", Value::from(count))]),
+        shared(format_args!("RET[{source:?}] -> C[{into:?}]")),
+        Detail::Ret { count },
     );
     Ok(())
 }

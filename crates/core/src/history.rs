@@ -65,14 +65,22 @@ pub enum RefinementMode {
     Auto,
 }
 
-impl fmt::Display for RefinementMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl RefinementMode {
+    /// The mode's name in the paper's notation (`MANUAL`, `ASSISTED`,
+    /// `AUTO`).
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
             RefinementMode::Manual => "MANUAL",
             RefinementMode::Assisted => "ASSISTED",
             RefinementMode::Auto => "AUTO",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for RefinementMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -28,7 +28,7 @@ use crate::history::{RefAction, RefinementMode};
 use crate::llm::GenOptions;
 use crate::ops::{MergePolicy, Op, PayloadSpec, PromptRef};
 use crate::retriever::RetrievalQuery;
-use crate::trace::{TraceEvent, TraceKind};
+use crate::trace::{Detail, Form, Scalar, TraceEvent, TraceKind};
 use crate::value::Value;
 use crate::vm::{Program, VmOp, Within};
 
@@ -122,6 +122,12 @@ impl<T: StableHash + ?Sized> StableHash for &T {
     }
 }
 
+impl<T: StableHash + ?Sized> StableHash for std::sync::Arc<T> {
+    fn stable_hash(&self, h: u64) -> u64 {
+        (**self).stable_hash(h)
+    }
+}
+
 impl<T: StableHash + ?Sized> StableHash for Box<T> {
     fn stable_hash(&self, h: u64) -> u64 {
         (**self).stable_hash(h)
@@ -169,6 +175,34 @@ impl StableHash for Value {
             Value::List(items) => items.stable_hash(tag(h, 5)),
             Value::Map(m) => m.stable_hash(tag(h, 6)),
         }
+    }
+}
+
+/// A payload scalar folds as the `Value` it renders to.
+impl StableHash for Scalar<'_> {
+    fn stable_hash(&self, h: u64) -> u64 {
+        match *self {
+            Scalar::Null => tag(h, 0),
+            Scalar::Int(i) => i.stable_hash(tag(h, 2)),
+            Scalar::Float(f) => f.stable_hash(tag(h, 3)),
+            Scalar::Str(s) => s.stable_hash(tag(h, 4)),
+        }
+    }
+}
+
+/// A typed payload folds exactly the bytes of its `Value` form: a map is
+/// tag 6, its length, then each key and value in key order.
+impl StableHash for Detail {
+    fn stable_hash(&self, h: u64) -> u64 {
+        self.form(|form| match form {
+            Form::Scalar(scalar) => scalar.stable_hash(h),
+            Form::Map(entries) => entries
+                .iter()
+                .fold(entries.len().stable_hash(tag(h, 6)), |h, (key, value)| {
+                    value.stable_hash(key.stable_hash(h))
+                }),
+            Form::Value(value) => value.stable_hash(h),
+        })
     }
 }
 

@@ -33,6 +33,7 @@ use crate::condition::Cond;
 use crate::error::{Result, SpearError};
 use crate::ops::Op;
 use crate::pipeline::Pipeline;
+use crate::trace::shared;
 use crate::vm::{Branch, CheckSpec, LeafSpec, Program, VmOp, Within};
 
 /// The plan form this module emitted before lowering produced the program
@@ -146,9 +147,10 @@ impl Emitter {
     fn check_spec(&mut self, cond: &Cond, within: Within, has_else: bool) -> u32 {
         self.checks.push(CheckSpec {
             cond: cond.clone(),
-            // `Op::Check` describes itself as this label.
-            label: format!("CHECK[{cond}]"),
-            negated: has_else.then(|| format!("!({cond})")),
+            // `Op::Check` describes itself as this label. Each text is
+            // formatted straight into its one shared allocation.
+            label: shared(format_args!("CHECK[{cond}]")),
+            negated: has_else.then(|| shared(format_args!("!({cond})"))),
             within,
         });
         self.checks.len() as u32 - 1

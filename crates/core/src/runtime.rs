@@ -27,7 +27,7 @@ use crate::plan;
 use crate::refiner::{self, Refiner};
 use crate::retriever::Retriever;
 use crate::store::PromptStore;
-use crate::trace::{Trace, TraceKind};
+use crate::trace::{shared, Detail, Trace, TraceKind};
 use crate::value::Value;
 use crate::view::ViewCatalog;
 use crate::vm::{self, Program};
@@ -337,10 +337,12 @@ impl Runtime {
         body: impl FnOnce(&Self, &mut ExecState, &mut u64, &CallLimits) -> Result<()>,
     ) -> Result<ExecReport> {
         let before = Snapshot::of(state);
+        // The start and end lines share one allocation.
+        let line = shared(format_args!("pipeline {name:?}"));
         state.trace.record(
             state.step,
             TraceKind::PipelineStart,
-            format!("pipeline {name:?}"),
+            Arc::clone(&line),
             Value::from(size),
         );
         let mut budget = self.config.max_ops;
@@ -355,17 +357,14 @@ impl Runtime {
         };
         let result = body(self, state, &mut budget, &limits);
         match &result {
-            Ok(()) => state.trace.record(
-                state.step,
-                TraceKind::PipelineEnd,
-                format!("pipeline {name:?}"),
-                Value::Null,
-            ),
+            Ok(()) => state
+                .trace
+                .record(state.step, TraceKind::PipelineEnd, line, Value::Null),
             Err(e) => state.trace.record(
                 state.step,
                 TraceKind::Error,
-                format!("pipeline {name:?}"),
-                Value::from(e.to_string()),
+                line,
+                Detail::Message(shared(format_args!("{e}"))),
             ),
         }
         result?;

@@ -12,8 +12,10 @@
 //!   ([`LeafSpec::within`]), so the CHECK nesting is a chain the unwind
 //!   walks innermost-first, not a list copied into every slot;
 //! - a [`CheckSpec`] owns its `CHECK[..]` label and the REF triggers of
-//!   its branches, formatted once at lowering, so the hot loop formats
-//!   nothing that is a pure function of the plan (an operator's describe
+//!   its branches, formatted once at lowering into shared `Arc<str>`s, so
+//!   the hot loop formats nothing that is a pure function of the plan, and
+//!   the trace events of a check, of every unwind through it and of every
+//!   REF in its branches share that text (an operator's describe
 //!   line is formatted where it is read: when the operator's own failure
 //!   is unwound, and in [`Program::describe`]; an inline or lowered GEN
 //!   prompt is parsed once, with the operator that holds it: see
@@ -21,7 +23,8 @@
 //! - the program's identity — its [`Program::fingerprint`] and
 //!   [`Program::affinity_seed`] — is derived once, when it is emitted;
 //! - the run loop is a tight match over `&[VmOp]`: no trait objects, no
-//!   per-step allocation beyond the trace events themselves.
+//!   per-step allocation beyond the trace events themselves (one op line
+//!   per data operator, none for a check).
 //!
 //! ## Verified on emission
 //!
@@ -43,13 +46,15 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::sync::Arc;
+
 use crate::condition::Cond;
 use crate::error::{Result, SpearError};
 use crate::exec::{self, CallLimits};
 use crate::history::RefAction;
 use crate::ops::{Op, PromptRef};
 use crate::runtime::{ExecState, Runtime};
-use crate::trace::TraceKind;
+use crate::trace::{branch_text, shared, Detail, TraceKind};
 use crate::value::Value;
 
 /// One instruction: `u32` indices into the program's specs. `Copy`, two
@@ -126,14 +131,16 @@ impl LeafSpec {
 }
 
 /// A condition's slot: the condition, its `CHECK[{cond}]` label (the
-/// trace text of the check and of every unwind through it), the else
-/// branch's REF trigger `!({cond})` when there is an else branch, and its
-/// innermost enclosing branch.
+/// trace text of the check and of every unwind through it, and read
+/// without its brackets the then-branch's REF trigger), the else branch's
+/// REF trigger `!({cond})` when there is an else branch, and its innermost
+/// enclosing branch. Both texts are shared with the trace events that
+/// record them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckSpec {
     pub(crate) cond: Cond,
-    pub(crate) label: String,
-    pub(crate) negated: Option<String>,
+    pub(crate) label: Arc<str>,
+    pub(crate) negated: Option<Arc<str>>,
     pub(crate) within: Within,
 }
 
@@ -271,11 +278,19 @@ impl Program {
     /// else-branch.
     #[must_use]
     pub fn trigger(&self, within: Within) -> Option<&str> {
+        self.trigger_source(within)
+            .map(|(text, branch)| branch_text(text, branch))
+    }
+
+    /// The text the check of `within` holds for its branch — the label of
+    /// a then-branch, the negation of an else-branch — and the branch:
+    /// what a REF's trace event shares as its trigger.
+    pub(crate) fn trigger_source(&self, within: Within) -> Option<(&Arc<str>, Branch)> {
         let (check, branch) = within?;
         let spec = self.checks.get(check as usize)?;
         match branch {
-            Branch::Then => spec.label.strip_prefix("CHECK[")?.strip_suffix(']'),
-            Branch::Else => spec.negated.as_deref(),
+            Branch::Then => Some((&spec.label, branch)),
+            Branch::Else => spec.negated.as_ref().map(|text| (text, branch)),
         }
     }
 
@@ -400,29 +415,26 @@ pub fn compile(plan: &Program) -> Result<Program> {
 
 /// Replay the tree walk's error unwind: the failing operator's own
 /// describe line (when it ran), then one event per CHECK enclosing
-/// `within`, innermost first — all at the current step.
+/// `within`, innermost first — all at the current step. The message is
+/// formatted once and every event shares it; a check's event shares its
+/// label, so each frame allocates nothing.
 fn unwind(
     state: &mut ExecState,
     program: &Program,
-    own: Option<String>,
+    own: Option<Arc<str>>,
     within: Within,
     e: &SpearError,
 ) {
-    let message = e.to_string();
-    if let Some(describe) = own {
+    let message = shared(format_args!("{e}"));
+    let frames = program
+        .enclosing(within)
+        .map(|check| Arc::clone(&check.label));
+    for line in own.into_iter().chain(frames) {
         state.trace.record(
             state.step,
             TraceKind::Error,
-            describe,
-            Value::from(message.clone()),
-        );
-    }
-    for check in program.enclosing(within) {
-        state.trace.record(
-            state.step,
-            TraceKind::Error,
-            check.label.clone(),
-            Value::from(message.clone()),
+            line,
+            Detail::Message(Arc::clone(&message)),
         );
     }
 }
@@ -441,10 +453,11 @@ fn step_leaf(
         unwind(state, program, None, spec.within, &e);
         return Err(e);
     }
-    match exec::exec_leaf(rt, &spec.op, program.trigger(spec.within), state) {
+    match exec::exec_leaf(rt, &spec.op, program.trigger_source(spec.within), state) {
         Ok(()) => Ok(()),
         Err(e) => {
-            unwind(state, program, Some(spec.op.describe()), spec.within, &e);
+            let own = spec.op.describe().into();
+            unwind(state, program, Some(own), spec.within, &e);
             Err(e)
         }
     }
@@ -467,7 +480,13 @@ fn step_check(
     match exec::check::eval_labeled(&spec.cond, &spec.label, state) {
         Ok(holds) => Ok(holds),
         Err(e) => {
-            unwind(state, program, Some(spec.label.clone()), spec.within, &e);
+            unwind(
+                state,
+                program,
+                Some(Arc::clone(&spec.label)),
+                spec.within,
+                &e,
+            );
             Err(e)
         }
     }
@@ -659,7 +678,7 @@ mod tests {
             .events()
             .iter()
             .filter(|event| event.kind == TraceKind::Error)
-            .map(|event| event.op.as_str())
+            .map(|event| &*event.op)
             .take(4)
             .collect();
         assert_eq!(

@@ -473,8 +473,8 @@ fn report_totals_equal_the_sums_over_the_trace_gen_events() {
     let gens = state.trace.of_kind(TraceKind::Gen);
     for event in &gens {
         let field = |key: &str| -> u64 {
-            let detail = event.detail.as_map().unwrap();
-            u64::try_from(detail[key].as_i64().unwrap()).unwrap()
+            let detail = event.detail.to_value();
+            u64::try_from(detail.as_map().unwrap()[key].as_i64().unwrap()).unwrap()
         };
         usage.absorb(TokenUsage {
             prompt_tokens: field("prompt_tokens"),

@@ -244,8 +244,9 @@ fn one_more_data_leaf_costs_five_allocations() {
 fn a_ref_create_of_a_placeholder_free_text_shares_it_with_its_literal() {
     // The note `batch_adaptive` writes per request: a REF CREATE of a text
     // without placeholders, on a new key beside one P already holds. The
-    // text is one literal, which shares the text's allocation: 15
-    // allocations, against 16 when the literal copied the text.
+    // text is one literal, which shares the text's allocation: 8
+    // allocations, one fewer than if the literal copied the text (15
+    // against 16 while the REF's trace payload was a map built per event).
     const NOTE: &str = "Low confidence after refinement; route to review.";
     let rt = Runtime::builder().llm(Arc::new(EchoLlm::default())).build();
     let run = |note: bool| {
@@ -263,7 +264,7 @@ fn a_ref_create_of_a_placeholder_free_text_shares_it_with_its_literal() {
     let ((_, without), (state, with)) = (run(false), run(true));
     assert_eq!(
         with - without,
-        15,
+        8,
         "a REF CREATE of the note made {} allocations",
         with - without
     );
@@ -324,4 +325,160 @@ fn an_expand_of_a_view_derived_entry_extends_the_views_parse() {
     let expanded = state.prompts.get("p").expect("defined");
     assert_eq!(expanded.version, 2);
     assert!(std::ptr::eq(head(&view.text), head(&expanded.text)));
+}
+
+/// Allocation calls of running `plan` on a fresh state whose C holds `q`.
+fn run_allocs(rt: &Runtime, plan: &Program) -> u64 {
+    let mut state = ExecState::new();
+    state.context.set("q", "v");
+    let (_, _, allocs) = footprint(|| rt.execute_program(plan, &mut state));
+    allocs
+}
+
+/// `depth` CHECKs that hold, nested, around a GEN over an undefined key.
+fn nested_failing_gen(b: PipelineBuilder, depth: usize) -> PipelineBuilder {
+    if depth == 0 {
+        b.gen("a", "missing")
+    } else {
+        b.check(Cond::Always, |b| nested_failing_gen(b, depth - 1))
+    }
+}
+
+#[test]
+fn a_check_event_and_each_unwind_frame_allocate_nothing() {
+    // Two more holding CHECKs around a failing GEN: two more CHECK events
+    // and two more unwind frames. Both share the check's label from the
+    // program, and the frames share the one error message (three
+    // allocations a level when each copied them). 4 to 6 levels is 11 to
+    // 15 events, inside one capacity of the trace's event vector.
+    let rt = Runtime::builder().llm(Arc::new(EchoLlm::default())).build();
+    let plan = |depth| {
+        lower(&nested_failing_gen(Pipeline::builder("deep"), depth).build()).expect("lowers")
+    };
+    let (four, six) = (plan(4), plan(6));
+    run_allocs(&rt, &four);
+    let mut state = ExecState::new();
+    assert!(rt.execute_program(&six, &mut state).is_err());
+    assert_eq!(state.trace.count(TraceKind::CheckTaken), 6);
+    assert_eq!(state.trace.count(TraceKind::Error), 1 + 6 + 1);
+    let (few, more) = (run_allocs(&rt, &four), run_allocs(&rt, &six));
+    assert_eq!(
+        more,
+        few,
+        "two more CHECK events and unwind frames made {} allocations",
+        more.abs_diff(few)
+    );
+}
+
+/// Allocation calls of `more - few` extra steps `step` adds to a program
+/// that first defines `p`.
+fn step_allocs(
+    rt: &Runtime,
+    (few, more): (usize, usize),
+    step: impl Fn(PipelineBuilder) -> PipelineBuilder,
+) -> u64 {
+    let plan = |steps: usize| {
+        let start = Pipeline::builder("steps").create_text("p", "base", RefinementMode::Manual);
+        lower(&(0..steps).fold(start, |b, _| step(b)).build()).expect("lowers")
+    };
+    let (few, more) = (plan(few), plan(more));
+    run_allocs(rt, &few);
+    run_allocs(rt, &more) - run_allocs(rt, &few)
+}
+
+#[test]
+fn a_gen_or_ref_steps_trace_record_allocates_only_its_op_line() {
+    // Each step's trace record allocates its op line and nothing else:
+    // with the record call deleted, a step makes one allocation fewer, 16
+    // a GEN and 10 an EXPAND. When the payload was a map built per event,
+    // a GEN step made 27 allocations and an EXPAND 18.
+    // The step counts avoid a doubling of the trace's event vector, C's
+    // write log and the entry's refinement log.
+    let rt = Runtime::builder().llm(Arc::new(EchoLlm::default())).build();
+    let gens = step_allocs(&rt, (8, 12), |b| b.gen("a", "p"));
+    assert_eq!(gens, 4 * 17, "four more GEN steps made {gens} allocations");
+    let expands = step_allocs(&rt, (9, 13), |b| b.expand("p", "more"));
+    assert_eq!(
+        expands,
+        4 * 11,
+        "four more EXPAND steps made {expands} allocations"
+    );
+}
+
+#[test]
+fn an_executed_batch_adaptive_states_trace_holds_about_two_kilobytes() {
+    // The benchmark's `batch_adaptive` pipeline: a view-derived prompt,
+    // GEN, EXPAND, a RETRY of two AUTO refinements and a CHECK/ELSE note.
+    // The run records 12 events, 3 GEN and 4 REF. Its trace holds its
+    // event vector, one op line per data operator and the GENs' model
+    // names: 2 044 bytes, against 6 514 when every GEN and REF payload was
+    // a map and every CHECK event copied its label.
+    let views = ViewCatalog::new();
+    views.register(ViewDef::new(
+        "tweet_filter",
+        "You are given one tweet per request. Summarize the tweet and decide whether it is about \
+         the focus topic.\nFocus topic: {{topic}}.\nTweet: {{ctx:tweet}}",
+    ));
+    let rt = Runtime::builder()
+        .llm(Arc::new(EchoLlm::default()))
+        .views(views)
+        .build();
+    let args = [("topic".to_string(), Value::from("school"))]
+        .into_iter()
+        .collect();
+    let low = || Cond::low_confidence(0.62);
+    let plan = lower(
+        &Pipeline::builder("batch_adaptive")
+            .create_from_view("filter", "tweet_filter", args)
+            .gen("verdict", "filter")
+            .expand("filter", "Weigh the topic wording before the tone.")
+            .retry_gen(
+                "retry",
+                "filter",
+                low(),
+                "auto_refine",
+                Value::Null,
+                RefinementMode::Auto,
+                2,
+            )
+            .check_else(
+                low(),
+                |b| {
+                    b.create_text(
+                        "note",
+                        "Low confidence after refinement; route to review.",
+                        RefinementMode::Manual,
+                    )
+                },
+                |b| {
+                    b.create_text(
+                        "note",
+                        "Confident after refinement.",
+                        RefinementMode::Manual,
+                    )
+                },
+            )
+            .build(),
+    )
+    .expect("lowers");
+    let mut state = ExecState::new();
+    state
+        .context
+        .set("tweet", "the school board meeting ran long again");
+    rt.execute_program(&plan, &mut state).expect("runs");
+    let trace = std::mem::take(&mut state.trace);
+    assert_eq!(
+        (
+            trace.events().len(),
+            trace.count(TraceKind::Gen),
+            trace.count(TraceKind::Ref)
+        ),
+        (12, 3, 4)
+    );
+    let (_, freed, _) = footprint(|| drop(trace));
+    assert!(
+        -freed <= 2_100,
+        "the trace of an executed batch_adaptive state holds {} bytes",
+        -freed
+    );
 }

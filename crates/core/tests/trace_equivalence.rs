@@ -14,7 +14,12 @@
 //! specification. A third property checks the structural
 //! identity over the same corpus: plan fingerprints and trace digests
 //! partition pipelines and traces exactly as their serialized form does,
-//! except where JSON text conflates values.
+//! except where JSON text conflates values. The generator rarely unwinds
+//! through three frames or records a three-deep trigger (most generated
+//! conditions fail, or an earlier operator aborts first), so deterministic
+//! cases pin those paths: a GEN failing under three CHECKs, and a REF in a
+//! three-deep then-branch and else-branch — where both spines share the
+//! check's label and trigger text into the trace.
 
 use std::sync::Arc;
 
@@ -217,6 +222,107 @@ fn same_partition<T: Serialize>(
         ));
     }
     Ok(())
+}
+
+/// Run `instrs` through the tree walk and the VM from one seeded state and
+/// require the two runs to agree event for event, digest for digest and
+/// byte for byte; returns the VM's state.
+fn agree(instrs: &[Instr]) -> ExecState {
+    let p = pipeline(instrs);
+    let rt = runtime();
+    let mut tree = seeded_state("a tweet");
+    let mut vm = tree.clone();
+    let tree_result = rt.execute_tree(&p, &mut tree);
+    let vm_result = rt.execute_program(&lower(&p).unwrap(), &mut vm);
+    assert_eq!(tree.trace.events(), vm.trace.events(), "pipeline: {p:?}");
+    let digest = |t: &Trace| t.digest().unwrap_or_else(|never| match never {});
+    assert_eq!(digest(&tree.trace), digest(&vm.trace));
+    assert_eq!(
+        fingerprint(&tree_result, &tree),
+        fingerprint(&vm_result, &vm)
+    );
+    assert_eq!(
+        tree.prompts.get("p0").unwrap(),
+        vm.prompts.get("p0").unwrap()
+    );
+    vm
+}
+
+/// `inner` three CHECKs deep: each level holds (`"tweet" in C`,
+/// `truthy(C["tweet"])`, `true`) unless `innermost_else`, where the third
+/// fails (`"g3" in C`) and `inner` is its else-branch.
+fn three_deep(inner: Vec<Instr>, innermost_else: bool) -> Vec<Instr> {
+    let third = if innermost_else {
+        Instr::Check(
+            Cond::InContext("g3".into()),
+            vec![Instr::Expand(0, "unused".into())],
+            inner,
+        )
+    } else {
+        Instr::Check(Cond::Always, inner, vec![])
+    };
+    let second = Instr::Check(
+        Cond::Truthy(Operand::Ctx("tweet".into())),
+        vec![third],
+        vec![],
+    );
+    vec![Instr::Check(
+        Cond::InContext("tweet".into()),
+        vec![second],
+        vec![],
+    )]
+}
+
+/// The op lines of the run's `Error` events, in order.
+fn errors(state: &ExecState) -> Vec<&str> {
+    state
+        .trace
+        .of_kind(TraceKind::Error)
+        .into_iter()
+        .map(|event| &*event.op)
+        .collect()
+}
+
+#[test]
+fn a_gen_failing_under_three_checks_unwinds_through_three_frames_on_both_spines() {
+    let state = agree(&three_deep(vec![Instr::Gen(0, 3)], false));
+    assert_eq!(
+        errors(&state),
+        [
+            "GEN[\"g0\"] using P[\"p3\"]",
+            "CHECK[true]",
+            "CHECK[truthy(C[\"tweet\"])]",
+            "CHECK[\"tweet\" in C]",
+            "pipeline \"prop\"",
+        ]
+    );
+}
+
+#[test]
+fn a_ref_three_deep_records_its_branch_trigger_on_both_spines() {
+    for (innermost_else, trigger) in [(false, "true"), (true, "!(\"g3\" in C)")] {
+        // The REF records its trigger; the GEN after it fails and unwinds
+        // through the same three frames.
+        let inner = vec![Instr::Expand(0, "deep".into()), Instr::Gen(1, 3)];
+        let state = agree(&three_deep(inner, innermost_else));
+        let refs = state.trace.of_kind(TraceKind::Ref);
+        assert_eq!(refs.len(), 1);
+        let recorded = refs[0].detail.to_value();
+        assert_eq!(
+            recorded.path("trigger").and_then(Value::as_str),
+            Some(trigger)
+        );
+        let entry = state.prompts.get("p0").unwrap();
+        let logged = entry.ref_log.last().unwrap().trigger.as_deref();
+        assert_eq!(logged, Some(trigger));
+        let innermost = if innermost_else {
+            "CHECK[\"g3\" in C]"
+        } else {
+            "CHECK[true]"
+        };
+        assert_eq!(errors(&state)[1], innermost);
+        assert_eq!(errors(&state).len(), 1 + 3 + 1);
+    }
 }
 
 proptest! {

@@ -504,6 +504,11 @@ impl<'a> Sim<'a> {
                 seq.phase = Phase::Finished;
                 seq.finished_at = now;
                 seq.leased_blocks = 0;
+                // A finished sequence never leases again: its chain is
+                // dead, and a pressured run finishes every sequence
+                // before it returns, so keeping it would hold every
+                // request's chain at once.
+                seq.chain = Vec::new();
                 self.pool.release(Self::pool_seq(idx));
                 finished += 1;
                 false

@@ -1,9 +1,10 @@
 //! The pool clock's heap bound. A pressured run executes every request
 //! before the KV scheduler times any of them, so whatever a finished job
-//! leaves behind is held for all of the run's requests at once. Each job
-//! is reduced to what serving keeps on the lane that ran it, so the peak
-//! heap of a run grows by less than a third of one executed `ExecState`
-//! per extra request.
+//! leaves behind is held for all of the run's requests at once, and so is
+//! whatever the KV scheduler keeps of a finished sequence. Each job is
+//! reduced to what serving keeps on the lane that ran it, and a finished
+//! sequence frees its block-hash chain, so the peak heap of a run grows by
+//! a fixed, small number of bytes per extra request.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -138,7 +139,7 @@ fn executed_state_bytes() -> usize {
 }
 
 #[test]
-fn pool_clock_peak_heap_grows_by_under_a_third_of_a_state_per_request() {
+fn pool_clock_peak_heap_grows_by_a_bounded_amount_per_request() {
     let state = executed_state_bytes();
     let small = run_peak(256);
     let large = run_peak(1024);
@@ -147,12 +148,15 @@ fn pool_clock_peak_heap_grows_by_under_a_third_of_a_state_per_request() {
         "executed state {state} B; peak above start {small} B at 256 requests, \
          {large} B at 1024; {per_request} B per extra request"
     );
-    // Measured on the seed-7 workload: 2 544 B per extra request against a
-    // 9 764 B executed state; shipping every state back to the scheduler
-    // thread, to be digested and freed after the lanes finish, grew the
-    // peak by 10 502 B per request.
+    // Measured on the seed-7 workload: 736 to 762 B per extra request over
+    // six runs (the two lanes' interleaving moves it by a few tens of
+    // bytes), against a 5 390 B executed state. It was 2 564 B while the
+    // KV scheduler kept every finished sequence's block-hash chain until
+    // it returned; shipping every state back to the scheduler thread, to
+    // be digested and freed after the lanes finish, grew the peak by
+    // 10 502 B per request.
     assert!(
-        per_request * 3 < state,
+        per_request <= 800,
         "peak heap grows {per_request} B per request, an executed state is {state} B"
     );
 }

@@ -9,11 +9,23 @@ cargo test --workspace -q
 # The vendored offline shims sit outside the workspace, so the line above
 # never runs their own unit tests (rand's include its golden streams).
 cargo test -q -p rand -p serde -p serde_json -p proptest -p parking_lot
+# Building the benchmark rewrites its committed lockfile (it still lists a
+# dependency the workspace dropped), so keep a copy of the committed bytes
+# and put them back after the two benchmark steps, also when one fails.
+mkdir -p target/check
+cp benchmark/Cargo.lock target/check/benchmark-Cargo.lock
+restore_lock() {
+    cp target/check/benchmark-Cargo.lock benchmark/Cargo.lock
+}
+trap restore_lock EXIT
+trap 'exit 1' INT TERM
 # The stand-alone benchmark crate is outside the workspace: keep its
 # self-tests compiling against the crates they drive.
 cargo test --release --manifest-path benchmark/Cargo.toml -q
 # ... and its output checks passing against them, on all five workloads.
 sh scripts/bench_smoke.sh
+restore_lock
+trap - EXIT INT TERM
 # Reproduction gate: the eight paper outputs, the static-analysis report
 # (the bytecode lints and the static cost envelope over the golden plan
 # corpus) and the corpus listings must match their checked-in results byte
@@ -21,7 +33,6 @@ sh scripts/bench_smoke.sh
 # host timing). Each output is written under target/ before it is
 # compared, so a program that exits non-zero fails the gate even when it
 # printed the expected bytes.
-mkdir -p target/check
 for bin in table3 table4 figure1 ablation_cache ablation_planner ablation_views \
     ablation_predictive ablation_gen_fusion analyze disasm; do
     cargo run --release -q -p spear-bench --bin "$bin" > "target/check/$bin.txt"

@@ -151,6 +151,7 @@ fn traces_are_genuinely_cache_dependent() {
                 .iter()
                 .any(|e| {
                     e.detail
+                        .to_value()
                         .path("cached_tokens")
                         .and_then(spear::core::Value::as_i64)
                         .unwrap_or(0)
